@@ -13,17 +13,20 @@ package svrdb_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"svrdb/internal/bench"
+	"svrdb/internal/codec"
 	"svrdb/internal/core"
 	"svrdb/internal/index"
 	"svrdb/internal/postings"
 	"svrdb/internal/relation"
 	"svrdb/internal/server"
+	"svrdb/internal/storage/btree"
 	"svrdb/internal/storage/buffer"
 	"svrdb/internal/storage/pagefile"
 	"svrdb/internal/workload"
@@ -436,6 +439,55 @@ func BenchmarkAblation_FancyListQuery(b *testing.B) {
 		b.Run(fmt.Sprintf("fancy=%d", n), func(b *testing.B) {
 			m := buildBenchIndex(b, "Chunk-TermScore", index.Config{FancyListSize: n, MinChunkSize: 20})
 			benchQueries(b, m, 10, false, true)
+		})
+	}
+}
+
+// probeSink keeps the compiler from discarding BenchmarkProbeGet's lookups.
+var probeSink []byte
+
+// BenchmarkProbeGet measures one btree.Probe lookup on a Score-table-shaped
+// tree (8-byte ordered keys, 9-byte values, bulk-loaded at the Score table's
+// fill): ascending keys are the query path's candidate order, where nearly
+// every lookup lands on the cached leaf image; random keys make every lookup
+// a leaf jump (descent plus image reload).  Both must report 0 allocs/op —
+// that is what keeps candidate resolution off the allocator.
+func BenchmarkProbeGet(b *testing.B) {
+	const n = 50_000
+	pool := buffer.MustNew(pagefile.MustNewMem(pagefile.DefaultPageSize), 8192)
+	items := make([]btree.Item, n)
+	for i := range items {
+		items[i] = btree.Item{Key: codec.PutOrderedUint64(nil, uint64(i)), Value: make([]byte, 9)}
+	}
+	tree, err := btree.BulkLoadFill(pool, items, 0.55)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ascending := make([]int, n)
+	for i := range ascending {
+		ascending[i] = i
+	}
+	for _, o := range []struct {
+		name  string
+		order []int
+	}{{"ascending", ascending}, {"random", rand.New(rand.NewSource(1)).Perm(n)}} {
+		order := o.order
+		b.Run(o.name, func(b *testing.B) {
+			probe := tree.View().NewProbe()
+			for i := range items { // grow the probe's buffers to their steady-state size
+				if _, _, err := probe.Get(items[i].Key); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v, ok, err := probe.Get(items[order[i%n]].Key)
+				if err != nil || !ok {
+					b.Fatalf("probe.Get(%d) = %v, %v", order[i%n], ok, err)
+				}
+				probeSink = v
+			}
 		})
 	}
 }

@@ -314,7 +314,7 @@ func (m *ChunkMethod) TopK(q Query) (*QueryResult, error) {
 		return nil, err
 	}
 	defer guard.Leave()
-	ctx := newQueryCtx()
+	ctx := newQueryCtx(s)
 	defer ctx.release()
 	for _, term := range q.Terms {
 		long, err := m.longIterator(s, term)
@@ -332,18 +332,17 @@ func (m *ChunkMethod) TopK(q Query) (*QueryResult, error) {
 		k:           q.K,
 		conjunctive: !q.Disjunctive,
 		maxPossible: maxPossibleChunkScore(s),
-		resolve:     probedChunkResolver(s),
+		resolve:     probedChunkResolver(ctx),
 	})
 }
 
 // probedChunkResolver returns a per-query resolveCandidate whose ListChunk
-// and Score lookups run through leaf-locality probes pinned to the
-// snapshot: within a chunk the candidates arrive in ascending document
-// order, so both tables are walked left to right instead of descended per
-// candidate.  Shared by the Chunk and Chunk-TermScore methods.
-func probedChunkResolver(s *snap) func(g postings.Group) (float64, bool, error) {
-	lp := s.table.newProbe()
-	sp := s.score.newProbe()
+// and Score lookups run through the query context's leaf-locality probes:
+// within a chunk the candidates arrive in ascending document order, so both
+// tables are walked left to right instead of descended per candidate.
+// Shared by the Chunk and Chunk-TermScore methods.
+func probedChunkResolver(ctx *queryCtx) func(g postings.Group) (float64, bool, error) {
+	lp, sp := &ctx.list, &ctx.score
 	return func(g postings.Group) (float64, bool, error) {
 		entry, exists, err := lp.Get(g.Doc)
 		if err != nil {

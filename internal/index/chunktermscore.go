@@ -145,7 +145,7 @@ func (m *ChunkTermScoreMethod) TopK(q Query) (*QueryResult, error) {
 	defer guard.Leave()
 	m.counters.queries.Add(1)
 
-	ctx := newQueryCtx()
+	ctx := newQueryCtx(s)
 	defer ctx.release()
 	for i, term := range q.Terms {
 		idf := s.queryIDF(&q, i)
@@ -165,10 +165,12 @@ func (m *ChunkTermScoreMethod) TopK(q Query) (*QueryResult, error) {
 	res := &QueryResult{}
 	// Fancy lists and chunked lists both yield candidates in ascending
 	// document order (per chunk), so their score resolution runs through
-	// leaf-locality probes; checkStop's remainList pruning probes documents
-	// in arbitrary order and keeps the plain lookups.
-	fancyScores := s.score.newProbe()
-	resolve := probedChunkResolver(s)
+	// the context's leaf-locality probes (phase 1 is done with the Score
+	// probe before phase 2's resolver takes it over); checkStop's remainList
+	// pruning probes documents in arbitrary order and keeps the plain
+	// lookups.
+	fancyScores := &ctx.score
+	resolve := probedChunkResolver(ctx)
 
 	// Phase 1 (Algorithm 3 lines 8-9): merge the fancy lists.  Documents
 	// present in every fancy list have exact combined scores and seed the

@@ -214,8 +214,8 @@ func (m *IDMethod) docTermsForMaintenance(doc DocID) []string {
 
 // makeResolve builds the candidate resolver: the current-score lookup, plus
 // the per-term TFIDF contributions when the query asks for combined ranking.
-func (m *IDMethod) makeResolve(s *snap, q Query, idfs []float64) func(g postings.Group) (float64, bool, error) {
-	resolve := s.currentScoreResolver()
+func (m *IDMethod) makeResolve(ctx *queryCtx, q Query, idfs []float64) func(g postings.Group) (float64, bool, error) {
+	resolve := currentScoreResolver(ctx)
 	if !q.WithTermScores {
 		return resolve
 	}
@@ -249,10 +249,13 @@ func (m *IDMethod) TopK(q Query) (*QueryResult, error) {
 	}
 	defer guard.Leave()
 
+	ctx := newQueryCtx(s)
+	defer ctx.release()
+
 	// Multi-term conjunctive queries with no auxiliary postings intersect
 	// via leapfrog seeks instead of scanning every list end to end.
 	if !q.Disjunctive && len(q.Terms) > 1 && s.lists.Len() == 0 {
-		res, done, err := m.leapfrogTopK(s, q)
+		res, done, err := m.leapfrogTopK(s, ctx, q)
 		if err != nil {
 			return nil, err
 		}
@@ -263,8 +266,6 @@ func (m *IDMethod) TopK(q Query) (*QueryResult, error) {
 		// the scan-everything merger below.
 	}
 
-	ctx := newQueryCtx()
-	defer ctx.release()
 	for i, term := range q.Terms {
 		long, err := m.longIterator(s, term)
 		if err != nil {
@@ -283,7 +284,7 @@ func (m *IDMethod) TopK(q Query) (*QueryResult, error) {
 		k:           q.K,
 		conjunctive: !q.Disjunctive,
 		maxPossible: neverStop,
-		resolve:     m.makeResolve(s, q, ctx.idfs),
+		resolve:     m.makeResolve(ctx, q, ctx.idfs),
 	})
 }
 
@@ -302,7 +303,7 @@ type docSeeker interface {
 // list does not support seeking (legacy uncompressed blob) and the caller
 // must fall back to the merger path; nothing has been counted yet in that
 // case.
-func (m *IDMethod) leapfrogTopK(s *snap, q Query) (*QueryResult, bool, error) {
+func (m *IDMethod) leapfrogTopK(s *snap, ctx *queryCtx, q Query) (*QueryResult, bool, error) {
 	seekers := make([]docSeeker, 0, len(q.Terms))
 	idfs := make([]float64, 0, len(q.Terms))
 	for i, term := range q.Terms {
@@ -378,7 +379,7 @@ func (m *IDMethod) leapfrogTopK(s *snap, q Query) (*QueryResult, bool, error) {
 	m.counters.queries.Add(1)
 	heap := topk.New(q.K)
 	res := &QueryResult{}
-	resolve := m.makeResolve(s, q, idfs)
+	resolve := m.makeResolve(ctx, q, idfs)
 	group := postings.Group{
 		Entries: make([]postings.Entry, len(seekers)),
 		Present: make([]bool, len(seekers)),

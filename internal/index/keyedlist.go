@@ -99,20 +99,19 @@ func keyedListPrefix(term string) []byte {
 	return codec.PutOrderedString(nil, term)
 }
 
-func decodeKeyedListKey(key []byte) (term string, sortKey float64, doc DocID, err error) {
-	term, n, err := codec.OrderedString(key)
+// decodeKeyedListSuffix decodes the (sortKey, doc) tail of a keyedList key —
+// what follows the term prefix.  Scans address one term, so they know the
+// prefix length up front and never need to materialize the term string.
+func decodeKeyedListSuffix(suffix []byte) (sortKey float64, doc DocID, err error) {
+	sortKey, n, err := codec.OrderedFloat64Desc(suffix)
 	if err != nil {
-		return "", 0, 0, err
+		return 0, 0, err
 	}
-	sortKey, m, err := codec.OrderedFloat64Desc(key[n:])
+	id, _, err := codec.OrderedUint64(suffix[n:])
 	if err != nil {
-		return "", 0, 0, err
+		return 0, 0, err
 	}
-	id, _, err := codec.OrderedUint64(key[n+m:])
-	if err != nil {
-		return "", 0, 0, err
-	}
-	return term, sortKey, DocID(id), nil
+	return sortKey, DocID(id), nil
 }
 
 func encodeKeyedListValue(op postings.Op, termScore float32) []byte {
@@ -193,8 +192,9 @@ func (l *keyedList) stageOp(term string, doc DocID, key, val []byte, del bool) {
 // purge short lists so that reused IDs are safe, Appendix A.2).
 func (l *keyedList) DeleteAllForDoc(term string, doc DocID) error {
 	var keys [][]byte
-	err := l.tree.AscendPrefix(keyedListPrefix(term), func(k, v []byte) bool {
-		_, _, d, err := decodeKeyedListKey(k)
+	prefix := keyedListPrefix(term)
+	err := l.tree.AscendPrefix(prefix, func(k, v []byte) bool {
+		_, d, err := decodeKeyedListSuffix(k[len(prefix):])
 		if err == nil && d == doc {
 			keys = append(keys, append([]byte(nil), k...))
 		}
@@ -322,8 +322,9 @@ func (v keyedView) Patches() uint64 { return v.patches }
 func (v keyedView) Collect(term string) ([]postings.Entry, error) {
 	var out []postings.Entry
 	var innerErr error
-	err := v.view.AscendPrefix(keyedListPrefix(term), func(k, val []byte) bool {
-		_, sortKey, doc, err := decodeKeyedListKey(k)
+	prefix := keyedListPrefix(term)
+	err := v.view.AscendPrefix(prefix, func(k, val []byte) bool {
+		sortKey, doc, err := decodeKeyedListSuffix(k[len(prefix):])
 		if err != nil {
 			innerErr = err
 			return false
@@ -380,8 +381,9 @@ func (l *keyedList) Iterator(term string) (*postings.SliceIterator, error) {
 // the B+-tree leaves.
 type treeCursor struct {
 	view      btree.View
-	term      string
 	fromShort bool
+	prefixLen int    // length of the term prefix every key of the list starts with
+	end       []byte // exclusive end of the term's key range
 
 	batch   []postings.Entry
 	pos     int
@@ -394,7 +396,8 @@ type treeCursor struct {
 const cursorBatchSize = postings.BatchSize
 
 func (v keyedView) Cursor(term string, fromShort bool) *treeCursor {
-	return &treeCursor{view: v.view, term: term, fromShort: fromShort, nextKey: keyedListPrefix(term)}
+	prefix := keyedListPrefix(term)
+	return &treeCursor{view: v.view, fromShort: fromShort, prefixLen: len(prefix), end: prefixEnd(prefix), nextKey: prefix}
 }
 
 // Cursor streams one term's postings from the live tree; single-threaded
@@ -409,13 +412,11 @@ func (c *treeCursor) refill() error {
 	if c.done {
 		return nil
 	}
-	prefix := keyedListPrefix(c.term)
-	end := prefixEnd(prefix)
 	var innerErr error
 	var lastKey []byte
 	count := 0
 	stopped := false
-	err := c.view.AscendRange(c.nextKey, end, func(k, v []byte) bool {
+	err := c.view.AscendRange(c.nextKey, c.end, func(k, v []byte) bool {
 		if count >= cursorBatchSize {
 			// Remember where to resume: the current key (it has not been
 			// consumed into the batch).
@@ -423,7 +424,7 @@ func (c *treeCursor) refill() error {
 			stopped = true
 			return false
 		}
-		_, sortKey, doc, err := decodeKeyedListKey(k)
+		sortKey, doc, err := decodeKeyedListSuffix(k[c.prefixLen:])
 		if err != nil {
 			innerErr = err
 			return false

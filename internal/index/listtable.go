@@ -70,7 +70,8 @@ type listView struct {
 
 // Get returns the entry for doc in the view, if any.
 func (v listView) Get(doc DocID) (listEntry, bool, error) {
-	data, ok, err := v.view.Get(listTableKey(doc))
+	key := docKey(doc)
+	data, ok, err := v.view.Get(key[:])
 	if err != nil || !ok {
 		return listEntry{}, false, err
 	}
@@ -81,9 +82,6 @@ func (v listView) Get(doc DocID) (listEntry, bool, error) {
 	return e, true, nil
 }
 
-// newProbe returns a per-query locality-aware reader pinned to the view.
-func (v listView) newProbe() *listProbe { return &listProbe{p: v.view.NewProbe()} }
-
 // Len reports the entry count at capture time.
 func (v listView) Len() int { return v.len }
 
@@ -91,7 +89,8 @@ func (v listView) Len() int { return v.len }
 func (v listView) Patches() uint64 { return v.patches }
 
 func listTableKey(doc DocID) []byte {
-	return codec.PutOrderedUint64(nil, uint64(doc))
+	key := docKey(doc)
+	return key[:]
 }
 
 // Get returns the entry for doc, if any.
@@ -104,7 +103,8 @@ func (t *listTable) Get(doc DocID) (listEntry, bool, error) {
 			return *e, true, nil
 		}
 	}
-	data, ok, err := t.tree.Get(listTableKey(doc))
+	key := docKey(doc)
+	data, ok, err := t.tree.Get(key[:])
 	if err != nil || !ok {
 		return listEntry{}, false, err
 	}
@@ -153,17 +153,20 @@ func (t *listTable) Delete(doc DocID) error {
 	return err
 }
 
-// listProbe is the per-query locality-aware reader of a listTable,
-// mirroring scoreProbe.
+// listProbe is the per-query locality-aware reader of a listView,
+// mirroring scoreProbe (and, like it, owned by the pooled queryCtx).
 type listProbe struct {
-	p *btree.Probe
+	p btree.Probe
 }
 
-func (t *listTable) newProbe() *listProbe { return &listProbe{p: t.tree.NewProbe()} }
+// bind points the probe at a frozen table, keeping its buffers.  The zero
+// listView unbinds it.
+func (lp *listProbe) bind(v listView) { lp.p.Reset(v.view) }
 
-// Get mirrors listTable.Get through the probe.
+// Get mirrors listView.Get through the probe.
 func (lp *listProbe) Get(doc DocID) (listEntry, bool, error) {
-	data, ok, err := lp.p.Get(listTableKey(doc))
+	key := docKey(doc)
+	data, ok, err := lp.p.Get(key[:])
 	if err != nil || !ok {
 		return listEntry{}, false, err
 	}

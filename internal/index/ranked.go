@@ -9,26 +9,33 @@ import (
 )
 
 // queryCtx is the per-query scratch a TopK call assembles its pipeline in:
-// the per-term stream slice plus the IDF/epsilon arrays of the TermScore
-// algorithms.  Every query gets its own context from a sync.Pool — two
-// concurrent Searches never share scratch, and the steady-state query path
-// reuses the slices instead of allocating them anew per query.  The context
-// must be released only after the query is fully evaluated (the group merger
-// reads the streams it references).
+// the per-term stream slice, the IDF/epsilon arrays of the TermScore
+// algorithms, and the Score-table and ListScore/ListChunk-table probes with
+// the leaf images they read through.  Every query gets its own context from
+// a sync.Pool — two concurrent Searches never share scratch, and the
+// steady-state query path reuses the slices and leaf images instead of
+// allocating them anew per query (or, for the images, per leaf jump).  The
+// context must be released only after the query is fully evaluated (the
+// group merger reads the streams it references, the resolvers its probes).
 type queryCtx struct {
 	streams  []postings.BatchIterator
 	idfs     []float64
 	epsilons []float64
+	score    scoreProbe
+	list     listProbe
 }
 
 var queryCtxPool = sync.Pool{New: func() any { return &queryCtx{} }}
 
-// newQueryCtx returns an empty context with capacity hints for n terms.
-func newQueryCtx() *queryCtx {
+// newQueryCtx returns an empty context whose probes read the snapshot's
+// tables.
+func newQueryCtx(s *snap) *queryCtx {
 	c := queryCtxPool.Get().(*queryCtx)
 	c.streams = c.streams[:0]
 	c.idfs = c.idfs[:0]
 	c.epsilons = c.epsilons[:0]
+	c.score.bind(s.score)
+	c.list.bind(s.table)
 	return c
 }
 
@@ -38,6 +45,9 @@ func (c *queryCtx) release() {
 	for i := range c.streams {
 		c.streams[i] = nil // drop iterator references so the pool retains no streams
 	}
+	// Likewise the probes: a pooled context must not keep an index alive.
+	c.score.bind(scoreView{})
+	c.list.bind(listView{})
 	queryCtxPool.Put(c)
 }
 

@@ -221,7 +221,7 @@ func (m *ScoreMethod) TopK(q Query) (*QueryResult, error) {
 		return nil, err
 	}
 	defer guard.Leave()
-	ctx := newQueryCtx()
+	ctx := newQueryCtx(s)
 	defer ctx.release()
 	for _, term := range q.Terms {
 		ctx.streams = append(ctx.streams, s.lists.Cursor(term, false))

@@ -77,7 +77,8 @@ type scoreView struct {
 // Get resolves a document's score in the view.
 func (v scoreView) Get(doc DocID) (score float64, deleted bool, ok bool, err error) {
 	v.s.lookups.Add(1)
-	data, found, err := v.view.Get(scoreTableKey(doc))
+	key := docKey(doc)
+	data, found, err := v.view.Get(key[:])
 	if err != nil || !found {
 		return 0, false, false, err
 	}
@@ -88,19 +89,24 @@ func (v scoreView) Get(doc DocID) (score float64, deleted bool, ok bool, err err
 	return score, deleted, true, nil
 }
 
-// newProbe returns a per-query locality-aware reader pinned to the view.
-func (v scoreView) newProbe() *scoreProbe {
-	return &scoreProbe{s: v.s, p: v.view.NewProbe()}
-}
-
 // Len reports the entry count at capture time.
 func (v scoreView) Len() int { return v.len }
 
 // Patches reports the in-place patch count at capture time.
 func (v scoreView) Patches() uint64 { return v.patches }
 
+// docKey is the 8-byte order-preserving key of a document in the Score and
+// ListScore/ListChunk tables, returned by value so that lookups build it on
+// the stack; scoreTableKey and listTableKey are its heap forms for the write
+// paths, which hand keys to the tree to keep.
+func docKey(doc DocID) (key [8]byte) {
+	codec.PutOrderedUint64(key[:0], uint64(doc))
+	return key
+}
+
 func scoreTableKey(doc DocID) []byte {
-	return codec.PutOrderedUint64(nil, uint64(doc))
+	key := docKey(doc)
+	return key[:]
 }
 
 func encodeScoreEntry(score float64, deleted bool) []byte {
@@ -145,7 +151,8 @@ func (s *scoreTable) Get(doc DocID) (score float64, deleted bool, ok bool, err e
 			return v.score, v.deleted, true, nil
 		}
 	}
-	data, found, err := s.tree.Get(scoreTableKey(doc))
+	key := docKey(doc)
+	data, found, err := s.tree.Get(key[:])
 	if err != nil || !found {
 		return 0, false, false, err
 	}
@@ -159,20 +166,25 @@ func (s *scoreTable) Get(doc DocID) (score float64, deleted bool, ok bool, err e
 // scoreProbe is a per-query Score-table reader that exploits the ascending
 // document order of candidate resolution: consecutive lookups reuse the
 // B+-tree leaf of the previous one instead of re-descending and re-scanning
-// it.  Create one per query; it must not outlive an index write.
+// it.  It lives in the pooled queryCtx, which thereby owns the probe's leaf
+// image across queries; bind rebinds it to the query's snapshot.
 type scoreProbe struct {
 	s *scoreTable
-	p *btree.Probe
+	p btree.Probe
 }
 
-func (s *scoreTable) newProbe() *scoreProbe {
-	return &scoreProbe{s: s, p: s.tree.NewProbe()}
+// bind points the probe at a frozen Score table, keeping its buffers.  The
+// zero scoreView unbinds it.
+func (sp *scoreProbe) bind(v scoreView) {
+	sp.s = v.s
+	sp.p.Reset(v.view)
 }
 
-// Get mirrors scoreTable.Get through the probe.
+// Get mirrors scoreView.Get through the probe.
 func (sp *scoreProbe) Get(doc DocID) (score float64, deleted bool, ok bool, err error) {
 	sp.s.lookups.Add(1)
-	data, found, err := sp.p.Get(scoreTableKey(doc))
+	key := docKey(doc)
+	data, found, err := sp.p.Get(key[:])
 	if err != nil || !found {
 		return 0, false, false, err
 	}

@@ -320,7 +320,7 @@ func (m *ScoreThresholdMethod) TopK(q Query) (*QueryResult, error) {
 		return nil, err
 	}
 	defer guard.Leave()
-	ctx := newQueryCtx()
+	ctx := newQueryCtx(s)
 	defer ctx.release()
 	for _, term := range q.Terms {
 		long, err := m.longIterator(s, term)

@@ -196,9 +196,9 @@ func (s *snap) currentScore(doc DocID) (float64, bool, error) {
 // currentScoreResolver returns a resolve function that looks up the current
 // score in the snapshot's Score table and skips deleted or unknown
 // documents.  Candidates arrive in ascending document order, so the lookups
-// run through a per-query probe that reuses the leaf of the previous one.
-func (s *snap) currentScoreResolver() func(g postings.Group) (float64, bool, error) {
-	probe := s.score.newProbe()
+// run through the query's probe, which reuses the leaf of the previous one.
+func currentScoreResolver(ctx *queryCtx) func(g postings.Group) (float64, bool, error) {
+	probe := &ctx.score
 	return func(g postings.Group) (float64, bool, error) {
 		score, deleted, ok, err := probe.Get(g.Doc)
 		if err != nil {

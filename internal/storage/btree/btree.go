@@ -17,6 +17,12 @@ const (
 	nodeInternal = byte(2)
 )
 
+// maxDepth bounds a root-to-leaf descent.  Fan-out is in the tens even at
+// the smallest page size, so no tree this package builds comes near it; a
+// descent that gets this far is walking corrupt child pointers in a circle,
+// and stopping turns a hang into an error.
+const maxDepth = 64
+
 // ErrEntryTooLarge is returned when a key/value pair cannot fit in a page.
 var ErrEntryTooLarge = errors.New("btree: entry too large for page")
 
@@ -332,6 +338,11 @@ func parseNode(id pagefile.PageID, data []byte) (*node, error) {
 		return nil, fmt.Errorf("btree: page %d: %w", id, err)
 	}
 	off += sz
+	// Every entry occupies at least two bytes, so a larger count is corrupt;
+	// rejecting it here keeps it from sizing the slices below.
+	if nKeys64 > uint64(len(data)) {
+		return nil, fmt.Errorf("btree: page %d header claims %d entries in %d bytes", id, nKeys64, len(data))
+	}
 	nKeys := int(nKeys64)
 	switch data[0] {
 	case nodeLeaf:
@@ -520,58 +531,25 @@ func pageLeafLookup(id pagefile.PageID, data, key []byte) ([]byte, bool, error) 
 // pageLeafFindValue scans a serialized leaf for key and returns the offset
 // and length of its value bytes within data — the patch fast path needs the
 // location so it can overwrite the value in the pinned page; pageLeafLookup
-// wraps it for callers that want the contents.  The scan decodes the
-// per-entry length prefixes inline (with a fast path for the ubiquitous
-// one-byte varint) because this loop is the heart of every Score-table
-// probe and every patched write.
+// wraps it for callers that want the contents.  A one-shot lookup stops at
+// the first key >= key, so it walks the entries in order instead of building
+// the offset table a leafImage binary-searches.
 func pageLeafFindValue(id pagefile.PageID, data, key []byte) (valOff, valLen int, found bool, err error) {
-	off := 1
-	nKeys64, sz, err := codec.Uvarint(data[off:])
+	w, err := walkLeaf(id, data)
 	if err != nil {
-		return 0, 0, false, fmt.Errorf("btree: page %d: %w", id, err)
+		return 0, 0, false, err
 	}
-	off += sz + 16 // skip next and prev pointers
-	for i := 0; i < int(nKeys64); i++ {
-		kl, sz, err := leafEntryLen(data, off)
-		if err != nil {
+	for {
+		e, ok, err := w.next()
+		if err != nil || !ok {
 			return 0, 0, false, err
 		}
-		off += sz
-		if off+kl > len(data) {
-			return 0, 0, false, fmt.Errorf("btree: page %d leaf entry overruns page", id)
-		}
-		k := data[off : off+kl]
-		off += kl
-		vl, sz, err := leafEntryLen(data, off)
-		if err != nil {
-			return 0, 0, false, err
-		}
-		off += sz
-		if off+vl > len(data) {
-			return 0, 0, false, fmt.Errorf("btree: page %d leaf entry overruns page", id)
-		}
-		cmp := bytes.Compare(k, key)
-		if cmp == 0 {
-			return off, vl, true, nil
-		}
-		if cmp > 0 {
+		if cmp := bytes.Compare(data[e.keyOff:e.keyEnd], key); cmp == 0 {
+			return int(e.valOff), int(e.valEnd - e.valOff), true, nil
+		} else if cmp > 0 {
 			return 0, 0, false, nil
 		}
-		off += vl
 	}
-	return 0, 0, false, nil
-}
-
-// leafEntryLen decodes a length prefix at data[off:]; one-byte varints (all
-// lengths under 128) skip the generic decoder.
-func leafEntryLen(data []byte, off int) (int, int, error) {
-	if off < len(data) {
-		if b := data[off]; b < 0x80 {
-			return int(b), 1, nil
-		}
-	}
-	v, sz, err := codec.Uvarint(data[off:])
-	return int(v), sz, err
 }
 
 // findLeafFrame descends to the leaf that would hold key, scanning the
@@ -601,7 +579,10 @@ func (t *Tree) descendToLeaf(key []byte, path *[]pagefile.PageID, upper *[]byte)
 // mutation leaves stale.
 func (t *Tree) descendFrom(root pagefile.PageID, key []byte, path *[]pagefile.PageID, upper *[]byte) (*buffer.Frame, error) {
 	id := root
-	for {
+	for depth := 0; ; depth++ {
+		if depth == maxDepth {
+			return nil, fmt.Errorf("btree: descent from page %d exceeds %d levels (child pointers form a cycle)", root, maxDepth)
+		}
 		fr, err := t.pool.Get(id)
 		if err != nil {
 			return nil, err
@@ -776,37 +757,20 @@ func (t *Tree) patchInFrame(fr *buffer.Frame, key, value []byte) (bool, error) {
 // same-length replacement of a key on this leaf (including items belonging
 // to later leaves) and returns how many items it consumed.
 func (t *Tree) patchRun(fr *buffer.Frame, items []Item) (int, error) {
-	id := fr.ID()
 	data := fr.Data()
-	off := 1
-	nKeys64, sz, err := codec.Uvarint(data[off:])
+	w, err := walkLeaf(fr.ID(), data)
 	if err != nil {
-		return 0, fmt.Errorf("btree: page %d: %w", id, err)
+		return 0, err
 	}
-	off += sz + 16 // skip next and prev pointers
 	consumed := 0
-	for i := 0; i < int(nKeys64) && consumed < len(items); i++ {
-		kl, sz, err := leafEntryLen(data, off)
-		if err != nil {
+	for consumed < len(items) {
+		e, ok, err := w.next()
+		if err != nil || !ok {
 			return consumed, err
 		}
-		off += sz
-		if off+kl > len(data) {
-			return consumed, fmt.Errorf("btree: page %d leaf entry overruns page", id)
-		}
-		k := data[off : off+kl]
-		off += kl
-		vl, sz, err := leafEntryLen(data, off)
-		if err != nil {
-			return consumed, err
-		}
-		off += sz
-		if off+vl > len(data) {
-			return consumed, fmt.Errorf("btree: page %d leaf entry overruns page", id)
-		}
-		cmp := bytes.Compare(k, items[consumed].Key)
-		if cmp == 0 && vl == len(items[consumed].Value) {
-			fr.Patch(off, items[consumed].Value)
+		cmp := bytes.Compare(data[e.keyOff:e.keyEnd], items[consumed].Key)
+		if cmp == 0 && int(e.valEnd-e.valOff) == len(items[consumed].Value) {
+			fr.Patch(int(e.valOff), items[consumed].Value)
 			t.patches.Add(1)
 			consumed++
 		} else if cmp >= 0 {
@@ -814,7 +778,6 @@ func (t *Tree) patchRun(fr *buffer.Frame, items []Item) (int, error) {
 			// value length): not patchable, hand the rest to the caller.
 			break
 		}
-		off += vl
 	}
 	return consumed, nil
 }
@@ -1217,7 +1180,8 @@ func (t *Tree) collapseRoot() error {
 // --- scans -------------------------------------------------------------------
 
 // Visitor receives key/value pairs during a scan.  Returning false stops the
-// scan early.
+// scan early.  The slices are valid only until the visitor returns (ascending
+// scans pass views into a reusable leaf image); copy what must outlive it.
 type Visitor func(key, value []byte) bool
 
 // AscendRange visits keys in [start, end) in ascending order.  A nil start

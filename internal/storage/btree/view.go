@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"sync"
 
 	"svrdb/internal/storage/pagefile"
 )
@@ -48,45 +49,63 @@ func (v View) Get(key []byte) ([]byte, bool, error) {
 	return val, ok, err
 }
 
+// scanner is the scratch of one range scan: the image of the leaf being
+// visited and the two bound buffers the scan alternates between (the bound
+// of the leaf just finished is the descent key of the next).  Scanners are
+// pooled so that the query path's short-list and cursor scans reuse their
+// buffers instead of allocating a page-sized image per scan.
+type scanner struct {
+	leaf       leafImage
+	key, upper []byte
+}
+
+var scannerPool = sync.Pool{New: func() any { return new(scanner) }}
+
 // AscendRange visits keys in [start, end) in ascending order.  A nil start
-// begins at the smallest key; a nil end scans to the largest.
+// begins at the smallest key; a nil end scans to the largest.  The key and
+// value slices passed to visit alias the scan's leaf image — a copy, so no
+// page is pinned while visit runs and visit may use the tree freely — and
+// are valid only until visit returns.
 func (v View) AscendRange(start, end []byte, visit Visitor) error {
+	sc := scannerPool.Get().(*scanner)
+	defer scannerPool.Put(sc)
 	key := start // nil descends to the leftmost leaf
-	upper := make([]byte, 0, 64)
 	for {
-		upper = upper[:0]
-		fr, err := v.t.descendFrom(v.root, key, nil, &upper)
+		sc.upper = sc.upper[:0]
+		fr, err := v.t.descendFrom(v.root, key, nil, &sc.upper)
 		if err != nil {
 			return err
 		}
-		leaf, err := parseNode(fr.ID(), fr.Data())
+		err = sc.leaf.load(fr.ID(), fr.Data())
 		fr.Release()
 		if err != nil {
 			return err
 		}
 		i := 0
 		if key != nil {
-			i = searchKeys(leaf.keys, key)
+			i = sc.leaf.search(key)
 		}
-		for ; i < len(leaf.keys); i++ {
-			if end != nil && bytes.Compare(leaf.keys[i], end) >= 0 {
+		for ; i < sc.leaf.len(); i++ {
+			k := sc.leaf.key(i)
+			if end != nil && bytes.Compare(k, end) >= 0 {
 				return nil
 			}
-			if !visit(leaf.keys[i], leaf.vals[i]) {
+			if !visit(k, sc.leaf.val(i)) {
 				return nil
 			}
 		}
 		// Separator keys are never empty, so an untouched buffer means the
 		// descent stayed rightmost at every level: this was the last leaf.
-		if len(upper) == 0 {
+		if len(sc.upper) == 0 {
 			return nil
 		}
-		if end != nil && bytes.Compare(upper, end) >= 0 {
+		if end != nil && bytes.Compare(sc.upper, end) >= 0 {
 			return nil
 		}
 		// Re-descend at this leaf's exclusive upper bound; equal separators
 		// route right, so the descent lands exactly on the successor leaf.
-		key = append([]byte(nil), upper...)
+		sc.key, sc.upper = sc.upper, sc.key
+		key = sc.key
 	}
 }
 
