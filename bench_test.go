@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +30,7 @@ import (
 	"svrdb/internal/storage/btree"
 	"svrdb/internal/storage/buffer"
 	"svrdb/internal/storage/pagefile"
+	"svrdb/internal/view"
 	"svrdb/internal/workload"
 )
 
@@ -490,4 +492,52 @@ func BenchmarkProbeGet(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDurableScoreBatch measures the durable write path the repo
+// benchmark's update-storm exercises: one 128-row score-only ApplyBatch per
+// iteration against a durable engine with a Chunk and a Chunk-TermScore index
+// over the shared corpus, commit included.  Beside ns/op it reports what the
+// commit wrote — WAL bytes and pagefile page writes per batch — which is what
+// a score update is supposed to keep small.
+func BenchmarkDurableScoreBatch(b *testing.B) {
+	const batchRows = 128
+	corpus, _, updates := sharedCorpus()
+	e, err := core.Open(filepath.Join(b.TempDir(), "docs.svrdb"), core.OpenOptions{
+		Specs:     map[string]view.Spec{"docs": workload.DocsSpec()},
+		PoolPages: 1 << 16,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	tbl, err := workload.LoadDocsTable(e.DB(), corpus, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, kind := range []core.MethodKind{core.MethodChunk, core.MethodChunkTermScore} {
+		if _, err := e.CreateTextIndex(string(kind), workload.DocsTable, "body", core.IndexOptions{Method: kind, SpecName: "docs"}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	batch := func(i int) []workload.ScoreUpdate {
+		at := (i * batchRows) % (len(updates) - batchRows)
+		return updates[at : at+batchRows]
+	}
+	apply := func(us []workload.ScoreUpdate) {
+		if err := e.ApplyBatch(func() error { return workload.ApplyScoreUpdates(tbl, us) }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	apply(batch(0)) // the first batch after a build settles the free list
+	file := e.Pool().File()
+	before := file.Stats()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		apply(batch(i))
+	}
+	b.StopTimer()
+	after := file.Stats()
+	b.ReportMetric(float64(after.WALBytes-before.WALBytes)/float64(b.N), "wal-B/op")
+	b.ReportMetric(float64(after.Writes-before.Writes)/float64(b.N), "page-writes/op")
 }

@@ -12,7 +12,6 @@ import (
 	"svrdb/internal/server"
 	"svrdb/internal/storage/buffer"
 	"svrdb/internal/storage/pagefile"
-	"svrdb/internal/view"
 	"svrdb/internal/workload"
 )
 
@@ -45,34 +44,13 @@ func buildServeEngineFiltered(corpus *workload.Corpus, opts Options, kind core.M
 	pool := buffer.MustNew(pagefile.MustNewMem(pagefile.DefaultPageSize), opts.PoolPages*4)
 	registerPool(pool)
 	db := relation.NewDB(pool)
-	tbl, err := db.CreateTable(relation.Schema{
-		Name: "Docs",
-		Columns: []relation.Column{
-			{Name: "id", Kind: relation.KindInt64},
-			{Name: "body", Kind: relation.KindString},
-			{Name: "score", Kind: relation.KindFloat64},
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	err = corpus.ForEach(func(doc workload.DocID, tokens []string) error {
-		if keep != nil && !keep(int64(doc)) {
-			return nil
-		}
-		return tbl.Insert(relation.Row{
-			relation.Int(int64(doc)),
-			relation.Str(strings.Join(tokens, " ")),
-			relation.Float(corpus.Score(doc)),
-		})
-	})
-	if err != nil {
+	if _, err := workload.LoadDocsTable(db, corpus, keep); err != nil {
 		return nil, err
 	}
 	engine := core.NewEngine(db, core.Options{})
 	ti, err := engine.CreateTextIndex("docs", "Docs", "body", core.IndexOptions{
 		Method:       kind,
-		Spec:         view.Spec{Components: []view.Component{view.OwnColumn("Docs", "score")}},
+		Spec:         workload.DocsSpec(),
 		MinChunkSize: minChunkSize(opts),
 	})
 	if err != nil {
@@ -92,16 +70,11 @@ func (se *serveEngine) applyServeUpdates(updates []workload.ScoreUpdate, batchSi
 		}
 		chunk := updates[start:end]
 		err := se.engine.ApplyBatch(func() error {
-			tbl, err := se.engine.DB().Table("Docs")
+			tbl, err := se.engine.DB().Table(workload.DocsTable)
 			if err != nil {
 				return err
 			}
-			for _, u := range chunk {
-				if err := tbl.Update(int64(u.Doc), map[string]relation.Value{"score": relation.Float(u.NewScore)}); err != nil {
-					return err
-				}
-			}
-			return nil
+			return workload.ApplyScoreUpdates(tbl, chunk)
 		})
 		if err != nil {
 			return err

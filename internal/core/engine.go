@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,6 @@ import (
 	"svrdb/internal/postings"
 	"svrdb/internal/relation"
 	"svrdb/internal/storage/buffer"
-	"svrdb/internal/storage/pagefile"
 	"svrdb/internal/text"
 	"svrdb/internal/view"
 )
@@ -129,10 +129,13 @@ type Engine struct {
 	// every ApplyBatch return and Close writes an atomic checkpoint
 	// (commitDurable).  In-memory engines skip all of it.
 	durable bool
-	// catalogPages is the page chain holding the last committed catalog;
-	// the next commit frees it and writes a fresh chain (guarded by
-	// batchMu, like the commits that use it).
-	catalogPages []pagefile.PageID
+	// anchor is the page chain holding the catalog anchor, rewritten in
+	// place by every commit (guarded by batchMu, like the commits that use
+	// it).  anchorBytes is its encoded length and dictRewrites counts
+	// dictionary-chain rewrites, both for lock-free stats readers.
+	anchor       pageChain
+	anchorBytes  atomic.Int64
+	dictRewrites atomic.Uint64
 }
 
 // Options configures an Engine.
@@ -216,12 +219,7 @@ func (e *Engine) Close() error {
 	}
 	e.closed = true
 	e.closedFlag.Store(true)
-	e.mu.RLock()
-	indexes := make([]*TextIndex, 0, len(e.indexes))
-	for _, ti := range e.indexes {
-		indexes = append(indexes, ti)
-	}
-	e.mu.RUnlock()
+	indexes := e.textIndexes()
 	var errs []error
 	for _, ti := range indexes {
 		// Drain and fence.  writerMu waits out any in-flight maintenance
@@ -263,6 +261,13 @@ func (e *Engine) Close() error {
 	if err := pool.File().Close(); err != nil {
 		errs = append(errs, err)
 	}
+	// The engine's memory — the buffer pool above all, sized up to the
+	// database, plus the page file's staging buffers, the dictionaries and the
+	// last snapshots — is garbage now.  A process that goes on running (a
+	// reopen, an in-process shard restart) would otherwise carry it as idle
+	// heap until the background scavenger gets round to it, seconds later;
+	// hand it back at once.
+	debug.FreeOSMemory()
 	return errors.Join(errs...)
 }
 
@@ -344,6 +349,13 @@ type TextIndex struct {
 	// by engine shutdown: a search racing a drop reports not-found (the
 	// index is gone) rather than engine-closed.
 	dropped bool
+
+	// dict is the index's dictionary chain in a durable engine's file and
+	// dictGen the index.MethodAnchor.DictGen it holds; a commit rewrites
+	// the chain only when the method's generation has moved on.  Guarded by
+	// the engine's batchMu, like the commits that use them.
+	dict    pageChain
+	dictGen uint64
 
 	mu              sync.Mutex
 	maintenanceErrs []error
@@ -534,6 +546,9 @@ func (e *Engine) DropTextIndex(name string) error {
 	if err := ti.view.ReleaseTree(); err != nil {
 		errs = append(errs, fmt.Errorf("core: drop %q: release view tree: %w", name, err))
 	}
+	if err := ti.dict.release(e.db.Pool().File()); err != nil {
+		errs = append(errs, fmt.Errorf("core: drop %q: release dictionary chain: %w", name, err))
+	}
 	if err := ti.method.Drain(); err != nil {
 		errs = append(errs, fmt.Errorf("core: drop %q: drain: %w", name, err))
 	}
@@ -569,6 +584,22 @@ func (e *Engine) TextIndexNames() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// textIndexes returns the registered indexes in name order.  Everything that
+// walks them to write — batch flushes, the close-time drain — goes through
+// here: the indexes share one page file, so the order they allocate and free
+// in decides which page IDs each gets, and with it the bytes a commit logs.
+// A fixed order makes both repeatable for a given history.
+func (e *Engine) textIndexes() []*TextIndex {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	out := make([]*TextIndex, 0, len(e.indexes))
+	for _, ti := range e.indexes {
+		out = append(out, ti)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
 }
 
 // clampScore enforces the paper's assumption that SVR scores are
@@ -809,12 +840,7 @@ func (e *Engine) ApplyBatchChecked(pre func() error, fn func() error) (err error
 			return err
 		}
 	}
-	e.mu.RLock()
-	indexes := make([]*TextIndex, 0, len(e.indexes))
-	for _, ti := range e.indexes {
-		indexes = append(indexes, ti)
-	}
-	e.mu.RUnlock()
+	indexes := e.textIndexes()
 	for _, ti := range indexes {
 		ti.beginBatch()
 	}

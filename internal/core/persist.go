@@ -15,13 +15,23 @@ import (
 	"svrdb/internal/view"
 )
 
-// catalogVersion is bumped when the catalog encoding changes.
-const catalogVersion = 1
+// catalogVersion is bumped when the catalog encoding changes.  Version 2
+// split the single catalog chain into an anchor and per-index dictionary
+// chains; version 1 files are refused at Open.
+const catalogVersion = 2
 
-// catalogIndexEntry records one text index in the catalog: its identity, the
+// chainRef locates a page chain in the file: its head page and the length of
+// the bytes it holds.
+type chainRef struct {
+	Head pagefile.PageID
+	Len  int
+}
+
+// catalogIndexEntry records one text index in the anchor: its identity, the
 // knobs to rebuild its Config, the name its score spec is registered under
-// (the spec itself holds Go functions and cannot be serialized), and the
-// anchors of its view tree and method structures.
+// (the spec itself holds Go functions and cannot be serialized), the roots
+// and counts of its view tree and method structures, and where its
+// dictionary chain lives.
 type catalogIndexEntry struct {
 	Name     string
 	Table    string
@@ -35,135 +45,176 @@ type catalogIndexEntry struct {
 	Uncompressed   bool
 
 	View   view.State
-	Method index.MethodState
+	Method index.MethodAnchor
+	// Dict is the chain holding the gob-encoded index.MethodDict as of
+	// generation Method.DictGen.
+	Dict chainRef
 }
 
-// catalog is the gob-encoded snapshot of every piece of navigational state
-// the page file's pages do not themselves record: table schemas and tree
-// roots, view tree roots, and the six methods' in-memory state.  It is
-// written into a page chain at every commit; the chain head travels in the
-// page file's header meta, so catalog and data become visible atomically.
+// catalog is the anchor: the gob-encoded snapshot of the small navigational
+// state that moves with every batch — table schemas and tree roots, view
+// tree roots, each method's roots and counts.  It is rewritten at every
+// commit and its chain head travels in the page file's header meta, so anchor
+// and data become visible atomically.  The bulky state a score update never
+// touches (term → blob maps, the dictionary, token caches) lives in one
+// dictionary chain per index, rewritten only when the method says it changed.
 type catalog struct {
 	Version int
 	Tables  []relation.TableState
 	Indexes []catalogIndexEntry
-	// Tenants records registered tenant quotas.  Added after version 1
-	// shipped; gob tolerates the extra field, so files written without it
-	// decode with a nil map and the version stays 1.
 	Tenants map[string]TenantQuota
 }
 
-// --- catalog page chain -------------------------------------------------------
+// --- page chains ---------------------------------------------------------------
 //
-// The catalog is sliced across a singly linked chain of ordinary pages:
+// A chain slices a byte string across singly linked ordinary pages:
 // [8 next page (InvalidPageID ends the chain)][4 payload length][payload].
-// Pages are allocated through the file's free list and freed at the next
-// commit, so the steady state alternates between two page sets and the file
-// never grows from checkpointing.  The chain is written and read directly
-// against the pagefile (never through the buffer pool): catalog pages are
-// touched once per commit and would only pollute the LRU.
+// Rewriting a chain reuses its pages in order, so the file does not grow from
+// checkpointing and a rewrite that changes little changes few bytes of each
+// page.  Chains are written and read directly against the pagefile (never
+// through the buffer pool): their pages are touched once per commit at most
+// and would only pollute the LRU.
 
 const chainHeaderSize = 12
 
-// metaBytes encodes the header meta: chain head + total catalog length.
-func metaBytes(head pagefile.PageID, length int) []byte {
-	out := make([]byte, 16)
-	binary.LittleEndian.PutUint64(out[0:8], uint64(head))
-	binary.LittleEndian.PutUint64(out[8:16], uint64(length))
-	return out
+// pageChain is a chain as the engine tracks it between commits.
+type pageChain struct {
+	pages  []pagefile.PageID
+	length int
 }
 
-func parseMeta(meta []byte) (head pagefile.PageID, length int, err error) {
-	if len(meta) == 0 {
-		return pagefile.InvalidPageID, 0, nil
+func (c *pageChain) ref() chainRef {
+	head := pagefile.InvalidPageID
+	if len(c.pages) > 0 {
+		head = c.pages[0]
 	}
-	if len(meta) < 16 {
-		return 0, 0, fmt.Errorf("core: malformed catalog meta of %d bytes", len(meta))
-	}
-	return pagefile.PageID(binary.LittleEndian.Uint64(meta[0:8])),
-		int(binary.LittleEndian.Uint64(meta[8:16])), nil
+	return chainRef{Head: head, Len: c.length}
 }
 
-// writeCatalogChain stores data in freshly allocated pages and returns the
-// page IDs (the first is the chain head).
-func writeCatalogChain(file pagefile.File, data []byte) ([]pagefile.PageID, error) {
+// write replaces the chain's contents with data, allocating or freeing pages
+// at its tail as the length requires.  The durable backend stages every write
+// until Commit, so overwriting the committed chain in place is safe: a crash
+// before the commit point recovers the previous contents intact.
+func (c *pageChain) write(file pagefile.File, data []byte) error {
 	pageSize := file.PageSize()
 	payload := pageSize - chainHeaderSize
 	if payload <= 0 {
-		return nil, fmt.Errorf("core: page size %d too small for catalog chain", pageSize)
+		return fmt.Errorf("core: page size %d too small for a catalog chain", pageSize)
 	}
-	nPages := (len(data) + payload - 1) / payload
-	if nPages == 0 {
-		nPages = 1
-	}
-	ids := make([]pagefile.PageID, nPages)
-	for i := range ids {
+	nPages := max(1, (len(data)+payload-1)/payload)
+	for len(c.pages) < nPages {
 		id, err := file.Allocate()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ids[i] = id
+		c.pages = append(c.pages, id)
+	}
+	for len(c.pages) > nPages {
+		last := len(c.pages) - 1
+		if err := file.Free(c.pages[last]); err != nil {
+			return err
+		}
+		c.pages = c.pages[:last]
 	}
 	page := make([]byte, pageSize)
-	for i := 0; i < nPages; i++ {
+	for i, id := range c.pages {
 		next := pagefile.InvalidPageID
 		if i+1 < nPages {
-			next = ids[i+1]
+			next = c.pages[i+1]
 		}
-		lo := i * payload
+		lo := min(i*payload, len(data))
 		hi := min(lo+payload, len(data))
 		clear(page)
 		binary.LittleEndian.PutUint64(page[0:8], uint64(next))
 		binary.LittleEndian.PutUint32(page[8:12], uint32(hi-lo))
 		copy(page[chainHeaderSize:], data[lo:hi])
-		if err := file.Write(ids[i], page); err != nil {
-			return nil, err
+		if err := file.Write(id, page); err != nil {
+			return err
 		}
 	}
-	return ids, nil
+	c.length = len(data)
+	return nil
 }
 
-// readCatalogChain walks the chain from head and reassembles the catalog
-// bytes, returning them along with the chain's page IDs (so the next commit
-// can free them).
-func readCatalogChain(file pagefile.File, head pagefile.PageID, length int) ([]byte, []pagefile.PageID, error) {
+// release frees every page of the chain.
+func (c *pageChain) release(file pagefile.File) error {
+	for _, id := range c.pages {
+		if err := file.Free(id); err != nil {
+			return err
+		}
+	}
+	*c = pageChain{}
+	return nil
+}
+
+// readChain walks the chain at ref and reassembles its bytes, returning them
+// along with the chain (so a later commit can rewrite it).
+func readChain(file pagefile.File, ref chainRef) ([]byte, pageChain, error) {
 	var (
-		out   = make([]byte, 0, length)
-		ids   []pagefile.PageID
+		c     = pageChain{length: ref.Len}
 		page  = make([]byte, file.PageSize())
-		id    = head
 		limit = int(file.NumPages()) + 1
 	)
-	for id != pagefile.InvalidPageID {
-		if len(ids) >= limit {
-			return nil, nil, errors.New("core: catalog chain contains a cycle")
+	if ref.Len < 0 || ref.Len/len(page) > limit {
+		return nil, c, fmt.Errorf("core: catalog chain claims %d bytes in a file of %d pages", ref.Len, limit-1)
+	}
+	out := make([]byte, 0, ref.Len)
+	for id := ref.Head; id != pagefile.InvalidPageID; {
+		if len(c.pages) >= limit {
+			return nil, c, errors.New("core: catalog chain contains a cycle")
 		}
 		if err := file.Read(id, page); err != nil {
-			return nil, nil, fmt.Errorf("core: read catalog page %d: %w", id, err)
+			return nil, c, fmt.Errorf("core: read catalog page %d: %w", id, err)
 		}
-		ids = append(ids, id)
-		next := pagefile.PageID(binary.LittleEndian.Uint64(page[0:8]))
+		c.pages = append(c.pages, id)
 		n := int(binary.LittleEndian.Uint32(page[8:12]))
 		if n > len(page)-chainHeaderSize {
-			return nil, nil, fmt.Errorf("core: catalog page %d claims %d payload bytes", id, n)
+			return nil, c, fmt.Errorf("core: catalog page %d claims %d payload bytes", id, n)
 		}
 		out = append(out, page[chainHeaderSize:chainHeaderSize+n]...)
-		id = next
+		id = pagefile.PageID(binary.LittleEndian.Uint64(page[0:8]))
 	}
-	if len(out) < length {
-		return nil, nil, fmt.Errorf("core: catalog chain holds %d bytes, header meta says %d", len(out), length)
+	if len(out) != ref.Len {
+		return nil, c, fmt.Errorf("core: catalog chain holds %d bytes, its reference says %d", len(out), ref.Len)
 	}
-	return out[:length], ids, nil
+	return out, c, nil
+}
+
+// metaBytes encodes the header meta: the anchor chain's head and length.
+func metaBytes(ref chainRef) []byte {
+	out := make([]byte, 16)
+	binary.LittleEndian.PutUint64(out[0:8], uint64(ref.Head))
+	binary.LittleEndian.PutUint64(out[8:16], uint64(ref.Len))
+	return out
+}
+
+func parseMeta(meta []byte) (chainRef, error) {
+	if len(meta) != 16 {
+		return chainRef{}, fmt.Errorf("core: malformed catalog meta of %d bytes", len(meta))
+	}
+	return chainRef{
+		Head: pagefile.PageID(binary.LittleEndian.Uint64(meta[0:8])),
+		Len:  int(binary.LittleEndian.Uint64(meta[8:16])),
+	}, nil
+}
+
+func gobBytes(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // --- commit -------------------------------------------------------------------
 
-// buildCatalog snapshots the engine.  The caller holds batchMu, so no batch
-// is mid-flight; each index is additionally snapshotted under its writer
-// mutex so an eager maintenance write cannot interleave.  Searches are not
-// excluded — they read the published snapshot and never move navigational
-// state.
-func (e *Engine) buildCatalog() *catalog {
+// stageCatalog writes the engine's navigational state into its chains: every
+// index's dictionary chain whose generation moved, then the anchor.  The
+// caller holds batchMu, so no batch is mid-flight; each index is additionally
+// snapshotted under its writer mutex so an eager maintenance write cannot
+// interleave.  Searches are not excluded — they read the published snapshot
+// and never move navigational state.
+func (e *Engine) stageCatalog(file pagefile.File) error {
 	cat := &catalog{Version: catalogVersion, Tenants: e.tenantQuotas()}
 	for _, name := range e.db.TableNames() {
 		tbl, err := e.db.Table(name)
@@ -172,36 +223,70 @@ func (e *Engine) buildCatalog() *catalog {
 		}
 		cat.Tables = append(cat.Tables, tbl.State())
 	}
-	for _, name := range e.TextIndexNames() {
-		ti, err := e.TextIndex(name)
+	for _, ti := range e.textIndexes() {
+		entry, err := e.stageIndex(file, ti)
 		if err != nil {
-			continue
+			return fmt.Errorf("core: write dictionary of index %q: %w", ti.name, err)
 		}
-		ti.writerMu.Lock()
-		entry := catalogIndexEntry{
-			Name:           ti.name,
-			Table:          ti.table,
-			Column:         ti.column,
-			SpecName:       ti.specName,
-			ThresholdRatio: ti.cfg.ThresholdRatio,
-			ChunkRatio:     ti.cfg.ChunkRatio,
-			MinChunkSize:   ti.cfg.MinChunkSize,
-			FancyListSize:  ti.cfg.FancyListSize,
-			Uncompressed:   ti.cfg.Uncompressed,
-			View:           ti.view.State(),
-			Method:         ti.method.State(),
-		}
-		ti.writerMu.Unlock()
 		cat.Indexes = append(cat.Indexes, entry)
 	}
-	return cat
+	data, err := gobBytes(cat)
+	if err != nil {
+		return fmt.Errorf("core: encode catalog: %w", err)
+	}
+	if err := e.anchor.write(file, data); err != nil {
+		return fmt.Errorf("core: write catalog: %w", err)
+	}
+	e.anchorBytes.Store(int64(len(data)))
+	return nil
+}
+
+// CatalogStats reports the encoded size of the catalog anchor as last staged
+// and how many dictionary chains commits have rewritten since the engine was
+// opened; both are zero for an in-memory engine.
+func (e *Engine) CatalogStats() (anchorBytes int64, dictionaryRewrites uint64) {
+	return e.anchorBytes.Load(), e.dictRewrites.Load()
+}
+
+// stageIndex snapshots one index for the anchor, first rewriting its
+// dictionary chain if the method's dictionary generation has moved since the
+// chain was written.
+func (e *Engine) stageIndex(file pagefile.File, ti *TextIndex) (catalogIndexEntry, error) {
+	ti.writerMu.Lock()
+	defer ti.writerMu.Unlock()
+	anchor := ti.method.Anchor()
+	if len(ti.dict.pages) == 0 || anchor.DictGen != ti.dictGen {
+		data, err := gobBytes(ti.method.Dictionary())
+		if err != nil {
+			return catalogIndexEntry{}, err
+		}
+		if err := ti.dict.write(file, data); err != nil {
+			return catalogIndexEntry{}, err
+		}
+		ti.dictGen = anchor.DictGen
+		e.dictRewrites.Add(1)
+	}
+	return catalogIndexEntry{
+		Name:           ti.name,
+		Table:          ti.table,
+		Column:         ti.column,
+		SpecName:       ti.specName,
+		ThresholdRatio: ti.cfg.ThresholdRatio,
+		ChunkRatio:     ti.cfg.ChunkRatio,
+		MinChunkSize:   ti.cfg.MinChunkSize,
+		FancyListSize:  ti.cfg.FancyListSize,
+		Uncompressed:   ti.cfg.Uncompressed,
+		View:           ti.view.State(),
+		Method:         anchor,
+		Dict:           ti.dict.ref(),
+	}, nil
 }
 
 // commitDurable checkpoints the engine into its durable page file: flush
-// every dirty page, serialize the catalog into a fresh page chain, free the
-// previous chain, and commit — one atomic WAL transaction covering data,
-// catalog and header.  It is a no-op for in-memory engines.  The caller
-// must hold batchMu (ApplyBatch and Close already do).
+// every dirty page, stage the catalog, and commit — one atomic WAL
+// transaction covering data, catalog and header.  It is a no-op for
+// in-memory engines.  The caller must hold batchMu (ApplyBatch and Close
+// already do).
 func (e *Engine) commitDurable() error {
 	if !e.durable {
 		return nil
@@ -210,33 +295,11 @@ func (e *Engine) commitDurable() error {
 	if err := pool.FlushOrdered(); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e.buildCatalog()); err != nil {
-		return fmt.Errorf("core: encode catalog: %w", err)
-	}
 	file := pool.File()
-	// The old chain's pages are freed inside this commit window and the new
-	// chain allocated (possibly reusing them): the durable backend stages
-	// every write until Commit, so a crash anywhere in between still
-	// recovers the previous committed catalog intact.
-	for _, id := range e.catalogPages {
-		if err := file.Free(id); err != nil {
-			return fmt.Errorf("core: free catalog page %d: %w", id, err)
-		}
-	}
-	pages, err := writeCatalogChain(file, buf.Bytes())
-	if err != nil {
-		return fmt.Errorf("core: write catalog: %w", err)
-	}
-	head := pagefile.InvalidPageID
-	if len(pages) > 0 {
-		head = pages[0]
-	}
-	if err := file.Commit(metaBytes(head, buf.Len())); err != nil {
+	if err := e.stageCatalog(file); err != nil {
 		return err
 	}
-	e.catalogPages = pages
-	return nil
+	return file.Commit(metaBytes(e.anchor.ref()))
 }
 
 // --- open ---------------------------------------------------------------------
@@ -307,16 +370,15 @@ func openFromFile(file pagefile.File, opts OpenOptions) (*Engine, error) {
 		e.RegisterSpec(name, spec)
 	}
 
-	head, length, err := parseMeta(file.Meta())
-	if err != nil {
-		return nil, err
-	}
-	if head == pagefile.InvalidPageID && length == 0 && len(file.Meta()) == 0 {
+	if len(file.Meta()) == 0 {
 		// Fresh file: nothing to restore.
 		return e, nil
 	}
-
-	data, pages, err := readCatalogChain(file, head, length)
+	ref, err := parseMeta(file.Meta())
+	if err != nil {
+		return nil, err
+	}
+	data, anchor, err := readChain(file, ref)
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +389,8 @@ func openFromFile(file pagefile.File, opts OpenOptions) (*Engine, error) {
 	if cat.Version != catalogVersion {
 		return nil, fmt.Errorf("core: catalog version %d not supported (want %d)", cat.Version, catalogVersion)
 	}
-	e.catalogPages = pages
+	e.anchor = anchor
+	e.anchorBytes.Store(int64(len(data)))
 	e.restoreTenants(cat.Tenants)
 
 	for _, ts := range cat.Tables {
@@ -364,6 +427,14 @@ func (e *Engine) restoreTextIndex(ent catalogIndexEntry, specs map[string]view.S
 	if err != nil {
 		return err
 	}
+	data, dict, err := readChain(e.db.Pool().File(), ent.Dict)
+	if err != nil {
+		return err
+	}
+	state := index.MethodState{MethodAnchor: ent.Method}
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&state.MethodDict); err != nil {
+		return fmt.Errorf("decode dictionary: %w", err)
+	}
 	cfg := index.Config{
 		Pool:           e.db.Pool(),
 		ThresholdRatio: ent.ThresholdRatio,
@@ -372,7 +443,7 @@ func (e *Engine) restoreTextIndex(ent catalogIndexEntry, specs map[string]view.S
 		FancyListSize:  ent.FancyListSize,
 		Uncompressed:   ent.Uncompressed,
 	}
-	method, err := index.Restore(cfg, ent.Method)
+	method, err := index.Restore(cfg, state)
 	if err != nil {
 		return err
 	}
@@ -387,6 +458,8 @@ func (e *Engine) restoreTextIndex(ent catalogIndexEntry, specs map[string]view.S
 		engine:   e,
 		view:     sv,
 		method:   method,
+		dict:     dict,
+		dictGen:  ent.Method.DictGen,
 	}
 	sv.OnScoreChange(ti.onScoreChange)
 	if err := sv.Attach(); err != nil {

@@ -294,7 +294,10 @@ func TestCrashDuringEpochSwapServesPreSwapSnapshot(t *testing.T) {
 // protocol.  After each crash the file is reopened cleanly and all six
 // methods' query results must match either the pre-batch or the post-batch
 // committed state byte for byte — and if ApplyBatch reported success, the
-// post state is mandatory.
+// post state is mandatory.  The batch's WAL record is mostly byte-range
+// deltas over committed pages, so the last leg crashes the replay itself: a
+// torn write at every write site of the recovering Open must still leave a
+// file the next Open rolls forward to the post state.
 func TestCrashRecoveryMatrixEngine(t *testing.T) {
 	const nMovies = 12
 	const rounds = 15
@@ -417,6 +420,53 @@ func TestCrashRecoveryMatrixEngine(t *testing.T) {
 			default:
 				t.Errorf("recovered state matches neither the pre- nor the post-batch committed state (batch ran: %v, committed: %v)",
 					batchRan, batchCommitted)
+			}
+		})
+	}
+
+	// Crash the batch at its first write-back write: the record is durable,
+	// the data file holds half a page of it.
+	crashed := filepath.Join(dir, "crashed.svrdb")
+	cloneEngineFile(t, template, crashed)
+	cfile, err = pagefile.Open(crashed, pagefile.WithFaults(pagefile.NewFaultInjector(pagefile.FaultPlan{FailWrite: 2, TornWrite: true})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ce, err = openFromFile(cfile, durableOpts()); err != nil {
+		t.Fatal(err)
+	}
+	if mutate(ce) == nil {
+		t.Fatal("ApplyBatch reported success despite the injected write-back fault")
+	}
+	cfile.Close()
+	work := filepath.Join(dir, "work.svrdb")
+	cloneEngineFile(t, crashed, work)
+	counter = pagefile.NewFaultInjector(pagefile.FaultPlan{})
+	if cfile, err = pagefile.Open(work, pagefile.WithFaults(counter)); err != nil {
+		t.Fatal(err)
+	}
+	cfile.Close()
+	if counter.Writes() < 3 {
+		t.Fatalf("recovery issued %d writes; too few for a meaningful matrix", counter.Writes())
+	}
+	for i := 1; i <= counter.Writes(); i++ {
+		t.Run(fmt.Sprintf("recovery-torn-write-%d", i), func(t *testing.T) {
+			cloneEngineFile(t, crashed, work)
+			fi := pagefile.NewFaultInjector(pagefile.FaultPlan{FailWrite: i, TornWrite: true})
+			if file, err := pagefile.Open(work, pagefile.WithFaults(fi)); err == nil {
+				file.Close()
+				t.Fatal("recovery reported success despite the injected fault")
+			}
+			re, err := Open(work, durableOpts())
+			if err != nil {
+				t.Fatalf("clean reopen after crashed recovery: %v", err)
+			}
+			got := searchSnapshot(t, re)
+			if err := re.Close(); err != nil {
+				t.Errorf("close after recovery: %v", err)
+			}
+			if got != post {
+				t.Error("a recovery torn mid write-back did not roll forward to the post-batch state on the next open")
 			}
 		})
 	}

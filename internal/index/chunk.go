@@ -82,6 +82,7 @@ func (m *ChunkMethod) NumChunks() int {
 
 // Build implements Method.
 func (m *ChunkMethod) Build(src DocSource, scores ScoreFunc) error {
+	m.dictChanged()
 	defer m.publish()
 	m.src = src
 	bc, err := accumulate(src, scores, m.dict)
@@ -178,6 +179,7 @@ func (m *ChunkMethod) UpdateScore(doc DocID, newScore float64) error {
 
 // InsertDocument implements Method (Appendix A.2).
 func (m *ChunkMethod) InsertDocument(doc DocID, tokens []string, score float64) error {
+	m.dictChanged()
 	defer m.publish()
 	if m.chunks == nil {
 		return fmt.Errorf("index: Chunk method must be built before inserting documents")
@@ -203,6 +205,7 @@ func (m *ChunkMethod) InsertDocument(doc DocID, tokens []string, score float64) 
 
 // DeleteDocument implements Method (Appendix A.2).
 func (m *ChunkMethod) DeleteDocument(doc DocID) error {
+	m.dictChanged()
 	defer m.publish()
 	score, _, ok, err := m.score.Get(doc)
 	if err != nil {
@@ -237,6 +240,7 @@ func (m *ChunkMethod) DeleteDocument(doc DocID) error {
 
 // UpdateContent implements Method (Appendix A.1).
 func (m *ChunkMethod) UpdateContent(doc DocID, oldTokens, newTokens []string) error {
+	m.dictChanged()
 	defer m.publish()
 	listCID, err := m.listPosition(doc)
 	if err != nil {

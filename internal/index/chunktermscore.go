@@ -65,6 +65,7 @@ func (m *ChunkTermScoreMethod) Name() string { return "Chunk-TermScore" }
 
 // Build implements Method.
 func (m *ChunkTermScoreMethod) Build(src DocSource, scores ScoreFunc) error {
+	m.dictChanged()
 	defer m.publish()
 	m.src = src
 	bc, err := accumulate(src, scores, m.dict)

@@ -75,6 +75,7 @@ func (m *IDMethod) Name() string {
 
 // Build implements Method.
 func (m *IDMethod) Build(src DocSource, scores ScoreFunc) error {
+	m.dictChanged()
 	m.src = src
 	bc, err := accumulate(src, scores, m.dict)
 	if err != nil {
@@ -142,6 +143,7 @@ func (m *IDMethod) UpdateScore(doc DocID, newScore float64) error {
 
 // InsertDocument implements Method.
 func (m *IDMethod) InsertDocument(doc DocID, tokens []string, score float64) error {
+	m.dictChanged()
 	defer m.publish()
 	if err := m.score.Set(doc, score); err != nil {
 		return err
@@ -163,6 +165,7 @@ func (m *IDMethod) InsertDocument(doc DocID, tokens []string, score float64) err
 
 // DeleteDocument implements Method.
 func (m *IDMethod) DeleteDocument(doc DocID) error {
+	m.dictChanged()
 	defer m.publish()
 	if err := m.score.MarkDeleted(doc); err != nil {
 		return err
@@ -179,6 +182,7 @@ func (m *IDMethod) DeleteDocument(doc DocID) error {
 
 // UpdateContent implements Method.
 func (m *IDMethod) UpdateContent(doc DocID, oldTokens, newTokens []string) error {
+	m.dictChanged()
 	defer m.publish()
 	added, removed := diffTerms(oldTokens, newTokens)
 	newWeights := text.TermFrequencies(newTokens)

@@ -188,8 +188,12 @@ type Method interface {
 	// Stats returns cumulative counters and structure sizes.
 	Stats() Stats
 	// State snapshots the method's navigational state for a checkpoint; the
-	// page-resident structures it anchors must already be flushed.
+	// page-resident structures it anchors must already be flushed.  It is
+	// Anchor and Dictionary together; a checkpoint takes the anchor every
+	// time and pays for the dictionary copy only when Anchor().DictGen moved.
 	State() MethodState
+	Anchor() MethodAnchor
+	Dictionary() MethodDict
 	// SetSource rewires the document source after a Restore (Build sets it
 	// itself).
 	SetSource(src DocSource)
@@ -347,6 +351,10 @@ type base struct {
 	// written to long-list blobs (fancy lists included), so Stats can
 	// report the compression ratio without re-reading the lists.
 	longRawBytes uint64
+	// dictGen is MethodAnchor.DictGen: every path that changes what
+	// Dictionary() returns calls dictChanged.  Only the serialized writer
+	// touches it.
+	dictGen uint64
 	// numDocs is atomic so concurrent queries can read the collection size
 	// (for IDF) while a serialized writer inserts or deletes documents.
 	numDocs  atomic.Int64
@@ -391,6 +399,10 @@ func newBase(cfg Config) (*base, error) {
 	st.enableCOW(b.retirePage)
 	return b, nil
 }
+
+// dictChanged records that the MethodDict half of the state is about to
+// change (see MethodAnchor.DictGen).
+func (b *base) dictChanged() { b.dictGen++ }
 
 // docTermStats tokenizes a document into distinct terms with normalized term
 // frequencies.

@@ -53,6 +53,7 @@ func (m *ScoreMethod) Name() string { return "Score" }
 // key order, so the per-term score-sorted runs concatenate into one sorted
 // run and no per-posting descent is paid.
 func (m *ScoreMethod) Build(src DocSource, scores ScoreFunc) error {
+	m.dictChanged()
 	defer m.publish()
 	m.src = src
 	bc, err := accumulate(src, scores, m.dict)
@@ -131,6 +132,7 @@ func (m *ScoreMethod) UpdateScore(doc DocID, newScore float64) error {
 
 // InsertDocument implements Method.
 func (m *ScoreMethod) InsertDocument(doc DocID, tokens []string, score float64) error {
+	m.dictChanged()
 	defer m.publish()
 	if err := m.score.Set(doc, score); err != nil {
 		return err
@@ -151,6 +153,7 @@ func (m *ScoreMethod) InsertDocument(doc DocID, tokens []string, score float64) 
 
 // DeleteDocument implements Method.
 func (m *ScoreMethod) DeleteDocument(doc DocID) error {
+	m.dictChanged()
 	defer m.publish()
 	score, _, ok, err := m.score.Get(doc)
 	if err != nil {
@@ -178,6 +181,7 @@ func (m *ScoreMethod) DeleteDocument(doc DocID) error {
 
 // UpdateContent implements Method.
 func (m *ScoreMethod) UpdateContent(doc DocID, oldTokens, newTokens []string) error {
+	m.dictChanged()
 	defer m.publish()
 	score, _, ok, err := m.score.Get(doc)
 	if err != nil {

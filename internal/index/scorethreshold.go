@@ -82,6 +82,7 @@ func (m *ScoreThresholdMethod) thresholdValueOf(score float64) float64 {
 
 // Build implements Method.
 func (m *ScoreThresholdMethod) Build(src DocSource, scores ScoreFunc) error {
+	m.dictChanged()
 	defer m.publish()
 	m.src = src
 	bc, err := accumulate(src, scores, m.dict)
@@ -178,6 +179,7 @@ func (m *ScoreThresholdMethod) UpdateScore(doc DocID, newScore float64) error {
 // InsertDocument implements Method (Appendix A.2): the new document's
 // postings go straight to the short lists.
 func (m *ScoreThresholdMethod) InsertDocument(doc DocID, tokens []string, score float64) error {
+	m.dictChanged()
 	defer m.publish()
 	if err := m.score.Set(doc, score); err != nil {
 		return err
@@ -199,6 +201,7 @@ func (m *ScoreThresholdMethod) InsertDocument(doc DocID, tokens []string, score 
 
 // DeleteDocument implements Method (Appendix A.2).
 func (m *ScoreThresholdMethod) DeleteDocument(doc DocID) error {
+	m.dictChanged()
 	defer m.publish()
 	score, _, ok, err := m.score.Get(doc)
 	if err != nil {
@@ -239,6 +242,7 @@ func (m *ScoreThresholdMethod) DeleteDocument(doc DocID) error {
 // document's current list position so that they align with its other
 // postings during the merge.
 func (m *ScoreThresholdMethod) UpdateContent(doc DocID, oldTokens, newTokens []string) error {
+	m.dictChanged()
 	defer m.publish()
 	listKey, err := m.listPosition(doc)
 	if err != nil {

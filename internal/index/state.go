@@ -24,11 +24,12 @@ func treeRefOf(t *btree.Tree) TreeRef {
 	return TreeRef{Root: t.RootPage(), Size: t.Len()}
 }
 
-// MethodState is the serializable navigational state of one index method:
-// everything Restore needs to reattach to the trees and blobs a checkpoint
-// left in the page file.  Kind selects which of the optional structure
-// anchors are meaningful; unused ones stay zero.
-type MethodState struct {
+// MethodAnchor is the small half of a method's navigational state: tree
+// roots and sizes, counts, and the generation of the dictionary half.  It
+// changes with every batch and a durable engine rewrites it at every commit.
+// Kind selects which of the optional structure anchors are meaningful; unused
+// ones stay zero.
+type MethodAnchor struct {
 	// Kind is the Method.Name() of the snapshotted index.
 	Kind string
 
@@ -37,9 +38,6 @@ type MethodState struct {
 	// LongRawBytes is the fixed-width footprint of the long-list postings
 	// (the raw side of the compression ratio reported by Stats).
 	LongRawBytes uint64
-	// LongRefs maps each term to its immutable long inverted list blob.
-	LongRefs map[string]blob.Ref
-	Dict     text.DictionaryState
 	// Score anchors the Score table's tree.
 	Score TreeRef
 
@@ -50,6 +48,23 @@ type MethodState struct {
 	// ListTable anchors the ListScore/ListChunk table (threshold and chunk
 	// families only).
 	ListTable TreeRef
+
+	// FancyBytes is the fancy lists' footprint (Chunk-TermScore only).
+	FancyBytes uint64
+
+	// DictGen counts the mutations of the MethodDict half: build, merge,
+	// document insert/delete and content edits bump it, score updates do
+	// not.  A checkpoint rewrites the persisted dictionary only when this
+	// differs from the generation it last wrote.
+	DictGen uint64
+}
+
+// MethodDict is the bulky, rarely changing half: everything keyed by term or
+// by document that a score update never touches.
+type MethodDict struct {
+	// LongRefs maps each term to its immutable long inverted list blob.
+	LongRefs map[string]blob.Ref
+	Dict     text.DictionaryState
 	// KnownTokens carries the distinct-term cache for incrementally inserted
 	// documents (every family except the Score method keeps one).
 	KnownTokens map[DocID][]string
@@ -63,9 +78,16 @@ type MethodState struct {
 	ScoreDir []float64
 
 	// Fancy-list anchors (Chunk-TermScore only).
-	FancyRefs  map[string]blob.Ref
-	FancyMinW  map[string]float32
-	FancyBytes uint64
+	FancyRefs map[string]blob.Ref
+	FancyMinW map[string]float32
+}
+
+// MethodState is the serializable navigational state of one index method:
+// everything Restore needs to reattach to the trees and blobs a checkpoint
+// left in the page file.
+type MethodState struct {
+	MethodAnchor
+	MethodDict
 }
 
 // --- per-structure snapshot/open helpers -------------------------------------
@@ -104,17 +126,21 @@ func copyRefs(src map[string]blob.Ref) map[string]blob.Ref {
 	return out
 }
 
-// baseState fills the fields shared by every method.
-func (b *base) baseState(kind string) MethodState {
-	return MethodState{
+// baseAnchor fills the anchor fields shared by every method.
+func (b *base) baseAnchor(kind string) MethodAnchor {
+	return MethodAnchor{
 		Kind:         kind,
 		NumDocs:      b.numDocs.Load(),
 		LongBytes:    b.longBytes,
 		LongRawBytes: b.longRawBytes,
-		LongRefs:     copyRefs(b.longRefs),
-		Dict:         b.dict.State(),
 		Score:        treeRefOf(b.score.tree),
+		DictGen:      b.dictGen,
 	}
+}
+
+// baseDict fills the dictionary fields shared by every method.
+func (b *base) baseDict() MethodDict {
+	return MethodDict{LongRefs: copyRefs(b.longRefs), Dict: b.dict.State()}
 }
 
 // openBase rebuilds the shared plumbing from a snapshot.  The document
@@ -134,6 +160,7 @@ func openBase(cfg Config, st *MethodState) (*base, error) {
 		longRawBytes: st.LongRawBytes,
 	}
 	b.numDocs.Store(st.NumDocs)
+	b.dictGen = st.DictGen
 	b.epochs = epoch.New(cfg.Pool.FreePage)
 	b.score.enableCOW(b.retirePage)
 	return b, nil
@@ -145,56 +172,102 @@ func openBase(cfg Config, st *MethodState) (*base, error) {
 // index was built over.
 func (b *base) SetSource(src DocSource) { b.src = src }
 
-// --- per-method State -------------------------------------------------------
+// --- per-method Anchor / Dictionary / State ----------------------------------
 
-// State implements Method.
-func (m *IDMethod) State() MethodState {
-	st := m.baseState(m.Name())
-	st.Lists = m.aux.state()
-	st.KnownTokens = copyTokenCache(m.knownTokens)
-	return st
+// Anchor implements Method.
+func (m *IDMethod) Anchor() MethodAnchor {
+	a := m.baseAnchor(m.Name())
+	a.Lists = m.aux.state()
+	return a
+}
+
+// Dictionary implements Method.
+func (m *IDMethod) Dictionary() MethodDict {
+	d := m.baseDict()
+	d.KnownTokens = copyTokenCache(m.knownTokens)
+	return d
 }
 
 // State implements Method.
-func (m *ScoreMethod) State() MethodState {
-	st := m.baseState(m.Name())
-	st.Lists = m.lists.state()
-	return st
+func (m *IDMethod) State() MethodState { return MethodState{m.Anchor(), m.Dictionary()} }
+
+// Anchor implements Method.
+func (m *ScoreMethod) Anchor() MethodAnchor {
+	a := m.baseAnchor(m.Name())
+	a.Lists = m.lists.state()
+	return a
+}
+
+// Dictionary implements Method.
+func (m *ScoreMethod) Dictionary() MethodDict { return m.baseDict() }
+
+// State implements Method.
+func (m *ScoreMethod) State() MethodState { return MethodState{m.Anchor(), m.Dictionary()} }
+
+// Anchor implements Method.
+func (m *ScoreThresholdMethod) Anchor() MethodAnchor {
+	a := m.baseAnchor(m.Name())
+	a.Lists = m.short.state()
+	a.ListTable = treeRefOf(m.listScore.tree)
+	return a
+}
+
+// Dictionary implements Method.
+func (m *ScoreThresholdMethod) Dictionary() MethodDict {
+	d := m.baseDict()
+	d.KnownTokens = copyTokenCache(m.knownTokens)
+	d.ScoreDir = append([]float64(nil), m.scoreDir...)
+	return d
 }
 
 // State implements Method.
 func (m *ScoreThresholdMethod) State() MethodState {
-	st := m.baseState(m.Name())
-	st.Lists = m.short.state()
-	st.ListTable = treeRefOf(m.listScore.tree)
-	st.KnownTokens = copyTokenCache(m.knownTokens)
-	st.ScoreDir = append([]float64(nil), m.scoreDir...)
-	return st
+	return MethodState{m.Anchor(), m.Dictionary()}
+}
+
+// Anchor implements Method.
+func (m *ChunkMethod) Anchor() MethodAnchor {
+	a := m.baseAnchor(m.Name())
+	a.Lists = m.short.state()
+	a.ListTable = treeRefOf(m.listChunk.tree)
+	return a
+}
+
+// Dictionary implements Method.
+func (m *ChunkMethod) Dictionary() MethodDict {
+	d := m.baseDict()
+	d.KnownTokens = copyTokenCache(m.knownTokens)
+	if m.chunks != nil {
+		d.ChunkLower = append([]float64(nil), m.chunks.lower...)
+	}
+	return d
 }
 
 // State implements Method.
-func (m *ChunkMethod) State() MethodState {
-	st := m.baseState(m.Name())
-	st.Lists = m.short.state()
-	st.ListTable = treeRefOf(m.listChunk.tree)
-	st.KnownTokens = copyTokenCache(m.knownTokens)
-	if m.chunks != nil {
-		st.ChunkLower = append([]float64(nil), m.chunks.lower...)
+func (m *ChunkMethod) State() MethodState { return MethodState{m.Anchor(), m.Dictionary()} }
+
+// Anchor implements Method.
+func (m *ChunkTermScoreMethod) Anchor() MethodAnchor {
+	a := m.ChunkMethod.Anchor()
+	a.Kind = m.Name()
+	a.FancyBytes = m.fancyBytes
+	return a
+}
+
+// Dictionary implements Method.
+func (m *ChunkTermScoreMethod) Dictionary() MethodDict {
+	d := m.ChunkMethod.Dictionary()
+	d.FancyRefs = copyRefs(m.fancyRefs)
+	d.FancyMinW = make(map[string]float32, len(m.fancyMinW))
+	for t, w := range m.fancyMinW {
+		d.FancyMinW[t] = w
 	}
-	return st
+	return d
 }
 
 // State implements Method.
 func (m *ChunkTermScoreMethod) State() MethodState {
-	st := m.ChunkMethod.State()
-	st.Kind = m.Name()
-	st.FancyRefs = copyRefs(m.fancyRefs)
-	st.FancyMinW = make(map[string]float32, len(m.fancyMinW))
-	for t, w := range m.fancyMinW {
-		st.FancyMinW[t] = w
-	}
-	st.FancyBytes = m.fancyBytes
-	return st
+	return MethodState{m.Anchor(), m.Dictionary()}
 }
 
 // --- Restore ----------------------------------------------------------------

@@ -467,6 +467,7 @@ func engineStatsPayload(e *core.Engine) map[string]any {
 	pool := e.Pool()
 	ps := pool.Stats()
 	fs := pool.File().Stats()
+	anchorBytes, dictRewrites := e.CatalogStats()
 	return map[string]any{
 		"indexes": indexes,
 		"pool": map[string]any{
@@ -491,6 +492,11 @@ func engineStatsPayload(e *core.Engine) map[string]any {
 			"fsyncs":     fs.Fsyncs,
 			"recoveries": fs.Recoveries,
 			"torn_pages": fs.TornPages,
+			// The catalog's share of a commit: the anchor is rewritten by
+			// every one, an index's dictionary chain only after its terms or
+			// documents changed.
+			"catalog_anchor_bytes": anchorBytes,
+			"dictionary_rewrites":  dictRewrites,
 		},
 	}
 }

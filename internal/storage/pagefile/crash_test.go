@@ -19,7 +19,7 @@ type fileImage struct {
 	free  int
 }
 
-func snapshotFile(t *testing.T, f File) *fileImage {
+func snapshotFile(t testing.TB, f File) *fileImage {
 	t.Helper()
 	img := &fileImage{meta: f.Meta(), free: f.FreePages()}
 	buf := make([]byte, f.PageSize())
@@ -44,7 +44,7 @@ func (img *fileImage) equal(other *fileImage) bool {
 	return true
 }
 
-func copyFile(t *testing.T, src, dst string) {
+func copyFile(t testing.TB, src, dst string) {
 	t.Helper()
 	in, err := os.Open(src)
 	if errors.Is(err, os.ErrNotExist) {
@@ -66,7 +66,7 @@ func copyFile(t *testing.T, src, dst string) {
 }
 
 // cloneDB copies a data file and its WAL sidecar into a fresh working path.
-func cloneDB(t *testing.T, src, dst string) {
+func cloneDB(t testing.TB, src, dst string) {
 	t.Helper()
 	copyFile(t, src, dst)
 	copyFile(t, WALPath(src), WALPath(dst))
@@ -100,62 +100,54 @@ func commitScenario(f File) error {
 	return f.Commit([]byte("after"))
 }
 
+// faultSites lists a plain and a torn failure of each of the first writes
+// WriteAt calls and a failure of each of the first syncs Sync calls.
+func faultSites(writes, syncs int) []FaultPlan {
+	var sites []FaultPlan
+	for i := 1; i <= writes; i++ {
+		sites = append(sites, FaultPlan{FailWrite: i}, FaultPlan{FailWrite: i, TornWrite: true})
+	}
+	for i := 1; i <= syncs; i++ {
+		sites = append(sites, FaultPlan{FailSync: i})
+	}
+	return sites
+}
+
+func (p FaultPlan) String() string {
+	switch {
+	case p.FailWrite > 0 && p.TornWrite:
+		return fmt.Sprintf("torn-write-%d", p.FailWrite)
+	case p.FailWrite > 0:
+		return fmt.Sprintf("write-%d", p.FailWrite)
+	default:
+		return fmt.Sprintf("sync-%d", p.FailSync)
+	}
+}
+
 // TestCrashPointMatrixFile drives the commit protocol into a deterministic
 // fault at every write and fsync site (plain failures and torn writes),
 // reopens without faults, and asserts the recovered file is byte-identical
 // to either the pre-commit or the post-commit committed image — never a
 // hybrid.  A fault injected before the WAL fsync completes must recover the
-// pre state; a successful Commit must recover the post state.
+// pre state; a successful Commit must recover the post state.  Recovery's
+// own write-back is a crash site as well: from every crashed file, every
+// write and fsync of the recovering Open is failed in turn, and the next
+// clean Open must still land on the same committed image.  commitScenario
+// logs whole pages, patchScenario byte-range deltas over the data file.
 func TestCrashPointMatrixFile(t *testing.T) {
+	for name, scenario := range map[string]func(File) error{"images": commitScenario, "deltas": patchScenario} {
+		t.Run(name, func(t *testing.T) { crashPointMatrix(t, scenario) })
+	}
+}
+
+func crashPointMatrix(t *testing.T, scenario func(File) error) {
 	dir := t.TempDir()
 	template := filepath.Join(dir, "template.svrdb")
-
-	// Build the committed pre state: four pages with distinct fill bytes.
-	f, err := Open(template, WithPageSize(512))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.AllocateN(4); err != nil {
-		t.Fatal(err)
-	}
-	page := make([]byte, 512)
-	for id := PageID(0); id < 4; id++ {
-		for i := range page {
-			page[i] = 0xA0 + byte(id)
-		}
-		if err := f.Write(id, page); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Commit([]byte("before")); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	buildTemplate(t, template)
 
 	// Pre image, and post image from one clean run of the scenario.
-	pre := func() *fileImage {
-		f, err := Open(template)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		return snapshotFile(t, f)
-	}()
-	postPath := filepath.Join(dir, "post.svrdb")
-	cloneDB(t, template, postPath)
-	post := func() *fileImage {
-		f, err := Open(postPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if err := commitScenario(f); err != nil {
-			t.Fatal(err)
-		}
-		return snapshotFile(t, f)
-	}()
+	pre := openImage(t, template)
+	post := cleanRun(t, template, filepath.Join(dir, "post.svrdb"), scenario)
 	if pre.equal(post) {
 		t.Fatal("scenario did not change the file; the matrix would prove nothing")
 	}
@@ -164,49 +156,36 @@ func TestCrashPointMatrixFile(t *testing.T) {
 	countPath := filepath.Join(dir, "count.svrdb")
 	cloneDB(t, template, countPath)
 	counter := NewFaultInjector(FaultPlan{})
-	cf, err := Open(countPath, WithFaults(counter))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := commitScenario(cf); err != nil {
+	cf := mustOpen(t, countPath, WithFaults(counter))
+	if err := scenario(cf); err != nil {
 		t.Fatal(err)
 	}
 	cf.Close()
-	writes, syncs := counter.Writes(), counter.Syncs()
-	if writes < 3 || syncs < 2 {
-		t.Fatalf("scenario has %d writes and %d syncs; too few for a meaningful matrix", writes, syncs)
+	if counter.Writes() < 3 || counter.Syncs() < 2 {
+		t.Fatalf("scenario has %d writes and %d syncs; too few for a meaningful matrix", counter.Writes(), counter.Syncs())
 	}
 
-	type site struct {
-		plan FaultPlan
-		name string
-	}
-	var sites []site
-	for i := 1; i <= writes; i++ {
-		sites = append(sites,
-			site{FaultPlan{FailWrite: i}, fmt.Sprintf("write-%d", i)},
-			site{FaultPlan{FailWrite: i, TornWrite: true}, fmt.Sprintf("torn-write-%d", i)})
-	}
-	for i := 1; i <= syncs; i++ {
-		sites = append(sites, site{FaultPlan{FailSync: i}, fmt.Sprintf("sync-%d", i)})
-	}
-
-	for _, s := range sites {
-		t.Run(s.name, func(t *testing.T) {
+	recoverySites := 0
+	for _, plan := range faultSites(counter.Writes(), counter.Syncs()) {
+		t.Run(plan.String(), func(t *testing.T) {
 			work := filepath.Join(dir, "work.svrdb")
 			cloneDB(t, template, work)
-			fi := NewFaultInjector(s.plan)
+			fi := NewFaultInjector(plan)
 			f, err := Open(work, WithFaults(fi))
 			if err != nil {
 				t.Fatalf("open with faults failed before the scenario ran: %v", err)
 			}
-			commitErr := commitScenario(f)
+			commitErr := scenario(f)
 			f.Close()
 			if !fi.Tripped() {
-				t.Fatalf("fault site %s never fired", s.name)
+				t.Fatalf("fault site %s never fired", plan)
 			}
 
-			// The crash happened; reopen without faults and recover.
+			// The crash happened.  First crash the recovery too, at each of
+			// its sites, on a copy; every copy must then recover cleanly to
+			// the image the crashed file itself recovers to.
+			crashed := filepath.Join(dir, "crashed.svrdb")
+			cloneDB(t, work, crashed)
 			rf, err := Open(work)
 			if err != nil {
 				t.Fatalf("recovery open: %v", err)
@@ -222,14 +201,43 @@ func TestCrashPointMatrixFile(t *testing.T) {
 				// Roll-forward of a fully-logged commit: fine whether or not
 				// Commit got to report success.
 			default:
-				t.Errorf("recovered state is neither the pre- nor the post-commit image (commit err: %v)", commitErr)
+				t.Fatalf("recovered state is neither the pre- nor the post-commit image (commit err: %v)", commitErr)
+			}
+
+			again := filepath.Join(dir, "again.svrdb")
+			cloneDB(t, crashed, again)
+			rc := NewFaultInjector(FaultPlan{})
+			mustOpen(t, again, WithFaults(rc)).Close()
+			for _, rplan := range faultSites(rc.Writes(), rc.Syncs()) {
+				cloneDB(t, crashed, again)
+				rfi := NewFaultInjector(rplan)
+				if f, err := Open(again, WithFaults(rfi)); err == nil {
+					f.Close()
+				}
+				if !rfi.Tripped() {
+					t.Fatalf("recovery fault site %s never fired", rplan)
+				}
+				recoverySites++
+				if !openImage(t, again).equal(img) {
+					t.Errorf("recovery crashed at %s, and the next recovery landed on a different image", rplan)
+				}
 			}
 
 			// The recovered file must accept and persist a fresh commit.
-			if err := commitScenario(rf); err != nil {
+			id, err := rf.Allocate()
+			if err == nil {
+				err = rf.Write(id, bytes.Repeat([]byte{0xE6}, rf.PageSize()))
+			}
+			if err == nil {
+				err = rf.Commit([]byte("fresh"))
+			}
+			if err != nil {
 				t.Fatalf("commit after recovery: %v", err)
 			}
 		})
+	}
+	if recoverySites == 0 {
+		t.Error("no recovery ever wrote: the recovery half of the matrix proved nothing")
 	}
 }
 
@@ -326,7 +334,7 @@ func TestRecoveryCountsTornWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	torn := make([]byte, 60)
-	copy(torn, []byte{0x31, 0x30, 0x4c, 0x41, 0x57, 0x52, 0x56, 0x53}) // walMagic little-endian
+	copy(torn, walMagic[:])
 	if _, err := wal.WriteAt(torn, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -18,8 +18,10 @@ import (
 // disks the paper's cost model charges per page touched.
 const DefaultDiskPageSize = 4096
 
-// formatVersion is bumped whenever the on-disk layout changes.
-const formatVersion = 1
+// formatVersion is bumped whenever the on-disk layout changes.  Version 2
+// logs byte-range deltas (WAL v2) and leaves a freed page's old bytes in
+// place under its chain link; version 1 files are refused at Open.
+const formatVersion = 2
 
 // minDiskPageSize keeps the fixed header comfortably inside physical page 0.
 const minDiskPageSize = 512
@@ -35,7 +37,7 @@ const metaMax = 256
 
 var (
 	headerMagic = [8]byte{'S', 'V', 'R', 'D', 'B', 'P', 'F', '1'}
-	walMagic    = uint64(0x53565257414c3031) // "SVRWAL01"
+	walMagic    = [8]byte{'S', 'V', 'R', 'W', 'A', 'L', '0', '2'}
 	// freePageMagic stamps the first 8 bytes of an on-disk free-list chain
 	// page so that a corrupted chain is detected instead of walked blindly.
 	freePageMagic = uint64(0x5356524652454531) // "SVRFREE1"
@@ -163,8 +165,9 @@ func WithFaults(fi *FaultInjector) Option { return func(o *openOptions) { o.faul
 // All writes — page writes, allocations, frees — are staged in memory and
 // reach the data file only inside Commit:
 //
-//  1. one WAL record holding every staged page image plus the post-commit
-//     header state is written and fsynced (the commit point);
+//  1. one WAL record holding, per staged page, the byte ranges in which it
+//     differs from what the data file holds (wal.go), plus the post-commit
+//     header state, is written and fsynced (the commit point);
 //  2. the staged images are written back in place in ascending page order,
 //     the header is rewritten, and the data file is fsynced;
 //  3. the WAL is truncated (the checkpoint).
@@ -173,30 +176,65 @@ func WithFaults(fi *FaultInjector) Option { return func(o *openOptions) { o.faul
 // previous committed state; a crash after (1) replays the record on the
 // next Open and recovers the new state.  Committed pages are therefore
 // never overwritten in place by uncommitted data, which also makes it safe
-// for a commit window to reuse pages freed in the same window.
+// for a commit window to reuse pages freed in the same window.  A failure
+// after (1) poisons the handle: the WAL then holds the only complete copy of
+// an acknowledged commit, so every later call returns the same error and the
+// way forward is to reopen and replay.
 //
 // The free list is persisted as an on-disk chain threaded through the freed
 // pages themselves: each carries [freePageMagic][next PageID] in its first
-// 16 bytes, the header records the chain head and length, and Free stages
-// the chain page like any other write so the chain always commits
-// atomically with the state that freed it.
+// 16 bytes (the rest of a freed page is whatever it last held), the header
+// records the chain head and length, and Free stages the link like any other
+// write so the chain always commits atomically with the state that freed it.
 type diskFile struct {
 	pageSize int
 	path     string
 	data     backing
 	wal      backing
 
-	mu        sync.RWMutex
-	closed    bool
+	mu     sync.RWMutex
+	closed bool
+	// failed is the sticky error of a commit that broke after its commit
+	// point.
+	failed    error
 	nPages    uint64 // allocated, including uncommitted allocations
 	committed uint64 // page count as of the last commit
-	staged    map[PageID][]byte
-	free      []PageID // stack; free[len-1] is the chain head
-	freeSet   map[PageID]struct{}
-	lsn       uint64
-	meta      []byte
+	// staged holds the full post-image of every page written or allocated in
+	// this window; links holds, for committed pages freed in this window, the
+	// chain link that overwrites their first freeLinkSize bytes.  A page is in
+	// at most one of the two.
+	staged  map[PageID][]byte
+	links   map[PageID]PageID
+	free    []PageID // stack; free[len-1] is the chain head
+	freeSet map[PageID]struct{}
+	lsn     uint64
+	meta    []byte
+
+	// Commit scratch, reused across commits: retired staging buffers, the
+	// sorted page list, the before-image, the run list and the WAL record.
+	spare  [][]byte
+	ids    []PageID
+	base   []byte
+	zero   []byte
+	runs   []byteRun
+	walBuf []byte
 
 	counters
+}
+
+// freeLinkSize is the length of the chain link a free page carries.
+const freeLinkSize = 16
+
+// Bounds on the scratch a commit may leave behind, so that one bulk-load
+// commit does not pin its footprint for the life of the handle.
+const (
+	maxSpareBytes = 4 << 20
+	maxWALScratch = 8 << 20
+)
+
+func putFreeLink(dst []byte, next PageID) {
+	binary.LittleEndian.PutUint64(dst[0:8], freePageMagic)
+	binary.LittleEndian.PutUint64(dst[8:16], uint64(next))
 }
 
 // WALPath returns the write-ahead log path for a data file path.
@@ -229,6 +267,7 @@ func Open(path string, opts ...Option) (File, error) {
 	f := &diskFile{
 		path:    path,
 		staged:  map[PageID][]byte{},
+		links:   map[PageID]PageID{},
 		freeSet: map[PageID]struct{}{},
 	}
 	f.data = o.faults.wrap(dataFD)
@@ -257,13 +296,12 @@ func Open(path string, opts ...Option) (File, error) {
 			return nil, fmt.Errorf("pagefile: sync %s: %w", path, err)
 		}
 		f.fsyncs.Add(1)
-		return f, nil
-	}
-
-	if err := f.recover(o.pageSize); err != nil {
+	} else if err := f.recover(o.pageSize, info.Size()); err != nil {
 		f.closeHandles()
 		return nil, err
 	}
+	f.base = make([]byte, f.pageSize)
+	f.zero = make([]byte, f.pageSize)
 	return f, nil
 }
 
@@ -289,131 +327,12 @@ func (f *diskFile) pageOffset(id PageID) int64 {
 
 // --- recovery ---------------------------------------------------------------
 
-// walRecord is one decoded commit record.
-//
-// Layout (little-endian):
-//
-//	[0:8]   walMagic
-//	[8:16]  LSN
-//	[16:24] post-commit page count
-//	[24:32] post-commit free-list head
-//	[32:40] post-commit free-list length
-//	[40:44] page size (records are self-describing so a torn header does
-//	        not strand the replay without the geometry it needs)
-//	[44:48] meta length
-//	[48:52] page image count
-//	[52:...] meta bytes, then count × ([8 page ID][pageSize image])
-//	[...:+4] CRC32-C over everything above
-type walRecord struct {
-	header
-	pages  []PageID
-	images [][]byte
-}
-
-func (f *diskFile) encodeWALRecord(rec *walRecord) []byte {
-	size := 52 + len(rec.meta) + len(rec.pages)*(8+f.pageSize) + 4
-	buf := make([]byte, 0, size)
-	var scratch [8]byte
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		buf = append(buf, scratch[:8]...)
-	}
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		buf = append(buf, scratch[:4]...)
-	}
-	put64(walMagic)
-	put64(rec.lsn)
-	put64(rec.nPages)
-	put64(uint64(rec.freeHead))
-	put64(rec.freeCount)
-	put32(uint32(f.pageSize))
-	put32(uint32(len(rec.meta)))
-	put32(uint32(len(rec.pages)))
-	buf = append(buf, rec.meta...)
-	for i, id := range rec.pages {
-		put64(uint64(id))
-		buf = append(buf, rec.images[i][:f.pageSize]...)
-	}
-	put32(crc32.Checksum(buf, crcTable))
-	return buf
-}
-
-// decodeWALRecord parses one record from buf, returning it and the bytes
-// consumed.  A nil record with nil error means buf holds no (further)
-// record; a nil record with a non-nil error means a torn or corrupt record.
-// The record carries its own page size; a non-zero wantPageSize is checked
-// against it.
-func decodeWALRecord(buf []byte, wantPageSize int) (*walRecord, int, error) {
-	if len(buf) < 52 {
-		if isAllZero(buf) {
-			return nil, 0, nil
-		}
-		return nil, 0, fmt.Errorf("%w: truncated WAL record header", ErrCorrupt)
-	}
-	if binary.LittleEndian.Uint64(buf[0:8]) != walMagic {
-		if isAllZero(buf[:8]) {
-			return nil, 0, nil
-		}
-		return nil, 0, fmt.Errorf("%w: bad WAL record magic", ErrCorrupt)
-	}
-	pageSize := int(binary.LittleEndian.Uint32(buf[40:44]))
-	if pageSize < minDiskPageSize || pageSize > maxDiskPageSize {
-		return nil, 0, fmt.Errorf("%w: WAL record page size %d", ErrCorrupt, pageSize)
-	}
-	if wantPageSize != 0 && pageSize != wantPageSize {
-		return nil, 0, fmt.Errorf("%w: WAL record page size %d, want %d", ErrCorrupt, pageSize, wantPageSize)
-	}
-	metaLen := binary.LittleEndian.Uint32(buf[44:48])
-	count := binary.LittleEndian.Uint32(buf[48:52])
-	if metaLen > metaMax {
-		return nil, 0, fmt.Errorf("%w: WAL meta length %d", ErrCorrupt, metaLen)
-	}
-	total := 52 + int(metaLen) + int(count)*(8+pageSize) + 4
-	if len(buf) < total {
-		return nil, 0, fmt.Errorf("%w: torn WAL record (%d of %d bytes)", ErrCorrupt, len(buf), total)
-	}
-	body := buf[:total-4]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(buf[total-4:total]) {
-		return nil, 0, fmt.Errorf("%w: WAL record checksum mismatch", ErrCorrupt)
-	}
-	rec := &walRecord{
-		header: header{
-			pageSize:  pageSize,
-			nPages:    binary.LittleEndian.Uint64(buf[16:24]),
-			freeHead:  PageID(binary.LittleEndian.Uint64(buf[24:32])),
-			freeCount: binary.LittleEndian.Uint64(buf[32:40]),
-			lsn:       binary.LittleEndian.Uint64(buf[8:16]),
-		},
-	}
-	if metaLen > 0 {
-		rec.meta = append([]byte(nil), buf[52:52+metaLen]...)
-	}
-	off := 52 + int(metaLen)
-	for i := uint32(0); i < count; i++ {
-		id := PageID(binary.LittleEndian.Uint64(buf[off : off+8]))
-		off += 8
-		rec.pages = append(rec.pages, id)
-		rec.images = append(rec.images, buf[off:off+pageSize])
-		off += pageSize
-	}
-	return rec, total, nil
-}
-
-func isAllZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // recover brings the file to its last committed state: validate the header,
-// replay any complete WAL record the header does not yet reflect, discard a
-// torn WAL tail, truncate the data file to the committed length, and load
-// the persisted free list.
-func (f *diskFile) recover(wantPageSize int) error {
+// replay the last complete WAL record unless the header is provably past
+// it, discard a torn WAL tail, truncate the data file to the committed
+// length, and load the persisted free list.  dataSize is the data file's
+// length, the bound on how many pages a record may claim.
+func (f *diskFile) recover(wantPageSize int, dataSize int64) error {
 	hdrBuf := make([]byte, headerSize)
 	var hdr *header
 	if _, err := f.data.ReadAt(hdrBuf, 0); err == nil {
@@ -472,21 +391,15 @@ func (f *diskFile) recover(wantPageSize int) error {
 	switch {
 	case hdr == nil && last == nil:
 		return fmt.Errorf("%w: no valid header and no valid WAL record in %s", ErrCorrupt, f.path)
-	case last != nil && (hdr == nil || last.lsn > hdr.lsn):
-		// Roll the committed-but-not-applied record forward.
-		for i, id := range last.pages {
-			if _, err := f.data.WriteAt(last.images[i], f.pageOffset(id)); err != nil {
-				return fmt.Errorf("pagefile: recovery write page %d: %w", id, err)
-			}
-		}
-		if err := f.writeHeader(&last.header); err != nil {
+	case last != nil && (hdr == nil || last.lsn >= hdr.lsn):
+		// Roll the record forward.  Commit puts the pages and the header
+		// under one fsync with no order between them, so a header already
+		// at the record's LSN proves nothing about the pages: the WAL is
+		// truncated only after that fsync, and a record still here may be
+		// half applied.  Replaying an applied record is harmless.
+		if err := f.replay(last, dataSize); err != nil {
 			return err
 		}
-		if err := f.data.Sync(); err != nil {
-			return fmt.Errorf("pagefile: recovery sync: %w", err)
-		}
-		f.fsyncs.Add(1)
-		f.recoveries.Add(1)
 		hdr = &last.header
 	}
 
@@ -507,6 +420,62 @@ func (f *diskFile) recover(wantPageSize int) error {
 	return f.loadFreeList(hdr.freeHead, hdr.freeCount)
 }
 
+// replay applies one committed record to the data file.  It runs twice over
+// the entries: the first pass only rebuilds every post-image and checks it
+// against the logged checksum, so a record whose base pages are not the ones
+// it was cut against is refused before a single byte is written.
+func (f *diskFile) replay(rec *walRecord, dataSize int64) error {
+	// Every page a window allocates is staged, hence logged: a record cannot
+	// grow the file by more pages than it carries.
+	if have := uint64(dataSize) / uint64(f.pageSize); rec.nPages > have+uint64(len(rec.entries)) {
+		return fmt.Errorf("%w: WAL record claims %d pages, file holds %d and the record %d", ErrCorrupt, rec.nPages, have, len(rec.entries))
+	}
+	page := make([]byte, f.pageSize)
+	var link [freeLinkSize]byte
+	for _, write := range []bool{false, true} {
+		for i := range rec.entries {
+			e := &rec.entries[i]
+			off := f.pageOffset(e.id)
+			if e.kind == entryFreeLink {
+				if write {
+					putFreeLink(link[:], e.next)
+					if _, err := f.data.WriteAt(link[:], off); err != nil {
+						return fmt.Errorf("pagefile: recovery write page %d: %w", e.id, err)
+					}
+				}
+				continue
+			}
+			clear(page)
+			if e.kind == entryDeltaOnDisk {
+				// A short read leaves zeros; the checksum decides whether
+				// that is the page the record expects.
+				if _, err := f.data.ReadAt(page, off); err != nil && err != io.EOF {
+					return fmt.Errorf("pagefile: recovery read page %d: %w", e.id, err)
+				}
+			}
+			applyRuns(page, e.runs)
+			if !write {
+				if crc32.Checksum(page, crcTable) != e.crc {
+					return fmt.Errorf("%w: page %d does not match WAL record %d (base page changed under the log)", ErrCorrupt, e.id, rec.lsn)
+				}
+				continue
+			}
+			if _, err := f.data.WriteAt(page, off); err != nil {
+				return fmt.Errorf("pagefile: recovery write page %d: %w", e.id, err)
+			}
+		}
+	}
+	if err := f.writeHeader(&rec.header); err != nil {
+		return err
+	}
+	if err := f.data.Sync(); err != nil {
+		return fmt.Errorf("pagefile: recovery sync: %w", err)
+	}
+	f.fsyncs.Add(1)
+	f.recoveries.Add(1)
+	return nil
+}
+
 // loadFreeList walks the on-disk chain and rebuilds the in-memory stack so
 // that allocation order after a reopen matches the order before it
 // (chain head = top of stack).
@@ -514,21 +483,24 @@ func (f *diskFile) loadFreeList(head PageID, count uint64) error {
 	if count == 0 {
 		return nil
 	}
+	if count > f.nPages {
+		return fmt.Errorf("%w: free-list length %d exceeds page count %d", ErrCorrupt, count, f.nPages)
+	}
 	chain := make([]PageID, 0, count)
-	page := make([]byte, f.pageSize)
+	var link [freeLinkSize]byte
 	id := head
 	for i := uint64(0); i < count; i++ {
 		if uint64(id) >= f.nPages {
 			return fmt.Errorf("%w: free-list chain points at page %d of %d", ErrCorrupt, id, f.nPages)
 		}
-		if _, err := f.data.ReadAt(page, f.pageOffset(id)); err != nil {
+		if _, err := f.data.ReadAt(link[:], f.pageOffset(id)); err != nil {
 			return fmt.Errorf("pagefile: read free-list page %d: %w", id, err)
 		}
-		if binary.LittleEndian.Uint64(page[0:8]) != freePageMagic {
+		if binary.LittleEndian.Uint64(link[0:8]) != freePageMagic {
 			return fmt.Errorf("%w: free-list page %d lacks chain magic", ErrCorrupt, id)
 		}
 		chain = append(chain, id)
-		id = PageID(binary.LittleEndian.Uint64(page[8:16]))
+		id = PageID(binary.LittleEndian.Uint64(link[8:16]))
 	}
 	if id != InvalidPageID {
 		return fmt.Errorf("%w: free-list chain longer than recorded length %d", ErrCorrupt, count)
@@ -542,26 +514,6 @@ func (f *diskFile) loadFreeList(head PageID, count uint64) error {
 		f.freeSet[p] = struct{}{}
 	}
 	return nil
-}
-
-func readAll(b backing) ([]byte, error) {
-	var out []byte
-	buf := make([]byte, 1<<16)
-	var off int64
-	for {
-		n, err := b.ReadAt(buf, off)
-		out = append(out, buf[:n]...)
-		off += int64(n)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return out, nil
-		}
-	}
 }
 
 // --- File interface ---------------------------------------------------------
@@ -581,24 +533,73 @@ func (f *diskFile) SetReadLatency(d time.Duration) {
 
 func (f *diskFile) ReadLatency() time.Duration { return 0 }
 
-// stagePageLocked returns a zeroed staging buffer for id, reusing an
-// existing staged buffer when present.  The caller holds f.mu.
-func (f *diskFile) stagePageLocked(id PageID) []byte {
+// usableLocked reports why the handle cannot serve a call, nil if it can.
+func (f *diskFile) usableLocked() error {
+	if f.closed {
+		return ErrClosed
+	}
+	return f.failed
+}
+
+// pageBufLocked returns a page-sized buffer with arbitrary contents,
+// preferring one a finished commit retired.
+func (f *diskFile) pageBufLocked() []byte {
+	if n := len(f.spare); n > 0 {
+		buf := f.spare[n-1]
+		f.spare = f.spare[:n-1]
+		return buf
+	}
+	return make([]byte, f.pageSize)
+}
+
+// retireBufLocked keeps a staging buffer for reuse, up to maxSpareBytes.
+func (f *diskFile) retireBufLocked(buf []byte) {
+	if (len(f.spare)+1)*f.pageSize <= maxSpareBytes {
+		f.spare = append(f.spare, buf)
+	}
+}
+
+// stageBufLocked returns the staging buffer of id, contents arbitrary when
+// it is new, making id a staged page.  The caller holds f.mu.
+func (f *diskFile) stageBufLocked(id PageID) []byte {
 	buf, ok := f.staged[id]
 	if !ok {
-		buf = make([]byte, f.pageSize)
+		buf = f.pageBufLocked()
 		f.staged[id] = buf
-	} else {
-		clear(buf)
+		delete(f.links, id)
 	}
 	return buf
+}
+
+// stagePageLocked stages id as a zeroed page.
+func (f *diskFile) stagePageLocked(id PageID) []byte {
+	buf := f.stageBufLocked(id)
+	clear(buf)
+	return buf
+}
+
+// linkFreePageLocked stages the chain link of free page id.  A committed
+// page keeps its bytes in the data file and only the link is logged and
+// written back, so freeing costs freeLinkSize bytes, not a page image; a page
+// born in this window has nothing on disk to keep and is staged as zeros
+// plus the link.
+func (f *diskFile) linkFreePageLocked(id, next PageID) {
+	if uint64(id) >= f.committed {
+		putFreeLink(f.stagePageLocked(id), next)
+		return
+	}
+	if buf, ok := f.staged[id]; ok {
+		delete(f.staged, id)
+		f.retireBufLocked(buf)
+	}
+	f.links[id] = next
 }
 
 func (f *diskFile) Allocate() (PageID, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return InvalidPageID, ErrClosed
+	if err := f.usableLocked(); err != nil {
+		return InvalidPageID, err
 	}
 	f.allocs.Add(1)
 	if n := len(f.free); n > 0 {
@@ -623,8 +624,8 @@ func (f *diskFile) AllocateN(n int) (PageID, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return InvalidPageID, ErrClosed
+	if err := f.usableLocked(); err != nil {
+		return InvalidPageID, err
 	}
 	f.allocs.Add(uint64(n))
 	if first, ok := f.takeFreeRunLocked(n); ok {
@@ -659,9 +660,7 @@ func (f *diskFile) takeFreeRunLocked(n int) (PageID, bool) {
 		if i > 0 {
 			below = f.free[i-1]
 		}
-		page := f.stagePageLocked(f.free[above])
-		binary.LittleEndian.PutUint64(page[0:8], freePageMagic)
-		binary.LittleEndian.PutUint64(page[8:16], uint64(below))
+		f.linkFreePageLocked(f.free[above], below)
 	}
 	for k := 0; k < n; k++ {
 		delete(f.freeSet, f.free[i+k])
@@ -673,8 +672,8 @@ func (f *diskFile) takeFreeRunLocked(n int) (PageID, bool) {
 func (f *diskFile) Free(id PageID) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return ErrClosed
+	if err := f.usableLocked(); err != nil {
+		return err
 	}
 	if uint64(id) >= f.nPages {
 		return fmt.Errorf("%w: free page %d of %d", ErrPageOutOfRange, id, f.nPages)
@@ -686,9 +685,7 @@ func (f *diskFile) Free(id PageID) error {
 	if n := len(f.free); n > 0 {
 		next = f.free[n-1]
 	}
-	page := f.stagePageLocked(id)
-	binary.LittleEndian.PutUint64(page[0:8], freePageMagic)
-	binary.LittleEndian.PutUint64(page[8:16], uint64(next))
+	f.linkFreePageLocked(id, next)
 	f.freeSet[id] = struct{}{}
 	f.free = append(f.free, id)
 	f.frees.Add(1)
@@ -707,8 +704,8 @@ func (f *diskFile) Read(id PageID, dst []byte) error {
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	if f.closed {
-		return ErrClosed
+	if err := f.usableLocked(); err != nil {
+		return err
 	}
 	if uint64(id) >= f.nPages {
 		return fmt.Errorf("%w: read page %d of %d", ErrPageOutOfRange, id, f.nPages)
@@ -729,6 +726,9 @@ func (f *diskFile) Read(id PageID, dst []byte) error {
 	if _, err := f.data.ReadAt(dst[:f.pageSize], f.pageOffset(id)); err != nil {
 		return fmt.Errorf("pagefile: read page %d: %w", id, err)
 	}
+	if next, ok := f.links[id]; ok {
+		putFreeLink(dst, next)
+	}
 	return nil
 }
 
@@ -738,20 +738,15 @@ func (f *diskFile) Write(id PageID, src []byte) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return ErrClosed
+	if err := f.usableLocked(); err != nil {
+		return err
 	}
 	if uint64(id) >= f.nPages {
 		return fmt.Errorf("%w: write page %d of %d", ErrPageOutOfRange, id, f.nPages)
 	}
 	f.writes.Add(1)
 	f.bytesWritten.Add(uint64(f.pageSize))
-	buf, ok := f.staged[id]
-	if !ok {
-		buf = make([]byte, f.pageSize)
-		f.staged[id] = buf
-	}
-	copy(buf, src[:f.pageSize])
+	copy(f.stageBufLocked(id), src[:f.pageSize])
 	return nil
 }
 
@@ -763,55 +758,91 @@ func (f *diskFile) Commit(meta []byte) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return ErrClosed
+	if err := f.usableLocked(); err != nil {
+		return err
 	}
-	if len(f.staged) == 0 && f.nPages == f.committed && bytes.Equal(meta, f.meta) {
+	if len(f.staged) == 0 && len(f.links) == 0 && f.nPages == f.committed && bytes.Equal(meta, f.meta) {
 		return nil
 	}
 
-	rec := walRecord{
-		header: header{
-			pageSize:  f.pageSize,
-			nPages:    f.nPages,
-			freeHead:  InvalidPageID,
-			freeCount: uint64(len(f.free)),
-			lsn:       f.lsn + 1,
-			meta:      append([]byte(nil), meta...),
-		},
+	hdr := header{
+		pageSize:  f.pageSize,
+		nPages:    f.nPages,
+		freeHead:  InvalidPageID,
+		freeCount: uint64(len(f.free)),
+		lsn:       f.lsn + 1,
+		meta:      append([]byte(nil), meta...),
 	}
 	if n := len(f.free); n > 0 {
-		rec.freeHead = f.free[n-1]
+		hdr.freeHead = f.free[n-1]
 	}
-	rec.pages = make([]PageID, 0, len(f.staged))
+	f.ids = f.ids[:0]
 	for id := range f.staged {
-		rec.pages = append(rec.pages, id)
+		f.ids = append(f.ids, id)
 	}
-	sort.Slice(rec.pages, func(i, j int) bool { return rec.pages[i] < rec.pages[j] })
-	rec.images = make([][]byte, len(rec.pages))
-	for i, id := range rec.pages {
-		rec.images[i] = f.staged[id]
+	for id := range f.links {
+		f.ids = append(f.ids, id)
+	}
+	slices.Sort(f.ids)
+
+	// 0. Cut the record: every staged page against the bytes the data file
+	// holds for it.  A read failure here is before the commit point and
+	// leaves the window staged.
+	if err := f.encodeWALRecord(&hdr); err != nil {
+		return err
 	}
 
 	// 1. WAL append + fsync: the commit point.
-	walBuf := f.encodeWALRecord(&rec)
-	if _, err := f.wal.WriteAt(walBuf, 0); err != nil {
+	if _, err := f.wal.WriteAt(f.walBuf, 0); err != nil {
 		return fmt.Errorf("pagefile: WAL write: %w", err)
 	}
 	if err := f.wal.Sync(); err != nil {
 		return fmt.Errorf("pagefile: WAL sync: %w", err)
 	}
-	f.walBytes.Add(uint64(len(walBuf)))
+	f.walBytes.Add(uint64(len(f.walBuf)))
 	f.fsyncs.Add(1)
 
+	if err := f.applyCommitted(&hdr); err != nil {
+		f.failed = fmt.Errorf("pagefile: commit %d is logged but not applied, reopen the file to recover it: %w", hdr.lsn, err)
+		return f.failed
+	}
+
+	f.lsn = hdr.lsn
+	f.committed = f.nPages
+	f.meta = hdr.meta
+	for _, buf := range f.staged {
+		f.retireBufLocked(buf)
+	}
+	if len(f.staged)*f.pageSize > maxSpareBytes {
+		// A bulk window: clearing would keep its bucket array for good.
+		f.staged = map[PageID][]byte{}
+	} else {
+		clear(f.staged)
+	}
+	clear(f.links)
+	if cap(f.walBuf) > maxWALScratch {
+		f.walBuf = nil
+	}
+	f.commits.Add(1)
+	return nil
+}
+
+// applyCommitted is everything a commit does past its commit point.
+func (f *diskFile) applyCommitted(hdr *header) error {
 	// 2. In-place writeback + header + data fsync.  Any failure from here on
 	// leaves the WAL intact; the next Open replays it.
-	for i, id := range rec.pages {
-		if _, err := f.data.WriteAt(rec.images[i], f.pageOffset(id)); err != nil {
+	var link [freeLinkSize]byte
+	for _, id := range f.ids {
+		img := f.staged[id]
+		if next, ok := f.links[id]; ok {
+			putFreeLink(link[:], next)
+			img = link[:]
+		}
+		if _, err := f.data.WriteAt(img, f.pageOffset(id)); err != nil {
 			return fmt.Errorf("pagefile: writeback page %d: %w", id, err)
 		}
 	}
-	if err := f.writeHeader(&rec.header); err != nil {
+	if err := f.writeHeader(hdr); err != nil {
 		return err
 	}
 	if err := f.data.Sync(); err != nil {
@@ -820,17 +851,10 @@ func (f *diskFile) Commit(meta []byte) error {
 	f.fsyncs.Add(1)
 
 	// 3. Checkpoint: drop the consumed WAL.  Leaving it in place would be
-	// harmless (replay is idempotent and LSN-guarded), so the truncate is
-	// not fsynced.
+	// harmless (replay is idempotent), so the truncate is not fsynced.
 	if err := f.wal.Truncate(0); err != nil {
 		return fmt.Errorf("pagefile: WAL truncate: %w", err)
 	}
-
-	f.lsn = rec.lsn
-	f.committed = f.nPages
-	f.meta = rec.meta
-	f.staged = map[PageID][]byte{}
-	f.commits.Add(1)
 	return nil
 }
 
@@ -860,6 +884,8 @@ func (f *diskFile) Close() error {
 		return nil
 	}
 	f.closed = true
+	// A closed handle may stay referenced; it should not pin its scratch.
+	f.staged, f.links, f.spare, f.walBuf = nil, nil, nil, nil
 	var errs []error
 	if err := f.data.Close(); err != nil {
 		errs = append(errs, err)

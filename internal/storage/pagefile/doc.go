@@ -13,9 +13,9 @@
 // Two backends implement the File interface.  NewMem is the in-memory
 // simulation the benchmarks run on.  Open(path, opts...) is the durable disk
 // backend: a checksummed-header page file with a write-ahead log, where every
-// write stages in memory until Commit makes the batch atomic (WAL append +
-// fsync, in-place writeback, checkpoint) and reopening replays any committed
-// WAL record a crash left unapplied.  WithFaults injects deterministic write,
+// write stages in memory until Commit makes the batch atomic (a WAL record of
+// the byte ranges that changed + fsync, in-place writeback, checkpoint) and
+// reopening replays any committed WAL record a crash left unapplied.  WithFaults injects deterministic write,
 // torn-write, fsync and read failures for crash-point testing.  See the
 // "Durability & recovery" section of ARCHITECTURE.md for the on-disk format
 // and the recovery procedure.
