@@ -186,13 +186,9 @@ func Registry() []Experiment {
 		{ID: "threshold", Paper: "§5.3.1", Description: "Threshold-ratio sweep for the Score-Threshold method", Run: RunThresholdSweep},
 		{ID: "selectivity", Paper: "§5.3.7 / §5.1", Description: "Query-selectivity sweep across the three keyword classes", Run: RunSelectivity},
 		{ID: "concurrent", Paper: "§5 (read scaling)", Description: "Concurrent query serving: aggregate QPS at 1/2/4/GOMAXPROCS query workers", Run: RunConcurrent},
-		{ID: "serve", Paper: "§5 (serving layer)", Description: "HTTP serving: Figure 7 query mix over the svrserve JSON API vs direct Search, QPS + p50/p99/p99.9 per worker count", Run: RunServe},
-		{ID: "shard", Paper: "§5 (scale-out serving)", Description: "Sharded serving: Figure 7 mix scatter-gathered through the router at 1/2/4 shards, aggregate QPS + per-shard p50/p99", Run: RunShard},
-		{ID: "tail-latency", Paper: "§5 (serving under maintenance)", Description: "Search tail latency under a continuous update storm: p50/p99/p99.9/max idle vs storm, gated at 5x idle p99", Run: RunTailLatency},
-		{ID: "tenants", Paper: "§5 (multi-tenant serving)", Description: "Multi-tenant isolation: small-tenant search p50/p99 idle vs a hot tenant's update storm on the same engine, gated at 2x idle p99 where cores allow", Run: RunTenants},
 		{ID: "archive", Paper: "§5.3.7", Description: "Archive-style (real-data analogue) workload across methods", Run: RunArchive},
 		{ID: "coldstart", Paper: "§5.2 (serving methodology)", Description: "Durable cold start: open+warm time and on-disk size overhead vs the in-memory pagefile", Run: RunColdstart},
-		{ID: "compression", Paper: "§5.2 (storage layout)", Description: "Posting-block compression vs the legacy layouts: stored bytes, ratio, cold-query time and pages per query", Run: RunCompression},
+		{ID: "compression", Paper: "§5.2 (storage layout)", Description: "Posting-block compression: stored vs fixed-width bytes, ratio, cold-query time and pages per query", Run: RunCompression},
 		{ID: "ablation-chunking", Paper: "§4.3.2 (design choice)", Description: "Chunk-boundary policy ablation: score-ratio vs uniform boundaries", Run: RunChunkPolicyAblation},
 		{ID: "ablation-fancy", Paper: "§4.3.3 (design choice)", Description: "Fancy-list length ablation for Chunk-TermScore", Run: RunFancyListAblation},
 	}

@@ -17,11 +17,11 @@ import (
 // whose lists are mostly block headers, which would make the gate flaky.
 const compressionGateScale = 0.1
 
-// RunCompression measures the compressed posting-block encoding against the
-// legacy fixed-layout blobs, method by method: stored bytes (both ways) and
-// the fixed-width raw footprint they both encode, plus cold-cache query time
-// and buffer-pool pages per query under each encoding.  The Score method is
-// excluded because its postings live in B+-tree leaves, not long-list blobs.
+// RunCompression measures the posting-block encoding method by method:
+// stored bytes against the fixed-width raw footprint they encode, plus
+// cold-cache query time and buffer-pool pages per query.  The Score method
+// is excluded because its postings live in B+-tree leaves, not long-list
+// blobs.
 //
 // At Scale >= 0.1 the run fails if any method compresses below 2x of the
 // fixed-width footprint, so the benchmark doubles as the regression gate CI
@@ -33,12 +33,12 @@ func RunCompression(opts Options) (*Table, error) {
 	methods := []string{"ID", "Score-Threshold", "Chunk", "ID-TermScore", "Chunk-TermScore"}
 
 	t := &Table{
-		Name:    "Compression — posting blocks vs legacy layouts",
+		Name:    "Compression — posting blocks",
 		Caption: fmt.Sprintf("%d queries, k=%d, cold cache; Raw is the fixed-width footprint (8 B ids, 8 B scores, 4 B weights/chunk headers)", opts.NumQueries, opts.K),
-		Header:  []string{"Method", "Blocks (MB)", "Legacy (MB)", "Raw (MB)", "Ratio", "Query blk (ms)", "Query leg (ms)", "Pages blk", "Pages leg"},
+		Header:  []string{"Method", "Blocks (MB)", "Raw (MB)", "Ratio", "Query (ms)", "Pages"},
 		Notes: []string{
-			"Ratio is Raw/Blocks; the legacy layouts already varint d-gaps, so Blocks < Legacy is the block format's own win",
-			"Pages counts buffer-pool misses per cold query: fewer pages hold the same postings, so the compressed side should drop roughly with the ratio",
+			"Ratio is Raw/Blocks",
+			"Pages counts buffer-pool misses per cold query",
 		},
 	}
 
@@ -50,47 +50,32 @@ func RunCompression(opts Options) (*Table, error) {
 	for _, m := range methods {
 		withTS := m == "ID-TermScore" || m == "Chunk-TermScore"
 
-		rigBlk, err := newRig(m, corpus, opts, index.Config{MinChunkSize: minChunkSize(opts)})
+		r, err := newRig(m, corpus, opts, index.Config{MinChunkSize: minChunkSize(opts)})
 		if err != nil {
 			return nil, err
 		}
-		rigLeg, err := newRig(m, corpus, opts, index.Config{MinChunkSize: minChunkSize(opts), Uncompressed: true})
-		if err != nil {
-			return nil, err
-		}
-
-		qsBlk, err := runQueries(rigBlk, queries, coldOpts, opts.K, false, withTS)
-		if err != nil {
-			return nil, err
-		}
-		qsLeg, err := runQueries(rigLeg, queries, coldOpts, opts.K, false, withTS)
+		qs, err := runQueries(r, queries, coldOpts, opts.K, false, withTS)
 		if err != nil {
 			return nil, err
 		}
 
-		stBlk, stLeg := rigBlk.method.Stats(), rigLeg.method.Stats()
-		if stBlk.LongListRawBytes != stLeg.LongListRawBytes {
-			return nil, fmt.Errorf("bench: %s raw footprint differs across encodings: %d vs %d", m, stBlk.LongListRawBytes, stLeg.LongListRawBytes)
-		}
+		st := r.method.Stats()
 		ratio := 0.0
-		if stBlk.LongListBytes > 0 {
-			ratio = float64(stBlk.LongListRawBytes) / float64(stBlk.LongListBytes)
+		if st.LongListBytes > 0 {
+			ratio = float64(st.LongListRawBytes) / float64(st.LongListBytes)
 		}
 		if opts.Scale >= compressionGateScale && ratio < 2 {
 			return nil, fmt.Errorf("bench: %s compression ratio %.2fx below the 2x gate (raw %d B, stored %d B)",
-				m, ratio, stBlk.LongListRawBytes, stBlk.LongListBytes)
+				m, ratio, st.LongListRawBytes, st.LongListBytes)
 		}
 
 		t.Rows = append(t.Rows, []string{
 			m,
-			fmtMB(stBlk.LongListBytes),
-			fmtMB(stLeg.LongListBytes),
-			fmtMB(stBlk.LongListRawBytes),
+			fmtMB(st.LongListBytes),
+			fmtMB(st.LongListRawBytes),
 			fmt.Sprintf("%.2f", ratio),
-			fmtDur(qsBlk.avgTime),
-			fmtDur(qsLeg.avgTime),
-			fmt.Sprintf("%.1f", qsBlk.avgPages),
-			fmt.Sprintf("%.1f", qsLeg.avgPages),
+			fmtDur(qs.avgTime),
+			fmt.Sprintf("%.1f", qs.avgPages),
 		})
 	}
 
@@ -160,12 +145,8 @@ func seekProbe(seed int64) (scanPages, seekPages, listPages int, err error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	ok, err := seek.SeekDoc(target)
-	if err != nil {
+	if err := seek.SeekDoc(target); err != nil {
 		return 0, 0, 0, err
-	}
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("bench: compressed list did not offer seek")
 	}
 	if n, err := seek.NextBatch(buf); err != nil || n == 0 {
 		return 0, 0, 0, fmt.Errorf("bench: seek probe landed empty (n=%d, err=%v)", n, err)

@@ -11,8 +11,9 @@
 //
 // Beyond the paper's tables, the harness carries engineering experiments for
 // this implementation: update throughput, concurrent serving, durable cold
-// start, and the posting-block compression A/B ("compression"), which also
-// enforces the ≥ 2x compression-ratio gate in CI.
+// start, and the posting-block compression ratio ("compression"), which also
+// enforces the ≥ 2x compression-ratio gate in CI.  Serving — HTTP, router,
+// update storms — is measured by the repo benchmark under benchmark/.
 //
 // See ARCHITECTURE.md for the layer map — where this package sits in the
 // stack — and for the repo-wide concurrency contract.

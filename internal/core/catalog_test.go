@@ -15,7 +15,7 @@ import (
 )
 
 func docsOpenOptions() OpenOptions {
-	return OpenOptions{Specs: map[string]view.Spec{"docs": docsSpec()}, PageSize: pagefile.DefaultDiskPageSize}
+	return OpenOptions{Specs: map[string]view.Spec{"docs": workload.DocsSpec()}, PageSize: pagefile.DefaultDiskPageSize}
 }
 
 // openDurableDocs opens a fresh durable engine at path and loads the corpus

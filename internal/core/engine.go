@@ -970,7 +970,7 @@ type SearchRequest struct {
 	LoadRows bool
 	// Global, when set, overrides the collection statistics behind IDF with
 	// cluster-wide values (total documents, per-term df summed over every
-	// shard).  A Cluster fills it so each shard ranks with the same idf a
+	// shard).  server.Router fills it so each shard ranks with the same idf a
 	// single engine over the whole corpus would use; DF must align with the
 	// distinct analyzed terms of Query, which TermStats produces for the
 	// same query text.

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
 	"svrdb/internal/relation"
@@ -364,5 +366,111 @@ func TestEngineCloseReportsPinLeak(t *testing.T) {
 	// Deliberately no Release.
 	if err := engine.Close(); err == nil {
 		t.Error("Close with a leaked pin returned nil, want error")
+	}
+}
+
+// TestGroupCommitCoalesces checks the ApplyBatch group commit: concurrent
+// batches produce strictly fewer pagefile commits than batches, and every
+// batch's writes are durable (visible after reopen) once ApplyBatch
+// returns.
+func TestGroupCommitCoalesces(t *testing.T) {
+	dir := t.TempDir()
+	path := dir + "/group.svrdb"
+	e, err := Open(path, OpenOptions{PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.DB().CreateTable(relation.Schema{
+		Name: "KV",
+		Columns: []relation.Column{
+			{Name: "k", Kind: relation.KindInt64},
+			{Name: "v", Kind: relation.KindInt64},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// One committed batch so the table exists on disk before the storm.
+	if err := e.ApplyBatch(func() error {
+		tbl, err := e.DB().Table("KV")
+		if err != nil {
+			return err
+		}
+		return tbl.Insert(relation.Row{relation.Int(-1), relation.Int(0)})
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Deterministic fan-in: a blocker batch holds the batch lock while
+	// `writers` further ApplyBatch callers queue up behind it (visible via
+	// the commit-waiter counter), then the blocker is released.  The
+	// blocker and every writer except the last defer their commit to the
+	// next caller, so the whole group must land in exactly one pagefile
+	// commit.
+	const writers = 8
+	before := e.Pool().File().Stats().Commits
+	blockerIn := make(chan struct{})
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make([]error, writers+1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		errs[writers] = e.ApplyBatch(func() error {
+			close(blockerIn)
+			<-release
+			tbl, err := e.DB().Table("KV")
+			if err != nil {
+				return err
+			}
+			return tbl.Insert(relation.Row{relation.Int(1000), relation.Int(0)})
+		})
+	}()
+	<-blockerIn
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			err := e.ApplyBatch(func() error {
+				tbl, err := e.DB().Table("KV")
+				if err != nil {
+					return err
+				}
+				return tbl.Insert(relation.Row{relation.Int(int64(w)), relation.Int(int64(w))})
+			})
+			errs[w] = err
+		}(w)
+	}
+	// Wait until every writer is queued on the batch lock, so the blocker
+	// observes them and defers its commit.
+	for e.commitWaiters.Load() < writers {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("writer %d: %v", w, err)
+		}
+	}
+	commits := e.Pool().File().Stats().Commits - before
+	if commits != 1 {
+		t.Fatalf("group commit: %d commits for %d concurrent batches, want 1", commits, writers+1)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every batch that returned is durable.
+	re, err := Open(path, OpenOptions{PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	tbl, err := re.DB().Table("KV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Len(); got != writers+2 {
+		t.Fatalf("reopened table holds %d rows, want %d", got, writers+2)
 	}
 }

@@ -42,7 +42,6 @@ type catalogIndexEntry struct {
 	ChunkRatio     float64
 	MinChunkSize   int
 	FancyListSize  int
-	Uncompressed   bool
 
 	View   view.State
 	Method index.MethodAnchor
@@ -275,7 +274,6 @@ func (e *Engine) stageIndex(file pagefile.File, ti *TextIndex) (catalogIndexEntr
 		ChunkRatio:     ti.cfg.ChunkRatio,
 		MinChunkSize:   ti.cfg.MinChunkSize,
 		FancyListSize:  ti.cfg.FancyListSize,
-		Uncompressed:   ti.cfg.Uncompressed,
 		View:           ti.view.State(),
 		Method:         anchor,
 		Dict:           ti.dict.ref(),
@@ -441,7 +439,6 @@ func (e *Engine) restoreTextIndex(ent catalogIndexEntry, specs map[string]view.S
 		ChunkRatio:     ent.ChunkRatio,
 		MinChunkSize:   ent.MinChunkSize,
 		FancyListSize:  ent.FancyListSize,
-		Uncompressed:   ent.Uncompressed,
 	}
 	method, err := index.Restore(cfg, state)
 	if err != nil {

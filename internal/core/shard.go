@@ -6,19 +6,19 @@ import (
 	"sync"
 )
 
-// This file defines the shard partitioning contract.  A Cluster owns N
+// This file defines the shard partitioning contract.  server.Router fronts N
 // engines ("shards") and routes every write to exactly one of them by a
 // Partitioner over the row's routing key (the primary key by default).
-// Partitioners are resolved by registered name so a durable cluster can
-// record which one it was created with and reopen with the same placement —
-// a partitioner change under existing data would silently orphan rows on
-// shards the router never consults.
+// Partitioners are resolved by registered name so the router and whatever
+// loaded the shards name the same placement — a partitioner change under
+// existing data would silently orphan rows on shards the router never
+// consults.
 
 // Partitioner maps a routing key to one of n shards.  Implementations must
 // be deterministic and stateless: the same (key, n) pair always yields the
-// same shard, on every process that ever opens the cluster.
+// same shard, on every process that ever routes to the shards.
 type Partitioner interface {
-	// Name is the identifier the cluster manifest records.
+	// Name is the identifier the partitioner is registered under.
 	Name() string
 	// Shard returns the owning shard in [0, n) for the key.
 	Shard(key int64, n int) int
@@ -33,7 +33,7 @@ var (
 )
 
 // RegisterPartitioner makes a partitioner resolvable by name (for
-// ClusterOptions.Partitioner and the durable cluster manifest).  Registering
+// server.RouterOptions.Partitioner).  Registering
 // a duplicate name panics, like flag redefinition: it is a wiring bug.
 func RegisterPartitioner(p Partitioner) {
 	partitionersMu.Lock()

@@ -97,7 +97,7 @@ func (m *ChunkMethod) Build(src DocSource, scores ScoreFunc) error {
 	// fresh map and swap it in wholesale.
 	refs := make(map[string]blob.Ref, len(bc.termDocs))
 	for _, term := range bc.terms() {
-		builder := postings.NewChunkedEncoder(!m.cfg.Uncompressed, false)
+		builder := postings.NewBlockChunkedListBuilder(false)
 		cids, byChunk := bc.chunked(term, m.chunks)
 		for _, cid := range cids {
 			if err := builder.AddChunk(cid, byChunk[cid]); err != nil {

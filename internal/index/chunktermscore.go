@@ -82,7 +82,7 @@ func (m *ChunkTermScoreMethod) Build(src DocSource, scores ScoreFunc) error {
 	fancyRefs := make(map[string]blob.Ref, len(bc.termDocs))
 	fancyMinW := make(map[string]float32, len(bc.termDocs))
 	for _, term := range bc.terms() {
-		builder := postings.NewChunkedEncoder(!m.cfg.Uncompressed, true)
+		builder := postings.NewBlockChunkedListBuilder(true)
 		cids, byChunk := bc.chunked(term, m.chunks)
 		for _, cid := range cids {
 			if err := builder.AddChunk(cid, byChunk[cid]); err != nil {
@@ -101,7 +101,7 @@ func (m *ChunkTermScoreMethod) Build(src DocSource, scores ScoreFunc) error {
 		// Fancy list: the FancyListSize postings with the highest term
 		// weights, stored in ID order.
 		fancyPosts, minW := bc.fancy(term, m.cfg.FancyListSize)
-		fb := postings.NewIDTermEncoder(!m.cfg.Uncompressed)
+		fb := postings.NewBlockIDTermListBuilder()
 		for _, dw := range fancyPosts {
 			if err := fb.Add(dw.doc, dw.w); err != nil {
 				return fmt.Errorf("index: build fancy list for %q: %w", term, err)

@@ -5,13 +5,15 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"svrdb/internal/text"
 )
 
-// Tests for the compressed posting-block encoding at the index level: every
-// method must answer every query identically whether its long lists were
-// built compressed (the default) or with Config.Uncompressed, through
-// updates, merges and checkpoint restores — and the compressed encoding must
-// actually earn its keep (ratio gate).
+// Tests for the posting-block encoding at the index level: every method
+// must answer every query as the brute-force oracle does over long lists
+// dense enough to fill posting blocks, through updates, merges and
+// checkpoint restores — and the encoding must actually earn its keep (ratio
+// gate).
 
 // compressionCorpus generates a corpus dense enough that every term has a
 // long list spanning hundreds of documents (so posting blocks fill up and
@@ -33,62 +35,57 @@ func compressionCorpus(nDocs, vocabSize, docLen int, seed int64) *testCorpus {
 	return c
 }
 
-// requireSameResults asserts two TopK answers are identical document by
-// document, score by score.
-func requireSameResults(t *testing.T, label string, comp, flat *QueryResult) {
+// checkAgainstOracle runs q and requires the oracle's scores, rank by rank.
+func checkAgainstOracle(t *testing.T, label string, m Method, o *oracle, q Query) {
 	t.Helper()
-	if len(comp.Results) != len(flat.Results) {
-		t.Fatalf("%s: compressed returned %d results, uncompressed %d", label, len(comp.Results), len(flat.Results))
+	res, err := m.TopK(q)
+	if err != nil {
+		t.Fatalf("%s: TopK: %v", label, err)
 	}
-	for i := range comp.Results {
-		if comp.Results[i].Doc != flat.Results[i].Doc || comp.Results[i].Score != flat.Results[i].Score {
-			t.Fatalf("%s: result %d diverges: compressed {doc %d score %g}, uncompressed {doc %d score %g}",
-				label, i, comp.Results[i].Doc, comp.Results[i].Score, flat.Results[i].Doc, flat.Results[i].Score)
+	if !q.WithTermScores {
+		checkTopKScores(t, label, res.Results, o.topK(q.Terms, q.K, q.Disjunctive))
+		return
+	}
+	// The collection statistics are the method's own: the ID- and
+	// Chunk-ordered methods do not take a deleted document's terms out of
+	// their document frequencies, which is not what this test is about.
+	numDocs, df, err := m.TermStats(q.Terms)
+	if err != nil {
+		t.Fatalf("%s: TermStats: %v", label, err)
+	}
+	idfs := map[string]float64{}
+	for i, term := range q.Terms {
+		idfs[term] = text.IDF(text.CollectionStats{NumDocs: numDocs}, df[i])
+	}
+	want := o.topKCombined(q.Terms, idfs, q.K, q.Disjunctive)
+	if len(res.Results) != len(want) {
+		t.Fatalf("%s: got %d results, want %d", label, len(res.Results), len(want))
+	}
+	for i := range want {
+		if diff := res.Results[i].Score - want[i]; diff > 1e-6 || diff < -1e-6 {
+			t.Fatalf("%s: result %d score %.8f, want %.8f", label, i, res.Results[i].Score, want[i])
 		}
 	}
 }
 
-// queryPair runs the same query against both builds and checks the answers
-// match.
-func queryPair(t *testing.T, label string, comp, flat Method, q Query) {
-	t.Helper()
-	cr, err := comp.TopK(q)
-	if err != nil {
-		t.Fatalf("%s: compressed TopK: %v", label, err)
-	}
-	fr, err := flat.TopK(q)
-	if err != nil {
-		t.Fatalf("%s: uncompressed TopK: %v", label, err)
-	}
-	requireSameResults(t, label, cr, fr)
-}
-
-func TestCompressedMatchesUncompressed(t *testing.T) {
+func TestCompressedIndexMatchesOracle(t *testing.T) {
 	const nDocs = 400
-	corpus := compressionCorpus(nDocs, 12, 9, 71)
 	for name, ctor := range allConstructors() {
 		t.Run(name, func(t *testing.T) {
-			cfgComp := newTestConfig(t)
-			cfgFlat := newTestConfig(t)
-			cfgFlat.Uncompressed = true
-			comp, err := ctor(cfgComp)
+			corpus := compressionCorpus(nDocs, 12, 9, 71)
+			cfg := newTestConfig(t)
+			m, err := ctor(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			flat, err := ctor(cfgFlat)
-			if err != nil {
-				t.Fatal(err)
+			if err := m.Build(corpus, corpus.scoreFunc()); err != nil {
+				t.Fatalf("Build: %v", err)
 			}
-			if err := comp.Build(corpus, corpus.scoreFunc()); err != nil {
-				t.Fatalf("compressed Build: %v", err)
-			}
-			if err := flat.Build(corpus, corpus.scoreFunc()); err != nil {
-				t.Fatalf("uncompressed Build: %v", err)
-			}
+			o := newOracle(corpus)
 
 			withTS := name == "ID-TermScore" || name == "Chunk-TermScore"
 			rng := rand.New(rand.NewSource(29))
-			runQueries := func(stage string) {
+			runQueries := func(stage string, m Method) {
 				for q := 0; q < 12; q++ {
 					n := rng.Intn(3) + 1
 					terms := make([]string, 0, n)
@@ -101,61 +98,55 @@ func TestCompressedMatchesUncompressed(t *testing.T) {
 						Disjunctive:    rng.Intn(2) == 0,
 						WithTermScores: withTS && rng.Intn(2) == 0,
 					}
-					queryPair(t, fmt.Sprintf("%s %s %v", name, stage, query), comp, flat, query)
+					checkAgainstOracle(t, fmt.Sprintf("%s %s %v", name, stage, query), m, o, query)
 				}
 			}
-			runQueries("after build")
+			runQueries("after build", m)
 
-			// The same update batch against both builds: score changes, an
-			// insert, a delete and a content rewrite, so the combined
-			// short+long streams and the stale-copy resolution both run over
-			// compressed long lists.
+			// One update batch: score changes, an insert, a delete and a
+			// content rewrite, so the combined short+long streams and the
+			// stale-copy resolution both run over block-encoded long lists.
+			inserted := strings.Fields("term00 term03 term07 term03")
+			rewritten := strings.Fields("term01 term05 term05 term09")
 			batch := []Update{
-				{Op: InsertOp, Doc: DocID(nDocs + 1), Tokens: strings.Fields("term00 term03 term07 term03"), Score: 91000},
+				{Op: InsertOp, Doc: DocID(nDocs + 1), Tokens: inserted, Score: 91000},
 				{Op: DeleteOp, Doc: 17},
-				{Op: ContentOp, Doc: 23, OldTokens: corpus.docs[23], NewTokens: strings.Fields("term01 term05 term05 term09")},
+				{Op: ContentOp, Doc: 23, OldTokens: corpus.docs[23], NewTokens: rewritten},
 			}
+			o.setTokens(DocID(nDocs+1), inserted)
+			o.scores[DocID(nDocs+1)] = 91000
+			o.deleted[17] = true
+			o.setTokens(23, rewritten)
 			for u := 0; u < 120; u++ {
-				batch = append(batch, Update{Op: ScoreOp, Doc: DocID(rng.Intn(nDocs) + 1), Score: float64(rng.Intn(200000))})
-			}
-			// Deleted docs cannot take further updates; drop collisions.
-			filtered := batch[:0]
-			for _, u := range batch {
-				if u.Op == ScoreOp && u.Doc == 17 {
+				up := Update{Op: ScoreOp, Doc: DocID(rng.Intn(nDocs) + 1), Score: float64(rng.Intn(200000))}
+				// A deleted doc cannot take further updates.
+				if up.Doc == 17 {
 					continue
 				}
-				filtered = append(filtered, u)
+				batch = append(batch, up)
+				o.scores[up.Doc] = up.Score
 			}
-			if err := comp.ApplyUpdates(filtered); err != nil {
-				t.Fatalf("compressed ApplyUpdates: %v", err)
+			if err := m.ApplyUpdates(batch); err != nil {
+				t.Fatalf("ApplyUpdates: %v", err)
 			}
-			if err := flat.ApplyUpdates(filtered); err != nil {
-				t.Fatalf("uncompressed ApplyUpdates: %v", err)
-			}
-			corpus.docs[DocID(nDocs+1)] = strings.Fields("term00 term03 term07 term03")
-			corpus.docs[23] = strings.Fields("term01 term05 term05 term09")
-			runQueries("after updates")
+			corpus.docs[DocID(nDocs+1)] = inserted
+			corpus.docs[23] = rewritten
+			runQueries("after updates", m)
 
-			// The offline merge rebuilds the long lists under the same
-			// encoding flag; answers must stay aligned.
-			if err := comp.MergeShortLists(); err != nil {
-				t.Fatalf("compressed MergeShortLists: %v", err)
+			// The offline merge rebuilds the long lists.
+			if err := m.MergeShortLists(); err != nil {
+				t.Fatalf("MergeShortLists: %v", err)
 			}
-			if err := flat.MergeShortLists(); err != nil {
-				t.Fatalf("uncompressed MergeShortLists: %v", err)
-			}
-			runQueries("after merge")
+			runQueries("after merge", m)
 
-			// Checkpoint round-trip: the restored method reads the same
-			// compressed blobs (and, for Score-Threshold, the persisted
-			// score directory).
-			restored, err := Restore(cfgComp, comp.State())
+			// Checkpoint round-trip: the restored method reads the same blobs
+			// (and, for Score-Threshold, the persisted score directory).
+			restored, err := Restore(cfg, m.State())
 			if err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
 			restored.SetSource(corpus)
-			queryPair(t, name+" after restore", restored, flat, Query{Terms: []string{"term03", "term07"}, K: 15})
-			queryPair(t, name+" after restore disj", restored, flat, Query{Terms: []string{"term01", "term09"}, K: 10, Disjunctive: true})
+			runQueries("after restore", restored)
 		})
 	}
 }
@@ -187,44 +178,6 @@ func TestCompressionRatioGate(t *testing.T) {
 			t.Logf("%s: raw %d B, stored %d B, ratio %.2fx", name, st.LongListRawBytes, st.LongListBytes, ratio)
 			if ratio < 2 {
 				t.Errorf("%s compression ratio %.2fx < 2x (raw %d B, stored %d B)", name, ratio, st.LongListRawBytes, st.LongListBytes)
-			}
-		})
-	}
-}
-
-func TestBlockFormatBeatsLegacyEncoding(t *testing.T) {
-	// The legacy layouts already d-gap varint compress, so the block format
-	// has to beat them on stored bytes, not just the fixed-width baseline —
-	// and Uncompressed builds must still account their raw footprint so the
-	// stats surface stays comparable across the A/B pair.
-	corpus := compressionCorpus(300, 10, 8, 11)
-	for name, ctor := range allConstructors() {
-		if name == "Score" {
-			continue
-		}
-		t.Run(name, func(t *testing.T) {
-			build := func(uncompressed bool) Stats {
-				cfg := newTestConfig(t)
-				cfg.Uncompressed = uncompressed
-				m, err := ctor(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := m.Build(corpus, corpus.scoreFunc()); err != nil {
-					t.Fatal(err)
-				}
-				return m.Stats()
-			}
-			comp, flat := build(false), build(true)
-			if flat.LongListRawBytes == 0 {
-				t.Fatal("uncompressed build reported zero raw bytes")
-			}
-			if flat.LongListRawBytes != comp.LongListRawBytes {
-				t.Errorf("raw footprint differs across encodings: %d vs %d", flat.LongListRawBytes, comp.LongListRawBytes)
-			}
-			t.Logf("%s: blocks %d B, legacy %d B, raw %d B", name, comp.LongListBytes, flat.LongListBytes, comp.LongListRawBytes)
-			if comp.LongListBytes >= flat.LongListBytes {
-				t.Errorf("block format stores %d B, legacy stores %d B — no win", comp.LongListBytes, flat.LongListBytes)
 			}
 		})
 	}

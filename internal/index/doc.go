@@ -17,10 +17,9 @@
 //
 // All methods implement the Method interface so the engine, the benchmark
 // harness and the correctness tests treat them uniformly.  Long lists are
-// written in the compressed posting-block format by default
-// (Config.Uncompressed writes the legacy layouts; reads auto-detect), and
-// Stats reports both the stored and the fixed-width raw footprint so the
-// compression ratio is observable per method.  Every method
+// written in the compressed posting-block format, and Stats reports both the
+// stored and the fixed-width raw footprint so the compression ratio is
+// observable per method.  Every method
 // guarantees that TopK returns the correct top-k result set with respect to
 // the *latest* document scores, no matter how stale its long lists are
 // (Theorems 1 and 2 of the paper).

@@ -90,7 +90,7 @@ func (m *IDMethod) Build(src DocSource, scores ScoreFunc) error {
 	for _, term := range bc.terms() {
 		var data []byte
 		if m.withTermScores {
-			builder := postings.NewIDTermEncoder(!m.cfg.Uncompressed)
+			builder := postings.NewBlockIDTermListBuilder()
 			for _, dw := range bc.termDocs[term] {
 				if err := builder.Add(dw.doc, dw.w); err != nil {
 					return fmt.Errorf("index: build %s list for %q: %w", m.Name(), term, err)
@@ -99,7 +99,7 @@ func (m *IDMethod) Build(src DocSource, scores ScoreFunc) error {
 			data = builder.Bytes()
 			m.longRawBytes += uint64(builder.Len()) * rawBytesIDTermPosting
 		} else {
-			builder := postings.NewIDEncoder(!m.cfg.Uncompressed)
+			builder := postings.NewBlockIDListBuilder()
 			for _, dw := range bc.termDocs[term] {
 				if err := builder.Add(dw.doc); err != nil {
 					return fmt.Errorf("index: build %s list for %q: %w", m.Name(), term, err)
@@ -259,15 +259,7 @@ func (m *IDMethod) TopK(q Query) (*QueryResult, error) {
 	// Multi-term conjunctive queries with no auxiliary postings intersect
 	// via leapfrog seeks instead of scanning every list end to end.
 	if !q.Disjunctive && len(q.Terms) > 1 && s.lists.Len() == 0 {
-		res, done, err := m.leapfrogTopK(s, ctx, q)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return res, nil
-		}
-		// A list without skip headers (legacy encoding): fall through to
-		// the scan-everything merger below.
+		return m.leapfrogTopK(s, ctx, q)
 	}
 
 	for i, term := range q.Terms {
@@ -296,18 +288,15 @@ func (m *IDMethod) TopK(q Query) (*QueryResult, error) {
 // entry at or past a document ID without decoding the skipped range.
 type docSeeker interface {
 	postings.BatchIterator
-	SeekDoc(doc DocID) (bool, error)
+	SeekDoc(doc DocID) error
 }
 
 // leapfrogTopK intersects the query terms' long lists with the classic
 // leapfrog join: every stream repeatedly seeks to the maximum head document,
 // and only documents all streams agree on are resolved.  SeekDoc proves
 // via skip headers that a super-block holds no document >= the target, so
-// sparse intersections skip most of every list's pages.  done=false means a
-// list does not support seeking (legacy uncompressed blob) and the caller
-// must fall back to the merger path; nothing has been counted yet in that
-// case.
-func (m *IDMethod) leapfrogTopK(s *snap, ctx *queryCtx, q Query) (*QueryResult, bool, error) {
+// sparse intersections skip most of every list's pages.
+func (m *IDMethod) leapfrogTopK(s *snap, ctx *queryCtx, q Query) (*QueryResult, error) {
 	seekers := make([]docSeeker, 0, len(q.Terms))
 	idfs := make([]float64, 0, len(q.Terms))
 	for i, term := range q.Terms {
@@ -316,20 +305,20 @@ func (m *IDMethod) leapfrogTopK(s *snap, ctx *queryCtx, q Query) (*QueryResult, 
 			// A term with no long list (and the short lists are empty, or we
 			// would not be here) makes the conjunction empty.
 			m.counters.queries.Add(1)
-			return &QueryResult{Stopped: true}, true, nil
+			return &QueryResult{Stopped: true}, nil
 		}
 		r := m.store.NewReader(ref)
 		var ds docSeeker
 		if m.withTermScores {
 			st, err := postings.NewStreamIDTermList(r)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			ds = st
 		} else {
 			st, err := postings.NewStreamIDList(r)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			ds = st
 		}
@@ -342,41 +331,29 @@ func (m *IDMethod) leapfrogTopK(s *snap, ctx *queryCtx, q Query) (*QueryResult, 
 	scanned := 0
 	// advance repositions stream i at the first entry >= target and pulls it
 	// into heads[i]; alive=false means the list is exhausted (intersection
-	// complete).  seekable=false is only possible on the very first call per
-	// stream (availability is a property of the blob's encoding).
-	advance := func(i int, target DocID) (alive, seekable bool, err error) {
-		ok, err := seekers[i].SeekDoc(target)
-		if err != nil {
-			return false, false, err
-		}
-		if !ok {
-			return false, false, nil
+	// complete).
+	advance := func(i int, target DocID) (alive bool, err error) {
+		if err := seekers[i].SeekDoc(target); err != nil {
+			return false, err
 		}
 		n, err := seekers[i].NextBatch(one[:])
-		if err != nil {
-			return false, true, err
-		}
-		if n == 0 {
-			return false, true, nil
+		if err != nil || n == 0 {
+			return false, err
 		}
 		heads[i] = one[0]
 		scanned++
-		return true, true, nil
+		return true, nil
 	}
 
-	// Position every stream on its first posting; detect legacy blobs here,
-	// before any result state exists, so the fallback restarts cleanly.
+	// Position every stream on its first posting.
 	for i := range seekers {
-		alive, seekable, err := advance(i, 0)
+		alive, err := advance(i, 0)
 		if err != nil {
-			return nil, false, err
-		}
-		if !seekable {
-			return nil, false, nil
+			return nil, err
 		}
 		if !alive {
 			m.counters.queries.Add(1)
-			return &QueryResult{Stopped: true}, true, nil
+			return &QueryResult{Stopped: true}, nil
 		}
 	}
 
@@ -404,9 +381,9 @@ loop:
 		aligned := true
 		for i := range heads {
 			if heads[i].Doc < target {
-				alive, _, err := advance(i, target)
+				alive, err := advance(i, target)
 				if err != nil {
-					return nil, false, err
+					return nil, err
 				}
 				if !alive {
 					break loop
@@ -423,15 +400,15 @@ loop:
 		copy(group.Entries, heads)
 		score, include, err := resolve(group)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if include {
 			heap.Add(int64(target), score)
 		}
 		for i := range heads {
-			alive, _, err := advance(i, target+1)
+			alive, err := advance(i, target+1)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			if !alive {
 				break loop
@@ -442,7 +419,7 @@ loop:
 	res.Results = heap.Results()
 	res.PostingsScanned = scanned
 	m.counters.postingsScanned.Add(uint64(scanned))
-	return res, true, nil
+	return res, nil
 }
 
 func (m *IDMethod) longIterator(s *snap, term string) (postings.BatchIterator, error) {

@@ -270,12 +270,6 @@ type Config struct {
 	// FancyListSize is the number of highest-term-score postings kept in each
 	// fancy list of the Chunk-TermScore method.
 	FancyListSize int
-	// Uncompressed stores long-list blobs in the legacy fixed-width
-	// encodings instead of compressed posting blocks.  The default (false)
-	// compresses; the flag exists for A/B comparison in benchmarks and
-	// equivalence tests.  Reads auto-detect the encoding, so the flag only
-	// affects builds.
-	Uncompressed bool
 }
 
 // Defaults fills unset fields with the values used throughout the paper's

@@ -251,17 +251,12 @@ func TestTreeCursorStreamsInBatches(t *testing.T) {
 	if err := kl.Put("other", 1, 1, postings.OpAdd, 0); err != nil {
 		t.Fatal(err)
 	}
-	cur := kl.Cursor("term", false)
-	count := 0
+	got, err := postings.CollectBatched(kl.Cursor("term", false))
+	if err != nil {
+		t.Fatal(err)
+	}
 	prevKey := float64(1 << 30)
-	for {
-		e, ok, err := cur.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	for _, e := range got {
 		if e.SortKey > prevKey {
 			t.Fatalf("cursor order violated: %v after %v", e.SortKey, prevKey)
 		}
@@ -269,15 +264,13 @@ func TestTreeCursorStreamsInBatches(t *testing.T) {
 		if e.FromShort {
 			t.Error("cursor with fromShort=false produced FromShort entries")
 		}
-		count++
 	}
-	if count != n {
-		t.Errorf("cursor visited %d postings, want %d", count, n)
+	if len(got) != n {
+		t.Errorf("cursor visited %d postings, want %d", len(got), n)
 	}
 	// Cursor over an absent term terminates immediately.
-	empty := kl.Cursor("absent", false)
-	if _, ok, _ := empty.Next(); ok {
-		t.Error("cursor over absent term yielded a posting")
+	if got, err := postings.CollectBatched(kl.Cursor("absent", false)); err != nil || len(got) != 0 {
+		t.Errorf("cursor over absent term yielded %d postings, err %v", len(got), err)
 	}
 }
 
@@ -362,41 +355,23 @@ func TestTreeCursorExactBatchMultiple(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for name, drain := range map[string]func(*treeCursor) (int, error){
-			"next": func(c *treeCursor) (int, error) {
-				count := 0
-				for {
-					_, ok, err := c.Next()
-					if err != nil || !ok {
-						return count, err
-					}
-					count++
-					if count > n {
-						return count, nil
-					}
+		// A one-entry buffer refills at every cursor batch boundary exactly.
+		for _, size := range []int{1, 100} {
+			c := kl.Cursor("term", false)
+			count := 0
+			buf := make([]postings.Entry, size)
+			for count <= n {
+				got, err := c.NextBatch(buf)
+				if err != nil {
+					t.Fatal(err)
 				}
-			},
-			"batch": func(c *treeCursor) (int, error) {
-				count := 0
-				buf := make([]postings.Entry, 100)
-				for {
-					got, err := c.NextBatch(buf)
-					if err != nil || got == 0 {
-						return count, err
-					}
-					count += got
-					if count > n {
-						return count, nil
-					}
+				if got == 0 {
+					break
 				}
-			},
-		} {
-			count, err := drain(kl.Cursor("term", false))
-			if err != nil {
-				t.Fatal(err)
+				count += got
 			}
 			if count != n {
-				t.Errorf("%s: cursor with %d postings yielded %d", name, n, count)
+				t.Errorf("batch size %d: cursor with %d postings yielded %d", size, n, count)
 			}
 		}
 	}

@@ -354,7 +354,7 @@ func (v keyedView) Collect(term string) ([]postings.Entry, error) {
 }
 
 // Iterator returns a pull iterator over one term's postings, materialized up
-// front.  It satisfies both postings.Iterator and postings.BatchIterator.
+// front.
 func (v keyedView) Iterator(term string) (*postings.SliceIterator, error) {
 	entries, err := v.Collect(term)
 	if err != nil {
@@ -464,24 +464,6 @@ func (c *treeCursor) refill() error {
 		}
 	}
 	return nil
-}
-
-// Next implements postings.Iterator.
-func (c *treeCursor) Next() (postings.Entry, bool, error) {
-	for c.pos >= len(c.batch) {
-		if c.done {
-			return postings.Entry{}, false, nil
-		}
-		if err := c.refill(); err != nil {
-			return postings.Entry{}, false, err
-		}
-		if len(c.batch) == 0 && c.done {
-			return postings.Entry{}, false, nil
-		}
-	}
-	e := c.batch[c.pos]
-	c.pos++
-	return e, true, nil
 }
 
 // NextBatch implements postings.BatchIterator: postings are bulk-copied out

@@ -92,14 +92,12 @@ func (m *ScoreThresholdMethod) Build(src DocSource, scores ScoreFunc) error {
 	if err := m.populateScoreTable(bc); err != nil {
 		return err
 	}
-	if !m.cfg.Uncompressed {
-		m.scoreDir = postings.BuildScoreDir(bc.allScores())
-	}
+	m.scoreDir = postings.BuildScoreDir(bc.allScores())
 	// Published snapshots share the ref map by pointer, so accumulate into a
 	// fresh map and swap it in wholesale.
 	refs := make(map[string]blob.Ref, len(bc.termDocs))
 	for _, term := range bc.terms() {
-		builder := postings.NewScoreEncoder(!m.cfg.Uncompressed, m.scoreDir)
+		builder := postings.NewBlockScoreListBuilder(m.scoreDir)
 		for _, dw := range bc.sortedByScoreDesc(term) {
 			if err := builder.Add(dw.doc, bc.docScores[dw.doc]); err != nil {
 				return fmt.Errorf("index: build Score-Threshold list for %q: %w", term, err)

@@ -2,13 +2,11 @@ package postings
 
 import "sync"
 
-// This file defines the block-at-a-time iteration protocol the query read
-// path runs on.  The virtual-call-per-posting Iterator interface is kept for
-// compatibility (and for cold paths such as list rebuilds), but every hot
-// component — the on-disk long-list decoders, the short-list cursors and the
-// merge combinators — natively implements BatchIterator, so the inner query
-// loops move whole blocks of postings between pipeline stages instead of one
-// entry per virtual call.
+// This file defines the block-at-a-time iteration protocol the read path
+// runs on.  Every component — the on-disk long-list decoders, the short-list
+// cursors and the merge combinators — implements BatchIterator, so the inner
+// query loops move whole blocks of postings between pipeline stages instead
+// of one entry per virtual call.
 
 // BatchSize is the number of entries moved between pipeline stages per
 // NextBatch call.  It is sized so a batch of Entry values (40 bytes each)
@@ -22,40 +20,6 @@ type BatchIterator interface {
 	// up to len(buf), and returns how many were written.  n == 0 means the
 	// stream is exhausted; 0 < n <= len(buf) means more entries may remain.
 	NextBatch(buf []Entry) (n int, err error)
-}
-
-// SingleStep adapts any Iterator to the batched protocol by stepping it once
-// per entry.  It exists so code that only has a plain Iterator (custom
-// sources, tests) can feed the batched combinators.
-type SingleStep struct {
-	It Iterator
-}
-
-// NextBatch implements BatchIterator.
-func (s SingleStep) NextBatch(buf []Entry) (int, error) {
-	n := 0
-	for n < len(buf) {
-		e, ok, err := s.It.Next()
-		if err != nil {
-			return n, err
-		}
-		if !ok {
-			break
-		}
-		buf[n] = e
-		n++
-	}
-	return n, nil
-}
-
-// AsBatch upgrades an Iterator to a BatchIterator, using the native batched
-// implementation when the iterator has one and a SingleStep adapter
-// otherwise.
-func AsBatch(it Iterator) BatchIterator {
-	if b, ok := it.(BatchIterator); ok {
-		return b
-	}
-	return SingleStep{It: it}
 }
 
 // Closer is implemented by combinators that hold pooled scratch buffers;
@@ -85,8 +49,8 @@ var entryBufPool = sync.Pool{
 func getEntryBuf() *[]Entry  { return entryBufPool.Get().(*[]Entry) }
 func putEntryBuf(b *[]Entry) { entryBufPool.Put(b) }
 
-// CollectBatched drains a BatchIterator into a slice; the batched
-// counterpart of CollectAll, used by tests and list rebuilds.
+// CollectBatched drains a BatchIterator into a slice; used by tests and list
+// rebuilds.
 func CollectBatched(src BatchIterator) ([]Entry, error) {
 	var out []Entry
 	buf := getEntryBuf()

@@ -7,10 +7,9 @@ import (
 	"testing"
 )
 
-// This file holds the property tests for the block-at-a-time protocol: for
-// every long-list layout and every combinator, batched iteration and
-// single-step iteration must produce byte-identical entry streams, for any
-// batch buffer size.
+// This file holds the property tests for the block-at-a-time protocol: every
+// long-list layout and every combinator must produce the same entry stream —
+// the reference one — for any batch buffer size.
 
 // collectBatchSize drains src with a fixed batch buffer size.
 func collectBatchSize(t *testing.T, src BatchIterator, size int) []Entry {
@@ -27,15 +26,6 @@ func collectBatchSize(t *testing.T, src BatchIterator, size int) []Entry {
 		}
 		out = append(out, buf[:n]...)
 	}
-}
-
-func collectSingle(t *testing.T, it Iterator) []Entry {
-	t.Helper()
-	out, err := CollectAll(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 func sameEntries(t *testing.T, label string, got, want []Entry) {
@@ -67,25 +57,29 @@ func randomAscendingDocs(rng *rand.Rand, n int) []DocID {
 	return docs
 }
 
-// layoutCase builds one encoded long list and its two decoders.
+// layoutCase is one encoded long list and the postings it was built from.
 type layoutCase struct {
 	name string
 	data []byte
+	want []Entry
 }
 
 func buildLayoutCases(t *testing.T, rng *rand.Rand, n int) []layoutCase {
 	t.Helper()
 	var cases []layoutCase
 
-	idb := NewIDListBuilder()
+	idb := NewBlockIDListBuilder()
+	var want []Entry
 	for _, d := range randomAscendingDocs(rng, n) {
 		if err := idb.Add(d); err != nil {
 			t.Fatal(err)
 		}
+		want = append(want, Entry{Doc: d})
 	}
-	cases = append(cases, layoutCase{name: "id", data: idb.Bytes()})
+	cases = append(cases, layoutCase{name: "id", data: idb.Bytes(), want: want})
 
-	sb := NewScoreListBuilder()
+	sb := NewBlockScoreListBuilder(nil)
+	want = nil
 	score := 1e9
 	lastDoc := DocID(0)
 	for i := 0; i < n; i++ {
@@ -97,17 +91,16 @@ func buildLayoutCases(t *testing.T, rng *rand.Rand, n int) []layoutCase {
 		if err := sb.Add(lastDoc, score); err != nil {
 			t.Fatal(err)
 		}
+		want = append(want, Entry{Doc: lastDoc, SortKey: score})
 	}
-	cases = append(cases, layoutCase{name: "score", data: sb.Bytes()})
+	cases = append(cases, layoutCase{name: "score", data: sb.Bytes(), want: want})
 
 	for _, withTerm := range []bool{false, true} {
-		var cb *ChunkedListBuilder
+		cb := NewBlockChunkedListBuilder(withTerm)
+		want = nil
 		name := "chunk"
 		if withTerm {
-			cb = NewChunkedTermListBuilder()
 			name = "chunk-term"
-		} else {
-			cb = NewChunkedListBuilder()
 		}
 		cid := int32(1000)
 		remaining := n
@@ -115,7 +108,12 @@ func buildLayoutCases(t *testing.T, rng *rand.Rand, n int) []layoutCase {
 			sz := 1 + rng.Intn(remaining)
 			posts := make([]ChunkPosting, 0, sz)
 			for _, d := range randomAscendingDocs(rng, sz) {
-				posts = append(posts, ChunkPosting{Doc: d, TermScore: rng.Float32()})
+				p := ChunkPosting{Doc: d}
+				if withTerm {
+					p.TermScore = rng.Float32()
+				}
+				posts = append(posts, p)
+				want = append(want, Entry{Doc: d, CID: cid, SortKey: float64(cid), TermScore: p.TermScore})
 			}
 			if err := cb.AddChunk(cid, posts); err != nil {
 				t.Fatal(err)
@@ -123,16 +121,19 @@ func buildLayoutCases(t *testing.T, rng *rand.Rand, n int) []layoutCase {
 			cid -= int32(1 + rng.Intn(5))
 			remaining -= sz
 		}
-		cases = append(cases, layoutCase{name: name, data: cb.Bytes()})
+		cases = append(cases, layoutCase{name: name, data: cb.Bytes(), want: want})
 	}
 
-	itb := NewIDTermListBuilder()
+	itb := NewBlockIDTermListBuilder()
+	want = nil
 	for _, d := range randomAscendingDocs(rng, n) {
-		if err := itb.Add(d, rng.Float32()); err != nil {
+		w := rng.Float32()
+		if err := itb.Add(d, w); err != nil {
 			t.Fatal(err)
 		}
+		want = append(want, Entry{Doc: d, TermScore: w})
 	}
-	cases = append(cases, layoutCase{name: "id-term", data: itb.Bytes()})
+	cases = append(cases, layoutCase{name: "id-term", data: itb.Bytes(), want: want})
 
 	return cases
 }
@@ -163,55 +164,17 @@ func streamFor(t *testing.T, name string, data []byte) BatchIterator {
 	return s
 }
 
-// memoryIteratorFor decodes data with the in-memory (slice) decoder, which
-// only implements the single-step protocol.
-func memoryIteratorFor(t *testing.T, name string, data []byte) Iterator {
-	t.Helper()
-	var (
-		it  Iterator
-		err error
-	)
-	switch name {
-	case "id":
-		it, err = NewIDListIterator(data)
-	case "score":
-		it, err = NewScoreListIterator(data)
-	case "chunk", "chunk-term":
-		it, err = NewChunkedListIterator(data)
-	case "id-term":
-		it, err = NewIDTermListIterator(data)
-	default:
-		t.Fatalf("unknown layout %q", name)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return it
-}
-
-func TestLayoutBatchedMatchesSingleStep(t *testing.T) {
+func TestLayoutBatchSizeIndependence(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		n := rng.Intn(700) // includes empty lists
 		for _, c := range buildLayoutCases(t, rng, n) {
-			// Reference stream: the in-memory decoder stepped one entry at a
-			// time — a fully independent decode path.
-			want := collectSingle(t, memoryIteratorFor(t, c.name, c.data))
-			// Single-step over the streaming decoder.
-			got := collectSingle(t, asIterator(streamFor(t, c.name, c.data)))
-			sameEntries(t, c.name+"/stream-single", got, want)
-			// Batched over the streaming decoder, various buffer sizes.
 			for _, size := range batchSizes {
 				got := collectBatchSize(t, streamFor(t, c.name, c.data), size)
-				sameEntries(t, c.name+"/stream-batched", got, want)
+				sameEntries(t, c.name+"/stream", got, c.want)
 			}
 		}
 	}
-}
-
-// asIterator views a BatchIterator that also implements Iterator as such.
-func asIterator(b BatchIterator) Iterator {
-	return b.(Iterator)
 }
 
 // --- combinator equivalence ----------------------------------------------------
@@ -298,24 +261,16 @@ func TestUnionBatchedMatchesReference(t *testing.T) {
 		}
 		want := refMerge(streams...)
 
-		mk := func(single bool) []BatchIterator {
+		mk := func() []BatchIterator {
 			srcs := make([]BatchIterator, k)
 			for i := range streams {
-				if single {
-					srcs[i] = SingleStep{It: NewSliceIterator(streams[i])}
-				} else {
-					srcs[i] = NewSliceIterator(streams[i])
-				}
+				srcs[i] = NewSliceIterator(streams[i])
 			}
 			return srcs
 		}
 
-		got := collectSingle(t, NewUnion(mk(false)...))
-		sameEntries(t, "union/next", got, want)
-		got = collectSingle(t, NewUnion(mk(true)...))
-		sameEntries(t, "union/next-singlestep-inputs", got, want)
 		for _, size := range batchSizes {
-			u := NewUnion(mk(false)...)
+			u := NewUnion(mk()...)
 			sameEntries(t, "union/batched", collectBatchSize(t, u, size), want)
 			u.Close()
 		}
@@ -332,8 +287,6 @@ func TestCollapseOpsBatchedMatchesReference(t *testing.T) {
 		build := func() *CollapseOps {
 			return NewCollapseOps(NewUnion(NewSliceIterator(short), NewSliceIterator(long)))
 		}
-		got := collectSingle(t, build())
-		sameEntries(t, "collapse/next", got, want)
 		for _, size := range batchSizes {
 			c := build()
 			sameEntries(t, "collapse/batched", collectBatchSize(t, c, size), want)
@@ -459,28 +412,21 @@ func TestGroupMergerBatchedMatchesReference(t *testing.T) {
 			srcs[i] = NewSliceIterator(streams[i])
 		}
 		m := NewGroupMerger(srcs...)
-		sameGroups(t, "groups/batched-inputs", collectGroups(t, m), want)
-		m.Close()
-
-		for i := range streams {
-			srcs[i] = SingleStep{It: NewSliceIterator(streams[i])}
-		}
-		m = NewGroupMerger(srcs...)
-		sameGroups(t, "groups/singlestep-inputs", collectGroups(t, m), want)
+		sameGroups(t, "groups", collectGroups(t, m), want)
 		m.Close()
 	}
 }
 
-// TestPipelineBatchedMatchesSingleStep runs the full per-term read pipeline —
-// stream-decoded long list ∪ short list, collapsed — in both protocols and
-// requires identical output, including ADD/REM short-list interleavings that
-// cancel long-list postings.
-func TestPipelineBatchedMatchesSingleStep(t *testing.T) {
+// TestPipelineBatchSizeIndependence runs the full per-term read pipeline —
+// stream-decoded long list ∪ short list, collapsed — at every batch size
+// and requires the reference output, including ADD/REM short-list
+// interleavings that cancel long-list postings.
+func TestPipelineBatchSizeIndependence(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(400 + trial)))
 
 		// Long list: a score-ordered stream layout.
-		sb := NewScoreListBuilder()
+		sb := NewBlockScoreListBuilder(nil)
 		score := 1000.0
 		var longEntries []Entry
 		lastDoc := DocID(0)
@@ -512,12 +458,10 @@ func TestPipelineBatchedMatchesSingleStep(t *testing.T) {
 
 		want := refCollapse(refMerge(short, longEntries))
 
-		long := streamFor(t, "score", data)
-		batched := collectBatchSize(t, NewCollapseOps(NewUnion(NewSliceIterator(short), long)), BatchSize)
-		sameEntries(t, "pipeline/batched", batched, want)
-
-		longSingle := SingleStep{It: asIterator(streamFor(t, "score", data))}
-		single := collectSingle(t, NewCollapseOps(NewUnion(SingleStep{It: NewSliceIterator(short)}, longSingle)))
-		sameEntries(t, "pipeline/single", single, want)
+		for _, size := range batchSizes {
+			c := NewCollapseOps(NewUnion(NewSliceIterator(short), streamFor(t, "score", data)))
+			sameEntries(t, "pipeline", collectBatchSize(t, c, size), want)
+			c.Close()
+		}
 	}
 }

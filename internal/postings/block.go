@@ -3,6 +3,7 @@ package postings
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 	"sort"
@@ -10,10 +11,10 @@ import (
 	"svrdb/internal/codec"
 )
 
-// Compressed posting blocks.
+// Posting blocks.
 //
-// Every long-list layout has a second, compressed encoding built from
-// fixed-capacity blocks of up to blockCap postings.  A compressed blob is
+// Every long-list layout is encoded as fixed-capacity blocks of up to
+// blockCap postings.  A blob is
 //
 //	magic byte 0x00
 //	version<<4 | layout byte
@@ -46,13 +47,8 @@ import (
 // offset).  Bodies restart from absolute values, so a block decodes
 // without any state from its predecessors.
 //
-// The magic byte cannot collide with the legacy encodings: their first
-// byte is the uvarint posting count, which for a non-empty list is never
-// 0x00, and the legacy empty lists (a bare 0x00, or 0x00 0x00 flag for the
-// chunked layouts) decode as empty lists under either interpretation
-// because the version/layout byte distinguishes them.  The stream
-// constructors dispatch on this byte, so old uncompressed blobs keep
-// decoding forever.
+// The stream constructors refuse a blob that does not start with the magic
+// byte, carries another version, or is of a layout they do not decode.
 //
 // Per-layout bodies:
 //
@@ -80,7 +76,7 @@ import (
 // back to raw float64s.
 
 const (
-	// blockMagic marks a compressed blob; legacy blobs never start with it.
+	// blockMagic is the first byte of every posting-block blob.
 	blockMagic = 0x00
 	// blockVersion is the posting-block format version, stored in the high
 	// nibble of the second byte.
@@ -107,76 +103,6 @@ const (
 	layoutChunk
 	layoutChunkTerm
 )
-
-// --- build-side encoder protocol ----------------------------------------------
-
-// IDListEncoder is the build-side protocol for the ID layout, satisfied by
-// both IDListBuilder (legacy) and BlockIDListBuilder (compressed).
-type IDListEncoder interface {
-	Add(doc DocID) error
-	Len() int
-	Bytes() []byte
-}
-
-// IDTermListEncoder is the build-side protocol for the ID+term layout.
-type IDTermListEncoder interface {
-	Add(doc DocID, termScore float32) error
-	Len() int
-	Bytes() []byte
-}
-
-// ScoreListEncoder is the build-side protocol for the score layout.
-type ScoreListEncoder interface {
-	Add(doc DocID, score float64) error
-	Len() int
-	Bytes() []byte
-}
-
-// ChunkedListEncoder is the build-side protocol for the chunked layouts.
-type ChunkedListEncoder interface {
-	AddChunk(cid int32, posts []ChunkPosting) error
-	Len() int
-	Chunks() int
-	Bytes() []byte
-}
-
-// NewIDEncoder returns an ID-layout encoder, compressed or legacy.
-func NewIDEncoder(compressed bool) IDListEncoder {
-	if compressed {
-		return NewBlockIDListBuilder()
-	}
-	return NewIDListBuilder()
-}
-
-// NewIDTermEncoder returns an ID+term-layout encoder, compressed or legacy.
-func NewIDTermEncoder(compressed bool) IDTermListEncoder {
-	if compressed {
-		return NewBlockIDTermListBuilder()
-	}
-	return NewIDTermListBuilder()
-}
-
-// NewScoreEncoder returns a score-layout encoder.  The compressed encoder
-// writes ranks into dir (see BuildScoreDir); the decoder must be given the
-// same directory.
-func NewScoreEncoder(compressed bool, dir []float64) ScoreListEncoder {
-	if compressed {
-		return NewBlockScoreListBuilder(dir)
-	}
-	return NewScoreListBuilder()
-}
-
-// NewChunkedEncoder returns a chunked-layout encoder, with or without
-// per-posting term weights.
-func NewChunkedEncoder(compressed, withTerm bool) ChunkedListEncoder {
-	if compressed {
-		return NewBlockChunkedListBuilder(withTerm)
-	}
-	if withTerm {
-		return NewChunkedTermListBuilder()
-	}
-	return NewChunkedListBuilder()
-}
 
 // BuildScoreDir returns the sorted-descending distinct values of scores:
 // the per-build score directory the compressed score layout encodes ranks
@@ -759,9 +685,8 @@ type blockHeader struct {
 	lastCID  int32
 }
 
-// blockList decodes a compressed blob of any layout, one whole block at a
-// time into an inline scratch array.  The stream wrappers in stream.go
-// delegate to it when the blob carries the compressed magic.
+// blockList decodes a blob of any layout, one whole block at a time into an
+// inline scratch array.  The stream wrappers in stream.go delegate to it.
 type blockList struct {
 	br        *blockReader
 	layout    byte
@@ -776,40 +701,47 @@ type blockList struct {
 	err       error
 }
 
-// newBlockList consumes the compressed blob header from br (whose next
-// byte is known to be blockMagic) and returns the decoder.  A bare magic
-// byte with nothing after it is the legacy empty list.
+// newBlockList consumes the blob header from br and returns the decoder.
+// An exhausted reader is the empty list (layout 0).
 func newBlockList(br *blockReader, dir []float64) (*blockList, error) {
-	if _, err := br.byte(); err != nil {
+	magic, err := br.peek()
+	if err == io.EOF {
+		return &blockList{br: br}, nil
+	}
+	if err != nil {
 		return nil, err
 	}
+	if magic != blockMagic {
+		return nil, fmt.Errorf("%w: first byte %#x is not the posting block magic", codec.ErrCorrupt, magic)
+	}
+	br.pos++ // the magic byte
 	vl, err := br.byte()
 	if err != nil {
-		return &blockList{br: br}, nil
-	}
-	if vl == 0 {
-		// Legacy empty chunked list: count 0, chunk count 0, flag byte.
-		// Its first two bytes are 0x00 0x00; nothing follows but the flag,
-		// so the list is empty under either interpretation.
-		return &blockList{br: br}, nil
+		return nil, err
 	}
 	if vl>>4 != blockVersion {
-		return nil, fmt.Errorf("postings: unknown posting block version %d", vl>>4)
+		return nil, fmt.Errorf("%w: unknown posting block version %d", codec.ErrCorrupt, vl>>4)
 	}
 	layout := vl & 0x0f
 	if layout < layoutID || layout > layoutChunkTerm {
-		return nil, fmt.Errorf("postings: unknown posting block layout %d", layout)
+		return nil, fmt.Errorf("%w: unknown posting block layout %d", codec.ErrCorrupt, layout)
 	}
 	d := &blockList{br: br, layout: layout, dir: dir}
 	cnt, err := br.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("postings: posting block count: %w", err)
+		return nil, fmt.Errorf("posting block count: %w", err)
+	}
+	if cnt > math.MaxInt {
+		return nil, fmt.Errorf("%w: posting count %d", codec.ErrCorrupt, cnt)
 	}
 	d.count = int(cnt)
 	if layout == layoutChunk || layout == layoutChunkTerm {
 		ch, err := br.uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("postings: posting block chunk count: %w", err)
+			return nil, fmt.Errorf("posting block chunk count: %w", err)
+		}
+		if ch > cnt {
+			return nil, fmt.Errorf("%w: %d chunks for %d postings", codec.ErrCorrupt, ch, cnt)
 		}
 		d.chunks = int(ch)
 	}
@@ -834,17 +766,19 @@ func (d *blockList) readScoreKey() (float64, error) {
 // readHeader decodes one skip header.  The same shape frames both levels:
 // max is the posting bound the frame must respect — what remains of the
 // list for a super-block, what remains of the super-block (capped at
-// blockCap) for a block.
-func (d *blockList) readHeader(max int) (blockHeader, error) {
+// blockCap) for a block — and maxBytes the byte bound, which for a block is
+// the stream buffer a body must fit.  Blobs carry no checksum, so every
+// length is checked before anything is sliced or skipped by it.
+func (d *blockList) readHeader(max int, maxBytes uint64) (blockHeader, error) {
 	var h blockHeader
 	nv, err := d.br.uvarint()
 	if err != nil {
 		return h, err
 	}
-	h.n = int(nv)
-	if h.n < 1 || h.n > max {
-		return h, fmt.Errorf("%w: frame of %d postings where at most %d fit", codec.ErrCorrupt, h.n, max)
+	if nv < 1 || nv > uint64(max) {
+		return h, fmt.Errorf("%w: frame of %d postings where at most %d fit", codec.ErrCorrupt, nv, max)
 	}
+	h.n = int(nv)
 	switch d.layout {
 	case layoutID, layoutIDTerm:
 		f, err := d.br.uvarint()
@@ -880,6 +814,12 @@ func (d *blockList) readHeader(max int) (blockHeader, error) {
 	if err != nil {
 		return h, err
 	}
+	if rem, known := d.br.remaining(); known && rem < maxBytes {
+		maxBytes = rem
+	}
+	if bl > maxBytes {
+		return h, fmt.Errorf("%w: frame of %d bytes where at most %d fit", codec.ErrCorrupt, bl, maxBytes)
+	}
 	h.bodyLen = int(bl)
 	return h, nil
 }
@@ -889,6 +829,15 @@ func (d *blockList) loadBlock(h blockHeader) error {
 	body, err := d.br.view(h.bodyLen)
 	if err != nil {
 		return err
+	}
+	// The previous block's last entry, before the scratch array is reused:
+	// the list order must hold across the block boundary too.
+	havePrev := len(d.entries) > 0
+	var prevKey float64
+	var prevDoc DocID
+	if havePrev {
+		last := d.entries[len(d.entries)-1]
+		prevKey, prevDoc = last.SortKey, last.Doc
 	}
 	out := d.arr[:h.n]
 	for i := range out {
@@ -909,6 +858,15 @@ func (d *blockList) loadBlock(h blockHeader) error {
 	}
 	if err != nil {
 		return err
+	}
+	// The merge combinators and the seeks rely on the order the builders
+	// enforce; rotted bytes that still parse must not reach them out of it.
+	for i := range out {
+		e := &out[i]
+		if e.Doc < 0 || havePrev && (e.SortKey > prevKey || e.SortKey == prevKey && e.Doc <= prevDoc) {
+			return fmt.Errorf("%w: posting (doc %d, key %g) out of list order", codec.ErrCorrupt, e.Doc, e.SortKey)
+		}
+		havePrev, prevKey, prevDoc = true, e.SortKey, e.Doc
 	}
 	d.decoded += h.n
 	d.entries = out
@@ -1055,7 +1013,7 @@ func (d *blockList) NextBatch(out []Entry) (int, error) {
 			break
 		}
 		if d.superLeft == 0 {
-			sh, err := d.readHeader(d.count - d.decoded)
+			sh, err := d.readHeader(d.count-d.decoded, math.MaxInt)
 			if err != nil {
 				d.err = fmt.Errorf("postings: posting super-block: %w", err)
 				return n, d.err
@@ -1063,7 +1021,7 @@ func (d *blockList) NextBatch(out []Entry) (int, error) {
 			d.superLeft = sh.n
 			continue
 		}
-		h, err := d.readHeader(d.blockMax())
+		h, err := d.readHeader(d.blockMax(), streamBlockSize)
 		if err == nil {
 			err = d.loadBlock(h)
 		}
@@ -1101,7 +1059,7 @@ func (d *blockList) seekUntil(skipFrame func(*blockHeader) bool, keep func(*Entr
 			return nil
 		}
 		if d.superLeft == 0 {
-			sh, err := d.readHeader(d.count - d.decoded)
+			sh, err := d.readHeader(d.count-d.decoded, math.MaxInt)
 			if err != nil {
 				return fail("super-block", err)
 			}
@@ -1115,7 +1073,7 @@ func (d *blockList) seekUntil(skipFrame func(*blockHeader) bool, keep func(*Entr
 			d.superLeft = sh.n
 			continue
 		}
-		h, err := d.readHeader(d.blockMax())
+		h, err := d.readHeader(d.blockMax(), streamBlockSize)
 		if err != nil {
 			return fail("block", err)
 		}

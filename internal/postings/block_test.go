@@ -2,19 +2,21 @@ package postings
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
+	"svrdb/internal/codec"
 	"svrdb/internal/storage/blob"
 	"svrdb/internal/storage/buffer"
 	"svrdb/internal/storage/pagefile"
 )
 
-// Property tests: every compressed layout must decode to exactly the same
-// entry stream as its legacy encoding, under every list shape the builders
-// accept — including sizes straddling the block capacity, dense runs,
-// sparse runs, dictionary-friendly and dictionary-busting term weights,
-// and scores inside and outside the score directory.
+// Property tests: every layout must decode to exactly the postings its
+// builder was fed, under every list shape the builders accept — including
+// sizes straddling the block capacity, dense runs, sparse runs,
+// dictionary-friendly and dictionary-busting term weights, and scores
+// inside and outside the score directory.
 
 // collectAll drains a BatchIterator through odd-sized batches so block
 // boundaries and batch boundaries interleave.
@@ -64,35 +66,41 @@ func genDocs(rng *rand.Rand, n int, dense bool) []DocID {
 	return docs
 }
 
-func TestBlockIDListMatchesLegacy(t *testing.T) {
+// idEntries is the entry stream an ID or ID+term list of (docs, ws) must
+// decode to; ws is nil for the plain ID layout.
+func idEntries(docs []DocID, ws []float32) []Entry {
+	want := make([]Entry, len(docs))
+	for i, d := range docs {
+		want[i] = Entry{Doc: d}
+		if ws != nil {
+			want[i].TermScore = ws[i]
+		}
+	}
+	return want
+}
+
+func TestBlockIDListRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, size := range listSizes {
 		for _, dense := range []bool{true, false} {
 			docs := genDocs(rng, size, dense)
-			legacy, comp := NewIDListBuilder(), NewBlockIDListBuilder()
+			b := NewBlockIDListBuilder()
 			for _, d := range docs {
-				if err := legacy.Add(d); err != nil {
-					t.Fatal(err)
-				}
-				if err := comp.Add(d); err != nil {
+				if err := b.Add(d); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if legacy.Len() != comp.Len() {
-				t.Fatalf("Len = %d, want %d", comp.Len(), legacy.Len())
+			if b.Len() != len(docs) {
+				t.Fatalf("Len = %d, want %d", b.Len(), len(docs))
 			}
-			li, err := NewStreamIDList(bytes.NewReader(legacy.Bytes()))
+			it, err := NewStreamIDList(bytes.NewReader(b.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ci, err := NewStreamIDList(bytes.NewReader(comp.Bytes()))
-			if err != nil {
-				t.Fatal(err)
+			if it.Len() != len(docs) {
+				t.Fatalf("stream Len = %d, want %d", it.Len(), len(docs))
 			}
-			if li.Len() != ci.Len() {
-				t.Fatalf("stream Len = %d, want %d", ci.Len(), li.Len())
-			}
-			requireSameEntries(t, collectAll(t, li), collectAll(t, ci), "id list")
+			requireSameEntries(t, idEntries(docs, nil), collectAll(t, it), "id list")
 		}
 	}
 }
@@ -109,30 +117,23 @@ func genWeights(rng *rand.Rand, n int, dictFriendly bool) []float32 {
 	return ws
 }
 
-func TestBlockIDTermListMatchesLegacy(t *testing.T) {
+func TestBlockIDTermListRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, size := range listSizes {
 		for _, dictFriendly := range []bool{true, false} {
 			docs := genDocs(rng, size, false)
 			ws := genWeights(rng, size, dictFriendly)
-			legacy, comp := NewIDTermListBuilder(), NewBlockIDTermListBuilder()
+			b := NewBlockIDTermListBuilder()
 			for i, d := range docs {
-				if err := legacy.Add(d, ws[i]); err != nil {
-					t.Fatal(err)
-				}
-				if err := comp.Add(d, ws[i]); err != nil {
+				if err := b.Add(d, ws[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			li, err := NewStreamIDTermList(bytes.NewReader(legacy.Bytes()))
+			it, err := NewStreamIDTermList(bytes.NewReader(b.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ci, err := NewStreamIDTermList(bytes.NewReader(comp.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameEntries(t, collectAll(t, li), collectAll(t, ci), "id+term list")
+			requireSameEntries(t, idEntries(docs, ws), collectAll(t, it), "id+term list")
 		}
 	}
 }
@@ -172,30 +173,39 @@ func scorePool(rng *rand.Rand, n int) []float64 {
 	return pool
 }
 
-func TestBlockScoreListMatchesLegacy(t *testing.T) {
+// scoreEntries is the entry stream a score list of (docs, scores) must
+// decode to.
+func scoreEntries(docs []DocID, scores []float64) []Entry {
+	want := make([]Entry, len(docs))
+	for i := range docs {
+		want[i] = Entry{Doc: docs[i], SortKey: scores[i]}
+	}
+	return want
+}
+
+// buildScoreList encodes (docs, scores) against dir.
+func buildScoreList(t *testing.T, dir []float64, docs []DocID, scores []float64) []byte {
+	t.Helper()
+	b := NewBlockScoreListBuilder(dir)
+	for i := range docs {
+		if err := b.Add(docs[i], scores[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Bytes()
+}
+
+func TestBlockScoreListRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	pool := scorePool(rng, 500)
 	dir := BuildScoreDir(pool)
 	for _, size := range listSizes {
 		docs, scores := genScorePostings(rng, size, pool)
-		legacy, comp := NewScoreListBuilder(), NewBlockScoreListBuilder(dir)
-		for i := range docs {
-			if err := legacy.Add(docs[i], scores[i]); err != nil {
-				t.Fatal(err)
-			}
-			if err := comp.Add(docs[i], scores[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		li, err := NewStreamScoreList(bytes.NewReader(legacy.Bytes()))
+		it, err := NewStreamScoreListDir(bytes.NewReader(buildScoreList(t, dir, docs, scores)), dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ci, err := NewStreamScoreListDir(bytes.NewReader(comp.Bytes()), dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameEntries(t, collectAll(t, li), collectAll(t, ci), "score list")
+		requireSameEntries(t, scoreEntries(docs, scores), collectAll(t, it), "score list")
 	}
 }
 
@@ -229,78 +239,74 @@ func genChunks(rng *rand.Rand, totalPostings int, withTerm bool) []testChunk {
 	return chunks
 }
 
-func TestBlockChunkedListMatchesLegacy(t *testing.T) {
+// chunkEntries is the entry stream a chunked list of chunks must decode to.
+func chunkEntries(chunks []testChunk) []Entry {
+	var want []Entry
+	for _, c := range chunks {
+		for _, p := range c.posts {
+			want = append(want, Entry{Doc: p.Doc, CID: c.cid, SortKey: float64(c.cid), TermScore: p.TermScore})
+		}
+	}
+	return want
+}
+
+func TestBlockChunkedListRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, size := range listSizes {
 		for _, withTerm := range []bool{false, true} {
 			chunks := genChunks(rng, size, withTerm)
-			legacy := NewChunkedEncoder(false, withTerm)
-			comp := NewChunkedEncoder(true, withTerm)
+			b := NewBlockChunkedListBuilder(withTerm)
 			for _, c := range chunks {
-				if err := legacy.AddChunk(c.cid, c.posts); err != nil {
-					t.Fatal(err)
-				}
-				if err := comp.AddChunk(c.cid, c.posts); err != nil {
+				if err := b.AddChunk(c.cid, c.posts); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if legacy.Len() != comp.Len() || legacy.Chunks() != comp.Chunks() {
-				t.Fatalf("Len/Chunks = %d/%d, want %d/%d", comp.Len(), comp.Chunks(), legacy.Len(), legacy.Chunks())
+			if b.Len() != size || b.Chunks() != len(chunks) {
+				t.Fatalf("Len/Chunks = %d/%d, want %d/%d", b.Len(), b.Chunks(), size, len(chunks))
 			}
-			li, err := NewStreamChunkedList(bytes.NewReader(legacy.Bytes()))
+			it, err := NewStreamChunkedList(bytes.NewReader(b.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ci, err := NewStreamChunkedList(bytes.NewReader(comp.Bytes()))
-			if err != nil {
-				t.Fatal(err)
+			if it.NumChunks() != len(chunks) {
+				t.Fatalf("NumChunks = %d, want %d", it.NumChunks(), len(chunks))
 			}
-			if li.NumChunks() != ci.NumChunks() {
-				t.Fatalf("NumChunks = %d, want %d", ci.NumChunks(), li.NumChunks())
-			}
-			requireSameEntries(t, collectAll(t, li), collectAll(t, ci), "chunked list")
+			requireSameEntries(t, chunkEntries(chunks), collectAll(t, it), "chunked list")
 		}
 	}
 }
 
 // TestBlockCombinatorsOverCompressed drives the k-way combinators with
-// compressed inputs on one side and legacy inputs on the other and
-// requires identical output — the hot read paths must not be able to tell
-// the encodings apart.
+// stream-decoded blobs on one side and the in-memory postings they were
+// built from on the other and requires identical output — the hot read
+// paths must not be able to tell a decoded list from the slice it encodes.
 func TestBlockCombinatorsOverCompressed(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	pool := scorePool(rng, 200)
 	dir := BuildScoreDir(pool)
 
 	const k = 5
-	var legacyBlobs, compBlobs [][]byte
+	var (
+		lists [][]Entry
+		blobs [][]byte
+	)
 	for s := 0; s < k; s++ {
 		docs, scores := genScorePostings(rng, 700+rng.Intn(600), pool)
-		legacy, comp := NewScoreListBuilder(), NewBlockScoreListBuilder(dir)
-		for i := range docs {
-			if err := legacy.Add(docs[i], scores[i]); err != nil {
-				t.Fatal(err)
-			}
-			if err := comp.Add(docs[i], scores[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		legacyBlobs = append(legacyBlobs, legacy.Bytes())
-		compBlobs = append(compBlobs, comp.Bytes())
+		lists = append(lists, scoreEntries(docs, scores))
+		blobs = append(blobs, buildScoreList(t, dir, docs, scores))
 	}
 
-	open := func(blobs [][]byte, withDir bool) []BatchIterator {
-		its := make([]BatchIterator, len(blobs))
+	slices := func() []BatchIterator {
+		its := make([]BatchIterator, k)
+		for i, l := range lists {
+			its[i] = NewSliceIterator(l)
+		}
+		return its
+	}
+	streams := func() []BatchIterator {
+		its := make([]BatchIterator, k)
 		for i, b := range blobs {
-			var (
-				it  BatchIterator
-				err error
-			)
-			if withDir {
-				it, err = NewStreamScoreListDir(bytes.NewReader(b), dir)
-			} else {
-				it, err = NewStreamScoreList(bytes.NewReader(b))
-			}
+			it, err := NewStreamScoreListDir(bytes.NewReader(b), dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -310,38 +316,13 @@ func TestBlockCombinatorsOverCompressed(t *testing.T) {
 	}
 
 	t.Run("union+collapse", func(t *testing.T) {
-		want := collectAll(t, NewCollapseOps(NewUnion(open(legacyBlobs, false)...)))
-		got := collectAll(t, NewCollapseOps(NewUnion(open(compBlobs, true)...)))
+		want := collectAll(t, NewCollapseOps(NewUnion(slices()...)))
+		got := collectAll(t, NewCollapseOps(NewUnion(streams()...)))
 		requireSameEntries(t, want, got, "collapsed union")
 	})
 
 	t.Run("group-merger", func(t *testing.T) {
-		wm := NewGroupMerger(open(legacyBlobs, false)...)
-		gm := NewGroupMerger(open(compBlobs, true)...)
-		for {
-			wg, wok, err := wm.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			gg, gok, err := gm.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wok != gok {
-				t.Fatalf("group streams diverge: legacy ok=%v compressed ok=%v", wok, gok)
-			}
-			if !wok {
-				return
-			}
-			if wg.Doc != gg.Doc || wg.SortKey != gg.SortKey || wg.Count != gg.Count {
-				t.Fatalf("group = (%d, %g, %d), want (%d, %g, %d)", gg.Doc, gg.SortKey, gg.Count, wg.Doc, wg.SortKey, wg.Count)
-			}
-			for i := range wg.Present {
-				if wg.Present[i] != gg.Present[i] || (wg.Present[i] && wg.Entries[i] != gg.Entries[i]) {
-					t.Fatalf("group member %d = %+v/%v, want %+v/%v", i, gg.Entries[i], gg.Present[i], wg.Entries[i], wg.Present[i])
-				}
-			}
-		}
+		sameGroups(t, "groups", collectGroups(t, NewGroupMerger(streams()...)), collectGroups(t, NewGroupMerger(slices()...)))
 	})
 }
 
@@ -371,12 +352,8 @@ func TestBlockSeekModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ok, err := it.SeekDoc(target)
-			if err != nil {
+			if err := it.SeekDoc(target); err != nil {
 				t.Fatal(err)
-			}
-			if !ok {
-				t.Fatal("compressed list reported no seek support")
 			}
 			var want []Entry
 			for _, e := range all {
@@ -398,7 +375,7 @@ func TestBlockSeekModel(t *testing.T) {
 		steps := 0
 		for {
 			target += DocID(rng.Int63n(2000) + 1)
-			if _, err := it.SeekDoc(target); err != nil {
+			if err := it.SeekDoc(target); err != nil {
 				t.Fatal(err)
 			}
 			n, err := it.NextBatch(one[:])
@@ -451,12 +428,8 @@ func TestBlockSeekModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ok, err := it.SeekScoreLE(target)
-			if err != nil {
+			if err := it.SeekScoreLE(target); err != nil {
 				t.Fatal(err)
-			}
-			if !ok {
-				t.Fatal("compressed list reported no seek support")
 			}
 			var want []Entry
 			for _, e := range all {
@@ -488,12 +461,8 @@ func TestBlockSeekModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ok, err := it.SeekChunkLE(target)
-			if err != nil {
+			if err := it.SeekChunkLE(target); err != nil {
 				t.Fatal(err)
-			}
-			if !ok {
-				t.Fatal("compressed list reported no seek support")
 			}
 			var want []Entry
 			for _, e := range all {
@@ -551,7 +520,7 @@ func TestBlockSeekSkipsPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := seek.SeekDoc(target); err != nil {
+	if err := seek.SeekDoc(target); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := seek.NextBatch(buf); err != nil || n == 0 || buf[0].Doc < target {
@@ -564,5 +533,64 @@ func TestBlockSeekSkipsPages(t *testing.T) {
 	}
 	if seekPages*2 >= scanPages {
 		t.Fatalf("seek read %d pages vs %d for a scan; skip headers are not skipping", seekPages, scanPages)
+	}
+}
+
+// hostileBodyLenBlob is an ID list of 5 postings whose one block header
+// claims a body of 2^63+5 bytes, which as an int is negative.
+func hostileBodyLenBlob() []byte {
+	blob := []byte{blockMagic, blockVersion<<4 | layoutID, 5}
+	blob = append(blob, 5, 1, 10, 20) // super-block: n, first, span, byteLen
+	blob = append(blob, 5, 1, 10)     // block: n, first, span
+	blob = codec.PutUvarint(blob, 1<<63+5)
+	return append(blob, make([]byte, 40-len(blob))...)
+}
+
+// TestBlockHeaderRejectsHostileLengths feeds frame lengths no builder
+// emits — blobs carry no checksum, so a rotted page reaches the decoder —
+// and requires ErrCorrupt, not a slice panic, on the scan and seek paths.
+func TestBlockHeaderRejectsHostileLengths(t *testing.T) {
+	oversizeBody := []byte{blockMagic, blockVersion<<4 | layoutID, 5, 5, 1, 10, 20, 5, 1, 10}
+	oversizeBody = codec.PutUvarint(oversizeBody, streamBlockSize+1)
+	for name, data := range map[string][]byte{
+		"negative body length": hostileBodyLenBlob(),
+		"body beyond a page":   oversizeBody,
+	} {
+		scan, err := NewStreamIDList(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: open: %v", name, err)
+		}
+		if _, err := scan.NextBatch(make([]Entry, 8)); !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("%s: NextBatch error %v, want ErrCorrupt", name, err)
+		}
+		seek, err := NewStreamIDList(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: open: %v", name, err)
+		}
+		if err := seek.SeekDoc(5); !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("%s: SeekDoc error %v, want ErrCorrupt", name, err)
+		}
+	}
+
+	// A reader that knows its length bounds a super-block by what is left.
+	pool := buffer.MustNew(pagefile.MustNewMem(pagefile.DefaultPageSize), 8)
+	store := blob.NewStore(pool)
+	b := NewBlockIDListBuilder()
+	for d := DocID(1); d <= 300; d++ {
+		if err := b.Add(d * 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := b.Bytes()
+	ref, err := store.Put(data[:len(data)-10])
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := NewStreamIDList(store.NewReader(ref))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := short.SeekDoc(1 << 40); !errors.Is(err, codec.ErrCorrupt) {
+		t.Errorf("super-block longer than its blob: SeekDoc error %v, want ErrCorrupt", err)
 	}
 }

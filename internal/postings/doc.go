@@ -5,7 +5,7 @@
 //
 // Five long-list layouts are provided, one per index method family:
 //
-//   - IDList            — ascending document IDs, d-gap + varint encoded
+//   - IDList            — ascending document IDs, d-gaps bitpacked per block
 //     (the ID method, §4.2.1).
 //   - ScoreList         — (score descending, docID) with the score stored in
 //     every posting (the Score-Threshold long list, §4.3.1).
@@ -17,19 +17,18 @@
 //   - ChunkedTermList   — the Chunk layout with a float32 term weight per
 //     posting (the Chunk-TermScore method, §4.3.3).
 //
-// Each layout has two wire encodings.  The legacy per-layout varint
-// encodings (postings.go) remain readable forever; new blobs default to the
-// compressed posting-block format (block.go): fixed-capacity blocks with
-// delta + bitpacked bodies, grouped under super-blocks whose skip headers
-// let a reader seek past whole page runs without decoding them.  The stream
-// readers auto-detect the encoding by first byte and expose the seek
-// capability as SeekDoc / SeekScoreLE / SeekChunkLE (false on legacy
-// blobs).  See the block.go package-level comment for the byte-level
-// grammar and ARCHITECTURE.md "Posting block format" for the design
-// rationale.
+// Every layout has one wire encoding, the compressed posting-block format
+// (block.go): fixed-capacity blocks with delta + bitpacked bodies, grouped
+// under super-blocks whose skip headers let a reader seek past whole page
+// runs without decoding them.  The stream readers (stream.go) accept only a
+// block blob of their own layout, refuse anything else with a
+// codec.ErrCorrupt-wrapped error, and expose the seek capability as SeekDoc
+// / SeekScoreLE / SeekChunkLE.  See the block.go package-level comment for
+// the byte-level grammar and ARCHITECTURE.md "Posting block format" for the
+// design rationale.
 //
 // Short lists live in B+-trees (package index) but are exposed to the query
-// algorithms as the same Iterator interface so that the union
+// algorithms as the same BatchIterator interface so that the union
 // "ShortList(t) ∪ LongList(t)" of Algorithm 2 is a single merged stream.
 //
 // See ARCHITECTURE.md for the layer map — where this package sits in the

@@ -17,8 +17,7 @@ package postings
 // All three run on the block-at-a-time protocol: they pull batches from
 // their inputs into pooled scratch buffers, merge directly out of those
 // buffers (no virtual call per posting), and — for Union and CollapseOps —
-// emit whole batches downstream.  Each also keeps a single-step Next for
-// compatibility with the plain Iterator interface.
+// emit whole batches downstream.
 
 // Less orders entries by descending SortKey and then ascending Doc, which is
 // the processing order of every score- or chunk-ordered list in the paper.
@@ -80,40 +79,6 @@ func (h *mergeHead) close() {
 	CloseIterator(h.src)
 }
 
-// singleStepState implements Next on top of NextBatch with a pooled buffer.
-type singleStepState struct {
-	buf *[]Entry
-	pos int
-	n   int
-}
-
-func (s *singleStepState) next(b BatchIterator) (Entry, bool, error) {
-	if s.pos >= s.n {
-		if s.buf == nil {
-			s.buf = getEntryBuf()
-		}
-		n, err := b.NextBatch(*s.buf)
-		if err != nil {
-			return Entry{}, false, err
-		}
-		if n == 0 {
-			return Entry{}, false, nil
-		}
-		s.pos, s.n = 0, n
-	}
-	e := (*s.buf)[s.pos]
-	s.pos++
-	return e, true, nil
-}
-
-func (s *singleStepState) close() {
-	if s.buf != nil {
-		putEntryBuf(s.buf)
-		s.buf = nil
-	}
-	s.pos, s.n = 0, 0
-}
-
 // Union merges any number of inputs, each already in (SortKey desc, Doc asc)
 // order, into a single stream in that order.  Entries from different inputs
 // at the same position are both emitted (callers that need ADD/REM semantics
@@ -122,11 +87,9 @@ func (s *singleStepState) close() {
 type Union struct {
 	heads []mergeHead
 	init  bool
-	out   singleStepState
 }
 
-// NewUnion returns a union over the given inputs.  Wrap a plain Iterator
-// with AsBatch (or SingleStep) to feed it in.
+// NewUnion returns a union over the given inputs.
 func NewUnion(srcs ...BatchIterator) *Union {
 	heads := make([]mergeHead, len(srcs))
 	for i, src := range srcs {
@@ -217,15 +180,11 @@ func (u *Union) NextBatch(out []Entry) (int, error) {
 	return n, nil
 }
 
-// Next implements Iterator.
-func (u *Union) Next() (Entry, bool, error) { return u.out.next(u) }
-
 // Close implements Closer.
 func (u *Union) Close() {
 	for i := range u.heads {
 		u.heads[i].close()
 	}
-	u.out.close()
 	u.init = true
 }
 
@@ -237,7 +196,6 @@ type CollapseOps struct {
 	src     mergeHead
 	pending Entry
 	have    bool
-	out     singleStepState
 }
 
 // NewCollapseOps wraps src, which must already be in (SortKey desc, Doc asc)
@@ -310,13 +268,9 @@ func (c *CollapseOps) NextBatch(out []Entry) (int, error) {
 	return n, nil
 }
 
-// Next implements Iterator.
-func (c *CollapseOps) Next() (Entry, bool, error) { return c.out.next(c) }
-
 // Close implements Closer.
 func (c *CollapseOps) Close() {
 	c.src.close()
-	c.out.close()
 	c.have = false
 }
 
@@ -485,20 +439,4 @@ func (m *GroupMerger) Close() {
 	}
 	m.order = m.order[:0]
 	m.init = true
-}
-
-// CollectAll drains an iterator into a slice; used by tests and by callers
-// that materialize short lists.
-func CollectAll(it Iterator) ([]Entry, error) {
-	var out []Entry
-	for {
-		e, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, e)
-	}
 }

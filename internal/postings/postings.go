@@ -1,11 +1,6 @@
 package postings
 
-import (
-	"errors"
-	"fmt"
-
-	"svrdb/internal/codec"
-)
+import "errors"
 
 // DocID identifies a document (the primary key of the indexed relation).
 type DocID int64
@@ -40,13 +35,6 @@ type Entry struct {
 	FromShort bool
 }
 
-// Iterator yields postings in the list's native order.
-type Iterator interface {
-	// Next returns the next posting.  ok is false when the list is
-	// exhausted, in which case the entry is the zero value.
-	Next() (e Entry, ok bool, err error)
-}
-
 // ErrOrder is returned by builders when input postings are not in the
 // required order.
 var ErrOrder = errors.New("postings: input out of order")
@@ -68,16 +56,6 @@ func NewSliceIterator(entries []Entry) *SliceIterator {
 // Len reports how many entries remain to be consumed.
 func (it *SliceIterator) Len() int { return len(it.entries) - it.pos }
 
-// Next implements Iterator.
-func (it *SliceIterator) Next() (Entry, bool, error) {
-	if it.pos >= len(it.entries) {
-		return Entry{}, false, nil
-	}
-	e := it.entries[it.pos]
-	it.pos++
-	return e, true, nil
-}
-
 // NextBatch implements BatchIterator by bulk-copying from the backing slice.
 func (it *SliceIterator) NextBatch(buf []Entry) (int, error) {
 	n := copy(buf, it.entries[it.pos:])
@@ -85,431 +63,8 @@ func (it *SliceIterator) NextBatch(buf []Entry) (int, error) {
 	return n, nil
 }
 
-// --- ID list (ID method) ------------------------------------------------------
-
-// IDListBuilder encodes an ascending sequence of document IDs.
-type IDListBuilder struct {
-	buf   []byte
-	count int
-	last  DocID
-}
-
-// NewIDListBuilder returns an empty builder.
-func NewIDListBuilder() *IDListBuilder { return &IDListBuilder{} }
-
-// Add appends a document ID; IDs must be strictly ascending and non-negative.
-func (b *IDListBuilder) Add(doc DocID) error {
-	if doc < 0 {
-		return fmt.Errorf("postings: negative doc ID %d", doc)
-	}
-	if b.count > 0 && doc <= b.last {
-		return fmt.Errorf("%w: doc %d after %d", ErrOrder, doc, b.last)
-	}
-	if b.count == 0 {
-		b.buf = codec.PutUvarint(b.buf, uint64(doc))
-	} else {
-		b.buf = codec.PutUvarint(b.buf, uint64(doc-b.last))
-	}
-	b.last = doc
-	b.count++
-	return nil
-}
-
-// Len reports the number of postings added.
-func (b *IDListBuilder) Len() int { return b.count }
-
-// Bytes returns the encoded list: a count header followed by d-gaps.
-func (b *IDListBuilder) Bytes() []byte {
-	out := codec.PutUvarint(nil, uint64(b.count))
-	return append(out, b.buf...)
-}
-
-// IDListIterator decodes an encoded ID list.
-type IDListIterator struct {
-	data  []byte
-	off   int
-	n     int
-	seen  int
-	last  DocID
-	valid bool
-}
-
-// NewIDListIterator returns an iterator over data produced by IDListBuilder.
-func NewIDListIterator(data []byte) (*IDListIterator, error) {
-	if len(data) == 0 {
-		return &IDListIterator{}, nil
-	}
-	n, off, err := codec.Uvarint(data)
-	if err != nil {
-		return nil, err
-	}
-	return &IDListIterator{data: data, off: off, n: int(n), valid: true}, nil
-}
-
-// Len reports the total number of postings in the list.
-func (it *IDListIterator) Len() int { return it.n }
-
-// Next implements Iterator.
-func (it *IDListIterator) Next() (Entry, bool, error) {
-	if !it.valid || it.seen >= it.n {
-		return Entry{}, false, nil
-	}
-	gap, sz, err := codec.Uvarint(it.data[it.off:])
-	if err != nil {
-		return Entry{}, false, err
-	}
-	it.off += sz
-	if it.seen == 0 {
-		it.last = DocID(gap)
-	} else {
-		it.last += DocID(gap)
-	}
-	it.seen++
-	return Entry{Doc: it.last}, true, nil
-}
-
-// --- Score list (Score-Threshold long list) -----------------------------------
-
-// ScoreListBuilder encodes (score, docID) postings ordered by descending
-// score (ties by ascending docID).
-type ScoreListBuilder struct {
-	buf       []byte
-	count     int
-	lastScore float64
-	lastDoc   DocID
-}
-
-// NewScoreListBuilder returns an empty builder.
-func NewScoreListBuilder() *ScoreListBuilder { return &ScoreListBuilder{} }
-
-// Add appends a posting; postings must arrive in descending score order.
-func (b *ScoreListBuilder) Add(doc DocID, score float64) error {
-	if doc < 0 {
-		return fmt.Errorf("postings: negative doc ID %d", doc)
-	}
-	if b.count > 0 {
-		if score > b.lastScore || (score == b.lastScore && doc <= b.lastDoc) {
-			return fmt.Errorf("%w: (doc %d, score %g) after (doc %d, score %g)", ErrOrder, doc, score, b.lastDoc, b.lastScore)
-		}
-	}
-	b.buf = codec.PutFloat64(b.buf, score)
-	b.buf = codec.PutUvarint(b.buf, uint64(doc))
-	b.lastScore, b.lastDoc = score, doc
-	b.count++
-	return nil
-}
-
-// Len reports the number of postings added.
-func (b *ScoreListBuilder) Len() int { return b.count }
-
-// Bytes returns the encoded list.
-func (b *ScoreListBuilder) Bytes() []byte {
-	out := codec.PutUvarint(nil, uint64(b.count))
-	return append(out, b.buf...)
-}
-
-// ScoreListIterator decodes a ScoreListBuilder list.
-type ScoreListIterator struct {
-	data []byte
-	off  int
-	n    int
-	seen int
-}
-
-// NewScoreListIterator returns an iterator over an encoded score list.
-func NewScoreListIterator(data []byte) (*ScoreListIterator, error) {
-	if len(data) == 0 {
-		return &ScoreListIterator{}, nil
-	}
-	n, off, err := codec.Uvarint(data)
-	if err != nil {
-		return nil, err
-	}
-	return &ScoreListIterator{data: data, off: off, n: int(n)}, nil
-}
-
-// Len reports the total number of postings.
-func (it *ScoreListIterator) Len() int { return it.n }
-
-// Next implements Iterator.
-func (it *ScoreListIterator) Next() (Entry, bool, error) {
-	if it.seen >= it.n {
-		return Entry{}, false, nil
-	}
-	score, sz, err := codec.Float64(it.data[it.off:])
-	if err != nil {
-		return Entry{}, false, err
-	}
-	it.off += sz
-	doc, sz, err := codec.Uvarint(it.data[it.off:])
-	if err != nil {
-		return Entry{}, false, err
-	}
-	it.off += sz
-	it.seen++
-	return Entry{Doc: DocID(doc), SortKey: score}, true, nil
-}
-
-// --- Chunked list (Chunk method) ----------------------------------------------
-
-// ChunkedListBuilder encodes postings grouped into chunks.  Chunks must be
-// appended in descending chunk-ID order; documents within a chunk ascending.
-type ChunkedListBuilder struct {
-	buf      []byte
-	count    int
-	chunks   int
-	lastCID  int32
-	haveCID  bool
-	withTerm bool
-}
-
-// NewChunkedListBuilder returns a builder for the plain Chunk layout.
-func NewChunkedListBuilder() *ChunkedListBuilder { return &ChunkedListBuilder{} }
-
-// NewChunkedTermListBuilder returns a builder for the Chunk-TermScore layout,
-// in which every posting carries a float32 term weight.
-func NewChunkedTermListBuilder() *ChunkedListBuilder { return &ChunkedListBuilder{withTerm: true} }
-
 // ChunkPosting is one posting destined for a chunk.
 type ChunkPosting struct {
 	Doc       DocID
 	TermScore float32
-}
-
-// AddChunk appends a chunk with the given ID and postings (ascending doc
-// order required).  Empty chunks are skipped.
-func (b *ChunkedListBuilder) AddChunk(cid int32, posts []ChunkPosting) error {
-	if len(posts) == 0 {
-		return nil
-	}
-	if b.haveCID && cid >= b.lastCID {
-		return fmt.Errorf("%w: chunk %d after %d (chunks must descend)", ErrOrder, cid, b.lastCID)
-	}
-	b.buf = codec.PutUvarint(b.buf, uint64(uint32(cid)))
-	b.buf = codec.PutUvarint(b.buf, uint64(len(posts)))
-	last := DocID(-1)
-	for i, p := range posts {
-		if p.Doc < 0 {
-			return fmt.Errorf("postings: negative doc ID %d", p.Doc)
-		}
-		if i > 0 && p.Doc <= last {
-			return fmt.Errorf("%w: doc %d after %d within chunk %d", ErrOrder, p.Doc, last, cid)
-		}
-		if i == 0 {
-			b.buf = codec.PutUvarint(b.buf, uint64(p.Doc))
-		} else {
-			b.buf = codec.PutUvarint(b.buf, uint64(p.Doc-last))
-		}
-		if b.withTerm {
-			b.buf = codec.PutFloat32(b.buf, p.TermScore)
-		}
-		last = p.Doc
-		b.count++
-	}
-	b.lastCID = cid
-	b.haveCID = true
-	b.chunks++
-	return nil
-}
-
-// Len reports the number of postings added.
-func (b *ChunkedListBuilder) Len() int { return b.count }
-
-// Chunks reports the number of non-empty chunks added.
-func (b *ChunkedListBuilder) Chunks() int { return b.chunks }
-
-// Bytes returns the encoded list: a header with the posting count, the chunk
-// count and a term-score flag, followed by the chunk data.
-func (b *ChunkedListBuilder) Bytes() []byte {
-	out := codec.PutUvarint(nil, uint64(b.count))
-	out = codec.PutUvarint(out, uint64(b.chunks))
-	flag := byte(0)
-	if b.withTerm {
-		flag = 1
-	}
-	out = append(out, flag)
-	return append(out, b.buf...)
-}
-
-// ChunkedListIterator decodes a chunked list (with or without term scores).
-type ChunkedListIterator struct {
-	data     []byte
-	off      int
-	n        int
-	chunks   int
-	withTerm bool
-
-	seen      int
-	chunkLeft int
-	curCID    int32
-	lastDoc   DocID
-}
-
-// NewChunkedListIterator returns an iterator over an encoded chunked list.
-func NewChunkedListIterator(data []byte) (*ChunkedListIterator, error) {
-	if len(data) == 0 {
-		return &ChunkedListIterator{}, nil
-	}
-	it := &ChunkedListIterator{data: data}
-	n, sz, err := codec.Uvarint(data)
-	if err != nil {
-		return nil, err
-	}
-	it.off += sz
-	chunks, sz, err := codec.Uvarint(data[it.off:])
-	if err != nil {
-		return nil, err
-	}
-	it.off += sz
-	if it.off >= len(data) {
-		return nil, fmt.Errorf("%w: chunked list missing flag byte", codec.ErrCorrupt)
-	}
-	it.withTerm = data[it.off] == 1
-	it.off++
-	it.n = int(n)
-	it.chunks = int(chunks)
-	return it, nil
-}
-
-// Len reports the total number of postings.
-func (it *ChunkedListIterator) Len() int { return it.n }
-
-// NumChunks reports the number of chunks in the list.
-func (it *ChunkedListIterator) NumChunks() int { return it.chunks }
-
-// Next implements Iterator; entries carry both CID and SortKey (=CID).
-func (it *ChunkedListIterator) Next() (Entry, bool, error) {
-	if it.seen >= it.n {
-		return Entry{}, false, nil
-	}
-	if it.chunkLeft == 0 {
-		cid, sz, err := codec.Uvarint(it.data[it.off:])
-		if err != nil {
-			return Entry{}, false, err
-		}
-		it.off += sz
-		count, sz, err := codec.Uvarint(it.data[it.off:])
-		if err != nil {
-			return Entry{}, false, err
-		}
-		it.off += sz
-		it.curCID = int32(uint32(cid))
-		it.chunkLeft = int(count)
-		it.lastDoc = -1
-	}
-	gap, sz, err := codec.Uvarint(it.data[it.off:])
-	if err != nil {
-		return Entry{}, false, err
-	}
-	it.off += sz
-	if it.lastDoc < 0 {
-		it.lastDoc = DocID(gap)
-	} else {
-		it.lastDoc += DocID(gap)
-	}
-	var termScore float32
-	if it.withTerm {
-		ts, sz, err := codec.Float32(it.data[it.off:])
-		if err != nil {
-			return Entry{}, false, err
-		}
-		it.off += sz
-		termScore = ts
-	}
-	it.chunkLeft--
-	it.seen++
-	return Entry{
-		Doc:       it.lastDoc,
-		CID:       it.curCID,
-		SortKey:   float64(it.curCID),
-		TermScore: termScore,
-	}, true, nil
-}
-
-// --- ID+TermScore list (ID-TermScore method, fancy lists) ----------------------
-
-// IDTermListBuilder encodes ascending docIDs each with a term weight.
-type IDTermListBuilder struct {
-	buf   []byte
-	count int
-	last  DocID
-}
-
-// NewIDTermListBuilder returns an empty builder.
-func NewIDTermListBuilder() *IDTermListBuilder { return &IDTermListBuilder{} }
-
-// Add appends a posting; doc IDs must be strictly ascending.
-func (b *IDTermListBuilder) Add(doc DocID, termScore float32) error {
-	if doc < 0 {
-		return fmt.Errorf("postings: negative doc ID %d", doc)
-	}
-	if b.count > 0 && doc <= b.last {
-		return fmt.Errorf("%w: doc %d after %d", ErrOrder, doc, b.last)
-	}
-	if b.count == 0 {
-		b.buf = codec.PutUvarint(b.buf, uint64(doc))
-	} else {
-		b.buf = codec.PutUvarint(b.buf, uint64(doc-b.last))
-	}
-	b.buf = codec.PutFloat32(b.buf, termScore)
-	b.last = doc
-	b.count++
-	return nil
-}
-
-// Len reports the number of postings added.
-func (b *IDTermListBuilder) Len() int { return b.count }
-
-// Bytes returns the encoded list.
-func (b *IDTermListBuilder) Bytes() []byte {
-	out := codec.PutUvarint(nil, uint64(b.count))
-	return append(out, b.buf...)
-}
-
-// IDTermListIterator decodes an IDTermListBuilder list.
-type IDTermListIterator struct {
-	data []byte
-	off  int
-	n    int
-	seen int
-	last DocID
-}
-
-// NewIDTermListIterator returns an iterator over an encoded ID+term list.
-func NewIDTermListIterator(data []byte) (*IDTermListIterator, error) {
-	if len(data) == 0 {
-		return &IDTermListIterator{}, nil
-	}
-	n, off, err := codec.Uvarint(data)
-	if err != nil {
-		return nil, err
-	}
-	return &IDTermListIterator{data: data, off: off, n: int(n)}, nil
-}
-
-// Len reports the total number of postings.
-func (it *IDTermListIterator) Len() int { return it.n }
-
-// Next implements Iterator.
-func (it *IDTermListIterator) Next() (Entry, bool, error) {
-	if it.seen >= it.n {
-		return Entry{}, false, nil
-	}
-	gap, sz, err := codec.Uvarint(it.data[it.off:])
-	if err != nil {
-		return Entry{}, false, err
-	}
-	it.off += sz
-	ts, sz, err := codec.Float32(it.data[it.off:])
-	if err != nil {
-		return Entry{}, false, err
-	}
-	it.off += sz
-	if it.seen == 0 {
-		it.last = DocID(gap)
-	} else {
-		it.last += DocID(gap)
-	}
-	it.seen++
-	return Entry{Doc: it.last, TermScore: ts}, true, nil
 }

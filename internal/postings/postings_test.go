@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,7 +9,7 @@ import (
 )
 
 func TestIDListRoundTrip(t *testing.T) {
-	b := NewIDListBuilder()
+	b := NewBlockIDListBuilder()
 	ids := []DocID{1, 5, 6, 100, 10000, 10001}
 	for _, id := range ids {
 		if err := b.Add(id); err != nil {
@@ -18,14 +19,14 @@ func TestIDListRoundTrip(t *testing.T) {
 	if b.Len() != len(ids) {
 		t.Fatalf("Len = %d, want %d", b.Len(), len(ids))
 	}
-	it, err := NewIDListIterator(b.Bytes())
+	it, err := NewStreamIDList(bytes.NewReader(b.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if it.Len() != len(ids) {
 		t.Errorf("iterator Len = %d, want %d", it.Len(), len(ids))
 	}
-	got, err := CollectAll(it)
+	got, err := CollectBatched(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestIDListRoundTrip(t *testing.T) {
 }
 
 func TestIDListRejectsOutOfOrder(t *testing.T) {
-	b := NewIDListBuilder()
+	b := NewBlockIDListBuilder()
 	if err := b.Add(10); err != nil {
 		t.Fatal(err)
 	}
@@ -56,20 +57,20 @@ func TestIDListRejectsOutOfOrder(t *testing.T) {
 }
 
 func TestIDListEmpty(t *testing.T) {
-	b := NewIDListBuilder()
-	it, err := NewIDListIterator(b.Bytes())
+	b := NewBlockIDListBuilder()
+	it, err := NewStreamIDList(bytes.NewReader(b.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := it.Next(); ok {
-		t.Error("empty list yielded a posting")
+	if got, err := CollectBatched(it); err != nil || len(got) != 0 {
+		t.Errorf("empty list yielded %v, %v", got, err)
 	}
-	it2, err := NewIDListIterator(nil)
+	it2, err := NewStreamIDList(bytes.NewReader(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := it2.Next(); ok {
-		t.Error("nil list yielded a posting")
+	if got, err := CollectBatched(it2); err != nil || len(got) != 0 {
+		t.Errorf("nil list yielded %v, %v", got, err)
 	}
 }
 
@@ -84,17 +85,17 @@ func TestIDListProperty(t *testing.T) {
 			ids = append(ids, id)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		b := NewIDListBuilder()
+		b := NewBlockIDListBuilder()
 		for _, id := range ids {
 			if err := b.Add(id); err != nil {
 				return false
 			}
 		}
-		it, err := NewIDListIterator(b.Bytes())
+		it, err := NewStreamIDList(bytes.NewReader(b.Bytes()))
 		if err != nil {
 			return false
 		}
-		got, err := CollectAll(it)
+		got, err := CollectBatched(it)
 		if err != nil || len(got) != len(ids) {
 			return false
 		}
@@ -111,7 +112,7 @@ func TestIDListProperty(t *testing.T) {
 }
 
 func TestScoreListRoundTrip(t *testing.T) {
-	b := NewScoreListBuilder()
+	b := NewBlockScoreListBuilder(nil)
 	type p struct {
 		doc   DocID
 		score float64
@@ -122,11 +123,11 @@ func TestScoreListRoundTrip(t *testing.T) {
 			t.Fatalf("Add(%v): %v", x, err)
 		}
 	}
-	it, err := NewScoreListIterator(b.Bytes())
+	it, err := NewStreamScoreList(bytes.NewReader(b.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectAll(it)
+	got, err := CollectBatched(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestScoreListRoundTrip(t *testing.T) {
 }
 
 func TestScoreListRejectsOrderViolations(t *testing.T) {
-	b := NewScoreListBuilder()
+	b := NewBlockScoreListBuilder(nil)
 	if err := b.Add(3, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestScoreListRejectsOrderViolations(t *testing.T) {
 }
 
 func TestChunkedListRoundTrip(t *testing.T) {
-	b := NewChunkedListBuilder()
+	b := NewBlockChunkedListBuilder(false)
 	if err := b.AddChunk(5, []ChunkPosting{{Doc: 2}, {Doc: 9}, {Doc: 40}}); err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +171,14 @@ func TestChunkedListRoundTrip(t *testing.T) {
 	if b.Len() != 6 || b.Chunks() != 3 {
 		t.Fatalf("Len=%d Chunks=%d, want 6 and 3", b.Len(), b.Chunks())
 	}
-	it, err := NewChunkedListIterator(b.Bytes())
+	it, err := NewStreamChunkedList(bytes.NewReader(b.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if it.NumChunks() != 3 {
 		t.Errorf("NumChunks = %d, want 3", it.NumChunks())
 	}
-	got, err := CollectAll(it)
+	got, err := CollectBatched(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestChunkedListRoundTrip(t *testing.T) {
 }
 
 func TestChunkedListRejectsOrderViolations(t *testing.T) {
-	b := NewChunkedListBuilder()
+	b := NewBlockChunkedListBuilder(false)
 	if err := b.AddChunk(3, []ChunkPosting{{Doc: 5}}); err != nil {
 		t.Fatal(err)
 	}
@@ -214,15 +215,15 @@ func TestChunkedListRejectsOrderViolations(t *testing.T) {
 }
 
 func TestChunkedTermListCarriesScores(t *testing.T) {
-	b := NewChunkedTermListBuilder()
+	b := NewBlockChunkedListBuilder(true)
 	if err := b.AddChunk(2, []ChunkPosting{{Doc: 1, TermScore: 0.5}, {Doc: 3, TermScore: 0.25}}); err != nil {
 		t.Fatal(err)
 	}
-	it, err := NewChunkedListIterator(b.Bytes())
+	it, err := NewStreamChunkedList(bytes.NewReader(b.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectAll(it)
+	got, err := CollectBatched(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestChunkedTermListCarriesScores(t *testing.T) {
 }
 
 func TestIDTermListRoundTrip(t *testing.T) {
-	b := NewIDTermListBuilder()
+	b := NewBlockIDTermListBuilder()
 	if err := b.Add(3, 0.75); err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +243,11 @@ func TestIDTermListRoundTrip(t *testing.T) {
 	if err := b.Add(8, 0.5); err == nil {
 		t.Error("duplicate doc accepted")
 	}
-	it, err := NewIDTermListIterator(b.Bytes())
+	it, err := NewStreamIDTermList(bytes.NewReader(b.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectAll(it)
+	got, err := CollectBatched(it)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestUnionMergesInOrder(t *testing.T) {
 		{Doc: 2, SortKey: 80, FromShort: true},
 		{Doc: 4, SortKey: 10, FromShort: true},
 	})
-	got, err := CollectAll(NewUnion(short, long))
+	got, err := CollectBatched(NewUnion(short, long))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestUnionMergesInOrder(t *testing.T) {
 }
 
 func TestUnionEmptyInputs(t *testing.T) {
-	got, err := CollectAll(NewUnion(NewSliceIterator(nil), NewSliceIterator(nil)))
+	got, err := CollectBatched(NewUnion(NewSliceIterator(nil), NewSliceIterator(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestCollapseOpsRemovesCancelledPostings(t *testing.T) {
 		{Doc: 9, SortKey: 3},
 		{Doc: 5, SortKey: 1},
 	})
-	got, err := CollectAll(NewCollapseOps(src))
+	got, err := CollectBatched(NewCollapseOps(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestCollapseOpsPrefersShortListEntry(t *testing.T) {
 		{Doc: 5, SortKey: 3, TermScore: 0.1},
 		{Doc: 5, SortKey: 3, TermScore: 0.9, FromShort: true},
 	})
-	got, err := CollectAll(NewCollapseOps(src))
+	got, err := CollectBatched(NewCollapseOps(src))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"svrdb/internal/codec"
 )
 
 // This file provides streaming decoders over io.Reader for every long-list
@@ -14,40 +16,49 @@ import (
 // actually consumed, which is exactly the effect the Chunk and
 // Score-Threshold methods rely on for their query-time advantage.
 //
-// Every decoder implements both Iterator and BatchIterator.  The decode
-// logic lives in NextBatch, which decodes a whole block of postings per call
-// directly out of the buffered page bytes; Next is a one-entry view of the
-// same path kept for compatibility and cold paths.
+// Every long list is a posting-block blob (block.go); the four stream types
+// differ only in which layouts they accept and which seek they offer.  The
+// decode logic lives in blockList, which decodes a whole block of postings
+// per call directly out of the buffered page bytes.
 
 // streamBlockSize is the block buffer size; one on-disk page.
 const streamBlockSize = 4096
+
+// errTruncated reports a blob that ends inside a value its framing promised.
+var errTruncated = fmt.Errorf("%w: posting list truncated", codec.ErrCorrupt)
 
 // blockReader buffers reads from r and decodes scalars directly from the
 // buffered bytes, refilling (and compacting the unconsumed tail) only when a
 // scalar could straddle the buffer boundary.
 type blockReader struct {
-	r   io.Reader
-	buf []byte
-	pos int
-	lim int
-	eof bool
+	r     io.Reader
+	sized sizedReader // r, when it knows how many bytes it has left
+	buf   []byte
+	pos   int
+	lim   int
+	eof   bool
 }
+
+// sizedReader is the optional protocol of a source that knows its length;
+// blob readers implement it.
+type sizedReader interface{ Remaining() uint64 }
 
 func newBlockReader(r io.Reader) *blockReader {
 	size := streamBlockSize
-	// When the source knows how many bytes remain (blob readers do), size
-	// the buffer to the list: a tiny list gets a tiny buffer instead of a
-	// page-sized one, which matters because short queries over short lists
-	// pay the buffer set-up per term per query.
-	if rr, ok := r.(interface{ Remaining() uint64 }); ok {
-		if rem := rr.Remaining(); rem < uint64(size) {
+	// When the source knows how many bytes remain, size the buffer to the
+	// list: a tiny list gets a tiny buffer instead of a page-sized one,
+	// which matters because short queries over short lists pay the buffer
+	// set-up per term per query.
+	sized, _ := r.(sizedReader)
+	if sized != nil {
+		if rem := sized.Remaining(); rem < uint64(size) {
 			size = int(rem)
 			if size < 16 {
 				size = 16
 			}
 		}
 	}
-	return &blockReader{r: r, buf: make([]byte, size)}
+	return &blockReader{r: r, sized: sized, buf: make([]byte, size)}
 }
 
 // fill compacts the unconsumed tail to the front of the buffer and reads
@@ -85,33 +96,27 @@ func (b *blockReader) ensure(n int) error {
 
 func (b *blockReader) avail() int { return b.lim - b.pos }
 
+// remaining reports how many unconsumed bytes the stream holds, when the
+// source knows.
+func (b *blockReader) remaining() (uint64, bool) {
+	if b.sized == nil {
+		return 0, false
+	}
+	return uint64(b.avail()) + b.sized.Remaining(), true
+}
+
 func (b *blockReader) uvarint() (uint64, error) {
 	if err := b.ensure(binary.MaxVarintLen64); err != nil {
 		return 0, err
 	}
-	if b.pos == b.lim {
-		return 0, io.EOF
-	}
 	v, n := binary.Uvarint(b.buf[b.pos:b.lim])
 	if n == 0 {
-		return 0, io.ErrUnexpectedEOF
+		return 0, errTruncated
 	}
 	if n < 0 {
-		return 0, fmt.Errorf("postings: uvarint overflow")
+		return 0, fmt.Errorf("%w: uvarint overflow", codec.ErrCorrupt)
 	}
 	b.pos += n
-	return v, nil
-}
-
-func (b *blockReader) float32() (float32, error) {
-	if err := b.ensure(4); err != nil {
-		return 0, err
-	}
-	if b.avail() < 4 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	v := math.Float32frombits(binary.LittleEndian.Uint32(b.buf[b.pos:]))
-	b.pos += 4
 	return v, nil
 }
 
@@ -120,7 +125,7 @@ func (b *blockReader) float64() (float64, error) {
 		return 0, err
 	}
 	if b.avail() < 8 {
-		return 0, io.ErrUnexpectedEOF
+		return 0, errTruncated
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(b.buf[b.pos:]))
 	b.pos += 8
@@ -132,7 +137,7 @@ func (b *blockReader) byte() (byte, error) {
 		return 0, err
 	}
 	if b.avail() < 1 {
-		return 0, io.ErrUnexpectedEOF
+		return 0, errTruncated
 	}
 	c := b.buf[b.pos]
 	b.pos++
@@ -157,13 +162,13 @@ func (b *blockReader) peek() (byte, error) {
 // always fits (see blockCap).
 func (b *blockReader) view(n int) ([]byte, error) {
 	if n > len(b.buf) {
-		return nil, fmt.Errorf("postings: block body of %d bytes exceeds %d-byte buffer", n, len(b.buf))
+		return nil, fmt.Errorf("%w: block body of %d bytes exceeds %d-byte buffer", codec.ErrCorrupt, n, len(b.buf))
 	}
 	if err := b.ensure(n); err != nil {
 		return nil, err
 	}
 	if b.avail() < n {
-		return nil, io.ErrUnexpectedEOF
+		return nil, errTruncated
 	}
 	p := b.buf[b.pos : b.pos+n]
 	b.pos += n
@@ -195,7 +200,7 @@ func (b *blockReader) skip(n int) error {
 			return err
 		}
 		if b.avail() == 0 {
-			return io.ErrUnexpectedEOF
+			return errTruncated
 		}
 		t := b.avail()
 		if t > n {
@@ -207,402 +212,132 @@ func (b *blockReader) skip(n int) error {
 	return nil
 }
 
-// maybeCompressed dispatches on the blob's first byte: compressed blobs
-// start with blockMagic, which no legacy non-empty list can (their first
-// byte is a uvarint count >= 1).  It reports whether the compressed path
-// claimed the stream; when it did not, the legacy decoders proceed
-// unchanged.
-func maybeCompressed(br *blockReader, dir []float64) (*blockList, bool, error) {
-	c, err := br.peek()
-	if err != nil || c != blockMagic {
-		return nil, false, nil
-	}
-	d, err := newBlockList(br, dir)
+// openBlockList reads the blob header from r and returns the decoder, after
+// checking that the blob is of one of the layouts the caller decodes.  An
+// empty reader is an empty list.
+func openBlockList(r io.Reader, dir []float64, what string, layouts ...byte) (*blockList, error) {
+	d, err := newBlockList(newBlockReader(r), dir)
 	if err != nil {
-		return nil, true, err
+		return nil, fmt.Errorf("postings: stream %s list header: %w", what, err)
 	}
-	return d, true, nil
-}
-
-// nextOne adapts a NextBatch implementation to the single-step Iterator
-// protocol with a stack buffer.
-func nextOne(b BatchIterator) (Entry, bool, error) {
-	var one [1]Entry
-	n, err := b.NextBatch(one[:])
-	if err != nil {
-		return Entry{}, false, err
+	if d.layout == 0 {
+		return d, nil
 	}
-	if n == 0 {
-		return Entry{}, false, nil
+	for _, l := range layouts {
+		if d.layout == l {
+			return d, nil
+		}
 	}
-	return one[0], true, nil
+	return nil, fmt.Errorf("postings: stream %s list: %w: unexpected block layout %d", what, codec.ErrCorrupt, d.layout)
 }
 
 // --- streaming ID list ---------------------------------------------------------
 
-// StreamIDList decodes an IDListBuilder or BlockIDListBuilder blob lazily
-// from r, dispatching on the blob's first byte.
-type StreamIDList struct {
-	br   *blockReader
-	comp *blockList
-	n    int
-	seen int
-	last DocID
-	err  error
-}
+// StreamIDList decodes a BlockIDListBuilder blob lazily from r.
+type StreamIDList struct{ list *blockList }
 
 // NewStreamIDList reads the header and returns a lazy iterator.  An empty
 // reader yields an empty list.
 func NewStreamIDList(r io.Reader) (*StreamIDList, error) {
-	br := newBlockReader(r)
-	if c, ok, err := maybeCompressed(br, nil); ok || err != nil {
-		if err != nil {
-			return nil, fmt.Errorf("postings: stream id list header: %w", err)
-		}
-		if c.layout != 0 && c.layout != layoutID {
-			return nil, fmt.Errorf("postings: stream id list: unexpected block layout %d", c.layout)
-		}
-		return &StreamIDList{br: br, comp: c, n: c.count}, nil
-	}
-	n, err := br.uvarint()
-	if err == io.EOF {
-		return &StreamIDList{br: br}, nil
-	}
+	d, err := openBlockList(r, nil, "id", layoutID)
 	if err != nil {
-		return nil, fmt.Errorf("postings: stream id list header: %w", err)
+		return nil, err
 	}
-	return &StreamIDList{br: br, n: int(n)}, nil
+	return &StreamIDList{list: d}, nil
 }
 
 // Len reports the total number of postings in the list.
-func (s *StreamIDList) Len() int { return s.n }
+func (s *StreamIDList) Len() int { return s.list.count }
 
 // SeekDoc positions the iterator so the next entry returned is the first
 // with Doc >= doc, skipping whole posting blocks — without decoding them
-// or faulting in their pages — via the per-block skip headers.  It reports
-// whether seeking was available: legacy uncompressed blobs have no skip
-// headers and are left unpositioned.
-func (s *StreamIDList) SeekDoc(doc DocID) (bool, error) {
-	if s.comp == nil {
-		return false, nil
-	}
-	return true, s.comp.seekDoc(doc)
-}
+// or faulting in their pages — via the per-block skip headers.
+func (s *StreamIDList) SeekDoc(doc DocID) error { return s.list.seekDoc(doc) }
 
 // NextBatch implements BatchIterator.
-func (s *StreamIDList) NextBatch(out []Entry) (int, error) {
-	if s.comp != nil {
-		return s.comp.NextBatch(out)
-	}
-	if s.err != nil {
-		return 0, s.err
-	}
-	n := 0
-	for n < len(out) && s.seen < s.n {
-		gap, err := s.br.uvarint()
-		if err != nil {
-			s.err = fmt.Errorf("postings: stream id list: %w", err)
-			return n, s.err
-		}
-		if s.seen == 0 {
-			s.last = DocID(gap)
-		} else {
-			s.last += DocID(gap)
-		}
-		s.seen++
-		out[n] = Entry{Doc: s.last}
-		n++
-	}
-	return n, nil
-}
-
-// Next implements Iterator.
-func (s *StreamIDList) Next() (Entry, bool, error) { return nextOne(s) }
+func (s *StreamIDList) NextBatch(out []Entry) (int, error) { return s.list.NextBatch(out) }
 
 // --- streaming score list ------------------------------------------------------
 
-// StreamScoreList decodes a ScoreListBuilder or BlockScoreListBuilder blob
-// lazily from r, dispatching on the blob's first byte.
-type StreamScoreList struct {
-	br   *blockReader
-	comp *blockList
-	n    int
-	seen int
-	err  error
-}
+// StreamScoreList decodes a BlockScoreListBuilder blob lazily from r.
+type StreamScoreList struct{ list *blockList }
 
 // NewStreamScoreList reads the header and returns a lazy iterator.  It is
-// NewStreamScoreListDir without a score directory: compressed blobs that
-// encode ranks require the directory the encoder used.
+// NewStreamScoreListDir without a score directory: blobs that encode ranks
+// require the directory the encoder used.
 func NewStreamScoreList(r io.Reader) (*StreamScoreList, error) {
 	return NewStreamScoreListDir(r, nil)
 }
 
 // NewStreamScoreListDir reads the header and returns a lazy iterator that
-// resolves compressed score ranks through dir (see BuildScoreDir); dir
-// must be the directory the list was encoded with.
+// resolves score ranks through dir (see BuildScoreDir); dir must be the
+// directory the list was encoded with.
 func NewStreamScoreListDir(r io.Reader, dir []float64) (*StreamScoreList, error) {
-	br := newBlockReader(r)
-	if c, ok, err := maybeCompressed(br, dir); ok || err != nil {
-		if err != nil {
-			return nil, fmt.Errorf("postings: stream score list header: %w", err)
-		}
-		if c.layout != 0 && c.layout != layoutScore {
-			return nil, fmt.Errorf("postings: stream score list: unexpected block layout %d", c.layout)
-		}
-		return &StreamScoreList{br: br, comp: c, n: c.count}, nil
-	}
-	n, err := br.uvarint()
-	if err == io.EOF {
-		return &StreamScoreList{br: br}, nil
-	}
+	d, err := openBlockList(r, dir, "score", layoutScore)
 	if err != nil {
-		return nil, fmt.Errorf("postings: stream score list header: %w", err)
+		return nil, err
 	}
-	return &StreamScoreList{br: br, n: int(n)}, nil
+	return &StreamScoreList{list: d}, nil
 }
 
 // Len reports the total number of postings.
-func (s *StreamScoreList) Len() int { return s.n }
+func (s *StreamScoreList) Len() int { return s.list.count }
 
 // SeekScoreLE positions the iterator so the next entry returned is the
 // first with score <= s (the layout sorts descending by score), skipping
-// whole posting blocks via the skip headers.  It reports whether seeking
-// was available (compressed blobs only).
-func (s *StreamScoreList) SeekScoreLE(score float64) (bool, error) {
-	if s.comp == nil {
-		return false, nil
-	}
-	return true, s.comp.seekScoreLE(score)
-}
+// whole posting blocks via the skip headers.
+func (s *StreamScoreList) SeekScoreLE(score float64) error { return s.list.seekScoreLE(score) }
 
 // NextBatch implements BatchIterator.
-func (s *StreamScoreList) NextBatch(out []Entry) (int, error) {
-	if s.comp != nil {
-		return s.comp.NextBatch(out)
-	}
-	if s.err != nil {
-		return 0, s.err
-	}
-	n := 0
-	for n < len(out) && s.seen < s.n {
-		score, err := s.br.float64()
-		if err != nil {
-			s.err = fmt.Errorf("postings: stream score list: %w", err)
-			return n, s.err
-		}
-		doc, err := s.br.uvarint()
-		if err != nil {
-			s.err = fmt.Errorf("postings: stream score list: %w", err)
-			return n, s.err
-		}
-		s.seen++
-		out[n] = Entry{Doc: DocID(doc), SortKey: score}
-		n++
-	}
-	return n, nil
-}
-
-// Next implements Iterator.
-func (s *StreamScoreList) Next() (Entry, bool, error) { return nextOne(s) }
+func (s *StreamScoreList) NextBatch(out []Entry) (int, error) { return s.list.NextBatch(out) }
 
 // --- streaming chunked list ----------------------------------------------------
 
-// StreamChunkedList decodes a ChunkedListBuilder or
-// BlockChunkedListBuilder blob lazily from r, dispatching on the blob's
-// first byte.
-type StreamChunkedList struct {
-	br       *blockReader
-	comp     *blockList
-	n        int
-	chunks   int
-	withTerm bool
-
-	seen      int
-	chunkLeft int
-	curCID    int32
-	lastDoc   DocID
-	err       error
-}
+// StreamChunkedList decodes a BlockChunkedListBuilder blob, with or without
+// term weights, lazily from r.
+type StreamChunkedList struct{ list *blockList }
 
 // NewStreamChunkedList reads the header and returns a lazy iterator.
 func NewStreamChunkedList(r io.Reader) (*StreamChunkedList, error) {
-	br := newBlockReader(r)
-	if c, ok, err := maybeCompressed(br, nil); ok || err != nil {
-		if err != nil {
-			return nil, fmt.Errorf("postings: stream chunked list header: %w", err)
-		}
-		if c.layout != 0 && c.layout != layoutChunk && c.layout != layoutChunkTerm {
-			return nil, fmt.Errorf("postings: stream chunked list: unexpected block layout %d", c.layout)
-		}
-		return &StreamChunkedList{br: br, comp: c, n: c.count, chunks: c.chunks, withTerm: c.layout == layoutChunkTerm}, nil
-	}
-	n, err := br.uvarint()
-	if err == io.EOF {
-		return &StreamChunkedList{br: br}, nil
-	}
+	d, err := openBlockList(r, nil, "chunked", layoutChunk, layoutChunkTerm)
 	if err != nil {
-		return nil, fmt.Errorf("postings: stream chunked list header: %w", err)
+		return nil, err
 	}
-	chunks, err := br.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("postings: stream chunked list header: %w", err)
-	}
-	flag, err := br.byte()
-	if err != nil {
-		return nil, fmt.Errorf("postings: stream chunked list header: %w", err)
-	}
-	return &StreamChunkedList{br: br, n: int(n), chunks: int(chunks), withTerm: flag == 1}, nil
+	return &StreamChunkedList{list: d}, nil
 }
 
 // Len reports the total number of postings; NumChunks the number of chunks.
-func (s *StreamChunkedList) Len() int       { return s.n }
-func (s *StreamChunkedList) NumChunks() int { return s.chunks }
+func (s *StreamChunkedList) Len() int       { return s.list.count }
+func (s *StreamChunkedList) NumChunks() int { return s.list.chunks }
 
 // SeekChunkLE positions the iterator so the next entry returned is the
 // first with CID <= cid (the layout sorts descending by chunk), skipping
-// whole posting blocks via the skip headers.  It reports whether seeking
-// was available (compressed blobs only).
-func (s *StreamChunkedList) SeekChunkLE(cid int32) (bool, error) {
-	if s.comp == nil {
-		return false, nil
-	}
-	return true, s.comp.seekChunkLE(cid)
-}
+// whole posting blocks via the skip headers.
+func (s *StreamChunkedList) SeekChunkLE(cid int32) error { return s.list.seekChunkLE(cid) }
 
 // NextBatch implements BatchIterator.
-func (s *StreamChunkedList) NextBatch(out []Entry) (int, error) {
-	if s.comp != nil {
-		return s.comp.NextBatch(out)
-	}
-	if s.err != nil {
-		return 0, s.err
-	}
-	n := 0
-	for n < len(out) && s.seen < s.n {
-		if s.chunkLeft == 0 {
-			cid, err := s.br.uvarint()
-			if err != nil {
-				s.err = fmt.Errorf("postings: stream chunked list: %w", err)
-				return n, s.err
-			}
-			count, err := s.br.uvarint()
-			if err != nil {
-				s.err = fmt.Errorf("postings: stream chunked list: %w", err)
-				return n, s.err
-			}
-			s.curCID = int32(uint32(cid))
-			s.chunkLeft = int(count)
-			s.lastDoc = -1
-		}
-		gap, err := s.br.uvarint()
-		if err != nil {
-			s.err = fmt.Errorf("postings: stream chunked list: %w", err)
-			return n, s.err
-		}
-		if s.lastDoc < 0 {
-			s.lastDoc = DocID(gap)
-		} else {
-			s.lastDoc += DocID(gap)
-		}
-		var ts float32
-		if s.withTerm {
-			ts, err = s.br.float32()
-			if err != nil {
-				s.err = fmt.Errorf("postings: stream chunked list: %w", err)
-				return n, s.err
-			}
-		}
-		s.chunkLeft--
-		s.seen++
-		out[n] = Entry{Doc: s.lastDoc, CID: s.curCID, SortKey: float64(s.curCID), TermScore: ts}
-		n++
-	}
-	return n, nil
-}
-
-// Next implements Iterator.
-func (s *StreamChunkedList) Next() (Entry, bool, error) { return nextOne(s) }
+func (s *StreamChunkedList) NextBatch(out []Entry) (int, error) { return s.list.NextBatch(out) }
 
 // --- streaming ID+term list ----------------------------------------------------
 
-// StreamIDTermList decodes an IDTermListBuilder or BlockIDTermListBuilder
-// blob lazily from r, dispatching on the blob's first byte.
-type StreamIDTermList struct {
-	br   *blockReader
-	comp *blockList
-	n    int
-	seen int
-	last DocID
-	err  error
-}
+// StreamIDTermList decodes a BlockIDTermListBuilder blob lazily from r.
+type StreamIDTermList struct{ list *blockList }
 
 // NewStreamIDTermList reads the header and returns a lazy iterator.
 func NewStreamIDTermList(r io.Reader) (*StreamIDTermList, error) {
-	br := newBlockReader(r)
-	if c, ok, err := maybeCompressed(br, nil); ok || err != nil {
-		if err != nil {
-			return nil, fmt.Errorf("postings: stream id+term list header: %w", err)
-		}
-		if c.layout != 0 && c.layout != layoutIDTerm {
-			return nil, fmt.Errorf("postings: stream id+term list: unexpected block layout %d", c.layout)
-		}
-		return &StreamIDTermList{br: br, comp: c, n: c.count}, nil
-	}
-	n, err := br.uvarint()
-	if err == io.EOF {
-		return &StreamIDTermList{br: br}, nil
-	}
+	d, err := openBlockList(r, nil, "id+term", layoutIDTerm)
 	if err != nil {
-		return nil, fmt.Errorf("postings: stream id+term list header: %w", err)
+		return nil, err
 	}
-	return &StreamIDTermList{br: br, n: int(n)}, nil
+	return &StreamIDTermList{list: d}, nil
 }
 
 // Len reports the total number of postings.
-func (s *StreamIDTermList) Len() int { return s.n }
+func (s *StreamIDTermList) Len() int { return s.list.count }
 
 // SeekDoc positions the iterator so the next entry returned is the first
-// with Doc >= doc, skipping whole posting blocks via the skip headers.  It
-// reports whether seeking was available (compressed blobs only).
-func (s *StreamIDTermList) SeekDoc(doc DocID) (bool, error) {
-	if s.comp == nil {
-		return false, nil
-	}
-	return true, s.comp.seekDoc(doc)
-}
+// with Doc >= doc, skipping whole posting blocks via the skip headers.
+func (s *StreamIDTermList) SeekDoc(doc DocID) error { return s.list.seekDoc(doc) }
 
 // NextBatch implements BatchIterator.
-func (s *StreamIDTermList) NextBatch(out []Entry) (int, error) {
-	if s.comp != nil {
-		return s.comp.NextBatch(out)
-	}
-	if s.err != nil {
-		return 0, s.err
-	}
-	n := 0
-	for n < len(out) && s.seen < s.n {
-		gap, err := s.br.uvarint()
-		if err != nil {
-			s.err = fmt.Errorf("postings: stream id+term list: %w", err)
-			return n, s.err
-		}
-		ts, err := s.br.float32()
-		if err != nil {
-			s.err = fmt.Errorf("postings: stream id+term list: %w", err)
-			return n, s.err
-		}
-		if s.seen == 0 {
-			s.last = DocID(gap)
-		} else {
-			s.last += DocID(gap)
-		}
-		s.seen++
-		out[n] = Entry{Doc: s.last, TermScore: ts}
-		n++
-	}
-	return n, nil
-}
-
-// Next implements Iterator.
-func (s *StreamIDTermList) Next() (Entry, bool, error) { return nextOne(s) }
+func (s *StreamIDTermList) NextBatch(out []Entry) (int, error) { return s.list.NextBatch(out) }

@@ -26,7 +26,6 @@
 // half-closed engine.
 //
 // The package also houses the serving load generator (RunSearchLoad), which
-// drives a query mix over real HTTP; svrbench -experiment serve and
-// BenchmarkServeQuery use it to report serving overhead against the direct
-// core.TextIndex.Search path.
+// drives a query mix over real HTTP; BenchmarkServeQuery uses it to report
+// serving overhead against the direct core.TextIndex.Search path.
 package server

@@ -21,8 +21,7 @@ import (
 // engine uses internally, with one extra wrinkle for TF-IDF: document
 // frequencies are collected from all shards first and the summed totals are
 // pinned into each shard's request, so sharded ranking is byte-identical to
-// a single engine holding all the data (see core.ScatterSearch for the
-// in-process equivalent and the full argument).
+// a single engine holding all the data (see scatterSearch for the argument).
 //
 // Availability beats completeness on the read path: a dead shard removes
 // its documents from the result and sets "partial": true, it does not fail

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"testing"
+	"time"
 
 	"svrdb/internal/core"
 	"svrdb/internal/relation"
@@ -146,7 +148,11 @@ func TestRouterLifecycleOverHTTPBackends(t *testing.T) {
 	}
 	base := "http://" + addr
 	t.Cleanup(func() {
-		if err := rt.Shutdown(t.Context()); err != nil {
+		// Not t.Context(): it is cancelled before cleanups run, which fails
+		// the drain whenever a keep-alive connection is still open.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := rt.Shutdown(ctx); err != nil {
 			t.Errorf("router shutdown: %v", err)
 		}
 	})

@@ -653,15 +653,6 @@ func (t *Tree) lookup(key []byte, copyVal bool) ([]byte, bool, error) {
 	return v, ok, err
 }
 
-func (t *Tree) findLeaf(key []byte) (*node, error) {
-	fr, err := t.findLeafFrame(key)
-	if err != nil {
-		return nil, err
-	}
-	defer fr.Release()
-	return parseNode(fr.ID(), fr.Data())
-}
-
 // --- insertion ---------------------------------------------------------------
 
 // Put inserts key with value, replacing any existing value.
@@ -1193,68 +1184,12 @@ func (t *Tree) AscendRange(start, end []byte, visit Visitor) error {
 	return t.View().AscendRange(start, end, visit)
 }
 
-// errDescendOnCOW rejects descending scans on COW trees: they walk the leaf
-// sibling chain, which COW mutation does not maintain.
-var errDescendOnCOW = errors.New("btree: descending scans are not supported on COW trees")
-
 // Ascend visits every key in ascending order.
 func (t *Tree) Ascend(visit Visitor) error { return t.AscendRange(nil, nil, visit) }
 
 // AscendPrefix visits every key beginning with prefix in ascending order.
 func (t *Tree) AscendPrefix(prefix []byte, visit Visitor) error {
 	return t.AscendRange(prefix, prefixEnd(prefix), visit)
-}
-
-// DescendRange visits keys in (startExclusiveHigh..end] descending.  A nil
-// high starts from the largest key; a nil low scans to the smallest.  The
-// high bound is exclusive, the low bound inclusive, mirroring AscendRange.
-// Only available on non-COW trees (see errDescendOnCOW).
-func (t *Tree) DescendRange(high, low []byte, visit Visitor) error {
-	if t.cow {
-		return errDescendOnCOW
-	}
-	var leaf *node
-	var err error
-	var i int
-	if high == nil {
-		leaf, err = t.rightmostLeaf()
-		if err != nil {
-			return err
-		}
-		i = len(leaf.keys) - 1
-	} else {
-		leaf, err = t.findLeaf(high)
-		if err != nil {
-			return err
-		}
-		i = searchKeys(leaf.keys, high) - 1
-	}
-	for {
-		for ; i >= 0; i-- {
-			if low != nil && bytes.Compare(leaf.keys[i], low) < 0 {
-				return nil
-			}
-			if !visit(leaf.keys[i], leaf.vals[i]) {
-				return nil
-			}
-		}
-		if leaf.prev == pagefile.InvalidPageID {
-			return nil
-		}
-		leaf, err = t.readNode(leaf.prev)
-		if err != nil {
-			return err
-		}
-		i = len(leaf.keys) - 1
-	}
-}
-
-// Descend visits every key in descending order.
-func (t *Tree) Descend(visit Visitor) error { return t.DescendRange(nil, nil, visit) }
-
-// DescendPrefix visits keys with the given prefix from highest to lowest.
-func (t *Tree) DescendPrefix(prefix []byte, visit Visitor) error {
-	return t.DescendRange(prefixEnd(prefix), prefix, visit)
 }
 
 // prefixEnd returns the smallest key greater than every key with the given
@@ -1277,20 +1212,6 @@ func (t *Tree) leftmostLeaf() (*node, error) {
 	}
 	for !n.leaf {
 		n, err = t.readNode(n.children[0])
-		if err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
-}
-
-func (t *Tree) rightmostLeaf() (*node, error) {
-	n, err := t.readNode(t.rootID())
-	if err != nil {
-		return nil, err
-	}
-	for !n.leaf {
-		n, err = t.readNode(n.children[len(n.children)-1])
 		if err != nil {
 			return nil, err
 		}

@@ -7,9 +7,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"svrdb/internal/storage/buffer"
-	"svrdb/internal/storage/pagefile"
 )
 
 // Property-based tests: the tree must behave exactly like a sorted map under
@@ -81,34 +78,6 @@ func TestTreeMatchesSortedMapProperty(t *testing.T) {
 		return tree.CheckInvariants() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDescendMatchesAscendReversed(t *testing.T) {
-	f := func(rawKeys []uint16) bool {
-		file := pagefile.MustNewMem(512)
-		pool := buffer.MustNew(file, 128)
-		tree := MustNew(pool)
-		for _, k := range rawKeys {
-			if err := tree.Put([]byte(fmt.Sprintf("k%05d", k)), []byte("v")); err != nil {
-				return false
-			}
-		}
-		var asc, desc []string
-		tree.Ascend(func(k, v []byte) bool { asc = append(asc, string(k)); return true })
-		tree.Descend(func(k, v []byte) bool { desc = append(desc, string(k)); return true })
-		if len(asc) != len(desc) {
-			return false
-		}
-		for i := range asc {
-			if asc[i] != desc[len(desc)-1-i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

@@ -189,30 +189,6 @@ func TestAscendOrder(t *testing.T) {
 	}
 }
 
-func TestDescendOrder(t *testing.T) {
-	tree, _ := newTestTree(t, 512, 256)
-	for i := 0; i < 1000; i++ {
-		if err := tree.Put([]byte(fmt.Sprintf("k%05d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var seen []string
-	if err := tree.Descend(func(k, v []byte) bool {
-		seen = append(seen, string(k))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 1000 {
-		t.Fatalf("Descend visited %d keys, want 1000", len(seen))
-	}
-	for i := 1; i < len(seen); i++ {
-		if seen[i-1] <= seen[i] {
-			t.Fatalf("Descend order violated at %d: %s then %s", i, seen[i-1], seen[i])
-		}
-	}
-}
-
 func TestAscendRangeBounds(t *testing.T) {
 	tree, _ := newTestTree(t, 512, 256)
 	for i := 0; i < 100; i++ {
@@ -278,33 +254,6 @@ func TestAscendPrefix(t *testing.T) {
 	}
 }
 
-func TestDescendPrefix(t *testing.T) {
-	tree, _ := newTestTree(t, 512, 256)
-	for i := 0; i < 20; i++ {
-		key := []byte(fmt.Sprintf("term\x00%02d", i))
-		if err := tree.Put(key, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// An entry under a different prefix that must not appear.
-	if err := tree.Put([]byte("tern\x0000"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	var seen []string
-	if err := tree.DescendPrefix([]byte("term\x00"), func(k, v []byte) bool {
-		seen = append(seen, string(k))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 20 {
-		t.Fatalf("DescendPrefix returned %d entries, want 20 (%v)", len(seen), seen)
-	}
-	if seen[0] != "term\x0019" || seen[19] != "term\x0000" {
-		t.Errorf("DescendPrefix order wrong: first %q last %q", seen[0], seen[19])
-	}
-}
-
 func TestDeleteThenScan(t *testing.T) {
 	tree, _ := newTestTree(t, 512, 256)
 	for i := 0; i < 300; i++ {
@@ -338,11 +287,8 @@ func TestScanEmptyTree(t *testing.T) {
 	if err := tree.Ascend(func(k, v []byte) bool { count++; return true }); err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.Descend(func(k, v []byte) bool { count++; return true }); err != nil {
-		t.Fatal(err)
-	}
 	if count != 0 {
-		t.Errorf("scans of empty tree visited %d keys", count)
+		t.Errorf("scan of empty tree visited %d keys", count)
 	}
 }
 

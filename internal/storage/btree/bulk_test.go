@@ -72,23 +72,11 @@ func TestBulkLoadEquivalence(t *testing.T) {
 					t.Fatalf("entry %d: bulk (%q,%q) != upsert (%q,%q)", i, bk[i], bv[i], uk[i], uv[i])
 				}
 			}
-			// Point lookups and descending scans agree too.
+			// Point lookups agree too.
 			for _, it := range items {
 				v, ok, err := bulk.Get(it.Key)
 				if err != nil || !ok || !bytes.Equal(v, it.Value) {
 					t.Fatalf("Get(%q) = %q, %v, %v", it.Key, v, ok, err)
-				}
-			}
-			var desc [][]byte
-			if err := bulk.Descend(func(k, v []byte) bool {
-				desc = append(desc, append([]byte(nil), k...))
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			for i := range desc {
-				if !bytes.Equal(desc[i], bk[len(bk)-1-i]) {
-					t.Fatalf("descend order broken at %d", i)
 				}
 			}
 			if err := pool.CheckPins(); err != nil {

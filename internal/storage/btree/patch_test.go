@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -202,86 +201,27 @@ func TestUpsertBatchPatchEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestDescendRangeExclusiveHighModel checks DescendRange's exclusive high /
-// inclusive low contract against a sorted-slice model, since the patch path
-// reuses the same leaf-walk machinery.
-func TestDescendRangeExclusiveHighModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	tree, _ := newTestTree(t, 512, 256)
-	var model []string
-	for i := 0; i < 500; i++ {
-		k := fmt.Sprintf("k%04d", rng.Intn(2000))
-		v := fixedVal("v", i)
-		inserted, err := tree.Upsert([]byte(k), v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inserted {
-			model = append(model, k)
-		}
-	}
-	sort.Strings(model)
-	for trial := 0; trial < 200; trial++ {
-		lo := fmt.Sprintf("k%04d", rng.Intn(2000))
-		hi := fmt.Sprintf("k%04d", rng.Intn(2000))
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		var want []string
-		for i := len(model) - 1; i >= 0; i-- {
-			if model[i] < hi && model[i] >= lo { // high exclusive, low inclusive
-				want = append(want, model[i])
-			}
-		}
-		var got []string
-		err := tree.DescendRange([]byte(hi), []byte(lo), func(k, v []byte) bool {
-			got = append(got, string(k))
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("DescendRange(%q, %q) returned %d keys, want %d", hi, lo, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("DescendRange(%q, %q)[%d] = %q, want %q", hi, lo, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // assertSameContents fails unless both trees yield identical key/value
-// sequences ascending and descending.
+// sequences.
 func assertSameContents(t *testing.T, a, b *Tree) {
 	t.Helper()
-	dump := func(tr *Tree, desc bool) []string {
+	dump := func(tr *Tree) []string {
 		var out []string
-		visit := func(k, v []byte) bool {
+		if err := tr.Ascend(func(k, v []byte) bool {
 			out = append(out, string(k)+"="+string(v))
 			return true
-		}
-		var err error
-		if desc {
-			err = tr.Descend(visit)
-		} else {
-			err = tr.Ascend(visit)
-		}
-		if err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-	for _, desc := range []bool{false, true} {
-		da, db := dump(a, desc), dump(b, desc)
-		if len(da) != len(db) {
-			t.Fatalf("desc=%v: %d entries vs %d", desc, len(da), len(db))
-		}
-		for i := range da {
-			if da[i] != db[i] {
-				t.Fatalf("desc=%v: entry %d differs: %q vs %q", desc, i, da[i], db[i])
-			}
+	da, db := dump(a), dump(b)
+	if len(da) != len(db) {
+		t.Fatalf("%d entries vs %d", len(da), len(db))
+	}
+	for i := range da {
+		if da[i] != db[i] {
+			t.Fatalf("entry %d differs: %q vs %q", i, da[i], db[i])
 		}
 	}
 }

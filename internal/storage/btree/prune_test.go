@@ -71,14 +71,6 @@ func TestDeleteUnlinksEmptiedLeaves(t *testing.T) {
 			t.Fatalf("Ascend[%d] = %q, want %q", j, got[j], keys[i])
 		}
 	}
-	// Descend crosses the hole in the other direction.
-	got = got[:0]
-	if err := tree.Descend(func(k, v []byte) bool { got = append(got, string(k)); return true }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(survivors) {
-		t.Fatalf("Descend returned %d keys, want %d", len(got), len(survivors))
-	}
 	// A range scan entirely inside the emptied hole yields nothing.
 	count := 0
 	if err := tree.AscendRange(keys[lo], keys[hi-1], func(k, v []byte) bool { count++; return true }); err != nil {
@@ -86,12 +78,6 @@ func TestDeleteUnlinksEmptiedLeaves(t *testing.T) {
 	}
 	if count != 0 {
 		t.Errorf("AscendRange over emptied hole returned %d keys", count)
-	}
-	if err := tree.DescendRange(keys[hi-1], keys[lo], func(k, v []byte) bool { count++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if count != 0 {
-		t.Errorf("DescendRange over emptied hole returned %d keys", count)
 	}
 	// A range scan straddling the hole sees only the survivors at its edges.
 	var straddle []string
