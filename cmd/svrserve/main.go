@@ -16,9 +16,12 @@
 //	     localhost:8080/v1/batch
 //	curl localhost:8080/v1/stats
 //
-// Sharded serving.  The same binary runs three more shapes:
+// Sharded serving.  Every shape below is the same server — one handler set
+// over a list of backends, of which the single engine above is the
+// one-backend case — so the API, its status codes and its /healthz and
+// /v1/stats bodies are the same in all of them:
 //
-//	svrserve -addr :8080 -router -shards 4        # router over 4 in-process shards
+//	svrserve -addr :8080 -router -shards 4        # 4 in-process shards
 //
 //	svrserve -addr :8081 -shard-index 0 -shard-count 2   # shard server 0
 //	svrserve -addr :8082 -shard-index 1 -shard-count 2   # shard server 1
@@ -27,10 +30,11 @@
 //
 // A shard server builds only its partition of the dataset (the generator's
 // random stream is shared, so the shards exactly partition the single-node
-// dataset); the router scatter-gathers searches across shards — with
-// cluster-global IDF, so ranking is identical to a single node — and routes
-// writes to the owning shard.  A dead shard degrades searches to partial
-// results instead of failing them.
+// dataset); over several shards searches scatter and gather — with
+// cluster-global IDF, so ranking is identical to a single node — writes go
+// to the owning shard, tenants and indexes are created everywhere and one
+// change stream carries every shard's changes.  A dead shard degrades
+// searches to partial results instead of failing them.
 package main
 
 import (
@@ -197,73 +201,49 @@ func newEngine(cfg config, dataPath string, keep func(int64) bool) (*core.Engine
 	return engine, nil
 }
 
-// daemon is what the serve loop needs from either frontend; *server.Server
-// and *server.Router both satisfy it.
-type daemon interface {
-	Start(addr string) (string, error)
-	Done() <-chan struct{}
-	ServeErr() error
-	Shutdown(ctx context.Context) error
-}
-
-// newSingleServer builds the classic single-engine server, optionally
-// restricted to one shard's slice (-shard-index/-shard-count).
-func newSingleServer(cfg config) (daemon, error) {
-	var keep func(int64) bool
-	if cfg.shardIndex >= 0 {
-		if cfg.shardCount < 1 || cfg.shardIndex >= cfg.shardCount {
-			return nil, fmt.Errorf("-shard-index %d requires -shard-count > %d", cfg.shardIndex, cfg.shardIndex)
-		}
-		var err error
-		keep, err = shardKeep(cfg.partitioner, cfg.shardIndex, cfg.shardCount)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("serving shard %d of %d\n", cfg.shardIndex, cfg.shardCount)
-	}
-	engine, err := newEngine(cfg, cfg.dataPath, keep)
-	if err != nil {
-		return nil, err
-	}
-	ti, err := engine.TextIndex("movies_desc")
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("index ready (method=%s, long lists %.2f MB)\n",
-		ti.Stats().Method, float64(ti.Stats().LongListBytes)/(1024*1024))
-	return server.New(engine, server.Options{ReadTimeout: 30 * time.Second}), nil
-}
-
-// newRouterServer builds the router frontend: over remote shard servers when
-// -backends is given, over in-process shard engines otherwise.
-func newRouterServer(cfg config) (daemon, error) {
+// newServer builds the backends — remote shard servers when -backends is
+// given, in-process engines otherwise — and puts the one handler set over
+// them.  An in-process engine per shard: every slice of -shards with
+// -router, this process's own slice with -shard-index/-shard-count, the
+// whole dataset otherwise.
+func newServer(cfg config) (*server.Server, error) {
 	var backends []server.Backend
-	if cfg.backends != "" {
+	if cfg.router && cfg.backends != "" {
 		for _, u := range strings.Split(cfg.backends, ",") {
-			u = strings.TrimSpace(u)
-			if u == "" {
-				continue
+			if u = strings.TrimSpace(u); u != "" {
+				backends = append(backends, server.NewHTTPBackend(u, cfg.hedge))
 			}
-			backends = append(backends, server.NewHTTPBackend(u, cfg.hedge))
 		}
 		if len(backends) == 0 {
 			return nil, fmt.Errorf("-backends parsed to zero URLs")
 		}
 		fmt.Printf("routing across %d shard servers (hedge %s)\n", len(backends), cfg.hedge)
 	} else {
-		if cfg.shards < 1 {
-			return nil, fmt.Errorf("-shards must be at least 1")
-		}
-		for i := 0; i < cfg.shards; i++ {
-			keep, err := shardKeep(cfg.partitioner, i, cfg.shards)
-			if err != nil {
-				return nil, err
+		first, last, of := 0, 0, 1
+		switch {
+		case cfg.router:
+			if cfg.shards < 1 {
+				return nil, fmt.Errorf("-shards must be at least 1")
 			}
+			last, of = cfg.shards-1, cfg.shards
+			fmt.Printf("routing across %d in-process shards\n", cfg.shards)
+		case cfg.shardIndex >= 0:
+			if cfg.shardIndex >= cfg.shardCount {
+				return nil, fmt.Errorf("-shard-index %d requires -shard-count > %d", cfg.shardIndex, cfg.shardIndex)
+			}
+			first, last, of = cfg.shardIndex, cfg.shardIndex, cfg.shardCount
+			fmt.Printf("serving shard %d of %d\n", cfg.shardIndex, cfg.shardCount)
+		}
+		for i := first; i <= last; i++ {
+			keep, err := shardKeep(cfg.partitioner, i, of)
 			dataPath := cfg.dataPath
-			if dataPath != "" {
+			if dataPath != "" && cfg.router {
 				dataPath = fmt.Sprintf("%s.shard-%d", dataPath, i)
 			}
-			engine, err := newEngine(cfg, dataPath, keep)
+			var engine *core.Engine
+			if err == nil {
+				engine, err = newEngine(cfg, dataPath, keep)
+			}
 			if err != nil {
 				for _, b := range backends {
 					b.Close()
@@ -272,7 +252,6 @@ func newRouterServer(cfg config) (daemon, error) {
 			}
 			backends = append(backends, server.NewEngineBackend(fmt.Sprintf("shard-%d", i), engine, true))
 		}
-		fmt.Printf("routing across %d in-process shards\n", len(backends))
 	}
 	return server.NewRouter(backends, server.RouterOptions{
 		ReadTimeout:    30 * time.Second,
@@ -282,15 +261,7 @@ func newRouterServer(cfg config) (daemon, error) {
 }
 
 func run(cfg config) error {
-	var (
-		d   daemon
-		err error
-	)
-	if cfg.router {
-		d, err = newRouterServer(cfg)
-	} else {
-		d, err = newSingleServer(cfg)
-	}
+	d, err := newServer(cfg)
 	if err != nil {
 		return err
 	}

@@ -4,50 +4,59 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
 	"sync/atomic"
 	"time"
-
-	"svrdb/internal/core"
-	"svrdb/internal/relation"
 )
 
-// Backend is one shard as the Router sees it: the subset of the single-node
-// API the scatter-gather layer needs, expressed over the same JSON DTOs the
-// wire uses.  Two implementations exist — EngineBackend calls an in-process
-// core.Engine directly, HTTPBackend speaks to a remote svrserve — and the
-// Router cannot tell them apart, so a deployment can start with in-process
-// shards and split them across machines without touching routing logic.
+// Backend is one shard as the Router sees it: every operation of the API
+// with a transport-neutral signature over the same JSON DTOs the wire uses.
+// Two implementations exist — EngineBackend calls an in-process core.Engine
+// directly, HTTPBackend speaks to a remote svrserve — and the Router cannot
+// tell them apart, so a deployment can start with in-process shards and
+// split them across machines without touching routing logic.  Names arrive
+// tenant-qualified and bodies validated: the Router's handlers do both once.
 type Backend interface {
 	// Label identifies the shard in health and stats output.
 	Label() string
+	// Search takes a canonical request: Query set, Terms empty, K bounded.
 	Search(ctx context.Context, index string, req SearchRequest) (*SearchResponse, error)
 	TermStats(ctx context.Context, index, query string) (*TermStatsResponse, error)
 	InsertRows(ctx context.Context, table string, rows []map[string]json.RawMessage) error
 	Batch(ctx context.Context, ops []BatchOp) (*BatchResponse, error)
 	Schema(ctx context.Context, table string) (*SchemaResponse, error)
 	Stats(ctx context.Context) (map[string]any, error)
-	// CreateIndex builds a text index on this shard; the router fans it out
-	// to every shard so searches can scatter uniformly afterwards.
-	CreateIndex(ctx context.Context, req CreateIndexRequest) error
+	// CreateIndex builds a text index on this shard and reports it with the
+	// resolved method; the Router fans it out to every shard so searches can
+	// scatter uniformly afterwards.
+	CreateIndex(ctx context.Context, req CreateIndexRequest) (*CreateIndexResponse, error)
 	// DropIndex removes a text index from this shard.
 	DropIndex(ctx context.Context, name string) error
-	// CreateTenant registers (or re-quotas) a tenant on this shard.
-	CreateTenant(ctx context.Context, req CreateTenantRequest) error
+	// CreateTenant registers (or re-quotas) a tenant on this shard and
+	// reports its quota and this shard's usage.
+	CreateTenant(ctx context.Context, req CreateTenantRequest) (*TenantStatus, error)
+	// Tenants lists every registered tenant with this shard's usage.
+	Tenants(ctx context.Context) ([]TenantStatus, error)
+	// Changes streams the table's committed changes to emit, in commit
+	// order, until ctx ends (nil) or emit fails (its error).  subscribed is
+	// called once, before any emit, when the subscription is in place: every
+	// change committed after it returns is delivered or announced by a
+	// Lagged marker.  An error before subscribed means nothing was
+	// subscribed.
+	Changes(ctx context.Context, table string, subscribed func(), emit func(ChangeEvent) error) error
 	// Health returns nil when the shard can serve.
 	Health(ctx context.Context) error
 	Close() error
 }
 
-// backendError carries the HTTP status a backend's failure maps to — for
-// HTTPBackend, the status the remote shard already chose; for in-process
-// validation failures, the status the single-node handler would have sent.
+// backendError is an error that knows its HTTP status — for HTTPBackend,
+// the status the remote shard already chose; for a request the front end or
+// an in-process backend rejects itself, the status that rejection earns.
 // resp, when set, is the structured error body to forward verbatim (a
-// shard's not_found payload keeps its code/resource/name fields through the
-// router).
+// shard's not_found payload keeps its code/resource/name fields through
+// every hop).
 type backendError struct {
 	status int
 	msg    string
@@ -56,8 +65,9 @@ type backendError struct {
 
 func (e *backendError) Error() string { return e.msg }
 
-// notFoundBackendErr builds the structured 404 the single-node handlers
-// emit, wrapped as a backendError so the router forwards the same shape.
+// notFoundBackendErr builds the structured 404 of a missing index or table
+// as a backendError, so it reaches the client in the same shape over any
+// number of hops.
 func notFoundBackendErr(resource, name string, err error) *backendError {
 	return &backendError{
 		status: http.StatusNotFound,
@@ -71,139 +81,10 @@ func notFoundBackendErr(resource, name string, err error) *backendError {
 	}
 }
 
-// httpStatusOf maps a backend failure to a response status: a backendError
-// keeps its embedded status, anything else goes through the engine-error
-// mapping.
-func httpStatusOf(err error) int {
-	var be *backendError
-	if errors.As(err, &be) {
-		return be.status
-	}
-	return statusForEngineErr(err)
-}
-
-// --- in-process backend ----------------------------------------------------------
-
-// EngineBackend serves a shard from an engine in the router's own process.
-// It reuses the exact request bodies the single-node handlers run
-// (insertJSONRows, applyJSONBatch, coreSearchRequest), so routed and direct
-// writes take the same code path.
-type EngineBackend struct {
-	label  string
-	engine *core.Engine
-	// ownsEngine: Close closes the engine only if this backend opened it
-	// conceptually (the router built it), not when the caller shares the
-	// engine with other frontends.
-	ownsEngine bool
-}
-
-// NewEngineBackend wraps an engine as a shard backend.  When ownsEngine is
-// true, closing the backend closes the engine.
-func NewEngineBackend(label string, engine *core.Engine, ownsEngine bool) *EngineBackend {
-	return &EngineBackend{label: label, engine: engine, ownsEngine: ownsEngine}
-}
-
-// Engine returns the wrapped engine (tests and the bench harness use it to
-// load shard data directly).
-func (b *EngineBackend) Engine() *core.Engine { return b.engine }
-
-func (b *EngineBackend) Label() string { return b.label }
-
-func (b *EngineBackend) Search(ctx context.Context, index string, req SearchRequest) (*SearchResponse, error) {
-	query, err := normalizeQuery(req.Query, req.Terms)
-	if err != nil {
-		return nil, &backendError{status: http.StatusBadRequest, msg: err.Error()}
-	}
-	k, err := boundSearchK(req.K)
-	if err != nil {
-		return nil, &backendError{status: http.StatusBadRequest, msg: err.Error()}
-	}
-	ti, err := b.engine.TextIndex(index)
-	if err != nil {
-		return nil, notFoundBackendErr("index", index, err)
-	}
-	res, err := ti.Search(coreSearchRequest(query, k, req))
-	if err != nil {
-		return nil, err
-	}
-	resp := searchResponseFromResult(b.engine, ti.Table(), res, req.LoadRows)
-	return &resp, nil
-}
-
-func (b *EngineBackend) TermStats(ctx context.Context, index, query string) (*TermStatsResponse, error) {
-	ti, err := b.engine.TextIndex(index)
-	if err != nil {
-		return nil, notFoundBackendErr("index", index, err)
-	}
-	numDocs, df, err := ti.TermStats(query)
-	if err != nil {
-		return nil, err
-	}
-	return &TermStatsResponse{NumDocs: numDocs, DF: df}, nil
-}
-
-func (b *EngineBackend) InsertRows(ctx context.Context, table string, rows []map[string]json.RawMessage) error {
-	return insertJSONRows(b.engine, table, rows)
-}
-
-func (b *EngineBackend) Batch(ctx context.Context, ops []BatchOp) (*BatchResponse, error) {
-	matched, err := applyJSONBatch(b.engine, ops)
-	if err != nil {
-		return nil, err
-	}
-	return &BatchResponse{Applied: len(ops), Matched: matched}, nil
-}
-
-func (b *EngineBackend) Schema(ctx context.Context, table string) (*SchemaResponse, error) {
-	tbl, err := b.engine.DB().Table(table)
-	if err != nil {
-		return nil, notFoundBackendErr("table", table, err)
-	}
-	resp := schemaResponse(table, tbl.Schema())
-	return &resp, nil
-}
-
-func (b *EngineBackend) Stats(ctx context.Context) (map[string]any, error) {
-	return engineStatsPayload(b.engine), nil
-}
-
-func (b *EngineBackend) CreateIndex(ctx context.Context, req CreateIndexRequest) error {
-	return createJSONIndex(b.engine, req)
-}
-
-func (b *EngineBackend) DropIndex(ctx context.Context, name string) error {
-	if err := b.engine.DropTextIndex(name); err != nil {
-		if errors.Is(err, relation.ErrNotFound) {
-			return notFoundBackendErr("index", name, err)
-		}
-		return err
-	}
-	return nil
-}
-
-func (b *EngineBackend) CreateTenant(ctx context.Context, req CreateTenantRequest) error {
-	return createJSONTenant(b.engine, req)
-}
-
-// Health reports the engine's close state; an in-process shard is down only
-// once its engine is closed.
-func (b *EngineBackend) Health(ctx context.Context) error {
-	if b.engine.Closed() {
-		return fmt.Errorf("engine closed: %w", core.ErrClosed)
-	}
-	return nil
-}
-
-func (b *EngineBackend) Close() error {
-	if !b.ownsEngine {
-		return nil
-	}
-	return b.engine.Close()
-}
-
 // --- HTTP backend ----------------------------------------------------------------
 
-// HTTPBackend serves a shard over the single-node HTTP API.  Searches are
+// HTTPBackend serves a shard over the HTTP API of a remote svrserve — the
+// same API this package serves, so shards stack.  Searches are
 // hedged: when a response has not arrived within the hedge threshold a
 // second identical request is issued and the first answer wins, trading a
 // bounded amount of duplicate read work for immunity to one slow replica
@@ -214,8 +95,7 @@ type HTTPBackend struct {
 	client  *http.Client
 	hedge   time.Duration
 
-	hedged   atomic.Uint64
-	failures atomic.Uint64
+	hedged atomic.Uint64
 }
 
 // NewHTTPBackend builds a backend for a remote shard at baseURL (e.g.
@@ -241,49 +121,52 @@ func (b *HTTPBackend) Label() string { return b.label }
 // HedgedSearches reports how many hedge requests this backend has issued.
 func (b *HTTPBackend) HedgedSearches() uint64 { return b.hedged.Load() }
 
-// do runs one request and decodes the response; non-2xx bodies become
-// backendErrors carrying the remote status.
-func (b *HTTPBackend) do(ctx context.Context, method, path string, in, out any) error {
-	var body *bytes.Reader
+// send runs one request and returns the open 2xx response; non-2xx bodies
+// become backendErrors carrying the remote status.
+func (b *HTTPBackend) send(ctx context.Context, method, path string, in any) (*http.Response, error) {
+	var body []byte
 	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return err
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return nil, err
 		}
-		body = bytes.NewReader(buf)
-	} else {
-		body = bytes.NewReader(nil)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, b.baseURL+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, b.baseURL+path, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := b.client.Do(req)
 	if err != nil {
-		b.failures.Add(1)
-		return fmt.Errorf("shard %s: %w", b.label, err)
+		return nil, fmt.Errorf("shard %s: %w", b.label, err)
+	}
+	if resp.StatusCode >= 200 && resp.StatusCode <= 299 {
+		return resp, nil
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var er ErrorResponse
-		msg := resp.Status
-		var structured *ErrorResponse
-		if json.NewDecoder(resp.Body).Decode(&er) == nil && er.Error != "" {
-			msg = er.Error
-			if er.Code != "" {
-				// Keep the shard's structured body so the router can forward
-				// the same shape it would have produced itself.
-				structured = &er
-			}
+	var er ErrorResponse
+	msg := resp.Status
+	var structured *ErrorResponse
+	if json.NewDecoder(resp.Body).Decode(&er) == nil && er.Error != "" {
+		msg = er.Error
+		if er.Code != "" {
+			// Keep the shard's structured body so the Router can forward
+			// the same shape it would have produced itself.
+			structured = &er
 		}
-		if resp.StatusCode >= 500 {
-			b.failures.Add(1)
-		}
-		return &backendError{status: resp.StatusCode, msg: fmt.Sprintf("shard %s: %s", b.label, msg), resp: structured}
 	}
+	return nil, &backendError{status: resp.StatusCode, msg: fmt.Sprintf("shard %s: %s", b.label, msg), resp: structured}
+}
+
+// do runs one request and decodes the 2xx response body into out.
+func (b *HTTPBackend) do(ctx context.Context, method, path string, in, out any) error {
+	resp, err := b.send(ctx, method, path, in)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
 	if out == nil {
 		return nil
 	}
@@ -380,16 +263,58 @@ func (b *HTTPBackend) Stats(ctx context.Context) (map[string]any, error) {
 	return out, nil
 }
 
-func (b *HTTPBackend) CreateIndex(ctx context.Context, req CreateIndexRequest) error {
-	return b.do(ctx, http.MethodPost, "/v1/indexes", req, nil)
+func (b *HTTPBackend) CreateIndex(ctx context.Context, req CreateIndexRequest) (*CreateIndexResponse, error) {
+	var out CreateIndexResponse
+	if err := b.do(ctx, http.MethodPost, "/v1/indexes", req, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
 func (b *HTTPBackend) DropIndex(ctx context.Context, name string) error {
 	return b.do(ctx, http.MethodDelete, "/v1/indexes/"+url.PathEscape(name), nil, nil)
 }
 
-func (b *HTTPBackend) CreateTenant(ctx context.Context, req CreateTenantRequest) error {
-	return b.do(ctx, http.MethodPost, "/v1/tenants", req, nil)
+func (b *HTTPBackend) CreateTenant(ctx context.Context, req CreateTenantRequest) (*TenantStatus, error) {
+	var out TenantStatus
+	if err := b.do(ctx, http.MethodPost, "/v1/tenants", req, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+func (b *HTTPBackend) Tenants(ctx context.Context) ([]TenantStatus, error) {
+	var out TenantsResponse
+	if err := b.do(ctx, http.MethodGet, "/v1/tenants", nil, &out); err != nil {
+		return nil, err
+	}
+	return out.Tenants, nil
+}
+
+// Changes reads the shard's NDJSON change stream; the shard's 200 is the
+// subscription (it answers only once its listener is registered).
+func (b *HTTPBackend) Changes(ctx context.Context, table string, subscribed func(), emit func(ChangeEvent) error) error {
+	resp, err := b.send(ctx, http.MethodGet, "/v1/changes?table="+url.QueryEscape(table), nil)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	subscribed()
+	dec := json.NewDecoder(resp.Body)
+	dec.UseNumber() // row cells pass through verbatim, int64 keys included
+	for {
+		var ev ChangeEvent
+		if err := dec.Decode(&ev); err != nil {
+			if ctx.Err() != nil {
+				return nil
+			}
+			// The shard ended the stream (it is draining or gone).
+			return fmt.Errorf("shard %s: change stream: %w", b.label, err)
+		}
+		if err := emit(ev); err != nil {
+			return err
+		}
+	}
 }
 
 func (b *HTTPBackend) Health(ctx context.Context) error {

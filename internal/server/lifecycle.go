@@ -11,21 +11,15 @@ import (
 	"time"
 )
 
-// lifecycle is the HTTP serving skeleton shared by the single-engine Server
-// and the shard Router: listener ownership, the draining fence, in-flight
-// request accounting and the ordered graceful shutdown.  Both frontends
-// differ only in what they put behind the fence (an engine's routes vs the
-// scatter-gather routes) and what they close after the drain (the engine vs
-// the shard backends), so the machinery lives here exactly once.
+// lifecycle is the Router's HTTP serving skeleton: listener ownership, the
+// draining fence, in-flight request accounting and the ordered graceful
+// shutdown.
 type lifecycle struct {
-	readTimeout  time.Duration
-	writeTimeout time.Duration
-
 	// draining turns new requests away with 503 while shutdown waits for
 	// in-flight ones; it is the HTTP analogue of the engine's close fence.
 	draining atomic.Bool
 	// inflightN counts requests inside the fence, so shutdown can drain
-	// them even when the server does not own the listener (a caller
+	// them even when the router does not own the listener (a caller
 	// embedding the handler in its own http.Server) — http.Server.Shutdown
 	// only covers the owned-listener path.  A mutex-guarded counter with an
 	// idle signal, not a sync.WaitGroup: requests keep arriving (to be
@@ -41,8 +35,8 @@ type lifecycle struct {
 	listener net.Listener
 	// serveDone closes when the accept loop exits; serveErr (valid after
 	// the close) is nil on a clean ErrServerClosed exit.  Exposed through
-	// done/serveError so a daemon can notice its accept loop dying instead
-	// of serving nothing until an operator intervenes.
+	// Done/ServeErr so a daemon can notice its accept loop dying instead of
+	// serving nothing until an operator intervenes.
 	serveDone chan struct{}
 	serveErr  error
 
@@ -50,112 +44,114 @@ type lifecycle struct {
 	closeErr  error
 }
 
-func newLifecycle(readTimeout, writeTimeout time.Duration) *lifecycle {
-	return &lifecycle{
-		readTimeout:  readTimeout,
-		writeTimeout: writeTimeout,
-		serveDone:    make(chan struct{}),
-	}
-}
-
-// fence wraps root with the in-flight counter and the draining 503 fence.
-func (l *lifecycle) fence(root http.Handler) http.Handler {
+// Handler returns the router's root handler: the route mux behind the
+// in-flight counter and the draining fence.  Exposed so tests and embedding
+// callers can serve it from their own listener.
+func (rt *Router) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Count before the fence check: a request that passes the check is
 		// always visible to shutdown's drain wait.
-		l.inflightMu.Lock()
-		l.inflightN++
-		l.inflightMu.Unlock()
+		rt.inflightMu.Lock()
+		rt.inflightN++
+		rt.inflightMu.Unlock()
 		defer func() {
-			l.inflightMu.Lock()
-			l.inflightN--
-			if l.inflightN == 0 && l.inflightIdle != nil {
-				close(l.inflightIdle)
-				l.inflightIdle = nil
+			rt.inflightMu.Lock()
+			rt.inflightN--
+			if rt.inflightN == 0 && rt.inflightIdle != nil {
+				close(rt.inflightIdle)
+				rt.inflightIdle = nil
 			}
-			l.inflightMu.Unlock()
+			rt.inflightMu.Unlock()
 		}()
-		if l.draining.Load() {
-			writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
+		if rt.draining.Load() {
+			writeError(w, &backendError{status: http.StatusServiceUnavailable, msg: "server is draining"})
 			return
 		}
-		root.ServeHTTP(w, r)
+		// The mux's built-in 404/405 responses are plain text; the API
+		// contract says every non-2xx body is {"error":...} JSON, so those
+		// defaults are rewritten on the way out and recorded under a
+		// catch-all metrics label (they never reach an instrumented route).
+		jw := &jsonErrorWriter{ResponseWriter: w}
+		start := time.Now()
+		rt.mux.ServeHTTP(jw, r)
+		if jw.rewrote {
+			rt.metrics.Observe("(unmatched)", jw.status, time.Since(start))
+		}
 	})
 }
 
-// start listens on addr and serves handler in a background goroutine,
-// returning the bound address.
-func (l *lifecycle) start(addr string, handler http.Handler) (string, error) {
+// Start listens on addr (e.g. ":8080", or "127.0.0.1:0" for an ephemeral
+// port) and serves in a background goroutine.  It returns the bound address.
+func (rt *Router) Start(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	l.listener = ln
-	l.httpSrv = &http.Server{
-		Handler:      handler,
-		ReadTimeout:  l.readTimeout,
-		WriteTimeout: l.writeTimeout,
+	rt.listener = ln
+	rt.httpSrv = &http.Server{
+		Handler:      rt.Handler(),
+		ReadTimeout:  rt.opts.ReadTimeout,
+		WriteTimeout: rt.opts.WriteTimeout,
 	}
 	go func() {
-		err := l.httpSrv.Serve(ln)
+		err := rt.httpSrv.Serve(ln)
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			l.serveErr = err
+			rt.serveErr = err
 		}
-		close(l.serveDone)
+		close(rt.serveDone)
 	}()
 	return ln.Addr().String(), nil
 }
 
-// done closes when the accept loop has exited — after shutdown, or early if
-// Serve failed.
-func (l *lifecycle) done() <-chan struct{} { return l.serveDone }
+// Done closes when the accept loop has exited — after Shutdown, or early if
+// Serve failed.  A daemon selects on it alongside its signal channel.
+func (rt *Router) Done() <-chan struct{} { return rt.serveDone }
 
-// isDraining reports whether shutdown has begun; long-lived streaming
-// handlers poll it so an open stream ends promptly instead of holding the
-// handler drain until its context deadline.
-func (l *lifecycle) isDraining() bool { return l.draining.Load() }
+// ServeErr reports why the accept loop exited; it is meaningful once Done
+// is closed and nil for a clean shutdown.
+func (rt *Router) ServeErr() error { return rt.serveErr }
 
-// serveError reports why the accept loop exited; it is meaningful once
-// done is closed and nil for a clean shutdown.
-func (l *lifecycle) serveError() error { return l.serveErr }
-
-// shutdown drains and closes, in the order that keeps every response whole:
+// Shutdown drains and closes, in the order that keeps every response whole:
 //
 //  1. the draining fence flips — requests arriving from here on get a
-//     clean 503 without touching the backend;
+//     clean 503 without touching a backend, and open change streams end at
+//     their next tick;
 //  2. http.Server.Shutdown stops the listener and waits (up to ctx) for
 //     in-flight handlers to finish writing their responses;
-//  3. closer runs — Engine.Close for the single-engine server, the health
-//     checker stop plus backend closes for the router.
+//  3. the health prober stops, then every backend closes — for an owning
+//     EngineBackend that is Engine.Close, which drains the index locks,
+//     surfaces maintenance errors, flushes dirty pages and audits
+//     buffer-pool pin accounting.
 //
-// shutdown is idempotent; concurrent and repeated calls return the first
-// call's result.
-func (l *lifecycle) shutdown(ctx context.Context, closer func() error) error {
-	l.closeOnce.Do(func() {
-		l.draining.Store(true)
+// Within ctx's deadline a request never observes a closed engine; a
+// straggler past it hits the engine's close fence and gets a clean 503 —
+// never a torn response.  Shutdown is idempotent; concurrent and repeated
+// calls return the first call's result.
+func (rt *Router) Shutdown(ctx context.Context) error {
+	rt.closeOnce.Do(func() {
+		rt.draining.Store(true)
 		var errs []error
-		if l.listener != nil {
-			if err := l.httpSrv.Shutdown(ctx); err != nil {
+		if rt.listener != nil {
+			if err := rt.httpSrv.Shutdown(ctx); err != nil {
 				errs = append(errs, fmt.Errorf("server: http shutdown: %w", err))
 			}
-			<-l.serveDone
-			if l.serveErr != nil {
-				errs = append(errs, fmt.Errorf("server: serve: %w", l.serveErr))
+			<-rt.serveDone
+			if rt.serveErr != nil {
+				errs = append(errs, fmt.Errorf("server: serve: %w", rt.serveErr))
 			}
 		}
 		// Drain the handlers themselves (covers the embedded-handler case,
 		// where no owned http.Server waits for them).  Requests arriving
 		// during the wait only run the 503 fence path, so the one
-		// zero-crossing signal suffices.  If ctx expires first, closer
-		// proceeds anyway: stragglers then hit the backend's close fence
-		// and return a clean 503, never a torn response.
-		l.inflightMu.Lock()
+		// zero-crossing signal suffices.  If ctx expires first, the close
+		// proceeds anyway: stragglers then hit the backend's close fence.
+		rt.inflightMu.Lock()
 		var drained chan struct{}
-		if l.inflightN > 0 {
+		if rt.inflightN > 0 {
 			drained = make(chan struct{})
-			l.inflightIdle = drained
+			rt.inflightIdle = drained
 		}
-		l.inflightMu.Unlock()
+		rt.inflightMu.Unlock()
 		if drained != nil {
 			select {
 			case <-drained:
@@ -163,10 +159,14 @@ func (l *lifecycle) shutdown(ctx context.Context, closer func() error) error {
 				errs = append(errs, fmt.Errorf("server: handler drain: %w", ctx.Err()))
 			}
 		}
-		if err := closer(); err != nil {
-			errs = append(errs, err)
+		close(rt.stop)
+		rt.probing.Wait()
+		for _, b := range rt.backends {
+			if err := b.Close(); err != nil {
+				errs = append(errs, fmt.Errorf("server: backend %s close: %w", b.Label(), err))
+			}
 		}
-		l.closeErr = errors.Join(errs...)
+		rt.closeErr = errors.Join(errs...)
 	})
-	return l.closeErr
+	return rt.closeErr
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -63,9 +64,14 @@ func assertNotFoundShape(t *testing.T, data []byte, resource, name string) {
 // TestIndexLifecycleEndpoints drives the full create → query → drop cycle
 // over HTTP, including every error shape the endpoints promise.
 func TestIndexLifecycleEndpoints(t *testing.T) {
-	_, base, _, _ := newTestServer(t)
+	forEachDeployment(t, testIndexLifecycleEndpoints)
+}
 
-	// Create a second index over the same table with a different method.
+func testIndexLifecycleEndpoints(t *testing.T, d *deployment) {
+	base := d.base
+
+	// Create a second index over the same table with a different method;
+	// the reply names the method the engine resolved, not the request's.
 	status, data := doJSON(t, http.MethodPost, base+"/v1/indexes", CreateIndexRequest{
 		Name: "docs2", Table: "Docs", Column: "body", Method: "id", Spec: "val",
 	}, nil)
@@ -75,6 +81,12 @@ func TestIndexLifecycleEndpoints(t *testing.T) {
 	var cr CreateIndexResponse
 	if err := json.Unmarshal(data, &cr); err != nil || cr.Name != "docs2" || cr.Method != "ID" {
 		t.Fatalf("create response %s (err %v), want name docs2 method ID", data, err)
+	}
+	status, data = doJSON(t, http.MethodPost, base+"/v1/indexes", CreateIndexRequest{
+		Name: "docs3", Table: "Docs", Column: "body", Spec: "val",
+	}, nil)
+	if err := json.Unmarshal(data, &cr); status != http.StatusCreated || err != nil || cr.Method == "" {
+		t.Fatalf("create with the default method: status %d body %s, want 201 naming the resolved method", status, data)
 	}
 
 	// The new index answers immediately and agrees with the original.
@@ -143,17 +155,26 @@ func TestIndexLifecycleEndpoints(t *testing.T) {
 }
 
 // TestTenantEndpointsAndQuota exercises the tenant API end to end: register
-// a tenant, namespace requests with X-SVR-Tenant, build a tenant index over
-// a tenant table, hit the quota (429), and read the per-tenant stats slice.
+// a tenant, namespace requests with X-SVR-Tenant on every named route, build
+// a tenant index over a tenant table, hit the quota (429), and read the
+// per-tenant stats slice.  Quotas are per shard, so the tenant's rows all
+// carry ids divisible by 6 — one shard owns them under mod 1, 2 and 3 alike
+// and the quota arithmetic is the same in every deployment.
 func TestTenantEndpointsAndQuota(t *testing.T) {
-	srv, base, _, _ := newTestServer(t)
+	forEachDeployment(t, testTenantEndpointsAndQuota)
+}
+
+func testTenantEndpointsAndQuota(t *testing.T, d *deployment) {
+	base := d.base
 	acme := map[string]string{"X-SVR-Tenant": "acme"}
 
 	status, data := doJSON(t, http.MethodPost, base+"/v1/tenants", CreateTenantRequest{
 		Name: "acme", MaxRows: 3,
 	}, nil)
-	if status != http.StatusCreated {
-		t.Fatalf("create tenant status = %d, body %s", status, data)
+	var registered TenantStatus
+	if err := json.Unmarshal(data, &registered); status != http.StatusCreated || err != nil ||
+		registered.Name != "acme" || registered.MaxRows != 3 || registered.Rows != 0 {
+		t.Fatalf("create tenant: status %d body %s, want 201 with the tenant's status", status, data)
 	}
 	status, data = doJSON(t, http.MethodPost, base+"/v1/tenants", CreateTenantRequest{Name: "a/b"}, nil)
 	if status != http.StatusBadRequest {
@@ -162,21 +183,22 @@ func TestTenantEndpointsAndQuota(t *testing.T) {
 
 	// The tenant's table lives under its prefix; the spec for its index is
 	// registered server-side like any other deployment-provided spec.
-	if _, err := srv.engine.DB().CreateTable(relation.Schema{
-		Name: "acme/Docs",
-		Columns: []relation.Column{
-			{Name: "id", Kind: relation.KindInt64},
-			{Name: "body", Kind: relation.KindString},
-			{Name: "val", Kind: relation.KindFloat64},
-		},
-	}); err != nil {
-		t.Fatal(err)
+	for _, e := range d.engines {
+		if _, err := e.DB().CreateTable(relation.Schema{
+			Name: "acme/Docs",
+			Columns: []relation.Column{
+				{Name: "id", Kind: relation.KindInt64},
+				{Name: "body", Kind: relation.KindString},
+				{Name: "val", Kind: relation.KindFloat64},
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		e.RegisterSpec("acme-val", view.Spec{Components: []view.Component{view.OwnColumn("acme/Docs", "val")}})
 	}
-	srv.engine.RegisterSpec("acme-val", view.Spec{Components: []view.Component{view.OwnColumn("acme/Docs", "val")}})
 
 	// tenantHits searches the tenant's index through the header-qualified
-	// unprefixed name ({name} is a single path segment, so "acme/docs"
-	// cannot travel in the URL).
+	// unprefixed name.
 	tenantHits := func() int {
 		status, data := doJSON(t, http.MethodPost, base+"/v1/indexes/docs/search", SearchRequest{Query: "tenant", K: 10}, acme)
 		if status != http.StatusOK {
@@ -192,8 +214,8 @@ func TestTenantEndpointsAndQuota(t *testing.T) {
 	// Unqualified names + the tenant header = the tenant's namespace.
 	status, data = doJSON(t, http.MethodPost, base+"/v1/tables/Docs/rows", map[string]any{
 		"rows": []map[string]any{
-			{"id": 1, "body": "alpha tenant", "val": 10},
-			{"id": 2, "body": "beta tenant", "val": 5},
+			{"id": 6, "body": "alpha tenant", "val": 10},
+			{"id": 12, "body": "beta tenant", "val": 5},
 		},
 	}, acme)
 	if status != http.StatusOK {
@@ -204,6 +226,11 @@ func TestTenantEndpointsAndQuota(t *testing.T) {
 	res := searchVia(t, base, "docs", SearchRequest{Query: "tenant", K: 10})
 	if len(res.Hits) != 0 {
 		t.Errorf("shared index sees %d tenant rows", len(res.Hits))
+	}
+	var schema SchemaResponse
+	status, data = doJSON(t, http.MethodGet, base+"/v1/tables/Docs/schema", nil, acme)
+	if err := json.Unmarshal(data, &schema); status != http.StatusOK || err != nil || schema.Table != "acme/Docs" {
+		t.Errorf("tenant schema: status %d body %s, want the acme/Docs schema", status, data)
 	}
 
 	// Create the tenant's index through the API with the header qualifying
@@ -221,12 +248,17 @@ func TestTenantEndpointsAndQuota(t *testing.T) {
 	if n := tenantHits(); n != 2 {
 		t.Fatalf("tenant search found %d hits, want its 2 rows", n)
 	}
+	var ts TermStatsResponse
+	status, data = doJSON(t, http.MethodPost, base+"/v1/indexes/docs/termstats", TermStatsRequest{Query: "tenant"}, acme)
+	if err := json.Unmarshal(data, &ts); status != http.StatusOK || err != nil || ts.NumDocs != 2 {
+		t.Errorf("tenant termstats: status %d body %s, want num_docs 2", status, data)
+	}
 
 	// Quota: 2 of 3 rows used; a 2-row batch rejects atomically with 429.
 	status, data = doJSON(t, http.MethodPost, base+"/v1/tables/Docs/rows", map[string]any{
 		"rows": []map[string]any{
-			{"id": 3, "body": "gamma tenant", "val": 1},
-			{"id": 4, "body": "delta tenant", "val": 1},
+			{"id": 18, "body": "gamma tenant", "val": 1},
+			{"id": 24, "body": "delta tenant", "val": 1},
 		},
 	}, acme)
 	if status != http.StatusTooManyRequests {
@@ -238,8 +270,8 @@ func TestTenantEndpointsAndQuota(t *testing.T) {
 	// The batch endpoint enforces the same quota.
 	status, data = doJSON(t, http.MethodPost, base+"/v1/batch", map[string]any{
 		"ops": []map[string]any{
-			{"op": "insert", "table": "Docs", "row": map[string]any{"id": 5, "body": "x", "val": 1}},
-			{"op": "insert", "table": "Docs", "row": map[string]any{"id": 6, "body": "y", "val": 1}},
+			{"op": "insert", "table": "Docs", "row": map[string]any{"id": 30, "body": "x", "val": 1}},
+			{"op": "insert", "table": "Docs", "row": map[string]any{"id": 36, "body": "y", "val": 1}},
 		},
 	}, acme)
 	if status != http.StatusTooManyRequests {
@@ -247,12 +279,12 @@ func TestTenantEndpointsAndQuota(t *testing.T) {
 	}
 	// One row still fits; deletes always pass.
 	status, data = doJSON(t, http.MethodPost, base+"/v1/batch", map[string]any{
-		"ops": []map[string]any{{"op": "insert", "table": "Docs", "row": map[string]any{"id": 3, "body": "gamma tenant", "val": 1}}},
+		"ops": []map[string]any{{"op": "insert", "table": "Docs", "row": map[string]any{"id": 18, "body": "gamma tenant", "val": 1}}},
 	}, acme)
 	if status != http.StatusOK {
 		t.Fatalf("final-slot insert status = %d (body %s)", status, data)
 	}
-	pk := int64(3)
+	pk := int64(18)
 	status, data = doJSON(t, http.MethodPost, base+"/v1/batch", BatchRequest{
 		Ops: []BatchOp{{Op: "delete", Table: "Docs", PK: &pk}},
 	}, acme)
@@ -261,9 +293,7 @@ func TestTenantEndpointsAndQuota(t *testing.T) {
 	}
 
 	// GET /v1/tenants and the stats tenants slice agree on usage.
-	var list struct {
-		Tenants []TenantStatus `json:"tenants"`
-	}
+	var list TenantsResponse
 	if status := getJSON(t, base+"/v1/tenants", &list); status != http.StatusOK {
 		t.Fatalf("list tenants status = %d", status)
 	}
@@ -291,12 +321,29 @@ func TestTenantEndpointsAndQuota(t *testing.T) {
 	if lat == nil || lat.Count < 5 || lat.P99MS <= 0 {
 		t.Errorf("per-tenant latency histogram = %+v, want the tenant's requests counted with percentiles", lat)
 	}
+
+	// The tenant drops its index by the unprefixed name too.
+	status, data = doJSON(t, http.MethodDelete, base+"/v1/indexes/docs", nil, acme)
+	var dr DropIndexResponse
+	if err := json.Unmarshal(data, &dr); status != http.StatusOK || err != nil || dr.Dropped != "acme/docs" {
+		t.Errorf("tenant drop: status %d body %s, want acme/docs dropped", status, data)
+	}
+	if res := searchVia(t, base, "docs", SearchRequest{Query: "alpha", K: 10}); len(res.Hits) == 0 {
+		t.Error("the tenant's drop took the shared index with it")
+	}
 }
 
-// TestChangesStream subscribes to a table's change feed and checks inserts,
-// updates and deletes arrive in commit order as NDJSON events.
+// TestChangesStream subscribes to a table's change feed — one stream over
+// however many shards — and checks that a write routed to every shard
+// arrives on it as NDJSON events, each key's events in commit order, and
+// that the stream needs every shard: a down one ends it and turns
+// subscriptions away with 503 rather than serving a silently thinner feed.
 func TestChangesStream(t *testing.T) {
-	_, base, _, _ := newTestServer(t)
+	forEachDeployment(t, testChangesStream)
+}
+
+func testChangesStream(t *testing.T, d *deployment) {
+	base := d.base
 
 	// Validation first: missing and unknown table.
 	status, data := doJSON(t, http.MethodGet, base+"/v1/changes", nil, nil)
@@ -321,30 +368,32 @@ func TestChangesStream(t *testing.T) {
 		t.Errorf("Content-Type = %q, want application/x-ndjson", ct)
 	}
 
-	// Mutate while subscribed: one insert, one update, one delete.
+	// Mutate while subscribed.  Ids 50, 51 and 52 cover every residue mod 2
+	// and mod 3, so each shard of each deployment takes an insert.
+	type change struct {
+		kind string
+		pk   int64
+	}
+	want := []change{{"insert", 50}, {"insert", 51}, {"insert", 52}, {"update", 1}, {"delete", 4}, {"update", 50}}
 	status, data = postJSON(t, base+"/v1/batch", map[string]any{
 		"ops": []map[string]any{
 			{"op": "insert", "table": "Docs", "row": map[string]any{"id": 50, "body": "streamed doc", "val": 7}},
+			{"op": "insert", "table": "Docs", "row": map[string]any{"id": 51, "body": "streamed doc", "val": 7}},
+			{"op": "insert", "table": "Docs", "row": map[string]any{"id": 52, "body": "streamed doc", "val": 7}},
 			{"op": "update", "table": "Docs", "pk": 1, "set": map[string]any{"val": 99}},
 			{"op": "delete", "table": "Docs", "pk": 4},
+			{"op": "update", "table": "Docs", "pk": 50, "set": map[string]any{"val": 8}},
 		},
 	})
 	if status != http.StatusOK {
 		t.Fatalf("batch status = %d, body %s", status, data)
 	}
 
-	want := []struct {
-		kind string
-		pk   int64
-	}{
-		{"insert", 50},
-		{"update", 1},
-		{"delete", 4},
-	}
 	sc := bufio.NewScanner(resp.Body)
 	deadline := time.AfterFunc(10*time.Second, func() { resp.Body.Close() })
 	defer deadline.Stop()
-	for i, w := range want {
+	var got []change
+	for i := range want {
 		if !sc.Scan() {
 			t.Fatalf("stream ended after %d events: %v", i, sc.Err())
 		}
@@ -353,18 +402,51 @@ func TestChangesStream(t *testing.T) {
 			t.Fatalf("event %d: bad NDJSON line %q: %v", i, sc.Text(), err)
 		}
 		if ev.Lagged {
-			t.Fatalf("stream lagged during a 3-op test batch")
+			t.Fatalf("stream lagged during a %d-op test batch", len(want))
 		}
-		if ev.Table != "Docs" || ev.Kind != w.kind || ev.PK != w.pk {
-			t.Errorf("event %d = %+v, want %s of pk %d", i, ev, w.kind, w.pk)
+		if ev.Table != "Docs" {
+			t.Errorf("event %d = %+v, want table Docs", i, ev)
 		}
-		if w.kind == "insert" {
+		got = append(got, change{ev.Kind, ev.PK})
+		if ev.Kind == "insert" {
 			if body, _ := ev.Row["body"].(string); body != "streamed doc" {
 				t.Errorf("insert event row = %v, want the inserted body", ev.Row)
 			}
 		}
-		if w.kind == "delete" && ev.Row != nil {
+		if ev.Kind == "delete" && ev.Row != nil {
 			t.Errorf("delete event carries a row: %v", ev.Row)
 		}
+	}
+	// One shard commits in batch order; across shards only each key's own
+	// events are ordered.
+	perKey := func(cs []change) map[int64][]string {
+		m := map[int64][]string{}
+		for _, c := range cs {
+			m[c.pk] = append(m[c.pk], c.kind)
+		}
+		return m
+	}
+	if len(d.engines) == 1 && !reflect.DeepEqual(got, want) {
+		t.Errorf("one shard streamed %v, want batch order %v", got, want)
+	}
+	if !reflect.DeepEqual(perKey(got), perKey(want)) {
+		t.Errorf("streamed %v, want per-key order of %v", got, want)
+	}
+
+	// Take the last shard down: the open stream ends, and until the shard
+	// is back a new subscription is refused.
+	d.kill(t, len(d.engines)-1)
+	for sc.Scan() {
+	}
+	deadlineAt := time.Now().Add(5 * time.Second)
+	for {
+		status, data = doJSON(t, http.MethodGet, base+"/v1/changes?table=Docs", nil, nil)
+		if status == http.StatusServiceUnavailable {
+			break
+		}
+		if time.Now().After(deadlineAt) {
+			t.Fatalf("subscription with a shard down: status %d (body %.200s), want 503", status, data)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -16,9 +16,9 @@ import (
 // This file is the serving-layer load generator: it drives a query mix over
 // real HTTP — TCP, JSON codec, mux, metrics, the works — so that serving
 // overhead versus a direct core.TextIndex.Search call is measured rather
-// than guessed.  svrbench -experiment serve and BenchmarkServeQuery both
-// run through it, so the experiment table and the CI benchmark can never
-// drift apart.
+// than guessed.  It is the one HTTP load generator outside benchmark/: the
+// root BenchmarkServeQuery runs RunSearchLoad, and the repo benchmark's
+// stack drives its own schedule through the same NewLoadClient.
 
 // LoadResult aggregates one load run.  Percentiles are exact (computed from
 // every request's recorded latency), unlike the /v1/stats histogram bounds.
@@ -28,12 +28,8 @@ type LoadResult struct {
 	Elapsed time.Duration
 	// QPS is Queries / Elapsed.
 	QPS float64
-	// Avg, P50, P99 and P999 summarize per-request latency as a client saw
-	// it; P999 is the deep-tail number the tail-latency experiment watches.
-	Avg, P50, P99, P999 time.Duration
-	// Max is the single slowest request — the hard ceiling a concurrent
-	// maintenance stall would show up in.
-	Max time.Duration
+	// P50 and P99 summarize per-request latency as a client saw it.
+	P50, P99 time.Duration
 }
 
 // NewLoadClient returns an http.Client tuned for loopback load generation:
@@ -113,33 +109,16 @@ func RunSearchLoad(client *http.Client, baseURL, index string, queries [][]strin
 	for _, lats := range latencies {
 		all = append(all, lats...)
 	}
-	return Summarize(all, elapsed, workers), nil
-}
-
-// Summarize folds a latency series into a LoadResult.  It is the single
-// percentile/QPS computation shared by the HTTP load generator and the
-// serve experiment's direct-Search row, so the two sides of the
-// direct-vs-HTTP comparison can never drift onto different math.
-func Summarize(lats []time.Duration, elapsed time.Duration, workers int) LoadResult {
-	res := LoadResult{Workers: workers, Queries: len(lats), Elapsed: elapsed}
+	res := LoadResult{Workers: workers, Queries: len(all), Elapsed: elapsed}
 	if elapsed > 0 {
-		res.QPS = float64(len(lats)) / elapsed.Seconds()
+		res.QPS = float64(len(all)) / elapsed.Seconds()
 	}
-	if len(lats) == 0 {
-		return res
+	if len(all) > 0 {
+		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+		res.P50 = all[nearestRank(len(all), 0.50)]
+		res.P99 = all[nearestRank(len(all), 0.99)]
 	}
-	sorted := append([]time.Duration(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sum time.Duration
-	for _, d := range sorted {
-		sum += d
-	}
-	res.Avg = sum / time.Duration(len(sorted))
-	res.P50 = sorted[nearestRank(len(sorted), 0.50)]
-	res.P99 = sorted[nearestRank(len(sorted), 0.99)]
-	res.P999 = sorted[nearestRank(len(sorted), 0.999)]
-	res.Max = sorted[len(sorted)-1]
-	return res
+	return res, nil
 }
 
 // nearestRank returns the index of the nearest-rank q-quantile in a sorted

@@ -230,7 +230,7 @@ const tenantRoutePrefix = "tenant:"
 // is resolved once here rather than through the locked map on every request.
 // Requests carrying a tenant header are additionally recorded into that
 // tenant's own histogram, giving /v1/stats a per-tenant latency slice — the
-// number the tenants benchmark reads to check hot-neighbor isolation.
+// number that shows whether a hot neighbour's load reaches a quiet tenant.
 func (r *Registry) instrument(label string, h http.HandlerFunc) http.HandlerFunc {
 	m := r.route(label)
 	return func(w http.ResponseWriter, req *http.Request) {

@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,36 +17,49 @@ import (
 	"svrdb/internal/topk"
 )
 
-// Router serves the single-node HTTP API over a set of shard backends.
+// Router serves the HTTP JSON API over a set of shard backends.  There is
+// one handler set: every request is decoded, tenant-qualified and validated
+// once, then partitioned, scattered and merged by code that is the identity
+// when there is one backend — so a single engine (New) is simply the
+// one-shard case (NewRouter over one EngineBackend), not a second
+// implementation.
+//
 // Writes are routed: each row lives on exactly one shard, chosen by a
 // partitioner over the row's routing key.  Searches scatter to every
 // healthy shard and gather through the same top-k merge discipline the
 // engine uses internally, with one extra wrinkle for TF-IDF: document
 // frequencies are collected from all shards first and the summed totals are
 // pinned into each shard's request, so sharded ranking is byte-identical to
-// a single engine holding all the data (see scatterSearch for the argument).
+// a single engine holding all the data (see search for the argument).
 //
 // Availability beats completeness on the read path: a dead shard removes
 // its documents from the result and sets "partial": true, it does not fail
 // the search.  The write path is the opposite — a write for a dead shard's
 // key fails loudly, because silently rerouting it would strand the row
 // where reads will never look.
+//
+// Lifecycle: New/NewRouter → Start (or Handler, for an external listener) →
+// Shutdown; see lifecycle.go for the drain order that keeps every response
+// whole.
 type Router struct {
 	backends []Backend
-	part     core.Partitioner
-	opts     RouterOptions
-	metrics  *Registry
-	mux      *http.ServeMux
-	life     *lifecycle
+	// all is 0..len(backends)-1, the target list of every whole-cluster
+	// fan-out.
+	all     []int
+	part    core.Partitioner
+	opts    RouterOptions
+	metrics *Registry
+	mux     *http.ServeMux
+	lifecycle
 
-	// health[i] tracks backends[i]; flipped by the prober and by search
-	// failures, read lock-free on every request.
-	health []shardHealth
+	// down[i] holds why backends[i] is believed down, nil while it is up;
+	// flipped by the prober and by search failures, read lock-free on every
+	// request.
+	down []atomic.Pointer[string]
 
-	// stop ends the health prober; wg waits it out during shutdown.
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	// stop ends the health prober; probing waits it out during shutdown.
+	stop    chan struct{}
+	probing sync.WaitGroup
 
 	// schemas caches table schemas fetched from shards.  Tables are created
 	// at load time and never altered over this API, so the cache cannot go
@@ -52,14 +68,20 @@ type Router struct {
 	schemas  map[string]*SchemaResponse
 }
 
-type shardHealth struct {
-	up atomic.Bool
-	// errMu guards lastErr, the human-readable reason the shard is down.
-	errMu   sync.Mutex
-	lastErr string
+// Server is the Router, under the name a deployment over one engine knows
+// it by.
+type Server = Router
+
+// Options configures a Server over one engine (New).
+type Options struct {
+	// ReadTimeout and WriteTimeout bound request parsing and response
+	// writing when the server owns the listener (Start).  Zero means no
+	// timeout, matching net/http.
+	ReadTimeout  time.Duration
+	WriteTimeout time.Duration
 }
 
-// RouterOptions configures a Router.
+// RouterOptions configures a Router over shard backends (NewRouter).
 type RouterOptions struct {
 	// ReadTimeout and WriteTimeout bound request parsing and response
 	// writing when the router owns the listener (Start).
@@ -67,7 +89,8 @@ type RouterOptions struct {
 	WriteTimeout time.Duration
 	// ShardTimeout bounds every per-shard sub-request; zero means 10s.  A
 	// shard slower than this is treated exactly like a dead one: excluded,
-	// result marked partial.
+	// result marked partial.  With one backend there is no scatter to bound
+	// and the request's own context is the only clock.
 	ShardTimeout time.Duration
 	// HealthInterval is the probe period; zero means 500ms.
 	HealthInterval time.Duration
@@ -85,7 +108,19 @@ const (
 	defaultHealthInterval = 500 * time.Millisecond
 )
 
-// NewRouter builds a router over the given shard backends.  Backend order
+// New builds a Server over one engine, which it owns: Shutdown closes it.
+func New(engine *core.Engine, opts Options) *Server {
+	rt, err := NewRouter([]Backend{NewEngineBackend("engine", engine, true)},
+		RouterOptions{ReadTimeout: opts.ReadTimeout, WriteTimeout: opts.WriteTimeout})
+	if err != nil {
+		// One backend under the default partitioner, which core registers
+		// at init: only a bug can fail this.
+		panic(err)
+	}
+	return rt
+}
+
+// NewRouter builds a Router over the given shard backends.  Backend order
 // is the shard numbering: backends[i] must hold exactly the keys the
 // partitioner maps to shard i of len(backends).
 func NewRouter(backends []Backend, opts RouterOptions) (*Router, error) {
@@ -103,79 +138,120 @@ func NewRouter(backends []Backend, opts RouterOptions) (*Router, error) {
 		opts.HealthInterval = defaultHealthInterval
 	}
 	rt := &Router{
-		backends: backends,
-		part:     part,
-		opts:     opts,
-		metrics:  NewRegistry(),
-		mux:      http.NewServeMux(),
-		life:     newLifecycle(opts.ReadTimeout, opts.WriteTimeout),
-		health:   make([]shardHealth, len(backends)),
-		stop:     make(chan struct{}),
-		schemas:  map[string]*SchemaResponse{},
+		backends:  backends,
+		all:       make([]int, len(backends)),
+		part:      part,
+		opts:      opts,
+		metrics:   NewRegistry(),
+		mux:       http.NewServeMux(),
+		lifecycle: lifecycle{serveDone: make(chan struct{})},
+		// Every shard starts presumed up (nil), so the first requests after
+		// boot are not spuriously partial while the prober warms up.
+		down:    make([]atomic.Pointer[string], len(backends)),
+		stop:    make(chan struct{}),
+		schemas: map[string]*SchemaResponse{},
 	}
-	// Start optimistic: every shard is presumed up until a probe or a
-	// request says otherwise, so the first requests after boot are not
-	// spuriously partial while the prober warms up.
-	for i := range rt.health {
-		rt.health[i].up.Store(true)
+	for i := range rt.all {
+		rt.all[i] = i
 	}
 	rt.routes()
-	rt.wg.Add(1)
+	rt.probing.Add(1)
 	go rt.probeLoop()
 	return rt, nil
 }
 
-// Metrics returns the router's endpoint metrics registry.
-func (rt *Router) Metrics() *Registry { return rt.metrics }
+// --- fan-out ---------------------------------------------------------------------
 
-// Backends returns the router's shard backends in shard order.
-func (rt *Router) Backends() []Backend { return rt.backends }
-
-// Handler returns the router's root handler behind the draining fence, for
-// embedding in an external listener.
-func (rt *Router) Handler() http.Handler {
-	return rt.life.fence(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		jw := &jsonErrorWriter{ResponseWriter: w}
-		start := time.Now()
-		rt.mux.ServeHTTP(jw, r)
-		if jw.rewrote {
-			rt.metrics.Observe("(unmatched)", jw.status, time.Since(start))
-		}
-	}))
+// fanOut calls fn(j, shards[j]) for every j and returns once all have
+// returned.  It is the one place requests go parallel: one target runs
+// inline on the caller's goroutine, several run concurrently.
+func fanOut(shards []int, fn func(j, shard int)) {
+	if len(shards) == 1 {
+		fn(0, shards[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for j, i := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(j, i)
+		}()
+	}
+	wg.Wait()
 }
 
-// Start listens on addr and serves in a background goroutine, returning the
-// bound address.
-func (rt *Router) Start(addr string) (string, error) {
-	return rt.life.start(addr, rt.Handler())
-}
-
-// Done closes when the accept loop has exited.
-func (rt *Router) Done() <-chan struct{} { return rt.life.done() }
-
-// ServeErr reports why the accept loop exited; meaningful once Done closes.
-func (rt *Router) ServeErr() error { return rt.life.serveError() }
-
-// Shutdown drains in-flight requests, stops the health prober and closes
-// every backend.  Idempotent like Server.Shutdown.
-func (rt *Router) Shutdown(ctx context.Context) error {
-	return rt.life.shutdown(ctx, func() error {
-		rt.stopOnce.Do(func() { close(rt.stop) })
-		rt.wg.Wait()
-		var errs []error
-		for _, b := range rt.backends {
-			if err := b.Close(); err != nil {
-				errs = append(errs, fmt.Errorf("server: backend %s close: %w", b.Label(), err))
-			}
+// eachShard fans call out over the listed shards and joins the failures.
+func (rt *Router) eachShard(shards []int, call func(shard int) error) error {
+	errs := make([]error, len(shards))
+	fanOut(shards, func(j, i int) {
+		if err := call(i); err != nil {
+			errs[j] = rt.labelErr(i, err)
 		}
-		return errors.Join(errs...)
 	})
+	return errors.Join(errs...)
+}
+
+// askShards runs call on every listed shard and returns the answers with
+// the shards that gave them, in shard order.  Failures are noted against
+// the shard's health; the first is returned for when nobody answers (no
+// shard listed: none was healthy enough to ask).
+func askShards[T any](rt *Router, idxs []int, call func(shard int) (T, error)) (answers []T, alive []int, firstErr error) {
+	if len(idxs) == 0 {
+		return nil, nil, errNoHealthyShards
+	}
+	got := make([]T, len(idxs))
+	errs := make([]error, len(idxs))
+	fanOut(idxs, func(j, i int) { got[j], errs[j] = call(i) })
+	// Answers are compacted in place: the write index never passes the read.
+	answers, alive = got[:0], make([]int, 0, len(idxs))
+	for j, i := range idxs {
+		if errs[j] != nil {
+			rt.noteShardErr(i, errs[j])
+			if firstErr == nil {
+				firstErr = errs[j]
+			}
+			continue
+		}
+		answers = append(answers, got[j])
+		alive = append(alive, i)
+	}
+	return answers, alive, firstErr
+}
+
+// labelErr names the shard a failure came from — when there is more than one
+// to tell apart; one backend's errors read exactly as the engine put them.
+func (rt *Router) labelErr(shard int, err error) error {
+	if len(rt.backends) == 1 {
+		return err
+	}
+	return fmt.Errorf("shard %d: %w", shard, err)
+}
+
+// shardCtx bounds a request's per-shard sub-requests by the shard timeout.
+// One backend has no scatter to bound, so it costs no timer either.
+func (rt *Router) shardCtx(r *http.Request) (context.Context, context.CancelFunc) {
+	if len(rt.backends) == 1 {
+		return r.Context(), func() {}
+	}
+	return context.WithTimeout(r.Context(), rt.opts.ShardTimeout)
+}
+
+// involved lists the shards a partitioned write touches.
+func involved[T any](perShard [][]T) []int {
+	var shards []int
+	for i, part := range perShard {
+		if len(part) > 0 {
+			shards = append(shards, i)
+		}
+	}
+	return shards
 }
 
 // --- health ----------------------------------------------------------------------
 
 func (rt *Router) probeLoop() {
-	defer rt.wg.Done()
+	defer rt.probing.Done()
 	ticker := time.NewTicker(rt.opts.HealthInterval)
 	defer ticker.Stop()
 	for {
@@ -183,34 +259,22 @@ func (rt *Router) probeLoop() {
 		case <-rt.stop:
 			return
 		case <-ticker.C:
-			rt.probeAll()
+			ctx, cancel := context.WithTimeout(context.Background(), rt.opts.ShardTimeout)
+			fanOut(rt.all, func(_, i int) {
+				if err := rt.backends[i].Health(ctx); err != nil {
+					rt.markDown(i, err)
+				} else {
+					rt.down[i].Store(nil)
+				}
+			})
+			cancel()
 		}
 	}
 }
 
-func (rt *Router) probeAll() {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.opts.ShardTimeout)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := range rt.backends {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := rt.backends[i].Health(ctx); err != nil {
-				rt.markDown(i, err)
-			} else {
-				rt.markUp(i)
-			}
-		}(i)
-	}
-	wg.Wait()
-}
-
 func (rt *Router) markDown(i int, err error) {
-	rt.health[i].up.Store(false)
-	rt.health[i].errMu.Lock()
-	rt.health[i].lastErr = err.Error()
-	rt.health[i].errMu.Unlock()
+	why := err.Error()
+	rt.down[i].Store(&why)
 }
 
 // noteShardErr marks a shard down only for failures that say the shard
@@ -219,64 +283,98 @@ func (rt *Router) markDown(i int, err error) {
 // and marking it down would eject every healthy shard the first time a
 // client typos an index name.
 func (rt *Router) noteShardErr(i int, err error) {
-	var be *backendError
-	if errors.As(err, &be) && be.status < 500 {
-		return
+	if httpStatusOf(err) >= 500 {
+		rt.markDown(i, err)
 	}
-	rt.markDown(i, err)
-}
-
-func (rt *Router) markUp(i int) {
-	rt.health[i].up.Store(true)
-	rt.health[i].errMu.Lock()
-	rt.health[i].lastErr = ""
-	rt.health[i].errMu.Unlock()
 }
 
 // healthyShards returns the indices of shards currently believed up.
 func (rt *Router) healthyShards() []int {
 	idxs := make([]int, 0, len(rt.backends))
 	for i := range rt.backends {
-		if rt.health[i].up.Load() {
+		if rt.down[i].Load() == nil {
 			idxs = append(idxs, i)
 		}
 	}
 	return idxs
 }
 
+// requireAllShards verifies that every shard is currently healthy.  Index
+// and tenant lifecycle operations fan out to the whole cluster, and running
+// one with a shard missing would leave that shard permanently inconsistent
+// with the rest (searches scatter to every shard, so a shard without the
+// index would fail every query against it); a change stream missing a shard
+// would silently drop that shard's rows.
+func (rt *Router) requireAllShards(what string) error {
+	for i := range rt.backends {
+		if rt.down[i].Load() != nil {
+			return &backendError{
+				status: http.StatusServiceUnavailable,
+				msg:    fmt.Sprintf("%s needs every shard, shard %d (%s) is down", what, i, rt.backends[i].Label()),
+			}
+		}
+	}
+	return nil
+}
+
+var errNoHealthyShards = &backendError{status: http.StatusServiceUnavailable, msg: "no healthy shards"}
+
 // --- routes ----------------------------------------------------------------------
 
+// routes installs every endpoint, instrumented with the metrics registry.
 func (rt *Router) routes() {
 	register := func(pattern string, h http.HandlerFunc) {
 		rt.mux.HandleFunc(pattern, rt.metrics.instrument(pattern, h))
 	}
 	register("GET /healthz", rt.handleHealthz)
-	register("GET /v1/stats", rt.handleStats)
-	register("GET /v1/tables/{name}/schema", rt.handleSchema)
-	register("POST /v1/indexes", rt.handleCreateIndex)
-	register("DELETE /v1/indexes/{name}", rt.handleDropIndex)
-	register("POST /v1/indexes/{name}/search", rt.handleSearch)
-	register("POST /v1/indexes/{name}/termstats", rt.handleTermStats)
-	register("POST /v1/tables/{name}/rows", rt.handleInsertRows)
-	register("POST /v1/batch", rt.handleBatch)
-	register("POST /v1/tenants", rt.handleCreateTenant)
+	register("GET /v1/stats", route(http.StatusOK, rt.handleStats))
+	register("GET /v1/tables/{name}/schema", route(http.StatusOK, rt.handleSchema))
+	register("POST /v1/indexes", route(http.StatusCreated, rt.handleCreateIndex))
+	register("DELETE /v1/indexes/{name}", route(http.StatusOK, rt.handleDropIndex))
+	register("POST /v1/indexes/{name}/search", route(http.StatusOK, rt.handleSearch))
+	register("POST /v1/indexes/{name}/termstats", route(http.StatusOK, rt.handleTermStats))
+	register("POST /v1/tables/{name}/rows", route(http.StatusOK, rt.handleInsertRows))
+	register("POST /v1/batch", route(http.StatusOK, rt.handleBatch))
+	register("POST /v1/tenants", route(http.StatusCreated, rt.handleCreateTenant))
+	register("GET /v1/tenants", route(http.StatusOK, rt.handleListTenants))
 	register("GET /v1/changes", rt.handleChanges)
 }
 
+// route adapts one operation to a handler.  It is the one place a request
+// body is decoded and a response encoded: handle receives the decoded body
+// of a POST (routes without a body take struct{}) and returns the response
+// body for the given success status, or an error writeError maps to its own.
+func route[Req any](success int, handle func(r *http.Request, req *Req) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if r.Method == http.MethodPost {
+			if err := decodeJSON(r, &req); err != nil {
+				writeError(w, err)
+				return
+			}
+		}
+		resp, err := handle(r, &req)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, success, resp)
+	}
+}
+
+// handleHealthz is the liveness probe: it reads the prober's flags and never
+// fans out, so it stays cheap and answers while shards hang.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	shards := make([]map[string]any, len(rt.backends))
 	healthy := 0
 	for i, b := range rt.backends {
-		up := rt.health[i].up.Load()
-		if up {
+		why := rt.down[i].Load()
+		entry := map[string]any{"shard": i, "label": b.Label(), "healthy": why == nil}
+		if why == nil {
 			healthy++
+		} else {
+			entry["error"] = *why
 		}
-		entry := map[string]any{"shard": i, "label": b.Label(), "healthy": up}
-		rt.health[i].errMu.Lock()
-		if rt.health[i].lastErr != "" {
-			entry["error"] = rt.health[i].lastErr
-		}
-		rt.health[i].errMu.Unlock()
 		shards[i] = entry
 	}
 	status := "ok"
@@ -292,64 +390,109 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, code, map[string]any{
 		"status":         status,
-		"mode":           "router",
 		"uptime_seconds": rt.metrics.Uptime().Seconds(),
 		"shards":         shards,
 		"healthy_shards": healthy,
 	})
 }
 
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ShardTimeout)
+// handleStats serves the engine counters summed over the shards at the top
+// level (indexes, pool, pagefile, durability — the keys of "indexes" are the
+// index names), each shard's own payload under "shards", and the front end's
+// own uptime, endpoint metrics, cluster summary and per-tenant slices.
+func (rt *Router) handleStats(r *http.Request, _ *struct{}) (any, error) {
+	ctx, cancel := rt.shardCtx(r)
 	defer cancel()
 	perShard := make([]map[string]any, len(rt.backends))
-	var wg sync.WaitGroup
-	for i := range rt.backends {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			st, err := rt.backends[i].Stats(ctx)
-			if err != nil {
-				perShard[i] = map[string]any{"error": err.Error()}
-				return
-			}
-			perShard[i] = st
-		}(i)
-	}
-	wg.Wait()
-	shards := map[string]any{}
-	totals := map[string]any{}
-	healthy := 0
-	for i, b := range rt.backends {
-		if rt.health[i].up.Load() {
-			healthy++
+	fanOut(rt.all, func(_, i int) {
+		st, err := rt.backends[i].Stats(ctx)
+		if err != nil {
+			st = map[string]any{"error": err.Error()}
 		}
-		shards[fmt.Sprintf("shard-%d (%s)", i, b.Label())] = perShard[i]
-		if _, failed := perShard[i]["error"]; !failed {
-			mergeStatsInto(totals, perShard[i])
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"uptime_seconds": rt.metrics.Uptime().Seconds(),
-		"cluster": map[string]any{
-			"shards":         len(rt.backends),
-			"healthy_shards": healthy,
-			"partitioner":    rt.part.Name(),
-		},
-		"totals":    totals,
-		"shards":    shards,
-		"endpoints": rt.metrics.Snapshot(),
+		perShard[i] = st
 	})
+	shards := map[string]any{}
+	for i, b := range rt.backends {
+		shards[fmt.Sprintf("shard-%d (%s)", i, b.Label())] = perShard[i]
+	}
+	body := sumStats(perShard)
+	body["uptime_seconds"] = rt.metrics.Uptime().Seconds()
+	body["cluster"] = map[string]any{
+		"shards":         len(rt.backends),
+		"healthy_shards": len(rt.healthyShards()),
+		"partitioner":    rt.part.Name(),
+	}
+	body["shards"] = shards
+	// Per-tenant latency cells live in the same registry under a label
+	// prefix; split them into the tenants section so the endpoints list
+	// stays per-route.
+	endpoints := make([]EndpointSnapshot, 0)
+	latencies := map[string]*EndpointSnapshot{}
+	for _, snap := range rt.metrics.Snapshot() {
+		if t, ok := strings.CutPrefix(snap.Route, tenantRoutePrefix); ok {
+			latencies[t] = &snap
+			continue
+		}
+		endpoints = append(endpoints, snap)
+	}
+	body["endpoints"] = endpoints
+	// Stats keep serving when no shard can list tenants: the section is
+	// empty rather than the scrape failed.
+	statuses, _ := rt.tenants(ctx)
+	type tenantStats struct {
+		TenantStatus
+		Latency *EndpointSnapshot `json:"latency,omitempty"`
+	}
+	tenants := make([]tenantStats, len(statuses))
+	for i, st := range statuses {
+		tenants[i] = tenantStats{st, latencies[st.Name]}
+	}
+	body["tenants"] = tenants
+	return body, nil
+}
+
+// sumStats builds the top-level counters from the shards' payloads, leaving
+// out shards that failed to report.  One shard's counters are the totals as
+// they stand; several are summed, with each index's compression_ratio
+// recomputed as a ratio of sums, not a sum of ratios.
+func sumStats(perShard []map[string]any) map[string]any {
+	if len(perShard) == 1 && perShard[0]["error"] == nil {
+		// Cloned because the caller adds its own sections (one of which
+		// holds perShard[0] itself).
+		return maps.Clone(perShard[0])
+	}
+	body := map[string]any{}
+	for _, st := range perShard {
+		if _, failed := st["error"]; !failed {
+			mergeStatsInto(body, st)
+		}
+	}
+	indexes, _ := body["indexes"].(map[string]any)
+	for _, v := range indexes {
+		if idx, ok := v.(map[string]any); ok {
+			raw, _ := toFloat(idx["long_list_raw_bytes"])
+			stored, _ := toFloat(idx["long_list_bytes"])
+			ratio := 0.0
+			if raw > 0 && stored > 0 {
+				ratio = raw / stored
+			}
+			idx["compression_ratio"] = ratio
+		}
+	}
+	return body
 }
 
 // mergeStatsInto recursively sums src's numeric leaves into dst, so the
-// router's "totals" section aggregates every per-shard counter map without
-// enumerating the schema.  Non-numeric leaves (method names) keep the first
-// shard's value; per-node keys that are not cluster-summable (uptime,
-// endpoint latency snapshots) are skipped.
+// totals aggregate every shard's payload without enumerating the schema.
+// Non-numeric leaves (method names) keep the first shard's value.  Keys that
+// do not sum are skipped: a shard that is itself a svrserve wraps its engine
+// counters in its own front-end sections (uptime, endpoints, cluster,
+// shards, tenants); epochs are unrelated per-shard counters, read them
+// under "shards"; compression_ratio is sumStats' to recompute.
 func mergeStatsInto(dst, src map[string]any) {
 	for key, sv := range src {
-		if key == "uptime_seconds" || key == "endpoints" {
+		switch key {
+		case "uptime_seconds", "endpoints", "cluster", "shards", "tenants", "epoch", "compression_ratio":
 			continue
 		}
 		switch sv := sv.(type) {
@@ -391,13 +534,10 @@ func toFloat(v any) (float64, bool) {
 	}
 }
 
-func (rt *Router) handleSchema(w http.ResponseWriter, r *http.Request) {
-	schema, err := rt.tableSchema(r.Context(), r.PathValue("name"))
-	if err != nil {
-		writeError(w, httpStatusOf(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, schema)
+func (rt *Router) handleSchema(r *http.Request, _ *struct{}) (any, error) {
+	ctx, cancel := rt.shardCtx(r)
+	defer cancel()
+	return rt.tableSchema(ctx, qualifyName(r, r.PathValue("name")))
 }
 
 // tableSchema resolves (and caches) a table's schema from the first healthy
@@ -409,12 +549,8 @@ func (rt *Router) tableSchema(ctx context.Context, table string) (*SchemaRespons
 	if cached != nil {
 		return cached, nil
 	}
-	idxs := rt.healthyShards()
-	if len(idxs) == 0 {
-		return nil, &backendError{status: http.StatusServiceUnavailable, msg: "router: no healthy shards"}
-	}
-	var firstErr error
-	for _, i := range idxs {
+	var firstErr error = errNoHealthyShards
+	for n, i := range rt.healthyShards() {
 		schema, err := rt.backends[i].Schema(ctx, table)
 		if err == nil {
 			rt.schemaMu.Lock()
@@ -422,7 +558,7 @@ func (rt *Router) tableSchema(ctx context.Context, table string) (*SchemaRespons
 			rt.schemaMu.Unlock()
 			return schema, nil
 		}
-		if firstErr == nil {
+		if n == 0 {
 			firstErr = err
 		}
 	}
@@ -431,132 +567,72 @@ func (rt *Router) tableSchema(ctx context.Context, table string) (*SchemaRespons
 
 // --- search ----------------------------------------------------------------------
 
-func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req SearchRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+func (rt *Router) handleSearch(r *http.Request, req *SearchRequest) (any, error) {
 	query, err := normalizeQuery(req.Query, req.Terms)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
 	k, err := boundSearchK(req.K)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
 	// Forward a canonical request: one query string and an explicit k, so
 	// every shard tokenizes identically and the merge heap matches theirs.
 	req.Query, req.Terms, req.K = query, nil, k
-	resp, err := rt.scatterSearch(r.Context(), r.PathValue("name"), req)
-	if err != nil {
-		writeError(w, httpStatusOf(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	ctx, cancel := rt.shardCtx(r)
+	defer cancel()
+	return rt.search(ctx, qualifyName(r, r.PathValue("name")), *req)
 }
 
-// scatterSearch fans a search out to every healthy shard and merges the
-// top-k.  Correctness leans on two invariants: each document lives on
-// exactly one shard, so the global top-k is a subset of the union of local
-// top-ks; and when TF-IDF is in play the gather phase pins cluster-wide
-// document frequencies into every shard's request, so per-shard scores are
-// the scores a single engine would have computed and merging reduces to the
-// usual deterministic heap order (score desc, then primary key asc).
-func (rt *Router) scatterSearch(ctx context.Context, index string, req SearchRequest) (*SearchResponse, error) {
-	idxs := rt.healthyShards()
-	if len(idxs) == 0 {
-		return nil, &backendError{status: http.StatusServiceUnavailable, msg: "router: no healthy shards"}
+// search fans a search out to every healthy shard and merges the top-k.
+// Correctness leans on two invariants: each document lives on exactly one
+// shard, so the global top-k is a subset of the union of local top-ks; and
+// when TF-IDF is in play the gather phase pins cluster-wide document
+// frequencies into every shard's request, so per-shard scores are the scores
+// a single engine would have computed and merging reduces to the usual
+// deterministic heap order (score desc, then primary key asc).
+func (rt *Router) search(ctx context.Context, index string, req SearchRequest) (*SearchResponse, error) {
+	if len(rt.backends) == 1 {
+		// One shard's document frequencies are the collection's and its
+		// top-k is the top-k: nothing to gather, scatter or merge.
+		return rt.backends[0].Search(ctx, index, req)
 	}
+	idxs := rt.healthyShards()
 	partial := len(idxs) < len(rt.backends)
-	ctx, cancel := context.WithTimeout(ctx, rt.opts.ShardTimeout)
-	defer cancel()
 
 	// Gather phase: sum per-shard document frequencies so each shard ranks
 	// with collection-global IDF.  Only TF-IDF ranking consults collection
 	// statistics; plain SVR-score ranking skips the extra round-trip.
 	if req.WithTermScores && req.Global == nil {
-		stats := make([]*TermStatsResponse, len(idxs))
-		errs := make([]error, len(idxs))
-		var wg sync.WaitGroup
-		for j, i := range idxs {
-			wg.Add(1)
-			go func(j, i int) {
-				defer wg.Done()
-				stats[j], errs[j] = rt.backends[i].TermStats(ctx, index, req.Query)
-			}(j, i)
+		total, alive, err := rt.gatherTermStats(ctx, idxs, index, req.Query)
+		if err != nil {
+			return nil, err
 		}
-		wg.Wait()
-		global := &GlobalStats{}
-		alive := idxs[:0]
-		var firstErr error
-		for j, i := range idxs {
-			if errs[j] != nil {
-				// A shard that cannot answer the gather cannot score
-				// consistently either; drop it from the scatter too.
-				rt.noteShardErr(i, errs[j])
-				partial = true
-				if firstErr == nil {
-					firstErr = errs[j]
-				}
-				continue
-			}
-			if global.DF == nil {
-				global.DF = make([]int64, len(stats[j].DF))
-			} else if len(stats[j].DF) != len(global.DF) {
-				// Shards disagree on the query's term list — an analyzer
-				// mismatch.  Global IDF would be garbage; fail loudly.
-				return nil, fmt.Errorf("router: shard %s analyzed %d terms, others %d (analyzer mismatch?)",
-					rt.backends[i].Label(), len(stats[j].DF), len(global.DF))
-			}
-			global.NumDocs += stats[j].NumDocs
-			for t, df := range stats[j].DF {
-				global.DF[t] += df
-			}
-			alive = append(alive, i)
-		}
-		if len(alive) == 0 {
-			return nil, firstErr
-		}
+		// A shard that cannot answer the gather cannot score consistently
+		// either; drop it from the scatter too.
+		partial = partial || len(alive) < len(idxs)
 		idxs = alive
-		req.Global = global
+		global := GlobalStats(*total)
+		req.Global = &global
 	}
 
 	// Scatter phase.
-	results := make([]*SearchResponse, len(idxs))
-	errs := make([]error, len(idxs))
-	var wg sync.WaitGroup
-	for j, i := range idxs {
-		wg.Add(1)
-		go func(j, i int) {
-			defer wg.Done()
-			results[j], errs[j] = rt.backends[i].Search(ctx, index, req)
-		}(j, i)
+	results, alive, err := askShards(rt, idxs, func(i int) (*SearchResponse, error) {
+		return rt.backends[i].Search(ctx, index, req)
+	})
+	if len(alive) == 0 {
+		return nil, err
 	}
-	wg.Wait()
+	partial = partial || len(alive) < len(idxs)
 
-	// Gather: merge local top-ks through the same heap the engine's own
-	// rankers use, so cross-shard ties break identically (score desc, pk
-	// asc).  Each pk exists on exactly one shard, so no dedup is needed —
-	// byPK only carries each hit's row payload across the heap.
+	// Merge local top-ks through the same heap the engine's own rankers
+	// use, so cross-shard ties break identically (score desc, pk asc).  Each
+	// pk exists on exactly one shard, so no dedup is needed — byPK only
+	// carries each hit's row payload across the heap.
 	heap := topk.New(req.K)
 	byPK := make(map[int64]SearchHit)
 	merged := &SearchResponse{}
-	succeeded := 0
-	var firstErr error
-	for j, i := range idxs {
-		if errs[j] != nil {
-			rt.noteShardErr(i, errs[j])
-			partial = true
-			if firstErr == nil {
-				firstErr = errs[j]
-			}
-			continue
-		}
-		succeeded++
-		res := results[j]
+	for _, res := range results {
 		merged.PostingsScanned += res.PostingsScanned
 		merged.Stopped = merged.Stopped || res.Stopped
 		partial = partial || res.Partial
@@ -565,12 +641,6 @@ func (rt *Router) scatterSearch(ctx context.Context, index string, req SearchReq
 				byPK[h.PK] = h
 			}
 		}
-	}
-	if succeeded == 0 {
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		return nil, &backendError{status: http.StatusServiceUnavailable, msg: "router: no shard answered"}
 	}
 	ranked := heap.Results()
 	merged.Hits = make([]SearchHit, len(ranked))
@@ -583,66 +653,41 @@ func (rt *Router) scatterSearch(ctx context.Context, index string, req SearchReq
 	return merged, nil
 }
 
-func (rt *Router) handleTermStats(w http.ResponseWriter, r *http.Request) {
-	var req TermStatsRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+// gatherTermStats sums the query's document frequencies over the listed
+// shards.  It returns the total over the shards that answered and which
+// those were.
+func (rt *Router) gatherTermStats(ctx context.Context, idxs []int, index, query string) (*TermStatsResponse, []int, error) {
+	stats, alive, err := askShards(rt, idxs, func(i int) (*TermStatsResponse, error) {
+		return rt.backends[i].TermStats(ctx, index, query)
+	})
+	if len(alive) == 0 {
+		return nil, nil, err
 	}
-	query, err := normalizeQuery(req.Query, req.Terms)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	idxs := rt.healthyShards()
-	if len(idxs) == 0 {
-		writeError(w, http.StatusServiceUnavailable, errors.New("router: no healthy shards"))
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ShardTimeout)
-	defer cancel()
-	index := r.PathValue("name")
-	stats := make([]*TermStatsResponse, len(idxs))
-	errs := make([]error, len(idxs))
-	var wg sync.WaitGroup
-	for j, i := range idxs {
-		wg.Add(1)
-		go func(j, i int) {
-			defer wg.Done()
-			stats[j], errs[j] = rt.backends[i].TermStats(ctx, index, query)
-		}(j, i)
-	}
-	wg.Wait()
-	total := TermStatsResponse{}
-	succeeded := 0
-	var firstErr error
-	for j, i := range idxs {
-		if errs[j] != nil {
-			rt.noteShardErr(i, errs[j])
-			if firstErr == nil {
-				firstErr = errs[j]
-			}
-			continue
+	total := &TermStatsResponse{DF: make([]int64, len(stats[0].DF))}
+	for j, st := range stats {
+		if len(st.DF) != len(total.DF) {
+			// Shards disagree on the query's term list — an analyzer
+			// mismatch.  Global IDF would be garbage; fail loudly.
+			return nil, nil, fmt.Errorf("shard %s analyzed %d terms, others %d (analyzer mismatch?)",
+				rt.backends[alive[j]].Label(), len(st.DF), len(total.DF))
 		}
-		if total.DF == nil {
-			total.DF = make([]int64, len(stats[j].DF))
-		} else if len(stats[j].DF) != len(total.DF) {
-			writeError(w, http.StatusInternalServerError,
-				fmt.Errorf("router: shard %s analyzed %d terms, others %d (analyzer mismatch?)",
-					rt.backends[i].Label(), len(stats[j].DF), len(total.DF)))
-			return
-		}
-		total.NumDocs += stats[j].NumDocs
-		for t, df := range stats[j].DF {
+		total.NumDocs += st.NumDocs
+		for t, df := range st.DF {
 			total.DF[t] += df
 		}
-		succeeded++
 	}
-	if succeeded == 0 {
-		writeError(w, httpStatusOf(firstErr), firstErr)
-		return
+	return total, alive, nil
+}
+
+func (rt *Router) handleTermStats(r *http.Request, req *TermStatsRequest) (any, error) {
+	query, err := normalizeQuery(req.Query, req.Terms)
+	if err != nil {
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, total)
+	ctx, cancel := rt.shardCtx(r)
+	defer cancel()
+	total, _, err := rt.gatherTermStats(ctx, rt.healthyShards(), qualifyName(r, r.PathValue("name")), query)
+	return total, err
 }
 
 // --- writes ----------------------------------------------------------------------
@@ -650,25 +695,22 @@ func (rt *Router) handleTermStats(w http.ResponseWriter, r *http.Request) {
 // routingColumn resolves which column routes a table's rows: the configured
 // override, or the first column (the primary key).
 func (rt *Router) routingColumn(schema *SchemaResponse) (string, error) {
+	misconfigured := func(format string, args ...any) error {
+		return &backendError{status: http.StatusInternalServerError, msg: fmt.Sprintf(format, args...)}
+	}
 	if col, ok := rt.opts.RoutingColumns[schema.Table]; ok {
 		for _, c := range schema.Columns {
 			if c.Name == col {
 				if c.Kind != "int64" {
-					return "", &backendError{
-						status: http.StatusInternalServerError,
-						msg:    fmt.Sprintf("router: routing column %q of table %q is %s, need int64", col, schema.Table, c.Kind),
-					}
+					return "", misconfigured("routing column %q of table %q is %s, need int64", col, schema.Table, c.Kind)
 				}
 				return col, nil
 			}
 		}
-		return "", &backendError{
-			status: http.StatusInternalServerError,
-			msg:    fmt.Sprintf("router: routing column %q not in table %q", col, schema.Table),
-		}
+		return "", misconfigured("routing column %q not in table %q", col, schema.Table)
 	}
 	if len(schema.Columns) == 0 {
-		return "", &backendError{status: http.StatusInternalServerError, msg: fmt.Sprintf("router: table %q has no columns", schema.Table)}
+		return "", misconfigured("table %q has no columns", schema.Table)
 	}
 	return schema.Columns[0].Name, nil
 }
@@ -677,15 +719,15 @@ func (rt *Router) routingColumn(schema *SchemaResponse) (string, error) {
 func routingKey(obj map[string]json.RawMessage, col string) (int64, error) {
 	raw, ok := obj[col]
 	if !ok {
-		return 0, fmt.Errorf("missing routing column %q", col)
+		return 0, badRequest("missing routing column %q", col)
 	}
 	var n json.Number
 	if err := json.Unmarshal(raw, &n); err != nil {
-		return 0, fmt.Errorf("routing column %q: want an integer: %w", col, err)
+		return 0, badRequest("routing column %q: want an integer: %v", col, err)
 	}
 	v, err := n.Int64()
 	if err != nil {
-		return 0, fmt.Errorf("routing column %q: want an integer: %w", col, err)
+		return 0, badRequest("routing column %q: want an integer: %v", col, err)
 	}
 	return v, nil
 }
@@ -695,233 +737,151 @@ func routingKey(obj map[string]json.RawMessage, col string) (int64, error) {
 // never land elsewhere.
 func (rt *Router) shardFor(key int64) (int, error) {
 	i := rt.part.Shard(key, len(rt.backends))
-	if !rt.health[i].up.Load() {
+	if rt.down[i].Load() != nil {
 		return 0, &backendError{
 			status: http.StatusServiceUnavailable,
-			msg:    fmt.Sprintf("router: shard %d (%s) owning key %d is down", i, rt.backends[i].Label(), key),
+			msg:    fmt.Sprintf("shard %d (%s) owning key %d is down", i, rt.backends[i].Label(), key),
 		}
 	}
 	return i, nil
 }
 
-func (rt *Router) handleInsertRows(w http.ResponseWriter, r *http.Request) {
-	var req InsertRowsRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Rows) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("\"rows\" must be a non-empty array"))
-		return
-	}
-	table := r.PathValue("name")
-	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ShardTimeout)
-	defer cancel()
-	schema, err := rt.tableSchema(ctx, table)
+// routeOp returns the shard owning op's row, or -1 when only a broadcast can
+// find it: an update or delete of a table routed by a non-pk column, which
+// the op does not carry.
+func (rt *Router) routeOp(ctx context.Context, op BatchOp) (int, error) {
+	schema, err := rt.tableSchema(ctx, op.Table)
 	if err != nil {
-		writeError(w, httpStatusOf(err), err)
-		return
+		return 0, err
 	}
 	col, err := rt.routingColumn(schema)
 	if err != nil {
-		writeError(w, httpStatusOf(err), err)
-		return
+		return 0, err
 	}
-	perShard := map[int][]map[string]json.RawMessage{}
-	for i, obj := range req.Rows {
-		key, err := routingKey(obj, col)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("row %d: %w", i, err))
-			return
+	switch op.Op {
+	case "insert":
+		if op.Row == nil {
+			return 0, badRequest("insert requires \"row\"")
 		}
-		shard, err := rt.shardFor(key)
+		key, err := routingKey(op.Row, col)
 		if err != nil {
-			writeError(w, httpStatusOf(err), fmt.Errorf("row %d: %w", i, err))
-			return
+			return 0, err
 		}
-		perShard[shard] = append(perShard[shard], obj)
+		return rt.shardFor(key)
+	case "update", "delete":
+		if op.PK == nil {
+			return 0, badRequest("%s requires \"pk\"", op.Op)
+		}
+		if col != schema.Columns[0].Name {
+			return -1, nil
+		}
+		return rt.shardFor(*op.PK)
+	default:
+		return 0, badRequest("unknown op %q (want insert, update or delete)", op.Op)
+	}
+}
+
+func (rt *Router) handleInsertRows(r *http.Request, req *InsertRowsRequest) (any, error) {
+	if len(req.Rows) == 0 {
+		return nil, badRequest("\"rows\" must be a non-empty array")
+	}
+	table := qualifyName(r, r.PathValue("name"))
+	ctx, cancel := rt.shardCtx(r)
+	defer cancel()
+	// One backend owns every row: no schema fetch, no routing-key parse.
+	perShard := [][]map[string]json.RawMessage{req.Rows}
+	if len(rt.backends) > 1 {
+		perShard = make([][]map[string]json.RawMessage, len(rt.backends))
+		for i, row := range req.Rows {
+			shard, err := rt.routeOp(ctx, BatchOp{Op: "insert", Table: table, Row: row})
+			if err != nil {
+				return nil, fmt.Errorf("row %d: %w", i, err)
+			}
+			perShard[shard] = append(perShard[shard], row)
+		}
 	}
 	// Per-shard sub-batches run in parallel; there is no cross-shard
 	// transaction, so on failure the error names the shard and rows on
-	// other shards may already be in (same applied-up-to contract as the
-	// single-node batch endpoint).
-	if err := rt.fanOutWrites(ctx, perShard, func(shard int, rows []map[string]json.RawMessage) error {
-		return rt.backends[shard].InsertRows(ctx, table, rows)
-	}); err != nil {
-		writeError(w, httpStatusOf(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, InsertRowsResponse{Inserted: len(req.Rows)})
+	// other shards may already be in (the same applied-up-to contract one
+	// shard's batch has).
+	err := rt.eachShard(involved(perShard), func(i int) error {
+		return rt.backends[i].InsertRows(ctx, table, perShard[i])
+	})
+	return InsertRowsResponse{Inserted: len(req.Rows)}, err
 }
 
-// fanOutWrites runs one write call per involved shard in parallel and joins
-// failures.
-func (rt *Router) fanOutWrites(ctx context.Context, perShard map[int][]map[string]json.RawMessage, call func(shard int, rows []map[string]json.RawMessage) error) error {
-	var wg sync.WaitGroup
-	errsMu := sync.Mutex{}
-	var errs []error
-	for shard, rows := range perShard {
-		wg.Add(1)
-		go func(shard int, rows []map[string]json.RawMessage) {
-			defer wg.Done()
-			if err := call(shard, rows); err != nil {
-				errsMu.Lock()
-				errs = append(errs, fmt.Errorf("shard %d: %w", shard, err))
-				errsMu.Unlock()
-			}
-		}(shard, rows)
+// partitionOps routes each op of a batch: inserts and pk-routed tables go
+// straight to the owning shard; an op only a broadcast can place goes to
+// every shard with ignore_missing — only the owner has the row, and the
+// Matched totals verify afterwards that some shard did.  One backend takes
+// the batch as it came.
+func (rt *Router) partitionOps(ctx context.Context, ops []BatchOp) ([][]BatchOp, error) {
+	if len(rt.backends) == 1 {
+		return [][]BatchOp{ops}, nil
 	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Ops) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("\"ops\" must be a non-empty array"))
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ShardTimeout)
-	defer cancel()
-	// Route each op: inserts and pk-routed tables go straight to the owning
-	// shard; an update/delete on a table routed by a non-pk column is
-	// broadcast to every shard with ignore_missing — only the owner has the
-	// row, and the Matched totals verify afterwards that some shard did.
-	perShard := map[int][]BatchOp{}
-	broadcasts := 0
-	for i, op := range req.Ops {
-		schema, err := rt.tableSchema(ctx, op.Table)
-		if err != nil {
-			writeError(w, httpStatusOf(err), fmt.Errorf("op %d: %w", i, err))
-			return
+	perShard := make([][]BatchOp, len(rt.backends))
+	for i, op := range ops {
+		shard, err := rt.routeOp(ctx, op)
+		if err == nil && shard < 0 {
+			err = rt.requireAllShards("broadcast")
+			op.IgnoreMissing = true
 		}
-		col, err := rt.routingColumn(schema)
 		if err != nil {
-			writeError(w, httpStatusOf(err), fmt.Errorf("op %d: %w", i, err))
-			return
+			return nil, fmt.Errorf("op %d: %w", i, err)
 		}
-		switch op.Op {
-		case "insert":
-			if op.Row == nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("op %d: insert requires \"row\"", i))
-				return
-			}
-			key, err := routingKey(op.Row, col)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("op %d: %w", i, err))
-				return
-			}
-			shard, err := rt.shardFor(key)
-			if err != nil {
-				writeError(w, httpStatusOf(err), fmt.Errorf("op %d: %w", i, err))
-				return
-			}
+		if shard >= 0 {
 			perShard[shard] = append(perShard[shard], op)
-		case "update", "delete":
-			if op.PK == nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("op %d: %s requires \"pk\"", i, op.Op))
-				return
-			}
-			if col == schema.Columns[0].Name {
-				shard, err := rt.shardFor(*op.PK)
-				if err != nil {
-					writeError(w, httpStatusOf(err), fmt.Errorf("op %d: %w", i, err))
-					return
-				}
-				perShard[shard] = append(perShard[shard], op)
-				break
-			}
-			// Routed by a non-pk column the op does not carry: broadcast.
-			bop := op
-			bop.IgnoreMissing = true
-			broadcasts++
-			for shard := range rt.backends {
-				if !rt.health[shard].up.Load() {
-					writeError(w, http.StatusServiceUnavailable,
-						fmt.Errorf("op %d: broadcast needs every shard, shard %d (%s) is down", i, shard, rt.backends[shard].Label()))
-					return
-				}
-				perShard[shard] = append(perShard[shard], bop)
-			}
-		default:
-			writeError(w, http.StatusBadRequest, fmt.Errorf("op %d: unknown op %q (want insert, update or delete)", i, op.Op))
-			return
+			continue
+		}
+		for to := range perShard {
+			perShard[to] = append(perShard[to], op)
 		}
 	}
-	matched := atomic.Int64{}
-	var wg sync.WaitGroup
-	errsMu := sync.Mutex{}
-	var errs []error
-	for shard, ops := range perShard {
-		wg.Add(1)
-		go func(shard int, ops []BatchOp) {
-			defer wg.Done()
-			resp, err := rt.backends[shard].Batch(ctx, ops)
-			if err != nil {
-				errsMu.Lock()
-				errs = append(errs, fmt.Errorf("shard %d: %w", shard, err))
-				errsMu.Unlock()
-				return
-			}
-			matched.Add(int64(resp.Matched))
-		}(shard, ops)
+	return perShard, nil
+}
+
+func (rt *Router) handleBatch(r *http.Request, req *BatchRequest) (any, error) {
+	if len(req.Ops) == 0 {
+		return nil, badRequest("\"ops\" must be a non-empty array")
 	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		writeError(w, httpStatusOf(err), err)
-		return
+	// mustMatch counts the ops whose row has to exist somewhere: all but
+	// those the client itself flagged ignore_missing.
+	mustMatch := 0
+	for i := range req.Ops {
+		req.Ops[i].Table = qualifyName(r, req.Ops[i].Table)
+		if !req.Ops[i].IgnoreMissing {
+			mustMatch++
+		}
 	}
-	// Every routed op matched (or its shard's batch would have failed) and
-	// every broadcast op should have matched on exactly its owner, so a
-	// shortfall means some broadcast op's row exists on no shard at all.
-	if int(matched.Load()) < len(req.Ops) {
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("router: %d op(s) matched no shard (row not found)", len(req.Ops)-int(matched.Load())))
-		return
+	ctx, cancel := rt.shardCtx(r)
+	defer cancel()
+	perShard, err := rt.partitionOps(ctx, req.Ops)
+	if err != nil {
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Applied: len(req.Ops), Matched: int(matched.Load())})
+	var matched atomic.Int64
+	if err := rt.eachShard(involved(perShard), func(i int) error {
+		resp, err := rt.backends[i].Batch(ctx, perShard[i])
+		if err != nil {
+			return err
+		}
+		matched.Add(int64(resp.Matched))
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	// A routed op that misses fails its shard's batch above, and a
+	// broadcast op should have matched on exactly its owner, so a shortfall
+	// means some broadcast op's row exists on no shard at all.
+	n := int(matched.Load())
+	if n < mustMatch {
+		return nil, &backendError{status: http.StatusNotFound,
+			msg: fmt.Sprintf("%d op(s) matched no shard (row not found)", mustMatch-n)}
+	}
+	return BatchResponse{Applied: len(req.Ops), Matched: n}, nil
 }
 
 // --- index & tenant lifecycle ------------------------------------------------------
-
-// requireAllShards verifies that every shard is currently healthy; index and
-// tenant lifecycle operations fan out to the whole cluster, and running one
-// with a shard missing would leave that shard permanently inconsistent with
-// the rest (searches scatter to every shard, so a shard without the index
-// would fail every query against it).
-func (rt *Router) requireAllShards() error {
-	for i := range rt.backends {
-		if !rt.health[i].up.Load() {
-			return &backendError{
-				status: http.StatusServiceUnavailable,
-				msg: fmt.Sprintf("router: lifecycle operation needs every shard, shard %d (%s) is down",
-					i, rt.backends[i].Label()),
-			}
-		}
-	}
-	return nil
-}
-
-// fanOutLifecycle runs call on every shard in parallel and joins failures.
-func (rt *Router) fanOutLifecycle(call func(shard int) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(rt.backends))
-	for i := range rt.backends {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := call(i); err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
 
 // handleCreateIndex fans an online index build out to every shard.  Each
 // shard backfills from its own slice of the data; searches scattering during
@@ -930,95 +890,200 @@ func (rt *Router) fanOutLifecycle(call func(shard int) error) error {
 // transaction: a failed shard leaves the name existing on some shards only,
 // and the error names which — re-issuing the create is safe on shards where
 // it already exists (409) and completes the rest.
-func (rt *Router) handleCreateIndex(w http.ResponseWriter, r *http.Request) {
-	var req CreateIndexRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+func (rt *Router) handleCreateIndex(r *http.Request, req *CreateIndexRequest) (any, error) {
 	req.Name = qualifyName(r, req.Name)
 	req.Table = qualifyName(r, req.Table)
-	if err := rt.requireAllShards(); err != nil {
-		writeError(w, httpStatusOf(err), err)
-		return
+	if err := rt.requireAllShards("index creation"); err != nil {
+		return nil, err
 	}
 	// No per-shard timeout here: a backfill over a large shard legitimately
 	// takes longer than a search round-trip, so only the client's own
 	// context bounds it.
-	if err := rt.fanOutLifecycle(func(shard int) error {
-		return rt.backends[shard].CreateIndex(r.Context(), req)
-	}); err != nil {
-		writeError(w, httpStatusOf(err), err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, CreateIndexResponse{
-		Name:   req.Name,
-		Table:  req.Table,
-		Column: req.Column,
-		Method: req.Method,
+	created := make([]*CreateIndexResponse, len(rt.backends))
+	err := rt.eachShard(rt.all, func(i int) (err error) {
+		created[i], err = rt.backends[i].CreateIndex(r.Context(), *req)
+		return err
 	})
+	// Every shard resolved the same request the same way; answer with one.
+	return created[0], err
 }
 
 // handleDropIndex fans an index drop out to every shard.  A shard that no
 // longer has the index reports not_found, which the drop treats as success
 // on that shard (drops are idempotent); only if every shard misses does the
-// router answer 404.
-func (rt *Router) handleDropIndex(w http.ResponseWriter, r *http.Request) {
+// router answer 404, with the first shard's structured body.
+func (rt *Router) handleDropIndex(r *http.Request, _ *struct{}) (any, error) {
 	name := qualifyName(r, r.PathValue("name"))
-	if err := rt.requireAllShards(); err != nil {
-		writeError(w, httpStatusOf(err), err)
-		return
+	if err := rt.requireAllShards("index drop"); err != nil {
+		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ShardTimeout)
+	ctx, cancel := rt.shardCtx(r)
 	defer cancel()
-	missing := atomic.Int64{}
-	err := rt.fanOutLifecycle(func(shard int) error {
-		err := rt.backends[shard].DropIndex(ctx, name)
-		var be *backendError
-		if errors.As(err, &be) && be.status == http.StatusNotFound {
-			missing.Add(1)
-			return nil
+	missing := make([]error, len(rt.backends))
+	err := rt.eachShard(rt.all, func(i int) error {
+		err := rt.backends[i].DropIndex(ctx, name)
+		if err != nil && httpStatusOf(err) == http.StatusNotFound {
+			missing[i], err = err, nil
 		}
 		return err
 	})
 	if err != nil {
-		writeError(w, httpStatusOf(err), err)
-		return
+		return nil, err
 	}
-	if int(missing.Load()) == len(rt.backends) {
-		writeNotFound(w, "index", name, fmt.Errorf("router: no shard has an index named %q", name))
-		return
+	if !slices.Contains(missing, nil) {
+		return nil, missing[0]
 	}
-	writeJSON(w, http.StatusOK, DropIndexResponse{Dropped: name})
+	return DropIndexResponse{Dropped: name}, nil
 }
 
 // handleCreateTenant fans a tenant registration out to every shard, so each
-// shard meters its own slice of the tenant's rows against the same quota.
-func (rt *Router) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
-	var req CreateTenantRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+// shard meters its own slice of the tenant's rows against the same quota:
+// quotas are per shard, usage is reported summed.
+func (rt *Router) handleCreateTenant(r *http.Request, req *CreateTenantRequest) (any, error) {
+	if err := rt.requireAllShards("tenant registration"); err != nil {
+		return nil, err
 	}
-	if err := rt.requireAllShards(); err != nil {
-		writeError(w, httpStatusOf(err), err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ShardTimeout)
+	ctx, cancel := rt.shardCtx(r)
 	defer cancel()
-	if err := rt.fanOutLifecycle(func(shard int) error {
-		return rt.backends[shard].CreateTenant(ctx, req)
+	registered := make([][]TenantStatus, len(rt.backends))
+	if err := rt.eachShard(rt.all, func(i int) error {
+		st, err := rt.backends[i].CreateTenant(ctx, *req)
+		if err == nil {
+			registered[i] = []TenantStatus{*st}
+		}
+		return err
 	}); err != nil {
-		writeError(w, httpStatusOf(err), err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{"name": req.Name})
+	return sumTenants(registered)[0], nil
 }
 
-// handleChanges: a cross-shard change stream would need commit-ordered
-// merging across engines, which the scatter-gather layer does not provide;
-// subscribers connect to the shard that owns their keys instead.
+func (rt *Router) handleListTenants(r *http.Request, _ *struct{}) (any, error) {
+	ctx, cancel := rt.shardCtx(r)
+	defer cancel()
+	tenants, err := rt.tenants(ctx)
+	return TenantsResponse{Tenants: tenants}, err
+}
+
+// tenants lists every tenant with its usage summed over the healthy shards
+// that answer.
+func (rt *Router) tenants(ctx context.Context) ([]TenantStatus, error) {
+	lists, alive, err := askShards(rt, rt.healthyShards(), func(i int) ([]TenantStatus, error) {
+		return rt.backends[i].Tenants(ctx)
+	})
+	if len(alive) == 0 {
+		return nil, err
+	}
+	return sumTenants(lists), nil
+}
+
+// sumTenants merges per-shard tenant lists by name, in first-seen order:
+// rows and bytes add up; the quota is the one every shard enforces on its
+// own slice, so it is reported as registered, not multiplied.
+func sumTenants(lists [][]TenantStatus) []TenantStatus {
+	out := make([]TenantStatus, 0)
+	at := map[string]int{}
+	for _, list := range lists {
+		for _, st := range list {
+			i, seen := at[st.Name]
+			if !seen {
+				at[st.Name] = len(out)
+				out = append(out, st)
+				continue
+			}
+			out[i].Rows += st.Rows
+			out[i].Bytes += st.Bytes
+		}
+	}
+	return out
+}
+
+// --- change streams ----------------------------------------------------------------
+
+// handleChanges serves one NDJSON stream of a table's changes: every shard's
+// stream interleaved as events arrive.  Each shard delivers in its own
+// commit order and each primary key lives on one shard, so per-key order
+// holds; events of different shards carry no order between them.  The stream
+// needs every shard (a missing one would silently thin it) and ends — for
+// the client to reconnect — when one fails, the client goes away or the
+// router drains.
 func (rt *Router) handleChanges(w http.ResponseWriter, r *http.Request) {
-	writeError(w, http.StatusNotImplemented,
-		errors.New("router: change streaming is per-shard; connect to a shard server directly"))
+	table := qualifyName(r, r.URL.Query().Get("table"))
+	if table == "" {
+		writeError(w, badRequest("query parameter \"table\" is required"))
+		return
+	}
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		writeError(w, errors.New("response writer does not support streaming"))
+		return
+	}
+	if err := rt.requireAllShards("a change stream"); err != nil {
+		writeError(w, err)
+		return
+	}
+	ctx, cancel := context.WithCancel(r.Context())
+	events := make(chan ChangeEvent)
+	subscribed := make(chan struct{}, len(rt.backends)) // one send per shard
+	ended := make(chan error, len(rt.backends))         // one send per shard
+	for _, b := range rt.backends {
+		go func() {
+			ended <- b.Changes(ctx, table, func() { subscribed <- struct{}{} }, func(ev ChangeEvent) error {
+				select {
+				case events <- ev:
+					return nil
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			})
+		}()
+	}
+	running := len(rt.backends)
+	defer func() {
+		cancel()
+		for ; running > 0; running-- {
+			<-ended
+		}
+	}()
+
+	// Answer only once every shard is subscribed: a client that has seen
+	// the 200 misses no change committed after it.
+	for range rt.backends {
+		select {
+		case <-subscribed:
+		case err := <-ended:
+			running--
+			if err != nil { // nil: the client went away mid-subscribe
+				writeError(w, err)
+			}
+			return
+		}
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher.Flush()
+	enc := json.NewEncoder(w)
+
+	// The periodic tick bounds how long an idle stream can delay a graceful
+	// shutdown or outlive a shard.
+	drainTick := time.NewTicker(250 * time.Millisecond)
+	defer drainTick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-ended:
+			running--
+			return
+		case <-drainTick.C:
+			if rt.draining.Load() || len(rt.healthyShards()) < len(rt.backends) {
+				return
+			}
+		case ev := <-events:
+			if err := enc.Encode(ev); err != nil {
+				return
+			}
+			flusher.Flush()
+		}
+	}
 }

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"testing"
-	"time"
 
 	"svrdb/internal/core"
 	"svrdb/internal/relation"
@@ -134,28 +132,13 @@ func TestRouterLifecycleOverHTTPBackends(t *testing.T) {
 	registerShardSpecs(shards)
 	backends := make([]Backend, len(shards))
 	for i, e := range shards {
-		srv := New(e, Options{})
-		addr := mustStart(t, srv)
-		backends[i] = NewHTTPBackend("http://"+addr, 0)
+		backends[i] = NewHTTPBackend(startServer(t, New(e, Options{})), 0)
 	}
 	rt, err := NewRouter(backends, RouterOptions{Partitioner: "mod"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := rt.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := "http://" + addr
-	t.Cleanup(func() {
-		// Not t.Context(): it is cancelled before cleanups run, which fails
-		// the drain whenever a keep-alive connection is still open.
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := rt.Shutdown(ctx); err != nil {
-			t.Errorf("router shutdown: %v", err)
-		}
-	})
+	base := startServer(t, rt)
 
 	status, data := postJSON(t, base+"/v1/indexes/nope/search", SearchRequest{Query: "alpha"})
 	if status != http.StatusNotFound {
@@ -213,16 +196,5 @@ func TestRouterCreateTenantFanOut(t *testing.T) {
 	status, data = doJSON(t, http.MethodPost, base+"/v1/tenants", CreateTenantRequest{Name: "a/b"}, nil)
 	if status != http.StatusBadRequest {
 		t.Errorf("invalid tenant name over router: status = %d, want 400 (body %s)", status, data)
-	}
-}
-
-// TestRouterChangesNotImplemented: cross-shard change streams would need
-// commit-ordered merging, which scatter-gather does not provide.
-func TestRouterChangesNotImplemented(t *testing.T) {
-	_, shards := newShardedFixture(t, 10, 2)
-	_, base := startRouter(t, shards, RouterOptions{})
-	status, data := doJSON(t, http.MethodGet, base+"/v1/changes?table=Docs", nil, nil)
-	if status != http.StatusNotImplemented {
-		t.Errorf("router changes status = %d, want 501 (body %s)", status, data)
 	}
 }

@@ -104,18 +104,7 @@ func startRouter(t *testing.T, shards []*core.Engine, opts RouterOptions) (*Rout
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := rt.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := rt.Shutdown(ctx); err != nil {
-			t.Errorf("router shutdown: %v", err)
-		}
-	})
-	return rt, "http://" + addr
+	return rt, startServer(t, rt)
 }
 
 func searchVia(t *testing.T, base, index string, req SearchRequest) SearchResponse {
@@ -140,8 +129,7 @@ func TestRouterMatchesSingleServer(t *testing.T) {
 	single, shards := newShardedFixture(t, 90, 3)
 	_, routerBase := startRouter(t, shards, RouterOptions{})
 
-	srv := New(single, Options{})
-	singleBase := "http://" + mustStart(t, srv)
+	singleBase := startServer(t, New(single, Options{}))
 
 	queries := []SearchRequest{
 		{Query: "alpha", K: 10},
@@ -194,22 +182,6 @@ func TestRouterMatchesSingleServer(t *testing.T) {
 	}
 }
 
-func mustStart(t *testing.T, srv *Server) string {
-	t.Helper()
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-	})
-	return addr
-}
-
 // TestRouterOverHTTPBackends runs the router against real svrserve-style
 // shard servers over HTTP and then kills one, asserting degraded-but-
 // serving behavior end to end: partial search results, a degraded healthz,
@@ -220,8 +192,7 @@ func TestRouterOverHTTPBackends(t *testing.T) {
 	backends := make([]Backend, 2)
 	for i, e := range shards {
 		shardSrvs[i] = New(e, Options{})
-		addr := mustStart(t, shardSrvs[i])
-		backends[i] = NewHTTPBackend("http://"+addr, 0)
+		backends[i] = NewHTTPBackend(startServer(t, shardSrvs[i]), 0)
 	}
 	rt, err := NewRouter(backends, RouterOptions{
 		Partitioner: "mod",
@@ -232,18 +203,7 @@ func TestRouterOverHTTPBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := rt.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := "http://" + addr
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := rt.Shutdown(ctx); err != nil {
-			t.Errorf("router shutdown: %v", err)
-		}
-	})
+	base := startServer(t, rt)
 
 	full := searchVia(t, base, "docs", SearchRequest{Query: "alpha", K: 30, Disjunctive: true})
 	if full.Partial || len(full.Hits) == 0 {
@@ -313,16 +273,22 @@ func TestRouterDegradedUnderStorm(t *testing.T) {
 	_, base := startRouter(t, shards, RouterOptions{HealthInterval: 10 * time.Millisecond})
 
 	const workers = 8
-	const perWorker = 30
+	// Each worker keeps searching until the shard has died and then sends
+	// this many more, so the storm always straddles the kill.
+	const afterKill = 10
 	var wg sync.WaitGroup
 	var failures atomic.Int64
 	var sawPartial atomic.Int64
-	errCh := make(chan error, workers*perWorker)
+	var killed atomic.Bool
+	errCh := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for q := 0; q < perWorker; q++ {
+			for left := afterKill; left > 0; {
+				if killed.Load() {
+					left--
+				}
 				status, data := postJSONNoFatal(base+"/v1/indexes/docs/search",
 					SearchRequest{Query: "alpha", K: 20, Disjunctive: true})
 				if status != http.StatusOK {
@@ -348,6 +314,7 @@ func TestRouterDegradedUnderStorm(t *testing.T) {
 	if err := shards[1].Close(); err != nil {
 		t.Fatal(err)
 	}
+	killed.Store(true)
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {

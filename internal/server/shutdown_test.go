@@ -30,7 +30,7 @@ import (
 // after the drain, so its buffer-pool pin audit saw every search's pins
 // released.  Run with -race (CI does).
 func TestGracefulShutdownUnderLoad(t *testing.T) {
-	srv, base, _, _ := newTestServer(t)
+	srv, base, ti := newTestServer(t)
 
 	const workers = 8
 	var (
@@ -110,10 +110,6 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 
 	// The fence holds after drain: a direct engine search fails fast with
 	// the closed sentinel rather than touching closed storage.
-	ti, err := srv.Engine().TextIndex("docs")
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := ti.Search(core.SearchRequest{Query: "alpha", K: 1}); !errors.Is(err, core.ErrClosed) {
 		t.Errorf("post-shutdown Search error = %v, want core.ErrClosed", err)
 	}
@@ -212,7 +208,7 @@ func TestEmbeddedHandlerShutdownUnderLoad(t *testing.T) {
 // TestShutdownWithoutTraffic covers the quiet path: no requests in flight,
 // Shutdown still drains, closes the engine and audits pins exactly once.
 func TestShutdownWithoutTraffic(t *testing.T) {
-	srv, base, _, _ := newTestServer(t)
+	srv, base, _ := newTestServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

@@ -4,11 +4,12 @@
 # subscription + stats scrape over real HTTP, then SIGTERM it and assert a
 # clean graceful shutdown (drain + engine close with its pin audit).  A
 # durability leg SIGKILLs a -data daemon and asserts WAL recovery; a router
-# leg fronts two shard servers with -router, SIGKILLs one shard and asserts
-# degraded-but-serving, restarts it and asserts full recovery, then runs an
-# online index create/query/drop through the router under a concurrent
-# search storm that must see zero failures.  CI runs this on every push; it
-# also works locally.
+# leg fronts two shard servers with -router and repeats the tenant, change-
+# stream and stats checks through it (one handler set: the same API over any
+# number of shards), SIGKILLs one shard and asserts degraded-but-serving,
+# restarts it and asserts full recovery, then runs an online index
+# create/query/drop through the router under a concurrent search storm that
+# must see zero failures.  CI runs this on every push; it also works locally.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,8 +34,67 @@ for _ in $(seq 1 100); do
 done
 [ -n "$ADDR" ] || { echo "daemon never started listening" >&2; exit 1; }
 
+# check_stats URL: the one /v1/stats shape — engine counters summed at the
+# top level, the front end's own sections, the per-shard breakdown — and long
+# lists that are actually compressed: every index with a nonzero raw
+# footprint must report ratio > 1 (raw bytes strictly above stored bytes),
+# which a ratio summed across shards instead of recomputed would fake.
+check_stats() {
+  curl -fsS "$1/v1/stats" | python3 -c '
+import json, sys
+stats = json.load(sys.stdin)
+for key in ("indexes", "pool", "pagefile", "durability", "endpoints", "tenants", "uptime_seconds", "cluster", "shards"):
+    if key not in stats:
+        sys.exit(f"stats lack {key!r}")
+if len(stats["shards"]) != stats["cluster"]["shards"]:
+    sys.exit("stats shards breakdown does not match cluster.shards")
+for name, idx in stats["indexes"].items():
+    raw, stored, ratio = idx["long_list_raw_bytes"], idx["long_list_bytes"], idx["compression_ratio"]
+    if raw > 0 and abs(ratio - raw / stored) > 1e-9:
+        sys.exit(f"{name}: compression_ratio {ratio} is not raw {raw} B / stored {stored} B")
+    if raw > 0 and ratio <= 1.0:
+        sys.exit(f"{name}: raw {raw} B stored {stored} B — not compressed")
+    for key in ("table_patches", "pages_read"):
+        if key not in idx:
+            sys.exit(f"{name}: stats lack {key!r}")
+'
+}
+
+# check_change_stream URL ROW_ID: subscribe to Reviews, insert a review and
+# require the committed insert on the stream.
+check_change_stream() {
+  local ch chpid seen=""
+  ch=$(mktemp)
+  curl -fsS --no-buffer -m 15 "$1/v1/changes?table=Reviews" >"$ch" &
+  chpid=$!
+  sleep 0.3
+  curl -fsS -d "{\"rows\":[{\"rID\":$2,\"mID\":7,\"rating\":4}]}" \
+    "$1/v1/tables/Reviews/rows" | grep -q '"inserted":1'
+  for _ in $(seq 1 50); do
+    if grep -q "\"pk\":$2" "$ch" 2>/dev/null; then seen=1; break; fi
+    sleep 0.1
+  done
+  kill "$chpid" 2>/dev/null || true
+  wait "$chpid" 2>/dev/null || true
+  [ -n "$seen" ] || { echo "change stream never delivered the insert" >&2; cat "$ch" >&2; exit 1; }
+  grep -q '"kind":"insert"' "$ch"
+}
+
+# check_tenants URL: a registration answers the tenant's status, shows up in
+# the listing and in the stats, and the X-SVR-Tenant header namespaces the
+# named routes (the tenant has no index of its own, so its search misses —
+# on "acme/movies_desc", not on the shared index).
+check_tenants() {
+  curl -fsS -d '{"name":"acme","max_rows":2}' "$1/v1/tenants" | grep -q '"name":"acme","max_rows":2'
+  curl -fsS "$1/v1/tenants" | grep -q '"max_rows":2'
+  curl -fsS "$1/v1/stats" | grep -q '"tenants":\[{"name":"acme"'
+  curl -s -H 'X-SVR-Tenant: acme' -d '{"query":"golden gate"}' \
+    "$1/v1/indexes/movies_desc/search" | grep -q '"name":"acme/movies_desc"'
+}
+
 echo "--- healthz"
 curl -fsS "http://$ADDR/healthz" | grep -q '"status":"ok"'
+curl -fsS "http://$ADDR/healthz" | grep -q '"healthy_shards":1'
 
 echo "--- search"
 curl -fsS -d '{"query":"golden gate","k":5,"load_rows":true}' \
@@ -49,44 +109,13 @@ curl -fsS -d '{"rows":[{"rID":900001,"mID":7,"rating":5}]}' \
   "http://$ADDR/v1/tables/Reviews/rows" | grep -q '"inserted":1'
 
 echo "--- stats scrape"
-STATS=$(curl -fsS "http://$ADDR/v1/stats")
-echo "$STATS" | grep -q '"table_patches"'
-echo "$STATS" | grep -q '"endpoints"'
-echo "$STATS" | grep -q '"long_list_raw_bytes"'
-echo "$STATS" | grep -q '"compression_ratio"'
-echo "$STATS" | grep -q '"pages_read"'
-# Long lists must actually be compressed: every index with a nonzero raw
-# footprint must report ratio > 1 (raw bytes strictly above stored bytes).
-echo "$STATS" | python3 -c '
-import json, sys
-stats = json.load(sys.stdin)
-for name, idx in stats["indexes"].items():
-    raw, stored = idx["long_list_raw_bytes"], idx["long_list_bytes"]
-    if raw > 0 and idx["compression_ratio"] <= 1.0:
-        sys.exit(f"{name}: raw {raw} B stored {stored} B — not compressed")
-'
+check_stats "http://$ADDR"
 
-echo "--- tenant registration shows up in /v1/tenants and /v1/stats"
-curl -fsS -d '{"name":"acme","max_rows":2}' "http://$ADDR/v1/tenants" | grep -q '"name":"acme"'
-curl -fsS "http://$ADDR/v1/tenants" | grep -q '"max_rows":2'
-curl -fsS "http://$ADDR/v1/stats" | grep -q '"tenants"'
+echo "--- tenant registration shows up in /v1/tenants and /v1/stats; the header namespaces"
+check_tenants "http://$ADDR"
 
 echo "--- change stream delivers a committed insert"
-CH=$(mktemp)
-curl -fsS --no-buffer -m 15 "http://$ADDR/v1/changes?table=Reviews" >"$CH" &
-CHPID=$!
-sleep 0.3
-curl -fsS -d '{"rows":[{"rID":900002,"mID":7,"rating":4}]}' \
-  "http://$ADDR/v1/tables/Reviews/rows" | grep -q '"inserted":1'
-SEEN=""
-for _ in $(seq 1 50); do
-  if grep -q '"pk":900002' "$CH" 2>/dev/null; then SEEN=1; break; fi
-  sleep 0.1
-done
-kill "$CHPID" 2>/dev/null || true
-wait "$CHPID" 2>/dev/null || true
-[ -n "$SEEN" ] || { echo "change stream never delivered the insert" >&2; cat "$CH" >&2; exit 1; }
-grep -q '"kind":"insert"' "$CH"
+check_change_stream "http://$ADDR" 900002
 
 echo "--- malformed request gets a clean 400"
 CODE=$(curl -s -o /dev/null -w '%{http_code}' -d '{"query":' \
@@ -200,8 +229,15 @@ echo "$FULL" | grep -q '"hits"'
 echo "$FULL" | grep -q '"partial"' && { echo "healthy cluster returned partial results" >&2; exit 1; }
 curl -fsS "http://$RADDR/healthz" | grep -q '"healthy_shards":2'
 
-echo "--- aggregated stats name both shards"
+echo "--- aggregated stats name both shards, in the same shape as one shard's"
 curl -fsS "http://$RADDR/v1/stats" | grep -q '"healthy_shards":2'
+check_stats "http://$RADDR"
+
+echo "--- tenants through the router: fan-out registration, summed listing, header namespace"
+check_tenants "http://$RADDR"
+
+echo "--- one change stream over both shards delivers a routed insert"
+check_change_stream "http://$RADDR" 900003
 
 echo "--- SIGKILL shard 1, assert degraded-but-serving"
 kill -9 "$SPID1"
@@ -284,4 +320,4 @@ wait "$SPID1"
 SPID0="" SPID1=""
 
 trap - EXIT
-echo "serve smoke OK (including SIGKILL restart, router degradation and online index lifecycle legs)"
+echo "serve smoke OK (including SIGKILL restart, router tenant/change-stream/degradation and online index lifecycle legs)"
