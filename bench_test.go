@@ -70,26 +70,7 @@ func buildBenchIndex(b *testing.B, kind string, cfg index.Config) index.Method {
 	corpus, _, _ := sharedCorpus()
 	pool := buffer.MustNew(pagefile.MustNewMem(pagefile.DefaultPageSize), 8192)
 	cfg.Pool = pool
-	var (
-		m   index.Method
-		err error
-	)
-	switch kind {
-	case "ID":
-		m, err = index.NewID(cfg)
-	case "Score":
-		m, err = index.NewScore(cfg)
-	case "Score-Threshold":
-		m, err = index.NewScoreThreshold(cfg)
-	case "Chunk":
-		m, err = index.NewChunk(cfg)
-	case "ID-TermScore":
-		m, err = index.NewIDTermScore(cfg)
-	case "Chunk-TermScore":
-		m, err = index.NewChunkTermScore(cfg)
-	default:
-		b.Fatalf("unknown method %q", kind)
-	}
+	m, err := index.New(kind, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -125,26 +125,7 @@ func buildAndIngest(corpus *workload.Corpus, trace []workload.ScoreUpdate, metho
 	}
 	pool := buffer.MustNew(file, 8192)
 	cfg := index.Config{Pool: pool}
-	var (
-		m   index.Method
-		err error
-	)
-	switch method {
-	case "id":
-		m, err = index.NewID(cfg)
-	case "score":
-		m, err = index.NewScore(cfg)
-	case "score-threshold":
-		m, err = index.NewScoreThreshold(cfg)
-	case "chunk":
-		m, err = index.NewChunk(cfg)
-	case "id-termscore":
-		m, err = index.NewIDTermScore(cfg)
-	case "chunk-termscore":
-		m, err = index.NewChunkTermScore(cfg)
-	default:
-		return fmt.Errorf("unknown method %q", method)
-	}
+	m, err := index.New(method, cfg)
 	if err != nil {
 		return err
 	}

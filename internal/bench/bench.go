@@ -225,7 +225,7 @@ func newRig(kind string, corpus *workload.Corpus, opts Options, cfg index.Config
 	pool := buffer.MustNew(file, opts.PoolPages)
 	registerPool(pool)
 	cfg.Pool = pool
-	m, err := newMethodByName(kind, cfg)
+	m, err := index.New(kind, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -233,25 +233,6 @@ func newRig(kind string, corpus *workload.Corpus, opts Options, cfg index.Config
 		return nil, err
 	}
 	return &rig{method: m, pool: pool, file: file}, nil
-}
-
-func newMethodByName(kind string, cfg index.Config) (index.Method, error) {
-	switch kind {
-	case "ID":
-		return index.NewID(cfg)
-	case "Score":
-		return index.NewScore(cfg)
-	case "Score-Threshold":
-		return index.NewScoreThreshold(cfg)
-	case "Chunk":
-		return index.NewChunk(cfg)
-	case "ID-TermScore":
-		return index.NewIDTermScore(cfg)
-	case "Chunk-TermScore":
-		return index.NewChunkTermScore(cfg)
-	default:
-		return nil, fmt.Errorf("bench: unknown method %q", kind)
-	}
 }
 
 // corpusFor generates (and caches per options) the synthetic corpus.

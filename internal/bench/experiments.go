@@ -598,10 +598,7 @@ func RunChunkPolicyAblation(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		chunks := 0
-		if cm, ok := r.method.(*index.ChunkMethod); ok {
-			chunks = cm.NumChunks()
-		}
+		chunks := len(r.method.State().ChunkLower)
 		t.Rows = append(t.Rows, []string{p.label, fmt.Sprintf("%d", chunks), fmtDur(upd), fmtDur(qs.avgTime)})
 	}
 	return t, nil

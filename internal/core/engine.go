@@ -53,29 +53,13 @@ const (
 )
 
 // AllMethods lists every supported method kind in the order the paper's
-// tables report them.
+// tables report them (the index package's registry).
 func AllMethods() []MethodKind {
-	return []MethodKind{MethodID, MethodScore, MethodScoreThreshold, MethodChunk, MethodIDTermScore, MethodChunkTermScore}
-}
-
-// newMethod constructs the index implementation for a kind.
-func newMethod(kind MethodKind, cfg index.Config) (index.Method, error) {
-	switch kind {
-	case MethodID:
-		return index.NewID(cfg)
-	case MethodScore:
-		return index.NewScore(cfg)
-	case MethodScoreThreshold:
-		return index.NewScoreThreshold(cfg)
-	case MethodChunk, "":
-		return index.NewChunk(cfg)
-	case MethodIDTermScore:
-		return index.NewIDTermScore(cfg)
-	case MethodChunkTermScore:
-		return index.NewChunkTermScore(cfg)
-	default:
-		return nil, fmt.Errorf("core: unknown index method %q", kind)
+	var out []MethodKind
+	for _, k := range index.Kinds() {
+		out = append(out, MethodKind(k.ID))
 	}
+	return out
 }
 
 // Engine is the top-level SVR engine.
@@ -436,7 +420,10 @@ func (e *Engine) CreateTextIndex(name, table, column string, opts IndexOptions) 
 		MinChunkSize:   opts.MinChunkSize,
 		FancyListSize:  opts.FancyListSize,
 	}
-	method, err := newMethod(opts.Method, cfg)
+	if opts.Method == "" {
+		opts.Method = MethodChunk
+	}
+	method, err := index.New(string(opts.Method), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s", ErrInvalidRequest, err)
 	}
@@ -668,9 +655,10 @@ func (ti *TextIndex) ClearMaintenanceErr() {
 }
 
 // onScoreChange reacts to Score view changes (Algorithm 1's entry point).
-// Eager maintenance takes the index write lock around the method call so it
-// drains and excludes concurrent searches; in batch mode the event only
-// lands in the pending queue and no lock beyond ti.mu is needed.
+// Eager maintenance takes the writer mutex around the method call (see
+// writeLocked: writes serialize against each other, searches keep reading
+// the last published snapshot); in batch mode the event only lands in the
+// pending queue and no lock beyond ti.mu is needed.
 func (ti *TextIndex) onScoreChange(c view.ScoreChange) {
 	doc := index.DocID(c.Doc)
 	switch {

@@ -235,7 +235,7 @@ func TestApplyUpdatesEmptyAndSingle(t *testing.T) {
 // failing event and keeps going).
 func TestApplyUpdatesErrorContinues(t *testing.T) {
 	corpus := smallCorpus()
-	m := buildMethod(t, "Chunk", func(c Config) (Method, error) { return NewChunk(c) }, corpus)
+	m := buildMethod(t, "Chunk", allConstructors()["Chunk"], corpus)
 	batch := []Update{
 		{Op: ScoreOp, Doc: 1, Score: 777},
 		{Op: ScoreOp, Doc: 99999, Score: 1}, // unknown document: errors

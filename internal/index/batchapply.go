@@ -44,13 +44,21 @@ func applyOne(m Method, u Update) error {
 	}
 }
 
-// runBatch replays batch through m with the given structures staged, then
-// flushes them.  A failing update does not abort the batch: later updates
-// still apply, mirroring the engine's eager maintenance (which records an
-// error per failing event and keeps going), and the errors are joined.
-func (b *base) runBatch(m Method, batch []Update, tables ...stager) error {
+// ApplyUpdates implements Method: the batch replays through the kind's
+// ordinary maintenance paths with the Score table, the keyed list and the
+// ListScore/ListChunk table staged, so its tree writes group by leaf.  Even
+// the Score method, whose every update rewrites long-list postings, thereby
+// groups a batch's per-term deletes and reinserts into per-leaf writes.  A
+// failing update does not abort the batch: later updates still apply,
+// mirroring the engine's eager maintenance (which records an error per
+// failing event and keeps going), and the errors are joined.
+func (b *base) ApplyUpdates(batch []Update) error {
 	if len(batch) == 0 {
 		return nil
+	}
+	tables := []stager{b.score, b.lists}
+	if b.table != nil {
+		tables = append(tables, b.table)
 	}
 	// Suppress the per-update snapshot publications; the batch publishes
 	// once after the flush, so concurrent queries see either the whole
@@ -61,7 +69,7 @@ func (b *base) runBatch(m Method, batch []Update, tables ...stager) error {
 	}
 	var errs []error
 	for i := range batch {
-		if err := applyOne(m, batch[i]); err != nil {
+		if err := applyOne(b.self, batch[i]); err != nil {
 			errs = append(errs, err)
 		}
 	}

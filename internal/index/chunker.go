@@ -1,7 +1,6 @@
 package index
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -70,22 +69,6 @@ func buildChunker(scores []float64, ratio float64, minSize int) *chunker {
 	return &chunker{lower: lower}
 }
 
-// uniformChunker builds numChunks equal-width chunks over [0, maxScore]; it
-// exists for the chunk-boundary-policy ablation.
-func uniformChunker(maxScore float64, numChunks int) *chunker {
-	if numChunks < 1 {
-		numChunks = 1
-	}
-	if maxScore <= 0 {
-		maxScore = 1
-	}
-	lower := make([]float64, numChunks)
-	for i := 1; i < numChunks; i++ {
-		lower[i] = maxScore * float64(i) / float64(numChunks)
-	}
-	return &chunker{lower: lower}
-}
-
 // NumChunks reports the number of chunks.
 func (c *chunker) NumChunks() int { return len(c.lower) }
 
@@ -136,7 +119,3 @@ func (c *chunker) UpperBound(cid int32) float64 {
 // rewritten only when its score climbs at least two chunks above its list
 // chunk.
 func thresholdChunk(cid int32) int32 { return cid + 1 }
-
-func (c *chunker) String() string {
-	return fmt.Sprintf("chunker(%d chunks)", len(c.lower))
-}

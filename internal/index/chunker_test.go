@@ -99,19 +99,6 @@ func TestChunkerDegenerateInputs(t *testing.T) {
 	}
 }
 
-func TestUniformChunker(t *testing.T) {
-	ch := uniformChunker(1000, 10)
-	if ch.NumChunks() != 10 {
-		t.Fatalf("uniform chunker has %d chunks, want 10", ch.NumChunks())
-	}
-	if ch.ChunkOf(50) != 1 || ch.ChunkOf(950) != 10 {
-		t.Errorf("uniform assignment wrong: %d, %d", ch.ChunkOf(50), ch.ChunkOf(950))
-	}
-	if got := uniformChunker(-5, 0); got.NumChunks() != 1 {
-		t.Errorf("degenerate uniform chunker has %d chunks", got.NumChunks())
-	}
-}
-
 func TestChunkOfMonotonicProperty(t *testing.T) {
 	scores := make([]float64, 500)
 	rng := rand.New(rand.NewSource(3))

@@ -1,19 +1,29 @@
 // Package index implements the paper's family of inverted-list index
-// structures and their query and update algorithms:
+// structures and their query and update algorithms.  The six kinds are three
+// method types over one shared base (kinds.go is the registry):
 //
-//   - ID              (§4.2.1) — ID-ordered lists, score lookups per result.
-//   - Score           (§4.2.2) — score-ordered clustered B+-tree lists,
-//     rewritten on every score update.
-//   - Score-Threshold (§4.3.1) — stale score-ordered long lists plus short
-//     lists for documents whose score moved past a threshold; Algorithm 1
-//     for updates, Algorithm 2 for queries.
-//   - Chunk           (§4.3.2) — long lists ordered by descending chunk ID,
-//     ID-ordered within a chunk; short lists updated when a document climbs
-//     two or more chunks.
-//   - ID-TermScore    (§5.2)  — the ID baseline extended with per-posting
-//     term weights.
-//   - Chunk-TermScore (§4.3.3) — the Chunk method extended with per-posting
-//     term weights and per-term fancy lists; Algorithm 3 for queries.
+//   - idMethod — ID (§4.2.1) and ID-TermScore (§5.2): ID-ordered long lists,
+//     the latter with per-posting term weights.  A score update writes the
+//     Score table only; queries scan every list end to end (leapfrogging
+//     multi-term conjunctions) and look up every candidate's score.
+//   - scoreMethod — Score (§4.2.2): score-ordered clustered B+-tree lists,
+//     every posting of a document moved on every score update; queries read
+//     an exact prefix.
+//   - thresholdMethod — the threshold family (§4.3), one Algorithm 1 for
+//     updates and one Algorithm 2 for queries over a per-kind list order:
+//     Score-Threshold (§4.3.1; list key = stale score, threshold t·s), Chunk
+//     (§4.3.2; list key = chunk ID, threshold c+1) and Chunk-TermScore
+//     (§4.3.3; the Chunk order with per-posting term weights and per-term
+//     fancy lists, Algorithm 3 for combined SVR + term-score queries).
+//
+// What the kinds share is written once on base: the Score table, one
+// mutable keyed list (B+-tree keyed (term, sortKey desc, docID): the ID
+// family's auxiliary list under the constant key 0, the Score method's long
+// lists, the threshold family's short lists) and, for the threshold family,
+// the ListScore/ListChunk table; document insert, delete and content update
+// (Appendix A; the Score method overrides delete and content update to move
+// postings in place), batched application, the offline merge, page release,
+// checkpoint state and restore, statistics.
 //
 // All methods implement the Method interface so the engine, the benchmark
 // harness and the correctness tests treat them uniformly.  Long lists are

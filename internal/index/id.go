@@ -5,11 +5,10 @@ import (
 
 	"svrdb/internal/postings"
 	"svrdb/internal/storage/blob"
-	"svrdb/internal/text"
 	"svrdb/internal/topk"
 )
 
-// IDMethod implements the ID method of §4.2.1 and, when built with term
+// idMethod implements the ID method of §4.2.1 and, when built with term
 // scores, the ID-TermScore baseline of §5.2.
 //
 // The long inverted list of each term holds the IDs of the documents
@@ -24,66 +23,26 @@ import (
 // paged in.
 //
 // Incrementally inserted documents and content updates go to an auxiliary
-// ID-ordered short list (Appendix A applies the same mechanism to every
-// method); score updates never touch it.
-type IDMethod struct {
+// ID-ordered short list through the maintenance paths every kind shares
+// (Appendix A), filed under the constant key 0; score updates never touch
+// it.
+type idMethod struct {
 	*base
 	withTermScores bool
-	aux            *keyedList
-	// knownTokens caches the distinct terms of documents inserted after the
-	// bulk build so that deletions can purge their auxiliary postings even if
-	// the document source no longer has the row.
-	knownTokens map[DocID][]string
+	// stream is openSeeker in the shape termStream takes, bound once so the
+	// scan path allocates no method value per query.
+	stream func(*snap, *blob.Reader) (postings.BatchIterator, error)
 }
 
-// NewID creates an ID-method index.
-func NewID(cfg Config) (*IDMethod, error) { return newIDMethod(cfg, false) }
-
-// NewIDTermScore creates an ID-TermScore index (the ID method with a
-// normalized term weight stored in every posting).
-func NewIDTermScore(cfg Config) (*IDMethod, error) { return newIDMethod(cfg, true) }
-
-func newIDMethod(cfg Config, withTermScores bool) (*IDMethod, error) {
-	b, err := newBase(cfg)
-	if err != nil {
-		return nil, err
-	}
-	aux, err := newKeyedList(b.cfg.Pool)
-	if err != nil {
-		return nil, err
-	}
-	m := &IDMethod{base: b, withTermScores: withTermScores, aux: aux, knownTokens: map[DocID][]string{}}
-	m.initSnapshots()
-	return m, nil
+func newIDMethod(b *base, withTermScores bool) kindMethod {
+	m := &idMethod{base: b, withTermScores: withTermScores}
+	m.stream = func(_ *snap, r *blob.Reader) (postings.BatchIterator, error) { return m.openSeeker(r) }
+	b.keyOf = func(float64) float64 { return 0 }
+	return m
 }
 
-// initSnapshots wires the auxiliary list into the epoch machinery and
-// publishes the initial (empty) snapshot; also used after Restore.
-func (m *IDMethod) initSnapshots() {
-	m.aux.enableCOW(m.retirePage)
-	m.fillExtra = func(s *snap) { s.lists = m.aux.snapshotView() }
-	m.publish()
-}
-
-// Name implements Method.
-func (m *IDMethod) Name() string {
-	if m.withTermScores {
-		return "ID-TermScore"
-	}
-	return "ID"
-}
-
-// Build implements Method.
-func (m *IDMethod) Build(src DocSource, scores ScoreFunc) error {
-	m.dictChanged()
-	m.src = src
-	bc, err := accumulate(src, scores, m.dict)
-	if err != nil {
-		return err
-	}
-	if err := m.populateScoreTable(bc); err != nil {
-		return err
-	}
+// buildLists implements kindMethod.
+func (m *idMethod) buildLists(bc *builtCorpus) error {
 	// Published snapshots share the ref map by pointer, so accumulate into a
 	// fresh map and swap it in wholesale.
 	refs := make(map[string]blob.Ref, len(bc.termDocs))
@@ -116,130 +75,38 @@ func (m *IDMethod) Build(src DocSource, scores ScoreFunc) error {
 		m.longBytes += uint64(len(data))
 	}
 	m.longRefs = refs
-	m.publish()
 	return nil
 }
 
-// ApplyUpdates implements Method: the batch replays through the ordinary
-// maintenance paths with the Score table and the auxiliary list staged, so
-// its tree writes group by leaf.
-func (m *IDMethod) ApplyUpdates(batch []Update) error {
-	return m.runBatch(m, batch, m.score, m.aux)
-}
-
 // UpdateScore implements Method: the only work is one Score-table write.
-func (m *IDMethod) UpdateScore(doc DocID, newScore float64) error {
+func (m *idMethod) UpdateScore(doc DocID, newScore float64) error {
 	defer m.publish()
 	m.counters.scoreUpdates.Add(1)
-	_, _, ok, err := m.score.Get(doc)
-	if err != nil {
+	if _, err := m.liveScore(doc); err != nil {
 		return err
-	}
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownDocument, doc)
 	}
 	return m.score.Set(doc, newScore)
 }
 
-// InsertDocument implements Method.
-func (m *IDMethod) InsertDocument(doc DocID, tokens []string, score float64) error {
-	m.dictChanged()
-	defer m.publish()
-	if err := m.score.Set(doc, score); err != nil {
-		return err
-	}
-	weights := docTermWeights(tokens)
-	distinct := make([]string, 0, len(weights))
-	for _, tw := range weights {
-		if err := m.aux.Put(tw.term, 0, doc, postings.OpAdd, tw.w); err != nil {
-			return err
-		}
-		m.counters.shortListPostingsWritten.Add(1)
-		distinct = append(distinct, tw.term)
-	}
-	m.dict.AddDocumentTerms(distinct)
-	m.knownTokens[doc] = distinct
-	m.numDocs.Add(1)
-	return nil
+// resolveCurrent is the ID method's candidate resolver: the current-score
+// lookup.  Candidates arrive in ascending document order, so the lookups run
+// through the query's probe, which reuses the leaf of the previous one.
+func resolveCurrent(ctx *queryCtx, g postings.Group) (float64, bool, error) {
+	return ctx.score.Get(g.Doc)
 }
 
-// DeleteDocument implements Method.
-func (m *IDMethod) DeleteDocument(doc DocID) error {
-	m.dictChanged()
-	defer m.publish()
-	if err := m.score.MarkDeleted(doc); err != nil {
-		return err
+// resolveCombined adds the per-term TFIDF contributions for a query that
+// asks for combined ranking; ctx.idfs is aligned with the query terms.
+func resolveCombined(ctx *queryCtx, g postings.Group) (float64, bool, error) {
+	svr, live, err := ctx.score.Get(g.Doc)
+	if err != nil || !live {
+		return 0, false, err
 	}
-	for _, term := range m.docTermsForMaintenance(doc) {
-		if err := m.aux.DeleteAllForDoc(term, doc); err != nil {
-			return err
-		}
-	}
-	delete(m.knownTokens, doc)
-	m.numDocs.Add(-1)
-	return nil
-}
-
-// UpdateContent implements Method.
-func (m *IDMethod) UpdateContent(doc DocID, oldTokens, newTokens []string) error {
-	m.dictChanged()
-	defer m.publish()
-	added, removed := diffTerms(oldTokens, newTokens)
-	newWeights := text.TermFrequencies(newTokens)
-	for _, term := range added {
-		w := text.NormalizedTF(newWeights[term], len(newTokens))
-		if err := m.aux.Put(term, 0, doc, postings.OpAdd, w); err != nil {
-			return err
-		}
-		m.counters.shortListPostingsWritten.Add(1)
-	}
-	for _, term := range removed {
-		if err := m.aux.Put(term, 0, doc, postings.OpRem, 0); err != nil {
-			return err
-		}
-		m.counters.shortListPostingsWritten.Add(1)
-	}
-	m.dict.AddDocumentTerms(added)
-	m.dict.RemoveDocumentTerms(removed)
-	return nil
-}
-
-// docTermsForMaintenance returns the distinct terms of a document for purge
-// operations, preferring the document source and falling back to the cache
-// of incrementally inserted documents.
-func (m *IDMethod) docTermsForMaintenance(doc DocID) []string {
-	if m.src != nil {
-		if tokens, err := m.src.Tokens(doc); err == nil {
-			return distinctTerms(tokens)
-		}
-	}
-	return m.knownTokens[doc]
-}
-
-// makeResolve builds the candidate resolver: the current-score lookup, plus
-// the per-term TFIDF contributions when the query asks for combined ranking.
-func (m *IDMethod) makeResolve(ctx *queryCtx, q Query, idfs []float64) func(g postings.Group) (float64, bool, error) {
-	resolve := currentScoreResolver(ctx)
-	if !q.WithTermScores {
-		return resolve
-	}
-	return func(g postings.Group) (float64, bool, error) {
-		svr, include, err := resolve(g)
-		if err != nil || !include {
-			return 0, false, err
-		}
-		combined := svr
-		for i, present := range g.Present {
-			if present {
-				combined += text.TFIDF(g.Entries[i].TermScore, idfs[i])
-			}
-		}
-		return combined, true, nil
-	}
+	return combinedScore(svr, g, ctx.idfs), true, nil
 }
 
 // TopK implements Method.
-func (m *IDMethod) TopK(q Query) (*QueryResult, error) {
+func (m *idMethod) TopK(q Query) (*QueryResult, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -255,32 +122,31 @@ func (m *IDMethod) TopK(q Query) (*QueryResult, error) {
 
 	ctx := newQueryCtx(s)
 	defer ctx.release()
+	var resolve resolveFunc = resolveCurrent
+	if q.WithTermScores {
+		resolve = resolveCombined
+	}
 
 	// Multi-term conjunctive queries with no auxiliary postings intersect
 	// via leapfrog seeks instead of scanning every list end to end.
 	if !q.Disjunctive && len(q.Terms) > 1 && s.lists.Len() == 0 {
-		return m.leapfrogTopK(s, ctx, q)
+		return m.leapfrogTopK(s, ctx, q, resolve)
 	}
 
 	for i, term := range q.Terms {
-		long, err := m.longIterator(s, term)
+		st, err := m.termStream(s, term, m.stream)
 		if err != nil {
 			return nil, err
 		}
-		short, err := s.lists.Iterator(term)
-		if err != nil {
-			return nil, err
-		}
-		ctx.streams = append(ctx.streams, combinedStream(short, long))
+		ctx.streams = append(ctx.streams, st)
 		ctx.idfs = append(ctx.idfs, s.queryIDF(&q, i))
 	}
 
-	return m.runRanked(rankedQuery{
-		streams:     ctx.streams,
+	return m.runRanked(ctx, rankedQuery{
 		k:           q.K,
 		conjunctive: !q.Disjunctive,
 		maxPossible: neverStop,
-		resolve:     m.makeResolve(ctx, q, ctx.idfs),
+		resolve:     resolve,
 	})
 }
 
@@ -291,14 +157,21 @@ type docSeeker interface {
 	SeekDoc(doc DocID) error
 }
 
+// openSeeker opens one of the kind's long lists.
+func (m *idMethod) openSeeker(r *blob.Reader) (docSeeker, error) {
+	if m.withTermScores {
+		return postings.NewStreamIDTermList(r)
+	}
+	return postings.NewStreamIDList(r)
+}
+
 // leapfrogTopK intersects the query terms' long lists with the classic
 // leapfrog join: every stream repeatedly seeks to the maximum head document,
 // and only documents all streams agree on are resolved.  SeekDoc proves
 // via skip headers that a super-block holds no document >= the target, so
 // sparse intersections skip most of every list's pages.
-func (m *IDMethod) leapfrogTopK(s *snap, ctx *queryCtx, q Query) (*QueryResult, error) {
+func (m *idMethod) leapfrogTopK(s *snap, ctx *queryCtx, q Query, resolve resolveFunc) (*QueryResult, error) {
 	seekers := make([]docSeeker, 0, len(q.Terms))
-	idfs := make([]float64, 0, len(q.Terms))
 	for i, term := range q.Terms {
 		ref, ok := s.longRefs[term]
 		if !ok {
@@ -307,23 +180,12 @@ func (m *IDMethod) leapfrogTopK(s *snap, ctx *queryCtx, q Query) (*QueryResult, 
 			m.counters.queries.Add(1)
 			return &QueryResult{Stopped: true}, nil
 		}
-		r := m.store.NewReader(ref)
-		var ds docSeeker
-		if m.withTermScores {
-			st, err := postings.NewStreamIDTermList(r)
-			if err != nil {
-				return nil, err
-			}
-			ds = st
-		} else {
-			st, err := postings.NewStreamIDList(r)
-			if err != nil {
-				return nil, err
-			}
-			ds = st
+		ds, err := m.openSeeker(m.store.NewReader(ref))
+		if err != nil {
+			return nil, err
 		}
 		seekers = append(seekers, ds)
-		idfs = append(idfs, s.queryIDF(&q, i))
+		ctx.idfs = append(ctx.idfs, s.queryIDF(&q, i))
 	}
 
 	heads := make([]postings.Entry, len(seekers))
@@ -360,7 +222,6 @@ func (m *IDMethod) leapfrogTopK(s *snap, ctx *queryCtx, q Query) (*QueryResult, 
 	m.counters.queries.Add(1)
 	heap := topk.New(q.K)
 	res := &QueryResult{}
-	resolve := m.makeResolve(ctx, q, idfs)
 	group := postings.Group{
 		Entries: make([]postings.Entry, len(seekers)),
 		Present: make([]bool, len(seekers)),
@@ -398,7 +259,7 @@ loop:
 		}
 		group.Doc = target
 		copy(group.Entries, heads)
-		score, include, err := resolve(group)
+		score, include, err := resolve(ctx, group)
 		if err != nil {
 			return nil, err
 		}
@@ -418,62 +279,7 @@ loop:
 
 	res.Results = heap.Results()
 	res.PostingsScanned = scanned
+	res.ScoreLookups = ctx.score.lookups
 	m.counters.postingsScanned.Add(uint64(scanned))
 	return res, nil
-}
-
-func (m *IDMethod) longIterator(s *snap, term string) (postings.BatchIterator, error) {
-	ref, ok := s.longRefs[term]
-	if !ok {
-		return postings.NewSliceIterator(nil), nil
-	}
-	r := m.store.NewReader(ref)
-	if m.withTermScores {
-		return postings.NewStreamIDTermList(r)
-	}
-	return postings.NewStreamIDList(r)
-}
-
-// Stats implements Method.
-func (m *IDMethod) Stats() Stats {
-	s, guard, err := m.acquire()
-	if err != nil {
-		return Stats{Method: m.Name()}
-	}
-	defer guard.Leave()
-	st := Stats{
-		Method:           m.Name(),
-		LongListBytes:    s.longBytes,
-		LongListRawBytes: s.longRawBytes,
-		ShortListEntries: s.lists.Len(),
-		TablePatches:     s.score.Patches() + s.lists.Patches(),
-	}
-	m.counters.fill(&st)
-	m.fillPoolStats(&st)
-	m.fillEpochStats(&st)
-	return st
-}
-
-// diffTerms computes the added and removed distinct terms between two token
-// streams (Appendix A.1's Tnew \ Told and Told \ Tnew).
-func diffTerms(oldTokens, newTokens []string) (added, removed []string) {
-	oldSet := map[string]bool{}
-	for _, t := range oldTokens {
-		oldSet[t] = true
-	}
-	newSet := map[string]bool{}
-	for _, t := range newTokens {
-		newSet[t] = true
-	}
-	for t := range newSet {
-		if !oldSet[t] {
-			added = append(added, t)
-		}
-	}
-	for t := range oldSet {
-		if !newSet[t] {
-			removed = append(removed, t)
-		}
-	}
-	return added, removed
 }

@@ -97,7 +97,9 @@ type QueryResult struct {
 var ErrTermScoresUnsupported = errors.New("index: method does not store term scores")
 
 // ErrUnknownDocument is returned when an update refers to a document the
-// index has never seen.
+// index has never seen or has deleted, and wrapped (together with the
+// document source's error, if it gave one) when maintenance needs a
+// document's content and neither the source nor the insert cache has it.
 var ErrUnknownDocument = errors.New("index: unknown document")
 
 // ErrClosed is returned by queries issued after the method was drained.
@@ -157,7 +159,9 @@ type Method interface {
 	Name() string
 	// Build bulk-loads the long inverted lists and the Score table.
 	Build(src DocSource, scores ScoreFunc) error
-	// UpdateScore applies a document score update (Algorithm 1).
+	// UpdateScore applies a document score update (Algorithm 1).  A
+	// document the index has never seen, or has deleted, is
+	// ErrUnknownDocument: a score update never resurrects a document.
 	UpdateScore(doc DocID, newScore float64) error
 	// InsertDocument adds a new document incrementally (Appendix A.2).
 	InsertDocument(doc DocID, tokens []string, score float64) error
@@ -291,6 +295,14 @@ func (c Config) Defaults() Config {
 	return c
 }
 
+// checked fills the defaults of a Config that names a pool.
+func (c Config) checked() (Config, error) {
+	if c.Pool == nil {
+		return c, errors.New("index: Config.Pool is required")
+	}
+	return c.Defaults(), nil
+}
+
 // counters groups the atomic statistics shared by all method
 // implementations.
 type counters struct {
@@ -299,21 +311,6 @@ type counters struct {
 	longListPostingsWritten  atomic.Uint64
 	queries                  atomic.Uint64
 	postingsScanned          atomic.Uint64
-}
-
-func (c *counters) fill(s *Stats) {
-	s.ScoreUpdates = c.scoreUpdates.Load()
-	s.ShortListPostingsWritten = c.shortListPostingsWritten.Load()
-	s.LongListPostingsWritten = c.longListPostingsWritten.Load()
-	s.Queries = c.queries.Load()
-	s.PostingsScanned = c.postingsScanned.Load()
-}
-
-// fillPoolStats copies the buffer pool's page counters into s.
-func (b *base) fillPoolStats(s *Stats) {
-	ps := b.cfg.Pool.Stats()
-	s.PagesRead = ps.Misses
-	s.PageHits = ps.Hits
 }
 
 // Fixed-width per-posting footprints of the long-list layouts, used for
@@ -327,14 +324,45 @@ const (
 	rawBytesChunkHeader   = 4
 )
 
-// base bundles the plumbing common to every method: the blob store for long
-// lists, the score table, the dictionary and the document source.
+// kindMethod is what a method type adds to the shared base: the algorithms
+// the paper states per method.  Everything else in Method — document
+// maintenance, batches, merge, release, state, stats — is written once on
+// base and reaches these through base.self.
+type kindMethod interface {
+	Method
+	// buildLists writes the kind's long lists for the accumulated corpus;
+	// base.Build has already loaded the Score table.
+	buildLists(bc *builtCorpus) error
+}
+
+// base is the live state of a method of any kind, in the shape snap and
+// MethodState already have: a Score table, one mutable keyed list, an
+// optional ListScore/ListChunk table, the long-list blobs and the extras
+// only some kinds fill (unused ones stay zero).
 type base struct {
+	kind  *Kind
+	self  kindMethod
 	cfg   Config
 	store *blob.Store
 	dict  *text.Dictionary
 	score *scoreTable
 	src   DocSource
+
+	// lists is the kind's single mutable keyed list: the ID family's
+	// auxiliary list, the Score method's clustered long lists, or the
+	// threshold family's short lists.
+	lists *keyedList
+	// table is the ListScore/ListChunk table (threshold family only).
+	table *listTable
+	// keyOf maps a document's score to the sort key its postings are filed
+	// under in lists: constant 0 for the ID family (postings order by
+	// document), the score itself for Score and Score-Threshold, the chunk
+	// of the score for the Chunk family.
+	keyOf func(score float64) float64
+	// knownTokens caches the distinct terms of incrementally inserted
+	// documents, so deletes, merges and threshold crossings can find their
+	// postings even if the document source no longer has the row.
+	knownTokens map[DocID][]string
 
 	// longRefs maps terms to their long-list blobs.  Snapshots share this
 	// map by pointer, so writers never mutate it in place: build and merge
@@ -345,6 +373,20 @@ type base struct {
 	// written to long-list blobs (fancy lists included), so Stats can
 	// report the compression ratio without re-reading the lists.
 	longRawBytes uint64
+	// scoreDir is the score directory of the Score-Threshold long lists:
+	// the distinct build-time scores in descending order, shared by every
+	// list so each posting stores a small rank delta instead of a raw
+	// float64.
+	scoreDir []float64
+	// chunks is the Chunk family's boundary vector, replaced wholesale by
+	// every build and merge.
+	chunks *chunker
+	// fancyRefs/fancyMinW (Chunk-TermScore only) are replaced wholesale on
+	// build and merge because published snapshots share them by pointer.
+	fancyRefs  map[string]blob.Ref
+	fancyMinW  map[string]float32
+	fancyBytes uint64
+
 	// dictGen is MethodAnchor.DictGen: every path that changes what
 	// Dictionary() returns calls dictChanged.  Only the serialized writer
 	// touches it.
@@ -358,13 +400,10 @@ type base struct {
 	// the snapshot queries evaluate against.
 	epochs    *epoch.Manager
 	published atomic.Pointer[snap]
-	// suppress disables per-update publication inside ApplyUpdates, which
-	// publishes once per batch instead.  Only the serialized writer touches
-	// it.
+	// suppress disables per-update publication inside ApplyUpdates and
+	// MergeShortLists, which publish once at the end.  Only the serialized
+	// writer touches it.
 	suppress bool
-	// fillExtra is the method-specific half of publication, set once at
-	// construction (captures the method's own lists and metadata).
-	fillExtra func(*snap)
 
 	// pubDict/pubGen/pubDF cache the last published document-frequency
 	// vector so score-only publications skip the O(vocabulary) copy.
@@ -373,33 +412,100 @@ type base struct {
 	pubDF   []int64
 }
 
-func newBase(cfg Config) (*base, error) {
-	if cfg.Pool == nil {
-		return nil, errors.New("index: Config.Pool is required")
-	}
-	cfg = cfg.Defaults()
-	st, err := newScoreTable(cfg.Pool)
+// newBase allocates the structures of a fresh method of the given kind:
+// the Score table, the keyed list and, for the threshold family, the
+// ListScore/ListChunk table, in that order.
+func newBase(kind *Kind, cfg Config) (*base, error) {
+	cfg, err := cfg.checked()
 	if err != nil {
 		return nil, err
 	}
 	b := &base{
-		cfg:      cfg,
-		store:    blob.NewStore(cfg.Pool),
-		dict:     text.NewDictionary(),
-		score:    st,
-		longRefs: map[string]blob.Ref{},
+		kind:        kind,
+		cfg:         cfg,
+		store:       blob.NewStore(cfg.Pool),
+		dict:        text.NewDictionary(),
+		longRefs:    map[string]blob.Ref{},
+		knownTokens: map[DocID][]string{},
 	}
-	b.epochs = epoch.New(cfg.Pool.FreePage)
-	st.enableCOW(b.retirePage)
+	if b.score, err = newScoreTable(cfg.Pool); err != nil {
+		return nil, err
+	}
+	if b.lists, err = newKeyedList(cfg.Pool); err != nil {
+		return nil, err
+	}
+	if kind.listTable {
+		if b.table, err = newListTable(cfg.Pool); err != nil {
+			return nil, err
+		}
+	}
 	return b, nil
 }
+
+// start wires a constructed or restored base to the method type embedding
+// it, switches its trees to copy-on-write publication and publishes the
+// first snapshot.
+func (b *base) start(self kindMethod) Method {
+	b.self = self
+	b.epochs = epoch.New(b.cfg.Pool.FreePage)
+	b.score.enableCOW(b.retirePage)
+	b.lists.enableCOW(b.retirePage)
+	if b.table != nil {
+		b.table.enableCOW(b.retirePage)
+	}
+	b.publish()
+	return self
+}
+
+// Name implements Method.
+func (b *base) Name() string { return b.kind.Name }
 
 // dictChanged records that the MethodDict half of the state is about to
 // change (see MethodAnchor.DictGen).
 func (b *base) dictChanged() { b.dictGen++ }
 
-// docTermStats tokenizes a document into distinct terms with normalized term
-// frequencies.
+// Stats implements Method.  LongListBytes includes the fancy lists since
+// they are part of the read-only structure rebuilt offline.  For the Score
+// method it is the serialized size of the clustered score-ordered lists,
+// the 2,768 MB entry of Table 1 (the method pays B+-tree overhead because
+// its lists must be updatable in place); LongListRawBytes and
+// ShortListEntries stay zero there.
+func (b *base) Stats() Stats {
+	sn, guard, err := b.acquire()
+	if err != nil {
+		return Stats{Method: b.Name()}
+	}
+	defer guard.Leave()
+	s := Stats{
+		Method:           b.Name(),
+		LongListBytes:    sn.longBytes + sn.fancyBytes,
+		LongListRawBytes: sn.longRawBytes,
+		ShortListEntries: sn.lists.Len(),
+		TablePatches:     sn.score.Patches() + sn.table.Patches() + sn.lists.Patches(),
+	}
+	if b.kind.clustered {
+		s.ShortListEntries = 0
+		if s.LongListBytes, err = sn.lists.SizeBytes(); err != nil {
+			s.LongListBytes = 0
+		}
+	}
+	s.ScoreUpdates = b.counters.scoreUpdates.Load()
+	s.ShortListPostingsWritten = b.counters.shortListPostingsWritten.Load()
+	s.LongListPostingsWritten = b.counters.longListPostingsWritten.Load()
+	s.Queries = b.counters.queries.Load()
+	s.PostingsScanned = b.counters.postingsScanned.Load()
+	ps := b.cfg.Pool.Stats()
+	s.PagesRead = ps.Misses
+	s.PageHits = ps.Hits
+	es := b.epochs.Stats()
+	s.Epoch = es.Current
+	s.ActiveReaders = es.ActiveGuards
+	s.RetainedPages = es.RetainedPages
+	return s
+}
+
+// termWeight is one distinct term of a document with its normalized term
+// frequency.
 type termWeight struct {
 	term string
 	w    float32
@@ -413,5 +519,3 @@ func docTermWeights(tokens []string) []termWeight {
 	}
 	return out
 }
-
-func distinctTerms(tokens []string) []string { return text.DistinctTerms(tokens) }

@@ -1,8 +1,10 @@
 package index
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -153,16 +155,13 @@ func newTestConfig(tb testing.TB) Config {
 	return Config{Pool: pool, ThresholdRatio: 2, ChunkRatio: 2, MinChunkSize: 2, FancyListSize: 4}
 }
 
-// allConstructors returns one constructor per method.
+// allConstructors returns one constructor per method, keyed by paper name.
 func allConstructors() map[string]func(Config) (Method, error) {
-	return map[string]func(Config) (Method, error){
-		"ID":              func(c Config) (Method, error) { return NewID(c) },
-		"Score":           func(c Config) (Method, error) { return NewScore(c) },
-		"Score-Threshold": func(c Config) (Method, error) { return NewScoreThreshold(c) },
-		"Chunk":           func(c Config) (Method, error) { return NewChunk(c) },
-		"ID-TermScore":    func(c Config) (Method, error) { return NewIDTermScore(c) },
-		"Chunk-TermScore": func(c Config) (Method, error) { return NewChunkTermScore(c) },
+	out := map[string]func(Config) (Method, error){}
+	for _, k := range Kinds() {
+		out[k.Name] = func(c Config) (Method, error) { return New(k.ID, c) }
 	}
+	return out
 }
 
 func smallCorpus() *testCorpus {
@@ -245,7 +244,7 @@ func TestDisjunctiveQuery(t *testing.T) {
 
 func TestQueryValidation(t *testing.T) {
 	corpus := smallCorpus()
-	m := buildMethod(t, "Chunk", func(c Config) (Method, error) { return NewChunk(c) }, corpus)
+	m := buildMethod(t, "Chunk", allConstructors()["Chunk"], corpus)
 	if _, err := m.TopK(Query{Terms: nil, K: 5}); err == nil {
 		t.Error("query with no terms accepted")
 	}
@@ -275,6 +274,168 @@ func TestUnknownDocumentUpdate(t *testing.T) {
 		if err := m.DeleteDocument(999); err == nil {
 			t.Errorf("%s: DeleteDocument of unknown doc succeeded", name)
 		}
+		if err := m.UpdateContent(999, nil, []string{"golden"}); !errors.Is(err, ErrUnknownDocument) {
+			t.Errorf("%s: UpdateContent of unknown doc = %v, want ErrUnknownDocument", name, err)
+		}
+		// A score update must not resurrect a deleted document (doc 3 has the
+		// top score among the "golden" documents).
+		if err := m.DeleteDocument(3); err != nil {
+			t.Fatalf("%s: DeleteDocument: %v", name, err)
+		}
+		if err := m.UpdateScore(3, 99999); !errors.Is(err, ErrUnknownDocument) {
+			t.Errorf("%s: UpdateScore of deleted doc = %v, want ErrUnknownDocument", name, err)
+		}
+		res, err := m.TopK(Query{Terms: []string{"golden"}, K: 10})
+		if err != nil {
+			t.Fatalf("%s: TopK: %v", name, err)
+		}
+		for _, r := range res.Results {
+			if r.Doc == 3 {
+				t.Errorf("%s: deleted doc 3 reappeared in results after UpdateScore: %v", name, res.Results)
+			}
+		}
+	}
+}
+
+// failingSource serves builds but fails every Tokens call, like a relation
+// whose row store went away.
+type failingSource struct {
+	*testCorpus
+	err error
+}
+
+func (f failingSource) Tokens(DocID) ([]string, error) { return nil, f.err }
+
+// TestDocTokensSourceFailure pins the one docTokens contract on every kind
+// that reads content on a score update or a merge: source first, then the
+// cache of incrementally inserted documents, else an error wrapping both
+// ErrUnknownDocument and the source's error.
+func TestDocTokensSourceFailure(t *testing.T) {
+	srcErr := errors.New("row store offline")
+	wantBoth := func(label string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrUnknownDocument) || !errors.Is(err, srcErr) {
+			t.Errorf("%s = %v, want an error wrapping ErrUnknownDocument and the source's error", label, err)
+		}
+	}
+	for name, ctor := range allConstructors() {
+		corpus := smallCorpus()
+		m := buildMethod(t, name, ctor, corpus)
+		if err := m.InsertDocument(50, []string{"golden", "late"}, 1); err != nil {
+			t.Fatalf("%s: InsertDocument: %v", name, err)
+		}
+		m.SetSource(failingSource{corpus, srcErr})
+		// The inserted document's cached terms answer for the failed source.
+		if err := m.UpdateScore(50, 1e6); err != nil {
+			t.Errorf("%s: UpdateScore of a cached document: %v", name, err)
+		}
+		// Document 8 jumps past every threshold; only the ID family never
+		// reads content on a score update.
+		err := m.UpdateScore(8, 99999)
+		if name == "ID" || name == "ID-TermScore" {
+			if err != nil {
+				t.Errorf("%s: UpdateScore read content: %v", name, err)
+			}
+		} else {
+			wantBoth(name+" UpdateScore", err)
+		}
+		// The Score method has nothing to merge; every other kind rebuilds
+		// from content.
+		if err := m.MergeShortLists(); name == "Score" {
+			if err != nil {
+				t.Errorf("Score: MergeShortLists: %v", err)
+			}
+		} else {
+			wantBoth(name+" MergeShortLists", err)
+		}
+	}
+}
+
+// TestScoreLookupsCountProbes pins QueryResult.ScoreLookups to the Score-table
+// probes the query made.  After one threshold-crossing update of document 1,
+// a single-term query visiting all six "golden" documents probes once per
+// candidate on the kinds whose lists carry no score (the stale long-list copy
+// of document 1 is skipped unprobed), once in total on Score-Threshold (only
+// the updated document's stored score is stale) and never on Score.
+func TestScoreLookupsCountProbes(t *testing.T) {
+	want := map[string]int{"ID": 6, "ID-TermScore": 6, "Score": 0, "Score-Threshold": 1, "Chunk": 6, "Chunk-TermScore": 6}
+	for name, ctor := range allConstructors() {
+		m := buildMethod(t, name, ctor, smallCorpus())
+		if err := m.UpdateScore(1, 500); err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.TopK(Query{Terms: []string{"golden"}, K: 10})
+		if err != nil {
+			t.Fatalf("%s: TopK: %v", name, err)
+		}
+		if len(res.Results) != 6 || res.ScoreLookups != want[name] {
+			t.Errorf("%s: %d results with %d score lookups, want 6 with %d", name, len(res.Results), res.ScoreLookups, want[name])
+		}
+	}
+}
+
+// TestKindRegistry covers the registry end to end: every kind constructs
+// under its ID, reports the paper name the catalogs persist (written out
+// here so a rename cannot pass silently), and survives State → Restore →
+// State unchanged, answering the same query.
+func TestKindRegistry(t *testing.T) {
+	want := []struct{ id, name string }{
+		{"id", "ID"},
+		{"score", "Score"},
+		{"score-threshold", "Score-Threshold"},
+		{"chunk", "Chunk"},
+		{"id-termscore", "ID-TermScore"},
+		{"chunk-termscore", "Chunk-TermScore"},
+	}
+	kinds := Kinds()
+	if len(kinds) != len(want) {
+		t.Fatalf("registry holds %d kinds, want %d", len(kinds), len(want))
+	}
+	for i, k := range kinds {
+		if k.ID != want[i].id || k.Name != want[i].name {
+			t.Fatalf("kind %d = (%q, %q), want (%q, %q)", i, k.ID, k.Name, want[i].id, want[i].name)
+		}
+		cfg := newTestConfig(t)
+		m, err := New(k.ID, cfg)
+		if err != nil {
+			t.Fatalf("New(%q): %v", k.ID, err)
+		}
+		corpus := smallCorpus()
+		if err := m.Build(corpus, corpus.scoreFunc()); err != nil {
+			t.Fatalf("%s: Build: %v", k.ID, err)
+		}
+		// Fill the short lists and the list table so the round trip carries
+		// every structure the kind has.
+		if err := m.UpdateScore(8, 99999); err != nil {
+			t.Fatal(err)
+		}
+		st := m.State()
+		if m.Name() != want[i].name || st.Kind != want[i].name {
+			t.Errorf("%s: Name() = %q, State().Kind = %q, want %q", k.ID, m.Name(), st.Kind, want[i].name)
+		}
+		r, err := Restore(cfg, st)
+		if err != nil {
+			t.Fatalf("%s: Restore: %v", k.ID, err)
+		}
+		r.SetSource(corpus)
+		if got := r.State(); !reflect.DeepEqual(got, st) {
+			t.Errorf("%s: state changed across Restore:\n got %+v\nwant %+v", k.ID, got, st)
+		}
+		q := Query{Terms: []string{"golden", "gate"}, K: 5}
+		live, err := m.TopK(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := r.TopK(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(live, restored) {
+			t.Errorf("%s: restored method answers %+v, live %+v", k.ID, restored, live)
+		}
+	}
+	if _, err := New("bogus", newTestConfig(t)); err == nil {
+		t.Error("New of an unknown kind succeeded")
 	}
 }
 
@@ -413,8 +574,8 @@ func TestCombinedTermScoreOracle(t *testing.T) {
 	}
 
 	ctors := map[string]func(Config) (Method, error){
-		"ID-TermScore":    func(c Config) (Method, error) { return NewIDTermScore(c) },
-		"Chunk-TermScore": func(c Config) (Method, error) { return NewChunkTermScore(c) },
+		"ID-TermScore":    allConstructors()["ID-TermScore"],
+		"Chunk-TermScore": allConstructors()["Chunk-TermScore"],
 	}
 	for name, ctor := range ctors {
 		t.Run(name, func(t *testing.T) {
@@ -571,21 +732,21 @@ func TestEarlyTerminationBehaviour(t *testing.T) {
 		return Config{Pool: pool, ThresholdRatio: 2, ChunkRatio: 2, MinChunkSize: 10, FancyListSize: 8}
 	}
 
-	idm, err := NewID(cfg())
+	idm, err := New("id", cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := idm.Build(corpus, corpus.scoreFunc()); err != nil {
 		t.Fatal(err)
 	}
-	chunk, err := NewChunk(cfg())
+	chunk, err := New("chunk", cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := chunk.Build(corpus, corpus.scoreFunc()); err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewScoreThreshold(cfg())
+	st, err := New("score-threshold", cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -678,9 +839,9 @@ func TestUpdateCostAsymmetry(t *testing.T) {
 	// The Score method must touch the long lists on every update; the ID and
 	// Chunk methods must not (for updates within the chunk threshold).
 	corpus := smallCorpus()
-	idm := buildMethod(t, "ID", func(c Config) (Method, error) { return NewID(c) }, corpus)
-	score := buildMethod(t, "Score", func(c Config) (Method, error) { return NewScore(c) }, corpus)
-	chunk := buildMethod(t, "Chunk", func(c Config) (Method, error) { return NewChunk(c) }, corpus)
+	idm := buildMethod(t, "ID", allConstructors()["ID"], corpus)
+	score := buildMethod(t, "Score", allConstructors()["Score"], corpus)
+	chunk := buildMethod(t, "Chunk", allConstructors()["Chunk"], corpus)
 
 	// Small update: stays within a factor-2 chunk.
 	if err := idm.UpdateScore(1, 88); err != nil {

@@ -1,8 +1,6 @@
 package index
 
 import (
-	"fmt"
-
 	"svrdb/internal/codec"
 	"svrdb/internal/postings"
 	"svrdb/internal/storage/btree"
@@ -515,8 +513,4 @@ func (v keyedView) SizeBytes() (uint64, error) {
 // SizeBytes mirrors keyedView.SizeBytes over the live tree.
 func (l *keyedList) SizeBytes() (uint64, error) {
 	return l.liveView().SizeBytes()
-}
-
-func (l *keyedList) String() string {
-	return fmt.Sprintf("keyedList(%d postings)", l.entries)
 }

@@ -13,9 +13,9 @@ import (
 // the document's current position in the inverted lists (its stale list
 // score, or its list chunk ID stored as a float) and whether postings for it
 // have been written to the short lists.
-// During a write batch the table runs in staged mode like scoreTable: Put
-// and Delete collect in an overlay that Get consults first, and flushBatch
-// applies the overlay as one sorted UpsertBatch / DeleteBatch pair.
+// During a write batch the table runs in staged mode like scoreTable: Puts
+// collect in an overlay that Get consults first, and flushBatch applies the
+// overlay as one sorted UpsertBatch.
 // Rows are fixed-width (8-byte key, 9-byte value), so Put over an existing
 // document — the common case in Algorithm 1, where a score update moves a
 // document's recorded list position — hits the tree's in-place patch path.
@@ -24,10 +24,8 @@ type listTable struct {
 	// retire receives superseded pages once COW snapshots are enabled.
 	retire func(pagefile.PageID)
 
-	staged bool
-	// pending maps a document to its staged entry; a nil value is a staged
-	// delete.
-	pending map[DocID]*listEntry
+	staged  bool
+	pending map[DocID]listEntry
 }
 
 // listEntry is one row of a listTable.
@@ -97,10 +95,7 @@ func listTableKey(doc DocID) []byte {
 func (t *listTable) Get(doc DocID) (listEntry, bool, error) {
 	if t.staged {
 		if e, hit := t.pending[doc]; hit {
-			if e == nil {
-				return listEntry{}, false, nil
-			}
-			return *e, true, nil
+			return e, true, nil
 		}
 	}
 	key := docKey(doc)
@@ -136,21 +131,10 @@ func encodeListEntry(e listEntry) []byte {
 // Put inserts or replaces the entry for doc.
 func (t *listTable) Put(doc DocID, e listEntry) error {
 	if t.staged {
-		t.pending[doc] = &e
+		t.pending[doc] = e
 		return nil
 	}
 	return t.tree.Put(listTableKey(doc), encodeListEntry(e))
-}
-
-// Delete removes the entry for doc (used when a deleted document's ID is
-// reused).
-func (t *listTable) Delete(doc DocID) error {
-	if t.staged {
-		t.pending[doc] = nil
-		return nil
-	}
-	_, err := t.tree.Delete(listTableKey(doc))
-	return err
 }
 
 // listProbe is the per-query locality-aware reader of a listView,
@@ -181,7 +165,7 @@ func (lp *listProbe) Get(doc DocID) (listEntry, bool, error) {
 func (t *listTable) beginBatch() {
 	t.staged = true
 	if t.pending == nil {
-		t.pending = map[DocID]*listEntry{}
+		t.pending = map[DocID]listEntry{}
 	}
 }
 
@@ -193,24 +177,12 @@ func (t *listTable) flushBatch() error {
 		return nil
 	}
 	items := make([]btree.Item, 0, len(t.pending))
-	var dels [][]byte
 	for doc, e := range t.pending {
-		if e != nil {
-			items = append(items, btree.Item{Key: listTableKey(doc), Value: encodeListEntry(*e)})
-		} else {
-			dels = append(dels, listTableKey(doc))
-		}
+		items = append(items, btree.Item{Key: listTableKey(doc), Value: encodeListEntry(e)})
 	}
 	clear(t.pending)
-	if _, err := t.tree.UpsertBatch(items); err != nil {
-		return err
-	}
-	if len(dels) > 0 {
-		if _, err := t.tree.DeleteBatch(dels); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := t.tree.UpsertBatch(items)
+	return err
 }
 
 // Len reports the number of entries.

@@ -83,186 +83,57 @@ func (b *base) snapshot(tokensOf func(DocID) ([]string, error)) (*snapshotSource
 	return snap, nil
 }
 
-// MergeShortLists rebuilds the ID / ID-TermScore long lists, absorbing
-// postings of incrementally inserted documents and content updates, and
-// empties the auxiliary list.
-func (m *IDMethod) MergeShortLists() error {
-	snap, err := m.snapshot(func(doc DocID) ([]string, error) {
-		if m.src != nil {
-			if tokens, err := m.src.Tokens(doc); err == nil {
-				return tokens, nil
-			}
+// MergeShortLists implements Method for every kind: snapshot the live
+// collection, swap in fresh mutable structures and an empty long-list
+// generation, rebuild through the kind's Build — the ID family absorbs its
+// auxiliary postings, Score-Threshold re-sorts by current score, the Chunk
+// family derives new chunk boundaries from the current score distribution
+// and rewrites its fancy lists — then retire the superseded generation.
+func (b *base) MergeShortLists() error {
+	if b.kind.clustered {
+		// The Score method maintains its lists in place: nothing to merge.
+		return nil
+	}
+	snap, err := b.snapshot(b.docTokens)
+	if err != nil {
+		return err
+	}
+	lists, err := newKeyedList(b.cfg.Pool)
+	if err != nil {
+		return err
+	}
+	lists.enableCOW(b.retirePage)
+	var table *listTable
+	if b.table != nil {
+		if table, err = newListTable(b.cfg.Pool); err != nil {
+			return err
 		}
-		if cached, ok := m.knownTokens[doc]; ok {
-			return cached, nil
+		table.enableCOW(b.retirePage)
+	}
+	origSrc := b.src
+	oldLists, oldTable, oldRefs, oldFancyRefs := b.lists, b.table, b.longRefs, b.fancyRefs
+	b.suppress = true
+	defer func() {
+		b.src = origSrc
+		b.suppress = false
+		b.publish()
+	}()
+	b.longRefs = map[string]blob.Ref{}
+	b.longBytes, b.longRawBytes, b.fancyBytes = 0, 0, 0
+	b.dict = text.NewDictionary()
+	b.lists, b.table = lists, table
+	if err := b.Build(snap, snap.scoreFunc()); err != nil {
+		return err
+	}
+	if err := oldLists.tree.RetireAll(); err != nil {
+		return err
+	}
+	if oldTable != nil {
+		if err := oldTable.tree.RetireAll(); err != nil {
+			return err
 		}
-		return nil, fmt.Errorf("%w: %d has no available content", ErrUnknownDocument, doc)
-	})
-	if err != nil {
-		return err
 	}
-	aux, err := newKeyedList(m.cfg.Pool)
-	if err != nil {
-		return err
-	}
-	aux.enableCOW(m.retirePage)
-	origSrc := m.src
-	oldAux, oldRefs := m.aux, m.longRefs
-	m.suppress = true
-	defer func() {
-		m.src = origSrc
-		m.suppress = false
-		m.publish()
-	}()
-	m.longRefs = map[string]blob.Ref{}
-	m.longBytes = 0
-	m.longRawBytes = 0
-	m.dict = text.NewDictionary()
-	m.aux = aux
-	if err := m.Build(snap, snap.scoreFunc()); err != nil {
-		return err
-	}
-	if err := oldAux.tree.RetireAll(); err != nil {
-		return err
-	}
-	m.retireBlobRefs(oldRefs)
-	return nil
-}
-
-// MergeShortLists is a no-op for the Score method: its lists are always
-// maintained in place and there is nothing to merge.
-func (m *ScoreMethod) MergeShortLists() error { return nil }
-
-// MergeShortLists rebuilds the Score-Threshold long lists in current-score
-// order and empties the short lists and the ListScore table.
-func (m *ScoreThresholdMethod) MergeShortLists() error {
-	snap, err := m.snapshot(m.docTokens)
-	if err != nil {
-		return err
-	}
-	short, err := newKeyedList(m.cfg.Pool)
-	if err != nil {
-		return err
-	}
-	ls, err := newListTable(m.cfg.Pool)
-	if err != nil {
-		return err
-	}
-	short.enableCOW(m.retirePage)
-	ls.enableCOW(m.retirePage)
-	origSrc := m.src
-	oldShort, oldListScore, oldRefs := m.short, m.listScore, m.longRefs
-	m.suppress = true
-	defer func() {
-		m.src = origSrc
-		m.suppress = false
-		m.publish()
-	}()
-	m.longRefs = map[string]blob.Ref{}
-	m.longBytes = 0
-	m.longRawBytes = 0
-	m.dict = text.NewDictionary()
-	m.short = short
-	m.listScore = ls
-	if err := m.Build(snap, snap.scoreFunc()); err != nil {
-		return err
-	}
-	if err := oldShort.tree.RetireAll(); err != nil {
-		return err
-	}
-	if err := oldListScore.tree.RetireAll(); err != nil {
-		return err
-	}
-	m.retireBlobRefs(oldRefs)
-	return nil
-}
-
-// MergeShortLists rebuilds the Chunk long lists with chunk boundaries derived
-// from the current score distribution and empties the short lists and the
-// ListChunk table.
-func (m *ChunkMethod) MergeShortLists() error {
-	snap, err := m.snapshot(m.docTokens)
-	if err != nil {
-		return err
-	}
-	origSrc := m.src
-	m.suppress = true
-	defer func() {
-		m.src = origSrc
-		m.suppress = false
-		m.publish()
-	}()
-	oldShort, oldListChunk, oldRefs, err := m.resetChunkState()
-	if err != nil {
-		return err
-	}
-	if err := m.Build(snap, snap.scoreFunc()); err != nil {
-		return err
-	}
-	return m.retireChunkState(oldShort, oldListChunk, oldRefs)
-}
-
-// resetChunkState swaps in fresh, COW-enabled short-list and ListChunk
-// structures and an empty long-list generation, returning the superseded ones
-// for retirement after the merged snapshot is published.
-func (m *ChunkMethod) resetChunkState() (oldShort *keyedList, oldListChunk *listTable, oldRefs map[string]blob.Ref, err error) {
-	short, err := newKeyedList(m.cfg.Pool)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	lc, err := newListTable(m.cfg.Pool)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	short.enableCOW(m.retirePage)
-	lc.enableCOW(m.retirePage)
-	oldShort, oldListChunk, oldRefs = m.short, m.listChunk, m.longRefs
-	m.longRefs = map[string]blob.Ref{}
-	m.longBytes = 0
-	m.longRawBytes = 0
-	m.dict = text.NewDictionary()
-	m.short = short
-	m.listChunk = lc
-	return oldShort, oldListChunk, oldRefs, nil
-}
-
-func (m *ChunkMethod) retireChunkState(oldShort *keyedList, oldListChunk *listTable, oldRefs map[string]blob.Ref) error {
-	if err := oldShort.tree.RetireAll(); err != nil {
-		return err
-	}
-	if err := oldListChunk.tree.RetireAll(); err != nil {
-		return err
-	}
-	m.retireBlobRefs(oldRefs)
-	return nil
-}
-
-// MergeShortLists rebuilds the Chunk-TermScore long lists and fancy lists and
-// empties the short lists and the ListChunk table.
-func (m *ChunkTermScoreMethod) MergeShortLists() error {
-	snap, err := m.snapshot(m.docTokens)
-	if err != nil {
-		return err
-	}
-	origSrc := m.src
-	m.suppress = true
-	defer func() {
-		m.src = origSrc
-		m.suppress = false
-		m.publish()
-	}()
-	oldShort, oldListChunk, oldRefs, err := m.resetChunkState()
-	if err != nil {
-		return err
-	}
-	oldFancyRefs := m.fancyRefs
-	m.fancyBytes = 0
-	if err := m.Build(snap, snap.scoreFunc()); err != nil {
-		return err
-	}
-	if err := m.retireChunkState(oldShort, oldListChunk, oldRefs); err != nil {
-		return err
-	}
-	m.retireBlobRefs(oldFancyRefs)
+	b.retireBlobRefs(oldRefs)
+	b.retireBlobRefs(oldFancyRefs)
 	return nil
 }

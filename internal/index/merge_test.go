@@ -126,7 +126,7 @@ func TestMergeRestoresQueryEfficiency(t *testing.T) {
 	for i := 0; i < nDocs; i++ {
 		corpus.add(DocID(i+1), float64(rng.Intn(100000)), "common term"+fmt.Sprint(i%7))
 	}
-	m := buildMethod(t, "Chunk", func(c Config) (Method, error) { return NewChunk(c) }, corpus)
+	m := buildMethod(t, "Chunk", allConstructors()["Chunk"], corpus)
 
 	// Flash crowd: many documents jump far above their chunk.
 	for i := 0; i < 400; i++ {

@@ -5,19 +5,25 @@ import (
 	"sync"
 
 	"svrdb/internal/postings"
+	"svrdb/internal/storage/blob"
+	"svrdb/internal/text"
 	"svrdb/internal/topk"
 )
 
 // queryCtx is the per-query scratch a TopK call assembles its pipeline in:
-// the per-term stream slice, the IDF/epsilon arrays of the TermScore
-// algorithms, and the Score-table and ListScore/ListChunk-table probes with
-// the leaf images they read through.  Every query gets its own context from
-// a sync.Pool — two concurrent Searches never share scratch, and the
-// steady-state query path reuses the slices and leaf images instead of
-// allocating them anew per query (or, for the images, per leaf jump).  The
-// context must be released only after the query is fully evaluated (the
-// group merger reads the streams it references, the resolvers its probes).
+// the snapshot it evaluates against, the per-term stream slice, the
+// IDF/epsilon arrays of the TermScore algorithms, and the Score-table and
+// ListScore/ListChunk-table probes with the leaf images they read through.
+// The Score probe is also where the query's Score-table lookups are counted
+// (QueryResult.ScoreLookups): every score a query reads, it reads through
+// ctx.score.  Every query gets its own context from a sync.Pool — two
+// concurrent Searches never share scratch, and the steady-state query path
+// reuses the slices and leaf images instead of allocating them anew per
+// query (or, for the images, per leaf jump).  The context must be released
+// only after the query is fully evaluated (the group merger reads the
+// streams it references, the resolvers its probes).
 type queryCtx struct {
+	snap     *snap
 	streams  []postings.BatchIterator
 	idfs     []float64
 	epsilons []float64
@@ -31,6 +37,7 @@ var queryCtxPool = sync.Pool{New: func() any { return &queryCtx{} }}
 // tables.
 func newQueryCtx(s *snap) *queryCtx {
 	c := queryCtxPool.Get().(*queryCtx)
+	c.snap = s
 	c.streams = c.streams[:0]
 	c.idfs = c.idfs[:0]
 	c.epsilons = c.epsilons[:0]
@@ -45,7 +52,9 @@ func (c *queryCtx) release() {
 	for i := range c.streams {
 		c.streams[i] = nil // drop iterator references so the pool retains no streams
 	}
-	// Likewise the probes: a pooled context must not keep an index alive.
+	// Likewise the snapshot and the probes: a pooled context must not keep an
+	// index alive.
+	c.snap = nil
 	c.score.bind(scoreView{})
 	c.list.bind(listView{})
 	queryCtxPool.Put(c)
@@ -57,9 +66,10 @@ func (c *queryCtx) release() {
 // candidates, resolve their current scores, and stop as soon as no unseen
 // document can beat the current top-k.
 //
-// The pieces that differ between methods are injected:
+// The pieces that differ between methods are injected, as plain functions
+// of the query context (no per-query closure is built):
 //
-//   - maxPossible(sortKey) bounds the current score of every document whose
+//   - maxPossible(ctx, sortKey) bounds the current score of every document whose
 //     postings have not been reached yet, given the list position about to be
 //     processed.  Score-Threshold uses thresholdValueOf(listScore) = t·s;
 //     Chunk uses the upper score bound of chunk (cid+1); the exact Score
@@ -67,26 +77,30 @@ func (c *queryCtx) release() {
 //     disables early termination and forces a full scan, exactly as §4.2.1
 //     describes.
 //
-//   - resolve(group) produces the candidate's current score and decides
+//   - resolve(ctx, group) produces the candidate's current score and decides
 //     whether this particular appearance of the document should be counted
 //     (the "is it from the short list / is it superseded" logic of
 //     Algorithm 2 lines 12-21).
 type rankedQuery struct {
-	streams     []postings.BatchIterator
 	k           int
 	conjunctive bool
-	maxPossible func(sortKey float64) float64
-	resolve     func(g postings.Group) (score float64, include bool, err error)
+	maxPossible func(ctx *queryCtx, sortKey float64) float64
+	resolve     resolveFunc
 }
 
-// run executes the query and returns the ranked results with work counters.
-// The per-term streams move postings in batches (see postings.BatchIterator);
-// the merger's scratch buffers are pooled and released when the query ends,
-// so the steady-state query path performs no per-posting allocation.
-func (b *base) runRanked(q rankedQuery) (*QueryResult, error) {
+// resolveFunc resolves one candidate: its current score, and whether this
+// appearance of the document counts.
+type resolveFunc func(ctx *queryCtx, g postings.Group) (score float64, include bool, err error)
+
+// runRanked executes the query over ctx.streams and returns the ranked
+// results with work counters.  The per-term streams move postings in batches
+// (see postings.BatchIterator); the merger's scratch buffers are pooled and
+// released when the query ends, so the steady-state query path performs no
+// per-posting allocation.
+func (b *base) runRanked(ctx *queryCtx, q rankedQuery) (*QueryResult, error) {
 	b.counters.queries.Add(1)
 	heap := topk.New(q.k)
-	merger := postings.NewGroupMerger(q.streams...)
+	merger := postings.NewGroupMerger(ctx.streams...)
 	defer merger.Close()
 	res := &QueryResult{}
 	for {
@@ -104,7 +118,7 @@ func (b *base) runRanked(q rankedQuery) (*QueryResult, error) {
 		// maxPossible(g.SortKey); once k results at or above that bound are
 		// held, the answer cannot change.
 		if min, full := heap.MinScore(); full {
-			if q.maxPossible(g.SortKey) <= min {
+			if q.maxPossible(ctx, g.SortKey) <= min {
 				res.Stopped = true
 				break
 			}
@@ -116,7 +130,7 @@ func (b *base) runRanked(q rankedQuery) (*QueryResult, error) {
 		if !q.conjunctive && g.Count == 0 {
 			continue
 		}
-		score, include, err := q.resolve(g)
+		score, include, err := q.resolve(ctx, g)
 		if err != nil {
 			return nil, err
 		}
@@ -125,23 +139,49 @@ func (b *base) runRanked(q rankedQuery) (*QueryResult, error) {
 		}
 	}
 	res.Results = heap.Results()
+	res.ScoreLookups = ctx.score.lookups
 	b.counters.postingsScanned.Add(uint64(res.PostingsScanned))
 	return res, nil
 }
 
+// combinedScore is the ranking function of §4.3.3 for one candidate:
+// F(d) = svr(d) + Σ_i termScore_i(d) over the query terms the group holds.
+func combinedScore(svr float64, g postings.Group, idfs []float64) float64 {
+	for i, present := range g.Present {
+		if present {
+			svr += text.TFIDF(g.Entries[i].TermScore, idfs[i])
+		}
+	}
+	return svr
+}
+
 // neverStop is the maxPossible function of the ID family: no bound exists on
 // unseen documents, so the whole list must be scanned.
-func neverStop(float64) float64 { return math.Inf(1) }
+func neverStop(*queryCtx, float64) float64 { return math.Inf(1) }
 
-// combinedStream builds a term's query stream from its short and long
-// lists.  With short-list postings present this is the
+// termStream builds a term's query stream from its long list, opened with
+// the kind's stream constructor (a term without one is an empty list), and
+// its short list.  With short-list postings present this is the
 // "SL(ti) ∪ LL(ti)" union with ADD/REM collapsing; with an empty short
 // list — the common case for most terms, and for every term right after a
 // build or merge — both stages are identities, so the long list is consumed
 // directly and the query skips two pipeline stages and their batch buffers.
-func combinedStream(short *postings.SliceIterator, long postings.BatchIterator) postings.BatchIterator {
-	if short.Len() == 0 {
-		return long
+func (b *base) termStream(s *snap, term string, open func(*snap, *blob.Reader) (postings.BatchIterator, error)) (postings.BatchIterator, error) {
+	var long postings.BatchIterator
+	if ref, ok := s.longRefs[term]; ok {
+		var err error
+		if long, err = open(s, b.store.NewReader(ref)); err != nil {
+			return nil, err
+		}
+	} else {
+		long = postings.NewSliceIterator(nil)
 	}
-	return postings.NewCollapseOps(postings.NewUnion(short, long))
+	short, err := s.lists.Iterator(term)
+	if err != nil {
+		return nil, err
+	}
+	if short.Len() == 0 {
+		return long, nil
+	}
+	return postings.NewCollapseOps(postings.NewUnion(short, long)), nil
 }

@@ -10,59 +10,20 @@ package index
 // every retired page onto the pagefile free list.  The method must be fenced
 // from writers before the call and must not be used afterwards.
 
-// releaseBase retires the structures every method shares: the Score table's
-// tree and the long-list blobs.
-func (b *base) releaseBase() error {
+// ReleasePages implements Method.
+func (b *base) ReleasePages() error {
 	if err := b.score.tree.RetireAll(); err != nil {
 		return err
 	}
 	b.retireBlobRefs(b.longRefs)
-	return nil
-}
-
-// ReleasePages implements Method.
-func (m *IDMethod) ReleasePages() error {
-	if err := m.releaseBase(); err != nil {
+	if err := b.lists.tree.RetireAll(); err != nil {
 		return err
 	}
-	return m.aux.tree.RetireAll()
-}
-
-// ReleasePages implements Method.
-func (m *ScoreMethod) ReleasePages() error {
-	if err := m.releaseBase(); err != nil {
-		return err
+	if b.table != nil {
+		if err := b.table.tree.RetireAll(); err != nil {
+			return err
+		}
 	}
-	return m.lists.tree.RetireAll()
-}
-
-// ReleasePages implements Method.
-func (m *ScoreThresholdMethod) ReleasePages() error {
-	if err := m.releaseBase(); err != nil {
-		return err
-	}
-	if err := m.short.tree.RetireAll(); err != nil {
-		return err
-	}
-	return m.listScore.tree.RetireAll()
-}
-
-// ReleasePages implements Method.
-func (m *ChunkMethod) ReleasePages() error {
-	if err := m.releaseBase(); err != nil {
-		return err
-	}
-	if err := m.short.tree.RetireAll(); err != nil {
-		return err
-	}
-	return m.listChunk.tree.RetireAll()
-}
-
-// ReleasePages implements Method.
-func (m *ChunkTermScoreMethod) ReleasePages() error {
-	if err := m.ChunkMethod.ReleasePages(); err != nil {
-		return err
-	}
-	m.retireBlobRefs(m.fancyRefs)
+	b.retireBlobRefs(b.fancyRefs)
 	return nil
 }

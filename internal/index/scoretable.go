@@ -2,7 +2,6 @@ package index
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"svrdb/internal/codec"
 	"svrdb/internal/storage/btree"
@@ -27,9 +26,6 @@ import (
 // so a batch touching a leaf many times rewrites it once.
 type scoreTable struct {
 	tree *btree.Tree
-	// lookups is atomic: concurrent queries (plain Gets and per-query
-	// probes) all count through it without any lock.
-	lookups atomic.Uint64
 	// retire receives superseded pages once COW snapshots are enabled.
 	retire func(pagefile.PageID)
 
@@ -61,14 +57,11 @@ func (s *scoreTable) enableCOW(retire func(pagefile.PageID)) {
 // publication.
 func (s *scoreTable) snapshotView() scoreView {
 	s.tree.Seal()
-	return scoreView{s: s, view: s.tree.View(), patches: s.tree.Patches(), len: s.tree.Len()}
+	return scoreView{view: s.tree.View(), patches: s.tree.Patches(), len: s.tree.Len()}
 }
 
-// scoreView is a frozen, read-only image of the Score table.  It keeps the
-// owning table only for the shared lookup counter; all data reads go
-// through the captured tree view.
+// scoreView is a frozen, read-only image of the Score table.
 type scoreView struct {
-	s       *scoreTable
 	view    btree.View
 	patches uint64
 	len     int
@@ -76,7 +69,6 @@ type scoreView struct {
 
 // Get resolves a document's score in the view.
 func (v scoreView) Get(doc DocID) (score float64, deleted bool, ok bool, err error) {
-	v.s.lookups.Add(1)
 	key := docKey(doc)
 	data, found, err := v.view.Get(key[:])
 	if err != nil || !found {
@@ -145,7 +137,6 @@ func (s *scoreTable) put(doc DocID, score float64, deleted bool) error {
 
 // Get returns the current score of a document.
 func (s *scoreTable) Get(doc DocID) (score float64, deleted bool, ok bool, err error) {
-	s.lookups.Add(1)
 	if s.staged {
 		if v, hit := s.pending[doc]; hit {
 			return v.score, v.deleted, true, nil
@@ -163,36 +154,48 @@ func (s *scoreTable) Get(doc DocID) (score float64, deleted bool, ok bool, err e
 	return score, deleted, true, nil
 }
 
-// scoreProbe is a per-query Score-table reader that exploits the ascending
-// document order of candidate resolution: consecutive lookups reuse the
-// B+-tree leaf of the previous one instead of re-descending and re-scanning
-// it.  It lives in the pooled queryCtx, which thereby owns the probe's leaf
-// image across queries; bind rebinds it to the query's snapshot.
+// scoreProbe is the per-query Score-table reader.  It lives in the pooled
+// queryCtx, which thereby owns the probe's leaf image across queries; bind
+// rebinds it to the query's snapshot.  Every score a query resolves goes
+// through Get or Descend, so lookups is the query's QueryResult.ScoreLookups.
 type scoreProbe struct {
-	s *scoreTable
-	p btree.Probe
+	v       scoreView
+	p       btree.Probe
+	lookups int
 }
 
-// bind points the probe at a frozen Score table, keeping its buffers.  The
-// zero scoreView unbinds it.
+// bind points the probe at a frozen Score table, keeping its buffers, and
+// zeroes the lookup count.  The zero scoreView unbinds it.
 func (sp *scoreProbe) bind(v scoreView) {
-	sp.s = v.s
+	sp.v = v
 	sp.p.Reset(v.view)
+	sp.lookups = 0
 }
 
-// Get mirrors scoreView.Get through the probe.
-func (sp *scoreProbe) Get(doc DocID) (score float64, deleted bool, ok bool, err error) {
-	sp.s.lookups.Add(1)
+// Get resolves a document's latest score, reporting live=false for deleted
+// or unknown documents.  It exploits the ascending document order of
+// candidate resolution: consecutive lookups reuse the B+-tree leaf of the
+// previous one instead of re-descending and re-scanning it.
+func (sp *scoreProbe) Get(doc DocID) (score float64, live bool, err error) {
+	sp.lookups++
 	key := docKey(doc)
 	data, found, err := sp.p.Get(key[:])
 	if err != nil || !found {
-		return 0, false, false, err
+		return 0, false, err
 	}
-	score, deleted, err = decodeScoreEntry(data)
+	score, deleted, err := decodeScoreEntry(data)
 	if err != nil {
-		return 0, false, false, err
+		return 0, false, err
 	}
-	return score, deleted, true, nil
+	return score, !deleted, nil
+}
+
+// Descend is Get by a full descent of the snapshot's tree, for candidates
+// that arrive in no document order, where a cached leaf rarely helps.
+func (sp *scoreProbe) Descend(doc DocID) (score float64, live bool, err error) {
+	sp.lookups++
+	score, deleted, ok, err := sp.v.Get(doc)
+	return score, ok && !deleted, err
 }
 
 // MarkDeleted flags a document as deleted without discarding its score.
@@ -256,10 +259,6 @@ func (s *scoreTable) bulkLoad(pool *buffer.Pool, items []btree.Item) error {
 	}
 	return nil
 }
-
-// Lookups reports how many Get calls have been served (a proxy for random
-// probes in benchmarks).
-func (s *scoreTable) Lookups() uint64 { return s.lookups.Load() }
 
 // Patches reports how many writes the table's tree absorbed in place.
 func (s *scoreTable) Patches() uint64 { return s.tree.Patches() }

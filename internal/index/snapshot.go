@@ -1,7 +1,6 @@
 package index
 
 import (
-	"svrdb/internal/postings"
 	"svrdb/internal/storage/blob"
 	"svrdb/internal/storage/epoch"
 	"svrdb/internal/storage/pagefile"
@@ -70,20 +69,26 @@ func (b *base) publish() {
 		return
 	}
 	s := &snap{}
-	b.fillBase(s)
-	if b.fillExtra != nil {
-		b.fillExtra(s)
-	}
+	b.fill(s)
 	b.published.Store(s)
 	b.epochs.Advance()
 }
 
-// fillBase captures the state shared by every method.  The
-// document-frequency vector is copied only when the dictionary changed
-// since the last publication, so score-only batches skip the O(vocabulary)
-// copy.
-func (b *base) fillBase(s *snap) {
+// fill captures the live state; fields the kind does not use are zero on
+// both sides.  The document-frequency vector is copied only when the
+// dictionary changed since the last publication, so score-only batches skip
+// the O(vocabulary) copy.
+func (b *base) fill(s *snap) {
 	s.score = b.score.snapshotView()
+	s.lists = b.lists.snapshotView()
+	if b.table != nil {
+		s.table = b.table.snapshotView()
+	}
+	s.scoreDir = b.scoreDir
+	s.chunks = b.chunks
+	s.fancyRefs = b.fancyRefs
+	s.fancyMinW = b.fancyMinW
+	s.fancyBytes = b.fancyBytes
 	s.longRefs = b.longRefs
 	s.longBytes = b.longBytes
 	s.longRawBytes = b.longRawBytes
@@ -128,14 +133,6 @@ func (b *base) retireBlobRefs(refs map[string]blob.Ref) {
 	}
 }
 
-// fillEpochStats copies the epoch manager's counters into s.
-func (b *base) fillEpochStats(s *Stats) {
-	es := b.epochs.Stats()
-	s.Epoch = es.Current
-	s.ActiveReaders = es.ActiveGuards
-	s.RetainedPages = es.RetainedPages
-}
-
 // docFreq resolves a term's frozen document frequency.  Terms interned
 // after the snapshot was taken have IDs past the end of the frozen vector
 // and report 0, exactly as if they were unknown at capture time.
@@ -178,35 +175,4 @@ func (b *base) TermStats(terms []string) (int64, []int64, error) {
 		df[i] = s.docFreq(term)
 	}
 	return s.numDocs, df, nil
-}
-
-// currentScore resolves a document's latest score in the snapshot,
-// reporting include=false for deleted or unknown documents.
-func (s *snap) currentScore(doc DocID) (float64, bool, error) {
-	score, deleted, ok, err := s.score.Get(doc)
-	if err != nil {
-		return 0, false, err
-	}
-	if !ok || deleted {
-		return 0, false, nil
-	}
-	return score, true, nil
-}
-
-// currentScoreResolver returns a resolve function that looks up the current
-// score in the snapshot's Score table and skips deleted or unknown
-// documents.  Candidates arrive in ascending document order, so the lookups
-// run through the query's probe, which reuses the leaf of the previous one.
-func currentScoreResolver(ctx *queryCtx) func(g postings.Group) (float64, bool, error) {
-	probe := &ctx.score
-	return func(g postings.Group) (float64, bool, error) {
-		score, deleted, ok, err := probe.Get(g.Doc)
-		if err != nil {
-			return 0, false, err
-		}
-		if !ok || deleted {
-			return 0, false, nil
-		}
-		return score, true, nil
-	}
 }

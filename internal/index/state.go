@@ -1,12 +1,11 @@
 package index
 
 import (
-	"fmt"
+	"maps"
 
 	"svrdb/internal/storage/blob"
 	"svrdb/internal/storage/btree"
 	"svrdb/internal/storage/buffer"
-	"svrdb/internal/storage/epoch"
 	"svrdb/internal/storage/pagefile"
 	"svrdb/internal/text"
 )
@@ -66,15 +65,15 @@ type MethodDict struct {
 	LongRefs map[string]blob.Ref
 	Dict     text.DictionaryState
 	// KnownTokens carries the distinct-term cache for incrementally inserted
-	// documents (every family except the Score method keeps one).
+	// documents.
 	KnownTokens map[DocID][]string
 
 	// ChunkLower is the chunker's boundary vector (chunk families only).
 	ChunkLower []float64
 
 	// ScoreDir is the Score-Threshold method's score directory: the distinct
-	// build-time scores in descending order that its compressed long lists
-	// encode ranks against.  Nil for other methods or uncompressed builds.
+	// build-time scores in descending order that its long lists encode
+	// ranks against.  Nil for other methods.
 	ScoreDir []float64
 
 	// Fancy-list anchors (Chunk-TermScore only).
@@ -126,45 +125,44 @@ func copyRefs(src map[string]blob.Ref) map[string]blob.Ref {
 	return out
 }
 
-// baseAnchor fills the anchor fields shared by every method.
-func (b *base) baseAnchor(kind string) MethodAnchor {
-	return MethodAnchor{
-		Kind:         kind,
+// Anchor implements Method.
+func (b *base) Anchor() MethodAnchor {
+	a := MethodAnchor{
+		Kind:         b.Name(),
 		NumDocs:      b.numDocs.Load(),
 		LongBytes:    b.longBytes,
 		LongRawBytes: b.longRawBytes,
 		Score:        treeRefOf(b.score.tree),
+		Lists:        b.lists.state(),
+		FancyBytes:   b.fancyBytes,
 		DictGen:      b.dictGen,
 	}
+	if b.table != nil {
+		a.ListTable = treeRefOf(b.table.tree)
+	}
+	return a
 }
 
-// baseDict fills the dictionary fields shared by every method.
-func (b *base) baseDict() MethodDict {
-	return MethodDict{LongRefs: copyRefs(b.longRefs), Dict: b.dict.State()}
+// Dictionary implements Method.
+func (b *base) Dictionary() MethodDict {
+	d := MethodDict{
+		LongRefs:    copyRefs(b.longRefs),
+		Dict:        b.dict.State(),
+		KnownTokens: copyTokenCache(b.knownTokens),
+		ScoreDir:    append([]float64(nil), b.scoreDir...),
+	}
+	if b.chunks != nil {
+		d.ChunkLower = append([]float64(nil), b.chunks.lower...)
+	}
+	if b.fancyRefs != nil {
+		d.FancyRefs = copyRefs(b.fancyRefs)
+		d.FancyMinW = maps.Clone(b.fancyMinW)
+	}
+	return d
 }
 
-// openBase rebuilds the shared plumbing from a snapshot.  The document
-// source must be rewired by the caller (SetSource) before maintenance runs.
-func openBase(cfg Config, st *MethodState) (*base, error) {
-	if cfg.Pool == nil {
-		return nil, fmt.Errorf("index: Config.Pool is required")
-	}
-	cfg = cfg.Defaults()
-	b := &base{
-		cfg:          cfg,
-		store:        blob.NewStore(cfg.Pool),
-		dict:         text.RestoreDictionary(st.Dict),
-		score:        openScoreTable(cfg.Pool, st.Score),
-		longRefs:     copyRefs(st.LongRefs),
-		longBytes:    st.LongBytes,
-		longRawBytes: st.LongRawBytes,
-	}
-	b.numDocs.Store(st.NumDocs)
-	b.dictGen = st.DictGen
-	b.epochs = epoch.New(cfg.Pool.FreePage)
-	b.score.enableCOW(b.retirePage)
-	return b, nil
-}
+// State implements Method.
+func (b *base) State() MethodState { return MethodState{b.Anchor(), b.Dictionary()} }
 
 // SetSource rewires the document source after a restore.  The source feeds
 // maintenance paths that need a document's token stream (Score-method
@@ -172,172 +170,44 @@ func openBase(cfg Config, st *MethodState) (*base, error) {
 // index was built over.
 func (b *base) SetSource(src DocSource) { b.src = src }
 
-// --- per-method Anchor / Dictionary / State ----------------------------------
-
-// Anchor implements Method.
-func (m *IDMethod) Anchor() MethodAnchor {
-	a := m.baseAnchor(m.Name())
-	a.Lists = m.aux.state()
-	return a
-}
-
-// Dictionary implements Method.
-func (m *IDMethod) Dictionary() MethodDict {
-	d := m.baseDict()
-	d.KnownTokens = copyTokenCache(m.knownTokens)
-	return d
-}
-
-// State implements Method.
-func (m *IDMethod) State() MethodState { return MethodState{m.Anchor(), m.Dictionary()} }
-
-// Anchor implements Method.
-func (m *ScoreMethod) Anchor() MethodAnchor {
-	a := m.baseAnchor(m.Name())
-	a.Lists = m.lists.state()
-	return a
-}
-
-// Dictionary implements Method.
-func (m *ScoreMethod) Dictionary() MethodDict { return m.baseDict() }
-
-// State implements Method.
-func (m *ScoreMethod) State() MethodState { return MethodState{m.Anchor(), m.Dictionary()} }
-
-// Anchor implements Method.
-func (m *ScoreThresholdMethod) Anchor() MethodAnchor {
-	a := m.baseAnchor(m.Name())
-	a.Lists = m.short.state()
-	a.ListTable = treeRefOf(m.listScore.tree)
-	return a
-}
-
-// Dictionary implements Method.
-func (m *ScoreThresholdMethod) Dictionary() MethodDict {
-	d := m.baseDict()
-	d.KnownTokens = copyTokenCache(m.knownTokens)
-	d.ScoreDir = append([]float64(nil), m.scoreDir...)
-	return d
-}
-
-// State implements Method.
-func (m *ScoreThresholdMethod) State() MethodState {
-	return MethodState{m.Anchor(), m.Dictionary()}
-}
-
-// Anchor implements Method.
-func (m *ChunkMethod) Anchor() MethodAnchor {
-	a := m.baseAnchor(m.Name())
-	a.Lists = m.short.state()
-	a.ListTable = treeRefOf(m.listChunk.tree)
-	return a
-}
-
-// Dictionary implements Method.
-func (m *ChunkMethod) Dictionary() MethodDict {
-	d := m.baseDict()
-	d.KnownTokens = copyTokenCache(m.knownTokens)
-	if m.chunks != nil {
-		d.ChunkLower = append([]float64(nil), m.chunks.lower...)
-	}
-	return d
-}
-
-// State implements Method.
-func (m *ChunkMethod) State() MethodState { return MethodState{m.Anchor(), m.Dictionary()} }
-
-// Anchor implements Method.
-func (m *ChunkTermScoreMethod) Anchor() MethodAnchor {
-	a := m.ChunkMethod.Anchor()
-	a.Kind = m.Name()
-	a.FancyBytes = m.fancyBytes
-	return a
-}
-
-// Dictionary implements Method.
-func (m *ChunkTermScoreMethod) Dictionary() MethodDict {
-	d := m.ChunkMethod.Dictionary()
-	d.FancyRefs = copyRefs(m.fancyRefs)
-	d.FancyMinW = make(map[string]float32, len(m.fancyMinW))
-	for t, w := range m.fancyMinW {
-		d.FancyMinW[t] = w
-	}
-	return d
-}
-
-// State implements Method.
-func (m *ChunkTermScoreMethod) State() MethodState {
-	return MethodState{m.Anchor(), m.Dictionary()}
-}
-
-// --- Restore ----------------------------------------------------------------
-
 // Restore reattaches a method to the structures a checkpoint recorded.  It
 // is the inverse of Method.State(): no pages are read and nothing is
 // rebuilt; the returned method serves queries and updates against the trees
 // and blobs already in the page file.  Call SetSource afterwards to rewire
 // the document source.
 func Restore(cfg Config, st MethodState) (Method, error) {
-	b, err := openBase(cfg, &st)
+	k, err := lookupKind(st.Kind)
 	if err != nil {
 		return nil, err
 	}
-	// Each constructor below reattaches its trees and then runs the method's
-	// initSnapshots, which COW-enables the restored trees and publishes the
-	// first post-restore snapshot.
-	switch st.Kind {
-	case "ID", "ID-TermScore":
-		m := &IDMethod{
-			base:           b,
-			withTermScores: st.Kind == "ID-TermScore",
-			aux:            openKeyedList(b.cfg.Pool, st.Lists),
-			knownTokens:    copyTokenCache(st.KnownTokens),
-		}
-		m.initSnapshots()
-		return m, nil
-	case "Score":
-		m := &ScoreMethod{
-			base:  b,
-			lists: openKeyedList(b.cfg.Pool, st.Lists),
-		}
-		m.initSnapshots()
-		return m, nil
-	case "Score-Threshold":
-		m := &ScoreThresholdMethod{
-			base:        b,
-			short:       openKeyedList(b.cfg.Pool, st.Lists),
-			listScore:   openListTable(b.cfg.Pool, st.ListTable),
-			knownTokens: copyTokenCache(st.KnownTokens),
-			scoreDir:    append([]float64(nil), st.ScoreDir...),
-		}
-		m.initSnapshots()
-		return m, nil
-	case "Chunk", "Chunk-TermScore":
-		cm := &ChunkMethod{
-			base:        b,
-			short:       openKeyedList(b.cfg.Pool, st.Lists),
-			listChunk:   openListTable(b.cfg.Pool, st.ListTable),
-			knownTokens: copyTokenCache(st.KnownTokens),
-		}
-		if len(st.ChunkLower) > 0 {
-			cm.chunks = &chunker{lower: append([]float64(nil), st.ChunkLower...)}
-		}
-		if st.Kind == "Chunk" {
-			cm.initSnapshots()
-			return cm, nil
-		}
-		cts := &ChunkTermScoreMethod{
-			ChunkMethod: cm,
-			fancyRefs:   copyRefs(st.FancyRefs),
-			fancyMinW:   make(map[string]float32, len(st.FancyMinW)),
-			fancyBytes:  st.FancyBytes,
-		}
-		for t, w := range st.FancyMinW {
-			cts.fancyMinW[t] = w
-		}
-		cts.initSnapshots()
-		return cts, nil
-	default:
-		return nil, fmt.Errorf("index: cannot restore unknown method kind %q", st.Kind)
+	if cfg, err = cfg.checked(); err != nil {
+		return nil, err
 	}
+	b := &base{
+		kind:         k,
+		cfg:          cfg,
+		store:        blob.NewStore(cfg.Pool),
+		dict:         text.RestoreDictionary(st.Dict),
+		score:        openScoreTable(cfg.Pool, st.Score),
+		lists:        openKeyedList(cfg.Pool, st.Lists),
+		knownTokens:  copyTokenCache(st.KnownTokens),
+		longRefs:     copyRefs(st.LongRefs),
+		longBytes:    st.LongBytes,
+		longRawBytes: st.LongRawBytes,
+		scoreDir:     append([]float64(nil), st.ScoreDir...),
+		fancyBytes:   st.FancyBytes,
+		dictGen:      st.DictGen,
+	}
+	if k.listTable {
+		b.table = openListTable(cfg.Pool, st.ListTable)
+	}
+	if len(st.ChunkLower) > 0 {
+		b.chunks = &chunker{lower: append([]float64(nil), st.ChunkLower...)}
+	}
+	if st.FancyRefs != nil {
+		b.fancyRefs = copyRefs(st.FancyRefs)
+		b.fancyMinW = maps.Clone(st.FancyMinW)
+	}
+	b.numDocs.Store(st.NumDocs)
+	return b.start(k.attach(b)), nil
 }
