@@ -42,8 +42,9 @@ func createDocsIndex(t *testing.T, e *Engine, kind MethodKind) {
 }
 
 // requireReopenEqualsLive opens a copy of the live engine's file and requires
-// every table, view and method state the copy restores to be deeply equal to
-// the live one's.
+// every table and method state the copy restores to be deeply equal to the
+// live one's (the Score view has no state of its own: MethodAnchor.Score is
+// the materialized view).
 func requireReopenEqualsLive(t *testing.T, live *Engine, path, step string) {
 	t.Helper()
 	copyPath := path + ".copy"
@@ -75,9 +76,6 @@ func requireReopenEqualsLive(t *testing.T, live *Engine, path, step string) {
 		rt, err := re.TextIndex(name)
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
-		}
-		if want, got := lt.View().State(), rt.View().State(); !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: index %q view state differs:\nlive     %+v\nreopened %+v", step, name, want, got)
 		}
 		want, got := lt.Method().State(), rt.Method().State()
 		if !reflect.DeepEqual(want.MethodAnchor, got.MethodAnchor) {
@@ -214,7 +212,8 @@ func TestCatalogReopenEqualsLive(t *testing.T) {
 
 // TestScoreBatchCommitBudget pins what a score-only batch may cost a durable
 // engine: no dictionary chain rewritten, at most two catalog pages written,
-// and a WAL record far below the page images of the pages it touched.
+// a bounded number of data pages, and a WAL record far below the page images
+// of the pages it touched.
 func TestScoreBatchCommitBudget(t *testing.T) {
 	const batchRows = 128
 	params := workload.DefaultParams()
@@ -258,11 +257,17 @@ func TestScoreBatchCommitBudget(t *testing.T) {
 	if catalogWrites := (fs1.Writes - fs0.Writes) - flushes; catalogWrites > 2 {
 		t.Errorf("score-only batch wrote %d catalog pages beside %d pool flushes, want at most 2", catalogWrites, flushes)
 	}
+	// Each index writes the batch's scores once, into its Score table; this
+	// fixture measures 139 flushes.  A second doc → score tree per index (the
+	// Score view kept one until catalog version 3) made it 171.
+	if flushes > 146 {
+		t.Errorf("score-only batch flushed %d pool pages, budget 146", flushes)
+	}
 	if got := fs1.Fsyncs - fs0.Fsyncs; got != 2 {
 		t.Errorf("commit issued %d fsyncs, want 2", got)
 	}
-	// A page image per flushed page is what a full-image log costs (700 KB
-	// here); the delta log measures 72 KB on this fixture.
+	// A page image per flushed page is what a full-image log costs (570 KB
+	// here); the delta log measures 70 KB on this fixture.
 	walBytes := fs1.WALBytes - fs0.WALBytes
 	const budget = 160_000
 	t.Logf("WAL %d bytes for %d rows (%d pool flushes, %d bytes as page images)", walBytes, batchRows, flushes, flushes*uint64(file.PageSize()))

@@ -187,7 +187,7 @@ func (e *Engine) SpecNames() []string {
 // index is marked closed, so a search or maintenance write that starts
 // after the drain fails fast instead of pinning pages while the audit runs
 // or touching a closed file.  The fence covers the engine's own paths
-// (Search and index maintenance); direct relation.Table or ScoreView reads
+// (Search, ScoreOf and index maintenance); direct relation.Table reads
 // are not fenced — callers that read tables directly must stop doing so
 // before Close, or the pin audit may observe their in-flight pins.  An
 // in-flight ApplyBatch is waited for: Close takes the batch lock first, so
@@ -409,9 +409,6 @@ func (e *Engine) CreateTextIndex(name, table, column string, opts IndexOptions) 
 	if err != nil {
 		return nil, err
 	}
-	if err := sv.Build(); err != nil {
-		return nil, err
-	}
 
 	cfg := index.Config{
 		Pool:           e.db.Pool(),
@@ -439,15 +436,21 @@ func (e *Engine) CreateTextIndex(name, table, column string, opts IndexOptions) 
 		method:   method,
 	}
 
+	// The build evaluates the spec once per document, straight into the
+	// method's Score table.  A failing score component fails the create, and
+	// a failed create keeps nothing: the pages it built go back.
 	src := &tableDocSource{table: tbl, colIdx: colIdx, analyzer: e.analyzer}
-	if err := method.Build(src, func(doc index.DocID) float64 {
-		s, ok, err := sv.Score(int64(doc))
-		if err != nil || !ok {
+	var scoreErr error
+	err = method.Build(src, func(doc index.DocID) float64 {
+		if scoreErr != nil {
 			return 0
 		}
+		var s float64
+		s, scoreErr = sv.Compute(int64(doc))
 		return clampScore(s)
-	}); err != nil {
-		return nil, err
+	})
+	if err = errors.Join(scoreErr, err); err != nil {
+		return nil, errors.Join(err, method.ReleasePages(), method.Drain())
 	}
 	// Write the build's dirty pages back in one ordered sweep rather than
 	// letting them dribble out in LRU eviction order.
@@ -484,9 +487,10 @@ func (e *Engine) CreateTextIndex(name, table, column string, opts IndexOptions) 
 // deregistered, its maintenance listeners detached, in-flight searches
 // drained (a search that raced the drop either completes against the last
 // published snapshot or reports not-found — never a half-removed index),
-// and every page its structures occupied — method trees, long-list and
-// fancy-list blobs, and the score view's tree — returns to the pagefile
-// free list.  On a durable engine the drop commits atomically: a crash
+// and every page its structures occupied — the method's trees (the Score
+// table among them: the view keeps no pages of its own), its long-list and
+// fancy-list blobs and its dictionary chain — returns to the pagefile free
+// list.  On a durable engine the drop commits atomically: a crash
 // anywhere inside it recovers to the index fully present or fully absent.
 func (e *Engine) DropTextIndex(name string) error {
 	e.batchMu.Lock()
@@ -522,16 +526,12 @@ func (e *Engine) DropTextIndex(name string) error {
 	ti.rw.Unlock()
 	ti.writerMu.Unlock()
 
-	// Release the storage: retire every page of the method's structures and
-	// the view tree, then drain the epochs — any reader still pinned to the
-	// last snapshot leaves first, after which all retired pages recycle onto
-	// the free list.
+	// Release the storage: retire every page of the method's structures,
+	// then drain the epochs — any reader still pinned to the last snapshot
+	// leaves first, after which all retired pages recycle onto the free list.
 	var errs []error
 	if err := ti.method.ReleasePages(); err != nil {
 		errs = append(errs, fmt.Errorf("core: drop %q: release index pages: %w", name, err))
-	}
-	if err := ti.view.ReleaseTree(); err != nil {
-		errs = append(errs, fmt.Errorf("core: drop %q: release view tree: %w", name, err))
 	}
 	if err := ti.dict.release(e.db.Pool().File()); err != nil {
 		errs = append(errs, fmt.Errorf("core: drop %q: release dictionary chain: %w", name, err))
@@ -654,7 +654,11 @@ func (ti *TextIndex) ClearMaintenanceErr() {
 	ti.droppedErrs = 0
 }
 
-// onScoreChange reacts to Score view changes (Algorithm 1's entry point).
+// onScoreChange reacts to Score view changes (Algorithm 1's entry point).  The
+// view forwards every re-evaluated score, changed or not; the method's Score
+// table is what it is compared against, and UpdateScore drops an equal one.
+// A score the view could not evaluate is a maintenance error: the index goes
+// on serving the document's previous score and says so.
 // Eager maintenance takes the writer mutex around the method call (see
 // writeLocked: writes serialize against each other, searches keep reading
 // the last published snapshot); in batch mode the event only lands in the
@@ -662,6 +666,8 @@ func (ti *TextIndex) ClearMaintenanceErr() {
 func (ti *TextIndex) onScoreChange(c view.ScoreChange) {
 	doc := index.DocID(c.Doc)
 	switch {
+	case c.Err != nil:
+		ti.recordErr(c.Err)
 	case c.Deleted:
 		if ti.enqueue(index.Update{Op: index.DeleteOp, Doc: doc}) {
 			return
@@ -1118,7 +1124,7 @@ func (ti *TextIndex) Column() string { return ti.column }
 // diagnostics).
 func (ti *TextIndex) Method() index.Method { return ti.method }
 
-// View returns the Score materialized view backing this index.
+// View returns the Score view that maintains this index's Score table.
 func (ti *TextIndex) View() *view.ScoreView { return ti.view }
 
 // Stats returns the underlying index statistics.  It is lock-free for the
@@ -1142,8 +1148,16 @@ func (ti *TextIndex) MergeShortLists() error {
 	return ti.writeLocked(func() error { return ti.method.MergeShortLists() })
 }
 
-// ScoreOf returns the current SVR score of a document.
-func (ti *TextIndex) ScoreOf(pk int64) (float64, bool, error) { return ti.view.Score(pk) }
+// ScoreOf returns the SVR score of a document as the index holds it: one
+// epoch-pinned, lock-free read of the method's published Score table, the
+// materialized Score view.  That is the indexed score — the spec's aggregate
+// clamped to the non-negative finite domain (clampScore) — and, like a
+// Search, it is the published one: inside an ApplyBatch closure it still
+// reports the pre-batch score.  ok is false for a document the index has
+// never seen or has deleted.
+func (ti *TextIndex) ScoreOf(pk int64) (float64, bool, error) {
+	return ti.method.ScoreOf(index.DocID(pk))
+}
 
 // --- document source over a relation --------------------------------------------
 

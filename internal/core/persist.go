@@ -17,8 +17,10 @@ import (
 
 // catalogVersion is bumped when the catalog encoding changes.  Version 2
 // split the single catalog chain into an anchor and per-index dictionary
-// chains; version 1 files are refused at Open.
-const catalogVersion = 2
+// chains; version 3 dropped the Score view's own tree (the method's Score
+// table is the materialized view).  Older files are refused at Open: there is
+// no migration reader.
+const catalogVersion = 3
 
 // chainRef locates a page chain in the file: its head page and the length of
 // the bytes it holds.
@@ -30,8 +32,7 @@ type chainRef struct {
 // catalogIndexEntry records one text index in the anchor: its identity, the
 // knobs to rebuild its Config, the name its score spec is registered under
 // (the spec itself holds Go functions and cannot be serialized), the roots
-// and counts of its view tree and method structures, and where its
-// dictionary chain lives.
+// and counts of its method structures, and where its dictionary chain lives.
 type catalogIndexEntry struct {
 	Name     string
 	Table    string
@@ -43,7 +44,6 @@ type catalogIndexEntry struct {
 	MinChunkSize   int
 	FancyListSize  int
 
-	View   view.State
 	Method index.MethodAnchor
 	// Dict is the chain holding the gob-encoded index.MethodDict as of
 	// generation Method.DictGen.
@@ -51,12 +51,12 @@ type catalogIndexEntry struct {
 }
 
 // catalog is the anchor: the gob-encoded snapshot of the small navigational
-// state that moves with every batch — table schemas and tree roots, view
-// tree roots, each method's roots and counts.  It is rewritten at every
-// commit and its chain head travels in the page file's header meta, so anchor
-// and data become visible atomically.  The bulky state a score update never
-// touches (term → blob maps, the dictionary, token caches) lives in one
-// dictionary chain per index, rewritten only when the method says it changed.
+// state that moves with every batch — table schemas and tree roots, each
+// method's roots and counts.  It is rewritten at every commit and its chain
+// head travels in the page file's header meta, so anchor and data become
+// visible atomically.  The bulky state a score update never touches (term →
+// blob maps, the dictionary, token caches) lives in one dictionary chain per
+// index, rewritten only when the method says it changed.
 type catalog struct {
 	Version int
 	Tables  []relation.TableState
@@ -274,7 +274,6 @@ func (e *Engine) stageIndex(file pagefile.File, ti *TextIndex) (catalogIndexEntr
 		ChunkRatio:     ti.cfg.ChunkRatio,
 		MinChunkSize:   ti.cfg.MinChunkSize,
 		FancyListSize:  ti.cfg.FancyListSize,
-		View:           ti.view.State(),
 		Method:         anchor,
 		Dict:           ti.dict.ref(),
 	}, nil
@@ -385,7 +384,7 @@ func openFromFile(file pagefile.File, opts OpenOptions) (*Engine, error) {
 		return nil, fmt.Errorf("core: decode catalog: %w", err)
 	}
 	if cat.Version != catalogVersion {
-		return nil, fmt.Errorf("core: catalog version %d not supported (want %d)", cat.Version, catalogVersion)
+		return nil, fmt.Errorf("core: catalog version %d not supported (this build reads version %d only; rebuild the file)", cat.Version, catalogVersion)
 	}
 	e.anchor = anchor
 	e.anchorBytes.Store(int64(len(data)))
@@ -404,9 +403,10 @@ func openFromFile(file pagefile.File, opts OpenOptions) (*Engine, error) {
 	return e, nil
 }
 
-// restoreTextIndex reattaches one text index from its catalog entry: reopen
-// the score view against its tree, restore the method, rewire the document
-// source and the incremental-maintenance listeners.
+// restoreTextIndex reattaches one text index from its catalog entry: restore
+// the method (its Score table is the materialized view), create the score
+// view over the registered spec, rewire the document source and the
+// incremental-maintenance listeners.
 func (e *Engine) restoreTextIndex(ent catalogIndexEntry, specs map[string]view.Spec) error {
 	spec, ok := specs[ent.SpecName]
 	if !ok {
@@ -421,7 +421,7 @@ func (e *Engine) restoreTextIndex(ent catalogIndexEntry, specs map[string]view.S
 		return err
 	}
 
-	sv, err := view.OpenScoreView(e.db, ent.Table, spec, ent.View)
+	sv, err := view.NewScoreView(e.db, ent.Table, spec)
 	if err != nil {
 		return err
 	}

@@ -56,14 +56,9 @@ func accumulate(src DocSource, scores ScoreFunc, dict *text.Dictionary) (*builtC
 	tf := map[string]int{} // per-document term frequencies, reused
 	var distinct []string  // per-document distinct terms, reused
 	err := src.ForEach(func(doc DocID, tokens []string) error {
-		if _, dup := bc.docScores[doc]; dup {
+		if _, dup := bc.docLens[doc]; dup {
 			return fmt.Errorf("index: duplicate document ID %d in source", doc)
 		}
-		score := scores(doc)
-		if score < 0 {
-			return fmt.Errorf("index: document %d has negative score %g (scores must be non-negative)", doc, score)
-		}
-		bc.docScores[doc] = score
 		bc.docLens[doc] = len(tokens)
 		bc.docs = append(bc.docs, doc)
 		clear(tf)
@@ -90,6 +85,17 @@ func accumulate(src DocSource, scores ScoreFunc, dict *text.Dictionary) (*builtC
 	})
 	if err != nil {
 		return nil, err
+	}
+	// Scores are read after the source's scan, not inside it: the engine's
+	// ScoreFunc evaluates score components that may read the very table the
+	// source is scanning, and re-entering a table from inside its own scan
+	// would nest read locks (a deadlock once a writer queues between them).
+	for _, doc := range bc.docs {
+		score := scores(doc)
+		if score < 0 {
+			return nil, fmt.Errorf("index: document %d has negative score %g (scores must be non-negative)", doc, score)
+		}
+		bc.docScores[doc] = score
 	}
 	for i, name := range termNames {
 		bc.termDocs[name] = termLists[i]
@@ -137,7 +143,7 @@ func (b *base) populateScoreTable(bc *builtCorpus) error {
 	if b.score.Len() == 0 && len(bc.docs) > 0 {
 		items := make([]btree.Item, len(bc.docs))
 		for i, doc := range bc.docs {
-			items[i] = btree.Item{Key: scoreTableKey(doc), Value: encodeScoreEntry(bc.docScores[doc], false)}
+			items[i] = docItem(doc, docRow{val: bc.docScores[doc]})
 		}
 		if err := b.score.bulkLoad(b.cfg.Pool, items); err != nil {
 			return err
@@ -146,7 +152,7 @@ func (b *base) populateScoreTable(bc *builtCorpus) error {
 		return nil
 	}
 	for _, doc := range bc.docs {
-		if err := b.score.Set(doc, bc.docScores[doc]); err != nil {
+		if err := b.score.Put(doc, docRow{val: bc.docScores[doc]}); err != nil {
 			return err
 		}
 	}

@@ -16,14 +16,16 @@
 //     (§4.3.3; the Chunk order with per-posting term weights and per-term
 //     fancy lists, Algorithm 3 for combined SVR + term-score queries).
 //
-// What the kinds share is written once on base: the Score table, one
-// mutable keyed list (B+-tree keyed (term, sortKey desc, docID): the ID
-// family's auxiliary list under the constant key 0, the Score method's long
-// lists, the threshold family's short lists) and, for the threshold family,
-// the ListScore/ListChunk table; document insert, delete and content update
-// (Appendix A; the Score method overrides delete and content update to move
-// postings in place), batched application, the offline merge, page release,
-// checkpoint state and restore, statistics.
+// What the kinds share is written once on base: the Score table (the
+// paper's materialized Score view, §3.2 — the engine's view layer evaluates
+// the spec and stores nothing), one mutable keyed list (B+-tree keyed
+// (term, sortKey desc, docID): the ID family's auxiliary list under the
+// constant key 0, the Score method's long lists, the threshold family's
+// short lists) and, for the threshold family, the ListScore/ListChunk table
+// (both tables are one type, docTable); document insert, delete and content
+// update (Appendix A; the Score method overrides delete and content update
+// to move postings in place), batched application, the offline merge, page
+// release, checkpoint state and restore, statistics.
 //
 // All methods implement the Method interface so the engine, the benchmark
 // harness and the correctness tests treat them uniformly.  Long lists are

@@ -80,25 +80,24 @@ func (m *idMethod) buildLists(bc *builtCorpus) error {
 
 // UpdateScore implements Method: the only work is one Score-table write.
 func (m *idMethod) UpdateScore(doc DocID, newScore float64) error {
-	defer m.publish()
-	m.counters.scoreUpdates.Add(1)
-	if _, err := m.liveScore(doc); err != nil {
-		return err
+	_, changed, err := m.setScore(doc, newScore)
+	if changed {
+		m.publish()
 	}
-	return m.score.Set(doc, newScore)
+	return err
 }
 
 // resolveCurrent is the ID method's candidate resolver: the current-score
 // lookup.  Candidates arrive in ascending document order, so the lookups run
 // through the query's probe, which reuses the leaf of the previous one.
 func resolveCurrent(ctx *queryCtx, g postings.Group) (float64, bool, error) {
-	return ctx.score.Get(g.Doc)
+	return rowScore(ctx.score.Get(g.Doc))
 }
 
 // resolveCombined adds the per-term TFIDF contributions for a query that
 // asks for combined ranking; ctx.idfs is aligned with the query terms.
 func resolveCombined(ctx *queryCtx, g postings.Group) (float64, bool, error) {
-	svr, live, err := ctx.score.Get(g.Doc)
+	svr, live, err := rowScore(ctx.score.Get(g.Doc))
 	if err != nil || !live {
 		return 0, false, err
 	}

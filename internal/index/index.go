@@ -189,6 +189,10 @@ type Method interface {
 	// the latest published snapshot.  A cluster sums these across shards
 	// into the GlobalStats it passes back through Query.Global.
 	TermStats(terms []string) (numDocs int64, df []int64, err error)
+	// ScoreOf reads one document's score from the Score table of the latest
+	// published snapshot, as a query's probe would; ok is false for a
+	// document the index has never seen or has deleted.
+	ScoreOf(doc DocID) (score float64, ok bool, err error)
 	// Stats returns cumulative counters and structure sizes.
 	Stats() Stats
 	// State snapshots the method's navigational state for a checkpoint; the
@@ -345,7 +349,7 @@ type base struct {
 	cfg   Config
 	store *blob.Store
 	dict  *text.Dictionary
-	score *scoreTable
+	score *docTable
 	src   DocSource
 
 	// lists is the kind's single mutable keyed list: the ID family's
@@ -353,7 +357,7 @@ type base struct {
 	// threshold family's short lists.
 	lists *keyedList
 	// table is the ListScore/ListChunk table (threshold family only).
-	table *listTable
+	table *docTable
 	// keyOf maps a document's score to the sort key its postings are filed
 	// under in lists: constant 0 for the ID family (postings order by
 	// document), the score itself for Score and Score-Threshold, the chunk
@@ -428,14 +432,14 @@ func newBase(kind *Kind, cfg Config) (*base, error) {
 		longRefs:    map[string]blob.Ref{},
 		knownTokens: map[DocID][]string{},
 	}
-	if b.score, err = newScoreTable(cfg.Pool); err != nil {
+	if b.score, err = newDocTable(cfg.Pool); err != nil {
 		return nil, err
 	}
 	if b.lists, err = newKeyedList(cfg.Pool); err != nil {
 		return nil, err
 	}
 	if kind.listTable {
-		if b.table, err = newListTable(cfg.Pool); err != nil {
+		if b.table, err = newDocTable(cfg.Pool); err != nil {
 			return nil, err
 		}
 	}

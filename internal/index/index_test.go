@@ -277,6 +277,24 @@ func TestUnknownDocumentUpdate(t *testing.T) {
 		if err := m.UpdateContent(999, nil, []string{"golden"}); !errors.Is(err, ErrUnknownDocument) {
 			t.Errorf("%s: UpdateContent of unknown doc = %v, want ErrUnknownDocument", name, err)
 		}
+		// An unchanged score is not an update: the engine forwards every
+		// re-evaluated score and relies on the method to drop the equal ones
+		// before they count, write or publish.  (The listed counters all move
+		// when the score does change; Kind.listTable kinds would also gain a
+		// ListScore/ListChunk row.)
+		tm, _ := m.(*thresholdMethod)
+		before := m.Stats()
+		if err := m.UpdateScore(1, 87.13); err != nil {
+			t.Errorf("%s: UpdateScore to the current score = %v, want nil", name, err)
+		}
+		after := m.Stats()
+		if before.ScoreUpdates != after.ScoreUpdates || before.ShortListPostingsWritten != after.ShortListPostingsWritten ||
+			before.TablePatches != after.TablePatches || before.Epoch != after.Epoch {
+			t.Errorf("%s: an unchanged score moved the counters:\nbefore %+v\nafter  %+v", name, before, after)
+		}
+		if tm != nil && tm.table.Len() != 0 {
+			t.Errorf("%s: an unchanged score left %d ListScore/ListChunk rows", name, tm.table.Len())
+		}
 		// A score update must not resurrect a deleted document (doc 3 has the
 		// top score among the "golden" documents).
 		if err := m.DeleteDocument(3); err != nil {

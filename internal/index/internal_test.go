@@ -20,41 +20,41 @@ func newTestPool(tb testing.TB) *buffer.Pool {
 }
 
 func TestScoreTableBasics(t *testing.T) {
-	st, err := newScoreTable(newTestPool(t))
+	st, err := newDocTable(newTestPool(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, _ := st.Get(5); ok {
+	if _, ok, _ := st.Get(5); ok {
 		t.Error("empty table reported a score")
 	}
-	if err := st.Set(5, 87.13); err != nil {
+	if err := st.Put(5, docRow{val: 87.13}); err != nil {
 		t.Fatal(err)
 	}
-	score, deleted, ok, err := st.Get(5)
-	if err != nil || !ok || deleted || score != 87.13 {
-		t.Errorf("Get = %v %v %v %v", score, deleted, ok, err)
+	r, ok, err := st.Get(5)
+	if err != nil || !ok || r.flag || r.val != 87.13 {
+		t.Errorf("Get = %+v %v %v", r, ok, err)
 	}
-	if err := st.Set(5, 124.2); err != nil {
+	if err := st.Put(5, docRow{val: 124.2}); err != nil {
 		t.Fatal(err)
 	}
-	score, _, _, _ = st.Get(5)
-	if score != 124.2 {
-		t.Errorf("score after update = %v", score)
+	if r, _, _ = st.Get(5); r.val != 124.2 {
+		t.Errorf("score after update = %v", r.val)
 	}
 	if err := st.MarkDeleted(5); err != nil {
 		t.Fatal(err)
 	}
-	score, deleted, ok, _ = st.Get(5)
-	if !ok || !deleted || score != 124.2 {
-		t.Errorf("after MarkDeleted: %v %v %v", score, deleted, ok)
+	if r, ok, _ = st.Get(5); !ok || !r.flag || r.val != 124.2 {
+		t.Errorf("after MarkDeleted: %+v %v", r, ok)
+	}
+	if _, live, _ := rowScore(st.Get(5)); live {
+		t.Error("a deleted document reads as live")
 	}
 	// Re-setting the score clears the deleted flag (ID reuse).
-	if err := st.Set(5, 10); err != nil {
+	if err := st.Put(5, docRow{val: 10}); err != nil {
 		t.Fatal(err)
 	}
-	_, deleted, _, _ = st.Get(5)
-	if deleted {
-		t.Error("Set did not clear the deleted flag")
+	if r, _, _ = st.Get(5); r.flag {
+		t.Error("Put did not clear the deleted flag")
 	}
 	if err := st.MarkDeleted(999); err == nil {
 		t.Error("MarkDeleted of unknown doc succeeded")
@@ -65,12 +65,12 @@ func TestScoreTableBasics(t *testing.T) {
 }
 
 func TestScoreTableForEach(t *testing.T) {
-	st, err := newScoreTable(newTestPool(t))
+	st, err := newDocTable(newTestPool(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 20; i++ {
-		if err := st.Set(DocID(i), float64(i)*10); err != nil {
+		if err := st.Put(DocID(i), docRow{val: float64(i) * 10}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,9 +79,9 @@ func TestScoreTableForEach(t *testing.T) {
 	}
 	var docs []DocID
 	deletedCount := 0
-	if err := st.ForEach(func(doc DocID, score float64, deleted bool) bool {
+	if err := st.ForEach(func(doc DocID, r docRow) bool {
 		docs = append(docs, doc)
-		if deleted {
+		if r.flag {
 			deletedCount++
 		}
 		return true
@@ -98,33 +98,44 @@ func TestScoreTableForEach(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	st.ForEach(func(DocID, float64, bool) bool { count++; return count < 5 })
+	st.ForEach(func(DocID, docRow) bool { count++; return count < 5 })
 	if count != 5 {
 		t.Errorf("early-stopped ForEach visited %d", count)
 	}
 }
 
+// TestListTable drives the table as ListScore/ListChunk does: rows written
+// with the flag set, through the staged overlay and the frozen view.
 func TestListTable(t *testing.T) {
-	lt, err := newListTable(newTestPool(t))
+	lt, err := newDocTable(newTestPool(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := lt.Get(3); ok {
 		t.Error("empty table returned an entry")
 	}
-	if err := lt.Put(3, listEntry{Key: 87.13, InShortList: false}); err != nil {
+	if err := lt.Put(3, docRow{val: 87.13}); err != nil {
 		t.Fatal(err)
 	}
 	e, ok, err := lt.Get(3)
-	if err != nil || !ok || e.Key != 87.13 || e.InShortList {
+	if err != nil || !ok || e != (docRow{val: 87.13}) {
 		t.Errorf("Get = %+v %v %v", e, ok, err)
 	}
-	if err := lt.Put(3, listEntry{Key: 124.2, InShortList: true}); err != nil {
+	lt.beginBatch()
+	if err := lt.Put(3, docRow{val: 124.2, flag: true}); err != nil {
 		t.Fatal(err)
 	}
-	e, _, _ = lt.Get(3)
-	if e.Key != 124.2 || !e.InShortList {
-		t.Errorf("entry after update = %+v", e)
+	if e, _, _ = lt.Get(3); e != (docRow{val: 124.2, flag: true}) {
+		t.Errorf("staged entry = %+v", e)
+	}
+	if e, _, _ = lt.snapshotView().Get(3); e != (docRow{val: 87.13}) {
+		t.Errorf("view saw the staged entry before the flush: %+v", e)
+	}
+	if err := lt.flushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if e, _, _ = lt.snapshotView().Get(3); e != (docRow{val: 124.2, flag: true}) {
+		t.Errorf("entry after flush = %+v", e)
 	}
 	if lt.Len() != 1 {
 		t.Errorf("Len = %d", lt.Len())

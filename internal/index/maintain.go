@@ -53,18 +53,32 @@ func (b *base) docTokens(doc DocID) ([]string, error) {
 	return nil, fmt.Errorf("%w: %d has no available content", ErrUnknownDocument, doc)
 }
 
-// liveScore is the guard of every UpdateScore: the document's current
-// score, or ErrUnknownDocument if the index has never seen it or it has been
-// deleted — a score update must not resurrect a deleted document.
-func (b *base) liveScore(doc DocID) (float64, error) {
-	score, deleted, ok, err := b.score.Get(doc)
+// setScore is how every UpdateScore begins: it replaces the document's score
+// in the Score table and returns the one it held.  A document the index has
+// never seen or has deleted is ErrUnknownDocument — a score update must not
+// resurrect a deleted document.  An unchanged score is not an update: changed
+// is false, nothing was counted or written, and the caller returns without
+// publishing (a publication seals the trees, so the next write would pay a
+// copy-on-write clone for nothing).  Inside a batch the staged overlay
+// answers the read, so the comparison is against the batch's earlier writes.
+// The engine relies on this: it forwards every re-evaluated score and keeps
+// no copy of its own to compare against.
+func (b *base) setScore(doc DocID, newScore float64) (oldScore float64, changed bool, err error) {
+	oldScore, live, err := rowScore(b.score.Get(doc))
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	if !ok || deleted {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownDocument, doc)
+	if !live {
+		return 0, false, fmt.Errorf("%w: %d", ErrUnknownDocument, doc)
 	}
-	return score, nil
+	if oldScore == newScore {
+		return oldScore, false, nil
+	}
+	b.counters.scoreUpdates.Add(1)
+	if err := b.score.Put(doc, docRow{val: newScore}); err != nil {
+		return oldScore, false, err
+	}
+	return oldScore, true, nil
 }
 
 // InsertDocument implements Method (Appendix A.2): the new document's
@@ -72,7 +86,7 @@ func (b *base) liveScore(doc DocID) (float64, error) {
 func (b *base) InsertDocument(doc DocID, tokens []string, score float64) error {
 	b.dictChanged()
 	defer b.publish()
-	if err := b.score.Set(doc, score); err != nil {
+	if err := b.score.Put(doc, docRow{val: score}); err != nil {
 		return err
 	}
 	key := b.keyOf(score)
@@ -96,7 +110,7 @@ func (b *base) InsertDocument(doc DocID, tokens []string, score float64) error {
 	if b.table == nil {
 		return nil
 	}
-	return b.table.Put(doc, listEntry{Key: key, InShortList: true})
+	return b.table.Put(doc, docRow{val: key, flag: true})
 }
 
 // DeleteDocument implements Method (Appendix A.2): the Score table keeps a
@@ -105,7 +119,7 @@ func (b *base) InsertDocument(doc DocID, tokens []string, score float64) error {
 func (b *base) DeleteDocument(doc DocID) error {
 	b.dictChanged()
 	defer b.publish()
-	score, _, ok, err := b.score.Get(doc)
+	row, ok, err := b.score.Get(doc)
 	if err != nil {
 		return err
 	}
@@ -132,11 +146,11 @@ func (b *base) DeleteDocument(doc DocID) error {
 		if err != nil {
 			return err
 		}
-		key := b.keyOf(score)
+		key := b.keyOf(row.val)
 		if exists {
-			key = entry.Key
+			key = entry.val
 		}
-		if err := b.table.Put(doc, listEntry{Key: key, InShortList: false}); err != nil {
+		if err := b.table.Put(doc, docRow{val: key}); err != nil {
 			return err
 		}
 	}
@@ -186,17 +200,17 @@ func (b *base) listPosition(doc DocID) (float64, error) {
 			return 0, err
 		}
 		if exists {
-			return entry.Key, nil
+			return entry.val, nil
 		}
 	}
-	score, _, ok, err := b.score.Get(doc)
+	row, ok, err := b.score.Get(doc)
 	if err != nil {
 		return 0, err
 	}
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownDocument, doc)
 	}
-	return b.keyOf(score), nil
+	return b.keyOf(row.val), nil
 }
 
 // diffTerms computes the added and removed distinct terms between two token

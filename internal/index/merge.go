@@ -59,8 +59,8 @@ func (s *snapshotSource) scoreFunc() ScoreFunc {
 func (b *base) snapshot(tokensOf func(DocID) ([]string, error)) (*snapshotSource, error) {
 	snap := &snapshotSource{tokens: map[DocID][]string{}, scores: map[DocID]float64{}}
 	var iterErr error
-	err := b.score.ForEach(func(doc DocID, score float64, deleted bool) bool {
-		if deleted {
+	err := b.score.ForEach(func(doc DocID, r docRow) bool {
+		if r.flag {
 			return true
 		}
 		tokens, err := tokensOf(doc)
@@ -70,7 +70,7 @@ func (b *base) snapshot(tokensOf func(DocID) ([]string, error)) (*snapshotSource
 		}
 		snap.docs = append(snap.docs, doc)
 		snap.tokens[doc] = tokens
-		snap.scores[doc] = score
+		snap.scores[doc] = r.val
 		return true
 	})
 	if iterErr != nil {
@@ -103,9 +103,9 @@ func (b *base) MergeShortLists() error {
 		return err
 	}
 	lists.enableCOW(b.retirePage)
-	var table *listTable
+	var table *docTable
 	if b.table != nil {
-		if table, err = newListTable(b.cfg.Pool); err != nil {
+		if table, err = newDocTable(b.cfg.Pool); err != nil {
 			return err
 		}
 		table.enableCOW(b.retirePage)

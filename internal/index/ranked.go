@@ -27,8 +27,8 @@ type queryCtx struct {
 	streams  []postings.BatchIterator
 	idfs     []float64
 	epsilons []float64
-	score    scoreProbe
-	list     listProbe
+	score    docProbe
+	list     docProbe
 }
 
 var queryCtxPool = sync.Pool{New: func() any { return &queryCtx{} }}
@@ -55,8 +55,8 @@ func (c *queryCtx) release() {
 	// Likewise the snapshot and the probes: a pooled context must not keep an
 	// index alive.
 	c.snap = nil
-	c.score.bind(scoreView{})
-	c.list.bind(listView{})
+	c.score.bind(docView{})
+	c.list.bind(docView{})
 	queryCtxPool.Put(c)
 }
 

@@ -65,18 +65,11 @@ func (m *scoreMethod) buildLists(bc *builtCorpus) error {
 // document must be deleted at the old score position and reinserted at the
 // new one, which is exactly the cost the paper's Figure 7 measures.
 func (m *scoreMethod) UpdateScore(doc DocID, newScore float64) error {
+	oldScore, changed, err := m.setScore(doc, newScore)
+	if !changed {
+		return err
+	}
 	defer m.publish()
-	m.counters.scoreUpdates.Add(1)
-	oldScore, err := m.liveScore(doc)
-	if err != nil {
-		return err
-	}
-	if err := m.score.Set(doc, newScore); err != nil {
-		return err
-	}
-	if oldScore == newScore {
-		return nil
-	}
 	tokens, err := m.docTokens(doc)
 	if err != nil {
 		return fmt.Errorf("index: Score method needs document %d content to move its postings: %w", doc, err)
@@ -99,7 +92,7 @@ func (m *scoreMethod) UpdateScore(doc DocID, newScore float64) error {
 func (m *scoreMethod) DeleteDocument(doc DocID) error {
 	m.dictChanged()
 	defer m.publish()
-	score, _, ok, err := m.score.Get(doc)
+	row, ok, err := m.score.Get(doc)
 	if err != nil {
 		return err
 	}
@@ -109,7 +102,7 @@ func (m *scoreMethod) DeleteDocument(doc DocID) error {
 	if tokens, err := m.docTokens(doc); err == nil {
 		terms := text.DistinctTerms(tokens)
 		for _, term := range terms {
-			if err := m.lists.Delete(term, score, doc); err != nil {
+			if err := m.lists.Delete(term, row.val, doc); err != nil {
 				return err
 			}
 		}

@@ -31,13 +31,13 @@ import (
 // wholesale by the structures they come from.
 type snap struct {
 	// score is the frozen Score table.
-	score scoreView
+	score docView
 	// lists is the method's single mutable keyed list: the ID family's
 	// auxiliary list, the Score method's clustered lists, or the
 	// threshold/chunk families' short lists.
 	lists keyedView
 	// table is the ListScore/ListChunk table (threshold and chunk families).
-	table listView
+	table docView
 
 	longRefs     map[string]blob.Ref
 	longBytes    uint64
@@ -159,6 +159,17 @@ func (s *snap) queryIDF(q *Query, i int) float64 {
 		return text.IDF(text.CollectionStats{NumDocs: q.Global.NumDocs}, q.Global.DF[i])
 	}
 	return s.idf(q.Terms[i])
+}
+
+// ScoreOf implements Method: one lock-free, epoch-pinned read of the
+// published Score table.
+func (b *base) ScoreOf(doc DocID) (float64, bool, error) {
+	s, g, err := b.acquire()
+	if err != nil {
+		return 0, false, err
+	}
+	defer g.Leave()
+	return rowScore(s.score.Get(doc))
 }
 
 // TermStats implements Method for every method via the embedded base: it

@@ -101,12 +101,8 @@ func openKeyedList(pool *buffer.Pool, r TreeRef) *keyedList {
 	return &keyedList{tree: btree.Open(pool, r.Root, r.Size), entries: r.Entries}
 }
 
-func openScoreTable(pool *buffer.Pool, r TreeRef) *scoreTable {
-	return &scoreTable{tree: btree.Open(pool, r.Root, r.Size)}
-}
-
-func openListTable(pool *buffer.Pool, r TreeRef) *listTable {
-	return &listTable{tree: btree.Open(pool, r.Root, r.Size)}
+func openDocTable(pool *buffer.Pool, r TreeRef) *docTable {
+	return &docTable{tree: btree.Open(pool, r.Root, r.Size)}
 }
 
 func copyTokenCache(src map[DocID][]string) map[DocID][]string {
@@ -188,7 +184,7 @@ func Restore(cfg Config, st MethodState) (Method, error) {
 		cfg:          cfg,
 		store:        blob.NewStore(cfg.Pool),
 		dict:         text.RestoreDictionary(st.Dict),
-		score:        openScoreTable(cfg.Pool, st.Score),
+		score:        openDocTable(cfg.Pool, st.Score),
 		lists:        openKeyedList(cfg.Pool, st.Lists),
 		knownTokens:  copyTokenCache(st.KnownTokens),
 		longRefs:     copyRefs(st.LongRefs),
@@ -199,7 +195,7 @@ func Restore(cfg Config, st MethodState) (Method, error) {
 		dictGen:      st.DictGen,
 	}
 	if k.listTable {
-		b.table = openListTable(cfg.Pool, st.ListTable)
+		b.table = openDocTable(cfg.Pool, st.ListTable)
 	}
 	if len(st.ChunkLower) > 0 {
 		b.chunks = &chunker{lower: append([]float64(nil), st.ChunkLower...)}

@@ -107,7 +107,7 @@ func (m *thresholdMethod) topKTermScores(s *snap, ctx *queryCtx, q Query) (*Quer
 		}
 		res.PostingsScanned += g.Count
 		if g.ContainsAll() {
-			svr, live, err := scores.Get(g.Doc)
+			svr, live, err := rowScore(scores.Get(g.Doc))
 			if err != nil {
 				return nil, err
 			}
@@ -146,7 +146,7 @@ func (m *thresholdMethod) topKTermScores(s *snap, ctx *queryCtx, q Query) (*Quer
 		svrBound := s.chunks.UpperBound(cidJustFinished)
 		// Prune remainList entries that can no longer win.
 		for doc, info := range remain {
-			svr, live, err := scores.Descend(doc)
+			svr, live, err := rowScore(scores.Descend(doc))
 			if err != nil {
 				return false, err
 			}

@@ -98,13 +98,13 @@ func scoreOrder(b *base) listOrder {
 				// Never updated: the long-list score is the latest score.
 				return g.SortKey, true, nil
 			}
-			if entry.InShortList && g.SortKey != entry.Key {
-				// The short-list copy (at sort key entry.Key) is authoritative;
+			if entry.flag && g.SortKey != entry.val {
+				// The short-list copy (at sort key entry.val) is authoritative;
 				// any other appearance is the stale long-list copy.
 				return 0, false, nil
 			}
 			// The authoritative copy, but its stored score may be stale.
-			return ctx.score.Descend(g.Doc)
+			return rowScore(ctx.score.Descend(g.Doc))
 		},
 	}
 }
@@ -165,11 +165,11 @@ func chunkOrder(b *base, termScores bool) listOrder {
 			if err != nil {
 				return 0, false, err
 			}
-			if exists && entry.InShortList && g.SortKey != entry.Key {
+			if exists && entry.flag && g.SortKey != entry.val {
 				// Stale long-list copy; the short copy is processed instead.
 				return 0, false, nil
 			}
-			return ctx.score.Get(g.Doc)
+			return rowScore(ctx.score.Get(g.Doc))
 		},
 	}
 }
@@ -211,24 +211,20 @@ func (m *thresholdMethod) buildLists(bc *builtCorpus) error {
 
 // UpdateScore implements Method: Algorithm 1, over list keys.
 func (m *thresholdMethod) UpdateScore(doc DocID, newScore float64) error {
+	oldScore, changed, err := m.setScore(doc, newScore)
+	if !changed {
+		return err
+	}
 	defer m.publish()
-	m.counters.scoreUpdates.Add(1)
-	oldScore, err := m.liveScore(doc)
-	if err != nil {
-		return err
-	}
-	if err := m.score.Set(doc, newScore); err != nil {
-		return err
-	}
 
 	entry, exists, err := m.table.Get(doc)
 	if err != nil {
 		return err
 	}
-	listKey, inShort := entry.Key, entry.InShortList
+	listKey, inShort := entry.val, entry.flag
 	if !exists {
 		listKey = m.keyOf(oldScore)
-		if err := m.table.Put(doc, listEntry{Key: listKey, InShortList: false}); err != nil {
+		if err := m.table.Put(doc, docRow{val: listKey}); err != nil {
 			return err
 		}
 	}
@@ -252,7 +248,7 @@ func (m *thresholdMethod) UpdateScore(doc DocID, newScore float64) error {
 		}
 		m.counters.shortListPostingsWritten.Add(1)
 	}
-	return m.table.Put(doc, listEntry{Key: newKey, InShortList: true})
+	return m.table.Put(doc, docRow{val: newKey, flag: true})
 }
 
 // TopK implements Method: Algorithm 2, or Algorithm 3 for a combined

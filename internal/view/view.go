@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"sync"
 
-	"svrdb/internal/codec"
 	"svrdb/internal/relation"
-	"svrdb/internal/storage/btree"
 )
 
 // Component is one scoring component: the equivalent of a SQL-bodied
@@ -239,46 +237,48 @@ func foldColumn(db *relation.DB, table, valueColumn, fkColumn string, pk int64) 
 
 // --- the Score materialized view ----------------------------------------------
 
-// ScoreChange is delivered to listeners when a document's SVR score changes.
+// ScoreChange is delivered to listeners when a document's SVR score has been
+// re-evaluated: after a change to the document's row or to a dependency row
+// that maps to it.  The view keeps no copy of the scores to compare against,
+// so New may equal the score the listener already holds; dropping that case
+// is the listener's job (the index's Score table does it).
 type ScoreChange struct {
 	Doc int64
-	Old float64
 	New float64
-	// Inserted is true when the document first enters the view, Deleted when
-	// it leaves.
+	// Inserted is true when the document's row was just inserted into the
+	// indexed relation, Deleted when it was just deleted from it.
 	Inserted bool
 	Deleted  bool
+	// Err is set when a score component failed: the change carries no score
+	// and the listener is left holding a stale one.
+	Err error
 }
 
 // ScoreListener observes score changes; the inverted-list indexes register
 // one so that score updates reach Algorithm 1.
 type ScoreListener func(ScoreChange)
 
-// ScoreView materializes the SVR score of every document of the indexed
-// relation, exactly as the paper's `create materialized view Score` (§3.2).
+// ScoreView maintains the paper's `create materialized view Score` (§3.2)
+// incrementally: it watches the indexed relation and every table a score
+// component depends on, re-evaluates Agg(S1..Sm) for each affected document
+// and hands the result to its listeners.  The materialized rows themselves
+// live with the listener — the text index's Score table, the table
+// Algorithms 1-3 probe by document ID — so there is exactly one copy of them.
 type ScoreView struct {
 	db        *relation.DB
 	baseTable string
 	spec      Spec
-	tree      *btree.Tree
 
-	// refreshMu serializes Refresh and Remove end to end — component
-	// evaluation, tree write and listener notification — so concurrent base
-	// mutations of the same document cannot interleave their refreshes
-	// (last-computed-wins would let a stale score overwrite a fresh one,
-	// and notifications would reach the indexes out of order).
+	// refreshMu serializes refreshes and removals end to end — component
+	// evaluation and listener notification — so concurrent base mutations of
+	// the same document cannot interleave (last-computed-wins would let a
+	// stale score overwrite a fresh one, and notifications would reach the
+	// indexes out of order).
 	refreshMu sync.Mutex
-
-	// treeMu guards the materialized score tree: Score and ForEach readers
-	// share it, Refresh and Remove take it exclusively.  Score components
-	// never run under it.
-	treeMu sync.RWMutex
 
 	mu        sync.RWMutex
 	listeners []ScoreListener
 	attached  bool
-	rows      int
-	refreshes uint64
 	// hooks remembers every dependency-table listener Attach registered so
 	// Detach can unhook them when the owning index is dropped.
 	hooks []tableHook
@@ -292,7 +292,9 @@ type tableHook struct {
 }
 
 // NewScoreView creates the view for the given indexed relation and spec.
-// Call Build to populate it and Attach to enable incremental maintenance.
+// Call Attach to enable incremental maintenance.  The spec holds Go functions
+// and cannot be serialized, so a reopened engine creates the view afresh from
+// the spec its registry resolves (see core.OpenOptions).
 func NewScoreView(db *relation.DB, baseTable string, spec Spec) (*ScoreView, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -303,71 +305,13 @@ func NewScoreView(db *relation.DB, baseTable string, spec Spec) (*ScoreView, err
 	if _, err := db.Table(baseTable); err != nil {
 		return nil, err
 	}
-	tree, err := btree.New(db.Pool())
-	if err != nil {
-		return nil, err
-	}
-	return &ScoreView{db: db, baseTable: baseTable, spec: spec, tree: tree}, nil
+	return &ScoreView{db: db, baseTable: baseTable, spec: spec}, nil
 }
 
 // Spec returns the view's score specification.
 func (v *ScoreView) Spec() Spec { return v.spec }
 
-// State records the view's checkpoint anchor: where its materialized score
-// tree lives.  The spec itself holds Go functions and cannot be serialized;
-// reopening resolves it by name from a registry (see core.OpenOptions).
-type State struct {
-	Root relation.TreeState // reuse the tree-anchor shape
-	Rows int
-}
-
-// State snapshots the view for a checkpoint.  The caller must hold the
-// engine's batch rung so no refresh is mid-flight.
-func (v *ScoreView) State() State {
-	v.treeMu.RLock()
-	defer v.treeMu.RUnlock()
-	v.mu.RLock()
-	rows := v.rows
-	v.mu.RUnlock()
-	return State{
-		Root: relation.TreeState{Root: v.tree.RootPage(), Size: v.tree.Len()},
-		Rows: rows,
-	}
-}
-
-// OpenScoreView reattaches a view to its checkpointed score tree.  The spec
-// must be the same one the view was built with (resolved from the caller's
-// registry); Attach must be called afterwards, as with NewScoreView.
-func OpenScoreView(db *relation.DB, baseTable string, spec Spec, st State) (*ScoreView, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if spec.Agg == nil {
-		spec.Agg = Sum()
-	}
-	if _, err := db.Table(baseTable); err != nil {
-		return nil, err
-	}
-	tree := btree.Open(db.Pool(), st.Root.Root, st.Root.Size)
-	return &ScoreView{db: db, baseTable: baseTable, spec: spec, tree: tree, rows: st.Rows}, nil
-}
-
-// Len reports how many documents currently have a materialized score.
-func (v *ScoreView) Len() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.rows
-}
-
-// Refreshes reports how many single-document refreshes have run (a proxy for
-// incremental-maintenance work in benchmarks).
-func (v *ScoreView) Refreshes() uint64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.refreshes
-}
-
-// OnScoreChange registers a listener invoked after each score change.
+// OnScoreChange registers a listener invoked after each re-evaluation.
 func (v *ScoreView) OnScoreChange(l ScoreListener) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -383,10 +327,10 @@ func (v *ScoreView) notify(c ScoreChange) {
 	}
 }
 
-func scoreKey(pk int64) []byte { return codec.PutOrderedUint64(nil, uint64(pk)) }
-
-// compute evaluates the aggregated score for one document.
-func (v *ScoreView) compute(pk int64) (float64, error) {
+// Compute evaluates the aggregated score of one document from the tables as
+// they are now.  It must not be called from inside a scan of a table a score
+// component reads.
+func (v *ScoreView) Compute(pk int64) (float64, error) {
 	components := make([]float64, len(v.spec.Components))
 	for i, c := range v.spec.Components {
 		s, err := c.Eval(v.db, pk)
@@ -398,153 +342,34 @@ func (v *ScoreView) compute(pk int64) (float64, error) {
 	return v.spec.Agg(components), nil
 }
 
-// Score returns the materialized score of a document.
-func (v *ScoreView) Score(pk int64) (float64, bool, error) {
-	v.treeMu.RLock()
-	defer v.treeMu.RUnlock()
-	return v.scoreLocked(pk)
-}
-
-// scoreLocked is Score for callers already holding treeMu (either side).
-func (v *ScoreView) scoreLocked(pk int64) (float64, bool, error) {
-	data, ok, err := v.tree.Get(scoreKey(pk))
-	if err != nil || !ok {
-		return 0, false, err
-	}
-	s, _, err := codec.Float64(data)
-	if err != nil {
-		return 0, false, err
-	}
-	return s, true, nil
-}
-
-// ForEach visits every (document, score) pair in primary-key order.  The
-// visitor runs under the view read lock and must not mutate the view.
-func (v *ScoreView) ForEach(visit func(pk int64, score float64) bool) error {
-	v.treeMu.RLock()
-	defer v.treeMu.RUnlock()
-	var innerErr error
-	err := v.tree.Ascend(func(k, val []byte) bool {
-		pk, _, err := codec.OrderedUint64(k)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		s, _, err := codec.Float64(val)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		return visit(int64(pk), s)
-	})
-	if innerErr != nil {
-		return innerErr
-	}
-	return err
-}
-
-// Build fully (re)materializes the view from the base relation.  The
-// primary keys are collected first and each document refreshed after the
-// scan, because Refresh evaluates score components that may read the base
-// table itself — re-entering the table from inside its own scan would
-// nest read locks (a deadlock hazard if a writer queues between them).
-func (v *ScoreView) Build() error {
-	base, err := v.db.Table(v.baseTable)
-	if err != nil {
-		return err
-	}
-	pks := make([]int64, 0, base.Len())
-	err = base.Scan(func(row relation.Row) bool {
-		pks = append(pks, row[0].I)
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	for _, pk := range pks {
-		if err := v.Refresh(pk); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Refresh recomputes the score of one document and notifies listeners if it
-// changed.  This is the unit of incremental maintenance.
-func (v *ScoreView) Refresh(pk int64) error {
+// refresh re-evaluates the score of one document and notifies the listeners.
+// This is the unit of incremental maintenance.
+func (v *ScoreView) refresh(pk int64, inserted bool) {
 	v.refreshMu.Lock()
 	defer v.refreshMu.Unlock()
-	v.mu.Lock()
-	v.refreshes++
-	v.mu.Unlock()
-
-	// Re-check existence under refreshMu: a racing base-table Delete whose
-	// Remove already ran (or will run after this refresh, serialized behind
-	// refreshMu) must not have this refresh re-materialize a score row for
-	// a dead document.
+	// Check existence under refreshMu: a change to a dependency row of a
+	// document that does not exist, or a racing base-table Delete whose
+	// remove already ran (or will run after this refresh, serialized behind
+	// refreshMu), must not hand the listeners a score for a dead document.
 	base, err := v.db.Table(v.baseTable)
-	if err != nil {
-		return err
+	if err == nil {
+		_, err = base.Get(pk)
 	}
-	if _, err := base.Get(pk); err != nil {
-		if errors.Is(err, relation.ErrNotFound) {
-			return nil
-		}
-		return err
+	if errors.Is(err, relation.ErrNotFound) {
+		return
 	}
-
-	newScore, err := v.compute(pk)
-	if err != nil {
-		return err
+	var score float64
+	if err == nil {
+		score, err = v.Compute(pk)
 	}
-	v.treeMu.Lock()
-	old, existed, err := v.scoreLocked(pk)
-	if err != nil {
-		v.treeMu.Unlock()
-		return err
-	}
-	if existed && old == newScore {
-		v.treeMu.Unlock()
-		return nil
-	}
-	if err := v.tree.Put(scoreKey(pk), codec.PutFloat64(nil, newScore)); err != nil {
-		v.treeMu.Unlock()
-		return err
-	}
-	v.treeMu.Unlock()
-	if !existed {
-		v.mu.Lock()
-		v.rows++
-		v.mu.Unlock()
-	}
-	v.notify(ScoreChange{Doc: pk, Old: old, New: newScore, Inserted: !existed})
-	return nil
+	v.notify(ScoreChange{Doc: pk, New: score, Inserted: inserted, Err: err})
 }
 
-// Remove drops a document from the view (document deletion).
-func (v *ScoreView) Remove(pk int64) error {
+// remove tells the listeners a document left the indexed relation.
+func (v *ScoreView) remove(pk int64) {
 	v.refreshMu.Lock()
 	defer v.refreshMu.Unlock()
-	v.treeMu.Lock()
-	old, existed, err := v.scoreLocked(pk)
-	if err != nil {
-		v.treeMu.Unlock()
-		return err
-	}
-	if !existed {
-		v.treeMu.Unlock()
-		return nil
-	}
-	if _, err := v.tree.Delete(scoreKey(pk)); err != nil {
-		v.treeMu.Unlock()
-		return err
-	}
-	v.treeMu.Unlock()
-	v.mu.Lock()
-	v.rows--
-	v.mu.Unlock()
-	v.notify(ScoreChange{Doc: pk, Old: old, Deleted: true})
-	return nil
+	v.notify(ScoreChange{Doc: pk, Deleted: true})
 }
 
 // Attach registers change listeners on every dependency table so that base
@@ -602,8 +427,8 @@ func (v *ScoreView) Attach() error {
 
 // Detach unhooks every dependency-table listener Attach registered, so base
 // mutations stop refreshing the view.  A mutation already mid-notification
-// may still deliver one final refresh after Detach returns; the caller
-// (index drop) fences the index before releasing the view's pages.
+// may still deliver one final change after Detach returns; the caller (index
+// drop) fences the index before releasing its pages.
 func (v *ScoreView) Detach() {
 	v.mu.Lock()
 	hooks := v.hooks
@@ -615,45 +440,25 @@ func (v *ScoreView) Detach() {
 	}
 }
 
-// ReleaseTree frees every page of the materialized score tree back to the
-// pool's free list.  Only an index drop calls it, after the view is detached
-// and the owning index fenced; the view is unusable afterwards.
-func (v *ScoreView) ReleaseTree() error {
-	v.treeMu.Lock()
-	defer v.treeMu.Unlock()
-	return v.tree.RetireAll()
-}
-
-// handleChange folds one base-table change into the view.  Errors during
-// asynchronous maintenance are currently dropped after best effort; the
-// engine's tests verify the view against full recomputation.
+// handleChange folds one base-table change into the view: a change to the
+// indexed relation affects its own document, a change to a dependency table
+// the documents its old and new rows point at.
 func (v *ScoreView) handleChange(c relation.Change, isBase bool, fkIdx int) {
-	affected := map[int64]bool{}
 	if isBase {
-		switch c.Kind {
-		case relation.ChangeDelete:
-			_ = v.Remove(c.PK)
-			return
-		default:
-			affected[c.PK] = true
+		if c.Kind == relation.ChangeDelete {
+			v.remove(c.PK)
+		} else {
+			v.refresh(c.PK, c.Kind == relation.ChangeInsert)
 		}
-	} else if fkIdx >= 0 {
-		if c.Old != nil && fkIdx < len(c.Old) {
-			affected[c.Old[fkIdx].AsInt()] = true
-		}
-		if c.New != nil && fkIdx < len(c.New) {
-			affected[c.New[fkIdx].AsInt()] = true
+		return
+	}
+	affected := map[int64]bool{}
+	for _, row := range []relation.Row{c.Old, c.New} {
+		if fkIdx >= 0 && fkIdx < len(row) {
+			affected[row[fkIdx].AsInt()] = true
 		}
 	}
 	for pk := range affected {
-		// Only refresh documents that exist in the indexed relation.
-		base, err := v.db.Table(v.baseTable)
-		if err != nil {
-			return
-		}
-		if _, err := base.Get(pk); err != nil {
-			continue
-		}
-		_ = v.Refresh(pk)
+		v.refresh(pk, false)
 	}
 }

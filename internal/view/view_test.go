@@ -111,148 +111,115 @@ func TestBuildComputesPaperExampleScores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if v.Len() != 2 {
-		t.Fatalf("view has %d rows, want 2", v.Len())
-	}
 	// Movie 1: avg rating 4.5 -> 450, visits 20000 -> 10000, downloads 1000.
-	s1, ok, err := v.Score(1)
-	if err != nil || !ok {
-		t.Fatalf("Score(1) = %v %v", ok, err)
+	s1, err := v.Compute(1)
+	if err != nil {
+		t.Fatalf("Compute(1): %v", err)
 	}
 	if want := 4.5*100 + 20000.0/2 + 1000; math.Abs(s1-want) > 1e-9 {
-		t.Errorf("Score(1) = %g, want %g", s1, want)
+		t.Errorf("Compute(1) = %g, want %g", s1, want)
 	}
 	// Movie 2: avg 2 -> 200, visits 300 -> 150, downloads 20.
-	s2, _, _ := v.Score(2)
+	s2, _ := v.Compute(2)
 	if want := 2.0*100 + 150 + 20; math.Abs(s2-want) > 1e-9 {
-		t.Errorf("Score(2) = %g, want %g", s2, want)
+		t.Errorf("Compute(2) = %g, want %g", s2, want)
 	}
 	if s1 <= s2 {
 		t.Error("American Thrift must outrank Amateur Film in the paper's example")
 	}
 }
 
-func TestIncrementalMaintenanceOnDependencyTables(t *testing.T) {
-	db := buildExampleDB(t)
+// attachedView returns a view over the example schema that records every
+// change it delivers.
+func attachedView(t *testing.T, db *relation.DB) *[]ScoreChange {
+	t.Helper()
 	v, err := NewScoreView(db, "Movies", exampleSpec())
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Build(); err != nil {
 		t.Fatal(err)
 	}
 	if err := v.Attach(); err != nil {
 		t.Fatal(err)
 	}
+	changes := &[]ScoreChange{}
+	v.OnScoreChange(func(c ScoreChange) { *changes = append(*changes, c) })
+	return changes
+}
 
-	var changes []ScoreChange
-	v.OnScoreChange(func(c ScoreChange) { changes = append(changes, c) })
+func TestIncrementalMaintenanceOnDependencyTables(t *testing.T) {
+	db := buildExampleDB(t)
+	changes := attachedView(t, db)
 
 	// A visits update to movie 2 must refresh only movie 2's score.
 	stats, _ := db.Table("Statistics")
 	if err := stats.Update(2, map[string]relation.Value{"nVisit": relation.Int(150300)}); err != nil {
 		t.Fatal(err)
 	}
-	if len(changes) != 1 || changes[0].Doc != 2 {
-		t.Fatalf("changes after visits update = %+v, want one change for doc 2", changes)
-	}
-	s2, _, _ := v.Score(2)
-	if want := 2.0*100 + 150300.0/2 + 20; math.Abs(s2-want) > 1e-9 {
-		t.Errorf("Score(2) after update = %g, want %g", s2, want)
+	want := ScoreChange{Doc: 2, New: 2.0*100 + 150300.0/2 + 20}
+	if len(*changes) != 1 || (*changes)[0] != want {
+		t.Fatalf("changes after visits update = %+v, want %+v", *changes, want)
 	}
 
 	// A new review for movie 1 must refresh movie 1.
 	reviews, _ := db.Table("Reviews")
-	changes = nil
+	*changes = nil
 	if err := reviews.Insert(relation.Row{relation.Int(4), relation.Int(1), relation.Float(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if len(changes) != 1 || changes[0].Doc != 1 {
-		t.Fatalf("changes after review insert = %+v", changes)
+	if len(*changes) != 1 || (*changes)[0].Doc != 1 {
+		t.Fatalf("changes after review insert = %+v", *changes)
 	}
-	s1, _, _ := v.Score(1)
 	wantAvg := (4.0 + 5.0 + 1.0) / 3.0
-	if want := wantAvg*100 + 10000 + 1000; math.Abs(s1-want) > 1e-9 {
-		t.Errorf("Score(1) after new review = %g, want %g", s1, want)
+	if want := wantAvg*100 + 10000 + 1000; math.Abs((*changes)[0].New-want) > 1e-9 {
+		t.Errorf("score of movie 1 after new review = %g, want %g", (*changes)[0].New, want)
 	}
 
-	// The view must equal full recomputation after all of this.
-	check := func(pk int64) {
-		fresh, err := NewScoreView(db, "Movies", exampleSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.Build(); err != nil {
-			t.Fatal(err)
-		}
-		a, _, _ := v.Score(pk)
-		b, _, _ := fresh.Score(pk)
-		if math.Abs(a-b) > 1e-9 {
-			t.Errorf("incremental score for %d = %g, full recomputation = %g", pk, a, b)
-		}
+	// A review that moves from movie 1 to movie 2 refreshes both.
+	*changes = nil
+	if err := reviews.Update(4, map[string]relation.Value{"mID": relation.Int(2)}); err != nil {
+		t.Fatal(err)
 	}
-	check(1)
-	check(2)
+	docs := map[int64]bool{}
+	for _, c := range *changes {
+		docs[c.Doc] = true
+	}
+	if len(*changes) != 2 || !docs[1] || !docs[2] {
+		t.Errorf("changes after moving a review = %+v, want one each for docs 1 and 2", *changes)
+	}
 }
 
 func TestBaseTableInsertAndDelete(t *testing.T) {
 	db := buildExampleDB(t)
-	v, err := NewScoreView(db, "Movies", exampleSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Attach(); err != nil {
-		t.Fatal(err)
-	}
-	var changes []ScoreChange
-	v.OnScoreChange(func(c ScoreChange) { changes = append(changes, c) })
+	changes := attachedView(t, db)
 
 	movies, _ := db.Table("Movies")
 	if err := movies.Insert(relation.Row{relation.Int(3), relation.Str("New Release"), relation.Str("golden news")}); err != nil {
 		t.Fatal(err)
 	}
-	if len(changes) != 1 || !changes[0].Inserted || changes[0].Doc != 3 {
-		t.Fatalf("insert change = %+v", changes)
-	}
-	if v.Len() != 3 {
-		t.Errorf("view rows = %d, want 3", v.Len())
+	if len(*changes) != 1 || (*changes)[0] != (ScoreChange{Doc: 3, Inserted: true}) {
+		t.Fatalf("insert change = %+v", *changes)
 	}
 
-	changes = nil
+	// An edit of the row is a re-evaluation, not an insert.
+	*changes = nil
+	if err := movies.Update(3, map[string]relation.Value{"name": relation.Str("Old Release")}); err != nil {
+		t.Fatal(err)
+	}
+	if len(*changes) != 1 || (*changes)[0] != (ScoreChange{Doc: 3}) {
+		t.Fatalf("update change = %+v", *changes)
+	}
+
+	*changes = nil
 	if err := movies.Delete(3); err != nil {
 		t.Fatal(err)
 	}
-	if len(changes) != 1 || !changes[0].Deleted || changes[0].Doc != 3 {
-		t.Fatalf("delete change = %+v", changes)
-	}
-	if v.Len() != 2 {
-		t.Errorf("view rows after delete = %d, want 2", v.Len())
-	}
-	if _, ok, _ := v.Score(3); ok {
-		t.Error("deleted document still has a view score")
+	if len(*changes) != 1 || (*changes)[0] != (ScoreChange{Doc: 3, Deleted: true}) {
+		t.Fatalf("delete change = %+v", *changes)
 	}
 }
 
 func TestUpdatesToUnrelatedDocumentsDoNotNotify(t *testing.T) {
 	db := buildExampleDB(t)
-	v, err := NewScoreView(db, "Movies", exampleSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Attach(); err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	v.OnScoreChange(func(ScoreChange) { count++ })
+	changes := attachedView(t, db)
 
 	// A statistics row for a movie that does not exist must not produce a
 	// notification.
@@ -260,17 +227,19 @@ func TestUpdatesToUnrelatedDocumentsDoNotNotify(t *testing.T) {
 	if err := stats.Insert(relation.Row{relation.Int(99), relation.Int(99), relation.Int(5), relation.Int(5)}); err != nil {
 		t.Fatal(err)
 	}
-	if count != 0 {
-		t.Errorf("received %d notifications for an unrelated row", count)
+	if len(*changes) != 0 {
+		t.Errorf("received %+v for an unrelated row", *changes)
 	}
-	// An update that leaves the score unchanged must not notify either.
+	// An update that leaves the score unchanged is forwarded with the same
+	// score: the view keeps no copy to compare against, the index's Score
+	// table drops it (core: TestTextEditIsNotAScoreUpdate).
 	reviews, _ := db.Table("Reviews")
-	row, _ := reviews.Get(1)
-	if err := reviews.Update(1, map[string]relation.Value{"rating": relation.Float(row[2].F)}); err != nil {
+	row, _ := reviews.Get(3)
+	if err := reviews.Update(3, map[string]relation.Value{"rating": relation.Float(row[2].F)}); err != nil {
 		t.Fatal(err)
 	}
-	if count != 0 {
-		t.Errorf("received %d notifications for a no-op update", count)
+	if want := (ScoreChange{Doc: 2, New: 2.0*100 + 150 + 20}); len(*changes) != 1 || (*changes)[0] != want {
+		t.Errorf("changes after a no-op update = %+v, want %+v", *changes, want)
 	}
 }
 
@@ -310,26 +279,5 @@ func TestNewScoreViewValidation(t *testing.T) {
 	}
 	if _, err := NewScoreView(db, "Movies", Spec{}); err == nil {
 		t.Error("view with empty spec created")
-	}
-}
-
-func TestForEachOrdered(t *testing.T) {
-	db := buildExampleDB(t)
-	v, err := NewScoreView(db, "Movies", exampleSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Build(); err != nil {
-		t.Fatal(err)
-	}
-	var pks []int64
-	if err := v.ForEach(func(pk int64, score float64) bool {
-		pks = append(pks, pk)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(pks) != 2 || pks[0] != 1 || pks[1] != 2 {
-		t.Errorf("ForEach order = %v, want [1 2]", pks)
 	}
 }
