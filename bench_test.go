@@ -96,14 +96,19 @@ func benchQueries(b *testing.B, m index.Method, k int, disjunctive, withTermScor
 	b.ReportMetric(float64(postingsScanned)/float64(b.N), "postings/query")
 }
 
+// updateScore applies one trace entry as a one-op batch: ApplyUpdates is the
+// index's only incremental write.
+func updateScore(m index.Method, u workload.ScoreUpdate) error {
+	return m.ApplyUpdates([]index.Update{{Op: index.ScoreOp, Doc: u.Doc, Score: u.NewScore}})
+}
+
 func benchUpdates(b *testing.B, m index.Method) {
 	b.Helper()
 	_, _, updates := sharedCorpus()
 	patchesBefore := m.Stats().TablePatches
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u := updates[i%len(updates)]
-		if err := m.UpdateScore(u.Doc, u.NewScore); err != nil {
+		if err := updateScore(m, updates[i%len(updates)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -158,7 +163,7 @@ func BenchmarkFigure7_Query(b *testing.B) {
 		b.Run(kind, func(b *testing.B) {
 			m := buildBenchIndex(b, kind, index.Config{MinChunkSize: 20})
 			for _, u := range updates[:4000] {
-				if err := m.UpdateScore(u.Doc, u.NewScore); err != nil {
+				if err := updateScore(m, u); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -193,8 +198,7 @@ func BenchmarkStepSweep_ChunkUpdate(b *testing.B) {
 			m := buildBenchIndex(b, "Chunk", index.Config{MinChunkSize: 20})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				u := trace[i%len(trace)]
-				if err := m.UpdateScore(u.Doc, u.NewScore); err != nil {
+				if err := updateScore(m, trace[i%len(trace)]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -207,8 +211,8 @@ func BenchmarkStepSweep_ChunkUpdate(b *testing.B) {
 const updateBatchSize = 256
 
 // BenchmarkUpdateThroughput compares the write pipeline's two shapes on the
-// same score-update trace: the one-at-a-time UpdateScore loop against
-// batched ApplyUpdates.  The per-op times divide out to throughput; the
+// same score-update trace: the one-at-a-time loop (one-op batches) against
+// batches of updateBatchSize.  The per-op times divide out to throughput; the
 // batched path amortizes B+-tree descents and leaf rewrites across each
 // batch.
 func BenchmarkUpdateThroughput(b *testing.B) {
@@ -256,7 +260,7 @@ func BenchmarkConcurrentQuery(b *testing.B) {
 	for _, kind := range []string{"ID", "Score-Threshold", "Chunk"} {
 		m := buildBenchIndex(b, kind, index.Config{MinChunkSize: 20})
 		for _, u := range updates[:4000] {
-			if err := m.UpdateScore(u.Doc, u.NewScore); err != nil {
+			if err := updateScore(m, u); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -398,7 +402,8 @@ func BenchmarkTable3_Insertion(b *testing.B) {
 			b.Fatal(err)
 		}
 		doc := postings.DocID(corpus.NumDocs() + i + 1)
-		if err := m.InsertDocument(doc, tokens, corpus.Score(src)); err != nil {
+		ins := index.Update{Op: index.InsertOp, Doc: doc, Tokens: tokens, Score: corpus.Score(src)}
+		if err := m.ApplyUpdates([]index.Update{ins}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package svrdb_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -15,7 +16,10 @@ import (
 // must carry a godoc package comment (by convention in a doc.go file, but
 // any non-test file satisfies go/doc), so `go doc svrdb/internal/<pkg>`
 // always gives a real overview of the layer.  A new package added without
-// one fails tier-1, not just review.
+// one fails tier-1, not just review.  And the docs may not name what no
+// longer exists: every backticked `pkg.Ident` in README.md, ARCHITECTURE.md
+// and the internal doc.go files whose pkg names an internal package must
+// resolve to a declaration (function, method, type, var or const) in it.
 func TestDocsGate(t *testing.T) {
 	var pkgDirs []string
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
@@ -45,6 +49,88 @@ func TestDocsGate(t *testing.T) {
 			t.Errorf("package %q has no package comment: add a doc.go with a `// Package <name> ...` overview (see ARCHITECTURE.md)", dir)
 		}
 	}
+
+	decls := map[string]map[string]bool{} // package name -> declared identifiers
+	docs := []string{"README.md", "ARCHITECTURE.md"}
+	for _, dir := range pkgDirs {
+		name, idents := packageDecls(t, dir)
+		decls[name] = idents
+		if _, err := os.Stat(filepath.Join(dir, "doc.go")); err == nil {
+			docs = append(docs, filepath.Join(dir, "doc.go"))
+		}
+	}
+	ref := regexp.MustCompile(`(?:^|[^\w./])([a-z]+)\.([A-Z]\w*)`)
+	for _, doc := range docs {
+		for _, span := range backtickSpans(t, doc) {
+			for _, m := range ref.FindAllStringSubmatch(span, -1) {
+				if idents, ok := decls[m[1]]; ok && !idents[m[2]] {
+					t.Errorf("%s: `%s` names %s.%s, which package %s does not declare", doc, span, m[1], m[2], m[1])
+				}
+			}
+		}
+	}
+}
+
+// packageDecls parses the non-test Go files of dir and returns the package
+// name and every top-level identifier they declare, methods included.
+func packageDecls(t *testing.T, dir string) (string, map[string]bool) {
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var name string
+	idents := map[string]bool{}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parsing %s: %v", file, err)
+		}
+		name = f.Name.Name
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				idents[d.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						idents[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							idents[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return name, idents
+}
+
+// backtickSpans returns the inline code spans of a document, skipping fenced
+// code blocks.
+func backtickSpans(t *testing.T, path string) []string {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prose []string
+	fenced := false
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+		} else if !fenced {
+			prose = append(prose, line)
+		}
+	}
+	var spans []string
+	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(strings.Join(prose, "\n"), -1) {
+		spans = append(spans, m[1])
+	}
+	return spans
 }
 
 // packageHasDoc reports whether any non-test Go file in dir carries a

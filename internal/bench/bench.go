@@ -250,26 +250,14 @@ func corpusFor(opts Options) *workload.Corpus {
 	return c
 }
 
-// applyUpdates replays a score-update trace and returns the average time per
-// update.  maxMeasured caps how many updates are actually applied for
-// methods whose per-update cost is pathological (the Score method), matching
-// the paper's observation that its updates are orders of magnitude slower;
-// the average is still per applied update.
+// applyUpdates replays a score-update trace one update at a time — the
+// paper's per-update loop, each update a one-op ApplyUpdates batch — and
+// returns the average time per update.  maxMeasured caps how many updates
+// are actually applied for methods whose per-update cost is pathological
+// (the Score method), matching the paper's observation that its updates are
+// orders of magnitude slower; the average is still per applied update.
 func applyUpdates(r *rig, updates []workload.ScoreUpdate, maxMeasured int) (time.Duration, int, error) {
-	n := len(updates)
-	if maxMeasured > 0 && n > maxMeasured {
-		n = maxMeasured
-	}
-	if n == 0 {
-		return 0, 0, nil
-	}
-	start := time.Now()
-	for _, u := range updates[:n] {
-		if err := r.method.UpdateScore(u.Doc, u.NewScore); err != nil {
-			return 0, 0, err
-		}
-	}
-	return time.Since(start) / time.Duration(n), n, nil
+	return applyBatched(r, updates, maxMeasured, 1)
 }
 
 // queryStats aggregates query-side measurements.

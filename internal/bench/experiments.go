@@ -387,7 +387,8 @@ func RunTable3(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := r.method.InsertDocument(doc, tokens, insCorpus.Score(workload.DocID(i+1))); err != nil {
+			ins := index.Update{Op: index.InsertOp, Doc: doc, Tokens: tokens, Score: insCorpus.Score(workload.DocID(i + 1))}
+			if err := r.method.ApplyUpdates([]index.Update{ins}); err != nil {
 				return nil, err
 			}
 		}

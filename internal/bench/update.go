@@ -21,9 +21,9 @@ func toBatch(updates []workload.ScoreUpdate, buf []index.Update) []index.Update 
 	return buf
 }
 
-// applyBatched replays a trace through Method.ApplyUpdates in fixed-size
-// batches and returns the average time per update.
-func applyBatched(r *rig, updates []workload.ScoreUpdate, maxMeasured int) (time.Duration, int, error) {
+// applyBatched replays a trace through Method.ApplyUpdates in batches of
+// size updates and returns the average time per update.
+func applyBatched(r *rig, updates []workload.ScoreUpdate, maxMeasured, size int) (time.Duration, int, error) {
 	n := len(updates)
 	if maxMeasured > 0 && n > maxMeasured {
 		n = maxMeasured
@@ -31,10 +31,10 @@ func applyBatched(r *rig, updates []workload.ScoreUpdate, maxMeasured int) (time
 	if n == 0 {
 		return 0, 0, nil
 	}
-	buf := make([]index.Update, 0, updateFigureBatchSize)
+	buf := make([]index.Update, 0, size)
 	start := time.Now()
-	for lo := 0; lo < n; lo += updateFigureBatchSize {
-		hi := lo + updateFigureBatchSize
+	for lo := 0; lo < n; lo += size {
+		hi := lo + size
 		if hi > n {
 			hi = n
 		}
@@ -46,9 +46,10 @@ func applyBatched(r *rig, updates []workload.ScoreUpdate, maxMeasured int) (time
 }
 
 // RunUpdateFigure measures update throughput per method on the default
-// update workload: the one-at-a-time UpdateScore loop of the paper's
-// experiments against the batched ApplyUpdates pipeline, first as a pure
-// update stream, then mixed with queries (a query burst after every batch).
+// update workload: the one-at-a-time loop of the paper's experiments (one-op
+// batches) against ApplyUpdates batches of updateFigureBatchSize, first as a
+// pure update stream, then mixed with queries (a query burst after every
+// batch).
 // The paper reports per-update cost (Figure 7, Tables 2-3); this experiment
 // adds the loop-vs-batch comparison those numbers left open.
 func RunUpdateFigure(opts Options) (*Table, error) {
@@ -98,7 +99,7 @@ func RunUpdateFigure(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		batchAvg, _, err := applyBatched(batchRig, updates, cap)
+		batchAvg, _, err := applyBatched(batchRig, updates, cap, updateFigureBatchSize)
 		if err != nil {
 			return nil, err
 		}

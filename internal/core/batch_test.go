@@ -1,10 +1,15 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"svrdb/internal/relation"
+	"svrdb/internal/storage/buffer"
+	"svrdb/internal/storage/pagefile"
+	"svrdb/internal/view"
 	"svrdb/internal/workload"
 )
 
@@ -50,8 +55,9 @@ func applyArchiveMutations(t *testing.T, db *relation.DB, nMovies, rounds int) f
 }
 
 // TestApplyBatchMatchesEagerMaintenance drives the same structured-update
-// burst through two engines — one with eager per-change maintenance, one
-// inside ApplyBatch — and requires identical search results afterwards.
+// burst through two engines — one flushing each change as it happens (the
+// mutations run outside ApplyBatch), one inside ApplyBatch — and requires
+// identical search results afterwards.
 func TestApplyBatchMatchesEagerMaintenance(t *testing.T) {
 	const nMovies = 120
 	for _, method := range []MethodKind{MethodID, MethodScoreThreshold, MethodChunk, MethodChunkTermScore} {
@@ -105,7 +111,7 @@ func TestApplyBatchMatchesEagerMaintenance(t *testing.T) {
 
 // TestApplyBatchPanicStillFlushes checks that a panic inside fn does not
 // leave the indexes stuck in deferred-maintenance mode: the changes made
-// before the panic flush, and later eager updates keep flowing.
+// before the panic flush, and later changes outside a batch keep flowing.
 func TestApplyBatchPanicStillFlushes(t *testing.T) {
 	const nMovies = 50
 	engine, db := newArchiveEngine(t, nMovies)
@@ -145,14 +151,116 @@ func TestApplyBatchPanicStillFlushes(t *testing.T) {
 	if s < 500_000 {
 		t.Errorf("pre-panic score change not flushed: score %g", s)
 	}
-	// ...and eager maintenance must work again afterwards.
+	// ...and a change outside a batch must flush at once again afterwards.
 	bump(2, 2_000_000)
 	if err := idx.MaintenanceErr(); err != nil {
 		t.Fatal(err)
 	}
 	s2, ok, err := idx.ScoreOf(2)
 	if err != nil || !ok || s2 < 1_000_000 {
-		t.Errorf("eager update after recovered panic not applied: score %g, %v, %v", s2, ok, err)
+		t.Errorf("update after recovered panic not applied: score %g, %v, %v", s2, ok, err)
+	}
+}
+
+// TestChangeQueueKeepsEditOrder races text edits of one shared set of rows
+// from goroutines that mutate directly (each event flushed by the notifying
+// goroutine) against goroutines that mutate inside ApplyBatch (events
+// flushed at the batch's end).  Every edit writes a token used nowhere else,
+// so a content diff applied out of order would leave a row findable under a
+// retired token or missing under its final one.  Run under -race this is the
+// data-race gate for the maintenance queue.
+func TestChangeQueueKeepsEditOrder(t *testing.T) {
+	const nRows, writers, edits = 6, 4, 30
+	db := relation.NewDB(buffer.MustNew(pagefile.MustNewMem(pagefile.DefaultPageSize), 2048))
+	tbl, err := db.CreateTable(relation.Schema{
+		Name: "Docs",
+		Columns: []relation.Column{
+			{Name: "id", Kind: relation.KindInt64},
+			{Name: "body", Kind: relation.KindString},
+			{Name: "val", Kind: relation.KindFloat64},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// written[writers] holds the rows' first tokens, which every row retires.
+	written := make([][]string, writers+1)
+	for pk := int64(1); pk <= nRows; pk++ {
+		token := fmt.Sprintf("start%d", pk)
+		written[writers] = append(written[writers], token)
+		if err := tbl.Insert(relation.Row{relation.Int(pk), relation.Str("shared " + token), relation.Float(float64(pk))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	engine := NewEngine(db, Options{})
+	var idxs []*TextIndex
+	for _, method := range []MethodKind{MethodChunk, MethodScore} {
+		idx, err := engine.CreateTextIndex(string(method), "Docs", "body", IndexOptions{
+			Method: method,
+			Spec:   view.Spec{Components: []view.Component{view.OwnColumn("Docs", "val")}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		idxs = append(idxs, idx)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			edit := func(i int) error {
+				pk := int64((w*7+i)%nRows + 1)
+				token := fmt.Sprintf("w%de%d", w, i)
+				written[w] = append(written[w], token)
+				return tbl.Update(pk, map[string]relation.Value{"body": relation.Str("shared " + token)})
+			}
+			for i := 0; i < edits; i += 3 {
+				var err error
+				if w%2 == 0 {
+					err = engine.ApplyBatch(func() error {
+						return errors.Join(edit(i), edit(i+1), edit(i+2))
+					})
+				} else {
+					err = errors.Join(edit(i), edit(i+1), edit(i+2))
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	final := map[string]int64{}
+	for pk := int64(1); pk <= nRows; pk++ {
+		row, err := tbl.Get(pk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final[engine.Analyzer().Tokenize(row[1].S)[1]] = pk
+	}
+	for _, idx := range idxs {
+		if err := idx.MaintenanceErr(); err != nil {
+			t.Errorf("%s: maintenance errors: %v", idx.Name(), err)
+		}
+		for _, tokens := range written {
+			for _, token := range tokens {
+				res, err := idx.Search(SearchRequest{Query: token, K: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pk, live := final[token]
+				switch {
+				case live && (len(res.Hits) != 1 || res.Hits[0].PK != pk):
+					t.Errorf("%s: row %d's final token %q finds %+v", idx.Name(), pk, token, res.Hits)
+				case !live && len(res.Hits) != 0:
+					t.Errorf("%s: retired token %q still finds %+v", idx.Name(), token, res.Hits)
+				}
+			}
+		}
 	}
 }
 

@@ -10,9 +10,12 @@
 //  2. the chosen inverted-list method (§4) is bulk built from the text
 //     column and the view's scores, which populate the method's Score table
 //     — the one materialized copy of the view;
-//  3. incremental maintenance is wired up: structured-data updates flow
-//     through the view into Algorithm 1, document inserts/deletes/content
-//     edits flow into the Appendix A maintenance paths;
+//  3. incremental maintenance is wired up: every change event — a
+//     structured-data update the view turns into a score change
+//     (Algorithm 1), a document insert, delete or content edit (Appendix A)
+//     — becomes an index.Update on the index's one queue, flushed through
+//     the method's only write, ApplyUpdates: at once for a mutation outside
+//     Engine.ApplyBatch, at the batch's end inside one;
 //  4. keyword search queries run the method's top-k algorithm against the
 //     latest scores and join the ranked IDs back to the base rows.
 //

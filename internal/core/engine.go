@@ -294,11 +294,11 @@ type IndexOptions struct {
 // A TextIndex is safe for concurrent use, and searches never block behind
 // maintenance: every query evaluates against the method's atomically
 // published snapshot (see internal/index: epoch/snapshot reads), so the
-// write paths — eager change events, ApplyUpdates, ApplyBatch flushes,
-// MergeShortLists — only serialize against each other on writerMu, never
-// against readers.  The only lock a search takes is the read side of rw,
-// whose write side is taken exactly once, by Engine.Close, to fence
-// shutdown; during normal operation it is uncontended.
+// write paths — change-event flushes (see queue) and MergeShortLists — only
+// serialize against each other on writerMu, never against readers.  The
+// only lock a search takes is the read side of rw, whose write side is taken
+// exactly once, by Engine.Close, to fence shutdown; during normal operation
+// it is uncontended.
 type TextIndex struct {
 	name   string
 	table  string
@@ -348,9 +348,10 @@ type TextIndex struct {
 	// bounded error list plus an accurate drop count instead of growing
 	// without bound.
 	droppedErrs uint64
-	// batching defers incremental maintenance: change events convert to
-	// index.Update values in pending instead of hitting the method, and
-	// flushBatch applies them in one Method.ApplyUpdates call.
+	// pending is the one maintenance queue: every change event becomes an
+	// index.Update appended here in notification order, and flush applies the
+	// queue in one Method.ApplyUpdates call — at once outside ApplyBatch, at
+	// the batch's end while batching is set.
 	batching bool
 	pending  []index.Update
 }
@@ -656,38 +657,26 @@ func (ti *TextIndex) ClearMaintenanceErr() {
 
 // onScoreChange reacts to Score view changes (Algorithm 1's entry point).  The
 // view forwards every re-evaluated score, changed or not; the method's Score
-// table is what it is compared against, and UpdateScore drops an equal one.
-// A score the view could not evaluate is a maintenance error: the index goes
-// on serving the document's previous score and says so.
-// Eager maintenance takes the writer mutex around the method call (see
-// writeLocked: writes serialize against each other, searches keep reading
-// the last published snapshot); in batch mode the event only lands in the
-// pending queue and no lock beyond ti.mu is needed.
+// table is what it is compared against, and a ScoreOp with an equal score is
+// dropped there.  A score the view could not evaluate is a maintenance
+// error: the index goes on serving the document's previous score and says
+// so.
 func (ti *TextIndex) onScoreChange(c view.ScoreChange) {
 	doc := index.DocID(c.Doc)
 	switch {
 	case c.Err != nil:
 		ti.recordErr(c.Err)
 	case c.Deleted:
-		if ti.enqueue(index.Update{Op: index.DeleteOp, Doc: doc}) {
-			return
-		}
-		ti.recordErr(ti.writeLocked(func() error { return ti.method.DeleteDocument(doc) }))
+		ti.queue(index.Update{Op: index.DeleteOp, Doc: doc})
 	case c.Inserted:
 		tokens, err := ti.tokensOf(c.Doc)
 		if err != nil {
 			ti.recordErr(err)
 			return
 		}
-		if ti.enqueue(index.Update{Op: index.InsertOp, Doc: doc, Tokens: tokens, Score: clampScore(c.New)}) {
-			return
-		}
-		ti.recordErr(ti.writeLocked(func() error { return ti.method.InsertDocument(doc, tokens, clampScore(c.New)) }))
+		ti.queue(index.Update{Op: index.InsertOp, Doc: doc, Tokens: tokens, Score: clampScore(c.New)})
 	default:
-		if ti.enqueue(index.Update{Op: index.ScoreOp, Doc: doc, Score: clampScore(c.New)}) {
-			return
-		}
-		ti.recordErr(ti.writeLocked(func() error { return ti.method.UpdateScore(doc, clampScore(c.New)) }))
+		ti.queue(index.Update{Op: index.ScoreOp, Doc: doc, Score: clampScore(c.New)})
 	}
 }
 
@@ -706,65 +695,62 @@ func (ti *TextIndex) writeLocked(fn func() error) error {
 	return fn()
 }
 
-// enqueue buffers an update when batch mode is active, reporting whether it
-// took ownership of the event.
-func (ti *TextIndex) enqueue(u index.Update) bool {
+// queue appends one change event to the maintenance queue.  Outside
+// ApplyBatch the notifying goroutine flushes the queue at once, recording
+// any error; inside a batch the batch's end flushes it.
+func (ti *TextIndex) queue(u index.Update) {
 	ti.mu.Lock()
-	defer ti.mu.Unlock()
-	if !ti.batching {
-		return false
-	}
 	ti.pending = append(ti.pending, u)
-	return true
+	batching := ti.batching
+	ti.mu.Unlock()
+	if !batching {
+		ti.recordErr(ti.flush())
+	}
 }
 
-// beginBatch defers maintenance events until flushBatch.
+// flush applies the queued events through the method's batched write
+// pipeline.  The writer mutex is taken *before* the queue is swapped out:
+// whichever flush swaps a later event out also applies it after every
+// earlier event has been applied, so a newer event can never overtake an
+// older one (which would permanently diverge a content diff).
+func (ti *TextIndex) flush() error {
+	ti.writerMu.Lock()
+	defer ti.writerMu.Unlock()
+	ti.mu.Lock()
+	ops := ti.pending
+	ti.pending = nil
+	ti.mu.Unlock()
+	if len(ops) == 0 {
+		return nil
+	}
+	if ti.closed {
+		return fmt.Errorf("core: text index %q: %w, %d updates dropped", ti.name, ErrClosed, len(ops))
+	}
+	return ti.method.ApplyUpdates(ops)
+}
+
+// beginBatch holds queued events back until flushBatch.
 func (ti *TextIndex) beginBatch() {
 	ti.mu.Lock()
 	ti.batching = true
 	ti.mu.Unlock()
 }
 
-// flushBatch applies the deferred events through the method's batched write
-// pipeline.  The writer mutex is acquired *before* batching is cleared: an
-// eager maintenance event that observes batching == false can therefore
-// only run its own writeLocked after this flush's apply completes, so the
-// batch's older ops can never be overtaken by a newer event (which would
-// permanently diverge a content diff).
+// flushBatch ends batch mode and flushes everything the batch queued.
 func (ti *TextIndex) flushBatch() error {
-	ti.writerMu.Lock()
-	defer ti.writerMu.Unlock()
 	ti.mu.Lock()
-	ops := ti.pending
-	ti.pending = nil
 	ti.batching = false
 	ti.mu.Unlock()
-	if ti.closed {
-		if len(ops) == 0 {
-			return nil
-		}
-		return fmt.Errorf("core: text index %q: %w, %d batched updates dropped", ti.name, ErrClosed, len(ops))
-	}
-	if len(ops) == 0 {
-		return nil
-	}
-	return ti.method.ApplyUpdates(ops)
-}
-
-// ApplyUpdates feeds a prepared batch straight into the method's batched
-// write pipeline.  Bulk ingestion paths (benchmarks, loaders) use it to
-// bypass the per-row change plumbing.  The batch holds the index write lock
-// for its duration, so concurrent searches see either none or all of it.
-func (ti *TextIndex) ApplyUpdates(batch []index.Update) error {
-	return ti.writeLocked(func() error { return ti.method.ApplyUpdates(batch) })
+	return ti.flush()
 }
 
 // ApplyBatch runs fn — typically a burst of structured-data mutations —
 // with index maintenance deferred: the score and content changes fn
-// produces are collected per text index and applied through each method's
-// batched write pipeline (Method.ApplyUpdates) when fn returns, instead of
-// one B+-tree round-trip per change.  The final index states are identical
-// to applying the changes eagerly, with two documented nuances:
+// produces are queued per text index and applied through one
+// Method.ApplyUpdates call per index when fn returns, instead of one call
+// per change.  The final index states are identical to flushing each change
+// as it happens (what a mutation outside ApplyBatch does), with two
+// documented nuances:
 //
 //   - searches issued inside fn see the index as of the batch's start,
 //     since maintenance has not been applied yet;
@@ -774,9 +760,9 @@ func (ti *TextIndex) ApplyUpdates(batch []index.Update) error {
 //     writes that document's short-list postings from the end-of-batch
 //     content (query results stay correct either way — Theorems 1 and 2
 //     hold for any staleness — but TermScore weights can differ from the
-//     eager interleaving).  Capturing tokens per deferred score change
-//     would tokenize every updated document and forfeit the batching win,
-//     so the batch trades that equivalence edge for throughput.
+//     change-by-change interleaving).  Capturing tokens per deferred score
+//     change would tokenize every updated document and forfeit the batching
+//     win, so the batch trades that equivalence edge for throughput.
 //
 // Errors from fn and from the flushes are joined; the flush runs even if
 // fn panics, so the indexes never stay in deferred mode.
@@ -925,10 +911,7 @@ func (ti *TextIndex) onBaseRowChange(c relation.Change) {
 	}
 	oldTokens := ti.engine.analyzer.Tokenize(oldText)
 	newTokens := ti.engine.analyzer.Tokenize(newText)
-	if ti.enqueue(index.Update{Op: index.ContentOp, Doc: index.DocID(c.PK), OldTokens: oldTokens, NewTokens: newTokens}) {
-		return
-	}
-	ti.recordErr(ti.writeLocked(func() error { return ti.method.UpdateContent(index.DocID(c.PK), oldTokens, newTokens) }))
+	ti.queue(index.Update{Op: index.ContentOp, Doc: index.DocID(c.PK), OldTokens: oldTokens, NewTokens: newTokens})
 }
 
 func (ti *TextIndex) tokensOf(pk int64) ([]string, error) {

@@ -210,8 +210,8 @@ func gobBytes(v any) ([]byte, error) {
 // stageCatalog writes the engine's navigational state into its chains: every
 // index's dictionary chain whose generation moved, then the anchor.  The
 // caller holds batchMu, so no batch is mid-flight; each index is additionally
-// snapshotted under its writer mutex so an eager maintenance write cannot
-// interleave.  Searches are not excluded — they read the published snapshot
+// snapshotted under its writer mutex so a maintenance flush from a mutation
+// outside ApplyBatch cannot interleave.  Searches are not excluded — they read the published snapshot
 // and never move navigational state.
 func (e *Engine) stageCatalog(file pagefile.File) error {
 	cat := &catalog{Version: catalogVersion, Tenants: e.tenantQuotas()}

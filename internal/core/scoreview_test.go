@@ -293,7 +293,7 @@ func TestViewMaintenanceErrorIsRecorded(t *testing.T) {
 // TestTextEditIsNotAScoreUpdate: a text-only edit re-evaluates the row's
 // score (the view keeps no copy to tell it nothing changed); the Score table
 // absorbs the equal score, so the index performs a content update and no
-// score update, eagerly and in a batch.
+// score update, outside and inside a batch.
 func TestTextEditIsNotAScoreUpdate(t *testing.T) {
 	engine, db := newArchiveEngine(t, 20)
 	movies, _ := db.Table("Movies")

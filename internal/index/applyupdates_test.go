@@ -146,7 +146,7 @@ func TestApplyUpdatesMatchesSequential(t *testing.T) {
 				syncCorpus(batCorpus, seqCorpus)
 
 				for _, u := range trace {
-					if err := applyOne(seq, u); err != nil {
+					if err := seq.ApplyUpdates([]Update{u}); err != nil {
 						t.Fatalf("seed %d: sequential %v on doc %d: %v", seed, u.Op, u.Doc, err)
 					}
 				}
@@ -231,8 +231,8 @@ func TestApplyUpdatesEmptyAndSingle(t *testing.T) {
 
 // TestApplyUpdatesErrorContinues checks that a failing update mid-batch is
 // reported but does not abort the batch: the surrounding updates all apply,
-// mirroring the engine's eager maintenance (which records an error per
-// failing event and keeps going).
+// so the engine's queue flush records the failing event's error and keeps
+// going.
 func TestApplyUpdatesErrorContinues(t *testing.T) {
 	corpus := smallCorpus()
 	m := buildMethod(t, "Chunk", allConstructors()["Chunk"], corpus)

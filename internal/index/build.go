@@ -137,27 +137,19 @@ func (bc *builtCorpus) allScores() []float64 {
 // table shared by all methods.  A fresh (empty) table is bulk-loaded from
 // the already-sorted document run — one left-to-right leaf-packing pass
 // instead of one B+-tree descent and leaf rewrite per document.  A rebuild
-// over an existing table (MergeShortLists) keeps the per-document writes so
-// deletion markers outside the snapshot survive.
+// over an existing table (MergeShortLists) writes nothing: its corpus was
+// read out of that very table, so every live row already holds its score and
+// the deletion markers outside the snapshot stay as they are.
 func (b *base) populateScoreTable(bc *builtCorpus) error {
-	if b.score.Len() == 0 && len(bc.docs) > 0 {
-		items := make([]btree.Item, len(bc.docs))
-		for i, doc := range bc.docs {
-			items[i] = docItem(doc, docRow{val: bc.docScores[doc]})
-		}
-		if err := b.score.bulkLoad(b.cfg.Pool, items); err != nil {
-			return err
-		}
-		b.numDocs.Store(int64(len(bc.docs)))
+	b.numDocs.Store(int64(len(bc.docs)))
+	if b.score.Len() > 0 || len(bc.docs) == 0 {
 		return nil
 	}
-	for _, doc := range bc.docs {
-		if err := b.score.Put(doc, docRow{val: bc.docScores[doc]}); err != nil {
-			return err
-		}
+	items := make([]btree.Item, len(bc.docs))
+	for i, doc := range bc.docs {
+		items[i] = docItem(doc, docRow{val: bc.docScores[doc]})
 	}
-	b.numDocs.Store(int64(len(bc.docs)))
-	return nil
+	return b.score.bulkLoad(b.cfg.Pool, items)
 }
 
 // rank returns (building lazily) the global (score desc, doc asc) position

@@ -22,10 +22,12 @@
 // (term, sortKey desc, docID): the ID family's auxiliary list under the
 // constant key 0, the Score method's long lists, the threshold family's
 // short lists) and, for the threshold family, the ListScore/ListChunk table
-// (both tables are one type, docTable); document insert, delete and content
-// update (Appendix A; the Score method overrides delete and content update
-// to move postings in place), batched application, the offline merge, page
-// release, checkpoint state and restore, statistics.
+// (both tables are one type, docTable); the one incremental write,
+// ApplyUpdates, and the per-op handlers it dispatches to — document insert,
+// delete and content update (Appendix A; the Score method overrides delete
+// and content update to move postings in place) — which write into the
+// structures' overlays for the batch to flush and publish once; the offline
+// merge, page release, checkpoint state and restore, statistics.
 //
 // All methods implement the Method interface so the engine, the benchmark
 // harness and the correctness tests treat them uniformly.  Long lists are

@@ -25,16 +25,15 @@ import (
 // the pinned leaf page instead of the whole leaf being reserialized.  This
 // is the heart of Algorithm 1's hot loop for every method.
 //
-// During a write batch (Method.ApplyUpdates) the table runs in staged mode:
-// writes land in an in-memory overlay that reads consult first, and
-// flushBatch applies the overlay to the B+-tree as one sorted UpsertBatch,
-// so a batch touching a leaf many times rewrites it once.
+// Writes land in an in-memory overlay that reads consult first, and
+// flushBatch — at the end of every Method.ApplyUpdates — applies the overlay
+// to the B+-tree as one sorted UpsertBatch, so a batch touching a leaf many
+// times rewrites it once.
 type docTable struct {
 	tree *btree.Tree
 	// retire receives superseded pages once COW snapshots are enabled.
 	retire func(pagefile.PageID)
 
-	staged  bool
 	pending map[DocID]docRow
 }
 
@@ -55,7 +54,7 @@ func newDocTable(pool *buffer.Pool) (*docTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &docTable{tree: tree}, nil
+	return &docTable{tree: tree, pending: map[DocID]docRow{}}, nil
 }
 
 // enableCOW switches the table's tree to copy-on-write publication.
@@ -135,39 +134,16 @@ func rowScore(r docRow, ok bool, err error) (score float64, live bool, _ error) 
 	return r.val, ok && !r.flag, err
 }
 
-// Put inserts or replaces the row of doc.
-func (t *docTable) Put(doc DocID, r docRow) error {
-	if t.staged {
-		t.pending[doc] = r
-		return nil
-	}
-	it := docItem(doc, r)
-	return t.tree.Put(it.Key, it.Value)
-}
+// Put inserts or replaces the row of doc in the overlay.
+func (t *docTable) Put(doc DocID, r docRow) { t.pending[doc] = r }
 
-// Get returns the current row of doc, if any.
+// Get returns the current row of doc, if any: the overlay's, else the tree's.
 func (t *docTable) Get(doc DocID) (docRow, bool, error) {
-	if t.staged {
-		if r, hit := t.pending[doc]; hit {
-			return r, true, nil
-		}
+	if r, hit := t.pending[doc]; hit {
+		return r, true, nil
 	}
 	key := docKey(doc)
 	return decodeLookup(t.tree.Get(key[:]))
-}
-
-// MarkDeleted sets a document's flag without discarding its value: in the
-// Score table, the deletion marker queries filter on.
-func (t *docTable) MarkDeleted(doc DocID) error {
-	r, ok, err := t.Get(doc)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownDocument, doc)
-	}
-	r.flag = true
-	return t.Put(doc, r)
 }
 
 // docProbe is the per-query reader of a docView.  It lives in the pooled
@@ -206,18 +182,12 @@ func (dp *docProbe) Descend(doc DocID) (docRow, bool, error) {
 	return dp.v.Get(doc)
 }
 
-// beginBatch enters staged mode: subsequent writes collect in the overlay.
-func (t *docTable) beginBatch() {
-	t.staged = true
-	if t.pending == nil {
-		t.pending = map[DocID]docRow{}
-	}
-}
+// dirty reports whether the overlay holds writes.
+func (t *docTable) dirty() bool { return len(t.pending) > 0 }
 
 // flushBatch applies the overlay to the tree as one grouped UpsertBatch
-// (which sorts the keys itself) and leaves staged mode.
+// (which sorts the keys itself) and empties it.
 func (t *docTable) flushBatch() error {
-	t.staged = false
 	if len(t.pending) == 0 {
 		return nil
 	}
@@ -255,9 +225,6 @@ func (t *docTable) bulkLoad(pool *buffer.Pool, items []btree.Item) error {
 	}
 	return nil
 }
-
-// Patches reports how many writes the table's tree absorbed in place.
-func (t *docTable) Patches() uint64 { return t.tree.Patches() }
 
 // Len reports the number of rows (in the Score table, deleted markers
 // included).

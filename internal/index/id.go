@@ -78,15 +78,6 @@ func (m *idMethod) buildLists(bc *builtCorpus) error {
 	return nil
 }
 
-// UpdateScore implements Method: the only work is one Score-table write.
-func (m *idMethod) UpdateScore(doc DocID, newScore float64) error {
-	_, changed, err := m.setScore(doc, newScore)
-	if changed {
-		m.publish()
-	}
-	return err
-}
-
 // resolveCurrent is the ID method's candidate resolver: the current-score
 // lookup.  Candidates arrive in ascending document order, so the lookups run
 // through the query's probe, which reuses the leaf of the previous one.

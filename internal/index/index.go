@@ -157,26 +157,18 @@ type Update struct {
 type Method interface {
 	// Name returns the method's name as used in the paper's tables.
 	Name() string
-	// Build bulk-loads the long inverted lists and the Score table.
+	// Build bulk-loads the long inverted lists and the Score table of a
+	// freshly constructed method.
 	Build(src DocSource, scores ScoreFunc) error
-	// UpdateScore applies a document score update (Algorithm 1).  A
-	// document the index has never seen, or has deleted, is
-	// ErrUnknownDocument: a score update never resurrects a document.
-	UpdateScore(doc DocID, newScore float64) error
-	// InsertDocument adds a new document incrementally (Appendix A.2).
-	InsertDocument(doc DocID, tokens []string, score float64) error
-	// DeleteDocument removes a document (Appendix A.2).
-	DeleteDocument(doc DocID) error
-	// UpdateContent applies a content update given the previous and new
-	// token streams (Appendix A.1).
-	UpdateContent(doc DocID, oldTokens, newTokens []string) error
-	// ApplyUpdates applies a batch of updates with the semantics of making
-	// the equivalent calls one at a time in batch order, but with the
-	// underlying table and short-list writes grouped so that every touched
-	// B+-tree leaf is rewritten once per batch instead of once per posting.
-	// A failing update does not abort the batch: the remaining updates
-	// still apply and the errors are joined, matching the engine's eager
-	// maintenance behaviour.
+	// ApplyUpdates is the only incremental write: score updates
+	// (Algorithm 1), inserts, deletes and content updates (Appendix A), each
+	// applied as if one at a time in batch order, with the underlying table
+	// and list writes grouped so that every touched B+-tree leaf is rewritten
+	// once per batch instead of once per posting, and published once.  An
+	// update of a document the index has never seen, or has deleted, is
+	// ErrUnknownDocument: no op resurrects a document.  A failing update
+	// does not abort the batch: the remaining updates still apply and the
+	// errors are joined.
 	ApplyUpdates(batch []Update) error
 	// MergeShortLists performs the periodic offline merge: the long lists are
 	// rebuilt from the current collection state and the short lists emptied
@@ -237,7 +229,7 @@ type Stats struct {
 	PageHits  uint64
 	// ShortListEntries is the number of postings currently in short lists.
 	ShortListEntries int
-	// ScoreUpdates counts UpdateScore calls.
+	// ScoreUpdates counts applied ScoreOp updates that changed a score.
 	ScoreUpdates uint64
 	// ShortListPostingsWritten counts postings inserted into or rewritten in
 	// the short lists (the expensive part of an update).
@@ -329,14 +321,21 @@ const (
 )
 
 // kindMethod is what a method type adds to the shared base: the algorithms
-// the paper states per method.  Everything else in Method — document
-// maintenance, batches, merge, release, state, stats — is written once on
-// base and reaches these through base.self.
+// the paper states per method.  Everything else in Method — batches, merge,
+// release, state, stats — is written once on base and reaches these through
+// base.self.  The per-op handlers are what ApplyUpdates dispatches to: base
+// writes each once (maintain.go), and a kind overrides the ones whose paper
+// algorithm differs — the threshold family's Algorithm 1, the Score method's
+// in-place posting moves.  Handlers write into the overlays only.
 type kindMethod interface {
 	Method
 	// buildLists writes the kind's long lists for the accumulated corpus;
-	// base.Build has already loaded the Score table.
+	// base.build has already loaded the Score table.
 	buildLists(bc *builtCorpus) error
+	applyScore(doc DocID, newScore float64) error
+	applyInsert(doc DocID, tokens []string, score float64) error
+	applyDelete(doc DocID) error
+	applyContent(doc DocID, oldTokens, newTokens []string) error
 }
 
 // base is the live state of a method of any kind, in the shape snap and
@@ -404,10 +403,6 @@ type base struct {
 	// the snapshot queries evaluate against.
 	epochs    *epoch.Manager
 	published atomic.Pointer[snap]
-	// suppress disables per-update publication inside ApplyUpdates and
-	// MergeShortLists, which publish once at the end.  Only the serialized
-	// writer touches it.
-	suppress bool
 
 	// pubDict/pubGen/pubDF cache the last published document-frequency
 	// vector so score-only publications skip the O(vocabulary) copy.

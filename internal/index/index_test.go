@@ -192,6 +192,24 @@ func buildMethod(t *testing.T, name string, ctor func(Config) (Method, error), c
 	return m
 }
 
+// One-op batches: ApplyUpdates is the only incremental write, so the tests'
+// one-at-a-time updates go through it one update per call.
+func updateScore(m Method, doc DocID, score float64) error {
+	return m.ApplyUpdates([]Update{{Op: ScoreOp, Doc: doc, Score: score}})
+}
+
+func insertDocument(m Method, doc DocID, tokens []string, score float64) error {
+	return m.ApplyUpdates([]Update{{Op: InsertOp, Doc: doc, Tokens: tokens, Score: score}})
+}
+
+func deleteDocument(m Method, doc DocID) error {
+	return m.ApplyUpdates([]Update{{Op: DeleteOp, Doc: doc}})
+}
+
+func updateContent(m Method, doc DocID, oldTokens, newTokens []string) error {
+	return m.ApplyUpdates([]Update{{Op: ContentOp, Doc: doc, OldTokens: oldTokens, NewTokens: newTokens}})
+}
+
 func checkTopKScores(t *testing.T, label string, got []Result, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -268,13 +286,13 @@ func TestUnknownDocumentUpdate(t *testing.T) {
 	for name, ctor := range allConstructors() {
 		corpus := smallCorpus()
 		m := buildMethod(t, name, ctor, corpus)
-		if err := m.UpdateScore(999, 50); err == nil {
+		if err := updateScore(m, 999, 50); err == nil {
 			t.Errorf("%s: UpdateScore of unknown doc succeeded", name)
 		}
-		if err := m.DeleteDocument(999); err == nil {
+		if err := deleteDocument(m, 999); err == nil {
 			t.Errorf("%s: DeleteDocument of unknown doc succeeded", name)
 		}
-		if err := m.UpdateContent(999, nil, []string{"golden"}); !errors.Is(err, ErrUnknownDocument) {
+		if err := updateContent(m, 999, nil, []string{"golden"}); !errors.Is(err, ErrUnknownDocument) {
 			t.Errorf("%s: UpdateContent of unknown doc = %v, want ErrUnknownDocument", name, err)
 		}
 		// An unchanged score is not an update: the engine forwards every
@@ -284,7 +302,7 @@ func TestUnknownDocumentUpdate(t *testing.T) {
 		// ListScore/ListChunk row.)
 		tm, _ := m.(*thresholdMethod)
 		before := m.Stats()
-		if err := m.UpdateScore(1, 87.13); err != nil {
+		if err := updateScore(m, 1, 87.13); err != nil {
 			t.Errorf("%s: UpdateScore to the current score = %v, want nil", name, err)
 		}
 		after := m.Stats()
@@ -297,11 +315,27 @@ func TestUnknownDocumentUpdate(t *testing.T) {
 		}
 		// A score update must not resurrect a deleted document (doc 3 has the
 		// top score among the "golden" documents).
-		if err := m.DeleteDocument(3); err != nil {
+		if err := deleteDocument(m, 3); err != nil {
 			t.Fatalf("%s: DeleteDocument: %v", name, err)
 		}
-		if err := m.UpdateScore(3, 99999); !errors.Is(err, ErrUnknownDocument) {
-			t.Errorf("%s: UpdateScore of deleted doc = %v, want ErrUnknownDocument", name, err)
+		// A deleted document is unknown to every op, and a refused op moves no
+		// collection statistic: neither the document count nor any df.
+		terms := []string{"golden", "news", "zebra"}
+		numDocs, df, err := m.TermStats(terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range []Update{
+			{Op: ScoreOp, Doc: 3, Score: 99999},
+			{Op: DeleteOp, Doc: 3},
+			{Op: ContentOp, Doc: 3, OldTokens: corpus.docs[3], NewTokens: []string{"zebra", "golden"}},
+		} {
+			if err := m.ApplyUpdates([]Update{u}); !errors.Is(err, ErrUnknownDocument) {
+				t.Errorf("%s: %v of deleted doc = %v, want ErrUnknownDocument", name, u.Op, err)
+			}
+		}
+		if n, d, _ := m.TermStats(terms); n != numDocs || !reflect.DeepEqual(d, df) {
+			t.Errorf("%s: ops on a deleted doc moved the statistics: numDocs %d -> %d, df %v -> %v", name, numDocs, n, df, d)
 		}
 		res, err := m.TopK(Query{Terms: []string{"golden"}, K: 10})
 		if err != nil {
@@ -339,17 +373,17 @@ func TestDocTokensSourceFailure(t *testing.T) {
 	for name, ctor := range allConstructors() {
 		corpus := smallCorpus()
 		m := buildMethod(t, name, ctor, corpus)
-		if err := m.InsertDocument(50, []string{"golden", "late"}, 1); err != nil {
+		if err := insertDocument(m, 50, []string{"golden", "late"}, 1); err != nil {
 			t.Fatalf("%s: InsertDocument: %v", name, err)
 		}
 		m.SetSource(failingSource{corpus, srcErr})
 		// The inserted document's cached terms answer for the failed source.
-		if err := m.UpdateScore(50, 1e6); err != nil {
+		if err := updateScore(m, 50, 1e6); err != nil {
 			t.Errorf("%s: UpdateScore of a cached document: %v", name, err)
 		}
 		// Document 8 jumps past every threshold; only the ID family never
 		// reads content on a score update.
-		err := m.UpdateScore(8, 99999)
+		err := updateScore(m, 8, 99999)
 		if name == "ID" || name == "ID-TermScore" {
 			if err != nil {
 				t.Errorf("%s: UpdateScore read content: %v", name, err)
@@ -379,7 +413,7 @@ func TestScoreLookupsCountProbes(t *testing.T) {
 	want := map[string]int{"ID": 6, "ID-TermScore": 6, "Score": 0, "Score-Threshold": 1, "Chunk": 6, "Chunk-TermScore": 6}
 	for name, ctor := range allConstructors() {
 		m := buildMethod(t, name, ctor, smallCorpus())
-		if err := m.UpdateScore(1, 500); err != nil {
+		if err := updateScore(m, 1, 500); err != nil {
 			t.Fatal(err)
 		}
 		res, err := m.TopK(Query{Terms: []string{"golden"}, K: 10})
@@ -424,7 +458,7 @@ func TestKindRegistry(t *testing.T) {
 		}
 		// Fill the short lists and the list table so the round trip carries
 		// every structure the kind has.
-		if err := m.UpdateScore(8, 99999); err != nil {
+		if err := updateScore(m, 8, 99999); err != nil {
 			t.Fatal(err)
 		}
 		st := m.State()
@@ -488,12 +522,12 @@ func TestScoreUpdatesAreReflectedInResults(t *testing.T) {
 
 			// Doc 8 starts with the lowest score; a dramatic update ("flash
 			// crowd") must push it to the top of the golden+gate ranking.
-			if err := m.UpdateScore(8, 50000); err != nil {
+			if err := updateScore(m, 8, 50000); err != nil {
 				t.Fatalf("UpdateScore: %v", err)
 			}
 			o.scores[8] = 50000
 			// Doc 3 drops.
-			if err := m.UpdateScore(3, 1); err != nil {
+			if err := updateScore(m, 3, 1); err != nil {
 				t.Fatalf("UpdateScore: %v", err)
 			}
 			o.scores[3] = 1
@@ -551,7 +585,7 @@ func TestRandomizedScoreUpdateOracle(t *testing.T) {
 					if newScore < 0 {
 						newScore = 0
 					}
-					if err := m.UpdateScore(doc, newScore); err != nil {
+					if err := updateScore(m, doc, newScore); err != nil {
 						t.Fatalf("UpdateScore(%d, %g): %v", doc, newScore, err)
 					}
 					o.scores[doc] = newScore
@@ -606,7 +640,7 @@ func TestCombinedTermScoreOracle(t *testing.T) {
 			for u := 0; u < 60; u++ {
 				doc := DocID(localRng.Intn(nDocs) + 1)
 				newScore := float64(localRng.Intn(5000))
-				if err := m.UpdateScore(doc, newScore); err != nil {
+				if err := updateScore(m, doc, newScore); err != nil {
 					t.Fatalf("UpdateScore: %v", err)
 				}
 				o.scores[doc] = newScore
@@ -661,7 +695,7 @@ func TestInsertDeleteAndContentUpdates(t *testing.T) {
 			// Insert a new document; it must be findable immediately.
 			newTokens := strings.Fields("golden gate ferry schedule news")
 			corpus.add(100, 7000, "golden gate ferry schedule news")
-			if err := m.InsertDocument(100, newTokens, 7000); err != nil {
+			if err := insertDocument(m, 100, newTokens, 7000); err != nil {
 				t.Fatalf("InsertDocument: %v", err)
 			}
 			o.setTokens(100, newTokens)
@@ -683,7 +717,7 @@ func TestInsertDeleteAndContentUpdates(t *testing.T) {
 			}
 
 			// Delete an existing document; it must disappear.
-			if err := m.DeleteDocument(5); err != nil {
+			if err := deleteDocument(m, 5); err != nil {
 				t.Fatalf("DeleteDocument: %v", err)
 			}
 			o.deleted[5] = true
@@ -701,7 +735,7 @@ func TestInsertDeleteAndContentUpdates(t *testing.T) {
 			// Content update: doc 6 gains the query terms, doc 2 loses them.
 			oldTokens6 := corpus.docs[6]
 			newTokens6 := strings.Fields("golden gate databases survey")
-			if err := m.UpdateContent(6, oldTokens6, newTokens6); err != nil {
+			if err := updateContent(m, 6, oldTokens6, newTokens6); err != nil {
 				t.Fatalf("UpdateContent: %v", err)
 			}
 			corpus.docs[6] = newTokens6
@@ -709,7 +743,7 @@ func TestInsertDeleteAndContentUpdates(t *testing.T) {
 
 			oldTokens2 := corpus.docs[2]
 			newTokens2 := strings.Fields("amateur film festival")
-			if err := m.UpdateContent(2, oldTokens2, newTokens2); err != nil {
+			if err := updateContent(m, 2, oldTokens2, newTokens2); err != nil {
 				t.Fatalf("UpdateContent: %v", err)
 			}
 			corpus.docs[2] = newTokens2
@@ -828,7 +862,7 @@ func TestStatsAndSizes(t *testing.T) {
 			t.Errorf("%s: LongListBytes is zero after build", name)
 		}
 		sizes[name] = s.LongListBytes
-		if err := m.UpdateScore(1, 500); err != nil {
+		if err := updateScore(m, 1, 500); err != nil {
 			t.Fatal(err)
 		}
 		if got := m.Stats().ScoreUpdates; got != 1 {
@@ -862,13 +896,13 @@ func TestUpdateCostAsymmetry(t *testing.T) {
 	chunk := buildMethod(t, "Chunk", allConstructors()["Chunk"], corpus)
 
 	// Small update: stays within a factor-2 chunk.
-	if err := idm.UpdateScore(1, 88); err != nil {
+	if err := updateScore(idm, 1, 88); err != nil {
 		t.Fatal(err)
 	}
-	if err := score.UpdateScore(1, 88); err != nil {
+	if err := updateScore(score, 1, 88); err != nil {
 		t.Fatal(err)
 	}
-	if err := chunk.UpdateScore(1, 88); err != nil {
+	if err := updateScore(chunk, 1, 88); err != nil {
 		t.Fatal(err)
 	}
 
@@ -883,7 +917,7 @@ func TestUpdateCostAsymmetry(t *testing.T) {
 	}
 
 	// Large update: the Chunk method must now rewrite the short lists.
-	if err := chunk.UpdateScore(8, 99999); err != nil {
+	if err := updateScore(chunk, 8, 99999); err != nil {
 		t.Fatal(err)
 	}
 	if got := chunk.Stats().ShortListPostingsWritten; got == 0 {

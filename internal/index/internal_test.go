@@ -27,40 +27,32 @@ func TestScoreTableBasics(t *testing.T) {
 	if _, ok, _ := st.Get(5); ok {
 		t.Error("empty table reported a score")
 	}
-	if err := st.Put(5, docRow{val: 87.13}); err != nil {
-		t.Fatal(err)
-	}
+	st.Put(5, docRow{val: 87.13})
 	r, ok, err := st.Get(5)
 	if err != nil || !ok || r.flag || r.val != 87.13 {
 		t.Errorf("Get = %+v %v %v", r, ok, err)
 	}
-	if err := st.Put(5, docRow{val: 124.2}); err != nil {
-		t.Fatal(err)
-	}
+	st.Put(5, docRow{val: 124.2})
 	if r, _, _ = st.Get(5); r.val != 124.2 {
 		t.Errorf("score after update = %v", r.val)
 	}
-	if err := st.MarkDeleted(5); err != nil {
-		t.Fatal(err)
-	}
+	st.Put(5, docRow{val: 124.2, flag: true})
 	if r, ok, _ = st.Get(5); !ok || !r.flag || r.val != 124.2 {
-		t.Errorf("after MarkDeleted: %+v %v", r, ok)
+		t.Errorf("after marking deleted: %+v %v", r, ok)
 	}
 	if _, live, _ := rowScore(st.Get(5)); live {
 		t.Error("a deleted document reads as live")
 	}
 	// Re-setting the score clears the deleted flag (ID reuse).
-	if err := st.Put(5, docRow{val: 10}); err != nil {
+	st.Put(5, docRow{val: 10})
+	if err := st.flushBatch(); err != nil {
 		t.Fatal(err)
 	}
-	if r, _, _ = st.Get(5); r.flag {
-		t.Error("Put did not clear the deleted flag")
+	if r, _, _ = st.snapshotView().Get(5); r.flag || r.val != 10 {
+		t.Errorf("flushed row = %+v, want the last write", r)
 	}
-	if err := st.MarkDeleted(999); err == nil {
-		t.Error("MarkDeleted of unknown doc succeeded")
-	}
-	if st.Len() != 1 {
-		t.Errorf("Len = %d, want 1", st.Len())
+	if st.Len() != 1 || st.dirty() {
+		t.Errorf("Len = %d, dirty = %v after the flush, want 1 row and an empty overlay", st.Len(), st.dirty())
 	}
 }
 
@@ -70,11 +62,9 @@ func TestScoreTableForEach(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 20; i++ {
-		if err := st.Put(DocID(i), docRow{val: float64(i) * 10}); err != nil {
-			t.Fatal(err)
-		}
+		st.Put(DocID(i), docRow{val: float64(i) * 10, flag: i == 7})
 	}
-	if err := st.MarkDeleted(7); err != nil {
+	if err := st.flushBatch(); err != nil {
 		t.Fatal(err)
 	}
 	var docs []DocID
@@ -105,7 +95,7 @@ func TestScoreTableForEach(t *testing.T) {
 }
 
 // TestListTable drives the table as ListScore/ListChunk does: rows written
-// with the flag set, through the staged overlay and the frozen view.
+// with the flag set, through the overlay and the frozen view.
 func TestListTable(t *testing.T) {
 	lt, err := newDocTable(newTestPool(t))
 	if err != nil {
@@ -114,17 +104,15 @@ func TestListTable(t *testing.T) {
 	if _, ok, _ := lt.Get(3); ok {
 		t.Error("empty table returned an entry")
 	}
-	if err := lt.Put(3, docRow{val: 87.13}); err != nil {
+	lt.Put(3, docRow{val: 87.13})
+	if err := lt.flushBatch(); err != nil {
 		t.Fatal(err)
 	}
 	e, ok, err := lt.Get(3)
 	if err != nil || !ok || e != (docRow{val: 87.13}) {
 		t.Errorf("Get = %+v %v %v", e, ok, err)
 	}
-	lt.beginBatch()
-	if err := lt.Put(3, docRow{val: 124.2, flag: true}); err != nil {
-		t.Fatal(err)
-	}
+	lt.Put(3, docRow{val: 124.2, flag: true})
 	if e, _, _ = lt.Get(3); e != (docRow{val: 124.2, flag: true}) {
 		t.Errorf("staged entry = %+v", e)
 	}
@@ -140,6 +128,16 @@ func TestListTable(t *testing.T) {
 	if lt.Len() != 1 {
 		t.Errorf("Len = %d", lt.Len())
 	}
+}
+
+// flushedView flushes a keyed list's staged writes and captures the frozen
+// view every reader of the list goes through.
+func flushedView(t *testing.T, kl *keyedList) keyedView {
+	t.Helper()
+	if err := kl.flushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	return kl.snapshotView()
 }
 
 func TestKeyedListOrderingAndCollect(t *testing.T) {
@@ -164,15 +162,14 @@ func TestKeyedListOrderingAndCollect(t *testing.T) {
 	}
 	inserted := map[string]bool{}
 	for _, x := range ps {
-		if err := kl.Put(x.term, x.key, x.doc, postings.OpAdd, float32(x.key)); err != nil {
-			t.Fatal(err)
-		}
+		kl.Put(x.term, x.key, x.doc, postings.OpAdd, float32(x.key))
 		inserted[fmt.Sprintf("%s/%v/%d", x.term, x.key, x.doc)] = true
 	}
-	if kl.Len() != len(inserted) {
-		t.Errorf("Len = %d, want %d distinct postings", kl.Len(), len(inserted))
+	v := flushedView(t, kl)
+	if v.Len() != len(inserted) {
+		t.Errorf("Len = %d, want %d distinct postings", v.Len(), len(inserted))
 	}
-	entries, err := kl.Collect("news")
+	entries, err := v.Collect("news")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +188,9 @@ func TestKeyedListOrderingAndCollect(t *testing.T) {
 		}
 	}
 	// Other term must not leak into this term's entries.
-	gateEntries, _ := kl.Collect("gate")
-	if len(entries)+len(gateEntries) != kl.Len() {
-		t.Errorf("per-term collects (%d + %d) do not cover all %d postings", len(entries), len(gateEntries), kl.Len())
+	gateEntries, _ := v.Collect("gate")
+	if len(entries)+len(gateEntries) != v.Len() {
+		t.Errorf("per-term collects (%d + %d) do not cover all %d postings", len(entries), len(gateEntries), v.Len())
 	}
 }
 
@@ -203,30 +200,24 @@ func TestKeyedListDeleteAndDeleteAllForDoc(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := kl.Put("news", float64(i), 42, postings.OpAdd, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := kl.Put("news", float64(i), 43, postings.OpAdd, 0); err != nil {
-			t.Fatal(err)
-		}
+		kl.Put("news", float64(i), 42, postings.OpAdd, 0)
+		kl.Put("news", float64(i), 43, postings.OpAdd, 0)
 	}
-	if err := kl.Delete("news", 3, 42); err != nil {
-		t.Fatal(err)
-	}
-	if kl.Len() != 19 {
-		t.Errorf("Len after single delete = %d, want 19", kl.Len())
+	kl.Delete("news", 3, 42)
+	if n := flushedView(t, kl).Len(); n != 19 {
+		t.Errorf("Len after single delete = %d, want 19", n)
 	}
 	// Deleting a missing posting is a no-op.
-	if err := kl.Delete("news", 99, 42); err != nil {
-		t.Fatal(err)
+	kl.Delete("news", 99, 42)
+	if n := flushedView(t, kl).Len(); n != 19 {
+		t.Errorf("Len after no-op delete = %d", n)
 	}
-	if kl.Len() != 19 {
-		t.Errorf("Len after no-op delete = %d", kl.Len())
-	}
+	// DeleteAllForDoc reaches both the flushed postings and the staged ones.
+	kl.Put("news", 50, 42, postings.OpAdd, 0)
 	if err := kl.DeleteAllForDoc("news", 42); err != nil {
 		t.Fatal(err)
 	}
-	entries, _ := kl.Collect("news")
+	entries, _ := flushedView(t, kl).Collect("news")
 	if len(entries) != 10 {
 		t.Errorf("after DeleteAllForDoc, %d postings remain, want 10 (doc 43 only)", len(entries))
 	}
@@ -245,15 +236,12 @@ func TestTreeCursorStreamsInBatches(t *testing.T) {
 	// More postings than one cursor batch.
 	const n = cursorBatchSize*3 + 17
 	for i := 0; i < n; i++ {
-		if err := kl.Put("term", float64(n-i), DocID(i), postings.OpAdd, 0); err != nil {
-			t.Fatal(err)
-		}
+		kl.Put("term", float64(n-i), DocID(i), postings.OpAdd, 0)
 	}
 	// A different term that must not be visited.
-	if err := kl.Put("other", 1, 1, postings.OpAdd, 0); err != nil {
-		t.Fatal(err)
-	}
-	got, err := postings.CollectBatched(kl.Cursor("term", false))
+	kl.Put("other", 1, 1, postings.OpAdd, 0)
+	v := flushedView(t, kl)
+	got, err := postings.CollectBatched(v.Cursor("term", false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +259,7 @@ func TestTreeCursorStreamsInBatches(t *testing.T) {
 		t.Errorf("cursor visited %d postings, want %d", len(got), n)
 	}
 	// Cursor over an absent term terminates immediately.
-	if got, err := postings.CollectBatched(kl.Cursor("absent", false)); err != nil || len(got) != 0 {
+	if got, err := postings.CollectBatched(v.Cursor("absent", false)); err != nil || len(got) != 0 {
 		t.Errorf("cursor over absent term yielded %d postings, err %v", len(got), err)
 	}
 }
@@ -281,15 +269,13 @@ func TestKeyedListSizeBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sz, err := kl.SizeBytes(); err != nil || sz != 0 {
+	if sz, err := flushedView(t, kl).SizeBytes(); err != nil || sz != 0 {
 		t.Errorf("empty SizeBytes = %d, %v", sz, err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := kl.Put("t", float64(i), DocID(i), postings.OpAdd, 0.5); err != nil {
-			t.Fatal(err)
-		}
+		kl.Put("t", float64(i), DocID(i), postings.OpAdd, 0.5)
 	}
-	sz, err := kl.SizeBytes()
+	sz, err := flushedView(t, kl).SizeBytes()
 	if err != nil || sz == 0 {
 		t.Errorf("SizeBytes = %d, %v", sz, err)
 	}
@@ -350,13 +336,12 @@ func TestTreeCursorExactBatchMultiple(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			if err := kl.Put("term", float64(n-i), DocID(i), postings.OpAdd, 0); err != nil {
-				t.Fatal(err)
-			}
+			kl.Put("term", float64(n-i), DocID(i), postings.OpAdd, 0)
 		}
+		v := flushedView(t, kl)
 		// A one-entry buffer refills at every cursor batch boundary exactly.
 		for _, size := range []int{1, 100} {
-			c := kl.Cursor("term", false)
+			c := v.Cursor("term", false)
 			count := 0
 			buf := make([]postings.Entry, size)
 			for count <= n {

@@ -21,9 +21,9 @@ import (
 // Each posting's value carries the ADD/REM operation flag needed for content
 // updates (Appendix A.1) and, for the TermScore methods, the per-posting
 // term weight.
-// During a write batch the list runs in staged mode: Put/Delete collect in
-// an ordered op log collapsed per key (last op wins, matching sequential
-// semantics), and flushBatch applies the log to the B+-tree as one sorted
+// Put/Delete collect in an ordered op log collapsed per key (last op wins,
+// matching sequential semantics), and flushBatch — at the end of every
+// Method.ApplyUpdates — applies the log to the B+-tree as one sorted
 // UpsertBatch plus one sorted DeleteBatch, so a batch that writes many
 // postings of one term rewrites each touched leaf once.
 type keyedList struct {
@@ -33,9 +33,8 @@ type keyedList struct {
 	// enabled (see enableCOW); nil means the list recycles pages eagerly.
 	retire func(pagefile.PageID)
 
-	staged bool
-	ops    []keyedOp
-	opIdx  map[string]int
+	ops   []keyedOp
+	opIdx map[string]int
 	// docOps indexes staged op positions by (term, doc) so DeleteAllForDoc
 	// can cancel a document's staged postings without sweeping the log.
 	docOps map[string][]int
@@ -53,7 +52,7 @@ func newKeyedList(pool *buffer.Pool) (*keyedList, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &keyedList{tree: tree}, nil
+	return &keyedList{tree: tree, opIdx: map[string]int{}, docOps: map[string][]int{}}, nil
 }
 
 // enableCOW switches the list's tree to copy-on-write publication: sealed
@@ -70,22 +69,6 @@ func (l *keyedList) snapshotView() keyedView {
 	l.tree.Seal()
 	return keyedView{view: l.tree.View(), entries: l.entries, patches: l.tree.Patches()}
 }
-
-// liveView captures an unsealed view of the current tree; valid only while
-// no writer runs (single-threaded callers such as tests and build paths).
-func (l *keyedList) liveView() keyedView {
-	return keyedView{view: l.tree.View(), entries: l.entries, patches: l.tree.Patches()}
-}
-
-// Len reports the number of postings in the list.
-func (l *keyedList) Len() int { return l.entries }
-
-// Patches reports how many posting writes the list's tree absorbed in place.
-// Posting values are fixed-width (op byte + float32 weight), so a Put that
-// re-records an existing (term, sortKey, doc) posting — e.g. a short-list
-// rewrite of a document already present at that rank, or a clustered-list
-// weight refresh — qualifies for the patch path.
-func (l *keyedList) Patches() uint64 { return l.tree.Patches() }
 
 func keyedListKey(term string, sortKey float64, doc DocID) []byte {
 	key := codec.PutOrderedString(nil, term)
@@ -132,38 +115,15 @@ func decodeKeyedListValue(data []byte) (op postings.Op, termScore float32, err e
 	return op, termScore, nil
 }
 
-// Put inserts or replaces the posting for (term, sortKey, doc).
-func (l *keyedList) Put(term string, sortKey float64, doc DocID, op postings.Op, termScore float32) error {
-	key := keyedListKey(term, sortKey, doc)
-	if l.staged {
-		l.stageOp(term, doc, key, encodeKeyedListValue(op, termScore), false)
-		return nil
-	}
-	inserted, err := l.tree.Upsert(key, encodeKeyedListValue(op, termScore))
-	if err != nil {
-		return err
-	}
-	if inserted {
-		l.entries++
-	}
-	return nil
+// Put stages an insert or replace of the posting for (term, sortKey, doc).
+func (l *keyedList) Put(term string, sortKey float64, doc DocID, op postings.Op, termScore float32) {
+	l.stageOp(term, doc, keyedListKey(term, sortKey, doc), encodeKeyedListValue(op, termScore), false)
 }
 
-// Delete removes the posting for (term, sortKey, doc) if present.
-func (l *keyedList) Delete(term string, sortKey float64, doc DocID) error {
-	key := keyedListKey(term, sortKey, doc)
-	if l.staged {
-		l.stageOp(term, doc, key, nil, true)
-		return nil
-	}
-	removed, err := l.tree.Delete(key)
-	if err != nil {
-		return err
-	}
-	if removed {
-		l.entries--
-	}
-	return nil
+// Delete stages the removal of the posting for (term, sortKey, doc) if
+// present.
+func (l *keyedList) Delete(term string, sortKey float64, doc DocID) {
+	l.stageOp(term, doc, keyedListKey(term, sortKey, doc), nil, true)
 }
 
 // docOpKey addresses the staged ops of one (term, doc) pair.
@@ -185,9 +145,9 @@ func (l *keyedList) stageOp(term string, doc DocID, key, val []byte, del bool) {
 	l.ops = append(l.ops, keyedOp{key: key, val: val, del: del})
 }
 
-// DeleteAllForDoc removes every posting of the given document under the
-// given term, regardless of sort key (used by document deletion, which must
-// purge short lists so that reused IDs are safe, Appendix A.2).
+// DeleteAllForDoc stages the removal of every posting of the given document
+// under the given term, regardless of sort key (used by document deletion,
+// which must purge short lists so that reused IDs are safe, Appendix A.2).
 func (l *keyedList) DeleteAllForDoc(term string, doc DocID) error {
 	var keys [][]byte
 	prefix := keyedListPrefix(term)
@@ -201,43 +161,23 @@ func (l *keyedList) DeleteAllForDoc(term string, doc DocID) error {
 	if err != nil {
 		return err
 	}
-	if l.staged {
-		// Cancel staged postings of this (term, doc) that are not in the
-		// tree yet; docOps addresses them directly.
-		for _, i := range l.docOps[docOpKey(term, doc)] {
-			l.ops[i].val = nil
-			l.ops[i].del = true
-		}
-		for _, k := range keys {
-			l.stageOp(term, doc, k, nil, true)
-		}
-		return nil
+	// Cancel staged postings of this (term, doc) that are not in the tree
+	// yet; docOps addresses them directly.
+	for _, i := range l.docOps[docOpKey(term, doc)] {
+		l.ops[i].val = nil
+		l.ops[i].del = true
 	}
 	for _, k := range keys {
-		removed, err := l.tree.Delete(k)
-		if err != nil {
-			return err
-		}
-		if removed {
-			l.entries--
-		}
+		l.stageOp(term, doc, k, nil, true)
 	}
 	return nil
 }
 
-// beginBatch enters staged mode.
-func (l *keyedList) beginBatch() {
-	l.staged = true
-	if l.opIdx == nil {
-		l.opIdx = map[string]int{}
-		l.docOps = map[string][]int{}
-	}
-}
+// dirty reports whether the op log holds writes.
+func (l *keyedList) dirty() bool { return len(l.ops) > 0 }
 
-// flushBatch applies the op log with grouped tree writes and leaves staged
-// mode.
+// flushBatch applies the op log with grouped tree writes and empties it.
 func (l *keyedList) flushBatch() error {
-	l.staged = false
 	if len(l.ops) == 0 {
 		return nil
 	}
@@ -310,7 +250,11 @@ type keyedView struct {
 // Len reports the number of postings captured in the view.
 func (v keyedView) Len() int { return v.entries }
 
-// Patches reports the in-place patch count at capture time.
+// Patches reports how many posting writes the list's tree had absorbed in
+// place at capture time.  Posting values are fixed-width (op byte + float32
+// weight), so a Put that re-records an existing (term, sortKey, doc) posting
+// — e.g. a short-list rewrite of a document already present at that rank, or
+// a clustered-list weight refresh — qualifies for the patch path.
 func (v keyedView) Patches() uint64 { return v.patches }
 
 // Collect materializes the postings of one term in (sortKey desc, doc asc)
@@ -361,17 +305,6 @@ func (v keyedView) Iterator(term string) (*postings.SliceIterator, error) {
 	return postings.NewSliceIterator(entries), nil
 }
 
-// Collect materializes one term's postings from the live tree; single-
-// threaded callers only.
-func (l *keyedList) Collect(term string) ([]postings.Entry, error) {
-	return l.liveView().Collect(term)
-}
-
-// Iterator mirrors keyedView.Iterator over the live tree.
-func (l *keyedList) Iterator(term string) (*postings.SliceIterator, error) {
-	return l.liveView().Iterator(term)
-}
-
 // treeCursor is a streaming pull iterator over a keyedList term, used for
 // the Score method's long lists where materializing the whole list would
 // defeat early termination.  It pulls postings in batches through bounded
@@ -396,12 +329,6 @@ const cursorBatchSize = postings.BatchSize
 func (v keyedView) Cursor(term string, fromShort bool) *treeCursor {
 	prefix := keyedListPrefix(term)
 	return &treeCursor{view: v.view, fromShort: fromShort, prefixLen: len(prefix), end: prefixEnd(prefix), nextKey: prefix}
-}
-
-// Cursor streams one term's postings from the live tree; single-threaded
-// callers only.
-func (l *keyedList) Cursor(term string, fromShort bool) *treeCursor {
-	return l.liveView().Cursor(term, fromShort)
 }
 
 func (c *treeCursor) refill() error {
@@ -508,9 +435,4 @@ func (v keyedView) SizeBytes() (uint64, error) {
 		return true
 	})
 	return total, err
-}
-
-// SizeBytes mirrors keyedView.SizeBytes over the live tree.
-func (l *keyedList) SizeBytes() (uint64, error) {
-	return l.liveView().SizeBytes()
 }

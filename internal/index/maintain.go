@@ -8,17 +8,25 @@ import (
 )
 
 // This file holds the maintenance paths every kind shares: the bulk build's
-// common half and the incremental document paths of Appendix A, which differ
-// between kinds only in the sort key a posting is filed under (base.keyOf)
-// and in whether a ListScore/ListChunk table rides along.  The Score method
-// overrides DeleteDocument and UpdateContent, because it moves postings in
-// place in its long lists.
+// common half and the per-op handlers of Appendix A that ApplyUpdates
+// dispatches to, which differ between kinds only in the sort key a posting is
+// filed under (base.keyOf) and in whether a ListScore/ListChunk table rides
+// along.  The handlers write into the overlays only; ApplyUpdates flushes and
+// publishes.  The threshold family overrides applyScore (Algorithm 1), and
+// the Score method overrides applyScore, applyDelete and applyContent,
+// because it moves postings in place in its long lists.
 
-// Build implements Method: it accumulates the corpus, loads the Score table
-// and hands over to the kind for its long lists.
+// Build implements Method: it bulk-loads a fresh method and publishes it.
 func (b *base) Build(src DocSource, scores ScoreFunc) error {
-	b.dictChanged()
 	defer b.publish()
+	return b.build(src, scores)
+}
+
+// build accumulates the corpus, loads the Score table and hands over to the
+// kind for its long lists, without publishing (MergeShortLists publishes
+// once it has retired the superseded generation).
+func (b *base) build(src DocSource, scores ScoreFunc) error {
+	b.dictChanged()
 	b.src = src
 	bc, err := accumulate(src, scores, b.dict)
 	if err != nil {
@@ -53,49 +61,54 @@ func (b *base) docTokens(doc DocID) ([]string, error) {
 	return nil, fmt.Errorf("%w: %d has no available content", ErrUnknownDocument, doc)
 }
 
-// setScore is how every UpdateScore begins: it replaces the document's score
-// in the Score table and returns the one it held.  A document the index has
-// never seen or has deleted is ErrUnknownDocument — a score update must not
-// resurrect a deleted document.  An unchanged score is not an update: changed
-// is false, nothing was counted or written, and the caller returns without
-// publishing (a publication seals the trees, so the next write would pay a
-// copy-on-write clone for nothing).  Inside a batch the staged overlay
-// answers the read, so the comparison is against the batch's earlier writes.
-// The engine relies on this: it forwards every re-evaluated score and keeps
-// no copy of its own to compare against.
-func (b *base) setScore(doc DocID, newScore float64) (oldScore float64, changed bool, err error) {
-	oldScore, live, err := rowScore(b.score.Get(doc))
+// liveRow is the one liveness check every handler but insert begins with: the
+// document's Score-table row, or ErrUnknownDocument for a document the index
+// has never seen or has deleted — no op resurrects a deleted document or
+// deletes it twice.  Inside a batch the overlay answers, so the check sees
+// the batch's earlier ops.
+func (b *base) liveRow(doc DocID) (docRow, error) {
+	r, ok, err := b.score.Get(doc)
 	if err != nil {
-		return 0, false, err
+		return docRow{}, err
 	}
-	if !live {
-		return 0, false, fmt.Errorf("%w: %d", ErrUnknownDocument, doc)
+	if !ok || r.flag {
+		return docRow{}, fmt.Errorf("%w: %d", ErrUnknownDocument, doc)
 	}
-	if oldScore == newScore {
-		return oldScore, false, nil
-	}
-	b.counters.scoreUpdates.Add(1)
-	if err := b.score.Put(doc, docRow{val: newScore}); err != nil {
-		return oldScore, false, err
-	}
-	return oldScore, true, nil
+	return r, nil
 }
 
-// InsertDocument implements Method (Appendix A.2): the new document's
-// postings go straight to the keyed list, at the key of its score.
-func (b *base) InsertDocument(doc DocID, tokens []string, score float64) error {
-	b.dictChanged()
-	defer b.publish()
-	if err := b.score.Put(doc, docRow{val: score}); err != nil {
-		return err
+// setScore is how every score handler begins: it replaces the document's
+// score in the Score table and returns the one it held.  An unchanged score
+// is not an update: changed is false and nothing was counted or written.  The
+// engine relies on this: it forwards every re-evaluated score and keeps no
+// copy of its own to compare against.
+func (b *base) setScore(doc DocID, newScore float64) (oldScore float64, changed bool, err error) {
+	row, err := b.liveRow(doc)
+	if err != nil || row.val == newScore {
+		return row.val, false, err
 	}
+	b.counters.scoreUpdates.Add(1)
+	b.score.Put(doc, docRow{val: newScore})
+	return row.val, true, nil
+}
+
+// applyScore is the ID family's score update: the only work is one
+// Score-table write.
+func (b *base) applyScore(doc DocID, newScore float64) error {
+	_, _, err := b.setScore(doc, newScore)
+	return err
+}
+
+// applyInsert is Appendix A.2's insert: the new document's postings go
+// straight to the keyed list, at the key of its score.
+func (b *base) applyInsert(doc DocID, tokens []string, score float64) error {
+	b.dictChanged()
+	b.score.Put(doc, docRow{val: score})
 	key := b.keyOf(score)
 	weights := docTermWeights(tokens)
 	distinct := make([]string, 0, len(weights))
 	for _, tw := range weights {
-		if err := b.lists.Put(tw.term, key, doc, postings.OpAdd, tw.w); err != nil {
-			return err
-		}
+		b.lists.Put(tw.term, key, doc, postings.OpAdd, tw.w)
 		distinct = append(distinct, tw.term)
 	}
 	if b.kind.clustered {
@@ -107,28 +120,22 @@ func (b *base) InsertDocument(doc DocID, tokens []string, score float64) error {
 	b.dict.AddDocumentTerms(distinct)
 	b.knownTokens[doc] = distinct
 	b.numDocs.Add(1)
-	if b.table == nil {
-		return nil
+	if b.table != nil {
+		b.table.Put(doc, docRow{val: key, flag: true})
 	}
-	return b.table.Put(doc, docRow{val: key, flag: true})
+	return nil
 }
 
-// DeleteDocument implements Method (Appendix A.2): the Score table keeps a
-// deleted marker, which is what queries filter on, and the document's
-// short-list postings are purged so that a reused ID is safe.
-func (b *base) DeleteDocument(doc DocID) error {
-	b.dictChanged()
-	defer b.publish()
-	row, ok, err := b.score.Get(doc)
+// applyDelete is Appendix A.2's delete: the Score table keeps a deleted
+// marker, which is what queries filter on, and the document's short-list
+// postings are purged so that a reused ID is safe.
+func (b *base) applyDelete(doc DocID) error {
+	row, err := b.liveRow(doc)
 	if err != nil {
 		return err
 	}
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownDocument, doc)
-	}
-	if err := b.score.MarkDeleted(doc); err != nil {
-		return err
-	}
+	b.dictChanged()
+	b.score.Put(doc, docRow{val: row.val, flag: true})
 	// Without content there is nothing to purge by; the deleted marker alone
 	// keeps the document out of every result.
 	if tokens, err := b.docTokens(doc); err == nil {
@@ -150,50 +157,46 @@ func (b *base) DeleteDocument(doc DocID) error {
 		if exists {
 			key = entry.val
 		}
-		if err := b.table.Put(doc, docRow{val: key}); err != nil {
-			return err
-		}
+		b.table.Put(doc, docRow{val: key})
 	}
 	delete(b.knownTokens, doc)
 	b.numDocs.Add(-1)
 	return nil
 }
 
-// UpdateContent implements Method (Appendix A.1): added terms gain ADD
+// applyContent is Appendix A.1's content update: added terms gain ADD
 // postings and removed terms gain REM postings in the keyed list, at the
 // document's current list position so that they align with its other
 // postings during the merge.
-func (b *base) UpdateContent(doc DocID, oldTokens, newTokens []string) error {
-	b.dictChanged()
-	defer b.publish()
+func (b *base) applyContent(doc DocID, oldTokens, newTokens []string) error {
 	key, err := b.listPosition(doc)
 	if err != nil {
 		return err
 	}
+	b.dictChanged()
 	added, removed := diffTerms(oldTokens, newTokens)
 	newWeights := text.TermFrequencies(newTokens)
 	for _, term := range added {
 		w := text.NormalizedTF(newWeights[term], len(newTokens))
-		if err := b.lists.Put(term, key, doc, postings.OpAdd, w); err != nil {
-			return err
-		}
-		b.counters.shortListPostingsWritten.Add(1)
+		b.lists.Put(term, key, doc, postings.OpAdd, w)
 	}
 	for _, term := range removed {
-		if err := b.lists.Put(term, key, doc, postings.OpRem, 0); err != nil {
-			return err
-		}
-		b.counters.shortListPostingsWritten.Add(1)
+		b.lists.Put(term, key, doc, postings.OpRem, 0)
 	}
+	b.counters.shortListPostingsWritten.Add(uint64(len(added) + len(removed)))
 	b.dict.AddDocumentTerms(added)
 	b.dict.RemoveDocumentTerms(removed)
 	return nil
 }
 
-// listPosition returns the sort key under which the document's postings
-// currently appear: its ListScore/ListChunk entry if it has one, else the
-// key of its score.  A document the index has never seen is an error.
+// listPosition returns the sort key under which a live document's postings
+// currently appear: its ListScore/ListChunk entry if it has one, else the key
+// of its score.
 func (b *base) listPosition(doc DocID) (float64, error) {
+	row, err := b.liveRow(doc)
+	if err != nil {
+		return 0, err
+	}
 	if b.table != nil {
 		entry, exists, err := b.table.Get(doc)
 		if err != nil {
@@ -202,13 +205,6 @@ func (b *base) listPosition(doc DocID) (float64, error) {
 		if exists {
 			return entry.val, nil
 		}
-	}
-	row, ok, err := b.score.Get(doc)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownDocument, doc)
 	}
 	return b.keyOf(row.val), nil
 }

@@ -17,10 +17,10 @@ import (
 // the collection — the latest scores in the Score table and the latest
 // document contents — and empties the short lists and the ListScore/ListChunk
 // table, returning the index to its freshly-bulk-loaded shape.  The merge
-// runs under the serialized writer with publication suppressed, so readers
+// runs under the serialized writer and publishes once, at the end, so readers
 // stay on the pre-merge snapshot throughout and flip to the merged index
-// atomically at the end; the superseded generation — the old list trees and
-// the old long-list blobs — is retired to the epoch manager and its pages are
+// atomically; the superseded generation — the old list trees and the old
+// long-list blobs — is retired to the epoch manager and its pages are
 // recycled once the last pre-merge reader leaves.
 
 // snapshotSource materializes the live collection for a rebuild: every
@@ -85,10 +85,11 @@ func (b *base) snapshot(tokensOf func(DocID) ([]string, error)) (*snapshotSource
 
 // MergeShortLists implements Method for every kind: snapshot the live
 // collection, swap in fresh mutable structures and an empty long-list
-// generation, rebuild through the kind's Build — the ID family absorbs its
-// auxiliary postings, Score-Threshold re-sorts by current score, the Chunk
-// family derives new chunk boundaries from the current score distribution
-// and rewrites its fancy lists — then retire the superseded generation.
+// generation, rebuild through the kind's build step — the ID family absorbs
+// its auxiliary postings, Score-Threshold re-sorts by current score, the
+// Chunk family derives new chunk boundaries from the current score
+// distribution and rewrites its fancy lists — then retire the superseded
+// generation.
 func (b *base) MergeShortLists() error {
 	if b.kind.clustered {
 		// The Score method maintains its lists in place: nothing to merge.
@@ -112,17 +113,15 @@ func (b *base) MergeShortLists() error {
 	}
 	origSrc := b.src
 	oldLists, oldTable, oldRefs, oldFancyRefs := b.lists, b.table, b.longRefs, b.fancyRefs
-	b.suppress = true
 	defer func() {
 		b.src = origSrc
-		b.suppress = false
 		b.publish()
 	}()
 	b.longRefs = map[string]blob.Ref{}
 	b.longBytes, b.longRawBytes, b.fancyBytes = 0, 0, 0
 	b.dict = text.NewDictionary()
 	b.lists, b.table = lists, table
-	if err := b.Build(snap, snap.scoreFunc()); err != nil {
+	if err := b.build(snap, snap.scoreFunc()); err != nil {
 		return err
 	}
 	if err := oldLists.tree.RetireAll(); err != nil {

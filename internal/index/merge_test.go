@@ -40,7 +40,7 @@ func TestMergeShortListsPreservesResults(t *testing.T) {
 			for u := 0; u < 300; u++ {
 				doc := DocID(localRng.Intn(nDocs) + 1)
 				newScore := float64(localRng.Intn(500000))
-				if err := m.UpdateScore(doc, newScore); err != nil {
+				if err := updateScore(m, doc, newScore); err != nil {
 					t.Fatal(err)
 				}
 				o.scores[doc] = newScore
@@ -51,7 +51,7 @@ func TestMergeShortListsPreservesResults(t *testing.T) {
 				content := vocab[i%len(vocab)] + " " + vocab[(i+3)%len(vocab)]
 				tokens := strings.Fields(content)
 				score := float64(localRng.Intn(200000))
-				if err := m.InsertDocument(doc, tokens, score); err != nil {
+				if err := insertDocument(m, doc, tokens, score); err != nil {
 					t.Fatal(err)
 				}
 				corpus.add(doc, score, content)
@@ -59,7 +59,7 @@ func TestMergeShortListsPreservesResults(t *testing.T) {
 				o.scores[doc] = score
 			}
 			// A deletion.
-			if err := m.DeleteDocument(7); err != nil {
+			if err := deleteDocument(m, 7); err != nil {
 				t.Fatal(err)
 			}
 			o.deleted[7] = true
@@ -76,8 +76,14 @@ func TestMergeShortListsPreservesResults(t *testing.T) {
 				checkTopKScores(t, name+" pre-merge "+strings.Join(q, "+"), res.Results, o.topK(q, 8, false))
 			}
 
+			// The merge rebuilds from the Score table's own rows, so it has
+			// nothing to write back there: not one row is patched.
+			scorePatches := baseOf(m).published.Load().score.Patches()
 			if err := m.MergeShortLists(); err != nil {
 				t.Fatalf("MergeShortLists: %v", err)
+			}
+			if got := baseOf(m).published.Load().score.Patches(); got != scorePatches {
+				t.Errorf("merge patched the Score table: %d -> %d patches", scorePatches, got)
 			}
 			if name != "Score" {
 				if got := m.Stats().ShortListEntries; got != 0 {
@@ -100,7 +106,7 @@ func TestMergeShortListsPreservesResults(t *testing.T) {
 					continue
 				}
 				newScore := float64(localRng.Intn(300000))
-				if err := m.UpdateScore(doc, newScore); err != nil {
+				if err := updateScore(m, doc, newScore); err != nil {
 					t.Fatal(err)
 				}
 				o.scores[doc] = newScore
@@ -114,6 +120,19 @@ func TestMergeShortListsPreservesResults(t *testing.T) {
 			}
 		})
 	}
+}
+
+// baseOf returns the shared base of a method of any kind.
+func baseOf(m Method) *base {
+	switch k := m.(type) {
+	case *idMethod:
+		return k.base
+	case *scoreMethod:
+		return k.base
+	case *thresholdMethod:
+		return k.base
+	}
+	panic(fmt.Sprintf("unknown method type %T", m))
 }
 
 func TestMergeRestoresQueryEfficiency(t *testing.T) {
@@ -131,7 +150,7 @@ func TestMergeRestoresQueryEfficiency(t *testing.T) {
 	// Flash crowd: many documents jump far above their chunk.
 	for i := 0; i < 400; i++ {
 		doc := DocID(rng.Intn(nDocs) + 1)
-		if err := m.UpdateScore(doc, float64(1_000_000+rng.Intn(1_000_000))); err != nil {
+		if err := updateScore(m, doc, float64(1_000_000+rng.Intn(1_000_000))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,11 +5,11 @@ import (
 )
 
 // TestScoreUpdateLoopHitsPatchPath guards the tentpole fast path end to end:
-// for every method, a one-at-a-time UpdateScore loop over known documents
-// must be absorbed by the B+-tree's in-place leaf patch (fixed-width table
-// rows), and the queries that follow must still rank against the new scores.
-// A TablePatches collapse to zero here means the write path silently fell
-// back to full leaf rewrites.
+// for every method, a one-at-a-time score-update loop (one-op batches) over
+// known documents must be absorbed by the B+-tree's in-place leaf patch
+// (fixed-width table rows), and the queries that follow must still rank
+// against the new scores.  A TablePatches collapse to zero here means the
+// write path silently fell back to full leaf rewrites.
 func TestScoreUpdateLoopHitsPatchPath(t *testing.T) {
 	for name, ctor := range allConstructors() {
 		t.Run(name, func(t *testing.T) {
@@ -25,7 +25,7 @@ func TestScoreUpdateLoopHitsPatchPath(t *testing.T) {
 					// write is the fixed-width Score-table row.
 					newScore := corpus.scores[doc] * 1.01
 					corpus.scores[doc] = newScore
-					if err := m.UpdateScore(doc, newScore); err != nil {
+					if err := updateScore(m, doc, newScore); err != nil {
 						t.Fatalf("UpdateScore(%d): %v", doc, err)
 					}
 					updates++

@@ -31,115 +31,87 @@ func newScoreMethod(b *base) kindMethod {
 	return &scoreMethod{base: b}
 }
 
-// buildLists implements kindMethod.  On a fresh index the clustered lists
-// are bulk-loaded leaf by leaf: (term, score desc, doc) is exactly the
-// tree's key order, so the per-term score-sorted runs concatenate into one
-// sorted run and no per-posting descent is paid.
+// buildLists implements kindMethod.  Build runs on a fresh index (and the
+// Score method has nothing to merge), so the clustered lists are always
+// bulk-loaded leaf by leaf: (term, score desc, doc) is exactly the tree's key
+// order, so the per-term score-sorted runs concatenate into one sorted run
+// and no per-posting descent is paid.
 func (m *scoreMethod) buildLists(bc *builtCorpus) error {
-	if m.lists.tree.Len() == 0 {
-		var items []btree.Item
-		for _, term := range bc.terms() {
-			for _, dw := range bc.sortedByScoreDesc(term) {
-				items = append(items, btree.Item{
-					Key:   keyedListKey(term, bc.docScores[dw.doc], dw.doc),
-					Value: encodeKeyedListValue(postings.OpAdd, dw.w),
-				})
-			}
-		}
-		if err := m.lists.bulkLoad(m.cfg.Pool, items); err != nil {
-			return fmt.Errorf("index: bulk-load Score lists: %w", err)
-		}
-		return nil
-	}
+	var items []btree.Item
 	for _, term := range bc.terms() {
-		for _, dw := range bc.termDocs[term] {
-			if err := m.lists.Put(term, bc.docScores[dw.doc], dw.doc, postings.OpAdd, dw.w); err != nil {
-				return fmt.Errorf("index: build Score list for %q: %w", term, err)
-			}
+		for _, dw := range bc.sortedByScoreDesc(term) {
+			items = append(items, btree.Item{
+				Key:   keyedListKey(term, bc.docScores[dw.doc], dw.doc),
+				Value: encodeKeyedListValue(postings.OpAdd, dw.w),
+			})
 		}
+	}
+	if err := m.lists.bulkLoad(m.cfg.Pool, items); err != nil {
+		return fmt.Errorf("index: bulk-load Score lists: %w", err)
 	}
 	return nil
 }
 
-// UpdateScore implements Method: the posting of every distinct term of the
-// document must be deleted at the old score position and reinserted at the
-// new one, which is exactly the cost the paper's Figure 7 measures.
-func (m *scoreMethod) UpdateScore(doc DocID, newScore float64) error {
+// applyScore implements kindMethod: the posting of every distinct term of
+// the document must be deleted at the old score position and reinserted at
+// the new one, which is exactly the cost the paper's Figure 7 measures.
+func (m *scoreMethod) applyScore(doc DocID, newScore float64) error {
 	oldScore, changed, err := m.setScore(doc, newScore)
 	if !changed {
 		return err
 	}
-	defer m.publish()
 	tokens, err := m.docTokens(doc)
 	if err != nil {
 		return fmt.Errorf("index: Score method needs document %d content to move its postings: %w", doc, err)
 	}
 	for _, tw := range docTermWeights(tokens) {
-		if err := m.lists.Delete(tw.term, oldScore, doc); err != nil {
-			return err
-		}
-		if err := m.lists.Put(tw.term, newScore, doc, postings.OpAdd, tw.w); err != nil {
-			return err
-		}
+		m.lists.Delete(tw.term, oldScore, doc)
+		m.lists.Put(tw.term, newScore, doc, postings.OpAdd, tw.w)
 		m.counters.longListPostingsWritten.Add(2)
 	}
 	return nil
 }
 
-// DeleteDocument implements Method, overriding the shared path: the
+// applyDelete implements kindMethod, overriding the shared path: the
 // document's postings are removed from the lists at their exact position and
 // its terms leave the dictionary.
-func (m *scoreMethod) DeleteDocument(doc DocID) error {
-	m.dictChanged()
-	defer m.publish()
-	row, ok, err := m.score.Get(doc)
+func (m *scoreMethod) applyDelete(doc DocID) error {
+	row, err := m.liveRow(doc)
 	if err != nil {
 		return err
 	}
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownDocument, doc)
-	}
+	m.dictChanged()
 	if tokens, err := m.docTokens(doc); err == nil {
 		terms := text.DistinctTerms(tokens)
 		for _, term := range terms {
-			if err := m.lists.Delete(term, row.val, doc); err != nil {
-				return err
-			}
+			m.lists.Delete(term, row.val, doc)
 		}
 		m.dict.RemoveDocumentTerms(terms)
 	}
-	if err := m.score.MarkDeleted(doc); err != nil {
-		return err
-	}
+	m.score.Put(doc, docRow{val: row.val, flag: true})
 	delete(m.knownTokens, doc)
 	m.numDocs.Add(-1)
 	return nil
 }
 
-// UpdateContent implements Method, overriding the shared path: removed
+// applyContent implements kindMethod, overriding the shared path: removed
 // terms' postings are deleted in place rather than marked REM.
-func (m *scoreMethod) UpdateContent(doc DocID, oldTokens, newTokens []string) error {
-	m.dictChanged()
-	defer m.publish()
+func (m *scoreMethod) applyContent(doc DocID, oldTokens, newTokens []string) error {
 	score, err := m.listPosition(doc)
 	if err != nil {
 		return err
 	}
+	m.dictChanged()
 	added, removed := diffTerms(oldTokens, newTokens)
 	newWeights := text.TermFrequencies(newTokens)
 	for _, term := range added {
 		w := text.NormalizedTF(newWeights[term], len(newTokens))
-		if err := m.lists.Put(term, score, doc, postings.OpAdd, w); err != nil {
-			return err
-		}
-		m.counters.longListPostingsWritten.Add(1)
+		m.lists.Put(term, score, doc, postings.OpAdd, w)
 	}
 	for _, term := range removed {
-		if err := m.lists.Delete(term, score, doc); err != nil {
-			return err
-		}
-		m.counters.longListPostingsWritten.Add(1)
+		m.lists.Delete(term, score, doc)
 	}
+	m.counters.longListPostingsWritten.Add(uint64(len(added) + len(removed)))
 	m.dict.AddDocumentTerms(added)
 	m.dict.RemoveDocumentTerms(removed)
 	return nil

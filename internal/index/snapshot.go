@@ -62,12 +62,9 @@ type snap struct {
 // publish freezes the method's current state into a new snapshot, stores it
 // for readers and advances the epoch so that pages retired while building
 // it become reclaimable once the previous snapshot's readers drain.  Every
-// mutating entry point publishes on the way out; ApplyUpdates suppresses
-// the per-update publishes and issues one per batch.
+// mutating entry point — ApplyUpdates, Build, MergeShortLists — publishes
+// once on the way out, and start publishes the first snapshot.
 func (b *base) publish() {
-	if b.suppress {
-		return
-	}
 	s := &snap{}
 	b.fill(s)
 	b.published.Store(s)

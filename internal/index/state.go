@@ -98,11 +98,11 @@ func (l *keyedList) state() TreeRef {
 }
 
 func openKeyedList(pool *buffer.Pool, r TreeRef) *keyedList {
-	return &keyedList{tree: btree.Open(pool, r.Root, r.Size), entries: r.Entries}
+	return &keyedList{tree: btree.Open(pool, r.Root, r.Size), entries: r.Entries, opIdx: map[string]int{}, docOps: map[string][]int{}}
 }
 
 func openDocTable(pool *buffer.Pool, r TreeRef) *docTable {
-	return &docTable{tree: btree.Open(pool, r.Root, r.Size)}
+	return &docTable{tree: btree.Open(pool, r.Root, r.Size), pending: map[DocID]docRow{}}
 }
 
 func copyTokenCache(src map[DocID][]string) map[DocID][]string {

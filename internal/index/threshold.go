@@ -209,13 +209,12 @@ func (m *thresholdMethod) buildLists(bc *builtCorpus) error {
 	return nil
 }
 
-// UpdateScore implements Method: Algorithm 1, over list keys.
-func (m *thresholdMethod) UpdateScore(doc DocID, newScore float64) error {
+// applyScore implements kindMethod: Algorithm 1, over list keys.
+func (m *thresholdMethod) applyScore(doc DocID, newScore float64) error {
 	oldScore, changed, err := m.setScore(doc, newScore)
 	if !changed {
 		return err
 	}
-	defer m.publish()
 
 	entry, exists, err := m.table.Get(doc)
 	if err != nil {
@@ -224,9 +223,7 @@ func (m *thresholdMethod) UpdateScore(doc DocID, newScore float64) error {
 	listKey, inShort := entry.val, entry.flag
 	if !exists {
 		listKey = m.keyOf(oldScore)
-		if err := m.table.Put(doc, docRow{val: listKey}); err != nil {
-			return err
-		}
+		m.table.Put(doc, docRow{val: listKey})
 	}
 
 	newKey := m.keyOf(newScore)
@@ -239,16 +236,13 @@ func (m *thresholdMethod) UpdateScore(doc DocID, newScore float64) error {
 	}
 	for _, tw := range docTermWeights(tokens) {
 		if inShort {
-			if err := m.lists.Delete(tw.term, listKey, doc); err != nil {
-				return err
-			}
+			m.lists.Delete(tw.term, listKey, doc)
 		}
-		if err := m.lists.Put(tw.term, newKey, doc, postings.OpAdd, tw.w); err != nil {
-			return err
-		}
+		m.lists.Put(tw.term, newKey, doc, postings.OpAdd, tw.w)
 		m.counters.shortListPostingsWritten.Add(1)
 	}
-	return m.table.Put(doc, docRow{val: newKey, flag: true})
+	m.table.Put(doc, docRow{val: newKey, flag: true})
+	return nil
 }
 
 // TopK implements Method: Algorithm 2, or Algorithm 3 for a combined
