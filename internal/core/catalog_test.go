@@ -210,6 +210,58 @@ func TestCatalogReopenEqualsLive(t *testing.T) {
 	}
 }
 
+// TestRepeatedMergeReusesPages merges a durable Chunk-TermScore index, whose
+// long and fancy lists share packed pages, three times with score updates in
+// between.  Each merge retires the previous generation's pages as one set,
+// so the next merge builds into them: the file stops growing after the first
+// round, the merges retire no page twice, and Close's pin audit passes.
+func TestRepeatedMergeReusesPages(t *testing.T) {
+	params := workload.DefaultParams()
+	params.NumDocs = 600
+	params.TermsPerDoc = 12
+	params.VocabSize = 300
+	corpus := workload.Generate(params)
+	path := filepath.Join(t.TempDir(), "docs.svrdb")
+	e := openDurableDocs(t, path, corpus)
+	createDocsIndex(t, e, MethodChunkTermScore)
+	ti, err := e.TextIndex("idx-" + string(MethodChunkTermScore))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := e.DB().Table("Docs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := workload.DefaultUpdateParams()
+	up.NumUpdates = 200
+	updates := workload.GenerateUpdates(corpus, up)
+	file := e.Pool().File()
+	var pages []uint64
+	for round := 0; round < 3; round++ {
+		us := updates[round*len(updates)/3 : (round+1)*len(updates)/3]
+		if err := e.ApplyBatch(func() error { return workload.ApplyScoreUpdates(tbl, us) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := ti.MergeShortLists(); err != nil {
+			t.Fatalf("merge round %d: %v", round, err)
+		}
+		// A merge commits with the next batch; an empty one does it now.
+		if err := e.ApplyBatch(func() error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := ti.MaintenanceErr(); err != nil {
+			t.Fatalf("merge round %d: %v", round, err)
+		}
+		pages = append(pages, file.NumPages())
+	}
+	if pages[1] > pages[0] || pages[2] > pages[0] {
+		t.Errorf("file pages after each merge round = %v: later rounds grew the file instead of reusing the retired generation", pages)
+	}
+	if err := e.Close(); err != nil {
+		t.Errorf("Close (includes pin audit): %v", err)
+	}
+}
+
 // TestScoreBatchCommitBudget pins what a score-only batch may cost a durable
 // engine: no dictionary chain rewritten, at most two catalog pages written,
 // a bounded number of data pages, and a WAL record far below the page images

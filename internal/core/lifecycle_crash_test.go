@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"svrdb/internal/storage/pagefile"
+	"svrdb/internal/workload"
 )
 
 // TestCrashRecoveryMatrixLifecycle is the crash-matrix leg for the online
@@ -18,11 +19,29 @@ import (
 // never in between — and if the operation reported success, the post state
 // is mandatory.
 func TestCrashRecoveryMatrixLifecycle(t *testing.T) {
-	const nMovies = 10
+	// The template uses the smallest page size and short descriptions: list
+	// blobs are packed into shared pages, so at 4 KiB pages a test-sized
+	// archive's lists fit in one page and a commit would offer a single
+	// blob-page write to crash at.  At 512-byte pages 600 movies make each
+	// commit about 75 page writes across blob, tree and chain pages.
+	prepare := func(t *testing.T, path string) {
+		e, err := Open(path, OpenOptions{Specs: archiveSpecRegistry(), PageSize: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		params := workload.DefaultArchiveParams()
+		params.NumMovies, params.WordsPerDesc = 600, 8
+		if _, err := workload.BuildArchiveDB(e.DB(), params); err != nil {
+			t.Fatal(err)
+		}
+		createAllMethodIndexes(t, e)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, op := range []struct {
-		name    string
-		mutate  func(e *Engine) error
-		prepare func(t *testing.T, path string)
+		name   string
+		mutate func(e *Engine) error
 	}{
 		{
 			name: "create",
@@ -33,21 +52,19 @@ func TestCrashRecoveryMatrixLifecycle(t *testing.T) {
 				})
 				return err
 			},
-			prepare: func(t *testing.T, path string) { buildDurableArchive(t, path, nMovies) },
 		},
 		{
 			name: "drop",
 			mutate: func(e *Engine) error {
 				return e.DropTextIndex("idx-" + string(MethodChunk))
 			},
-			prepare: func(t *testing.T, path string) { buildDurableArchive(t, path, nMovies) },
 		},
 	} {
 		op := op
 		t.Run(op.name, func(t *testing.T) {
 			dir := t.TempDir()
 			template := filepath.Join(dir, "template.svrdb")
-			op.prepare(t, template)
+			prepare(t, template)
 
 			snapshotOf := func(name string, mutate func(e *Engine) error) string {
 				p := filepath.Join(dir, name+".svrdb")

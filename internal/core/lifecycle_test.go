@@ -89,13 +89,17 @@ func TestOnlineCreateIndexUnderLoad(t *testing.T) {
 							return
 						default:
 						}
+						// Read the flag before the lookup: a miss is only a
+						// vanished index if some reader had seen the index
+						// before this lookup began.
+						seen := published.Load()
 						ti, err := engine.TextIndex("live")
 						if err != nil {
 							if !errors.Is(err, relation.ErrNotFound) {
 								t.Errorf("reader %d: pre-publish lookup failed with %v, want ErrNotFound", r, err)
 								return
 							}
-							if published.Load() {
+							if seen {
 								t.Errorf("reader %d: index vanished after publish", r)
 								return
 							}
@@ -307,46 +311,57 @@ func TestOnlineDropIndexUnderLoad(t *testing.T) {
 }
 
 // TestDropFreesPages pins the resource side of the drop contract: dropping
-// an index returns its pages to the pagefile free list, so a drop+recreate
-// cycle reuses storage instead of leaking it.
+// an index returns exactly the pages it held to the pagefile free list, so a
+// drop+recreate cycle reuses storage instead of leaking it.  Chunk-TermScore
+// packs each term's fancy list onto the pages of its long list, so there a
+// shared page must be retired once, not once per blob on it: a second
+// retirement is a double free, which fails the drop's Drain.
 func TestDropFreesPages(t *testing.T) {
-	engine, _ := newArchiveEngine(t, 150)
-	engine.RegisterSpec("archive", workload.ArchiveSpec())
-	// netGrow is the cumulative count of pages carved from fresh file space
-	// (allocations not satisfied from the free list).
-	netGrow := func() uint64 {
-		s := engine.Pool().File().Stats()
-		return s.Allocs - s.Reuses
-	}
+	for _, method := range []MethodKind{MethodChunk, MethodChunkTermScore} {
+		t.Run(string(method), func(t *testing.T) {
+			engine, _ := newArchiveEngine(t, 150)
+			engine.RegisterSpec("archive", workload.ArchiveSpec())
+			file := engine.Pool().File()
+			// held counts the pages in use: allocated and not on the free list.
+			held := func() uint64 { return file.NumPages() - uint64(file.FreePages()) }
+			// netGrow is the cumulative count of pages carved from fresh file
+			// space (allocations not satisfied from the free list).
+			netGrow := func() uint64 {
+				s := file.Stats()
+				return s.Allocs - s.Reuses
+			}
 
-	base := netGrow()
-	if _, err := engine.CreateTextIndex("cycle", "Movies", "desc", IndexOptions{
-		Method: MethodChunk, SpecName: "archive",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	firstBuild := netGrow() - base
-	freesBefore := engine.Pool().File().Stats().Frees
-	if err := engine.DropTextIndex("cycle"); err != nil {
-		t.Fatal(err)
-	}
-	if freed := engine.Pool().File().Stats().Frees - freesBefore; freed == 0 {
-		t.Fatal("drop returned no pages to the pagefile free list")
-	}
-	// Recreating the same index must be satisfiable almost entirely from the
-	// freed pages: the pagefile may grow by a handful of fresh pages
-	// (allocation order differs), but nothing near a second full build.
-	mid := netGrow()
-	if _, err := engine.CreateTextIndex("cycle", "Movies", "desc", IndexOptions{
-		Method: MethodChunk, SpecName: "archive",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if grown := netGrow() - mid; grown > firstBuild/4 {
-		t.Errorf("rebuild after drop grew the file by %d fresh pages (first build %d); drop is not freeing pages",
-			grown, firstBuild)
-	}
-	if err := engine.Close(); err != nil {
-		t.Errorf("Close: %v", err)
+			heldBefore, growBefore := held(), netGrow()
+			if _, err := engine.CreateTextIndex("cycle", "Movies", "desc", IndexOptions{
+				Method: method, SpecName: "archive",
+			}); err != nil {
+				t.Fatal(err)
+			}
+			indexPages, firstBuild := held()-heldBefore, netGrow()-growBefore
+			freeBefore := file.FreePages()
+			if err := engine.DropTextIndex("cycle"); err != nil {
+				t.Fatal(err)
+			}
+			if freed := uint64(file.FreePages() - freeBefore); freed != indexPages {
+				t.Fatalf("drop freed %d pages, the index held %d", freed, indexPages)
+			}
+			// Recreating the same index must be satisfiable almost entirely
+			// from the freed pages: the pagefile may grow by a handful of fresh
+			// pages (allocation order differs), but nothing near a second full
+			// build.
+			mid := netGrow()
+			if _, err := engine.CreateTextIndex("cycle", "Movies", "desc", IndexOptions{
+				Method: method, SpecName: "archive",
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if grown := netGrow() - mid; grown > firstBuild/4 {
+				t.Errorf("rebuild after drop grew the file by %d fresh pages (first build %d); drop is not freeing pages",
+					grown, firstBuild)
+			}
+			if err := engine.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		})
 	}
 }

@@ -18,9 +18,11 @@ import (
 // catalogVersion is bumped when the catalog encoding changes.  Version 2
 // split the single catalog chain into an anchor and per-index dictionary
 // chains; version 3 dropped the Score view's own tree (the method's Score
-// table is the materialized view).  Older files are refused at Open: there is
-// no migration reader.
-const catalogVersion = 3
+// table is the materialized view); version 4 packs list blobs into shared
+// pages, so a blob.Ref carries an in-page offset that an older reader would
+// drop and read as 0.  Older files are refused at Open: there is no
+// migration reader.
+const catalogVersion = 4
 
 // chainRef locates a page chain in the file: its head page and the length of
 // the bytes it holds.

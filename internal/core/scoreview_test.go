@@ -326,17 +326,24 @@ func TestTextEditIsNotAScoreUpdate(t *testing.T) {
 	}
 }
 
-// TestCatalogV2Refused: a file whose anchor says catalog version 2 (the last
-// one with a Score view tree per index) is refused with an error naming both
+// TestCatalogOldVersionsRefused: a file whose anchor says an older catalog
+// version — 2 (a Score view tree per index) or 3 (page-aligned list blobs,
+// whose refs have no in-page offset) — is refused with an error naming both
 // versions, and the refusal writes nothing.
-func TestCatalogV2Refused(t *testing.T) {
+func TestCatalogOldVersionsRefused(t *testing.T) {
+	for _, old := range []int{2, 3} {
+		t.Run(fmt.Sprintf("v%d", old), func(t *testing.T) { checkCatalogVersionRefused(t, old) })
+	}
+}
+
+func checkCatalogVersionRefused(t *testing.T, old int) {
 	path := filepath.Join(t.TempDir(), "old.svrdb")
 	buildDurableArchive(t, path, 5)
 	file, err := pagefile.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := gobBytes(&catalog{Version: 2})
+	data, err := gobBytes(&catalog{Version: old})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,10 +373,10 @@ func TestCatalogV2Refused(t *testing.T) {
 	e, err := Open(path, durableOpts())
 	if err == nil {
 		e.Close()
-		t.Fatal("a version 2 catalog opened")
+		t.Fatalf("a version %d catalog opened", old)
 	}
-	if msg := err.Error(); !strings.Contains(msg, "version 2") || !strings.Contains(msg, "version 3") {
-		t.Errorf("refusal = %q, want it to name version 2 and version 3", msg)
+	if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", old)) || !strings.Contains(msg, fmt.Sprintf("version %d", catalogVersion)) {
+		t.Errorf("refusal = %q, want it to name version %d and version %d", msg, old, catalogVersion)
 	}
 	if !bytes.Equal(before, read()) {
 		t.Error("refusing the file changed its bytes")

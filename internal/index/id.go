@@ -46,6 +46,7 @@ func (m *idMethod) buildLists(bc *builtCorpus) error {
 	// Published snapshots share the ref map by pointer, so accumulate into a
 	// fresh map and swap it in wholesale.
 	refs := make(map[string]blob.Ref, len(bc.termDocs))
+	packer := m.store.NewPacker()
 	for _, term := range bc.terms() {
 		var data []byte
 		if m.withTermScores {
@@ -67,12 +68,15 @@ func (m *idMethod) buildLists(bc *builtCorpus) error {
 			data = builder.Bytes()
 			m.longRawBytes += uint64(builder.Len()) * rawBytesIDPosting
 		}
-		ref, err := m.store.Put(data)
+		ref, err := packer.Put(data)
 		if err != nil {
 			return err
 		}
 		refs[term] = ref
 		m.longBytes += uint64(len(data))
+	}
+	if err := packer.Close(); err != nil {
+		return err
 	}
 	m.longRefs = refs
 	return nil

@@ -132,7 +132,6 @@ func (b *base) MergeShortLists() error {
 			return err
 		}
 	}
-	b.retireBlobRefs(oldRefs)
-	b.retireBlobRefs(oldFancyRefs)
+	b.retireBlobRefs(oldRefs, oldFancyRefs)
 	return nil
 }

@@ -15,7 +15,7 @@ func (b *base) ReleasePages() error {
 	if err := b.score.tree.RetireAll(); err != nil {
 		return err
 	}
-	b.retireBlobRefs(b.longRefs)
+	b.retireBlobRefs(b.longRefs, b.fancyRefs)
 	if err := b.lists.tree.RetireAll(); err != nil {
 		return err
 	}
@@ -24,6 +24,5 @@ func (b *base) ReleasePages() error {
 			return err
 		}
 	}
-	b.retireBlobRefs(b.fancyRefs)
 	return nil
 }

@@ -119,15 +119,25 @@ func (b *base) Drain() error { return b.epochs.Drain() }
 // retire hook wired into every COW tree.
 func (b *base) retirePage(id pagefile.PageID) { b.epochs.Retire(id) }
 
-// retireBlobRefs retires every page of the given long-list blobs (used by
-// the offline merge, which supersedes a whole generation of lists at once).
-func (b *base) retireBlobRefs(refs map[string]blob.Ref) {
+// retireBlobRefs retires the pages of one generation's blobs — its long
+// lists and fancy lists, which one packer wrote — each exactly once, since
+// neighbouring blobs share pages.  No page holds a blob of another
+// generation, so no page outlives the generation and none needs a count.
+func (b *base) retireBlobRefs(generation ...map[string]blob.Ref) {
 	pageSize := b.cfg.Pool.PageSize()
-	for _, ref := range refs {
-		for i := uint64(0); i < ref.PageSpan(pageSize); i++ {
-			b.epochs.Retire(ref.FirstPage + pagefile.PageID(i))
+	seen := map[pagefile.PageID]bool{}
+	var pages []pagefile.PageID
+	for _, refs := range generation {
+		for _, ref := range refs {
+			for i := uint64(0); i < ref.PageSpan(pageSize); i++ {
+				if id := ref.FirstPage + pagefile.PageID(i); !seen[id] {
+					seen[id] = true
+					pages = append(pages, id)
+				}
+			}
 		}
 	}
+	b.epochs.Retire(pages...)
 }
 
 // docFreq resolves a term's frozen document frequency.  Terms interned

@@ -26,9 +26,10 @@ import (
 // merges, so updates are exactly Algorithm 1.
 
 // buildFancyList writes a term's fancy list — the FancyListSize postings
-// with the highest term weights, stored in ID order — and returns its blob
-// and the smallest weight in it.
-func (m *thresholdMethod) buildFancyList(bc *builtCorpus, term string) (blob.Ref, float32, error) {
+// with the highest term weights, stored in ID order — through the packer
+// that holds the term's long list, and returns its blob and the smallest
+// weight in it.
+func (m *thresholdMethod) buildFancyList(packer *blob.Packer, bc *builtCorpus, term string) (blob.Ref, float32, error) {
 	posts, minW := bc.fancy(term, m.cfg.FancyListSize)
 	fb := postings.NewBlockIDTermListBuilder()
 	for _, dw := range posts {
@@ -37,7 +38,7 @@ func (m *thresholdMethod) buildFancyList(bc *builtCorpus, term string) (blob.Ref
 		}
 	}
 	data := fb.Bytes()
-	ref, err := m.store.Put(data)
+	ref, err := packer.Put(data)
 	if err != nil {
 		return blob.Ref{}, 0, err
 	}

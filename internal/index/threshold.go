@@ -175,7 +175,8 @@ func chunkOrder(b *base, termScores bool) listOrder {
 }
 
 // buildLists implements kindMethod: one long list per term in the order's
-// encoding and, with term scores, the term's fancy list right behind it.
+// encoding and, with term scores, the term's fancy list right behind it on
+// the same packer.
 func (m *thresholdMethod) buildLists(bc *builtCorpus) error {
 	m.order.prepare(bc)
 	// Published snapshots share the ref maps by pointer, so accumulate into
@@ -187,12 +188,13 @@ func (m *thresholdMethod) buildLists(bc *builtCorpus) error {
 		fancyRefs = make(map[string]blob.Ref, len(bc.termDocs))
 		fancyMinW = make(map[string]float32, len(bc.termDocs))
 	}
+	packer := m.store.NewPacker()
 	for _, term := range bc.terms() {
 		data, raw, err := m.order.encode(bc, term)
 		if err != nil {
 			return fmt.Errorf("index: build %s list for %q: %w", m.Name(), term, err)
 		}
-		ref, err := m.store.Put(data)
+		ref, err := packer.Put(data)
 		if err != nil {
 			return err
 		}
@@ -200,10 +202,13 @@ func (m *thresholdMethod) buildLists(bc *builtCorpus) error {
 		m.longBytes += uint64(len(data))
 		m.longRawBytes += raw
 		if m.order.termScores {
-			if fancyRefs[term], fancyMinW[term], err = m.buildFancyList(bc, term); err != nil {
+			if fancyRefs[term], fancyMinW[term], err = m.buildFancyList(packer, bc, term); err != nil {
 				return err
 			}
 		}
+	}
+	if err := packer.Close(); err != nil {
+		return err
 	}
 	m.longRefs, m.fancyRefs, m.fancyMinW = refs, fancyRefs, fancyMinW
 	return nil
