@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -169,18 +170,32 @@ func (t *Tree) replaceChildPointer(path []pagefile.PageID, old, new pagefile.Pag
 	return nil
 }
 
+// internalHeader checks the header of a serialized internal node and returns
+// its separator count and the offset of its first child pointer.  Every
+// separator occupies at least a length prefix and a child pointer, which
+// bounds the count a page can hold: a larger one is corrupt.
+func internalHeader(id pagefile.PageID, data []byte) (n uint64, child0Off int, err error) {
+	if len(data) == 0 || data[0] != nodeInternal {
+		return 0, 0, fmt.Errorf("btree: page %d is not an internal node", id)
+	}
+	n, sz, err := codec.Uvarint(data[1:])
+	if err != nil {
+		return 0, 0, fmt.Errorf("btree: page %d: %w", id, err)
+	}
+	off := 1 + sz
+	if off+8 > len(data) || n > uint64(len(data)-off-8)/9 {
+		return 0, 0, fmt.Errorf("btree: page %d internal header claims %d separators in %d bytes", id, n, len(data))
+	}
+	return n, off, nil
+}
+
 // pageFindChildOffset scans a serialized internal node for the 8-byte child
 // pointer equal to child and returns its byte offset within the page.
 func pageFindChildOffset(id pagefile.PageID, data []byte, child pagefile.PageID) (int, error) {
-	if len(data) == 0 || data[0] != nodeInternal {
-		return 0, fmt.Errorf("btree: page %d is not an internal node", id)
-	}
-	off := 1
-	nKeys64, sz, err := codec.Uvarint(data[off:])
+	nKeys, off, err := internalHeader(id, data)
 	if err != nil {
-		return 0, fmt.Errorf("btree: page %d: %w", id, err)
+		return 0, err
 	}
-	off += sz
 	c0, _, err := codec.Uint64(data[off:])
 	if err != nil {
 		return 0, err
@@ -189,7 +204,7 @@ func pageFindChildOffset(id pagefile.PageID, data []byte, child pagefile.PageID)
 		return off, nil
 	}
 	off += 8
-	for i := 0; i < int(nKeys64); i++ {
+	for i := uint64(0); i < nKeys; i++ {
 		_, sz, err := codec.LenBytes(data[off:])
 		if err != nil {
 			return 0, err
@@ -477,14 +492,35 @@ func pageChild(id pagefile.PageID, data, key []byte) (pagefile.PageID, error) {
 
 // pageChildWithUpper is pageChild extended with the separator that bounds
 // the chosen child from above within this node (nil when the child is the
-// node's rightmost).  The returned key aliases data.
+// node's rightmost).  The returned key aliases data.  A fixed-width node is
+// bisected by stride; any other is walked.
 func pageChildWithUpper(id pagefile.PageID, data, key []byte) (pagefile.PageID, []byte, error) {
-	off := 1
-	nKeys64, sz, err := codec.Uvarint(data[off:])
+	nKeys, off, err := internalHeader(id, data)
 	if err != nil {
-		return pagefile.InvalidPageID, nil, fmt.Errorf("btree: page %d: %w", id, err)
+		return pagefile.InvalidPageID, nil, err
 	}
-	off += sz
+	s, ok := fitStride(data, off+8, nKeys, false)
+	if !ok {
+		return pageChildWalk(data, off, nKeys, key)
+	}
+	// Separator i bounds child i+1 from below, and child i+1's pointer is
+	// the value part of entry i (child 0's sits just before entry 0).
+	i := s.search(data, key, 0)
+	if i < s.n && bytes.Equal(s.key(data, i), key) {
+		i++
+	}
+	var upper []byte
+	if i < s.n {
+		upper = s.key(data, i)
+	}
+	c := s.off + i*s.width - 8
+	return pagefile.PageID(binary.LittleEndian.Uint64(data[c:])), upper, nil
+}
+
+// pageChildWalk is pageChildWithUpper for a node that is not fixed-width:
+// it steps through the separators in order, given the count and child 0's
+// offset from internalHeader.
+func pageChildWalk(data []byte, off int, nKeys uint64, key []byte) (pagefile.PageID, []byte, error) {
 	child0, sz, err := codec.Uint64(data[off:])
 	if err != nil {
 		return pagefile.InvalidPageID, nil, err
@@ -492,7 +528,7 @@ func pageChildWithUpper(id pagefile.PageID, data, key []byte) (pagefile.PageID, 
 	off += sz
 	cur := pagefile.PageID(child0)
 	matched := false // cur chosen by an equal separator; its upper bound is the next one
-	for i := 0; i < int(nKeys64); i++ {
+	for i := uint64(0); i < nKeys; i++ {
 		k, sz, err := codec.LenBytes(data[off:])
 		if err != nil {
 			return pagefile.InvalidPageID, nil, err
@@ -528,16 +564,23 @@ func pageLeafLookup(id pagefile.PageID, data, key []byte) ([]byte, bool, error) 
 	return data[valOff : valOff+valLen], true, nil
 }
 
-// pageLeafFindValue scans a serialized leaf for key and returns the offset
+// pageLeafFindValue finds key in a serialized leaf and returns the offset
 // and length of its value bytes within data — the patch fast path needs the
 // location so it can overwrite the value in the pinned page; pageLeafLookup
-// wraps it for callers that want the contents.  A one-shot lookup stops at
-// the first key >= key, so it walks the entries in order instead of building
-// the offset table a leafImage binary-searches.
+// wraps it for callers that want the contents.  A fixed-width leaf is
+// bisected by stride in place; any other is walked until the first key >=
+// key, which a one-shot lookup prefers to building an offset table.
 func pageLeafFindValue(id pagefile.PageID, data, key []byte) (valOff, valLen int, found bool, err error) {
 	w, err := walkLeaf(id, data)
 	if err != nil {
 		return 0, 0, false, err
+	}
+	if s, ok := fitStride(data, w.off, uint64(w.left), true); ok {
+		i := s.search(data, key, 0)
+		if i < s.n && bytes.Equal(s.key(data, i), key) {
+			return s.off + i*s.width + s.vskip, s.width - s.vskip, true, nil
+		}
+		return 0, 0, false, nil
 	}
 	for {
 		e, ok, err := w.next()

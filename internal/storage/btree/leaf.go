@@ -2,18 +2,27 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"svrdb/internal/codec"
 	"svrdb/internal/storage/pagefile"
 )
 
-// This file holds the read path's view of a leaf: the one walker that steps
-// through a serialized leaf in place, and the reader-owned leaf image that
-// Probe and the range scans binary-search.  Point lookups (pageLeafFindValue),
-// the patch paths (patchRun) and the image all decode entries through the
-// walker, so the leaf layout is interpreted — and bounds-checked — in one
-// place; parseNode remains for the write path, which needs a mutable node.
+// This file holds the read path's two ways through a serialized node and the
+// reader-owned leaf image built from them.
+//
+// A node whose entries all have the same widths — every leaf and internal
+// node of the fixed-width tables (8-byte keys, 9-byte rows) — is read by
+// stride: entry i sits at a computed offset, and one search (fitStride's
+// width check, then stride.search's bisection, with 8-byte keys compared as
+// big-endian integers) serves the leaf image, the pinned-leaf lookup
+// (pageLeafFindValue) and the internal-node child search
+// (pageChildWithUpper).  Every other node goes through the one walker, which
+// steps through the entries in place and bounds-checks each; it also decides
+// every error, since the stride path only takes nodes the walker provably
+// accepts with the same entries.  Which path a node takes depends only on its
+// bytes.  parseNode remains for the write path, which needs a mutable node.
 
 // leafEntry locates one key/value pair inside a serialized leaf: the byte
 // ranges [keyOff, keyEnd) and [valOff, valEnd) of the page.
@@ -102,25 +111,144 @@ func (w *leafWalker) lenPrefixed(off int) (start, end int, err error) {
 	return start, start + int(n), nil
 }
 
+// stride locates the entries of a node whose entries all have the same
+// widths: entry i occupies [off+i*width, off+(i+1)*width) of the node's
+// bytes, as a one-byte key length prefix, klen key bytes, and then the value
+// part at vskip — a leaf's one-byte value length prefix has been stepped over
+// by then; an internal node's value part is its 8-byte child pointer.  The
+// zero stride (width 0) means the node is not fixed-width.
+type stride struct {
+	off, n, width, klen, vskip int
+}
+
+// fitStride reports the stride of the n entries serialized at data[off:]
+// when every one of them has the same one-byte key length prefix and — for
+// a leaf — the same one-byte value length prefix as the first.  Prefixes
+// under 0x80 are complete varints, so such a node is exactly what the walker
+// would decode, entry for entry.  One pass over the prefix bytes decides it;
+// the count is bounded by division so that a hostile n cannot overflow the
+// end offset.  ok is false for anything else, including an empty node.
+func fitStride(data []byte, off int, n uint64, leaf bool) (s stride, ok bool) {
+	if n == 0 || off >= len(data) || data[off] >= 0x80 {
+		return stride{}, false
+	}
+	k := int(data[off])
+	s = stride{off: off, klen: k, vskip: 1 + k, width: 1 + k + 8}
+	var vlen byte
+	if leaf {
+		if off+1+k >= len(data) || data[off+1+k] >= 0x80 {
+			return stride{}, false
+		}
+		vlen = data[off+1+k]
+		s.vskip, s.width = 2+k, 2+k+int(vlen)
+	}
+	if n > uint64((len(data)-off)/s.width) {
+		return stride{}, false
+	}
+	s.n = int(n)
+	for o, end := off, s.end(); o < end; o += s.width {
+		if int(data[o]) != k || leaf && data[o+1+k] != vlen {
+			return stride{}, false
+		}
+	}
+	return s, true
+}
+
+// end is the offset just past the last entry.
+func (s stride) end() int { return s.off + s.n*s.width }
+
+func (s stride) key(data []byte, i int) []byte {
+	o := s.off + i*s.width + 1
+	return data[o : o+s.klen]
+}
+
+// val is entry i's value (a leaf) or child pointer (an internal node).
+func (s stride) val(data []byte, i int) []byte {
+	o := s.off + i*s.width
+	return data[o+s.vskip : o+s.width]
+}
+
+// search returns the index of the first entry whose key is >= key, starting
+// from a finger: when the entry at from still sorts below key, it gallops
+// forward from there — O(log gap) for the ascending keys of candidate
+// resolution — and otherwise bisects [0, from].  Every from yields the same
+// answer (search(…, 0) is plain bisection); an out-of-range finger is
+// clamped.  When the node's keys and key are 8 bytes wide they are compared
+// as big-endian integers, which is bytewise order.
+func (s stride) search(data, key []byte, from int) int {
+	u64 := s.klen == 8 && len(key) == 8
+	var q uint64
+	if u64 {
+		q = binary.BigEndian.Uint64(key)
+	}
+	below := func(i int) bool {
+		if u64 {
+			return binary.BigEndian.Uint64(data[s.off+i*s.width+1:]) < q
+		}
+		return bytes.Compare(s.key(data, i), key) < 0
+	}
+	lo, hi := 0, s.n
+	switch {
+	case from <= 0:
+	case from < s.n && below(from):
+		lo = from + 1
+		for step := 1; ; step <<= 1 {
+			probe := from + step
+			if probe >= s.n {
+				break
+			}
+			if !below(probe) {
+				hi = probe
+				break
+			}
+			lo = probe + 1
+		}
+	default:
+		hi = min(from, s.n)
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if below(mid) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // leafImage is a reader-owned copy of one leaf: the serialized bytes up to
-// the end of the last entry plus an entry-offset table built in one walker
-// pass.  Nothing in it aliases the buffer pool, so it stays valid after the
-// page's pin is released and whatever the writer does next; both buffers
-// are reused from load to load, so a reader that keeps its image allocates
-// nothing in steady state.
+// the end of the last entry, located either by the leaf's stride — when it
+// is fixed-width, which needs no table at all — or by an entry-offset table
+// built in one walker pass.  Nothing in it aliases the buffer pool, so it
+// stays valid after the page's pin is released and whatever the writer does
+// next; both buffers are reused from load to load, so a reader that keeps
+// its image allocates nothing in steady state.
 type leafImage struct {
-	data []byte
-	ents []leafEntry
+	data  []byte
+	fixed stride // width 0: the walker's table locates the entries
+	ents  []leafEntry
 }
 
 // load replaces the image with the leaf serialized in page.  On error the
 // image is left empty.
 func (m *leafImage) load(id pagefile.PageID, page []byte) error {
-	m.data, m.ents = m.data[:0], m.ents[:0]
+	m.data, m.ents, m.fixed = m.data[:0], m.ents[:0], stride{}
 	w, err := walkLeaf(id, page)
 	if err != nil {
 		return err
 	}
+	if s, ok := fitStride(page, w.off, uint64(w.left), true); ok {
+		m.fixed = s
+		m.data = append(m.data, page[:s.end()]...)
+		return nil
+	}
+	return m.walk(w, page)
+}
+
+// walk fills the image from the walker: the path for leaves that are not
+// fixed-width, and the reference the stride path is tested against.
+func (m *leafImage) walk(w leafWalker, page []byte) error {
 	for {
 		e, ok, err := w.next()
 		if err != nil {
@@ -136,20 +264,36 @@ func (m *leafImage) load(id pagefile.PageID, page []byte) error {
 	return nil
 }
 
-func (m *leafImage) len() int { return len(m.ents) }
+func (m *leafImage) len() int {
+	if m.fixed.width > 0 {
+		return m.fixed.n
+	}
+	return len(m.ents)
+}
 
 func (m *leafImage) key(i int) []byte {
+	if m.fixed.width > 0 {
+		return m.fixed.key(m.data, i)
+	}
 	e := m.ents[i]
 	return m.data[e.keyOff:e.keyEnd]
 }
 
 func (m *leafImage) val(i int) []byte {
+	if m.fixed.width > 0 {
+		return m.fixed.val(m.data, i)
+	}
 	e := m.ents[i]
 	return m.data[e.valOff:e.valEnd]
 }
 
-// search returns the index of the first entry whose key is >= key.
-func (m *leafImage) search(key []byte) int {
+// search returns the index of the first entry whose key is >= key.  A
+// fixed-width image searches from the finger (see stride.search); a walked
+// one bisects its table, whatever the finger.
+func (m *leafImage) search(key []byte, from int) int {
+	if m.fixed.width > 0 {
+		return m.fixed.search(m.data, key, from)
+	}
 	lo, hi := 0, len(m.ents)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

@@ -2,7 +2,9 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -15,18 +17,37 @@ import (
 // --- parse-based reference ---------------------------------------------------
 //
 // The read path used to answer probes and range scans from parseNode'd
-// leaves.  That implementation lives on here, as the reference the in-place
-// leaf readers are compared against: it shares the descent with them but
-// none of the leaf decoding.
+// nodes.  That implementation lives on here, as the reference the in-place
+// readers are compared against: it parses every node on the way down and
+// routes with childIndex, so it shares neither the descent's child search
+// nor any of the leaf decoding with them.
+
+// refDescend returns a parsed copy of the leaf that holds key and the leaf's
+// exclusive upper bound (nil when it is the rightmost).  A nil key descends
+// to the leftmost leaf.
+func refDescend(v View, key []byte) (*node, []byte, error) {
+	var upper []byte
+	id := v.root
+	for depth := 0; depth < maxDepth; depth++ {
+		n, err := v.t.readNode(id)
+		if err != nil {
+			return nil, nil, err
+		}
+		if n.leaf {
+			return n, upper, nil
+		}
+		ci := childIndex(n, key)
+		if ci < len(n.keys) {
+			upper = n.keys[ci]
+		}
+		id = n.children[ci]
+	}
+	return nil, nil, fmt.Errorf("reference descent from page %d exceeds %d levels", v.root, maxDepth)
+}
 
 // refGet resolves key through a parsed copy of its leaf.
 func refGet(v View, key []byte) ([]byte, bool, error) {
-	fr, err := v.t.descendFrom(v.root, key, nil, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	leaf, err := parseNode(fr.ID(), fr.Data())
-	fr.Release()
+	leaf, _, err := refDescend(v, key)
 	if err != nil {
 		return nil, false, err
 	}
@@ -40,13 +61,7 @@ func refGet(v View, key []byte) ([]byte, bool, error) {
 func refAscendRange(v View, start, end []byte, visit Visitor) error {
 	key := start
 	for {
-		var upper []byte
-		fr, err := v.t.descendFrom(v.root, key, nil, &upper)
-		if err != nil {
-			return err
-		}
-		leaf, err := parseNode(fr.ID(), fr.Data())
-		fr.Release()
+		leaf, upper, err := refDescend(v, key)
 		if err != nil {
 			return err
 		}
@@ -172,6 +187,53 @@ func wideEntry(rng *rand.Rand, i int) (key, val []byte) {
 	return key, val
 }
 
+// scoreKey and scoreRow shape an entry like a Score-table row: a document ID
+// as 8 order-preserving bytes, and a 9-byte value.
+func scoreKey(doc int) []byte { return codec.PutOrderedUint64(nil, uint64(doc)) }
+
+func scoreRow(doc, gen int) []byte {
+	return append(codec.PutFloat64(nil, float64(doc)+float64(gen)/8), byte(gen&1))
+}
+
+// forEachNode visits every node of the view with its page pinned; data is
+// valid only during the call.
+func forEachNode(t *testing.T, v View, visit func(id pagefile.PageID, data []byte)) {
+	t.Helper()
+	var walk func(id pagefile.PageID)
+	walk = func(id pagefile.PageID) {
+		fr, err := v.t.pool.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		visit(id, fr.Data())
+		fr.Release()
+		n, err := v.t.readNode(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(v.root)
+}
+
+// checkFinger is the finger property of the image's one search routine: for
+// every key and every start position in [0, n+1], it returns the index plain
+// bisection of the image's keys returns.
+func checkFinger(t *testing.T, m *leafImage, keys [][]byte) {
+	t.Helper()
+	n := m.len()
+	for _, key := range keys {
+		want := sort.Search(n, func(i int) bool { return bytes.Compare(m.key(i), key) >= 0 })
+		for from := 0; from <= n+1; from++ {
+			if got := m.search(key, from); got != want {
+				t.Fatalf("search(%x, from %d) = %d over %d entries (fixed width %d), bisection %d", key, from, got, n, m.fixed.width, want)
+			}
+		}
+	}
+}
+
 // TestLeafReadersMatchReference is the equivalence property of the in-place
 // read path over the tree shapes that stress it differently.
 func TestLeafReadersMatchReference(t *testing.T) {
@@ -271,6 +333,96 @@ func TestLeafReadersMatchReference(t *testing.T) {
 		}
 	})
 
+	// Score-table-shaped trees — 8-byte ordered keys, 9-byte rows — are
+	// fixed-width at every node, so every reader takes the stride path with
+	// integer key compares; one leaf is given a wider value, which sends it
+	// (and only it) back to the walker.
+	t.Run("fixed width", func(t *testing.T) {
+		for _, pageSize := range []int{512, 4096} {
+			rng := rand.New(rand.NewSource(int64(pageSize)))
+			pool := buffer.MustNew(pagefile.MustNewMem(pageSize), 512)
+			const docs = 4000
+			var items []Item
+			for doc := 0; doc < docs; doc += 2 {
+				items = append(items, Item{Key: scoreKey(doc), Value: scoreRow(doc, 0)})
+			}
+			tree, err := BulkLoadFill(pool, items, 0.55)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored := map[string]string{}
+			for _, it := range items {
+				stored[string(it.Key)] = string(it.Value)
+			}
+			for i := 0; i < docs/2; i++ {
+				k := scoreKey(rng.Intn(docs))
+				if rng.Intn(3) == 0 {
+					delete(stored, string(k))
+					if _, err := tree.Delete(k); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				v := scoreRow(i, 1)
+				stored[string(k)] = string(v)
+				if err := tree.Put(k, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wide := scoreKey(docs / 3)
+			stored[string(wide)] = "a wider row"
+			if err := tree.Put(wide, []byte(stored[string(wide)])); err != nil {
+				t.Fatal(err)
+			}
+			if h, _ := tree.Height(); h < 2 {
+				t.Fatalf("%d-byte pages: height %d, want a multi-level tree", pageSize, h)
+			}
+
+			var probeKeys [][]byte
+			fixedLeaves, walkedLeaves, fixedInternal := 0, 0, 0
+			forEachNode(t, tree.View(), func(id pagefile.PageID, data []byte) {
+				if data[0] == nodeInternal {
+					n, off, err := internalHeader(id, data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, ok := fitStride(data, off+8, n, false); !ok {
+						t.Fatalf("internal page %d of 8-byte separators is not fixed-width", id)
+					}
+					fixedInternal++
+					return
+				}
+				var m leafImage
+				if err := m.load(id, data); err != nil {
+					t.Fatal(err)
+				}
+				if m.fixed.width > 0 {
+					fixedLeaves++
+				} else {
+					walkedLeaves++
+				}
+				keys := [][]byte{{}, {0}, bytes.Repeat([]byte{0xFF}, 9)}
+				for i := 0; i < m.len(); i++ {
+					doc := int(binary.BigEndian.Uint64(m.key(i)))
+					keys = append(keys, scoreKey(doc-1), m.key(i), scoreKey(doc+1), m.key(i)[:7], append(scoreKey(doc), 0))
+				}
+				checkFinger(t, &m, keys)
+				if n := m.len(); n > 0 { // the absent neighbours of the leaf's range
+					first, last := binary.BigEndian.Uint64(m.key(0)), binary.BigEndian.Uint64(m.key(n-1))
+					probeKeys = append(probeKeys, scoreKey(int(first)-1), scoreKey(int(last)+1))
+				}
+			})
+			if walkedLeaves != 1 || fixedLeaves == 0 || fixedInternal == 0 {
+				t.Fatalf("%d-byte pages: %d fixed and %d walked leaves, %d fixed internal nodes; want exactly one walked leaf",
+					pageSize, fixedLeaves, walkedLeaves, fixedInternal)
+			}
+			checkReaders(t, tree.View(), stored, probeKeys, rng)
+			if err := pool.CheckPins(); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+
 	// A sealed view must read the same through every reader while the
 	// writer patches, grows, shrinks and re-seals the tree underneath it.
 	t.Run("COW view under mutation", func(t *testing.T) {
@@ -365,8 +517,19 @@ func TestProbeGetAllocatesNothing(t *testing.T) {
 
 // --- fuzzing -------------------------------------------------------------------
 
-// fuzzPageSize is the page size FuzzLeafWalker installs its input at.
+// fuzzPageSize is the page size the fuzz targets install their input at.
 const fuzzPageSize = 512
+
+// fixedLeafPage serializes a Score-table-shaped leaf of n entries with
+// vlen-byte values: the stride path's input.
+func fixedLeafPage(n, vlen int) []byte {
+	l := &node{leaf: true, next: pagefile.InvalidPageID, prev: pagefile.InvalidPageID}
+	for i := 0; i < n; i++ {
+		l.keys = append(l.keys, scoreKey(2*i))
+		l.vals = append(l.vals, bytes.Repeat([]byte{byte(i)}, vlen))
+	}
+	return serializeNode(l)
+}
 
 // FuzzLeafWalker installs arbitrary bytes as the root page of a one-page
 // tree and reads it through Probe.Get and AscendRange.  Whatever the bytes,
@@ -390,6 +553,15 @@ func FuzzLeafWalker(f *testing.F) {
 	f.Add(overrun, []byte("x"))
 	selfLoop := append([]byte{nodeInternal, 0}, make([]byte, 8)...) // child 0 is the root itself
 	f.Add(selfLoop, []byte("x"))
+	fixed := fixedLeafPage(6, 9)
+	f.Add(fixed, scoreKey(3))
+	nearFixed := fixedLeafPage(6, 9)
+	nearFixed = append(nearFixed[:len(nearFixed)-10], append([]byte{10}, scoreRow(5, 0)...)...)
+	nearFixed = append(nearFixed, 0) // the last value is one byte longer
+	f.Add(nearFixed, scoreKey(5))
+	fixedOverrun := fixedLeafPage(26, 9) // 18 header bytes + 26 entries of 19 fill the page exactly
+	fixedOverrun[1] = 27
+	f.Add(fixedOverrun, scoreKey(3))
 
 	f.Fuzz(func(t *testing.T, page, key []byte) {
 		pool := buffer.MustNew(pagefile.MustNewMem(fuzzPageSize), 8)
@@ -428,6 +600,27 @@ func FuzzLeafWalker(f *testing.F) {
 		if refErr != nil {
 			return
 		}
+		// The image a reader gets — by stride when the leaf is fixed-width —
+		// equals the walker's table entry for entry.
+		var img, walked leafImage
+		w, err := walkLeaf(root, data)
+		if err == nil {
+			err = walked.walk(w, data)
+		}
+		if err == nil {
+			err = img.load(root, data)
+		}
+		if err != nil {
+			t.Fatalf("accepted leaf fails to load: %v", err)
+		}
+		if img.len() != walked.len() || !bytes.Equal(img.data, walked.data) {
+			t.Fatalf("image (fixed width %d) holds %d entries in %d bytes, walker %d in %d", img.fixed.width, img.len(), len(img.data), walked.len(), len(walked.data))
+		}
+		for i := 0; i < img.len(); i++ {
+			if !bytes.Equal(img.key(i), walked.key(i)) || !bytes.Equal(img.val(i), walked.val(i)) {
+				t.Fatalf("entry %d: image (%q,%q), walker (%q,%q)", i, img.key(i), img.val(i), walked.key(i), walked.val(i))
+			}
+		}
 		if len(scanned) != len(ref.keys) {
 			t.Fatalf("scan visited %d entries, parseNode found %d", len(scanned), len(ref.keys))
 		}
@@ -457,6 +650,104 @@ func FuzzLeafWalker(f *testing.F) {
 			if has != found || (has && want != string(val)) {
 				t.Fatalf("Get(%q) = (%q,%v), leaf holds (%q,%v)", key, val, found, want, has)
 			}
+		}
+	})
+}
+
+// internalPage serializes an internal node over the given separators, with
+// child i at page 100+i.
+func internalPage(seps ...[]byte) []byte {
+	n := &node{children: []pagefile.PageID{100}}
+	for i, k := range seps {
+		n.keys = append(n.keys, k)
+		n.children = append(n.children, pagefile.PageID(101+i))
+	}
+	return serializeNode(n)
+}
+
+// TestInternalNodeCountBounded: an internal node whose separator count the
+// page cannot hold is corrupt.  A count of 2^63 or more used to turn
+// negative as an int, so the readers' loops never ran and every key routed
+// to child 0 without error.
+func TestInternalNodeCountBounded(t *testing.T) {
+	for _, count := range []uint64{1 << 63, math.MaxUint64, (fuzzPageSize-10)/9 + 1} {
+		page := make([]byte, fuzzPageSize)
+		hdr := codec.PutUvarint([]byte{nodeInternal}, count)
+		hdr = codec.PutUint64(hdr, 7)
+		copy(page, hdr)
+		if c, _, err := pageChildWithUpper(1, page, []byte("k")); err == nil {
+			t.Errorf("count %d: pageChildWithUpper = child %d, nil error", count, c)
+		}
+		if off, err := pageFindChildOffset(1, page, 7); err == nil {
+			t.Errorf("count %d: pageFindChildOffset = %d, nil error", count, off)
+		}
+	}
+	// The largest count the page can hold is still read.
+	page := make([]byte, fuzzPageSize)
+	copy(page, codec.PutUint64(codec.PutUvarint([]byte{nodeInternal}, (fuzzPageSize-10)/9), 7))
+	if c, _, err := pageChildWithUpper(1, page, []byte("k")); err != nil || c == pagefile.InvalidPageID {
+		t.Errorf("full page: pageChildWithUpper = child %d, %v", c, err)
+	}
+}
+
+// FuzzInternalNode reads arbitrary bytes as an internal page.  The child
+// search must not panic; the stride path (pageChildWithUpper on a
+// fixed-width node) and the walker (pageChildWalk) must agree on acceptance,
+// and — whenever the separators are in order, as a tree's always are — on
+// the child and its upper bound, which must also be childIndex's answer over
+// the parsed node.  pageFindChildOffset must locate the chosen child.
+func FuzzInternalNode(f *testing.F) {
+	f.Add(internalPage(scoreKey(10), scoreKey(20), scoreKey(30)), scoreKey(20))
+	f.Add(internalPage([]byte("b"), []byte("dd"), []byte("fff")), []byte("dd"))
+	f.Add(internalPage(scoreKey(10), scoreKey(20), append(scoreKey(30), 0)), scoreKey(25)) // near-fixed: the last separator is wider
+	overrun := internalPage(scoreKey(10), scoreKey(20))
+	overrun[1] = 60 // more fixed-width separators than the page holds
+	f.Add(overrun, scoreKey(15))
+	huge := codec.PutUint64(codec.PutUvarint([]byte{nodeInternal}, 1<<63), 7)
+	f.Add(huge, []byte("x"))
+
+	f.Fuzz(func(t *testing.T, page, key []byte) {
+		data := make([]byte, fuzzPageSize)
+		copy(data, page)
+		data[0] = nodeInternal // the type byte is not under test
+
+		child, upper, err := pageChildWithUpper(1, data, key)
+		n, off, herr := internalHeader(1, data)
+		wchild, wupper, werr := pagefile.InvalidPageID, []byte(nil), herr
+		if herr == nil {
+			wchild, wupper, werr = pageChildWalk(data, off, n, key)
+		}
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("acceptance differs: stride %v, walker %v", err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if coff, err := pageFindChildOffset(1, data, child); err != nil || pagefile.PageID(binary.LittleEndian.Uint64(data[coff:])) != child {
+			t.Fatalf("pageFindChildOffset(%d) = %d, %v", child, coff, err)
+		}
+		s, fixed := fitStride(data, off+8, n, false)
+		if !fixed {
+			return // pageChildWithUpper is the walker
+		}
+		for i := 1; i < s.n; i++ {
+			if bytes.Compare(s.key(data, i-1), s.key(data, i)) > 0 {
+				return // bisection and a linear scan may part ways over unsorted separators
+			}
+		}
+		ref, err := parseNode(1, data)
+		if err != nil {
+			t.Fatalf("parseNode rejects a fixed-width node: %v", err)
+		}
+		ci := childIndex(ref, key)
+		var rupper []byte
+		if ci < len(ref.keys) {
+			rupper = ref.keys[ci]
+		}
+		if child != wchild || child != ref.children[ci] ||
+			!bytes.Equal(upper, wupper) || (upper == nil) != (wupper == nil) ||
+			!bytes.Equal(upper, rupper) || (upper == nil) != (ci == len(ref.keys)) {
+			t.Fatalf("key %x: stride (%d, %x), walker (%d, %x), childIndex (%d, %x)", key, child, upper, wchild, wupper, ref.children[ci], rupper)
 		}
 	})
 }

@@ -2,15 +2,17 @@ package btree
 
 // Probe is a point-lookup cursor that exploits key locality: it keeps an
 // image of the leaf the previous lookup landed on (and that leaf's exclusive
-// upper bound, captured during the descent) and answers keys that land on
-// the same leaf with a binary search over the image, re-descending only when
-// the key jumps outside the covered range.
+// upper bound, captured during the descent) plus a finger at the position
+// that lookup answered, and answers keys that land on the same leaf with a
+// search of the image started at the finger, re-descending only when the key
+// jumps outside the covered range.
 //
 // The query algorithms resolve candidate scores in ascending document order
 // (the merge order of ID- and chunk-ordered lists), so consecutive
-// Score-table probes walk the key space left to right; with a Probe each
-// leaf is walked once per visit instead of linearly re-scanned once per
-// candidate.  The cursor never follows leaf sibling pointers — COW mutation
+// Score-table probes walk the key space left to right: on a fixed-width leaf
+// the search gallops forward from the finger, costing O(log gap) rather than
+// a bisection of the whole leaf, and a key behind the finger is bisected as
+// usual.  The cursor never follows leaf sibling pointers — COW mutation
 // leaves them stale — so a leaf-boundary crossing costs one root descent
 // over cached internal pages.
 //
@@ -42,6 +44,9 @@ type Probe struct {
 	leaf leafImage
 	// loaded reports that leaf holds a leaf of the bound tree.
 	loaded bool
+	// finger is the image position the previous lookup answered, where the
+	// next search starts.
+	finger int
 	// upper is the exclusive upper bound of the cached leaf's key range;
 	// empty when the leaf is the tree's rightmost (separators are never
 	// empty).
@@ -77,7 +82,8 @@ func (p *Probe) Get(key []byte) ([]byte, bool, error) {
 		// leaf; one at or beyond either end does only if the leaf's range
 		// (first key inclusive, upper bound exclusive) still covers it.  A
 		// root leaf covers everything, so even misses resolve here.
-		i, n := p.leaf.search(key), p.leaf.len()
+		i, n := p.leaf.search(key, p.finger), p.leaf.len()
+		p.finger = i
 		switch {
 		case i < n && bytes.Equal(p.leaf.key(i), key):
 			return p.leaf.val(i), true, nil
@@ -103,7 +109,9 @@ func (p *Probe) Get(key []byte) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	p.loaded = true
-	if i := p.leaf.search(key); i < p.leaf.len() && bytes.Equal(p.leaf.key(i), key) {
+	i := p.leaf.search(key, 0)
+	p.finger = i
+	if i < p.leaf.len() && bytes.Equal(p.leaf.key(i), key) {
 		return p.leaf.val(i), true, nil
 	}
 	return nil, false, nil

@@ -83,7 +83,7 @@ func (v View) AscendRange(start, end []byte, visit Visitor) error {
 		}
 		i := 0
 		if key != nil {
-			i = sc.leaf.search(key)
+			i = sc.leaf.search(key, 0)
 		}
 		for ; i < sc.leaf.len(); i++ {
 			k := sc.leaf.key(i)
