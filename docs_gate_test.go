@@ -10,6 +10,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"svrdb/internal/bench"
 )
 
 // TestDocsGate is the documentation gate: every package under internal/
@@ -214,6 +216,39 @@ func TestCIPatternsResolve(t *testing.T) {
 	if checked < 20 {
 		t.Fatalf("checked only %d patterns — the ci.yml scan is broken", checked)
 	}
+}
+
+// TestExperimentIDsResolve does for svrbench what TestCIPatternsResolve does
+// for go test: svrbench exits 2 on an unknown -experiment, so a workflow step
+// or doc naming a retired experiment fails only when someone runs it.  Every
+// `-experiment <id>` in the workflow, README.md, ARCHITECTURE.md and the
+// verify skill must be `all` or a registered experiment; a seeded unknown ID
+// shows the scan reports one.
+func TestExperimentIDsResolve(t *testing.T) {
+	if bad := unknownExperiments("go run ./cmd/svrbench -experiment coldstart -scale 0.1"); len(bad) != 1 || bad[0] != "coldstart" {
+		t.Fatalf("seeded unknown experiment: scan reported %q, want [coldstart]", bad)
+	}
+	for _, path := range []string{filepath.Join(".github", "workflows", "ci.yml"), "README.md", "ARCHITECTURE.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range unknownExperiments(string(data)) {
+			t.Errorf("%s: -experiment %q is neither all nor a registered experiment (svrbench -list)", path, id)
+		}
+	}
+}
+
+// unknownExperiments returns the IDs of text's `-experiment <id>` arguments
+// that svrbench would refuse.
+func unknownExperiments(text string) []string {
+	var bad []string
+	for _, m := range regexp.MustCompile(`-experiment\s+([\w-]+)`).FindAllStringSubmatch(text, -1) {
+		if _, ok := bench.Lookup(m[1]); !ok && m[1] != "all" {
+			bad = append(bad, m[1])
+		}
+	}
+	return bad
 }
 
 // shellWords splits a workflow line into words, keeping single-quoted

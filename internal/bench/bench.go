@@ -185,9 +185,7 @@ func Registry() []Experiment {
 		{ID: "table3", Paper: "Table 3", Description: "Incremental document insertions: query, score update and insertion cost", Run: RunTable3},
 		{ID: "threshold", Paper: "§5.3.1", Description: "Threshold-ratio sweep for the Score-Threshold method", Run: RunThresholdSweep},
 		{ID: "selectivity", Paper: "§5.3.7 / §5.1", Description: "Query-selectivity sweep across the three keyword classes", Run: RunSelectivity},
-		{ID: "concurrent", Paper: "§5 (read scaling)", Description: "Concurrent query serving: aggregate QPS at 1/2/4/GOMAXPROCS query workers", Run: RunConcurrent},
 		{ID: "archive", Paper: "§5.3.7", Description: "Archive-style (real-data analogue) workload across methods", Run: RunArchive},
-		{ID: "coldstart", Paper: "§5.2 (serving methodology)", Description: "Durable cold start: open+warm time and on-disk size overhead vs the in-memory pagefile", Run: RunColdstart},
 		{ID: "compression", Paper: "§5.2 (storage layout)", Description: "Posting-block compression: stored vs fixed-width bytes, ratio, cold-query time and pages per query", Run: RunCompression},
 		{ID: "ablation-chunking", Paper: "§4.3.2 (design choice)", Description: "Chunk-boundary policy ablation: score-ratio vs uniform boundaries", Run: RunChunkPolicyAblation},
 		{ID: "ablation-fancy", Paper: "§4.3.3 (design choice)", Description: "Fancy-list length ablation for Chunk-TermScore", Run: RunFancyListAblation},
@@ -248,6 +246,16 @@ func corpusFor(opts Options) *workload.Corpus {
 	c := workload.Generate(params)
 	corpusCache[key] = c
 	return c
+}
+
+// updateTrace generates n score updates of the given mean step; each
+// experiment passes its own seed so it replays a trace of its own.
+func updateTrace(corpus *workload.Corpus, n int, step float64, seed int64) []workload.ScoreUpdate {
+	up := workload.DefaultUpdateParams()
+	up.NumUpdates = n
+	up.MeanStep = step
+	up.Seed = seed
+	return workload.GenerateUpdates(corpus, up)
 }
 
 // applyUpdates replays a score-update trace one update at a time — the

@@ -84,11 +84,7 @@ func chunkRatioPoint(corpus *workload.Corpus, opts Options, ratio, step float64,
 	if err != nil {
 		return 0, 0, err
 	}
-	up := workload.DefaultUpdateParams()
-	up.NumUpdates = opts.NumUpdates
-	up.MeanStep = step
-	up.Seed = opts.Seed + int64(step)
-	updates := workload.GenerateUpdates(corpus, up)
+	updates := updateTrace(corpus, opts.NumUpdates, step, opts.Seed+int64(step))
 	upd, _, err := applyUpdates(r, updates, 0)
 	if err != nil {
 		return 0, 0, err
@@ -136,12 +132,8 @@ func RunFigure7(opts Options) (*Table, error) {
 			"Pages/query counts buffer-pool misses per query; with a warm pool it is ~0 and only the cold/disk-backed runs exercise it",
 		},
 	}
-	up := workload.DefaultUpdateParams()
-	up.MeanStep = opts.MeanStep
-	up.Seed = opts.Seed + 5
 	for _, nUpd := range points {
-		up.NumUpdates = nUpd
-		updates := workload.GenerateUpdates(corpus, up)
+		updates := updateTrace(corpus, nUpd, opts.MeanStep, opts.Seed+5)
 		for _, m := range methods {
 			r, err := newRig(m, corpus, opts, index.Config{MinChunkSize: minChunkSize(opts)})
 			if err != nil {
@@ -178,12 +170,7 @@ func RunFigure8(opts Options) (*Table, error) {
 	queries := workload.GenerateQueries(corpus, queryParams(opts))
 	methods := []string{"ID", "Score-Threshold", "Chunk"}
 	ks := []int{1, 10, 100, 1000}
-
-	up := workload.DefaultUpdateParams()
-	up.NumUpdates = opts.NumUpdates
-	up.MeanStep = opts.MeanStep
-	up.Seed = opts.Seed + 9
-	updates := workload.GenerateUpdates(corpus, up)
+	updates := updateTrace(corpus, opts.NumUpdates, opts.MeanStep, opts.Seed+9)
 
 	t := &Table{
 		Name:    "Figure 8 — Varying the Number of Desired Results (times in ms)",
@@ -234,12 +221,7 @@ func RunStepSweep(opts Options) (*Table, error) {
 		},
 	}
 	for _, step := range steps {
-		up := workload.DefaultUpdateParams()
-		up.NumUpdates = opts.NumUpdates
-		up.MeanStep = step
-		up.Seed = opts.Seed + int64(step)
-		updates := workload.GenerateUpdates(corpus, up)
-
+		updates := updateTrace(corpus, opts.NumUpdates, step, opts.Seed+int64(step))
 		for _, m := range []string{"Chunk", "ID"} {
 			cfg := index.Config{MinChunkSize: minChunkSize(opts)}
 			if m == "Chunk" {
@@ -270,12 +252,7 @@ func RunFigure9(opts Options) (*Table, error) {
 	corpus := corpusFor(opts)
 	queries := workload.GenerateQueries(corpus, queryParams(opts))
 	methods := []string{"ID-TermScore", "Chunk-TermScore"}
-
-	up := workload.DefaultUpdateParams()
-	up.NumUpdates = opts.NumUpdates
-	up.MeanStep = opts.MeanStep
-	up.Seed = opts.Seed + 13
-	updates := workload.GenerateUpdates(corpus, up)
+	updates := updateTrace(corpus, opts.NumUpdates, opts.MeanStep, opts.Seed+13)
 
 	t := &Table{
 		Name:    "Figure 9 — Combining Term Scores (times in ms)",
@@ -309,12 +286,7 @@ func RunFigure10(opts Options) (*Table, error) {
 	corpus := corpusFor(opts)
 	queries := workload.GenerateQueries(corpus, queryParams(opts))
 	methods := []string{"ID", "Score-Threshold", "Chunk", "ID-TermScore", "Chunk-TermScore"}
-
-	up := workload.DefaultUpdateParams()
-	up.NumUpdates = opts.NumUpdates
-	up.MeanStep = opts.MeanStep
-	up.Seed = opts.Seed + 17
-	updates := workload.GenerateUpdates(corpus, up)
+	updates := updateTrace(corpus, opts.NumUpdates, opts.MeanStep, opts.Seed+17)
 
 	t := &Table{
 		Name:    "Figure 10 — Disjunctive Query Results (times in ms)",
@@ -394,11 +366,7 @@ func RunTable3(opts Options) (*Table, error) {
 		}
 		insertAvg := time.Since(start) / time.Duration(nIns)
 
-		up := workload.DefaultUpdateParams()
-		up.NumUpdates = opts.NumUpdates / 4
-		up.MeanStep = opts.MeanStep
-		up.Seed = opts.Seed + 23
-		updates := workload.GenerateUpdates(corpus, up)
+		updates := updateTrace(corpus, opts.NumUpdates/4, opts.MeanStep, opts.Seed+23)
 		updAvg, _, err := applyUpdates(r, updates, 0)
 		if err != nil {
 			return nil, err
@@ -430,11 +398,7 @@ func RunThresholdSweep(opts Options) (*Table, error) {
 			"expected shape: small ratios push many documents into the short lists (costly updates); large ratios make queries scan more of the long lists",
 		},
 	}
-	up := workload.DefaultUpdateParams()
-	up.NumUpdates = opts.NumUpdates
-	up.MeanStep = opts.MeanStep
-	up.Seed = opts.Seed + 31
-	updates := workload.GenerateUpdates(corpus, up)
+	updates := updateTrace(corpus, opts.NumUpdates, opts.MeanStep, opts.Seed+31)
 	for _, ratio := range ratios {
 		r, err := newRig("Score-Threshold", corpus, opts, index.Config{ThresholdRatio: ratio})
 		if err != nil {
@@ -563,12 +527,7 @@ func RunChunkPolicyAblation(opts Options) (*Table, error) {
 	opts = opts.normalized()
 	corpus := corpusFor(opts)
 	queries := workload.GenerateQueries(corpus, queryParams(opts))
-
-	up := workload.DefaultUpdateParams()
-	up.NumUpdates = opts.NumUpdates
-	up.MeanStep = opts.MeanStep
-	up.Seed = opts.Seed + 41
-	updates := workload.GenerateUpdates(corpus, up)
+	updates := updateTrace(corpus, opts.NumUpdates, opts.MeanStep, opts.Seed+41)
 
 	t := &Table{
 		Name:    "Ablation — Chunk-Boundary Policy (times in ms)",

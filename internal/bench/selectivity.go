@@ -17,12 +17,7 @@ import (
 func RunSelectivity(opts Options) (*Table, error) {
 	opts = opts.normalized()
 	corpus := corpusFor(opts)
-
-	up := workload.DefaultUpdateParams()
-	up.NumUpdates = opts.NumUpdates
-	up.MeanStep = opts.MeanStep
-	up.Seed = opts.Seed + 61
-	updates := workload.GenerateUpdates(corpus, up)
+	updates := updateTrace(corpus, opts.NumUpdates, opts.MeanStep, opts.Seed+61)
 
 	t := &Table{
 		Name:    "§5.3.7 — Query Selectivity Sweep (times in ms)",

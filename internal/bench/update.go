@@ -58,15 +58,11 @@ func RunUpdateFigure(opts Options) (*Table, error) {
 	queries := workload.GenerateQueries(corpus, queryParams(opts))
 	methods := []string{"ID", "Score", "Score-Threshold", "Chunk", "Chunk-TermScore"}
 
-	up := workload.DefaultUpdateParams()
-	up.NumUpdates = opts.NumUpdates
-	up.MeanStep = opts.MeanStep
-	up.Seed = opts.Seed + 47
-	updates := workload.GenerateUpdates(corpus, up)
+	updates := updateTrace(corpus, opts.NumUpdates, opts.MeanStep, opts.Seed+47)
 
 	t := &Table{
 		Name:    "Update Throughput — Batched ApplyUpdates vs One-at-a-Time (times in µs/op)",
-		Caption: fmt.Sprintf("%d score updates (default trace, mean step %.0f), batch size %d; mixed rows interleave %d queries (k=%d)", len(updates), up.MeanStep, updateFigureBatchSize, opts.NumQueries, opts.K),
+		Caption: fmt.Sprintf("%d score updates (default trace, mean step %.0f), batch size %d; mixed rows interleave %d queries (k=%d)", len(updates), opts.MeanStep, updateFigureBatchSize, opts.NumQueries, opts.K),
 		Header:  []string{"Workload", "Method", "Loop (µs/op)", "Loop patched", "Batched (µs/op)", "Speedup", "Updates/s (batched)", "Query (ms)"},
 		Notes: []string{
 			"the in-place patch fast path (PR 3) made the loop itself ~11-16x faster, so the loop-vs-batch gap is far narrower than PR 2's >=5x era; batched should still win (shared descents, grouped leaf work) — the Score method is capped because each of its updates rewrites every posting of the document",

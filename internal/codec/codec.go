@@ -109,49 +109,6 @@ func Uint64(src []byte) (uint64, int, error) {
 	return binary.LittleEndian.Uint64(src), 8, nil
 }
 
-// DeltaEncode appends a delta (d-gap) encoding of the ascending sequence ids
-// to dst: the first element verbatim, then successive differences, each as an
-// unsigned varint.  It returns an error if the sequence is not strictly
-// ascending, because a non-ascending sequence would silently decode to
-// garbage.
-func DeltaEncode(dst []byte, ids []uint64) ([]byte, error) {
-	prev := uint64(0)
-	for i, id := range ids {
-		if i == 0 {
-			dst = PutUvarint(dst, id)
-			prev = id
-			continue
-		}
-		if id <= prev {
-			return nil, fmt.Errorf("codec: delta encode: sequence not strictly ascending at index %d (%d after %d)", i, id, prev)
-		}
-		dst = PutUvarint(dst, id-prev)
-		prev = id
-	}
-	return dst, nil
-}
-
-// DeltaDecode reads n delta-encoded values from src, appending them to out
-// and returning the extended slice plus the number of bytes consumed.
-func DeltaDecode(out []uint64, src []byte, n int) ([]uint64, int, error) {
-	off := 0
-	prev := uint64(0)
-	for i := 0; i < n; i++ {
-		v, sz, err := Uvarint(src[off:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("codec: delta decode at element %d: %w", i, err)
-		}
-		off += sz
-		if i == 0 {
-			prev = v
-		} else {
-			prev += v
-		}
-		out = append(out, prev)
-	}
-	return out, off, nil
-}
-
 // PutLenBytes appends a length-prefixed byte string.
 func PutLenBytes(dst, b []byte) []byte {
 	dst = PutUvarint(dst, uint64(len(b)))

@@ -90,70 +90,6 @@ func TestFixedWidthRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDeltaEncodeRejectsNonAscending(t *testing.T) {
-	if _, err := DeltaEncode(nil, []uint64{1, 5, 5}); err == nil {
-		t.Error("DeltaEncode accepted repeated value")
-	}
-	if _, err := DeltaEncode(nil, []uint64{5, 3}); err == nil {
-		t.Error("DeltaEncode accepted descending values")
-	}
-}
-
-func TestDeltaRoundTrip(t *testing.T) {
-	ids := []uint64{3, 4, 10, 11, 500, 501, 1 << 33}
-	buf, err := DeltaEncode(nil, ids)
-	if err != nil {
-		t.Fatalf("DeltaEncode: %v", err)
-	}
-	got, n, err := DeltaDecode(nil, buf, len(ids))
-	if err != nil {
-		t.Fatalf("DeltaDecode: %v", err)
-	}
-	if n != len(buf) {
-		t.Errorf("DeltaDecode consumed %d bytes, want %d", n, len(buf))
-	}
-	for i := range ids {
-		if got[i] != ids[i] {
-			t.Errorf("element %d = %d, want %d", i, got[i], ids[i])
-		}
-	}
-}
-
-func TestDeltaRoundTripProperty(t *testing.T) {
-	f := func(raw []uint32) bool {
-		// Build a strictly ascending sequence from arbitrary input.
-		set := map[uint64]bool{}
-		for _, r := range raw {
-			set[uint64(r)] = true
-		}
-		ids := make([]uint64, 0, len(set))
-		for v := range set {
-			ids = append(ids, v)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		buf, err := DeltaEncode(nil, ids)
-		if err != nil {
-			return false
-		}
-		got, _, err := DeltaDecode(nil, buf, len(ids))
-		if err != nil {
-			return false
-		}
-		if len(got) != len(ids) {
-			return false
-		}
-		for i := range ids {
-			if got[i] != ids[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLenBytesRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xAB}, 1000)}
 	for _, p := range payloads {
@@ -198,24 +134,15 @@ func TestOrderedUint64Order(t *testing.T) {
 			if got := bytes.Compare(a, b); got != wantCmp {
 				t.Errorf("order of %d vs %d: byte compare %d, want %d", values[i], values[j], got, wantCmp)
 			}
-			aDesc := PutOrderedUint64Desc(nil, values[i])
-			bDesc := PutOrderedUint64Desc(nil, values[j])
-			if got := bytes.Compare(aDesc, bDesc); got != -wantCmp {
-				t.Errorf("desc order of %d vs %d: byte compare %d, want %d", values[i], values[j], got, -wantCmp)
-			}
 		}
 	}
 }
 
 func TestOrderedUint64RoundTrip(t *testing.T) {
 	for _, v := range []uint64{0, 42, math.MaxUint64} {
-		asc, n, err := OrderedUint64(PutOrderedUint64(nil, v))
-		if err != nil || asc != v || n != 8 {
-			t.Errorf("OrderedUint64 round trip of %d = %d, %d, %v", v, asc, n, err)
-		}
-		desc, n, err := OrderedUint64Desc(PutOrderedUint64Desc(nil, v))
-		if err != nil || desc != v || n != 8 {
-			t.Errorf("OrderedUint64Desc round trip of %d = %d, %d, %v", v, desc, n, err)
+		got, n, err := OrderedUint64(PutOrderedUint64(nil, v))
+		if err != nil || got != v || n != 8 {
+			t.Errorf("OrderedUint64 round trip of %d = %d, %d, %v", v, got, n, err)
 		}
 	}
 }

@@ -1,11 +1,12 @@
 // Package codec provides the low-level binary encodings shared by the
 // storage engine and the inverted-list layouts: unsigned and zig-zag signed
-// varints, delta ("d-gap") encoding of sorted integer sequences, and
-// fixed-width float encodings.
+// varints, fixed-width integer and float encodings, length-prefixed byte
+// strings, and order-preserving keys whose bytewise order equals the order
+// of the values they encode.
 //
-// The ID and Chunk methods in the paper owe part of their compactness to
-// differential encoding of document IDs within ID-ordered runs (§5.2,
-// Table 1); this package supplies exactly that primitive.
+// The d-gaps that make the ID and Chunk lists compact (§5.2, Table 1) are
+// not encoded here: package postings bitpacks each block's doc-ID gaps
+// itself and uses this package only for the varint framing around them.
 //
 // See ARCHITECTURE.md for the layer map — where this package sits in the
 // stack — and for the repo-wide concurrency contract.

@@ -30,21 +30,6 @@ func OrderedUint64(src []byte) (uint64, int, error) {
 	return binary.BigEndian.Uint64(src), 8, nil
 }
 
-// PutOrderedUint64Desc appends v encoded so that bytewise order equals
-// descending numeric order.
-func PutOrderedUint64Desc(dst []byte, v uint64) []byte {
-	return PutOrderedUint64(dst, ^v)
-}
-
-// OrderedUint64Desc decodes a value written by PutOrderedUint64Desc.
-func OrderedUint64Desc(src []byte) (uint64, int, error) {
-	v, n, err := OrderedUint64(src)
-	if err != nil {
-		return 0, 0, err
-	}
-	return ^v, n, nil
-}
-
 // orderedFloatBits maps float64 bits to a uint64 whose unsigned order equals
 // the float's numeric order (NaNs sort above +Inf; the index layer never
 // stores NaN scores).

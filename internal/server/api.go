@@ -46,8 +46,8 @@ type GlobalStats struct {
 
 // SearchRequest is the body of POST /v1/indexes/{name}/search.
 type SearchRequest struct {
-	// Query is the raw query text; Terms is the pre-tokenized alternative
-	// (the load generator uses it).  Exactly one must be non-empty: a
+	// Query is the raw query text; Terms is the pre-tokenized alternative.
+	// Exactly one must be non-empty: a
 	// request setting both is rejected rather than one being silently
 	// ignored.
 	Query string   `json:"query,omitempty"`

@@ -51,8 +51,6 @@
 // (Engine.Close drains the index locks and audits buffer-pool pins) — so a
 // client can never observe a torn response or a half-closed engine.
 //
-// The package also houses the one HTTP load generator outside benchmark/
-// (loadgen.go): the root BenchmarkServeQuery drives RunSearchLoad, and the
-// repo benchmark's stack (benchmark/stack.go) builds its clients with the
-// same NewLoadClient.
+// The package drives no load of its own: the one HTTP load generator is the
+// repo benchmark's (benchmark/), which builds its clients with NewLoadClient.
 package server

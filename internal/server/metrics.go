@@ -103,8 +103,8 @@ func bucketUpperUS(b int) float64 {
 
 // EndpointSnapshot is one route's metrics at a point in time.  Percentiles
 // come from the power-of-two histogram, so they are upper bounds accurate
-// to a factor of two; the load generator computes exact percentiles when a
-// benchmark needs them.
+// to a factor of two; the repo benchmark computes exact percentiles from its
+// own client-side samples.
 type EndpointSnapshot struct {
 	Route   string           `json:"route"`
 	Count   uint64           `json:"count"`

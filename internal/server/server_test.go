@@ -598,18 +598,6 @@ func testUnmatchedRoutesReturnJSON(t *testing.T, d *deployment) {
 	}
 }
 
-func TestLoadGenerator(t *testing.T) {
-	_, base, _ := newTestServer(t)
-	queries := [][]string{{"alpha"}, {"common"}, {"beta"}}
-	res, err := RunSearchLoad(nil, base, "docs", queries, 5, 2, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Queries != 40 || res.QPS <= 0 || res.P99 < res.P50 || res.P50 <= 0 {
-		t.Errorf("load result %+v: want 40 queries with sane QPS/latency stats", res)
-	}
-}
-
 func TestMetricsRegistry(t *testing.T) {
 	r := NewRegistry()
 	for i := 0; i < 100; i++ {

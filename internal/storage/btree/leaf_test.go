@@ -515,6 +515,55 @@ func TestProbeGetAllocatesNothing(t *testing.T) {
 	}
 }
 
+// probeSink keeps the compiler from discarding BenchmarkProbeGet's lookups.
+var probeSink []byte
+
+// BenchmarkProbeGet times one Probe lookup on a Score-table-shaped tree
+// (8-byte ordered keys, 9-byte values, bulk-loaded at the Score table's
+// fill): ascending keys are the query path's candidate order, where nearly
+// every lookup lands on the cached leaf image; random keys make every lookup
+// a leaf jump (descent plus image reload).  Both must report 0 allocs/op —
+// that is what keeps candidate resolution off the allocator.
+func BenchmarkProbeGet(b *testing.B) {
+	const n = 50_000
+	pool := buffer.MustNew(pagefile.MustNewMem(pagefile.DefaultPageSize), 8192)
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = Item{Key: codec.PutOrderedUint64(nil, uint64(i)), Value: make([]byte, 9)}
+	}
+	tree, err := BulkLoadFill(pool, items, 0.55)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ascending := make([]int, n)
+	for i := range ascending {
+		ascending[i] = i
+	}
+	for _, o := range []struct {
+		name  string
+		order []int
+	}{{"ascending", ascending}, {"random", rand.New(rand.NewSource(1)).Perm(n)}} {
+		order := o.order
+		b.Run(o.name, func(b *testing.B) {
+			probe := tree.View().NewProbe()
+			for i := range items { // grow the probe's buffers to their steady-state size
+				if _, _, err := probe.Get(items[i].Key); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v, ok, err := probe.Get(items[order[i%n]].Key)
+				if err != nil || !ok {
+					b.Fatalf("probe.Get(%d) = %v, %v", order[i%n], ok, err)
+				}
+				probeSink = v
+			}
+		})
+	}
+}
+
 // --- fuzzing -------------------------------------------------------------------
 
 // fuzzPageSize is the page size the fuzz targets install their input at.
