@@ -85,13 +85,13 @@ func (m *idMethod) buildLists(bc *builtCorpus) error {
 // resolveCurrent is the ID method's candidate resolver: the current-score
 // lookup.  Candidates arrive in ascending document order, so the lookups run
 // through the query's probe, which reuses the leaf of the previous one.
-func resolveCurrent(ctx *queryCtx, g postings.Group) (float64, bool, error) {
+func resolveCurrent(ctx *queryCtx, g *postings.Group) (float64, bool, error) {
 	return rowScore(ctx.score.Get(g.Doc))
 }
 
 // resolveCombined adds the per-term TFIDF contributions for a query that
 // asks for combined ranking; ctx.idfs is aligned with the query terms.
-func resolveCombined(ctx *queryCtx, g postings.Group) (float64, bool, error) {
+func resolveCombined(ctx *queryCtx, g *postings.Group) (float64, bool, error) {
 	svr, live, err := rowScore(ctx.score.Get(g.Doc))
 	if err != nil || !live {
 		return 0, false, err
@@ -216,7 +216,7 @@ func (m *idMethod) leapfrogTopK(s *snap, ctx *queryCtx, q Query, resolve resolve
 	m.counters.queries.Add(1)
 	heap := topk.New(q.K)
 	res := &QueryResult{}
-	group := postings.Group{
+	group := &postings.Group{
 		Entries: make([]postings.Entry, len(seekers)),
 		Present: make([]bool, len(seekers)),
 		Count:   len(seekers),

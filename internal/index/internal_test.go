@@ -1,10 +1,12 @@
 package index
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"svrdb/internal/codec"
 	"svrdb/internal/postings"
 	"svrdb/internal/storage/buffer"
 	"svrdb/internal/storage/pagefile"
@@ -194,6 +196,50 @@ func TestKeyedListOrderingAndCollect(t *testing.T) {
 	}
 }
 
+// TestKeyedListValueRejectsHostileBytes: every writer stores exactly an op
+// byte (ADD or REM) and a float32 weight, so a value of any other length or
+// with any other op is corrupt — through the decoder and through the list
+// readers — instead of a posting with a made-up op or weight.
+func TestKeyedListValueRejectsHostileBytes(t *testing.T) {
+	good := encodeKeyedListValue(postings.OpRem, 0.75)
+	for _, tc := range []struct {
+		name string
+		val  []byte
+	}{
+		{"empty", nil},
+		{"op only", []byte{byte(postings.OpAdd)}},
+		{"four bytes", good[:4]},
+		{"six bytes", append(append([]byte(nil), good...), 0)},
+		{"unknown op", append([]byte{2}, good[1:]...)},
+		{"op 0xFF", append([]byte{0xFF}, good[1:]...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if op, w, err := decodeKeyedListValue(tc.val); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("decode(%x) = (%d, %g, %v), want ErrCorrupt", tc.val, op, w, err)
+			}
+			kl, err := newKeyedList(newTestPool(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := kl.tree.Put(keyedListKey("news", 3, 42), tc.val); err != nil {
+				t.Fatal(err)
+			}
+			v := kl.snapshotView()
+			if _, err := v.Collect("news"); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("Collect over %x: %v, want ErrCorrupt", tc.val, err)
+			}
+			if _, err := postings.CollectBatched(v.Cursor("news", false)); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("Cursor over %x: %v, want ErrCorrupt", tc.val, err)
+			}
+		})
+	}
+	for _, op := range []postings.Op{postings.OpAdd, postings.OpRem} {
+		if gotOp, w, err := decodeKeyedListValue(encodeKeyedListValue(op, 0.75)); err != nil || gotOp != op || w != 0.75 {
+			t.Errorf("round trip of op %d = (%d, %g, %v)", op, gotOp, w, err)
+		}
+	}
+}
+
 func TestKeyedListDeleteAndDeleteAllForDoc(t *testing.T) {
 	kl, err := newKeyedList(newTestPool(t))
 	if err != nil {
@@ -358,5 +404,63 @@ func TestTreeCursorExactBatchMultiple(t *testing.T) {
 				t.Errorf("batch size %d: cursor with %d postings yielded %d", size, n, count)
 			}
 		}
+	}
+}
+
+// TestRemainList drives Algorithm 3's flat remainList: rows stay attached to
+// their documents through removals and compacting prunes, and a reset list
+// reuses its storage.
+func TestRemainList(t *testing.T) {
+	var r remainList
+	for round := 0; round < 2; round++ {
+		r.reset(3)
+		for doc := DocID(10); doc < 20; doc++ {
+			row := r.add(doc)
+			for i := range row {
+				row[i] = float64(doc)*10 + float64(i)
+			}
+		}
+		r.remove(13)
+		r.remove(13) // twice: a no-op
+		r.remove(99) // never listed
+		var visited []DocID
+		err := r.prune(func(doc DocID, row []float64) (bool, error) {
+			visited = append(visited, doc)
+			for i, w := range row {
+				if w != float64(doc)*10+float64(i) {
+					t.Fatalf("doc %d row %v", doc, row)
+				}
+			}
+			return doc%2 == 0, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(visited) != 9 || visited[3] != 14 {
+			t.Fatalf("round %d: prune visited %v, want 10..19 without 13, ascending", round, visited)
+		}
+		r.remove(16)
+		if r.live != 4 {
+			t.Fatalf("round %d: %d live after pruning the odd documents and removing 16, want 4", round, r.live)
+		}
+		var kept []DocID
+		r.prune(func(doc DocID, row []float64) (bool, error) {
+			if row[2] != float64(doc)*10+2 {
+				t.Fatalf("doc %d row %v after compaction", doc, row)
+			}
+			kept = append(kept, doc)
+			return true, nil
+		})
+		if fmt.Sprint(kept) != "[10 12 14 18]" {
+			t.Fatalf("round %d: kept %v", round, kept)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		r.reset(3)
+		for doc := DocID(0); doc < 10; doc++ {
+			r.add(doc)
+		}
+	}); n != 0 {
+		t.Errorf("a reset remainList allocates %.1f objects refilling, want 0", n)
 	}
 }

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"fmt"
+
 	"svrdb/internal/codec"
 	"svrdb/internal/postings"
 	"svrdb/internal/storage/btree"
@@ -95,24 +97,28 @@ func decodeKeyedListSuffix(suffix []byte) (sortKey float64, doc DocID, err error
 	return sortKey, DocID(id), nil
 }
 
+// keyedListValueLen is the width of every posting value: the op byte and
+// the float32 term weight.
+const keyedListValueLen = 5
+
 func encodeKeyedListValue(op postings.Op, termScore float32) []byte {
 	out := []byte{byte(op)}
 	return codec.PutFloat32(out, termScore)
 }
 
+// decodeKeyedListValue reads a posting value.  Every writer writes exactly
+// keyedListValueLen bytes with an ADD or REM op, so any other value is
+// corrupt rather than a posting with a default op or weight.
 func decodeKeyedListValue(data []byte) (op postings.Op, termScore float32, err error) {
-	if len(data) == 0 {
-		return postings.OpAdd, 0, nil
+	if len(data) != keyedListValueLen {
+		return 0, 0, fmt.Errorf("%w: short-list posting value of %d bytes, want %d", codec.ErrCorrupt, len(data), keyedListValueLen)
 	}
 	op = postings.Op(data[0])
-	if len(data) >= 5 {
-		ts, _, err := codec.Float32(data[1:])
-		if err != nil {
-			return 0, 0, err
-		}
-		termScore = ts
+	if op != postings.OpAdd && op != postings.OpRem {
+		return 0, 0, fmt.Errorf("%w: short-list posting op %d", codec.ErrCorrupt, op)
 	}
-	return op, termScore, nil
+	termScore, _, err = codec.Float32(data[1:])
+	return op, termScore, err
 }
 
 // Put stages an insert or replace of the posting for (term, sortKey, doc).

@@ -6,17 +6,20 @@ import (
 
 	"svrdb/internal/postings"
 	"svrdb/internal/storage/blob"
+	"svrdb/internal/storage/btree"
 	"svrdb/internal/text"
 	"svrdb/internal/topk"
 )
 
 // queryCtx is the per-query scratch a TopK call assembles its pipeline in:
 // the snapshot it evaluates against, the per-term stream slice, the
-// IDF/epsilon arrays of the TermScore algorithms, and the Score-table and
-// ListScore/ListChunk-table probes with the leaf images they read through.
+// IDF/epsilon arrays and the remainList of the TermScore algorithm, and the
+// Score-table and ListScore/ListChunk-table probes with the leaf images they
+// read through.
 // The Score probe is also where the query's Score-table lookups are counted
 // (QueryResult.ScoreLookups): every score a query reads, it reads through
-// ctx.score.  Every query gets its own context from a sync.Pool — two
+// ctx.score or, when Algorithm 3 prunes its remainList, through
+// getScoreAside.  Every query gets its own context from a sync.Pool — two
 // concurrent Searches never share scratch, and the steady-state query path
 // reuses the slices and leaf images instead of allocating them anew per
 // query (or, for the images, per leaf jump).  The context must be released
@@ -29,6 +32,12 @@ type queryCtx struct {
 	epsilons []float64
 	score    docProbe
 	list     docProbe
+	remain   remainList
+	// scoreAside is a second cursor over the Score table: Algorithm 3 prunes
+	// its remainList, in ascending document order, between candidates
+	// ctx.score resolves in ascending order too, and neither walk moves the
+	// other's leaf.
+	scoreAside btree.Probe
 }
 
 var queryCtxPool = sync.Pool{New: func() any { return &queryCtx{} }}
@@ -43,7 +52,16 @@ func newQueryCtx(s *snap) *queryCtx {
 	c.epsilons = c.epsilons[:0]
 	c.score.bind(s.score)
 	c.list.bind(s.table)
+	c.scoreAside.Reset(s.score.view)
 	return c
+}
+
+// getScoreAside is ctx.score.Get through scoreAside, counted with the Score
+// probe's lookups.
+func (c *queryCtx) getScoreAside(doc DocID) (docRow, bool, error) {
+	c.score.lookups++
+	key := docKey(doc)
+	return decodeLookup(c.scoreAside.Get(key[:]))
 }
 
 // release returns the context to the pool.  The caller must not touch the
@@ -57,6 +75,7 @@ func (c *queryCtx) release() {
 	c.snap = nil
 	c.score.bind(docView{})
 	c.list.bind(docView{})
+	c.scoreAside.Reset(btree.View{})
 	queryCtxPool.Put(c)
 }
 
@@ -90,7 +109,7 @@ type rankedQuery struct {
 
 // resolveFunc resolves one candidate: its current score, and whether this
 // appearance of the document counts.
-type resolveFunc func(ctx *queryCtx, g postings.Group) (score float64, include bool, err error)
+type resolveFunc func(ctx *queryCtx, g *postings.Group) (score float64, include bool, err error)
 
 // runRanked executes the query over ctx.streams and returns the ranked
 // results with work counters.  The per-term streams move postings in batches
@@ -146,7 +165,7 @@ func (b *base) runRanked(ctx *queryCtx, q rankedQuery) (*QueryResult, error) {
 
 // combinedScore is the ranking function of §4.3.3 for one candidate:
 // F(d) = svr(d) + Σ_i termScore_i(d) over the query terms the group holds.
-func combinedScore(svr float64, g postings.Group, idfs []float64) float64 {
+func combinedScore(svr float64, g *postings.Group, idfs []float64) float64 {
 	for i, present := range g.Present {
 		if present {
 			svr += text.TFIDF(g.Entries[i].TermScore, idfs[i])

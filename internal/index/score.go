@@ -141,7 +141,7 @@ func (m *scoreMethod) TopK(q Query) (*QueryResult, error) {
 		k:           q.K,
 		conjunctive: !q.Disjunctive,
 		maxPossible: func(_ *queryCtx, sortKey float64) float64 { return sortKey },
-		resolve: func(_ *queryCtx, g postings.Group) (float64, bool, error) {
+		resolve: func(_ *queryCtx, g *postings.Group) (float64, bool, error) {
 			return g.SortKey, true, nil
 		},
 	})

@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"svrdb/internal/postings"
 	"svrdb/internal/storage/blob"
@@ -71,18 +72,17 @@ func (m *thresholdMethod) topKTermScores(s *snap, ctx *queryCtx, q Query) (*Quer
 	// Fancy lists and chunked lists both yield candidates in ascending
 	// document order (per chunk), so their score resolution runs through
 	// the context's leaf-locality probes (phase 1 is done with the Score
-	// probe before phase 2's resolver takes it over); checkStop's remainList
-	// pruning reads documents in arbitrary order and descends per lookup.
+	// probe before phase 2's resolver takes it over); checkStop prunes the
+	// remainList in ascending order too, through the context's second
+	// Score-table cursor, leaving the first where phase 2 left it.
 	scores := &ctx.score
 
 	// Phase 1 (Algorithm 3 lines 8-9): merge the fancy lists.  Documents
 	// present in every fancy list have exact combined scores and seed the
 	// heap; documents present in only some go to the remainList with the
 	// term weights learned so far.
-	type remainInfo struct {
-		known map[int]float64 // term index -> exact tf-idf contribution
-	}
-	remain := map[DocID]*remainInfo{}
+	remain := &ctx.remain
+	remain.reset(len(q.Terms))
 
 	for _, term := range q.Terms {
 		var it postings.BatchIterator
@@ -117,13 +117,14 @@ func (m *thresholdMethod) topKTermScores(s *snap, ctx *queryCtx, q Query) (*Quer
 			}
 			continue
 		}
-		info := &remainInfo{known: map[int]float64{}}
+		row := remain.add(g.Doc)
 		for i, present := range g.Present {
 			if present {
-				info.known[i] = text.TFIDF(g.Entries[i].TermScore, idfs[i])
+				row[i] = text.TFIDF(g.Entries[i].TermScore, idfs[i])
+			} else {
+				row[i] = epsilons[i]
 			}
 		}
-		remain[g.Doc] = info
 	}
 
 	// Phase 2 (lines 10-34): scan the chunked lists top chunk first.  The
@@ -146,29 +147,19 @@ func (m *thresholdMethod) topKTermScores(s *snap, ctx *queryCtx, q Query) (*Quer
 		// bound of the chunk one above the chunks still to be scanned.
 		svrBound := s.chunks.UpperBound(cidJustFinished)
 		// Prune remainList entries that can no longer win.
-		for doc, info := range remain {
-			svr, live, err := rowScore(scores.Descend(doc))
-			if err != nil {
+		err := remain.prune(func(doc DocID, row []float64) (bool, error) {
+			svr, live, err := rowScore(ctx.getScoreAside(doc))
+			if err != nil || !live {
 				return false, err
 			}
-			if !live {
-				delete(remain, doc)
-				continue
-			}
 			bound := svr
-			for i := range q.Terms {
-				if known, ok := info.known[i]; ok {
-					bound += known
-				} else {
-					bound += epsilons[i]
-				}
+			for _, w := range row {
+				bound += w
 			}
-			if bound <= min {
-				delete(remain, doc)
-			}
-		}
-		if len(remain) > 0 {
-			return false, nil
+			return bound > min, nil
+		})
+		if err != nil || remain.live > 0 {
+			return false, err
 		}
 		return svrBound+epsilonSum <= min, nil
 	}
@@ -197,7 +188,7 @@ func (m *thresholdMethod) topKTermScores(s *snap, ctx *queryCtx, q Query) (*Quer
 
 		// The document is now being processed through its regular postings,
 		// so it no longer needs to be remembered separately (line 12).
-		delete(remain, g.Doc)
+		remain.remove(g.Doc)
 
 		matches := g.ContainsAll() || (q.Disjunctive && g.Count >= 1)
 		if !matches {
@@ -216,4 +207,72 @@ func (m *thresholdMethod) topKTermScores(s *snap, ctx *queryCtx, q Query) (*Quer
 	res.ScoreLookups = ctx.score.lookups
 	m.counters.postingsScanned.Add(uint64(res.PostingsScanned))
 	return res, nil
+}
+
+// remainList is Algorithm 3's remainList: the documents a fancy list named
+// whose regular postings have not been reached, each with a row of
+// len(terms) weights — the exact tf-idf contribution of a term whose fancy
+// list held the document, ε_i·idf_i of one whose did not — so that a
+// document's score bound is its SVR score plus its row.  It is flat and
+// lives in the pooled query context: no per-document allocation, and no
+// allocation at all once its slices have grown.  Documents are added in
+// ascending order (the fancy merge yields them so: every fancy-list
+// position has the same sort key), which lets remove bisect.
+type remainList struct {
+	docs  []DocID
+	rows  []float64 // row j is rows[j*width : (j+1)*width]
+	gone  []bool    // removed since the last prune
+	width int
+	live  int
+}
+
+// reset empties the list for a query of width terms.
+func (r *remainList) reset(width int) {
+	r.docs, r.rows, r.gone = r.docs[:0], r.rows[:0], r.gone[:0]
+	r.width, r.live = width, 0
+}
+
+// add appends doc, which must sort after every document added so far, and
+// returns its row for the caller to fill.
+func (r *remainList) add(doc DocID) []float64 {
+	r.docs = append(r.docs, doc)
+	r.gone = append(r.gone, false)
+	r.rows = slices.Grow(r.rows, r.width)[:len(r.rows)+r.width]
+	r.live++
+	return r.rows[len(r.rows)-r.width:]
+}
+
+// remove drops doc if it is listed.
+func (r *remainList) remove(doc DocID) {
+	if r.live == 0 {
+		return
+	}
+	if j, ok := slices.BinarySearch(r.docs, doc); ok && !r.gone[j] {
+		r.gone[j] = true
+		r.live--
+	}
+}
+
+// prune keeps the listed documents for which keep reports true, visiting
+// them in ascending order, and compacts the list.  An error ends the query,
+// so it leaves the list as it stands.
+func (r *remainList) prune(keep func(doc DocID, row []float64) (bool, error)) error {
+	w, n := r.width, 0
+	for j, doc := range r.docs {
+		if r.gone[j] {
+			continue
+		}
+		row := r.rows[j*w : (j+1)*w]
+		k, err := keep(doc, row)
+		if err != nil {
+			return err
+		}
+		if k {
+			r.docs[n], r.gone[n] = doc, false
+			copy(r.rows[n*w:], row)
+			n++
+		}
+	}
+	r.docs, r.rows, r.gone, r.live = r.docs[:n], r.rows[:n*w], r.gone[:n], n
+	return nil
 }

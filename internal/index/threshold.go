@@ -89,7 +89,7 @@ func scoreOrder(b *base) listOrder {
 		stream: func(s *snap, r *blob.Reader) (postings.BatchIterator, error) {
 			return postings.NewStreamScoreListDir(r, s.scoreDir)
 		},
-		resolve: func(ctx *queryCtx, g postings.Group) (float64, bool, error) {
+		resolve: func(ctx *queryCtx, g *postings.Group) (float64, bool, error) {
 			entry, exists, err := ctx.snap.table.Get(g.Doc)
 			if err != nil {
 				return 0, false, err
@@ -160,7 +160,7 @@ func chunkOrder(b *base, termScores bool) listOrder {
 		// Within a chunk the candidates arrive in ascending document order, so
 		// both tables are walked left to right through the query context's
 		// leaf-locality probes instead of descended per candidate.
-		resolve: func(ctx *queryCtx, g postings.Group) (float64, bool, error) {
+		resolve: func(ctx *queryCtx, g *postings.Group) (float64, bool, error) {
 			entry, exists, err := ctx.list.Get(g.Doc)
 			if err != nil {
 				return 0, false, err

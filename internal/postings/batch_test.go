@@ -465,3 +465,87 @@ func TestPipelineBatchSizeIndependence(t *testing.T) {
 		}
 	}
 }
+
+// capBatch serves its source in batches of at most size entries.
+type capBatch struct {
+	src  BatchIterator
+	size int
+}
+
+func (c capBatch) NextBatch(buf []Entry) (int, error) {
+	return c.src.NextBatch(buf[:min(len(buf), c.size)])
+}
+
+// checkGroupMerger merges the streams, each served in batches of at most
+// size, and requires the brute-force grouping: every entry sorted by
+// (SortKey desc, Doc asc), grouped by position, a stream's last entry at a
+// position standing for it.
+func checkGroupMerger(t *testing.T, label string, size int, streams ...[]Entry) {
+	t.Helper()
+	srcs := make([]BatchIterator, len(streams))
+	for i := range streams {
+		srcs[i] = capBatch{src: NewSliceIterator(streams[i]), size: size}
+	}
+	m := NewGroupMerger(srcs...)
+	defer m.Close()
+	got := collectGroups(t, m)
+	sameGroups(t, label, got, refGroups(streams...))
+	if _, ok, err := m.Next(); ok || err != nil {
+		t.Fatalf("%s: Next after exhaustion = %v, %v", label, ok, err)
+	}
+}
+
+// TestGroupMergerMatchesBruteForce covers 1–5 streams with empty and early-
+// exhausted streams and duplicate positions within one stream (the merger
+// folds them into one group), from sources that hand out one entry per batch
+// and a full BatchSize per batch.
+func TestGroupMergerMatchesBruteForce(t *testing.T) {
+	for trial := 0; trial < 200; trial++ {
+		rng := rand.New(rand.NewSource(int64(500 + trial)))
+		streams := make([][]Entry, 1+trial%5)
+		for i := range streams {
+			switch rng.Intn(4) {
+			case 0: // empty
+			case 1: // exhausted early: only the highest keys
+				streams[i] = randomSortedStream(rng, 1+rng.Intn(3), false)
+				for j := range streams[i] {
+					streams[i][j].SortKey += 8
+				}
+			default: // duplicates within the stream included
+				streams[i] = randomSortedStream(rng, rng.Intn(2*BatchSize+50), i%2 == 1)
+			}
+		}
+		for _, size := range []int{1, BatchSize} {
+			checkGroupMerger(t, "groups", size, streams...)
+		}
+	}
+}
+
+// FuzzGroupMerger builds 1–4 sorted streams from arbitrary bytes — the first
+// byte picks the stream count and the batch cap, every following triple an
+// entry's stream, sort key and document — and checks the merger against the
+// brute-force grouping.
+func FuzzGroupMerger(f *testing.F) {
+	f.Add([]byte{0x31, 0, 5, 4, 1, 5, 4, 0, 2, 1, 1, 2, 1, 2, 1, 3})
+	f.Add([]byte{0x02, 0, 1, 1, 0, 1, 1, 0, 1, 1})
+	f.Add([]byte{0xF3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		k, size := 1+int(data[0]&3), 1+int(data[0]>>2)
+		streams := make([][]Entry, k)
+		for rest := data[1:]; len(rest) >= 3; rest = rest[3:] {
+			s := int(rest[0]) % k
+			streams[s] = append(streams[s], Entry{
+				SortKey:   float64(rest[1] % 8),
+				Doc:       DocID(rest[2] % 32),
+				TermScore: float32(rest[0]),
+			})
+		}
+		for _, s := range streams {
+			sort.SliceStable(s, func(i, j int) bool { return Less(s[i], s[j]) })
+		}
+		checkGroupMerger(t, "fuzz", size, streams...)
+	})
+}

@@ -12,7 +12,8 @@ package postings
 //     lock step, yielding, for each (SortKey, Doc) position, the set of query
 //     terms whose stream contains that document there.  Conjunctive queries
 //     accept groups covering every term, disjunctive queries any non-empty
-//     group.
+//     group.  A query has a handful of terms, so the merger finds each
+//     position with a linear pass over its heads; there is no heap.
 //
 // All three run on the block-at-a-time protocol: they pull batches from
 // their inputs into pooled scratch buffers, merge directly out of those
@@ -276,9 +277,9 @@ func (c *CollapseOps) Close() {
 
 // Group is the set of per-term entries found at one (SortKey, Doc) position.
 //
-// The Entries and Present slices returned by GroupMerger.Next are reused
-// across calls; callers must copy out anything they retain past the next
-// Next call.
+// The Group GroupMerger.Next returns, with its Entries and Present slices,
+// is the merger's own and is overwritten by the next call; callers must copy
+// out anything they retain past it.
 type Group struct {
 	Doc DocID
 	// SortKey of the position (list score or chunk ID).
@@ -297,10 +298,12 @@ func (g *Group) ContainsAll() bool { return g.Count == len(g.Present) }
 // GroupMerger merges k per-term streams (each in (SortKey desc, Doc asc)
 // order) and yields one Group per distinct position, in the same order.
 // Input postings move in batches; groups are emitted one at a time because
-// the stopping rules of Algorithms 2 and 3 are evaluated per position.
+// the stopping rules of Algorithms 2 and 3 are evaluated per position.  A
+// query merges two or three streams, so each group is found by one linear
+// pass over the heads rather than through a heap: pick the first position
+// among the live heads, then take every head entry sitting at it.
 type GroupMerger struct {
 	heads []mergeHead
-	order []int // binary min-heap of head indices, ordered by current entry
 	g     Group
 	init  bool
 }
@@ -313,7 +316,6 @@ func NewGroupMerger(streams ...BatchIterator) *GroupMerger {
 	}
 	return &GroupMerger{
 		heads: heads,
-		order: make([]int, 0, len(streams)),
 		g: Group{
 			Entries: make([]Entry, len(streams)),
 			Present: make([]bool, len(streams)),
@@ -324,112 +326,67 @@ func NewGroupMerger(streams ...BatchIterator) *GroupMerger {
 // NumStreams reports the number of merged streams.
 func (m *GroupMerger) NumStreams() int { return len(m.heads) }
 
-// lessIdx orders two heads by their current entries, ties by head index so
-// duplicate positions across streams pop in stream order.
-func (m *GroupMerger) lessIdx(x, y int) bool {
-	a, b := m.heads[x].cur(), m.heads[y].cur()
-	if a.SortKey != b.SortKey || a.Doc != b.Doc {
-		return Less(a, b)
-	}
-	return x < y
-}
-
-func (m *GroupMerger) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !m.lessIdx(m.order[i], m.order[parent]) {
-			break
-		}
-		m.order[i], m.order[parent] = m.order[parent], m.order[i]
-		i = parent
-	}
-}
-
-func (m *GroupMerger) siftDown(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(m.order) && m.lessIdx(m.order[l], m.order[smallest]) {
-			smallest = l
-		}
-		if r < len(m.order) && m.lessIdx(m.order[r], m.order[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		m.order[i], m.order[smallest] = m.order[smallest], m.order[i]
-		i = smallest
-	}
-}
-
 func (m *GroupMerger) prime() error {
 	for i := range m.heads {
 		if err := m.heads[i].refill(); err != nil {
 			return err
-		}
-		if !m.heads[i].done {
-			m.order = append(m.order, i)
-			m.siftUp(len(m.order) - 1)
 		}
 	}
 	m.init = true
 	return nil
 }
 
-// popRoot removes the exhausted head at the heap root.
-func (m *GroupMerger) popRoot() {
-	last := len(m.order) - 1
-	m.order[0] = m.order[last]
-	m.order = m.order[:last]
-	if len(m.order) > 1 {
-		m.siftDown(0)
-	}
-}
-
 // Next returns the next Group, or ok=false when all streams are exhausted.
-// The group's slices are reused; see the Group docs.
-func (m *GroupMerger) Next() (Group, bool, error) {
+// The group is reused; see the Group docs.  Consecutive entries of one
+// stream at the group's position fold into the group, the last one
+// supplying the stream's entry.
+func (m *GroupMerger) Next() (*Group, bool, error) {
 	if !m.init {
 		if err := m.prime(); err != nil {
-			return Group{}, false, err
+			return nil, false, err
 		}
 	}
-	if len(m.order) == 0 {
-		return Group{}, false, nil
-	}
-	top := m.heads[m.order[0]].cur()
-	m.g.Doc, m.g.SortKey = top.Doc, top.SortKey
-	for i := range m.g.Present {
-		m.g.Present[i] = false
-	}
-	m.g.Count = 0
-	for len(m.order) > 0 {
-		i := m.order[0]
+	// An exhausted head has pos == n == 0, so it never qualifies.  first is
+	// the lowest-indexed head at the smallest position: every head before it
+	// sits at a later position.  Heads are compared in place (Less through
+	// pointers into their batches), and only the position is kept.
+	first := -1
+	var top *Entry
+	for i := range m.heads {
 		h := &m.heads[i]
-		e := h.cur()
-		if e.SortKey != top.SortKey || e.Doc != top.Doc {
-			break
-		}
-		m.g.Entries[i] = e
-		if !m.g.Present[i] {
-			m.g.Present[i] = true
-			m.g.Count++
-		}
-		// Advance that stream and restore heap order.
-		h.pos++
-		if h.pos >= h.n {
-			if err := h.refill(); err != nil {
-				return Group{}, false, err
-			}
-			if h.done {
-				m.popRoot()
-				continue
+		if h.pos < h.n {
+			if e := &(*h.buf)[h.pos]; first < 0 || e.SortKey > top.SortKey || e.SortKey == top.SortKey && e.Doc < top.Doc {
+				first, top = i, e
 			}
 		}
-		m.siftDown(0)
 	}
-	return m.g, true, nil
+	if first < 0 {
+		return nil, false, nil
+	}
+	key, doc := top.SortKey, top.Doc
+	m.g.Doc, m.g.SortKey = doc, key
+	clear(m.g.Present)
+	m.g.Count = 0
+	for i := first; i < len(m.heads); i++ {
+		h := &m.heads[i]
+		for h.pos < h.n {
+			e := &(*h.buf)[h.pos]
+			if e.SortKey != key || e.Doc != doc {
+				break
+			}
+			m.g.Entries[i] = *e
+			if !m.g.Present[i] {
+				m.g.Present[i] = true
+				m.g.Count++
+			}
+			if h.pos++; h.pos >= h.n {
+				if err := h.refill(); err != nil {
+					return nil, false, err
+				}
+			}
+		}
+	}
+	return &m.g, true, nil
 }
 
 // Close implements Closer.
@@ -437,6 +394,5 @@ func (m *GroupMerger) Close() {
 	for i := range m.heads {
 		m.heads[i].close()
 	}
-	m.order = m.order[:0]
 	m.init = true
 }

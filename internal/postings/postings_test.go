@@ -390,7 +390,7 @@ func TestGroupMergerOrder(t *testing.T) {
 				t.Fatalf("groups out of order: (%g,%d) after (%g,%d)", g.SortKey, g.Doc, prev.SortKey, prev.Doc)
 			}
 		}
-		cp := g
+		cp := *g
 		prev = &cp
 	}
 }

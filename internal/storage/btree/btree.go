@@ -2,7 +2,6 @@ package btree
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -486,35 +485,36 @@ func childIndex(n *node, key []byte) int {
 // key, without materializing the node.  It mirrors childIndex: keys[i]
 // separates children[i] (keys < keys[i]) from children[i+1] (keys >= keys[i]).
 func pageChild(id pagefile.PageID, data, key []byte) (pagefile.PageID, error) {
-	child, _, err := pageChildWithUpper(id, data, key)
+	child, _, err := pageChildWithUpper(id, data, key, nil)
 	return child, err
 }
 
 // pageChildWithUpper is pageChild extended with the separator that bounds
 // the chosen child from above within this node (nil when the child is the
 // node's rightmost).  The returned key aliases data.  A fixed-width node is
-// bisected by stride; any other is walked.
-func pageChildWithUpper(id pagefile.PageID, data, key []byte) (pagefile.PageID, []byte, error) {
+// bisected by stride; any other is walked.  A non-nil pi is shown the node
+// (see parentImage.visit).
+func pageChildWithUpper(id pagefile.PageID, data, key []byte, pi *parentImage) (pagefile.PageID, []byte, error) {
 	nKeys, off, err := internalHeader(id, data)
 	if err != nil {
 		return pagefile.InvalidPageID, nil, err
 	}
 	s, ok := fitStride(data, off+8, nKeys, false)
 	if !ok {
+		if pi != nil {
+			pi.visitWalked()
+		}
 		return pageChildWalk(data, off, nKeys, key)
 	}
-	// Separator i bounds child i+1 from below, and child i+1's pointer is
-	// the value part of entry i (child 0's sits just before entry 0).
-	i := s.search(data, key, 0)
-	if i < s.n && bytes.Equal(s.key(data, i), key) {
-		i++
+	i := s.child(data, key, 0)
+	if pi != nil {
+		pi.visit(data, s, i)
 	}
 	var upper []byte
 	if i < s.n {
 		upper = s.key(data, i)
 	}
-	c := s.off + i*s.width - 8
-	return pagefile.PageID(binary.LittleEndian.Uint64(data[c:])), upper, nil
+	return s.childID(data, i), upper, nil
 }
 
 // pageChildWalk is pageChildWithUpper for a node that is not fixed-width:
@@ -610,7 +610,7 @@ func (t *Tree) findLeafFrame(key []byte) (*buffer.Frame, error) {
 // bound of the leaf's key range in upper (left untouched — nil for a fresh
 // slice — when the leaf is rightmost).
 func (t *Tree) descendToLeaf(key []byte, path *[]pagefile.PageID, upper *[]byte) (*buffer.Frame, error) {
-	return t.descendFrom(t.rootID(), key, path, upper)
+	return t.descendFrom(t.rootID(), key, path, upper, nil)
 }
 
 // descendFrom is descendToLeaf starting from an explicit root, which lets
@@ -619,8 +619,12 @@ func (t *Tree) descendToLeaf(key []byte, path *[]pagefile.PageID, upper *[]byte)
 // nil), with upper still tracking the leaf's exclusive bound — the primitive
 // behind chain-free range scans, which re-descend at the previous leaf's
 // upper bound instead of following sibling pointers that copy-on-write
-// mutation leaves stale.
-func (t *Tree) descendFrom(root pagefile.PageID, key []byte, path *[]pagefile.PageID, upper *[]byte) (*buffer.Frame, error) {
+// mutation leaves stale.  A non-nil parent is left holding the image of the
+// last internal node on the path (Probe's leaf-jump shortcut).
+func (t *Tree) descendFrom(root pagefile.PageID, key []byte, path *[]pagefile.PageID, upper *[]byte, parent *parentImage) (*buffer.Frame, error) {
+	if parent != nil {
+		parent.start()
+	}
 	id := root
 	for depth := 0; ; depth++ {
 		if depth == maxDepth {
@@ -640,10 +644,10 @@ func (t *Tree) descendFrom(root pagefile.PageID, key []byte, path *[]pagefile.Pa
 			return fr, nil
 		case nodeInternal:
 			var child pagefile.PageID
-			if upper != nil {
+			if upper != nil || parent != nil {
 				var u []byte
-				child, u, err = pageChildWithUpper(id, data, key)
-				if u != nil {
+				child, u, err = pageChildWithUpper(id, data, key, parent)
+				if u != nil && upper != nil {
 					// Copy out: u aliases the page, which is released below.
 					*upper = append((*upper)[:0], u...)
 				}

@@ -173,20 +173,14 @@ func (s stride) val(data []byte, i int) []byte {
 // forward from there — O(log gap) for the ascending keys of candidate
 // resolution — and otherwise bisects [0, from].  Every from yields the same
 // answer (search(…, 0) is plain bisection); an out-of-range finger is
-// clamped.  When the node's keys and key are 8 bytes wide they are compared
-// as big-endian integers, which is bytewise order.
+// clamped.  When the node's keys and key are 8 bytes wide — every key of the
+// fixed-width tables — they are compared as big-endian integers, which is
+// bytewise order, in a loop of their own (search64).
 func (s stride) search(data, key []byte, from int) int {
-	u64 := s.klen == 8 && len(key) == 8
-	var q uint64
-	if u64 {
-		q = binary.BigEndian.Uint64(key)
+	if s.klen == 8 && len(key) == 8 {
+		return s.search64(data, binary.BigEndian.Uint64(key), from)
 	}
-	below := func(i int) bool {
-		if u64 {
-			return binary.BigEndian.Uint64(data[s.off+i*s.width+1:]) < q
-		}
-		return bytes.Compare(s.key(data, i), key) < 0
-	}
+	below := func(i int) bool { return bytes.Compare(s.key(data, i), key) < 0 }
 	lo, hi := 0, s.n
 	switch {
 	case from <= 0:
@@ -209,6 +203,60 @@ func (s stride) search(data, key []byte, from int) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if below(mid) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// child returns the index of the child of a fixed-width internal node that
+// key routes to, searching from the finger as search does.  Separator i
+// bounds child i+1 from below, and an equal key routes right.
+func (s stride) child(data, key []byte, from int) int {
+	i := s.search(data, key, from)
+	if i < s.n && bytes.Equal(s.key(data, i), key) {
+		i++
+	}
+	return i
+}
+
+// childID returns the page of a fixed-width internal node's child i: child
+// i+1's pointer is the value part of entry i, and child 0's sits just before
+// entry 0.
+func (s stride) childID(data []byte, i int) pagefile.PageID {
+	return pagefile.PageID(binary.LittleEndian.Uint64(data[s.off+i*s.width-8:]))
+}
+
+// search64 is search for 8-byte keys, with q the query key as an integer:
+// the same gallop and bisection, comparing integers read in place.  The
+// stride's fields are copied into locals once, so the loop reads entry keys
+// straight from the node bytes without going back to the stride.
+func (s stride) search64(data []byte, q uint64, from int) int {
+	n, keys, w := s.n, data[s.off+1:], s.width
+	lo, hi := 0, n
+	switch {
+	case from <= 0:
+	case from < n && binary.BigEndian.Uint64(keys[from*w:]) < q:
+		lo = from + 1
+		for step := 1; ; step <<= 1 {
+			probe := from + step
+			if probe >= n {
+				break
+			}
+			if binary.BigEndian.Uint64(keys[probe*w:]) >= q {
+				hi = probe
+				break
+			}
+			lo = probe + 1
+		}
+	default:
+		hi = min(from, n)
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if binary.BigEndian.Uint64(keys[mid*w:]) < q {
 			lo = mid + 1
 		} else {
 			hi = mid

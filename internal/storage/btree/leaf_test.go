@@ -478,8 +478,10 @@ func TestLeafReadersMatchReference(t *testing.T) {
 
 // TestProbeGetAllocatesNothing pins the probe's steady state: once its leaf
 // image has grown to the largest leaf, neither a lookup on the cached leaf
-// nor one that jumps to another leaf (descent, image reload, bound capture)
-// touches the heap.
+// nor one that jumps to another leaf touches the heap — whether the jump
+// gallops in the cached parent image and fetches only the leaf, or takes the
+// full descent that recopies the parent (image reload and bound capture
+// either way).
 func TestProbeGetAllocatesNothing(t *testing.T) {
 	pool := buffer.MustNew(pagefile.MustNewMem(1024), 256)
 	var items []Item
@@ -509,6 +511,19 @@ func TestProbeGetAllocatesNothing(t *testing.T) {
 	i := 0
 	if n := testing.AllocsPerRun(200, func() { get(i); i = (i + 1777) % len(items) }); n != 0 {
 		t.Errorf("probe.Get across a leaf jump allocates %.1f objects per run, want 0", n)
+	}
+	// The first key of the second leaf sits under the first leaf's parent;
+	// the last key does not (the root has several internal children).
+	get(0)
+	next, last := probe.leaf.len(), len(items)-1
+	if !probe.parent.covers(items[next].Key) || probe.parent.covers(items[last].Key) {
+		t.Fatalf("parent image covers [%x, %x): want key %d inside and key %d outside", probe.parent.lo, probe.parent.hi, next, last)
+	}
+	if n := testing.AllocsPerRun(200, func() { get(0); get(next) }); n != 0 {
+		t.Errorf("probe.Get across a leaf jump inside the cached parent allocates %.1f objects per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { get(0); get(last) }); n != 0 {
+		t.Errorf("probe.Get across a leaf jump outside the cached parent allocates %.1f objects per run, want 0", n)
 	}
 	if err := pool.CheckPins(); err != nil {
 		t.Error(err)
@@ -724,7 +739,7 @@ func TestInternalNodeCountBounded(t *testing.T) {
 		hdr := codec.PutUvarint([]byte{nodeInternal}, count)
 		hdr = codec.PutUint64(hdr, 7)
 		copy(page, hdr)
-		if c, _, err := pageChildWithUpper(1, page, []byte("k")); err == nil {
+		if c, _, err := pageChildWithUpper(1, page, []byte("k"), nil); err == nil {
 			t.Errorf("count %d: pageChildWithUpper = child %d, nil error", count, c)
 		}
 		if off, err := pageFindChildOffset(1, page, 7); err == nil {
@@ -734,7 +749,7 @@ func TestInternalNodeCountBounded(t *testing.T) {
 	// The largest count the page can hold is still read.
 	page := make([]byte, fuzzPageSize)
 	copy(page, codec.PutUint64(codec.PutUvarint([]byte{nodeInternal}, (fuzzPageSize-10)/9), 7))
-	if c, _, err := pageChildWithUpper(1, page, []byte("k")); err != nil || c == pagefile.InvalidPageID {
+	if c, _, err := pageChildWithUpper(1, page, []byte("k"), nil); err != nil || c == pagefile.InvalidPageID {
 		t.Errorf("full page: pageChildWithUpper = child %d, %v", c, err)
 	}
 }
@@ -760,7 +775,7 @@ func FuzzInternalNode(f *testing.F) {
 		copy(data, page)
 		data[0] = nodeInternal // the type byte is not under test
 
-		child, upper, err := pageChildWithUpper(1, data, key)
+		child, upper, err := pageChildWithUpper(1, data, key, nil)
 		n, off, herr := internalHeader(1, data)
 		wchild, wupper, werr := pagefile.InvalidPageID, []byte(nil), herr
 		if herr == nil {

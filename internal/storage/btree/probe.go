@@ -4,8 +4,7 @@ package btree
 // image of the leaf the previous lookup landed on (and that leaf's exclusive
 // upper bound, captured during the descent) plus a finger at the position
 // that lookup answered, and answers keys that land on the same leaf with a
-// search of the image started at the finger, re-descending only when the key
-// jumps outside the covered range.
+// search of the image started at the finger.
 //
 // The query algorithms resolve candidate scores in ascending document order
 // (the merge order of ID- and chunk-ordered lists), so consecutive
@@ -13,16 +12,25 @@ package btree
 // the search gallops forward from the finger, costing O(log gap) rather than
 // a bisection of the whole leaf, and a key behind the finger is bisected as
 // usual.  The cursor never follows leaf sibling pointers — COW mutation
-// leaves them stale — so a leaf-boundary crossing costs one root descent
-// over cached internal pages.
+// leaves them stale — so a key outside the cached leaf means a leaf jump.
 //
-// Contract.  The image is the probe's own copy of the serialized leaf (see
+// A leaf jump is served by the probe's image of the leaf's parent when it
+// can be: the full descent that loaded the leaf also copied the last
+// internal node on its path, with that node's stride, the key range
+// [lo, hi) it covers and a finger at the child it chose.  A jump whose key
+// lies inside that range gallops in the parent image from its finger and
+// fetches only the leaf; any other jump — and every jump when a node on the
+// path is not fixed-width — takes the full root descent, which replaces the
+// parent image.  Either way the leaf reached is the one a descent from the
+// root reaches.
+//
+// Contract.  Both images are the probe's own copies of serialized nodes (see
 // leafImage), taken while the page is pinned for the length of one load: a
 // probe holds no pin between calls, so nothing it does can outlive a query
-// or starve a small pool.  The slice Get returns aliases that image and is
-// valid until the next Get or Reset on the same probe.  The image and the
-// bound buffer are reused across loads and across Reset, so a probe that is
-// kept (the index layer keeps them in its pooled per-query scratch)
+// or starve a small pool.  The slice Get returns aliases the leaf image and
+// is valid until the next Get or Reset on the same probe.  The images and
+// the bound buffers are reused across loads and across Reset, so a probe
+// that is kept (the index layer keeps them in its pooled per-query scratch)
 // allocates nothing per lookup and nothing per leaf jump.
 //
 // A probe from Tree.NewProbe reads the live root each descent and must not
@@ -31,11 +39,12 @@ package btree
 import (
 	"bytes"
 
+	"svrdb/internal/storage/buffer"
 	"svrdb/internal/storage/pagefile"
 )
 
-// Probe caches an image of the most recently visited leaf.  The zero value
-// is unbound: Reset binds it to a view.
+// Probe caches an image of the most recently visited leaf and of its
+// parent.  The zero value is unbound: Reset binds it to a view.
 type Probe struct {
 	t *Tree
 	// root pins the descent root; InvalidPageID means live (re-read the
@@ -54,7 +63,60 @@ type Probe struct {
 	// rootLeaf records that the cached leaf is the root itself, which covers
 	// every key (e.g. a table no update has split yet).
 	rootLeaf bool
+	parent   parentImage
 }
+
+// parentImage is a reader-owned copy of the fixed-width internal node above
+// the cached leaf: its bytes up to the end of the last entry, its stride,
+// the key range [lo, hi) the node covers — an empty bound is unbounded, since
+// separators are never empty — and the child index the last search chose.
+// A descent fills it in (descendFrom's parent out-param) through start,
+// visit and visitWalked.
+type parentImage struct {
+	data   []byte
+	s      stride
+	lo, hi []byte
+	finger int
+	ok     bool
+	// bounded is false for the rest of a descent once a node on its path was
+	// walked: only a stride search yields the lower bound the range needs.
+	bounded bool
+}
+
+// covers reports whether key routes through this node.
+func (pi *parentImage) covers(key []byte) bool {
+	return pi.ok && bytes.Compare(key, pi.lo) >= 0 && (len(pi.hi) == 0 || bytes.Compare(key, pi.hi) < 0)
+}
+
+// start readies the image for a descent from the root, whose range is
+// unbounded.
+func (pi *parentImage) start() {
+	pi.ok, pi.bounded = false, true
+	pi.lo, pi.hi = pi.lo[:0], pi.hi[:0]
+}
+
+// visit takes a fixed-width internal node on the descent's path, copied
+// while its page is pinned, and the child i the descent follows from it.
+// The node's range is the range of the child the previous image chose.
+func (pi *parentImage) visit(data []byte, s stride, i int) {
+	if !pi.bounded {
+		return
+	}
+	if j := pi.finger; pi.ok {
+		if j > 0 {
+			pi.lo = append(pi.lo[:0], pi.s.key(pi.data, j-1)...)
+		}
+		if j < pi.s.n {
+			pi.hi = append(pi.hi[:0], pi.s.key(pi.data, j)...)
+		}
+	}
+	pi.data = append(pi.data[:0], data[:s.end()]...)
+	pi.s, pi.finger, pi.ok = s, i, true
+}
+
+// visitWalked takes an internal node that is not fixed-width: no node at or
+// below it gets an image.
+func (pi *parentImage) visitWalked() { pi.ok, pi.bounded = false, false }
 
 // NewProbe returns a probe over the tree's live state.
 func (t *Tree) NewProbe() *Probe { return &Probe{t: t, root: pagefile.InvalidPageID} }
@@ -66,11 +128,12 @@ func (v View) NewProbe() *Probe {
 	return p
 }
 
-// Reset rebinds the probe to the frozen view, dropping the cached leaf but
-// keeping its buffers.
+// Reset rebinds the probe to the frozen view, dropping the cached leaf and
+// parent but keeping their buffers.
 func (p *Probe) Reset(v View) {
 	p.t, p.root = v.t, v.root
 	p.loaded = false
+	p.parent.ok = false
 }
 
 // Get returns the value stored under key, or (nil, false) when absent.  The
@@ -91,18 +154,12 @@ func (p *Probe) Get(key []byte) ([]byte, bool, error) {
 			return nil, false, nil
 		}
 	}
-	// Restart: descend, and copy the leaf out with its bound.
-	root := p.root
-	if root == pagefile.InvalidPageID {
-		root = p.t.rootID()
-	}
+	// Leaf jump: fetch the leaf, and copy it out with its bound.
 	p.loaded = false
-	p.upper = p.upper[:0]
-	fr, err := p.t.descendFrom(root, key, nil, &p.upper)
+	fr, err := p.fetchLeaf(key)
 	if err != nil {
 		return nil, false, err
 	}
-	p.rootLeaf = fr.ID() == root
 	err = p.leaf.load(fr.ID(), fr.Data())
 	fr.Release()
 	if err != nil {
@@ -115,4 +172,41 @@ func (p *Probe) Get(key []byte) ([]byte, bool, error) {
 		return p.leaf.val(i), true, nil
 	}
 	return nil, false, nil
+}
+
+// fetchLeaf returns the leaf key routes to, pinned, with p.upper and
+// p.rootLeaf set for it: through the parent image when that covers key,
+// else by a full descent.
+func (p *Probe) fetchLeaf(key []byte) (*buffer.Frame, error) {
+	if pi := &p.parent; pi.covers(key) {
+		i := pi.s.child(pi.data, key, pi.finger)
+		fr, err := p.t.pool.Get(pi.s.childID(pi.data, i))
+		if err != nil {
+			return nil, err
+		}
+		// A parent's children are leaves in any well-formed tree; anything
+		// else is left to the full descent to route or refuse.
+		if data := fr.Data(); len(data) > 0 && data[0] == nodeLeaf {
+			pi.finger = i
+			if i < pi.s.n {
+				p.upper = append(p.upper[:0], pi.s.key(pi.data, i)...)
+			} else {
+				p.upper = append(p.upper[:0], pi.hi...)
+			}
+			p.rootLeaf = false
+			return fr, nil
+		}
+		fr.Release()
+	}
+	root := p.root
+	if root == pagefile.InvalidPageID {
+		root = p.t.rootID()
+	}
+	p.upper = p.upper[:0]
+	fr, err := p.t.descendFrom(root, key, nil, &p.upper, &p.parent)
+	if err != nil {
+		return nil, err
+	}
+	p.rootLeaf = fr.ID() == root
+	return fr, nil
 }

@@ -37,7 +37,7 @@ func (v View) Len() int { return int(v.size) }
 // Get returns the value stored under key, or (nil, false) when absent.  The
 // returned value is an independent copy.
 func (v View) Get(key []byte) ([]byte, bool, error) {
-	fr, err := v.t.descendFrom(v.root, key, nil, nil)
+	fr, err := v.t.descendFrom(v.root, key, nil, nil, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -72,7 +72,7 @@ func (v View) AscendRange(start, end []byte, visit Visitor) error {
 	key := start // nil descends to the leftmost leaf
 	for {
 		sc.upper = sc.upper[:0]
-		fr, err := v.t.descendFrom(v.root, key, nil, &sc.upper)
+		fr, err := v.t.descendFrom(v.root, key, nil, &sc.upper, nil)
 		if err != nil {
 			return err
 		}

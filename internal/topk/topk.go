@@ -11,21 +11,51 @@ type Result struct {
 }
 
 // Heap keeps the k highest-scoring documents seen so far.  Ties are broken
-// in favour of the smaller document ID so results are deterministic.  The
-// doc → slot map is maintained incrementally on every heap movement, so Add
-// costs O(log k) even at large k.
+// in favour of the smaller document ID so results are deterministic.  Above
+// mapAboveK a doc → slot map is maintained incrementally on every heap
+// movement, so Add costs O(log k) even at large k; at or below it a document
+// is found by scanning the ≤ k entries, which is cheaper than hashing and
+// spares every query the map.
 type Heap struct {
 	k       int
 	entries []Result
-	seen    map[int64]int // doc -> index in entries
+	seen    map[int64]int // doc -> index in entries; nil at k <= mapAboveK
 }
+
+// mapAboveK is the largest k whose heap finds documents by a linear scan.
+// It is the measured crossover on real queries (BenchmarkFigure8_VaryK at k
+// from 24 to 64, each lookup forced in turn): at k = 24 the scan is as fast
+// or faster for every method, at k = 32 the two are within 6 % either way,
+// and from k = 56 the map wins for Chunk and Score-Threshold while ID is
+// even.  Every offer scans, rejected ones too, so the scan's cost grows with
+// the offers a query makes as well as with k.
+const mapAboveK = 32
 
 // New returns a heap that retains the best k results.  k must be positive.
 func New(k int) *Heap {
 	if k < 1 {
 		k = 1
 	}
+	if k <= mapAboveK {
+		return &Heap{k: k, entries: make([]Result, 0, k)}
+	}
 	return &Heap{k: k, seen: make(map[int64]int, k)}
+}
+
+// find returns doc's index in entries, or -1.
+func (h *Heap) find(doc int64) int {
+	if h.seen != nil {
+		if i, ok := h.seen[doc]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range h.entries {
+		if h.entries[i].Doc == doc {
+			return i
+		}
+	}
+	return -1
 }
 
 // K returns the requested result count.
@@ -59,8 +89,10 @@ func (h *Heap) less(i, j int) bool {
 
 func (h *Heap) swap(i, j int) {
 	h.entries[i], h.entries[j] = h.entries[j], h.entries[i]
-	h.seen[h.entries[i].Doc] = i
-	h.seen[h.entries[j].Doc] = j
+	if h.seen != nil {
+		h.seen[h.entries[i].Doc] = i
+		h.seen[h.entries[j].Doc] = j
+	}
 }
 
 func (h *Heap) up(i int) {
@@ -97,7 +129,7 @@ func (h *Heap) down(i int) {
 // can be encountered through both its short-list and long-list postings).
 // Add reports whether the document is now among the retained results.
 func (h *Heap) Add(doc int64, score float64) bool {
-	if idx, ok := h.seen[doc]; ok {
+	if idx := h.find(doc); idx >= 0 {
 		if score > h.entries[idx].Score {
 			h.entries[idx].Score = score
 			// A higher score moves the entry away from the root.
@@ -108,7 +140,9 @@ func (h *Heap) Add(doc int64, score float64) bool {
 	if len(h.entries) < h.k {
 		h.entries = append(h.entries, Result{Doc: doc, Score: score})
 		i := len(h.entries) - 1
-		h.seen[doc] = i
+		if h.seen != nil {
+			h.seen[doc] = i
+		}
 		h.up(i)
 		return true
 	}
@@ -116,18 +150,17 @@ func (h *Heap) Add(doc int64, score float64) bool {
 	if score < worst.Score || (score == worst.Score && doc > worst.Doc) {
 		return false
 	}
-	delete(h.seen, worst.Doc)
 	h.entries[0] = Result{Doc: doc, Score: score}
-	h.seen[doc] = 0
+	if h.seen != nil {
+		delete(h.seen, worst.Doc)
+		h.seen[doc] = 0
+	}
 	h.down(0)
 	return true
 }
 
 // Contains reports whether doc is currently retained.
-func (h *Heap) Contains(doc int64) bool {
-	_, ok := h.seen[doc]
-	return ok
-}
+func (h *Heap) Contains(doc int64) bool { return h.find(doc) >= 0 }
 
 // Results returns the retained documents ordered by descending score (ties
 // by ascending document ID).  The heap remains usable afterwards.

@@ -138,3 +138,60 @@ func TestAgainstSortOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestRepeatedOffersMatchSortReference checks the heap on both sides of the
+// linear-scan/map boundary against a sort reference — each document's best
+// offer, sorted by (score desc, doc asc), first k — while documents are
+// offered again at lower, equal and higher scores, including after being
+// evicted.
+func TestRepeatedOffersMatchSortReference(t *testing.T) {
+	for _, k := range []int{1, 10, mapAboveK, mapAboveK + 1, 1000} {
+		rng := rand.New(rand.NewSource(int64(k)))
+		for trial := 0; trial < 20; trial++ {
+			h := New(k)
+			best := map[int64]float64{}
+			nDocs := 1 + rng.Intn(3*k)
+			for i := 0; i < 4*nDocs; i++ {
+				doc := int64(rng.Intn(nDocs))
+				score := float64(rng.Intn(50))
+				if prev, ok := best[doc]; ok {
+					score = prev + float64(rng.Intn(3)-1) // lower, equal or higher
+				}
+				h.Add(doc, score)
+				if prev, ok := best[doc]; !ok || score > prev {
+					best[doc] = score
+				}
+			}
+			want := make([]Result, 0, len(best))
+			for doc, score := range best {
+				want = append(want, Result{Doc: doc, Score: score})
+			}
+			sort.Slice(want, func(i, j int) bool {
+				if want[i].Score != want[j].Score {
+					return want[i].Score > want[j].Score
+				}
+				return want[i].Doc < want[j].Doc
+			})
+			want = want[:min(k, len(want))]
+			got := h.Results()
+			if len(got) != len(want) {
+				t.Fatalf("k=%d trial %d: %d results, want %d", k, trial, len(got), len(want))
+			}
+			kept := map[int64]bool{}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("k=%d trial %d: result %d = %+v, want %+v", k, trial, i, got[i], want[i])
+				}
+				kept[want[i].Doc] = true
+			}
+			for doc := range best {
+				if h.Contains(doc) != kept[doc] {
+					t.Fatalf("k=%d trial %d: Contains(%d) = %v, want %v", k, trial, doc, h.Contains(doc), kept[doc])
+				}
+			}
+			if min, full := h.MinScore(); full != (len(want) == k) || full && min != want[k-1].Score {
+				t.Fatalf("k=%d trial %d: MinScore = %g, %v", k, trial, min, full)
+			}
+		}
+	}
+}
