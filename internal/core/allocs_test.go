@@ -8,7 +8,7 @@ import (
 )
 
 // The search allocation budgets cap the heap allocations of one two-term
-// k=10 search on a built Chunk-family index.  What remains is per query, not
+// k=10 search on a built threshold-family index.  What remains is per query, not
 // per candidate: tokenizing, two long-list readers and their decode buffers,
 // two short-list scans, the merger, the heap and the result — and, for
 // Algorithm 3, two fancy-list readers and their merger.  Before the B+-tree
@@ -26,6 +26,11 @@ const (
 	// leaf-locality cursor; with a map per listed document and a copying
 	// descent per pruned one the same search allocated 310 objects.
 	termScoreSearchAllocBudget = 88
+	// scoreThresholdSearchAllocBudget prices the same conjunctive search on a
+	// Score-Threshold index (measured: 58).  Its resolver reads both tables by
+	// full descent, in no document order; when every descent copied the row
+	// it returned onto the heap the search allocated 204 objects.
+	scoreThresholdSearchAllocBudget = 70
 	// raceSearchAllocBudget replaces both under the race detector, where
 	// sync.Pool drops items at random and the pooled query scratch is
 	// sometimes rebuilt: it is the bound the conjunctive search carried
@@ -51,7 +56,7 @@ func TestSearchAllocBudget(t *testing.T) {
 		}
 		return idx
 	}
-	chunk, termScore := create("m", MethodChunk), create("mts", MethodChunkTermScore)
+	chunk, termScore, scoreThreshold := create("m", MethodChunk), create("mts", MethodChunkTermScore), create("mst", MethodScoreThreshold)
 	// Raise every other movie's score so the searches resolve candidates
 	// through a populated ListChunk table and non-empty short lists, not
 	// just the freshly built long lists.
@@ -82,6 +87,7 @@ func TestSearchAllocBudget(t *testing.T) {
 	}{
 		{"conj2 k=10 Chunk", chunk, SearchRequest{Query: "golden gate", K: 10}, searchAllocBudget},
 		{"with_term_scores k=10 Chunk-TermScore", termScore, SearchRequest{Query: "golden gate", K: 10, WithTermScores: true}, termScoreSearchAllocBudget},
+		{"conj2 k=10 Score-Threshold", scoreThreshold, SearchRequest{Query: "golden gate", K: 10}, scoreThresholdSearchAllocBudget},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
 			if st := leg.idx.Stats(); st.ShortListEntries == 0 {

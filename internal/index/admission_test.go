@@ -1,0 +1,112 @@
+package index
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"svrdb/internal/text"
+)
+
+// idfs returns the oracle's own idf of every query term over its live
+// documents.
+func (o *oracle) idfs(terms []string) []float64 {
+	live := 0
+	df := make([]int64, len(terms))
+	for doc := range o.tokens {
+		if o.deleted[doc] {
+			continue
+		}
+		live++
+		for i, term := range terms {
+			if o.contains(doc, term) {
+				df[i]++
+			}
+		}
+	}
+	out := make([]float64, len(terms))
+	for i := range terms {
+		out[i] = text.IDF(text.CollectionStats{NumDocs: int64(live)}, df[i])
+	}
+	return out
+}
+
+// TestAdmissionCutIsExact is the exactness oracle for the Chunk orders'
+// admission cut, which drops a candidate the result heap would not admit
+// before consulting the ListChunk table.  Algorithms 2 and 3, conjunctive
+// and disjunctive, are compared as (doc, score) pairs against a brute-force
+// ranking under the heap's tie rule, so a cut at the wrong score (Algorithm 3
+// cutting on the SVR score alone, not the combined score it ranks by) or at
+// the wrong tie (an equal score with a smaller document ID must still
+// displace the weakest result) shows as a wrong document even where every
+// score agrees.  The corpus is shaped for that: few distinct scores and few
+// distinct contents, so scores and combined scores tie often; most documents
+// match the query terms, so k fills early and the cut decides most
+// candidates; and the updates lift documents two chunks and more, leaving
+// stale long-list copies in the scan, move them within a chunk, so equal
+// scores arrive out of document order, and drop them.
+func TestAdmissionCutIsExact(t *testing.T) {
+	contents := []string{"ant bee", "ant bee cat", "ant cat", "bee cat dog", "ant", "ant bee cat dog", "ant ant bee", "cat dog"}
+	rng := rand.New(rand.NewSource(30))
+	corpus := newTestCorpus()
+	const nDocs, maxScore = 500, 40
+	for i := 1; i <= nDocs; i++ {
+		corpus.add(DocID(i), float64(1+rng.Intn(maxScore)), contents[rng.Intn(len(contents))])
+	}
+	queries := [][]string{{"ant"}, {"ant", "bee"}, {"bee", "cat"}, {"cat", "ant", "dog"}}
+	for _, name := range []string{"Chunk", "Chunk-TermScore"} {
+		t.Run(name, func(t *testing.T) {
+			m := buildMethod(t, name, allConstructors()[name], corpus)
+			o := newOracle(corpus)
+			rng := rand.New(rand.NewSource(31))
+			queried, full := 0, 0
+			for round := 0; round < 8; round++ {
+				for u := 0; u < 60; u++ {
+					doc := DocID(1 + rng.Intn(nDocs))
+					// Mostly within the build's score range; now and then above
+					// it, into the open top chunk.
+					score := float64(1 + rng.Intn(maxScore+maxScore/4))
+					if err := updateScore(m, doc, score); err != nil {
+						t.Fatal(err)
+					}
+					o.scores[doc] = score
+				}
+				for _, terms := range queries {
+					for _, k := range []int{1, 3, 10, 40} {
+						for _, disjunctive := range []bool{false, true} {
+							for _, combined := range []bool{false, true} {
+								if combined && name != "Chunk-TermScore" {
+									continue
+								}
+								q := Query{Terms: terms, K: k, Disjunctive: disjunctive, WithTermScores: combined}
+								var idfs []float64
+								if combined {
+									idfs = o.idfs(terms)
+								}
+								res, err := m.TopK(q)
+								if err != nil {
+									t.Fatal(err)
+								}
+								want := o.rankedPairs(terms, k, disjunctive, idfs)
+								if !slices.Equal(res.Results, want) {
+									t.Fatalf("round %d %+v:\n got %v\nwant %v", round, q, res.Results, want)
+								}
+								queried++
+								if len(want) == k {
+									full++
+								}
+							}
+						}
+					}
+				}
+			}
+			if st := m.Stats(); st.ShortListPostingsWritten == 0 {
+				t.Fatal("no update lifted a document two chunks: no stale long-list copy was scanned")
+			}
+			if full < queried*3/4 {
+				t.Fatalf("only %d of %d queries filled k: the cut was rarely exercised", full, queried)
+			}
+			t.Logf("%d queries, %d with a full heap", queried, full)
+		})
+	}
+}

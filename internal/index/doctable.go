@@ -76,10 +76,12 @@ type docView struct {
 	len     int
 }
 
-// Get returns the row of doc in the view, if any.
+// Get returns the row of doc in the view, if any.  The row is copied out of
+// the page into a stack buffer, so a lookup allocates nothing.
 func (v docView) Get(doc DocID) (docRow, bool, error) {
 	key := docKey(doc)
-	return decodeLookup(v.view.Get(key[:]))
+	var buf [rowBytes]byte
+	return decodeLookup(v.view.Get(buf[:0], key[:]))
 }
 
 // Len reports the row count at capture time.
@@ -96,7 +98,10 @@ func docKey(doc DocID) (key [8]byte) {
 	return key
 }
 
-// docItem encodes one row as the tree stores it: always 9 value bytes.
+// rowBytes is the width of every stored row: an 8-byte float and a flag byte.
+const rowBytes = 9
+
+// docItem encodes one row as the tree stores it: always rowBytes value bytes.
 func docItem(doc DocID, r docRow) btree.Item {
 	key := docKey(doc)
 	val := codec.PutFloat64(nil, r.val)

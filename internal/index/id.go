@@ -5,7 +5,6 @@ import (
 
 	"svrdb/internal/postings"
 	"svrdb/internal/storage/blob"
-	"svrdb/internal/topk"
 )
 
 // idMethod implements the ID method of §4.2.1 and, when built with term
@@ -82,21 +81,17 @@ func (m *idMethod) buildLists(bc *builtCorpus) error {
 	return nil
 }
 
-// resolveCurrent is the ID method's candidate resolver: the current-score
-// lookup.  Candidates arrive in ascending document order, so the lookups run
-// through the query's probe, which reuses the leaf of the previous one.
+// resolveCurrent is the ID family's candidate resolver: the current-score
+// lookup, offered as is or, for a combined query, with the per-term TF-IDF
+// contributions added (ctx.idfs is aligned with the query terms).
+// Candidates arrive in ascending document order, so the lookups run through
+// the query's probe, which reuses the leaf of the previous one.
 func resolveCurrent(ctx *queryCtx, g *postings.Group) (float64, bool, error) {
-	return rowScore(ctx.score.Get(g.Doc))
-}
-
-// resolveCombined adds the per-term TFIDF contributions for a query that
-// asks for combined ranking; ctx.idfs is aligned with the query terms.
-func resolveCombined(ctx *queryCtx, g *postings.Group) (float64, bool, error) {
 	svr, live, err := rowScore(ctx.score.Get(g.Doc))
 	if err != nil || !live {
 		return 0, false, err
 	}
-	return combinedScore(svr, g, ctx.idfs), true, nil
+	return ctx.offer(g, svr), true, nil
 }
 
 // TopK implements Method.
@@ -114,17 +109,13 @@ func (m *idMethod) TopK(q Query) (*QueryResult, error) {
 	}
 	defer guard.Leave()
 
-	ctx := newQueryCtx(s)
+	ctx := newQueryCtx(s, &q)
 	defer ctx.release()
-	var resolve resolveFunc = resolveCurrent
-	if q.WithTermScores {
-		resolve = resolveCombined
-	}
 
 	// Multi-term conjunctive queries with no auxiliary postings intersect
 	// via leapfrog seeks instead of scanning every list end to end.
 	if !q.Disjunctive && len(q.Terms) > 1 && s.lists.Len() == 0 {
-		return m.leapfrogTopK(s, ctx, q, resolve)
+		return m.leapfrogTopK(s, ctx, q)
 	}
 
 	for i, term := range q.Terms {
@@ -137,10 +128,9 @@ func (m *idMethod) TopK(q Query) (*QueryResult, error) {
 	}
 
 	return m.runRanked(ctx, rankedQuery{
-		k:           q.K,
 		conjunctive: !q.Disjunctive,
 		maxPossible: neverStop,
-		resolve:     resolve,
+		resolve:     resolveCurrent,
 	})
 }
 
@@ -164,7 +154,7 @@ func (m *idMethod) openSeeker(r *blob.Reader) (docSeeker, error) {
 // and only documents all streams agree on are resolved.  SeekDoc proves
 // via skip headers that a super-block holds no document >= the target, so
 // sparse intersections skip most of every list's pages.
-func (m *idMethod) leapfrogTopK(s *snap, ctx *queryCtx, q Query, resolve resolveFunc) (*QueryResult, error) {
+func (m *idMethod) leapfrogTopK(s *snap, ctx *queryCtx, q Query) (*QueryResult, error) {
 	seekers := make([]docSeeker, 0, len(q.Terms))
 	for i, term := range q.Terms {
 		ref, ok := s.longRefs[term]
@@ -214,7 +204,7 @@ func (m *idMethod) leapfrogTopK(s *snap, ctx *queryCtx, q Query, resolve resolve
 	}
 
 	m.counters.queries.Add(1)
-	heap := topk.New(q.K)
+	heap := &ctx.heap
 	res := &QueryResult{}
 	group := &postings.Group{
 		Entries: make([]postings.Entry, len(seekers)),
@@ -253,7 +243,7 @@ loop:
 		}
 		group.Doc = target
 		copy(group.Entries, heads)
-		score, include, err := resolve(ctx, group)
+		score, include, err := resolveCurrent(ctx, group)
 		if err != nil {
 			return nil, err
 		}

@@ -1,11 +1,12 @@
 package index
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,60 +94,51 @@ func (o *oracle) contains(doc DocID, term string) bool {
 
 // topK computes the expected result scores for a query (SVR-only ranking).
 func (o *oracle) topK(terms []string, k int, disjunctive bool) []float64 {
-	var scores []float64
-	for doc := range o.tokens {
-		if o.deleted[doc] {
-			continue
-		}
-		match := 0
-		for _, t := range terms {
-			if o.contains(doc, t) {
-				match++
-			}
-		}
-		ok := match == len(terms)
-		if disjunctive {
-			ok = match > 0
-		}
-		if ok {
-			scores = append(scores, o.scores[doc])
-		}
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
-	if len(scores) > k {
-		scores = scores[:k]
-	}
-	return scores
+	return resultScores(o.rankedPairs(terms, k, disjunctive, nil))
 }
 
 // topKCombined computes expected combined SVR+term scores.
 func (o *oracle) topKCombined(terms []string, idfs map[string]float64, k int, disjunctive bool) []float64 {
-	var scores []float64
+	idf := make([]float64, len(terms))
+	for i, t := range terms {
+		idf[i] = idfs[t]
+	}
+	return resultScores(o.rankedPairs(terms, k, disjunctive, idf))
+}
+
+// rankedPairs is the brute-force answer to a query as (doc, score) pairs
+// under the result heap's tie rule: every live document matching terms,
+// scored by its SVR score or, when idfs is non-nil, by svr + Σ TFIDF over the
+// query terms it holds, added in query-term order as the index adds them;
+// sorted by score descending, then document ascending; the first k.
+func (o *oracle) rankedPairs(terms []string, k int, disjunctive bool, idfs []float64) []Result {
+	var out []Result
 	for doc := range o.tokens {
 		if o.deleted[doc] {
 			continue
 		}
-		match := 0
-		combined := o.scores[doc]
-		for _, t := range terms {
-			if o.contains(doc, t) {
-				match++
-				combined += text.TFIDF(o.weights[doc][t], idfs[t])
+		match, score := 0, o.scores[doc]
+		for i, term := range terms {
+			w, ok := o.weights[doc][term]
+			if !ok {
+				continue
+			}
+			match++
+			if idfs != nil {
+				score += text.TFIDF(w, idfs[i])
 			}
 		}
-		ok := match == len(terms)
-		if disjunctive {
-			ok = match > 0
-		}
-		if ok {
-			scores = append(scores, combined)
+		if match == len(terms) || disjunctive && match > 0 {
+			out = append(out, Result{Doc: int64(doc), Score: score})
 		}
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
-	if len(scores) > k {
-		scores = scores[:k]
-	}
-	return scores
+	slices.SortFunc(out, func(a, b Result) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Doc, b.Doc)
+	})
+	return out[:min(k, len(out))]
 }
 
 func newTestConfig(tb testing.TB) Config {
@@ -349,6 +341,51 @@ func TestUnknownDocumentUpdate(t *testing.T) {
 	}
 }
 
+// TestDeleteUncountsTerms checks that a delete takes the document out of its
+// terms' document frequencies on every kind, for a built document (content
+// from the source) and an inserted one (content from the insert): TermStats
+// then reports, for each of the deleted document's terms, the number of live
+// documents that hold it, and the live document count.
+func TestDeleteUncountsTerms(t *testing.T) {
+	for name, ctor := range allConstructors() {
+		corpus := smallCorpus()
+		m := buildMethod(t, name, ctor, corpus)
+		o := newOracle(corpus)
+		inserted := strings.Fields("golden ferry news")
+		if err := insertDocument(m, 50, inserted, 700); err != nil {
+			t.Fatal(err)
+		}
+		o.setTokens(50, inserted)
+		for _, doc := range []DocID{3, 50} {
+			terms := text.DistinctTerms(o.tokens[doc])
+			if err := deleteDocument(m, doc); err != nil {
+				t.Fatalf("%s: delete %d: %v", name, doc, err)
+			}
+			o.deleted[doc] = true
+			numDocs, df, err := m.TermStats(terms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := 0
+			want := make([]int64, len(terms))
+			for d := range o.tokens {
+				if o.deleted[d] {
+					continue
+				}
+				live++
+				for i, term := range terms {
+					if o.contains(d, term) {
+						want[i]++
+					}
+				}
+			}
+			if numDocs != int64(live) || !reflect.DeepEqual(df, want) {
+				t.Errorf("%s: after deleting %d: %d docs, df(%v) = %v; want %d docs, df %v", name, doc, numDocs, terms, df, live, want)
+			}
+		}
+	}
+}
+
 // failingSource serves builds but fails every Tokens call, like a relation
 // whose row store went away.
 type failingSource struct {
@@ -404,16 +441,27 @@ func TestDocTokensSourceFailure(t *testing.T) {
 }
 
 // TestScoreLookupsCountProbes pins QueryResult.ScoreLookups to the Score-table
-// probes the query made.  After one threshold-crossing update of document 1,
-// a single-term query visiting all six "golden" documents probes once per
-// candidate on the kinds whose lists carry no score (the stale long-list copy
-// of document 1 is skipped unprobed), once in total on Score-Threshold (only
-// the updated document's stored score is stale) and never on Score.
+// probes the query made.  Document 1 (87.13, in chunk 2 of smallCorpus's
+// four) is lifted to 5000, two chunks up, so its postings are rewritten into
+// the short lists and its stale long-list copy stays in the scan.  A
+// single-term query visiting all six "golden" documents then probes once per
+// posting on the kinds whose lists carry no score — on the Chunk orders the
+// stale copy too, since they read a candidate's Score before its ListChunk
+// row — once in total on Score-Threshold (only the updated document's stored
+// score is stale, and its ListScore row, read first, tells its stale copy
+// apart) and never on Score.
+//
+// The Chunk orders' ListChunk probes are pinned beside them, after document 1
+// falls back to 20 (chunk 1, so no rewrite: its short copy stays at chunk 4
+// and its long copy at chunk 2 is stale).  At k = 3 the heap is full after
+// chunk 3 with a minimum of 640, so the stale copy costs one Score probe and
+// no ListChunk probe; at k = 2 the two chunk-3 candidates are cut the same
+// way and the scan stops before the stale copy.
 func TestScoreLookupsCountProbes(t *testing.T) {
-	want := map[string]int{"ID": 6, "ID-TermScore": 6, "Score": 0, "Score-Threshold": 1, "Chunk": 6, "Chunk-TermScore": 6}
+	want := map[string]int{"ID": 6, "ID-TermScore": 6, "Score": 0, "Score-Threshold": 1, "Chunk": 7, "Chunk-TermScore": 7}
 	for name, ctor := range allConstructors() {
 		m := buildMethod(t, name, ctor, smallCorpus())
-		if err := updateScore(m, 1, 500); err != nil {
+		if err := updateScore(m, 1, 5000); err != nil {
 			t.Fatal(err)
 		}
 		res, err := m.TopK(Query{Terms: []string{"golden"}, K: 10})
@@ -422,6 +470,32 @@ func TestScoreLookupsCountProbes(t *testing.T) {
 		}
 		if len(res.Results) != 6 || res.ScoreLookups != want[name] {
 			t.Errorf("%s: %d results with %d score lookups, want 6 with %d", name, len(res.Results), res.ScoreLookups, want[name])
+		}
+		tm, ok := m.(*thresholdMethod)
+		if !ok || name == "Score-Threshold" {
+			continue
+		}
+		if err := updateScore(m, 1, 20); err != nil {
+			t.Fatal(err)
+		}
+		for _, leg := range []struct{ k, scoreProbes, listProbes int }{{3, 6, 5}, {2, 5, 3}} {
+			q := Query{Terms: []string{"golden"}, K: leg.k}
+			s, guard, err := tm.acquire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := newQueryCtx(s, &q)
+			res, err := tm.topK(ctx, q)
+			listProbes := ctx.list.lookups
+			ctx.release()
+			guard.Leave()
+			if err != nil {
+				t.Fatalf("%s: k=%d: %v", name, leg.k, err)
+			}
+			if len(res.Results) != leg.k || res.ScoreLookups != leg.scoreProbes || listProbes != leg.listProbes {
+				t.Errorf("%s: k=%d: %d results, %d Score and %d ListChunk probes, want %d, %d and %d",
+					name, leg.k, len(res.Results), res.ScoreLookups, listProbes, leg.k, leg.scoreProbes, leg.listProbes)
+			}
 		}
 	}
 }

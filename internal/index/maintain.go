@@ -127,8 +127,9 @@ func (b *base) applyInsert(doc DocID, tokens []string, score float64) error {
 }
 
 // applyDelete is Appendix A.2's delete: the Score table keeps a deleted
-// marker, which is what queries filter on, and the document's short-list
-// postings are purged so that a reused ID is safe.
+// marker, which is what queries filter on, the document's short-list
+// postings are purged so that a reused ID is safe, and its terms' document
+// frequencies drop, so that TF-IDF and TermStats count live documents only.
 func (b *base) applyDelete(doc DocID) error {
 	row, err := b.liveRow(doc)
 	if err != nil {
@@ -136,14 +137,18 @@ func (b *base) applyDelete(doc DocID) error {
 	}
 	b.dictChanged()
 	b.score.Put(doc, docRow{val: row.val, flag: true})
-	// Without content there is nothing to purge by; the deleted marker alone
-	// keeps the document out of every result.
+	// Without content there is nothing to purge by, and the document's terms
+	// cannot be uncounted: their df keeps counting it.  The deleted marker
+	// alone keeps it out of every result.  With content, df drops here — the
+	// liveness check above makes a delete run at most once per document.
 	if tokens, err := b.docTokens(doc); err == nil {
-		for _, term := range text.DistinctTerms(tokens) {
+		terms := text.DistinctTerms(tokens)
+		for _, term := range terms {
 			if err := b.lists.DeleteAllForDoc(term, doc); err != nil {
 				return err
 			}
 		}
+		b.dict.RemoveDocumentTerms(terms)
 	}
 	if b.table != nil {
 		// Leave an entry pointing at the long-list copy so that the query

@@ -12,10 +12,11 @@ import (
 )
 
 // queryCtx is the per-query scratch a TopK call assembles its pipeline in:
-// the snapshot it evaluates against, the per-term stream slice, the
-// IDF/epsilon arrays and the remainList of the TermScore algorithm, and the
-// Score-table and ListScore/ListChunk-table probes with the leaf images they
-// read through.
+// the snapshot it evaluates against, the result heap, the per-term stream
+// slice, the IDF/epsilon arrays and the remainList of the TermScore
+// algorithm, and the Score-table and ListScore/ListChunk-table probes with
+// the leaf images they read through.  A resolver reads the heap to skip the
+// work of deciding a candidate the heap would not admit anyway.
 // The Score probe is also where the query's Score-table lookups are counted
 // (QueryResult.ScoreLookups): every score a query reads, it reads through
 // ctx.score or, when Algorithm 3 prunes its remainList, through
@@ -26,7 +27,12 @@ import (
 // only after the query is fully evaluated (the group merger reads the
 // streams it references, the resolvers its probes).
 type queryCtx struct {
-	snap     *snap
+	snap *snap
+	// heap is held by value, so a query's heap allocates only its entries.
+	heap topk.Heap
+	// combined marks a combined SVR + term-score query: candidates are
+	// offered to the heap at their combined score (see offer).
+	combined bool
 	streams  []postings.BatchIterator
 	idfs     []float64
 	epsilons []float64
@@ -42,11 +48,13 @@ type queryCtx struct {
 
 var queryCtxPool = sync.Pool{New: func() any { return &queryCtx{} }}
 
-// newQueryCtx returns an empty context whose probes read the snapshot's
-// tables.
-func newQueryCtx(s *snap) *queryCtx {
+// newQueryCtx returns an empty context for q whose probes read the
+// snapshot's tables.
+func newQueryCtx(s *snap, q *Query) *queryCtx {
 	c := queryCtxPool.Get().(*queryCtx)
 	c.snap = s
+	c.heap = *topk.New(q.K)
+	c.combined = q.WithTermScores
 	c.streams = c.streams[:0]
 	c.idfs = c.idfs[:0]
 	c.epsilons = c.epsilons[:0]
@@ -72,7 +80,7 @@ func (c *queryCtx) release() {
 	}
 	// Likewise the snapshot and the probes: a pooled context must not keep an
 	// index alive.
-	c.snap = nil
+	c.snap, c.heap = nil, topk.Heap{}
 	c.score.bind(docView{})
 	c.list.bind(docView{})
 	c.scoreAside.Reset(btree.View{})
@@ -96,19 +104,20 @@ func (c *queryCtx) release() {
 //     disables early termination and forces a full scan, exactly as §4.2.1
 //     describes.
 //
-//   - resolve(ctx, group) produces the candidate's current score and decides
-//     whether this particular appearance of the document should be counted
-//     (the "is it from the short list / is it superseded" logic of
-//     Algorithm 2 lines 12-21).
+//   - resolve(ctx, group) produces the score the candidate is offered to the
+//     heap at and decides whether this particular appearance of the document
+//     should be counted (the "is it from the short list / is it superseded"
+//     logic of Algorithm 2 lines 12-21).
 type rankedQuery struct {
-	k           int
 	conjunctive bool
 	maxPossible func(ctx *queryCtx, sortKey float64) float64
 	resolve     resolveFunc
 }
 
-// resolveFunc resolves one candidate: its current score, and whether this
-// appearance of the document counts.
+// resolveFunc resolves one candidate: the score it is offered to ctx.heap at
+// (ctx.offer of its current SVR score), and whether this appearance of the
+// document counts.  A resolver may drop, with include=false, any candidate
+// whose offer ctx.heap does not admit: Add would reject it anyway.
 type resolveFunc func(ctx *queryCtx, g *postings.Group) (score float64, include bool, err error)
 
 // runRanked executes the query over ctx.streams and returns the ranked
@@ -118,7 +127,7 @@ type resolveFunc func(ctx *queryCtx, g *postings.Group) (score float64, include 
 // per-posting allocation.
 func (b *base) runRanked(ctx *queryCtx, q rankedQuery) (*QueryResult, error) {
 	b.counters.queries.Add(1)
-	heap := topk.New(q.k)
+	heap := &ctx.heap
 	merger := postings.NewGroupMerger(ctx.streams...)
 	defer merger.Close()
 	res := &QueryResult{}
@@ -163,12 +172,19 @@ func (b *base) runRanked(ctx *queryCtx, q rankedQuery) (*QueryResult, error) {
 	return res, nil
 }
 
-// combinedScore is the ranking function of §4.3.3 for one candidate:
+// offer is the score candidate g is ranked by, given its current SVR score:
+// svr itself, or, for a combined query, the ranking function of §4.3.3,
 // F(d) = svr(d) + Σ_i termScore_i(d) over the query terms the group holds.
-func combinedScore(svr float64, g *postings.Group, idfs []float64) float64 {
+// A resolver that cuts a candidate at the heap's admission bar computes the
+// offer here and returns it for the Add, so the cut and the Add can never
+// rank the candidate by different scores.
+func (c *queryCtx) offer(g *postings.Group, svr float64) float64 {
+	if !c.combined {
+		return svr
+	}
 	for i, present := range g.Present {
 		if present {
-			svr += text.TFIDF(g.Entries[i].TermScore, idfs[i])
+			svr += text.TFIDF(g.Entries[i].TermScore, c.idfs[i])
 		}
 	}
 	return svr

@@ -132,13 +132,12 @@ func (m *scoreMethod) TopK(q Query) (*QueryResult, error) {
 		return nil, err
 	}
 	defer guard.Leave()
-	ctx := newQueryCtx(s)
+	ctx := newQueryCtx(s, &q)
 	defer ctx.release()
 	for _, term := range q.Terms {
 		ctx.streams = append(ctx.streams, s.lists.Cursor(term, false))
 	}
 	return m.runRanked(ctx, rankedQuery{
-		k:           q.K,
 		conjunctive: !q.Disjunctive,
 		maxPossible: func(_ *queryCtx, sortKey float64) float64 { return sortKey },
 		resolve: func(_ *queryCtx, g *postings.Group) (float64, bool, error) {

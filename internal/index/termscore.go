@@ -8,7 +8,6 @@ import (
 	"svrdb/internal/postings"
 	"svrdb/internal/storage/blob"
 	"svrdb/internal/text"
-	"svrdb/internal/topk"
 )
 
 // This file is the term-score side of the threshold family (§4.3.3): the
@@ -67,7 +66,7 @@ func (m *thresholdMethod) topKTermScores(s *snap, ctx *queryCtx, q Query) (*Quer
 		epsilonSum += e
 	}
 
-	heap := topk.New(q.K)
+	heap := &ctx.heap
 	res := &QueryResult{}
 	// Fancy lists and chunked lists both yield candidates in ascending
 	// document order (per chunk), so their score resolution runs through
@@ -113,7 +112,7 @@ func (m *thresholdMethod) topKTermScores(s *snap, ctx *queryCtx, q Query) (*Quer
 				return nil, err
 			}
 			if live {
-				heap.Add(int64(g.Doc), combinedScore(svr, g, idfs))
+				heap.Add(int64(g.Doc), ctx.offer(g, svr))
 			}
 			continue
 		}
@@ -194,12 +193,13 @@ func (m *thresholdMethod) topKTermScores(s *snap, ctx *queryCtx, q Query) (*Quer
 		if !matches {
 			continue
 		}
-		svr, include, err := m.order.resolve(ctx, g)
+		// The resolver returns the combined score it cut the candidate at.
+		score, include, err := m.order.resolve(ctx, g)
 		if err != nil {
 			return nil, err
 		}
 		if include {
-			heap.Add(int64(g.Doc), combinedScore(svr, g, idfs))
+			heap.Add(int64(g.Doc), score)
 		}
 	}
 

@@ -51,10 +51,19 @@ type listOrder struct {
 	// stream opens a long list written by encode.
 	stream func(s *snap, r *blob.Reader) (postings.BatchIterator, error)
 	// resolve is lines 12-21 of Algorithm 2: decide which copy of the
-	// candidate is authoritative and fetch its latest score.  It stays per
-	// order by measurement: candidates of a score-ordered list arrive in no
-	// document order, so full descents beat the leaf-locality probes a
-	// chunk's ascending documents reward.
+	// candidate is authoritative and fetch its latest score.  The order of
+	// the two table reads is per list order.  Score-Threshold reads its
+	// ListScore table first: a never-updated document's long-list posting
+	// carries its latest score, so it needs no Score lookup.  The Chunk
+	// orders read the Score table first and cut the candidate's offer
+	// (ctx.offer of the score) at the heap's admission bar; only an admitted
+	// one is checked against the ListChunk table.  The cut is exact: that check can only drop a
+	// candidate (a stale long-list copy), and one the heap would not admit is
+	// dropped by Add either way, so the heap takes the same Adds in the same
+	// order and its minimum, the stopping rule and the results are unchanged.
+	// The reads stay per order by measurement too: candidates of a
+	// score-ordered list arrive in no document order, so full descents beat
+	// the leaf-locality probes a chunk's ascending documents reward.
 	resolve resolveFunc
 	// termScores reports that postings carry term weights: the kind keeps
 	// fancy lists and answers combined SVR + term-score queries
@@ -159,8 +168,18 @@ func chunkOrder(b *base, termScores bool) listOrder {
 		},
 		// Within a chunk the candidates arrive in ascending document order, so
 		// both tables are walked left to right through the query context's
-		// leaf-locality probes instead of descended per candidate.
+		// leaf-locality probes instead of descended per candidate.  Score
+		// first, ListChunk only for a candidate the heap admits (see
+		// listOrder.resolve).
 		resolve: func(ctx *queryCtx, g *postings.Group) (float64, bool, error) {
+			svr, live, err := rowScore(ctx.score.Get(g.Doc))
+			if err != nil || !live {
+				return 0, false, err
+			}
+			offer := ctx.offer(g, svr)
+			if !ctx.heap.Admits(int64(g.Doc), offer) {
+				return 0, false, nil
+			}
 			entry, exists, err := ctx.list.Get(g.Doc)
 			if err != nil {
 				return 0, false, err
@@ -169,7 +188,7 @@ func chunkOrder(b *base, termScores bool) listOrder {
 				// Stale long-list copy; the short copy is processed instead.
 				return 0, false, nil
 			}
-			return rowScore(ctx.score.Get(g.Doc))
+			return offer, true, nil
 		},
 	}
 }
@@ -264,16 +283,20 @@ func (m *thresholdMethod) TopK(q Query) (*QueryResult, error) {
 		return nil, err
 	}
 	defer guard.Leave()
-	ctx := newQueryCtx(s)
+	ctx := newQueryCtx(s, &q)
 	defer ctx.release()
+	return m.topK(ctx, q)
+}
+
+// topK evaluates a validated query in a context bound to a pinned snapshot.
+func (m *thresholdMethod) topK(ctx *queryCtx, q Query) (*QueryResult, error) {
 	if q.WithTermScores {
-		return m.topKTermScores(s, ctx, q)
+		return m.topKTermScores(ctx.snap, ctx, q)
 	}
-	if err := m.listStreams(s, ctx, q.Terms); err != nil {
+	if err := m.listStreams(ctx.snap, ctx, q.Terms); err != nil {
 		return nil, err
 	}
 	return m.runRanked(ctx, rankedQuery{
-		k:           q.K,
 		conjunctive: !q.Disjunctive,
 		maxPossible: m.order.maxPossible,
 		resolve:     m.order.resolve,

@@ -84,7 +84,7 @@ func TestCOWSealedViewSurvivesMutation(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i += 37 {
-		val, ok, err := v1.Get(cowKey(i))
+		val, ok, err := v1.Get(nil, cowKey(i))
 		if err != nil || !ok {
 			t.Fatalf("view Get(%d) = %v, %v", i, ok, err)
 		}
@@ -92,7 +92,7 @@ func TestCOWSealedViewSurvivesMutation(t *testing.T) {
 			t.Fatalf("view Get(%d) = %q, want generation 0", i, val)
 		}
 	}
-	if _, ok, _ := v1.Get(cowKey(n + 10)); ok {
+	if _, ok, _ := v1.Get(nil, cowKey(n+10)); ok {
 		t.Fatal("sealed view sees a key inserted after Seal")
 	}
 

@@ -116,13 +116,17 @@ func checkReaders(t *testing.T, v View, stored map[string]string, probeKeys [][]
 	check := func(p *Probe, key []byte) {
 		t.Helper()
 		pv, pok, perr := p.Get(key)
-		gv, gok, gerr := v.Get(key)
+		gv, gok, gerr := v.Get(nil, key)
 		rv, rok, rerr := refGet(v, key)
 		if perr != nil || gerr != nil || rerr != nil {
 			t.Fatalf("Get(%q) errors: probe %v, view %v, reference %v", key, perr, gerr, rerr)
 		}
 		if pok != gok || pok != rok || !bytes.Equal(pv, gv) || !bytes.Equal(pv, rv) {
 			t.Fatalf("Get(%q): probe (%q,%v), view (%q,%v), reference (%q,%v)", key, pv, pok, gv, gok, rv, rok)
+		}
+		// View.Get appends to the caller's buffer and leaves what it held.
+		if av, _, _ := v.Get([]byte("held"), key); string(av) != "held"+string(gv) {
+			t.Fatalf("Get(%q) into a buffer holding %q = %q, want %q", key, "held", av, "held"+string(gv))
 		}
 		if want, has := stored[string(key)]; has != pok || (has && want != string(pv)) {
 			t.Fatalf("Get(%q) = (%q,%v), stored (%q,%v)", key, pv, pok, want, has)

@@ -184,7 +184,7 @@ func TestProbeParentImage(t *testing.T) {
 				pv, pok, perr := probe.Get(key)
 				after := pool.Stats()
 				accesses[after.Hits+after.Misses-before.Hits-before.Misses]++
-				gv, gok, gerr := v.Get(key)
+				gv, gok, gerr := v.Get(nil, key)
 				if perr != nil || gerr != nil || pok != gok || !bytes.Equal(pv, gv) {
 					t.Fatalf("Get(%x): probe (%x,%v,%v), view (%x,%v,%v)", key, pv, pok, perr, gv, gok, gerr)
 				}
@@ -217,7 +217,7 @@ func TestProbeResetDropsParent(t *testing.T) {
 		probe.Reset(v)
 		for _, key := range probeWalk(t, v, v.Len(), rng)[:500] {
 			pv, pok, perr := probe.Get(key)
-			gv, gok, gerr := v.Get(key)
+			gv, gok, gerr := v.Get(nil, key)
 			if perr != nil || gerr != nil || pok != gok || !bytes.Equal(pv, gv) {
 				t.Fatalf("round %d Get(%x): probe (%x,%v,%v), view (%x,%v,%v)", round, key, pv, pok, perr, gv, gok, gerr)
 			}

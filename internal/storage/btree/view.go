@@ -34,19 +34,21 @@ func (v View) Root() pagefile.PageID { return v.root }
 // Len reports the number of keys at capture time.
 func (v View) Len() int { return int(v.size) }
 
-// Get returns the value stored under key, or (nil, false) when absent.  The
-// returned value is an independent copy.
-func (v View) Get(key []byte) ([]byte, bool, error) {
+// Get appends the value stored under key to dst and returns the result, or
+// (dst, false) when absent.  The value is copied out of the page before it is
+// released, so a caller that passes a buffer with room for it — a fixed-width
+// table's stack array — looks a key up without allocating.
+func (v View) Get(dst, key []byte) ([]byte, bool, error) {
 	fr, err := v.t.descendFrom(v.root, key, nil, nil, nil)
 	if err != nil {
-		return nil, false, err
+		return dst, false, err
 	}
 	val, ok, err := pageLeafLookup(fr.ID(), fr.Data(), key)
 	if ok {
-		val = append([]byte(nil), val...)
+		dst = append(dst, val...)
 	}
 	fr.Release()
-	return val, ok, err
+	return dst, ok, err
 }
 
 // scanner is the scratch of one range scan: the image of the leaf being

@@ -6,6 +6,13 @@
 // and through a doc → slot map only above that (the router's merge at large
 // k, Figure 8's k = 1000).
 //
+// Heap.Admits is the heap's one admission rule, which Add itself applies: an
+// offer is admitted while the heap is not full, or when it beats the weakest
+// retained result (a higher score, or an equal score and a smaller document
+// ID).  An offer it refuses cannot change the results, so a query may drop
+// the candidate before paying for the rest of its resolution — the Chunk
+// orders skip their ListChunk probe that way.
+//
 // See ARCHITECTURE.md for the layer map — where this package sits in the
 // stack — and for the repo-wide concurrency contract.
 package topk

@@ -124,6 +124,21 @@ func (h *Heap) down(i int) {
 	}
 }
 
+// Admits reports whether an offer of doc at score could change the retained
+// results: the heap is not full, or the offer beats the weakest retained
+// result (a higher score, or an equal score and a smaller document ID).  When
+// Admits is false, Add(doc, score) changes nothing — also for a document
+// already held, whose retained score is then at least score — so a caller
+// may drop the offer, and skip whatever work deciding it would take, without
+// changing the answer.
+func (h *Heap) Admits(doc int64, score float64) bool {
+	if !h.Full() {
+		return true
+	}
+	worst := h.entries[0]
+	return score > worst.Score || (score == worst.Score && doc < worst.Doc)
+}
+
 // Add offers a document with its current score.  If the document is already
 // present its score is updated to the maximum of the two offers (a document
 // can be encountered through both its short-list and long-list postings).
@@ -146,10 +161,10 @@ func (h *Heap) Add(doc int64, score float64) bool {
 		h.up(i)
 		return true
 	}
-	worst := h.entries[0]
-	if score < worst.Score || (score == worst.Score && doc > worst.Doc) {
+	if !h.Admits(doc, score) {
 		return false
 	}
+	worst := h.entries[0]
 	h.entries[0] = Result{Doc: doc, Score: score}
 	if h.seen != nil {
 		delete(h.seen, worst.Doc)

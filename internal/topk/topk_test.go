@@ -2,6 +2,7 @@ package topk
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -194,4 +195,106 @@ func TestRepeatedOffersMatchSortReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// offerChecked offers (doc, score) to h and fails unless the offer honours
+// Admits: a refused offer leaves the held results exactly as they were (so
+// Results too), and for a document not held Add reports exactly what Admits
+// predicted.
+func offerChecked(tb testing.TB, h *Heap, doc int64, score float64) {
+	tb.Helper()
+	admits, held := h.Admits(doc, score), h.Contains(doc)
+	var before []Result
+	if !admits {
+		before = slices.Clone(h.entries)
+	}
+	if added := h.Add(doc, score); !held && added != admits {
+		tb.Fatalf("Add(%d, %g) = %v, Admits said %v", doc, score, added, admits)
+	}
+	if !admits && !slices.Equal(h.entries, before) {
+		tb.Fatalf("Add(%d, %g) changed %v to %v although Admits refused it", doc, score, before, h.entries)
+	}
+}
+
+// bestOffers is the sort reference for a heap: each document's best offer,
+// ordered by score descending then document ascending, the first k.
+func bestOffers(best map[int64]float64, k int) []Result {
+	want := make([]Result, 0, len(best))
+	for doc, score := range best {
+		want = append(want, Result{Doc: doc, Score: score})
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].Score != want[j].Score {
+			return want[i].Score > want[j].Score
+		}
+		return want[i].Doc < want[j].Doc
+	})
+	return want[:min(k, len(want))]
+}
+
+// TestAdmitsRefusalIsANoOp checks Admits against Add on both sides of the
+// scan/map boundary: whenever Admits refuses an offer, Add leaves the results
+// unchanged.  The offers include re-offers of held documents at lower, equal
+// and higher scores, and exact ties with the weakest result by documents on
+// both sides of it.
+func TestAdmitsRefusalIsANoOp(t *testing.T) {
+	for _, k := range []int{1, 10, mapAboveK, mapAboveK + 1, 1000} {
+		rng := rand.New(rand.NewSource(int64(k)))
+		for trial := 0; trial < 10; trial++ {
+			h := New(k)
+			best := map[int64]float64{}
+			nDocs := 1 + rng.Intn(3*k)
+			for i := 0; i < 4*nDocs; i++ {
+				doc, score := int64(rng.Intn(nDocs)), float64(rng.Intn(50))
+				switch {
+				case rng.Intn(4) == 0 && h.Full():
+					// Tie the weakest result, from just below or above its ID.
+					worst := h.entries[0]
+					doc, score = worst.Doc+int64(rng.Intn(5)-2), worst.Score
+				case rng.Intn(3) == 0 && h.Len() > 0:
+					// Re-offer a held document.
+					held := h.entries[rng.Intn(h.Len())]
+					doc, score = held.Doc, held.Score+float64(rng.Intn(3)-1)
+				}
+				offerChecked(t, h, doc, score)
+				if prev, ok := best[doc]; !ok || score > prev {
+					best[doc] = score
+				}
+			}
+			if got, want := h.Results(), bestOffers(best, k); !slices.Equal(got, want) {
+				t.Fatalf("k=%d trial %d: results %v, want %v", k, trial, got, want)
+			}
+		}
+	}
+}
+
+// FuzzHeapAdmits runs arbitrary offer sequences through offerChecked and
+// compares the final results with the sort reference.  The first byte picks
+// k; every following pair of bytes is one offer (a document of 64, a score of
+// 16, so re-offers and ties are common).
+func FuzzHeapAdmits(f *testing.F) {
+	f.Add([]byte{3, 1, 5, 2, 5, 3, 5, 1, 6, 0, 4})
+	f.Add([]byte{0, 9, 9, 8, 9, 7, 9, 9, 10})
+	f.Add([]byte{33, 1, 1, 2, 1, 3, 1, 4, 1, 5, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		k := 1 + int(data[0])%40
+		if data[0] >= 250 {
+			k = 1000
+		}
+		h := New(k)
+		best := map[int64]float64{}
+		for i := 1; i+1 < len(data); i += 2 {
+			doc, score := int64(data[i]%64), float64(data[i+1]%16)
+			offerChecked(t, h, doc, score)
+			if prev, ok := best[doc]; !ok || score > prev {
+				best[doc] = score
+			}
+		}
+		if got, want := h.Results(), bestOffers(best, k); !slices.Equal(got, want) {
+			t.Fatalf("k=%d: results %v, want %v", k, got, want)
+		}
+	})
 }
