@@ -5,7 +5,6 @@
 //
 //	svrbench -list
 //	svrbench -experiment table2 -scale 0.5 -updates 10000 -queries 50
-//	svrbench -experiment all -latency 200us
 //
 // Each experiment prints a table whose rows correspond to the paper's rows
 // or series; the "note:" lines state the qualitative shape the paper reports
@@ -30,7 +29,6 @@ func main() {
 		queries    = flag.Int("queries", 0, "number of queries per data point (default 20)")
 		k          = flag.Int("k", 0, "number of results per query (default 10)")
 		meanStep   = flag.Float64("step", 0, "mean score-update step (default 100)")
-		latency    = flag.Duration("latency", 0, "simulated per-page read latency (e.g. 200us) to emulate a cold disk")
 		warmCache  = flag.Bool("warm", false, "keep the buffer pool warm between queries (default: cold cache, as in the paper)")
 		poolPages  = flag.Int("pool", 0, "buffer pool capacity in pages (default 4096)")
 		seed       = flag.Int64("seed", 0, "random seed (default 1)")
@@ -60,9 +58,6 @@ func main() {
 	}
 	if *meanStep > 0 {
 		opts.MeanStep = *meanStep
-	}
-	if *latency > 0 {
-		opts.ReadLatency = *latency
 	}
 	if *poolPages > 0 {
 		opts.PoolPages = *poolPages

@@ -29,10 +29,6 @@ type Options struct {
 	// ColdCache evicts the buffer pool before every measured query, matching
 	// the paper's cold-cache query methodology (§5.2).
 	ColdCache bool
-	// ReadLatency charges a simulated latency on every page read, emulating
-	// the disk the paper's cold-cache numbers include.  Zero measures pure
-	// CPU + page-count behaviour.
-	ReadLatency time.Duration
 	// PoolPages is the buffer-pool capacity in pages (the equivalent of the
 	// paper's 100 MB BerkeleyDB cache).
 	PoolPages int
@@ -43,15 +39,14 @@ type Options struct {
 // DefaultOptions returns laptop-friendly defaults.
 func DefaultOptions() Options {
 	return Options{
-		Scale:       0.25,
-		NumUpdates:  4000,
-		NumQueries:  20,
-		K:           10,
-		MeanStep:    100,
-		ColdCache:   true,
-		ReadLatency: 0,
-		PoolPages:   4096,
-		Seed:        1,
+		Scale:      0.25,
+		NumUpdates: 4000,
+		NumQueries: 20,
+		K:          10,
+		MeanStep:   100,
+		ColdCache:  true,
+		PoolPages:  4096,
+		Seed:       1,
 	}
 }
 
@@ -219,7 +214,6 @@ type rig struct {
 // newRig builds a method over the corpus with its own buffer pool.
 func newRig(kind string, corpus *workload.Corpus, opts Options, cfg index.Config) (*rig, error) {
 	file := pagefile.MustNewMem(pagefile.DefaultPageSize)
-	file.SetReadLatency(opts.ReadLatency)
 	pool := buffer.MustNew(file, opts.PoolPages)
 	registerPool(pool)
 	cfg.Pool = pool

@@ -440,7 +440,6 @@ func RunArchive(opts Options) (*Table, error) {
 	}
 	for _, kind := range []core.MethodKind{core.MethodID, core.MethodScoreThreshold, core.MethodChunk} {
 		file := pagefile.MustNewMem(pagefile.DefaultPageSize)
-		file.SetReadLatency(opts.ReadLatency)
 		pool := buffer.MustNew(file, opts.PoolPages)
 		registerPool(pool)
 		db := relation.NewDB(pool)

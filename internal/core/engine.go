@@ -122,21 +122,16 @@ type Engine struct {
 	dictRewrites atomic.Uint64
 }
 
-// Options configures an Engine.
-type Options struct {
-	// Analyzer tokenizes text columns; nil installs the default analyzer.
-	Analyzer *text.Analyzer
-}
+// Options configures an Engine.  It has no fields: the analyzer is fixed
+// (see text.Analyzer).  NewEngine keeps the parameter so that its callers —
+// the commands, the examples and the benchmark harness — need not change.
+type Options struct{}
 
 // NewEngine creates an engine over an existing relational database.
-func NewEngine(db *relation.DB, opts Options) *Engine {
-	a := opts.Analyzer
-	if a == nil {
-		a = text.NewAnalyzer()
-	}
+func NewEngine(db *relation.DB, _ Options) *Engine {
 	e := &Engine{
 		db:       db,
-		analyzer: a,
+		analyzer: &text.Analyzer{},
 		indexes:  map[string]*TextIndex{},
 		specs:    map[string]view.Spec{},
 		tenants:  map[string]TenantQuota{},
@@ -262,7 +257,8 @@ func (e *Engine) Closed() bool { return e.closedFlag.Load() }
 // DB returns the engine's relational database.
 func (e *Engine) DB() *relation.DB { return e.db }
 
-// Analyzer returns the engine's text analyzer.
+// Analyzer returns the engine's text analyzer, the fixed text.Analyzer every
+// engine tokenizes with; callers that time or reproduce tokenization use it.
 func (e *Engine) Analyzer() *text.Analyzer { return e.analyzer }
 
 // Pool returns the buffer pool that backs the engine's storage.

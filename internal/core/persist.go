@@ -11,7 +11,6 @@ import (
 	"svrdb/internal/relation"
 	"svrdb/internal/storage/buffer"
 	"svrdb/internal/storage/pagefile"
-	"svrdb/internal/text"
 	"svrdb/internal/view"
 )
 
@@ -20,9 +19,10 @@ import (
 // chains; version 3 dropped the Score view's own tree (the method's Score
 // table is the materialized view); version 4 packs list blobs into shared
 // pages, so a blob.Ref carries an in-page offset that an older reader would
-// drop and read as 0.  Older files are refused at Open: there is no
-// migration reader.
-const catalogVersion = 4
+// drop and read as 0; version 5 drops the B+-tree leaves' 16 bytes of
+// sibling pointers, so an older file's leaves would be misparsed.  Older
+// files are refused at Open: there is no migration reader.
+const catalogVersion = 5
 
 // chainRef locates a page chain in the file: its head page and the length of
 // the bytes it holds.
@@ -305,10 +305,6 @@ func (e *Engine) commitDurable() error {
 
 // OpenOptions configures Open.
 type OpenOptions struct {
-	// Analyzer tokenizes text columns; nil installs the default analyzer.
-	// It must match the analyzer the file was built with, or restored
-	// indexes will tokenize maintenance traffic differently than the build.
-	Analyzer *text.Analyzer
 	// Specs maps spec names (IndexOptions.SpecName) to score specifications.
 	// Score specs hold Go functions and cannot live in the file; every index
 	// recorded in the catalog must find its spec here by name.
@@ -360,7 +356,7 @@ func openFromFile(file pagefile.File, opts OpenOptions) (*Engine, error) {
 		return nil, err
 	}
 	db := relation.NewDB(pool)
-	e := NewEngine(db, Options{Analyzer: opts.Analyzer})
+	e := NewEngine(db, Options{})
 	e.durable = true
 	// Seed the engine's spec registry from the open options so indexes
 	// created online after this open (POST /v1/indexes) resolve the same

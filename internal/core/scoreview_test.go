@@ -327,11 +327,12 @@ func TestTextEditIsNotAScoreUpdate(t *testing.T) {
 }
 
 // TestCatalogOldVersionsRefused: a file whose anchor says an older catalog
-// version — 2 (a Score view tree per index) or 3 (page-aligned list blobs,
-// whose refs have no in-page offset) — is refused with an error naming both
-// versions, and the refusal writes nothing.
+// version — 2 (a Score view tree per index), 3 (page-aligned list blobs,
+// whose refs have no in-page offset) or 4 (B+-tree leaves with sibling
+// pointers) — is refused with an error naming both versions, and the refusal
+// writes nothing.
 func TestCatalogOldVersionsRefused(t *testing.T) {
-	for _, old := range []int{2, 3} {
+	for _, old := range []int{2, 3, 4} {
 		t.Run(fmt.Sprintf("v%d", old), func(t *testing.T) { checkCatalogVersionRefused(t, old) })
 	}
 }

@@ -619,6 +619,35 @@ func TestScoreUpdatesAreReflectedInResults(t *testing.T) {
 	}
 }
 
+// TestTieAtStoppingBound: Score-Threshold's stopping bound t·listScore is
+// attainable, since Algorithm 1 leaves a score equal to it unrewritten.  Doc 1
+// climbs from 10 to exactly 2·10 and ties doc 2 at the heap minimum; the lower
+// doc ID wins the tie, so the scan must not stop on equality there.
+func TestTieAtStoppingBound(t *testing.T) {
+	for name, ctor := range allConstructors() {
+		t.Run(name, func(t *testing.T) {
+			corpus := newTestCorpus()
+			corpus.add(1, 10, "word")
+			corpus.add(2, 20, "word")
+			corpus.add(3, 30, "word")
+			corpus.add(4, 1, "word")
+			corpus.add(5, 2, "word")
+			m := buildMethod(t, name, ctor, corpus)
+			if err := updateScore(m, 1, 20); err != nil {
+				t.Fatal(err)
+			}
+			res, err := m.TopK(Query{Terms: []string{"word"}, K: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []Result{{Doc: 3, Score: 30}, {Doc: 1, Score: 20}}
+			if len(res.Results) != len(want) || res.Results[0] != want[0] || res.Results[1] != want[1] {
+				t.Errorf("TopK = %v, want %v", res.Results, want)
+			}
+		})
+	}
+}
+
 func TestRandomizedScoreUpdateOracle(t *testing.T) {
 	// A randomized torture test of Theorem 1/2: after arbitrary sequences of
 	// score updates (including large jumps and decreases), every method must

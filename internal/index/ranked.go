@@ -104,6 +104,14 @@ func (c *queryCtx) release() {
 //     disables early termination and forces a full scan, exactly as §4.2.1
 //     describes.
 //
+//   - attainable reports that an unseen document may score exactly
+//     maxPossible and still win the heap's tie rule (the lower doc ID wins),
+//     so the scan stops only once the bound falls strictly below the heap
+//     minimum; otherwise it stops on equality too.  Score-Threshold's bound is
+//     attainable.  Chunk's is exclusive, and the Score method's bound is the
+//     next posting's own score, reached only by documents that sort after
+//     every held one at that score and so lose the tie.
+//
 //   - resolve(ctx, group) produces the score the candidate is offered to the
 //     heap at and decides whether this particular appearance of the document
 //     should be counted (the "is it from the short list / is it superseded"
@@ -111,6 +119,7 @@ func (c *queryCtx) release() {
 type rankedQuery struct {
 	conjunctive bool
 	maxPossible func(ctx *queryCtx, sortKey float64) float64
+	attainable  bool
 	resolve     resolveFunc
 }
 
@@ -143,10 +152,11 @@ func (b *base) runRanked(ctx *queryCtx, q rankedQuery) (*QueryResult, error) {
 
 		// Early-termination check (Algorithm 2 lines 9-11): every unseen
 		// document, including this one, has a current score bounded by
-		// maxPossible(g.SortKey); once k results at or above that bound are
-		// held, the answer cannot change.
+		// maxPossible(g.SortKey); once k results above that bound are held
+		// — or at it, when no unseen document can attain it and win the tie —
+		// the answer cannot change.
 		if min, full := heap.MinScore(); full {
-			if q.maxPossible(ctx, g.SortKey) <= min {
+			if bound := q.maxPossible(ctx, g.SortKey); bound < min || bound == min && !q.attainable {
 				res.Stopped = true
 				break
 			}

@@ -42,6 +42,9 @@ type listOrder struct {
 	// maxPossible bounds the current score of every document whose postings
 	// have not been reached when the scan is at sortKey.
 	maxPossible func(ctx *queryCtx, sortKey float64) float64
+	// attainable reports that an unseen document may score exactly
+	// maxPossible (see rankedQuery).
+	attainable bool
 	// prepare derives the order's build-time directory (score directory,
 	// chunk boundaries) from the corpus being built.
 	prepare func(bc *builtCorpus)
@@ -85,7 +88,9 @@ func scoreOrder(b *base) listOrder {
 		keyOf:            func(score float64) float64 { return score },
 		thresholdValueOf: threshold,
 		maxPossible:      func(_ *queryCtx, listScore float64) float64 { return threshold(listScore) },
-		prepare:          func(bc *builtCorpus) { b.scoreDir = postings.BuildScoreDir(bc.allScores()) },
+		// Algorithm 1 leaves a score equal to t·listScore unrewritten.
+		attainable: true,
+		prepare:    func(bc *builtCorpus) { b.scoreDir = postings.BuildScoreDir(bc.allScores()) },
 		encode: func(bc *builtCorpus, term string) ([]byte, uint64, error) {
 			builder := postings.NewBlockScoreListBuilder(b.scoreDir)
 			for _, dw := range bc.sortedByScoreDesc(term) {
@@ -299,6 +304,7 @@ func (m *thresholdMethod) topK(ctx *queryCtx, q Query) (*QueryResult, error) {
 	return m.runRanked(ctx, rankedQuery{
 		conjunctive: !q.Disjunctive,
 		maxPossible: m.order.maxPossible,
+		attainable:  m.order.attainable,
 		resolve:     m.order.resolve,
 	})
 }

@@ -235,8 +235,6 @@ type node struct {
 
 	// leaf fields
 	vals [][]byte
-	next pagefile.PageID
-	prev pagefile.PageID
 
 	// internal fields: len(children) == len(keys)+1, keys[i] is the smallest
 	// key reachable through children[i+1].
@@ -249,7 +247,7 @@ func New(pool *buffer.Pool) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	root := &node{id: fr.ID(), leaf: true, next: pagefile.InvalidPageID, prev: pagefile.InvalidPageID}
+	root := &node{id: fr.ID(), leaf: true}
 	if err := writeNode(fr, root, pool.PageSize()); err != nil {
 		fr.Release()
 		return nil, err
@@ -297,7 +295,10 @@ func (t *Tree) maxEntrySize() int { return t.pool.PageSize() / 4 }
 
 // Layout (leaf):
 //
-//	[1 type][varint nKeys][8 next][8 prev] { [len key][key][len val][val] }*
+//	[1 type][varint nKeys] { [len key][key][len val][val] }*
+//
+// Leaves carry no sibling pointers: every range scan re-descends from a
+// frozen root at the previous leaf's upper bound (View.AscendRange).
 //
 // Layout (internal):
 //
@@ -307,8 +308,6 @@ func serializeNode(n *node) []byte {
 	if n.leaf {
 		out = append(out, nodeLeaf)
 		out = codec.PutUvarint(out, uint64(len(n.keys)))
-		out = codec.PutUint64(out, uint64(n.next))
-		out = codec.PutUint64(out, uint64(n.prev))
 		for i := range n.keys {
 			out = codec.PutLenBytes(out, n.keys[i])
 			out = codec.PutLenBytes(out, n.vals[i])
@@ -361,18 +360,6 @@ func parseNode(id pagefile.PageID, data []byte) (*node, error) {
 	switch data[0] {
 	case nodeLeaf:
 		n.leaf = true
-		next, sz, err := codec.Uint64(data[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += sz
-		prev, sz, err := codec.Uint64(data[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += sz
-		n.next = pagefile.PageID(next)
-		n.prev = pagefile.PageID(prev)
 		n.keys = make([][]byte, 0, nKeys)
 		n.vals = make([][]byte, 0, nKeys)
 		for i := 0; i < nKeys; i++ {
@@ -450,7 +437,7 @@ func (t *Tree) newNode(leaf bool) (*node, error) {
 	if t.cow {
 		t.fresh[fr.ID()] = struct{}{}
 	}
-	return &node{id: fr.ID(), leaf: leaf, next: pagefile.InvalidPageID, prev: pagefile.InvalidPageID}, nil
+	return &node{id: fr.ID(), leaf: leaf}, nil
 }
 
 // --- lookup ------------------------------------------------------------------
@@ -617,10 +604,9 @@ func (t *Tree) descendToLeaf(key []byte, path *[]pagefile.PageID, upper *[]byte)
 // snapshot readers (View) descend a frozen tree while the live root moves.
 // A nil key descends to the leftmost leaf (every separator compares above
 // nil), with upper still tracking the leaf's exclusive bound — the primitive
-// behind chain-free range scans, which re-descend at the previous leaf's
-// upper bound instead of following sibling pointers that copy-on-write
-// mutation leaves stale.  A non-nil parent is left holding the image of the
-// last internal node on the path (Probe's leaf-jump shortcut).
+// behind range scans, which re-descend at the previous leaf's upper bound.
+// A non-nil parent is left holding the image of the last internal node on
+// the path (Probe's leaf-jump shortcut).
 func (t *Tree) descendFrom(root pagefile.PageID, key []byte, path *[]pagefile.PageID, upper *[]byte, parent *parentImage) (*buffer.Frame, error) {
 	if parent != nil {
 		parent.start()
@@ -950,32 +936,13 @@ func (t *Tree) splitLeaf(n *node) (pagefile.PageID, []byte, pagefile.PageID, err
 	}
 	right.keys = append(right.keys, n.keys[mid:]...)
 	right.vals = append(right.vals, n.vals[mid:]...)
-	right.next = n.next
-
-	// Fix the old next leaf's prev pointer.  COW trees do not maintain the
-	// sibling chain — copy-on-write relocation would leave neighbours'
-	// pointers stale anyway — and every COW read path re-descends instead of
-	// chain-walking, so the stale pointers are never followed.
-	if !t.cow && n.next != pagefile.InvalidPageID {
-		oldNext, err := t.readNode(n.next)
-		if err != nil {
-			return n.id, nil, pagefile.InvalidPageID, err
-		}
-		oldNext.prev = right.id
-		if err := t.flushNode(oldNext); err != nil {
-			return n.id, nil, pagefile.InvalidPageID, err
-		}
-	}
-
 	n.keys = n.keys[:mid]
 	n.vals = n.vals[:mid]
-	n.next = right.id
 
 	self, err := t.writeNodeOut(n)
 	if err != nil {
 		return n.id, nil, pagefile.InvalidPageID, err
 	}
-	right.prev = self
 	if err := t.flushNode(right); err != nil {
 		return self, nil, pagefile.InvalidPageID, err
 	}
@@ -1016,9 +983,8 @@ func (t *Tree) splitInternal(n *node) (pagefile.PageID, []byte, pagefile.PageID,
 // --- deletion ----------------------------------------------------------------
 
 // Delete removes key if present and reports whether it was found.  Leaves are
-// not rebalanced, but a leaf that empties completely is unlinked from the
-// sibling chain, removed from its ancestors and its page recycled (see the
-// package comment).
+// not rebalanced, but a leaf that empties completely is removed from its
+// ancestors and its page recycled (see the package comment).
 func (t *Tree) Delete(key []byte) (bool, error) {
 	var path []pagefile.PageID
 	fr, err := t.descendToLeaf(key, &path, nil)
@@ -1095,37 +1061,12 @@ func (t *Tree) retireSubtree(id pagefile.PageID) error {
 
 // pruneEmptiedLeafAlongPath dismantles a leaf a delete just emptied, given
 // the already-parsed (and already-emptied, unflushed) leaf and the
-// root-to-leaf descent path: the leaf is unlinked from the sibling chain
-// (non-COW trees only — COW read paths never follow the chain), removed from
-// the ancestor chain and its page recycled, without ever writing the dead
-// page image.  An internal node that loses its only child is pruned the same way,
-// a root that empties entirely is rewritten as an empty leaf, and a root
-// left with a single child collapses onto it — so the tree sheds every page
-// the deletes emptied.
+// root-to-leaf descent path: the leaf is removed from its ancestors and its
+// page recycled, without ever writing the dead page image.  An internal node
+// that loses its only child is pruned the same way, a root that empties
+// entirely is rewritten as an empty leaf, and a root left with a single child
+// collapses onto it — so the tree sheds every page the deletes emptied.
 func (t *Tree) pruneEmptiedLeafAlongPath(leaf *node, path []pagefile.PageID) error {
-	// Unlink from the doubly linked sibling chain.
-	if !t.cow {
-		if leaf.prev != pagefile.InvalidPageID {
-			prev, err := t.readNode(leaf.prev)
-			if err != nil {
-				return err
-			}
-			prev.next = leaf.next
-			if err := t.flushNode(prev); err != nil {
-				return err
-			}
-		}
-		if leaf.next != pagefile.InvalidPageID {
-			next, err := t.readNode(leaf.next)
-			if err != nil {
-				return err
-			}
-			next.prev = leaf.prev
-			if err := t.flushNode(next); err != nil {
-				return err
-			}
-		}
-	}
 	if err := t.freePage(leaf.id); err != nil {
 		return err
 	}
@@ -1166,7 +1107,7 @@ func (t *Tree) pruneEmptiedLeafAlongPath(leaf *node, path []pagefile.PageID) err
 			// is rewritten as an empty leaf (New's initial state) — under COW
 			// at a fresh page, leaving the published root untouched.
 			if parent.id == t.rootID() {
-				root := &node{id: t.rootID(), leaf: true, next: pagefile.InvalidPageID, prev: pagefile.InvalidPageID}
+				root := &node{id: t.rootID(), leaf: true}
 				self, err := t.writeNodeOut(root)
 				if err != nil {
 					return err
@@ -1223,10 +1164,8 @@ func (t *Tree) collapseRoot() error {
 type Visitor func(key, value []byte) bool
 
 // AscendRange visits keys in [start, end) in ascending order.  A nil start
-// begins at the smallest key; a nil end scans to the largest.  The scan is
-// chain-free — it re-descends at each leaf's upper bound instead of
-// following sibling pointers — so it is valid on COW trees, whose sibling
-// chain goes stale as pages relocate.
+// begins at the smallest key; a nil end scans to the largest.  It is the
+// scan of a View of the current root (see View.AscendRange).
 func (t *Tree) AscendRange(start, end []byte, visit Visitor) error {
 	return t.View().AscendRange(start, end, visit)
 }
@@ -1252,20 +1191,6 @@ func prefixEnd(prefix []byte) []byte {
 	return nil
 }
 
-func (t *Tree) leftmostLeaf() (*node, error) {
-	n, err := t.readNode(t.rootID())
-	if err != nil {
-		return nil, err
-	}
-	for !n.leaf {
-		n, err = t.readNode(n.children[0])
-		if err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
-}
-
 // --- diagnostics -------------------------------------------------------------
 
 // Height returns the number of levels in the tree (1 for a single leaf).
@@ -1285,20 +1210,13 @@ func (t *Tree) Height() (int, error) {
 	return h, nil
 }
 
-// CheckInvariants validates structural invariants: keys sorted within nodes,
-// separator keys bounding subtrees, and leaf sibling links consistent.  It is
-// used by tests and returns a descriptive error on the first violation.
+// CheckInvariants validates structural invariants: keys sorted within nodes
+// and separator keys bounding subtrees, which together order the keys across
+// leaves.  It is used by tests and returns a descriptive error on the first
+// violation.
 func (t *Tree) CheckInvariants() error {
 	_, _, err := t.checkSubtree(t.rootID(), nil, nil)
-	if err != nil {
-		return err
-	}
-	if t.cow {
-		// COW mutation abandons the sibling chain (reads never follow it), so
-		// only the structural invariants apply.
-		return nil
-	}
-	return t.checkLeafChain()
+	return err
 }
 
 func (t *Tree) checkSubtree(id pagefile.PageID, lower, upper []byte) (minKey, maxKey []byte, err error) {
@@ -1342,32 +1260,4 @@ func (t *Tree) checkSubtree(id pagefile.PageID, lower, upper []byte) (minKey, ma
 		}
 	}
 	return lower, upper, nil
-}
-
-func (t *Tree) checkLeafChain() error {
-	leaf, err := t.leftmostLeaf()
-	if err != nil {
-		return err
-	}
-	var prev []byte
-	prevID := pagefile.InvalidPageID
-	for {
-		if leaf.prev != prevID {
-			return fmt.Errorf("btree: leaf %d prev pointer %d, want %d", leaf.id, leaf.prev, prevID)
-		}
-		for _, k := range leaf.keys {
-			if prev != nil && bytes.Compare(prev, k) >= 0 {
-				return fmt.Errorf("btree: leaf chain keys out of order at page %d", leaf.id)
-			}
-			prev = append(prev[:0], k...)
-		}
-		if leaf.next == pagefile.InvalidPageID {
-			return nil
-		}
-		prevID = leaf.id
-		leaf, err = t.readNode(leaf.next)
-		if err != nil {
-			return err
-		}
-	}
 }

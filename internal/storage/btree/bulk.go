@@ -63,7 +63,7 @@ func entrySize(key, value []byte) int {
 }
 
 // leafHeaderSize is the serialized size of a leaf node's fixed fields.
-func leafHeaderSize(nKeys int) int { return 1 + uvarintLen(uint64(nKeys)) + 16 }
+func leafHeaderSize(nKeys int) int { return 1 + uvarintLen(uint64(nKeys)) }
 
 // internalHeaderSize is the serialized size of an internal node's fixed
 // fields (type, key count, child0).
@@ -201,13 +201,7 @@ func BulkLoadFill(pool *buffer.Pool, items []Item, fill float64) (*Tree, error) 
 		return pool.WriteThrough(n.id, page)
 	}
 	for i, g := range leaves {
-		n := &node{id: levelIDs[0][i], leaf: true, next: pagefile.InvalidPageID, prev: pagefile.InvalidPageID}
-		if i > 0 {
-			n.prev = levelIDs[0][i-1]
-		}
-		if i < len(leaves)-1 {
-			n.next = levelIDs[0][i+1]
-		}
+		n := &node{id: levelIDs[0][i], leaf: true}
 		for j := g.lo; j < g.hi; j++ {
 			n.keys = append(n.keys, items[j].Key)
 			n.vals = append(n.vals, items[j].Value)
@@ -382,8 +376,8 @@ func (t *Tree) UpsertBatch(items []Item) (int, error) {
 
 // DeleteBatch removes a group of keys, sorting them so that keys sharing a
 // leaf share one descent and one leaf rewrite.  A leaf the batch empties is
-// pruned exactly as Delete would prune it: unlinked from the sibling chain
-// and its page recycled.  It reports how many keys were present and removed,
+// pruned exactly as Delete would prune it: removed from its ancestors and
+// its page recycled.  It reports how many keys were present and removed,
 // and reorders keys in place.
 func (t *Tree) DeleteBatch(keys [][]byte) (int, error) {
 	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
@@ -437,23 +431,30 @@ func (t *Tree) DeleteBatch(keys [][]byte) (int, error) {
 	return removed, nil
 }
 
-// LeafStats walks the leaf chain and reports the number of leaves and their
-// total serialized payload, letting tests assert the fill factor of
+// LeafStats descends the whole tree and reports the number of leaves and
+// their total serialized payload, letting tests assert the fill factor of
 // bulk-built trees.
 func (t *Tree) LeafStats() (leaves int, usedBytes int, err error) {
-	leaf, err := t.leftmostLeaf()
-	if err != nil {
+	var visit func(id pagefile.PageID) error
+	visit = func(id pagefile.PageID) error {
+		n, err := t.readNode(id)
+		if err != nil {
+			return err
+		}
+		if n.leaf {
+			leaves++
+			usedBytes += t.nodeSize(n)
+			return nil
+		}
+		for _, c := range n.children {
+			if err := visit(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := visit(t.rootID()); err != nil {
 		return 0, 0, err
 	}
-	for {
-		leaves++
-		usedBytes += t.nodeSize(leaf)
-		if leaf.next == pagefile.InvalidPageID {
-			return leaves, usedBytes, nil
-		}
-		leaf, err = t.readNode(leaf.next)
-		if err != nil {
-			return 0, 0, err
-		}
-	}
+	return leaves, usedBytes, nil
 }

@@ -344,9 +344,8 @@ func TestUpsertBatchVariedSizes(t *testing.T) {
 	}
 }
 
-// TestBulkLoadSortedLeavesChain verifies the leaf chain of a bulk-built
-// tree is strictly sorted end to end (checkLeafChain covers links; this
-// asserts the cursor order matches the input run exactly).
+// TestBulkLoadSortedLeavesChain verifies the leaves of a bulk-built tree are
+// strictly sorted end to end: a scan visits the input run exactly, in order.
 func TestBulkLoadSortedLeavesChain(t *testing.T) {
 	file := pagefile.MustNewMem(512)
 	pool := buffer.MustNew(file, 64)

@@ -6,17 +6,17 @@
 // method's clustered long list — as BerkeleyDB B+-trees (§5.2).  This
 // package is the equivalent substrate: keys and values are opaque byte
 // strings, keys compare bytewise (order-preserving composite keys are built
-// with package codec), leaves are doubly linked for ascending and descending
-// range scans, and every node occupies exactly one buffer-pool page so that
-// the I/O counters reflect realistic access costs.
+// with package codec), range scans re-descend from a frozen root at each
+// leaf's upper bound (leaves carry no sibling pointers), and every node
+// occupies exactly one buffer-pool page so that the I/O counters reflect
+// realistic access costs.
 //
 // Deletion is "lazy": a key is removed from its leaf but leaves are not
 // rebalanced when they underflow.  This matches the access patterns in this
 // repository (deletes are rare: only document deletion uses them) and keeps
 // scans and lookups correct; space from deleted entries is reclaimed when a
 // leaf is next split or rewritten.  A leaf that empties completely is the
-// exception: it is unlinked from the sibling chain, removed from its parent
-// and its page recycled through the pagefile free list, so delete/reinsert
+// exception: it is removed from its parent and its page recycled through the pagefile free list, so delete/reinsert
 // churn neither grows the page file without bound nor leaves dead leaves for
 // scans to traverse.
 //

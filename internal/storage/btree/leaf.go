@@ -50,7 +50,7 @@ func walkLeaf(id pagefile.PageID, data []byte) (leafWalker, error) {
 	if err != nil {
 		return leafWalker{}, fmt.Errorf("btree: page %d: %w", id, err)
 	}
-	off := 1 + sz + 16 // skip the next and prev pointers
+	off := 1 + sz
 	// An entry occupies at least its two length prefixes, which bounds the
 	// count a page can hold (and with it the size of any offset table).
 	if off > len(data) || nKeys > uint64(len(data)-off)/2 {

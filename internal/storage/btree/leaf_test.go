@@ -591,7 +591,7 @@ const fuzzPageSize = 512
 // fixedLeafPage serializes a Score-table-shaped leaf of n entries with
 // vlen-byte values: the stride path's input.
 func fixedLeafPage(n, vlen int) []byte {
-	l := &node{leaf: true, next: pagefile.InvalidPageID, prev: pagefile.InvalidPageID}
+	l := &node{leaf: true}
 	for i := 0; i < n; i++ {
 		l.keys = append(l.keys, scoreKey(2*i))
 		l.vals = append(l.vals, bytes.Repeat([]byte{byte(i)}, vlen))
@@ -607,7 +607,7 @@ func fixedLeafPage(n, vlen int) []byte {
 // errors, never as reads beyond the page.
 func FuzzLeafWalker(f *testing.F) {
 	valid := serializeNode(&node{
-		leaf: true, next: pagefile.InvalidPageID, prev: pagefile.InvalidPageID,
+		leaf: true,
 		keys: [][]byte{[]byte("alpha"), []byte("beta"), bytes.Repeat([]byte("k"), 130)},
 		vals: [][]byte{[]byte("1"), nil, bytes.Repeat([]byte("v"), 200)},
 	})
@@ -616,8 +616,7 @@ func FuzzLeafWalker(f *testing.F) {
 	tooMany := append([]byte(nil), valid...)
 	tooMany[1] = 0x7F // nKeys larger than the page holds
 	f.Add(tooMany, []byte("alpha"))
-	overrun := append([]byte{nodeLeaf, 1}, make([]byte, 16)...)
-	overrun = append(overrun, 0xFF, 0x7F, 'x') // a length prefix of 16383 bytes
+	overrun := []byte{nodeLeaf, 1, 0xFF, 0x7F, 'x'} // a length prefix of 16383 bytes
 	f.Add(overrun, []byte("x"))
 	selfLoop := append([]byte{nodeInternal, 0}, make([]byte, 8)...) // child 0 is the root itself
 	f.Add(selfLoop, []byte("x"))
@@ -627,8 +626,8 @@ func FuzzLeafWalker(f *testing.F) {
 	nearFixed = append(nearFixed[:len(nearFixed)-10], append([]byte{10}, scoreRow(5, 0)...)...)
 	nearFixed = append(nearFixed, 0) // the last value is one byte longer
 	f.Add(nearFixed, scoreKey(5))
-	fixedOverrun := fixedLeafPage(26, 9) // 18 header bytes + 26 entries of 19 fill the page exactly
-	fixedOverrun[1] = 27
+	fixedOverrun := fixedLeafPage(30, 7) // 2 header bytes + 30 entries of 17 fill the page exactly
+	fixedOverrun[1] = 31
 	f.Add(fixedOverrun, scoreKey(3))
 
 	f.Fuzz(func(t *testing.T, page, key []byte) {

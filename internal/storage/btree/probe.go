@@ -11,8 +11,8 @@ package btree
 // Score-table probes walk the key space left to right: on a fixed-width leaf
 // the search gallops forward from the finger, costing O(log gap) rather than
 // a bisection of the whole leaf, and a key behind the finger is bisected as
-// usual.  The cursor never follows leaf sibling pointers — COW mutation
-// leaves them stale — so a key outside the cached leaf means a leaf jump.
+// usual.  Leaves carry no sibling pointers, so a key outside the cached leaf
+// means a leaf jump.
 //
 // A leaf jump is served by the probe's image of the leaf's parent when it
 // can be: the full descent that loaded the leaf also copied the last
@@ -33,9 +33,8 @@ package btree
 // that is kept (the index layer keeps them in its pooled per-query scratch)
 // allocates nothing per lookup and nothing per leaf jump.
 //
-// A probe from Tree.NewProbe reads the live root each descent and must not
-// be used across tree mutations; one bound to a View descends the frozen
-// root and stays consistent for the view's lifetime.
+// Every probe is bound to a View: it descends the view's frozen root and
+// stays consistent for the view's lifetime.
 import (
 	"bytes"
 
@@ -46,10 +45,8 @@ import (
 // Probe caches an image of the most recently visited leaf and of its
 // parent.  The zero value is unbound: Reset binds it to a view.
 type Probe struct {
-	t *Tree
-	// root pins the descent root; InvalidPageID means live (re-read the
-	// tree's current root on every descent).
-	root pagefile.PageID
+	t    *Tree
+	root pagefile.PageID // the bound view's root
 	leaf leafImage
 	// loaded reports that leaf holds a leaf of the bound tree.
 	loaded bool
@@ -117,9 +114,6 @@ func (pi *parentImage) visit(data []byte, s stride, i int) {
 // visitWalked takes an internal node that is not fixed-width: no node at or
 // below it gets an image.
 func (pi *parentImage) visitWalked() { pi.ok, pi.bounded = false, false }
-
-// NewProbe returns a probe over the tree's live state.
-func (t *Tree) NewProbe() *Probe { return &Probe{t: t, root: pagefile.InvalidPageID} }
 
 // NewProbe returns a probe over the frozen view.
 func (v View) NewProbe() *Probe {
@@ -198,15 +192,11 @@ func (p *Probe) fetchLeaf(key []byte) (*buffer.Frame, error) {
 		}
 		fr.Release()
 	}
-	root := p.root
-	if root == pagefile.InvalidPageID {
-		root = p.t.rootID()
-	}
 	p.upper = p.upper[:0]
-	fr, err := p.t.descendFrom(root, key, nil, &p.upper, &p.parent)
+	fr, err := p.t.descendFrom(p.root, key, nil, &p.upper, &p.parent)
 	if err != nil {
 		return nil, err
 	}
-	p.rootLeaf = fr.ID() == root
+	p.rootLeaf = fr.ID() == p.root
 	return fr, nil
 }

@@ -28,21 +28,21 @@ func TestProbeMatchesGet(t *testing.T) {
 			t.Fatalf("probe.Get(%q) = (%q,%v,%v), Get = (%q,%v,%v)", key, pv, pok, perr, gv, gok, gerr)
 		}
 	}
-	asc := tree.NewProbe()
+	asc := tree.View().NewProbe()
 	for i := 0; i < 1600; i++ { // ascending, ~half misses
 		check(asc, []byte(fmt.Sprintf("k%06d", i)))
 	}
-	desc := tree.NewProbe()
+	desc := tree.View().NewProbe()
 	for i := 1599; i >= 0; i-- {
 		check(desc, []byte(fmt.Sprintf("k%06d", i)))
 	}
 	rng := rand.New(rand.NewSource(9))
-	random := tree.NewProbe()
+	random := tree.View().NewProbe()
 	for i := 0; i < 2000; i++ {
 		check(random, []byte(fmt.Sprintf("k%06d", rng.Intn(1800))))
 	}
 	// Keys outside the stored range on both sides.
-	edge := tree.NewProbe()
+	edge := tree.View().NewProbe()
 	check(edge, []byte("a"))
 	check(edge, []byte("zzz"))
 	if err := pool.CheckPins(); err != nil {
@@ -54,7 +54,7 @@ func TestProbeMatchesGet(t *testing.T) {
 // probe must answer misses without error.
 func TestProbeEmptyAndSingleLeaf(t *testing.T) {
 	tree, _ := newTestTree(t, 512, 64)
-	probe := tree.NewProbe()
+	probe := tree.View().NewProbe()
 	for i := 0; i < 3; i++ {
 		if _, ok, err := probe.Get([]byte("missing")); ok || err != nil {
 			t.Fatalf("probe on empty tree = %v, %v", ok, err)
@@ -63,7 +63,7 @@ func TestProbeEmptyAndSingleLeaf(t *testing.T) {
 	if err := tree.Put([]byte("only"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	probe = tree.NewProbe()
+	probe = tree.View().NewProbe()
 	if v, ok, err := probe.Get([]byte("only")); err != nil || !ok || string(v) != "v" {
 		t.Fatalf("probe.Get(only) = %q, %v, %v", v, ok, err)
 	}
@@ -85,7 +85,7 @@ func TestProbeOnBulkLoadedTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := tree.NewProbe()
+	probe := tree.View().NewProbe()
 	for _, it := range items {
 		v, ok, err := probe.Get(it.Key)
 		if err != nil || !ok || !bytes.Equal(v, it.Value) {

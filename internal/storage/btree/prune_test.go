@@ -98,7 +98,7 @@ func TestDeleteUnlinksEmptiedLeaves(t *testing.T) {
 	}
 	// Point probes: deleted keys absent, survivors present, including through
 	// the locality-aware Probe cursor walking across the hole.
-	probe := tree.NewProbe()
+	probe := tree.View().NewProbe()
 	for i := 0; i < len(keys); i++ {
 		_, ok, err := probe.Get(keys[i])
 		if err != nil {
@@ -308,6 +308,162 @@ func TestPruneSpineCollapse(t *testing.T) {
 	}
 	if h, _ := tree.Height(); h != 1 {
 		t.Errorf("height after emptying = %d, want 1", h)
+	}
+	if err := pool.CheckPins(); err != nil {
+		t.Error(err)
+	}
+}
+
+// writeLog is a page file that records every page written back to it.
+type writeLog struct {
+	pagefile.File
+	written map[pagefile.PageID]bool
+}
+
+func (w *writeLog) Write(id pagefile.PageID, src []byte) error {
+	w.written[id] = true
+	return w.File.Write(id, src)
+}
+
+// leafOrder returns the tree's leaves left to right and, for each, the
+// internal nodes on its root-to-leaf path.
+func leafOrder(t *testing.T, tree *Tree) ([]pagefile.PageID, map[pagefile.PageID][]pagefile.PageID) {
+	t.Helper()
+	var leaves []pagefile.PageID
+	paths := map[pagefile.PageID][]pagefile.PageID{}
+	var walk func(id pagefile.PageID, path []pagefile.PageID)
+	walk = func(id pagefile.PageID, path []pagefile.PageID) {
+		n, err := tree.readNode(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.leaf {
+			leaves = append(leaves, id)
+			paths[id] = append([]pagefile.PageID(nil), path...)
+			return
+		}
+		for _, c := range n.children {
+			walk(c, append(path, id))
+		}
+	}
+	walk(tree.rootID(), nil)
+	return leaves, paths
+}
+
+// neighbourTree fills a non-COW tree over a write-recording file until it
+// has well over three leaves, and returns a middle leaf with its first key.
+func neighbourTree(t *testing.T) (*Tree, *buffer.Pool, *writeLog, pagefile.PageID, []byte) {
+	t.Helper()
+	log := &writeLog{File: pagefile.MustNewMem(512), written: map[pagefile.PageID]bool{}}
+	pool := buffer.MustNew(log, 256)
+	tree := MustNew(pool)
+	fillSequential(t, tree, 300)
+	leaves, _ := leafOrder(t, tree)
+	if len(leaves) < 5 {
+		t.Fatalf("%d leaves, want at least 5", len(leaves))
+	}
+	mid := leaves[len(leaves)/2]
+	n, err := tree.readNode(mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree, pool, log, mid, n.keys[0]
+}
+
+// flushWritten writes every dirty page back and returns the pages written
+// since the previous call.
+func flushWritten(t *testing.T, pool *buffer.Pool, log *writeLog) map[pagefile.PageID]bool {
+	t.Helper()
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	w := log.written
+	log.written = map[pagefile.PageID]bool{}
+	return w
+}
+
+// TestLeafSplitTouchesNoNeighbour splits a mid-tree leaf of a non-COW tree
+// and requires the write to reach only the split leaf, its new sibling and
+// the descent path: leaves carry no sibling pointers to fix up.
+func TestLeafSplitTouchesNoNeighbour(t *testing.T) {
+	tree, pool, log, mid, first := neighbourTree(t)
+	before, paths := leafOrder(t, tree)
+	existing := map[pagefile.PageID]bool{}
+	for _, leaf := range before {
+		existing[leaf] = true
+		for _, id := range paths[leaf] {
+			existing[id] = true
+		}
+	}
+	allowed := map[pagefile.PageID]bool{mid: true}
+	for _, id := range paths[mid] {
+		allowed[id] = true
+	}
+	flushWritten(t, pool, log)
+	for i := 0; ; i++ {
+		if i == 100 {
+			t.Fatal("100 inserts into one leaf never split it")
+		}
+		key := append(append([]byte(nil), first...), fmt.Sprintf("/%03d", i)...)
+		if err := tree.Put(key, fixedVal("splt", i)); err != nil {
+			t.Fatal(err)
+		}
+		written := flushWritten(t, pool, log)
+		if after, _ := leafOrder(t, tree); len(after) == len(before) {
+			continue
+		}
+		// Pages that did not exist before the split are its new sibling (and
+		// any new internal node); of the rest, only the leaf and its path may
+		// change.
+		for id := range written {
+			if existing[id] && !allowed[id] {
+				t.Errorf("splitting leaf %d rewrote page %d, outside the leaf, its sibling and its path", mid, id)
+			}
+		}
+		break
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.CheckPins(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLeafPruneTouchesNoNeighbour empties a mid-tree leaf of a non-COW tree
+// and requires the last delete to free the leaf and rewrite nothing but its
+// ancestors.
+func TestLeafPruneTouchesNoNeighbour(t *testing.T) {
+	tree, pool, log, mid, _ := neighbourTree(t)
+	_, paths := leafOrder(t, tree)
+	n, err := tree.readNode(mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range n.keys[1:] {
+		if _, err := tree.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushWritten(t, pool, log)
+	frees := log.Stats().Frees
+	if ok, err := tree.Delete(n.keys[0]); err != nil || !ok {
+		t.Fatalf("Delete = %v, %v", ok, err)
+	}
+	if got := log.Stats().Frees - frees; got != 1 {
+		t.Errorf("emptying leaf %d freed %d pages, want 1", mid, got)
+	}
+	ancestors := map[pagefile.PageID]bool{}
+	for _, id := range paths[mid] {
+		ancestors[id] = true
+	}
+	for id := range flushWritten(t, pool, log) {
+		if !ancestors[id] {
+			t.Errorf("pruning leaf %d rewrote page %d, which is not an ancestor", mid, id)
+		}
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 	if err := pool.CheckPins(); err != nil {
 		t.Error(err)

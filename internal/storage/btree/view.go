@@ -11,10 +11,8 @@ import (
 // captured at one instant.  On a COW tree a View taken at publication time
 // stays internally consistent no matter what the writer does afterwards —
 // every page reachable from the captured root is immutable until the view's
-// epoch drains.  All View scans are chain-free: instead of following leaf
-// sibling pointers (stale under COW), they re-descend from the captured root
-// at each leaf's exclusive upper bound, which internal-page caching keeps
-// cheap.
+// epoch drains.  A View scan re-descends from the captured root at each
+// leaf's exclusive upper bound, which internal-page caching keeps cheap.
 type View struct {
 	t    *Tree
 	root pagefile.PageID

@@ -10,7 +10,6 @@ import (
 	"os"
 	"slices"
 	"sync"
-	"time"
 )
 
 // DefaultDiskPageSize is the page size of a durable file unless the creator
@@ -525,13 +524,6 @@ func (f *diskFile) NumPages() uint64 {
 	defer f.mu.RUnlock()
 	return f.nPages
 }
-
-func (f *diskFile) SetReadLatency(d time.Duration) {
-	// The durable backing pays real I/O latency; the simulation knob is a
-	// no-op here (it exists for the in-memory benchmarks).
-}
-
-func (f *diskFile) ReadLatency() time.Duration { return 0 }
 
 // usableLocked reports why the handle cannot serve a call, nil if it can.
 func (f *diskFile) usableLocked() error {

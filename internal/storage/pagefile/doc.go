@@ -6,9 +6,7 @@
 // operation touches.  This package reproduces that model: every structure
 // above it (B+-trees, blob-stored inverted lists) allocates, reads and writes
 // whole pages, and the file keeps precise counters of logical page I/O so
-// that experiments can report "pages read" alongside wall-clock time.  An
-// optional simulated per-read latency lets benchmarks approximate a
-// cold-cache disk even when the backing store is main memory.
+// that experiments can report "pages read" alongside wall-clock time.
 //
 // Two backends implement the File interface.  NewMem is the in-memory
 // simulation the benchmarks run on.  Open(path, opts...) is the durable disk

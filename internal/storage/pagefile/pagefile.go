@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // DefaultPageSize is the page size used throughout the repository unless a
@@ -108,13 +107,6 @@ type File interface {
 	ResetStats()
 	// SizeBytes reports the total allocated size of the file in bytes.
 	SizeBytes() uint64
-	// SetReadLatency configures a simulated latency charged on every page
-	// read.  A zero duration disables the simulation.  The benchmark harness
-	// uses it to approximate cold-cache disk behaviour for long inverted
-	// lists on the in-memory backing.
-	SetReadLatency(d time.Duration)
-	// ReadLatency reports the configured simulated read latency.
-	ReadLatency() time.Duration
 	// Close releases the backing resources.  Close does not commit: staged
 	// writes on a durable file are discarded (the engine commits first).
 	Close() error
@@ -171,8 +163,8 @@ func (c *counters) reset() {
 	c.fsyncs.Store(0)
 }
 
-// memFile is the in-memory backing: a simulated disk with I/O counters and
-// optional per-read latency, used by tests and the in-memory benchmarks.
+// memFile is the in-memory backing: a simulated disk with I/O counters, used
+// by tests and the in-memory benchmarks.
 type memFile struct {
 	pageSize int
 
@@ -186,8 +178,6 @@ type memFile struct {
 	// would hand the same page to two structures.
 	free    []PageID
 	freeSet map[PageID]struct{}
-
-	readLatency atomic.Int64 // simulated latency per read, nanoseconds
 
 	counters
 }
@@ -224,17 +214,6 @@ func (f *memFile) NumPages() uint64 {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return uint64(len(f.mem))
-}
-
-func (f *memFile) SetReadLatency(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	f.readLatency.Store(int64(d))
-}
-
-func (f *memFile) ReadLatency() time.Duration {
-	return time.Duration(f.readLatency.Load())
 }
 
 // memSlabPages is how many pages a memory-backed file reserves per arena
@@ -358,9 +337,6 @@ func findFreeRun(free []PageID, n int) (int, PageID, bool) {
 func (f *memFile) Read(id PageID, dst []byte) error {
 	if len(dst) < f.pageSize {
 		return fmt.Errorf("pagefile: read buffer of %d bytes is smaller than page size %d", len(dst), f.pageSize)
-	}
-	if lat := f.readLatency.Load(); lat > 0 {
-		time.Sleep(time.Duration(lat))
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()

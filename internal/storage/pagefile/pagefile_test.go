@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 func TestMemAllocateReadWrite(t *testing.T) {
@@ -116,27 +115,6 @@ func TestSizeBytes(t *testing.T) {
 	}
 	if got := f.SizeBytes(); got != 1024 {
 		t.Errorf("SizeBytes = %d, want 1024", got)
-	}
-}
-
-func TestReadLatency(t *testing.T) {
-	f := MustNewMem(128)
-	id, _ := f.Allocate()
-	buf := make([]byte, 128)
-	f.SetReadLatency(2 * time.Millisecond)
-	if got := f.ReadLatency(); got != 2*time.Millisecond {
-		t.Fatalf("ReadLatency = %v", got)
-	}
-	start := time.Now()
-	if err := f.Read(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 2*time.Millisecond {
-		t.Errorf("read with simulated latency took %v, want >= 2ms", elapsed)
-	}
-	f.SetReadLatency(-1)
-	if got := f.ReadLatency(); got != 0 {
-		t.Errorf("negative latency should clamp to 0, got %v", got)
 	}
 }
 

@@ -8,64 +8,20 @@ import (
 	"unicode"
 )
 
-// Analyzer turns raw text into index terms.  The zero value is not usable;
-// call NewAnalyzer.
-type Analyzer struct {
-	lowercase bool
-	minLen    int
-	stopwords map[string]struct{}
-}
-
-// AnalyzerOption configures an Analyzer.
-type AnalyzerOption func(*Analyzer)
-
-// WithStopwords installs a stopword list; stopwords are dropped from the
-// token stream.
-func WithStopwords(words []string) AnalyzerOption {
-	return func(a *Analyzer) {
-		for _, w := range words {
-			a.stopwords[strings.ToLower(w)] = struct{}{}
-		}
-	}
-}
-
-// WithMinTokenLength drops tokens shorter than n runes.
-func WithMinTokenLength(n int) AnalyzerOption {
-	return func(a *Analyzer) { a.minLen = n }
-}
-
-// WithoutLowercasing disables case folding (enabled by default).
-func WithoutLowercasing() AnalyzerOption {
-	return func(a *Analyzer) { a.lowercase = false }
-}
-
-// NewAnalyzer returns an analyzer that splits on non-alphanumeric runes and
-// lowercases tokens.
-func NewAnalyzer(opts ...AnalyzerOption) *Analyzer {
-	a := &Analyzer{lowercase: true, minLen: 1, stopwords: map[string]struct{}{}}
-	for _, o := range opts {
-		o(a)
-	}
-	return a
-}
+// Analyzer turns raw text into index terms: it splits on non-alphanumeric
+// runes and lowercases each token.  It has no settings, because the catalog
+// does not record how a file was tokenized: every build, reopen and
+// maintenance write must tokenize alike.  The zero value is the analyzer.
+type Analyzer struct{}
 
 // Tokenize splits text into terms.
-func (a *Analyzer) Tokenize(text string) []string {
+func (*Analyzer) Tokenize(text string) []string {
 	var tokens []string
 	fields := strings.FieldsFunc(text, func(r rune) bool {
 		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
 	})
 	for _, f := range fields {
-		if a.lowercase {
-			f = strings.ToLower(f)
-		}
-		if len([]rune(f)) < a.minLen {
-			continue
-		}
-		if _, stopped := a.stopwords[f]; stopped {
-			continue
-		}
-		tokens = append(tokens, f)
+		tokens = append(tokens, strings.ToLower(f))
 	}
 	return tokens
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestTokenizeBasics(t *testing.T) {
-	a := NewAnalyzer()
+	var a Analyzer
 	got := a.Tokenize("The Golden-Gate bridge, 1937!")
 	want := []string{"the", "golden", "gate", "bridge", "1937"}
 	if !reflect.DeepEqual(got, want) {
@@ -16,28 +16,12 @@ func TestTokenizeBasics(t *testing.T) {
 }
 
 func TestTokenizeEmpty(t *testing.T) {
-	a := NewAnalyzer()
+	var a Analyzer
 	if got := a.Tokenize(""); len(got) != 0 {
 		t.Errorf("Tokenize(\"\") = %v, want empty", got)
 	}
 	if got := a.Tokenize("!!! ---"); len(got) != 0 {
 		t.Errorf("Tokenize of punctuation = %v, want empty", got)
-	}
-}
-
-func TestTokenizeOptions(t *testing.T) {
-	a := NewAnalyzer(WithStopwords([]string{"the", "a"}), WithMinTokenLength(3))
-	got := a.Tokenize("The a big DOG ran")
-	want := []string{"big", "dog", "ran"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Tokenize with options = %v, want %v", got, want)
-	}
-
-	noFold := NewAnalyzer(WithoutLowercasing())
-	got = noFold.Tokenize("Gate gate")
-	want = []string{"Gate", "gate"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Tokenize without lowercasing = %v, want %v", got, want)
 	}
 }
 
