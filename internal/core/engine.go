@@ -663,9 +663,20 @@ func (ti *TextIndex) onScoreChange(c view.ScoreChange) {
 	case c.Err != nil:
 		ti.recordErr(c.Err)
 	case c.Deleted:
-		ti.queue(index.Update{Op: index.DeleteOp, Doc: doc})
+		// The row is already gone from the relation: its tokens come from the
+		// change, so the index can uncount and purge the document's terms.
+		tokens, err := ti.rowTokens(c.Old)
+		if err != nil {
+			ti.recordErr(err)
+		}
+		ti.queue(index.Update{Op: index.DeleteOp, Doc: doc, OldTokens: tokens})
 	case c.Inserted:
-		tokens, err := ti.tokensOf(c.Doc)
+		row, err := ti.baseRow(c.Doc)
+		if err != nil {
+			ti.recordErr(err)
+			return
+		}
+		tokens, err := ti.rowTokens(row)
 		if err != nil {
 			ti.recordErr(err)
 			return
@@ -910,16 +921,23 @@ func (ti *TextIndex) onBaseRowChange(c relation.Change) {
 	ti.queue(index.Update{Op: index.ContentOp, Doc: index.DocID(c.PK), OldTokens: oldTokens, NewTokens: newTokens})
 }
 
-func (ti *TextIndex) tokensOf(pk int64) ([]string, error) {
+// baseRow reads one row of the indexed relation.
+func (ti *TextIndex) baseRow(pk int64) (relation.Row, error) {
+	tbl, err := ti.engine.db.Table(ti.table)
+	if err != nil {
+		return nil, err
+	}
+	return tbl.Get(pk)
+}
+
+// rowTokens tokenizes the indexed text column of a row of the indexed
+// relation.
+func (ti *TextIndex) rowTokens(row relation.Row) ([]string, error) {
 	tbl, err := ti.engine.db.Table(ti.table)
 	if err != nil {
 		return nil, err
 	}
 	colIdx, err := tbl.Schema().ColumnIndex(ti.column)
-	if err != nil {
-		return nil, err
-	}
-	row, err := tbl.Get(pk)
 	if err != nil {
 		return nil, err
 	}

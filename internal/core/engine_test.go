@@ -4,12 +4,14 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"svrdb/internal/relation"
 	"svrdb/internal/storage/buffer"
 	"svrdb/internal/storage/pagefile"
+	"svrdb/internal/text"
 	"svrdb/internal/view"
 	"svrdb/internal/workload"
 )
@@ -206,6 +208,101 @@ func TestDocumentLifecycleThroughEngine(t *testing.T) {
 	}
 	if len(res.Hits) != 0 {
 		t.Errorf("deleted movie still returned: %+v", res.Hits)
+	}
+}
+
+// TestEngineDeleteUncountsTerms deletes documents through the relation and
+// checks that every affected term's document frequency equals the number of
+// live rows holding it, and that the short lists shed the deleted
+// document's postings: for a built movie promoted by a visit spike, and for
+// an inserted movie whose text was edited before the delete.
+func TestEngineDeleteUncountsTerms(t *testing.T) {
+	for _, method := range []MethodKind{MethodChunk, MethodScoreThreshold} {
+		t.Run(string(method), func(t *testing.T) {
+			engine, db := newArchiveEngine(t, 100)
+			idx, err := engine.CreateTextIndex("movies_desc", "Movies", "desc", IndexOptions{
+				Method: method,
+				Spec:   workload.ArchiveSpec(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			movies, _ := db.Table("Movies")
+			descCol, _ := movies.Schema().ColumnIndex("desc")
+			check := func(step string, terms []string, entries int) {
+				t.Helper()
+				if err := idx.MaintenanceErr(); err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				live := map[string]int64{}
+				if err := movies.Scan(func(r relation.Row) bool {
+					for _, term := range text.DistinctTerms(engine.analyzer.Tokenize(r[descCol].S)) {
+						live[term]++
+					}
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				numDocs, df, err := idx.TermStats(strings.Join(terms, " "))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if numDocs != int64(movies.Len()) {
+					t.Errorf("%s: numDocs = %d, want %d live rows", step, numDocs, movies.Len())
+				}
+				for i, term := range text.DistinctTerms(terms) {
+					if df[i] != live[term] {
+						t.Errorf("%s: df(%q) = %d, want %d live rows", step, term, df[i], live[term])
+					}
+				}
+				if got := idx.Stats().ShortListEntries; got != entries {
+					t.Errorf("%s: %d short-list entries, want %d", step, got, entries)
+				}
+			}
+
+			// The lowest-scored built movie, promoted by a visit spike, then
+			// deleted.  Under Score-Threshold the spike moves its postings to
+			// the short lists, which the delete must purge.
+			var low int64
+			lowScore := math.Inf(1)
+			for pk := int64(1); pk <= 100; pk++ {
+				if s, err := idx.view.Compute(pk); err == nil && s < lowScore {
+					low, lowScore = pk, s
+				}
+			}
+			built, err := movies.Get(low)
+			if err != nil {
+				t.Fatal(err)
+			}
+			builtTerms := engine.analyzer.Tokenize(built[descCol].S)
+			entries := idx.Stats().ShortListEntries
+			stats, _ := db.Table("Statistics")
+			if err := stats.Update(low, map[string]relation.Value{"nVisit": relation.Int(10_000_000)}); err != nil {
+				t.Fatal(err)
+			}
+			if method == MethodScoreThreshold && idx.Stats().ShortListEntries == entries {
+				t.Fatal("the visit spike wrote no short-list postings")
+			}
+			if err := movies.Delete(low); err != nil {
+				t.Fatal(err)
+			}
+			check("built movie deleted", builtTerms, entries)
+
+			// An inserted movie edited before its delete.
+			const newID = 100000
+			if err := movies.Insert(relation.Row{relation.Int(newID), relation.Str("Airship"), relation.Str("zeppelin crossing")}); err != nil {
+				t.Fatal(err)
+			}
+			if err := movies.Update(newID, map[string]relation.Value{"desc": relation.Str("dirigible crossing")}); err != nil {
+				t.Fatal(err)
+			}
+			terms := []string{"zeppelin", "dirigible", "crossing"}
+			check("inserted movie edited", terms, idx.Stats().ShortListEntries)
+			if err := movies.Delete(newID); err != nil {
+				t.Fatal(err)
+			}
+			check("inserted movie deleted", terms, entries)
+		})
 	}
 }
 

@@ -299,7 +299,8 @@ func TestCrashDuringEpochSwapServesPreSwapSnapshot(t *testing.T) {
 // torn write at every write site of the recovering Open must still leave a
 // file the next Open rolls forward to the post state.
 func TestCrashRecoveryMatrixEngine(t *testing.T) {
-	const nMovies = 12
+	// 18 movies make the batch commit 49 page writes and its recovery 48.
+	const nMovies = 18
 	const rounds = 15
 	dir := t.TempDir()
 	template := filepath.Join(dir, "template.svrdb")

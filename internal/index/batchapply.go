@@ -28,7 +28,7 @@ func applyOne(m kindMethod, u Update) error {
 	case InsertOp:
 		return m.applyInsert(u.Doc, u.Tokens, u.Score)
 	case DeleteOp:
-		return m.applyDelete(u.Doc)
+		return m.applyDelete(u.Doc, u.OldTokens)
 	case ContentOp:
 		return m.applyContent(u.Doc, u.OldTokens, u.NewTokens)
 	default:

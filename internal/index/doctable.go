@@ -218,7 +218,7 @@ const scoreBulkFill = 0.55
 // the Score table costs one left-to-right leaf-packing pass instead of one
 // descent per document.
 func (t *docTable) bulkLoad(pool *buffer.Pool, items []btree.Item) error {
-	tree, err := btree.BulkLoadFill(pool, items, scoreBulkFill)
+	tree, err := btree.BulkLoad(pool, items, scoreBulkFill)
 	if err != nil {
 		return err
 	}
@@ -238,7 +238,7 @@ func (t *docTable) Len() int { return t.tree.Len() }
 // ForEach visits every (doc, row) pair in document order.
 func (t *docTable) ForEach(visit func(doc DocID, r docRow) bool) error {
 	var innerErr error
-	err := t.tree.Ascend(func(k, v []byte) bool {
+	err := t.tree.View().Ascend(func(k, v []byte) bool {
 		id, _, err := codec.OrderedUint64(k)
 		if err != nil {
 			innerErr = err

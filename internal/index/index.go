@@ -140,7 +140,7 @@ func (k UpdateKind) String() string {
 //
 //   - ScoreOp:   Doc, Score (the new score)
 //   - InsertOp:  Doc, Tokens, Score (the initial score)
-//   - DeleteOp:  Doc
+//   - DeleteOp:  Doc, OldTokens
 //   - ContentOp: Doc, OldTokens, NewTokens
 type Update struct {
 	Op    UpdateKind
@@ -149,7 +149,10 @@ type Update struct {
 	// Tokens is the token stream of an inserted document.
 	Tokens []string
 	// OldTokens and NewTokens are the previous and new token streams of a
-	// content update.
+	// content update.  A delete carries the deleted document's stream in
+	// OldTokens, because its row is gone by the time the index applies the
+	// op; without it (nil) the index falls back to its document source and
+	// insert cache.
 	OldTokens, NewTokens []string
 }
 
@@ -334,7 +337,7 @@ type kindMethod interface {
 	buildLists(bc *builtCorpus) error
 	applyScore(doc DocID, newScore float64) error
 	applyInsert(doc DocID, tokens []string, score float64) error
-	applyDelete(doc DocID) error
+	applyDelete(doc DocID, tokens []string) error
 	applyContent(doc DocID, oldTokens, newTokens []string) error
 }
 

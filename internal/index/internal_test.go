@@ -8,6 +8,7 @@ import (
 
 	"svrdb/internal/codec"
 	"svrdb/internal/postings"
+	"svrdb/internal/storage/btree"
 	"svrdb/internal/storage/buffer"
 	"svrdb/internal/storage/pagefile"
 )
@@ -221,7 +222,7 @@ func TestKeyedListValueRejectsHostileBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := kl.tree.Put(keyedListKey("news", 3, 42), tc.val); err != nil {
+			if _, err := kl.tree.UpsertBatch([]btree.Item{{Key: keyedListKey("news", 3, 42), Value: tc.val}}); err != nil {
 				t.Fatal(err)
 			}
 			v := kl.snapshotView()

@@ -157,7 +157,7 @@ func (l *keyedList) stageOp(term string, doc DocID, key, val []byte, del bool) {
 func (l *keyedList) DeleteAllForDoc(term string, doc DocID) error {
 	var keys [][]byte
 	prefix := keyedListPrefix(term)
-	err := l.tree.AscendPrefix(prefix, func(k, v []byte) bool {
+	err := l.tree.View().AscendPrefix(prefix, func(k, v []byte) bool {
 		_, d, err := decodeKeyedListSuffix(k[len(prefix):])
 		if err == nil && d == doc {
 			keys = append(keys, append([]byte(nil), k...))
@@ -223,10 +223,10 @@ const keyedListBulkFill = 0.6
 
 // bulkLoad replaces the (empty) tree with one bulk-built from items, which
 // must be in ascending key order; used by the Score method's Build so that
-// its clustered long lists are leaf-packed instead of grown one Upsert at a
+// its clustered long lists are leaf-packed instead of grown one batch at a
 // time.
 func (l *keyedList) bulkLoad(pool *buffer.Pool, items []btree.Item) error {
-	tree, err := btree.BulkLoadFill(pool, items, keyedListBulkFill)
+	tree, err := btree.BulkLoad(pool, items, keyedListBulkFill)
 	if err != nil {
 		return err
 	}
@@ -334,7 +334,7 @@ const cursorBatchSize = postings.BatchSize
 
 func (v keyedView) Cursor(term string, fromShort bool) *treeCursor {
 	prefix := keyedListPrefix(term)
-	return &treeCursor{view: v.view, fromShort: fromShort, prefixLen: len(prefix), end: prefixEnd(prefix), nextKey: prefix}
+	return &treeCursor{view: v.view, fromShort: fromShort, prefixLen: len(prefix), end: btree.PrefixEnd(prefix), nextKey: prefix}
 }
 
 func (c *treeCursor) refill() error {
@@ -418,18 +418,6 @@ func (c *treeCursor) NextBatch(out []postings.Entry) (int, error) {
 		c.pos += copied
 	}
 	return n, nil
-}
-
-// prefixEnd mirrors btree.prefixEnd for range termination.
-func prefixEnd(prefix []byte) []byte {
-	end := append([]byte(nil), prefix...)
-	for i := len(end) - 1; i >= 0; i-- {
-		if end[i] != 0xFF {
-			end[i]++
-			return end[:i+1]
-		}
-	}
-	return nil
 }
 
 // SizeBytes estimates the serialized size of the list: key plus value bytes

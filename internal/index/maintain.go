@@ -61,6 +61,15 @@ func (b *base) docTokens(doc DocID) ([]string, error) {
 	return nil, fmt.Errorf("%w: %d has no available content", ErrUnknownDocument, doc)
 }
 
+// deletedTokens is the content a delete purges and uncounts by: the tokens
+// the op carried, else whatever docTokens still finds.
+func (b *base) deletedTokens(doc DocID, carried []string) ([]string, error) {
+	if carried != nil {
+		return carried, nil
+	}
+	return b.docTokens(doc)
+}
+
 // liveRow is the one liveness check every handler but insert begins with: the
 // document's Score-table row, or ErrUnknownDocument for a document the index
 // has never seen or has deleted — no op resurrects a deleted document or
@@ -130,7 +139,8 @@ func (b *base) applyInsert(doc DocID, tokens []string, score float64) error {
 // marker, which is what queries filter on, the document's short-list
 // postings are purged so that a reused ID is safe, and its terms' document
 // frequencies drop, so that TF-IDF and TermStats count live documents only.
-func (b *base) applyDelete(doc DocID) error {
+// tokens is the deleted document's content (see Update.OldTokens).
+func (b *base) applyDelete(doc DocID, tokens []string) error {
 	row, err := b.liveRow(doc)
 	if err != nil {
 		return err
@@ -141,9 +151,12 @@ func (b *base) applyDelete(doc DocID) error {
 	// cannot be uncounted: their df keeps counting it.  The deleted marker
 	// alone keeps it out of every result.  With content, df drops here — the
 	// liveness check above makes a delete run at most once per document.
-	if tokens, err := b.docTokens(doc); err == nil {
+	if tokens, err := b.deletedTokens(doc, tokens); err == nil {
 		terms := text.DistinctTerms(tokens)
-		for _, term := range terms {
+		// An inserted document edited since also holds REM postings under
+		// the terms it lost, which the insert cache still names.
+		purge := text.DistinctTerms(append(append([]string(nil), terms...), b.knownTokens[doc]...))
+		for _, term := range purge {
 			if err := b.lists.DeleteAllForDoc(term, doc); err != nil {
 				return err
 			}

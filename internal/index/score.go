@@ -75,13 +75,13 @@ func (m *scoreMethod) applyScore(doc DocID, newScore float64) error {
 // applyDelete implements kindMethod, overriding the shared path: the
 // document's postings are removed from the lists at their exact position and
 // its terms leave the dictionary.
-func (m *scoreMethod) applyDelete(doc DocID) error {
+func (m *scoreMethod) applyDelete(doc DocID, tokens []string) error {
 	row, err := m.liveRow(doc)
 	if err != nil {
 		return err
 	}
 	m.dictChanged()
-	if tokens, err := m.docTokens(doc); err == nil {
+	if tokens, err := m.deletedTokens(doc, tokens); err == nil {
 		terms := text.DistinctTerms(tokens)
 		for _, term := range terms {
 			m.lists.Delete(term, row.val, doc)

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -443,20 +444,20 @@ func (t *Table) Insert(row Row) error {
 // insertLocked applies the insert; the caller holds rowMu.
 func (t *Table) insertLocked(pk int64, row Row) error {
 	key := pkKey(pk)
-	if ok, err := t.tree.Has(key); err != nil {
+	if _, ok, err := t.tree.Get(key); err != nil {
 		return err
 	} else if ok {
 		return fmt.Errorf("%w: %d in table %q", ErrDuplicateKey, pk, t.schema.Name)
 	}
 	encoded := encodeRow(row)
-	if err := t.tree.Put(key, encoded); err != nil {
+	if _, err := t.tree.UpsertBatch([]btree.Item{{Key: key, Value: encoded}}); err != nil {
 		return err
 	}
 	t.mu.Lock()
 	t.rowCount++
 	t.rowBytes += int64(len(encoded))
 	t.mu.Unlock()
-	return t.indexRow(row, true)
+	return t.reindexRow(nil, row)
 }
 
 // Get returns the row with the given primary key.
@@ -541,14 +542,11 @@ func (t *Table) updateLocked(pk int64, updates map[string]Value) (old, updated R
 		}
 		updated[idx] = v
 	}
-	if err := t.unindexRow(old); err != nil {
+	if err := t.reindexRow(old, updated); err != nil {
 		return nil, nil, err
 	}
 	encoded := encodeRow(updated)
-	if err := t.tree.Put(pkKey(pk), encoded); err != nil {
-		return nil, nil, err
-	}
-	if err := t.indexRow(updated, false); err != nil {
+	if _, err := t.tree.UpsertBatch([]btree.Item{{Key: pkKey(pk), Value: encoded}}); err != nil {
 		return nil, nil, err
 	}
 	t.mu.Lock()
@@ -575,10 +573,10 @@ func (t *Table) deleteLocked(pk int64) (Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := t.unindexRow(old); err != nil {
+	if err := t.reindexRow(old, nil); err != nil {
 		return nil, err
 	}
-	if _, err := t.tree.Delete(pkKey(pk)); err != nil {
+	if _, err := t.tree.DeleteBatch([][]byte{pkKey(pk)}); err != nil {
 		return nil, err
 	}
 	t.mu.Lock()
@@ -595,7 +593,7 @@ func (t *Table) Scan(visit func(Row) bool) error {
 	t.rowMu.RLock()
 	defer t.rowMu.RUnlock()
 	var decodeErr error
-	err := t.tree.Ascend(func(k, v []byte) bool {
+	err := t.tree.View().Ascend(func(k, v []byte) bool {
 		row, err := decodeRow(v)
 		if err != nil {
 			decodeErr = err
@@ -655,24 +653,25 @@ func (t *Table) CreateIndex(column string) error {
 	if err != nil {
 		return err
 	}
-	var fillErr error
-	err = t.tree.Ascend(func(k, v []byte) bool {
+	var items []btree.Item
+	var decodeErr error
+	err = t.tree.View().Ascend(func(k, v []byte) bool {
 		row, err := decodeRow(v)
 		if err != nil {
-			fillErr = err
+			decodeErr = err
 			return false
 		}
-		if err := tree.Put(secondaryKey(row[idx], row[0].I), nil); err != nil {
-			fillErr = err
-			return false
-		}
+		items = append(items, btree.Item{Key: secondaryKey(row[idx], row[0].I)})
 		return true
 	})
-	if fillErr == nil {
-		fillErr = err
+	if decodeErr != nil {
+		return decodeErr
 	}
-	if fillErr != nil {
-		return fillErr
+	if err != nil {
+		return err
+	}
+	if _, err := tree.UpsertBatch(items); err != nil {
+		return err
 	}
 	t.mu.Lock()
 	t.secondary[column] = tree
@@ -697,7 +696,11 @@ func secondaryKey(v Value, pk int64) []byte {
 	return codec.PutOrderedUint64(key, uint64(pk))
 }
 
-func (t *Table) indexRow(row Row, _ bool) error {
+// reindexRow moves a row's secondary-index keys from old to updated, where
+// a nil old is an insert and a nil updated a delete.  A column whose key is
+// unchanged is left alone, so an update of an unindexed column writes no
+// secondary tree.
+func (t *Table) reindexRow(old, updated Row) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for col, tree := range t.secondary {
@@ -705,23 +708,25 @@ func (t *Table) indexRow(row Row, _ bool) error {
 		if err != nil {
 			return err
 		}
-		if err := tree.Put(secondaryKey(row[idx], row[0].I), nil); err != nil {
-			return err
+		var oldKey, newKey []byte
+		if old != nil {
+			oldKey = secondaryKey(old[idx], old[0].I)
 		}
-	}
-	return nil
-}
-
-func (t *Table) unindexRow(row Row) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for col, tree := range t.secondary {
-		idx, err := t.schema.ColumnIndex(col)
-		if err != nil {
-			return err
+		if updated != nil {
+			newKey = secondaryKey(updated[idx], updated[0].I)
 		}
-		if _, err := tree.Delete(secondaryKey(row[idx], row[0].I)); err != nil {
-			return err
+		if bytes.Equal(oldKey, newKey) {
+			continue
+		}
+		if oldKey != nil {
+			if _, err := tree.DeleteBatch([][]byte{oldKey}); err != nil {
+				return err
+			}
+		}
+		if newKey != nil {
+			if _, err := tree.UpsertBatch([]btree.Item{{Key: newKey}}); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -743,7 +748,7 @@ func (t *Table) LookupByColumn(column string, value Value, visit func(Row) bool)
 	// Strip the trailing pk portion (last 8 bytes) to form the value prefix.
 	prefix = prefix[:len(prefix)-8]
 	var innerErr error
-	err := tree.AscendPrefix(prefix, func(k, v []byte) bool {
+	err := tree.View().AscendPrefix(prefix, func(k, v []byte) bool {
 		pkBytes := k[len(k)-8:]
 		pk, _, err := codec.OrderedUint64(pkBytes)
 		if err != nil {

@@ -248,6 +248,58 @@ func TestSecondaryIndexMaintainedOnMutations(t *testing.T) {
 	}
 }
 
+// TestUpdateOfUnindexedColumnSkipsSecondary updates a column no secondary
+// index covers: the index's tree keeps its root and Len, no page of it is
+// written, and lookups through it still answer.
+func TestUpdateOfUnindexedColumnSkipsSecondary(t *testing.T) {
+	db := newDB(t)
+	reviews, _ := db.CreateTable(Schema{
+		Name: "Reviews",
+		Columns: []Column{
+			{Name: "rID", Kind: KindInt64},
+			{Name: "mID", Kind: KindInt64},
+			{Name: "rating", Kind: KindFloat64},
+		},
+	})
+	if err := reviews.CreateIndex("mID"); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 20; i++ {
+		if err := reviews.Insert(Row{Int(i), Int(i % 4), Float(3)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sec := reviews.secondary["mID"]
+	root, size := sec.RootPage(), sec.Len()
+	pool := db.Pool()
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	before := pool.Stats().Flushes
+	if err := reviews.Update(6, map[string]Value{"rating": Float(4.5)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if n := pool.Stats().Flushes - before; n != 1 {
+		t.Errorf("rating update wrote %d pages, want 1 (the row's leaf)", n)
+	}
+	if sec.RootPage() != root || sec.Len() != size {
+		t.Errorf("secondary tree moved: root %d → %d, Len %d → %d", root, sec.RootPage(), size, sec.Len())
+	}
+	var got []float64
+	if err := reviews.LookupByColumn("mID", Int(2), func(r Row) bool {
+		got = append(got, r[2].F)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 5 || got[1] != 4.5 {
+		t.Errorf("ratings for mID 2 = %v, want 5 with the second 4.5", got)
+	}
+}
+
 func TestLookupWithoutIndexFails(t *testing.T) {
 	db := newDB(t)
 	movies, _ := db.CreateTable(moviesSchema())

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"svrdb/internal/relation"
 	"svrdb/internal/storage/buffer"
 	"svrdb/internal/storage/pagefile"
+	"svrdb/internal/text"
 	"svrdb/internal/view"
 )
 
@@ -178,6 +180,65 @@ func TestRouterMatchesSingleServer(t *testing.T) {
 	for i := range fromSingle.DF {
 		if fromRouter.DF[i] != fromSingle.DF[i] {
 			t.Errorf("termstats df[%d]: router %d, single %d", i, fromRouter.DF[i], fromSingle.DF[i])
+		}
+	}
+}
+
+// TestRouterTermStatsAfterDeletes deletes built documents, and an inserted
+// document edited before its delete, through a 3-shard router and through a
+// single server over the same data.  Afterwards every term's df equals the
+// number of live documents holding it, and the router's df sum equals the
+// single engine's.
+func TestRouterTermStatsAfterDeletes(t *testing.T) {
+	single, shards := newShardedFixture(t, 90, 3)
+	_, routerBase := startRouter(t, shards, RouterOptions{})
+	singleBase := startServer(t, New(single, Options{}))
+	pk := func(v int64) *int64 { return &v }
+	batches := [][]BatchOp{
+		{{Op: "insert", Table: "Docs", Row: map[string]json.RawMessage{
+			"id": json.RawMessage("1000"), "body": json.RawMessage(`"alpha zeppelin"`), "val": json.RawMessage("5")}}},
+		{{Op: "update", Table: "Docs", PK: pk(1000), Set: map[string]json.RawMessage{"body": json.RawMessage(`"beta dirigible"`)}}},
+		{{Op: "delete", Table: "Docs", PK: pk(1000)}},
+	}
+	var dels []BatchOp
+	for id := int64(1); id < 10; id++ {
+		dels = append(dels, BatchOp{Op: "delete", Table: "Docs", PK: pk(id)})
+	}
+	batches = append(batches, dels)
+	for _, base := range []string{routerBase, singleBase} {
+		for _, b := range batches {
+			if status, data := postJSON(t, base+"/v1/batch", BatchRequest{Ops: b}); status != http.StatusOK {
+				t.Fatalf("batch status = %d, body %s", status, data)
+			}
+		}
+	}
+
+	terms := append(append([]string(nil), routerVocab...), "zeppelin", "dirigible")
+	live := map[string]int64{}
+	for id := int64(10); id <= 90; id++ {
+		for _, term := range text.DistinctTerms(single.Analyzer().Tokenize(routerDocBody(id))) {
+			live[term]++
+		}
+	}
+	var fromRouter, fromSingle TermStatsResponse
+	for base, dst := range map[string]*TermStatsResponse{routerBase: &fromRouter, singleBase: &fromSingle} {
+		status, data := postJSON(t, base+"/v1/indexes/docs/termstats", TermStatsRequest{Query: strings.Join(terms, " ")})
+		if status != http.StatusOK {
+			t.Fatalf("termstats status = %d, body %s", status, data)
+		}
+		if err := json.Unmarshal(data, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fromSingle.NumDocs != 81 || fromRouter.NumDocs != 81 {
+		t.Errorf("num_docs: router %d, single %d, want 81", fromRouter.NumDocs, fromSingle.NumDocs)
+	}
+	for i, term := range text.DistinctTerms(terms) {
+		if fromSingle.DF[i] != live[term] {
+			t.Errorf("single df(%q) = %d, want %d live documents", term, fromSingle.DF[i], live[term])
+		}
+		if fromRouter.DF[i] != fromSingle.DF[i] {
+			t.Errorf("df(%q): router %d, single %d", term, fromRouter.DF[i], fromSingle.DF[i])
 		}
 	}
 }

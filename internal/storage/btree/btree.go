@@ -26,9 +26,11 @@ const maxDepth = 64
 // ErrEntryTooLarge is returned when a key/value pair cannot fit in a page.
 var ErrEntryTooLarge = errors.New("btree: entry too large for page")
 
-// Tree is a B+-tree.  It is not safe for concurrent mutation; the engine
-// serializes index updates, as the paper's single update stream does.
-// Concurrent readers (Get, Has, Probe, cursors, range scans) are safe with
+// Tree is a B+-tree.  It is mutated only through the sorted batch
+// (UpsertBatch, DeleteBatch) and read only through a View (Get is a lookup
+// on a View of the current root).  It is not safe for concurrent mutation;
+// the engine serializes index updates, as the paper's single update stream
+// does.  Concurrent readers (View lookups, scans and Probes) are safe with
 // each other, and the mutable tree metadata — the root page, the key count
 // and the patch counter — is held in atomics so that metadata reads
 // (Len, Patches, a reader starting its descent) race-cleanly against a
@@ -114,8 +116,9 @@ func (t *Tree) writeNodeOut(n *node) (pagefile.PageID, error) {
 }
 
 // clonePage copies the pinned page into a fresh page and returns the new
-// frame pinned (the caller releases it).  Used by the COW patch path, which
-// edits the raw page image without parsing it.
+// frame pinned (the caller releases it).  UpsertBatch promotes a published
+// leaf to a private clone this way, and replaceChildPointer a published
+// ancestor, both without parsing the page.
 func (t *Tree) clonePage(fr *buffer.Frame) (*buffer.Frame, error) {
 	nfr, err := t.pool.NewPage()
 	if err != nil {
@@ -541,54 +544,34 @@ func pageChildWalk(data []byte, off int, nKeys uint64, key []byte) (pagefile.Pag
 	return cur, nil, nil
 }
 
-// pageLeafLookup scans a serialized leaf for key, returning the value bytes
-// in place (aliasing data) when present.
+// pageLeafLookup finds key in a serialized leaf, returning the value bytes
+// in place (aliasing data) when present.  A fixed-width leaf is bisected by
+// stride in place; any other is walked until the first key >= key, which a
+// one-shot lookup prefers to building an offset table.
 func pageLeafLookup(id pagefile.PageID, data, key []byte) ([]byte, bool, error) {
-	valOff, valLen, found, err := pageLeafFindValue(id, data, key)
-	if err != nil || !found {
-		return nil, false, err
-	}
-	return data[valOff : valOff+valLen], true, nil
-}
-
-// pageLeafFindValue finds key in a serialized leaf and returns the offset
-// and length of its value bytes within data — the patch fast path needs the
-// location so it can overwrite the value in the pinned page; pageLeafLookup
-// wraps it for callers that want the contents.  A fixed-width leaf is
-// bisected by stride in place; any other is walked until the first key >=
-// key, which a one-shot lookup prefers to building an offset table.
-func pageLeafFindValue(id pagefile.PageID, data, key []byte) (valOff, valLen int, found bool, err error) {
 	w, err := walkLeaf(id, data)
 	if err != nil {
-		return 0, 0, false, err
+		return nil, false, err
 	}
 	if s, ok := fitStride(data, w.off, uint64(w.left), true); ok {
 		i := s.search(data, key, 0)
 		if i < s.n && bytes.Equal(s.key(data, i), key) {
-			return s.off + i*s.width + s.vskip, s.width - s.vskip, true, nil
+			off := s.off + i*s.width
+			return data[off+s.vskip : off+s.width], true, nil
 		}
-		return 0, 0, false, nil
+		return nil, false, nil
 	}
 	for {
 		e, ok, err := w.next()
 		if err != nil || !ok {
-			return 0, 0, false, err
+			return nil, false, err
 		}
 		if cmp := bytes.Compare(data[e.keyOff:e.keyEnd], key); cmp == 0 {
-			return int(e.valOff), int(e.valEnd - e.valOff), true, nil
+			return data[e.valOff:e.valEnd], true, nil
 		} else if cmp > 0 {
-			return 0, 0, false, nil
+			return nil, false, nil
 		}
 	}
-}
-
-// findLeafFrame descends to the leaf that would hold key, scanning the
-// serialized internal nodes directly from their pinned pages, and returns
-// the leaf's frame still pinned (the caller releases it).  Unlike the
-// parse-every-node descent it allocates nothing, which matters because every
-// Score-table and ListScore-table probe on the query hot path starts here.
-func (t *Tree) findLeafFrame(key []byte) (*buffer.Frame, error) {
-	return t.descendToLeaf(key, nil, nil)
 }
 
 // descendToLeaf is the shared serialized-page descent: it returns the leaf's
@@ -656,122 +639,11 @@ func (t *Tree) descendFrom(root pagefile.PageID, key []byte, path *[]pagefile.Pa
 	}
 }
 
-// Get returns the value stored under key, or (nil, false) when absent.  The
-// returned value is an independent copy.
-func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	v, ok, err := t.lookup(key, true)
-	return v, ok, err
-}
-
-// Has reports whether key is present.
-func (t *Tree) Has(key []byte) (bool, error) {
-	_, ok, err := t.lookup(key, false)
-	return ok, err
-}
-
-// lookup probes for key without materializing any node.  When copyVal is set
-// the value is copied out of the pinned page before release.
-func (t *Tree) lookup(key []byte, copyVal bool) ([]byte, bool, error) {
-	fr, err := t.findLeafFrame(key)
-	if err != nil {
-		return nil, false, err
-	}
-	v, ok, err := pageLeafLookup(fr.ID(), fr.Data(), key)
-	if ok && copyVal {
-		v = append([]byte(nil), v...)
-	} else if !copyVal {
-		v = nil
-	}
-	fr.Release()
-	return v, ok, err
-}
+// Get returns a copy of the value stored under key, or (nil, false) when
+// absent: a lookup on a View of the current root (see View.Get).
+func (t *Tree) Get(key []byte) ([]byte, bool, error) { return t.View().Get(nil, key) }
 
 // --- insertion ---------------------------------------------------------------
-
-// Put inserts key with value, replacing any existing value.
-func (t *Tree) Put(key, value []byte) error {
-	_, err := t.Upsert(key, value)
-	return err
-}
-
-// Patch overwrites the value stored under key in place when the existing
-// value has identical length, and reports whether it did.  The write happens
-// directly in the pinned leaf page — no node parse, no reserialize, no
-// structural change — which is why it is the fast path for every fixed-width
-// table write.  (false, nil) means the key is absent or the lengths differ;
-// the caller falls back to Upsert.
-//
-// In COW mode a published leaf is not written where it is: the page is
-// cloned, the clone patched, and the one ancestor pointer rewired — still
-// no node parse, so the fixed-width fast path survives snapshot isolation.
-func (t *Tree) Patch(key, value []byte) (bool, error) {
-	if len(key) == 0 {
-		return false, errors.New("btree: empty key")
-	}
-	return t.tryPatch(key, value)
-}
-
-// tryPatch is the shared patch probe of Patch and Upsert.
-func (t *Tree) tryPatch(key, value []byte) (bool, error) {
-	if !t.cow {
-		fr, err := t.findLeafFrame(key)
-		if err != nil {
-			return false, err
-		}
-		ok, err := t.patchInFrame(fr, key, value)
-		fr.Release()
-		return ok, err
-	}
-	var path []pagefile.PageID
-	fr, err := t.descendToLeaf(key, &path, nil)
-	if err != nil {
-		return false, err
-	}
-	if t.mutableInPlace(fr.ID()) {
-		ok, err := t.patchInFrame(fr, key, value)
-		fr.Release()
-		return ok, err
-	}
-	// Published leaf: check patchability first so a miss costs nothing, then
-	// clone, patch the clone and rewire the parent pointer.
-	valOff, valLen, found, err := pageLeafFindValue(fr.ID(), fr.Data(), key)
-	if err != nil || !found || valLen != len(value) {
-		fr.Release()
-		return false, err
-	}
-	old := fr.ID()
-	nfr, err := t.clonePage(fr)
-	fr.Release()
-	if err != nil {
-		return false, err
-	}
-	nfr.Patch(valOff, value)
-	nid := nfr.ID()
-	nfr.Release()
-	if err := t.freePage(old); err != nil {
-		return false, err
-	}
-	if err := t.replaceChildPointer(path, old, nid); err != nil {
-		return false, err
-	}
-	t.patches.Add(1)
-	return true, nil
-}
-
-// patchInFrame applies the in-place patch against an already-pinned leaf
-// frame.  The caller retains the pin.
-func (t *Tree) patchInFrame(fr *buffer.Frame, key, value []byte) (bool, error) {
-	valOff, valLen, found, err := pageLeafFindValue(fr.ID(), fr.Data(), key)
-	if err != nil {
-		return false, err
-	}
-	if !found || valLen != len(value) {
-		return false, nil
-	}
-	fr.Patch(valOff, value)
-	t.patches.Add(1)
-	return true, nil
-}
 
 // patchRun applies as many leading items as possible as in-place patches
 // against an already-pinned leaf frame, in one forward scan: items are in
@@ -806,34 +678,11 @@ func (t *Tree) patchRun(fr *buffer.Frame, items []Item) (int, error) {
 	return consumed, nil
 }
 
-// Upsert is Put that also reports whether a new key was inserted (false
-// means an existing value was replaced).  Callers that need to maintain an
-// entry count use it to avoid a separate Has probe per write.
-//
-// A same-length replacement is absorbed by the Patch fast path before the
-// general insert machinery runs: one descent over pinned pages and an
-// in-place value overwrite, no node parse or reserialize.  A write that
-// misses the patch (new key, changed length) pays that probe descent on top
-// of insertInto's own — a deliberate trade: the probe allocates nothing and
-// is far cheaper than the leaf parse and rewrite the miss path performs
-// anyway, while the hit path (every fixed-width table update, the paper's
-// dominant workload) skips the rewrite entirely.
-func (t *Tree) Upsert(key, value []byte) (bool, error) {
-	if len(key) == 0 {
-		return false, errors.New("btree: empty key")
-	}
-	if len(key)+len(value)+16 > t.maxEntrySize() {
-		return false, fmt.Errorf("%w: key %d + value %d bytes (max %d)", ErrEntryTooLarge, len(key), len(value), t.maxEntrySize())
-	}
-	if !t.disablePatch {
-		ok, err := t.tryPatch(key, value)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return false, nil
-		}
-	}
+// insert writes one key through the split machinery: a root-to-leaf
+// rewrite that splits every node it overfills, growing a new root when the
+// old one splits.  It is UpsertBatch's fallback for the item that does not
+// fit its leaf, and reports whether the key was new.
+func (t *Tree) insert(key, value []byte) (bool, error) {
 	self, promoted, newChild, inserted, err := t.insertInto(t.rootID(), key, value)
 	if err != nil {
 		return false, err
@@ -982,43 +831,6 @@ func (t *Tree) splitInternal(n *node) (pagefile.PageID, []byte, pagefile.PageID,
 
 // --- deletion ----------------------------------------------------------------
 
-// Delete removes key if present and reports whether it was found.  Leaves are
-// not rebalanced, but a leaf that empties completely is removed from its
-// ancestors and its page recycled (see the package comment).
-func (t *Tree) Delete(key []byte) (bool, error) {
-	var path []pagefile.PageID
-	fr, err := t.descendToLeaf(key, &path, nil)
-	if err != nil {
-		return false, err
-	}
-	leaf, err := parseNode(fr.ID(), fr.Data())
-	fr.Release()
-	if err != nil {
-		return false, err
-	}
-	i := searchKeys(leaf.keys, key)
-	if i >= len(leaf.keys) || !bytes.Equal(leaf.keys[i], key) {
-		return false, nil
-	}
-	leaf.keys = append(leaf.keys[:i], leaf.keys[i+1:]...)
-	leaf.vals = append(leaf.vals[:i], leaf.vals[i+1:]...)
-	t.size.Add(-1)
-	if len(leaf.keys) == 0 && leaf.id != t.rootID() {
-		// The page is about to be recycled; writing the dead image first
-		// would be wasted I/O.
-		return true, t.pruneEmptiedLeafAlongPath(leaf, path)
-	}
-	old := leaf.id
-	self, err := t.writeNodeOut(leaf)
-	if err != nil {
-		return true, err
-	}
-	if self != old {
-		return true, t.replaceChildPointer(path, old, self)
-	}
-	return true, nil
-}
-
 // freePage disposes of a page the tree no longer references.  A page no
 // published snapshot could reach (non-COW trees, and fresh pages in COW
 // mode) is recycled immediately: the resident frame (if any) is dropped
@@ -1154,41 +966,6 @@ func (t *Tree) collapseRoot() error {
 			return err
 		}
 	}
-}
-
-// --- scans -------------------------------------------------------------------
-
-// Visitor receives key/value pairs during a scan.  Returning false stops the
-// scan early.  The slices are valid only until the visitor returns (ascending
-// scans pass views into a reusable leaf image); copy what must outlive it.
-type Visitor func(key, value []byte) bool
-
-// AscendRange visits keys in [start, end) in ascending order.  A nil start
-// begins at the smallest key; a nil end scans to the largest.  It is the
-// scan of a View of the current root (see View.AscendRange).
-func (t *Tree) AscendRange(start, end []byte, visit Visitor) error {
-	return t.View().AscendRange(start, end, visit)
-}
-
-// Ascend visits every key in ascending order.
-func (t *Tree) Ascend(visit Visitor) error { return t.AscendRange(nil, nil, visit) }
-
-// AscendPrefix visits every key beginning with prefix in ascending order.
-func (t *Tree) AscendPrefix(prefix []byte, visit Visitor) error {
-	return t.AscendRange(prefix, prefixEnd(prefix), visit)
-}
-
-// prefixEnd returns the smallest key greater than every key with the given
-// prefix, or nil when no such key exists (prefix of all 0xFF bytes).
-func prefixEnd(prefix []byte) []byte {
-	end := append([]byte(nil), prefix...)
-	for i := len(end) - 1; i >= 0; i-- {
-		if end[i] != 0xFF {
-			end[i]++
-			return end[:i+1]
-		}
-	}
-	return nil
 }
 
 // --- diagnostics -------------------------------------------------------------

@@ -28,12 +28,12 @@ func TestTreeMatchesSortedMapProperty(t *testing.T) {
 			switch op.Kind % 3 {
 			case 0:
 				val := fmt.Sprintf("v%d", op.Value)
-				if err := tree.Put([]byte(key), []byte(val)); err != nil {
+				if err := put(tree, []byte(key), []byte(val)); err != nil {
 					return false
 				}
 				oracle[key] = val
 			case 1:
-				ok, err := tree.Delete([]byte(key))
+				ok, err := del(tree, []byte(key))
 				if err != nil {
 					return false
 				}
@@ -64,7 +64,7 @@ func TestTreeMatchesSortedMapProperty(t *testing.T) {
 		sort.Strings(keys)
 		i := 0
 		good := true
-		tree.Ascend(func(k, v []byte) bool {
+		tree.View().Ascend(func(k, v []byte) bool {
 			if i >= len(keys) || string(k) != keys[i] || string(v) != oracle[keys[i]] {
 				good = false
 				return false
@@ -89,7 +89,7 @@ func TestRangeScanMatchesOracleProperty(t *testing.T) {
 	for i := 0; i < 1500; i++ {
 		key := fmt.Sprintf("k%05d", rng.Intn(5000))
 		oracle[key] = true
-		if err := tree.Put([]byte(key), []byte("v")); err != nil {
+		if err := put(tree, []byte(key), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func TestRangeScanMatchesOracleProperty(t *testing.T) {
 			}
 		}
 		var got []string
-		if err := tree.AscendRange([]byte(lo), []byte(hi), func(k, v []byte) bool {
+		if err := tree.View().AscendRange([]byte(lo), []byte(hi), func(k, v []byte) bool {
 			got = append(got, string(k))
 			return true
 		}); err != nil {
@@ -140,9 +140,9 @@ func TestPrefixEndEdgeCases(t *testing.T) {
 		{[]byte{}, nil},
 	}
 	for _, c := range cases {
-		got := prefixEnd(c.prefix)
+		got := PrefixEnd(c.prefix)
 		if !bytes.Equal(got, c.want) {
-			t.Errorf("prefixEnd(%v) = %v, want %v", c.prefix, got, c.want)
+			t.Errorf("PrefixEnd(%v) = %v, want %v", c.prefix, got, c.want)
 		}
 	}
 }

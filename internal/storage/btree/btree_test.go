@@ -25,9 +25,22 @@ func newTestTree(t testing.TB, pageSize, poolPages int) (*Tree, *buffer.Pool) {
 	return tree, pool
 }
 
+// put writes one key as a one-item batch.
+func put(tr *Tree, key, value []byte) error {
+	_, err := tr.UpsertBatch([]Item{{Key: key, Value: value}})
+	return err
+}
+
+// del removes one key as a one-item batch and reports whether it was
+// present.
+func del(tr *Tree, key []byte) (bool, error) {
+	n, err := tr.DeleteBatch([][]byte{key})
+	return n == 1, err
+}
+
 func TestPutGetSingle(t *testing.T) {
 	tree, _ := newTestTree(t, 512, 64)
-	if err := tree.Put([]byte("movie:42"), []byte("American Thrift")); err != nil {
+	if err := put(tree, []byte("movie:42"), []byte("American Thrift")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	v, ok, err := tree.Get([]byte("movie:42"))
@@ -45,10 +58,10 @@ func TestPutGetSingle(t *testing.T) {
 func TestPutReplace(t *testing.T) {
 	tree, _ := newTestTree(t, 512, 64)
 	key := []byte("doc")
-	if err := tree.Put(key, []byte("old")); err != nil {
+	if err := put(tree, key, []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.Put(key, []byte("new")); err != nil {
+	if err := put(tree, key, []byte("new")); err != nil {
 		t.Fatal(err)
 	}
 	if tree.Len() != 1 {
@@ -62,7 +75,7 @@ func TestPutReplace(t *testing.T) {
 
 func TestEmptyKeyRejected(t *testing.T) {
 	tree, _ := newTestTree(t, 512, 64)
-	if err := tree.Put(nil, []byte("v")); err == nil {
+	if err := put(tree, nil, []byte("v")); err == nil {
 		t.Fatal("Put with empty key succeeded, want error")
 	}
 }
@@ -70,7 +83,7 @@ func TestEmptyKeyRejected(t *testing.T) {
 func TestEntryTooLarge(t *testing.T) {
 	tree, _ := newTestTree(t, 512, 64)
 	big := bytes.Repeat([]byte{'x'}, 1024)
-	if err := tree.Put([]byte("k"), big); err == nil {
+	if err := put(tree, []byte("k"), big); err == nil {
 		t.Fatal("oversized value accepted, want error")
 	}
 }
@@ -81,7 +94,7 @@ func TestManyInsertsAndSplits(t *testing.T) {
 	for i := 0; i < n; i++ {
 		key := []byte(fmt.Sprintf("key%06d", i))
 		val := []byte(fmt.Sprintf("value-%d", i*i))
-		if err := tree.Put(key, val); err != nil {
+		if err := put(tree, key, val); err != nil {
 			t.Fatalf("Put %d: %v", i, err)
 		}
 	}
@@ -122,7 +135,7 @@ func TestRandomInsertLookupAgainstMap(t *testing.T) {
 		k := fmt.Sprintf("k%08d", rng.Intn(3000))
 		v := fmt.Sprintf("v%d", rng.Int63())
 		oracle[k] = v
-		if err := tree.Put([]byte(k), []byte(v)); err != nil {
+		if err := put(tree, []byte(k), []byte(v)); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}
@@ -143,18 +156,18 @@ func TestRandomInsertLookupAgainstMap(t *testing.T) {
 func TestDelete(t *testing.T) {
 	tree, _ := newTestTree(t, 512, 256)
 	for i := 0; i < 500; i++ {
-		if err := tree.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
+		if err := put(tree, []byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ok, err := tree.Delete([]byte("k0100"))
+	ok, err := del(tree, []byte("k0100"))
 	if err != nil || !ok {
 		t.Fatalf("Delete = %v, %v", ok, err)
 	}
 	if _, found, _ := tree.Get([]byte("k0100")); found {
 		t.Error("deleted key still present")
 	}
-	ok, err = tree.Delete([]byte("k0100"))
+	ok, err = del(tree, []byte("k0100"))
 	if err != nil || ok {
 		t.Errorf("second Delete = %v, %v; want false, nil", ok, err)
 	}
@@ -170,12 +183,12 @@ func TestAscendOrder(t *testing.T) {
 	tree, _ := newTestTree(t, 512, 256)
 	keys := rand.New(rand.NewSource(3)).Perm(1000)
 	for _, k := range keys {
-		if err := tree.Put([]byte(fmt.Sprintf("k%05d", k)), []byte{byte(k)}); err != nil {
+		if err := put(tree, []byte(fmt.Sprintf("k%05d", k)), []byte{byte(k)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var seen []string
-	if err := tree.Ascend(func(k, v []byte) bool {
+	if err := tree.View().Ascend(func(k, v []byte) bool {
 		seen = append(seen, string(k))
 		return true
 	}); err != nil {
@@ -192,12 +205,12 @@ func TestAscendOrder(t *testing.T) {
 func TestAscendRangeBounds(t *testing.T) {
 	tree, _ := newTestTree(t, 512, 256)
 	for i := 0; i < 100; i++ {
-		if err := tree.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+		if err := put(tree, []byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var seen []string
-	err := tree.AscendRange([]byte("k010"), []byte("k020"), func(k, v []byte) bool {
+	err := tree.View().AscendRange([]byte("k010"), []byte("k020"), func(k, v []byte) bool {
 		seen = append(seen, string(k))
 		return true
 	})
@@ -215,12 +228,12 @@ func TestAscendRangeBounds(t *testing.T) {
 func TestAscendEarlyStop(t *testing.T) {
 	tree, _ := newTestTree(t, 512, 256)
 	for i := 0; i < 100; i++ {
-		if err := tree.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+		if err := put(tree, []byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	count := 0
-	if err := tree.Ascend(func(k, v []byte) bool {
+	if err := tree.View().Ascend(func(k, v []byte) bool {
 		count++
 		return count < 5
 	}); err != nil {
@@ -237,13 +250,13 @@ func TestAscendPrefix(t *testing.T) {
 	for _, term := range terms {
 		for i := 0; i < 5; i++ {
 			key := append([]byte(term+"\x00"), byte(i))
-			if err := tree.Put(key, []byte("v")); err != nil {
+			if err := put(tree, key, []byte("v")); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	count := 0
-	if err := tree.AscendPrefix([]byte("news\x00"), func(k, v []byte) bool {
+	if err := tree.View().AscendPrefix([]byte("news\x00"), func(k, v []byte) bool {
 		count++
 		return true
 	}); err != nil {
@@ -257,17 +270,17 @@ func TestAscendPrefix(t *testing.T) {
 func TestDeleteThenScan(t *testing.T) {
 	tree, _ := newTestTree(t, 512, 256)
 	for i := 0; i < 300; i++ {
-		if err := tree.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
+		if err := put(tree, []byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 300; i += 2 {
-		if _, err := tree.Delete([]byte(fmt.Sprintf("k%04d", i))); err != nil {
+		if _, err := del(tree, []byte(fmt.Sprintf("k%04d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	count := 0
-	if err := tree.Ascend(func(k, v []byte) bool {
+	if err := tree.View().Ascend(func(k, v []byte) bool {
 		count++
 		return true
 	}); err != nil {
@@ -284,7 +297,7 @@ func TestDeleteThenScan(t *testing.T) {
 func TestScanEmptyTree(t *testing.T) {
 	tree, _ := newTestTree(t, 512, 64)
 	count := 0
-	if err := tree.Ascend(func(k, v []byte) bool { count++; return true }); err != nil {
+	if err := tree.View().Ascend(func(k, v []byte) bool { count++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 0 {
@@ -298,7 +311,7 @@ func TestSmallBufferPoolStillCorrect(t *testing.T) {
 	tree, pool := newTestTree(t, 512, 8)
 	const n = 1500
 	for i := 0; i < n; i++ {
-		if err := tree.Put([]byte(fmt.Sprintf("k%06d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := put(tree, []byte(fmt.Sprintf("k%06d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatalf("Put %d: %v", i, err)
 		}
 	}
@@ -336,13 +349,13 @@ func TestBinaryKeysWithOrderedEncoding(t *testing.T) {
 		key := make([]byte, 0, 16)
 		key = appendDescFloat(key, p.score)
 		key = appendUint64(key, p.doc)
-		if err := tree.Put(key, []byte("x")); err != nil {
+		if err := put(tree, key, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	prev := 1e18
 	count := 0
-	if err := tree.Ascend(func(k, v []byte) bool {
+	if err := tree.View().Ascend(func(k, v []byte) bool {
 		score := descFloatFrom(k)
 		if score > prev {
 			t.Fatalf("scores not descending: %v after %v", score, prev)

@@ -5,19 +5,19 @@ package btree
 //   - BulkLoad builds a tree from an already-sorted run of entries by
 //     packing leaves left to right and stacking internal levels on top,
 //     instead of paying a root-to-leaf descent (and a full leaf
-//     parse/serialize cycle) per key the way repeated Upsert does.  Nodes
+//     parse/serialize cycle) per leaf the way UpsertBatch does.  Nodes
 //     are written straight through to the page file, so a bulk load of a
 //     structure much larger than the buffer pool does not evict the pool's
 //     working set.
 //
-//   - UpsertBatch and DeleteBatch apply a group of keyed writes to an
-//     existing tree.  The keys are sorted first, so runs of keys that land
-//     in the same leaf share one descent and one parse/serialize cycle —
-//     the write-side analogue of the read path's block-at-a-time protocol.
+//   - UpsertBatch and DeleteBatch are the only way to mutate a tree: a
+//     single-key write is a one-item batch.  The keys are sorted first, so
+//     runs of keys that land in the same leaf share one descent and one
+//     parse/serialize cycle — the write-side analogue of the read path's
+//     block-at-a-time protocol.
 //
-// All three preserve the exact logical content that the equivalent sequence
-// of Upsert/Delete calls would produce; only the physical access pattern
-// (and, for BulkLoad, the leaf fill factor) differs.
+// A batch leaves the tree holding exactly what applying its items one at a
+// time, in order, would; only the physical access pattern differs.
 
 import (
 	"bytes"
@@ -35,13 +35,14 @@ type Item struct {
 	Value []byte
 }
 
-// bulkFillFraction is the default target fill of bulk-built nodes: slightly
-// under full so that the first few post-build inserts amend leaves in place
-// instead of immediately splitting every one of them.
-const bulkFillFraction = 0.9
-
-// minBulkFill bounds how sparse a caller may ask bulk-built nodes to be.
-const minBulkFill = 0.25
+// maxBulkFill and minBulkFill bound the node fill a caller may ask BulkLoad
+// for: just under full, so that the first few post-build inserts amend
+// leaves in place instead of immediately splitting every one of them, and
+// no sparser than a quarter page.
+const (
+	maxBulkFill = 0.9
+	minBulkFill = 0.25
+)
 
 // ErrUnsorted is returned by BulkLoad when the input run is not in strictly
 // ascending key order.
@@ -75,22 +76,17 @@ func internalEntrySize(key []byte) int {
 }
 
 // BulkLoad builds a new tree over pool from items, which must be in strictly
-// ascending key order.  Leaves are packed left to right to the bulk fill
-// target and internal levels are stacked bottom-up; every node is written
-// exactly once, directly to the page file, so the pool's resident set is
-// untouched.  An empty run produces an empty tree.
-func BulkLoad(pool *buffer.Pool, items []Item) (*Tree, error) {
-	return BulkLoadFill(pool, items, bulkFillFraction)
-}
-
-// BulkLoadFill is BulkLoad with an explicit node fill target in
-// (minBulkFill, bulkFillFraction].  Read-mostly structures want the dense
-// default; tables that absorb a steady stream of in-place updates trade
-// density for cheaper leaf rewrites (every update reserializes its whole
-// leaf, so leaf size is the per-update write cost).
-func BulkLoadFill(pool *buffer.Pool, items []Item, fill float64) (*Tree, error) {
-	if fill > bulkFillFraction {
-		fill = bulkFillFraction
+// ascending key order.  Leaves are packed left to right to the node fill
+// target fill, clamped to [minBulkFill, maxBulkFill], and internal levels
+// are stacked bottom-up; every node is written exactly once, directly to the
+// page file, so the pool's resident set is untouched.  An empty run produces
+// an empty tree.  Tables that absorb a steady stream of updates trade
+// density for cheaper leaf rewrites: every update that misses the patch
+// path reserializes its whole leaf, so leaf size is the per-update write
+// cost.
+func BulkLoad(pool *buffer.Pool, items []Item, fill float64) (*Tree, error) {
+	if fill > maxBulkFill {
+		fill = maxBulkFill
 	}
 	if fill < minBulkFill {
 		fill = minBulkFill
@@ -243,8 +239,9 @@ func BulkLoadFill(pool *buffer.Pool, items []Item, fill float64) (*Tree, error) 
 // UpsertBatch applies a group of upserts, sorting the items by key so that
 // runs of keys belonging to the same leaf share one descent and one leaf
 // rewrite.  Duplicate keys within the batch collapse to the last occurrence,
-// matching sequential Upsert calls.  It reports how many keys were newly
-// inserted (as opposed to replaced) and reorders items in place.
+// as if the items were applied one at a time in order.  It reports how many
+// keys were newly inserted (as opposed to replaced) and reorders items in
+// place.
 func (t *Tree) UpsertBatch(items []Item) (int, error) {
 	maxEntry := t.maxEntrySize()
 	for i := range items {
@@ -331,14 +328,14 @@ func (t *Tree) UpsertBatch(items []Item) (int, error) {
 			if j < len(leaf.keys) && bytes.Equal(leaf.keys[j], it.Key) {
 				newSize := size - len(leaf.vals[j]) + uvarintLen(uint64(len(it.Value))) - uvarintLen(uint64(len(leaf.vals[j]))) + len(it.Value)
 				if newSize > pageSize {
-					break // replacement overflows: fall back to Upsert's split path
+					break // replacement overflows: fall back to insert's split path
 				}
 				leaf.vals[j] = append([]byte(nil), it.Value...)
 				size = newSize
 			} else {
 				newSize := size + entrySize(it.Key, it.Value) + leafHeaderSize(len(leaf.keys)+1) - leafHeaderSize(len(leaf.keys))
 				if newSize > pageSize {
-					break // leaf full: fall back to Upsert's split path
+					break // leaf full: fall back to insert's split path
 				}
 				leaf.keys = append(leaf.keys, nil)
 				copy(leaf.keys[j+1:], leaf.keys[j:])
@@ -360,8 +357,8 @@ func (t *Tree) UpsertBatch(items []Item) (int, error) {
 		}
 		if i < len(items) && (upper == nil || bytes.Compare(items[i].Key, upper) < 0) {
 			// The next item still belongs to this leaf but did not fit:
-			// let Upsert split it, then resume batching.
-			ins, err := t.Upsert(items[i].Key, items[i].Value)
+			// let insert split it, then resume batching.
+			ins, err := t.insert(items[i].Key, items[i].Value)
 			if err != nil {
 				return inserted, err
 			}
@@ -376,9 +373,9 @@ func (t *Tree) UpsertBatch(items []Item) (int, error) {
 
 // DeleteBatch removes a group of keys, sorting them so that keys sharing a
 // leaf share one descent and one leaf rewrite.  A leaf the batch empties is
-// pruned exactly as Delete would prune it: removed from its ancestors and
-// its page recycled.  It reports how many keys were present and removed,
-// and reorders keys in place.
+// pruned: removed from its ancestors and its page recycled (see the package
+// comment).  It reports how many keys were present and removed, and
+// reorders keys in place.
 func (t *Tree) DeleteBatch(keys [][]byte) (int, error) {
 	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
 	removed := 0

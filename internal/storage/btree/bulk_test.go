@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -25,7 +26,7 @@ func bulkItems(n int, valSize int) []Item {
 func collectAll(t *testing.T, tree *Tree) ([][]byte, [][]byte) {
 	t.Helper()
 	var keys, vals [][]byte
-	err := tree.Ascend(func(k, v []byte) bool {
+	err := tree.View().Ascend(func(k, v []byte) bool {
 		keys = append(keys, append([]byte(nil), k...))
 		vals = append(vals, append([]byte(nil), v...))
 		return true
@@ -37,15 +38,16 @@ func collectAll(t *testing.T, tree *Tree) ([][]byte, [][]byte) {
 }
 
 // TestBulkLoadEquivalence checks that a bulk-loaded tree holds exactly the
-// same content, in the same cursor order, as an Upsert-built tree, at
-// several sizes including empty, single-leaf and multi-level shapes.
+// same content, in the same cursor order, as a tree built by one-item
+// batches, at several sizes including empty, single-leaf and multi-level
+// shapes.
 func TestBulkLoadEquivalence(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 120, 2500} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			file := pagefile.MustNewMem(512)
 			pool := buffer.MustNew(file, 64)
 			items := bulkItems(n, 8)
-			bulk, err := BulkLoad(pool, items)
+			bulk, err := BulkLoad(pool, items, maxBulkFill)
 			if err != nil {
 				t.Fatalf("BulkLoad: %v", err)
 			}
@@ -58,7 +60,7 @@ func TestBulkLoadEquivalence(t *testing.T) {
 
 			up, upPool := newTestTree(t, 512, 64)
 			for _, it := range items {
-				if err := up.Put(it.Key, it.Value); err != nil {
+				if err := put(up, it.Key, it.Value); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -96,7 +98,7 @@ func TestBulkLoadFillFactor(t *testing.T) {
 	file := pagefile.MustNewMem(512)
 	pool := buffer.MustNew(file, 64)
 	items := bulkItems(3000, 8)
-	bulk, err := BulkLoad(pool, items)
+	bulk, err := BulkLoad(pool, items, maxBulkFill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestBulkLoadFillFactor(t *testing.T) {
 
 	up, _ := newTestTree(t, 512, 64)
 	for _, it := range items {
-		if err := up.Put(it.Key, it.Value); err != nil {
+		if err := put(up, it.Key, it.Value); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,28 +130,28 @@ func TestBulkLoadFillFactor(t *testing.T) {
 func TestBulkLoadRejectsBadInput(t *testing.T) {
 	file := pagefile.MustNewMem(512)
 	pool := buffer.MustNew(file, 64)
-	if _, err := BulkLoad(pool, []Item{{Key: []byte("b")}, {Key: []byte("a")}}); err == nil {
+	if _, err := BulkLoad(pool, []Item{{Key: []byte("b")}, {Key: []byte("a")}}, maxBulkFill); err == nil {
 		t.Error("out-of-order input accepted")
 	}
-	if _, err := BulkLoad(pool, []Item{{Key: []byte("a")}, {Key: []byte("a")}}); err == nil {
+	if _, err := BulkLoad(pool, []Item{{Key: []byte("a")}, {Key: []byte("a")}}, maxBulkFill); err == nil {
 		t.Error("duplicate keys accepted")
 	}
-	if _, err := BulkLoad(pool, []Item{{Key: nil, Value: []byte("v")}}); err == nil {
+	if _, err := BulkLoad(pool, []Item{{Key: nil, Value: []byte("v")}}, maxBulkFill); err == nil {
 		t.Error("empty key accepted")
 	}
-	if _, err := BulkLoad(pool, []Item{{Key: []byte("k"), Value: bytes.Repeat([]byte("v"), 512)}}); err == nil {
+	if _, err := BulkLoad(pool, []Item{{Key: []byte("k"), Value: bytes.Repeat([]byte("v"), 512)}}, maxBulkFill); err == nil {
 		t.Error("oversized entry accepted")
 	}
 }
 
 // TestBulkLoadThenMutate checks that a bulk-built tree accepts the full
 // mutation and scan API afterwards: inserts split its packed leaves
-// correctly and deletes behave as on an Upsert-built tree.
+// correctly and deletes behave as on a tree built by one-item batches.
 func TestBulkLoadThenMutate(t *testing.T) {
 	file := pagefile.MustNewMem(512)
 	pool := buffer.MustNew(file, 64)
 	items := bulkItems(1000, 8)
-	tree, err := BulkLoad(pool, items)
+	tree, err := BulkLoad(pool, items, maxBulkFill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +160,12 @@ func TestBulkLoadThenMutate(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		if i%2 == 0 {
 			k := []byte(fmt.Sprintf("key%08d-x", rng.Intn(1000)))
-			if err := tree.Put(k, []byte("new")); err != nil {
+			if err := put(tree, k, []byte("new")); err != nil {
 				t.Fatal(err)
 			}
 		} else {
 			k := items[rng.Intn(1000)].Key
-			if _, err := tree.Delete(k); err != nil {
+			if _, err := del(tree, k); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -176,27 +178,93 @@ func TestBulkLoadThenMutate(t *testing.T) {
 	}
 }
 
-// TestUpsertBatchEquivalence checks that UpsertBatch leaves the tree in
-// exactly the state sequential Upserts produce, including duplicate keys in
-// the batch (last occurrence wins) and replacements of existing keys.
-func TestUpsertBatchEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	seqTree, seqPool := newTestTree(t, 512, 64)
-	batTree, batPool := newTestTree(t, 512, 64)
+// sortedMap is the reference the batch tests hold a tree to: a plain map
+// whose batches are applied one item at a time, in order.
+type sortedMap map[string]string
 
-	// Pre-populate both with the same base content.
-	base := bulkItems(600, 8)
-	for _, it := range base {
-		if err := seqTree.Put(it.Key, it.Value); err != nil {
-			t.Fatal(err)
+// upsert applies items in order and reports how many keys were new.
+func (m sortedMap) upsert(items []Item) int {
+	inserted := 0
+	for _, it := range items {
+		if _, ok := m[string(it.Key)]; !ok {
+			inserted++
 		}
-		if err := batTree.Put(it.Key, it.Value); err != nil {
-			t.Fatal(err)
+		m[string(it.Key)] = string(it.Value)
+	}
+	return inserted
+}
+
+// delete removes keys in order and reports how many were present.
+func (m sortedMap) delete(keys [][]byte) int {
+	removed := 0
+	for _, k := range keys {
+		if _, ok := m[string(k)]; ok {
+			removed++
+			delete(m, string(k))
 		}
 	}
+	return removed
+}
 
+func (m sortedMap) clone() sortedMap {
+	c := make(sortedMap, len(m))
+	for k, v := range m {
+		c[k] = v
+	}
+	return c
+}
+
+// diff reports the first way v's contents or Len differ from m's, or nil.
+func (m sortedMap) diff(v View) error {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	i := 0
+	var bad error
+	err := v.Ascend(func(k, val []byte) bool {
+		switch {
+		case i >= len(keys):
+			bad = fmt.Errorf("extra key %q", k)
+		case string(k) != keys[i]:
+			bad = fmt.Errorf("entry %d is key %q, want %q", i, k, keys[i])
+		case string(val) != m[keys[i]]:
+			bad = fmt.Errorf("key %q = %q, want %q", k, val, m[keys[i]])
+		}
+		i++
+		return bad == nil
+	})
+	switch {
+	case err != nil:
+		return err
+	case bad != nil:
+		return bad
+	case i != len(keys):
+		return fmt.Errorf("scan visited %d keys, want %d", i, len(keys))
+	case v.Len() != len(m):
+		return fmt.Errorf("Len = %d, want %d", v.Len(), len(m))
+	}
+	return nil
+}
+
+// TestUpsertBatchEquivalence checks UpsertBatch against the sorted-map
+// model, including duplicate keys in the batch (last occurrence wins),
+// replacements of existing keys and one-item batches.
+func TestUpsertBatchEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tree, pool := newTestTree(t, 512, 64)
+	model := sortedMap{}
+	base := bulkItems(600, 8)
+	model.upsert(base)
+	if _, err := tree.UpsertBatch(append([]Item(nil), base...)); err != nil {
+		t.Fatal(err)
+	}
 	for round := 0; round < 20; round++ {
 		n := 1 + rng.Intn(300)
+		if round%4 == 0 {
+			n = 1
+		}
 		batch := make([]Item, n)
 		for i := range batch {
 			// Mix of replacements of existing keys, fresh keys and
@@ -207,99 +275,58 @@ func TestUpsertBatchEquivalence(t *testing.T) {
 			}
 			batch[i] = Item{Key: []byte(key), Value: []byte(fmt.Sprintf("r%d-%d", round, i))}
 		}
-		seqInserted := 0
-		for _, it := range batch {
-			ins, err := seqTree.Upsert(it.Key, it.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ins {
-				seqInserted++
-			}
-		}
-		batInserted, err := batTree.UpsertBatch(append([]Item(nil), batch...))
+		want := model.upsert(batch)
+		got, err := tree.UpsertBatch(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batInserted != seqInserted {
-			t.Fatalf("round %d: UpsertBatch inserted %d, sequential inserted %d", round, batInserted, seqInserted)
+		if got != want {
+			t.Fatalf("round %d: UpsertBatch inserted %d, model inserted %d", round, got, want)
 		}
-		if seqTree.Len() != batTree.Len() {
-			t.Fatalf("round %d: Len %d vs %d", round, seqTree.Len(), batTree.Len())
-		}
-	}
-	sk, sv := collectAll(t, seqTree)
-	bk, bv := collectAll(t, batTree)
-	if len(sk) != len(bk) {
-		t.Fatalf("key counts differ: %d vs %d", len(sk), len(bk))
-	}
-	for i := range sk {
-		if !bytes.Equal(sk[i], bk[i]) || !bytes.Equal(sv[i], bv[i]) {
-			t.Fatalf("entry %d differs: (%q,%q) vs (%q,%q)", i, sk[i], sv[i], bk[i], bv[i])
+		if err := model.diff(tree.View()); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-	if err := batTree.CheckInvariants(); err != nil {
-		t.Fatalf("batch tree invariants: %v", err)
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
 	}
-	if err := seqPool.CheckPins(); err != nil {
-		t.Errorf("seq pins: %v", err)
-	}
-	if err := batPool.CheckPins(); err != nil {
-		t.Errorf("batch pins: %v", err)
+	if err := pool.CheckPins(); err != nil {
+		t.Errorf("pins: %v", err)
 	}
 }
 
-// TestDeleteBatchEquivalence checks DeleteBatch against sequential Deletes,
-// including keys that are absent.
+// TestDeleteBatchEquivalence checks DeleteBatch against the sorted-map
+// model, including absent keys and duplicates within a batch.
 func TestDeleteBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	seqTree, _ := newTestTree(t, 512, 64)
-	batTree, batPool := newTestTree(t, 512, 64)
+	tree, pool := newTestTree(t, 512, 64)
+	model := sortedMap{}
 	base := bulkItems(800, 8)
-	for _, it := range base {
-		if err := seqTree.Put(it.Key, it.Value); err != nil {
-			t.Fatal(err)
-		}
-		if err := batTree.Put(it.Key, it.Value); err != nil {
-			t.Fatal(err)
-		}
+	model.upsert(base)
+	if _, err := tree.UpsertBatch(append([]Item(nil), base...)); err != nil {
+		t.Fatal(err)
 	}
-	var keys [][]byte
-	for i := 0; i < 500; i++ {
-		k := fmt.Sprintf("key%08d", rng.Intn(1200)) // ~1/3 absent
-		keys = append(keys, []byte(k))
-	}
-	seqRemoved := 0
-	for _, k := range keys {
-		ok, err := seqTree.Delete(k)
+	for round := 0; round < 10; round++ {
+		var keys [][]byte
+		for i := 0; i < 1+rng.Intn(100); i++ {
+			keys = append(keys, []byte(fmt.Sprintf("key%08d", rng.Intn(1200)))) // ~1/3 absent
+		}
+		want := model.delete(keys)
+		got, err := tree.DeleteBatch(keys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok {
-			seqRemoved++
+		if got != want {
+			t.Fatalf("round %d: DeleteBatch removed %d, model removed %d", round, got, want)
+		}
+		if err := model.diff(tree.View()); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-	batRemoved, err := batTree.DeleteBatch(append([][]byte(nil), keys...))
-	if err != nil {
+	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if batRemoved != seqRemoved {
-		t.Fatalf("DeleteBatch removed %d, sequential removed %d", batRemoved, seqRemoved)
-	}
-	sk, _ := collectAll(t, seqTree)
-	bk, _ := collectAll(t, batTree)
-	if len(sk) != len(bk) {
-		t.Fatalf("key counts differ: %d vs %d", len(sk), len(bk))
-	}
-	for i := range sk {
-		if !bytes.Equal(sk[i], bk[i]) {
-			t.Fatalf("entry %d differs: %q vs %q", i, sk[i], bk[i])
-		}
-	}
-	if err := batTree.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := batPool.CheckPins(); err != nil {
+	if err := pool.CheckPins(); err != nil {
 		t.Errorf("pins: %v", err)
 	}
 }
@@ -309,8 +336,8 @@ func TestDeleteBatchEquivalence(t *testing.T) {
 // replacements overflow into the split fallback.
 func TestUpsertBatchVariedSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	seqTree, _ := newTestTree(t, 512, 256)
-	batTree, _ := newTestTree(t, 512, 256)
+	tree, _ := newTestTree(t, 512, 256)
+	model := sortedMap{}
 	for round := 0; round < 15; round++ {
 		n := 1 + rng.Intn(120)
 		batch := make([]Item, n)
@@ -320,42 +347,31 @@ func TestUpsertBatchVariedSizes(t *testing.T) {
 				Value: bytes.Repeat([]byte{'v'}, rng.Intn(80)),
 			}
 		}
-		for _, it := range batch {
-			if _, err := seqTree.Upsert(it.Key, it.Value); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := batTree.UpsertBatch(append([]Item(nil), batch...)); err != nil {
+		model.upsert(batch)
+		if _, err := tree.UpsertBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sk, sv := collectAll(t, seqTree)
-	bk, bv := collectAll(t, batTree)
-	if len(sk) != len(bk) {
-		t.Fatalf("key counts differ: %d vs %d", len(sk), len(bk))
+	if err := model.diff(tree.View()); err != nil {
+		t.Fatal(err)
 	}
-	for i := range sk {
-		if !bytes.Equal(sk[i], bk[i]) || !bytes.Equal(sv[i], bv[i]) {
-			t.Fatalf("entry %d differs", i)
-		}
-	}
-	if err := batTree.CheckInvariants(); err != nil {
+	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestBulkLoadSortedLeavesChain verifies the leaves of a bulk-built tree are
+// TestBulkLoadSortedLeaves verifies the leaves of a bulk-built tree are
 // strictly sorted end to end: a scan visits the input run exactly, in order.
-func TestBulkLoadSortedLeavesChain(t *testing.T) {
+func TestBulkLoadSortedLeaves(t *testing.T) {
 	file := pagefile.MustNewMem(512)
 	pool := buffer.MustNew(file, 64)
 	items := bulkItems(1234, 4)
-	tree, err := BulkLoad(pool, items)
+	tree, err := BulkLoad(pool, items, maxBulkFill)
 	if err != nil {
 		t.Fatal(err)
 	}
 	i := 0
-	err = tree.Ascend(func(k, v []byte) bool {
+	err = tree.View().Ascend(func(k, v []byte) bool {
 		if !bytes.Equal(k, items[i].Key) {
 			t.Fatalf("position %d: got %q, want %q", i, k, items[i].Key)
 		}
@@ -371,4 +387,153 @@ func TestBulkLoadSortedLeavesChain(t *testing.T) {
 	if !sort.SliceIsSorted(items, func(a, b int) bool { return bytes.Compare(items[a].Key, items[b].Key) < 0 }) {
 		t.Fatal("test input not sorted")
 	}
+}
+
+// FuzzTreeBatches decodes arbitrary bytes into a sequence of UpsertBatch and
+// DeleteBatch calls — batches of one or more items with duplicate keys,
+// same-length replacements, growing values and oversize entries — and runs
+// it on an in-place tree and on a copy-on-write tree, sealing the latter and
+// capturing Views in between.  After every batch each tree must hold the
+// sorted-map model's contents and Len and pass CheckInvariants, and every
+// View sealed earlier must still read exactly what it captured.
+func FuzzTreeBatches(f *testing.F) {
+	// Each step is an op byte (mod 3: upsert, delete, seal and capture), a
+	// size byte (1 + b%16 items), then per item a key byte and, for an
+	// upsert, a value byte whose low two bits pick same-length, growing,
+	// small or oversize.
+	f.Add([]byte{
+		0, 7, 0, 34, 1, 34, 2, 34, 3, 34, 4, 34, 5, 34, 6, 34, 7, 34, // eight small values
+		2, 0, // seal
+		0, 3, 0, 4, 1, 4, 2, 4, 3, 4, // same-length rewrites of a sealed leaf
+		2, 0,
+		1, 1, 0, 5, // delete two keys
+		0, 0, 6, 21, // grow one value
+		0, 1, 8, 3, 9, 34, // a batch with an oversize entry
+	})
+	var splits []byte
+	for round := byte(0); round < 3; round++ {
+		splits = append(splits, 0, 15) // sixteen fresh keys of 24-byte values
+		for k := byte(0); k < 16; k++ {
+			splits = append(splits, 16*round+k, 93)
+		}
+		splits = append(splits, 2, 0)
+	}
+	splits = append(splits, 0, 15) // grow the first sixteen
+	for k := byte(0); k < 16; k++ {
+		splits = append(splits, k, 93)
+	}
+	splits = append(splits, 2, 0, 1, 15) // seal, then delete them
+	for k := byte(0); k < 16; k++ {
+		splits = append(splits, k)
+	}
+	f.Add(splits)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		type capture struct {
+			view View
+			want sortedMap
+		}
+		type side struct {
+			tree  *Tree
+			pool  *buffer.Pool
+			views []capture
+		}
+		inPlace, inPool := newTestTree(t, 512, 64)
+		cow, cowPool := newTestTree(t, 512, 64)
+		cow.EnableCOW(func(pagefile.PageID) {}) // never recycled, so every View stays readable
+		sides := []*side{{tree: inPlace, pool: inPool}, {tree: cow, pool: cowPool}}
+		model := sortedMap{}
+		maxEntry := inPlace.maxEntrySize()
+
+		for step := 0; step < 64 && len(data) > 0; step++ {
+			op := next()
+			n := 1 + int(next()%16)
+			switch op % 3 {
+			case 0: // upsert batch
+				batch := make([]Item, n)
+				oversize := false
+				for i := range batch {
+					key := []byte(fmt.Sprintf("k%02x", next()%64))
+					vb := next()
+					cur := len(model[string(key)])
+					var size int
+					switch vb % 4 {
+					case 0: // same length as the stored value: a patch candidate
+						size = cur
+					case 1: // grows the stored value
+						size = cur + 1 + int(vb>>2)%24
+					case 2: // small
+						size = int(vb>>2) % 12
+					default: // oversize entry: the whole batch is refused
+						size = maxEntry
+						oversize = true
+					}
+					if !oversize && size > maxEntry-16-len(key) {
+						size = maxEntry - 16 - len(key)
+					}
+					batch[i] = Item{Key: key, Value: bytes.Repeat([]byte{'a' + vb%26}, size)}
+				}
+				want := 0
+				if !oversize {
+					want = model.upsert(batch)
+				}
+				for _, sd := range sides {
+					got, err := sd.tree.UpsertBatch(append([]Item(nil), batch...))
+					if oversize {
+						if !errors.Is(err, ErrEntryTooLarge) {
+							t.Fatalf("step %d: oversize batch: err = %v, want ErrEntryTooLarge", step, err)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("step %d: UpsertBatch: %v", step, err)
+					}
+					if got != want {
+						t.Fatalf("step %d: UpsertBatch inserted %d, model %d", step, got, want)
+					}
+				}
+			case 1: // delete batch
+				keys := make([][]byte, n)
+				for i := range keys {
+					keys[i] = []byte(fmt.Sprintf("k%02x", next()%64))
+				}
+				want := model.delete(keys)
+				for _, sd := range sides {
+					got, err := sd.tree.DeleteBatch(append([][]byte(nil), keys...))
+					if err != nil {
+						t.Fatalf("step %d: DeleteBatch: %v", step, err)
+					}
+					if got != want {
+						t.Fatalf("step %d: DeleteBatch removed %d, model %d", step, got, want)
+					}
+				}
+			default: // publish: seal the COW tree and capture a View of it
+				cow.Seal()
+				sides[1].views = append(sides[1].views, capture{cow.View(), model.clone()})
+			}
+			for si, sd := range sides {
+				if err := model.diff(sd.tree.View()); err != nil {
+					t.Fatalf("step %d side %d: %v", step, si, err)
+				}
+				if err := sd.tree.CheckInvariants(); err != nil {
+					t.Fatalf("step %d side %d: %v", step, si, err)
+				}
+				for vi, c := range sd.views {
+					if err := c.want.diff(c.view); err != nil {
+						t.Fatalf("step %d: view %d: %v", step, vi, err)
+					}
+				}
+				if err := sd.pool.CheckPins(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
 }

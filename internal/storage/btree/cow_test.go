@@ -38,7 +38,7 @@ func TestCOWSealedViewSurvivesMutation(t *testing.T) {
 
 	const n = 400
 	for i := 0; i < n; i++ {
-		if err := tree.Put(cowKey(i), cowVal(i, 0)); err != nil {
+		if err := put(tree, cowKey(i), cowVal(i, 0)); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}
@@ -52,17 +52,17 @@ func TestCOWSealedViewSurvivesMutation(t *testing.T) {
 	// Mutate everything: same-length patches on evens, deletes of every
 	// fourth key, fresh inserts beyond the sealed range.
 	for i := 0; i < n; i += 2 {
-		if err := tree.Put(cowKey(i), cowVal(i, 1)); err != nil {
+		if err := put(tree, cowKey(i), cowVal(i, 1)); err != nil {
 			t.Fatalf("patch Put: %v", err)
 		}
 	}
 	for i := 1; i < n; i += 4 {
-		if ok, err := tree.Delete(cowKey(i)); err != nil || !ok {
+		if ok, err := del(tree, cowKey(i)); err != nil || !ok {
 			t.Fatalf("Delete(%d) = %v, %v", i, ok, err)
 		}
 	}
 	for i := n; i < n+200; i++ {
-		if err := tree.Put(cowKey(i), cowVal(i, 1)); err != nil {
+		if err := put(tree, cowKey(i), cowVal(i, 1)); err != nil {
 			t.Fatalf("insert Put: %v", err)
 		}
 	}
@@ -122,17 +122,17 @@ func TestCOWFreshPagesRecycledNotRetired(t *testing.T) {
 	tree, _ := newTestTree(t, 512, 256)
 	var retired []pagefile.PageID
 	tree.EnableCOW(func(id pagefile.PageID) { retired = append(retired, id) })
-	if err := tree.Put(cowKey(0), cowVal(0, 0)); err != nil {
+	if err := put(tree, cowKey(0), cowVal(0, 0)); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	retired = nil // drop the pre-COW initial root
 	for i := 1; i < 300; i++ {
-		if err := tree.Put(cowKey(i), cowVal(i, 0)); err != nil {
+		if err := put(tree, cowKey(i), cowVal(i, 0)); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}
 	for i := 0; i < 300; i += 3 {
-		if _, err := tree.Delete(cowKey(i)); err != nil {
+		if _, err := del(tree, cowKey(i)); err != nil {
 			t.Fatalf("Delete: %v", err)
 		}
 	}
@@ -225,7 +225,7 @@ func TestCOWViewProbeConsistency(t *testing.T) {
 	tree.EnableCOW(func(pagefile.PageID) {})
 	const n = 350
 	for i := 0; i < n; i++ {
-		if err := tree.Put(cowKey(i), cowVal(i, 0)); err != nil {
+		if err := put(tree, cowKey(i), cowVal(i, 0)); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}
@@ -237,7 +237,7 @@ func TestCOWViewProbeConsistency(t *testing.T) {
 	for gen := 1; gen <= 3; gen++ {
 		for i := 0; i < n; i++ {
 			if rng.Intn(2) == 0 {
-				if err := tree.Put(cowKey(i), cowVal(i, gen)); err != nil {
+				if err := put(tree, cowKey(i), cowVal(i, gen)); err != nil {
 					t.Fatalf("Put: %v", err)
 				}
 			}
@@ -271,7 +271,7 @@ func TestCOWRetireAllCoversEveryPage(t *testing.T) {
 	tree.EnableCOW(func(id pagefile.PageID) { retired = append(retired, id) })
 	const n = 300
 	for i := 0; i < n; i++ {
-		if err := tree.Put(cowKey(i), cowVal(i, 0)); err != nil {
+		if err := put(tree, cowKey(i), cowVal(i, 0)); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}

@@ -16,16 +16,16 @@
 // repository (deletes are rare: only document deletion uses them) and keeps
 // scans and lookups correct; space from deleted entries is reclaimed when a
 // leaf is next split or rewritten.  A leaf that empties completely is the
-// exception: it is removed from its parent and its page recycled through the pagefile free list, so delete/reinsert
-// churn neither grows the page file without bound nor leaves dead leaves for
-// scans to traverse.
+// exception: it is removed from its parent and its page recycled through
+// the pagefile free list, so delete/reinsert churn neither grows the page
+// file without bound nor leaves dead leaves for scans to traverse.
 //
-// Writes that replace an existing value with one of identical length — every
-// fixed-width table write: Score-table score updates, ListScore/ListChunk
-// rows, deleted-flag flips — take an in-place patch fast path: the value
-// bytes are overwritten directly in the pinned leaf page (Frame.Patch) with
-// no node parse or reserialize.  Upsert applies it automatically; Patch
-// exposes it directly.
+// A tree has one write path, the sorted batch (UpsertBatch, DeleteBatch),
+// and one read path, the View.  Within a batch, a run of writes that replace
+// existing values with ones of identical length — every fixed-width table
+// write: Score-table score updates, ListScore/ListChunk rows, deleted-flag
+// flips — is patched straight into the pinned leaf page (Frame.Patch) with
+// no node parse or reserialize; Patches counts them.
 //
 // See ARCHITECTURE.md for the layer map — where this package sits in the
 // stack — and for the repo-wide concurrency contract.

@@ -17,7 +17,7 @@ import (
 // stride: entry i sits at a computed offset, and one search (fitStride's
 // width check, then stride.search's bisection, with 8-byte keys compared as
 // big-endian integers) serves the leaf image, the pinned-leaf lookup
-// (pageLeafFindValue) and the internal-node child search
+// (pageLeafLookup) and the internal-node child search
 // (pageChildWithUpper).  Every other node goes through the one walker, which
 // steps through the entries in place and bounds-checks each; it also decides
 // every error, since the stride path only takes nodes the walker provably

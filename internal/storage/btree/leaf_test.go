@@ -256,7 +256,7 @@ func TestLeafReadersMatchReference(t *testing.T) {
 		stored := map[string]string{}
 		for i := 0; i < 6; i++ {
 			stored[string(cowKey(i*3))] = string(cowVal(i, 0))
-			if err := tree.Put(cowKey(i*3), cowVal(i, 0)); err != nil {
+			if err := put(tree, cowKey(i*3), cowVal(i, 0)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -281,14 +281,14 @@ func TestLeafReadersMatchReference(t *testing.T) {
 					val = val[:rng.Intn(len(val))] // varying lengths, down to empty values
 				}
 				stored[string(k)] = string(val)
-				if err := tree.Put(k, val); err != nil {
+				if err := put(tree, k, val); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for k := range stored {
 				if rng.Intn(4) == 0 {
 					delete(stored, k)
-					if ok, err := tree.Delete([]byte(k)); err != nil || !ok {
+					if ok, err := del(tree, []byte(k)); err != nil || !ok {
 						t.Fatalf("Delete(%q) = %v, %v", k, ok, err)
 					}
 				}
@@ -307,7 +307,7 @@ func TestLeafReadersMatchReference(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			k, v := wideEntry(rng, rng.Intn(2000))
 			stored[string(k)] = string(v)
-			if err := tree.Put(k, v); err != nil {
+			if err := put(tree, k, v); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -323,7 +323,7 @@ func TestLeafReadersMatchReference(t *testing.T) {
 	t.Run("bulk loaded", func(t *testing.T) {
 		pool := buffer.MustNew(pagefile.MustNewMem(512), 256)
 		items := bulkItems(1500, 9)
-		tree, err := BulkLoadFill(pool, items, 0.55)
+		tree, err := BulkLoad(pool, items, 0.55)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +350,7 @@ func TestLeafReadersMatchReference(t *testing.T) {
 			for doc := 0; doc < docs; doc += 2 {
 				items = append(items, Item{Key: scoreKey(doc), Value: scoreRow(doc, 0)})
 			}
-			tree, err := BulkLoadFill(pool, items, 0.55)
+			tree, err := BulkLoad(pool, items, 0.55)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -362,20 +362,20 @@ func TestLeafReadersMatchReference(t *testing.T) {
 				k := scoreKey(rng.Intn(docs))
 				if rng.Intn(3) == 0 {
 					delete(stored, string(k))
-					if _, err := tree.Delete(k); err != nil {
+					if _, err := del(tree, k); err != nil {
 						t.Fatal(err)
 					}
 					continue
 				}
 				v := scoreRow(i, 1)
 				stored[string(k)] = string(v)
-				if err := tree.Put(k, v); err != nil {
+				if err := put(tree, k, v); err != nil {
 					t.Fatal(err)
 				}
 			}
 			wide := scoreKey(docs / 3)
 			stored[string(wide)] = "a wider row"
-			if err := tree.Put(wide, []byte(stored[string(wide)])); err != nil {
+			if err := put(tree, wide, []byte(stored[string(wide)])); err != nil {
 				t.Fatal(err)
 			}
 			if h, _ := tree.Height(); h < 2 {
@@ -437,7 +437,7 @@ func TestLeafReadersMatchReference(t *testing.T) {
 		put := func(k, v []byte) {
 			t.Helper()
 			live[string(k)] = string(v)
-			if err := tree.Put(k, v); err != nil {
+			if err := put(tree, k, v); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -461,7 +461,7 @@ func TestLeafReadersMatchReference(t *testing.T) {
 					k := cowKey(i * 2)
 					if _, has := live[string(k)]; has {
 						delete(live, string(k))
-						if _, err := tree.Delete(k); err != nil {
+						if _, err := del(tree, k); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -492,7 +492,7 @@ func TestProbeGetAllocatesNothing(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		items = append(items, Item{Key: codec.PutOrderedUint64(nil, uint64(i)), Value: []byte("score----")})
 	}
-	tree, err := BulkLoadFill(pool, items, 0.55)
+	tree, err := BulkLoad(pool, items, 0.55)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +550,7 @@ func BenchmarkProbeGet(b *testing.B) {
 	for i := range items {
 		items[i] = Item{Key: codec.PutOrderedUint64(nil, uint64(i)), Value: make([]byte, 9)}
 	}
-	tree, err := BulkLoadFill(pool, items, 0.55)
+	tree, err := BulkLoad(pool, items, 0.55)
 	if err != nil {
 		b.Fatal(err)
 	}

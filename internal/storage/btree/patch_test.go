@@ -14,23 +14,30 @@ func fixedVal(key string, version int) []byte {
 	return []byte(fmt.Sprintf("%4.4s-%04d", key, version%10000))
 }
 
+// patched reports how many patches one call to write recorded on tr.
+func patched(t *testing.T, tr *Tree, write func() error) uint64 {
+	t.Helper()
+	before := tr.Patches()
+	if err := write(); err != nil {
+		t.Fatal(err)
+	}
+	return tr.Patches() - before
+}
+
 func TestPatchBasics(t *testing.T) {
 	tree, _ := newTestTree(t, 512, 64)
 	key := []byte("doc:0001")
-	if ok, err := tree.Patch(key, []byte("v1")); err != nil || ok {
-		t.Fatalf("Patch of absent key = %v, %v, want false", ok, err)
+	if n := patched(t, tree, func() error { return put(tree, key, []byte("aaaa")) }); n != 0 {
+		t.Fatalf("insert of an absent key patched %d times, want 0", n)
 	}
-	if err := tree.Put(key, []byte("aaaa")); err != nil {
-		t.Fatal(err)
+	if n := patched(t, tree, func() error { return put(tree, key, []byte("bbb")) }); n != 0 {
+		t.Fatalf("replacement with a different length patched %d times, want 0", n)
 	}
-	if ok, err := tree.Patch(key, []byte("bbb")); err != nil || ok {
-		t.Fatalf("Patch with different length = %v, %v, want false", ok, err)
+	if n := patched(t, tree, func() error { return put(tree, key, []byte("ccc")) }); n != 1 {
+		t.Fatalf("same-length replacement patched %d times, want 1", n)
 	}
-	if ok, err := tree.Patch(key, []byte("bbbb")); err != nil || !ok {
-		t.Fatalf("Patch same length = %v, %v, want true", ok, err)
-	}
-	if v, _, _ := tree.Get(key); string(v) != "bbbb" {
-		t.Errorf("Get after Patch = %q, want %q", v, "bbbb")
+	if v, _, _ := tree.Get(key); string(v) != "ccc" {
+		t.Errorf("Get after patch = %q, want %q", v, "ccc")
 	}
 	if tree.Patches() != 1 {
 		t.Errorf("Patches = %d, want 1", tree.Patches())
@@ -44,13 +51,14 @@ func TestPatchSurvivesEviction(t *testing.T) {
 	tree, pool := newTestTree(t, 512, 128)
 	const n = 300
 	for i := 0; i < n; i++ {
-		if err := tree.Put([]byte(fmt.Sprintf("key:%04d", i)), fixedVal("val", 0)); err != nil {
+		if err := put(tree, []byte(fmt.Sprintf("key:%04d", i)), fixedVal("val", 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < n; i += 7 {
-		if ok, err := tree.Patch([]byte(fmt.Sprintf("key:%04d", i)), fixedVal("new", i)); err != nil || !ok {
-			t.Fatalf("Patch key %d = %v, %v", i, ok, err)
+		k := []byte(fmt.Sprintf("key:%04d", i))
+		if p := patched(t, tree, func() error { return put(tree, k, fixedVal("new", i)) }); p != 1 {
+			t.Fatalf("rewrite of key %d patched %d times, want 1", i, p)
 		}
 	}
 	// The patches live only in dirty frames; a full eviction forces them
@@ -77,15 +85,16 @@ func TestPatchSurvivesEviction(t *testing.T) {
 }
 
 // TestUpsertPatchEquivalenceProperty pits the patch fast path against the
-// parse→reserialize path over random same-length traces: two trees receive
-// the identical operation sequence, one with patching disabled, and must end
-// byte-for-byte identical under every cursor.  The trace deliberately hits
-// leaf-boundary keys and keys emptied by a prior Delete.
+// parse→reserialize path over random same-length single-key traces: two
+// trees receive the identical one-item write sequence, one with patching
+// disabled, and must end byte-for-byte identical under every cursor.  The
+// trace deliberately hits leaf-boundary keys and keys emptied by a prior
+// delete.
 func TestUpsertPatchEquivalenceProperty(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			patched, patchedPool := newTestTree(t, 512, 256)
+			patchedTree, patchedPool := newTestTree(t, 512, 256)
 			plain, plainPool := newTestTree(t, 512, 256)
 			plain.disablePatch = true
 
@@ -94,7 +103,7 @@ func TestUpsertPatchEquivalenceProperty(t *testing.T) {
 				keys[i] = []byte(fmt.Sprintf("doc:%05d", i*3))
 			}
 			apply := func(op func(*Tree) error) {
-				if err := op(patched); err != nil {
+				if err := op(patchedTree); err != nil {
 					t.Fatal(err)
 				}
 				if err := op(plain); err != nil {
@@ -104,33 +113,33 @@ func TestUpsertPatchEquivalenceProperty(t *testing.T) {
 			// Seed both trees, forcing several leaves at page size 512.
 			for i, k := range keys {
 				k, v := k, fixedVal("seed", i)
-				apply(func(tr *Tree) error { return tr.Put(k, v) })
+				apply(func(tr *Tree) error { return put(tr, k, v) })
 			}
 			for step := 0; step < 2000; step++ {
 				k := keys[rng.Intn(len(keys))]
 				switch rng.Intn(10) {
 				case 0: // delete, so later upserts hit reinsert-after-delete
-					apply(func(tr *Tree) error { _, err := tr.Delete(k); return err })
+					apply(func(tr *Tree) error { _, err := del(tr, k); return err })
 				case 1: // fresh key insert (different length values allowed)
 					fresh := []byte(fmt.Sprintf("doc:%05d", rng.Intn(400)))
 					v := fixedVal("ins", step)
-					apply(func(tr *Tree) error { return tr.Put(fresh, v) })
+					apply(func(tr *Tree) error { return put(tr, fresh, v) })
 				default: // same-length rewrite: the patch candidate
 					v := fixedVal("upd", step)
-					apply(func(tr *Tree) error { return tr.Put(k, v) })
+					apply(func(tr *Tree) error { return put(tr, k, v) })
 				}
 			}
-			if patched.Patches() == 0 {
+			if patchedTree.Patches() == 0 {
 				t.Fatal("patch-enabled tree recorded no patches")
 			}
 			if plain.Patches() != 0 {
 				t.Fatalf("patch-disabled tree recorded %d patches", plain.Patches())
 			}
-			if patched.Len() != plain.Len() {
-				t.Fatalf("Len: patched %d, plain %d", patched.Len(), plain.Len())
+			if patchedTree.Len() != plain.Len() {
+				t.Fatalf("Len: patched %d, plain %d", patchedTree.Len(), plain.Len())
 			}
-			assertSameContents(t, patched, plain)
-			if err := patched.CheckInvariants(); err != nil {
+			assertSameContents(t, patchedTree, plain)
+			if err := patchedTree.CheckInvariants(); err != nil {
 				t.Error(err)
 			}
 			if err := patchedPool.CheckPins(); err != nil {
@@ -143,61 +152,80 @@ func TestUpsertPatchEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestUpsertBatchPatchEquivalenceProperty does the same for the batched
-// writer: replace-only and mixed batches through UpsertBatch must equal the
-// patch-disabled tree's sequential application.
+// TestUpsertBatchPatchEquivalenceProperty pits the patch fast path against
+// the parse→reserialize path over random same-length traces: two trees
+// receive the identical batch sequence, one with patching disabled, and must
+// end byte-for-byte identical under every cursor.  Batch sizes run from one
+// item (a single-key write) to 64, and the trace deliberately hits
+// leaf-boundary keys, keys emptied by a prior delete and fresh inserts.
 func TestUpsertBatchPatchEquivalenceProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	batched, batchedPool := newTestTree(t, 512, 256)
-	plain, _ := newTestTree(t, 512, 256)
-	plain.disablePatch = true
+	for _, seed := range []int64{1, 7, 23, 99} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			batched, batchedPool := newTestTree(t, 512, 256)
+			plain, plainPool := newTestTree(t, 512, 256)
+			plain.disablePatch = true
 
-	var seedItems []Item
-	for i := 0; i < 150; i++ {
-		seedItems = append(seedItems, Item{
-			Key:   []byte(fmt.Sprintf("doc:%05d", i*2)),
-			Value: fixedVal("seed", i),
+			keys := make([][]byte, 150)
+			var seedItems []Item
+			for i := range keys {
+				keys[i] = []byte(fmt.Sprintf("doc:%05d", i*2))
+				seedItems = append(seedItems, Item{Key: keys[i], Value: fixedVal("seed", i)})
+			}
+			for _, tr := range []*Tree{batched, plain} {
+				if _, err := tr.UpsertBatch(append([]Item(nil), seedItems...)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sizes := []int{1, 1, 1, 4, 64}
+			for round := 0; round < 400; round++ {
+				n := sizes[rng.Intn(len(sizes))]
+				if rng.Intn(10) == 0 { // delete, so later upserts hit reinsert-after-delete
+					var dels [][]byte
+					for j := 0; j < n; j++ {
+						dels = append(dels, keys[rng.Intn(len(keys))])
+					}
+					for _, tr := range []*Tree{batched, plain} {
+						if _, err := tr.DeleteBatch(append([][]byte(nil), dels...)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					continue
+				}
+				var batch []Item
+				for j := 0; j < n; j++ {
+					key := keys[rng.Intn(len(keys))]
+					if rng.Intn(8) == 0 { // occasional fresh insert in the batch
+						key = []byte(fmt.Sprintf("doc:%05d", rng.Intn(300)))
+					}
+					batch = append(batch, Item{Key: key, Value: fixedVal("rnd", rng.Intn(10000))})
+				}
+				for _, tr := range []*Tree{batched, plain} {
+					if _, err := tr.UpsertBatch(append([]Item(nil), batch...)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if batched.Patches() == 0 {
+				t.Fatal("UpsertBatch recorded no patches on a replace-heavy trace")
+			}
+			if plain.Patches() != 0 {
+				t.Fatalf("patch-disabled tree recorded %d patches", plain.Patches())
+			}
+			if batched.Len() != plain.Len() {
+				t.Fatalf("Len: batched %d, plain %d", batched.Len(), plain.Len())
+			}
+			assertSameContents(t, batched, plain)
+			if err := batched.CheckInvariants(); err != nil {
+				t.Error(err)
+			}
+			if err := batchedPool.CheckPins(); err != nil {
+				t.Error(err)
+			}
+			if err := plainPool.CheckPins(); err != nil {
+				t.Error(err)
+			}
 		})
-	}
-	for _, it := range seedItems {
-		if err := plain.Put(it.Key, it.Value); err != nil {
-			t.Fatal(err)
-		}
-		if err := batched.Put(it.Key, it.Value); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for round := 0; round < 40; round++ {
-		var batch []Item
-		for j := 0; j < 64; j++ {
-			var key []byte
-			if rng.Intn(8) == 0 { // occasional fresh insert in the batch
-				key = []byte(fmt.Sprintf("doc:%05d", rng.Intn(300)))
-			} else {
-				key = seedItems[rng.Intn(len(seedItems))].Key
-			}
-			batch = append(batch, Item{Key: key, Value: fixedVal("rnd", rng.Intn(10000))})
-		}
-		// UpsertBatch collapses duplicate keys to the last occurrence;
-		// sequential application does the same naturally.
-		for _, it := range batch {
-			if err := plain.Put(it.Key, it.Value); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := batched.UpsertBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if batched.Patches() == 0 {
-		t.Fatal("UpsertBatch recorded no patches on a replace-heavy trace")
-	}
-	assertSameContents(t, batched, plain)
-	if err := batched.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-	if err := batchedPool.CheckPins(); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -207,7 +235,7 @@ func assertSameContents(t *testing.T, a, b *Tree) {
 	t.Helper()
 	dump := func(tr *Tree) []string {
 		var out []string
-		if err := tr.Ascend(func(k, v []byte) bool {
+		if err := tr.View().Ascend(func(k, v []byte) bool {
 			out = append(out, string(k)+"="+string(v))
 			return true
 		}); err != nil {

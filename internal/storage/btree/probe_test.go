@@ -16,7 +16,7 @@ import (
 func TestProbeMatchesGet(t *testing.T) {
 	tree, pool := newTestTree(t, 512, 64)
 	for i := 0; i < 1500; i += 2 { // only even keys exist
-		if err := tree.Put([]byte(fmt.Sprintf("k%06d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := put(tree, []byte(fmt.Sprintf("k%06d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,7 +60,7 @@ func TestProbeEmptyAndSingleLeaf(t *testing.T) {
 			t.Fatalf("probe on empty tree = %v, %v", ok, err)
 		}
 	}
-	if err := tree.Put([]byte("only"), []byte("v")); err != nil {
+	if err := put(tree, []byte("only"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	probe = tree.View().NewProbe()
@@ -81,7 +81,7 @@ func TestProbeOnBulkLoadedTree(t *testing.T) {
 	file := pagefile.MustNewMem(512)
 	pool := buffer.MustNew(file, 64)
 	items := bulkItems(2000, 8)
-	tree, err := BulkLoad(pool, items)
+	tree, err := BulkLoad(pool, items, maxBulkFill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func fixedTree(t *testing.T, n, gen, height int) (View, *buffer.Pool) {
 	for i := range items {
 		items[i] = Item{Key: scoreKey(2 * i), Value: scoreRow(2*i, gen)}
 	}
-	tree, err := BulkLoadFill(pool, items, 0.55)
+	tree, err := BulkLoad(pool, items, 0.55)
 	if err != nil {
 		t.Fatal(err)
 	}

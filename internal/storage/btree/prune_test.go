@@ -15,7 +15,7 @@ func fillSequential(t *testing.T, tree *Tree, n int) [][]byte {
 	keys := make([][]byte, n)
 	for i := 0; i < n; i++ {
 		keys[i] = []byte(fmt.Sprintf("doc:%05d", i))
-		if err := tree.Put(keys[i], fixedVal("fill", i)); err != nil {
+		if err := put(tree, keys[i], fixedVal("fill", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -34,7 +34,7 @@ func TestDeleteUnlinksEmptiedLeaves(t *testing.T) {
 
 	lo, hi := 150, 450
 	for i := lo; i < hi; i++ {
-		ok, err := tree.Delete(keys[i])
+		ok, err := del(tree, keys[i])
 		if err != nil {
 			t.Fatalf("Delete %d: %v", i, err)
 		}
@@ -60,7 +60,7 @@ func TestDeleteUnlinksEmptiedLeaves(t *testing.T) {
 	}()
 	// Ascend sees exactly the survivors, in order.
 	var got []string
-	if err := tree.Ascend(func(k, v []byte) bool { got = append(got, string(k)); return true }); err != nil {
+	if err := tree.View().Ascend(func(k, v []byte) bool { got = append(got, string(k)); return true }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(survivors) {
@@ -73,7 +73,7 @@ func TestDeleteUnlinksEmptiedLeaves(t *testing.T) {
 	}
 	// A range scan entirely inside the emptied hole yields nothing.
 	count := 0
-	if err := tree.AscendRange(keys[lo], keys[hi-1], func(k, v []byte) bool { count++; return true }); err != nil {
+	if err := tree.View().AscendRange(keys[lo], keys[hi-1], func(k, v []byte) bool { count++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 0 {
@@ -81,7 +81,7 @@ func TestDeleteUnlinksEmptiedLeaves(t *testing.T) {
 	}
 	// A range scan straddling the hole sees only the survivors at its edges.
 	var straddle []string
-	if err := tree.AscendRange(keys[lo-2], keys[hi+2], func(k, v []byte) bool {
+	if err := tree.View().AscendRange(keys[lo-2], keys[hi+2], func(k, v []byte) bool {
 		straddle = append(straddle, string(k))
 		return true
 	}); err != nil {
@@ -127,7 +127,7 @@ func TestDeleteAllKeysEmptiesTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 	for _, k := range keys {
-		if _, err := tree.Delete(k); err != nil {
+		if _, err := del(tree, k); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,7 +135,7 @@ func TestDeleteAllKeysEmptiesTree(t *testing.T) {
 		t.Fatalf("Len = %d after deleting everything", tree.Len())
 	}
 	count := 0
-	if err := tree.Ascend(func(k, v []byte) bool { count++; return true }); err != nil {
+	if err := tree.View().Ascend(func(k, v []byte) bool { count++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 0 {
@@ -174,12 +174,12 @@ func TestDeleteReinsertChurnBounded(t *testing.T) {
 	var sizeAfterFirstRound uint64
 	for round := 0; round < 30; round++ {
 		for i := 0; i < n; i++ {
-			if _, err := tree.Delete([]byte(fmt.Sprintf("doc:%05d", i))); err != nil {
+			if _, err := del(tree, []byte(fmt.Sprintf("doc:%05d", i))); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < n; i++ {
-			if err := tree.Put([]byte(fmt.Sprintf("doc:%05d", i)), fixedVal("chrn", round)); err != nil {
+			if err := put(tree, []byte(fmt.Sprintf("doc:%05d", i)), fixedVal("chrn", round)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -228,7 +228,7 @@ func TestDeleteBatchPrunesEmptiedLeaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	if err := tree.Ascend(func(k, v []byte) bool { count++; return true }); err != nil {
+	if err := tree.View().Ascend(func(k, v []byte) bool { count++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 200 {
@@ -246,7 +246,7 @@ func TestDeleteEmptiedRangeThenCursorResume(t *testing.T) {
 	tree, pool := newTestTree(t, 512, 256)
 	keys := fillSequential(t, tree, 400)
 	for i := 120; i < 280; i++ {
-		if _, err := tree.Delete(keys[i]); err != nil {
+		if _, err := del(tree, keys[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,7 +257,7 @@ func TestDeleteEmptiedRangeThenCursorResume(t *testing.T) {
 	for {
 		var batch []string
 		var resume []byte
-		err := tree.AscendRange(next, nil, func(k, v []byte) bool {
+		err := tree.View().AscendRange(next, nil, func(k, v []byte) bool {
 			if len(batch) >= 16 {
 				resume = append([]byte(nil), k...)
 				return false
@@ -294,12 +294,12 @@ func TestPruneSpineCollapse(t *testing.T) {
 	tree, pool := newTestTree(t, 512, 256)
 	n := 60
 	for i := 0; i < n; i++ {
-		if err := tree.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("valuevaluevalue")); err != nil {
+		if err := put(tree, []byte(fmt.Sprintf("k%04d", i)), []byte("valuevaluevalue")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < n; i++ {
-		if _, err := tree.Delete([]byte(fmt.Sprintf("k%04d", i))); err != nil {
+		if _, err := del(tree, []byte(fmt.Sprintf("k%04d", i))); err != nil {
 			t.Fatalf("delete %d: %v", i, err)
 		}
 		if err := tree.CheckInvariants(); err != nil {
@@ -405,7 +405,7 @@ func TestLeafSplitTouchesNoNeighbour(t *testing.T) {
 			t.Fatal("100 inserts into one leaf never split it")
 		}
 		key := append(append([]byte(nil), first...), fmt.Sprintf("/%03d", i)...)
-		if err := tree.Put(key, fixedVal("splt", i)); err != nil {
+		if err := put(tree, key, fixedVal("splt", i)); err != nil {
 			t.Fatal(err)
 		}
 		written := flushWritten(t, pool, log)
@@ -441,13 +441,13 @@ func TestLeafPruneTouchesNoNeighbour(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range n.keys[1:] {
-		if _, err := tree.Delete(k); err != nil {
+		if _, err := del(tree, k); err != nil {
 			t.Fatal(err)
 		}
 	}
 	flushWritten(t, pool, log)
 	frees := log.Stats().Frees
-	if ok, err := tree.Delete(n.keys[0]); err != nil || !ok {
+	if ok, err := del(tree, n.keys[0]); err != nil || !ok {
 		t.Fatalf("Delete = %v, %v", ok, err)
 	}
 	if got := log.Stats().Frees - frees; got != 1 {

@@ -61,6 +61,11 @@ type scanner struct {
 
 var scannerPool = sync.Pool{New: func() any { return new(scanner) }}
 
+// Visitor receives key/value pairs during a scan.  Returning false stops the
+// scan early.  The slices are valid only until the visitor returns (ascending
+// scans pass views into a reusable leaf image); copy what must outlive it.
+type Visitor func(key, value []byte) bool
+
 // AscendRange visits keys in [start, end) in ascending order.  A nil start
 // begins at the smallest key; a nil end scans to the largest.  The key and
 // value slices passed to visit alias the scan's leaf image — a copy, so no
@@ -114,5 +119,19 @@ func (v View) Ascend(visit Visitor) error { return v.AscendRange(nil, nil, visit
 
 // AscendPrefix visits every key beginning with prefix in ascending order.
 func (v View) AscendPrefix(prefix []byte, visit Visitor) error {
-	return v.AscendRange(prefix, prefixEnd(prefix), visit)
+	return v.AscendRange(prefix, PrefixEnd(prefix), visit)
+}
+
+// PrefixEnd returns the smallest key greater than every key with the given
+// prefix — the exclusive end of a prefix range — or nil when no such key
+// exists (a prefix of all 0xFF bytes).
+func PrefixEnd(prefix []byte) []byte {
+	end := append([]byte(nil), prefix...)
+	for i := len(end) - 1; i >= 0; i-- {
+		if end[i] != 0xFF {
+			end[i]++
+			return end[:i+1]
+		}
+	}
+	return nil
 }

@@ -249,6 +249,10 @@ type ScoreChange struct {
 	// indexed relation, Deleted when it was just deleted from it.
 	Inserted bool
 	Deleted  bool
+	// Old is the deleted row when Deleted is set: the row is gone from the
+	// relation by the time listeners run, so this is their one copy of its
+	// content.
+	Old relation.Row
 	// Err is set when a score component failed: the change carries no score
 	// and the listener is left holding a stale one.
 	Err error
@@ -365,11 +369,12 @@ func (v *ScoreView) refresh(pk int64, inserted bool) {
 	v.notify(ScoreChange{Doc: pk, New: score, Inserted: inserted, Err: err})
 }
 
-// remove tells the listeners a document left the indexed relation.
-func (v *ScoreView) remove(pk int64) {
+// remove tells the listeners a document left the indexed relation, handing
+// them the deleted row.
+func (v *ScoreView) remove(pk int64, old relation.Row) {
 	v.refreshMu.Lock()
 	defer v.refreshMu.Unlock()
-	v.notify(ScoreChange{Doc: pk, Deleted: true})
+	v.notify(ScoreChange{Doc: pk, Deleted: true, Old: old})
 }
 
 // Attach registers change listeners on every dependency table so that base
@@ -446,7 +451,7 @@ func (v *ScoreView) Detach() {
 func (v *ScoreView) handleChange(c relation.Change, isBase bool, fkIdx int) {
 	if isBase {
 		if c.Kind == relation.ChangeDelete {
-			v.remove(c.PK)
+			v.remove(c.PK, c.Old)
 		} else {
 			v.refresh(c.PK, c.Kind == relation.ChangeInsert)
 		}

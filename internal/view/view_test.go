@@ -2,6 +2,7 @@ package view
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"svrdb/internal/relation"
@@ -155,7 +156,7 @@ func TestIncrementalMaintenanceOnDependencyTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ScoreChange{Doc: 2, New: 2.0*100 + 150300.0/2 + 20}
-	if len(*changes) != 1 || (*changes)[0] != want {
+	if len(*changes) != 1 || !reflect.DeepEqual((*changes)[0], want) {
 		t.Fatalf("changes after visits update = %+v, want %+v", *changes, want)
 	}
 
@@ -195,7 +196,7 @@ func TestBaseTableInsertAndDelete(t *testing.T) {
 	if err := movies.Insert(relation.Row{relation.Int(3), relation.Str("New Release"), relation.Str("golden news")}); err != nil {
 		t.Fatal(err)
 	}
-	if len(*changes) != 1 || (*changes)[0] != (ScoreChange{Doc: 3, Inserted: true}) {
+	if len(*changes) != 1 || !reflect.DeepEqual((*changes)[0], ScoreChange{Doc: 3, Inserted: true}) {
 		t.Fatalf("insert change = %+v", *changes)
 	}
 
@@ -204,7 +205,7 @@ func TestBaseTableInsertAndDelete(t *testing.T) {
 	if err := movies.Update(3, map[string]relation.Value{"name": relation.Str("Old Release")}); err != nil {
 		t.Fatal(err)
 	}
-	if len(*changes) != 1 || (*changes)[0] != (ScoreChange{Doc: 3}) {
+	if len(*changes) != 1 || !reflect.DeepEqual((*changes)[0], ScoreChange{Doc: 3}) {
 		t.Fatalf("update change = %+v", *changes)
 	}
 
@@ -212,7 +213,8 @@ func TestBaseTableInsertAndDelete(t *testing.T) {
 	if err := movies.Delete(3); err != nil {
 		t.Fatal(err)
 	}
-	if len(*changes) != 1 || (*changes)[0] != (ScoreChange{Doc: 3, Deleted: true}) {
+	deleted := relation.Row{relation.Int(3), relation.Str("Old Release"), relation.Str("golden news")}
+	if len(*changes) != 1 || !reflect.DeepEqual((*changes)[0], ScoreChange{Doc: 3, Deleted: true, Old: deleted}) {
 		t.Fatalf("delete change = %+v", *changes)
 	}
 }
@@ -238,7 +240,7 @@ func TestUpdatesToUnrelatedDocumentsDoNotNotify(t *testing.T) {
 	if err := reviews.Update(3, map[string]relation.Value{"rating": relation.Float(row[2].F)}); err != nil {
 		t.Fatal(err)
 	}
-	if want := (ScoreChange{Doc: 2, New: 2.0*100 + 150 + 20}); len(*changes) != 1 || (*changes)[0] != want {
+	if want := (ScoreChange{Doc: 2, New: 2.0*100 + 150 + 20}); len(*changes) != 1 || !reflect.DeepEqual((*changes)[0], want) {
 		t.Errorf("changes after a no-op update = %+v, want %+v", *changes, want)
 	}
 }
