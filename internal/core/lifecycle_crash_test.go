@@ -13,7 +13,8 @@ import (
 // index lifecycle: a committed archive database performs one lifecycle
 // operation — an online CreateTextIndex backfill, or a DropTextIndex —
 // while a deterministic fault kills the process at every write, torn-write
-// and fsync site of the commit protocol.  After each crash the file must
+// and fsync site of the commit protocol and of the checkpoint that closing
+// the file writes.  After each crash the file must
 // reopen cleanly with the index either fully absent or fully present
 // (query results byte-identical to the pre- or post-op committed state),
 // never in between — and if the operation reported success, the post state
@@ -23,7 +24,8 @@ func TestCrashRecoveryMatrixLifecycle(t *testing.T) {
 	// blobs are packed into shared pages, so at 4 KiB pages a test-sized
 	// archive's lists fit in one page and a commit would offer a single
 	// blob-page write to crash at.  At 512-byte pages 700 movies make each
-	// commit about 80 page writes across blob, tree and chain pages.
+	// operation's checkpoint about 80 page writes across blob, tree and chain
+	// pages.
 	prepare := func(t *testing.T, path string) {
 		e, err := Open(path, OpenOptions{Specs: archiveSpecRegistry(), PageSize: 512})
 		if err != nil {
@@ -103,8 +105,10 @@ func TestCrashRecoveryMatrixLifecycle(t *testing.T) {
 			if err := op.mutate(ce); err != nil {
 				t.Fatal(err)
 			}
+			if err := cfile.Close(); err != nil {
+				t.Fatal(err)
+			}
 			writes, syncs := counter.Writes(), counter.Syncs()
-			cfile.Close()
 			if writes < 2 || syncs < 2 || openReads < 2 {
 				t.Fatalf("counting run saw %d writes, %d syncs, %d open reads; too few for a meaningful matrix", writes, syncs, openReads)
 			}

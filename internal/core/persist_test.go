@@ -289,9 +289,10 @@ func TestCrashDuringEpochSwapServesPreSwapSnapshot(t *testing.T) {
 }
 
 // TestCrashRecoveryMatrixEngine is the tentpole acceptance test: a committed
-// archive database absorbs one mutation batch while a deterministic fault
-// kills the process at every write, torn-write and fsync site of the commit
-// protocol.  After each crash the file is reopened cleanly and all six
+// archive database absorbs one mutation batch and closes its file while a
+// deterministic fault kills the process at every write, torn-write and fsync
+// site of the commit protocol and of the checkpoint that closing writes (a
+// commit alone writes no data page).  After each crash the file is reopened cleanly and all six
 // methods' query results must match either the pre-batch or the post-batch
 // committed state byte for byte — and if ApplyBatch reported success, the
 // post state is mandatory.  The batch's WAL record is mostly byte-range
@@ -299,7 +300,8 @@ func TestCrashDuringEpochSwapServesPreSwapSnapshot(t *testing.T) {
 // torn write at every write site of the recovering Open must still leave a
 // file the next Open rolls forward to the post state.
 func TestCrashRecoveryMatrixEngine(t *testing.T) {
-	// 18 movies make the batch commit 49 page writes and its recovery 48.
+	// 18 movies make the batch's commit and checkpoint 49 writes (the WAL
+	// append, 47 pages, the header) and its recovery 48.
 	const nMovies = 18
 	const rounds = 15
 	dir := t.TempDir()
@@ -340,7 +342,7 @@ func TestCrashRecoveryMatrixEngine(t *testing.T) {
 
 	// Counting run: learn the fault-site counts.  Reads are counted up to the
 	// end of Open (the restore path); writes and syncs across the batch
-	// commit.
+	// commit and the checkpoint that closing the file writes.
 	countPath := filepath.Join(dir, "count.svrdb")
 	cloneEngineFile(t, template, countPath)
 	counter := pagefile.NewFaultInjector(pagefile.FaultPlan{})
@@ -356,8 +358,10 @@ func TestCrashRecoveryMatrixEngine(t *testing.T) {
 	if err := mutate(ce); err != nil {
 		t.Fatal(err)
 	}
+	if err := cfile.Close(); err != nil {
+		t.Fatal(err)
+	}
 	writes, syncs := counter.Writes(), counter.Syncs()
-	cfile.Close()
 	if writes < 3 || syncs < 2 || openReads < 2 {
 		t.Fatalf("counting run saw %d writes, %d syncs, %d open reads; too few for a meaningful matrix", writes, syncs, openReads)
 	}
@@ -425,8 +429,8 @@ func TestCrashRecoveryMatrixEngine(t *testing.T) {
 		})
 	}
 
-	// Crash the batch at its first write-back write: the record is durable,
-	// the data file holds half a page of it.
+	// Crash the closing checkpoint at its first write: the batch's record is
+	// durable, the data file holds half a page of it.
 	crashed := filepath.Join(dir, "crashed.svrdb")
 	cloneEngineFile(t, template, crashed)
 	cfile, err = pagefile.Open(crashed, pagefile.WithFaults(pagefile.NewFaultInjector(pagefile.FaultPlan{FailWrite: 2, TornWrite: true})))
@@ -436,10 +440,12 @@ func TestCrashRecoveryMatrixEngine(t *testing.T) {
 	if ce, err = openFromFile(cfile, durableOpts()); err != nil {
 		t.Fatal(err)
 	}
-	if mutate(ce) == nil {
-		t.Fatal("ApplyBatch reported success despite the injected write-back fault")
+	if err := mutate(ce); err != nil {
+		t.Fatalf("ApplyBatch: %v", err)
 	}
-	cfile.Close()
+	if cfile.Close() == nil {
+		t.Fatal("Close reported success despite the injected checkpoint fault")
+	}
 	work := filepath.Join(dir, "work.svrdb")
 	cloneEngineFile(t, crashed, work)
 	counter = pagefile.NewFaultInjector(pagefile.FaultPlan{})

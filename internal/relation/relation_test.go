@@ -272,14 +272,14 @@ func TestUpdateOfUnindexedColumnSkipsSecondary(t *testing.T) {
 	sec := reviews.secondary["mID"]
 	root, size := sec.RootPage(), sec.Len()
 	pool := db.Pool()
-	if err := pool.FlushAll(); err != nil {
+	if err := pool.FlushOrdered(); err != nil {
 		t.Fatal(err)
 	}
 	before := pool.Stats().Flushes
 	if err := reviews.Update(6, map[string]Value{"rating": Float(4.5)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.FlushAll(); err != nil {
+	if err := pool.FlushOrdered(); err != nil {
 		t.Fatal(err)
 	}
 	if n := pool.Stats().Flushes - before; n != 1 {

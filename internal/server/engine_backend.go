@@ -528,11 +528,16 @@ func engineStatsPayload(e *core.Engine) map[string]any {
 			"bytes_written": fs.BytesWritten,
 		},
 		"durability": map[string]any{
-			"commits":    fs.Commits,
-			"wal_bytes":  fs.WALBytes,
-			"fsyncs":     fs.Fsyncs,
-			"recoveries": fs.Recoveries,
-			"torn_pages": fs.TornPages,
+			"commits":     fs.Commits,
+			"wal_bytes":   fs.WALBytes,
+			"checkpoints": fs.Checkpoints,
+			"fsyncs":      fs.Fsyncs,
+			"recoveries":  fs.Recoveries,
+			"torn_pages":  fs.TornPages,
+			// Gauges of the no-force log: committed pages the next
+			// checkpoint writes back, and the WAL bytes it truncates.
+			"held_pages":        fs.HeldPages,
+			"wal_pending_bytes": fs.WALPending,
 			// The catalog's share of a commit: the anchor is rewritten by
 			// every one, an index's dictionary chain only after its terms or
 			// documents changed.

@@ -55,3 +55,39 @@ func TestStatsCatalogGauges(t *testing.T) {
 		t.Errorf("an insert left dictionary_rewrites at %d, want %d", got, built+1)
 	}
 }
+
+// TestStatsCheckpointGauges: the durability block shows the no-force log —
+// commits leave their pages held and their records pending, and the
+// checkpoint that closing writes drains both.
+func TestStatsCheckpointGauges(t *testing.T) {
+	params := workload.DefaultParams()
+	params.NumDocs, params.TermsPerDoc, params.VocabSize = 200, 10, 100
+	e, err := core.Open(filepath.Join(t.TempDir(), "docs.svrdb"), core.OpenOptions{
+		Specs: map[string]view.Spec{"docs": workload.DocsSpec()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := workload.LoadDocsTable(e.DB(), workload.Generate(params), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ApplyBatch(func() error {
+		return tbl.Update(1, map[string]relation.Value{"score": relation.Float(99999)})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	gauges := func() (checkpoints, held, pending uint64) {
+		d := engineStatsPayload(e)["durability"].(map[string]any)
+		return d["checkpoints"].(uint64), d["held_pages"].(uint64), d["wal_pending_bytes"].(uint64)
+	}
+	if c, held, pending := gauges(); c != 0 || held == 0 || pending == 0 {
+		t.Errorf("after a commit: checkpoints = %d, held_pages = %d, wal_pending_bytes = %d; want 0 and both > 0", c, held, pending)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c, held, pending := gauges(); c != 1 || held != 0 || pending != 0 {
+		t.Errorf("after Close: checkpoints = %d, held_pages = %d, wal_pending_bytes = %d; want 1, 0, 0", c, held, pending)
+	}
+}

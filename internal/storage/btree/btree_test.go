@@ -315,7 +315,7 @@ func TestSmallBufferPoolStillCorrect(t *testing.T) {
 			t.Fatalf("Put %d: %v", i, err)
 		}
 	}
-	if err := pool.FlushAll(); err != nil {
+	if err := pool.FlushOrdered(); err != nil {
 		t.Fatal(err)
 	}
 	if err := pool.EvictAll(); err != nil {

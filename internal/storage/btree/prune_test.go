@@ -374,7 +374,7 @@ func neighbourTree(t *testing.T) (*Tree, *buffer.Pool, *writeLog, pagefile.PageI
 // since the previous call.
 func flushWritten(t *testing.T, pool *buffer.Pool, log *writeLog) map[pagefile.PageID]bool {
 	t.Helper()
-	if err := pool.FlushAll(); err != nil {
+	if err := pool.FlushOrdered(); err != nil {
 		t.Fatal(err)
 	}
 	w := log.written

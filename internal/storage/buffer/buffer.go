@@ -294,11 +294,6 @@ func (e *FlushError) Error() string {
 
 func (e *FlushError) Unwrap() error { return e.Err }
 
-// FlushAll writes every dirty resident page back to the underlying file.
-// It is FlushOrdered under its historical name: ordered writeback is never
-// worse than map-iteration order.
-func (p *Pool) FlushAll() error { return p.FlushOrdered() }
-
 // FlushOrdered writes every dirty resident page back in ascending page-ID
 // order — one sequential pass over the file.  Bulk writers call it after a
 // batch so the dirty pages a batch produced go out as one ordered sweep
@@ -329,26 +324,6 @@ func (p *Pool) flushOrderedLocked() error {
 		p.flushes.Add(1)
 	}
 	return nil
-}
-
-// Checkpoint flushes every dirty resident page and commits the underlying
-// file with meta as its new application root.  Over a durable file this is
-// the atomic-commit boundary: the flushed pages and meta become visible
-// together after a crash, or not at all.  Over a memory file the commit is
-// just a meta store, so callers can checkpoint unconditionally.
-//
-// The flush and the commit run under the pool lock as one critical section,
-// so pages dirtied by a concurrent writer cannot slip between the sweep and
-// the commit point.  (In the engine's lock order, callers already hold the
-// batch/table rungs above the pool, making the checkpoint's content
-// deterministic; the pool lock here only protects frame state.)
-func (p *Pool) Checkpoint(meta []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.flushOrderedLocked(); err != nil {
-		return err
-	}
-	return p.file.Commit(meta)
 }
 
 // WriteThrough writes a full page image directly to the underlying file

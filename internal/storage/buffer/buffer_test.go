@@ -138,7 +138,7 @@ func TestFlushAllAndEvictAll(t *testing.T) {
 		ids = append(ids, fr.ID())
 		fr.Release()
 	}
-	if err := p.FlushAll(); err != nil {
+	if err := p.FlushOrdered(); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 128)

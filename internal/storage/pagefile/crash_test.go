@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -124,32 +125,46 @@ func (p FaultPlan) String() string {
 	}
 }
 
-// TestCrashPointMatrixFile drives the commit protocol into a deterministic
-// fault at every write and fsync site (plain failures and torn writes),
-// reopens without faults, and asserts the recovered file is byte-identical
-// to either the pre-commit or the post-commit committed image — never a
-// hybrid.  A fault injected before the WAL fsync completes must recover the
-// pre state; a successful Commit must recover the post state.  Recovery's
-// own write-back is a crash site as well: from every crashed file, every
-// write and fsync of the recovering Open is failed in turn, and the next
-// clean Open must still land on the same committed image.  commitScenario
-// logs whole pages, patchScenario byte-range deltas over the data file.
+// TestCrashPointMatrixFile drives a scenario of commits followed by Close —
+// so the closing checkpoint's page, header and fsync sites are all reached —
+// into a deterministic fault at every write and fsync site (plain failures
+// and torn writes), reopens without faults, and asserts the recovered file
+// is byte-identical to one of the scenario's committed images — never a
+// hybrid.  A commit that reported success may not be lost, a commit that
+// never started may not appear, and a Close that reported success leaves the
+// last image.  Recovery's own write-back is a crash site as well: from every
+// crashed file, every write and fsync of the recovering Open is failed in
+// turn, and the next clean Open must still land on the same committed image.
+// commitScenario logs whole pages, patchScenario byte-range deltas over the
+// data file; chain leaves three records in the WAL at every commit-side
+// crash; stale-tail checkpoints midway with a WAL truncate that is lost, so
+// its later commits overwrite a stale chain that recovery must not follow.
 func TestCrashPointMatrixFile(t *testing.T) {
-	for name, scenario := range map[string]func(File) error{"images": commitScenario, "deltas": patchScenario} {
-		t.Run(name, func(t *testing.T) { crashPointMatrix(t, scenario) })
+	for _, sc := range []struct {
+		name  string
+		steps []func(File) error
+	}{
+		{"images", []func(File) error{commitScenario}},
+		{"deltas", []func(File) error{patchScenario}},
+		{"chain", chainSteps},
+		{"stale-tail", staleTailSteps},
+	} {
+		t.Run(sc.name, func(t *testing.T) { crashPointMatrix(t, sc.steps) })
 	}
 }
 
-func crashPointMatrix(t *testing.T, scenario func(File) error) {
+func crashPointMatrix(t *testing.T, steps []func(File) error) {
 	dir := t.TempDir()
 	template := filepath.Join(dir, "template.svrdb")
 	buildTemplate(t, template)
 
-	// Pre image, and post image from one clean run of the scenario.
-	pre := openImage(t, template)
-	post := cleanRun(t, template, filepath.Join(dir, "post.svrdb"), scenario)
-	if pre.equal(post) {
-		t.Fatal("scenario did not change the file; the matrix would prove nothing")
+	// states[i] is the committed image after the first i steps.
+	var states []*fileImage
+	for i := 0; i <= len(steps); i++ {
+		states = append(states, cleanRun(t, template, filepath.Join(dir, "state.svrdb"), steps[:i]...))
+		if i > 0 && states[i].equal(states[i-1]) {
+			t.Fatalf("step %d did not change the file; the matrix would prove nothing", i)
+		}
 	}
 
 	// Counting run: learn how many write and sync sites the scenario has.
@@ -157,10 +172,12 @@ func crashPointMatrix(t *testing.T, scenario func(File) error) {
 	cloneDB(t, template, countPath)
 	counter := NewFaultInjector(FaultPlan{})
 	cf := mustOpen(t, countPath, WithFaults(counter))
-	if err := scenario(cf); err != nil {
+	if _, err := runSteps(cf, steps); err != nil {
 		t.Fatal(err)
 	}
-	cf.Close()
+	if err := cf.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if counter.Writes() < 3 || counter.Syncs() < 2 {
 		t.Fatalf("scenario has %d writes and %d syncs; too few for a meaningful matrix", counter.Writes(), counter.Syncs())
 	}
@@ -175,8 +192,8 @@ func crashPointMatrix(t *testing.T, scenario func(File) error) {
 			if err != nil {
 				t.Fatalf("open with faults failed before the scenario ran: %v", err)
 			}
-			commitErr := scenario(f)
-			f.Close()
+			committed, stepErr := runSteps(f, steps)
+			closeErr := f.Close()
 			if !fi.Tripped() {
 				t.Fatalf("fault site %s never fired", plan)
 			}
@@ -192,16 +209,18 @@ func crashPointMatrix(t *testing.T, scenario func(File) error) {
 			}
 			defer rf.Close()
 			img := snapshotFile(t, rf)
+			landed := slices.IndexFunc(states, img.equal)
 			switch {
-			case img.equal(pre):
-				if commitErr == nil {
-					t.Error("Commit reported success but recovery landed on the pre state")
-				}
-			case img.equal(post):
-				// Roll-forward of a fully-logged commit: fine whether or not
-				// Commit got to report success.
-			default:
-				t.Fatalf("recovered state is neither the pre- nor the post-commit image (commit err: %v)", commitErr)
+			case landed < 0:
+				t.Fatalf("recovered state is none of the committed images (%d steps committed, step error: %v, close error: %v)", committed, stepErr, closeErr)
+			case landed < committed:
+				t.Errorf("%d steps reported success but recovery landed on the image after %d", committed, landed)
+			case landed > committed+1:
+				// The step in flight may have reached its commit point; no
+				// later one ran.
+				t.Errorf("recovery landed on the image after %d steps, but only %d ran", landed, committed+1)
+			case stepErr == nil && closeErr == nil && landed != len(steps):
+				t.Errorf("Close reported success but recovery landed on the image after %d of %d steps", landed, len(steps))
 			}
 
 			again := filepath.Join(dir, "again.svrdb")
@@ -238,6 +257,77 @@ func crashPointMatrix(t *testing.T, scenario func(File) error) {
 	}
 	if recoverySites == 0 {
 		t.Error("no recovery ever wrote: the recovery half of the matrix proved nothing")
+	}
+}
+
+// lostTruncate drops every Truncate, as a crash that loses a truncate no
+// fsync made durable leaves the file.
+type lostTruncate struct{ backing }
+
+func (lostTruncate) Truncate(int64) error { return nil }
+
+// staleTailSteps commit staleX and staleY, checkpoint with a WAL truncate
+// that is lost, and commit staleZ and one more over the stale chain the
+// truncate left.  staleZ's record is exactly as long as staleX's, so until
+// the last step overwrites it the record right behind staleZ's is staleY's,
+// intact and valid: only its LSN tells recovery that it is not part of the
+// chain.
+var staleTailSteps = []func(File) error{
+	staleX,
+	func(f File) error {
+		if err := patchAt(f, 2, "YYYY", "y"); err != nil {
+			return err
+		}
+		df := f.(*diskFile)
+		df.mu.Lock()
+		defer df.mu.Unlock()
+		df.wal = lostTruncate{df.wal}
+		return df.checkpointLocked()
+	},
+	staleZ,
+	func(f File) error { return patchAt(f, 2, "WWWWWWWW", "w") },
+}
+
+func staleX(f File) error { return patchAt(f, 1, "XXXX", "x") }
+func staleZ(f File) error { return patchAt(f, 2, "ZZZZ", "z") }
+
+// patchAt overwrites bytes 100.. of page id with text and commits meta.
+func patchAt(f File, id PageID, text, meta string) error {
+	page := make([]byte, f.PageSize())
+	if err := f.Read(id, page); err != nil {
+		return err
+	}
+	copy(page[100:], text)
+	if err := f.Write(id, page); err != nil {
+		return err
+	}
+	return f.Commit([]byte(meta))
+}
+
+// TestRecoveryStopsAtStaleRecord: after a lost truncate the next commit
+// overwrites the WAL's head and leaves a valid record of the old chain right
+// behind it.  Recovery must replay the new record and stop at the old one,
+// whose LSN does not follow; replaying it would quietly undo the new one.
+func TestRecoveryStopsAtStaleRecord(t *testing.T) {
+	dir := t.TempDir()
+	template := filepath.Join(dir, "template.svrdb")
+	buildTemplate(t, template)
+	want := cleanRun(t, template, filepath.Join(dir, "want.svrdb"), staleTailSteps[:3]...)
+
+	work := filepath.Join(dir, "work.svrdb")
+	loggedNotApplied(t, template, work, staleTailSteps[:3]...)
+	wal := readFileBytes(t, WALPath(work))
+	z, n, err := decodeWALRecord(wal, 512)
+	if err != nil || z == nil || !bytes.Equal(z.meta, []byte("z")) {
+		t.Fatalf("the WAL does not start with staleZ's record: %v", err)
+	}
+	if y, _, err := decodeWALRecord(wal[n:], 512); err != nil || y == nil || y.lsn != z.lsn-1 || !bytes.Equal(y.meta, []byte("y")) {
+		t.Fatalf("the record behind staleZ's is not the stale one, intact (%v): the fixture no longer lines the records up", err)
+	}
+	rf := mustOpen(t, work)
+	defer rf.Close()
+	if !snapshotFile(t, rf).equal(want) {
+		t.Error("recovery did not land on staleZ's commit: it followed the stale record")
 	}
 }
 

@@ -2,6 +2,7 @@ package pagefile
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -36,7 +37,11 @@ const metaMax = 256
 
 var (
 	headerMagic = [8]byte{'S', 'V', 'R', 'D', 'B', 'P', 'F', '1'}
-	walMagic    = [8]byte{'S', 'V', 'R', 'W', 'A', 'L', '0', '2'}
+	walMagic    = [8]byte{'S', 'V', 'R', 'W', 'A', 'L', '0', '3'}
+	// walMagicV2 opens a WAL whose records are not a chain: each commit
+	// truncated it, so it holds at most one record, cut against a data file
+	// that had every earlier commit written back.
+	walMagicV2 = [8]byte{'S', 'V', 'R', 'W', 'A', 'L', '0', '2'}
 	// freePageMagic stamps the first 8 bytes of an on-disk free-list chain
 	// page so that a corrupted chain is detected instead of walked blindly.
 	freePageMagic = uint64(0x5356524652454531) // "SVRFREE1"
@@ -159,26 +164,32 @@ func WithFaults(fi *FaultInjector) Option { return func(o *openOptions) { o.faul
 
 // diskFile is the durable backend: a page file at path with a checksummed
 // header on physical page 0 (logical page id N lives at byte offset
-// (N+1)·pageSize) and a write-ahead log at path+".wal".
+// (N+1)·pageSize) and a write-ahead log at path+".wal".  It is no-force, in
+// the ARIES sense: a commit forces the log, not the pages.
 //
-// All writes — page writes, allocations, frees — are staged in memory and
-// reach the data file only inside Commit:
+// All writes — page writes, allocations, frees — are staged in memory until
+// Commit, which
 //
-//  1. one WAL record holding, per staged page, the byte ranges in which it
-//     differs from what the data file holds (wal.go), plus the post-commit
-//     header state, is written and fsynced (the commit point);
-//  2. the staged images are written back in place in ascending page order,
-//     the header is rewritten, and the data file is fsynced;
-//  3. the WAL is truncated (the checkpoint).
+//  1. appends one WAL record holding, per staged page, the byte ranges in
+//     which it differs from its last committed image (wal.go), plus the
+//     post-commit header state, at the WAL's tail and fsyncs it (the commit
+//     point);
+//  2. moves the staged images into the held set: committed pages the data
+//     file does not have yet.
+//
+// A checkpoint writes every held page back once, in ascending page order,
+// then the header with the last commit's state, fsyncs the data file and
+// truncates the WAL.  It runs when the held images or the WAL written since
+// the last checkpoint reach checkpointBytes, and at Close.
 //
 // A crash before (1) completes loses the staged writes and recovers the
-// previous committed state; a crash after (1) replays the record on the
-// next Open and recovers the new state.  Committed pages are therefore
-// never overwritten in place by uncommitted data, which also makes it safe
-// for a commit window to reuse pages freed in the same window.  A failure
-// after (1) poisons the handle: the WAL then holds the only complete copy of
-// an acknowledged commit, so every later call returns the same error and the
-// way forward is to reopen and replay.
+// previous committed state; a crash after it replays the WAL's records on
+// the next Open.  The data file is only ever written by a checkpoint, with
+// committed images, which also makes it safe for a commit window to reuse
+// pages freed in the same window.  A failure inside a checkpoint poisons the
+// handle: the WAL then holds the only complete copy of the commits since the
+// last checkpoint, so every later call returns the same error and the way
+// forward is to reopen and replay.
 //
 // The free list is persisted as an on-disk chain threaded through the freed
 // pages themselves: each carries [freePageMagic][next PageID] in its first
@@ -193,21 +204,33 @@ type diskFile struct {
 
 	mu     sync.RWMutex
 	closed bool
-	// failed is the sticky error of a commit that broke after its commit
-	// point.
-	failed    error
-	nPages    uint64 // allocated, including uncommitted allocations
-	committed uint64 // page count as of the last commit
+	// failed is the sticky error of a checkpoint that broke.
+	failed error
+	nPages uint64 // allocated, including uncommitted allocations
+	// head is the header state of the last commit: what the next checkpoint
+	// writes to page 0.  head.nPages is the committed page count.
+	head header
 	// staged holds the full post-image of every page written or allocated in
 	// this window; links holds, for committed pages freed in this window, the
 	// chain link that overwrites their first freeLinkSize bytes.  A page is in
 	// at most one of the two.
-	staged  map[PageID][]byte
-	links   map[PageID]PageID
-	free    []PageID // stack; free[len-1] is the chain head
-	freeSet map[PageID]struct{}
-	lsn     uint64
-	meta    []byte
+	staged map[PageID][]byte
+	links  map[PageID]PageID
+	// held and heldLinks are the same two kinds for the commits since the
+	// last checkpoint: a committed page's full image, or the link over the
+	// bytes the data file holds for it.  A page is in at most one of the two;
+	// a held page that is freed keeps its image with the link written in,
+	// which is what replaying the chain over the data file rebuilds.
+	held      map[PageID][]byte
+	heldLinks map[PageID]PageID
+	free      []PageID // stack; free[len-1] is the chain head
+	freeSet   map[PageID]struct{}
+	// walTail is the WAL's length: the bytes appended since the last
+	// checkpoint, and where the next record goes.
+	walTail int64
+	// checkpointBytes is the size of the held images, and of the WAL, at
+	// which a commit checkpoints (maxSpareBytes; tests lower it).
+	checkpointBytes int
 
 	// Commit scratch, reused across commits: retired staging buffers, the
 	// sorted page list, the before-image, the run list and the WAL record.
@@ -224,8 +247,11 @@ type diskFile struct {
 // freeLinkSize is the length of the chain link a free page carries.
 const freeLinkSize = 16
 
-// Bounds on the scratch a commit may leave behind, so that one bulk-load
-// commit does not pin its footprint for the life of the handle.
+// Bounds on what the handle keeps between commits.  maxSpareBytes bounds
+// the held images and the recycled staging buffers together, and the held
+// images and the WAL between checkpoints; maxWALScratch bounds the record
+// buffer, so that one bulk-load commit does not pin its footprint for the
+// life of the handle.
 const (
 	maxSpareBytes = 4 << 20
 	maxWALScratch = 8 << 20
@@ -241,9 +267,9 @@ func WALPath(path string) string { return path + ".wal" }
 
 // Open creates or opens a durable page file at path.  A new file is
 // initialized with an empty committed header before Open returns; an
-// existing file is recovered: the header is validated, any complete WAL
-// record is replayed, a torn WAL tail is discarded, and the persisted free
-// list is loaded.
+// existing file is recovered: the header is validated, the WAL's records
+// since the last checkpoint are replayed, a torn WAL tail is discarded, and
+// the persisted free list is loaded.
 func Open(path string, opts ...Option) (File, error) {
 	var o openOptions
 	for _, opt := range opts {
@@ -264,10 +290,13 @@ func Open(path string, opts ...Option) (File, error) {
 	}
 
 	f := &diskFile{
-		path:    path,
-		staged:  map[PageID][]byte{},
-		links:   map[PageID]PageID{},
-		freeSet: map[PageID]struct{}{},
+		path:            path,
+		staged:          map[PageID][]byte{},
+		links:           map[PageID]PageID{},
+		held:            map[PageID][]byte{},
+		heldLinks:       map[PageID]PageID{},
+		freeSet:         map[PageID]struct{}{},
+		checkpointBytes: maxSpareBytes,
 	}
 	f.data = o.faults.wrap(dataFD)
 	f.wal = o.faults.wrap(walFD)
@@ -285,8 +314,8 @@ func Open(path string, opts ...Option) (File, error) {
 		if f.pageSize == 0 {
 			f.pageSize = DefaultDiskPageSize
 		}
-		hdr := header{pageSize: f.pageSize, freeHead: InvalidPageID}
-		if err := f.writeHeader(&hdr); err != nil {
+		f.head = header{pageSize: f.pageSize, freeHead: InvalidPageID}
+		if err := f.writeHeader(&f.head); err != nil {
 			f.closeHandles()
 			return nil, err
 		}
@@ -327,10 +356,11 @@ func (f *diskFile) pageOffset(id PageID) int64 {
 // --- recovery ---------------------------------------------------------------
 
 // recover brings the file to its last committed state: validate the header,
-// replay the last complete WAL record unless the header is provably past
-// it, discard a torn WAL tail, truncate the data file to the committed
-// length, and load the persisted free list.  dataSize is the data file's
-// length, the bound on how many pages a record may claim.
+// parse the WAL's chain of records since the last checkpoint, replay it
+// unless the header is provably past it, truncate the data file to the
+// committed length and the WAL to zero, and load the persisted free list.
+// dataSize is the data file's length, the bound on how many pages the chain
+// may claim.
 func (f *diskFile) recover(wantPageSize int, dataSize int64) error {
 	hdrBuf := make([]byte, headerSize)
 	var hdr *header
@@ -339,7 +369,7 @@ func (f *diskFile) recover(wantPageSize int, dataSize int64) error {
 			hdr = h
 		} else if errors.Is(err, ErrCorrupt) {
 			// Torn header write: fall through to the WAL, which always holds
-			// the record that was rewriting it.
+			// the chain whose checkpoint was rewriting it.
 			f.tornPages.Add(1)
 		} else {
 			return err
@@ -362,7 +392,14 @@ func (f *diskFile) recover(wantPageSize int, dataSize int64) error {
 	if err != nil {
 		return fmt.Errorf("pagefile: read WAL: %w", err)
 	}
-	var last *walRecord
+	if bytes.HasPrefix(walBuf, walMagicV2[:]) {
+		return fmt.Errorf("pagefile: WAL %s is format %s, this release reads %s: recover the file with the release that wrote it", WALPath(f.path), walMagicV2[:], walMagic[:])
+	}
+	// The chain is the LSN-contiguous run of records from offset 0.  A
+	// checkpoint truncates the WAL without an fsync, so a record that does
+	// not follow its predecessor is a stale one from before a truncate that
+	// never reached the disk, and ends the chain like a torn tail does.
+	var chain []*walRecord
 	for off := 0; off < len(walBuf); {
 		rec, n, err := decodeWALRecord(walBuf[off:], pageSize)
 		if err != nil {
@@ -371,14 +408,12 @@ func (f *diskFile) recover(wantPageSize int, dataSize int64) error {
 			f.tornPages.Add(1)
 			break
 		}
-		if rec == nil {
+		if rec == nil || (len(chain) > 0 && rec.lsn != chain[len(chain)-1].lsn+1) {
 			break
 		}
-		last = rec
+		pageSize = rec.pageSize
+		chain = append(chain, rec)
 		off += n
-	}
-	if last != nil {
-		pageSize = last.header.pageSize
 	}
 	if pageSize == 0 {
 		// No header, no WAL record: the corrupt-file error below fires; the
@@ -388,24 +423,27 @@ func (f *diskFile) recover(wantPageSize int, dataSize int64) error {
 	f.pageSize = pageSize
 
 	switch {
-	case hdr == nil && last == nil:
+	case hdr == nil && len(chain) == 0:
 		return fmt.Errorf("%w: no valid header and no valid WAL record in %s", ErrCorrupt, f.path)
-	case last != nil && (hdr == nil || last.lsn >= hdr.lsn):
-		// Roll the record forward.  Commit puts the pages and the header
-		// under one fsync with no order between them, so a header already
-		// at the record's LSN proves nothing about the pages: the WAL is
-		// truncated only after that fsync, and a record still here may be
-		// half applied.  Replaying an applied record is harmless.
-		if err := f.replay(last, dataSize); err != nil {
+	case len(chain) == 0:
+	case hdr != nil && chain[len(chain)-1].lsn < hdr.lsn:
+		// Stale records only: the header is past all of them.
+	case hdr != nil && chain[0].lsn > hdr.lsn+1:
+		return fmt.Errorf("%w: WAL starts at commit %d, the data file is at commit %d", ErrCorrupt, chain[0].lsn, hdr.lsn)
+	default:
+		// Roll the chain forward.  A checkpoint puts the pages and the header
+		// under one fsync with no order between them, so a header already at
+		// the chain's LSN proves nothing about the pages: the WAL is
+		// truncated only after that fsync, and a chain still here may be
+		// half written back.  Replaying a written-back chain is harmless.
+		if err := f.replay(chain, dataSize); err != nil {
 			return err
 		}
-		hdr = &last.header
+		hdr = &chain[len(chain)-1].header
 	}
 
+	f.head = *hdr
 	f.nPages = hdr.nPages
-	f.committed = hdr.nPages
-	f.lsn = hdr.lsn
-	f.meta = append([]byte(nil), hdr.meta...)
 
 	// Drop any garbage past the committed end (pages allocated by an
 	// uncommitted window before the crash) and the consumed WAL.
@@ -419,52 +457,91 @@ func (f *diskFile) recover(wantPageSize int, dataSize int64) error {
 	return f.loadFreeList(hdr.freeHead, hdr.freeCount)
 }
 
-// replay applies one committed record to the data file.  It runs twice over
-// the entries: the first pass only rebuilds every post-image and checks it
-// against the logged checksum, so a record whose base pages are not the ones
-// it was cut against is refused before a single byte is written.
-func (f *diskFile) replay(rec *walRecord, dataSize int64) error {
-	// Every page a window allocates is staged, hence logged: a record cannot
-	// grow the file by more pages than it carries.
-	if have := uint64(dataSize) / uint64(f.pageSize); rec.nPages > have+uint64(len(rec.entries)) {
-		return fmt.Errorf("%w: WAL record claims %d pages, file holds %d and the record %d", ErrCorrupt, rec.nPages, have, len(rec.entries))
+// entryRef names entry e of chain record r.
+type entryRef struct{ r, e int }
+
+// replay applies a chain of committed records to the data file, each page's
+// entries in LSN order over the bytes the file holds for it, and writes the
+// last record's header.  It runs twice over the pages: the first pass only
+// rebuilds every final image and checks it against the checksum its last
+// delta logged, so a chain whose base pages are not the ones it was cut
+// against is refused before a single byte is written.  Only the final image
+// can be checked: over a checkpoint torn mid-write the base may already hold
+// later bytes than an earlier record expects, which the later records
+// overwrite again.
+func (f *diskFile) replay(chain []*walRecord, dataSize int64) error {
+	var refs []entryRef
+	for r, rec := range chain {
+		for e := range rec.entries {
+			refs = append(refs, entryRef{r, e})
+		}
 	}
+	// Every page a window allocates is staged, hence logged: a chain cannot
+	// grow the file by more pages than it carries entries.
+	last := chain[len(chain)-1]
+	if have := uint64(dataSize) / uint64(f.pageSize); last.nPages > have+uint64(len(refs)) {
+		return fmt.Errorf("%w: WAL claims %d pages, file holds %d and the chain %d entries", ErrCorrupt, last.nPages, have, len(refs))
+	}
+	entry := func(ref entryRef) *walEntry { return &chain[ref.r].entries[ref.e] }
+	// Records list their entries in page order, so a stable sort by page
+	// keeps each page's entries in LSN order.
+	slices.SortStableFunc(refs, func(a, b entryRef) int { return cmp.Compare(entry(a).id, entry(b).id) })
+
 	page := make([]byte, f.pageSize)
 	var link [freeLinkSize]byte
 	for _, write := range []bool{false, true} {
-		for i := range rec.entries {
-			e := &rec.entries[i]
-			off := f.pageOffset(e.id)
-			if e.kind == entryFreeLink {
+		for i := 0; i < len(refs); {
+			id := entry(refs[i]).id
+			j := i
+			for j < len(refs) && entry(refs[j]).id == id {
+				j++
+			}
+			group := refs[i:j]
+			i = j
+			off := f.pageOffset(id)
+			final := entry(group[len(group)-1])
+			if !slices.ContainsFunc(group, func(r entryRef) bool { return entry(r).kind != entryFreeLink }) {
+				// Only links: the page keeps the bytes the file holds under
+				// the last one, as a checkpoint leaves it.
 				if write {
-					putFreeLink(link[:], e.next)
+					putFreeLink(link[:], final.next)
 					if _, err := f.data.WriteAt(link[:], off); err != nil {
-						return fmt.Errorf("pagefile: recovery write page %d: %w", e.id, err)
+						return fmt.Errorf("pagefile: recovery write page %d: %w", id, err)
 					}
 				}
 				continue
 			}
 			clear(page)
-			if e.kind == entryDeltaOnDisk {
+			if entry(group[0]).kind != entryDeltaOnZero {
 				// A short read leaves zeros; the checksum decides whether
-				// that is the page the record expects.
+				// that is the page the chain expects.
 				if _, err := f.data.ReadAt(page, off); err != nil && err != io.EOF {
-					return fmt.Errorf("pagefile: recovery read page %d: %w", e.id, err)
+					return fmt.Errorf("pagefile: recovery read page %d: %w", id, err)
 				}
 			}
-			applyRuns(page, e.runs)
+			for _, ref := range group {
+				switch e := entry(ref); e.kind {
+				case entryFreeLink:
+					putFreeLink(page, e.next)
+				case entryDeltaOnZero:
+					clear(page)
+					applyRuns(page, e.runs)
+				default:
+					applyRuns(page, e.runs)
+				}
+			}
 			if !write {
-				if crc32.Checksum(page, crcTable) != e.crc {
-					return fmt.Errorf("%w: page %d does not match WAL record %d (base page changed under the log)", ErrCorrupt, e.id, rec.lsn)
+				if final.kind != entryFreeLink && crc32.Checksum(page, crcTable) != final.crc {
+					return fmt.Errorf("%w: page %d does not match WAL record %d (base page changed under the log)", ErrCorrupt, id, chain[group[len(group)-1].r].lsn)
 				}
 				continue
 			}
 			if _, err := f.data.WriteAt(page, off); err != nil {
-				return fmt.Errorf("pagefile: recovery write page %d: %w", e.id, err)
+				return fmt.Errorf("pagefile: recovery write page %d: %w", id, err)
 			}
 		}
 	}
-	if err := f.writeHeader(&rec.header); err != nil {
+	if err := f.writeHeader(&last.header); err != nil {
 		return err
 	}
 	if err := f.data.Sync(); err != nil {
@@ -544,9 +621,10 @@ func (f *diskFile) pageBufLocked() []byte {
 	return make([]byte, f.pageSize)
 }
 
-// retireBufLocked keeps a staging buffer for reuse, up to maxSpareBytes.
+// retireBufLocked keeps a staging buffer for reuse while the spare and the
+// held buffers together stay within maxSpareBytes.
 func (f *diskFile) retireBufLocked(buf []byte) {
-	if (len(f.spare)+1)*f.pageSize <= maxSpareBytes {
+	if (len(f.spare)+len(f.held)+1)*f.pageSize <= maxSpareBytes {
 		f.spare = append(f.spare, buf)
 	}
 }
@@ -571,12 +649,12 @@ func (f *diskFile) stagePageLocked(id PageID) []byte {
 }
 
 // linkFreePageLocked stages the chain link of free page id.  A committed
-// page keeps its bytes in the data file and only the link is logged and
-// written back, so freeing costs freeLinkSize bytes, not a page image; a page
-// born in this window has nothing on disk to keep and is staged as zeros
-// plus the link.
+// page keeps its committed bytes and only the link is logged and written
+// back, so freeing costs freeLinkSize bytes, not a page image; a page born in
+// this window has nothing committed to keep and is staged as zeros plus the
+// link.
 func (f *diskFile) linkFreePageLocked(id, next PageID) {
-	if uint64(id) >= f.committed {
+	if uint64(id) >= f.head.nPages {
 		putFreeLink(f.stagePageLocked(id), next)
 		return
 	}
@@ -708,17 +786,34 @@ func (f *diskFile) Read(id PageID, dst []byte) error {
 		copy(dst, img)
 		return nil
 	}
-	if uint64(id) >= f.committed {
+	if uint64(id) >= f.head.nPages {
 		// Allocated this window but never written or staged (cannot happen
 		// through the public API, which stages zeros on allocation); keep
 		// the invariant anyway.
 		clear(dst[:f.pageSize])
 		return nil
 	}
+	if err := f.committedImageLocked(id, dst); err != nil {
+		return err
+	}
+	if next, ok := f.links[id]; ok {
+		putFreeLink(dst, next)
+	}
+	return nil
+}
+
+// committedImageLocked copies the last committed image of page id into dst:
+// the held image, else the data file's bytes under any held link.  Reading
+// the data file here is internal I/O, not a counted page read.
+func (f *diskFile) committedImageLocked(id PageID, dst []byte) error {
+	if img, ok := f.held[id]; ok {
+		copy(dst, img)
+		return nil
+	}
 	if _, err := f.data.ReadAt(dst[:f.pageSize], f.pageOffset(id)); err != nil {
 		return fmt.Errorf("pagefile: read page %d: %w", id, err)
 	}
-	if next, ok := f.links[id]; ok {
+	if next, ok := f.heldLinks[id]; ok {
 		putFreeLink(dst, next)
 	}
 	return nil
@@ -736,14 +831,13 @@ func (f *diskFile) Write(id PageID, src []byte) error {
 	if uint64(id) >= f.nPages {
 		return fmt.Errorf("%w: write page %d of %d", ErrPageOutOfRange, id, f.nPages)
 	}
-	f.writes.Add(1)
-	f.bytesWritten.Add(uint64(f.pageSize))
 	copy(f.stageBufLocked(id), src[:f.pageSize])
 	return nil
 }
 
-// Commit runs the WAL commit protocol described on diskFile.  It is a no-op
-// when nothing changed since the last commit.
+// Commit runs the commit protocol described on diskFile, and a checkpoint
+// when the held images or the WAL have reached checkpointBytes.  It is a
+// no-op when nothing changed since the last commit.
 func (f *diskFile) Commit(meta []byte) error {
 	if len(meta) > metaMax {
 		return fmt.Errorf("pagefile: commit meta of %d bytes exceeds maximum %d", len(meta), metaMax)
@@ -753,7 +847,7 @@ func (f *diskFile) Commit(meta []byte) error {
 	if err := f.usableLocked(); err != nil {
 		return err
 	}
-	if len(f.staged) == 0 && len(f.links) == 0 && f.nPages == f.committed && bytes.Equal(meta, f.meta) {
+	if len(f.staged) == 0 && len(f.links) == 0 && f.nPages == f.head.nPages && bytes.Equal(meta, f.head.meta) {
 		return nil
 	}
 
@@ -762,7 +856,7 @@ func (f *diskFile) Commit(meta []byte) error {
 		nPages:    f.nPages,
 		freeHead:  InvalidPageID,
 		freeCount: uint64(len(f.free)),
-		lsn:       f.lsn + 1,
+		lsn:       f.head.lsn + 1,
 		meta:      append([]byte(nil), meta...),
 	}
 	if n := len(f.free); n > 0 {
@@ -777,33 +871,44 @@ func (f *diskFile) Commit(meta []byte) error {
 	}
 	slices.Sort(f.ids)
 
-	// 0. Cut the record: every staged page against the bytes the data file
-	// holds for it.  A read failure here is before the commit point and
-	// leaves the window staged.
+	// Cut the record: every staged page against its last committed image.
+	// A read failure here is before the commit point and leaves the window
+	// staged.
 	if err := f.encodeWALRecord(&hdr); err != nil {
 		return err
 	}
 
-	// 1. WAL append + fsync: the commit point.
-	if _, err := f.wal.WriteAt(f.walBuf, 0); err != nil {
+	// WAL append + fsync: the commit point.  A failure leaves the window
+	// staged and the tail where it was, so a retry overwrites what landed.
+	if _, err := f.wal.WriteAt(f.walBuf, f.walTail); err != nil {
 		return fmt.Errorf("pagefile: WAL write: %w", err)
 	}
 	if err := f.wal.Sync(); err != nil {
 		return fmt.Errorf("pagefile: WAL sync: %w", err)
 	}
+	f.walTail += int64(len(f.walBuf))
 	f.walBytes.Add(uint64(len(f.walBuf)))
 	f.fsyncs.Add(1)
-
-	if err := f.applyCommitted(&hdr); err != nil {
-		f.failed = fmt.Errorf("pagefile: commit %d is logged but not applied, reopen the file to recover it: %w", hdr.lsn, err)
-		return f.failed
+	f.loggedPages.Add(uint64(len(f.staged)))
+	f.commits.Add(1)
+	if cap(f.walBuf) > maxWALScratch {
+		f.walBuf = nil
 	}
 
-	f.lsn = hdr.lsn
-	f.committed = f.nPages
-	f.meta = hdr.meta
-	for _, buf := range f.staged {
-		f.retireBufLocked(buf)
+	// The window is committed: its images and links become held.
+	for id, buf := range f.staged {
+		if old, ok := f.held[id]; ok {
+			f.retireBufLocked(old)
+		}
+		f.held[id] = buf
+		delete(f.heldLinks, id)
+	}
+	for id, next := range f.links {
+		if img, ok := f.held[id]; ok {
+			putFreeLink(img, next)
+		} else {
+			f.heldLinks[id] = next
+		}
 	}
 	if len(f.staged)*f.pageSize > maxSpareBytes {
 		// A bulk window: clearing would keep its bucket array for good.
@@ -812,29 +917,56 @@ func (f *diskFile) Commit(meta []byte) error {
 		clear(f.staged)
 	}
 	clear(f.links)
-	if cap(f.walBuf) > maxWALScratch {
-		f.walBuf = nil
+	f.head = hdr
+	f.setGaugesLocked()
+
+	if len(f.held)*f.pageSize >= f.checkpointBytes || f.walTail >= int64(f.checkpointBytes) {
+		return f.checkpointLocked()
 	}
-	f.commits.Add(1)
 	return nil
 }
 
-// applyCommitted is everything a commit does past its commit point.
-func (f *diskFile) applyCommitted(hdr *header) error {
-	// 2. In-place writeback + header + data fsync.  Any failure from here on
-	// leaves the WAL intact; the next Open replays it.
+// setGaugesLocked publishes the held-page and pending-WAL gauges.
+func (f *diskFile) setGaugesLocked() {
+	f.heldPages.Store(uint64(len(f.held) + len(f.heldLinks)))
+	f.walPending.Store(uint64(f.walTail))
+}
+
+// checkpointLocked writes the held pages back and truncates the WAL; a
+// failure poisons the handle.
+func (f *diskFile) checkpointLocked() error {
+	if err := f.writeBackLocked(); err != nil {
+		f.failed = fmt.Errorf("pagefile: checkpoint of commit %d failed, reopen the file to recover it from the WAL: %w", f.head.lsn, err)
+		return f.failed
+	}
+	f.checkpoints.Add(1)
+	return nil
+}
+
+func (f *diskFile) writeBackLocked() error {
+	f.ids = f.ids[:0]
+	for id := range f.held {
+		f.ids = append(f.ids, id)
+	}
+	for id := range f.heldLinks {
+		f.ids = append(f.ids, id)
+	}
+	slices.Sort(f.ids)
 	var link [freeLinkSize]byte
 	for _, id := range f.ids {
-		img := f.staged[id]
-		if next, ok := f.links[id]; ok {
-			putFreeLink(link[:], next)
+		img, ok := f.held[id]
+		if !ok {
+			// A free-chain link over the file's bytes: the page keeps them.
+			putFreeLink(link[:], f.heldLinks[id])
 			img = link[:]
 		}
 		if _, err := f.data.WriteAt(img, f.pageOffset(id)); err != nil {
-			return fmt.Errorf("pagefile: writeback page %d: %w", id, err)
+			return fmt.Errorf("pagefile: write back page %d: %w", id, err)
 		}
+		f.writes.Add(1)
+		f.bytesWritten.Add(uint64(len(img)))
 	}
-	if err := f.writeHeader(hdr); err != nil {
+	if err := f.writeHeader(&f.head); err != nil {
 		return err
 	}
 	if err := f.data.Sync(); err != nil {
@@ -842,21 +974,34 @@ func (f *diskFile) applyCommitted(hdr *header) error {
 	}
 	f.fsyncs.Add(1)
 
-	// 3. Checkpoint: drop the consumed WAL.  Leaving it in place would be
-	// harmless (replay is idempotent), so the truncate is not fsynced.
+	// The chain is written back: drop it.  Leaving it in place would be
+	// harmless (recovery replays it over its own result, and a stale record
+	// never follows the next commit's LSN), so the truncate is not fsynced.
 	if err := f.wal.Truncate(0); err != nil {
 		return fmt.Errorf("pagefile: WAL truncate: %w", err)
 	}
+	f.walTail = 0
+	// The written images are dropped, not kept as spare: refilling the spare
+	// list with a checkpoint's worth of buffers would keep the held set's
+	// peak footprint for good, where a window recycles far fewer.
+	if len(f.held)*f.pageSize > maxSpareBytes {
+		// As for staged: a bulk commit's bucket array should not stay.
+		f.held = map[PageID][]byte{}
+	} else {
+		clear(f.held)
+	}
+	clear(f.heldLinks)
+	f.setGaugesLocked()
 	return nil
 }
 
 func (f *diskFile) Meta() []byte {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	if f.meta == nil {
+	if f.head.meta == nil {
 		return nil
 	}
-	return append([]byte(nil), f.meta...)
+	return append([]byte(nil), f.head.meta...)
 }
 
 func (f *diskFile) Stats() Stats { return f.counters.snapshot() }
@@ -869,6 +1014,8 @@ func (f *diskFile) SizeBytes() uint64 {
 	return f.nPages * uint64(f.pageSize)
 }
 
+// Close discards the uncommitted window and checkpoints what earlier commits
+// left in the WAL, unless the handle is poisoned.
 func (f *diskFile) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -876,9 +1023,14 @@ func (f *diskFile) Close() error {
 		return nil
 	}
 	f.closed = true
-	// A closed handle may stay referenced; it should not pin its scratch.
-	f.staged, f.links, f.spare, f.walBuf = nil, nil, nil, nil
 	var errs []error
+	if f.failed == nil && f.walTail > 0 {
+		if err := f.checkpointLocked(); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	// A closed handle may stay referenced; it should not pin its scratch.
+	f.staged, f.links, f.held, f.heldLinks, f.spare, f.walBuf = nil, nil, nil, nil, nil, nil
 	if err := f.data.Close(); err != nil {
 		errs = append(errs, err)
 	}

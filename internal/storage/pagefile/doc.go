@@ -11,12 +11,15 @@
 // Two backends implement the File interface.  NewMem is the in-memory
 // simulation the benchmarks run on.  Open(path, opts...) is the durable disk
 // backend: a checksummed-header page file with a write-ahead log, where every
-// write stages in memory until Commit makes the batch atomic (a WAL record of
-// the byte ranges that changed + fsync, in-place writeback, checkpoint) and
-// reopening replays any committed WAL record a crash left unapplied.  WithFaults injects deterministic write,
-// torn-write, fsync and read failures for crash-point testing.  See the
-// "Durability & recovery" section of ARCHITECTURE.md for the on-disk format
-// and the recovery procedure.
+// write stages in memory until Commit makes the batch atomic with one WAL
+// append of the byte ranges that changed and one fsync.  The data file is
+// no-force: committed pages are held in memory until a checkpoint — when the
+// held pages or the WAL reach 4 MiB, and at Close — writes each of them back
+// once and truncates the WAL, and reopening replays the chain of records a
+// crash left in the WAL.  WithFaults injects deterministic write, torn-write,
+// fsync and read failures for crash-point testing.  See the "Durability &
+// recovery" section of ARCHITECTURE.md for the on-disk format and the
+// recovery procedure.
 //
 // See ARCHITECTURE.md for the layer map — where this package sits in the
 // stack — and for the repo-wide concurrency contract.

@@ -18,13 +18,17 @@ type PageID uint64
 // InvalidPageID is a sentinel that never refers to an allocated page.
 const InvalidPageID = PageID(^uint64(0))
 
-// Stats accumulates logical I/O counters for a File.  All counters are
-// monotonically increasing; use File.ResetStats to start a new measurement
-// window.
+// Stats accumulates logical I/O counters for a File.  All counters but the
+// two gauges are monotonically increasing; use File.ResetStats to start a new
+// measurement window.
 type Stats struct {
 	// Reads is the number of page reads served by the file.
 	Reads uint64
-	// Writes is the number of page writes applied to the file.
+	// Writes is the number of page writes the file's storage received.  On a
+	// memory-backed file that is every Write call; on a durable file it is
+	// every page image and free-chain link a checkpoint wrote back to the data
+	// file (the header excluded), so a page rewritten by many commits between
+	// two checkpoints counts once, and a commit alone counts nothing.
 	Writes uint64
 	// Allocs is the number of pages allocated.
 	Allocs uint64
@@ -34,21 +38,31 @@ type Stats struct {
 	// growing the file.
 	Frees  uint64
 	Reuses uint64
-	// BytesRead and BytesWritten are the corresponding byte totals.
+	// BytesRead and BytesWritten are the corresponding byte totals (a
+	// free-chain link a checkpoint writes is freeLinkSize bytes).
 	BytesRead    uint64
 	BytesWritten uint64
 	// Durability counters; all zero for a memory-backed file.
 	//
-	// Commits counts successful Commit calls; WALBytes the bytes appended to
-	// the write-ahead log; Fsyncs the fsync calls issued (WAL and data file);
-	// Recoveries how many Opens had to replay a WAL record; TornPages how
-	// many corrupt or half-written structures (torn WAL tail, bad header)
-	// recovery detected and discarded.
-	Commits    uint64
-	WALBytes   uint64
-	Fsyncs     uint64
-	Recoveries uint64
-	TornPages  uint64
+	// Commits counts successful Commit calls; LoggedPages the page
+	// post-images those commits logged (free-chain links are not pages);
+	// WALBytes the bytes appended to the write-ahead log; Checkpoints the
+	// checkpoints that wrote the held pages back; Fsyncs the fsync calls
+	// issued (WAL and data file); Recoveries how many Opens had to replay WAL
+	// records; TornPages how many corrupt or half-written structures (torn
+	// WAL tail, bad header) recovery detected and discarded.
+	Commits     uint64
+	LoggedPages uint64
+	WALBytes    uint64
+	Checkpoints uint64
+	Fsyncs      uint64
+	Recoveries  uint64
+	TornPages   uint64
+	// HeldPages and WALPending are gauges, not counters: the committed pages
+	// (and free-chain links) waiting for the next checkpoint to write them
+	// back, and the WAL bytes appended since the last checkpoint.
+	HeldPages  uint64
+	WALPending uint64
 }
 
 // File is a page-addressed storage area.
@@ -94,21 +108,24 @@ type File interface {
 	Write(id PageID, src []byte) error
 	// Commit atomically makes every write since the previous Commit durable
 	// together with meta, a small opaque application root (the engine stores
-	// its catalog pointer there).  On a memory-backed file Commit only
-	// records meta.
+	// its catalog pointer there).  On a durable file that is one WAL append
+	// and fsync; the data file receives the pages at a later checkpoint.  On
+	// a memory-backed file Commit only records meta.
 	Commit(meta []byte) error
 	// Meta returns the most recently committed meta, nil if none.
 	Meta() []byte
 	// Stats returns a snapshot of the I/O counters.
 	Stats() Stats
-	// ResetStats zeroes the per-window I/O counters.  Allocation counts and
-	// the recovery counters are preserved: they describe the file, not a
-	// measurement window.
+	// ResetStats zeroes the per-window I/O counters.  Allocation counts, the
+	// recovery counters and the gauges are preserved: they describe the
+	// file, not a measurement window.
 	ResetStats()
 	// SizeBytes reports the total allocated size of the file in bytes.
 	SizeBytes() uint64
 	// Close releases the backing resources.  Close does not commit: staged
-	// writes on a durable file are discarded (the engine commits first).
+	// writes on a durable file are discarded (the engine commits first).  A
+	// durable file checkpoints what earlier commits left in the WAL, so a
+	// cleanly closed file reopens without replay.
 	Close() error
 }
 
@@ -130,10 +147,14 @@ type counters struct {
 	bytesRead    atomic.Uint64
 	bytesWritten atomic.Uint64
 	commits      atomic.Uint64
+	loggedPages  atomic.Uint64
 	walBytes     atomic.Uint64
+	checkpoints  atomic.Uint64
 	fsyncs       atomic.Uint64
 	recoveries   atomic.Uint64
 	tornPages    atomic.Uint64
+	heldPages    atomic.Uint64
+	walPending   atomic.Uint64
 }
 
 func (c *counters) snapshot() Stats {
@@ -146,10 +167,14 @@ func (c *counters) snapshot() Stats {
 		BytesRead:    c.bytesRead.Load(),
 		BytesWritten: c.bytesWritten.Load(),
 		Commits:      c.commits.Load(),
+		LoggedPages:  c.loggedPages.Load(),
 		WALBytes:     c.walBytes.Load(),
+		Checkpoints:  c.checkpoints.Load(),
 		Fsyncs:       c.fsyncs.Load(),
 		Recoveries:   c.recoveries.Load(),
 		TornPages:    c.tornPages.Load(),
+		HeldPages:    c.heldPages.Load(),
+		WALPending:   c.walPending.Load(),
 	}
 }
 
@@ -159,7 +184,9 @@ func (c *counters) reset() {
 	c.bytesRead.Store(0)
 	c.bytesWritten.Store(0)
 	c.commits.Store(0)
+	c.loggedPages.Store(0)
 	c.walBytes.Store(0)
+	c.checkpoints.Store(0)
 	c.fsyncs.Store(0)
 }
 

@@ -12,7 +12,10 @@ import (
 // A WAL record is one commit: the post-commit header state and one entry per
 // page the commit touched.  An entry does not carry the page, it carries what
 // changed — the byte ranges ("runs") in which the page's post-image differs
-// from the bytes the data file held when the record was cut.
+// from its last committed image, the one the records before it in the chain
+// left (or the data file's, for the first record that touches the page).
+// The WAL holds the chain of records since the last checkpoint, in LSN
+// order, each appended at the tail.
 //
 // Record layout (little-endian):
 //
@@ -42,18 +45,20 @@ import (
 //	entryFreeLink:
 //	    [8] next page of the free chain
 //
-// entryDeltaOnDisk runs apply over the page as the data file holds it;
-// entryDeltaOnZero runs apply over zeros, so replay never reads the file for
-// them: that is every page at or beyond the committed page count, and every
-// page whose runs would not be smaller than the page, logged as one run
-// covering all of it.  entryFreeLink overwrites the first freeLinkSize bytes
-// and leaves the rest of the page alone.
+// entryDeltaOnDisk runs apply over the page as the chain so far left it;
+// entryDeltaOnZero runs apply over zeros, so replay need not read the file
+// for them: that is every page at or beyond the committed page count, and
+// every page whose runs would not be smaller than the page, logged as one
+// run covering all of it.  entryFreeLink overwrites the first freeLinkSize
+// bytes and leaves the rest of the page alone.
 //
-// Replay is idempotent — runs are absolute bytes at absolute offsets — and
-// safe against a torn write-back provided a partial write leaves a mix of
-// old and new sectors, never garbage: old and new images differ only inside
-// the runs, so re-applying the runs to any such mix yields the new image,
-// and the post-image checksum confirms it.
+// Replaying the chain is idempotent — runs and links are absolute bytes at
+// absolute offsets — and safe against a torn checkpoint provided a partial
+// write leaves a mix of old and new sectors, never garbage: every byte some
+// entry covers ends at the value the last such entry wrote, and every byte
+// no entry covers is the same in the checkpoint's base and its final image,
+// so replaying the chain over any mix yields the final image, and the final
+// post-image checksum confirms it.
 const walHeaderSize = 60
 
 const (
@@ -164,8 +169,9 @@ func applyRuns(page, runs []byte) {
 }
 
 // encodeWALRecord cuts the commit record for f.ids into f.walBuf.  Pages
-// below the committed count are diffed against their before-image, read
-// straight from the data file (internal I/O, not a counted page read).
+// below the committed count are diffed against their last committed image:
+// the held image, else the data file's bytes (internal I/O, not a counted
+// page read) under any held free link.
 func (f *diskFile) encodeWALRecord(hdr *header) error {
 	// A bulk window gets its buffer in one step, sized for the worst case of
 	// every page a full image: growing by doubling through a bulk load's
@@ -197,12 +203,15 @@ func (f *diskFile) encodeWALRecord(hdr *header) error {
 		}
 		img := f.staged[id]
 		kind, base := byte(entryDeltaOnZero), f.zero
-		if uint64(id) < f.committed {
-			if _, err := f.data.ReadAt(f.base, f.pageOffset(id)); err != nil {
-				f.walBuf = buf[:0]
-				return fmt.Errorf("pagefile: read before-image of page %d: %w", id, err)
+		if uint64(id) < f.head.nPages {
+			kind, base = entryDeltaOnDisk, f.held[id]
+			if base == nil {
+				if err := f.committedImageLocked(id, f.base); err != nil {
+					f.walBuf = buf[:0]
+					return fmt.Errorf("pagefile: before-image: %w", err)
+				}
+				base = f.base
 			}
-			kind, base = entryDeltaOnDisk, f.base
 		}
 		f.runs = diffRuns(f.runs[:0], base, img)
 		size := 0

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -119,18 +120,97 @@ func patchScenario(f File) error {
 	return f.Commit([]byte("after"))
 }
 
-// loggedNotApplied runs scenario on a clone of template with the first
-// write-back write failing, so the clone is left exactly as a crash right
-// after the commit point leaves it: data file untouched, record in the WAL.
-func loggedNotApplied(t testing.TB, template, path string, scenario func(File) error) {
+// chainSteps is a three-commit chain over the template: patchScenario, then
+// a commit that patches page 0 over the first one's runs and frees page 3
+// (held since the first commit, so its held image takes the link), then one
+// that reuses pages 3 and 1 (1 was freed by the first commit, its link held
+// over the data file's bytes) and patches page 0 again.
+var chainSteps = []func(File) error{patchScenario, chainStep2, chainStep3}
+
+func chainStep2(f File) error {
+	page := make([]byte, f.PageSize())
+	if err := f.Read(0, page); err != nil {
+		return err
+	}
+	copy(page[38:], "OVERLAPPING")
+	if err := f.Write(0, page); err != nil {
+		return err
+	}
+	if err := f.Free(3); err != nil {
+		return err
+	}
+	return f.Commit([]byte("after2"))
+}
+
+func chainStep3(f File) error {
+	page := make([]byte, f.PageSize())
+	for _, want := range []PageID{3, 1} {
+		id, err := f.Allocate()
+		if err != nil {
+			return err
+		}
+		if id != want {
+			return fmt.Errorf("Allocate = page %d, want the freed page %d", id, want)
+		}
+		clear(page)
+		copy(page[int(id)*9:], "reused")
+		if err := f.Write(id, page); err != nil {
+			return err
+		}
+	}
+	if err := f.Read(0, page); err != nil {
+		return err
+	}
+	copy(page[44:], "third")
+	if err := f.Write(0, page); err != nil {
+		return err
+	}
+	return f.Commit([]byte("after3"))
+}
+
+// runSteps runs steps on f in order and reports how many committed.
+func runSteps(f File, steps []func(File) error) (int, error) {
+	for i, step := range steps {
+		if err := step(f); err != nil {
+			return i, err
+		}
+	}
+	return len(steps), nil
+}
+
+// checkpoint writes f's held pages back now, as a reached budget would.
+func checkpoint(t testing.TB, f File) {
+	t.Helper()
+	df := f.(*diskFile)
+	df.mu.Lock()
+	defer df.mu.Unlock()
+	if err := df.checkpointLocked(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// abandon closes f with its closing checkpoint failing at the first write,
+// so the file is left exactly as a crash right after the last commit point
+// leaves it: the commits since the last checkpoint in the WAL, the data file
+// untouched.
+func abandon(t testing.TB, f File) {
+	t.Helper()
+	scriptData(f, 1)
+	if err := f.Close(); !errors.Is(err, errScripted) {
+		t.Fatalf("Close = %v, want the scripted checkpoint failure", err)
+	}
+}
+
+// loggedNotApplied runs steps on a clone of template at path and abandons
+// the handle: the clone's WAL holds their chain, its data file the template.
+func loggedNotApplied(t testing.TB, template, path string, steps ...func(File) error) {
 	t.Helper()
 	cloneDB(t, template, path)
 	f := mustOpen(t, path)
-	scriptData(f, 1)
-	if err := scenario(f); !errors.Is(err, errScripted) {
-		t.Fatalf("scenario error = %v, want the scripted write-back failure", err)
+	if _, err := runSteps(f, steps); err != nil {
+		t.Fatal(err)
 	}
-	f.Close()
+	abandon(t, f)
 }
 
 func openImage(t testing.TB, path string) *fileImage {
@@ -140,33 +220,34 @@ func openImage(t testing.TB, path string) *fileImage {
 	return snapshotFile(t, f)
 }
 
-// cleanRun returns the image scenario commits on a clone of template.
-func cleanRun(t testing.TB, template, path string, scenario func(File) error) *fileImage {
+// cleanRun returns the image steps commit on a clone of template.
+func cleanRun(t testing.TB, template, path string, steps ...func(File) error) *fileImage {
 	t.Helper()
 	cloneDB(t, template, path)
 	f := mustOpen(t, path)
 	defer f.Close()
-	if err := scenario(f); err != nil {
+	if _, err := runSteps(f, steps); err != nil {
 		t.Fatal(err)
 	}
 	return snapshotFile(t, f)
 }
 
 // TestRecoveryReplaysRecordAtHeaderLSN is the hand-built crash the fault
-// injector cannot produce, because it never reorders writes: Commit puts the
-// pages and the header under one fsync, so the header (LSN = N) can reach the
-// disk while the pages do not.  The record is still in the WAL — it is
-// truncated only after that fsync — and must be replayed although its LSN is
-// not greater than the header's.
+// injector cannot produce, because it never reorders writes: a checkpoint
+// puts the pages and the header under one fsync, so the header (LSN = N) can
+// reach the disk while the pages do not.  The chain is still in the WAL — it
+// is truncated only after that fsync — and every record of it must be
+// replayed although none has an LSN greater than the header's.
 func TestRecoveryReplaysRecordAtHeaderLSN(t *testing.T) {
 	dir := t.TempDir()
 	template := filepath.Join(dir, "template.svrdb")
 	buildTemplate(t, template)
+	// cleanRun's Close checkpoints: postPath's header is the chain's.
 	postPath := filepath.Join(dir, "post.svrdb")
-	post := cleanRun(t, template, postPath, patchScenario)
+	post := cleanRun(t, template, postPath, chainSteps...)
 
 	work := filepath.Join(dir, "work.svrdb")
-	loggedNotApplied(t, template, work, patchScenario)
+	loggedNotApplied(t, template, work, chainSteps...)
 	// New header over old pages.
 	data, err := os.OpenFile(work, os.O_RDWR, 0)
 	if err != nil {
@@ -180,65 +261,73 @@ func TestRecoveryReplaysRecordAtHeaderLSN(t *testing.T) {
 	rf := mustOpen(t, work)
 	defer rf.Close()
 	if !snapshotFile(t, rf).equal(post) {
-		t.Error("a record at the header's own LSN was not replayed: new header over old pages served as is")
+		t.Error("a chain ending at the header's own LSN was not replayed: new header over old pages served as is")
 	}
 	if rf.Stats().Recoveries != 1 {
 		t.Errorf("Recoveries = %d, want 1", rf.Stats().Recoveries)
 	}
 }
 
-// TestCommitFailurePoisonsHandle: once a commit's record is on disk, a
-// write-back failure leaves the data file a hybrid whose only complete copy
-// is the WAL.  The handle must refuse everything from then on — above all a
-// second Commit, which would overwrite that record — until a reopen replays
-// it.
+// TestCommitFailurePoisonsHandle: once a checkpoint has started writing the
+// held pages back, a failure leaves the data file a hybrid whose only
+// complete copy is the WAL's chain.  The handle must refuse everything from
+// then on — above all a second Commit, which would append to a chain whose
+// base is no longer the data file — until a reopen replays it.
 func TestCommitFailurePoisonsHandle(t *testing.T) {
 	dir := t.TempDir()
 	template := filepath.Join(dir, "template.svrdb")
 	buildTemplate(t, template)
-	post := cleanRun(t, template, filepath.Join(dir, "post.svrdb"), patchScenario)
+	post := cleanRun(t, template, filepath.Join(dir, "post.svrdb"), chainSteps[:2]...)
 
 	work := filepath.Join(dir, "work.svrdb")
 	cloneDB(t, template, work)
 	f := mustOpen(t, work)
-	scriptData(f, 2) // the second write-back write: the data file is half applied
-	err := patchScenario(f)
+	if err := chainSteps[0](f); err != nil {
+		t.Fatal(err)
+	}
+	// The second commit reaches the budget and checkpoints; the checkpoint's
+	// second write fails, with the data file half written back.
+	f.(*diskFile).checkpointBytes = 1
+	scriptData(f, 2)
+	err := chainSteps[1](f)
 	if !errors.Is(err, errScripted) {
-		t.Fatalf("Commit error = %v, want the scripted write-back failure", err)
+		t.Fatalf("Commit error = %v, want the scripted checkpoint failure", err)
 	}
 	wal := readFileBytes(t, WALPath(work))
-	if len(wal) == 0 {
-		t.Fatal("the failed commit left no WAL record")
+	if rec, n, derr := decodeWALRecord(wal, 512); derr != nil || rec == nil {
+		t.Fatalf("the WAL holds no first record: %v", derr)
+	} else if rec2, _, derr := decodeWALRecord(wal[n:], 512); derr != nil || rec2 == nil || rec2.lsn != rec.lsn+1 {
+		t.Fatalf("the WAL holds no second record after the first: %v", derr)
 	}
 
 	// The scripted backing works again; only the sticky error can refuse.
 	page := make([]byte, 512)
 	if werr := f.Write(0, page); werr != err {
-		t.Errorf("Write after failed commit = %v, want the commit's error", werr)
+		t.Errorf("Write after failed checkpoint = %v, want the checkpoint's error", werr)
 	}
 	if _, aerr := f.Allocate(); aerr != err {
-		t.Errorf("Allocate after failed commit = %v, want the commit's error", aerr)
+		t.Errorf("Allocate after failed checkpoint = %v, want the checkpoint's error", aerr)
 	}
 	if rerr := f.Read(0, page); rerr != err {
-		t.Errorf("Read after failed commit = %v, want the commit's error", rerr)
+		t.Errorf("Read after failed checkpoint = %v, want the checkpoint's error", rerr)
 	}
 	if cerr := f.Commit([]byte("next batch")); cerr != err {
-		t.Errorf("second Commit = %v, want the first commit's error", cerr)
+		t.Errorf("Commit after failed checkpoint = %v, want the checkpoint's error", cerr)
 	}
 	if !bytes.Equal(readFileBytes(t, WALPath(work)), wal) {
-		t.Error("the WAL changed after the failed commit")
+		t.Error("the WAL changed after the failed checkpoint")
 	}
 	if err := f.Close(); err != nil {
 		t.Errorf("Close of a poisoned handle: %v", err)
 	}
 
 	if !openImage(t, work).equal(post) {
-		t.Error("reopen did not roll the logged commit forward")
+		t.Error("reopen did not roll the logged chain forward")
 	}
 }
 
-// TestFreeCostsALink: freeing a committed page logs and writes back its
-// chain link, not a page image; the page's other bytes stay what they were,
+// TestFreeCostsALink: freeing a committed page logs its chain link, not a
+// page image, and the checkpoint writes back the link alone; the page's other bytes stay what they were,
 // and allocation still hands it back zeroed.
 func TestFreeCostsALink(t *testing.T) {
 	dir := t.TempDir()
@@ -260,6 +349,10 @@ func TestFreeCostsALink(t *testing.T) {
 	if got := f.Stats().WALBytes - wal0; got > 128 {
 		t.Errorf("freeing two pages logged %d bytes, want link-sized entries", got)
 	}
+	if len(back.sizes) != 0 {
+		t.Errorf("the commit wrote %v to the data file, want nothing before the checkpoint", back.sizes)
+	}
+	checkpoint(t, f)
 	if want := []int{freeLinkSize, freeLinkSize, 512}; fmt.Sprint(back.sizes) != fmt.Sprint(want) {
 		t.Errorf("write-back sizes %v, want two links and the header %v", back.sizes, want)
 	}
@@ -281,6 +374,135 @@ func TestFreeCostsALink(t *testing.T) {
 	}
 	if id != 3 || !isAllZero(page) {
 		t.Errorf("Allocate handed back page %d, zeroed=%v; want page 3 zeroed", id, isAllZero(page))
+	}
+}
+
+// TestWritesCountCheckpointWriteBack: Stats.Writes and BytesWritten count
+// what the data file receives.  Commits alone write nothing to it; the
+// checkpoint at Close writes each held page once — however many commits
+// rewrote it — and a freed page that was not held as its link alone, and the
+// counters then equal the data-file writes the fault injector saw, the
+// header excluded.
+func TestWritesCountCheckpointWriteBack(t *testing.T) {
+	const commits = 5
+	path := filepath.Join(t.TempDir(), "pages.svrdb")
+	buildTemplate(t, path)
+	fi := NewFaultInjector(FaultPlan{})
+	f := mustOpen(t, path, WithFaults(fi))
+	data := scriptData(f, 0)
+	st0, writes0 := f.Stats(), fi.Writes()
+	page := make([]byte, 512)
+	for c := 0; c < commits; c++ {
+		// Page 0 in every commit, page 1 or 2 in turn.
+		for _, id := range []PageID{0, PageID(1 + c%2)} {
+			page[c] = byte(c + 1)
+			if err := f.Write(id, page); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c == commits-1 {
+			if err := f.Free(3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Commit([]byte{byte(c)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := f.Stats()
+	if st.Writes != st0.Writes || st.BytesWritten != st0.BytesWritten || len(data.sizes) != 0 {
+		t.Errorf("%d commits wrote %d pages (%d bytes, data file saw %v), want none before the checkpoint", commits, st.Writes-st0.Writes, st.BytesWritten-st0.BytesWritten, data.sizes)
+	}
+	if got := st.Fsyncs - st0.Fsyncs; got != commits {
+		t.Errorf("%d commits issued %d fsyncs, want one each", commits, got)
+	}
+	if got := fi.Writes() - writes0; got != commits {
+		t.Errorf("%d commits issued %d writes, want one WAL append each", commits, got)
+	}
+	if st.HeldPages != 4 || st.WALPending != st.WALBytes-st0.WALBytes || st.Checkpoints != 0 {
+		t.Errorf("held %d pages, %d WAL bytes pending of %d appended, %d checkpoints; want 4, all, 0", st.HeldPages, st.WALPending, st.WALBytes-st0.WALBytes, st.Checkpoints)
+	}
+
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = f.Stats()
+	pages, bytesOut := 0, 0
+	for _, n := range data.sizes[:len(data.sizes)-1] { // the last write is the header
+		pages++
+		bytesOut += n
+	}
+	if want := fi.Writes() - writes0 - commits - 1; pages != want {
+		t.Fatalf("the data file saw %d page writes, the fault injector %d beside the WAL and the header", pages, want)
+	}
+	if st.Writes-st0.Writes != uint64(pages) || st.BytesWritten-st0.BytesWritten != uint64(bytesOut) {
+		t.Errorf("Writes/BytesWritten = %d/%d, the data file received %d/%d", st.Writes-st0.Writes, st.BytesWritten-st0.BytesWritten, pages, bytesOut)
+	}
+	if want := 3*512 + freeLinkSize; pages != 4 || bytesOut != want {
+		t.Errorf("the checkpoint wrote %d pages, %d bytes; want pages 0-2 once each and page 3's link, %d bytes", pages, bytesOut, want)
+	}
+	if st.Checkpoints != 1 || st.HeldPages != 0 || st.WALPending != 0 {
+		t.Errorf("after Close: %d checkpoints, %d held pages, %d WAL bytes pending; want 1, 0, 0", st.Checkpoints, st.HeldPages, st.WALPending)
+	}
+}
+
+// TestReadsDuringCommitsAndCheckpoints: readers serve staged, held and
+// data-file pages while a writer commits and checkpoints under them.  Every
+// page is always one byte repeated, so a read that mixed two versions of a
+// page shows.  Run it with -race.
+func TestReadsDuringCommitsAndCheckpoints(t *testing.T) {
+	const pages, commits = 8, 60
+	f := mustOpen(t, filepath.Join(t.TempDir(), "pages.svrdb"), WithPageSize(512))
+	defer f.Close()
+	f.(*diskFile).checkpointBytes = 3 * 512
+	if _, err := f.AllocateN(pages); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Commit(nil); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 512)
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := f.Read(PageID(i%pages), buf); err != nil {
+					t.Error(err)
+					return
+				}
+				if bytes.Count(buf, buf[:1]) != len(buf) {
+					t.Errorf("page %d read as a mix of versions", i%pages)
+					return
+				}
+			}
+		}()
+	}
+	page := make([]byte, 512)
+	for c := 1; c <= commits; c++ {
+		for k := 0; k < 3; k++ {
+			for i := range page {
+				page[i] = byte(c)
+			}
+			if err := f.Write(PageID((c*3+k)%pages), page); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Commit(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if f.Stats().Checkpoints == 0 {
+		t.Error("no checkpoint ran under the readers")
 	}
 }
 
@@ -342,16 +564,25 @@ func TestRecoveryRefusesChangedBase(t *testing.T) {
 }
 
 // TestDiskFileMatchesModel drives random write / patch / allocate / free /
-// reuse / commit / reopen sequences — some commits cut short right after
-// their commit point, at a random write-back write — against an in-memory
-// model, and requires every allocated page of every reopened file to equal
-// the model.
+// reuse / commit / reopen sequences — some cut short after a commit point,
+// at a random write of the checkpoint that follows it, in the commit or at
+// Close — against an in-memory model, and requires every allocated page of
+// every reopened file to equal the model.
 func TestDiskFileMatchesModel(t *testing.T) {
 	const pageSize = 512
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		path := filepath.Join(t.TempDir(), "model.svrdb")
 		f := mustOpen(t, path, WithPageSize(pageSize))
+		// Odd seeds checkpoint every few pages, so held pages, held links and
+		// checkpoints between commits are all exercised; even seeds only at
+		// Close.
+		budget := func() {
+			if seed%2 == 1 {
+				f.(*diskFile).checkpointBytes = 4 * pageSize
+			}
+		}
+		budget()
 
 		// committed and pending are the model: page contents by ID, nil for a
 		// free page (whose bytes are unspecified beyond the link).
@@ -399,6 +630,7 @@ func TestDiskFileMatchesModel(t *testing.T) {
 			t.Helper()
 			f.Close()
 			f = mustOpen(t, path)
+			budget()
 			pending = clonePages(committed)
 		}
 
@@ -509,23 +741,83 @@ func testDeltaEntry(id PageID, crc uint32, fields []uint64, tail []byte) []byte 
 	return append(buf, tail...)
 }
 
+// modelRecovery is what Open must make of wal as the sidecar of a file whose
+// committed image is base at commit lsn, computed without the recovery code:
+// the LSN-contiguous prefix of wal's records, each entry applied in order
+// over the page as the records before it left it, cut to the last record's
+// page count, with its meta and free count.  A prefix whose records are all
+// older than lsn changes nothing.  It returns nil when Open must fail: the
+// prefix starts past lsn+1, or claims more pages than base and its entries
+// can hold.
+func modelRecovery(base *fileImage, lsn uint64, wal []byte) *fileImage {
+	var chain []*walRecord
+	entries := 0
+	for off := 0; off < len(wal); {
+		rec, n, err := decodeWALRecord(wal[off:], 512)
+		if err != nil || rec == nil || (len(chain) > 0 && rec.lsn != chain[len(chain)-1].lsn+1) {
+			break
+		}
+		chain = append(chain, rec)
+		entries += len(rec.entries)
+		off += n
+	}
+	if len(chain) == 0 || chain[len(chain)-1].lsn < lsn {
+		return base
+	}
+	last := chain[len(chain)-1]
+	// Open bounds the page count by the data file's pages (the header page
+	// included) plus the entries.
+	if chain[0].lsn > lsn+1 || last.nPages > uint64(len(base.pages)+1+entries) {
+		return nil
+	}
+	pages := make([][]byte, max(len(base.pages), int(last.nPages)))
+	for i := range pages {
+		pages[i] = make([]byte, 512)
+		if i < len(base.pages) {
+			copy(pages[i], base.pages[i])
+		}
+	}
+	for _, rec := range chain {
+		for _, e := range rec.entries {
+			page := pages[e.id]
+			switch e.kind {
+			case entryFreeLink:
+				putFreeLink(page, e.next)
+			case entryDeltaOnZero:
+				clear(page)
+				applyRuns(page, e.runs)
+			default:
+				applyRuns(page, e.runs)
+			}
+		}
+	}
+	return &fileImage{pages: pages[:last.nPages], meta: last.meta, free: int(last.freeCount)}
+}
+
 // FuzzWALRecord feeds arbitrary bytes to Open as the WAL sidecar of a small
-// valid file.  With the bytes as given, Open must fail or land on a committed
-// state of that file: the one on disk, or the one the seed record commits.
-// With resum set the harness recomputes the trailing checksum first, so that
-// mutated entries reach the entry parser and the replay; such a record is a
-// commit in its own right, and what must hold is that Open never panics,
-// never writes outside the pages the record claims, and never touches the
-// data file when it refuses the record.
+// valid file.  Open must never panic, and must either fail with ErrCorrupt
+// (a v2 WAL: with the version error) or land on exactly modelRecovery's
+// image.  With resum set the harness recomputes the first record's trailing
+// checksum, so that mutated entries reach the entry parser and the replay.
+// A refusal of bytes given as they are leaves the data file untouched.
 func FuzzWALRecord(f *testing.F) {
 	dir := f.TempDir()
 	template := filepath.Join(dir, "template.svrdb")
 	buildTemplate(f, template)
 	pre := openImage(f, template)
-	post := cleanRun(f, template, filepath.Join(dir, "post.svrdb"), patchScenario)
 	crashed := filepath.Join(dir, "crashed.svrdb")
 	loggedNotApplied(f, template, crashed, patchScenario)
 	valid := readFileBytes(f, WALPath(crashed))
+	loggedNotApplied(f, template, crashed, chainSteps...)
+	chain := readFileBytes(f, WALPath(crashed))
+	_, n1, err := decodeWALRecord(chain, 512)
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, n2, err := decodeWALRecord(chain[n1:], 512)
+	if err != nil {
+		f.Fatal(err)
+	}
 	data := readFileBytes(f, template)
 
 	hdr := header{pageSize: 512, nPages: 4, freeHead: InvalidPageID, lsn: 2, meta: []byte("seed")}
@@ -535,7 +827,7 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(valid[:len(valid)/2], false) // truncated
 	// One run, run count / gap / length, then the bytes: a run that overruns
 	// the page, a run count larger than the record, a wrong post-image
-	// checksum, and a well-formed third commit.
+	// checksum, and a well-formed commit of a third state.
 	f.Add(testRecord(hdr, testDeltaEntry(1, 0, []uint64{1, 500, 100}, make([]byte, 100))), false)
 	f.Add(testRecord(hdr, testDeltaEntry(1, 0, []uint64{40, 1, 1}, []byte("x"))), false)
 	f.Add(testRecord(hdr, testDeltaEntry(1, 0xDEADBEEF, []uint64{1, 16, 3}, []byte("xyz"))), false)
@@ -544,6 +836,16 @@ func FuzzWALRecord(f *testing.F) {
 	copy(v1, "10LAWRVS") // the v1 magic as v1 wrote it
 	f.Add(v1, false)
 	f.Add(valid, true)
+	// Chains: three records whose runs overlap on page 0 and that free and
+	// reuse pages 3 and 1; the same with the second record torn; and two of
+	// them followed by a stale copy of the first, as a lost truncate leaves
+	// an old record behind a new chain.
+	f.Add(chain, false)
+	f.Add(chain[:n1+n2/2], false)
+	f.Add(append(bytes.Clone(chain[:n1+n2]), chain[:n1]...), false)
+	v2 := bytes.Clone(valid)
+	copy(v2, walMagicV2[:])
+	f.Add(v2, false)
 
 	f.Fuzz(func(t *testing.T, wal []byte, resum bool) {
 		if resum {
@@ -563,11 +865,15 @@ func FuzzWALRecord(f *testing.F) {
 		if err := os.WriteFile(WALPath(work), wal, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// 512-byte pages, at least 9 bytes per entry: the record cannot have
+		// 512-byte pages, at least 9 bytes per entry: the chain cannot have
 		// added more pages than this.
-		limit := uint64(4 + len(wal)/9)
+		limit := uint64(5 + len(wal)/9)
+		want := modelRecovery(pre, 1, wal)
 		file, err := Open(work)
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !bytes.HasPrefix(wal, walMagicV2[:]) {
+				t.Fatalf("Open failed with %v, want ErrCorrupt", err)
+			}
 			after := readFileBytes(t, work)
 			if !resum && !bytes.Equal(after, data) {
 				t.Fatalf("Open refused the WAL (%v) but changed the data file", err)
@@ -578,19 +884,17 @@ func FuzzWALRecord(f *testing.F) {
 			return
 		}
 		defer file.Close()
+		if want == nil {
+			t.Fatal("Open accepted a WAL the model refuses")
+		}
 		if file.NumPages() > limit {
 			t.Fatalf("NumPages = %d after replaying %d WAL bytes", file.NumPages(), len(wal))
 		}
 		if got := uint64(len(readFileBytes(t, work))); got != (file.NumPages()+1)*512 {
 			t.Fatalf("data file is %d bytes for %d pages", got, file.NumPages())
 		}
-		img := snapshotFile(t, file)
-		if !resum && !img.equal(pre) && !img.equal(post) {
-			// The hand-built seeds carry their own valid checksums; only they
-			// may commit a third state.
-			if rec, _, err := decodeWALRecord(wal, 512); err != nil || rec == nil || !bytes.Equal(rec.meta, []byte("seed")) {
-				t.Fatal("Open landed on a state that is neither committed image")
-			}
+		if !snapshotFile(t, file).equal(want) {
+			t.Fatal("Open landed on a different image than the model's replay of the chain")
 		}
 	})
 }
