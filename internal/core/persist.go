@@ -104,7 +104,7 @@ func (c *pageChain) write(file pagefile.File, data []byte) error {
 	}
 	nPages := max(1, (len(data)+payload-1)/payload)
 	for len(c.pages) < nPages {
-		id, err := file.Allocate()
+		id, err := file.Allocate(pagefile.InvalidPageID)
 		if err != nil {
 			return err
 		}

@@ -519,13 +519,17 @@ func engineStatsPayload(e *core.Engine) map[string]any {
 			"over_releases": ps.OverReleases,
 		},
 		"pagefile": map[string]any{
-			"reads":         fs.Reads,
-			"writes":        fs.Writes,
-			"allocs":        fs.Allocs,
-			"frees":         fs.Frees,
-			"reuses":        fs.Reuses,
-			"bytes_read":    fs.BytesRead,
-			"bytes_written": fs.BytesWritten,
+			"reads":  fs.Reads,
+			"writes": fs.Writes,
+			"allocs": fs.Allocs,
+			"frees":  fs.Frees,
+			"reuses": fs.Reuses,
+			// The reuses that got the page asked for: a copy-on-write copy
+			// back on its node's previous page.  Over the copies made, this
+			// is how often a copy logs as a small delta.
+			"preferred_reuses": fs.PreferredReuses,
+			"bytes_read":       fs.BytesRead,
+			"bytes_written":    fs.BytesWritten,
 		},
 		"durability": map[string]any{
 			"commits":     fs.Commits,

@@ -91,3 +91,43 @@ func TestStatsCheckpointGauges(t *testing.T) {
 		t.Errorf("after Close: checkpoints = %d, held_pages = %d, wal_pending_bytes = %d; want 1, 0, 0", c, held, pending)
 	}
 }
+
+// TestStatsPreferredReuses: the pagefile block counts the allocations that
+// got the page they asked for.  Score batches copy the index's published
+// tree nodes, and with no reader holding an epoch open each copy after the
+// first goes back to the page its node held one version earlier.
+func TestStatsPreferredReuses(t *testing.T) {
+	params := workload.DefaultParams()
+	params.NumDocs, params.TermsPerDoc, params.VocabSize = 200, 10, 100
+	e, err := core.Open(filepath.Join(t.TempDir(), "docs.svrdb"), core.OpenOptions{
+		Specs: map[string]view.Spec{"docs": workload.DocsSpec()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	tbl, err := workload.LoadDocsTable(e.DB(), workload.Generate(params), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.CreateTextIndex("docs", workload.DocsTable, "body", core.IndexOptions{Method: core.MethodChunk, SpecName: "docs", MinChunkSize: 8}); err != nil {
+		t.Fatal(err)
+	}
+	reuses := func() (all, preferred uint64) {
+		p := engineStatsPayload(e)["pagefile"].(map[string]any)
+		return p["reuses"].(uint64), p["preferred_reuses"].(uint64)
+	}
+	all0, preferred0 := reuses()
+	for batch := 0; batch < 4; batch++ {
+		if err := e.ApplyBatch(func() error {
+			return tbl.Update(int64(1+batch%2), map[string]relation.Value{"score": relation.Float(float64(90000 + batch))})
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all, preferred := reuses()
+	t.Logf("preferred %d of %d reuses", preferred-preferred0, all-all0)
+	if preferred <= preferred0 || preferred-preferred0 > all-all0 {
+		t.Errorf("4 score batches: preferred_reuses %d → %d, reuses %d → %d; want preferred to rise, by no more than reuses", preferred0, preferred, all0, all)
+	}
+}

@@ -57,6 +57,14 @@ type Tree struct {
 	cow    bool
 	retire func(pagefile.PageID)
 	fresh  map[pagefile.PageID]struct{}
+	// prev maps each page a copy went to onto the page it was copied from:
+	// the page the node held one version earlier.  The node's next copy
+	// asks the allocator for that page back.  It is usually free again by
+	// then, once the epoch that retired it drained, and its bytes are an
+	// older version of the same node, so the durable file's delta against
+	// them is small.  prev is a hint and is not persisted: after a reopen a
+	// node's first copy takes any free page.
+	prev map[pagefile.PageID]pagefile.PageID
 }
 
 // EnableCOW switches the tree to copy-on-write mutation.  retire receives
@@ -67,6 +75,7 @@ func (t *Tree) EnableCOW(retire func(pagefile.PageID)) {
 	t.cow = true
 	t.retire = retire
 	t.fresh = map[pagefile.PageID]struct{}{}
+	t.prev = map[pagefile.PageID]pagefile.PageID{}
 }
 
 // Seal marks every page of the tree as published: the writer has made the
@@ -98,7 +107,7 @@ func (t *Tree) writeNodeOut(n *node) (pagefile.PageID, error) {
 		return n.id, t.flushNode(n)
 	}
 	old := n.id
-	fr, err := t.pool.NewPage()
+	fr, err := t.copyPage(old)
 	if err != nil {
 		return pagefile.InvalidPageID, err
 	}
@@ -108,11 +117,27 @@ func (t *Tree) writeNodeOut(n *node) (pagefile.PageID, error) {
 	if err != nil {
 		return pagefile.InvalidPageID, err
 	}
-	t.fresh[n.id] = struct{}{}
 	if err := t.freePage(old); err != nil {
 		return pagefile.InvalidPageID, err
 	}
 	return n.id, nil
+}
+
+// copyPage allocates the fresh page a copy of the published node at from
+// goes to, asking for the page that node held one version earlier, and
+// returns it pinned.  The caller frees from, which drops its prev entry.
+func (t *Tree) copyPage(from pagefile.PageID) (*buffer.Frame, error) {
+	prefer, ok := t.prev[from]
+	if !ok {
+		prefer = pagefile.InvalidPageID
+	}
+	fr, err := t.pool.NewPage(prefer)
+	if err != nil {
+		return nil, err
+	}
+	t.fresh[fr.ID()] = struct{}{}
+	t.prev[fr.ID()] = from
+	return fr, nil
 }
 
 // clonePage copies the pinned page into a fresh page and returns the new
@@ -120,13 +145,12 @@ func (t *Tree) writeNodeOut(n *node) (pagefile.PageID, error) {
 // leaf to a private clone this way, and replaceChildPointer a published
 // ancestor, both without parsing the page.
 func (t *Tree) clonePage(fr *buffer.Frame) (*buffer.Frame, error) {
-	nfr, err := t.pool.NewPage()
+	nfr, err := t.copyPage(fr.ID())
 	if err != nil {
 		return nil, err
 	}
 	copy(nfr.Data(), fr.Data())
 	nfr.MarkDirty()
-	t.fresh[nfr.ID()] = struct{}{}
 	return nfr, nil
 }
 
@@ -246,7 +270,7 @@ type node struct {
 
 // New creates an empty tree with a single leaf root.
 func New(pool *buffer.Pool) (*Tree, error) {
-	fr, err := pool.NewPage()
+	fr, err := pool.NewPage(pagefile.InvalidPageID)
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +456,7 @@ func (t *Tree) flushNode(n *node) error {
 // newNode allocates a page for a fresh node and assigns its ID.  The caller
 // must populate the node's fields and flush it before it is ever read.
 func (t *Tree) newNode(leaf bool) (*node, error) {
-	fr, err := t.pool.NewPage()
+	fr, err := t.pool.NewPage(pagefile.InvalidPageID)
 	if err != nil {
 		return nil, err
 	}
@@ -836,8 +860,10 @@ func (t *Tree) splitInternal(n *node) (pagefile.PageID, []byte, pagefile.PageID,
 // mode) is recycled immediately: the resident frame (if any) is dropped
 // without writeback and the page goes to the pagefile free list.  A
 // published page is retired instead and recycled once its epoch drains.
+// Either way no node lives at id any more, so its prev entry goes.
 func (t *Tree) freePage(id pagefile.PageID) error {
 	if t.cow {
+		delete(t.prev, id)
 		if _, ok := t.fresh[id]; ok {
 			delete(t.fresh, id)
 			return t.pool.FreePage(id)

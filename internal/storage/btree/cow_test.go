@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"svrdb/internal/storage/pagefile"
@@ -304,5 +305,108 @@ func TestCOWRetireAllCoversEveryPage(t *testing.T) {
 	}
 	if len(retired) != pages {
 		t.Fatalf("RetireAll retired %d pages, tree had %d", len(retired), pages)
+	}
+}
+
+// TestCOWCopyReturnsToPreviousPage: once the retire function has freed the
+// pages a copy superseded, the node's next copy goes back to the page it
+// held one version earlier — the leaf and every ancestor the copy rewires —
+// so a durable file logs it as a small delta against an older version of the
+// same node.
+func TestCOWCopyReturnsToPreviousPage(t *testing.T) {
+	tree, pool := newTestTree(t, 512, 256)
+	var retired []pagefile.PageID
+	tree.EnableCOW(func(id pagefile.PageID) { retired = append(retired, id) })
+	const n = 300
+	for i := 0; i < n; i++ {
+		if err := put(tree, cowKey(i), cowVal(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Unrelated free pages on top of the stack, for a copy that prefers
+	// nothing to take.
+	file := pool.File()
+	var spare []pagefile.PageID
+	for i := 0; i < 4; i++ {
+		id, err := file.Allocate(pagefile.InvalidPageID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spare = append(spare, id)
+	}
+	for _, id := range spare {
+		if err := file.Free(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// pathOf is the root-to-leaf page path of key.
+	pathOf := func(key []byte) []pagefile.PageID {
+		t.Helper()
+		var path []pagefile.PageID
+		var upper []byte
+		fr, err := tree.descendToLeaf(key, &path, &upper)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fr.Release()
+		return append(path, fr.ID())
+	}
+	// update rewrites key in a new version and drains it: the superseded
+	// pages are freed, as an epoch does once its readers left.
+	key := cowKey(n / 2)
+	update := func(gen int) []pagefile.PageID {
+		t.Helper()
+		tree.Seal()
+		retired = retired[:0]
+		if err := put(tree, key, cowVal(n/2, gen)); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range retired {
+			if err := pool.FreePage(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return pathOf(key)
+	}
+
+	first := pathOf(key)
+	if len(first) < 2 {
+		t.Fatalf("tree of %d keys has height %d, want at least 2", n, len(first))
+	}
+	second := update(1)
+	for i := range first {
+		if second[i] == first[i] {
+			t.Fatalf("level %d was not copied: page %d", i, first[i])
+		}
+	}
+	before := file.Stats().PreferredReuses
+	third := update(2)
+	if !slices.Equal(third, first) {
+		t.Errorf("the second copy's path is %v, want the first version's pages %v", third, first)
+	}
+	if got := file.Stats().PreferredReuses - before; got != uint64(len(first)) {
+		t.Errorf("%d allocations got the page they asked for, want %d", got, len(first))
+	}
+	if v, ok, err := tree.Get(key); err != nil || !ok || !bytes.Equal(v, cowVal(n/2, 2)) {
+		t.Errorf("Get = %q, %v, %v; want the latest value", v, ok, err)
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// A copy records where it came from and drops the entry of the page it
+	// left; a page freed for good drops its own.
+	for i := range third {
+		if got, ok := tree.prev[third[i]]; !ok || got != second[i] {
+			t.Errorf("level %d: prev[%d] = %d, %v; want %d", i, third[i], got, ok, second[i])
+		}
+		if _, ok := tree.prev[second[i]]; ok {
+			t.Errorf("level %d: page %d, which its node left, keeps its prev entry", i, second[i])
+		}
+	}
+	if err := tree.RetireAll(); err != nil {
+		t.Fatal(err)
+	}
+	if len(tree.prev) != 0 {
+		t.Errorf("%d prev entries left after RetireAll", len(tree.prev))
 	}
 }

@@ -632,7 +632,7 @@ func FuzzLeafWalker(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, page, key []byte) {
 		pool := buffer.MustNew(pagefile.MustNewMem(fuzzPageSize), 8)
-		fr, err := pool.NewPage()
+		fr, err := pool.NewPage(pagefile.InvalidPageID)
 		if err != nil {
 			t.Fatal(err)
 		}

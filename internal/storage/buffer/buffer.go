@@ -183,9 +183,13 @@ func (p *Pool) Get(id pagefile.PageID) (*Frame, error) {
 }
 
 // NewPage allocates a fresh page in the underlying file and returns it
-// pinned and marked dirty.
-func (p *Pool) NewPage() (*Frame, error) {
-	id, err := p.file.Allocate()
+// pinned, zeroed and marked dirty.  prefer is the page the caller would like
+// back, InvalidPageID for none (see pagefile.File.Allocate): a
+// copy-on-write copy names the page its node held one version earlier,
+// whose bytes the file's delta against that page's last image then mostly
+// matches.
+func (p *Pool) NewPage(prefer pagefile.PageID) (*Frame, error) {
+	id, err := p.file.Allocate(prefer)
 	if err != nil {
 		return nil, err
 	}

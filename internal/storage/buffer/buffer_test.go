@@ -20,7 +20,7 @@ func newPool(t testing.TB, pageSize, capacity int) (*Pool, pagefile.File) {
 
 func TestNewPageAndGet(t *testing.T) {
 	p, _ := newPool(t, 128, 4)
-	fr, err := p.NewPage()
+	fr, err := p.NewPage(pagefile.InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCapacityValidation(t *testing.T) {
 
 func TestHitMissCounting(t *testing.T) {
 	p, _ := newPool(t, 128, 4)
-	fr, _ := p.NewPage()
+	fr, _ := p.NewPage(pagefile.InvalidPageID)
 	id := fr.ID()
 	fr.Release()
 
@@ -74,7 +74,7 @@ func TestEvictionWritesDirtyPages(t *testing.T) {
 	// Create three pages through a pool that can hold only two.
 	var ids []pagefile.PageID
 	for i := 0; i < 3; i++ {
-		fr, err := p.NewPage()
+		fr, err := p.NewPage(pagefile.InvalidPageID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,20 +110,20 @@ func TestEvictionWritesDirtyPages(t *testing.T) {
 
 func TestAllPinnedError(t *testing.T) {
 	p, _ := newPool(t, 128, 2)
-	fr1, err := p.NewPage()
+	fr1, err := p.NewPage(pagefile.InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr2, err := p.NewPage()
+	fr2, err := p.NewPage(pagefile.InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.NewPage(); err == nil {
+	if _, err := p.NewPage(pagefile.InvalidPageID); err == nil {
 		t.Error("NewPage with all frames pinned succeeded, want ErrPoolFull")
 	}
 	fr1.Release()
 	fr2.Release()
-	if _, err := p.NewPage(); err != nil {
+	if _, err := p.NewPage(pagefile.InvalidPageID); err != nil {
 		t.Errorf("NewPage after releasing pins: %v", err)
 	}
 }
@@ -132,7 +132,7 @@ func TestFlushAllAndEvictAll(t *testing.T) {
 	p, f := newPool(t, 128, 8)
 	var ids []pagefile.PageID
 	for i := 0; i < 5; i++ {
-		fr, _ := p.NewPage()
+		fr, _ := p.NewPage(pagefile.InvalidPageID)
 		fr.Data()[0] = byte(10 + i)
 		fr.MarkDirty()
 		ids = append(ids, fr.ID())
@@ -170,7 +170,7 @@ func TestFlushAllAndEvictAll(t *testing.T) {
 
 func TestEvictAllKeepsPinnedPages(t *testing.T) {
 	p, _ := newPool(t, 128, 4)
-	fr, _ := p.NewPage()
+	fr, _ := p.NewPage(pagefile.InvalidPageID)
 	if err := p.EvictAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -190,14 +190,14 @@ func TestLRUOrderPreferred(t *testing.T) {
 	p, _ := newPool(t, 128, 3)
 	var ids []pagefile.PageID
 	for i := 0; i < 3; i++ {
-		fr, _ := p.NewPage()
+		fr, _ := p.NewPage(pagefile.InvalidPageID)
 		ids = append(ids, fr.ID())
 		fr.Release()
 	}
 	// Touch page 0 so that page 1 becomes the LRU victim.
 	fr, _ := p.Get(ids[0])
 	fr.Release()
-	frNew, err := p.NewPage()
+	frNew, err := p.NewPage(pagefile.InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestLRUOrderPreferred(t *testing.T) {
 
 func TestOverReleaseDetected(t *testing.T) {
 	p, _ := newPool(t, 128, 4)
-	fr, err := p.NewPage()
+	fr, err := p.NewPage(pagefile.InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestOverReleaseDetected(t *testing.T) {
 
 func TestConcurrentGetSamePage(t *testing.T) {
 	p, _ := newPool(t, 128, 8)
-	fr, err := p.NewPage()
+	fr, err := p.NewPage(pagefile.InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestEvictedBuffersRecycled(t *testing.T) {
 	// never leak stale bytes into fresh pages.
 	var ids []pagefile.PageID
 	for i := 0; i < 6; i++ {
-		fr, err := p.NewPage()
+		fr, err := p.NewPage(pagefile.InvalidPageID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func TestEvictedBuffersRecycled(t *testing.T) {
 		ids = append(ids, fr.ID())
 		fr.Release()
 	}
-	fr, err := p.NewPage()
+	fr, err := p.NewPage(pagefile.InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestEvictedBuffersRecycled(t *testing.T) {
 
 func TestWriteThrough(t *testing.T) {
 	p, f := newPool(t, 128, 4)
-	id, err := f.Allocate()
+	id, err := f.Allocate(pagefile.InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestFlushOrdered(t *testing.T) {
 	// Dirty several pages in a scrambled creation order.
 	var ids []pagefile.PageID
 	for i := 0; i < 8; i++ {
-		fr, err := p.NewPage()
+		fr, err := p.NewPage(pagefile.InvalidPageID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +412,7 @@ func TestFlushOrdered(t *testing.T) {
 
 func TestFramePatch(t *testing.T) {
 	pool, _ := newPool(t, 256, 4)
-	fr, err := pool.NewPage()
+	fr, err := pool.NewPage(pagefile.InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestFramePatch(t *testing.T) {
 
 func TestFramePatchBoundsPanic(t *testing.T) {
 	pool, _ := newPool(t, 256, 4)
-	fr, err := pool.NewPage()
+	fr, err := pool.NewPage(pagefile.InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestFramePatchBoundsPanic(t *testing.T) {
 
 func TestFreePageDropsFrameWithoutFlush(t *testing.T) {
 	pool, file := newPool(t, 256, 4)
-	fr, err := pool.NewPage()
+	fr, err := pool.NewPage(pagefile.InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestFreePageDropsFrameWithoutFlush(t *testing.T) {
 		t.Errorf("file FreePages = %d, want 1", file.FreePages())
 	}
 	// The recycled page comes back zeroed through NewPage.
-	fr2, err := pool.NewPage()
+	fr2, err := pool.NewPage(pagefile.InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func TestFreePageDropsFrameWithoutFlush(t *testing.T) {
 
 func TestFreePageRefusesPinned(t *testing.T) {
 	pool, _ := newPool(t, 256, 4)
-	fr, err := pool.NewPage()
+	fr, err := pool.NewPage(pagefile.InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestFlushOrderedErrorKeepsFramesDirty(t *testing.T) {
 	ff := &failWriteFile{File: pagefile.MustNewMem(pagefile.DefaultPageSize), failID: 1, armed: true}
 	p := MustNew(ff, 8)
 	for i := 0; i < 3; i++ {
-		fr, err := p.NewPage()
+		fr, err := p.NewPage(pagefile.InvalidPageID)
 		if err != nil {
 			t.Fatal(err)
 		}

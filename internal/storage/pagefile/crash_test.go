@@ -85,7 +85,7 @@ func commitScenario(f File) error {
 	if err := f.Write(1, page); err != nil {
 		return err
 	}
-	id, err := f.Allocate()
+	id, err := f.Allocate(InvalidPageID)
 	if err != nil {
 		return err
 	}
@@ -243,7 +243,7 @@ func crashPointMatrix(t *testing.T, steps []func(File) error) {
 			}
 
 			// The recovered file must accept and persist a fresh commit.
-			id, err := rf.Allocate()
+			id, err := rf.Allocate(InvalidPageID)
 			if err == nil {
 				err = rf.Write(id, bytes.Repeat([]byte{0xE6}, rf.PageSize()))
 			}
@@ -377,7 +377,7 @@ func TestFreeListSurvivesReopen(t *testing.T) {
 	zero := make([]byte, 512)
 	buf := make([]byte, 512)
 	for _, want := range []PageID{3, 1} {
-		id, err := rf.Allocate()
+		id, err := rf.Allocate(InvalidPageID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,7 +408,7 @@ func TestRecoveryCountsTornWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Allocate(); err != nil {
+	if _, err := f.Allocate(InvalidPageID); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Commit([]byte("v1")); err != nil {

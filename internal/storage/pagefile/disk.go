@@ -177,7 +177,8 @@ func WithFaults(fi *FaultInjector) Option { return func(o *openOptions) { o.faul
 //  2. moves the staged images into the held set: committed pages the data
 //     file does not have yet.
 //
-// A checkpoint writes every held page back once, in ascending page order,
+// A checkpoint writes every held page back once, in ascending page order —
+// a freed page the data file already covers as its link alone (heldFree) —
 // then the header with the last commit's state, fsyncs the data file and
 // truncates the WAL.  It runs when the held images or the WAL written since
 // the last checkpoint reach checkpointBytes, and at Close.
@@ -196,6 +197,8 @@ func WithFaults(fi *FaultInjector) Option { return func(o *openOptions) { o.faul
 // 16 bytes (the rest of a freed page is whatever it last held), the header
 // records the chain head and length, and Free stages the link like any other
 // write so the chain always commits atomically with the state that freed it.
+// Allocate takes a page from the middle of the stack when asked for it
+// (pickFree), which restages the one link the splice breaks.
 type diskFile struct {
 	pageSize int
 	path     string
@@ -220,9 +223,19 @@ type diskFile struct {
 	// last checkpoint: a committed page's full image, or the link over the
 	// bytes the data file holds for it.  A page is in at most one of the two;
 	// a held page that is freed keeps its image with the link written in,
-	// which is what replaying the chain over the data file rebuilds.
+	// which is what replaying the chain over the data file rebuilds, and
+	// joins heldFree.
 	held      map[PageID][]byte
 	heldLinks map[PageID]PageID
+	// heldFree is the held pages whose last committed entry is a free link.
+	// The checkpoint writes only that link for those inside filePages: the
+	// rest of a free page's bytes are dead, and the link is all its last
+	// entry covers.
+	heldFree map[PageID]struct{}
+	// filePages is the data file's length in pages as of the last checkpoint
+	// (or Open).  A page past it must be written whole, or the file ends
+	// inside it and a later before-image read of it fails.
+	filePages uint64
 	free      []PageID // stack; free[len-1] is the chain head
 	freeSet   map[PageID]struct{}
 	// walTail is the WAL's length: the bytes appended since the last
@@ -295,6 +308,7 @@ func Open(path string, opts ...Option) (File, error) {
 		links:           map[PageID]PageID{},
 		held:            map[PageID][]byte{},
 		heldLinks:       map[PageID]PageID{},
+		heldFree:        map[PageID]struct{}{},
 		freeSet:         map[PageID]struct{}{},
 		checkpointBytes: maxSpareBytes,
 	}
@@ -444,6 +458,7 @@ func (f *diskFile) recover(wantPageSize int, dataSize int64) error {
 
 	f.head = *hdr
 	f.nPages = hdr.nPages
+	f.filePages = hdr.nPages
 
 	// Drop any garbage past the committed end (pages allocated by an
 	// uncommitted window before the crash) and the consumed WAL.
@@ -665,18 +680,21 @@ func (f *diskFile) linkFreePageLocked(id, next PageID) {
 	f.links[id] = next
 }
 
-func (f *diskFile) Allocate() (PageID, error) {
+func (f *diskFile) Allocate(prefer PageID) (PageID, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.usableLocked(); err != nil {
 		return InvalidPageID, err
 	}
 	f.allocs.Add(1)
-	if n := len(f.free); n > 0 {
-		id := f.free[n-1]
-		f.free = f.free[:n-1]
-		delete(f.freeSet, id)
+	if len(f.free) > 0 {
+		i, hit := pickFree(f.free, f.freeSet, prefer)
+		id := f.free[i]
+		f.takeFreeLocked(i, 1)
 		f.reuses.Add(1)
+		if hit {
+			f.preferred.Add(1)
+		}
 		// Hand the page back zeroed: the staged zero image also overwrites
 		// the chain link the page carried while free.
 		f.stagePageLocked(id)
@@ -698,7 +716,8 @@ func (f *diskFile) AllocateN(n int) (PageID, error) {
 		return InvalidPageID, err
 	}
 	f.allocs.Add(uint64(n))
-	if first, ok := f.takeFreeRunLocked(n); ok {
+	if i, first, ok := findFreeRun(f.free, n); ok {
+		f.takeFreeLocked(i, n)
 		f.reuses.Add(uint64(n))
 		for i := 0; i < n; i++ {
 			f.stagePageLocked(first + PageID(i))
@@ -713,18 +732,16 @@ func (f *diskFile) AllocateN(n int) (PageID, error) {
 	return first, nil
 }
 
-// takeFreeRunLocked removes an ID-contiguous, slot-adjacent run of n pages
-// from the free stack.  Because the removed slots are adjacent, the on-page
-// chain breaks at exactly one point: the page that sat just above the
-// segment must now link to the page just below it.  Restaging that single
-// link keeps the chain a future loadFreeList walks consistent with the
-// stack, and the restage rides the normal WAL commit, so a crash either
-// keeps the old chain or installs the new one whole.
-func (f *diskFile) takeFreeRunLocked(n int) (PageID, bool) {
-	i, first, ok := findFreeRun(f.free, n)
-	if !ok {
-		return InvalidPageID, false
-	}
+// takeFreeLocked removes the n adjacent slots free[i:i+n] from the free
+// stack: one page Allocate picked, or a run AllocateN found.  Because the
+// removed slots are adjacent, the on-page chain breaks at exactly one point:
+// the page that sat just above the segment must now link to the page just
+// below it.  Restaging that single link keeps the chain a future
+// loadFreeList walks consistent with the stack, and the restage rides the
+// normal WAL commit, so a crash either keeps the old chain or installs the
+// new one whole.  Taking the top needs no restage: the header names the new
+// head.
+func (f *diskFile) takeFreeLocked(i, n int) {
 	if above := i + n; above < len(f.free) {
 		below := InvalidPageID
 		if i > 0 {
@@ -736,7 +753,6 @@ func (f *diskFile) takeFreeRunLocked(n int) (PageID, bool) {
 		delete(f.freeSet, f.free[i+k])
 	}
 	f.free = append(f.free[:i], f.free[i+n:]...)
-	return first, true
 }
 
 func (f *diskFile) Free(id PageID) error {
@@ -902,10 +918,12 @@ func (f *diskFile) Commit(meta []byte) error {
 		}
 		f.held[id] = buf
 		delete(f.heldLinks, id)
+		delete(f.heldFree, id)
 	}
 	for id, next := range f.links {
 		if img, ok := f.held[id]; ok {
 			putFreeLink(img, next)
+			f.heldFree[id] = struct{}{}
 		} else {
 			f.heldLinks[id] = next
 		}
@@ -959,6 +977,13 @@ func (f *diskFile) writeBackLocked() error {
 			// A free-chain link over the file's bytes: the page keeps them.
 			putFreeLink(link[:], f.heldLinks[id])
 			img = link[:]
+		} else if _, free := f.heldFree[id]; free && uint64(id) < f.filePages {
+			// A held page a later commit freed: only its link is live, and
+			// the file already holds bytes under it.  heldFree is as of the
+			// last commit, not the free set, which counts the open window's
+			// frees: Close checkpoints with the window discarded, so a page
+			// the window freed is live and written whole.
+			img = img[:freeLinkSize]
 		}
 		if _, err := f.data.WriteAt(img, f.pageOffset(id)); err != nil {
 			return fmt.Errorf("pagefile: write back page %d: %w", id, err)
@@ -981,6 +1006,7 @@ func (f *diskFile) writeBackLocked() error {
 		return fmt.Errorf("pagefile: WAL truncate: %w", err)
 	}
 	f.walTail = 0
+	f.filePages = f.head.nPages
 	// The written images are dropped, not kept as spare: refilling the spare
 	// list with a checkpoint's worth of buffers would keep the held set's
 	// peak footprint for good, where a window recycles far fewer.
@@ -991,6 +1017,7 @@ func (f *diskFile) writeBackLocked() error {
 		clear(f.held)
 	}
 	clear(f.heldLinks)
+	clear(f.heldFree)
 	f.setGaugesLocked()
 	return nil
 }
@@ -1030,7 +1057,7 @@ func (f *diskFile) Close() error {
 		}
 	}
 	// A closed handle may stay referenced; it should not pin its scratch.
-	f.staged, f.links, f.held, f.heldLinks, f.spare, f.walBuf = nil, nil, nil, nil, nil, nil
+	f.staged, f.links, f.held, f.heldLinks, f.heldFree, f.spare, f.walBuf = nil, nil, nil, nil, nil, nil, nil
 	if err := f.data.Close(); err != nil {
 		errs = append(errs, err)
 	}

@@ -3,6 +3,7 @@ package pagefile
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -38,6 +39,10 @@ type Stats struct {
 	// growing the file.
 	Frees  uint64
 	Reuses uint64
+	// PreferredReuses is the share of Reuses that got the page the caller
+	// asked for (Allocate's prefer).  Its ratio to copy-on-write copies is
+	// how often a B+-tree node's copy went back to its previous page.
+	PreferredReuses uint64
 	// BytesRead and BytesWritten are the corresponding byte totals (a
 	// free-chain link a checkpoint writes is freeLinkSize bytes).
 	BytesRead    uint64
@@ -83,8 +88,12 @@ type File interface {
 	// durable file, allocations not yet committed).
 	NumPages() uint64
 	// Allocate returns a zeroed page: a recycled one from the free list when
-	// available, otherwise a freshly appended one.
-	Allocate() (PageID, error)
+	// available, otherwise a freshly appended one.  prefer names the page
+	// the caller would like back, InvalidPageID for none.  The recycled page
+	// is prefer itself when it is free; the oldest free page when prefer was
+	// given but is not free; the most recently freed page when there is no
+	// preference.
+	Allocate(prefer PageID) (PageID, error)
 	// AllocateN allocates n consecutive pages and returns the ID of the
 	// first.  It is used by the blob store to reserve space for large
 	// immutable objects (the long inverted lists) in one call.  Like
@@ -144,6 +153,7 @@ type counters struct {
 	allocs       atomic.Uint64
 	frees        atomic.Uint64
 	reuses       atomic.Uint64
+	preferred    atomic.Uint64
 	bytesRead    atomic.Uint64
 	bytesWritten atomic.Uint64
 	commits      atomic.Uint64
@@ -159,22 +169,23 @@ type counters struct {
 
 func (c *counters) snapshot() Stats {
 	return Stats{
-		Reads:        c.reads.Load(),
-		Writes:       c.writes.Load(),
-		Allocs:       c.allocs.Load(),
-		Frees:        c.frees.Load(),
-		Reuses:       c.reuses.Load(),
-		BytesRead:    c.bytesRead.Load(),
-		BytesWritten: c.bytesWritten.Load(),
-		Commits:      c.commits.Load(),
-		LoggedPages:  c.loggedPages.Load(),
-		WALBytes:     c.walBytes.Load(),
-		Checkpoints:  c.checkpoints.Load(),
-		Fsyncs:       c.fsyncs.Load(),
-		Recoveries:   c.recoveries.Load(),
-		TornPages:    c.tornPages.Load(),
-		HeldPages:    c.heldPages.Load(),
-		WALPending:   c.walPending.Load(),
+		Reads:           c.reads.Load(),
+		Writes:          c.writes.Load(),
+		Allocs:          c.allocs.Load(),
+		Frees:           c.frees.Load(),
+		Reuses:          c.reuses.Load(),
+		PreferredReuses: c.preferred.Load(),
+		BytesRead:       c.bytesRead.Load(),
+		BytesWritten:    c.bytesWritten.Load(),
+		Commits:         c.commits.Load(),
+		LoggedPages:     c.loggedPages.Load(),
+		WALBytes:        c.walBytes.Load(),
+		Checkpoints:     c.checkpoints.Load(),
+		Fsyncs:          c.fsyncs.Load(),
+		Recoveries:      c.recoveries.Load(),
+		TornPages:       c.tornPages.Load(),
+		HeldPages:       c.heldPages.Load(),
+		WALPending:      c.walPending.Load(),
 	}
 }
 
@@ -259,15 +270,19 @@ func (f *memFile) carvePageLocked() []byte {
 	return p
 }
 
-func (f *memFile) Allocate() (PageID, error) {
+func (f *memFile) Allocate(prefer PageID) (PageID, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.allocs.Add(1)
-	if n := len(f.free); n > 0 {
-		id := f.free[n-1]
-		f.free = f.free[:n-1]
+	if len(f.free) > 0 {
+		i, hit := pickFree(f.free, f.freeSet, prefer)
+		id := f.free[i]
+		f.free = slices.Delete(f.free, i, i+1)
 		delete(f.freeSet, id)
 		f.reuses.Add(1)
+		if hit {
+			f.preferred.Add(1)
+		}
 		clear(f.mem[id])
 		return id, nil
 	}
@@ -322,6 +337,29 @@ func (f *memFile) AllocateN(n int) (PageID, error) {
 		f.mem = append(f.mem, f.carvePageLocked())
 	}
 	return first, nil
+}
+
+// pickFree returns the slot of a non-empty free stack that Allocate(prefer)
+// takes, and whether it holds prefer itself:
+//
+//   - prefer is free: its own slot, searched from the top, where recently
+//     freed pages sit.
+//   - prefer was given but is not free: slot 0, the oldest free page.  The
+//     recently retired pages near the top stay free for the copy-on-write
+//     copies that will ask for them; the top would steal them.
+//   - no preference: the top, the most recently freed page.
+func pickFree(free []PageID, freeSet map[PageID]struct{}, prefer PageID) (int, bool) {
+	if prefer == InvalidPageID {
+		return len(free) - 1, false
+	}
+	if _, ok := freeSet[prefer]; ok {
+		for i := len(free) - 1; i >= 0; i-- {
+			if free[i] == prefer {
+				return i, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // findFreeRun scans a free stack for n pages whose IDs are consecutive and

@@ -8,7 +8,7 @@ import (
 
 func TestMemAllocateReadWrite(t *testing.T) {
 	f := MustNewMem(256)
-	id, err := f.Allocate()
+	id, err := f.Allocate(InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestOutOfRange(t *testing.T) {
 
 func TestShortBuffers(t *testing.T) {
 	f := MustNewMem(128)
-	id, _ := f.Allocate()
+	id, _ := f.Allocate(InvalidPageID)
 	small := make([]byte, 64)
 	if err := f.Read(id, small); err == nil {
 		t.Error("Read into short buffer succeeded, want error")
@@ -79,7 +79,7 @@ func TestAllocateN(t *testing.T) {
 
 func TestStatsCounting(t *testing.T) {
 	f := MustNewMem(128)
-	id, _ := f.Allocate()
+	id, _ := f.Allocate(InvalidPageID)
 	buf := make([]byte, 128)
 	for i := 0; i < 3; i++ {
 		if err := f.Write(id, buf); err != nil {
@@ -124,7 +124,7 @@ func TestDiskBackedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := f.Allocate()
+	id, err := f.Allocate(InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestUncommittedWritesLostOnReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := f.Allocate()
+	a, _ := f.Allocate(InvalidPageID)
 	if err := f.Write(a, bytes.Repeat([]byte{1}, 512)); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestUncommittedWritesLostOnReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Second page allocated and written but never committed.
-	b, _ := f.Allocate()
+	b, _ := f.Allocate(InvalidPageID)
 	if err := f.Write(b, bytes.Repeat([]byte{2}, 512)); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestOpenRejectsMisalignedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Allocate(); err != nil {
+	if _, err := f.Allocate(InvalidPageID); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Commit(nil); err != nil {
@@ -216,7 +216,7 @@ func TestFreeListReuse(t *testing.T) {
 	f := MustNewMem(256)
 	ids := make([]PageID, 4)
 	for i := range ids {
-		id, err := f.Allocate()
+		id, err := f.Allocate(InvalidPageID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestFreeListReuse(t *testing.T) {
 		t.Fatalf("FreePages = %d, want 1", got)
 	}
 	before := f.NumPages()
-	id, err := f.Allocate()
+	id, err := f.Allocate(InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestFreeListReuse(t *testing.T) {
 
 func TestFreeRejectsBadPages(t *testing.T) {
 	f := MustNewMem(256)
-	id, err := f.Allocate()
+	id, err := f.Allocate(InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,15 +280,15 @@ func TestFreeListDiskBacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	a, _ := f.Allocate()
-	b, _ := f.Allocate()
+	a, _ := f.Allocate(InvalidPageID)
+	b, _ := f.Allocate(InvalidPageID)
 	if err := f.Write(a, bytes.Repeat([]byte{0x7F}, 512)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Free(a); err != nil {
 		t.Fatal(err)
 	}
-	id, err := f.Allocate()
+	id, err := f.Allocate(InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestAllocateNReusesFreedRuns(t *testing.T) {
 		}
 		got := map[PageID]bool{}
 		for i := 0; i < 2; i++ {
-			id, err := re.Allocate()
+			id, err := re.Allocate(InvalidPageID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -425,4 +425,63 @@ func TestAllocateNReusesFreedRuns(t *testing.T) {
 			t.Errorf("NumPages after reopen = %d, want %d", re.NumPages(), f.NumPages())
 		}
 	})
+}
+
+// TestAllocatePrefersAPage covers Allocate's rule on both backings: a free
+// preferred page is spliced out of the middle of the free stack, a preferred
+// page that is not free yields the oldest free page, and no preference the
+// most recently freed one.  On the durable backing the spliced chain must
+// reload to the same stack after a commit and reopen.
+func TestAllocatePrefersAPage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.svrdb")
+	backings := map[string]func(t *testing.T) File{
+		"mem":  func(t *testing.T) File { return MustNewMem(512) },
+		"disk": func(t *testing.T) File { return mustOpen(t, path, WithPageSize(512)) },
+	}
+	for name, open := range backings {
+		t.Run(name, func(t *testing.T) {
+			f := open(t)
+			defer func() { f.Close() }()
+			if _, err := f.AllocateN(8); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []PageID{1, 3, 5, 7} { // stack 1 3 5 7, top last
+				if err := f.Free(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, step := range []struct{ prefer, want PageID }{
+				{3, 3},             // free: spliced out of the middle
+				{2, 1},             // live: the oldest free page
+				{InvalidPageID, 7}, // none: the top
+			} {
+				got, err := f.Allocate(step.prefer)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != step.want {
+					t.Errorf("Allocate(%d) = page %d, want %d", step.prefer, got, step.want)
+				}
+			}
+			if st := f.Stats(); st.Reuses != 3 || st.PreferredReuses != 1 {
+				t.Errorf("Reuses = %d, PreferredReuses = %d; want 3 and 1", st.Reuses, st.PreferredReuses)
+			}
+			if err := f.Free(6); err != nil { // stack 5 6
+				t.Fatal(err)
+			}
+			if name == "mem" {
+				return
+			}
+			if err := f.Commit(nil); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			f = mustOpen(t, path)
+			for _, want := range []PageID{6, 5} {
+				if got, err := f.Allocate(InvalidPageID); err != nil || got != want {
+					t.Errorf("after reopen Allocate() = page %d, %v; want %d", got, err, want)
+				}
+			}
+		})
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -102,7 +103,7 @@ func patchScenario(f File) error {
 	if err := f.Free(2); err != nil {
 		return err
 	}
-	id, err := f.Allocate() // recycles page 2
+	id, err := f.Allocate(InvalidPageID) // recycles page 2
 	if err != nil {
 		return err
 	}
@@ -145,7 +146,7 @@ func chainStep2(f File) error {
 func chainStep3(f File) error {
 	page := make([]byte, f.PageSize())
 	for _, want := range []PageID{3, 1} {
-		id, err := f.Allocate()
+		id, err := f.Allocate(InvalidPageID)
 		if err != nil {
 			return err
 		}
@@ -305,7 +306,7 @@ func TestCommitFailurePoisonsHandle(t *testing.T) {
 	if werr := f.Write(0, page); werr != err {
 		t.Errorf("Write after failed checkpoint = %v, want the checkpoint's error", werr)
 	}
-	if _, aerr := f.Allocate(); aerr != err {
+	if _, aerr := f.Allocate(InvalidPageID); aerr != err {
 		t.Errorf("Allocate after failed checkpoint = %v, want the checkpoint's error", aerr)
 	}
 	if rerr := f.Read(0, page); rerr != err {
@@ -365,7 +366,7 @@ func TestFreeCostsALink(t *testing.T) {
 	if !bytes.Equal(page, want) {
 		t.Error("a freed page is not its old bytes under the chain link")
 	}
-	id, err := f.Allocate()
+	id, err := f.Allocate(InvalidPageID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,6 +444,116 @@ func TestWritesCountCheckpointWriteBack(t *testing.T) {
 	}
 	if st.Checkpoints != 1 || st.HeldPages != 0 || st.WALPending != 0 {
 		t.Errorf("after Close: %d checkpoints, %d held pages, %d WAL bytes pending; want 1, 0, 0", st.Checkpoints, st.HeldPages, st.WALPending)
+	}
+}
+
+// TestHeldFreedPageWritesItsLink: a page a commit rewrote and a later commit
+// freed is written back as its link alone — the data file keeps its older
+// bytes under it — unless the open window freed it, which Close discards, or
+// it lies past the data file's end.
+func TestHeldFreedPageWritesItsLink(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.svrdb")
+	buildTemplate(t, path)
+	f := mustOpen(t, path)
+	data := scriptData(f, 0)
+	page := bytes.Repeat([]byte{0xB1}, 512)
+	for _, id := range []PageID{1, 2} {
+		if err := f.Write(id, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Commit([]byte("rewrite")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Free(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Commit([]byte("free")); err != nil {
+		t.Fatal(err)
+	}
+	// Freed in the open window only: Close discards the window, so page 2
+	// is live and must be written whole.
+	if err := f.Free(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{freeLinkSize, 512, 512}; !slices.Equal(data.sizes, want) {
+		t.Errorf("write-back sizes %v, want page 1's link, page 2 and the header %v", data.sizes, want)
+	}
+	f = mustOpen(t, path)
+	defer f.Close()
+	got := make([]byte, 512)
+	if err := f.Read(1, got); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte{0xA1}, 512)
+	putFreeLink(want, InvalidPageID)
+	if !bytes.Equal(got, want) {
+		t.Error("page 1 is not the data file's older bytes under its link")
+	}
+	if err := f.Read(2, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, page) {
+		t.Error("page 2, freed only by the discarded window, lost its committed image")
+	}
+	if n := f.FreePages(); n != 1 {
+		t.Errorf("%d free pages after reopen, want page 1 alone", n)
+	}
+}
+
+// TestFreedPagePastFileEndIsWrittenWhole: a page allocated past the data
+// file's end, committed, freed and committed must be written back whole, or
+// the file ends inside it and the next commit that reuses it fails reading
+// its before-image.
+func TestFreedPagePastFileEndIsWrittenWhole(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.svrdb")
+	buildTemplate(t, path)
+	f := mustOpen(t, path)
+	id, err := f.Allocate(InvalidPageID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != 4 {
+		t.Fatalf("Allocate = page %d, want page 4 past the file's end", id)
+	}
+	page := bytes.Repeat([]byte{0xC4}, 512)
+	if err := f.Write(id, page); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Commit([]byte("grow")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Free(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Commit([]byte("free")); err != nil {
+		t.Fatal(err)
+	}
+	checkpoint(t, f)
+	if got, err := f.Allocate(InvalidPageID); err != nil || got != id {
+		t.Fatalf("Allocate = page %d, %v; want page %d back", got, err, id)
+	}
+	page[7] = 0x77
+	if err := f.Write(id, page); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Commit([]byte("reuse")); err != nil {
+		t.Fatalf("reusing the page after the checkpoint: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f = mustOpen(t, path)
+	defer f.Close()
+	got := make([]byte, 512)
+	if err := f.Read(id, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, page) {
+		t.Error("the reused page does not survive a reopen")
 	}
 }
 
@@ -564,10 +675,11 @@ func TestRecoveryRefusesChangedBase(t *testing.T) {
 }
 
 // TestDiskFileMatchesModel drives random write / patch / allocate / free /
-// reuse / commit / reopen sequences — some cut short after a commit point,
-// at a random write of the checkpoint that follows it, in the commit or at
-// Close — against an in-memory model, and requires every allocated page of
-// every reopened file to equal the model.
+// reuse / preferred-reuse / commit / reopen sequences — some cut short after
+// a commit point, at a random write of the checkpoint that follows it, in the
+// commit or at Close — against an in-memory model, and requires every
+// allocated page of every reopened file to equal the model, and the free
+// stack, reloaded from its on-disk chain, to equal the model's.
 func TestDiskFileMatchesModel(t *testing.T) {
 	const pageSize = 512
 	for seed := int64(1); seed <= 8; seed++ {
@@ -585,8 +697,10 @@ func TestDiskFileMatchesModel(t *testing.T) {
 		budget()
 
 		// committed and pending are the model: page contents by ID, nil for a
-		// free page (whose bytes are unspecified beyond the link).
+		// free page (whose bytes are unspecified beyond the link), and the
+		// free stack, top last.
 		var committed, pending [][]byte
+		var committedFree, pendingFree []PageID
 		clonePages := func(src [][]byte) [][]byte {
 			out := make([][]byte, len(src))
 			for i, p := range src {
@@ -616,6 +730,9 @@ func TestDiskFileMatchesModel(t *testing.T) {
 			if got := f.FreePages(); got != free {
 				t.Fatalf("seed %d %s: FreePages = %d, model has %d", seed, when, got, free)
 			}
+			if got := f.(*diskFile).free; !slices.Equal(got, pendingFree) {
+				t.Fatalf("seed %d %s: free stack %v, model has %v", seed, when, got, pendingFree)
+			}
 		}
 		allocated := func() []int {
 			var ids []int
@@ -632,6 +749,22 @@ func TestDiskFileMatchesModel(t *testing.T) {
 			f = mustOpen(t, path)
 			budget()
 			pending = clonePages(committed)
+			pendingFree = slices.Clone(committedFree)
+		}
+		// take checks that an allocation of n pages at id handed out free
+		// pages, and moves them out of the model's free stack.
+		take := func(id PageID, n int) {
+			t.Helper()
+			for k := 0; k < n; k++ {
+				if int(id)+k == len(pending) {
+					pending = append(pending, nil)
+				}
+				if pending[int(id)+k] != nil {
+					t.Fatalf("seed %d: allocation handed out live page %d", seed, int(id)+k)
+				}
+				pending[int(id)+k] = make([]byte, pageSize)
+			}
+			pendingFree = slices.DeleteFunc(pendingFree, func(p PageID) bool { return p >= id && p < id+PageID(n) })
 		}
 
 		for step := 0; step < 300; step++ {
@@ -652,40 +785,58 @@ func TestDiskFileMatchesModel(t *testing.T) {
 				if err := f.Write(PageID(id), pending[id]); err != nil {
 					t.Fatal(err)
 				}
-			case op < 13: // allocate: recycles a free page when there is one
+			case op < 12: // allocate: recycles a free page when there is one
 				var id PageID
 				var err error
 				n := 1
+				want := PageID(len(pending))
 				if rng.Intn(4) == 0 {
 					n = 2 + rng.Intn(2)
 					id, err = f.AllocateN(n)
 				} else {
-					id, err = f.Allocate()
+					if len(pendingFree) > 0 {
+						want = pendingFree[len(pendingFree)-1]
+					}
+					id, err = f.Allocate(InvalidPageID)
 				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				for k := 0; k < n; k++ {
-					if int(id)+k == len(pending) {
-						pending = append(pending, nil)
-					}
-					if pending[int(id)+k] != nil {
-						t.Fatalf("seed %d: allocation handed out live page %d", seed, int(id)+k)
-					}
-					pending[int(id)+k] = make([]byte, pageSize)
+				if n == 1 && id != want {
+					t.Fatalf("seed %d: Allocate() = page %d, want the stack top %d", seed, id, want)
 				}
+				take(id, n)
+			case op < 13: // allocate asking for a page, free or live
+				prefer := PageID(rng.Intn(len(pending) + 1))
+				want := PageID(len(pending))
+				switch {
+				case int(prefer) < len(pending) && pending[prefer] == nil:
+					want = prefer
+				case len(pendingFree) > 0:
+					want = pendingFree[0]
+				}
+				id, err := f.Allocate(prefer)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if id != want {
+					t.Fatalf("seed %d: Allocate(%d) = page %d, want %d", seed, prefer, id, want)
+				}
+				take(id, 1)
 			case op < 15 && len(ids) > 0: // free
 				id := ids[rng.Intn(len(ids))]
 				if err := f.Free(PageID(id)); err != nil {
 					t.Fatal(err)
 				}
 				pending[id] = nil
+				pendingFree = append(pendingFree, PageID(id))
 			case op < 18: // commit, sometimes cut short after the commit point
 				meta := []byte(fmt.Sprintf("step-%d", step))
 				if rng.Intn(3) == 0 {
 					scriptData(f, 1+rng.Intn(4))
 					err := f.Commit(meta)
 					committed = clonePages(pending)
+					committedFree = slices.Clone(pendingFree)
 					if err != nil && !errors.Is(err, errScripted) {
 						t.Fatal(err)
 					}
@@ -700,6 +851,7 @@ func TestDiskFileMatchesModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				committed = clonePages(pending)
+				committedFree = slices.Clone(pendingFree)
 			case op < 19: // reopen: the uncommitted window is lost
 				reopen()
 			}
