@@ -20,9 +20,11 @@ import (
 // table is the materialized view); version 4 packs list blobs into shared
 // pages, so a blob.Ref carries an in-page offset that an older reader would
 // drop and read as 0; version 5 drops the B+-tree leaves' 16 bytes of
-// sibling pointers, so an older file's leaves would be misparsed.  Older
-// files are refused at Open: there is no migration reader.
-const catalogVersion = 5
+// sibling pointers, so an older file's leaves would be misparsed; version 6
+// splits each table into a row tree of fixed-width columns and a string tree
+// (relation.TableState.Strings), so an older file's whole-row values would
+// be misread.  Older files are refused at Open: there is no migration reader.
+const catalogVersion = 6
 
 // chainRef locates a page chain in the file: its head page and the length of
 // the bytes it holds.

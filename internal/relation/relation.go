@@ -2,8 +2,11 @@ package relation
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"iter"
+	"math"
 	"sort"
 	"sync"
 
@@ -166,70 +169,112 @@ type Row []Value
 
 // EncodedRowSize reports the storage-encoding size of a row in bytes — the
 // same figure Table.Bytes accumulates per row, exposed so quota admission
-// checks can project a batch's byte delta before mutating anything.
-func EncodedRowSize(r Row) int { return len(encodeRow(r)) }
-
-// encodeRow serializes a row (excluding nothing; the PK is stored redundantly
-// for simplicity).
-func encodeRow(r Row) []byte {
-	out := make([]byte, 0, 32)
-	out = codec.PutUvarint(out, uint64(len(r)))
+// checks can project a batch's byte delta before mutating anything.  It is
+// the size of the row's self-describing encoding (a column count, then a kind
+// byte and a varint, 8-byte float or length-prefixed string per column), kept
+// as the metering unit whatever layout the table stores the row in.
+func EncodedRowSize(r Row) int {
+	var buf [binary.MaxVarintLen64]byte
+	n := len(binary.AppendUvarint(buf[:0], uint64(len(r))))
 	for _, v := range r {
-		out = append(out, byte(v.Kind))
+		n++
 		switch v.Kind {
 		case KindInt64:
-			out = codec.PutVarint(out, v.I)
+			n += len(binary.AppendVarint(buf[:0], v.I))
+		case KindFloat64:
+			n += 8
+		case KindString:
+			n += len(binary.AppendUvarint(buf[:0], uint64(len(v.S)))) + len(v.S)
+		}
+	}
+	return n
+}
+
+// --- row layout --------------------------------------------------------------
+//
+// A table stores each row in two B+-trees keyed by the same primary key.  The
+// row tree's value is the row's fixed-width columns (KindInt64 and
+// KindFloat64, the pk included) in schema order, 8 bytes apiece; the string
+// tree's value is its KindString columns in schema order, each length-
+// prefixed.  A table whose schema has no string column has no string tree.
+// The split follows the schema alone, and it exists for update locality: a
+// score update rewrites 8 bytes of a row-tree leaf shared by a hundred-odd
+// rows and never touches the page holding the row's text.
+
+// hasStrings reports whether the schema has a KindString column, i.e.
+// whether its table keeps a string tree.
+func (s Schema) hasStrings() bool {
+	for _, c := range s.Columns {
+		if c.Kind == KindString {
+			return true
+		}
+	}
+	return false
+}
+
+// encodeFixed serializes the row's fixed-width columns: the row-tree value.
+func encodeFixed(r Row) []byte {
+	out := make([]byte, 0, 8*len(r))
+	for _, v := range r {
+		switch v.Kind {
+		case KindInt64:
+			out = codec.PutUint64(out, uint64(v.I))
 		case KindFloat64:
 			out = codec.PutFloat64(out, v.F)
-		case KindString:
+		}
+	}
+	return out
+}
+
+// encodeStrings serializes the row's string columns: the string-tree value.
+func encodeStrings(r Row) []byte {
+	out := make([]byte, 0, 32)
+	for _, v := range r {
+		if v.Kind == KindString {
 			out = codec.PutString(out, v.S)
 		}
 	}
 	return out
 }
 
-func decodeRow(data []byte) (Row, error) {
-	n, off, err := codec.Uvarint(data)
-	if err != nil {
-		return nil, err
-	}
-	row := make(Row, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if off >= len(data) {
-			return nil, fmt.Errorf("relation: truncated row at column %d", i)
-		}
-		kind := Kind(data[off])
-		off++
-		var v Value
-		v.Kind = kind
-		switch kind {
-		case KindInt64:
-			x, sz, err := codec.Varint(data[off:])
+// joinRow rebuilds a row from its row-tree and string-tree values (strs is
+// nil for a schema without string columns).  Each value must hold exactly
+// the columns the schema puts in it.
+func (t *Table) joinRow(fixed, strs []byte) (Row, error) {
+	row := make(Row, len(t.schema.Columns))
+	for i, c := range t.schema.Columns {
+		row[i].Kind = c.Kind
+		switch c.Kind {
+		case KindInt64, KindFloat64:
+			x, n, err := codec.Uint64(fixed)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("relation: table %q column %q: %w", t.schema.Name, c.Name, err)
 			}
-			v.I = x
-			off += sz
-		case KindFloat64:
-			x, sz, err := codec.Float64(data[off:])
-			if err != nil {
-				return nil, err
+			fixed = fixed[n:]
+			if c.Kind == KindInt64 {
+				row[i].I = int64(x)
+			} else {
+				row[i].F = math.Float64frombits(x)
 			}
-			v.F = x
-			off += sz
 		case KindString:
-			s, sz, err := codec.String(data[off:])
+			s, n, err := codec.String(strs)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("relation: table %q column %q: %w", t.schema.Name, c.Name, err)
 			}
-			v.S = s
-			off += sz
-		default:
-			return nil, fmt.Errorf("relation: unknown value kind %d", kind)
+			strs = strs[n:]
+			row[i].S = s
 		}
-		row = append(row, v)
+	}
+	if len(fixed) != 0 || len(strs) != 0 {
+		return nil, fmt.Errorf("relation: table %q: %w: %d trailing bytes after the row", t.schema.Name, codec.ErrCorrupt, len(fixed)+len(strs))
 	}
 	return row, nil
+}
+
+// errTreesDisagree reports a key one of the table's two trees holds and the
+// other does not.
+func (t *Table) errTreesDisagree(key []byte) error {
+	return fmt.Errorf("relation: table %q: %w: row tree and string tree disagree at key %x", t.schema.Name, codec.ErrCorrupt, key)
 }
 
 // ChangeKind describes what happened to a row.
@@ -262,7 +307,9 @@ type Listener func(Change)
 // its consumer (a dropped index, a disconnected change stream) goes away.
 type ListenerHandle uint64
 
-// Table stores rows of a single schema keyed by their primary key.
+// Table stores rows of a single schema keyed by their primary key, in two
+// B+-trees: the row tree holds the fixed-width columns and the string tree
+// the strings (see "row layout" above).
 //
 // A Table is safe for concurrent use: readers (Get, GetMany, Scan,
 // LookupByColumn) may run from any number of goroutines, and the mutating
@@ -273,9 +320,10 @@ type ListenerHandle uint64
 // visitors run under the read lock and must not mutate the table.
 type Table struct {
 	schema Schema
-	tree   *btree.Tree
+	rows   *btree.Tree // pk -> fixed-width columns
+	strs   *btree.Tree // pk -> string columns; nil when the schema has none
 
-	// rowMu guards the row tree and the secondary index trees: readers
+	// rowMu guards the row and string trees and the secondary index trees: readers
 	// share it, mutations take it exclusively.
 	rowMu sync.RWMutex
 	// Notification ordering: each mutation draws a ticket (notifySeq) while
@@ -312,15 +360,20 @@ func NewTable(pool *buffer.Pool, schema Schema) (*Table, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
-	tree, err := btree.New(pool)
+	rows, err := btree.New(pool)
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
 		schema:    schema,
-		tree:      tree,
+		rows:      rows,
 		secondary: map[string]*btree.Tree{},
 		pool:      pool,
+	}
+	if schema.hasStrings() {
+		if t.strs, err = btree.New(pool); err != nil {
+			return nil, err
+		}
 	}
 	t.notifyCond.L = &t.notifyMu
 	return t, nil
@@ -441,21 +494,25 @@ func (t *Table) Insert(row Row) error {
 	return nil
 }
 
-// insertLocked applies the insert; the caller holds rowMu.
+// insertLocked applies the insert to both trees; the caller holds rowMu.
 func (t *Table) insertLocked(pk int64, row Row) error {
 	key := pkKey(pk)
-	if _, ok, err := t.tree.Get(key); err != nil {
+	if _, ok, err := t.rows.Get(key); err != nil {
 		return err
 	} else if ok {
 		return fmt.Errorf("%w: %d in table %q", ErrDuplicateKey, pk, t.schema.Name)
 	}
-	encoded := encodeRow(row)
-	if _, err := t.tree.UpsertBatch([]btree.Item{{Key: key, Value: encoded}}); err != nil {
+	if _, err := t.rows.UpsertBatch([]btree.Item{{Key: key, Value: encodeFixed(row)}}); err != nil {
 		return err
+	}
+	if t.strs != nil {
+		if _, err := t.strs.UpsertBatch([]btree.Item{{Key: key, Value: encodeStrings(row)}}); err != nil {
+			return err
+		}
 	}
 	t.mu.Lock()
 	t.rowCount++
-	t.rowBytes += int64(len(encoded))
+	t.rowBytes += int64(EncodedRowSize(row))
 	t.mu.Unlock()
 	return t.reindexRow(nil, row)
 }
@@ -469,14 +526,34 @@ func (t *Table) Get(pk int64) (Row, error) {
 
 // getLocked is Get for callers already holding rowMu (either side).
 func (t *Table) getLocked(pk int64) (Row, error) {
-	data, ok, err := t.tree.Get(pkKey(pk))
+	fixed, strs, ok, err := t.readLocked(pk, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, fmt.Errorf("%w: pk %d in table %q", ErrNotFound, pk, t.schema.Name)
 	}
-	return decodeRow(data)
+	return t.joinRow(fixed, strs)
+}
+
+// readLocked looks pk up in both trees and returns its two values, appended
+// to fixed and strs (scratch a caller may reuse from key to key, since
+// joinRow copies what it keeps).  ok is false when the row is absent.  The
+// caller holds rowMu.
+func (t *Table) readLocked(pk int64, fixed, strs []byte) (_, _ []byte, ok bool, err error) {
+	var buf [8]byte
+	key := codec.PutOrderedUint64(buf[:0], uint64(pk))
+	if fixed, ok, err = t.rows.View().Get(fixed[:0], key); err != nil || !ok {
+		return fixed, strs, false, err
+	}
+	if t.strs != nil {
+		if strs, ok, err = t.strs.View().Get(strs[:0], key); err != nil {
+			return fixed, strs, false, err
+		} else if !ok {
+			return fixed, strs, false, t.errTreesDisagree(key)
+		}
+	}
+	return fixed, strs, true, nil
 }
 
 // GetMany returns the rows for a batch of primary keys, aligned with pks; a
@@ -492,19 +569,18 @@ func (t *Table) GetMany(pks []int64) ([]Row, error) {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return pks[order[a]] < pks[order[b]] })
+	var fixed, strs []byte
 	for _, i := range order {
-		data, ok, err := t.tree.Get(pkKey(pks[i]))
-		if err != nil {
+		var ok bool
+		var err error
+		if fixed, strs, ok, err = t.readLocked(pks[i], fixed, strs); err != nil {
 			return nil, err
-		}
-		if !ok {
+		} else if !ok {
 			continue
 		}
-		row, err := decodeRow(data)
-		if err != nil {
+		if rows[i], err = t.joinRow(fixed, strs); err != nil {
 			return nil, err
 		}
-		rows[i] = row
 	}
 	return rows, nil
 }
@@ -521,13 +597,16 @@ func (t *Table) Update(pk int64, updates map[string]Value) error {
 	return nil
 }
 
-// updateLocked applies the read-modify-write; the caller holds rowMu.
+// updateLocked applies the read-modify-write; the caller holds rowMu.  Only
+// a tree one of whose columns changed value is written, so an update of
+// fixed-width columns leaves the string tree untouched and the reverse.
 func (t *Table) updateLocked(pk int64, updates map[string]Value) (old, updated Row, err error) {
 	old, err = t.getLocked(pk)
 	if err != nil {
 		return nil, nil, err
 	}
 	updated = append(Row(nil), old...)
+	var fixedChanged, strsChanged bool
 	for name, v := range updates {
 		idx, err := t.schema.ColumnIndex(name)
 		if err != nil {
@@ -540,17 +619,29 @@ func (t *Table) updateLocked(pk int64, updates map[string]Value) (old, updated R
 			return nil, nil, fmt.Errorf("relation: table %q column %q expects %s, got %s",
 				t.schema.Name, name, t.schema.Columns[idx].Kind, v.Kind)
 		}
+		// Floats compare by their bits, which is what the tree stores.
+		if v.I != old[idx].I || v.S != old[idx].S || math.Float64bits(v.F) != math.Float64bits(old[idx].F) {
+			fixedChanged = fixedChanged || v.Kind != KindString
+			strsChanged = strsChanged || v.Kind == KindString
+		}
 		updated[idx] = v
 	}
 	if err := t.reindexRow(old, updated); err != nil {
 		return nil, nil, err
 	}
-	encoded := encodeRow(updated)
-	if _, err := t.tree.UpsertBatch([]btree.Item{{Key: pkKey(pk), Value: encoded}}); err != nil {
-		return nil, nil, err
+	key := pkKey(pk)
+	if fixedChanged {
+		if _, err := t.rows.UpsertBatch([]btree.Item{{Key: key, Value: encodeFixed(updated)}}); err != nil {
+			return nil, nil, err
+		}
+	}
+	if strsChanged {
+		if _, err := t.strs.UpsertBatch([]btree.Item{{Key: key, Value: encodeStrings(updated)}}); err != nil {
+			return nil, nil, err
+		}
 	}
 	t.mu.Lock()
-	t.rowBytes += int64(len(encoded)) - int64(len(encodeRow(old)))
+	t.rowBytes += int64(EncodedRowSize(updated)) - int64(EncodedRowSize(old))
 	t.mu.Unlock()
 	return old, updated, nil
 }
@@ -576,12 +667,18 @@ func (t *Table) deleteLocked(pk int64) (Row, error) {
 	if err := t.reindexRow(old, nil); err != nil {
 		return nil, err
 	}
-	if _, err := t.tree.DeleteBatch([][]byte{pkKey(pk)}); err != nil {
+	key := pkKey(pk)
+	if _, err := t.rows.DeleteBatch([][]byte{key}); err != nil {
 		return nil, err
+	}
+	if t.strs != nil {
+		if _, err := t.strs.DeleteBatch([][]byte{key}); err != nil {
+			return nil, err
+		}
 	}
 	t.mu.Lock()
 	t.rowCount--
-	t.rowBytes -= int64(len(encodeRow(old)))
+	t.rowBytes -= int64(EncodedRowSize(old))
 	t.mu.Unlock()
 	return old, nil
 }
@@ -592,19 +689,50 @@ func (t *Table) deleteLocked(pk int64) (Row, error) {
 func (t *Table) Scan(visit func(Row) bool) error {
 	t.rowMu.RLock()
 	defer t.rowMu.RUnlock()
-	var decodeErr error
-	err := t.tree.View().Ascend(func(k, v []byte) bool {
-		row, err := decodeRow(v)
+	return t.ascendLocked(visit)
+}
+
+// ascendLocked visits every row in primary-key order, ascending the row
+// tree and pulling the string tree one entry per row in lockstep: a scan is
+// two ascents, not a lookup per row.  A key held by one tree only fails the
+// scan.  The caller holds rowMu.
+func (t *Table) ascendLocked(visit func(Row) bool) error {
+	next := func() (k, v []byte, ok bool) { return nil, nil, false }
+	var strsErr error
+	stop := func() {}
+	if t.strs != nil {
+		next, stop = iter.Pull2(func(yield func(k, v []byte) bool) {
+			strsErr = t.strs.View().Ascend(yield)
+		})
+	}
+	defer stop()
+	var joinErr error
+	more := true
+	err := t.rows.View().Ascend(func(k, fixed []byte) bool {
+		var strs []byte
+		if t.strs != nil {
+			sk, sv, ok := next()
+			if !ok || !bytes.Equal(k, sk) {
+				joinErr = t.errTreesDisagree(k)
+				return false
+			}
+			strs = sv
+		}
+		row, err := t.joinRow(fixed, strs)
 		if err != nil {
-			decodeErr = err
+			joinErr = err
 			return false
 		}
-		return visit(row)
+		more = visit(row)
+		return more
 	})
-	if decodeErr != nil {
-		return decodeErr
+	if err == nil && joinErr == nil && more {
+		if sk, _, ok := next(); ok {
+			joinErr = t.errTreesDisagree(sk)
+		}
 	}
-	return err
+	stop()
+	return errors.Join(err, joinErr, strsErr)
 }
 
 // --- secondary indexes -------------------------------------------------------
@@ -654,19 +782,10 @@ func (t *Table) CreateIndex(column string) error {
 		return err
 	}
 	var items []btree.Item
-	var decodeErr error
-	err = t.tree.View().Ascend(func(k, v []byte) bool {
-		row, err := decodeRow(v)
-		if err != nil {
-			decodeErr = err
-			return false
-		}
+	err = t.ascendLocked(func(row Row) bool {
 		items = append(items, btree.Item{Key: secondaryKey(row[idx], row[0].I)})
 		return true
 	})
-	if decodeErr != nil {
-		return decodeErr
-	}
 	if err != nil {
 		return err
 	}
@@ -833,8 +952,11 @@ type TreeState struct {
 // TableState is the serializable snapshot of a table's navigational state.
 // The rows themselves live in pages; this captures where the trees start.
 type TableState struct {
-	Schema    Schema
+	Schema Schema
+	// Tree is the row tree (the fixed-width columns); Strings the string
+	// tree, the zero value for a schema without string columns.
 	Tree      TreeState
+	Strings   TreeState
 	Secondary map[string]TreeState // column name -> secondary index tree
 	// Bytes is the encoded-row footprint at checkpoint time, restored so
 	// byte quotas keep metering across restarts.  Catalogs written before
@@ -849,8 +971,11 @@ func (t *Table) State() TableState {
 	defer t.mu.RUnlock()
 	st := TableState{
 		Schema: t.schema,
-		Tree:   TreeState{Root: t.tree.RootPage(), Size: t.tree.Len()},
+		Tree:   TreeState{Root: t.rows.RootPage(), Size: t.rows.Len()},
 		Bytes:  t.rowBytes,
+	}
+	if t.strs != nil {
+		st.Strings = TreeState{Root: t.strs.RootPage(), Size: t.strs.Len()}
 	}
 	if len(t.secondary) > 0 {
 		st.Secondary = make(map[string]TreeState, len(t.secondary))
@@ -874,11 +999,14 @@ func (db *DB) RestoreTable(st TableState) (*Table, error) {
 	}
 	t := &Table{
 		schema:    st.Schema,
-		tree:      btree.Open(db.pool, st.Tree.Root, st.Tree.Size),
+		rows:      btree.Open(db.pool, st.Tree.Root, st.Tree.Size),
 		secondary: map[string]*btree.Tree{},
 		pool:      db.pool,
 		rowCount:  st.Tree.Size,
 		rowBytes:  st.Bytes,
+	}
+	if st.Schema.hasStrings() {
+		t.strs = btree.Open(db.pool, st.Strings.Root, st.Strings.Size)
 	}
 	for col, ts := range st.Secondary {
 		if _, err := st.Schema.ColumnIndex(col); err != nil {

@@ -320,6 +320,8 @@ func (t *Tree) maxEntrySize() int { return t.pool.PageSize() / 4 }
 
 // --- node serialization -----------------------------------------------------
 
+// appendNode appends n's serialization to dst.
+//
 // Layout (leaf):
 //
 //	[1 type][varint nKeys] { [len key][key][len val][val] }*
@@ -330,47 +332,68 @@ func (t *Tree) maxEntrySize() int { return t.pool.PageSize() / 4 }
 // Layout (internal):
 //
 //	[1 type][varint nKeys][8 child0] { [len key][key][8 child] }*
-func serializeNode(n *node) []byte {
-	out := make([]byte, 0, 256)
+func appendNode(dst []byte, n *node) []byte {
 	if n.leaf {
-		out = append(out, nodeLeaf)
-		out = codec.PutUvarint(out, uint64(len(n.keys)))
+		dst = append(dst, nodeLeaf)
+		dst = codec.PutUvarint(dst, uint64(len(n.keys)))
 		for i := range n.keys {
-			out = codec.PutLenBytes(out, n.keys[i])
-			out = codec.PutLenBytes(out, n.vals[i])
+			dst = codec.PutLenBytes(dst, n.keys[i])
+			dst = codec.PutLenBytes(dst, n.vals[i])
 		}
-		return out
+		return dst
 	}
-	out = append(out, nodeInternal)
-	out = codec.PutUvarint(out, uint64(len(n.keys)))
-	out = codec.PutUint64(out, uint64(n.children[0]))
+	dst = append(dst, nodeInternal)
+	dst = codec.PutUvarint(dst, uint64(len(n.keys)))
+	dst = codec.PutUint64(dst, uint64(n.children[0]))
 	for i := range n.keys {
-		out = codec.PutLenBytes(out, n.keys[i])
-		out = codec.PutUint64(out, uint64(n.children[i+1]))
+		dst = codec.PutLenBytes(dst, n.keys[i])
+		dst = codec.PutUint64(dst, uint64(n.children[i+1]))
 	}
-	return out
+	return dst
 }
 
-func (t *Tree) nodeSize(n *node) int { return len(serializeNode(n)) }
-
-func writeNode(fr *buffer.Frame, n *node, pageSize int) error {
-	data := serializeNode(n)
-	if len(data) > pageSize {
-		return fmt.Errorf("btree: serialized node %d bytes exceeds page size %d", len(data), pageSize)
+// nodeSize is the length of n's serialization, counted without building it.
+func nodeSize(n *node) int {
+	if n.leaf {
+		size := leafHeaderSize(len(n.keys))
+		for i := range n.keys {
+			size += entrySize(n.keys[i], n.vals[i])
+		}
+		return size
 	}
-	buf := fr.Data()
-	copy(buf, data)
-	for i := len(data); i < pageSize; i++ {
-		buf[i] = 0
+	size := internalHeaderSize(len(n.keys))
+	for _, k := range n.keys {
+		size += internalEntrySize(k)
+	}
+	return size
+}
+
+// putNode serializes n into page, zeroing the bytes past it.
+func putNode(page []byte, n *node) error {
+	if size := nodeSize(n); size > len(page) {
+		return fmt.Errorf("btree: serialized node %d bytes exceeds page size %d", size, len(page))
+	}
+	clear(page[len(appendNode(page[:0], n)):])
+	return nil
+}
+
+// writeNode serializes n straight into the frame's page.
+func writeNode(fr *buffer.Frame, n *node, pageSize int) error {
+	if err := putNode(fr.Data()[:pageSize], n); err != nil {
+		return err
 	}
 	fr.MarkDirty()
 	return nil
 }
 
-func parseNode(id pagefile.PageID, data []byte) (*node, error) {
-	if len(data) == 0 {
+// parseNode returns the in-memory form of the page.  The page is copied once
+// and every key and value aliases that copy, capped at its own length so an
+// append to one entry reallocates instead of writing over its neighbour.
+func parseNode(id pagefile.PageID, page []byte) (*node, error) {
+	if len(page) == 0 {
 		return nil, fmt.Errorf("btree: empty page %d", id)
 	}
+	data := append([]byte(nil), page...)
 	n := &node{id: id}
 	off := 1
 	nKeys64, sz, err := codec.Uvarint(data[off:])
@@ -384,11 +407,13 @@ func parseNode(id pagefile.PageID, data []byte) (*node, error) {
 		return nil, fmt.Errorf("btree: page %d header claims %d entries in %d bytes", id, nKeys64, len(data))
 	}
 	nKeys := int(nKeys64)
+	// The slices get room for one more entry: the write path parses a node
+	// to add one.
 	switch data[0] {
 	case nodeLeaf:
 		n.leaf = true
-		n.keys = make([][]byte, 0, nKeys)
-		n.vals = make([][]byte, 0, nKeys)
+		n.keys = make([][]byte, 0, nKeys+1)
+		n.vals = make([][]byte, 0, nKeys+1)
 		for i := 0; i < nKeys; i++ {
 			k, sz, err := codec.LenBytes(data[off:])
 			if err != nil {
@@ -400,8 +425,8 @@ func parseNode(id pagefile.PageID, data []byte) (*node, error) {
 				return nil, err
 			}
 			off += sz
-			n.keys = append(n.keys, append([]byte(nil), k...))
-			n.vals = append(n.vals, append([]byte(nil), v...))
+			n.keys = append(n.keys, k[:len(k):len(k)])
+			n.vals = append(n.vals, v[:len(v):len(v)])
 		}
 	case nodeInternal:
 		child0, sz, err := codec.Uint64(data[off:])
@@ -409,8 +434,8 @@ func parseNode(id pagefile.PageID, data []byte) (*node, error) {
 			return nil, err
 		}
 		off += sz
-		n.keys = make([][]byte, 0, nKeys)
-		n.children = make([]pagefile.PageID, 0, nKeys+1)
+		n.keys = make([][]byte, 0, nKeys+1)
+		n.children = make([]pagefile.PageID, 0, nKeys+2)
 		n.children = append(n.children, pagefile.PageID(child0))
 		for i := 0; i < nKeys; i++ {
 			k, sz, err := codec.LenBytes(data[off:])
@@ -423,7 +448,7 @@ func parseNode(id pagefile.PageID, data []byte) (*node, error) {
 				return nil, err
 			}
 			off += sz
-			n.keys = append(n.keys, append([]byte(nil), k...))
+			n.keys = append(n.keys, k[:len(k):len(k)])
 			n.children = append(n.children, pagefile.PageID(c))
 		}
 	default:
@@ -757,7 +782,7 @@ func (t *Tree) insertInto(id pagefile.PageID, key, value []byte) (pagefile.PageI
 			copy(n.vals[i+1:], n.vals[i:])
 			n.vals[i] = append([]byte(nil), value...)
 		}
-		if t.nodeSize(n) <= t.pool.PageSize() {
+		if nodeSize(n) <= t.pool.PageSize() {
 			self, err := t.writeNodeOut(n)
 			return self, nil, pagefile.InvalidPageID, inserted, err
 		}
@@ -787,7 +812,7 @@ func (t *Tree) insertInto(id pagefile.PageID, key, value []byte) (pagefile.PageI
 	n.children = append(n.children, pagefile.InvalidPageID)
 	copy(n.children[i+2:], n.children[i+1:])
 	n.children[i+1] = newChild
-	if t.nodeSize(n) <= t.pool.PageSize() {
+	if nodeSize(n) <= t.pool.PageSize() {
 		self, err := t.writeNodeOut(n)
 		return self, nil, pagefile.InvalidPageID, inserted, err
 	}

@@ -188,12 +188,9 @@ func BulkLoad(pool *buffer.Pool, items []Item, fill float64) (*Tree, error) {
 	// Serialize and write every node straight through to the file.
 	page := make([]byte, pool.PageSize())
 	writeOut := func(n *node) error {
-		data := serializeNode(n)
-		if len(data) > len(page) {
-			return fmt.Errorf("btree: bulk-built node %d bytes exceeds page size %d", len(data), len(page))
+		if err := putNode(page, n); err != nil {
+			return err
 		}
-		copy(page, data)
-		clear(page[len(data):])
 		return pool.WriteThrough(n.id, page)
 	}
 	for i, g := range leaves {
@@ -320,7 +317,7 @@ func (t *Tree) UpsertBatch(items []Item) (int, error) {
 		if err != nil {
 			return inserted, err
 		}
-		size := t.nodeSize(leaf)
+		size := nodeSize(leaf)
 		modified := false
 		for i < len(items) && (upper == nil || bytes.Compare(items[i].Key, upper) < 0) {
 			it := items[i]
@@ -440,7 +437,7 @@ func (t *Tree) LeafStats() (leaves int, usedBytes int, err error) {
 		}
 		if n.leaf {
 			leaves++
-			usedBytes += t.nodeSize(n)
+			usedBytes += nodeSize(n)
 			return nil
 		}
 		for _, c := range n.children {

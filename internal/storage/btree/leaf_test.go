@@ -588,6 +588,9 @@ func BenchmarkProbeGet(b *testing.B) {
 // fuzzPageSize is the page size the fuzz targets install their input at.
 const fuzzPageSize = 512
 
+// serializeNode returns n's serialization.
+func serializeNode(n *node) []byte { return appendNode(nil, n) }
+
 // fixedLeafPage serializes a Score-table-shaped leaf of n entries with
 // vlen-byte values: the stride path's input.
 func fixedLeafPage(n, vlen int) []byte {
