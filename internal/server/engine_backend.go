@@ -524,20 +524,40 @@ func engineStatsPayload(e *core.Engine) map[string]any {
 			"allocs": fs.Allocs,
 			"frees":  fs.Frees,
 			"reuses": fs.Reuses,
-			// The reuses that got the page asked for: a copy-on-write copy
-			// back on its node's previous page.  Over the copies made, this
-			// is how often a copy logs as a small delta.
-			"preferred_reuses": fs.PreferredReuses,
-			"bytes_read":       fs.BytesRead,
-			"bytes_written":    fs.BytesWritten,
+			// Allocation outcomes.  The reuses that got the page asked for: a
+			// copy-on-write copy back on its node's previous page.  Over the
+			// copies made, this is how often a copy logs as a small delta.
+			// A copy whose page was not free took an unreserved free page
+			// (prefer_misses) or grew the file (prefer_grows); pages
+			// allocated with no preference (splits, blobs) took a reserved
+			// page only when no other was free (reserved_taken).
+			"preferred_reuses":   fs.PreferredReuses,
+			"prefer_misses":      fs.PreferMisses,
+			"prefer_grows":       fs.PreferGrows,
+			"unpreferred_allocs": fs.Unpreferred,
+			"reserved_taken":     fs.ReservedTaken,
+			// Gauge: the copied nodes' previous pages held for their next
+			// copy, at most one per node.
+			"reserved_pages": fs.ReservedPages,
+			"bytes_read":     fs.BytesRead,
+			"bytes_written":  fs.BytesWritten,
 		},
 		"durability": map[string]any{
-			"commits":     fs.Commits,
-			"wal_bytes":   fs.WALBytes,
-			"checkpoints": fs.Checkpoints,
-			"fsyncs":      fs.Fsyncs,
-			"recoveries":  fs.Recoveries,
-			"torn_pages":  fs.TornPages,
+			"commits":   fs.Commits,
+			"wal_bytes": fs.WALBytes,
+			// The WAL's entry bytes by what each page was in its commit: a
+			// copy back on its previous page, a page taken from the free
+			// list otherwise, a page rewritten in place, a page past the
+			// file's end, a free-chain link.
+			"wal_bytes_preferred": fs.WALBytesPreferred,
+			"wal_bytes_elsewhere": fs.WALBytesElsewhere,
+			"wal_bytes_in_place":  fs.WALBytesInPlace,
+			"wal_bytes_past_end":  fs.WALBytesPastEnd,
+			"wal_bytes_links":     fs.WALBytesLinks,
+			"checkpoints":         fs.Checkpoints,
+			"fsyncs":              fs.Fsyncs,
+			"recoveries":          fs.Recoveries,
+			"torn_pages":          fs.TornPages,
 			// Gauges of the no-force log: committed pages the next
 			// checkpoint writes back, and the WAL bytes it truncates.
 			"held_pages":        fs.HeldPages,

@@ -93,9 +93,11 @@ func TestStatsCheckpointGauges(t *testing.T) {
 }
 
 // TestStatsPreferredReuses: the pagefile block counts the allocations that
-// got the page they asked for.  Score batches copy the index's published
-// tree nodes, and with no reader holding an epoch open each copy after the
-// first goes back to the page its node held one version earlier.
+// got the page they asked for, and the rest of the allocation outcomes and
+// the reservation gauge; the durability block splits the WAL's bytes by
+// entry class.  Score batches copy the index's published tree nodes, and
+// with no reader holding an epoch open each copy after the first goes back
+// to the page its node held one version earlier, which it had reserved.
 func TestStatsPreferredReuses(t *testing.T) {
 	params := workload.DefaultParams()
 	params.NumDocs, params.TermsPerDoc, params.VocabSize = 200, 10, 100
@@ -113,11 +115,19 @@ func TestStatsPreferredReuses(t *testing.T) {
 	if _, err := e.CreateTextIndex("docs", workload.DocsTable, "body", core.IndexOptions{Method: core.MethodChunk, SpecName: "docs", MinChunkSize: 8}); err != nil {
 		t.Fatal(err)
 	}
-	reuses := func() (all, preferred uint64) {
-		p := engineStatsPayload(e)["pagefile"].(map[string]any)
-		return p["reuses"].(uint64), p["preferred_reuses"].(uint64)
+	counts := func() map[string]uint64 {
+		out := map[string]uint64{}
+		payload := engineStatsPayload(e)
+		for _, block := range []string{"pagefile", "durability"} {
+			for k, v := range payload[block].(map[string]any) {
+				if n, ok := v.(uint64); ok {
+					out[k] = n
+				}
+			}
+		}
+		return out
 	}
-	all0, preferred0 := reuses()
+	c0 := counts()
 	for batch := 0; batch < 4; batch++ {
 		if err := e.ApplyBatch(func() error {
 			return tbl.Update(int64(1+batch%2), map[string]relation.Value{"score": relation.Float(float64(90000 + batch))})
@@ -125,9 +135,31 @@ func TestStatsPreferredReuses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	all, preferred := reuses()
-	t.Logf("preferred %d of %d reuses", preferred-preferred0, all-all0)
-	if preferred <= preferred0 || preferred-preferred0 > all-all0 {
-		t.Errorf("4 score batches: preferred_reuses %d → %d, reuses %d → %d; want preferred to rise, by no more than reuses", preferred0, preferred, all0, all)
+	c := counts()
+	d := func(k string) uint64 {
+		t.Helper()
+		v, ok := c[k]
+		if !ok {
+			t.Fatalf("/v1/stats has no %q", k)
+		}
+		return v - c0[k]
+	}
+	t.Logf("preferred %d of %d reuses; misses %d, grows %d, unpreferred %d (%d reserved); %d pages reserved", d("preferred_reuses"), d("reuses"), d("prefer_misses"), d("prefer_grows"), d("unpreferred_allocs"), d("reserved_taken"), c["reserved_pages"])
+	if d("preferred_reuses") == 0 || d("preferred_reuses")+d("prefer_misses") > d("reuses") {
+		t.Errorf("4 score batches: preferred_reuses +%d, prefer_misses +%d, reuses +%d; want preferred to rise, the two by no more than reuses", d("preferred_reuses"), d("prefer_misses"), d("reuses"))
+	}
+	if d("reserved_taken") > d("unpreferred_allocs") {
+		t.Errorf("reserved_taken +%d exceeds unpreferred_allocs +%d", d("reserved_taken"), d("unpreferred_allocs"))
+	}
+	if d("prefer_grows") != 0 {
+		t.Errorf("prefer_grows +%d: a readerless score batch's copies should find their pages", d("prefer_grows"))
+	}
+	if c["reserved_pages"] == 0 {
+		t.Error("reserved_pages = 0 after copies: each copied node holds its previous page")
+	}
+	classes := d("wal_bytes_preferred") + d("wal_bytes_elsewhere") + d("wal_bytes_in_place") + d("wal_bytes_past_end") + d("wal_bytes_links")
+	if d("wal_bytes_preferred") == 0 || classes == 0 || classes >= d("wal_bytes") {
+		t.Errorf("WAL bytes by class sum to %d (preferred %d) of %d; want the copies' share set and the classes below the total, which adds record headers",
+			classes, d("wal_bytes_preferred"), d("wal_bytes"))
 	}
 }

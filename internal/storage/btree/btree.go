@@ -58,12 +58,16 @@ type Tree struct {
 	retire func(pagefile.PageID)
 	fresh  map[pagefile.PageID]struct{}
 	// prev maps each page a copy went to onto the page it was copied from:
-	// the page the node held one version earlier.  The node's next copy
-	// asks the allocator for that page back.  It is usually free again by
-	// then, once the epoch that retired it drained, and its bytes are an
-	// older version of the same node, so the durable file's delta against
-	// them is small.  prev is a hint and is not persisted: after a reopen a
-	// node's first copy takes any free page.
+	// the page the node held one version earlier, which the copy reserves
+	// in the file (pagefile.File.Reserve) so that no other allocation takes
+	// it while it is free.  The node's next copy asks the allocator for that
+	// page back.  It is usually free again by then, once the epoch that
+	// retired it drained, and its bytes are an older version of the same
+	// node, so the durable file's delta against them is small.  Each node
+	// keeps at most one reservation: its next copy's allocation drops it,
+	// and freePage drops that of a node that ends without a copy.  prev is a
+	// hint and is not persisted: after a reopen a node's first copy takes
+	// any free page.
 	prev map[pagefile.PageID]pagefile.PageID
 }
 
@@ -124,8 +128,9 @@ func (t *Tree) writeNodeOut(n *node) (pagefile.PageID, error) {
 }
 
 // copyPage allocates the fresh page a copy of the published node at from
-// goes to, asking for the page that node held one version earlier, and
-// returns it pinned.  The caller frees from, which drops its prev entry.
+// goes to, asking for the page that node held one version earlier (the
+// allocation drops that page's reservation), reserves from in its place,
+// and returns the copy pinned.  The caller frees from.
 func (t *Tree) copyPage(from pagefile.PageID) (*buffer.Frame, error) {
 	prefer, ok := t.prev[from]
 	if !ok {
@@ -135,6 +140,8 @@ func (t *Tree) copyPage(from pagefile.PageID) (*buffer.Frame, error) {
 	if err != nil {
 		return nil, err
 	}
+	delete(t.prev, from)
+	t.pool.File().Reserve(from)
 	t.fresh[fr.ID()] = struct{}{}
 	t.prev[fr.ID()] = from
 	return fr, nil
@@ -786,7 +793,7 @@ func (t *Tree) insertInto(id pagefile.PageID, key, value []byte) (pagefile.PageI
 			self, err := t.writeNodeOut(n)
 			return self, nil, pagefile.InvalidPageID, inserted, err
 		}
-		self, promoted, sib, err := t.splitLeaf(n)
+		self, promoted, sib, err := t.splitLeaf(n, inserted && i == len(n.keys)-1)
 		return self, promoted, sib, inserted, err
 	}
 
@@ -822,9 +829,17 @@ func (t *Tree) insertInto(id pagefile.PageID, key, value []byte) (pagefile.PageI
 
 // splitLeaf splits an over-full leaf into two, returning the page the left
 // half now lives at, the separator key (first key of the new right sibling)
-// and the sibling's page ID.
-func (t *Tree) splitLeaf(n *node) (pagefile.PageID, []byte, pagefile.PageID, error) {
+// and the sibling's page ID.  A leaf is split at its key-count midpoint,
+// except after an append — appended says the inserted key is the leaf's
+// last —, where the left leaf keeps exactly what it held and the new key
+// starts the right leaf, as SQLite's balance_quick does.  Ascending
+// inserts, a table's primary keys, then leave full leaves behind them
+// instead of half-full ones, and the left leaf, unchanged, is not written.
+func (t *Tree) splitLeaf(n *node, appended bool) (pagefile.PageID, []byte, pagefile.PageID, error) {
 	mid := len(n.keys) / 2
+	if appended {
+		mid = len(n.keys) - 1
+	}
 	if mid == 0 {
 		mid = 1
 	}
@@ -837,9 +852,11 @@ func (t *Tree) splitLeaf(n *node) (pagefile.PageID, []byte, pagefile.PageID, err
 	n.keys = n.keys[:mid]
 	n.vals = n.vals[:mid]
 
-	self, err := t.writeNodeOut(n)
-	if err != nil {
-		return n.id, nil, pagefile.InvalidPageID, err
+	self := n.id
+	if !appended {
+		if self, err = t.writeNodeOut(n); err != nil {
+			return n.id, nil, pagefile.InvalidPageID, err
+		}
 	}
 	if err := t.flushNode(right); err != nil {
 		return self, nil, pagefile.InvalidPageID, err
@@ -885,10 +902,15 @@ func (t *Tree) splitInternal(n *node) (pagefile.PageID, []byte, pagefile.PageID,
 // mode) is recycled immediately: the resident frame (if any) is dropped
 // without writeback and the page goes to the pagefile free list.  A
 // published page is retired instead and recycled once its epoch drains.
-// Either way no node lives at id any more, so its prev entry goes.
+// Either way no node lives at id any more.  After a copy, copyPage has
+// moved id's prev entry on; otherwise (a prune, RetireAll) the node ends
+// here, and its predecessor's reservation goes with its prev entry.
 func (t *Tree) freePage(id pagefile.PageID) error {
 	if t.cow {
-		delete(t.prev, id)
+		if p, ok := t.prev[id]; ok {
+			t.pool.File().Release(p)
+			delete(t.prev, id)
+		}
 		if _, ok := t.fresh[id]; ok {
 			delete(t.fresh, id)
 			return t.pool.FreePage(id)

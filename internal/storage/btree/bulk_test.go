@@ -93,7 +93,10 @@ func TestBulkLoadEquivalence(t *testing.T) {
 
 // TestBulkLoadFillFactor checks that bulk-built leaves are packed close to
 // the bulk fill target, i.e. the bulk loader produces far fewer, fuller
-// leaves than the half-full ones repeated splitting leaves behind.
+// leaves than the partly full ones repeated splitting leaves behind.  The
+// upsert-built tree takes the keys in shuffled order: an ascending build
+// splits at the append point and fills its leaves as densely as BulkLoad
+// (TestAscendingInsertsFillLeaves).
 func TestBulkLoadFillFactor(t *testing.T) {
 	file := pagefile.MustNewMem(512)
 	pool := buffer.MustNew(file, 64)
@@ -112,8 +115,8 @@ func TestBulkLoadFillFactor(t *testing.T) {
 	}
 
 	up, _ := newTestTree(t, 512, 64)
-	for _, it := range items {
-		if err := put(up, it.Key, it.Value); err != nil {
+	for _, i := range rand.New(rand.NewSource(1)).Perm(len(items)) {
+		if err := put(up, items[i].Key, items[i].Value); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -122,7 +125,66 @@ func TestBulkLoadFillFactor(t *testing.T) {
 		t.Fatal(err)
 	}
 	if leaves >= upLeaves {
-		t.Errorf("bulk tree has %d leaves, upsert-built has %d; bulk should be denser", leaves, upLeaves)
+		t.Errorf("bulk tree has %d leaves, shuffled upsert-built has %d; bulk should be denser", leaves, upLeaves)
+	}
+}
+
+// TestAscendingInsertsFillLeaves: keys inserted in ascending order, as a
+// table's primary keys arrive, leave every leaf but the last at least 90 %
+// full, one key at a time and in sorted batches, on an in-place and on a
+// copy-on-write tree.  A leaf that splits at the insert point when the new
+// key is its last keeps everything it held; a midpoint split leaves each
+// left half half full for good.
+func TestAscendingInsertsFillLeaves(t *testing.T) {
+	const pageSize, n = 512, 3000
+	items := bulkItems(n, 8)
+	for _, tc := range []struct {
+		name  string
+		batch int
+		cow   bool
+	}{{"one_by_one", 1, false}, {"batches_of_64", 64, false}, {"cow_batches_of_16", 16, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tree, pool := newTestTree(t, pageSize, 64)
+			if tc.cow {
+				tree.EnableCOW(func(id pagefile.PageID) {
+					if err := pool.FreePage(id); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			for i := 0; i < n; i += tc.batch {
+				if tc.cow {
+					tree.Seal()
+				}
+				if _, err := tree.UpsertBatch(append([]Item(nil), items[i:min(i+tc.batch, n)]...)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var sizes []int
+			var visit func(id pagefile.PageID)
+			visit = func(id pagefile.PageID) {
+				nd, err := tree.readNode(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if nd.leaf {
+					sizes = append(sizes, nodeSize(nd))
+				}
+				for _, c := range nd.children {
+					visit(c)
+				}
+			}
+			visit(tree.rootID())
+			used := 0
+			for _, sz := range sizes[:len(sizes)-1] {
+				used += sz
+			}
+			fill := float64(used) / float64((len(sizes)-1)*pageSize)
+			t.Logf("%d leaves, fill %.3f without the last", len(sizes), fill)
+			if fill < 0.9 {
+				t.Errorf("%d ascending inserts: leaves %.2f full, want >= 0.90", n, fill)
+			}
+		})
 	}
 }
 
@@ -395,7 +457,9 @@ func TestBulkLoadSortedLeaves(t *testing.T) {
 // it on an in-place tree and on a copy-on-write tree, sealing the latter and
 // capturing Views in between.  After every batch each tree must hold the
 // sorted-map model's contents and Len and pass CheckInvariants, and every
-// View sealed earlier must still read exactly what it captured.
+// View sealed earlier must still read exactly what it captured.  The COW
+// tree's file must hold the reservations its copies made (reserveLog.check):
+// no more than the copies, and none on a page the current tree uses.
 func FuzzTreeBatches(f *testing.F) {
 	// Each step is an op byte (mod 3: upsert, delete, seal and capture), a
 	// size byte (1 + b%16 items), then per item a key byte and, for an
@@ -446,7 +510,9 @@ func FuzzTreeBatches(f *testing.F) {
 			views []capture
 		}
 		inPlace, inPool := newTestTree(t, 512, 64)
-		cow, cowPool := newTestTree(t, 512, 64)
+		cowFile := newReserveLog(pagefile.MustNewMem(512))
+		cowPool := buffer.MustNew(cowFile, 64)
+		cow := MustNew(cowPool)
 		cow.EnableCOW(func(pagefile.PageID) {}) // never recycled, so every View stays readable
 		sides := []*side{{tree: inPlace, pool: inPool}, {tree: cow, pool: cowPool}}
 		model := sortedMap{}
@@ -533,6 +599,9 @@ func FuzzTreeBatches(f *testing.F) {
 				if err := sd.pool.CheckPins(); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if err := cowFile.check(cow); err != nil {
+				t.Fatalf("step %d: %v", step, err)
 			}
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"svrdb/internal/storage/buffer"
 	"svrdb/internal/storage/pagefile"
 )
 
@@ -408,5 +409,152 @@ func TestCOWCopyReturnsToPreviousPage(t *testing.T) {
 	}
 	if len(tree.prev) != 0 {
 		t.Errorf("%d prev entries left after RetireAll", len(tree.prev))
+	}
+}
+
+// reserveLog is a pagefile.File that keeps its own copy of the reserved set
+// by the File contract — Reserve adds, Release drops, an allocation drops
+// the page it asked for and the pages it hands out — and counts the copies
+// that reserved a page.
+type reserveLog struct {
+	pagefile.File
+	reserved map[pagefile.PageID]bool
+	copies   int
+}
+
+func newReserveLog(f pagefile.File) *reserveLog {
+	return &reserveLog{File: f, reserved: map[pagefile.PageID]bool{}}
+}
+
+func (r *reserveLog) Reserve(id pagefile.PageID) {
+	r.copies++
+	r.reserved[id] = true
+	r.File.Reserve(id)
+}
+
+func (r *reserveLog) Release(id pagefile.PageID) {
+	delete(r.reserved, id)
+	r.File.Release(id)
+}
+
+func (r *reserveLog) Allocate(prefer pagefile.PageID) (pagefile.PageID, error) {
+	id, err := r.File.Allocate(prefer)
+	delete(r.reserved, prefer)
+	delete(r.reserved, id)
+	return id, err
+}
+
+func (r *reserveLog) AllocateN(n int) (pagefile.PageID, error) {
+	first, err := r.File.AllocateN(n)
+	for k := 0; err == nil && k < n; k++ {
+		delete(r.reserved, first+pagefile.PageID(k))
+	}
+	return first, err
+}
+
+// check reports a reserved set the file does not agree with, more
+// reservations than copies, or a reserved page the tree still uses.
+func (r *reserveLog) check(tree *Tree) error {
+	if got := r.Stats().ReservedPages; got != uint64(len(r.reserved)) {
+		return fmt.Errorf("file holds %d reservations, the contract %d", got, len(r.reserved))
+	}
+	if len(r.reserved) > r.copies {
+		return fmt.Errorf("%d reservations after %d copies", len(r.reserved), r.copies)
+	}
+	var walk func(id pagefile.PageID) error
+	walk = func(id pagefile.PageID) error {
+		if r.reserved[id] {
+			return fmt.Errorf("page %d is reserved and live in the tree", id)
+		}
+		n, err := tree.readNode(id)
+		if err != nil {
+			return err
+		}
+		for _, c := range n.children {
+			if err := walk(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return walk(tree.rootID())
+}
+
+// TestCOWReservationsEndWithTheirNodes: each copy reserves the page its node
+// left, so every reservation is the predecessor of a node the tree holds (a
+// prev entry) — at most one per node, since a copy's allocation drops the
+// one it asked for —; a prune ends an emptied leaf's node without a copy
+// and releases its predecessor, and RetireAll releases every one.
+func TestCOWReservationsEndWithTheirNodes(t *testing.T) {
+	file := newReserveLog(pagefile.MustNewMem(512))
+	pool := buffer.MustNew(file, 256)
+	tree := MustNew(pool)
+	tree.EnableCOW(func(id pagefile.PageID) {
+		if err := pool.FreePage(id); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const n = 300
+	for i := 0; i < n; i++ {
+		if err := put(tree, cowKey(i), cowVal(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	balanced := func(when string) {
+		t.Helper()
+		if err := file.check(tree); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		preds := map[pagefile.PageID]bool{}
+		for _, p := range tree.prev {
+			preds[p] = true
+		}
+		for id := range file.reserved {
+			if !preds[id] {
+				t.Fatalf("%s: page %d is reserved but no node's predecessor", when, id)
+			}
+		}
+	}
+	balanced("after the build")
+	for gen := 1; gen <= 3; gen++ {
+		tree.Seal()
+		for i := 0; i < n; i += 7 {
+			if err := put(tree, cowKey(i), cowVal(i, gen)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		balanced(fmt.Sprintf("generation %d", gen))
+	}
+	// Empty the leaf of key 0, a copied node, in a published version: it is
+	// pruned, not copied.
+	tree.Seal()
+	fr, err := tree.descendToLeaf(cowKey(0), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := parseNode(fr.ID(), fr.Data())
+	fr.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, ok := tree.prev[leaf.id]
+	if !ok || !file.reserved[pred] {
+		t.Fatalf("the leaf of key 0 at page %d: predecessor %d (%v) not reserved", leaf.id, pred, ok)
+	}
+	if _, err := tree.DeleteBatch(leaf.keys); err != nil {
+		t.Fatal(err)
+	}
+	balanced("after the prune")
+	if file.reserved[pred] {
+		t.Errorf("the pruned leaf's predecessor %d is still reserved", pred)
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.RetireAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := file.Stats().ReservedPages; got != 0 || len(tree.prev) != 0 {
+		t.Errorf("after RetireAll: %d reservations, %d prev entries; want none", got, len(tree.prev))
 	}
 }

@@ -187,7 +187,9 @@ func (p *Pool) Get(id pagefile.PageID) (*Frame, error) {
 // back, InvalidPageID for none (see pagefile.File.Allocate): a
 // copy-on-write copy names the page its node held one version earlier,
 // whose bytes the file's delta against that page's last image then mostly
-// matches.
+// matches.  The node's previous copy reserved that page in the file
+// (pagefile.File.Reserve, which the pool does not wrap), so that no other
+// allocation took it while it was free.
 func (p *Pool) NewPage(prefer pagefile.PageID) (*Frame, error) {
 	id, err := p.file.Allocate(prefer)
 	if err != nil {

@@ -197,8 +197,9 @@ func WithFaults(fi *FaultInjector) Option { return func(o *openOptions) { o.faul
 // 16 bytes (the rest of a freed page is whatever it last held), the header
 // records the chain head and length, and Free stages the link like any other
 // write so the chain always commits atomically with the state that freed it.
-// Allocate takes a page from the middle of the stack when asked for it
-// (pickFree), which restages the one link the splice breaks.
+// Allocate takes a page from the middle of the stack when asked for it, or
+// when the pages above it are reserved (pickFree), which restages the one
+// link the splice breaks.
 type diskFile struct {
 	pageSize int
 	path     string
@@ -236,8 +237,12 @@ type diskFile struct {
 	// (or Open).  A page past it must be written whole, or the file ends
 	// inside it and a later before-image read of it fails.
 	filePages uint64
-	free      []PageID // stack; free[len-1] is the chain head
-	freeSet   map[PageID]struct{}
+	// The free stack (free[len-1] is the chain head) and the reserved pages.
+	freeStack
+	// reusedIn holds the pages this window took from the free stack, true
+	// for those that were the page their allocation asked for: the classes
+	// of Stats' WAL bytes.
+	reusedIn map[PageID]bool
 	// walTail is the WAL's length: the bytes appended since the last
 	// checkpoint, and where the next record goes.
 	walTail int64
@@ -247,12 +252,17 @@ type diskFile struct {
 
 	// Commit scratch, reused across commits: retired staging buffers, the
 	// sorted page list, the before-image, the run list and the WAL record.
-	spare  [][]byte
-	ids    []PageID
-	base   []byte
-	zero   []byte
-	runs   []byteRun
-	walBuf []byte
+	spare [][]byte
+	ids   []PageID
+	base  []byte
+	zero  []byte
+	runs  []byteRun
+	// zeroRuns is a page's runs against zeros, when they compete with runs.
+	zeroRuns []byteRun
+	walBuf   []byte
+	// classBytes is the record's entry bytes by class, counted once it is
+	// committed.
+	classBytes [walClasses]uint64
 
 	counters
 }
@@ -309,7 +319,8 @@ func Open(path string, opts ...Option) (File, error) {
 		held:            map[PageID][]byte{},
 		heldLinks:       map[PageID]PageID{},
 		heldFree:        map[PageID]struct{}{},
-		freeSet:         map[PageID]struct{}{},
+		reusedIn:        map[PageID]bool{},
+		freeStack:       freeStack{freeSet: map[PageID]struct{}{}},
 		checkpointBytes: maxSpareBytes,
 	}
 	f.data = o.faults.wrap(dataFD)
@@ -687,21 +698,19 @@ func (f *diskFile) Allocate(prefer PageID) (PageID, error) {
 		return InvalidPageID, err
 	}
 	f.allocs.Add(1)
-	if len(f.free) > 0 {
-		i, hit := pickFree(f.free, f.freeSet, prefer)
-		id := f.free[i]
-		f.takeFreeLocked(i, 1)
-		f.reuses.Add(1)
-		if hit {
-			f.preferred.Add(1)
-		}
-		// Hand the page back zeroed: the staged zero image also overwrites
-		// the chain link the page carried while free.
+	i, how := f.pick(prefer, &f.counters)
+	if i < 0 {
+		id := PageID(f.nPages)
+		f.nPages++
 		f.stagePageLocked(id)
 		return id, nil
 	}
-	id := PageID(f.nPages)
-	f.nPages++
+	id := f.free[i]
+	f.takeFreeLocked(i, 1)
+	f.reuses.Add(1)
+	f.reusedIn[id] = how == allocPreferred
+	// Hand the page back zeroed: the staged zero image also overwrites the
+	// chain link the page carried while free.
 	f.stagePageLocked(id)
 	return id, nil
 }
@@ -716,10 +725,11 @@ func (f *diskFile) AllocateN(n int) (PageID, error) {
 		return InvalidPageID, err
 	}
 	f.allocs.Add(uint64(n))
-	if i, first, ok := findFreeRun(f.free, n); ok {
+	if i, first, ok := f.pickRun(n, &f.counters); ok {
 		f.takeFreeLocked(i, n)
 		f.reuses.Add(uint64(n))
 		for i := 0; i < n; i++ {
+			f.reusedIn[first+PageID(i)] = false
 			f.stagePageLocked(first + PageID(i))
 		}
 		return first, nil
@@ -749,10 +759,7 @@ func (f *diskFile) takeFreeLocked(i, n int) {
 		}
 		f.linkFreePageLocked(f.free[above], below)
 	}
-	for k := 0; k < n; k++ {
-		delete(f.freeSet, f.free[i+k])
-	}
-	f.free = append(f.free[:i], f.free[i+n:]...)
+	f.remove(i, n)
 }
 
 func (f *diskFile) Free(id PageID) error {
@@ -764,18 +771,28 @@ func (f *diskFile) Free(id PageID) error {
 	if uint64(id) >= f.nPages {
 		return fmt.Errorf("%w: free page %d of %d", ErrPageOutOfRange, id, f.nPages)
 	}
-	if _, dup := f.freeSet[id]; dup {
-		return fmt.Errorf("pagefile: double free of page %d", id)
-	}
 	next := InvalidPageID
 	if n := len(f.free); n > 0 {
 		next = f.free[n-1]
 	}
+	if err := f.push(id); err != nil {
+		return err
+	}
 	f.linkFreePageLocked(id, next)
-	f.freeSet[id] = struct{}{}
-	f.free = append(f.free, id)
 	f.frees.Add(1)
 	return nil
+}
+
+func (f *diskFile) Reserve(id PageID) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.reserve(id, &f.counters)
+}
+
+func (f *diskFile) Release(id PageID) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.release(id, &f.counters)
 }
 
 func (f *diskFile) FreePages() int {
@@ -907,6 +924,9 @@ func (f *diskFile) Commit(meta []byte) error {
 	f.fsyncs.Add(1)
 	f.loggedPages.Add(uint64(len(f.staged)))
 	f.commits.Add(1)
+	for c, n := range f.classBytes {
+		f.walClass[c].Add(n)
+	}
 	if cap(f.walBuf) > maxWALScratch {
 		f.walBuf = nil
 	}
@@ -935,6 +955,7 @@ func (f *diskFile) Commit(meta []byte) error {
 		clear(f.staged)
 	}
 	clear(f.links)
+	clear(f.reusedIn)
 	f.head = hdr
 	f.setGaugesLocked()
 

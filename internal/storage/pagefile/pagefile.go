@@ -20,8 +20,8 @@ type PageID uint64
 const InvalidPageID = PageID(^uint64(0))
 
 // Stats accumulates logical I/O counters for a File.  All counters but the
-// two gauges are monotonically increasing; use File.ResetStats to start a new
-// measurement window.
+// three gauges are monotonically increasing; use File.ResetStats to start a
+// new measurement window.
 type Stats struct {
 	// Reads is the number of page reads served by the file.
 	Reads uint64
@@ -39,10 +39,20 @@ type Stats struct {
 	// growing the file.
 	Frees  uint64
 	Reuses uint64
-	// PreferredReuses is the share of Reuses that got the page the caller
-	// asked for (Allocate's prefer).  Its ratio to copy-on-write copies is
-	// how often a B+-tree node's copy went back to its previous page.
+	// Allocation outcomes.  PreferredReuses counts the allocations that got
+	// the page they asked for (Allocate's prefer); its ratio to
+	// copy-on-write copies is how often a B+-tree node's copy went back to
+	// its previous page.  PreferMisses counts those that asked for a page
+	// that was not free and took an unreserved free page instead,
+	// PreferGrows those that found no unreserved free page and grew the
+	// file.  Unpreferred counts the pages allocated with no preference
+	// (Allocate(InvalidPageID), AllocateN), and ReservedTaken the share of
+	// them that took a reserved page because no unreserved one was free.
 	PreferredReuses uint64
+	PreferMisses    uint64
+	PreferGrows     uint64
+	Unpreferred     uint64
+	ReservedTaken   uint64
 	// BytesRead and BytesWritten are the corresponding byte totals (a
 	// free-chain link a checkpoint writes is freeLinkSize bytes).
 	BytesRead    uint64
@@ -51,11 +61,13 @@ type Stats struct {
 	//
 	// Commits counts successful Commit calls; LoggedPages the page
 	// post-images those commits logged (free-chain links are not pages);
-	// WALBytes the bytes appended to the write-ahead log; Checkpoints the
-	// checkpoints that wrote the held pages back; Fsyncs the fsync calls
-	// issued (WAL and data file); Recoveries how many Opens had to replay WAL
-	// records; TornPages how many corrupt or half-written structures (torn
-	// WAL tail, bad header) recovery detected and discarded.
+	// WALBytes the bytes appended to the write-ahead log, and the WALBytes*
+	// fields its entries' share by class (the rest is record headers and
+	// checksums); Checkpoints the checkpoints that wrote the held pages
+	// back; Fsyncs the fsync calls issued (WAL and data file); Recoveries
+	// how many Opens had to replay WAL records; TornPages how many corrupt
+	// or half-written structures (torn WAL tail, bad header) recovery
+	// detected and discarded.
 	Commits     uint64
 	LoggedPages uint64
 	WALBytes    uint64
@@ -63,11 +75,24 @@ type Stats struct {
 	Fsyncs      uint64
 	Recoveries  uint64
 	TornPages   uint64
-	// HeldPages and WALPending are gauges, not counters: the committed pages
-	// (and free-chain links) waiting for the next checkpoint to write them
-	// back, and the WAL bytes appended since the last checkpoint.
-	HeldPages  uint64
-	WALPending uint64
+	// The logged bytes of a commit's entries by class: a page allocated in
+	// its window to the page the allocation asked for (a copy-on-write copy
+	// back on its node's previous page); a page allocated in its window from
+	// the free list otherwise (a copy that missed its page, or an allocation
+	// that named none); a committed page rewritten in place; a page at or
+	// past the committed page count, cut against zeros; a free-chain link.
+	WALBytesPreferred uint64
+	WALBytesElsewhere uint64
+	WALBytesInPlace   uint64
+	WALBytesPastEnd   uint64
+	WALBytesLinks     uint64
+	// HeldPages, WALPending and ReservedPages are gauges, not counters: the
+	// committed pages (and free-chain links) waiting for the next checkpoint
+	// to write them back, the WAL bytes appended since the last checkpoint,
+	// and the pages reserved now (File.Reserve).
+	HeldPages     uint64
+	WALPending    uint64
+	ReservedPages uint64
 }
 
 // File is a page-addressed storage area.
@@ -88,19 +113,34 @@ type File interface {
 	// durable file, allocations not yet committed).
 	NumPages() uint64
 	// Allocate returns a zeroed page: a recycled one from the free list when
-	// available, otherwise a freshly appended one.  prefer names the page
-	// the caller would like back, InvalidPageID for none.  The recycled page
-	// is prefer itself when it is free; the oldest free page when prefer was
-	// given but is not free; the most recently freed page when there is no
-	// preference.
+	// one may be taken, otherwise a freshly appended one.  prefer names the
+	// page the caller would like back, InvalidPageID for none.  The rule
+	// (pickFree) is:
+	//   - prefer is free: prefer itself;
+	//   - prefer was given but is not free: the oldest free page that is not
+	//     reserved, else a new page;
+	//   - no preference: the most recently freed page that is not reserved,
+	//     else the most recently freed reserved page, else a new page.
+	// Allocating drops the reservation of prefer, whose node has moved on,
+	// and of the page handed out.
 	Allocate(prefer PageID) (PageID, error)
 	// AllocateN allocates n consecutive pages and returns the ID of the
 	// first.  It is used by the blob store to reserve space for large
 	// immutable objects (the long inverted lists) in one call.  Like
 	// Allocate it prefers recycling: a contiguous run of freed pages (the
 	// shape a dropped index's blobs leave behind) is reused before the file
-	// grows.
+	// grows, a run without a reserved page before one with.
 	AllocateN(n int) (PageID, error)
+	// Reserve marks page id as the predecessor of a copy-on-write copy: the
+	// page the copied node held one version earlier, which the node's next
+	// copy will ask Allocate for.  While it is free, only an allocation that
+	// asks for it, or one without preference that finds no unreserved free
+	// page, takes it, so copies stop taking each other's pages.  Release
+	// drops the reservation of a node that ends without a copy.  Reservations
+	// are a hint kept in memory: never logged or persisted, and a reopened
+	// file has none.
+	Reserve(id PageID)
+	Release(id PageID)
 	// Free returns an allocated page to the free list for a later Allocate
 	// to reuse.  The file never shrinks, but a workload that frees as it
 	// allocates (delete/reinsert churn over B+-trees) stays bounded instead
@@ -148,44 +188,56 @@ var ErrBadPageSize = errors.New("pagefile: bad page size")
 
 // counters groups the atomic statistics shared by both backings.
 type counters struct {
-	reads        atomic.Uint64
-	writes       atomic.Uint64
-	allocs       atomic.Uint64
-	frees        atomic.Uint64
-	reuses       atomic.Uint64
-	preferred    atomic.Uint64
-	bytesRead    atomic.Uint64
-	bytesWritten atomic.Uint64
-	commits      atomic.Uint64
-	loggedPages  atomic.Uint64
-	walBytes     atomic.Uint64
-	checkpoints  atomic.Uint64
-	fsyncs       atomic.Uint64
-	recoveries   atomic.Uint64
-	tornPages    atomic.Uint64
-	heldPages    atomic.Uint64
-	walPending   atomic.Uint64
+	reads         atomic.Uint64
+	writes        atomic.Uint64
+	allocs        atomic.Uint64
+	frees         atomic.Uint64
+	reuses        atomic.Uint64
+	outcomes      [allocOutcomes]atomic.Uint64
+	bytesRead     atomic.Uint64
+	bytesWritten  atomic.Uint64
+	commits       atomic.Uint64
+	loggedPages   atomic.Uint64
+	walBytes      atomic.Uint64
+	walClass      [walClasses]atomic.Uint64
+	checkpoints   atomic.Uint64
+	fsyncs        atomic.Uint64
+	recoveries    atomic.Uint64
+	tornPages     atomic.Uint64
+	heldPages     atomic.Uint64
+	walPending    atomic.Uint64
+	reservedPages atomic.Uint64
 }
 
 func (c *counters) snapshot() Stats {
 	return Stats{
-		Reads:           c.reads.Load(),
-		Writes:          c.writes.Load(),
-		Allocs:          c.allocs.Load(),
-		Frees:           c.frees.Load(),
-		Reuses:          c.reuses.Load(),
-		PreferredReuses: c.preferred.Load(),
-		BytesRead:       c.bytesRead.Load(),
-		BytesWritten:    c.bytesWritten.Load(),
-		Commits:         c.commits.Load(),
-		LoggedPages:     c.loggedPages.Load(),
-		WALBytes:        c.walBytes.Load(),
-		Checkpoints:     c.checkpoints.Load(),
-		Fsyncs:          c.fsyncs.Load(),
-		Recoveries:      c.recoveries.Load(),
-		TornPages:       c.tornPages.Load(),
-		HeldPages:       c.heldPages.Load(),
-		WALPending:      c.walPending.Load(),
+		Reads:             c.reads.Load(),
+		Writes:            c.writes.Load(),
+		Allocs:            c.allocs.Load(),
+		Frees:             c.frees.Load(),
+		Reuses:            c.reuses.Load(),
+		PreferredReuses:   c.outcomes[allocPreferred].Load(),
+		PreferMisses:      c.outcomes[allocMissed].Load(),
+		PreferGrows:       c.outcomes[allocGrown].Load(),
+		Unpreferred:       c.outcomes[allocUnpreferred].Load() + c.outcomes[allocReserved].Load(),
+		ReservedTaken:     c.outcomes[allocReserved].Load(),
+		BytesRead:         c.bytesRead.Load(),
+		BytesWritten:      c.bytesWritten.Load(),
+		Commits:           c.commits.Load(),
+		LoggedPages:       c.loggedPages.Load(),
+		WALBytes:          c.walBytes.Load(),
+		Checkpoints:       c.checkpoints.Load(),
+		Fsyncs:            c.fsyncs.Load(),
+		Recoveries:        c.recoveries.Load(),
+		TornPages:         c.tornPages.Load(),
+		WALBytesPreferred: c.walClass[walPreferred].Load(),
+		WALBytesElsewhere: c.walClass[walElsewhere].Load(),
+		WALBytesInPlace:   c.walClass[walInPlace].Load(),
+		WALBytesPastEnd:   c.walClass[walPastEnd].Load(),
+		WALBytesLinks:     c.walClass[walLinks].Load(),
+		HeldPages:         c.heldPages.Load(),
+		WALPending:        c.walPending.Load(),
+		ReservedPages:     c.reservedPages.Load(),
 	}
 }
 
@@ -197,8 +249,107 @@ func (c *counters) reset() {
 	c.commits.Store(0)
 	c.loggedPages.Store(0)
 	c.walBytes.Store(0)
+	for i := range c.walClass {
+		c.walClass[i].Store(0)
+	}
 	c.checkpoints.Store(0)
 	c.fsyncs.Store(0)
+}
+
+// allocOutcome is the rule of pickFree or findFreeRun that placed a page.
+type allocOutcome int
+
+const (
+	allocPreferred   allocOutcome = iota // prefer was free: that page
+	allocMissed                          // prefer was not: the oldest unreserved free page
+	allocGrown                           // prefer was not, nor any unreserved page: a new page
+	allocUnpreferred                     // no preference: an unreserved free page, or a new page
+	allocReserved                        // no preference, every free page reserved: one of them
+	allocOutcomes
+)
+
+// freeStack is the free list both backings keep: the stack of recycled page
+// IDs, top last (B+-tree delete hygiene and drained epochs return pages
+// here), freeSet to refuse double frees, which would hand one page to two
+// structures, and the reserved pages (File.Reserve), free or still live.
+// The caller holds the backing's lock.
+type freeStack struct {
+	free     []PageID
+	freeSet  map[PageID]struct{}
+	reserved map[PageID]struct{}
+}
+
+// pick chooses the page Allocate(prefer) takes: a slot of the stack, or -1
+// for a new page.  It drops the reservations the allocation ends (prefer's
+// and the chosen page's) and publishes the gauge.
+func (s *freeStack) pick(prefer PageID, c *counters) (int, allocOutcome) {
+	i, how := pickFree(s.free, s.freeSet, s.reserved, prefer)
+	if prefer != InvalidPageID {
+		delete(s.reserved, prefer)
+	}
+	if i >= 0 {
+		delete(s.reserved, s.free[i])
+	}
+	c.outcomes[how].Add(1)
+	c.reservedPages.Store(uint64(len(s.reserved)))
+	return i, how
+}
+
+// pickRun finds the run AllocateN(n) takes — one without a reserved page
+// if there is one — as findFreeRun reports it, and drops the reservations
+// of its pages.
+func (s *freeStack) pickRun(n int, c *counters) (int, PageID, bool) {
+	i, first, ok := findFreeRun(s.free, s.reserved, n)
+	if !ok {
+		i, first, ok = findFreeRun(s.free, nil, n)
+	}
+	taken := 0
+	if ok {
+		for k := 0; k < n; k++ {
+			if _, r := s.reserved[s.free[i+k]]; r {
+				delete(s.reserved, s.free[i+k])
+				taken++
+			}
+		}
+	}
+	c.outcomes[allocUnpreferred].Add(uint64(n - taken))
+	c.outcomes[allocReserved].Add(uint64(taken))
+	c.reservedPages.Store(uint64(len(s.reserved)))
+	return i, first, ok
+}
+
+// push puts a freed page on top of the stack, refusing a double free.
+func (s *freeStack) push(id PageID) error {
+	if _, dup := s.freeSet[id]; dup {
+		return fmt.Errorf("pagefile: double free of page %d", id)
+	}
+	if s.freeSet == nil {
+		s.freeSet = map[PageID]struct{}{}
+	}
+	s.freeSet[id] = struct{}{}
+	s.free = append(s.free, id)
+	return nil
+}
+
+// remove deletes the n adjacent slots free[i:i+n].
+func (s *freeStack) remove(i, n int) {
+	for k := 0; k < n; k++ {
+		delete(s.freeSet, s.free[i+k])
+	}
+	s.free = slices.Delete(s.free, i, i+n)
+}
+
+func (s *freeStack) reserve(id PageID, c *counters) {
+	if s.reserved == nil {
+		s.reserved = map[PageID]struct{}{}
+	}
+	s.reserved[id] = struct{}{}
+	c.reservedPages.Store(uint64(len(s.reserved)))
+}
+
+func (s *freeStack) release(id PageID, c *counters) {
+	delete(s.reserved, id)
+	c.reservedPages.Store(uint64(len(s.reserved)))
 }
 
 // memFile is the in-memory backing: a simulated disk with I/O counters, used
@@ -211,12 +362,7 @@ type memFile struct {
 	slab []byte   // allocation arena pages are carved from
 	meta []byte
 
-	// free is the stack of recycled page IDs (B+-tree delete hygiene returns
-	// emptied node pages here); freeSet guards against double frees, which
-	// would hand the same page to two structures.
-	free    []PageID
-	freeSet map[PageID]struct{}
-
+	freeStack
 	counters
 }
 
@@ -274,15 +420,10 @@ func (f *memFile) Allocate(prefer PageID) (PageID, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.allocs.Add(1)
-	if len(f.free) > 0 {
-		i, hit := pickFree(f.free, f.freeSet, prefer)
+	if i, _ := f.pick(prefer, &f.counters); i >= 0 {
 		id := f.free[i]
-		f.free = slices.Delete(f.free, i, i+1)
-		delete(f.freeSet, id)
+		f.remove(i, 1)
 		f.reuses.Add(1)
-		if hit {
-			f.preferred.Add(1)
-		}
 		clear(f.mem[id])
 		return id, nil
 	}
@@ -296,14 +437,9 @@ func (f *memFile) Free(id PageID) error {
 	if uint64(id) >= uint64(len(f.mem)) {
 		return fmt.Errorf("%w: free page %d of %d", ErrPageOutOfRange, id, len(f.mem))
 	}
-	if _, dup := f.freeSet[id]; dup {
-		return fmt.Errorf("pagefile: double free of page %d", id)
+	if err := f.push(id); err != nil {
+		return err
 	}
-	if f.freeSet == nil {
-		f.freeSet = map[PageID]struct{}{}
-	}
-	f.freeSet[id] = struct{}{}
-	f.free = append(f.free, id)
 	f.frees.Add(1)
 	return nil
 }
@@ -314,6 +450,18 @@ func (f *memFile) FreePages() int {
 	return len(f.free)
 }
 
+func (f *memFile) Reserve(id PageID) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.reserve(id, &f.counters)
+}
+
+func (f *memFile) Release(id PageID) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.release(id, &f.counters)
+}
+
 func (f *memFile) AllocateN(n int) (PageID, error) {
 	if n <= 0 {
 		return InvalidPageID, fmt.Errorf("pagefile: AllocateN(%d): n must be positive", n)
@@ -321,11 +469,8 @@ func (f *memFile) AllocateN(n int) (PageID, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.allocs.Add(uint64(n))
-	if i, first, ok := findFreeRun(f.free, n); ok {
-		for k := 0; k < n; k++ {
-			delete(f.freeSet, f.free[i+k])
-		}
-		f.free = append(f.free[:i], f.free[i+n:]...)
+	if i, first, ok := f.pickRun(n, &f.counters); ok {
+		f.remove(i, n)
 		for k := 0; k < n; k++ {
 			clear(f.mem[first+PageID(k)])
 		}
@@ -339,52 +484,79 @@ func (f *memFile) AllocateN(n int) (PageID, error) {
 	return first, nil
 }
 
-// pickFree returns the slot of a non-empty free stack that Allocate(prefer)
-// takes, and whether it holds prefer itself:
+// pickFree returns the slot of the free stack that Allocate(prefer) takes,
+// -1 for a new page, and the rule that chose it:
 //
 //   - prefer is free: its own slot, searched from the top, where recently
 //     freed pages sit.
-//   - prefer was given but is not free: slot 0, the oldest free page.  The
-//     recently retired pages near the top stay free for the copy-on-write
-//     copies that will ask for them; the top would steal them.
-//   - no preference: the top, the most recently freed page.
-func pickFree(free []PageID, freeSet map[PageID]struct{}, prefer PageID) (int, bool) {
+//   - prefer was given but is not free: the oldest free page that is not
+//     reserved, the bottom-most.  A reserved page is another node's
+//     predecessor, which that node's next copy will ask for: taking it would
+//     send that copy elsewhere too, and the misses would cascade.  With
+//     every free page reserved the file grows instead; each live copied
+//     node reserves at most one page, which bounds what that costs.
+//   - no preference: the most recently freed page that is not reserved.  A
+//     split or a blob has no older version anywhere, so it takes a reserved
+//     page before it grows the file.
+func pickFree(free []PageID, freeSet, reserved map[PageID]struct{}, prefer PageID) (int, allocOutcome) {
 	if prefer == InvalidPageID {
-		return len(free) - 1, false
+		for i := len(free) - 1; i >= 0; i-- {
+			if _, r := reserved[free[i]]; !r {
+				return i, allocUnpreferred
+			}
+		}
+		if len(free) == 0 {
+			return -1, allocUnpreferred
+		}
+		return len(free) - 1, allocReserved
 	}
 	if _, ok := freeSet[prefer]; ok {
 		for i := len(free) - 1; i >= 0; i-- {
 			if free[i] == prefer {
-				return i, true
+				return i, allocPreferred
 			}
 		}
 	}
-	return 0, false
+	for i, id := range free {
+		if _, r := reserved[id]; !r {
+			return i, allocMissed
+		}
+	}
+	return -1, allocGrown
 }
 
-// findFreeRun scans a free stack for n pages whose IDs are consecutive and
-// that occupy adjacent stack slots.  Requiring slot adjacency (not just ID
-// adjacency) lets the caller remove the run by splicing the stack — and,
-// for the durable backing, its on-page chain — at a single point.  Pages
-// freed in ID order, the shape a dropped index's release leaves behind,
-// satisfy both conditions.  Returns the segment's lowest stack index and
-// the run's lowest page ID.
-func findFreeRun(free []PageID, n int) (int, PageID, bool) {
+// findFreeRun scans a free stack for n pages, none of them in skip, whose
+// IDs are consecutive and that occupy adjacent stack slots.  Requiring slot
+// adjacency (not just ID adjacency) lets the caller remove the run by
+// splicing the stack — and, for the durable backing, its on-page chain — at
+// a single point.  Pages freed in ID order, the shape a dropped index's
+// release leaves behind, satisfy both conditions.  Returns the segment's
+// lowest stack index and the run's lowest page ID.
+func findFreeRun(free []PageID, skip map[PageID]struct{}, n int) (int, PageID, bool) {
 	if n <= 0 || len(free) < n {
 		return 0, InvalidPageID, false
 	}
 	if n == 1 {
-		// Any free page qualifies; take the top of the stack like Allocate.
-		return len(free) - 1, free[len(free)-1], true
+		// Any free page qualifies; take the topmost like Allocate.
+		for i := len(free) - 1; i >= 0; i-- {
+			if _, s := skip[free[i]]; !s {
+				return i, free[i], true
+			}
+		}
+		return 0, InvalidPageID, false
 	}
-	ascLen, descLen := 1, 1
-	for i := 1; i < len(free); i++ {
-		if free[i] == free[i-1]+1 {
+	ascLen, descLen := 0, 0
+	for i, id := range free {
+		if _, s := skip[id]; s {
+			ascLen, descLen = 0, 0
+			continue
+		}
+		if ascLen > 0 && id == free[i-1]+1 {
 			ascLen++
 		} else {
 			ascLen = 1
 		}
-		if free[i]+1 == free[i-1] {
+		if descLen > 0 && id+1 == free[i-1] {
 			descLen++
 		} else {
 			descLen = 1
@@ -393,7 +565,7 @@ func findFreeRun(free []PageID, n int) (int, PageID, bool) {
 			return i - n + 1, free[i-n+1], true
 		}
 		if descLen >= n {
-			return i - n + 1, free[i], true
+			return i - n + 1, id, true
 		}
 	}
 	return 0, InvalidPageID, false

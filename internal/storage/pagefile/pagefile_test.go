@@ -485,3 +485,111 @@ func TestAllocatePrefersAPage(t *testing.T) {
 		})
 	}
 }
+
+// TestReservedPagesAreSkipped covers the reservation rule on both backings:
+// an allocation that asked for a page which is not free takes the oldest
+// unreserved free page and never a reserved one, growing the file when
+// every free page is reserved; an allocation without preference, and
+// AllocateN, take an unreserved page first but a reserved one before they
+// grow the file; an allocation drops the reservation of the page it asked
+// for and of the page it hands out; Release drops one.  On the durable
+// backing the reservations do not survive a reopen, and the chain the
+// splices left reloads.
+func TestReservedPagesAreSkipped(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.svrdb")
+	backings := map[string]func(t *testing.T) File{
+		"mem":  func(t *testing.T) File { return MustNewMem(512) },
+		"disk": func(t *testing.T) File { return mustOpen(t, path, WithPageSize(512)) },
+	}
+	for name, open := range backings {
+		t.Run(name, func(t *testing.T) {
+			f := open(t)
+			defer func() { f.Close() }()
+			if _, err := f.AllocateN(12); err != nil {
+				t.Fatal(err)
+			}
+			free := func(ids ...PageID) {
+				t.Helper()
+				for _, id := range ids {
+					if err := f.Free(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			reserved := func(want uint64) {
+				t.Helper()
+				if got := f.Stats().ReservedPages; got != want {
+					t.Errorf("ReservedPages = %d, want %d", got, want)
+				}
+			}
+			alloc := func(prefer, want PageID) {
+				t.Helper()
+				got, err := f.Allocate(prefer)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("Allocate(%d) = page %d, want %d", prefer, got, want)
+				}
+			}
+			free(1, 3, 5, 7) // stack 1 3 5 7, top last
+			f.Reserve(1)
+			f.Reserve(7)
+			f.Reserve(2) // live: a predecessor its epoch still holds
+			reserved(3)
+			alloc(2, 3)             // 2 is not free: the oldest unreserved page, not 1
+			alloc(InvalidPageID, 5) // the top unreserved page, not 7
+			reserved(2)             // asking for 2 dropped its reservation
+			alloc(4, 12)            // every free page reserved: grow
+			alloc(7, 7)             // asked for: a reserved page is its own node's
+			reserved(1)
+			alloc(InvalidPageID, 1) // no unreserved page: a reserved one before growth
+			reserved(0)
+			alloc(InvalidPageID, 13)
+			st := f.Stats()
+			if st.PreferredReuses != 1 || st.PreferMisses != 1 || st.PreferGrows != 1 || st.ReservedTaken != 1 {
+				t.Errorf("PreferredReuses %d, PreferMisses %d, PreferGrows %d, ReservedTaken %d; want 1 each",
+					st.PreferredReuses, st.PreferMisses, st.PreferGrows, st.ReservedTaken)
+			}
+			if st.Unpreferred != 12+3 {
+				t.Errorf("Unpreferred = %d, want 15 (AllocateN's 12, three Allocate(InvalidPageID))", st.Unpreferred)
+			}
+
+			// AllocateN: a run without a reserved page first, then one with.
+			free(8, 9, 10, 4, 6, 11) // stack 8 9 10 4 6 11; one run of three, 8-10
+			f.Reserve(9)
+			f.Reserve(6)
+			f.Reserve(11)
+			if got, err := f.AllocateN(1); err != nil || got != 4 {
+				t.Errorf("AllocateN(1) = page %d, %v; want 4, the top unreserved page", got, err)
+			}
+			// Reserved 9 splits 8-10: every run of two holds a reserved page.
+			if got, err := f.AllocateN(2); err != nil || got != 8 {
+				t.Errorf("AllocateN(2) = page %d, %v; want 8, a run with a reserved page before growth", got, err)
+			}
+			reserved(2)
+			f.Release(6)
+			reserved(1)
+			if got, err := f.AllocateN(1); err != nil || got != 6 {
+				t.Errorf("AllocateN(1) = page %d, %v; want 6, released", got, err)
+			}
+			if f.NumPages() != 14 {
+				t.Errorf("NumPages = %d, want 14: nothing here needed to grow", f.NumPages())
+			}
+			if name == "mem" {
+				return
+			}
+			if err := f.Commit(nil); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			f = mustOpen(t, path)
+			reserved(0)
+			for _, want := range []PageID{11, 10} {
+				if got, err := f.Allocate(InvalidPageID); err != nil || got != want {
+					t.Errorf("after reopen Allocate() = page %d, %v; want %d", got, err, want)
+				}
+			}
+		})
+	}
+}

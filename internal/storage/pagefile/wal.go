@@ -47,9 +47,11 @@ import (
 //
 // entryDeltaOnDisk runs apply over the page as the chain so far left it;
 // entryDeltaOnZero runs apply over zeros, so replay need not read the file
-// for them: that is every page at or beyond the committed page count, and
-// every page whose runs would not be smaller than the page, logged as one
-// run covering all of it.  entryFreeLink overwrites the first freeLinkSize
+// for them: that is every page at or beyond the committed page count, every
+// page the window took from the free list without asking for it whose
+// non-zero bytes log smaller than its delta from the unrelated page it held,
+// and every page whose runs would not be smaller than the page, logged as
+// one run covering all of it.  entryFreeLink overwrites the first freeLinkSize
 // bytes and leaves the rest of the page alone.
 //
 // Replaying the chain is idempotent — runs and links are absolute bytes at
@@ -65,6 +67,17 @@ const (
 	entryDeltaOnDisk = 0
 	entryDeltaOnZero = 1
 	entryFreeLink    = 2
+)
+
+// The classes Stats splits a commit's logged entry bytes into (see
+// Stats.WALBytesPreferred and the fields after it).
+const (
+	walPreferred = iota
+	walElsewhere
+	walInPlace
+	walPastEnd
+	walLinks
+	walClasses
 )
 
 // runMergeGap is the longest stretch of unchanged bytes folded into a run:
@@ -111,6 +124,16 @@ func diffRuns(runs []byteRun, base, img []byte) []byteRun {
 		i = end
 	}
 	return runs
+}
+
+// runsSize is about the bytes runs cost in an entry: their data and a few
+// bytes of varints each.
+func runsSize(runs []byteRun) int {
+	size := 0
+	for _, r := range runs {
+		size += r.n + 3
+	}
+	return size
 }
 
 // appendRuns encodes runs of img onto buf.
@@ -194,16 +217,27 @@ func (f *diskFile) encodeWALRecord(hdr *header) error {
 	buf = append(buf, hdr.meta...)
 	entriesStart := len(buf)
 
+	f.classBytes = [walClasses]uint64{}
 	for _, id := range f.ids {
+		start := len(buf)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
 		if next, ok := f.links[id]; ok {
 			buf = append(buf, entryFreeLink)
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(next))
+			f.classBytes[walLinks] += uint64(len(buf) - start)
 			continue
 		}
 		img := f.staged[id]
 		kind, base := byte(entryDeltaOnZero), f.zero
+		class := walPastEnd
 		if uint64(id) < f.head.nPages {
+			class = walInPlace
+			if preferred, ok := f.reusedIn[id]; ok {
+				class = walElsewhere
+				if preferred {
+					class = walPreferred
+				}
+			}
 			kind, base = entryDeltaOnDisk, f.held[id]
 			if base == nil {
 				if err := f.committedImageLocked(id, f.base); err != nil {
@@ -214,9 +248,15 @@ func (f *diskFile) encodeWALRecord(hdr *header) error {
 			}
 		}
 		f.runs = diffRuns(f.runs[:0], base, img)
-		size := 0
-		for _, r := range f.runs {
-			size += r.n + 3
+		size := runsSize(f.runs)
+		if class == walElsewhere {
+			// The page's last image is an unrelated page's: its non-zero
+			// bytes alone may log smaller than its difference from them.
+			f.zeroRuns = diffRuns(f.zeroRuns[:0], f.zero, img)
+			if z := runsSize(f.zeroRuns); z < size {
+				kind, size = entryDeltaOnZero, z
+				f.runs, f.zeroRuns = f.zeroRuns, f.runs
+			}
 		}
 		if size >= f.pageSize {
 			kind = entryDeltaOnZero
@@ -225,6 +265,7 @@ func (f *diskFile) encodeWALRecord(hdr *header) error {
 		buf = append(buf, kind)
 		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(img, crcTable))
 		buf = appendRuns(buf, f.runs, img)
+		f.classBytes[class] += uint64(len(buf) - start)
 	}
 
 	binary.LittleEndian.PutUint64(buf[52:60], uint64(len(buf)-entriesStart))

@@ -378,6 +378,118 @@ func TestFreeCostsALink(t *testing.T) {
 	}
 }
 
+// TestWALBytesByClass: Stats splits each commit's logged entry bytes by
+// what the page was in its window (see Stats.WALBytesPreferred), and the
+// classes and the record headers add up to WALBytes.  A page taken from the
+// free list for a few bytes logs those bytes against zeros, not its
+// difference from the unrelated page it held, and replays to them.
+func TestWALBytesByClass(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.svrdb")
+	f := mustOpen(t, path, WithPageSize(512))
+	defer func() { f.Close() }()
+	write := func(id PageID, b byte, n int) {
+		t.Helper()
+		page := make([]byte, 512)
+		for i := range n {
+			page[i] = b + byte(i)
+		}
+		if err := f.Write(id, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commits := 0
+	commit := func() Stats {
+		t.Helper()
+		before := f.Stats()
+		if err := f.Commit(nil); err != nil {
+			t.Fatal(err)
+		}
+		commits++
+		st := f.Stats()
+		classes := []uint64{st.WALBytesPreferred, st.WALBytesElsewhere, st.WALBytesInPlace, st.WALBytesPastEnd, st.WALBytesLinks}
+		var sum uint64
+		for i, c := range classes {
+			c -= []uint64{before.WALBytesPreferred, before.WALBytesElsewhere, before.WALBytesInPlace, before.WALBytesPastEnd, before.WALBytesLinks}[i]
+			classes[i] = c
+			sum += c
+		}
+		if got := st.WALBytes - before.WALBytes; got != sum+walHeaderSize+4 {
+			t.Errorf("commit %d logged %d bytes, classes %v add up to %d beside a %d-byte header", commits, got, classes, sum, walHeaderSize+4)
+		}
+		return Stats{WALBytesPreferred: classes[0], WALBytesElsewhere: classes[1], WALBytesInPlace: classes[2], WALBytesPastEnd: classes[3], WALBytesLinks: classes[4]}
+	}
+	if _, err := f.AllocateN(4); err != nil {
+		t.Fatal(err)
+	}
+	for id := PageID(0); id < 4; id++ {
+		write(id, 0x10*byte(id+1), 512)
+	}
+	if st := commit(); st.WALBytesPastEnd == 0 || st.WALBytesPastEnd != commitSum(st) {
+		t.Errorf("a first commit logged %+v, want pages past the end only", st)
+	}
+	if err := f.Free(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Free(2); err != nil {
+		t.Fatal(err)
+	}
+	if st := commit(); st.WALBytesLinks != 2*17 || commitSum(st) != st.WALBytesLinks {
+		t.Errorf("freeing two pages logged %+v, want two 17-byte links", st)
+	}
+	hit, err := f.Allocate(1)
+	if err != nil || hit != 1 {
+		t.Fatalf("Allocate(1) = %d, %v", hit, err)
+	}
+	write(1, 0x20, 500) // page 1 held 0x20.. over 512 bytes: a small delta
+	miss, err := f.Allocate(3)
+	if err != nil || miss != 2 {
+		t.Fatalf("Allocate(3) = %d, %v", miss, err)
+	}
+	write(2, 0x77, 8) // 8 bytes over page 2's unrelated 512
+	write(0, 0x55, 4)
+	grown, err := f.Allocate(InvalidPageID)
+	if err != nil || grown != 4 {
+		t.Fatalf("Allocate() = %d, %v", grown, err)
+	}
+	write(4, 0x66, 16)
+	st := commit()
+	if st.WALBytesPreferred == 0 || st.WALBytesPreferred > 64 {
+		t.Errorf("a copy back on its page logged %d bytes, want a small delta", st.WALBytesPreferred)
+	}
+	if st.WALBytesElsewhere == 0 || st.WALBytesElsewhere > 64 {
+		t.Errorf("8 bytes on a page taken from the free list logged %d bytes, want them against zeros", st.WALBytesElsewhere)
+	}
+	if st.WALBytesInPlace == 0 || st.WALBytesPastEnd == 0 || st.WALBytesLinks != 0 {
+		t.Errorf("in place %d, past the end %d, links %d; want the first two set", st.WALBytesInPlace, st.WALBytesPastEnd, st.WALBytesLinks)
+	}
+	// Replay: reopen from the WAL alone, as after a crash before any
+	// checkpoint wrote the pages back.
+	wal := readFileBytes(t, WALPath(path))
+	data := readFileBytes(t, path)
+	f.Close()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(WALPath(path), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f = mustOpen(t, path)
+	got := make([]byte, 512)
+	if err := f.Read(2, got); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 512)
+	copy(want, []byte{0x77, 0x78, 0x79, 0x7a, 0x7b, 0x7c, 0x7d, 0x7e})
+	if !bytes.Equal(got, want) {
+		t.Errorf("page 2 replayed to %x..., want its 8 bytes over zeros", got[:16])
+	}
+}
+
+// commitSum adds up one commit's WAL bytes by class.
+func commitSum(st Stats) uint64 {
+	return st.WALBytesPreferred + st.WALBytesElsewhere + st.WALBytesInPlace + st.WALBytesPastEnd + st.WALBytesLinks
+}
+
 // TestWritesCountCheckpointWriteBack: Stats.Writes and BytesWritten count
 // what the data file receives.  Commits alone write nothing to it; the
 // checkpoint at Close writes each held page once — however many commits
@@ -698,9 +810,11 @@ func TestDiskFileMatchesModel(t *testing.T) {
 
 		// committed and pending are the model: page contents by ID, nil for a
 		// free page (whose bytes are unspecified beyond the link), and the
-		// free stack, top last.
+		// free stack, top last.  reserved is the reserved pages, which no
+		// commit makes durable.
 		var committed, pending [][]byte
 		var committedFree, pendingFree []PageID
+		reserved := map[PageID]bool{}
 		clonePages := func(src [][]byte) [][]byte {
 			out := make([][]byte, len(src))
 			for i, p := range src {
@@ -733,6 +847,9 @@ func TestDiskFileMatchesModel(t *testing.T) {
 			if got := f.(*diskFile).free; !slices.Equal(got, pendingFree) {
 				t.Fatalf("seed %d %s: free stack %v, model has %v", seed, when, got, pendingFree)
 			}
+			if got := f.Stats().ReservedPages; got != uint64(len(reserved)) {
+				t.Fatalf("seed %d %s: ReservedPages = %d, model has %d", seed, when, got, len(reserved))
+			}
 		}
 		allocated := func() []int {
 			var ids []int
@@ -750,9 +867,22 @@ func TestDiskFileMatchesModel(t *testing.T) {
 			budget()
 			pending = clonePages(committed)
 			pendingFree = slices.Clone(committedFree)
+			clear(reserved)
+		}
+		// unreserved returns the free stack's slots of unreserved pages,
+		// bottom first.
+		unreserved := func() []int {
+			var slots []int
+			for i, id := range pendingFree {
+				if !reserved[id] {
+					slots = append(slots, i)
+				}
+			}
+			return slots
 		}
 		// take checks that an allocation of n pages at id handed out free
-		// pages, and moves them out of the model's free stack.
+		// pages, and moves them out of the model's free stack and reserved
+		// set.
 		take := func(id PageID, n int) {
 			t.Helper()
 			for k := 0; k < n; k++ {
@@ -763,13 +893,14 @@ func TestDiskFileMatchesModel(t *testing.T) {
 					t.Fatalf("seed %d: allocation handed out live page %d", seed, int(id)+k)
 				}
 				pending[int(id)+k] = make([]byte, pageSize)
+				delete(reserved, id+PageID(k))
 			}
 			pendingFree = slices.DeleteFunc(pendingFree, func(p PageID) bool { return p >= id && p < id+PageID(n) })
 		}
 
 		for step := 0; step < 300; step++ {
 			ids := allocated()
-			switch op := rng.Intn(20); {
+			switch op := rng.Intn(21); {
 			case op < 4 && len(ids) > 0: // rewrite a page
 				id := ids[rng.Intn(len(ids))]
 				rng.Read(pending[id])
@@ -794,7 +925,11 @@ func TestDiskFileMatchesModel(t *testing.T) {
 					n = 2 + rng.Intn(2)
 					id, err = f.AllocateN(n)
 				} else {
-					if len(pendingFree) > 0 {
+					// The topmost unreserved page, else the top, else a
+					// new page.
+					if slots := unreserved(); len(slots) > 0 {
+						want = pendingFree[slots[len(slots)-1]]
+					} else if len(pendingFree) > 0 {
 						want = pendingFree[len(pendingFree)-1]
 					}
 					id, err = f.Allocate(InvalidPageID)
@@ -803,17 +938,16 @@ func TestDiskFileMatchesModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				if n == 1 && id != want {
-					t.Fatalf("seed %d: Allocate() = page %d, want the stack top %d", seed, id, want)
+					t.Fatalf("seed %d: Allocate() = page %d, want %d", seed, id, want)
 				}
 				take(id, n)
 			case op < 13: // allocate asking for a page, free or live
 				prefer := PageID(rng.Intn(len(pending) + 1))
 				want := PageID(len(pending))
-				switch {
-				case int(prefer) < len(pending) && pending[prefer] == nil:
+				if int(prefer) < len(pending) && pending[prefer] == nil {
 					want = prefer
-				case len(pendingFree) > 0:
-					want = pendingFree[0]
+				} else if slots := unreserved(); len(slots) > 0 {
+					want = pendingFree[slots[0]] // the oldest unreserved page, never a reserved one
 				}
 				id, err := f.Allocate(prefer)
 				if err != nil {
@@ -822,15 +956,28 @@ func TestDiskFileMatchesModel(t *testing.T) {
 				if id != want {
 					t.Fatalf("seed %d: Allocate(%d) = page %d, want %d", seed, prefer, id, want)
 				}
+				delete(reserved, prefer)
 				take(id, 1)
-			case op < 15 && len(ids) > 0: // free
+			case op < 14 && len(pending) > 0: // reserve a page, free or live, or release one
+				id := PageID(rng.Intn(len(pending)))
+				if len(pendingFree) > 0 && rng.Intn(2) == 0 {
+					id = pendingFree[rng.Intn(len(pendingFree))]
+				}
+				if rng.Intn(3) == 0 {
+					f.Release(id)
+					delete(reserved, id)
+				} else {
+					f.Reserve(id)
+					reserved[id] = true
+				}
+			case op < 16 && len(ids) > 0: // free
 				id := ids[rng.Intn(len(ids))]
 				if err := f.Free(PageID(id)); err != nil {
 					t.Fatal(err)
 				}
 				pending[id] = nil
 				pendingFree = append(pendingFree, PageID(id))
-			case op < 18: // commit, sometimes cut short after the commit point
+			case op < 19: // commit, sometimes cut short after the commit point
 				meta := []byte(fmt.Sprintf("step-%d", step))
 				if rng.Intn(3) == 0 {
 					scriptData(f, 1+rng.Intn(4))
@@ -852,7 +999,7 @@ func TestDiskFileMatchesModel(t *testing.T) {
 				}
 				committed = clonePages(pending)
 				committedFree = slices.Clone(pendingFree)
-			case op < 19: // reopen: the uncommitted window is lost
+			case op < 20: // reopen: the uncommitted window is lost
 				reopen()
 			}
 			check(fmt.Sprintf("step %d", step))
