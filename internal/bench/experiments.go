@@ -342,7 +342,9 @@ func RunTable3(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Insert new documents drawn from the same distributions.
+		// Insert new documents drawn from the same distributions.  The
+		// index reads a document's content only from its source, so the
+		// source holds them too, numbered after the corpus.
 		insCorpus := workload.Generate(workload.Params{
 			NumDocs:     nIns,
 			TermsPerDoc: params.TermsPerDoc,
@@ -352,6 +354,7 @@ func RunTable3(opts Options) (*Table, error) {
 			ScoreZipf:   params.ScoreZipf,
 			Seed:        opts.Seed + int64(nIns),
 		})
+		r.method.SetSource(appendedSource{corpus, insCorpus})
 		start := time.Now()
 		for i := 0; i < nIns; i++ {
 			doc := workload.DocID(corpus.NumDocs() + i + 1)
@@ -380,6 +383,27 @@ func RunTable3(opts Options) (*Table, error) {
 		})
 	}
 	return t, nil
+}
+
+// appendedSource is an index.DocSource over a built corpus followed by the
+// documents inserted after the build, numbered from the corpus's end.
+type appendedSource struct{ built, inserted *workload.Corpus }
+
+func (s appendedSource) NumDocs() int { return s.built.NumDocs() + s.inserted.NumDocs() }
+
+func (s appendedSource) ForEach(fn func(doc workload.DocID, tokens []string) error) error {
+	if err := s.built.ForEach(fn); err != nil {
+		return err
+	}
+	n := workload.DocID(s.built.NumDocs())
+	return s.inserted.ForEach(func(doc workload.DocID, tokens []string) error { return fn(n+doc, tokens) })
+}
+
+func (s appendedSource) Tokens(doc workload.DocID) ([]string, error) {
+	if n := workload.DocID(s.built.NumDocs()); doc > n {
+		return s.inserted.Tokens(doc - n)
+	}
+	return s.built.Tokens(doc)
 }
 
 // RunThresholdSweep is the Score-Threshold analogue of Table 2 (the paper

@@ -1087,17 +1087,6 @@ func (ti *TextIndex) TermStats(query string) (numDocs int64, df []int64, err err
 	return ti.method.TermStats(terms)
 }
 
-// SearchIndex looks up the named text index and runs the query on it; it is
-// the Engine-level entry point the shard scatter-gather path (and any other
-// caller holding only an engine) uses.
-func (e *Engine) SearchIndex(name string, req SearchRequest) (*SearchResult, error) {
-	ti, err := e.TextIndex(name)
-	if err != nil {
-		return nil, err
-	}
-	return ti.Search(req)
-}
-
 // TermStats looks up the named text index and reports its collection
 // statistics for the query's analyzed terms (see TextIndex.TermStats).
 func (e *Engine) TermStats(name, query string) (int64, []int64, error) {

@@ -23,16 +23,16 @@ func TestCrashRecoveryMatrixLifecycle(t *testing.T) {
 	// The template uses the smallest page size and short descriptions: list
 	// blobs are packed into shared pages, so at 4 KiB pages a test-sized
 	// archive's lists fit in one page and a commit would offer a single
-	// blob-page write to crash at.  At 512-byte pages 700 movies make each
-	// operation's checkpoint about 80 page writes across blob, tree and chain
-	// pages.
+	// blob-page write to crash at.  At 512-byte pages 900 movies make each
+	// operation's checkpoint about 100 page writes across blob, tree and chain
+	// pages, and an open about 40 page reads.
 	prepare := func(t *testing.T, path string) {
 		e, err := Open(path, OpenOptions{Specs: archiveSpecRegistry(), PageSize: 512})
 		if err != nil {
 			t.Fatal(err)
 		}
 		params := workload.DefaultArchiveParams()
-		params.NumMovies, params.WordsPerDesc = 700, 8
+		params.NumMovies, params.WordsPerDesc = 900, 8
 		if _, err := workload.BuildArchiveDB(e.DB(), params); err != nil {
 			t.Fatal(err)
 		}

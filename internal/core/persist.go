@@ -23,8 +23,11 @@ import (
 // sibling pointers, so an older file's leaves would be misparsed; version 6
 // splits each table into a row tree of fixed-width columns and a string tree
 // (relation.TableState.Strings), so an older file's whole-row values would
-// be misread.  Older files are refused at Open: there is no migration reader.
-const catalogVersion = 6
+// be misread; version 7 drops index.MethodDict's cache of inserted
+// documents' terms (a version-6 dictionary would still decode, its cache
+// ignored, but one encoding per version keeps the rule simple).  Older files
+// are refused at Open: there is no migration reader.
+const catalogVersion = 7
 
 // chainRef locates a page chain in the file: its head page and the length of
 // the bytes it holds.

@@ -59,13 +59,6 @@ func PartitionerByName(name string) (Partitioner, error) {
 	return p, nil
 }
 
-// PartitionerNames lists the registered partitioners in sorted order.
-func PartitionerNames() []string {
-	partitionersMu.RLock()
-	defer partitionersMu.RUnlock()
-	return partitionerNamesLocked()
-}
-
 func partitionerNamesLocked() []string {
 	names := make([]string, 0, len(partitioners))
 	for n := range partitioners {

@@ -126,11 +126,12 @@ func TestCompressedIndexMatchesOracle(t *testing.T) {
 				batch = append(batch, up)
 				o.scores[up.Doc] = up.Score
 			}
+			// The source holds the batch's content, as a base table would.
+			corpus.docs[DocID(nDocs+1)] = inserted
+			corpus.docs[23] = rewritten
 			if err := m.ApplyUpdates(batch); err != nil {
 				t.Fatalf("ApplyUpdates: %v", err)
 			}
-			corpus.docs[DocID(nDocs+1)] = inserted
-			corpus.docs[23] = rewritten
 			runQueries("after updates", m)
 
 			// The offline merge rebuilds the long lists.

@@ -99,7 +99,7 @@ var ErrTermScoresUnsupported = errors.New("index: method does not store term sco
 // ErrUnknownDocument is returned when an update refers to a document the
 // index has never seen or has deleted, and wrapped (together with the
 // document source's error, if it gave one) when maintenance needs a
-// document's content and neither the source nor the insert cache has it.
+// document's content and the document source lacks it.
 var ErrUnknownDocument = errors.New("index: unknown document")
 
 // ErrClosed is returned by queries issued after the method was drained.
@@ -151,8 +151,9 @@ type Update struct {
 	// OldTokens and NewTokens are the previous and new token streams of a
 	// content update.  A delete carries the deleted document's stream in
 	// OldTokens, because its row is gone by the time the index applies the
-	// op; without it (nil) the index falls back to its document source and
-	// insert cache.
+	// op; without it (nil) the index falls back to its document source.  A
+	// delete reads them only to uncount document frequencies: it purges the
+	// document's short-list postings by document, whatever their terms.
 	OldTokens, NewTokens []string
 }
 
@@ -365,10 +366,6 @@ type base struct {
 	// document), the score itself for Score and Score-Threshold, the chunk
 	// of the score for the Chunk family.
 	keyOf func(score float64) float64
-	// knownTokens caches the distinct terms of incrementally inserted
-	// documents, so deletes, merges and threshold crossings can find their
-	// postings even if the document source no longer has the row.
-	knownTokens map[DocID][]string
 
 	// longRefs maps terms to their long-list blobs.  Snapshots share this
 	// map by pointer, so writers never mutate it in place: build and merge
@@ -423,12 +420,11 @@ func newBase(kind *Kind, cfg Config) (*base, error) {
 		return nil, err
 	}
 	b := &base{
-		kind:        kind,
-		cfg:         cfg,
-		store:       blob.NewStore(cfg.Pool),
-		dict:        text.NewDictionary(),
-		longRefs:    map[string]blob.Ref{},
-		knownTokens: map[DocID][]string{},
+		kind:     kind,
+		cfg:      cfg,
+		store:    blob.NewStore(cfg.Pool),
+		dict:     text.NewDictionary(),
+		longRefs: map[string]blob.Ref{},
 	}
 	if b.score, err = newDocTable(cfg.Pool); err != nil {
 		return nil, err

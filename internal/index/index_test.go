@@ -351,6 +351,7 @@ func TestDeleteUncountsTerms(t *testing.T) {
 		corpus := smallCorpus()
 		m := buildMethod(t, name, ctor, corpus)
 		o := newOracle(corpus)
+		corpus.add(50, 700, "golden ferry news")
 		inserted := strings.Fields("golden ferry news")
 		if err := insertDocument(m, 50, inserted, 700); err != nil {
 			t.Fatal(err)
@@ -396,9 +397,9 @@ type failingSource struct {
 func (f failingSource) Tokens(DocID) ([]string, error) { return nil, f.err }
 
 // TestDocTokensSourceFailure pins the one docTokens contract on every kind
-// that reads content on a score update or a merge: source first, then the
-// cache of incrementally inserted documents, else an error wrapping both
-// ErrUnknownDocument and the source's error.
+// that reads content on a score update or a merge: the document source is
+// the only copy of a document's content, and when it fails the error wraps
+// both ErrUnknownDocument and the source's error.
 func TestDocTokensSourceFailure(t *testing.T) {
 	srcErr := errors.New("row store offline")
 	wantBoth := func(label string, err error) {
@@ -410,14 +411,7 @@ func TestDocTokensSourceFailure(t *testing.T) {
 	for name, ctor := range allConstructors() {
 		corpus := smallCorpus()
 		m := buildMethod(t, name, ctor, corpus)
-		if err := insertDocument(m, 50, []string{"golden", "late"}, 1); err != nil {
-			t.Fatalf("%s: InsertDocument: %v", name, err)
-		}
 		m.SetSource(failingSource{corpus, srcErr})
-		// The inserted document's cached terms answer for the failed source.
-		if err := updateScore(m, 50, 1e6); err != nil {
-			t.Errorf("%s: UpdateScore of a cached document: %v", name, err)
-		}
 		// Document 8 jumps past every threshold; only the ID family never
 		// reads content on a score update.
 		err := updateScore(m, 8, 99999)

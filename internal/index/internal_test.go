@@ -241,7 +241,7 @@ func TestKeyedListValueRejectsHostileBytes(t *testing.T) {
 	}
 }
 
-func TestKeyedListDeleteAndDeleteAllForDoc(t *testing.T) {
+func TestKeyedListDeleteAndDeleteDoc(t *testing.T) {
 	kl, err := newKeyedList(newTestPool(t))
 	if err != nil {
 		t.Fatal(err)
@@ -250,28 +250,67 @@ func TestKeyedListDeleteAndDeleteAllForDoc(t *testing.T) {
 		kl.Put("news", float64(i), 42, postings.OpAdd, 0)
 		kl.Put("news", float64(i), 43, postings.OpAdd, 0)
 	}
+	kl.Put("sport", 7, 42, postings.OpRem, 0)
 	kl.Delete("news", 3, 42)
-	if n := flushedView(t, kl).Len(); n != 19 {
-		t.Errorf("Len after single delete = %d, want 19", n)
+	if n := flushedView(t, kl).Len(); n != 20 {
+		t.Errorf("Len after single delete = %d, want 20", n)
 	}
 	// Deleting a missing posting is a no-op.
 	kl.Delete("news", 99, 42)
-	if n := flushedView(t, kl).Len(); n != 19 {
+	if n := flushedView(t, kl).Len(); n != 20 {
 		t.Errorf("Len after no-op delete = %d", n)
 	}
-	// DeleteAllForDoc reaches both the flushed postings and the staged ones.
+	// DeleteDoc reaches the flushed postings under every term and the
+	// staged ones.
 	kl.Put("news", 50, 42, postings.OpAdd, 0)
-	if err := kl.DeleteAllForDoc("news", 42); err != nil {
+	kl.Put("weather", 2, 42, postings.OpAdd, 0)
+	if err := kl.DeleteDoc(42); err != nil {
 		t.Fatal(err)
 	}
-	entries, _ := flushedView(t, kl).Collect("news")
-	if len(entries) != 10 {
-		t.Errorf("after DeleteAllForDoc, %d postings remain, want 10 (doc 43 only)", len(entries))
+	v := flushedView(t, kl)
+	if v.Len() != 10 {
+		t.Errorf("after DeleteDoc, %d postings remain, want 10 (doc 43 only)", v.Len())
 	}
-	for _, e := range entries {
-		if e.Doc != 43 {
-			t.Errorf("posting for doc %d survived DeleteAllForDoc", e.Doc)
+	for _, term := range []string{"news", "sport", "weather"} {
+		entries, err := v.Collect(term)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, e := range entries {
+			if e.Doc != 43 {
+				t.Errorf("%s posting for doc %d survived DeleteDoc", term, e.Doc)
+			}
+		}
+	}
+}
+
+// TestKeyedListDeleteDocRefusesCorruptKey: a key the purge cannot decode
+// is corruption, reported as such, not a posting of some other document to
+// step over; and the failed purge stages nothing.
+func TestKeyedListDeleteDocRefusesCorruptKey(t *testing.T) {
+	for name, key := range map[string][]byte{
+		"no terminator":    []byte("news"),
+		"truncated suffix": append(keyedListPrefix("news"), 0x01, 0x02, 0x03),
+	} {
+		t.Run(name, func(t *testing.T) {
+			kl, err := newKeyedList(newTestPool(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			kl.Put("news", 5, 42, postings.OpAdd, 0)
+			if err := kl.flushBatch(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := kl.tree.UpsertBatch([]btree.Item{{Key: key, Value: encodeKeyedListValue(postings.OpAdd, 0)}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := kl.DeleteDoc(42); !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("DeleteDoc over a corrupt key = %v, want ErrCorrupt", err)
+			}
+			if kl.dirty() {
+				t.Error("a failed purge staged writes")
+			}
+		})
 	}
 }
 

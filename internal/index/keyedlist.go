@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 
 	"svrdb/internal/codec"
@@ -37,9 +38,9 @@ type keyedList struct {
 
 	ops   []keyedOp
 	opIdx map[string]int
-	// docOps indexes staged op positions by (term, doc) so DeleteAllForDoc
-	// can cancel a document's staged postings without sweeping the log.
-	docOps map[string][]int
+	// docOps indexes staged op positions by document so DeleteDoc can
+	// cancel a document's staged postings without sweeping the log.
+	docOps map[DocID][]int
 }
 
 // keyedOp is one staged write: a pending upsert (del == false) or delete.
@@ -54,7 +55,7 @@ func newKeyedList(pool *buffer.Pool) (*keyedList, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &keyedList{tree: tree, opIdx: map[string]int{}, docOps: map[string][]int{}}, nil
+	return &keyedList{tree: tree, opIdx: map[string]int{}, docOps: map[DocID][]int{}}, nil
 }
 
 // enableCOW switches the list's tree to copy-on-write publication: sealed
@@ -97,6 +98,17 @@ func decodeKeyedListSuffix(suffix []byte) (sortKey float64, doc DocID, err error
 	return sortKey, DocID(id), nil
 }
 
+// keyedListDoc decodes the document of a whole keyedList key: the term up
+// to its terminator, then the (sortKey, doc) suffix.
+func keyedListDoc(key []byte) (DocID, error) {
+	i := bytes.IndexByte(key, 0x00)
+	if i < 0 {
+		return 0, fmt.Errorf("%w: short-list key without a term terminator", codec.ErrCorrupt)
+	}
+	_, doc, err := decodeKeyedListSuffix(key[i+1:])
+	return doc, err
+}
+
 // keyedListValueLen is the width of every posting value: the op byte and
 // the float32 term weight.
 const keyedListValueLen = 5
@@ -123,58 +135,59 @@ func decodeKeyedListValue(data []byte) (op postings.Op, termScore float32, err e
 
 // Put stages an insert or replace of the posting for (term, sortKey, doc).
 func (l *keyedList) Put(term string, sortKey float64, doc DocID, op postings.Op, termScore float32) {
-	l.stageOp(term, doc, keyedListKey(term, sortKey, doc), encodeKeyedListValue(op, termScore), false)
+	l.stageOp(doc, keyedListKey(term, sortKey, doc), encodeKeyedListValue(op, termScore), false)
 }
 
 // Delete stages the removal of the posting for (term, sortKey, doc) if
 // present.
 func (l *keyedList) Delete(term string, sortKey float64, doc DocID) {
-	l.stageOp(term, doc, keyedListKey(term, sortKey, doc), nil, true)
-}
-
-// docOpKey addresses the staged ops of one (term, doc) pair.
-func docOpKey(term string, doc DocID) string {
-	return string(codec.PutOrderedUint64(codec.PutOrderedString(nil, term), uint64(doc)))
+	l.stageOp(doc, keyedListKey(term, sortKey, doc), nil, true)
 }
 
 // stageOp records a write in the op log, collapsing onto any earlier op for
 // the same key (last op wins, exactly as sequential application would).
-func (l *keyedList) stageOp(term string, doc DocID, key, val []byte, del bool) {
+func (l *keyedList) stageOp(doc DocID, key, val []byte, del bool) {
 	if i, ok := l.opIdx[string(key)]; ok {
 		l.ops[i].val = val
 		l.ops[i].del = del
 		return
 	}
 	l.opIdx[string(key)] = len(l.ops)
-	dk := docOpKey(term, doc)
-	l.docOps[dk] = append(l.docOps[dk], len(l.ops))
+	l.docOps[doc] = append(l.docOps[doc], len(l.ops))
 	l.ops = append(l.ops, keyedOp{key: key, val: val, del: del})
 }
 
-// DeleteAllForDoc stages the removal of every posting of the given document
-// under the given term, regardless of sort key (used by document deletion,
-// which must purge short lists so that reused IDs are safe, Appendix A.2).
-func (l *keyedList) DeleteAllForDoc(term string, doc DocID) error {
+// DeleteDoc stages the removal of every posting of the document, under every
+// term and sort key, found in one ascent of the tree, and cancels its staged
+// postings (Appendix A.2: a delete purges the short lists so that a reused
+// ID is safe).  A key that does not decode is corruption: the error wraps
+// codec.ErrCorrupt and nothing is staged.
+func (l *keyedList) DeleteDoc(doc DocID) error {
 	var keys [][]byte
-	prefix := keyedListPrefix(term)
-	err := l.tree.View().AscendPrefix(prefix, func(k, v []byte) bool {
-		_, d, err := decodeKeyedListSuffix(k[len(prefix):])
-		if err == nil && d == doc {
+	var innerErr error
+	err := l.tree.View().Ascend(func(k, _ []byte) bool {
+		d, err := keyedListDoc(k)
+		if err != nil {
+			innerErr = fmt.Errorf("index: purge of document %d: %w", doc, err)
+			return false
+		}
+		if d == doc {
 			keys = append(keys, append([]byte(nil), k...))
 		}
 		return true
 	})
+	if innerErr != nil {
+		return innerErr
+	}
 	if err != nil {
 		return err
 	}
-	// Cancel staged postings of this (term, doc) that are not in the tree
-	// yet; docOps addresses them directly.
-	for _, i := range l.docOps[docOpKey(term, doc)] {
+	for _, i := range l.docOps[doc] {
 		l.ops[i].val = nil
 		l.ops[i].del = true
 	}
 	for _, k := range keys {
-		l.stageOp(term, doc, k, nil, true)
+		l.stageOp(doc, k, nil, true)
 	}
 	return nil
 }

@@ -40,29 +40,22 @@ func (b *base) build(src DocSource, scores ScoreFunc) error {
 
 // docTokens returns a document's token stream for the maintenance paths that
 // need one (threshold crossings, the Score method's posting moves, deletes,
-// merges): from the document source first, then from the cache of
-// incrementally inserted documents.  When neither has it the error wraps
-// ErrUnknownDocument and, if the source failed, the source's error.
+// merges).  The document source is the only copy of a document's content the
+// index reads: when it lacks the document the error wraps ErrUnknownDocument
+// and, if the source gave one, the source's error.
 func (b *base) docTokens(doc DocID) ([]string, error) {
-	var srcErr error
-	if b.src != nil {
-		tokens, err := b.src.Tokens(doc)
-		if err == nil {
-			return tokens, nil
-		}
-		srcErr = err
+	if b.src == nil {
+		return nil, fmt.Errorf("%w: %d has no available content", ErrUnknownDocument, doc)
 	}
-	if cached, ok := b.knownTokens[doc]; ok {
-		return cached, nil
+	tokens, err := b.src.Tokens(doc)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %d has no available content: %w", ErrUnknownDocument, doc, err)
 	}
-	if srcErr != nil {
-		return nil, fmt.Errorf("%w: %d has no available content: %w", ErrUnknownDocument, doc, srcErr)
-	}
-	return nil, fmt.Errorf("%w: %d has no available content", ErrUnknownDocument, doc)
+	return tokens, nil
 }
 
-// deletedTokens is the content a delete purges and uncounts by: the tokens
-// the op carried, else whatever docTokens still finds.
+// deletedTokens is the content a delete uncounts: the tokens the op carried,
+// else whatever the document source still holds.
 func (b *base) deletedTokens(doc DocID, carried []string) ([]string, error) {
 	if carried != nil {
 		return carried, nil
@@ -127,7 +120,6 @@ func (b *base) applyInsert(doc DocID, tokens []string, score float64) error {
 		b.counters.shortListPostingsWritten.Add(uint64(len(distinct)))
 	}
 	b.dict.AddDocumentTerms(distinct)
-	b.knownTokens[doc] = distinct
 	b.numDocs.Add(1)
 	if b.table != nil {
 		b.table.Put(doc, docRow{val: key, flag: true})
@@ -136,8 +128,8 @@ func (b *base) applyInsert(doc DocID, tokens []string, score float64) error {
 }
 
 // applyDelete is Appendix A.2's delete: the Score table keeps a deleted
-// marker, which is what queries filter on, the document's short-list
-// postings are purged so that a reused ID is safe, and its terms' document
+// marker, which is what queries filter on, every short-list posting of the
+// document is purged so that a reused ID is safe, and its terms' document
 // frequencies drop, so that TF-IDF and TermStats count live documents only.
 // tokens is the deleted document's content (see Update.OldTokens).
 func (b *base) applyDelete(doc DocID, tokens []string) error {
@@ -145,23 +137,20 @@ func (b *base) applyDelete(doc DocID, tokens []string) error {
 	if err != nil {
 		return err
 	}
+	// The purge goes by document, not by the terms it holds now: a content
+	// edit leaves REM postings under the terms the document lost.  It stages
+	// nothing when it fails, so a failed delete changes nothing.
+	if err := b.lists.DeleteDoc(doc); err != nil {
+		return err
+	}
 	b.dictChanged()
 	b.score.Put(doc, docRow{val: row.val, flag: true})
-	// Without content there is nothing to purge by, and the document's terms
-	// cannot be uncounted: their df keeps counting it.  The deleted marker
-	// alone keeps it out of every result.  With content, df drops here — the
-	// liveness check above makes a delete run at most once per document.
+	// Without content the document's terms cannot be uncounted: their df
+	// keeps counting it.  The deleted marker alone keeps it out of every
+	// result.  With content, df drops here — the liveness check above makes
+	// a delete run at most once per document.
 	if tokens, err := b.deletedTokens(doc, tokens); err == nil {
-		terms := text.DistinctTerms(tokens)
-		// An inserted document edited since also holds REM postings under
-		// the terms it lost, which the insert cache still names.
-		purge := text.DistinctTerms(append(append([]string(nil), terms...), b.knownTokens[doc]...))
-		for _, term := range purge {
-			if err := b.lists.DeleteAllForDoc(term, doc); err != nil {
-				return err
-			}
-		}
-		b.dict.RemoveDocumentTerms(terms)
+		b.dict.RemoveDocumentTerms(text.DistinctTerms(tokens))
 	}
 	if b.table != nil {
 		// Leave an entry pointing at the long-list copy so that the query
@@ -177,7 +166,6 @@ func (b *base) applyDelete(doc DocID, tokens []string) error {
 		}
 		b.table.Put(doc, docRow{val: key})
 	}
-	delete(b.knownTokens, doc)
 	b.numDocs.Add(-1)
 	return nil
 }

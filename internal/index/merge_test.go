@@ -51,10 +51,10 @@ func TestMergeShortListsPreservesResults(t *testing.T) {
 				content := vocab[i%len(vocab)] + " " + vocab[(i+3)%len(vocab)]
 				tokens := strings.Fields(content)
 				score := float64(localRng.Intn(200000))
+				corpus.add(doc, score, content)
 				if err := insertDocument(m, doc, tokens, score); err != nil {
 					t.Fatal(err)
 				}
-				corpus.add(doc, score, content)
 				o.setTokens(doc, tokens)
 				o.scores[doc] = score
 			}

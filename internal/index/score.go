@@ -89,7 +89,6 @@ func (m *scoreMethod) applyDelete(doc DocID, tokens []string) error {
 		m.dict.RemoveDocumentTerms(terms)
 	}
 	m.score.Put(doc, docRow{val: row.val, flag: true})
-	delete(m.knownTokens, doc)
 	m.numDocs.Add(-1)
 	return nil
 }

@@ -58,15 +58,14 @@ type MethodAnchor struct {
 	DictGen uint64
 }
 
-// MethodDict is the bulky, rarely changing half: everything keyed by term or
-// by document that a score update never touches.
+// MethodDict is the bulky, rarely changing half: everything keyed by term
+// that a score update never touches.  It holds nothing per document — a
+// document's content lives only in the document source — so an insert
+// changes it only through the dictionary's terms and document frequencies.
 type MethodDict struct {
 	// LongRefs maps each term to its immutable long inverted list blob.
 	LongRefs map[string]blob.Ref
 	Dict     text.DictionaryState
-	// KnownTokens carries the distinct-term cache for incrementally inserted
-	// documents.
-	KnownTokens map[DocID][]string
 
 	// ChunkLower is the chunker's boundary vector (chunk families only).
 	ChunkLower []float64
@@ -98,19 +97,11 @@ func (l *keyedList) state() TreeRef {
 }
 
 func openKeyedList(pool *buffer.Pool, r TreeRef) *keyedList {
-	return &keyedList{tree: btree.Open(pool, r.Root, r.Size), entries: r.Entries, opIdx: map[string]int{}, docOps: map[string][]int{}}
+	return &keyedList{tree: btree.Open(pool, r.Root, r.Size), entries: r.Entries, opIdx: map[string]int{}, docOps: map[DocID][]int{}}
 }
 
 func openDocTable(pool *buffer.Pool, r TreeRef) *docTable {
 	return &docTable{tree: btree.Open(pool, r.Root, r.Size), pending: map[DocID]docRow{}}
-}
-
-func copyTokenCache(src map[DocID][]string) map[DocID][]string {
-	out := make(map[DocID][]string, len(src))
-	for doc, terms := range src {
-		out[doc] = append([]string(nil), terms...)
-	}
-	return out
 }
 
 func copyRefs(src map[string]blob.Ref) map[string]blob.Ref {
@@ -142,10 +133,9 @@ func (b *base) Anchor() MethodAnchor {
 // Dictionary implements Method.
 func (b *base) Dictionary() MethodDict {
 	d := MethodDict{
-		LongRefs:    copyRefs(b.longRefs),
-		Dict:        b.dict.State(),
-		KnownTokens: copyTokenCache(b.knownTokens),
-		ScoreDir:    append([]float64(nil), b.scoreDir...),
+		LongRefs: copyRefs(b.longRefs),
+		Dict:     b.dict.State(),
+		ScoreDir: append([]float64(nil), b.scoreDir...),
 	}
 	if b.chunks != nil {
 		d.ChunkLower = append([]float64(nil), b.chunks.lower...)
@@ -186,7 +176,6 @@ func Restore(cfg Config, st MethodState) (Method, error) {
 		dict:         text.RestoreDictionary(st.Dict),
 		score:        openDocTable(cfg.Pool, st.Score),
 		lists:        openKeyedList(cfg.Pool, st.Lists),
-		knownTokens:  copyTokenCache(st.KnownTokens),
 		longRefs:     copyRefs(st.LongRefs),
 		longBytes:    st.LongBytes,
 		longRawBytes: st.LongRawBytes,

@@ -1101,21 +1101,3 @@ func (d *blockList) seekDoc(doc DocID) error {
 		func(e *Entry) bool { return e.Doc >= doc },
 	)
 }
-
-// seekScoreLE positions at the first entry with SortKey <= s (score layout,
-// which sorts descending by score).
-func (d *blockList) seekScoreLE(s float64) error {
-	return d.seekUntil(
-		func(h *blockHeader) bool { return h.lastKey > s },
-		func(e *Entry) bool { return e.SortKey <= s },
-	)
-}
-
-// seekChunkLE positions at the first entry with CID <= cid (chunk layouts,
-// which sort descending by chunk ID).
-func (d *blockList) seekChunkLE(cid int32) error {
-	return d.seekUntil(
-		func(h *blockHeader) bool { return h.lastCID > cid },
-		func(e *Entry) bool { return e.CID <= cid },
-	)
-}

@@ -23,9 +23,9 @@
 // runs without decoding them.  The stream readers (stream.go) accept only a
 // block blob of their own layout, refuse anything else with a
 // codec.ErrCorrupt-wrapped error, and expose the seek capability as SeekDoc
-// / SeekScoreLE / SeekChunkLE.  See the block.go package-level comment for
-// the byte-level grammar and ARCHITECTURE.md "Posting block format" for the
-// design rationale.
+// on the ID layouts, whose leapfrog joins use it.  See the block.go
+// package-level comment for the byte-level grammar and ARCHITECTURE.md
+// "Posting block format" for the design rationale.
 //
 // Short lists live in B+-trees (package index) but are exposed to the query
 // algorithms as the same BatchIterator interface so that the union

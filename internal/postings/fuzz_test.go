@@ -118,9 +118,10 @@ func drainChecked(t *testing.T, what string, it BatchIterator, max int) (first E
 }
 
 // FuzzBlockList feeds arbitrary bytes to every stream constructor, drains
-// one copy with NextBatch and a second after one seek.  The decoder may
-// refuse the bytes at any point; what it does return is at most Len()
-// entries in list order, the first one after a seek at or past the target.
+// one copy with NextBatch and, for the ID layouts, a second after one seek.
+// The decoder may refuse the bytes at any point; what it does return is at
+// most Len() entries in list order, the first one after a seek at or past
+// the target.
 // It never panics, loops, or sizes an allocation by a count it read.
 func FuzzBlockList(f *testing.F) {
 	for i, seed := range fuzzSeeds(f) {
@@ -137,6 +138,9 @@ func FuzzBlockList(f *testing.F) {
 			it, max, seek, err := l.open(data)
 			if err != nil {
 				t.Fatalf("%s: second open of accepted bytes: %v", l.name, err)
+			}
+			if seek == nil {
+				continue
 			}
 			if err := seek(target); err != nil {
 				continue

@@ -323,9 +323,6 @@ func NewGroupMerger(streams ...BatchIterator) *GroupMerger {
 	}
 }
 
-// NumStreams reports the number of merged streams.
-func (m *GroupMerger) NumStreams() int { return len(m.heads) }
-
 func (m *GroupMerger) prime() error {
 	for i := range m.heads {
 		if err := m.heads[i].refill(); err != nil {

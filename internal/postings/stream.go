@@ -283,11 +283,6 @@ func NewStreamScoreListDir(r io.Reader, dir []float64) (*StreamScoreList, error)
 // Len reports the total number of postings.
 func (s *StreamScoreList) Len() int { return s.list.count }
 
-// SeekScoreLE positions the iterator so the next entry returned is the
-// first with score <= s (the layout sorts descending by score), skipping
-// whole posting blocks via the skip headers.
-func (s *StreamScoreList) SeekScoreLE(score float64) error { return s.list.seekScoreLE(score) }
-
 // NextBatch implements BatchIterator.
 func (s *StreamScoreList) NextBatch(out []Entry) (int, error) { return s.list.NextBatch(out) }
 
@@ -309,11 +304,6 @@ func NewStreamChunkedList(r io.Reader) (*StreamChunkedList, error) {
 // Len reports the total number of postings; NumChunks the number of chunks.
 func (s *StreamChunkedList) Len() int       { return s.list.count }
 func (s *StreamChunkedList) NumChunks() int { return s.list.chunks }
-
-// SeekChunkLE positions the iterator so the next entry returned is the
-// first with CID <= cid (the layout sorts descending by chunk), skipping
-// whole posting blocks via the skip headers.
-func (s *StreamChunkedList) SeekChunkLE(cid int32) error { return s.list.seekChunkLE(cid) }
 
 // NextBatch implements BatchIterator.
 func (s *StreamChunkedList) NextBatch(out []Entry) (int, error) { return s.list.NextBatch(out) }

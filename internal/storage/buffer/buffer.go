@@ -131,9 +131,6 @@ func MustNew(file pagefile.File, capacity int) *Pool {
 	return p
 }
 
-// Capacity reports the pool capacity in pages.
-func (p *Pool) Capacity() int { return p.capacity }
-
 // File returns the underlying page file.
 func (p *Pool) File() pagefile.File { return p.file }
 
