@@ -324,30 +324,22 @@ func TestScoreBatchCommitBudget(t *testing.T) {
 	if got := fs1.Fsyncs - fs0.Fsyncs; got != 1 || fs1.Checkpoints != fs0.Checkpoints {
 		t.Errorf("commit issued %d fsyncs and %d checkpoints, want 1 and 0", got, fs1.Checkpoints-fs0.Checkpoints)
 	}
-	// A page image per flushed page is what a full-image log costs (280 KB
-	// here).  The delta log measures 64 KB on this fixture when a
-	// copy-on-write copy lands on any free page, 16 KB when each goes back
-	// to the page its node held one version earlier, and 15 KB once the
-	// Docs table's score column lives apart from its text.
-	//
-	// Reserving each copied node's previous page (pagefile.File.Reserve)
-	// measures 15.1 KB, not less: this readerless fixture has no copies that
-	// steal each other's pages to save, because here a miss taking the
-	// oldest free page already hands each node a page it held a few
-	// versions earlier.  What the reservations add is the batch's two leaf
-	// splits: every free page is some node's reserved predecessor, so each
-	// split takes one of them, and that node's next copy grows the file and
-	// is logged against zeros (≈ 1.2 KB); and the 41 reserved pages freed in
-	// the window each log a free-chain link (+0.3 KB).  Logging a page
-	// taken from the free list by its non-zero bytes when that is smaller
-	// than its delta from an unrelated page's bytes won back 1.9 KB of the
-	// 17.1 KB the reservations first measured.
+	// A page image per flushed page is what a full-image log costs (233 KB
+	// here); the delta log measures 13.8 KB.  Each copy-on-write copy goes
+	// back to the page its node held one version earlier, which it reserved
+	// (pagefile.File.Reserve), and logs its delta from that page.  The
+	// batch's two leaf splits each take some node's reserved predecessor,
+	// whose next copy then grows the file and is logged against zeros
+	// (≈ 1.2 KB).  A page taken from the free list is logged by its non-zero
+	// bytes when those are fewer than its delta from the page's old bytes.
+	// The budget leaves room over that and is a tenth of the full-image
+	// cost.
 	walBytes := fs1.WALBytes - fs0.WALBytes
 	const budget = 24_000
-	t.Logf("WAL %d bytes for %d rows (%d pool flushes, %d bytes as page images): %d to preferred pages, %d elsewhere, %d in place, %d past the end, %d links",
+	t.Logf("WAL %d bytes for %d rows (%d pool flushes, %d bytes as page images): %d to preferred pages, %d elsewhere, %d in place, %d past the end",
 		walBytes, batchRows, flushes, flushes*uint64(file.PageSize()),
 		fs1.WALBytesPreferred-fs0.WALBytesPreferred, fs1.WALBytesElsewhere-fs0.WALBytesElsewhere,
-		fs1.WALBytesInPlace-fs0.WALBytesInPlace, fs1.WALBytesPastEnd-fs0.WALBytesPastEnd, fs1.WALBytesLinks-fs0.WALBytesLinks)
+		fs1.WALBytesInPlace-fs0.WALBytesInPlace, fs1.WALBytesPastEnd-fs0.WALBytesPastEnd)
 	if walBytes > budget {
 		t.Errorf("score-only batch logged %d WAL bytes, budget %d", walBytes, budget)
 	}

@@ -10,22 +10,31 @@ import (
 )
 
 // TestCrashRecoveryMatrixLifecycle is the crash-matrix leg for the online
-// index lifecycle: a committed archive database performs one lifecycle
-// operation — an online CreateTextIndex backfill, or a DropTextIndex —
-// while a deterministic fault kills the process at every write, torn-write
-// and fsync site of the commit protocol and of the checkpoint that closing
-// the file writes.  After each crash the file must
-// reopen cleanly with the index either fully absent or fully present
-// (query results byte-identical to the pre- or post-op committed state),
-// never in between — and if the operation reported success, the post state
-// is mandatory.
+// index lifecycle: a committed archive database performs lifecycle
+// operations — an online CreateTextIndex backfill; or a DropTextIndex and
+// then a CreateTextIndex that builds on the pages the drop freed — while a
+// deterministic fault kills the process at every write, torn-write and
+// fsync site of their commits and of the checkpoint that closing the file
+// writes, and at every read of the Open before them.  After each crash the
+// file must reopen cleanly on the committed state of some prefix of the
+// operations — each index either fully absent or fully present, query
+// results byte-identical to that state, never in between — that includes
+// every operation that reported success and none that never started, with
+// the pages the catalog reaches and the rebuilt free list splitting the file
+// between them.
 func TestCrashRecoveryMatrixLifecycle(t *testing.T) {
 	// The template uses the smallest page size and short descriptions: list
 	// blobs are packed into shared pages, so at 4 KiB pages a test-sized
 	// archive's lists fit in one page and a commit would offer a single
-	// blob-page write to crash at.  At 512-byte pages 900 movies make each
-	// operation's checkpoint about 100 page writes across blob, tree and chain
-	// pages, and an open about 40 page reads.
+	// blob-page write to crash at.  At 512-byte pages 900 movies make a
+	// create's checkpoint about 100 page writes across blob, tree and chain
+	// pages, and an open about 250 page reads, most of them the walk of the
+	// trees' internal nodes that rebuilds the free list.  A drop writes only
+	// the catalog: its leg goes on to a create that reuses the dropped
+	// pages, which only the in-memory free list records.  Both legs open the
+	// same template, so the create leg crashes at every read of the open and
+	// the drop leg only at the first 42, about the reads that load the
+	// catalog before the walk.
 	prepare := func(t *testing.T, path string) {
 		e, err := Open(path, OpenOptions{Specs: archiveSpecRegistry(), PageSize: 512})
 		if err != nil {
@@ -41,26 +50,22 @@ func TestCrashRecoveryMatrixLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	create := func(e *Engine) error {
+		_, err := e.CreateTextIndex("idx-online", "Movies", "desc", IndexOptions{
+			Method:   MethodChunk,
+			SpecName: "archive",
+		})
+		return err
+	}
+	drop := func(e *Engine) error { return e.DropTextIndex("idx-" + string(MethodChunk)) }
 	for _, op := range []struct {
-		name   string
-		mutate func(e *Engine) error
+		name  string
+		steps []func(e *Engine) error
+		// readSites caps the open's read sites crashed at; 0 takes all.
+		readSites int
 	}{
-		{
-			name: "create",
-			mutate: func(e *Engine) error {
-				_, err := e.CreateTextIndex("idx-online", "Movies", "desc", IndexOptions{
-					Method:   MethodChunk,
-					SpecName: "archive",
-				})
-				return err
-			},
-		},
-		{
-			name: "drop",
-			mutate: func(e *Engine) error {
-				return e.DropTextIndex("idx-" + string(MethodChunk))
-			},
-		},
+		{"create", []func(e *Engine) error{create}, 0},
+		{"drop", []func(e *Engine) error{drop, create}, 42},
 	} {
 		op := op
 		t.Run(op.name, func(t *testing.T) {
@@ -68,25 +73,27 @@ func TestCrashRecoveryMatrixLifecycle(t *testing.T) {
 			template := filepath.Join(dir, "template.svrdb")
 			prepare(t, template)
 
-			snapshotOf := func(name string, mutate func(e *Engine) error) string {
-				p := filepath.Join(dir, name+".svrdb")
+			// states[i] is the committed state after the first i steps.
+			var states []string
+			for i := 0; i <= len(op.steps); i++ {
+				p := filepath.Join(dir, "state.svrdb")
 				cloneEngineFile(t, template, p)
 				e, err := Open(p, durableOpts())
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer e.Close()
-				if mutate != nil {
-					if err := mutate(e); err != nil {
+				for _, step := range op.steps[:i] {
+					if err := step(e); err != nil {
 						t.Fatal(err)
 					}
 				}
-				return searchSnapshot(t, e)
-			}
-			pre := snapshotOf("pre", nil)
-			post := snapshotOf("post", op.mutate)
-			if pre == post {
-				t.Fatalf("%s did not change any query results; the matrix would prove nothing", op.name)
+				states = append(states, searchSnapshot(t, e))
+				if err := e.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if i > 0 && states[i] == states[i-1] {
+					t.Fatalf("%s step %d did not change any query results; the matrix would prove nothing", op.name, i)
+				}
 			}
 
 			// Counting run: learn the fault-site counts for this operation.
@@ -102,8 +109,10 @@ func TestCrashRecoveryMatrixLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			openReads := counter.Reads()
-			if err := op.mutate(ce); err != nil {
-				t.Fatal(err)
+			for _, step := range op.steps {
+				if err := step(ce); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := cfile.Close(); err != nil {
 				t.Fatal(err)
@@ -126,6 +135,9 @@ func TestCrashRecoveryMatrixLifecycle(t *testing.T) {
 			for i := 1; i <= int(syncs); i++ {
 				sites = append(sites, site{fmt.Sprintf("sync-%d", i), pagefile.FaultPlan{FailSync: i}})
 			}
+			if op.readSites > 0 {
+				openReads = min(openReads, op.readSites)
+			}
 			for i := 1; i <= int(openReads); i++ {
 				sites = append(sites, site{fmt.Sprintf("read-%d", i), pagefile.FaultPlan{FailRead: i}})
 			}
@@ -137,12 +149,19 @@ func TestCrashRecoveryMatrixLifecycle(t *testing.T) {
 					fi := pagefile.NewFaultInjector(s.plan)
 					file, err := pagefile.Open(work, pagefile.WithFaults(fi))
 
-					opRan, opCommitted := false, false
+					// ran counts the steps started, committed those that
+					// reported success.
+					ran, committed := 0, 0
 					if err == nil {
 						e, openErr := openFromFile(file, durableOpts())
 						if openErr == nil {
-							opRan = true
-							opCommitted = op.mutate(e) == nil
+							for _, step := range op.steps {
+								ran++
+								if step(e) != nil {
+									break
+								}
+								committed++
+							}
 						}
 						file.Close()
 					}
@@ -150,26 +169,28 @@ func TestCrashRecoveryMatrixLifecycle(t *testing.T) {
 						t.Skipf("fault site %s not reached in this run", s.name)
 					}
 
-					re, err := Open(work, durableOpts())
+					re, tf, err := openTracked(work, durableOpts())
 					if err != nil {
 						t.Fatalf("clean reopen after crash: %v", err)
 					}
+					checkPageOwnership(t, re, tf)
 					got := searchSnapshot(t, re)
 					if err := re.Close(); err != nil {
 						t.Errorf("close after recovery: %v", err)
 					}
-					switch got {
-					case pre:
-						if opCommitted {
-							t.Errorf("%s reported success but recovery landed on the pre-op state", op.name)
+					landed := -1
+					for i, state := range states {
+						if got == state {
+							landed = i
 						}
-					case post:
-						if !opRan {
-							t.Errorf("%s never ran yet recovery produced the post-op state", op.name)
-						}
-					default:
-						t.Errorf("recovered state matches neither the fully-absent nor the fully-present index state (op ran: %v, committed: %v)",
-							opRan, opCommitted)
+					}
+					switch {
+					case landed < 0:
+						t.Errorf("recovered state matches the committed state of no prefix of the steps (%d ran, %d committed)", ran, committed)
+					case landed < committed:
+						t.Errorf("%d steps reported success but recovery landed on the state after %d", committed, landed)
+					case landed > ran:
+						t.Errorf("recovery landed on the state after %d steps, but only %d ran", landed, ran)
 					}
 				})
 			}

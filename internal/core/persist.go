@@ -325,8 +325,10 @@ type OpenOptions struct {
 // Open creates or opens a durable engine at path.  A fresh file yields an
 // empty engine whose first commit initializes the catalog; an existing file
 // is recovered to its last committed state (the pagefile replays its WAL)
-// and every table, view and text index is reattached without rebuilding —
-// opening is proportional to catalog size, not data size.
+// and every table, view and text index is reattached without rebuilding.
+// The file's free list is then rebuilt from what the catalog reaches, which
+// reads every B+-tree's internal nodes: opening is proportional to the
+// catalog and the trees' internal nodes, not to the data.
 //
 // Every ApplyBatch against a durable engine commits atomically on return,
 // and Close writes a final checkpoint, so kill -9 at any point loses at
@@ -403,7 +405,45 @@ func openFromFile(file pagefile.File, opts OpenOptions) (*Engine, error) {
 			return nil, fmt.Errorf("core: restore index %q: %w", ent.Name, err)
 		}
 	}
+	live, err := e.livePages()
+	if err != nil {
+		return nil, fmt.Errorf("core: list the catalog's pages: %w", err)
+	}
+	if err := file.Reclaim(live); err != nil {
+		return nil, err
+	}
+	// The walk read internal nodes through the pool: an opened engine starts
+	// with no page resident and its counters at zero all the same.
+	if err := pool.EvictAll(); err != nil {
+		return nil, err
+	}
+	pool.ResetStats()
 	return e, nil
+}
+
+// livePages lists every page the catalog reaches: the anchor and dictionary
+// chains, every table's trees and every index's pages (index.Method.Pages).
+// An open frees every other page (pagefile.File.Reclaim): the file records
+// no free list of its own.  The caller excludes writers.
+func (e *Engine) livePages() ([]pagefile.PageID, error) {
+	live := append([]pagefile.PageID(nil), e.anchor.pages...)
+	for _, name := range e.db.TableNames() {
+		tbl, err := e.db.Table(name)
+		if err != nil {
+			return nil, err
+		}
+		if live, err = tbl.Pages(live); err != nil {
+			return nil, fmt.Errorf("table %q: %w", name, err)
+		}
+	}
+	for _, ti := range e.textIndexes() {
+		live = append(live, ti.dict.pages...)
+		var err error
+		if live, err = ti.method.Pages(live); err != nil {
+			return nil, fmt.Errorf("index %q: %w", ti.name, err)
+		}
+	}
+	return live, nil
 }
 
 // restoreTextIndex reattaches one text index from its catalog entry: restore

@@ -295,15 +295,16 @@ func TestCrashDuringEpochSwapServesPreSwapSnapshot(t *testing.T) {
 // commit alone writes no data page).  After each crash the file is reopened cleanly and all six
 // methods' query results must match either the pre-batch or the post-batch
 // committed state byte for byte — and if ApplyBatch reported success, the
-// post state is mandatory.  The batch's WAL record is mostly byte-range
+// post state is mandatory — and the pages the catalog reaches and the
+// rebuilt free list must split the file between them.  The batch's WAL record is mostly byte-range
 // deltas over committed pages, so the last leg crashes the replay itself: a
 // torn write at every write site of the recovering Open must still leave a
 // file the next Open rolls forward to the post state.
 func TestCrashRecoveryMatrixEngine(t *testing.T) {
-	// 18 movies make the batch's commit and checkpoint 49 writes (the WAL
-	// append, 47 pages, the header) and its recovery 48.
-	const nMovies = 18
-	const rounds = 15
+	// 40 movies and 40 rounds make the batch's commit and checkpoint 57
+	// writes (the WAL append, 55 pages, the header) and its recovery 56.
+	const nMovies = 40
+	const rounds = 40
 	dir := t.TempDir()
 	template := filepath.Join(dir, "template.svrdb")
 	buildDurableArchive(t, template, nMovies)
@@ -405,10 +406,11 @@ func TestCrashRecoveryMatrixEngine(t *testing.T) {
 				t.Skipf("fault site %s not reached in this run", s.name)
 			}
 
-			re, err := Open(work, durableOpts())
+			re, tf, err := openTracked(work, durableOpts())
 			if err != nil {
 				t.Fatalf("clean reopen after crash: %v", err)
 			}
+			checkPageOwnership(t, re, tf)
 			got := searchSnapshot(t, re)
 			if err := re.Close(); err != nil {
 				t.Errorf("close after recovery: %v", err)
@@ -464,10 +466,11 @@ func TestCrashRecoveryMatrixEngine(t *testing.T) {
 				file.Close()
 				t.Fatal("recovery reported success despite the injected fault")
 			}
-			re, err := Open(work, durableOpts())
+			re, tf, err := openTracked(work, durableOpts())
 			if err != nil {
 				t.Fatalf("clean reopen after crashed recovery: %v", err)
 			}
+			checkPageOwnership(t, re, tf)
 			got := searchSnapshot(t, re)
 			if err := re.Close(); err != nil {
 				t.Errorf("close after recovery: %v", err)

@@ -9,6 +9,7 @@ import (
 	"svrdb/internal/storage/blob"
 	"svrdb/internal/storage/buffer"
 	"svrdb/internal/storage/epoch"
+	"svrdb/internal/storage/pagefile"
 	"svrdb/internal/text"
 	"svrdb/internal/topk"
 )
@@ -205,6 +206,11 @@ type Method interface {
 	// their epochs and recycles every retired page.  The method must not be
 	// used after Drain returns; queries racing it get ErrClosed.
 	Drain() error
+	// Pages appends to dst every page the method's structures occupy — its
+	// B+-trees' and its blobs' — each once: what ReleasePages retires, and
+	// what a durable engine keeps live when it opens its file.  It reads
+	// the trees' internal nodes.
+	Pages(dst []pagefile.PageID) ([]pagefile.PageID, error)
 	// ReleasePages retires every page the method's structures occupy so an
 	// online drop returns them to the pagefile free list.  The caller must
 	// have fenced out writers, and must Drain afterwards to recycle the

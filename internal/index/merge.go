@@ -132,6 +132,6 @@ func (b *base) MergeShortLists() error {
 			return err
 		}
 	}
-	b.retireBlobRefs(oldRefs, oldFancyRefs)
+	b.epochs.Retire(b.blobPages(oldRefs, oldFancyRefs)...)
 	return nil
 }

@@ -119,11 +119,11 @@ func (b *base) Drain() error { return b.epochs.Drain() }
 // retire hook wired into every COW tree.
 func (b *base) retirePage(id pagefile.PageID) { b.epochs.Retire(id) }
 
-// retireBlobRefs retires the pages of one generation's blobs — its long
-// lists and fancy lists, which one packer wrote — each exactly once, since
+// blobPages lists the pages of one generation's blobs — its long lists and
+// fancy lists, which one packer wrote — each exactly once, since
 // neighbouring blobs share pages.  No page holds a blob of another
 // generation, so no page outlives the generation and none needs a count.
-func (b *base) retireBlobRefs(generation ...map[string]blob.Ref) {
+func (b *base) blobPages(generation ...map[string]blob.Ref) []pagefile.PageID {
 	pageSize := b.cfg.Pool.PageSize()
 	seen := map[pagefile.PageID]bool{}
 	var pages []pagefile.PageID
@@ -137,7 +137,7 @@ func (b *base) retireBlobRefs(generation ...map[string]blob.Ref) {
 			}
 		}
 	}
-	b.epochs.Retire(pages...)
+	return pages
 }
 
 // docFreq resolves a term's frozen document frequency.  Terms interned

@@ -986,6 +986,30 @@ func (t *Table) State() TableState {
 	return st
 }
 
+// Pages appends every page of the table's trees — the row tree, the string
+// tree and the secondary index trees — to dst.  It reads their internal
+// nodes (btree.Tree.AppendPages).
+func (t *Table) Pages(dst []pagefile.PageID) ([]pagefile.PageID, error) {
+	t.rowMu.RLock()
+	defer t.rowMu.RUnlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	trees := []*btree.Tree{t.rows}
+	if t.strs != nil {
+		trees = append(trees, t.strs)
+	}
+	for _, tr := range t.secondary {
+		trees = append(trees, tr)
+	}
+	for _, tr := range trees {
+		var err error
+		if dst, err = tr.AppendPages(dst); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
 // RestoreTable reattaches a table to its checkpointed trees.  The table is
 // registered in the database under its schema name.
 func (db *DB) RestoreTable(st TableState) (*Table, error) {

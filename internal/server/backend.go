@@ -24,7 +24,6 @@ type Backend interface {
 	// Search takes a canonical request: Query set, Terms empty, K bounded.
 	Search(ctx context.Context, index string, req SearchRequest) (*SearchResponse, error)
 	TermStats(ctx context.Context, index, query string) (*TermStatsResponse, error)
-	InsertRows(ctx context.Context, table string, rows []map[string]json.RawMessage) error
 	Batch(ctx context.Context, ops []BatchOp) (*BatchResponse, error)
 	Schema(ctx context.Context, table string) (*SchemaResponse, error)
 	Stats(ctx context.Context) (map[string]any, error)
@@ -231,11 +230,6 @@ func (b *HTTPBackend) TermStats(ctx context.Context, index, query string) (*Term
 		return nil, err
 	}
 	return &out, nil
-}
-
-func (b *HTTPBackend) InsertRows(ctx context.Context, table string, rows []map[string]json.RawMessage) error {
-	path := "/v1/tables/" + url.PathEscape(table) + "/rows"
-	return b.do(ctx, http.MethodPost, path, InsertRowsRequest{Rows: rows}, nil)
 }
 
 func (b *HTTPBackend) Batch(ctx context.Context, ops []BatchOp) (*BatchResponse, error) {

@@ -114,49 +114,6 @@ func (b *EngineBackend) Schema(ctx context.Context, table string) (*SchemaRespon
 	return resp, nil
 }
 
-// InsertRows decodes and inserts rows through one ApplyBatch.  Decode errors
-// surface as ErrInvalidRequest, which the front end maps to 400.
-func (b *EngineBackend) InsertRows(ctx context.Context, table string, jsonRows []map[string]json.RawMessage) error {
-	e := b.engine
-	tbl, err := e.DB().Table(table)
-	if err != nil {
-		return err
-	}
-	rows := make([]relation.Row, len(jsonRows))
-	for i, obj := range jsonRows {
-		row, err := rowFromJSON(tbl.Schema(), obj)
-		if err != nil {
-			return fmt.Errorf("%w: row %d: %s", core.ErrInvalidRequest, i, err)
-		}
-		rows[i] = row
-	}
-	// One ApplyBatch per request: the rows' index maintenance flushes
-	// through the batched write pipeline instead of one tree round-trip
-	// per row.  Rows are schema-validated above, but a runtime failure
-	// (e.g. a duplicate primary key) has no rollback — rows before the
-	// failing one stay inserted, and the error names where the batch
-	// stopped.  The quota pre-check runs under the batch lock before any
-	// mutation: an over-quota insert batch rejects atomically.
-	var pre func() error
-	if tenant := core.TenantOf(table); tenant != "" {
-		var addBytes int64
-		for _, row := range rows {
-			addBytes += int64(core.EncodedRowSize(row))
-		}
-		pre = func() error {
-			return e.CheckTenantQuota(tenant, int64(len(rows)), addBytes)
-		}
-	}
-	return e.ApplyBatchChecked(pre, func() error {
-		for i, row := range rows {
-			if err := tbl.Insert(row); err != nil {
-				return fmt.Errorf("row %d: %w", i, err)
-			}
-		}
-		return nil
-	})
-}
-
 // Batch binds and applies a batch of ops.  Matched counts the ops that found
 // a row (inserts always match; ignore_missing updates and deletes of absent
 // rows do not).
@@ -507,7 +464,8 @@ func engineStatsPayload(e *core.Engine) map[string]any {
 	}
 	pool := e.Pool()
 	ps := pool.Stats()
-	fs := pool.File().Stats()
+	file := pool.File()
+	fs := file.Stats()
 	anchorBytes, dictRewrites := e.CatalogStats()
 	return map[string]any{
 		"indexes": indexes,
@@ -536,8 +494,12 @@ func engineStatsPayload(e *core.Engine) map[string]any {
 			"prefer_grows":       fs.PreferGrows,
 			"unpreferred_allocs": fs.Unpreferred,
 			"reserved_taken":     fs.ReservedTaken,
-			// Gauge: the copied nodes' previous pages held for their next
-			// copy, at most one per node.
+			// Gauges: the file's pages and the free ones among them (its
+			// slack, rebuilt at open from what the catalog reaches), and
+			// the copied nodes' previous pages held for their next copy, at
+			// most one per node.
+			"pages":          file.NumPages(),
+			"free_pages":     uint64(file.FreePages()),
 			"reserved_pages": fs.ReservedPages,
 			"bytes_read":     fs.BytesRead,
 			"bytes_written":  fs.BytesWritten,
@@ -548,12 +510,11 @@ func engineStatsPayload(e *core.Engine) map[string]any {
 			// The WAL's entry bytes by what each page was in its commit: a
 			// copy back on its previous page, a page taken from the free
 			// list otherwise, a page rewritten in place, a page past the
-			// file's end, a free-chain link.
+			// file's end.  A freed page logs nothing.
 			"wal_bytes_preferred": fs.WALBytesPreferred,
 			"wal_bytes_elsewhere": fs.WALBytesElsewhere,
 			"wal_bytes_in_place":  fs.WALBytesInPlace,
 			"wal_bytes_past_end":  fs.WALBytesPastEnd,
-			"wal_bytes_links":     fs.WALBytesLinks,
 			"checkpoints":         fs.Checkpoints,
 			"fsyncs":              fs.Fsyncs,
 			"recoveries":          fs.Recoveries,

@@ -785,27 +785,27 @@ func (rt *Router) handleInsertRows(r *http.Request, req *InsertRowsRequest) (any
 	if len(req.Rows) == 0 {
 		return nil, badRequest("\"rows\" must be a non-empty array")
 	}
+	// The rows are a batch of inserts: the batch path places them, admits
+	// them against a tenant's quota and applies each shard's share in one
+	// ApplyBatch.
 	table := qualifyName(r, r.PathValue("name"))
+	ops := make([]BatchOp, len(req.Rows))
+	for i, row := range req.Rows {
+		ops[i] = BatchOp{Op: "insert", Table: table, Row: row}
+	}
 	ctx, cancel := rt.shardCtx(r)
 	defer cancel()
-	// One backend owns every row: no schema fetch, no routing-key parse.
-	perShard := [][]map[string]json.RawMessage{req.Rows}
-	if len(rt.backends) > 1 {
-		perShard = make([][]map[string]json.RawMessage, len(rt.backends))
-		for i, row := range req.Rows {
-			shard, err := rt.routeOp(ctx, BatchOp{Op: "insert", Table: table, Row: row})
-			if err != nil {
-				return nil, fmt.Errorf("row %d: %w", i, err)
-			}
-			perShard[shard] = append(perShard[shard], row)
-		}
+	perShard, err := rt.partitionOps(ctx, ops)
+	if err != nil {
+		return nil, err
 	}
 	// Per-shard sub-batches run in parallel; there is no cross-shard
 	// transaction, so on failure the error names the shard and rows on
 	// other shards may already be in (the same applied-up-to contract one
 	// shard's batch has).
-	err := rt.eachShard(involved(perShard), func(i int) error {
-		return rt.backends[i].InsertRows(ctx, table, perShard[i])
+	err = rt.eachShard(involved(perShard), func(i int) error {
+		_, err := rt.backends[i].Batch(ctx, perShard[i])
+		return err
 	})
 	return InsertRowsResponse{Inserted: len(req.Rows)}, err
 }

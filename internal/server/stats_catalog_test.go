@@ -58,11 +58,13 @@ func TestStatsCatalogGauges(t *testing.T) {
 
 // TestStatsCheckpointGauges: the durability block shows the no-force log —
 // commits leave their pages held and their records pending, and the
-// checkpoint that closing writes drains both.
+// checkpoint that closing writes drains both; the pagefile block's pages and
+// free_pages gauges read the same after a reopen.
 func TestStatsCheckpointGauges(t *testing.T) {
 	params := workload.DefaultParams()
 	params.NumDocs, params.TermsPerDoc, params.VocabSize = 200, 10, 100
-	e, err := core.Open(filepath.Join(t.TempDir(), "docs.svrdb"), core.OpenOptions{
+	path := filepath.Join(t.TempDir(), "docs.svrdb")
+	e, err := core.Open(path, core.OpenOptions{
 		Specs: map[string]view.Spec{"docs": workload.DocsSpec()},
 	})
 	if err != nil {
@@ -89,6 +91,25 @@ func TestStatsCheckpointGauges(t *testing.T) {
 	}
 	if c, held, pending := gauges(); c != 1 || held != 0 || pending != 0 {
 		t.Errorf("after Close: checkpoints = %d, held_pages = %d, wal_pending_bytes = %d; want 1, 0, 0", c, held, pending)
+	}
+
+	// The file's size and slack: a reopen rebuilds the free list from what
+	// the catalog reaches, so it reports what the closed engine did.
+	slack := func(e *core.Engine) (pages, free uint64) {
+		p := engineStatsPayload(e)["pagefile"].(map[string]any)
+		return p["pages"].(uint64), p["free_pages"].(uint64)
+	}
+	pages, free := slack(e)
+	if file := e.Pool().File(); pages == 0 || pages != file.NumPages() || free != uint64(file.FreePages()) || free >= pages {
+		t.Errorf("pages = %d, free_pages = %d; want the file's %d and %d, some pages live", pages, free, file.NumPages(), file.FreePages())
+	}
+	re, err := core.Open(path, core.OpenOptions{Specs: map[string]view.Spec{"docs": workload.DocsSpec()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if p, f := slack(re); p != pages || f != free {
+		t.Errorf("after a reopen: pages = %d, free_pages = %d; want %d and %d as before Close", p, f, pages, free)
 	}
 }
 
@@ -157,7 +178,7 @@ func TestStatsPreferredReuses(t *testing.T) {
 	if c["reserved_pages"] == 0 {
 		t.Error("reserved_pages = 0 after copies: each copied node holds its previous page")
 	}
-	classes := d("wal_bytes_preferred") + d("wal_bytes_elsewhere") + d("wal_bytes_in_place") + d("wal_bytes_past_end") + d("wal_bytes_links")
+	classes := d("wal_bytes_preferred") + d("wal_bytes_elsewhere") + d("wal_bytes_in_place") + d("wal_bytes_past_end")
 	if d("wal_bytes_preferred") == 0 || classes == 0 || classes >= d("wal_bytes") {
 		t.Errorf("WAL bytes by class sum to %d (preferred %d) of %d; want the copies' share set and the classes below the total, which adds record headers",
 			classes, d("wal_bytes_preferred"), d("wal_bytes"))

@@ -34,9 +34,12 @@ var ErrEntryTooLarge = errors.New("btree: entry too large for page")
 // each other, and the mutable tree metadata — the root page, the key count
 // and the patch counter — is held in atomics so that metadata reads
 // (Len, Patches, a reader starting its descent) race-cleanly against a
-// serialized writer instead of tearing.  Readers racing a concurrent writer
-// over node *contents* still require external coordination (the engine's
-// index-level RW lock provides it).
+// serialized writer instead of tearing.  Node *contents* are another
+// matter.  A copy-on-write tree (EnableCOW) needs no lock for them: its
+// writer never overwrites a page a published View can reach, and epochs
+// keep superseded pages readable until their readers leave.  A tree mutated
+// in place needs its owner to exclude readers while it writes, as
+// relation.Table does with its rowMu.
 type Tree struct {
 	pool *buffer.Pool
 	root atomic.Uint64 // current root pagefile.PageID
@@ -222,37 +225,47 @@ func internalHeader(id pagefile.PageID, data []byte) (n uint64, child0Off int, e
 	return n, off, nil
 }
 
+// eachChild calls fn with the byte offset and value of each 8-byte child
+// pointer of a serialized internal node, in order, until fn returns false.
+func eachChild(id pagefile.PageID, data []byte, fn func(off int, child pagefile.PageID) bool) error {
+	nKeys, off, err := internalHeader(id, data)
+	if err != nil {
+		return err
+	}
+	for i := uint64(0); ; i++ {
+		c, _, err := codec.Uint64(data[off:])
+		if err != nil {
+			return err
+		}
+		if !fn(off, pagefile.PageID(c)) || i == nKeys {
+			return nil
+		}
+		off += 8
+		_, sz, err := codec.LenBytes(data[off:])
+		if err != nil {
+			return err
+		}
+		off += sz
+	}
+}
+
 // pageFindChildOffset scans a serialized internal node for the 8-byte child
 // pointer equal to child and returns its byte offset within the page.
 func pageFindChildOffset(id pagefile.PageID, data []byte, child pagefile.PageID) (int, error) {
-	nKeys, off, err := internalHeader(id, data)
+	found := -1
+	err := eachChild(id, data, func(off int, c pagefile.PageID) bool {
+		if c == child {
+			found = off
+		}
+		return found < 0
+	})
 	if err != nil {
 		return 0, err
 	}
-	c0, _, err := codec.Uint64(data[off:])
-	if err != nil {
-		return 0, err
+	if found < 0 {
+		return 0, fmt.Errorf("btree: page %d has no child pointer to %d", id, child)
 	}
-	if pagefile.PageID(c0) == child {
-		return off, nil
-	}
-	off += 8
-	for i := uint64(0); i < nKeys; i++ {
-		_, sz, err := codec.LenBytes(data[off:])
-		if err != nil {
-			return 0, err
-		}
-		off += sz
-		c, _, err := codec.Uint64(data[off:])
-		if err != nil {
-			return 0, err
-		}
-		if pagefile.PageID(c) == child {
-			return off, nil
-		}
-		off += 8
-	}
-	return 0, fmt.Errorf("btree: page %d has no child pointer to %d", id, child)
+	return found, nil
 }
 
 // rootID returns the current root page.
@@ -923,25 +936,53 @@ func (t *Tree) freePage(id pagefile.PageID) error {
 
 // RetireAll disposes of every page of the tree — retired when published,
 // recycled immediately when fresh or non-COW — for a tree being replaced
-// wholesale (bulk-load swap, offline merge).  The tree must not be used
-// afterwards.
+// wholesale (bulk-load swap, offline merge, drop).  The tree must not be
+// used afterwards.
 func (t *Tree) RetireAll() error {
-	return t.retireSubtree(t.rootID())
-}
-
-func (t *Tree) retireSubtree(id pagefile.PageID) error {
-	n, err := t.readNode(id)
+	pages, err := t.AppendPages(nil)
 	if err != nil {
 		return err
 	}
-	if !n.leaf {
-		for _, c := range n.children {
-			if err := t.retireSubtree(c); err != nil {
-				return err
-			}
+	for _, id := range pages {
+		if err := t.freePage(id); err != nil {
+			return err
 		}
 	}
-	return t.freePage(id)
+	return nil
+}
+
+// AppendPages appends every page of the tree to dst, level by level from
+// the root.  Every leaf sits at the same depth, so it reads the internal
+// nodes and, of the leaves, only the leftmost, which ends the leftmost
+// descent: the other leaves' IDs come from their parents.
+func (t *Tree) AppendPages(dst []pagefile.PageID) ([]pagefile.PageID, error) {
+	level := []pagefile.PageID{t.rootID()}
+	for depth := 0; ; depth++ {
+		if depth == maxDepth {
+			return dst, fmt.Errorf("btree: page walk deeper than %d levels (cyclic child pointers?)", maxDepth)
+		}
+		dst = append(dst, level...)
+		var next []pagefile.PageID
+		for i, id := range level {
+			fr, err := t.pool.Get(id)
+			if err != nil {
+				return dst, err
+			}
+			if i == 0 && fr.Data()[0] == nodeLeaf {
+				fr.Release()
+				return dst, nil
+			}
+			err = eachChild(id, fr.Data(), func(_ int, c pagefile.PageID) bool {
+				next = append(next, c)
+				return true
+			})
+			fr.Release()
+			if err != nil {
+				return dst, err
+			}
+		}
+		level = next
+	}
 }
 
 // pruneEmptiedLeafAlongPath dismantles a leaf a delete just emptied, given
@@ -1065,37 +1106,37 @@ func (t *Tree) Height() (int, error) {
 // leaves.  It is used by tests and returns a descriptive error on the first
 // violation.
 func (t *Tree) CheckInvariants() error {
-	_, _, err := t.checkSubtree(t.rootID(), nil, nil)
+	_, err := t.checkSubtree(t.rootID(), nil, nil)
 	return err
 }
 
-func (t *Tree) checkSubtree(id pagefile.PageID, lower, upper []byte) (minKey, maxKey []byte, err error) {
+// checkSubtree checks the subtree at id and returns its height; every leaf
+// must sit at the same depth (AppendPages relies on it).
+func (t *Tree) checkSubtree(id pagefile.PageID, lower, upper []byte) (int, error) {
 	n, err := t.readNode(id)
 	if err != nil {
-		return nil, nil, err
+		return 0, err
 	}
 	for i := 1; i < len(n.keys); i++ {
 		if bytes.Compare(n.keys[i-1], n.keys[i]) >= 0 {
-			return nil, nil, fmt.Errorf("btree: page %d keys out of order at %d", id, i)
+			return 0, fmt.Errorf("btree: page %d keys out of order at %d", id, i)
 		}
 	}
 	for _, k := range n.keys {
 		if lower != nil && bytes.Compare(k, lower) < 0 {
-			return nil, nil, fmt.Errorf("btree: page %d key below lower bound", id)
+			return 0, fmt.Errorf("btree: page %d key below lower bound", id)
 		}
 		if upper != nil && bytes.Compare(k, upper) >= 0 {
-			return nil, nil, fmt.Errorf("btree: page %d key above upper bound", id)
+			return 0, fmt.Errorf("btree: page %d key above upper bound", id)
 		}
 	}
 	if n.leaf {
-		if len(n.keys) == 0 {
-			return lower, lower, nil
-		}
-		return n.keys[0], n.keys[len(n.keys)-1], nil
+		return 1, nil
 	}
 	if len(n.children) != len(n.keys)+1 {
-		return nil, nil, fmt.Errorf("btree: page %d has %d keys but %d children", id, len(n.keys), len(n.children))
+		return 0, fmt.Errorf("btree: page %d has %d keys but %d children", id, len(n.keys), len(n.children))
 	}
+	height := 0
 	for i, child := range n.children {
 		lo := lower
 		hi := upper
@@ -1105,9 +1146,14 @@ func (t *Tree) checkSubtree(id pagefile.PageID, lower, upper []byte) (minKey, ma
 		if i < len(n.keys) {
 			hi = n.keys[i]
 		}
-		if _, _, err := t.checkSubtree(child, lo, hi); err != nil {
-			return nil, nil, err
+		h, err := t.checkSubtree(child, lo, hi)
+		if err != nil {
+			return 0, err
 		}
+		if i > 0 && h != height {
+			return 0, fmt.Errorf("btree: page %d has subtrees of heights %d and %d", id, height, h)
+		}
+		height = h
 	}
-	return lower, upper, nil
+	return height + 1, nil
 }

@@ -558,3 +558,74 @@ func TestCOWReservationsEndWithTheirNodes(t *testing.T) {
 		t.Errorf("after RetireAll: %d reservations, %d prev entries; want none", got, len(tree.prev))
 	}
 }
+
+// TestAppendPagesReadsInternalNodes: the page walk lists exactly the pages
+// a parse of every node reaches, each once, and from a cold pool reads only
+// the internal nodes and the leftmost leaf — after inserts that split the
+// tree into several levels and deletes that prune some of it away.
+func TestAppendPagesReadsInternalNodes(t *testing.T) {
+	tree, pool := newTestTree(t, 512, 4096)
+	const n = 3000
+	for i := 0; i < n; i += 100 {
+		batch := make([]Item, 0, 100)
+		for k := i; k < i+100; k++ {
+			batch = append(batch, Item{Key: cowKey(k), Value: cowVal(k, 0)})
+		}
+		if _, err := tree.UpsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var gone [][]byte
+	for k := 500; k < 1500; k++ {
+		gone = append(gone, cowKey(k))
+	}
+	if _, err := tree.DeleteBatch(gone); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := map[pagefile.PageID]bool{}
+	internal := 0
+	var parse func(id pagefile.PageID)
+	parse = func(id pagefile.PageID) {
+		nd, err := tree.readNode(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = true
+		if !nd.leaf {
+			internal++
+			for _, c := range nd.children {
+				parse(c)
+			}
+		}
+	}
+	parse(tree.rootID())
+	if internal < 3 {
+		t.Fatalf("the tree has %d internal nodes; the walk would prove little", internal)
+	}
+
+	if err := pool.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
+	pool.ResetStats()
+	got, err := tree.AppendPages(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[pagefile.PageID]bool{}
+	for _, id := range got {
+		if seen[id] || !want[id] {
+			t.Fatalf("the walk lists page %d twice or off the tree", id)
+		}
+		seen[id] = true
+	}
+	if len(seen) != len(want) {
+		t.Fatalf("the walk lists %d pages, the tree has %d", len(seen), len(want))
+	}
+	if misses := pool.Stats().Misses; misses != uint64(internal+1) {
+		t.Errorf("the walk read %d pages, want the %d internal nodes and the leftmost leaf", misses, internal)
+	}
+}

@@ -12,17 +12,39 @@ import (
 )
 
 // fileImage is a full logical snapshot of a committed file: every page plus
-// the application meta.  Crash-point tests compare recovered files against
-// these images byte for byte.
+// the application meta, and the pages free when it was taken.  Crash-point
+// tests compare recovered files against these images byte for byte, except
+// for a page free in either image: its bytes are dead, and a checkpoint
+// leaves a held page it freed as the data file had it.
 type fileImage struct {
 	pages [][]byte
 	meta  []byte
-	free  int
+	free  map[PageID]bool
+}
+
+// freeSet returns the pages on f's free list.
+func freeSet(f File) map[PageID]bool {
+	var s *freeStack
+	switch f := f.(type) {
+	case *diskFile:
+		f.mu.RLock()
+		defer f.mu.RUnlock()
+		s = &f.freeStack
+	case *memFile:
+		f.mu.RLock()
+		defer f.mu.RUnlock()
+		s = &f.freeStack
+	}
+	out := map[PageID]bool{}
+	for _, id := range s.free {
+		out[id] = true
+	}
+	return out
 }
 
 func snapshotFile(t testing.TB, f File) *fileImage {
 	t.Helper()
-	img := &fileImage{meta: f.Meta(), free: f.FreePages()}
+	img := &fileImage{meta: f.Meta(), free: freeSet(f)}
 	buf := make([]byte, f.PageSize())
 	for id := uint64(0); id < f.NumPages(); id++ {
 		if err := f.Read(PageID(id), buf); err != nil {
@@ -34,15 +56,29 @@ func snapshotFile(t testing.TB, f File) *fileImage {
 }
 
 func (img *fileImage) equal(other *fileImage) bool {
-	if len(img.pages) != len(other.pages) || !bytes.Equal(img.meta, other.meta) || img.free != other.free {
+	if len(img.pages) != len(other.pages) || !bytes.Equal(img.meta, other.meta) {
 		return false
 	}
 	for i := range img.pages {
+		if img.free[PageID(i)] || other.free[PageID(i)] {
+			continue
+		}
 		if !bytes.Equal(img.pages[i], other.pages[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// live lists the image's pages that are not free.
+func (img *fileImage) live() []PageID {
+	var ids []PageID
+	for i := range img.pages {
+		if !img.free[PageID(i)] {
+			ids = append(ids, PageID(i))
+		}
+	}
+	return ids
 }
 
 func copyFile(t testing.TB, src, dst string) {
@@ -74,9 +110,9 @@ func cloneDB(t testing.TB, src, dst string) {
 }
 
 // commitScenario is the mutation batch whose crash behaviour the matrix
-// explores: rewrite one committed page, allocate a new one, and free
-// another — exercising in-place writeback, growth and the free chain in a
-// single commit.
+// explores: rewrite one committed page, free another and take it back for
+// new contents, and grow the file by one — in-place writeback, reuse of a
+// page freed in the same window, and growth in a single commit.
 func commitScenario(f File) error {
 	page := make([]byte, f.PageSize())
 	for i := range page {
@@ -85,18 +121,20 @@ func commitScenario(f File) error {
 	if err := f.Write(1, page); err != nil {
 		return err
 	}
-	id, err := f.Allocate(InvalidPageID)
-	if err != nil {
-		return err
-	}
-	for i := range page {
-		page[i] = 0xD5
-	}
-	if err := f.Write(id, page); err != nil {
-		return err
-	}
 	if err := f.Free(2); err != nil {
 		return err
+	}
+	for _, fill := range []byte{0xD5, 0xE6} { // page 2 back, then page 4
+		id, err := f.Allocate(InvalidPageID)
+		if err != nil {
+			return err
+		}
+		for i := range page {
+			page[i] = fill
+		}
+		if err := f.Write(id, page); err != nil {
+			return err
+		}
 	}
 	return f.Commit([]byte("after"))
 }
@@ -242,7 +280,12 @@ func crashPointMatrix(t *testing.T, steps []func(File) error) {
 				}
 			}
 
-			// The recovered file must accept and persist a fresh commit.
+			// The recovered file must rebuild its free list from the live
+			// pages and accept and persist a fresh commit, which takes the
+			// lowest free page when there is one.
+			if err := rf.Reclaim(states[landed].live()); err != nil {
+				t.Fatal(err)
+			}
 			id, err := rf.Allocate(InvalidPageID)
 			if err == nil {
 				err = rf.Write(id, bytes.Repeat([]byte{0xE6}, rf.PageSize()))
@@ -331,10 +374,12 @@ func TestRecoveryStopsAtStaleRecord(t *testing.T) {
 	}
 }
 
-// TestFreeListSurvivesReopen pins the satellite requirement: pages freed
-// before a commit survive close/reopen through the persisted free chain, are
-// handed back in the same LIFO order, and arrive zeroed.
-func TestFreeListSurvivesReopen(t *testing.T) {
+// TestReclaimRebuildsFreeList: a reopened file knows no free page, however
+// many were free when it closed; Reclaim rebuilds the list from the pages
+// the caller names live, hands the rest back lowest first and zeroed, and
+// refuses a live list naming a page out of range or twice with ErrCorrupt,
+// leaving the free list as it was.
+func TestReclaimRebuildsFreeList(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.svrdb")
 	f, err := Open(path, WithPageSize(512))
 	if err != nil {
@@ -349,11 +394,10 @@ func TestFreeListSurvivesReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Free 1 then 3: LIFO means the next allocations hand back 3 then 1.
-	if err := f.Free(1); err != nil {
+	if err := f.Free(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Free(3); err != nil {
+	if err := f.Free(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Commit(nil); err != nil {
@@ -368,21 +412,32 @@ func TestFreeListSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rf.Close()
-	if got := rf.FreePages(); got != 2 {
-		t.Fatalf("FreePages after reopen = %d, want 2", got)
+	if got := rf.FreePages(); got != 0 {
+		t.Fatalf("FreePages after reopen = %d, want 0 before Reclaim", got)
 	}
-	if got := rf.NumPages(); got != 5 {
-		t.Fatalf("NumPages after reopen = %d, want 5", got)
+	for _, live := range [][]PageID{{0, 2, 5}, {0, 2, 4, 2}} {
+		if err := rf.Reclaim(live); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Reclaim(%v) = %v, want ErrCorrupt", live, err)
+		}
+		if got := rf.FreePages(); got != 0 {
+			t.Errorf("a refused Reclaim(%v) left %d free pages", live, got)
+		}
+	}
+	if err := rf.Reclaim([]PageID{4, 0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := rf.FreePages(); got != 2 {
+		t.Fatalf("FreePages after Reclaim = %d, want 2", got)
 	}
 	zero := make([]byte, 512)
 	buf := make([]byte, 512)
-	for _, want := range []PageID{3, 1} {
+	for _, want := range []PageID{1, 3} {
 		id, err := rf.Allocate(InvalidPageID)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if id != want {
-			t.Errorf("Allocate after reopen = page %d, want recycled page %d", id, want)
+			t.Errorf("Allocate after Reclaim = page %d, want recycled page %d", id, want)
 		}
 		if err := rf.Read(id, buf); err != nil {
 			t.Fatal(err)
@@ -394,9 +449,8 @@ func TestFreeListSurvivesReopen(t *testing.T) {
 	if rf.NumPages() != 5 {
 		t.Errorf("NumPages grew to %d despite recycled allocations", rf.NumPages())
 	}
-	st := rf.Stats()
-	if st.Reuses != 2 {
-		t.Errorf("Stats.Reuses = %d, want 2", st.Reuses)
+	if st := rf.Stats(); st.Reuses != 2 || st.Frees != 0 {
+		t.Errorf("Stats.Reuses = %d, Frees = %d; want 2 and 0 (reclaiming frees nothing)", st.Reuses, st.Frees)
 	}
 }
 

@@ -18,10 +18,12 @@ import (
 // disks the paper's cost model charges per page touched.
 const DefaultDiskPageSize = 4096
 
-// formatVersion is bumped whenever the on-disk layout changes.  Version 2
-// logs byte-range deltas (WAL v2) and leaves a freed page's old bytes in
-// place under its chain link; version 1 files are refused at Open.
-const formatVersion = 2
+// formatVersion is bumped whenever the on-disk layout changes.  Version 3
+// drops the persisted free list (the header's chain head and length, the
+// WAL's link entries and the chain stamped over freed pages): the caller
+// rebuilds the free list at open from what its roots reach (File.Reclaim).
+// Older versions are refused at Open.
+const formatVersion = 3
 
 // minDiskPageSize keeps the fixed header comfortably inside physical page 0.
 const minDiskPageSize = 512
@@ -37,15 +39,15 @@ const metaMax = 256
 
 var (
 	headerMagic = [8]byte{'S', 'V', 'R', 'D', 'B', 'P', 'F', '1'}
-	walMagic    = [8]byte{'S', 'V', 'R', 'W', 'A', 'L', '0', '3'}
-	// walMagicV2 opens a WAL whose records are not a chain: each commit
-	// truncated it, so it holds at most one record, cut against a data file
-	// that had every earlier commit written back.
-	walMagicV2 = [8]byte{'S', 'V', 'R', 'W', 'A', 'L', '0', '2'}
-	// freePageMagic stamps the first 8 bytes of an on-disk free-list chain
-	// page so that a corrupted chain is detected instead of walked blindly.
-	freePageMagic = uint64(0x5356524652454531) // "SVRFREE1"
+	walMagic    = [8]byte{'S', 'V', 'R', 'W', 'A', 'L', '0', '4'}
 )
+
+// oldWALFormat reports whether wal opens with the magic of an earlier format
+// (02: one record per WAL, 03: records carrying a free-list head and link
+// entries), which Open refuses rather than misparses.
+func oldWALFormat(wal []byte) bool {
+	return bytes.HasPrefix(wal, []byte("SVRWAL02")) || bytes.HasPrefix(wal, []byte("SVRWAL03"))
+}
 
 // crcTable is the Castagnoli polynomial, the common choice for storage
 // checksums (hardware accelerated on most CPUs).
@@ -66,22 +68,21 @@ var ErrClosed = errors.New("pagefile: file is closed")
 //	[8:12]   format version
 //	[12:16]  page size
 //	[16:24]  committed page count
-//	[24:32]  free-list chain head (InvalidPageID when empty)
-//	[32:40]  free-list length
-//	[40:48]  last committed WAL LSN
-//	[48:52]  meta length
-//	[52:52+metaMax] meta (opaque application root)
-//	[52+metaMax : +4] CRC32-C over all preceding bytes
+//	[24:32]  last committed WAL LSN
+//	[32:36]  meta length
+//	[36:36+metaMax] meta (opaque application root)
+//	[36+metaMax : +4] CRC32-C over all preceding bytes
+//
+// The header records no free pages: which pages are free follows from
+// which ones the application's roots reach (File.Reclaim).
 type header struct {
-	pageSize  int
-	nPages    uint64
-	freeHead  PageID
-	freeCount uint64
-	lsn       uint64
-	meta      []byte
+	pageSize int
+	nPages   uint64
+	lsn      uint64
+	meta     []byte
 }
 
-const headerSize = 52 + metaMax + 4
+const headerSize = 36 + metaMax + 4
 
 func (h *header) encode() []byte {
 	buf := make([]byte, headerSize)
@@ -89,11 +90,9 @@ func (h *header) encode() []byte {
 	binary.LittleEndian.PutUint32(buf[8:12], formatVersion)
 	binary.LittleEndian.PutUint32(buf[12:16], uint32(h.pageSize))
 	binary.LittleEndian.PutUint64(buf[16:24], h.nPages)
-	binary.LittleEndian.PutUint64(buf[24:32], uint64(h.freeHead))
-	binary.LittleEndian.PutUint64(buf[32:40], h.freeCount)
-	binary.LittleEndian.PutUint64(buf[40:48], h.lsn)
-	binary.LittleEndian.PutUint32(buf[48:52], uint32(len(h.meta)))
-	copy(buf[52:52+metaMax], h.meta)
+	binary.LittleEndian.PutUint64(buf[24:32], h.lsn)
+	binary.LittleEndian.PutUint32(buf[32:36], uint32(len(h.meta)))
+	copy(buf[36:36+metaMax], h.meta)
 	crc := crc32.Checksum(buf[:headerSize-4], crcTable)
 	binary.LittleEndian.PutUint32(buf[headerSize-4:], crc)
 	return buf
@@ -106,25 +105,25 @@ func decodeHeader(buf []byte) (*header, error) {
 	if !bytes.Equal(buf[0:8], headerMagic[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if crc := crc32.Checksum(buf[:headerSize-4], crcTable); crc != binary.LittleEndian.Uint32(buf[headerSize-4:headerSize]) {
-		return nil, fmt.Errorf("%w: header checksum mismatch", ErrCorrupt)
-	}
+	// The version is checked before the checksum, which an older layout
+	// places elsewhere: an old file is refused, not taken for a torn header.
 	if v := binary.LittleEndian.Uint32(buf[8:12]); v != formatVersion {
 		return nil, fmt.Errorf("pagefile: format version %d not supported (want %d)", v, formatVersion)
 	}
-	h := &header{
-		pageSize:  int(binary.LittleEndian.Uint32(buf[12:16])),
-		nPages:    binary.LittleEndian.Uint64(buf[16:24]),
-		freeHead:  PageID(binary.LittleEndian.Uint64(buf[24:32])),
-		freeCount: binary.LittleEndian.Uint64(buf[32:40]),
-		lsn:       binary.LittleEndian.Uint64(buf[40:48]),
+	if crc := crc32.Checksum(buf[:headerSize-4], crcTable); crc != binary.LittleEndian.Uint32(buf[headerSize-4:headerSize]) {
+		return nil, fmt.Errorf("%w: header checksum mismatch", ErrCorrupt)
 	}
-	metaLen := binary.LittleEndian.Uint32(buf[48:52])
+	h := &header{
+		pageSize: int(binary.LittleEndian.Uint32(buf[12:16])),
+		nPages:   binary.LittleEndian.Uint64(buf[16:24]),
+		lsn:      binary.LittleEndian.Uint64(buf[24:32]),
+	}
+	metaLen := binary.LittleEndian.Uint32(buf[32:36])
 	if metaLen > metaMax {
 		return nil, fmt.Errorf("%w: meta length %d exceeds %d", ErrCorrupt, metaLen, metaMax)
 	}
 	if metaLen > 0 {
-		h.meta = append([]byte(nil), buf[52:52+metaLen]...)
+		h.meta = append([]byte(nil), buf[36:36+metaLen]...)
 	}
 	if h.pageSize < minDiskPageSize {
 		return nil, fmt.Errorf("%w: page size %d below minimum %d", ErrCorrupt, h.pageSize, minDiskPageSize)
@@ -178,9 +177,9 @@ func WithFaults(fi *FaultInjector) Option { return func(o *openOptions) { o.faul
 //     file does not have yet.
 //
 // A checkpoint writes every held page back once, in ascending page order —
-// a freed page the data file already covers as its link alone (heldFree) —
-// then the header with the last commit's state, fsyncs the data file and
-// truncates the WAL.  It runs when the held images or the WAL written since
+// except a page freed by a commit whose bytes the data file already covers
+// (heldFree): its bytes are dead — then the header with the last commit's
+// state, fsyncs the data file and truncates the WAL.  It runs when the held images or the WAL written since
 // the last checkpoint reach checkpointBytes, and at Close.
 //
 // A crash before (1) completes loses the staged writes and recovers the
@@ -192,14 +191,12 @@ func WithFaults(fi *FaultInjector) Option { return func(o *openOptions) { o.faul
 // last checkpoint, so every later call returns the same error and the way
 // forward is to reopen and replay.
 //
-// The free list is persisted as an on-disk chain threaded through the freed
-// pages themselves: each carries [freePageMagic][next PageID] in its first
-// 16 bytes (the rest of a freed page is whatever it last held), the header
-// records the chain head and length, and Free stages the link like any other
-// write so the chain always commits atomically with the state that freed it.
-// Allocate takes a page from the middle of the stack when asked for it, or
-// when the pages above it are reserved (pickFree), which restages the one
-// link the splice breaks.
+// The free list lives in memory only.  Free pushes the page and logs
+// nothing: which pages are free is already said by the roots the caller
+// commits, since a freed page is one they no longer reach.  A reopened file
+// starts with no free page, and its caller rebuilds the list from what its
+// roots reach (Reclaim), which also returns the pages a crash left retired
+// but never freed.
 type diskFile struct {
 	pageSize int
 	path     string
@@ -215,29 +212,22 @@ type diskFile struct {
 	// writes to page 0.  head.nPages is the committed page count.
 	head header
 	// staged holds the full post-image of every page written or allocated in
-	// this window; links holds, for committed pages freed in this window, the
-	// chain link that overwrites their first freeLinkSize bytes.  A page is in
-	// at most one of the two.
-	staged map[PageID][]byte
-	links  map[PageID]PageID
-	// held and heldLinks are the same two kinds for the commits since the
-	// last checkpoint: a committed page's full image, or the link over the
-	// bytes the data file holds for it.  A page is in at most one of the two;
-	// a held page that is freed keeps its image with the link written in,
-	// which is what replaying the chain over the data file rebuilds, and
-	// joins heldFree.
-	held      map[PageID][]byte
-	heldLinks map[PageID]PageID
-	// heldFree is the held pages whose last committed entry is a free link.
-	// The checkpoint writes only that link for those inside filePages: the
-	// rest of a free page's bytes are dead, and the link is all its last
-	// entry covers.
+	// this window, and freedIn the pages the window freed.
+	staged  map[PageID][]byte
+	freedIn []PageID
+	// held is the committed images of the commits since the last checkpoint,
+	// and heldFree the held pages a commit since freed.  The checkpoint skips
+	// those inside filePages: their bytes are dead.  heldFree is as of the
+	// last commit, not the free set, which counts the open window's frees:
+	// Close checkpoints with the window discarded, so a page the window
+	// freed is live and written whole.
+	held     map[PageID][]byte
 	heldFree map[PageID]struct{}
 	// filePages is the data file's length in pages as of the last checkpoint
 	// (or Open).  A page past it must be written whole, or the file ends
 	// inside it and a later before-image read of it fails.
 	filePages uint64
-	// The free stack (free[len-1] is the chain head) and the reserved pages.
+	// The free stack and the reserved pages.
 	freeStack
 	// reusedIn holds the pages this window took from the free stack, true
 	// for those that were the page their allocation asked for: the classes
@@ -267,9 +257,6 @@ type diskFile struct {
 	counters
 }
 
-// freeLinkSize is the length of the chain link a free page carries.
-const freeLinkSize = 16
-
 // Bounds on what the handle keeps between commits.  maxSpareBytes bounds
 // the held images and the recycled staging buffers together, and the held
 // images and the WAL between checkpoints; maxWALScratch bounds the record
@@ -280,19 +267,14 @@ const (
 	maxWALScratch = 8 << 20
 )
 
-func putFreeLink(dst []byte, next PageID) {
-	binary.LittleEndian.PutUint64(dst[0:8], freePageMagic)
-	binary.LittleEndian.PutUint64(dst[8:16], uint64(next))
-}
-
 // WALPath returns the write-ahead log path for a data file path.
 func WALPath(path string) string { return path + ".wal" }
 
 // Open creates or opens a durable page file at path.  A new file is
 // initialized with an empty committed header before Open returns; an
 // existing file is recovered: the header is validated, the WAL's records
-// since the last checkpoint are replayed, a torn WAL tail is discarded, and
-// the persisted free list is loaded.
+// since the last checkpoint are replayed and a torn WAL tail is discarded.
+// The free list starts empty: see Reclaim.
 func Open(path string, opts ...Option) (File, error) {
 	var o openOptions
 	for _, opt := range opts {
@@ -315,9 +297,7 @@ func Open(path string, opts ...Option) (File, error) {
 	f := &diskFile{
 		path:            path,
 		staged:          map[PageID][]byte{},
-		links:           map[PageID]PageID{},
 		held:            map[PageID][]byte{},
-		heldLinks:       map[PageID]PageID{},
 		heldFree:        map[PageID]struct{}{},
 		reusedIn:        map[PageID]bool{},
 		freeStack:       freeStack{freeSet: map[PageID]struct{}{}},
@@ -339,7 +319,7 @@ func Open(path string, opts ...Option) (File, error) {
 		if f.pageSize == 0 {
 			f.pageSize = DefaultDiskPageSize
 		}
-		f.head = header{pageSize: f.pageSize, freeHead: InvalidPageID}
+		f.head = header{pageSize: f.pageSize}
 		if err := f.writeHeader(&f.head); err != nil {
 			f.closeHandles()
 			return nil, err
@@ -382,8 +362,8 @@ func (f *diskFile) pageOffset(id PageID) int64 {
 
 // recover brings the file to its last committed state: validate the header,
 // parse the WAL's chain of records since the last checkpoint, replay it
-// unless the header is provably past it, truncate the data file to the
-// committed length and the WAL to zero, and load the persisted free list.
+// unless the header is provably past it, and truncate the data file to the
+// committed length and the WAL to zero.
 // dataSize is the data file's length, the bound on how many pages the chain
 // may claim.
 func (f *diskFile) recover(wantPageSize int, dataSize int64) error {
@@ -417,8 +397,8 @@ func (f *diskFile) recover(wantPageSize int, dataSize int64) error {
 	if err != nil {
 		return fmt.Errorf("pagefile: read WAL: %w", err)
 	}
-	if bytes.HasPrefix(walBuf, walMagicV2[:]) {
-		return fmt.Errorf("pagefile: WAL %s is format %s, this release reads %s: recover the file with the release that wrote it", WALPath(f.path), walMagicV2[:], walMagic[:])
+	if oldWALFormat(walBuf) {
+		return fmt.Errorf("pagefile: WAL %s is format %s, this release reads %s: recover the file with the release that wrote it", WALPath(f.path), walBuf[:len(walMagic)], walMagic[:])
 	}
 	// The chain is the LSN-contiguous run of records from offset 0.  A
 	// checkpoint truncates the WAL without an fsync, so a record that does
@@ -479,8 +459,7 @@ func (f *diskFile) recover(wantPageSize int, dataSize int64) error {
 	if err := f.wal.Truncate(0); err != nil {
 		return fmt.Errorf("pagefile: truncate WAL: %w", err)
 	}
-
-	return f.loadFreeList(hdr.freeHead, hdr.freeCount)
+	return nil
 }
 
 // entryRef names entry e of chain record r.
@@ -514,7 +493,6 @@ func (f *diskFile) replay(chain []*walRecord, dataSize int64) error {
 	slices.SortStableFunc(refs, func(a, b entryRef) int { return cmp.Compare(entry(a).id, entry(b).id) })
 
 	page := make([]byte, f.pageSize)
-	var link [freeLinkSize]byte
 	for _, write := range []bool{false, true} {
 		for i := 0; i < len(refs); {
 			id := entry(refs[i]).id
@@ -525,18 +503,6 @@ func (f *diskFile) replay(chain []*walRecord, dataSize int64) error {
 			group := refs[i:j]
 			i = j
 			off := f.pageOffset(id)
-			final := entry(group[len(group)-1])
-			if !slices.ContainsFunc(group, func(r entryRef) bool { return entry(r).kind != entryFreeLink }) {
-				// Only links: the page keeps the bytes the file holds under
-				// the last one, as a checkpoint leaves it.
-				if write {
-					putFreeLink(link[:], final.next)
-					if _, err := f.data.WriteAt(link[:], off); err != nil {
-						return fmt.Errorf("pagefile: recovery write page %d: %w", id, err)
-					}
-				}
-				continue
-			}
 			clear(page)
 			if entry(group[0]).kind != entryDeltaOnZero {
 				// A short read leaves zeros; the checksum decides whether
@@ -546,18 +512,14 @@ func (f *diskFile) replay(chain []*walRecord, dataSize int64) error {
 				}
 			}
 			for _, ref := range group {
-				switch e := entry(ref); e.kind {
-				case entryFreeLink:
-					putFreeLink(page, e.next)
-				case entryDeltaOnZero:
+				e := entry(ref)
+				if e.kind == entryDeltaOnZero {
 					clear(page)
-					applyRuns(page, e.runs)
-				default:
-					applyRuns(page, e.runs)
 				}
+				applyRuns(page, e.runs)
 			}
 			if !write {
-				if final.kind != entryFreeLink && crc32.Checksum(page, crcTable) != final.crc {
+				if crc32.Checksum(page, crcTable) != entry(group[len(group)-1]).crc {
 					return fmt.Errorf("%w: page %d does not match WAL record %d (base page changed under the log)", ErrCorrupt, id, chain[group[len(group)-1].r].lsn)
 				}
 				continue
@@ -575,46 +537,6 @@ func (f *diskFile) replay(chain []*walRecord, dataSize int64) error {
 	}
 	f.fsyncs.Add(1)
 	f.recoveries.Add(1)
-	return nil
-}
-
-// loadFreeList walks the on-disk chain and rebuilds the in-memory stack so
-// that allocation order after a reopen matches the order before it
-// (chain head = top of stack).
-func (f *diskFile) loadFreeList(head PageID, count uint64) error {
-	if count == 0 {
-		return nil
-	}
-	if count > f.nPages {
-		return fmt.Errorf("%w: free-list length %d exceeds page count %d", ErrCorrupt, count, f.nPages)
-	}
-	chain := make([]PageID, 0, count)
-	var link [freeLinkSize]byte
-	id := head
-	for i := uint64(0); i < count; i++ {
-		if uint64(id) >= f.nPages {
-			return fmt.Errorf("%w: free-list chain points at page %d of %d", ErrCorrupt, id, f.nPages)
-		}
-		if _, err := f.data.ReadAt(link[:], f.pageOffset(id)); err != nil {
-			return fmt.Errorf("pagefile: read free-list page %d: %w", id, err)
-		}
-		if binary.LittleEndian.Uint64(link[0:8]) != freePageMagic {
-			return fmt.Errorf("%w: free-list page %d lacks chain magic", ErrCorrupt, id)
-		}
-		chain = append(chain, id)
-		id = PageID(binary.LittleEndian.Uint64(link[8:16]))
-	}
-	if id != InvalidPageID {
-		return fmt.Errorf("%w: free-list chain longer than recorded length %d", ErrCorrupt, count)
-	}
-	// chain[0] is the head; the stack pops from the end.
-	f.free = make([]PageID, len(chain))
-	for i, p := range chain {
-		f.free[len(chain)-1-i] = p
-	}
-	for _, p := range chain {
-		f.freeSet[p] = struct{}{}
-	}
 	return nil
 }
 
@@ -662,7 +584,6 @@ func (f *diskFile) stageBufLocked(id PageID) []byte {
 	if !ok {
 		buf = f.pageBufLocked()
 		f.staged[id] = buf
-		delete(f.links, id)
 	}
 	return buf
 }
@@ -672,23 +593,6 @@ func (f *diskFile) stagePageLocked(id PageID) []byte {
 	buf := f.stageBufLocked(id)
 	clear(buf)
 	return buf
-}
-
-// linkFreePageLocked stages the chain link of free page id.  A committed
-// page keeps its committed bytes and only the link is logged and written
-// back, so freeing costs freeLinkSize bytes, not a page image; a page born in
-// this window has nothing committed to keep and is staged as zeros plus the
-// link.
-func (f *diskFile) linkFreePageLocked(id, next PageID) {
-	if uint64(id) >= f.head.nPages {
-		putFreeLink(f.stagePageLocked(id), next)
-		return
-	}
-	if buf, ok := f.staged[id]; ok {
-		delete(f.staged, id)
-		f.retireBufLocked(buf)
-	}
-	f.links[id] = next
 }
 
 func (f *diskFile) Allocate(prefer PageID) (PageID, error) {
@@ -706,11 +610,9 @@ func (f *diskFile) Allocate(prefer PageID) (PageID, error) {
 		return id, nil
 	}
 	id := f.free[i]
-	f.takeFreeLocked(i, 1)
+	f.remove(i, 1)
 	f.reuses.Add(1)
 	f.reusedIn[id] = how == allocPreferred
-	// Hand the page back zeroed: the staged zero image also overwrites the
-	// chain link the page carried while free.
 	f.stagePageLocked(id)
 	return id, nil
 }
@@ -726,7 +628,7 @@ func (f *diskFile) AllocateN(n int) (PageID, error) {
 	}
 	f.allocs.Add(uint64(n))
 	if i, first, ok := f.pickRun(n, &f.counters); ok {
-		f.takeFreeLocked(i, n)
+		f.remove(i, n)
 		f.reuses.Add(uint64(n))
 		for i := 0; i < n; i++ {
 			f.reusedIn[first+PageID(i)] = false
@@ -742,26 +644,6 @@ func (f *diskFile) AllocateN(n int) (PageID, error) {
 	return first, nil
 }
 
-// takeFreeLocked removes the n adjacent slots free[i:i+n] from the free
-// stack: one page Allocate picked, or a run AllocateN found.  Because the
-// removed slots are adjacent, the on-page chain breaks at exactly one point:
-// the page that sat just above the segment must now link to the page just
-// below it.  Restaging that single link keeps the chain a future
-// loadFreeList walks consistent with the stack, and the restage rides the
-// normal WAL commit, so a crash either keeps the old chain or installs the
-// new one whole.  Taking the top needs no restage: the header names the new
-// head.
-func (f *diskFile) takeFreeLocked(i, n int) {
-	if above := i + n; above < len(f.free) {
-		below := InvalidPageID
-		if i > 0 {
-			below = f.free[i-1]
-		}
-		f.linkFreePageLocked(f.free[above], below)
-	}
-	f.remove(i, n)
-}
-
 func (f *diskFile) Free(id PageID) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -771,16 +653,33 @@ func (f *diskFile) Free(id PageID) error {
 	if uint64(id) >= f.nPages {
 		return fmt.Errorf("%w: free page %d of %d", ErrPageOutOfRange, id, f.nPages)
 	}
-	next := InvalidPageID
-	if n := len(f.free); n > 0 {
-		next = f.free[n-1]
-	}
 	if err := f.push(id); err != nil {
 		return err
 	}
-	f.linkFreePageLocked(id, next)
+	if uint64(id) >= f.head.nPages {
+		// Born in this window: the commit must still log the page, or the
+		// file would end before it, so it logs as zeros.
+		f.stagePageLocked(id)
+	} else if buf, ok := f.staged[id]; ok {
+		// A committed page keeps its committed bytes: nothing is logged.
+		delete(f.staged, id)
+		f.retireBufLocked(buf)
+	}
+	f.freedIn = append(f.freedIn, id)
 	f.frees.Add(1)
 	return nil
+}
+
+// Reclaim replaces the free list with every page below NumPages that live
+// does not list, pushed from the highest page down so that allocation takes
+// the lowest first.
+func (f *diskFile) Reclaim(live []PageID) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.usableLocked(); err != nil {
+		return err
+	}
+	return f.reclaim(live, f.nPages)
 }
 
 func (f *diskFile) Reserve(id PageID) {
@@ -826,18 +725,12 @@ func (f *diskFile) Read(id PageID, dst []byte) error {
 		clear(dst[:f.pageSize])
 		return nil
 	}
-	if err := f.committedImageLocked(id, dst); err != nil {
-		return err
-	}
-	if next, ok := f.links[id]; ok {
-		putFreeLink(dst, next)
-	}
-	return nil
+	return f.committedImageLocked(id, dst)
 }
 
 // committedImageLocked copies the last committed image of page id into dst:
-// the held image, else the data file's bytes under any held link.  Reading
-// the data file here is internal I/O, not a counted page read.
+// the held image, else the data file's bytes.  Reading the data file here is
+// internal I/O, not a counted page read.
 func (f *diskFile) committedImageLocked(id PageID, dst []byte) error {
 	if img, ok := f.held[id]; ok {
 		copy(dst, img)
@@ -845,9 +738,6 @@ func (f *diskFile) committedImageLocked(id PageID, dst []byte) error {
 	}
 	if _, err := f.data.ReadAt(dst[:f.pageSize], f.pageOffset(id)); err != nil {
 		return fmt.Errorf("pagefile: read page %d: %w", id, err)
-	}
-	if next, ok := f.heldLinks[id]; ok {
-		putFreeLink(dst, next)
 	}
 	return nil
 }
@@ -880,26 +770,18 @@ func (f *diskFile) Commit(meta []byte) error {
 	if err := f.usableLocked(); err != nil {
 		return err
 	}
-	if len(f.staged) == 0 && len(f.links) == 0 && f.nPages == f.head.nPages && bytes.Equal(meta, f.head.meta) {
+	if len(f.staged) == 0 && f.nPages == f.head.nPages && bytes.Equal(meta, f.head.meta) {
 		return nil
 	}
 
 	hdr := header{
-		pageSize:  f.pageSize,
-		nPages:    f.nPages,
-		freeHead:  InvalidPageID,
-		freeCount: uint64(len(f.free)),
-		lsn:       f.head.lsn + 1,
-		meta:      append([]byte(nil), meta...),
-	}
-	if n := len(f.free); n > 0 {
-		hdr.freeHead = f.free[n-1]
+		pageSize: f.pageSize,
+		nPages:   f.nPages,
+		lsn:      f.head.lsn + 1,
+		meta:     append([]byte(nil), meta...),
 	}
 	f.ids = f.ids[:0]
 	for id := range f.staged {
-		f.ids = append(f.ids, id)
-	}
-	for id := range f.links {
 		f.ids = append(f.ids, id)
 	}
 	slices.Sort(f.ids)
@@ -931,30 +813,28 @@ func (f *diskFile) Commit(meta []byte) error {
 		f.walBuf = nil
 	}
 
-	// The window is committed: its images and links become held.
+	// The window is committed: its images become held, and the held pages
+	// it freed dead.
 	for id, buf := range f.staged {
 		if old, ok := f.held[id]; ok {
 			f.retireBufLocked(old)
 		}
 		f.held[id] = buf
-		delete(f.heldLinks, id)
 		delete(f.heldFree, id)
 	}
-	for id, next := range f.links {
-		if img, ok := f.held[id]; ok {
-			putFreeLink(img, next)
+	for _, id := range f.freedIn {
+		_, held := f.held[id]
+		if _, free := f.freeSet[id]; held && free {
 			f.heldFree[id] = struct{}{}
-		} else {
-			f.heldLinks[id] = next
 		}
 	}
+	f.freedIn = f.freedIn[:0]
 	if len(f.staged)*f.pageSize > maxSpareBytes {
 		// A bulk window: clearing would keep its bucket array for good.
 		f.staged = map[PageID][]byte{}
 	} else {
 		clear(f.staged)
 	}
-	clear(f.links)
 	clear(f.reusedIn)
 	f.head = hdr
 	f.setGaugesLocked()
@@ -967,7 +847,7 @@ func (f *diskFile) Commit(meta []byte) error {
 
 // setGaugesLocked publishes the held-page and pending-WAL gauges.
 func (f *diskFile) setGaugesLocked() {
-	f.heldPages.Store(uint64(len(f.held) + len(f.heldLinks)))
+	f.heldPages.Store(uint64(len(f.held)))
 	f.walPending.Store(uint64(f.walTail))
 }
 
@@ -987,25 +867,12 @@ func (f *diskFile) writeBackLocked() error {
 	for id := range f.held {
 		f.ids = append(f.ids, id)
 	}
-	for id := range f.heldLinks {
-		f.ids = append(f.ids, id)
-	}
 	slices.Sort(f.ids)
-	var link [freeLinkSize]byte
 	for _, id := range f.ids {
-		img, ok := f.held[id]
-		if !ok {
-			// A free-chain link over the file's bytes: the page keeps them.
-			putFreeLink(link[:], f.heldLinks[id])
-			img = link[:]
-		} else if _, free := f.heldFree[id]; free && uint64(id) < f.filePages {
-			// A held page a later commit freed: only its link is live, and
-			// the file already holds bytes under it.  heldFree is as of the
-			// last commit, not the free set, which counts the open window's
-			// frees: Close checkpoints with the window discarded, so a page
-			// the window freed is live and written whole.
-			img = img[:freeLinkSize]
+		if _, free := f.heldFree[id]; free && uint64(id) < f.filePages {
+			continue
 		}
+		img := f.held[id]
 		if _, err := f.data.WriteAt(img, f.pageOffset(id)); err != nil {
 			return fmt.Errorf("pagefile: write back page %d: %w", id, err)
 		}
@@ -1037,7 +904,6 @@ func (f *diskFile) writeBackLocked() error {
 	} else {
 		clear(f.held)
 	}
-	clear(f.heldLinks)
 	clear(f.heldFree)
 	f.setGaugesLocked()
 	return nil
@@ -1078,7 +944,7 @@ func (f *diskFile) Close() error {
 		}
 	}
 	// A closed handle may stay referenced; it should not pin its scratch.
-	f.staged, f.links, f.held, f.heldLinks, f.heldFree, f.spare, f.walBuf = nil, nil, nil, nil, nil, nil, nil
+	f.staged, f.freedIn, f.held, f.heldFree, f.spare, f.walBuf = nil, nil, nil, nil, nil, nil
 	if err := f.data.Close(); err != nil {
 		errs = append(errs, err)
 	}

@@ -16,10 +16,12 @@
 // no-force: committed pages are held in memory until a checkpoint — when the
 // held pages or the WAL reach 4 MiB, and at Close — writes each of them back
 // once and truncates the WAL, and reopening replays the chain of records a
-// crash left in the WAL.  WithFaults injects deterministic write, torn-write,
-// fsync and read failures for crash-point testing.  See the "Durability &
-// recovery" section of ARCHITECTURE.md for the on-disk format and the
-// recovery procedure.
+// crash left in the WAL.  Neither backend persists its free list: a freed
+// page is pushed onto a stack in memory and nothing is logged, and a
+// reopened file frees what its caller's roots do not reach (File.Reclaim).
+// WithFaults injects deterministic write, torn-write, fsync and read
+// failures for crash-point testing.  See the "Durability & recovery" section
+// of ARCHITECTURE.md for the on-disk format and the recovery procedure.
 //
 // See ARCHITECTURE.md for the layer map — where this package sits in the
 // stack — and for the repo-wide concurrency contract.

@@ -27,9 +27,10 @@ type Stats struct {
 	Reads uint64
 	// Writes is the number of page writes the file's storage received.  On a
 	// memory-backed file that is every Write call; on a durable file it is
-	// every page image and free-chain link a checkpoint wrote back to the data
-	// file (the header excluded), so a page rewritten by many commits between
-	// two checkpoints counts once, and a commit alone counts nothing.
+	// every page image a checkpoint wrote back to the data file (the header
+	// excluded), so a page rewritten by many commits between two checkpoints
+	// counts once, a page freed since it was held counts nothing, and a
+	// commit alone counts nothing.
 	Writes uint64
 	// Allocs is the number of pages allocated.
 	Allocs uint64
@@ -53,21 +54,19 @@ type Stats struct {
 	PreferGrows     uint64
 	Unpreferred     uint64
 	ReservedTaken   uint64
-	// BytesRead and BytesWritten are the corresponding byte totals (a
-	// free-chain link a checkpoint writes is freeLinkSize bytes).
+	// BytesRead and BytesWritten are the corresponding byte totals.
 	BytesRead    uint64
 	BytesWritten uint64
 	// Durability counters; all zero for a memory-backed file.
 	//
 	// Commits counts successful Commit calls; LoggedPages the page
-	// post-images those commits logged (free-chain links are not pages);
-	// WALBytes the bytes appended to the write-ahead log, and the WALBytes*
-	// fields its entries' share by class (the rest is record headers and
-	// checksums); Checkpoints the checkpoints that wrote the held pages
-	// back; Fsyncs the fsync calls issued (WAL and data file); Recoveries
-	// how many Opens had to replay WAL records; TornPages how many corrupt
-	// or half-written structures (torn WAL tail, bad header) recovery
-	// detected and discarded.
+	// post-images those commits logged; WALBytes the bytes appended to the
+	// write-ahead log, and the WALBytes* fields its entries' share by class
+	// (the rest is record headers and checksums); Checkpoints the
+	// checkpoints that wrote the held pages back; Fsyncs the fsync calls
+	// issued (WAL and data file); Recoveries how many Opens had to replay
+	// WAL records; TornPages how many corrupt or half-written structures
+	// (torn WAL tail, bad header) recovery detected and discarded.
 	Commits     uint64
 	LoggedPages uint64
 	WALBytes    uint64
@@ -80,16 +79,16 @@ type Stats struct {
 	// back on its node's previous page); a page allocated in its window from
 	// the free list otherwise (a copy that missed its page, or an allocation
 	// that named none); a committed page rewritten in place; a page at or
-	// past the committed page count, cut against zeros; a free-chain link.
+	// past the committed page count, cut against zeros.  A freed page logs
+	// nothing.
 	WALBytesPreferred uint64
 	WALBytesElsewhere uint64
 	WALBytesInPlace   uint64
 	WALBytesPastEnd   uint64
-	WALBytesLinks     uint64
 	// HeldPages, WALPending and ReservedPages are gauges, not counters: the
-	// committed pages (and free-chain links) waiting for the next checkpoint
-	// to write them back, the WAL bytes appended since the last checkpoint,
-	// and the pages reserved now (File.Reserve).
+	// committed pages waiting for the next checkpoint to write them back (or
+	// skip them, once freed), the WAL bytes appended since the last
+	// checkpoint, and the pages reserved now (File.Reserve).
 	HeldPages     uint64
 	WALPending    uint64
 	ReservedPages uint64
@@ -145,8 +144,15 @@ type File interface {
 	// to reuse.  The file never shrinks, but a workload that frees as it
 	// allocates (delete/reinsert churn over B+-trees) stays bounded instead
 	// of growing without limit.  Freeing an unallocated or already-free page
-	// is an error.
+	// is an error.  The free list is kept in memory only: a durable file
+	// logs nothing for a free and reopens with no free page.
 	Free(id PageID) error
+	// Reclaim replaces the free list with every page below NumPages that
+	// live does not list: the caller names the pages its roots reach, once,
+	// after opening a file, and the rest — freed before a close, or retired
+	// and never freed before a crash — become free.  A page live lists out
+	// of range or twice fails with ErrCorrupt and leaves the list alone.
+	Reclaim(live []PageID) error
 	// FreePages reports how many pages are currently on the free list.
 	FreePages() int
 	// Read copies the contents of page id into dst, which must be at least
@@ -234,7 +240,6 @@ func (c *counters) snapshot() Stats {
 		WALBytesElsewhere: c.walClass[walElsewhere].Load(),
 		WALBytesInPlace:   c.walClass[walInPlace].Load(),
 		WALBytesPastEnd:   c.walClass[walPastEnd].Load(),
-		WALBytesLinks:     c.walClass[walLinks].Load(),
 		HeldPages:         c.heldPages.Load(),
 		WALPending:        c.walPending.Load(),
 		ReservedPages:     c.reservedPages.Load(),
@@ -328,6 +333,30 @@ func (s *freeStack) push(id PageID) error {
 	}
 	s.freeSet[id] = struct{}{}
 	s.free = append(s.free, id)
+	return nil
+}
+
+// reclaim makes the free stack every page below n that live does not list,
+// highest first, so the lowest is on top.
+func (s *freeStack) reclaim(live []PageID, n uint64) error {
+	listed := make([]bool, n)
+	for _, id := range live {
+		if uint64(id) >= n {
+			return fmt.Errorf("%w: live page %d of %d", ErrCorrupt, id, n)
+		}
+		if listed[id] {
+			return fmt.Errorf("%w: live page %d listed twice", ErrCorrupt, id)
+		}
+		listed[id] = true
+	}
+	s.free = s.free[:0]
+	s.freeSet = map[PageID]struct{}{}
+	for id := PageID(n); id > 0; id-- {
+		if !listed[id-1] {
+			s.free = append(s.free, id-1)
+			s.freeSet[id-1] = struct{}{}
+		}
+	}
 	return nil
 }
 
@@ -444,6 +473,12 @@ func (f *memFile) Free(id PageID) error {
 	return nil
 }
 
+func (f *memFile) Reclaim(live []PageID) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.reclaim(live, uint64(len(f.mem)))
+}
+
 func (f *memFile) FreePages() int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -528,10 +563,10 @@ func pickFree(free []PageID, freeSet, reserved map[PageID]struct{}, prefer PageI
 // findFreeRun scans a free stack for n pages, none of them in skip, whose
 // IDs are consecutive and that occupy adjacent stack slots.  Requiring slot
 // adjacency (not just ID adjacency) lets the caller remove the run by
-// splicing the stack — and, for the durable backing, its on-page chain — at
-// a single point.  Pages freed in ID order, the shape a dropped index's
-// release leaves behind, satisfy both conditions.  Returns the segment's
-// lowest stack index and the run's lowest page ID.
+// splicing the stack at a single point.  Pages freed in ID order, the shape
+// a dropped index's release leaves behind, and the descending stack Reclaim
+// builds, satisfy both conditions.  Returns the segment's lowest stack index
+// and the run's lowest page ID.
 func findFreeRun(free []PageID, skip map[PageID]struct{}, n int) (int, PageID, bool) {
 	if n <= 0 || len(free) < n {
 		return 0, InvalidPageID, false

@@ -2,7 +2,12 @@ package pagefile
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -308,8 +313,9 @@ func TestFreeListDiskBacked(t *testing.T) {
 // TestAllocateNReusesFreedRuns covers the run recycler on both backings: a
 // contiguous run freed out of the middle of the file (the shape a dropped
 // index's blobs leave behind) must satisfy the next AllocateN of that size
-// without growing the file, zeroed, and — on the durable backing — with a
-// free-list chain that still walks cleanly after a commit and reopen.
+// without growing the file, zeroed, and — on the durable backing — the
+// pages still free after a commit and reopen are free again once Reclaim
+// names the live ones.
 func TestAllocateNReusesFreedRuns(t *testing.T) {
 	t.Run("mem", func(t *testing.T) {
 		f := MustNewMem(256)
@@ -399,14 +405,14 @@ func TestAllocateNReusesFreedRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// The spliced chain must still walk: reopen rebuilds the free list
-		// from the on-page links, and the two surviving singles must both be
-		// reusable.
+		// Reopen rebuilds the free list from the live pages, and the two
+		// surviving singles must both be reusable.
 		re, err := Open(path)
 		if err != nil {
 			t.Fatalf("reopen after run reuse: %v", err)
 		}
 		defer re.Close()
+		reclaimAllBut(t, re, first+9, first+1)
 		if got := re.FreePages(); got != 2 {
 			t.Fatalf("FreePages after reopen = %d, want 2", got)
 		}
@@ -430,8 +436,8 @@ func TestAllocateNReusesFreedRuns(t *testing.T) {
 // TestAllocatePrefersAPage covers Allocate's rule on both backings: a free
 // preferred page is spliced out of the middle of the free stack, a preferred
 // page that is not free yields the oldest free page, and no preference the
-// most recently freed one.  On the durable backing the spliced chain must
-// reload to the same stack after a commit and reopen.
+// most recently freed one.  On the durable backing a reopen forgets the
+// free stack, and Reclaim rebuilds it lowest page on top.
 func TestAllocatePrefersAPage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.svrdb")
 	backings := map[string]func(t *testing.T) File{
@@ -477,7 +483,8 @@ func TestAllocatePrefersAPage(t *testing.T) {
 			}
 			f.Close()
 			f = mustOpen(t, path)
-			for _, want := range []PageID{6, 5} {
+			reclaimAllBut(t, f, 5, 6)
+			for _, want := range []PageID{5, 6} {
 				if got, err := f.Allocate(InvalidPageID); err != nil || got != want {
 					t.Errorf("after reopen Allocate() = page %d, %v; want %d", got, err, want)
 				}
@@ -493,8 +500,7 @@ func TestAllocatePrefersAPage(t *testing.T) {
 // AllocateN, take an unreserved page first but a reserved one before they
 // grow the file; an allocation drops the reservation of the page it asked
 // for and of the page it hands out; Release drops one.  On the durable
-// backing the reservations do not survive a reopen, and the chain the
-// splices left reloads.
+// backing the reservations do not survive a reopen.
 func TestReservedPagesAreSkipped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.svrdb")
 	backings := map[string]func(t *testing.T) File{
@@ -585,11 +591,56 @@ func TestReservedPagesAreSkipped(t *testing.T) {
 			f.Close()
 			f = mustOpen(t, path)
 			reserved(0)
-			for _, want := range []PageID{11, 10} {
+			reclaimAllBut(t, f, 10, 11)
+			for _, want := range []PageID{10, 11} {
 				if got, err := f.Allocate(InvalidPageID); err != nil || got != want {
 					t.Errorf("after reopen Allocate() = page %d, %v; want %d", got, err, want)
 				}
 			}
 		})
+	}
+}
+
+// reclaimAllBut rebuilds f's free list as a caller does after opening it:
+// every page is live but free.
+func reclaimAllBut(t testing.TB, f File, free ...PageID) {
+	t.Helper()
+	var live []PageID
+	for id := PageID(0); uint64(id) < f.NumPages(); id++ {
+		if !slices.Contains(free, id) {
+			live = append(live, id)
+		}
+	}
+	if err := f.Reclaim(live); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOlderFormatRefused: a data file whose header carries an older format
+// version — version 2 persisted the free list — is refused at Open with the
+// version error, not taken for a torn header, and left as it was.
+func TestOlderFormatRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.svrdb")
+	f := mustOpen(t, path, WithPageSize(512))
+	if _, err := f.Allocate(InvalidPageID); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Commit([]byte("v3")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := readFileBytes(t, path)
+	binary.LittleEndian.PutUint32(data[8:12], 2)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(path)
+	if err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "format version 2 not supported") {
+		t.Fatalf("Open of a version-2 file = %v, want the version error", err)
+	}
+	if !bytes.Equal(readFileBytes(t, path), data) {
+		t.Error("refusing the file changed it")
 	}
 }

@@ -22,28 +22,25 @@ import (
 //	[0:8]   walMagic
 //	[8:16]  LSN
 //	[16:24] post-commit page count
-//	[24:32] post-commit free-list head
-//	[32:40] post-commit free-list length
-//	[40:44] page size (records are self-describing so a torn header does
+//	[24:28] page size (records are self-describing so a torn header does
 //	        not strand the replay without the geometry it needs)
-//	[44:48] meta length
-//	[48:52] entry count
-//	[52:60] entries length in bytes
-//	[60:...] meta bytes, then the entries in ascending page order
+//	[28:32] meta length
+//	[32:36] entry count
+//	[36:44] entries length in bytes
+//	[44:...] meta bytes, then the entries in ascending page order
 //	[...:+4] CRC32-C over everything above
 //
 // Entry layout:
 //
 //	[8] page ID
-//	[1] kind
-//	entryDeltaOnDisk, entryDeltaOnZero:
-//	    [4] CRC32-C of the page's post-image
-//	    uvarint run count, then per run:
-//	        uvarint gap (bytes skipped since the previous run's end)
-//	        uvarint length (at least 1)
-//	        length bytes
-//	entryFreeLink:
-//	    [8] next page of the free chain
+//	[1] kind (entryDeltaOnDisk or entryDeltaOnZero)
+//	[4] CRC32-C of the page's post-image
+//	uvarint run count, then per run:
+//	    uvarint gap (bytes skipped since the previous run's end)
+//	    uvarint length (at least 1)
+//	    length bytes
+//
+// A freed page has no entry: the file's free list is not logged.
 //
 // entryDeltaOnDisk runs apply over the page as the chain so far left it;
 // entryDeltaOnZero runs apply over zeros, so replay need not read the file
@@ -51,22 +48,20 @@ import (
 // page the window took from the free list without asking for it whose
 // non-zero bytes log smaller than its delta from the unrelated page it held,
 // and every page whose runs would not be smaller than the page, logged as
-// one run covering all of it.  entryFreeLink overwrites the first freeLinkSize
-// bytes and leaves the rest of the page alone.
+// one run covering all of it.
 //
-// Replaying the chain is idempotent — runs and links are absolute bytes at
-// absolute offsets — and safe against a torn checkpoint provided a partial
+// Replaying the chain is idempotent — runs are absolute bytes at absolute
+// offsets — and safe against a torn checkpoint provided a partial
 // write leaves a mix of old and new sectors, never garbage: every byte some
 // entry covers ends at the value the last such entry wrote, and every byte
 // no entry covers is the same in the checkpoint's base and its final image,
 // so replaying the chain over any mix yields the final image, and the final
 // post-image checksum confirms it.
-const walHeaderSize = 60
+const walHeaderSize = 44
 
 const (
 	entryDeltaOnDisk = 0
 	entryDeltaOnZero = 1
-	entryFreeLink    = 2
 )
 
 // The classes Stats splits a commit's logged entry bytes into (see
@@ -76,7 +71,6 @@ const (
 	walElsewhere
 	walInPlace
 	walPastEnd
-	walLinks
 	walClasses
 )
 
@@ -90,9 +84,8 @@ type byteRun struct{ off, n int }
 type walEntry struct {
 	id   PageID
 	kind byte
-	crc  uint32 // delta kinds: checksum of the post-image
-	next PageID // entryFreeLink: the link target
-	runs []byte // delta kinds: the encoded runs, validated by decode
+	crc  uint32 // checksum of the post-image
+	runs []byte // the encoded runs, validated by decode
 }
 
 // walRecord is one decoded commit record.
@@ -194,7 +187,7 @@ func applyRuns(page, runs []byte) {
 // encodeWALRecord cuts the commit record for f.ids into f.walBuf.  Pages
 // below the committed count are diffed against their last committed image:
 // the held image, else the data file's bytes (internal I/O, not a counted
-// page read) under any held free link.
+// page read).
 func (f *diskFile) encodeWALRecord(hdr *header) error {
 	// A bulk window gets its buffer in one step, sized for the worst case of
 	// every page a full image: growing by doubling through a bulk load's
@@ -208,8 +201,6 @@ func (f *diskFile) encodeWALRecord(hdr *header) error {
 	buf = append(buf, walMagic[:]...)
 	buf = binary.LittleEndian.AppendUint64(buf, hdr.lsn)
 	buf = binary.LittleEndian.AppendUint64(buf, hdr.nPages)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(hdr.freeHead))
-	buf = binary.LittleEndian.AppendUint64(buf, hdr.freeCount)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(f.pageSize))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hdr.meta)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.ids)))
@@ -221,12 +212,6 @@ func (f *diskFile) encodeWALRecord(hdr *header) error {
 	for _, id := range f.ids {
 		start := len(buf)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
-		if next, ok := f.links[id]; ok {
-			buf = append(buf, entryFreeLink)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(next))
-			f.classBytes[walLinks] += uint64(len(buf) - start)
-			continue
-		}
 		img := f.staged[id]
 		kind, base := byte(entryDeltaOnZero), f.zero
 		class := walPastEnd
@@ -268,7 +253,7 @@ func (f *diskFile) encodeWALRecord(hdr *header) error {
 		f.classBytes[class] += uint64(len(buf) - start)
 	}
 
-	binary.LittleEndian.PutUint64(buf[52:60], uint64(len(buf)-entriesStart))
+	binary.LittleEndian.PutUint64(buf[36:44], uint64(len(buf)-entriesStart))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
 	f.walBuf = buf
 	return nil
@@ -292,16 +277,16 @@ func decodeWALRecord(buf []byte, wantPageSize int) (*walRecord, int, error) {
 		}
 		return nil, 0, fmt.Errorf("%w: bad WAL record magic", ErrCorrupt)
 	}
-	pageSize := int(binary.LittleEndian.Uint32(buf[40:44]))
+	pageSize := int(binary.LittleEndian.Uint32(buf[24:28]))
 	if pageSize < minDiskPageSize || pageSize > maxDiskPageSize {
 		return nil, 0, fmt.Errorf("%w: WAL record page size %d", ErrCorrupt, pageSize)
 	}
 	if wantPageSize != 0 && pageSize != wantPageSize {
 		return nil, 0, fmt.Errorf("%w: WAL record page size %d, want %d", ErrCorrupt, pageSize, wantPageSize)
 	}
-	metaLen := binary.LittleEndian.Uint32(buf[44:48])
-	count := binary.LittleEndian.Uint32(buf[48:52])
-	entriesLen := binary.LittleEndian.Uint64(buf[52:60])
+	metaLen := binary.LittleEndian.Uint32(buf[28:32])
+	count := binary.LittleEndian.Uint32(buf[32:36])
+	entriesLen := binary.LittleEndian.Uint64(buf[36:44])
 	if metaLen > metaMax {
 		return nil, 0, fmt.Errorf("%w: WAL meta length %d", ErrCorrupt, metaLen)
 	}
@@ -315,11 +300,9 @@ func decodeWALRecord(buf []byte, wantPageSize int) (*walRecord, int, error) {
 	}
 	rec := &walRecord{
 		header: header{
-			pageSize:  pageSize,
-			nPages:    binary.LittleEndian.Uint64(buf[16:24]),
-			freeHead:  PageID(binary.LittleEndian.Uint64(buf[24:32])),
-			freeCount: binary.LittleEndian.Uint64(buf[32:40]),
-			lsn:       binary.LittleEndian.Uint64(buf[8:16]),
+			pageSize: pageSize,
+			nPages:   binary.LittleEndian.Uint64(buf[16:24]),
+			lsn:      binary.LittleEndian.Uint64(buf[8:16]),
 		},
 	}
 	if metaLen > 0 {
@@ -341,28 +324,20 @@ func decodeWALRecord(buf []byte, wantPageSize int) (*walRecord, int, error) {
 		if n := len(rec.entries); n > 0 && rec.entries[n-1].id >= e.id {
 			return nil, 0, fmt.Errorf("%w: WAL entries out of page order", ErrCorrupt)
 		}
-		switch e.kind {
-		case entryFreeLink:
-			if len(body)-p < 8 {
-				return nil, 0, fmt.Errorf("%w: truncated WAL free-link entry", ErrCorrupt)
-			}
-			e.next = PageID(binary.LittleEndian.Uint64(body[p:]))
-			p += 8
-		case entryDeltaOnDisk, entryDeltaOnZero:
-			if len(body)-p < 4 {
-				return nil, 0, fmt.Errorf("%w: truncated WAL delta entry", ErrCorrupt)
-			}
-			e.crc = binary.LittleEndian.Uint32(body[p:])
-			p += 4
-			n, err := walkRuns(body[p:], pageSize, nil)
-			if err != nil {
-				return nil, 0, err
-			}
-			e.runs = body[p : p+n]
-			p += n
-		default:
+		if e.kind != entryDeltaOnDisk && e.kind != entryDeltaOnZero {
 			return nil, 0, fmt.Errorf("%w: WAL entry kind %d", ErrCorrupt, e.kind)
 		}
+		if len(body)-p < 4 {
+			return nil, 0, fmt.Errorf("%w: truncated WAL delta entry", ErrCorrupt)
+		}
+		e.crc = binary.LittleEndian.Uint32(body[p:])
+		p += 4
+		n, err := walkRuns(body[p:], pageSize, nil)
+		if err != nil {
+			return nil, 0, err
+		}
+		e.runs = body[p : p+n]
+		p += n
 		rec.entries = append(rec.entries, e)
 	}
 	if uint32(len(rec.entries)) != count {

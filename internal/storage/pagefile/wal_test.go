@@ -123,9 +123,9 @@ func patchScenario(f File) error {
 
 // chainSteps is a three-commit chain over the template: patchScenario, then
 // a commit that patches page 0 over the first one's runs and frees page 3
-// (held since the first commit, so its held image takes the link), then one
-// that reuses pages 3 and 1 (1 was freed by the first commit, its link held
-// over the data file's bytes) and patches page 0 again.
+// (held since the first commit), then one that reuses pages 3 and 1 (1 was
+// freed by the first commit, its bytes the data file's) and patches page 0
+// again.
 var chainSteps = []func(File) error{patchScenario, chainStep2, chainStep3}
 
 func chainStep2(f File) error {
@@ -327,10 +327,10 @@ func TestCommitFailurePoisonsHandle(t *testing.T) {
 	}
 }
 
-// TestFreeCostsALink: freeing a committed page logs its chain link, not a
-// page image, and the checkpoint writes back the link alone; the page's other bytes stay what they were,
-// and allocation still hands it back zeroed.
-func TestFreeCostsALink(t *testing.T) {
+// TestFreeLogsNothing: freeing a committed page logs nothing and the
+// checkpoint writes nothing for it — the page keeps its bytes, which are
+// dead — and allocation still hands it back zeroed.
+func TestFreeLogsNothing(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "pages.svrdb")
 	buildTemplate(t, path)
@@ -344,27 +344,22 @@ func TestFreeCostsALink(t *testing.T) {
 	if err := f.Free(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Commit([]byte("before")); err != nil {
+	if err := f.Commit([]byte("freed")); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Stats().WALBytes - wal0; got > 128 {
-		t.Errorf("freeing two pages logged %d bytes, want link-sized entries", got)
-	}
-	if len(back.sizes) != 0 {
-		t.Errorf("the commit wrote %v to the data file, want nothing before the checkpoint", back.sizes)
+	if got, want := f.Stats().WALBytes-wal0, uint64(walHeaderSize+len("freed")+4); got != want {
+		t.Errorf("freeing two pages logged %d bytes, want a record without entries (%d)", got, want)
 	}
 	checkpoint(t, f)
-	if want := []int{freeLinkSize, freeLinkSize, 512}; fmt.Sprint(back.sizes) != fmt.Sprint(want) {
-		t.Errorf("write-back sizes %v, want two links and the header %v", back.sizes, want)
+	if want := []int{512}; !slices.Equal(back.sizes, want) {
+		t.Errorf("write-back sizes %v, want the header alone %v", back.sizes, want)
 	}
 	page := make([]byte, 512)
 	if err := f.Read(3, page); err != nil {
 		t.Fatal(err)
 	}
-	want := bytes.Repeat([]byte{0xA3}, 512)
-	putFreeLink(want, 1)
-	if !bytes.Equal(page, want) {
-		t.Error("a freed page is not its old bytes under the chain link")
+	if !bytes.Equal(page, bytes.Repeat([]byte{0xA3}, 512)) {
+		t.Error("a freed page lost its old bytes")
 	}
 	id, err := f.Allocate(InvalidPageID)
 	if err != nil {
@@ -406,17 +401,17 @@ func TestWALBytesByClass(t *testing.T) {
 		}
 		commits++
 		st := f.Stats()
-		classes := []uint64{st.WALBytesPreferred, st.WALBytesElsewhere, st.WALBytesInPlace, st.WALBytesPastEnd, st.WALBytesLinks}
+		classes := []uint64{st.WALBytesPreferred, st.WALBytesElsewhere, st.WALBytesInPlace, st.WALBytesPastEnd}
 		var sum uint64
 		for i, c := range classes {
-			c -= []uint64{before.WALBytesPreferred, before.WALBytesElsewhere, before.WALBytesInPlace, before.WALBytesPastEnd, before.WALBytesLinks}[i]
+			c -= []uint64{before.WALBytesPreferred, before.WALBytesElsewhere, before.WALBytesInPlace, before.WALBytesPastEnd}[i]
 			classes[i] = c
 			sum += c
 		}
 		if got := st.WALBytes - before.WALBytes; got != sum+walHeaderSize+4 {
 			t.Errorf("commit %d logged %d bytes, classes %v add up to %d beside a %d-byte header", commits, got, classes, sum, walHeaderSize+4)
 		}
-		return Stats{WALBytesPreferred: classes[0], WALBytesElsewhere: classes[1], WALBytesInPlace: classes[2], WALBytesPastEnd: classes[3], WALBytesLinks: classes[4]}
+		return Stats{WALBytesPreferred: classes[0], WALBytesElsewhere: classes[1], WALBytesInPlace: classes[2], WALBytesPastEnd: classes[3]}
 	}
 	if _, err := f.AllocateN(4); err != nil {
 		t.Fatal(err)
@@ -433,8 +428,11 @@ func TestWALBytesByClass(t *testing.T) {
 	if err := f.Free(2); err != nil {
 		t.Fatal(err)
 	}
-	if st := commit(); st.WALBytesLinks != 2*17 || commitSum(st) != st.WALBytesLinks {
-		t.Errorf("freeing two pages logged %+v, want two 17-byte links", st)
+	if err := f.Commit(nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.Stats(); st.Commits != uint64(commits) {
+		t.Errorf("a window that only freed pages committed a record (%d commits, want %d)", st.Commits, commits)
 	}
 	hit, err := f.Allocate(1)
 	if err != nil || hit != 1 {
@@ -459,8 +457,8 @@ func TestWALBytesByClass(t *testing.T) {
 	if st.WALBytesElsewhere == 0 || st.WALBytesElsewhere > 64 {
 		t.Errorf("8 bytes on a page taken from the free list logged %d bytes, want them against zeros", st.WALBytesElsewhere)
 	}
-	if st.WALBytesInPlace == 0 || st.WALBytesPastEnd == 0 || st.WALBytesLinks != 0 {
-		t.Errorf("in place %d, past the end %d, links %d; want the first two set", st.WALBytesInPlace, st.WALBytesPastEnd, st.WALBytesLinks)
+	if st.WALBytesInPlace == 0 || st.WALBytesPastEnd == 0 {
+		t.Errorf("in place %d, past the end %d; want both set", st.WALBytesInPlace, st.WALBytesPastEnd)
 	}
 	// Replay: reopen from the WAL alone, as after a crash before any
 	// checkpoint wrote the pages back.
@@ -487,13 +485,13 @@ func TestWALBytesByClass(t *testing.T) {
 
 // commitSum adds up one commit's WAL bytes by class.
 func commitSum(st Stats) uint64 {
-	return st.WALBytesPreferred + st.WALBytesElsewhere + st.WALBytesInPlace + st.WALBytesPastEnd + st.WALBytesLinks
+	return st.WALBytesPreferred + st.WALBytesElsewhere + st.WALBytesInPlace + st.WALBytesPastEnd
 }
 
 // TestWritesCountCheckpointWriteBack: Stats.Writes and BytesWritten count
 // what the data file receives.  Commits alone write nothing to it; the
 // checkpoint at Close writes each held page once — however many commits
-// rewrote it — and a freed page that was not held as its link alone, and the
+// rewrote it — and nothing for a freed page that was not held, and the
 // counters then equal the data-file writes the fault injector saw, the
 // header excluded.
 func TestWritesCountCheckpointWriteBack(t *testing.T) {
@@ -532,8 +530,8 @@ func TestWritesCountCheckpointWriteBack(t *testing.T) {
 	if got := fi.Writes() - writes0; got != commits {
 		t.Errorf("%d commits issued %d writes, want one WAL append each", commits, got)
 	}
-	if st.HeldPages != 4 || st.WALPending != st.WALBytes-st0.WALBytes || st.Checkpoints != 0 {
-		t.Errorf("held %d pages, %d WAL bytes pending of %d appended, %d checkpoints; want 4, all, 0", st.HeldPages, st.WALPending, st.WALBytes-st0.WALBytes, st.Checkpoints)
+	if st.HeldPages != 3 || st.WALPending != st.WALBytes-st0.WALBytes || st.Checkpoints != 0 {
+		t.Errorf("held %d pages, %d WAL bytes pending of %d appended, %d checkpoints; want 3, all, 0", st.HeldPages, st.WALPending, st.WALBytes-st0.WALBytes, st.Checkpoints)
 	}
 
 	if err := f.Close(); err != nil {
@@ -551,19 +549,19 @@ func TestWritesCountCheckpointWriteBack(t *testing.T) {
 	if st.Writes-st0.Writes != uint64(pages) || st.BytesWritten-st0.BytesWritten != uint64(bytesOut) {
 		t.Errorf("Writes/BytesWritten = %d/%d, the data file received %d/%d", st.Writes-st0.Writes, st.BytesWritten-st0.BytesWritten, pages, bytesOut)
 	}
-	if want := 3*512 + freeLinkSize; pages != 4 || bytesOut != want {
-		t.Errorf("the checkpoint wrote %d pages, %d bytes; want pages 0-2 once each and page 3's link, %d bytes", pages, bytesOut, want)
+	if want := 3 * 512; pages != 3 || bytesOut != want {
+		t.Errorf("the checkpoint wrote %d pages, %d bytes; want pages 0-2 once each, %d bytes", pages, bytesOut, want)
 	}
 	if st.Checkpoints != 1 || st.HeldPages != 0 || st.WALPending != 0 {
 		t.Errorf("after Close: %d checkpoints, %d held pages, %d WAL bytes pending; want 1, 0, 0", st.Checkpoints, st.HeldPages, st.WALPending)
 	}
 }
 
-// TestHeldFreedPageWritesItsLink: a page a commit rewrote and a later commit
-// freed is written back as its link alone — the data file keeps its older
-// bytes under it — unless the open window freed it, which Close discards, or
-// it lies past the data file's end.
-func TestHeldFreedPageWritesItsLink(t *testing.T) {
+// TestHeldFreedPageIsNotWrittenBack: a page a commit rewrote and a later
+// commit freed is not written back — the data file keeps its older bytes —
+// unless the open window freed it, which Close discards, or it lies past the
+// data file's end (TestFreedPagePastFileEndIsWrittenWhole).
+func TestHeldFreedPageIsNotWrittenBack(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.svrdb")
 	buildTemplate(t, path)
 	f := mustOpen(t, path)
@@ -591,8 +589,8 @@ func TestHeldFreedPageWritesItsLink(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if want := []int{freeLinkSize, 512, 512}; !slices.Equal(data.sizes, want) {
-		t.Errorf("write-back sizes %v, want page 1's link, page 2 and the header %v", data.sizes, want)
+	if want := []int{512, 512}; !slices.Equal(data.sizes, want) {
+		t.Errorf("write-back sizes %v, want page 2 and the header %v", data.sizes, want)
 	}
 	f = mustOpen(t, path)
 	defer f.Close()
@@ -600,10 +598,8 @@ func TestHeldFreedPageWritesItsLink(t *testing.T) {
 	if err := f.Read(1, got); err != nil {
 		t.Fatal(err)
 	}
-	want := bytes.Repeat([]byte{0xA1}, 512)
-	putFreeLink(want, InvalidPageID)
-	if !bytes.Equal(got, want) {
-		t.Error("page 1 is not the data file's older bytes under its link")
+	if !bytes.Equal(got, bytes.Repeat([]byte{0xA1}, 512)) {
+		t.Error("page 1 is not the data file's older bytes")
 	}
 	if err := f.Read(2, got); err != nil {
 		t.Fatal(err)
@@ -611,8 +607,9 @@ func TestHeldFreedPageWritesItsLink(t *testing.T) {
 	if !bytes.Equal(got, page) {
 		t.Error("page 2, freed only by the discarded window, lost its committed image")
 	}
+	reclaimAllBut(t, f, 1)
 	if n := f.FreePages(); n != 1 {
-		t.Errorf("%d free pages after reopen, want page 1 alone", n)
+		t.Errorf("%d free pages after Reclaim, want page 1 alone", n)
 	}
 }
 
@@ -791,16 +788,17 @@ func TestRecoveryRefusesChangedBase(t *testing.T) {
 // a commit point, at a random write of the checkpoint that follows it, in the
 // commit or at Close — against an in-memory model, and requires every
 // allocated page of every reopened file to equal the model, and the free
-// stack, reloaded from its on-disk chain, to equal the model's.
+// stack, rebuilt by Reclaim from the model's live pages, to equal the
+// model's: every free page, highest first.
 func TestDiskFileMatchesModel(t *testing.T) {
 	const pageSize = 512
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		path := filepath.Join(t.TempDir(), "model.svrdb")
 		f := mustOpen(t, path, WithPageSize(pageSize))
-		// Odd seeds checkpoint every few pages, so held pages, held links and
-		// checkpoints between commits are all exercised; even seeds only at
-		// Close.
+		// Odd seeds checkpoint every few pages, so held pages, held freed
+		// pages and checkpoints between commits are all exercised; even seeds
+		// only at Close.
 		budget := func() {
 			if seed%2 == 1 {
 				f.(*diskFile).checkpointBytes = 4 * pageSize
@@ -809,11 +807,11 @@ func TestDiskFileMatchesModel(t *testing.T) {
 		budget()
 
 		// committed and pending are the model: page contents by ID, nil for a
-		// free page (whose bytes are unspecified beyond the link), and the
-		// free stack, top last.  reserved is the reserved pages, which no
-		// commit makes durable.
+		// free page (whose bytes are unspecified), and the pending free
+		// stack, top last.  reserved is the reserved pages, which no commit
+		// makes durable.
 		var committed, pending [][]byte
-		var committedFree, pendingFree []PageID
+		var pendingFree []PageID
 		reserved := map[PageID]bool{}
 		clonePages := func(src [][]byte) [][]byte {
 			out := make([][]byte, len(src))
@@ -866,7 +864,18 @@ func TestDiskFileMatchesModel(t *testing.T) {
 			f = mustOpen(t, path)
 			budget()
 			pending = clonePages(committed)
-			pendingFree = slices.Clone(committedFree)
+			var live []PageID
+			pendingFree = pendingFree[:0]
+			for id := len(pending) - 1; id >= 0; id-- {
+				if pending[id] == nil {
+					pendingFree = append(pendingFree, PageID(id))
+				} else {
+					live = append(live, PageID(id))
+				}
+			}
+			if err := f.Reclaim(live); err != nil {
+				t.Fatal(err)
+			}
 			clear(reserved)
 		}
 		// unreserved returns the free stack's slots of unreserved pages,
@@ -983,7 +992,6 @@ func TestDiskFileMatchesModel(t *testing.T) {
 					scriptData(f, 1+rng.Intn(4))
 					err := f.Commit(meta)
 					committed = clonePages(pending)
-					committedFree = slices.Clone(pendingFree)
 					if err != nil && !errors.Is(err, errScripted) {
 						t.Fatal(err)
 					}
@@ -998,7 +1006,6 @@ func TestDiskFileMatchesModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				committed = clonePages(pending)
-				committedFree = slices.Clone(pendingFree)
 			case op < 20: // reopen: the uncommitted window is lost
 				reopen()
 			}
@@ -1017,8 +1024,6 @@ func testRecord(hdr header, entries ...[]byte) []byte {
 	buf := append([]byte(nil), walMagic[:]...)
 	buf = binary.LittleEndian.AppendUint64(buf, hdr.lsn)
 	buf = binary.LittleEndian.AppendUint64(buf, hdr.nPages)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(hdr.freeHead))
-	buf = binary.LittleEndian.AppendUint64(buf, hdr.freeCount)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(hdr.pageSize))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hdr.meta)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
@@ -1044,7 +1049,7 @@ func testDeltaEntry(id PageID, crc uint32, fields []uint64, tail []byte) []byte 
 // committed image is base at commit lsn, computed without the recovery code:
 // the LSN-contiguous prefix of wal's records, each entry applied in order
 // over the page as the records before it left it, cut to the last record's
-// page count, with its meta and free count.  A prefix whose records are all
+// page count, with its meta.  A prefix whose records are all
 // older than lsn changes nothing.  It returns nil when Open must fail: the
 // prefix starts past lsn+1, or claims more pages than base and its entries
 // can hold.
@@ -1079,23 +1084,18 @@ func modelRecovery(base *fileImage, lsn uint64, wal []byte) *fileImage {
 	for _, rec := range chain {
 		for _, e := range rec.entries {
 			page := pages[e.id]
-			switch e.kind {
-			case entryFreeLink:
-				putFreeLink(page, e.next)
-			case entryDeltaOnZero:
+			if e.kind == entryDeltaOnZero {
 				clear(page)
-				applyRuns(page, e.runs)
-			default:
-				applyRuns(page, e.runs)
 			}
+			applyRuns(page, e.runs)
 		}
 	}
-	return &fileImage{pages: pages[:last.nPages], meta: last.meta, free: int(last.freeCount)}
+	return &fileImage{pages: pages[:last.nPages], meta: last.meta}
 }
 
 // FuzzWALRecord feeds arbitrary bytes to Open as the WAL sidecar of a small
 // valid file.  Open must never panic, and must either fail with ErrCorrupt
-// (a v2 WAL: with the version error) or land on exactly modelRecovery's
+// (an older WAL format: with the version error) or land on exactly modelRecovery's
 // image.  With resum set the harness recomputes the first record's trailing
 // checksum, so that mutated entries reach the entry parser and the replay.
 // A refusal of bytes given as they are leaves the data file untouched.
@@ -1119,7 +1119,7 @@ func FuzzWALRecord(f *testing.F) {
 	}
 	data := readFileBytes(f, template)
 
-	hdr := header{pageSize: 512, nPages: 4, freeHead: InvalidPageID, lsn: 2, meta: []byte("seed")}
+	hdr := header{pageSize: 512, nPages: 4, lsn: 2, meta: []byte("seed")}
 	patched := bytes.Repeat([]byte{0xA1}, 512)
 	copy(patched[16:], "xyz")
 	f.Add(valid, false)
@@ -1142,9 +1142,15 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(chain, false)
 	f.Add(chain[:n1+n2/2], false)
 	f.Add(append(bytes.Clone(chain[:n1+n2]), chain[:n1]...), false)
-	v2 := bytes.Clone(valid)
-	copy(v2, walMagicV2[:])
-	f.Add(v2, false)
+	v3 := bytes.Clone(valid)
+	copy(v3, "SVRWAL03") // the format that logged free-list links
+	f.Add(v3, false)
+	// A first record torn after 7 bytes, and one whose magic's last byte is
+	// damaged: torn tails, discarded, not older formats.
+	f.Add([]byte("SVRWAL0"), false)
+	damaged := bytes.Clone(valid)
+	damaged[7] = '5'
+	f.Add(damaged, false)
 
 	f.Fuzz(func(t *testing.T, wal []byte, resum bool) {
 		if resum {
@@ -1152,9 +1158,9 @@ func FuzzWALRecord(f *testing.F) {
 				return
 			}
 			wal = bytes.Clone(wal)
-			metaLen := min(int(binary.LittleEndian.Uint32(wal[44:48])), metaMax, len(wal)-walHeaderSize-4)
-			binary.LittleEndian.PutUint32(wal[44:48], uint32(metaLen))
-			binary.LittleEndian.PutUint64(wal[52:60], uint64(len(wal)-walHeaderSize-4-metaLen))
+			metaLen := min(int(binary.LittleEndian.Uint32(wal[28:32])), metaMax, len(wal)-walHeaderSize-4)
+			binary.LittleEndian.PutUint32(wal[28:32], uint32(metaLen))
+			binary.LittleEndian.PutUint64(wal[36:44], uint64(len(wal)-walHeaderSize-4-metaLen))
 			binary.LittleEndian.PutUint32(wal[len(wal)-4:], crc32.Checksum(wal[:len(wal)-4], crcTable))
 		}
 		work := filepath.Join(t.TempDir(), "fuzz.svrdb")
@@ -1170,7 +1176,7 @@ func FuzzWALRecord(f *testing.F) {
 		want := modelRecovery(pre, 1, wal)
 		file, err := Open(work)
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) && !bytes.HasPrefix(wal, walMagicV2[:]) {
+			if !errors.Is(err, ErrCorrupt) && !oldWALFormat(wal) {
 				t.Fatalf("Open failed with %v, want ErrCorrupt", err)
 			}
 			after := readFileBytes(t, work)
