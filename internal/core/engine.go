@@ -399,7 +399,7 @@ func (e *Engine) CreateTextIndex(name, table, column string, opts IndexOptions) 
 		return nil, err
 	}
 	if tbl.Schema().Columns[colIdx].Kind != relation.KindString {
-		return nil, fmt.Errorf("core: column %q of table %q is not a text column", column, table)
+		return nil, fmt.Errorf("core: %w: column %q of table %q is not a text column", ErrInvalidRequest, column, table)
 	}
 
 	sv, err := view.NewScoreView(e.db, table, opts.Spec)

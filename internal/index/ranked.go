@@ -133,53 +133,81 @@ type resolveFunc func(ctx *queryCtx, g *postings.Group) (score float64, include 
 // results with work counters.  The per-term streams move postings in batches
 // (see postings.BatchIterator); the merger's scratch buffers are pooled and
 // released when the query ends, so the steady-state query path performs no
-// per-posting allocation.
+// per-posting allocation.  A conjunctive query merges through
+// postings.Conjunction, which hands over only the positions every term
+// holds and counts and stop-checks the rest itself; a disjunctive one takes
+// every group of postings.GroupMerger.
 func (b *base) runRanked(ctx *queryCtx, q rankedQuery) (*QueryResult, error) {
 	b.counters.queries.Add(1)
-	heap := &ctx.heap
-	merger := postings.NewGroupMerger(ctx.streams...)
-	defer merger.Close()
 	res := &QueryResult{}
-	for {
-		g, ok, err := merger.Next()
-		if err != nil {
-			return nil, err
+	if q.conjunctive {
+		conj := postings.NewConjunction(ctx.streams...)
+		defer conj.Close()
+		stop := func(sortKey float64) bool { return q.stops(ctx, sortKey) }
+		for {
+			g, ok, err := conj.Next(stop)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			if err := q.take(ctx, g); err != nil {
+				return nil, err
+			}
 		}
-		if !ok {
-			break
-		}
-		res.PostingsScanned += g.Count
-
-		// Early-termination check (Algorithm 2 lines 9-11): every unseen
-		// document, including this one, has a current score bounded by
-		// maxPossible(g.SortKey); once k results above that bound are held
-		// — or at it, when no unseen document can attain it and win the tie —
-		// the answer cannot change.
-		if min, full := heap.MinScore(); full {
-			if bound := q.maxPossible(ctx, g.SortKey); bound < min || bound == min && !q.attainable {
+		res.PostingsScanned, res.Stopped = conj.Scanned, conj.Stopped
+	} else {
+		merger := postings.NewGroupMerger(ctx.streams...)
+		defer merger.Close()
+		for {
+			g, ok, err := merger.Next()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			res.PostingsScanned += g.Count
+			if q.stops(ctx, g.SortKey) {
 				res.Stopped = true
 				break
 			}
-		}
-
-		if q.conjunctive && !g.ContainsAll() {
-			continue
-		}
-		if !q.conjunctive && g.Count == 0 {
-			continue
-		}
-		score, include, err := q.resolve(ctx, g)
-		if err != nil {
-			return nil, err
-		}
-		if include {
-			heap.Add(int64(g.Doc), score)
+			if err := q.take(ctx, g); err != nil {
+				return nil, err
+			}
 		}
 	}
-	res.Results = heap.Results()
+	res.Results = ctx.heap.Results()
 	res.ScoreLookups = ctx.score.lookups
 	b.counters.postingsScanned.Add(uint64(res.PostingsScanned))
 	return res, nil
+}
+
+// stops is the early-termination check (Algorithm 2 lines 9-11) at a list
+// position of sort key sortKey: every unseen document, including the one
+// there, has a current score bounded by maxPossible(sortKey); once k results
+// above that bound are held — or at it, when no unseen document can attain
+// it and win the tie — the answer cannot change.
+func (q *rankedQuery) stops(ctx *queryCtx, sortKey float64) bool {
+	min, full := ctx.heap.MinScore()
+	if !full {
+		return false
+	}
+	bound := q.maxPossible(ctx, sortKey)
+	return bound < min || bound == min && !q.attainable
+}
+
+// take resolves the candidate g and adds it to the heap when it counts.
+func (q *rankedQuery) take(ctx *queryCtx, g *postings.Group) error {
+	score, include, err := q.resolve(ctx, g)
+	if err != nil {
+		return err
+	}
+	if include {
+		ctx.heap.Add(int64(g.Doc), score)
+	}
+	return nil
 }
 
 // offer is the score candidate g is ranked by, given its current SVR score:

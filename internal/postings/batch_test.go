@@ -479,8 +479,9 @@ func (c capBatch) NextBatch(buf []Entry) (int, error) {
 // checkGroupMerger merges the streams, each served in batches of at most
 // size, and requires the brute-force grouping: every entry sorted by
 // (SortKey desc, Doc asc), grouped by position, a stream's last entry at a
-// position standing for it.
-func checkGroupMerger(t *testing.T, label string, size int, streams ...[]Entry) {
+// position standing for it.  It then checks the conjunctive merge of the
+// same streams under the stop rule seeded by stop (see checkConjunction).
+func checkGroupMerger(t *testing.T, label string, size int, stop uint8, streams ...[]Entry) {
 	t.Helper()
 	srcs := make([]BatchIterator, len(streams))
 	for i := range streams {
@@ -493,12 +494,101 @@ func checkGroupMerger(t *testing.T, label string, size int, streams ...[]Entry) 
 	if _, ok, err := m.Next(); ok || err != nil {
 		t.Fatalf("%s: Next after exhaustion = %v, %v", label, ok, err)
 	}
+	checkConjunction(t, label+"/conjunction", size, stop, streams...)
+}
+
+// seededStop is a stop rule shaped like the top-k scan's: it can fire only
+// once need matches are held, and then at a sort key below a bound that
+// rises with every match, as the heap's minimum does.  Its answer depends
+// on the position's sort key and on the matches taken so far, and on
+// nothing else.
+type seededStop struct {
+	need    int
+	base    float64
+	matches int
+	firedAt float64 // the sort key it fired at
+	fired   bool
+}
+
+// newSeededStop unpacks a seed: the low three bits are the bound's base
+// (sort keys of the fuzzed streams are 0–7), the high five bits the
+// matches needed.
+func newSeededStop(seed uint8) *seededStop {
+	return &seededStop{need: int(seed >> 3), base: float64(seed & 7)}
+}
+
+func (s *seededStop) stops(sortKey float64) bool {
+	if s.matches >= s.need && sortKey < s.base+float64(s.matches)/4 {
+		s.firedAt, s.fired = sortKey, true
+		return true
+	}
+	return false
+}
+
+// checkConjunction merges the streams through Conjunction, each served in
+// batches of at most size, and requires what the brute-force grouping
+// gives a conjunctive scan that tests the seeded stop rule at every
+// position: the same groups holding every stream, in the same order, with
+// the same entries; the same scanned count (each position's stream count,
+// up to and including the one that stops the scan); and a stop at the same
+// position — a stop elsewhere would change the count, since every position
+// counts at least one posting.
+func checkConjunction(t *testing.T, label string, size int, stop uint8, streams ...[]Entry) {
+	t.Helper()
+	ref := newSeededStop(stop)
+	var want []refGroup
+	wantScanned := 0
+	for _, g := range refGroups(streams...) {
+		wantScanned += g.count
+		if ref.stops(g.sortKey) {
+			break
+		}
+		if g.count == len(streams) {
+			want = append(want, g)
+			ref.matches++
+		}
+	}
+
+	srcs := make([]BatchIterator, len(streams))
+	for i := range streams {
+		srcs[i] = capBatch{src: NewSliceIterator(streams[i]), size: size}
+	}
+	c := NewConjunction(srcs...)
+	defer c.Close()
+	rule := newSeededStop(stop)
+	var got []refGroup
+	for {
+		g, ok, err := c.Next(rule.stops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		got = append(got, refGroup{
+			doc:     g.Doc,
+			sortKey: g.SortKey,
+			entries: append([]Entry(nil), g.Entries...),
+			present: append([]bool(nil), g.Present...),
+			count:   g.Count,
+		})
+		rule.matches++
+	}
+	sameGroups(t, label, got, want)
+	if c.Scanned != wantScanned || c.Stopped != ref.fired || rule.fired != ref.fired || rule.firedAt != ref.firedAt {
+		t.Fatalf("%s: scanned %d, stopped %v at key %g; brute force scanned %d, stopped %v at key %g",
+			label, c.Scanned, c.Stopped, rule.firedAt, wantScanned, ref.fired, ref.firedAt)
+	}
+	if _, ok, err := c.Next(rule.stops); ok || err != nil {
+		t.Fatalf("%s: Next after the end = %v, %v", label, ok, err)
+	}
 }
 
 // TestGroupMergerMatchesBruteForce covers 1–5 streams with empty and early-
 // exhausted streams and duplicate positions within one stream (the merger
 // folds them into one group), from sources that hand out one entry per batch
-// and a full BatchSize per batch.
+// and a full BatchSize per batch, through GroupMerger and through
+// Conjunction under a stop rule seeded per trial.
 func TestGroupMergerMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
@@ -515,21 +605,31 @@ func TestGroupMergerMatchesBruteForce(t *testing.T) {
 				streams[i] = randomSortedStream(rng, rng.Intn(2*BatchSize+50), i%2 == 1)
 			}
 		}
+		stop := uint8(rng.Intn(256))
 		for _, size := range []int{1, BatchSize} {
-			checkGroupMerger(t, "groups", size, streams...)
+			checkGroupMerger(t, "groups", size, stop, streams...)
 		}
 	}
 }
 
 // FuzzGroupMerger builds 1–4 sorted streams from arbitrary bytes — the first
 // byte picks the stream count and the batch cap, every following triple an
-// entry's stream, sort key and document — and checks the merger against the
-// brute-force grouping.
+// entry's stream, sort key and document — and checks the group merger
+// against the brute-force grouping, and the conjunctive merge against the
+// brute-force conjunctive scan under the stop rule seeded by stop.  A triple
+// may repeat a position within its stream, and a stream may end long before
+// the others.
 func FuzzGroupMerger(f *testing.F) {
-	f.Add([]byte{0x31, 0, 5, 4, 1, 5, 4, 0, 2, 1, 1, 2, 1, 2, 1, 3})
-	f.Add([]byte{0x02, 0, 1, 1, 0, 1, 1, 0, 1, 1})
-	f.Add([]byte{0xF3})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{0x31, 0, 5, 4, 1, 5, 4, 0, 2, 1, 1, 2, 1, 2, 1, 3}, uint8(0xFF))
+	f.Add([]byte{0x02, 0, 1, 1, 0, 1, 1, 0, 1, 1}, uint8(0xFF))
+	f.Add([]byte{0xF3}, uint8(0xFF))
+	// Two streams meeting at several positions, repeats in stream 0, and a
+	// bound that fires after the first match.
+	f.Add([]byte{0x05, 0, 7, 1, 0, 7, 1, 1, 7, 1, 0, 6, 2, 1, 6, 2, 0, 3, 9, 1, 3, 9, 1, 2, 4}, uint8(1<<3|5))
+	// Three streams, stream 2 ending at the top key; a bound that can fire
+	// before any match.
+	f.Add([]byte{0x02, 2, 7, 0, 0, 7, 0, 1, 7, 0, 0, 5, 3, 1, 5, 3, 0, 1, 8, 1, 1, 8}, uint8(6))
+	f.Fuzz(func(t *testing.T, data []byte, stop uint8) {
 		if len(data) == 0 {
 			return
 		}
@@ -546,6 +646,6 @@ func FuzzGroupMerger(f *testing.F) {
 		for _, s := range streams {
 			sort.SliceStable(s, func(i, j int) bool { return Less(s[i], s[j]) })
 		}
-		checkGroupMerger(t, "fuzz", size, streams...)
+		checkGroupMerger(t, "fuzz", size, stop, streams...)
 	})
 }

@@ -10,12 +10,15 @@ package postings
 //     updates (Appendix A.1) to the merged stream.
 //   - GroupMerger — advances the per-term streams of a multi-keyword query in
 //     lock step, yielding, for each (SortKey, Doc) position, the set of query
-//     terms whose stream contains that document there.  Conjunctive queries
-//     accept groups covering every term, disjunctive queries any non-empty
-//     group.  A query has a handful of terms, so the merger finds each
+//     terms whose stream contains that document there.  Disjunctive queries
+//     accept every group, Algorithm 3 sorts them into candidates and its
+//     remainList.  A query has a handful of terms, so the merger finds each
 //     position with a linear pass over its heads; there is no heap.
+//   - Conjunction — the same lock-step merge for a conjunctive query, which
+//     yields a group only where every stream has a posting and counts and
+//     stop-checks the positions it passes by itself.
 //
-// All three run on the block-at-a-time protocol: they pull batches from
+// All four run on the block-at-a-time protocol: they pull batches from
 // their inputs into pooled scratch buffers, merge directly out of those
 // buffers (no virtual call per posting), and — for Union and CollapseOps —
 // emit whole batches downstream.
@@ -46,6 +49,41 @@ type mergeHead struct {
 
 // cur returns the head's current entry; only valid when pos < n.
 func (h *mergeHead) cur() Entry { return (*h.buf)[h.pos] }
+
+// skip steps the head past every entry at its current position (a stream
+// may repeat one).  pos < n must hold.
+func (h *mergeHead) skip() error {
+	e := &(*h.buf)[h.pos]
+	key, doc := e.SortKey, e.Doc
+	for {
+		if h.pos++; h.pos >= h.n {
+			if err := h.refill(); err != nil || h.done {
+				return err
+			}
+		}
+		if e := &(*h.buf)[h.pos]; e.SortKey != key || e.Doc != doc {
+			return nil
+		}
+	}
+}
+
+// take is skip returning the last entry at the position, the one that
+// stands for the stream in a group.
+func (h *mergeHead) take() (Entry, error) {
+	e := (*h.buf)[h.pos]
+	for {
+		if h.pos++; h.pos >= h.n {
+			if err := h.refill(); err != nil || h.done {
+				return e, err
+			}
+		}
+		next := &(*h.buf)[h.pos]
+		if next.SortKey != e.SortKey || next.Doc != e.Doc {
+			return e, nil
+		}
+		e = *next
+	}
+}
 
 // refill fetches the next batch from the head's source.  After a call either
 // pos < n holds or the head is done and its scratch buffer returned.
@@ -388,6 +426,188 @@ func (m *GroupMerger) Next() (*Group, bool, error) {
 
 // Close implements Closer.
 func (m *GroupMerger) Close() {
+	for i := range m.heads {
+		m.heads[i].close()
+	}
+	m.init = true
+}
+
+// Conjunction merges k per-term streams (each in (SortKey desc, Doc asc)
+// order) for a conjunctive query.  It passes the positions GroupMerger would
+// group, in the same order, but returns a Group only for a position every
+// stream holds; the others it only counts and stop-checks, which is all a
+// conjunctive scan does with them:
+//
+//   - Scanned sums, over every position passed, the streams holding a
+//     posting there — the Group.Count of each GroupMerger group.
+//   - Next's stop function is the scan's early-termination test, and the
+//     position where it first reports true ends the scan (counted, and with
+//     Stopped set).  The test depends on the caller's heap and the position's
+//     sort key, and the heap changes only at a match, which Next returns to
+//     the caller: so Next asks it only at the first position of a call and
+//     at each position whose sort key differs from the previous one's, and
+//     stops at the same position a test at every position would.
+//
+// A stream may repeat a position; the repeats fold into one, the last one
+// supplying the stream's entry, as in GroupMerger.  Two streams — most
+// conjunctive queries — are merged by a loop of their own over the two
+// heads.
+type Conjunction struct {
+	heads []mergeHead
+	g     Group
+	init  bool
+	key   float64 // sort key of the last position passed
+	// Scanned is the postings the merge has passed, counted as above.
+	Scanned int
+	// Stopped reports that the stop function ended the merge.
+	Stopped bool
+}
+
+// NewConjunction returns a conjunctive merge over the given streams.
+func NewConjunction(streams ...BatchIterator) *Conjunction {
+	heads := make([]mergeHead, len(streams))
+	for i, src := range streams {
+		heads[i] = mergeHead{src: src}
+	}
+	present := make([]bool, len(streams))
+	for i := range present {
+		present[i] = true
+	}
+	return &Conjunction{
+		heads: heads,
+		g:     Group{Entries: make([]Entry, len(streams)), Present: present, Count: len(streams)},
+	}
+}
+
+// Next returns the next position every stream holds, as a Group with every
+// stream present, or ok=false once the streams are exhausted or stop has
+// ended the merge.  The group is reused; see the Group docs.
+func (m *Conjunction) Next(stop func(sortKey float64) bool) (*Group, bool, error) {
+	if !m.init {
+		for i := range m.heads {
+			if err := m.heads[i].refill(); err != nil {
+				return nil, false, err
+			}
+		}
+		m.init = true
+	}
+	if m.Stopped {
+		return nil, false, nil
+	}
+	if len(m.heads) == 2 {
+		return m.next2(stop)
+	}
+	return m.nextK(stop)
+}
+
+// passed counts a position of count streams at sort key and reports whether
+// stop ends the merge there; fresh marks the first position of a Next call.
+func (m *Conjunction) passed(key float64, count int, fresh bool, stop func(float64) bool) bool {
+	m.Scanned += count
+	changed := fresh || key != m.key
+	m.key = key
+	if changed && stop(key) {
+		m.Stopped = true
+	}
+	return m.Stopped
+}
+
+// nextK is Next over any number of streams: GroupMerger's linear pass for
+// the first position, then every head at it.
+func (m *Conjunction) nextK(stop func(float64) bool) (*Group, bool, error) {
+	for fresh := true; ; fresh = false {
+		first := -1
+		var top *Entry
+		for i := range m.heads {
+			h := &m.heads[i]
+			if h.pos < h.n {
+				if e := &(*h.buf)[h.pos]; first < 0 || e.SortKey > top.SortKey || e.SortKey == top.SortKey && e.Doc < top.Doc {
+					first, top = i, e
+				}
+			}
+		}
+		if first < 0 {
+			return nil, false, nil
+		}
+		key, doc := top.SortKey, top.Doc
+		count := 0
+		for i := first; i < len(m.heads); i++ {
+			h := &m.heads[i]
+			if h.pos < h.n && (*h.buf)[h.pos].SortKey == key && (*h.buf)[h.pos].Doc == doc {
+				e, err := h.take()
+				if err != nil {
+					return nil, false, err
+				}
+				m.g.Entries[i] = e
+				count++
+			}
+		}
+		if m.passed(key, count, fresh, stop) {
+			return nil, false, nil
+		}
+		if count == len(m.heads) {
+			m.g.Doc, m.g.SortKey = doc, key
+			return &m.g, true, nil
+		}
+	}
+}
+
+// next2 is Next over two streams: compare the heads, step the one that
+// sorts first, and build the group only where they meet.
+func (m *Conjunction) next2(stop func(float64) bool) (*Group, bool, error) {
+	a, b := &m.heads[0], &m.heads[1]
+	fresh := true
+	for a.pos < a.n && b.pos < b.n {
+		ea, eb := &(*a.buf)[a.pos], &(*b.buf)[b.pos]
+		if key := ea.SortKey; key == eb.SortKey && ea.Doc == eb.Doc {
+			if m.passed(key, 2, fresh, stop) {
+				return nil, false, nil
+			}
+			m.g.Doc, m.g.SortKey = ea.Doc, key
+			var err error
+			if m.g.Entries[0], err = a.take(); err != nil {
+				return nil, false, err
+			}
+			if m.g.Entries[1], err = b.take(); err != nil {
+				return nil, false, err
+			}
+			return &m.g, true, nil
+		}
+		h, key := a, ea.SortKey
+		if eb.SortKey > key || eb.SortKey == key && eb.Doc < ea.Doc {
+			h, key = b, eb.SortKey
+		}
+		if m.passed(key, 1, fresh, stop) {
+			return nil, false, nil
+		}
+		if err := h.skip(); err != nil {
+			return nil, false, err
+		}
+		fresh = false
+	}
+	// At most one stream is left, so no position can match any more.
+	if err := m.drain(a, fresh, stop); err != nil {
+		return nil, false, err
+	}
+	return nil, false, m.drain(b, fresh, stop)
+}
+
+// drain counts and stop-checks the rest of one stream, which no other
+// stream can match any more.
+func (m *Conjunction) drain(h *mergeHead, fresh bool, stop func(float64) bool) error {
+	for ; h.pos < h.n; fresh = false {
+		if m.passed((*h.buf)[h.pos].SortKey, 1, fresh, stop) {
+			return nil
+		}
+		if err := h.skip(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Close implements Closer.
+func (m *Conjunction) Close() {
 	for i := range m.heads {
 		m.heads[i].close()
 	}

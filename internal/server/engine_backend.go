@@ -316,8 +316,13 @@ func (b *EngineBackend) CreateIndex(ctx context.Context, req CreateIndexRequest)
 		FancyListSize:  req.FancyListSize,
 	})
 	if err != nil {
-		if errors.Is(err, relation.ErrNotFound) {
+		switch {
+		case errors.Is(err, relation.ErrNotFound):
 			return nil, notFoundBackendErr("table", req.Table, err)
+		case errors.Is(err, relation.ErrNoSuchColumn):
+			// The column the request names, or one its spec reads, is not
+			// in the table.
+			return nil, fmt.Errorf("%w: %w", core.ErrInvalidRequest, err)
 		}
 		return nil, err
 	}

@@ -42,6 +42,8 @@ func FuzzRequestBody(f *testing.F) {
 	} {
 		f.Add(uint8(route), []byte(body))
 	}
+	// A create naming a column the table lacks once answered 500.
+	f.Add(uint8(4), []byte(`{"nAme":"0","tABle":"Docs","Column":"0","speC":"val"}`))
 
 	srv := New(newDocsEngine(f, nil), Options{})
 	f.Cleanup(func() { _ = srv.Shutdown(context.Background()) })

@@ -67,6 +67,27 @@ func TestIndexLifecycleEndpoints(t *testing.T) {
 	forEachDeployment(t, testIndexLifecycleEndpoints)
 }
 
+// TestCreateIndexBadColumnIs400: a create naming a column the table lacks,
+// or one that holds no text, is the client's mistake on every deployment,
+// and a refused create leaves its name free.
+func TestCreateIndexBadColumnIs400(t *testing.T) {
+	forEachDeployment(t, func(t *testing.T, d *deployment) {
+		for _, body := range []string{
+			`{"nAme":"0","tABle":"Docs","Column":"0","speC":"val"}`,
+			`{"name":"x","table":"Docs","column":"val","spec":"val"}`,
+			`{"name":"x","table":"Docs","column":"id","spec":"val"}`,
+		} {
+			if status, data := postJSON(t, d.base+"/v1/indexes", json.RawMessage(body)); status != http.StatusBadRequest {
+				t.Errorf("POST /v1/indexes %s: status %d, want 400 (body %s)", body, status, data)
+			}
+		}
+		body := `{"name":"x","table":"Docs","column":"body","spec":"val"}`
+		if status, data := postJSON(t, d.base+"/v1/indexes", json.RawMessage(body)); status != http.StatusCreated {
+			t.Errorf("POST /v1/indexes %s after the refusals: status %d, want 201 (body %s)", body, status, data)
+		}
+	})
+}
+
 func testIndexLifecycleEndpoints(t *testing.T, d *deployment) {
 	base := d.base
 

@@ -551,7 +551,7 @@ func pageChild(id pagefile.PageID, data, key []byte) (pagefile.PageID, error) {
 // pageChildWithUpper is pageChild extended with the separator that bounds
 // the chosen child from above within this node (nil when the child is the
 // node's rightmost).  The returned key aliases data.  A fixed-width node is
-// bisected by stride; any other is walked.  A non-nil pi is shown the node
+// searched by stride (stride.search); any other is walked.  A non-nil pi is shown the node
 // (see parentImage.visit).
 func pageChildWithUpper(id pagefile.PageID, data, key []byte, pi *parentImage) (pagefile.PageID, []byte, error) {
 	nKeys, off, err := internalHeader(id, data)
@@ -565,7 +565,7 @@ func pageChildWithUpper(id pagefile.PageID, data, key []byte, pi *parentImage) (
 		}
 		return pageChildWalk(data, off, nKeys, key)
 	}
-	i := s.child(data, key, 0)
+	i := s.child(data, key)
 	if pi != nil {
 		pi.visit(data, s, i)
 	}
@@ -613,17 +613,19 @@ func pageChildWalk(data []byte, off int, nKeys uint64, key []byte) (pagefile.Pag
 	return cur, nil, nil
 }
 
-// pageLeafLookup finds key in a serialized leaf, returning the value bytes
-// in place (aliasing data) when present.  A fixed-width leaf is bisected by
-// stride in place; any other is walked until the first key >= key, which a
-// one-shot lookup prefers to building an offset table.
-func pageLeafLookup(id pagefile.PageID, data, key []byte) ([]byte, bool, error) {
-	w, err := walkLeaf(id, data)
+// pageLeafLookup finds key in the leaf a pinned frame holds, returning the
+// value bytes in place (aliasing the page) when present.  A fixed-width leaf
+// — known by the frame's layout note, or proved and noted now (leafLayout)
+// — is searched by stride in place; any other is walked until the first
+// key >= key, which a one-shot lookup prefers to building an offset table.
+func pageLeafLookup(fr *buffer.Frame, key []byte) ([]byte, bool, error) {
+	s, fixed, w, err := leafLayout(fr)
 	if err != nil {
 		return nil, false, err
 	}
-	if s, ok := fitStride(data, w.off, uint64(w.left), true); ok {
-		i := s.search(data, key, 0)
+	data := fr.Data()
+	if fixed {
+		i := s.search(data, key)
 		if i < s.n && bytes.Equal(s.key(data, i), key) {
 			off := s.off + i*s.width
 			return data[off+s.vskip : off+s.width], true, nil

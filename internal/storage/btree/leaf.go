@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"svrdb/internal/codec"
+	"svrdb/internal/storage/buffer"
 	"svrdb/internal/storage/pagefile"
 )
 
@@ -15,10 +17,12 @@ import (
 // A node whose entries all have the same widths — every leaf and internal
 // node of the fixed-width tables (8-byte keys, 9-byte rows) — is read by
 // stride: entry i sits at a computed offset, and one search (fitStride's
-// width check, then stride.search's bisection, with 8-byte keys compared as
-// big-endian integers) serves the leaf image, the pinned-leaf lookup
-// (pageLeafLookup) and the internal-node child search
-// (pageChildWithUpper).  Every other node goes through the one walker, which
+// width check, then stride.search: 8-byte keys compared as big-endian
+// integers by interpolation, any other width by bisection) serves the leaf
+// image, the pinned-leaf lookup (pageLeafLookup) and the internal-node child
+// search (pageChildWithUpper).  A leaf read from a pinned frame skips the
+// width check when a reader already made it on the frame's current bytes
+// (see leafLayout).  Every other node goes through the one walker, which
 // steps through the entries in place and bounds-checks each; it also decides
 // every error, since the stride path only takes nodes the walker provably
 // accepts with the same entries.  Which path a node takes depends only on its
@@ -168,41 +172,18 @@ func (s stride) val(data []byte, i int) []byte {
 	return data[o+s.vskip : o+s.width]
 }
 
-// search returns the index of the first entry whose key is >= key, starting
-// from a finger: when the entry at from still sorts below key, it gallops
-// forward from there — O(log gap) for the ascending keys of candidate
-// resolution — and otherwise bisects [0, from].  Every from yields the same
-// answer (search(…, 0) is plain bisection); an out-of-range finger is
-// clamped.  When the node's keys and key are 8 bytes wide — every key of the
-// fixed-width tables — they are compared as big-endian integers, which is
-// bytewise order, in a loop of their own (search64).
-func (s stride) search(data, key []byte, from int) int {
+// search returns the index of the first entry whose key is >= key.  When
+// the node's keys and key are 8 bytes wide — every key of the fixed-width
+// tables — they are compared as big-endian integers, which is bytewise
+// order, by interpolation (search64); any other node is bisected.
+func (s stride) search(data, key []byte) int {
 	if s.klen == 8 && len(key) == 8 {
-		return s.search64(data, binary.BigEndian.Uint64(key), from)
+		return s.search64(data, binary.BigEndian.Uint64(key))
 	}
-	below := func(i int) bool { return bytes.Compare(s.key(data, i), key) < 0 }
 	lo, hi := 0, s.n
-	switch {
-	case from <= 0:
-	case from < s.n && below(from):
-		lo = from + 1
-		for step := 1; ; step <<= 1 {
-			probe := from + step
-			if probe >= s.n {
-				break
-			}
-			if !below(probe) {
-				hi = probe
-				break
-			}
-			lo = probe + 1
-		}
-	default:
-		hi = min(from, s.n)
-	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if below(mid) {
+		if bytes.Compare(s.key(data, mid), key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -212,10 +193,10 @@ func (s stride) search(data, key []byte, from int) int {
 }
 
 // child returns the index of the child of a fixed-width internal node that
-// key routes to, searching from the finger as search does.  Separator i
-// bounds child i+1 from below, and an equal key routes right.
-func (s stride) child(data, key []byte, from int) int {
-	i := s.search(data, key, from)
+// key routes to.  Separator i bounds child i+1 from below, and an equal key
+// routes right.
+func (s stride) child(data, key []byte) int {
+	i := s.search(data, key)
 	if i < s.n && bytes.Equal(s.key(data, i), key) {
 		i++
 	}
@@ -229,19 +210,38 @@ func (s stride) childID(data []byte, i int) pagefile.PageID {
 	return pagefile.PageID(binary.LittleEndian.Uint64(data[s.off+i*s.width-8:]))
 }
 
-// search64 is search for 8-byte keys, with q the query key as an integer:
-// the same gallop and bisection, comparing integers read in place.  The
-// stride's fields are copied into locals once, so the loop reads entry keys
-// straight from the node bytes without going back to the stride.
-func (s stride) search64(data []byte, q uint64, from int) int {
+// search64 is search for 8-byte keys, with q the query key as an integer.
+// Dense keys — the Score table's document IDs, and the separators above
+// them — are near-uniform between a node's first and last key, so the slot
+// interpolated from those two (Van Sandt, Chronis & Patel, SIGMOD 2019;
+// Graefe, "Modern B-Tree Techniques" §4) is at or next to the answer, and a
+// gallop from it followed by a bisection of the bracket it finds gives the
+// answer in O(1) probes there and O(log n) in the worst case.  The guess is
+// (q-first)·(n-1)/(last-first) in 128-bit arithmetic, so no key can
+// overflow it; it is clamped into the node, so unsorted (hostile) keys cost
+// time, never an out-of-range read.  The stride's fields are copied into
+// locals once, so the loop reads entry keys straight from the node bytes
+// without going back to the stride.
+func (s stride) search64(data []byte, q uint64) int {
 	n, keys, w := s.n, data[s.off+1:], s.width
+	first := binary.BigEndian.Uint64(keys)
+	if q <= first {
+		return 0
+	}
+	last := binary.BigEndian.Uint64(keys[(n-1)*w:])
+	if q > last {
+		return n
+	}
+	// first < q <= last, so n >= 2 and q-first <= last-first: the product's
+	// high word is below the divisor, as Div64 requires.
+	hi64, lo64 := bits.Mul64(q-first, uint64(n-1))
+	g, _ := bits.Div64(hi64, lo64, last-first)
+	guess := min(int(g), n-1)
 	lo, hi := 0, n
-	switch {
-	case from <= 0:
-	case from < n && binary.BigEndian.Uint64(keys[from*w:]) < q:
-		lo = from + 1
+	if binary.BigEndian.Uint64(keys[guess*w:]) < q {
+		lo = guess + 1
 		for step := 1; ; step <<= 1 {
-			probe := from + step
+			probe := guess + step
 			if probe >= n {
 				break
 			}
@@ -251,8 +251,19 @@ func (s stride) search64(data []byte, q uint64, from int) int {
 			}
 			lo = probe + 1
 		}
-	default:
-		hi = min(from, n)
+	} else {
+		hi = guess
+		for step := 1; ; step <<= 1 {
+			probe := guess - step
+			if probe < 0 {
+				break
+			}
+			if binary.BigEndian.Uint64(keys[probe*w:]) < q {
+				lo = probe + 1
+				break
+			}
+			hi = probe
+		}
 	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -278,20 +289,72 @@ type leafImage struct {
 	ents  []leafEntry
 }
 
-// load replaces the image with the leaf serialized in page.  On error the
-// image is left empty.
-func (m *leafImage) load(id pagefile.PageID, page []byte) error {
-	m.data, m.ents, m.fixed = m.data[:0], m.ents[:0], stride{}
-	w, err := walkLeaf(id, page)
-	if err != nil {
-		return err
+// A leaf's layout note (buffer.Frame.Layout) records what walkLeaf and
+// fitStride decided about the frame's current bytes: noteWalked for a leaf
+// that is not fixed-width, or the fixed-width stride itself — its offset,
+// key and value widths and entry count, tagged noteFixed — which is all a
+// later reader needs to locate the entries without reading a prefix byte.
+// A frame drops its note when its bytes change, so a note never outlives
+// the bytes that proved it.
+const (
+	noteWalked uint64 = 1
+	noteFixed  uint64 = 2
+)
+
+// leafNote packs a leaf's stride: the offset is at most 11 (a type byte and
+// a varint count), both widths are under 0x80, and the count is bounded by
+// the page size.
+func leafNote(s stride) uint64 {
+	return noteFixed | uint64(s.off)<<8 | uint64(s.klen)<<16 | uint64(s.width-s.vskip)<<24 | uint64(s.n)<<32
+}
+
+// noteStride unpacks leafNote.
+func noteStride(v uint64) stride {
+	klen, vlen := int(v>>16&0xFF), int(v>>24&0xFF)
+	return stride{off: int(v >> 8 & 0xFF), n: int(v >> 32), klen: klen, vskip: 2 + klen, width: 2 + klen + vlen}
+}
+
+// leafLayout is walkLeaf and fitStride for the leaf a pinned frame holds,
+// through the frame's layout note: a leaf a reader has already proved
+// fixed-width returns its noted stride without a look at its bytes, and a
+// leaf seen for the first time since its bytes changed leaves its verdict
+// for the next reader.  When the leaf is not fixed-width, w is positioned
+// at its first entry.
+func leafLayout(fr *buffer.Frame) (s stride, fixed bool, w leafWalker, err error) {
+	note := fr.Layout()
+	if note&noteFixed != 0 {
+		return noteStride(note), true, w, nil
 	}
-	if s, ok := fitStride(page, w.off, uint64(w.left), true); ok {
+	data := fr.Data()
+	if w, err = walkLeaf(fr.ID(), data); err != nil {
+		return s, false, w, err
+	}
+	if note == 0 {
+		if s, fixed = fitStride(data, w.off, uint64(w.left), true); fixed {
+			fr.SetLayout(leafNote(s))
+			return s, true, w, nil
+		}
+		fr.SetLayout(noteWalked)
+	}
+	return s, false, w, nil
+}
+
+// load replaces the image with the leaf a pinned frame holds, located
+// through the frame's layout note (leafLayout): by its stride when it is
+// fixed-width, else through the walker's table.  On error the image is left
+// empty.
+func (m *leafImage) load(fr *buffer.Frame) error {
+	m.data, m.ents, m.fixed = m.data[:0], m.ents[:0], stride{}
+	s, fixed, w, err := leafLayout(fr)
+	switch {
+	case err != nil:
+		return err
+	case fixed:
 		m.fixed = s
-		m.data = append(m.data, page[:s.end()]...)
+		m.data = append(m.data, fr.Data()[:s.end()]...)
 		return nil
 	}
-	return m.walk(w, page)
+	return m.walk(w, fr.Data())
 }
 
 // walk fills the image from the walker: the path for leaves that are not
@@ -335,12 +398,12 @@ func (m *leafImage) val(i int) []byte {
 	return m.data[e.valOff:e.valEnd]
 }
 
-// search returns the index of the first entry whose key is >= key.  A
-// fixed-width image searches from the finger (see stride.search); a walked
-// one bisects its table, whatever the finger.
-func (m *leafImage) search(key []byte, from int) int {
+// search returns the index of the first entry whose key is >= key: by the
+// stride's search on a fixed-width image, by bisecting the table on a walked
+// one.
+func (m *leafImage) search(key []byte) int {
 	if m.fixed.width > 0 {
-		return m.fixed.search(m.data, key, from)
+		return m.fixed.search(m.data, key)
 	}
 	lo, hi := 0, len(m.ents)
 	for lo < hi {

@@ -222,18 +222,15 @@ func forEachNode(t *testing.T, v View, visit func(id pagefile.PageID, data []byt
 	walk(v.root)
 }
 
-// checkFinger is the finger property of the image's one search routine: for
-// every key and every start position in [0, n+1], it returns the index plain
-// bisection of the image's keys returns.
-func checkFinger(t *testing.T, m *leafImage, keys [][]byte) {
+// checkSearch is the property of the image's one search routine: for every
+// key it returns the index plain bisection of the image's keys returns.
+func checkSearch(t *testing.T, m *leafImage, keys [][]byte) {
 	t.Helper()
 	n := m.len()
 	for _, key := range keys {
 		want := sort.Search(n, func(i int) bool { return bytes.Compare(m.key(i), key) >= 0 })
-		for from := 0; from <= n+1; from++ {
-			if got := m.search(key, from); got != want {
-				t.Fatalf("search(%x, from %d) = %d over %d entries (fixed width %d), bisection %d", key, from, got, n, m.fixed.width, want)
-			}
+		if got := m.search(key); got != want {
+			t.Fatalf("search(%x) = %d over %d entries (fixed width %d), bisection %d", key, got, n, m.fixed.width, want)
 		}
 	}
 }
@@ -397,7 +394,13 @@ func TestLeafReadersMatchReference(t *testing.T) {
 					return
 				}
 				var m leafImage
-				if err := m.load(id, data); err != nil {
+				fr, err := tree.pool.Get(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = m.load(fr)
+				fr.Release()
+				if err != nil {
 					t.Fatal(err)
 				}
 				if m.fixed.width > 0 {
@@ -410,7 +413,7 @@ func TestLeafReadersMatchReference(t *testing.T) {
 					doc := int(binary.BigEndian.Uint64(m.key(i)))
 					keys = append(keys, scoreKey(doc-1), m.key(i), scoreKey(doc+1), m.key(i)[:7], append(scoreKey(doc), 0))
 				}
-				checkFinger(t, &m, keys)
+				checkSearch(t, &m, keys)
 				if n := m.len(); n > 0 { // the absent neighbours of the leaf's range
 					first, last := binary.BigEndian.Uint64(m.key(0)), binary.BigEndian.Uint64(m.key(n-1))
 					probeKeys = append(probeKeys, scoreKey(int(first)-1), scoreKey(int(last)+1))
@@ -483,7 +486,7 @@ func TestLeafReadersMatchReference(t *testing.T) {
 // TestProbeGetAllocatesNothing pins the probe's steady state: once its leaf
 // image has grown to the largest leaf, neither a lookup on the cached leaf
 // nor one that jumps to another leaf touches the heap — whether the jump
-// gallops in the cached parent image and fetches only the leaf, or takes the
+// searches the cached parent image and fetches only the leaf, or takes the
 // full descent that recopies the parent (image reload and bound capture
 // either way).
 func TestProbeGetAllocatesNothing(t *testing.T) {
@@ -678,7 +681,10 @@ func FuzzLeafWalker(f *testing.F) {
 			err = walked.walk(w, data)
 		}
 		if err == nil {
-			err = img.load(root, data)
+			if fr, err = pool.Get(root); err == nil {
+				err = img.load(fr)
+				fr.Release()
+			}
 		}
 		if err != nil {
 			t.Fatalf("accepted leaf fails to load: %v", err)

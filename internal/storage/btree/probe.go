@@ -2,36 +2,41 @@ package btree
 
 // Probe is a point-lookup cursor that exploits key locality: it keeps an
 // image of the leaf the previous lookup landed on (and that leaf's exclusive
-// upper bound, captured during the descent) plus a finger at the position
-// that lookup answered, and answers keys that land on the same leaf with a
-// search of the image started at the finger.
+// upper bound, captured during the descent), and answers keys that land on
+// the same leaf with a search of the image.
 //
 // The query algorithms resolve candidate scores in ascending document order
 // (the merge order of ID- and chunk-ordered lists), so consecutive
-// Score-table probes walk the key space left to right: on a fixed-width leaf
-// the search gallops forward from the finger, costing O(log gap) rather than
-// a bisection of the whole leaf, and a key behind the finger is bisected as
-// usual.  Leaves carry no sibling pointers, so a key outside the cached leaf
-// means a leaf jump.
+// Score-table probes walk the key space left to right and mostly land on
+// the leaf the previous one did.  A fixed-width leaf of 8-byte keys is
+// searched by interpolation (stride.search64), which over the Score table's
+// dense document IDs lands on or next to the answer wherever the key lies,
+// so the probe keeps no position hint between lookups.  Leaves carry no
+// sibling pointers, so a key outside the cached leaf means a leaf jump.
 //
 // A leaf jump is served by the probe's image of the leaf's parent when it
 // can be: the full descent that loaded the leaf also copied the last
 // internal node on its path, with that node's stride, the key range
-// [lo, hi) it covers and a finger at the child it chose.  A jump whose key
-// lies inside that range gallops in the parent image from its finger and
-// fetches only the leaf; any other jump — and every jump when a node on the
-// path is not fixed-width — takes the full root descent, which replaces the
-// parent image.  Either way the leaf reached is the one a descent from the
-// root reaches.
+// [lo, hi) it covers and the child it chose.  A jump whose key lies inside
+// that range searches the parent image and fetches only the leaf; any other
+// jump — and every jump when a node on the path is not fixed-width — takes
+// the full root descent, which replaces the parent image.  Either way the
+// leaf reached is the one a descent from the root reaches.
 //
 // Contract.  Both images are the probe's own copies of serialized nodes (see
 // leafImage), taken while the page is pinned for the length of one load: a
 // probe holds no pin between calls, so nothing it does can outlive a query
-// or starve a small pool.  The slice Get returns aliases the leaf image and
-// is valid until the next Get or Reset on the same probe.  The images and
-// the bound buffers are reused across loads and across Reset, so a probe
-// that is kept (the index layer keeps them in its pooled per-query scratch)
-// allocates nothing per lookup and nothing per leaf jump.
+// or starve a small pool.  The leaf is loaded through its frame's layout
+// note (leafImage.load): the first reader to load a fixed-width leaf
+// since its bytes last changed proves its width, and every later leaf jump
+// to it — by any probe — copies it out by the noted stride.  The note lives
+// in the frame, so it dies with the bytes: a write (MarkDirty, Patch) clears
+// it and a frame reused for another page starts without one.  The slice Get
+// returns aliases the leaf image and is valid until the next Get or Reset on
+// the same probe.  The images and the bound buffers are reused across loads
+// and across Reset, so a probe that is kept (the index layer keeps them in
+// its pooled per-query scratch) allocates nothing per lookup and nothing per
+// leaf jump.
 //
 // Every probe is bound to a View: it descends the view's frozen root and
 // stays consistent for the view's lifetime.
@@ -50,9 +55,6 @@ type Probe struct {
 	leaf leafImage
 	// loaded reports that leaf holds a leaf of the bound tree.
 	loaded bool
-	// finger is the image position the previous lookup answered, where the
-	// next search starts.
-	finger int
 	// upper is the exclusive upper bound of the cached leaf's key range;
 	// empty when the leaf is the tree's rightmost (separators are never
 	// empty).
@@ -66,14 +68,15 @@ type Probe struct {
 // parentImage is a reader-owned copy of the fixed-width internal node above
 // the cached leaf: its bytes up to the end of the last entry, its stride,
 // the key range [lo, hi) the node covers — an empty bound is unbounded, since
-// separators are never empty — and the child index the last search chose.
+// separators are never empty — and the child index the last search chose,
+// which bounds the range of the next node a descent shows it.
 // A descent fills it in (descendFrom's parent out-param) through start,
 // visit and visitWalked.
 type parentImage struct {
 	data   []byte
 	s      stride
 	lo, hi []byte
-	finger int
+	chosen int
 	ok     bool
 	// bounded is false for the rest of a descent once a node on its path was
 	// walked: only a stride search yields the lower bound the range needs.
@@ -99,7 +102,7 @@ func (pi *parentImage) visit(data []byte, s stride, i int) {
 	if !pi.bounded {
 		return
 	}
-	if j := pi.finger; pi.ok {
+	if j := pi.chosen; pi.ok {
 		if j > 0 {
 			pi.lo = append(pi.lo[:0], pi.s.key(pi.data, j-1)...)
 		}
@@ -108,7 +111,7 @@ func (pi *parentImage) visit(data []byte, s stride, i int) {
 		}
 	}
 	pi.data = append(pi.data[:0], data[:s.end()]...)
-	pi.s, pi.finger, pi.ok = s, i, true
+	pi.s, pi.chosen, pi.ok = s, i, true
 }
 
 // visitWalked takes an internal node that is not fixed-width: no node at or
@@ -139,8 +142,7 @@ func (p *Probe) Get(key []byte) ([]byte, bool, error) {
 		// leaf; one at or beyond either end does only if the leaf's range
 		// (first key inclusive, upper bound exclusive) still covers it.  A
 		// root leaf covers everything, so even misses resolve here.
-		i, n := p.leaf.search(key, p.finger), p.leaf.len()
-		p.finger = i
+		i, n := p.leaf.search(key), p.leaf.len()
 		switch {
 		case i < n && bytes.Equal(p.leaf.key(i), key):
 			return p.leaf.val(i), true, nil
@@ -154,14 +156,13 @@ func (p *Probe) Get(key []byte) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	err = p.leaf.load(fr.ID(), fr.Data())
+	err = p.leaf.load(fr)
 	fr.Release()
 	if err != nil {
 		return nil, false, err
 	}
 	p.loaded = true
-	i := p.leaf.search(key, 0)
-	p.finger = i
+	i := p.leaf.search(key)
 	if i < p.leaf.len() && bytes.Equal(p.leaf.key(i), key) {
 		return p.leaf.val(i), true, nil
 	}
@@ -173,7 +174,7 @@ func (p *Probe) Get(key []byte) ([]byte, bool, error) {
 // else by a full descent.
 func (p *Probe) fetchLeaf(key []byte) (*buffer.Frame, error) {
 	if pi := &p.parent; pi.covers(key) {
-		i := pi.s.child(pi.data, key, pi.finger)
+		i := pi.s.child(pi.data, key)
 		fr, err := p.t.pool.Get(pi.s.childID(pi.data, i))
 		if err != nil {
 			return nil, err
@@ -181,7 +182,6 @@ func (p *Probe) fetchLeaf(key []byte) (*buffer.Frame, error) {
 		// A parent's children are leaves in any well-formed tree; anything
 		// else is left to the full descent to route or refuse.
 		if data := fr.Data(); len(data) > 0 && data[0] == nodeLeaf {
-			pi.finger = i
 			if i < pi.s.n {
 				p.upper = append(p.upper[:0], pi.s.key(pi.data, i)...)
 			} else {

@@ -41,7 +41,7 @@ func (v View) Get(dst, key []byte) ([]byte, bool, error) {
 	if err != nil {
 		return dst, false, err
 	}
-	val, ok, err := pageLeafLookup(fr.ID(), fr.Data(), key)
+	val, ok, err := pageLeafLookup(fr, key)
 	if ok {
 		dst = append(dst, val...)
 	}
@@ -81,14 +81,14 @@ func (v View) AscendRange(start, end []byte, visit Visitor) error {
 		if err != nil {
 			return err
 		}
-		err = sc.leaf.load(fr.ID(), fr.Data())
+		err = sc.leaf.load(fr)
 		fr.Release()
 		if err != nil {
 			return err
 		}
 		i := 0
 		if key != nil {
-			i = sc.leaf.search(key, 0)
+			i = sc.leaf.search(key)
 		}
 		for ; i < sc.leaf.len(); i++ {
 			k := sc.leaf.key(i)

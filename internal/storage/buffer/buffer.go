@@ -36,6 +36,9 @@ type Frame struct {
 	pins  int
 	dirty bool
 
+	// layout is a reader's note on the page's current bytes (see Layout).
+	layout atomic.Uint64
+
 	// ready is closed once the page contents are loaded (the frame's loading
 	// latch); loadErr is set before ready is closed when the read failed.
 	// Concurrent Gets of the same page wait on ready instead of serializing
@@ -52,8 +55,26 @@ func (fr *Frame) ID() pagefile.PageID { return fr.id }
 // back on eviction or flush.
 func (fr *Frame) Data() []byte { return fr.data }
 
-// MarkDirty records that the frame's contents have been modified.
+// Layout returns the note a reader stored with SetLayout about the page's
+// current bytes, or 0 when there is none.  The pool does not interpret it:
+// the B+-tree keeps there the verdict of its fixed-width check on a leaf,
+// so that a reader that finds the page again reuses the verdict instead of
+// re-deriving it from the bytes.  A note lives as long as the bytes it was
+// taken from: MarkDirty and Patch clear it, WriteThrough clears it when it
+// overwrites a resident frame, and a frame that comes to hold another page
+// (a miss, NewPage) starts without one.  Readers on other goroutines may
+// store and load it concurrently; a reader must store only what the bytes
+// it read under its pin determine.
+func (fr *Frame) Layout() uint64 { return fr.layout.Load() }
+
+// SetLayout stores a reader's note on the page's current bytes (see
+// Layout).  v must not be 0.  The caller holds a pin.
+func (fr *Frame) SetLayout(v uint64) { fr.layout.Store(v) }
+
+// MarkDirty records that the frame's contents have been modified, which
+// drops any note taken from the old bytes (see Layout).
 func (fr *Frame) MarkDirty() {
+	fr.layout.Store(0)
 	fr.pool.mu.Lock()
 	fr.dirty = true
 	fr.pool.mu.Unlock()
@@ -340,6 +361,7 @@ func (p *Pool) WriteThrough(id pagefile.PageID, data []byte) error {
 	p.mu.Lock()
 	if fr, ok := p.frames[id]; ok {
 		copy(fr.data, data[:p.file.PageSize()])
+		fr.layout.Store(0)
 		fr.dirty = false
 	}
 	p.flushes.Add(1)

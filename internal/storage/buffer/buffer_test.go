@@ -509,3 +509,70 @@ func TestFreePageRefusesPinned(t *testing.T) {
 		t.Errorf("FreePage after release: %v", err)
 	}
 }
+
+// TestLayoutNoteLivesWithTheBytes: a reader's layout note survives pins and
+// hits, and is gone once the page's bytes change in place (MarkDirty, Patch,
+// WriteThrough over a resident frame) or the page comes back into a frame
+// after eviction.
+func TestLayoutNoteLivesWithTheBytes(t *testing.T) {
+	p, _ := newPool(t, 64, 2)
+	fr, err := p.NewPage(pagefile.InvalidPageID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := fr.ID()
+	if fr.Layout() != 0 {
+		t.Fatalf("a new page carries note %#x", fr.Layout())
+	}
+	fr.Release()
+	get := func() *Frame {
+		t.Helper()
+		fr, err := p.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fr
+	}
+	for _, tc := range []struct {
+		name  string
+		write func(fr *Frame)
+	}{
+		{"MarkDirty", func(fr *Frame) { fr.MarkDirty() }},
+		{"Patch", func(fr *Frame) { fr.Patch(3, []byte{7}) }},
+		{"WriteThrough", func(*Frame) {
+			if err := p.WriteThrough(id, make([]byte, 64)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		fr := get()
+		fr.SetLayout(42)
+		fr.Release()
+		fr = get()
+		if fr.Layout() != 42 {
+			t.Fatalf("%s: the note did not survive a hit: %#x", tc.name, fr.Layout())
+		}
+		tc.write(fr)
+		if fr.Layout() != 0 {
+			t.Errorf("%s left note %#x", tc.name, fr.Layout())
+		}
+		fr.Release()
+	}
+
+	fr = get()
+	fr.SetLayout(42)
+	fr.Release()
+	for i := 0; i < 2; i++ { // two other pages evict it from a pool of two
+		o, err := p.NewPage(pagefile.InvalidPageID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Release()
+	}
+	misses := p.Stats().Misses
+	fr = get()
+	if p.Stats().Misses != misses+1 || fr.Layout() != 0 {
+		t.Errorf("after eviction: miss %v, note %#x; want a miss and no note", p.Stats().Misses != misses, fr.Layout())
+	}
+	fr.Release()
+}
