@@ -50,25 +50,9 @@ type mergeHead struct {
 // cur returns the head's current entry; only valid when pos < n.
 func (h *mergeHead) cur() Entry { return (*h.buf)[h.pos] }
 
-// skip steps the head past every entry at its current position (a stream
-// may repeat one).  pos < n must hold.
-func (h *mergeHead) skip() error {
-	e := &(*h.buf)[h.pos]
-	key, doc := e.SortKey, e.Doc
-	for {
-		if h.pos++; h.pos >= h.n {
-			if err := h.refill(); err != nil || h.done {
-				return err
-			}
-		}
-		if e := &(*h.buf)[h.pos]; e.SortKey != key || e.Doc != doc {
-			return nil
-		}
-	}
-}
-
-// take is skip returning the last entry at the position, the one that
-// stands for the stream in a group.
+// take steps the head past every entry at its current position (a stream
+// may repeat one) and returns the last of them, the one that stands for the
+// stream in a group.  pos < n must hold.
 func (h *mergeHead) take() (Entry, error) {
 	e := (*h.buf)[h.pos]
 	for {
@@ -449,9 +433,7 @@ func (m *GroupMerger) Close() {
 //     stops at the same position a test at every position would.
 //
 // A stream may repeat a position; the repeats fold into one, the last one
-// supplying the stream's entry, as in GroupMerger.  Two streams — most
-// conjunctive queries — are merged by a loop of their own over the two
-// heads.
+// supplying the stream's entry, as in GroupMerger.
 type Conjunction struct {
 	heads []mergeHead
 	g     Group
@@ -491,46 +473,33 @@ func (m *Conjunction) Next(stop func(sortKey float64) bool) (*Group, bool, error
 		}
 		m.init = true
 	}
-	if m.Stopped {
-		return nil, false, nil
-	}
-	if len(m.heads) == 2 {
-		return m.next2(stop)
-	}
-	return m.nextK(stop)
-}
-
-// passed counts a position of count streams at sort key and reports whether
-// stop ends the merge there; fresh marks the first position of a Next call.
-func (m *Conjunction) passed(key float64, count int, fresh bool, stop func(float64) bool) bool {
-	m.Scanned += count
-	changed := fresh || key != m.key
-	m.key = key
-	if changed && stop(key) {
-		m.Stopped = true
-	}
-	return m.Stopped
-}
-
-// nextK is Next over any number of streams: GroupMerger's linear pass for
-// the first position, then every head at it.
-func (m *Conjunction) nextK(stop func(float64) bool) (*Group, bool, error) {
-	for fresh := true; ; fresh = false {
-		first := -1
+	for fresh := true; !m.Stopped; fresh = false {
+		// One pass finds the first position and how many streams hold it.
+		// An exhausted head has pos == n == 0, so it never qualifies; every
+		// head before first sits at a later position.
+		first, count := -1, 0
 		var top *Entry
 		for i := range m.heads {
 			h := &m.heads[i]
-			if h.pos < h.n {
-				if e := &(*h.buf)[h.pos]; first < 0 || e.SortKey > top.SortKey || e.SortKey == top.SortKey && e.Doc < top.Doc {
-					first, top = i, e
-				}
+			if h.pos >= h.n {
+				continue
+			}
+			if e := &(*h.buf)[h.pos]; first < 0 || e.SortKey > top.SortKey || e.SortKey == top.SortKey && e.Doc < top.Doc {
+				first, top, count = i, e, 1
+			} else if e.SortKey == top.SortKey && e.Doc == top.Doc {
+				count++
 			}
 		}
 		if first < 0 {
 			return nil, false, nil
 		}
 		key, doc := top.SortKey, top.Doc
-		count := 0
+		m.Scanned += count
+		if (fresh || key != m.key) && stop(key) {
+			m.Stopped = true
+			return nil, false, nil
+		}
+		m.key = key
 		for i := first; i < len(m.heads); i++ {
 			h := &m.heads[i]
 			if h.pos < h.n && (*h.buf)[h.pos].SortKey == key && (*h.buf)[h.pos].Doc == doc {
@@ -539,71 +508,14 @@ func (m *Conjunction) nextK(stop func(float64) bool) (*Group, bool, error) {
 					return nil, false, err
 				}
 				m.g.Entries[i] = e
-				count++
 			}
-		}
-		if m.passed(key, count, fresh, stop) {
-			return nil, false, nil
 		}
 		if count == len(m.heads) {
 			m.g.Doc, m.g.SortKey = doc, key
 			return &m.g, true, nil
 		}
 	}
-}
-
-// next2 is Next over two streams: compare the heads, step the one that
-// sorts first, and build the group only where they meet.
-func (m *Conjunction) next2(stop func(float64) bool) (*Group, bool, error) {
-	a, b := &m.heads[0], &m.heads[1]
-	fresh := true
-	for a.pos < a.n && b.pos < b.n {
-		ea, eb := &(*a.buf)[a.pos], &(*b.buf)[b.pos]
-		if key := ea.SortKey; key == eb.SortKey && ea.Doc == eb.Doc {
-			if m.passed(key, 2, fresh, stop) {
-				return nil, false, nil
-			}
-			m.g.Doc, m.g.SortKey = ea.Doc, key
-			var err error
-			if m.g.Entries[0], err = a.take(); err != nil {
-				return nil, false, err
-			}
-			if m.g.Entries[1], err = b.take(); err != nil {
-				return nil, false, err
-			}
-			return &m.g, true, nil
-		}
-		h, key := a, ea.SortKey
-		if eb.SortKey > key || eb.SortKey == key && eb.Doc < ea.Doc {
-			h, key = b, eb.SortKey
-		}
-		if m.passed(key, 1, fresh, stop) {
-			return nil, false, nil
-		}
-		if err := h.skip(); err != nil {
-			return nil, false, err
-		}
-		fresh = false
-	}
-	// At most one stream is left, so no position can match any more.
-	if err := m.drain(a, fresh, stop); err != nil {
-		return nil, false, err
-	}
-	return nil, false, m.drain(b, fresh, stop)
-}
-
-// drain counts and stop-checks the rest of one stream, which no other
-// stream can match any more.
-func (m *Conjunction) drain(h *mergeHead, fresh bool, stop func(float64) bool) error {
-	for ; h.pos < h.n; fresh = false {
-		if m.passed((*h.buf)[h.pos].SortKey, 1, fresh, stop) {
-			return nil
-		}
-		if err := h.skip(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return nil, false, nil
 }
 
 // Close implements Closer.
