@@ -4,8 +4,9 @@
 //
 //   - idMethod — ID (§4.2.1) and ID-TermScore (§5.2): ID-ordered long lists,
 //     the latter with per-posting term weights.  A score update writes the
-//     Score table only; queries scan every list end to end (leapfrogging
-//     multi-term conjunctions) and look up every candidate's score.
+//     Score table only; queries scan every list end to end (a conjunction
+//     leapfrogs the lists of its terms with no short-list postings) and look
+//     up every candidate's score.
 //   - scoreMethod — Score (§4.2.2): score-ordered clustered B+-tree lists,
 //     every posting of a document moved on every score update; queries read
 //     an exact prefix.

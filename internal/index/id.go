@@ -16,10 +16,11 @@ import (
 // at query time: because the lists carry no score information, every list
 // must be scanned to the end and every candidate's score looked up, no
 // matter how small k is.  The one exception is a multi-term conjunctive
-// query, where the intersection itself bounds the work: the query planner
-// leapfrogs the lists with SeekDoc so that super-blocks proven (by their
+// query, where the intersection itself bounds the work: the merge leapfrogs
+// every term's long list with SeekDoc, so that super-blocks proven (by their
 // skip headers) to contain no common document are never decoded or even
-// paged in.
+// paged in.  A term with short-list postings is read through the overlay,
+// which cannot seek; the other terms still leapfrog.
 //
 // Incrementally inserted documents and content updates go to an auxiliary
 // ID-ordered short list through the maintenance paths every kind shares
@@ -28,14 +29,19 @@ import (
 type idMethod struct {
 	*base
 	withTermScores bool
-	// stream is openSeeker in the shape termStream takes, bound once so the
-	// scan path allocates no method value per query.
+	// stream opens one of the kind's long lists in the shape termStream
+	// takes, bound once so the scan path allocates no method value per query.
 	stream func(*snap, *blob.Reader) (postings.BatchIterator, error)
 }
 
 func newIDMethod(b *base, withTermScores bool) kindMethod {
 	m := &idMethod{base: b, withTermScores: withTermScores}
-	m.stream = func(_ *snap, r *blob.Reader) (postings.BatchIterator, error) { return m.openSeeker(r) }
+	m.stream = func(_ *snap, r *blob.Reader) (postings.BatchIterator, error) {
+		if withTermScores {
+			return postings.NewStreamIDTermList(r)
+		}
+		return postings.NewStreamIDList(r)
+	}
 	b.keyOf = func(float64) float64 { return 0 }
 	return m
 }
@@ -112,12 +118,6 @@ func (m *idMethod) TopK(q Query) (*QueryResult, error) {
 	ctx := newQueryCtx(s, &q)
 	defer ctx.release()
 
-	// Multi-term conjunctive queries with no auxiliary postings intersect
-	// via leapfrog seeks instead of scanning every list end to end.
-	if !q.Disjunctive && len(q.Terms) > 1 && s.lists.Len() == 0 {
-		return m.leapfrogTopK(s, ctx, q)
-	}
-
 	for i, term := range q.Terms {
 		st, err := m.termStream(s, term, m.stream)
 		if err != nil {
@@ -132,138 +132,4 @@ func (m *idMethod) TopK(q Query) (*QueryResult, error) {
 		maxPossible: neverStop,
 		resolve:     resolveCurrent,
 	})
-}
-
-// docSeeker is a posting stream that can reposition forward to the first
-// entry at or past a document ID without decoding the skipped range.
-type docSeeker interface {
-	postings.BatchIterator
-	SeekDoc(doc DocID) error
-}
-
-// openSeeker opens one of the kind's long lists.
-func (m *idMethod) openSeeker(r *blob.Reader) (docSeeker, error) {
-	if m.withTermScores {
-		return postings.NewStreamIDTermList(r)
-	}
-	return postings.NewStreamIDList(r)
-}
-
-// leapfrogTopK intersects the query terms' long lists with the classic
-// leapfrog join: every stream repeatedly seeks to the maximum head document,
-// and only documents all streams agree on are resolved.  SeekDoc proves
-// via skip headers that a super-block holds no document >= the target, so
-// sparse intersections skip most of every list's pages.
-func (m *idMethod) leapfrogTopK(s *snap, ctx *queryCtx, q Query) (*QueryResult, error) {
-	seekers := make([]docSeeker, 0, len(q.Terms))
-	for i, term := range q.Terms {
-		ref, ok := s.longRefs[term]
-		if !ok {
-			// A term with no long list (and the short lists are empty, or we
-			// would not be here) makes the conjunction empty.
-			m.counters.queries.Add(1)
-			return &QueryResult{Stopped: true}, nil
-		}
-		ds, err := m.openSeeker(m.store.NewReader(ref))
-		if err != nil {
-			return nil, err
-		}
-		seekers = append(seekers, ds)
-		ctx.idfs = append(ctx.idfs, s.queryIDF(&q, i))
-	}
-
-	heads := make([]postings.Entry, len(seekers))
-	var one [1]postings.Entry
-	scanned := 0
-	// advance repositions stream i at the first entry >= target and pulls it
-	// into heads[i]; alive=false means the list is exhausted (intersection
-	// complete).
-	advance := func(i int, target DocID) (alive bool, err error) {
-		if err := seekers[i].SeekDoc(target); err != nil {
-			return false, err
-		}
-		n, err := seekers[i].NextBatch(one[:])
-		if err != nil || n == 0 {
-			return false, err
-		}
-		heads[i] = one[0]
-		scanned++
-		return true, nil
-	}
-
-	// Position every stream on its first posting.
-	for i := range seekers {
-		alive, err := advance(i, 0)
-		if err != nil {
-			return nil, err
-		}
-		if !alive {
-			m.counters.queries.Add(1)
-			return &QueryResult{Stopped: true}, nil
-		}
-	}
-
-	m.counters.queries.Add(1)
-	heap := &ctx.heap
-	res := &QueryResult{}
-	group := &postings.Group{
-		Entries: make([]postings.Entry, len(seekers)),
-		Present: make([]bool, len(seekers)),
-		Count:   len(seekers),
-	}
-	for i := range group.Present {
-		group.Present[i] = true
-	}
-
-loop:
-	for {
-		target := heads[0].Doc
-		for i := 1; i < len(heads); i++ {
-			if heads[i].Doc > target {
-				target = heads[i].Doc
-			}
-		}
-		aligned := true
-		for i := range heads {
-			if heads[i].Doc < target {
-				alive, err := advance(i, target)
-				if err != nil {
-					return nil, err
-				}
-				if !alive {
-					break loop
-				}
-				if heads[i].Doc != target {
-					aligned = false
-				}
-			}
-		}
-		if !aligned {
-			continue
-		}
-		group.Doc = target
-		copy(group.Entries, heads)
-		score, include, err := resolveCurrent(ctx, group)
-		if err != nil {
-			return nil, err
-		}
-		if include {
-			heap.Add(int64(target), score)
-		}
-		for i := range heads {
-			alive, err := advance(i, target+1)
-			if err != nil {
-				return nil, err
-			}
-			if !alive {
-				break loop
-			}
-		}
-	}
-
-	res.Results = heap.Results()
-	res.PostingsScanned = scanned
-	res.ScoreLookups = ctx.score.lookups
-	m.counters.postingsScanned.Add(uint64(scanned))
-	return res, nil
 }

@@ -938,6 +938,74 @@ func TestEarlyTerminationBehaviour(t *testing.T) {
 	}
 }
 
+// TestIDSeekIsPerTerm checks that whether an ID-family conjunction
+// leapfrogs depends on the query's own terms only.  Each query runs before
+// and after the insert of a document that holds none of its terms; results,
+// Stopped (never set: the ID family scans to the end) and the postings
+// scanned must not move.  A selective pair over lists with sparse overlap
+// must scan fewer postings than its lists hold: without the seek the merge
+// passes every posting of both lists, since the rare term's list ends at the
+// last document.
+func TestIDSeekIsPerTerm(t *testing.T) {
+	sparse := newTestCorpus()
+	const nDocs = 2000
+	for i := 1; i <= nDocs; i++ {
+		content := "common"
+		if i%100 == 0 {
+			content += " rare"
+		}
+		sparse.add(DocID(i), float64(i%97), content)
+	}
+	cases := []struct {
+		corpus  *testCorpus
+		queries []Query
+		held    int // postings in the first query's lists, when it must seek
+	}{
+		{smallCorpus(), []Query{
+			{Terms: []string{"golden", "gate"}, K: 3},
+			{Terms: []string{"golden", "zebra"}, K: 3},
+		}, 0},
+		{sparse, []Query{
+			{Terms: []string{"rare", "common"}, K: 5},
+			{Terms: []string{"rare", "zebra"}, K: 5},
+		}, nDocs + nDocs/100},
+	}
+	for _, name := range []string{"ID", "ID-TermScore"} {
+		for ci, c := range cases {
+			m := buildMethod(t, name, allConstructors()[name], c.corpus)
+			before := make([]*QueryResult, len(c.queries))
+			for i, q := range c.queries {
+				res, err := m.TopK(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before[i] = res
+			}
+			if err := insertDocument(m, 1_000_000, []string{"unrelated", "quokka"}, 50); err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range c.queries {
+				label := fmt.Sprintf("%s corpus %d %v", name, ci, q.Terms)
+				after, err := m.TopK(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b := before[i]
+				if b.Stopped || after.Stopped {
+					t.Errorf("%s: stopped %v before the insert, %v after; the ID family never stops early", label, b.Stopped, after.Stopped)
+				}
+				if !reflect.DeepEqual(b.Results, after.Results) || b.PostingsScanned != after.PostingsScanned {
+					t.Errorf("%s: an unrelated insert moved the answer: %v scanning %d before, %v scanning %d after",
+						label, b.Results, b.PostingsScanned, after.Results, after.PostingsScanned)
+				}
+				if i == 0 && c.held > 0 && after.PostingsScanned >= c.held {
+					t.Errorf("%s: scanned %d postings of the %d its lists hold; the merge did not seek", label, after.PostingsScanned, c.held)
+				}
+			}
+		}
+	}
+}
+
 func resultScores(rs []Result) []float64 {
 	out := make([]float64, len(rs))
 	for i, r := range rs {

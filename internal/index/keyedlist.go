@@ -278,8 +278,8 @@ func (v keyedView) Patches() uint64 { return v.patches }
 
 // Collect materializes the postings of one term in (sortKey desc, doc asc)
 // order.  Short lists are small by design (that is the point of the
-// threshold), so materializing them per query is cheap; the Score method
-// overrides this with a streaming cursor (see treeCursor).
+// threshold), so materializing them per query is cheap; the Score method's
+// lists are long, and it reads them through a streaming Cursor instead.
 func (v keyedView) Collect(term string) ([]postings.Entry, error) {
 	var out []postings.Entry
 	var innerErr error

@@ -24,8 +24,8 @@ import (
 // concurrent Searches never share scratch, and the steady-state query path
 // reuses the slices and leaf images instead of allocating them anew per
 // query (or, for the images, per leaf jump).  The context must be released
-// only after the query is fully evaluated (the group merger reads the
-// streams it references, the resolvers its probes).
+// only after the query is fully evaluated (the merge reads the streams it
+// references, the resolvers its probes).
 type queryCtx struct {
 	snap *snap
 	// heap is held by value, so a query's heap allocates only its entries.
@@ -88,8 +88,8 @@ func (c *queryCtx) release() {
 }
 
 // rankedQuery is the shared skeleton of Algorithm 2 and its relatives: merge
-// the per-term streams (each the union of a short and a long list, already
-// collapsed for ADD/REM content updates) in descending list-order, detect
+// the per-term streams (each a short list laid over a long list, with
+// ADD/REM content updates applied) in descending list-order, detect
 // candidates, resolve their current scores, and stop as soon as no unseen
 // document can beat the current top-k.
 //
@@ -130,56 +130,40 @@ type rankedQuery struct {
 type resolveFunc func(ctx *queryCtx, g *postings.Group) (score float64, include bool, err error)
 
 // runRanked executes the query over ctx.streams and returns the ranked
-// results with work counters.  The per-term streams move postings in batches
-// (see postings.BatchIterator); the merger's scratch buffers are pooled and
-// released when the query ends, so the steady-state query path performs no
-// per-posting allocation.  A conjunctive query merges through
-// postings.Conjunction, which hands over only the positions every term
-// holds and counts and stop-checks the rest itself; a disjunctive one takes
-// every group of postings.GroupMerger.
+// results with work counters.  One postings.Merge serves both query shapes:
+// a conjunctive query is handed the positions every term holds, a
+// disjunctive one every position; the merge counts and stop-checks the
+// positions it passes itself.  The per-term streams move postings in
+// batches (see postings.BatchIterator); the merge's scratch buffers are
+// pooled and released when the query ends, so the steady-state query path
+// performs no per-posting allocation.
 func (b *base) runRanked(ctx *queryCtx, q rankedQuery) (*QueryResult, error) {
 	b.counters.queries.Add(1)
-	res := &QueryResult{}
+	need := 1
 	if q.conjunctive {
-		conj := postings.NewConjunction(ctx.streams...)
-		defer conj.Close()
-		stop := func(sortKey float64) bool { return q.stops(ctx, sortKey) }
-		for {
-			g, ok, err := conj.Next(stop)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			if err := q.take(ctx, g); err != nil {
-				return nil, err
-			}
+		need = len(ctx.streams)
+	}
+	merge := postings.NewMerge(need, ctx.streams...)
+	defer merge.Close()
+	stop := func(sortKey float64) bool { return q.stops(ctx, sortKey) }
+	for {
+		g, ok, err := merge.Next(stop)
+		if err != nil {
+			return nil, err
 		}
-		res.PostingsScanned, res.Stopped = conj.Scanned, conj.Stopped
-	} else {
-		merger := postings.NewGroupMerger(ctx.streams...)
-		defer merger.Close()
-		for {
-			g, ok, err := merger.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			res.PostingsScanned += g.Count
-			if q.stops(ctx, g.SortKey) {
-				res.Stopped = true
-				break
-			}
-			if err := q.take(ctx, g); err != nil {
-				return nil, err
-			}
+		if !ok {
+			break
+		}
+		if err := q.take(ctx, g); err != nil {
+			return nil, err
 		}
 	}
-	res.Results = ctx.heap.Results()
-	res.ScoreLookups = ctx.score.lookups
+	res := &QueryResult{
+		Results:         ctx.heap.Results(),
+		PostingsScanned: merge.Scanned,
+		ScoreLookups:    ctx.score.lookups,
+		Stopped:         merge.Stopped,
+	}
 	b.counters.postingsScanned.Add(uint64(res.PostingsScanned))
 	return res, nil
 }
@@ -234,11 +218,12 @@ func neverStop(*queryCtx, float64) float64 { return math.Inf(1) }
 
 // termStream builds a term's query stream from its long list, opened with
 // the kind's stream constructor (a term without one is an empty list), and
-// its short list.  With short-list postings present this is the
-// "SL(ti) ∪ LL(ti)" union with ADD/REM collapsing; with an empty short
-// list — the common case for most terms, and for every term right after a
-// build or merge — both stages are identities, so the long list is consumed
-// directly and the query skips two pipeline stages and their batch buffers.
+// its short list.  With short-list postings present this is
+// "SL(ti) ∪ LL(ti)", the short list laid over the long one; with an empty
+// short list — the common case for most terms, and for every term right
+// after a build or merge — the long list is consumed directly, so the query
+// skips a pipeline stage and its batch buffers, and an ID list keeps its
+// SeekDoc for a conjunctive merge to leapfrog with.
 func (b *base) termStream(s *snap, term string, open func(*snap, *blob.Reader) (postings.BatchIterator, error)) (postings.BatchIterator, error) {
 	var long postings.BatchIterator
 	if ref, ok := s.longRefs[term]; ok {
@@ -256,5 +241,5 @@ func (b *base) termStream(s *snap, term string, open func(*snap, *blob.Reader) (
 	if short.Len() == 0 {
 		return long, nil
 	}
-	return postings.NewCollapseOps(postings.NewUnion(short, long)), nil
+	return postings.NewOverlay(short, long), nil
 }

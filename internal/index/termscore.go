@@ -95,17 +95,16 @@ func (m *thresholdMethod) topKTermScores(s *snap, ctx *queryCtx, q Query) (*Quer
 		}
 		ctx.streams = append(ctx.streams, it)
 	}
-	fancyMerger := postings.NewGroupMerger(ctx.streams...)
-	defer fancyMerger.Close()
+	fancy := postings.NewMerge(1, ctx.streams...)
+	defer fancy.Close()
 	for {
-		g, ok, err := fancyMerger.Next()
+		g, ok, err := fancy.Next(nil)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			break
 		}
-		res.PostingsScanned += g.Count
 		if g.ContainsAll() {
 			svr, live, err := rowScore(scores.Get(g.Doc))
 			if err != nil {
@@ -127,26 +126,31 @@ func (m *thresholdMethod) topKTermScores(s *snap, ctx *queryCtx, q Query) (*Quer
 	}
 
 	// Phase 2 (lines 10-34): scan the chunked lists top chunk first.  The
-	// fancy merger copied its stream references into its own heads, so the
+	// fancy merge copied its stream references into its own heads, so the
 	// context's stream slice can be reused for this phase.
 	if err := m.listStreams(s, ctx, q.Terms); err != nil {
 		return nil, err
 	}
-	merger := postings.NewGroupMerger(ctx.streams...)
-	defer merger.Close()
-	lastCID := int32(math.MinInt32)
-	haveCID := false
 
-	checkStop := func(cidJustFinished int32) (bool, error) {
+	// The stopping rule is tested as the scan leaves a chunk.  The merge
+	// returns every position (need = 1), so it asks stop at every position
+	// and stop sees each chunk change; an error ends the merge and is
+	// returned from the loop below.
+	lastCID, haveCID := int32(math.MinInt32), false
+	var stopErr error
+	stop := func(sortKey float64) bool {
+		cid, finished := int32(sortKey), lastCID
+		leaving := haveCID && cid < finished
+		lastCID, haveCID = cid, true
+		if !leaving {
+			return false
+		}
 		min, full := heap.MinScore()
 		if !full {
-			return false, nil
+			return false
 		}
-		// The SVR score of any document not yet reached is below the upper
-		// bound of the chunk one above the chunks still to be scanned.
-		svrBound := s.chunks.UpperBound(cidJustFinished)
 		// Prune remainList entries that can no longer win.
-		err := remain.prune(func(doc DocID, row []float64) (bool, error) {
+		stopErr = remain.prune(func(doc DocID, row []float64) (bool, error) {
 			svr, live, err := rowScore(ctx.getScoreAside(doc))
 			if err != nil || !live {
 				return false, err
@@ -157,40 +161,29 @@ func (m *thresholdMethod) topKTermScores(s *snap, ctx *queryCtx, q Query) (*Quer
 			}
 			return bound > min, nil
 		})
-		if err != nil || remain.live > 0 {
-			return false, err
-		}
-		return svrBound+epsilonSum <= min, nil
+		// The SVR score of any document not yet reached is below the upper
+		// bound of the chunk one above the chunks still to be scanned.
+		return stopErr != nil || remain.live == 0 && s.chunks.UpperBound(finished)+epsilonSum <= min
 	}
-
+	merge := postings.NewMerge(1, ctx.streams...)
+	defer merge.Close()
 	for {
-		g, ok, err := merger.Next()
+		g, ok, err := merge.Next(stop)
+		if err == nil {
+			err = stopErr
+		}
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			break
 		}
-		res.PostingsScanned += g.Count
-		cid := int32(g.SortKey)
-		if haveCID && cid < lastCID {
-			stop, err := checkStop(lastCID)
-			if err != nil {
-				return nil, err
-			}
-			if stop {
-				res.Stopped = true
-				break
-			}
-		}
-		lastCID, haveCID = cid, true
 
 		// The document is now being processed through its regular postings,
 		// so it no longer needs to be remembered separately (line 12).
 		remain.remove(g.Doc)
 
-		matches := g.ContainsAll() || (q.Disjunctive && g.Count >= 1)
-		if !matches {
+		if !q.Disjunctive && !g.ContainsAll() {
 			continue
 		}
 		// The resolver returns the combined score it cut the candidate at.
@@ -204,7 +197,9 @@ func (m *thresholdMethod) topKTermScores(s *snap, ctx *queryCtx, q Query) (*Quer
 	}
 
 	res.Results = heap.Results()
+	res.PostingsScanned = fancy.Scanned + merge.Scanned
 	res.ScoreLookups = ctx.score.lookups
+	res.Stopped = merge.Stopped
 	m.counters.postingsScanned.Add(uint64(res.PostingsScanned))
 	return res, nil
 }

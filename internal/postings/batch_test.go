@@ -2,7 +2,10 @@ package postings
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -251,46 +254,32 @@ func refCollapse(entries []Entry) []Entry {
 	return out
 }
 
-func TestUnionBatchedMatchesReference(t *testing.T) {
-	for trial := 0; trial < 40; trial++ {
-		rng := rand.New(rand.NewSource(int64(100 + trial)))
-		k := 1 + rng.Intn(4)
-		streams := make([][]Entry, k)
-		for i := range streams {
-			streams[i] = randomSortedStream(rng, rng.Intn(120), i == 0)
-		}
-		want := refMerge(streams...)
-
-		mk := func() []BatchIterator {
-			srcs := make([]BatchIterator, k)
-			for i := range streams {
-				srcs[i] = NewSliceIterator(streams[i])
-			}
-			return srcs
-		}
-
-		for _, size := range batchSizes {
-			u := NewUnion(mk()...)
-			sameEntries(t, "union/batched", collectBatchSize(t, u, size), want)
-			u.Close()
+// distinctPositions keeps the first entry at each position of a sorted
+// stream: the overlay's inputs, a short list keyed by (term, sortKey, doc)
+// and a long list with one posting per document, never repeat one.
+func distinctPositions(entries []Entry) []Entry {
+	var out []Entry
+	for _, e := range entries {
+		if len(out) == 0 || !SamePosition(out[len(out)-1], e) {
+			out = append(out, e)
 		}
 	}
+	return out
 }
 
-func TestCollapseOpsBatchedMatchesReference(t *testing.T) {
-	for trial := 0; trial < 40; trial++ {
+// TestOverlayBatchedMatchesReference lays random short lists, ADD and REM,
+// over random long lists that collide with them at many positions, and
+// requires the reference merge-then-collapse at every batch size.
+func TestOverlayBatchedMatchesReference(t *testing.T) {
+	for trial := 0; trial < 80; trial++ {
 		rng := rand.New(rand.NewSource(int64(200 + trial)))
-		long := randomSortedStream(rng, rng.Intn(150), false)
-		short := randomSortedStream(rng, rng.Intn(60), true)
+		long := distinctPositions(randomSortedStream(rng, rng.Intn(150), false))
+		short := distinctPositions(randomSortedStream(rng, rng.Intn(60), true))
 		want := refCollapse(refMerge(short, long))
-
-		build := func() *CollapseOps {
-			return NewCollapseOps(NewUnion(NewSliceIterator(short), NewSliceIterator(long)))
-		}
 		for _, size := range batchSizes {
-			c := build()
-			sameEntries(t, "collapse/batched", collectBatchSize(t, c, size), want)
-			c.Close()
+			o := NewOverlay(NewSliceIterator(short), NewSliceIterator(long))
+			sameEntries(t, "overlay/batched", collectBatchSize(t, o, size), want)
+			o.Close()
 		}
 	}
 }
@@ -345,32 +334,21 @@ func refGroups(streams ...[]Entry) []refGroup {
 	return out
 }
 
-func collectGroups(t *testing.T, m *GroupMerger) []refGroup {
-	t.Helper()
-	var out []refGroup
-	for {
-		g, ok, err := m.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return out
-		}
-		// Copy out: the merger reuses the group's slices.
-		cp := refGroup{
-			doc:     g.Doc,
-			sortKey: g.SortKey,
-			entries: make([]Entry, len(g.Entries)),
-			present: append([]bool(nil), g.Present...),
-			count:   g.Count,
-		}
-		for i, p := range g.Present {
-			if p {
-				cp.entries[i] = g.Entries[i]
-			}
-		}
-		out = append(out, cp)
+// copyGroup copies g out of the merge, which reuses its slices.
+func copyGroup(g *Group) refGroup {
+	cp := refGroup{
+		doc:     g.Doc,
+		sortKey: g.SortKey,
+		entries: make([]Entry, len(g.Entries)),
+		present: append([]bool(nil), g.Present...),
+		count:   g.Count,
 	}
+	for i, p := range g.Present {
+		if p {
+			cp.entries[i] = g.Entries[i]
+		}
+	}
+	return cp
 }
 
 func sameGroups(t *testing.T, label string, got, want []refGroup) {
@@ -395,15 +373,14 @@ func sameGroups(t *testing.T, label string, got, want []refGroup) {
 	}
 }
 
-func TestGroupMergerBatchedMatchesReference(t *testing.T) {
+func TestMergeBatchedMatchesReference(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(300 + trial)))
 		k := 1 + rng.Intn(4)
-		// Group inputs must have distinct positions within one stream, as the
-		// per-term pipelines guarantee after CollapseOps.
+		// Distinct positions within one stream, as every per-term stream has.
 		streams := make([][]Entry, k)
 		for i := range streams {
-			streams[i] = refCollapse(randomSortedStream(rng, rng.Intn(100), false))
+			streams[i] = distinctPositions(randomSortedStream(rng, rng.Intn(100), false))
 		}
 		want := refGroups(streams...)
 
@@ -411,14 +388,14 @@ func TestGroupMergerBatchedMatchesReference(t *testing.T) {
 		for i := range streams {
 			srcs[i] = NewSliceIterator(streams[i])
 		}
-		m := NewGroupMerger(srcs...)
-		sameGroups(t, "groups", collectGroups(t, m), want)
+		m := NewMerge(1, srcs...)
+		sameGroups(t, "groups", drainMerge(t, m), want)
 		m.Close()
 	}
 }
 
 // TestPipelineBatchSizeIndependence runs the full per-term read pipeline —
-// stream-decoded long list ∪ short list, collapsed — at every batch size
+// a short list laid over a stream-decoded long list — at every batch size
 // and requires the reference output, including ADD/REM short-list
 // interleavings that cancel long-list postings.
 func TestPipelineBatchSizeIndependence(t *testing.T) {
@@ -459,9 +436,9 @@ func TestPipelineBatchSizeIndependence(t *testing.T) {
 		want := refCollapse(refMerge(short, longEntries))
 
 		for _, size := range batchSizes {
-			c := NewCollapseOps(NewUnion(NewSliceIterator(short), streamFor(t, "score", data)))
-			sameEntries(t, "pipeline", collectBatchSize(t, c, size), want)
-			c.Close()
+			o := NewOverlay(NewSliceIterator(short), streamFor(t, "score", data))
+			sameEntries(t, "pipeline", collectBatchSize(t, o, size), want)
+			o.Close()
 		}
 	}
 }
@@ -476,34 +453,58 @@ func (c capBatch) NextBatch(buf []Entry) (int, error) {
 	return c.src.NextBatch(buf[:min(len(buf), c.size)])
 }
 
-// checkGroupMerger merges the streams, each served in batches of at most
-// size, and requires the brute-force grouping: every entry sorted by
-// (SortKey desc, Doc asc), grouped by position, a stream's last entry at a
-// position standing for it.  It then checks the conjunctive merge of the
-// same streams under the stop rule seeded by stop (see checkConjunction).
-func checkGroupMerger(t *testing.T, label string, size int, stop uint8, streams ...[]Entry) {
+// seekSlice serves entries in batches of at most size and seeks as the ID
+// layouts' SeekDoc does: to the first entry with Doc >= doc.
+type seekSlice struct {
+	entries []Entry
+	size    int
+}
+
+func (s *seekSlice) NextBatch(buf []Entry) (int, error) {
+	n := copy(buf[:min(len(buf), s.size)], s.entries)
+	s.entries = s.entries[n:]
+	return n, nil
+}
+
+func (s *seekSlice) SeekDoc(doc DocID) error {
+	i, _ := slices.BinarySearchFunc(s.entries, doc, func(e Entry, d DocID) int { return cmp.Compare(e.Doc, d) })
+	s.entries = s.entries[i:]
+	return nil
+}
+
+// checkMerge merges the streams, each served in batches of at most size,
+// and requires, at need = 1 with no stop rule, the brute-force grouping:
+// every entry sorted by (SortKey desc, Doc asc), grouped by position, a
+// stream's last entry at a position standing for it.  It then checks the
+// merge at every need from 1 to k against the brute-force scan under the
+// stop rule seeded by stop (see checkScan), and the conjunctive merge of
+// the streams flattened to one sort key, some of them seekable, against
+// the brute-force intersection (see checkSeek).
+func checkMerge(t *testing.T, label string, size int, stop uint8, streams ...[]Entry) {
 	t.Helper()
 	srcs := make([]BatchIterator, len(streams))
 	for i := range streams {
 		srcs[i] = capBatch{src: NewSliceIterator(streams[i]), size: size}
 	}
-	m := NewGroupMerger(srcs...)
+	m := NewMerge(1, srcs...)
 	defer m.Close()
-	got := collectGroups(t, m)
-	sameGroups(t, label, got, refGroups(streams...))
-	if _, ok, err := m.Next(); ok || err != nil {
+	sameGroups(t, label, drainMerge(t, m), refGroups(streams...))
+	if _, ok, err := m.Next(nil); ok || err != nil {
 		t.Fatalf("%s: Next after exhaustion = %v, %v", label, ok, err)
 	}
-	checkConjunction(t, label+"/conjunction", size, stop, streams...)
+	for need := 1; need <= len(streams); need++ {
+		checkScan(t, fmt.Sprintf("%s/need=%d", label, need), size, need, stop, streams...)
+	}
+	checkSeek(t, label+"/seek", size, stop, streams...)
 }
 
 // seededStop is a stop rule shaped like the top-k scan's: it can fire only
-// once need matches are held, and then at a sort key below a bound that
+// once `after` matches are held, and then at a sort key below a bound that
 // rises with every match, as the heap's minimum does.  Its answer depends
 // on the position's sort key and on the matches taken so far, and on
 // nothing else.
 type seededStop struct {
-	need    int
+	after   int
 	base    float64
 	matches int
 	firedAt float64 // the sort key it fired at
@@ -514,36 +515,42 @@ type seededStop struct {
 // (sort keys of the fuzzed streams are 0–7), the high five bits the
 // matches needed.
 func newSeededStop(seed uint8) *seededStop {
-	return &seededStop{need: int(seed >> 3), base: float64(seed & 7)}
+	return &seededStop{after: int(seed >> 3), base: float64(seed & 7)}
 }
 
 func (s *seededStop) stops(sortKey float64) bool {
-	if s.matches >= s.need && sortKey < s.base+float64(s.matches)/4 {
+	if s.matches >= s.after && sortKey < s.base+float64(s.matches)/4 {
 		s.firedAt, s.fired = sortKey, true
 		return true
 	}
 	return false
 }
 
-// checkConjunction merges the streams through Conjunction, each served in
-// batches of at most size, and requires what the brute-force grouping
-// gives a conjunctive scan that tests the seeded stop rule at every
-// position: the same groups holding every stream, in the same order, with
-// the same entries; the same scanned count (each position's stream count,
-// up to and including the one that stops the scan); and a stop at the same
+// checkScan merges the streams through a Merge of the given need, each
+// served in batches of at most size, and requires what the brute-force
+// grouping gives a scan that tests the seeded stop rule at every position
+// and, at need = k, ends at the first position past a stream's last: the
+// same groups held by at least need streams, in the same order, with the
+// same entries; the same scanned count (each position's stream count, up to
+// and including the one that stops the scan); and a stop at the same
 // position — a stop elsewhere would change the count, since every position
 // counts at least one posting.
-func checkConjunction(t *testing.T, label string, size int, stop uint8, streams ...[]Entry) {
+func checkScan(t *testing.T, label string, size, need int, stop uint8, streams ...[]Entry) {
 	t.Helper()
 	ref := newSeededStop(stop)
 	var want []refGroup
 	wantScanned := 0
 	for _, g := range refGroups(streams...) {
+		if need == len(streams) && slices.ContainsFunc(streams, func(s []Entry) bool {
+			return len(s) == 0 || Less(s[len(s)-1], Entry{SortKey: g.sortKey, Doc: g.doc})
+		}) {
+			break
+		}
 		wantScanned += g.count
 		if ref.stops(g.sortKey) {
 			break
 		}
-		if g.count == len(streams) {
+		if g.count >= need {
 			want = append(want, g)
 			ref.matches++
 		}
@@ -553,43 +560,128 @@ func checkConjunction(t *testing.T, label string, size int, stop uint8, streams 
 	for i := range streams {
 		srcs[i] = capBatch{src: NewSliceIterator(streams[i]), size: size}
 	}
-	c := NewConjunction(srcs...)
-	defer c.Close()
+	m := NewMerge(need, srcs...)
+	defer m.Close()
 	rule := newSeededStop(stop)
 	var got []refGroup
 	for {
-		g, ok, err := c.Next(rule.stops)
+		g, ok, err := m.Next(rule.stops)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		got = append(got, refGroup{
-			doc:     g.Doc,
-			sortKey: g.SortKey,
-			entries: append([]Entry(nil), g.Entries...),
-			present: append([]bool(nil), g.Present...),
-			count:   g.Count,
-		})
+		got = append(got, copyGroup(g))
 		rule.matches++
 	}
 	sameGroups(t, label, got, want)
-	if c.Scanned != wantScanned || c.Stopped != ref.fired || rule.fired != ref.fired || rule.firedAt != ref.firedAt {
+	if m.Scanned != wantScanned || m.Stopped != ref.fired || rule.fired != ref.fired || rule.firedAt != ref.firedAt {
 		t.Fatalf("%s: scanned %d, stopped %v at key %g; brute force scanned %d, stopped %v at key %g",
-			label, c.Scanned, c.Stopped, rule.firedAt, wantScanned, ref.fired, ref.firedAt)
+			label, m.Scanned, m.Stopped, rule.firedAt, wantScanned, ref.fired, ref.firedAt)
 	}
-	if _, ok, err := c.Next(rule.stops); ok || err != nil {
+	if _, ok, err := m.Next(rule.stops); ok || err != nil {
 		t.Fatalf("%s: Next after the end = %v, %v", label, ok, err)
 	}
 }
 
-// TestGroupMergerMatchesBruteForce covers 1–5 streams with empty and early-
-// exhausted streams and duplicate positions within one stream (the merger
-// folds them into one group), from sources that hand out one entry per batch
-// and a full BatchSize per batch, through GroupMerger and through
-// Conjunction under a stop rule seeded per trial.
-func TestGroupMergerMatchesBruteForce(t *testing.T) {
+// checkSeek flattens every stream to sort key 0 (its documents ascending,
+// one entry each) and merges them conjunctively, stream i seekable when bit
+// i of seed is set, each served in batches of at most size.  It requires
+// the brute-force intersection, in ascending order, with every stream's
+// entry.  With every stream seekable the scanned count must be the
+// textbook leapfrog's: each seek counts the posting it leaves, each match
+// its k postings, and no other position is passed; otherwise it must not
+// exceed the postings the streams hold.
+func checkSeek(t *testing.T, label string, size int, seed uint8, streams ...[]Entry) {
+	t.Helper()
+	k := len(streams)
+	flat := make([][]Entry, k)
+	total := 0
+	for i, s := range streams {
+		f := slices.Clone(s)
+		for j := range f {
+			f[j].SortKey = 0
+		}
+		sort.SliceStable(f, func(a, b int) bool { return f[a].Doc < f[b].Doc })
+		flat[i] = distinctPositions(f)
+		total += len(flat[i])
+	}
+	var want []refGroup
+	for _, g := range refGroups(flat...) {
+		if g.count == k {
+			want = append(want, g)
+		}
+	}
+
+	srcs := make([]BatchIterator, k)
+	allSeek := true
+	for i := range flat {
+		if seed>>i&1 == 1 {
+			srcs[i] = &seekSlice{entries: flat[i], size: size}
+		} else {
+			srcs[i] = capBatch{src: NewSliceIterator(flat[i]), size: size}
+			allSeek = false
+		}
+	}
+	m := NewMerge(k, srcs...)
+	defer m.Close()
+	sameGroups(t, label, drainMerge(t, m), want)
+	if m.Stopped || m.Scanned > total {
+		t.Fatalf("%s: scanned %d of %d postings, stopped %v", label, m.Scanned, total, m.Stopped)
+	}
+	if allSeek {
+		if wantScanned := leapfrogScanned(flat); m.Scanned != wantScanned {
+			t.Fatalf("%s: every stream seekable: scanned %d, the textbook leapfrog %d", label, m.Scanned, wantScanned)
+		}
+	}
+}
+
+// leapfrogScanned is the textbook leapfrog join of streams ascending by
+// document: every head behind the latest one seeks to it, in stream order,
+// until all agree (a match, which steps every head) or one is exhausted.
+// It returns the postings it counts: one per seek, for the posting left,
+// and k per match.
+func leapfrogScanned(streams [][]Entry) int {
+	pos := make([]int, len(streams))
+	scanned := 0
+	for {
+		target := DocID(0)
+		for i, s := range streams {
+			if pos[i] == len(s) {
+				return scanned
+			}
+			target = max(target, s[pos[i]].Doc)
+		}
+		moved := false
+		for i, s := range streams {
+			if s[pos[i]].Doc < target {
+				scanned++
+				for pos[i] < len(s) && s[pos[i]].Doc < target {
+					pos[i]++
+				}
+				if pos[i] == len(s) {
+					return scanned
+				}
+				moved = true
+			}
+		}
+		if !moved {
+			scanned += len(streams)
+			for i := range pos {
+				pos[i]++
+			}
+		}
+	}
+}
+
+// TestMergeMatchesBruteForce covers 1–5 streams with empty and early-
+// exhausted streams and duplicate positions within one stream (the merge
+// folds them into one group), from sources that hand out one entry per
+// batch and a full BatchSize per batch: the full grouping, the merge at
+// every need under a stop rule seeded per trial, and the conjunctive merge
+// with seekable streams.
+func TestMergeMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
 		streams := make([][]Entry, 1+trial%5)
@@ -607,19 +699,21 @@ func TestGroupMergerMatchesBruteForce(t *testing.T) {
 		}
 		stop := uint8(rng.Intn(256))
 		for _, size := range []int{1, BatchSize} {
-			checkGroupMerger(t, "groups", size, stop, streams...)
+			checkMerge(t, "merge", size, stop, streams...)
 		}
 	}
 }
 
-// FuzzGroupMerger builds 1–4 sorted streams from arbitrary bytes — the first
-// byte picks the stream count and the batch cap, every following triple an
-// entry's stream, sort key and document — and checks the group merger
-// against the brute-force grouping, and the conjunctive merge against the
-// brute-force conjunctive scan under the stop rule seeded by stop.  A triple
-// may repeat a position within its stream, and a stream may end long before
-// the others.
-func FuzzGroupMerger(f *testing.F) {
+// FuzzMerge builds 1–4 sorted streams from arbitrary bytes — the first byte
+// picks the stream count and the batch cap, every following triple an
+// entry's stream, sort key and document — and checks the merge against the
+// brute-force grouping, the merge at every need against the brute-force
+// scan under the stop rule seeded by stop, and the conjunctive merge of the
+// streams flattened to one sort key, the seekable ones picked by stop's
+// bits, against the brute-force intersection and the textbook leapfrog's
+// count.  A triple may repeat a position within its stream, and a stream
+// may end long before the others.
+func FuzzMerge(f *testing.F) {
 	f.Add([]byte{0x31, 0, 5, 4, 1, 5, 4, 0, 2, 1, 1, 2, 1, 2, 1, 3}, uint8(0xFF))
 	f.Add([]byte{0x02, 0, 1, 1, 0, 1, 1, 0, 1, 1}, uint8(0xFF))
 	f.Add([]byte{0xF3}, uint8(0xFF))
@@ -646,6 +740,6 @@ func FuzzGroupMerger(f *testing.F) {
 		for _, s := range streams {
 			sort.SliceStable(s, func(i, j int) bool { return Less(s[i], s[j]) })
 		}
-		checkGroupMerger(t, "fuzz", size, stop, streams...)
+		checkMerge(t, "fuzz", size, stop, streams...)
 	})
 }

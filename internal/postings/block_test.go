@@ -276,7 +276,7 @@ func TestBlockChunkedListRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBlockCombinatorsOverCompressed drives the k-way combinators with
+// TestBlockCombinatorsOverCompressed drives the combinators with
 // stream-decoded blobs on one side and the in-memory postings they were
 // built from on the other and requires identical output — the hot read
 // paths must not be able to tell a decoded list from the slice it encodes.
@@ -315,21 +315,25 @@ func TestBlockCombinatorsOverCompressed(t *testing.T) {
 		return its
 	}
 
-	t.Run("union+collapse", func(t *testing.T) {
-		want := collectAll(t, NewCollapseOps(NewUnion(slices()...)))
-		got := collectAll(t, NewCollapseOps(NewUnion(streams()...)))
-		requireSameEntries(t, want, got, "collapsed union")
+	t.Run("overlay", func(t *testing.T) {
+		for i := 1; i < k; i++ {
+			want := collectAll(t, NewOverlay(slices()[i-1], slices()[i]))
+			got := collectAll(t, NewOverlay(streams()[i-1], streams()[i]))
+			requireSameEntries(t, want, got, "overlay")
+		}
 	})
 
-	t.Run("group-merger", func(t *testing.T) {
-		sameGroups(t, "groups", collectGroups(t, NewGroupMerger(streams()...)), collectGroups(t, NewGroupMerger(slices()...)))
+	t.Run("merge", func(t *testing.T) {
+		for need := 1; need <= k; need++ {
+			sameGroups(t, "groups", drainMerge(t, NewMerge(need, streams()...)), drainMerge(t, NewMerge(need, slices()...)))
+		}
 	})
 }
 
-// TestBlockSeekModel checks SeekDoc, the one seek (the ID family leapfrogs
-// with it), against a model: seeking to a random target and draining must
-// equal linearly scanning the full list and dropping entries until the seek
-// predicate holds.  The score and chunk layouts have no seek; their legs
+// TestBlockSeekModel checks SeekDoc, the one seek (a conjunctive merge
+// leapfrogs the ID family's lists with it), against a model: seeking to a
+// random target and draining must equal linearly scanning the full list and
+// dropping entries until the seek predicate holds.  The score and chunk layouts have no seek; their legs
 // check a full decode of a list of the same size against the model.
 func TestBlockSeekModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))

@@ -23,13 +23,14 @@
 // runs without decoding them.  The stream readers (stream.go) accept only a
 // block blob of their own layout, refuse anything else with a
 // codec.ErrCorrupt-wrapped error, and expose the seek capability as SeekDoc
-// on the ID layouts, whose leapfrog joins use it.  See the block.go
-// package-level comment for the byte-level grammar and ARCHITECTURE.md
-// "Posting block format" for the design rationale.
+// on the ID layouts, which a conjunctive Merge leapfrogs with.  See the
+// block.go package-level comment for the byte-level grammar and
+// ARCHITECTURE.md "Posting block format" for the design rationale.
 //
 // Short lists live in B+-trees (package index) but are exposed to the query
-// algorithms as the same BatchIterator interface so that the union
-// "ShortList(t) ∪ LongList(t)" of Algorithm 2 is a single merged stream.
+// algorithms as the same BatchIterator interface, so that an Overlay makes
+// "ShortList(t) ∪ LongList(t)" of Algorithm 2 a single stream, and one Merge
+// (merge.go) runs every query over the per-term streams.
 //
 // See ARCHITECTURE.md for the layer map — where this package sits in the
 // stack — and for the repo-wide concurrency contract.

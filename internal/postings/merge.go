@@ -1,27 +1,29 @@
 package postings
 
-// This file implements the iterator combinators the query algorithms are
-// built from:
+import (
+	"cmp"
+	"slices"
+)
+
+// This file implements the two combinators the query algorithms are built
+// from:
 //
-//   - Union       — merges the short and long list of one term into a single
-//     stream in (SortKey descending, Doc ascending) order, the
-//     "SL(ti) ∪ LL(ti)" of Algorithms 2 and 3.
-//   - CollapseOps — applies ADD/REM short-list postings produced by content
-//     updates (Appendix A.1) to the merged stream.
-//   - GroupMerger — advances the per-term streams of a multi-keyword query in
-//     lock step, yielding, for each (SortKey, Doc) position, the set of query
-//     terms whose stream contains that document there.  Disjunctive queries
-//     accept every group, Algorithm 3 sorts them into candidates and its
-//     remainList.  A query has a handful of terms, so the merger finds each
-//     position with a linear pass over its heads; there is no heap.
-//   - Conjunction — the same lock-step merge for a conjunctive query, which
-//     yields a group only where every stream has a posting and counts and
-//     stop-checks the positions it passes by itself.
+//   - Overlay — lays a term's short list over its long list, the
+//     "SL(ti) ∪ LL(ti)" of Algorithms 2 and 3, in (SortKey descending, Doc
+//     ascending) order: a short-list posting replaces the long-list posting
+//     at its position, and a REM (Appendix A.1) cancels the position.
+//   - Merge — advances the per-term streams of a query in lock step and
+//     returns each position that at least need streams hold, with the set of
+//     terms whose stream holds it.  It counts the postings it passes and asks
+//     the caller's stopping rule as it goes, so one loop serves conjunctive
+//     and disjunctive queries, Algorithm 3 and the ID family's full scan; a
+//     conjunctive merge leapfrogs the streams that can seek (SeekDoc).  A
+//     query has a handful of terms, so each position is found by a linear
+//     pass over the heads; there is no heap.
 //
-// All four run on the block-at-a-time protocol: they pull batches from
-// their inputs into pooled scratch buffers, merge directly out of those
-// buffers (no virtual call per posting), and — for Union and CollapseOps —
-// emit whole batches downstream.
+// Both run on the block-at-a-time protocol: they pull batches from their
+// inputs into pooled scratch buffers and merge directly out of those buffers
+// (no virtual call per posting); Overlay emits whole batches downstream.
 
 // Less orders entries by descending SortKey and then ascending Doc, which is
 // the processing order of every score- or chunk-ordered list in the paper.
@@ -38,35 +40,43 @@ func SamePosition(a, b Entry) bool {
 	return a.SortKey == b.SortKey && a.Doc == b.Doc
 }
 
-// mergeHead is one buffered input of a merge combinator.
+// mergeHead is one buffered input of a combinator.
 type mergeHead struct {
-	src  BatchIterator
-	buf  *[]Entry
-	pos  int
-	n    int
-	done bool
+	src BatchIterator
+	// seeker is src when a conjunctive Merge may leapfrog it, else nil.
+	seeker interface{ SeekDoc(doc DocID) error }
+	buf    *[]Entry
+	pos    int
+	n      int
+	done   bool
 }
 
 // cur returns the head's current entry; only valid when pos < n.
-func (h *mergeHead) cur() Entry { return (*h.buf)[h.pos] }
+func (h *mergeHead) cur() *Entry { return &(*h.buf)[h.pos] }
 
-// take steps the head past every entry at its current position (a stream
-// may repeat one) and returns the last of them, the one that stands for the
-// stream in a group.  pos < n must hold.
-func (h *mergeHead) take() (Entry, error) {
-	e := (*h.buf)[h.pos]
-	for {
-		if h.pos++; h.pos >= h.n {
-			if err := h.refill(); err != nil || h.done {
-				return e, err
-			}
-		}
-		next := &(*h.buf)[h.pos]
-		if next.SortKey != e.SortKey || next.Doc != e.Doc {
-			return e, nil
-		}
-		e = *next
+// step moves the head past its current entry; pos < n must hold.
+func (h *mergeHead) step() error {
+	if h.pos++; h.pos < h.n {
+		return nil
 	}
+	return h.refill()
+}
+
+// seekDoc moves the head to its first entry with Doc >= doc without passing
+// the ones before it: within the buffered batch by bisection, past it
+// through the source's SeekDoc, which skips whole blocks unread.  The
+// head's source must have SeekDoc and hold one sort key, as the ID layouts
+// do; pos < n must hold.
+func (h *mergeHead) seekDoc(doc DocID) error {
+	buf := (*h.buf)[h.pos:h.n]
+	i, _ := slices.BinarySearchFunc(buf, doc, func(e Entry, d DocID) int { return cmp.Compare(e.Doc, d) })
+	if h.pos += i; h.pos < h.n {
+		return nil
+	}
+	if err := h.seeker.SeekDoc(doc); err != nil {
+		return err
+	}
+	return h.refill()
 }
 
 // refill fetches the next batch from the head's source.  After a call either
@@ -102,206 +112,95 @@ func (h *mergeHead) close() {
 	CloseIterator(h.src)
 }
 
-// Union merges any number of inputs, each already in (SortKey desc, Doc asc)
-// order, into a single stream in that order.  Entries from different inputs
-// at the same position are both emitted (callers that need ADD/REM semantics
-// wrap the union in CollapseOps).  Ties are broken by input index so the
-// merge is deterministic.
-type Union struct {
-	heads []mergeHead
-	init  bool
+// Overlay is one term's query stream: its short list laid over its long
+// list, both in (SortKey desc, Doc asc) order, each holding a position at
+// most once.  At a position both hold, the short-list posting stands for
+// the term (its term weight is the fresher); a short-list REM cancels the
+// position, and is itself never emitted.  Runs of long-list postings that
+// sort before the short list's next posting are copied out in bulk.
+type Overlay struct {
+	short, long mergeHead
+	init        bool
 }
 
-// NewUnion returns a union over the given inputs.
-func NewUnion(srcs ...BatchIterator) *Union {
-	heads := make([]mergeHead, len(srcs))
-	for i, src := range srcs {
-		heads[i] = mergeHead{src: src}
-	}
-	return &Union{heads: heads}
-}
-
-func (u *Union) prime() error {
-	for i := range u.heads {
-		if err := u.heads[i].refill(); err != nil {
-			return err
-		}
-	}
-	u.init = true
-	return nil
-}
-
-// NextBatch implements BatchIterator.  Runs of entries from one input that
-// sort before every other input's next entry are copied out in bulk.
-func (u *Union) NextBatch(out []Entry) (int, error) {
-	if !u.init {
-		if err := u.prime(); err != nil {
-			return 0, err
-		}
-	}
-	n := 0
-	for n < len(out) {
-		// Pick the input whose current entry sorts first; ties keep the
-		// lowest input index, matching the documented emit order.
-		best := -1
-		for i := range u.heads {
-			h := &u.heads[i]
-			if h.pos >= h.n {
-				continue
-			}
-			if best < 0 || Less(h.cur(), u.heads[best].cur()) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		hb := &u.heads[best]
-		buf := (*hb.buf)[:hb.n]
-		// The run from the best input extends while its entries sort before
-		// every other input's current entry.  limitIdx is the lowest-indexed
-		// input holding the smallest such entry; the run may include entries
-		// equal to it only when best has the lower input index, preserving
-		// the documented tie order.
-		limit := Entry{}
-		limitIdx := -1
-		for i := range u.heads {
-			if i == best {
-				continue
-			}
-			h := &u.heads[i]
-			if h.pos >= h.n {
-				continue
-			}
-			if e := h.cur(); limitIdx < 0 || Less(e, limit) {
-				limit, limitIdx = e, i
-			}
-		}
-		if limitIdx < 0 {
-			c := copy(out[n:], buf[hb.pos:])
-			n += c
-			hb.pos += c
-		} else if best < limitIdx {
-			for hb.pos < hb.n && n < len(out) && !Less(limit, buf[hb.pos]) {
-				out[n] = buf[hb.pos]
-				n++
-				hb.pos++
-			}
-		} else {
-			for hb.pos < hb.n && n < len(out) && Less(buf[hb.pos], limit) {
-				out[n] = buf[hb.pos]
-				n++
-				hb.pos++
-			}
-		}
-		if hb.pos >= hb.n {
-			if err := hb.refill(); err != nil {
-				return n, err
-			}
-		}
-	}
-	return n, nil
-}
-
-// Close implements Closer.
-func (u *Union) Close() {
-	for i := range u.heads {
-		u.heads[i].close()
-	}
-	u.init = true
-}
-
-// CollapseOps merges runs of entries at the same (SortKey, Doc) position and
-// applies content-update semantics: a REM posting cancels the position
-// entirely (the term was removed from the document); otherwise short-list
-// postings win over long-list postings so the freshest term score is used.
-type CollapseOps struct {
-	src     mergeHead
-	pending Entry
-	have    bool
-}
-
-// NewCollapseOps wraps src, which must already be in (SortKey desc, Doc asc)
-// order.
-func NewCollapseOps(src BatchIterator) *CollapseOps {
-	return &CollapseOps{src: mergeHead{src: src}}
-}
-
-// nextInput steps the buffered input one entry.
-func (c *CollapseOps) nextInput() (Entry, bool, error) {
-	if c.src.pos >= c.src.n {
-		if err := c.src.refill(); err != nil {
-			return Entry{}, false, err
-		}
-		if c.src.done {
-			return Entry{}, false, nil
-		}
-	}
-	e := c.src.cur()
-	c.src.pos++
-	return e, true, nil
+// NewOverlay returns short laid over long.
+func NewOverlay(short, long BatchIterator) *Overlay {
+	return &Overlay{short: mergeHead{src: short}, long: mergeHead{src: long}}
 }
 
 // NextBatch implements BatchIterator.
-func (c *CollapseOps) NextBatch(out []Entry) (int, error) {
+func (o *Overlay) NextBatch(out []Entry) (int, error) {
+	s, l := &o.short, &o.long
+	if !o.init {
+		if err := s.refill(); err != nil {
+			return 0, err
+		}
+		if err := l.refill(); err != nil {
+			return 0, err
+		}
+		o.init = true
+	}
 	n := 0
 	for n < len(out) {
-		if !c.have {
-			e, ok, err := c.nextInput()
-			if err != nil {
-				return n, err
-			}
-			if !ok {
+		if s.done {
+			if l.done {
 				break
 			}
-			c.pending = e
-		}
-		// Gather the run at this position.
-		cur := c.pending
-		c.have = false
-		removed := cur.Op == OpRem
-		best := cur
-		for {
-			e, ok, err := c.nextInput()
-			if err != nil {
-				return n, err
+			c := copy(out[n:], (*l.buf)[l.pos:l.n])
+			n += c
+			if l.pos += c; l.pos >= l.n {
+				if err := l.refill(); err != nil {
+					return n, err
+				}
 			}
-			if !ok {
-				break
-			}
-			if !SamePosition(e, cur) {
-				c.pending = e
-				c.have = true
-				break
-			}
-			if e.Op == OpRem {
-				removed = true
-			}
-			// Prefer short-list postings: their term score is fresher.
-			if e.FromShort && !best.FromShort {
-				best = e
-			}
-		}
-		if removed {
 			continue
 		}
-		out[n] = best
-		n++
+		e := *s.cur()
+		if !l.done {
+			run := (*l.buf)[l.pos:l.n]
+			c := 0
+			for c < len(run) && n+c < len(out) && Less(run[c], e) {
+				c++
+			}
+			n += copy(out[n:], run[:c])
+			if l.pos += c; l.pos >= l.n {
+				if err := l.refill(); err != nil {
+					return n, err
+				}
+				continue
+			}
+			if n == len(out) {
+				break
+			}
+			if SamePosition(*l.cur(), e) {
+				if err := l.step(); err != nil {
+					return n, err
+				}
+			}
+		}
+		if err := s.step(); err != nil {
+			return n, err
+		}
+		if e.Op != OpRem {
+			out[n] = e
+			n++
+		}
 	}
 	return n, nil
 }
 
 // Close implements Closer.
-func (c *CollapseOps) Close() {
-	c.src.close()
-	c.have = false
+func (o *Overlay) Close() {
+	o.short.close()
+	o.long.close()
+	o.init = true
 }
 
 // Group is the set of per-term entries found at one (SortKey, Doc) position.
 //
-// The Group GroupMerger.Next returns, with its Entries and Present slices,
-// is the merger's own and is overwritten by the next call; callers must copy
-// out anything they retain past it.
+// The Group Merge.Next returns, with its Entries and Present slices, is the
+// merge's own and is overwritten by the next call; callers must copy out
+// anything they retain past it.
 type Group struct {
 	Doc DocID
 	// SortKey of the position (list score or chunk ID).
@@ -317,125 +216,39 @@ type Group struct {
 // ContainsAll reports whether every stream contributed a posting.
 func (g *Group) ContainsAll() bool { return g.Count == len(g.Present) }
 
-// GroupMerger merges k per-term streams (each in (SortKey desc, Doc asc)
-// order) and yields one Group per distinct position, in the same order.
-// Input postings move in batches; groups are emitted one at a time because
-// the stopping rules of Algorithms 2 and 3 are evaluated per position.  A
-// query merges two or three streams, so each group is found by one linear
-// pass over the heads rather than through a heap: pick the first position
-// among the live heads, then take every head entry sitting at it.
-type GroupMerger struct {
-	heads []mergeHead
-	g     Group
-	init  bool
-}
-
-// NewGroupMerger returns a merger over the given streams.
-func NewGroupMerger(streams ...BatchIterator) *GroupMerger {
-	heads := make([]mergeHead, len(streams))
-	for i, src := range streams {
-		heads[i] = mergeHead{src: src}
-	}
-	return &GroupMerger{
-		heads: heads,
-		g: Group{
-			Entries: make([]Entry, len(streams)),
-			Present: make([]bool, len(streams)),
-		},
-	}
-}
-
-func (m *GroupMerger) prime() error {
-	for i := range m.heads {
-		if err := m.heads[i].refill(); err != nil {
-			return err
-		}
-	}
-	m.init = true
-	return nil
-}
-
-// Next returns the next Group, or ok=false when all streams are exhausted.
-// The group is reused; see the Group docs.  Consecutive entries of one
-// stream at the group's position fold into the group, the last one
-// supplying the stream's entry.
-func (m *GroupMerger) Next() (*Group, bool, error) {
-	if !m.init {
-		if err := m.prime(); err != nil {
-			return nil, false, err
-		}
-	}
-	// An exhausted head has pos == n == 0, so it never qualifies.  first is
-	// the lowest-indexed head at the smallest position: every head before it
-	// sits at a later position.  Heads are compared in place (Less through
-	// pointers into their batches), and only the position is kept.
-	first := -1
-	var top *Entry
-	for i := range m.heads {
-		h := &m.heads[i]
-		if h.pos < h.n {
-			if e := &(*h.buf)[h.pos]; first < 0 || e.SortKey > top.SortKey || e.SortKey == top.SortKey && e.Doc < top.Doc {
-				first, top = i, e
-			}
-		}
-	}
-	if first < 0 {
-		return nil, false, nil
-	}
-	key, doc := top.SortKey, top.Doc
-	m.g.Doc, m.g.SortKey = doc, key
-	clear(m.g.Present)
-	m.g.Count = 0
-	for i := first; i < len(m.heads); i++ {
-		h := &m.heads[i]
-		for h.pos < h.n {
-			e := &(*h.buf)[h.pos]
-			if e.SortKey != key || e.Doc != doc {
-				break
-			}
-			m.g.Entries[i] = *e
-			if !m.g.Present[i] {
-				m.g.Present[i] = true
-				m.g.Count++
-			}
-			if h.pos++; h.pos >= h.n {
-				if err := h.refill(); err != nil {
-					return nil, false, err
-				}
-			}
-		}
-	}
-	return &m.g, true, nil
-}
-
-// Close implements Closer.
-func (m *GroupMerger) Close() {
-	for i := range m.heads {
-		m.heads[i].close()
-	}
-	m.init = true
-}
-
-// Conjunction merges k per-term streams (each in (SortKey desc, Doc asc)
-// order) for a conjunctive query.  It passes the positions GroupMerger would
-// group, in the same order, but returns a Group only for a position every
-// stream holds; the others it only counts and stop-checks, which is all a
-// conjunctive scan does with them:
+// Merge merges k per-term streams, each in (SortKey desc, Doc asc) order.
+// It passes their positions in that order and returns, as a Group, each one
+// at least need of the streams hold: need = 1 is a disjunctive query's and
+// Algorithm 3's merge, need = k a conjunctive query's.  The positions it
+// passes without returning them it only counts and stop-checks, which is
+// all a scan does with them:
 //
 //   - Scanned sums, over every position passed, the streams holding a
-//     posting there — the Group.Count of each GroupMerger group.
+//     posting there (the position's Group.Count), and counts the posting
+//     each seek (below) leaves.
 //   - Next's stop function is the scan's early-termination test, and the
-//     position where it first reports true ends the scan (counted, and with
+//     position where it first reports true ends the merge (counted, and with
 //     Stopped set).  The test depends on the caller's heap and the position's
-//     sort key, and the heap changes only at a match, which Next returns to
-//     the caller: so Next asks it only at the first position of a call and
-//     at each position whose sort key differs from the previous one's, and
-//     stops at the same position a test at every position would.
+//     sort key, and the heap changes only at a position Next returns: so
+//     Next asks it only at the first position of a call and at each position
+//     whose sort key differs from the previous one's, and stops at the same
+//     position a test at every position would.  A nil stop never stops.
+//
+// With need = k the merge ends as soon as any stream ends, since no further
+// position can be held by all of them, and it leapfrogs: a head whose
+// source has SeekDoc and sits at the sort key of the latest head (the one at
+// the furthest position) jumps straight to that head's document.  Only the
+// posting it leaves counts; the ones it skips are neither counted nor, when
+// the source's skip headers rule out their blocks, read.  A seeking source
+// must hold one sort key, as the ID layouts do.  The stop test is not asked
+// at the positions a seek skips; no ID-family scan has a stopping rule.
 //
 // A stream may repeat a position; the repeats fold into one, the last one
-// supplying the stream's entry, as in GroupMerger.
-type Conjunction struct {
+// supplying the stream's entry.
+type Merge struct {
 	heads []mergeHead
+	need  int
+	seeks bool // some head may leapfrog
 	g     Group
 	init  bool
 	key   float64 // sort key of the last position passed
@@ -445,26 +258,29 @@ type Conjunction struct {
 	Stopped bool
 }
 
-// NewConjunction returns a conjunctive merge over the given streams.
-func NewConjunction(streams ...BatchIterator) *Conjunction {
-	heads := make([]mergeHead, len(streams))
+// NewMerge returns a merge of the given streams that returns the positions
+// at least need of them hold.
+func NewMerge(need int, streams ...BatchIterator) *Merge {
+	m := &Merge{
+		heads: make([]mergeHead, len(streams)),
+		need:  need,
+		g:     Group{Entries: make([]Entry, len(streams)), Present: make([]bool, len(streams))},
+	}
 	for i, src := range streams {
-		heads[i] = mergeHead{src: src}
+		h := &m.heads[i]
+		h.src = src
+		if need == len(streams) {
+			h.seeker, _ = src.(interface{ SeekDoc(doc DocID) error })
+			m.seeks = m.seeks || h.seeker != nil
+		}
 	}
-	present := make([]bool, len(streams))
-	for i := range present {
-		present[i] = true
-	}
-	return &Conjunction{
-		heads: heads,
-		g:     Group{Entries: make([]Entry, len(streams)), Present: present, Count: len(streams)},
-	}
+	return m
 }
 
-// Next returns the next position every stream holds, as a Group with every
-// stream present, or ok=false once the streams are exhausted or stop has
-// ended the merge.  The group is reused; see the Group docs.
-func (m *Conjunction) Next(stop func(sortKey float64) bool) (*Group, bool, error) {
+// Next returns the next position at least need streams hold, or ok=false
+// once the merge has ended: the streams are exhausted, with need = k one of
+// them is, or stop has ended it.  The group is reused; see the Group docs.
+func (m *Merge) Next(stop func(sortKey float64) bool) (*Group, bool, error) {
 	if !m.init {
 		for i := range m.heads {
 			if err := m.heads[i].refill(); err != nil {
@@ -473,53 +289,109 @@ func (m *Conjunction) Next(stop func(sortKey float64) bool) (*Group, bool, error
 		}
 		m.init = true
 	}
+	all := m.need == len(m.heads)
 	for fresh := true; !m.Stopped; fresh = false {
-		// One pass finds the first position and how many streams hold it.
-		// An exhausted head has pos == n == 0, so it never qualifies; every
-		// head before first sits at a later position.
-		first, count := -1, 0
+		if m.seeks {
+			if err := m.leapfrog(); err != nil {
+				return nil, false, err
+			}
+		}
+		// One pass finds the first position.  An exhausted head has pos ==
+		// n == 0; every head before first sits at a later position.
+		first := -1
 		var top *Entry
 		for i := range m.heads {
 			h := &m.heads[i]
 			if h.pos >= h.n {
+				if all {
+					return nil, false, nil
+				}
 				continue
 			}
-			if e := &(*h.buf)[h.pos]; first < 0 || e.SortKey > top.SortKey || e.SortKey == top.SortKey && e.Doc < top.Doc {
-				first, top, count = i, e, 1
-			} else if e.SortKey == top.SortKey && e.Doc == top.Doc {
-				count++
+			if e := h.cur(); first < 0 || e.SortKey > top.SortKey || e.SortKey == top.SortKey && e.Doc < top.Doc {
+				first, top = i, e
 			}
 		}
 		if first < 0 {
 			return nil, false, nil
 		}
+		// A second steps every head at the position past its entries there,
+		// the last one standing for the stream.
 		key, doc := top.SortKey, top.Doc
+		g, count := &m.g, 0
+		clear(g.Present[:first])
+		for i := first; i < len(m.heads); i++ {
+			h := &m.heads[i]
+			g.Present[i] = false
+			for h.pos < h.n {
+				e := h.cur()
+				if e.SortKey != key || e.Doc != doc {
+					break
+				}
+				g.Entries[i] = *e
+				if !g.Present[i] {
+					g.Present[i] = true
+					count++
+				}
+				if err := h.step(); err != nil {
+					return nil, false, err
+				}
+			}
+		}
 		m.Scanned += count
-		if (fresh || key != m.key) && stop(key) {
+		if stop != nil && (fresh || key != m.key) && stop(key) {
 			m.Stopped = true
 			return nil, false, nil
 		}
 		m.key = key
-		for i := first; i < len(m.heads); i++ {
-			h := &m.heads[i]
-			if h.pos < h.n && (*h.buf)[h.pos].SortKey == key && (*h.buf)[h.pos].Doc == doc {
-				e, err := h.take()
-				if err != nil {
-					return nil, false, err
-				}
-				m.g.Entries[i] = e
-			}
-		}
-		if count == len(m.heads) {
-			m.g.Doc, m.g.SortKey = doc, key
-			return &m.g, true, nil
+		if count >= m.need {
+			g.Doc, g.SortKey, g.Count = doc, key, count
+			return g, true, nil
 		}
 	}
 	return nil, false, nil
 }
 
+// leapfrog seeks every head that can, and sits behind the latest head at
+// its sort key, to the latest head's document, until none does, counting
+// the posting each seek leaves.  A head that lands past that document is
+// the new latest head.  An exhausted head ends the pass; Next then ends the
+// merge.
+func (m *Merge) leapfrog() error {
+	for {
+		var key float64
+		var doc DocID
+		for i := range m.heads {
+			h := &m.heads[i]
+			if h.pos >= h.n {
+				return nil
+			}
+			if e := h.cur(); i == 0 || e.SortKey < key || e.SortKey == key && e.Doc > doc {
+				key, doc = e.SortKey, e.Doc
+			}
+		}
+		moved := false
+		for i := range m.heads {
+			h := &m.heads[i]
+			if e := h.cur(); h.seeker != nil && e.SortKey == key && e.Doc < doc {
+				m.Scanned++
+				if err := h.seekDoc(doc); err != nil {
+					return err
+				}
+				if h.done {
+					return nil
+				}
+				moved = true
+			}
+		}
+		if !moved {
+			return nil
+		}
+	}
+}
+
 // Close implements Closer.
-func (m *Conjunction) Close() {
+func (m *Merge) Close() {
 	for i := range m.heads {
 		m.heads[i].close()
 	}

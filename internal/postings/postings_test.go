@@ -256,115 +256,140 @@ func TestIDTermListRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUnionMergesInOrder(t *testing.T) {
-	long := NewSliceIterator([]Entry{
-		{Doc: 1, SortKey: 90},
-		{Doc: 7, SortKey: 80},
-		{Doc: 3, SortKey: 50},
-	})
-	short := NewSliceIterator([]Entry{
-		{Doc: 9, SortKey: 95, FromShort: true},
-		{Doc: 2, SortKey: 80, FromShort: true},
-		{Doc: 4, SortKey: 10, FromShort: true},
-	})
-	got, err := CollectBatched(NewUnion(short, long))
+// overlayOf collects short laid over long, and requires the reference
+// merge-then-collapse of the same postings too.
+func overlayOf(t *testing.T, short, long []Entry) []Entry {
+	t.Helper()
+	o := NewOverlay(NewSliceIterator(short), NewSliceIterator(long))
+	defer o.Close()
+	got, err := CollectBatched(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sameEntries(t, "overlay vs reference", got, refCollapse(refMerge(short, long)))
+	return got
+}
+
+func TestOverlayMergesInOrder(t *testing.T) {
+	long := []Entry{
+		{Doc: 1, SortKey: 90},
+		{Doc: 7, SortKey: 80},
+		{Doc: 3, SortKey: 50},
+	}
+	short := []Entry{
+		{Doc: 9, SortKey: 95, FromShort: true},
+		{Doc: 2, SortKey: 80, FromShort: true},
+		{Doc: 4, SortKey: 10, FromShort: true},
+	}
+	got := overlayOf(t, short, long)
 	wantDocs := []DocID{9, 1, 2, 7, 3, 4}
 	if len(got) != len(wantDocs) {
-		t.Fatalf("union produced %d entries, want %d", len(got), len(wantDocs))
+		t.Fatalf("overlay produced %d entries, want %d", len(got), len(wantDocs))
 	}
 	for i := range got {
 		if got[i].Doc != wantDocs[i] {
-			t.Errorf("union[%d].Doc = %d, want %d", i, got[i].Doc, wantDocs[i])
+			t.Errorf("overlay[%d].Doc = %d, want %d", i, got[i].Doc, wantDocs[i])
 		}
 	}
 	for i := 1; i < len(got); i++ {
 		if Less(got[i], got[i-1]) {
-			t.Errorf("union out of order at %d", i)
+			t.Errorf("overlay out of order at %d", i)
 		}
 	}
 }
 
-func TestUnionEmptyInputs(t *testing.T) {
-	got, err := CollectBatched(NewUnion(NewSliceIterator(nil), NewSliceIterator(nil)))
-	if err != nil {
-		t.Fatal(err)
+func TestOverlayEmptyInputs(t *testing.T) {
+	if got := overlayOf(t, nil, nil); len(got) != 0 {
+		t.Errorf("overlay of empty lists produced %d entries", len(got))
 	}
-	if len(got) != 0 {
-		t.Errorf("union of empty iterators produced %d entries", len(got))
+	only := []Entry{{Doc: 3, SortKey: 2}, {Doc: 1, SortKey: 1}}
+	if got := overlayOf(t, nil, only); len(got) != 2 {
+		t.Errorf("overlay of an empty short list produced %v", got)
+	}
+	if got := overlayOf(t, []Entry{{Doc: 3, SortKey: 2, Op: OpRem, FromShort: true}}, nil); len(got) != 0 {
+		t.Errorf("a REM over an empty long list produced %v", got)
 	}
 }
 
-func TestCollapseOpsRemovesCancelledPostings(t *testing.T) {
+func TestOverlayRemovesCancelledPostings(t *testing.T) {
 	// Long-list posting for doc 5 at key 3, with a REM short posting at the
 	// same position: the document no longer contains the term.
-	src := NewSliceIterator([]Entry{
+	long := []Entry{
 		{Doc: 2, SortKey: 3},
 		{Doc: 5, SortKey: 3},
-		{Doc: 5, SortKey: 3, Op: OpRem, FromShort: true},
 		{Doc: 9, SortKey: 3},
 		{Doc: 5, SortKey: 1},
-	})
-	got, err := CollectBatched(NewCollapseOps(src))
-	if err != nil {
-		t.Fatal(err)
 	}
+	short := []Entry{{Doc: 5, SortKey: 3, Op: OpRem, FromShort: true}}
+	got := overlayOf(t, short, long)
 	wantDocs := []DocID{2, 9, 5}
 	if len(got) != len(wantDocs) {
-		t.Fatalf("collapse produced %d entries (%v), want %d", len(got), got, len(wantDocs))
+		t.Fatalf("overlay produced %d entries (%v), want %d", len(got), got, len(wantDocs))
 	}
 	for i := range wantDocs {
 		if got[i].Doc != wantDocs[i] {
-			t.Errorf("collapse[%d].Doc = %d, want %d", i, got[i].Doc, wantDocs[i])
+			t.Errorf("overlay[%d].Doc = %d, want %d", i, got[i].Doc, wantDocs[i])
 		}
 	}
 }
 
-func TestCollapseOpsPrefersShortListEntry(t *testing.T) {
-	src := NewSliceIterator([]Entry{
-		{Doc: 5, SortKey: 3, TermScore: 0.1},
-		{Doc: 5, SortKey: 3, TermScore: 0.9, FromShort: true},
-	})
-	got, err := CollectBatched(NewCollapseOps(src))
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestOverlayPrefersShortListEntry(t *testing.T) {
+	got := overlayOf(t,
+		[]Entry{{Doc: 5, SortKey: 3, TermScore: 0.9, FromShort: true}},
+		[]Entry{{Doc: 5, SortKey: 3, TermScore: 0.1}})
 	if len(got) != 1 || got[0].TermScore != 0.9 || !got[0].FromShort {
-		t.Errorf("collapse = %+v, want single short-list entry with term score 0.9", got)
+		t.Errorf("overlay = %+v, want single short-list entry with term score 0.9", got)
 	}
 }
 
-func TestGroupMergerConjunctiveDetection(t *testing.T) {
-	// Doc 4 appears in both streams at key 5; doc 6 only in stream 0.
-	s0 := NewSliceIterator([]Entry{{Doc: 4, SortKey: 5}, {Doc: 6, SortKey: 5}, {Doc: 1, SortKey: 2}})
-	s1 := NewSliceIterator([]Entry{{Doc: 4, SortKey: 5}, {Doc: 1, SortKey: 2}, {Doc: 3, SortKey: 1}})
-	m := NewGroupMerger(s0, s1)
-	var full, partial []DocID
+// drainMerge collects every group a merge returns, with no stop rule.
+func drainMerge(t *testing.T, m *Merge) []refGroup {
+	t.Helper()
+	var out []refGroup
 	for {
-		g, ok, err := m.Next()
+		g, ok, err := m.Next(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
-			break
+			return out
 		}
-		if g.ContainsAll() {
-			full = append(full, g.Doc)
+		out = append(out, copyGroup(g))
+	}
+}
+
+func TestMergePresence(t *testing.T) {
+	// Doc 4 appears in both streams at key 5; doc 6 only in stream 0.
+	streams := func() []BatchIterator {
+		return []BatchIterator{
+			NewSliceIterator([]Entry{{Doc: 4, SortKey: 5}, {Doc: 6, SortKey: 5}, {Doc: 1, SortKey: 2}}),
+			NewSliceIterator([]Entry{{Doc: 4, SortKey: 5}, {Doc: 1, SortKey: 2}, {Doc: 3, SortKey: 1}}),
+		}
+	}
+	var full, partial []DocID
+	for _, g := range drainMerge(t, NewMerge(1, streams()...)) {
+		if g.count == 2 {
+			full = append(full, g.doc)
 		} else {
-			partial = append(partial, g.Doc)
+			partial = append(partial, g.doc)
 		}
 	}
 	if len(full) != 2 || full[0] != 4 || full[1] != 1 {
-		t.Errorf("conjunctive groups = %v, want [4 1]", full)
+		t.Errorf("groups held by both streams = %v, want [4 1]", full)
 	}
 	if len(partial) != 2 || partial[0] != 6 || partial[1] != 3 {
 		t.Errorf("partial groups = %v, want [6 3]", partial)
 	}
+	// need = 2 returns only the full groups, and ends with stream 0: doc 3
+	// is never passed.
+	m := NewMerge(2, streams()...)
+	got := drainMerge(t, m)
+	if len(got) != 2 || got[0].doc != 4 || got[1].doc != 1 || m.Scanned != 5 {
+		t.Errorf("conjunctive merge = %+v, scanned %d; want docs [4 1], scanned 5", got, m.Scanned)
+	}
 }
 
-func TestGroupMergerOrder(t *testing.T) {
+func TestMergeOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	makeStream := func() *SliceIterator {
 		var entries []Entry
@@ -375,29 +400,20 @@ func TestGroupMergerOrder(t *testing.T) {
 		}
 		return NewSliceIterator(entries)
 	}
-	m := NewGroupMerger(makeStream(), makeStream(), makeStream())
-	var prev *Group
-	for {
-		g, ok, err := m.Next()
-		if err != nil {
-			t.Fatal(err)
+	groups := drainMerge(t, NewMerge(1, makeStream(), makeStream(), makeStream()))
+	for i := 1; i < len(groups); i++ {
+		g, prev := groups[i], groups[i-1]
+		if g.sortKey > prev.sortKey || (g.sortKey == prev.sortKey && g.doc <= prev.doc) {
+			t.Fatalf("groups out of order: (%g,%d) after (%g,%d)", g.sortKey, g.doc, prev.sortKey, prev.doc)
 		}
-		if !ok {
-			break
-		}
-		if prev != nil {
-			if g.SortKey > prev.SortKey || (g.SortKey == prev.SortKey && g.Doc < prev.Doc) {
-				t.Fatalf("groups out of order: (%g,%d) after (%g,%d)", g.SortKey, g.Doc, prev.SortKey, prev.Doc)
-			}
-		}
-		cp := *g
-		prev = &cp
 	}
 }
 
-func TestGroupMergerEmpty(t *testing.T) {
-	m := NewGroupMerger(NewSliceIterator(nil), NewSliceIterator(nil))
-	if _, ok, err := m.Next(); ok || err != nil {
-		t.Errorf("Next on empty merger = %v, %v", ok, err)
+func TestMergeEmpty(t *testing.T) {
+	for need := 1; need <= 2; need++ {
+		m := NewMerge(need, NewSliceIterator(nil), NewSliceIterator(nil))
+		if _, ok, err := m.Next(nil); ok || err != nil || m.Scanned != 0 {
+			t.Errorf("Next on an empty merge (need %d) = %v, %v, scanned %d", need, ok, err, m.Scanned)
+		}
 	}
 }
