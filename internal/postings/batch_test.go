@@ -267,14 +267,22 @@ func distinctPositions(entries []Entry) []Entry {
 	return out
 }
 
-// TestOverlayBatchedMatchesReference lays random short lists, ADD and REM,
-// over random long lists that collide with them at many positions, and
-// requires the reference merge-then-collapse at every batch size.
-func TestOverlayBatchedMatchesReference(t *testing.T) {
-	for trial := 0; trial < 80; trial++ {
-		rng := rand.New(rand.NewSource(int64(200 + trial)))
+// checkOverlayBatched lays random short lists over random long lists that
+// collide with them at many positions, trials times from seed on, and
+// requires the reference merge-then-collapse at every batch size.  With
+// rems false every short posting is an ADD, so the overlay is a plain
+// ordered union in which the short posting wins a shared position.
+func checkOverlayBatched(t *testing.T, seed int64, trials int, rems bool) {
+	t.Helper()
+	for trial := 0; trial < trials; trial++ {
+		rng := rand.New(rand.NewSource(seed + int64(trial)))
 		long := distinctPositions(randomSortedStream(rng, rng.Intn(150), false))
 		short := distinctPositions(randomSortedStream(rng, rng.Intn(60), true))
+		if !rems {
+			for i := range short {
+				short[i].Op = OpAdd
+			}
+		}
 		want := refCollapse(refMerge(short, long))
 		for _, size := range batchSizes {
 			o := NewOverlay(NewSliceIterator(short), NewSliceIterator(long))
@@ -282,6 +290,14 @@ func TestOverlayBatchedMatchesReference(t *testing.T) {
 			o.Close()
 		}
 	}
+}
+
+func TestUnionBatchedMatchesReference(t *testing.T) {
+	checkOverlayBatched(t, 100, 40, false)
+}
+
+func TestCollapseOpsBatchedMatchesReference(t *testing.T) {
+	checkOverlayBatched(t, 200, 80, true)
 }
 
 // refGroup mirrors Group with owned slices for comparison.
@@ -373,7 +389,7 @@ func sameGroups(t *testing.T, label string, got, want []refGroup) {
 	}
 }
 
-func TestMergeBatchedMatchesReference(t *testing.T) {
+func TestGroupMergerBatchedMatchesReference(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(300 + trial)))
 		k := 1 + rng.Intn(4)
@@ -675,13 +691,13 @@ func leapfrogScanned(streams [][]Entry) int {
 	}
 }
 
-// TestMergeMatchesBruteForce covers 1–5 streams with empty and early-
+// TestGroupMergerMatchesBruteForce covers 1–5 streams with empty and early-
 // exhausted streams and duplicate positions within one stream (the merge
 // folds them into one group), from sources that hand out one entry per
 // batch and a full BatchSize per batch: the full grouping, the merge at
 // every need under a stop rule seeded per trial, and the conjunctive merge
 // with seekable streams.
-func TestMergeMatchesBruteForce(t *testing.T) {
+func TestGroupMergerMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
 		streams := make([][]Entry, 1+trial%5)
@@ -704,7 +720,7 @@ func TestMergeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// FuzzMerge builds 1–4 sorted streams from arbitrary bytes — the first byte
+// FuzzGroupMerger builds 1–4 sorted streams from arbitrary bytes — the first byte
 // picks the stream count and the batch cap, every following triple an
 // entry's stream, sort key and document — and checks the merge against the
 // brute-force grouping, the merge at every need against the brute-force
@@ -712,8 +728,9 @@ func TestMergeMatchesBruteForce(t *testing.T) {
 // streams flattened to one sort key, the seekable ones picked by stop's
 // bits, against the brute-force intersection and the textbook leapfrog's
 // count.  A triple may repeat a position within its stream, and a stream
-// may end long before the others.
-func FuzzMerge(f *testing.F) {
+// may end long before the others.  The target keeps the name of the merger
+// Merge replaced, and so its seeds' names.
+func FuzzGroupMerger(f *testing.F) {
 	f.Add([]byte{0x31, 0, 5, 4, 1, 5, 4, 0, 2, 1, 1, 2, 1, 2, 1, 3}, uint8(0xFF))
 	f.Add([]byte{0x02, 0, 1, 1, 0, 1, 1, 0, 1, 1}, uint8(0xFF))
 	f.Add([]byte{0xF3}, uint8(0xFF))

@@ -315,7 +315,7 @@ func TestBlockCombinatorsOverCompressed(t *testing.T) {
 		return its
 	}
 
-	t.Run("overlay", func(t *testing.T) {
+	t.Run("union+collapse", func(t *testing.T) {
 		for i := 1; i < k; i++ {
 			want := collectAll(t, NewOverlay(slices()[i-1], slices()[i]))
 			got := collectAll(t, NewOverlay(streams()[i-1], streams()[i]))
@@ -323,7 +323,7 @@ func TestBlockCombinatorsOverCompressed(t *testing.T) {
 		}
 	})
 
-	t.Run("merge", func(t *testing.T) {
+	t.Run("group-merger", func(t *testing.T) {
 		for need := 1; need <= k; need++ {
 			sameGroups(t, "groups", drainMerge(t, NewMerge(need, streams()...)), drainMerge(t, NewMerge(need, slices()...)))
 		}

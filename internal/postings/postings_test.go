@@ -256,6 +256,9 @@ func TestIDTermListRoundTrip(t *testing.T) {
 	}
 }
 
+// The TestUnion*, TestCollapseOps* and TestGroupMerger* tests keep the
+// names of the combinators that Overlay and Merge replaced.
+
 // overlayOf collects short laid over long, and requires the reference
 // merge-then-collapse of the same postings too.
 func overlayOf(t *testing.T, short, long []Entry) []Entry {
@@ -270,7 +273,7 @@ func overlayOf(t *testing.T, short, long []Entry) []Entry {
 	return got
 }
 
-func TestOverlayMergesInOrder(t *testing.T) {
+func TestUnionMergesInOrder(t *testing.T) {
 	long := []Entry{
 		{Doc: 1, SortKey: 90},
 		{Doc: 7, SortKey: 80},
@@ -298,7 +301,7 @@ func TestOverlayMergesInOrder(t *testing.T) {
 	}
 }
 
-func TestOverlayEmptyInputs(t *testing.T) {
+func TestUnionEmptyInputs(t *testing.T) {
 	if got := overlayOf(t, nil, nil); len(got) != 0 {
 		t.Errorf("overlay of empty lists produced %d entries", len(got))
 	}
@@ -311,7 +314,7 @@ func TestOverlayEmptyInputs(t *testing.T) {
 	}
 }
 
-func TestOverlayRemovesCancelledPostings(t *testing.T) {
+func TestCollapseOpsRemovesCancelledPostings(t *testing.T) {
 	// Long-list posting for doc 5 at key 3, with a REM short posting at the
 	// same position: the document no longer contains the term.
 	long := []Entry{
@@ -333,7 +336,7 @@ func TestOverlayRemovesCancelledPostings(t *testing.T) {
 	}
 }
 
-func TestOverlayPrefersShortListEntry(t *testing.T) {
+func TestCollapseOpsPrefersShortListEntry(t *testing.T) {
 	got := overlayOf(t,
 		[]Entry{{Doc: 5, SortKey: 3, TermScore: 0.9, FromShort: true}},
 		[]Entry{{Doc: 5, SortKey: 3, TermScore: 0.1}})
@@ -358,7 +361,7 @@ func drainMerge(t *testing.T, m *Merge) []refGroup {
 	}
 }
 
-func TestMergePresence(t *testing.T) {
+func TestGroupMergerConjunctiveDetection(t *testing.T) {
 	// Doc 4 appears in both streams at key 5; doc 6 only in stream 0.
 	streams := func() []BatchIterator {
 		return []BatchIterator{
@@ -389,7 +392,7 @@ func TestMergePresence(t *testing.T) {
 	}
 }
 
-func TestMergeOrder(t *testing.T) {
+func TestGroupMergerOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	makeStream := func() *SliceIterator {
 		var entries []Entry
@@ -409,7 +412,7 @@ func TestMergeOrder(t *testing.T) {
 	}
 }
 
-func TestMergeEmpty(t *testing.T) {
+func TestGroupMergerEmpty(t *testing.T) {
 	for need := 1; need <= 2; need++ {
 		m := NewMerge(need, NewSliceIterator(nil), NewSliceIterator(nil))
 		if _, ok, err := m.Next(nil); ok || err != nil || m.Scanned != 0 {
