@@ -266,6 +266,7 @@ func applyUpdates(r *rig, updates []workload.ScoreUpdate, maxMeasured int) (time
 type queryStats struct {
 	avgTime     time.Duration
 	avgPostings float64
+	avgLookups  float64
 	avgPages    float64
 	results     int
 }
@@ -274,7 +275,7 @@ type queryStats struct {
 // pool is evicted before every query, as in §5.2.
 func runQueries(r *rig, queries [][]string, opts Options, k int, disjunctive, withTermScores bool) (queryStats, error) {
 	var total time.Duration
-	var postings int
+	var postings, lookups int
 	var pages uint64
 	var results int
 	ran := 0
@@ -292,6 +293,7 @@ func runQueries(r *rig, queries [][]string, opts Options, k int, disjunctive, wi
 		}
 		total += time.Since(start)
 		postings += res.PostingsScanned
+		lookups += res.ScoreLookups
 		pages += r.pool.Stats().Misses - before
 		results += len(res.Results)
 		ran++
@@ -302,6 +304,7 @@ func runQueries(r *rig, queries [][]string, opts Options, k int, disjunctive, wi
 	return queryStats{
 		avgTime:     total / time.Duration(ran),
 		avgPostings: float64(postings) / float64(ran),
+		avgLookups:  float64(lookups) / float64(ran),
 		avgPages:    float64(pages) / float64(ran),
 		results:     results,
 	}, nil

@@ -192,11 +192,12 @@ func timeUpdates(b *testing.B, r *rig, trace []workload.ScoreUpdate, size int) {
 }
 
 // timeQueries runs b.N queries of the experiments' query set, cycling it,
-// and reports the postings each one scanned.
+// and reports the postings each one scanned and the Score-table lookups it
+// made.
 func timeQueries(b *testing.B, r *rig, k int, disjunctive, withTermScores bool) {
 	b.Helper()
 	queries := workload.GenerateQueries(corpusFor(benchOptions), queryParams(benchOptions))
-	scanned := 0.0
+	scanned, lookups := 0.0, 0.0
 	b.ResetTimer()
 	for done := 0; done < b.N; {
 		n := min(b.N-done, len(queries))
@@ -205,10 +206,12 @@ func timeQueries(b *testing.B, r *rig, k int, disjunctive, withTermScores bool) 
 			b.Fatal(err)
 		}
 		scanned += qs.avgPostings * float64(n)
+		lookups += qs.avgLookups * float64(n)
 		done += n
 	}
 	b.StopTimer()
 	b.ReportMetric(scanned/float64(b.N), "postings/query")
+	b.ReportMetric(lookups/float64(b.N), "lookups/query")
 }
 
 // BenchmarkTable1_BuildLongLists times the bulk build that produces the long

@@ -26,9 +26,9 @@ func TestCrashRecoveryMatrixLifecycle(t *testing.T) {
 	// The template uses the smallest page size and short descriptions: list
 	// blobs are packed into shared pages, so at 4 KiB pages a test-sized
 	// archive's lists fit in one page and a commit would offer a single
-	// blob-page write to crash at.  At 512-byte pages 900 movies make a
+	// blob-page write to crash at.  At 512-byte pages 1,420 movies make a
 	// create's checkpoint about 100 page writes across blob, tree and chain
-	// pages, and an open about 250 page reads, most of them the walk of the
+	// pages, and an open about 340 page reads, most of them the walk of the
 	// trees' internal nodes that rebuilds the free list.  A drop writes only
 	// the catalog: its leg goes on to a create that reuses the dropped
 	// pages, which only the in-memory free list records.  Both legs open the
@@ -41,7 +41,7 @@ func TestCrashRecoveryMatrixLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		params := workload.DefaultArchiveParams()
-		params.NumMovies, params.WordsPerDesc = 900, 8
+		params.NumMovies, params.WordsPerDesc = 1420, 8
 		if _, err := workload.BuildArchiveDB(e.DB(), params); err != nil {
 			t.Fatal(err)
 		}

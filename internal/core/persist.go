@@ -25,9 +25,12 @@ import (
 // (relation.TableState.Strings), so an older file's whole-row values would
 // be misread; version 7 drops index.MethodDict's cache of inserted
 // documents' terms (a version-6 dictionary would still decode, its cache
-// ignored, but one encoding per version keeps the rule simple).  Older files
-// are refused at Open: there is no migration reader.
-const catalogVersion = 7
+// ignored, but one encoding per version keeps the rule simple); version 8
+// moves a threshold index's "has short-list postings" flag from its
+// ListScore/ListChunk rows into its Score rows, so a version-7 Score table
+// would read every moved document as unmoved.  Older files are refused at
+// Open: there is no migration reader.
+const catalogVersion = 8
 
 // chainRef locates a page chain in the file: its head page and the length of
 // the bytes it holds.

@@ -31,30 +31,52 @@ import (
 // times rewrites it once.
 type docTable struct {
 	tree *btree.Tree
+	// flags is the set of flag bits the table's rows may carry: scoreFlags
+	// for the Score table, none for a ListScore/ListChunk table.
+	flags rowFlags
 	// retire receives superseded pages once COW snapshots are enabled.
 	retire func(pagefile.PageID)
 
 	pending map[DocID]docRow
 }
 
-// docRow is the decoded value of one row: a float and a flag, whose meaning
-// is the table's.
+// docRow is the decoded value of one row: a float and, in the Score table,
+// two flags.
 type docRow struct {
 	// val is the document's latest score (Score table), its stale list score
 	// (ListScore) or its list chunk ID stored as float64(cid) (ListChunk).
 	val float64
-	// flag marks a deleted document in the Score table (Appendix A.2) and, in
-	// ListScore/ListChunk, a document that has postings in the short lists
-	// (its score crossed the threshold at some point).
-	flag bool
+	// deleted marks a deleted document (Score table, Appendix A.2).
+	deleted bool
+	// short marks a document whose postings Algorithm 1 moved to the short
+	// lists (threshold family's Score table): its long-list copy is stale,
+	// and its ListScore/ListChunk row holds the key of the authoritative
+	// short-list copy.  The bit is written only where the Score row is written
+	// anyway — a score update carries it, a threshold crossing or an insert
+	// sets it, a delete or a merge clears it — so a resolver that reads the
+	// Score row learns for free whether the list table has anything to say.
+	short bool
 }
 
-func newDocTable(pool *buffer.Pool) (*docTable, error) {
+// rowFlags is a row's flag byte, or the set of flag bits a table's rows may
+// carry.  A Score-table row may carry both bits; a ListScore/ListChunk row
+// carries none (its byte is always 0).
+type rowFlags byte
+
+const (
+	flagDeleted rowFlags = 1 << 0
+	flagShort   rowFlags = 1 << 1
+	scoreFlags           = flagDeleted | flagShort
+)
+
+// newDocTable returns an empty table whose rows may carry flags (scoreFlags
+// or 0).
+func newDocTable(pool *buffer.Pool, flags rowFlags) (*docTable, error) {
 	tree, err := btree.New(pool)
 	if err != nil {
 		return nil, err
 	}
-	return &docTable{tree: tree, pending: map[DocID]docRow{}}, nil
+	return &docTable{tree: tree, flags: flags, pending: map[DocID]docRow{}}, nil
 }
 
 // enableCOW switches the table's tree to copy-on-write publication.
@@ -66,12 +88,13 @@ func (t *docTable) enableCOW(retire func(pagefile.PageID)) {
 // snapshotView seals the tree and captures a frozen docView for publication.
 func (t *docTable) snapshotView() docView {
 	t.tree.Seal()
-	return docView{view: t.tree.View(), patches: t.tree.Patches(), len: t.tree.Len()}
+	return docView{view: t.tree.View(), flags: t.flags, patches: t.tree.Patches(), len: t.tree.Len()}
 }
 
 // docView is a frozen, read-only image of a docTable.
 type docView struct {
 	view    btree.View
+	flags   rowFlags
 	patches uint64
 	len     int
 }
@@ -81,7 +104,7 @@ type docView struct {
 func (v docView) Get(doc DocID) (docRow, bool, error) {
 	key := docKey(doc)
 	var buf [rowBytes]byte
-	return decodeLookup(v.view.Get(buf[:0], key[:]))
+	return v.flags.lookup(v.view.Get(buf[:0], key[:]))
 }
 
 // Len reports the row count at capture time.
@@ -104,39 +127,49 @@ const rowBytes = 9
 // docItem encodes one row as the tree stores it: always rowBytes value bytes.
 func docItem(doc DocID, r docRow) btree.Item {
 	key := docKey(doc)
-	val := codec.PutFloat64(nil, r.val)
-	if r.flag {
-		val = append(val, 1)
-	} else {
-		val = append(val, 0)
+	var flag rowFlags
+	if r.deleted {
+		flag |= flagDeleted
 	}
-	return btree.Item{Key: key[:], Value: val}
+	if r.short {
+		flag |= flagShort
+	}
+	return btree.Item{Key: key[:], Value: append(codec.PutFloat64(nil, r.val), byte(flag))}
 }
 
-func decodeDocRow(data []byte) (docRow, error) {
+// decode reads a row of a table whose rows may carry flags.  Every writer
+// stores exactly rowBytes with no other flag bit, so any other value is
+// corrupt: a rotted flag byte must not revive a deleted document or invent a
+// short-list copy.
+func (flags rowFlags) decode(data []byte) (docRow, error) {
+	if len(data) != rowBytes {
+		return docRow{}, fmt.Errorf("%w: table row of %d bytes, want %d", codec.ErrCorrupt, len(data), rowBytes)
+	}
 	val, n, err := codec.Float64(data)
 	if err != nil {
 		return docRow{}, err
 	}
-	if n >= len(data) {
-		return docRow{}, fmt.Errorf("index: table row of %d bytes is missing its flag", len(data))
+	flag := rowFlags(data[n])
+	if flag&^flags != 0 {
+		return docRow{}, fmt.Errorf("%w: table row flag byte %#x", codec.ErrCorrupt, flag)
 	}
-	return docRow{val: val, flag: data[n] == 1}, nil
+	return docRow{val: val, deleted: flag&flagDeleted != 0, short: flag&flagShort != 0}, nil
 }
 
-// decodeLookup turns the result of a tree, view or probe lookup into a row.
-func decodeLookup(data []byte, found bool, err error) (docRow, bool, error) {
+// lookup turns the result of a tree, view or probe lookup in a table whose
+// rows may carry flags into a row.
+func (flags rowFlags) lookup(data []byte, found bool, err error) (docRow, bool, error) {
 	if err != nil || !found {
 		return docRow{}, false, err
 	}
-	r, err := decodeDocRow(data)
+	r, err := flags.decode(data)
 	return r, err == nil, err
 }
 
 // rowScore reads a Score-table lookup as a resolver reports it: the score,
 // and live=false for a deleted or unknown document.
 func rowScore(r docRow, ok bool, err error) (score float64, live bool, _ error) {
-	return r.val, ok && !r.flag, err
+	return r.val, ok && !r.deleted, err
 }
 
 // Put inserts or replaces the row of doc in the overlay.
@@ -148,7 +181,7 @@ func (t *docTable) Get(doc DocID) (docRow, bool, error) {
 		return r, true, nil
 	}
 	key := docKey(doc)
-	return decodeLookup(t.tree.Get(key[:]))
+	return t.flags.lookup(t.tree.Get(key[:]))
 }
 
 // docProbe is the per-query reader of a docView.  It lives in the pooled
@@ -177,7 +210,7 @@ func (dp *docProbe) bind(v docView) {
 func (dp *docProbe) Get(doc DocID) (docRow, bool, error) {
 	dp.lookups++
 	key := docKey(doc)
-	return decodeLookup(dp.p.Get(key[:]))
+	return dp.v.flags.lookup(dp.p.Get(key[:]))
 }
 
 // Descend is Get by a full descent of the snapshot's tree, for candidates
@@ -205,20 +238,16 @@ func (t *docTable) flushBatch() error {
 	return err
 }
 
-// scoreBulkFill is the node fill target for bulk-loading the Score
-// table.  Unlike the read-mostly long lists, the Score table absorbs one
-// in-place leaf rewrite per score update, and a leaf rewrite costs
-// proportionally to leaf size — so the update-hot table is loaded at
-// roughly the occupancy ascending inserts would have produced rather than
-// packed dense.
-const scoreBulkFill = 0.55
-
 // bulkLoad replaces the (empty) tree with one bulk-built from items, which
 // must be in ascending document order.  Build paths use it so populating
 // the Score table costs one left-to-right leaf-packing pass instead of one
-// descent per document.
+// descent per document.  The leaves are packed to the tree's maximum fill:
+// every query resolves its candidates against this table, so its page count
+// is what a query pays in pool frames, while a score update costs the same
+// at any fill — it patches the row's fixed-width bytes in place (or in the
+// COW copy of its leaf, logged as a delta against the copy's previous page).
 func (t *docTable) bulkLoad(pool *buffer.Pool, items []btree.Item) error {
-	tree, err := btree.BulkLoad(pool, items, scoreBulkFill)
+	tree, err := btree.BulkLoad(pool, items, btree.MaxBulkFill)
 	if err != nil {
 		return err
 	}
@@ -244,7 +273,7 @@ func (t *docTable) ForEach(visit func(doc DocID, r docRow) bool) error {
 			innerErr = err
 			return false
 		}
-		r, err := decodeDocRow(v)
+		r, err := t.flags.decode(v)
 		if err != nil {
 			innerErr = err
 			return false

@@ -432,14 +432,14 @@ func newBase(kind *Kind, cfg Config) (*base, error) {
 		dict:     text.NewDictionary(),
 		longRefs: map[string]blob.Ref{},
 	}
-	if b.score, err = newDocTable(cfg.Pool); err != nil {
+	if b.score, err = newDocTable(cfg.Pool, scoreFlags); err != nil {
 		return nil, err
 	}
 	if b.lists, err = newKeyedList(cfg.Pool); err != nil {
 		return nil, err
 	}
 	if kind.listTable {
-		if b.table, err = newDocTable(cfg.Pool); err != nil {
+		if b.table, err = newDocTable(cfg.Pool, 0); err != nil {
 			return nil, err
 		}
 	}

@@ -441,18 +441,20 @@ func TestDocTokensSourceFailure(t *testing.T) {
 // single-term query visiting all six "golden" documents then probes once per
 // posting on the kinds whose lists carry no score — on the Chunk orders the
 // stale copy too, since they read a candidate's Score before its ListChunk
-// row — once in total on Score-Threshold (only the updated document's stored
-// score is stale, and its ListScore row, read first, tells its stale copy
-// apart) and never on Score.
+// row — twice in total on Score-Threshold (only the updated document has a
+// ListScore row, read first; both its copies then read the Score row, whose
+// short-list bit tells the stale one apart) and never on Score.
 //
 // The Chunk orders' ListChunk probes are pinned beside them, after document 1
 // falls back to 20 (chunk 1, so no rewrite: its short copy stays at chunk 4
-// and its long copy at chunk 2 is stale).  At k = 3 the heap is full after
+// and its long copy at chunk 2 is stale).  Only document 1 has the
+// short-list bit, so only its candidates can cost a ListChunk probe: its
+// short copy does, first in the scan.  At k = 3 the heap is full after
 // chunk 3 with a minimum of 640, so the stale copy costs one Score probe and
 // no ListChunk probe; at k = 2 the two chunk-3 candidates are cut the same
 // way and the scan stops before the stale copy.
 func TestScoreLookupsCountProbes(t *testing.T) {
-	want := map[string]int{"ID": 6, "ID-TermScore": 6, "Score": 0, "Score-Threshold": 1, "Chunk": 7, "Chunk-TermScore": 7}
+	want := map[string]int{"ID": 6, "ID-TermScore": 6, "Score": 0, "Score-Threshold": 2, "Chunk": 7, "Chunk-TermScore": 7}
 	for name, ctor := range allConstructors() {
 		m := buildMethod(t, name, ctor, smallCorpus())
 		if err := updateScore(m, 1, 5000); err != nil {
@@ -472,7 +474,7 @@ func TestScoreLookupsCountProbes(t *testing.T) {
 		if err := updateScore(m, 1, 20); err != nil {
 			t.Fatal(err)
 		}
-		for _, leg := range []struct{ k, scoreProbes, listProbes int }{{3, 6, 5}, {2, 5, 3}} {
+		for _, leg := range []struct{ k, scoreProbes, listProbes int }{{3, 6, 1}, {2, 5, 1}} {
 			q := Query{Terms: []string{"golden"}, K: leg.k}
 			s, guard, err := tm.acquire()
 			if err != nil {

@@ -23,7 +23,7 @@ func newTestPool(tb testing.TB) *buffer.Pool {
 }
 
 func TestScoreTableBasics(t *testing.T) {
-	st, err := newDocTable(newTestPool(t))
+	st, err := newDocTable(newTestPool(t), scoreFlags)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,15 +32,15 @@ func TestScoreTableBasics(t *testing.T) {
 	}
 	st.Put(5, docRow{val: 87.13})
 	r, ok, err := st.Get(5)
-	if err != nil || !ok || r.flag || r.val != 87.13 {
+	if err != nil || !ok || r != (docRow{val: 87.13}) {
 		t.Errorf("Get = %+v %v %v", r, ok, err)
 	}
 	st.Put(5, docRow{val: 124.2})
 	if r, _, _ = st.Get(5); r.val != 124.2 {
 		t.Errorf("score after update = %v", r.val)
 	}
-	st.Put(5, docRow{val: 124.2, flag: true})
-	if r, ok, _ = st.Get(5); !ok || !r.flag || r.val != 124.2 {
+	st.Put(5, docRow{val: 124.2, deleted: true})
+	if r, ok, _ = st.Get(5); !ok || !r.deleted || r.val != 124.2 {
 		t.Errorf("after marking deleted: %+v %v", r, ok)
 	}
 	if _, live, _ := rowScore(st.Get(5)); live {
@@ -51,8 +51,18 @@ func TestScoreTableBasics(t *testing.T) {
 	if err := st.flushBatch(); err != nil {
 		t.Fatal(err)
 	}
-	if r, _, _ = st.snapshotView().Get(5); r.flag || r.val != 10 {
+	if r, _, _ = st.snapshotView().Get(5); r != (docRow{val: 10}) {
 		t.Errorf("flushed row = %+v, want the last write", r)
+	}
+	// The short-list bit round-trips beside the deleted flag.
+	for _, want := range []docRow{{val: 11, short: true}, {val: 12, deleted: true, short: true}, {val: 13}} {
+		st.Put(5, want)
+		if err := st.flushBatch(); err != nil {
+			t.Fatal(err)
+		}
+		if r, _, _ = st.snapshotView().Get(5); r != want {
+			t.Errorf("flushed row = %+v, want %+v", r, want)
+		}
 	}
 	if st.Len() != 1 || st.dirty() {
 		t.Errorf("Len = %d, dirty = %v after the flush, want 1 row and an empty overlay", st.Len(), st.dirty())
@@ -60,12 +70,12 @@ func TestScoreTableBasics(t *testing.T) {
 }
 
 func TestScoreTableForEach(t *testing.T) {
-	st, err := newDocTable(newTestPool(t))
+	st, err := newDocTable(newTestPool(t), scoreFlags)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 20; i++ {
-		st.Put(DocID(i), docRow{val: float64(i) * 10, flag: i == 7})
+		st.Put(DocID(i), docRow{val: float64(i) * 10, deleted: i == 7})
 	}
 	if err := st.flushBatch(); err != nil {
 		t.Fatal(err)
@@ -74,7 +84,7 @@ func TestScoreTableForEach(t *testing.T) {
 	deletedCount := 0
 	if err := st.ForEach(func(doc DocID, r docRow) bool {
 		docs = append(docs, doc)
-		if r.flag {
+		if r.deleted {
 			deletedCount++
 		}
 		return true
@@ -97,10 +107,10 @@ func TestScoreTableForEach(t *testing.T) {
 	}
 }
 
-// TestListTable drives the table as ListScore/ListChunk does: rows written
-// with the flag set, through the overlay and the frozen view.
+// TestListTable drives the table as ListScore/ListChunk does: rows of a list
+// key and no flag, through the overlay and the frozen view.
 func TestListTable(t *testing.T) {
-	lt, err := newDocTable(newTestPool(t))
+	lt, err := newDocTable(newTestPool(t), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +125,8 @@ func TestListTable(t *testing.T) {
 	if err != nil || !ok || e != (docRow{val: 87.13}) {
 		t.Errorf("Get = %+v %v %v", e, ok, err)
 	}
-	lt.Put(3, docRow{val: 124.2, flag: true})
-	if e, _, _ = lt.Get(3); e != (docRow{val: 124.2, flag: true}) {
+	lt.Put(3, docRow{val: 124.2})
+	if e, _, _ = lt.Get(3); e != (docRow{val: 124.2}) {
 		t.Errorf("staged entry = %+v", e)
 	}
 	if e, _, _ = lt.snapshotView().Get(3); e != (docRow{val: 87.13}) {
@@ -125,11 +135,74 @@ func TestListTable(t *testing.T) {
 	if err := lt.flushBatch(); err != nil {
 		t.Fatal(err)
 	}
-	if e, _, _ = lt.snapshotView().Get(3); e != (docRow{val: 124.2, flag: true}) {
+	if e, _, _ = lt.snapshotView().Get(3); e != (docRow{val: 124.2}) {
 		t.Errorf("entry after flush = %+v", e)
 	}
 	if lt.Len() != 1 {
 		t.Errorf("Len = %d", lt.Len())
+	}
+}
+
+// TestDocRowRejectsHostileBytes: every writer stores exactly rowBytes, with
+// flag bits only a Score-table row may carry (deleted, short-list) and a
+// ListScore/ListChunk row none, so any other value is corrupt — through the
+// decoder and through every table reader — instead of a row whose rotted
+// deleted marker reads as live or whose stray bit invents a short-list copy.
+func TestDocRowRejectsHostileBytes(t *testing.T) {
+	row := func(flag byte) []byte { return append(codec.PutFloat64(nil, 42.5), flag) }
+	for _, tc := range []struct {
+		name  string
+		flags rowFlags
+		val   []byte
+	}{
+		{"score flag 4", scoreFlags, row(4)},
+		{"score flag 5", scoreFlags, row(5)},
+		{"score flag 0xFF", scoreFlags, row(0xFF)},
+		{"score empty", scoreFlags, nil},
+		{"score missing flag", scoreFlags, row(0)[:8]},
+		{"score trailing byte", scoreFlags, append(row(0), 0)},
+		{"list flag 1", 0, row(1)},
+		{"list flag 2", 0, row(2)},
+		{"list flag 3", 0, row(3)},
+		{"list trailing byte", 0, append(row(0), 0)},
+		{"list missing flag", 0, row(0)[:8]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if r, err := tc.flags.decode(tc.val); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("decode(%x) = (%+v, %v), want ErrCorrupt", tc.val, r, err)
+			}
+			dt, err := newDocTable(newTestPool(t), tc.flags)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := docKey(7)
+			if _, err := dt.tree.UpsertBatch([]btree.Item{{Key: key[:], Value: tc.val}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := dt.Get(7); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("table Get over %x: %v, want ErrCorrupt", tc.val, err)
+			}
+			v := dt.snapshotView()
+			if _, _, err := v.Get(7); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("view Get over %x: %v, want ErrCorrupt", tc.val, err)
+			}
+			var p docProbe
+			p.bind(v)
+			if _, _, err := p.Get(7); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("probe Get over %x: %v, want ErrCorrupt", tc.val, err)
+			}
+			if err := dt.ForEach(func(DocID, docRow) bool { return true }); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("ForEach over %x: %v, want ErrCorrupt", tc.val, err)
+			}
+		})
+	}
+	for _, flags := range []rowFlags{0, flagDeleted, flagShort, scoreFlags} {
+		if r, err := scoreFlags.decode(row(byte(flags))); err != nil || r.val != 42.5 || r.deleted != (flags&flagDeleted != 0) || r.short != (flags&flagShort != 0) {
+			t.Errorf("Score row with flag byte %d = (%+v, %v)", flags, r, err)
+		}
+	}
+	if r, err := rowFlags(0).decode(row(0)); err != nil || r != (docRow{val: 42.5}) {
+		t.Errorf("list row = (%+v, %v)", r, err)
 	}
 }
 
@@ -183,9 +256,6 @@ func TestKeyedListOrderingAndCollect(t *testing.T) {
 		}
 	}
 	for _, e := range entries {
-		if !e.FromShort {
-			t.Error("collected entries must be marked FromShort")
-		}
 		if e.TermScore != float32(e.SortKey) {
 			t.Errorf("term score %v does not round-trip (key %v)", e.TermScore, e.SortKey)
 		}
@@ -229,7 +299,7 @@ func TestKeyedListValueRejectsHostileBytes(t *testing.T) {
 			if _, err := v.Collect("news"); !errors.Is(err, codec.ErrCorrupt) {
 				t.Errorf("Collect over %x: %v, want ErrCorrupt", tc.val, err)
 			}
-			if _, err := postings.CollectBatched(v.Cursor("news", false)); !errors.Is(err, codec.ErrCorrupt) {
+			if _, err := postings.CollectBatched(v.Cursor("news")); !errors.Is(err, codec.ErrCorrupt) {
 				t.Errorf("Cursor over %x: %v, want ErrCorrupt", tc.val, err)
 			}
 		})
@@ -327,7 +397,7 @@ func TestTreeCursorStreamsInBatches(t *testing.T) {
 	// A different term that must not be visited.
 	kl.Put("other", 1, 1, postings.OpAdd, 0)
 	v := flushedView(t, kl)
-	got, err := postings.CollectBatched(v.Cursor("term", false))
+	got, err := postings.CollectBatched(v.Cursor("term"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,15 +407,12 @@ func TestTreeCursorStreamsInBatches(t *testing.T) {
 			t.Fatalf("cursor order violated: %v after %v", e.SortKey, prevKey)
 		}
 		prevKey = e.SortKey
-		if e.FromShort {
-			t.Error("cursor with fromShort=false produced FromShort entries")
-		}
 	}
 	if len(got) != n {
 		t.Errorf("cursor visited %d postings, want %d", len(got), n)
 	}
 	// Cursor over an absent term terminates immediately.
-	if got, err := postings.CollectBatched(v.Cursor("absent", false)); err != nil || len(got) != 0 {
+	if got, err := postings.CollectBatched(v.Cursor("absent")); err != nil || len(got) != 0 {
 		t.Errorf("cursor over absent term yielded %d postings, err %v", len(got), err)
 	}
 }
@@ -427,7 +494,7 @@ func TestTreeCursorExactBatchMultiple(t *testing.T) {
 		v := flushedView(t, kl)
 		// A one-entry buffer refills at every cursor batch boundary exactly.
 		for _, size := range []int{1, 100} {
-			c := v.Cursor("term", false)
+			c := v.Cursor("term")
 			count := 0
 			buf := make([]postings.Entry, size)
 			for count <= n {

@@ -301,7 +301,6 @@ func (v keyedView) Collect(term string) ([]postings.Entry, error) {
 			CID:       int32(sortKey),
 			TermScore: ts,
 			Op:        op,
-			FromShort: true,
 		})
 		return true
 	})
@@ -331,7 +330,6 @@ func (v keyedView) Iterator(term string) (*postings.SliceIterator, error) {
 // the B+-tree leaves.
 type treeCursor struct {
 	view      btree.View
-	fromShort bool
 	prefixLen int    // length of the term prefix every key of the list starts with
 	end       []byte // exclusive end of the term's key range
 
@@ -345,9 +343,9 @@ type treeCursor struct {
 // leaf page worth and one downstream batch.
 const cursorBatchSize = postings.BatchSize
 
-func (v keyedView) Cursor(term string, fromShort bool) *treeCursor {
+func (v keyedView) Cursor(term string) *treeCursor {
 	prefix := keyedListPrefix(term)
-	return &treeCursor{view: v.view, fromShort: fromShort, prefixLen: len(prefix), end: btree.PrefixEnd(prefix), nextKey: prefix}
+	return &treeCursor{view: v.view, prefixLen: len(prefix), end: btree.PrefixEnd(prefix), nextKey: prefix}
 }
 
 func (c *treeCursor) refill() error {
@@ -384,7 +382,6 @@ func (c *treeCursor) refill() error {
 			CID:       int32(sortKey),
 			TermScore: ts,
 			Op:        op,
-			FromShort: c.fromShort,
 		})
 		lastKey = append(lastKey[:0], k...)
 		count++

@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 
+	"svrdb/internal/codec"
 	"svrdb/internal/postings"
 	"svrdb/internal/text"
 )
@@ -73,25 +74,25 @@ func (b *base) liveRow(doc DocID) (docRow, error) {
 	if err != nil {
 		return docRow{}, err
 	}
-	if !ok || r.flag {
+	if !ok || r.deleted {
 		return docRow{}, fmt.Errorf("%w: %d", ErrUnknownDocument, doc)
 	}
 	return r, nil
 }
 
 // setScore is how every score handler begins: it replaces the document's
-// score in the Score table and returns the one it held.  An unchanged score
-// is not an update: changed is false and nothing was counted or written.  The
-// engine relies on this: it forwards every re-evaluated score and keeps no
-// copy of its own to compare against.
-func (b *base) setScore(doc DocID, newScore float64) (oldScore float64, changed bool, err error) {
+// score in the Score table, keeping the row's short-list bit, and returns the
+// row it held.  An unchanged score is not an update: changed is false and
+// nothing was counted or written.  The engine relies on this: it forwards
+// every re-evaluated score and keeps no copy of its own to compare against.
+func (b *base) setScore(doc DocID, newScore float64) (old docRow, changed bool, err error) {
 	row, err := b.liveRow(doc)
 	if err != nil || row.val == newScore {
-		return row.val, false, err
+		return row, false, err
 	}
 	b.counters.scoreUpdates.Add(1)
-	b.score.Put(doc, docRow{val: newScore})
-	return row.val, true, nil
+	b.score.Put(doc, docRow{val: newScore, short: row.short})
+	return row, true, nil
 }
 
 // applyScore is the ID family's score update: the only work is one
@@ -102,10 +103,12 @@ func (b *base) applyScore(doc DocID, newScore float64) error {
 }
 
 // applyInsert is Appendix A.2's insert: the new document's postings go
-// straight to the keyed list, at the key of its score.
+// straight to the keyed list, at the key of its score.  In the threshold
+// family that is a short list, so the Score row's short-list bit is set and
+// a ListScore/ListChunk row records the key.
 func (b *base) applyInsert(doc DocID, tokens []string, score float64) error {
 	b.dictChanged()
-	b.score.Put(doc, docRow{val: score})
+	b.score.Put(doc, docRow{val: score, short: b.table != nil})
 	key := b.keyOf(score)
 	weights := docTermWeights(tokens)
 	distinct := make([]string, 0, len(weights))
@@ -122,15 +125,16 @@ func (b *base) applyInsert(doc DocID, tokens []string, score float64) error {
 	b.dict.AddDocumentTerms(distinct)
 	b.numDocs.Add(1)
 	if b.table != nil {
-		b.table.Put(doc, docRow{val: key, flag: true})
+		b.table.Put(doc, docRow{val: key})
 	}
 	return nil
 }
 
 // applyDelete is Appendix A.2's delete: the Score table keeps a deleted
 // marker, which is what queries filter on, every short-list posting of the
-// document is purged so that a reused ID is safe, and its terms' document
-// frequencies drop, so that TF-IDF and TermStats count live documents only.
+// document is purged so that a reused ID is safe (so the marker carries no
+// short-list bit), and its terms' document frequencies drop, so that TF-IDF
+// and TermStats count live documents only.
 // tokens is the deleted document's content (see Update.OldTokens).
 func (b *base) applyDelete(doc DocID, tokens []string) error {
 	row, err := b.liveRow(doc)
@@ -144,7 +148,7 @@ func (b *base) applyDelete(doc DocID, tokens []string) error {
 		return err
 	}
 	b.dictChanged()
-	b.score.Put(doc, docRow{val: row.val, flag: true})
+	b.score.Put(doc, docRow{val: row.val, deleted: true})
 	// Without content the document's terms cannot be uncounted: their df
 	// keeps counting it.  The deleted marker alone keeps it out of every
 	// result.  With content, df drops here — the liveness check above makes
@@ -153,9 +157,9 @@ func (b *base) applyDelete(doc DocID, tokens []string) error {
 		b.dict.RemoveDocumentTerms(text.DistinctTerms(tokens))
 	}
 	if b.table != nil {
-		// Leave an entry pointing at the long-list copy so that the query
-		// path probes the Score table (and sees the deleted flag) instead of
-		// trusting the stale long-list position.
+		// Leave an entry so that Score-Threshold's resolver probes the Score
+		// table (and sees the deleted flag) instead of trusting the
+		// long-list score.
 		entry, exists, err := b.table.Get(doc)
 		if err != nil {
 			return err
@@ -204,7 +208,7 @@ func (b *base) listPosition(doc DocID) (float64, error) {
 		return 0, err
 	}
 	if b.table != nil {
-		entry, exists, err := b.table.Get(doc)
+		entry, exists, err := b.listEntry(doc, row)
 		if err != nil {
 			return 0, err
 		}
@@ -213,6 +217,23 @@ func (b *base) listPosition(doc DocID) (float64, error) {
 		}
 	}
 	return b.keyOf(row.val), nil
+}
+
+// listEntry reads the ListScore/ListChunk row of a live document whose Score
+// row is row.
+func (b *base) listEntry(doc DocID, row docRow) (docRow, bool, error) {
+	entry, exists, err := b.table.Get(doc)
+	if err == nil && row.short && !exists {
+		err = errMissingListRow(doc)
+	}
+	return entry, exists, err
+}
+
+// errMissingListRow reports a document whose Score row has the short-list
+// bit set but which has no ListScore/ListChunk row: every writer that sets
+// the bit writes the row, so the file is corrupt.
+func errMissingListRow(doc DocID) error {
+	return fmt.Errorf("%w: document %d has short-list postings but no list-table row", codec.ErrCorrupt, doc)
 }
 
 // diffTerms computes the added and removed distinct terms between two token

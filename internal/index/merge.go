@@ -15,13 +15,14 @@ import (
 //
 // MergeShortLists rebuilds the long inverted lists from the current state of
 // the collection — the latest scores in the Score table and the latest
-// document contents — and empties the short lists and the ListScore/ListChunk
-// table, returning the index to its freshly-bulk-loaded shape.  The merge
-// runs under the serialized writer and publishes once, at the end, so readers
-// stay on the pre-merge snapshot throughout and flip to the merged index
-// atomically; the superseded generation — the old list trees and the old
-// long-list blobs — is retired to the epoch manager and its pages are
-// recycled once the last pre-merge reader leaves.
+// document contents — empties the short lists and the ListScore/ListChunk
+// table and clears every Score row's short-list bit, returning the index to
+// its freshly-bulk-loaded shape.  The merge runs under the serialized writer
+// and publishes once, at the end, so readers stay on the pre-merge snapshot
+// throughout and flip to the merged index atomically; the superseded
+// generation — the old list trees and the old long-list blobs — is retired
+// to the epoch manager and its pages are recycled once the last pre-merge
+// reader leaves.
 
 // snapshotSource materializes the live collection for a rebuild: every
 // non-deleted document in the Score table, with its current tokens and
@@ -30,6 +31,8 @@ type snapshotSource struct {
 	docs   []DocID
 	tokens map[DocID][]string
 	scores map[DocID]float64
+	// moved lists the documents whose Score row has the short-list bit set.
+	moved []DocID
 }
 
 func (s *snapshotSource) NumDocs() int { return len(s.docs) }
@@ -60,7 +63,7 @@ func (b *base) snapshot(tokensOf func(DocID) ([]string, error)) (*snapshotSource
 	snap := &snapshotSource{tokens: map[DocID][]string{}, scores: map[DocID]float64{}}
 	var iterErr error
 	err := b.score.ForEach(func(doc DocID, r docRow) bool {
-		if r.flag {
+		if r.deleted {
 			return true
 		}
 		tokens, err := tokensOf(doc)
@@ -71,6 +74,9 @@ func (b *base) snapshot(tokensOf func(DocID) ([]string, error)) (*snapshotSource
 		snap.docs = append(snap.docs, doc)
 		snap.tokens[doc] = tokens
 		snap.scores[doc] = r.val
+		if r.short {
+			snap.moved = append(snap.moved, doc)
+		}
 		return true
 	})
 	if iterErr != nil {
@@ -106,7 +112,7 @@ func (b *base) MergeShortLists() error {
 	lists.enableCOW(b.retirePage)
 	var table *docTable
 	if b.table != nil {
-		if table, err = newDocTable(b.cfg.Pool); err != nil {
+		if table, err = newDocTable(b.cfg.Pool, 0); err != nil {
 			return err
 		}
 		table.enableCOW(b.retirePage)
@@ -122,6 +128,14 @@ func (b *base) MergeShortLists() error {
 	b.dict = text.NewDictionary()
 	b.lists, b.table = lists, table
 	if err := b.build(snap, snap.scoreFunc()); err != nil {
+		return err
+	}
+	// The rebuild keeps the Score table and files every document at the key
+	// of its current score, so no document has short-list postings any more.
+	for _, doc := range snap.moved {
+		b.score.Put(doc, docRow{val: snap.scores[doc]})
+	}
+	if err := b.score.flushBatch(); err != nil {
 		return err
 	}
 	if err := oldLists.tree.RetireAll(); err != nil {

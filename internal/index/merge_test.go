@@ -76,14 +76,19 @@ func TestMergeShortListsPreservesResults(t *testing.T) {
 				checkTopKScores(t, name+" pre-merge "+strings.Join(q, "+"), res.Results, o.topK(q, 8, false))
 			}
 
-			// The merge rebuilds from the Score table's own rows, so it has
-			// nothing to write back there: not one row is patched.
+			// The merge rebuilds from the Score table's own rows, so all it
+			// writes back there is the cleared short-list bit of every moved
+			// document: one patch per moved row, and no bit left set.
 			scorePatches := baseOf(m).published.Load().score.Patches()
+			moved := shortDocs(t, baseOf(m))
 			if err := m.MergeShortLists(); err != nil {
 				t.Fatalf("MergeShortLists: %v", err)
 			}
-			if got := baseOf(m).published.Load().score.Patches(); got != scorePatches {
-				t.Errorf("merge patched the Score table: %d -> %d patches", scorePatches, got)
+			if got := baseOf(m).published.Load().score.Patches(); got != scorePatches+uint64(len(moved)) {
+				t.Errorf("merge patched the Score table %d times, want once for each of the %d moved documents", got-scorePatches, len(moved))
+			}
+			if left := shortDocs(t, baseOf(m)); len(left) != 0 {
+				t.Errorf("short-list bit still set after the merge on %v", left)
 			}
 			if name != "Score" {
 				if got := m.Stats().ShortListEntries; got != 0 {

@@ -69,7 +69,7 @@ func newQueryCtx(s *snap, q *Query) *queryCtx {
 func (c *queryCtx) getScoreAside(doc DocID) (docRow, bool, error) {
 	c.score.lookups++
 	key := docKey(doc)
-	return decodeLookup(c.scoreAside.Get(key[:]))
+	return c.score.v.flags.lookup(c.scoreAside.Get(key[:]))
 }
 
 // release returns the context to the pool.  The caller must not touch the

@@ -56,10 +56,11 @@ func (m *scoreMethod) buildLists(bc *builtCorpus) error {
 // the document must be deleted at the old score position and reinserted at
 // the new one, which is exactly the cost the paper's Figure 7 measures.
 func (m *scoreMethod) applyScore(doc DocID, newScore float64) error {
-	oldScore, changed, err := m.setScore(doc, newScore)
+	old, changed, err := m.setScore(doc, newScore)
 	if !changed {
 		return err
 	}
+	oldScore := old.val
 	tokens, err := m.docTokens(doc)
 	if err != nil {
 		return fmt.Errorf("index: Score method needs document %d content to move its postings: %w", doc, err)
@@ -88,7 +89,7 @@ func (m *scoreMethod) applyDelete(doc DocID, tokens []string) error {
 		}
 		m.dict.RemoveDocumentTerms(terms)
 	}
-	m.score.Put(doc, docRow{val: row.val, flag: true})
+	m.score.Put(doc, docRow{val: row.val, deleted: true})
 	m.numDocs.Add(-1)
 	return nil
 }
@@ -134,7 +135,7 @@ func (m *scoreMethod) TopK(q Query) (*QueryResult, error) {
 	ctx := newQueryCtx(s, &q)
 	defer ctx.release()
 	for _, term := range q.Terms {
-		ctx.streams = append(ctx.streams, s.lists.Cursor(term, false))
+		ctx.streams = append(ctx.streams, s.lists.Cursor(term))
 	}
 	return m.runRanked(ctx, rankedQuery{
 		conjunctive: !q.Disjunctive,

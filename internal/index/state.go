@@ -100,8 +100,8 @@ func openKeyedList(pool *buffer.Pool, r TreeRef) *keyedList {
 	return &keyedList{tree: btree.Open(pool, r.Root, r.Size), entries: r.Entries, opIdx: map[string]int{}, docOps: map[DocID][]int{}}
 }
 
-func openDocTable(pool *buffer.Pool, r TreeRef) *docTable {
-	return &docTable{tree: btree.Open(pool, r.Root, r.Size), pending: map[DocID]docRow{}}
+func openDocTable(pool *buffer.Pool, r TreeRef, flags rowFlags) *docTable {
+	return &docTable{tree: btree.Open(pool, r.Root, r.Size), flags: flags, pending: map[DocID]docRow{}}
 }
 
 func copyRefs(src map[string]blob.Ref) map[string]blob.Ref {
@@ -174,7 +174,7 @@ func Restore(cfg Config, st MethodState) (Method, error) {
 		cfg:          cfg,
 		store:        blob.NewStore(cfg.Pool),
 		dict:         text.RestoreDictionary(st.Dict),
-		score:        openDocTable(cfg.Pool, st.Score),
+		score:        openDocTable(cfg.Pool, st.Score, scoreFlags),
 		lists:        openKeyedList(cfg.Pool, st.Lists),
 		longRefs:     copyRefs(st.LongRefs),
 		longBytes:    st.LongBytes,
@@ -184,7 +184,7 @@ func Restore(cfg Config, st MethodState) (Method, error) {
 		dictGen:      st.DictGen,
 	}
 	if k.listTable {
-		b.table = openDocTable(cfg.Pool, st.ListTable)
+		b.table = openDocTable(cfg.Pool, st.ListTable, 0)
 	}
 	if len(st.ChunkLower) > 0 {
 		b.chunks = &chunker{lower: append([]float64(nil), st.ChunkLower...)}

@@ -15,11 +15,12 @@ import (
 // list-key order and a short inverted list holding fresh postings for
 // documents whose score rose past thresholdValueOf(listKey).  The
 // ListScore/ListChunk table remembers, for every document whose score has
-// ever been updated, its current list key and whether it has short-list
-// postings.  Updates are processed with Algorithm 1, queries with
-// Algorithm 2 (Algorithm 3 when term scores are combined in); the query
-// keeps scanning past the first k results until the threshold bound
-// guarantees no unseen document can beat them, which is what makes the
+// ever been updated, its current list key; whether the document has
+// short-list postings is a bit of its Score-table row (docRow.short), which
+// the resolvers read anyway.  Updates are processed with Algorithm 1,
+// queries with Algorithm 2 (Algorithm 3 when term scores are combined in);
+// the query keeps scanning past the first k results until the threshold
+// bound guarantees no unseen document can beat them, which is what makes the
 // answer exact under the latest scores (Theorems 1 and 2).  The paper states
 // both algorithms once, generically over thresholdValueOf; what a list key
 // is and how far a score may drift from it is the kind's listOrder.
@@ -54,16 +55,20 @@ type listOrder struct {
 	// stream opens a long list written by encode.
 	stream func(s *snap, r *blob.Reader) (postings.BatchIterator, error)
 	// resolve is lines 12-21 of Algorithm 2: decide which copy of the
-	// candidate is authoritative and fetch its latest score.  The order of
-	// the two table reads is per list order.  Score-Threshold reads its
-	// ListScore table first: a never-updated document's long-list posting
-	// carries its latest score, so it needs no Score lookup.  The Chunk
-	// orders read the Score table first and cut the candidate's offer
-	// (ctx.offer of the score) at the heap's admission bar; only an admitted
-	// one is checked against the ListChunk table.  The cut is exact: that check can only drop a
-	// candidate (a stale long-list copy), and one the heap would not admit is
-	// dropped by Add either way, so the heap takes the same Adds in the same
-	// order and its minimum, the stopping rule and the results are unchanged.
+	// candidate is authoritative and fetch its latest score.  A candidate is
+	// dropped iff the document's postings moved to the short lists (its
+	// Score row's short bit) and the candidate's position is not the list
+	// key its ListScore/ListChunk row records.  The order of the two table
+	// reads is per list order.  Score-Threshold reads its ListScore table
+	// first: a never-updated document's long-list posting carries its latest
+	// score, so it needs no Score lookup.  The Chunk orders read the Score
+	// table first and cut the candidate's offer (ctx.offer of the score) at
+	// the heap's admission bar; only an admitted candidate of a moved
+	// document is checked against the ListChunk table.  The cut is exact:
+	// that check can only drop a candidate (a stale long-list copy), and one
+	// the heap would not admit is dropped by Add either way, so the heap
+	// takes the same Adds in the same order and its minimum, the stopping
+	// rule and the results are unchanged.
 	// The reads stay per order by measurement too: candidates of a
 	// score-ordered list arrive in no document order, so full descents beat
 	// the leaf-locality probes a chunk's ascending documents reward.
@@ -112,13 +117,17 @@ func scoreOrder(b *base) listOrder {
 				// Never updated: the long-list score is the latest score.
 				return g.SortKey, true, nil
 			}
-			if entry.flag && g.SortKey != entry.val {
+			row, ok, err := ctx.score.Descend(g.Doc)
+			if err != nil || !ok || row.deleted {
+				return 0, false, err
+			}
+			if row.short && g.SortKey != entry.val {
 				// The short-list copy (at sort key entry.val) is authoritative;
 				// any other appearance is the stale long-list copy.
 				return 0, false, nil
 			}
 			// The authoritative copy, but its stored score may be stale.
-			return rowScore(ctx.score.Descend(g.Doc))
+			return row.val, true, nil
 		},
 	}
 }
@@ -174,26 +183,30 @@ func chunkOrder(b *base, termScores bool) listOrder {
 		// Within a chunk the candidates arrive in ascending document order, so
 		// both tables are walked left to right through the query context's
 		// leaf-locality probes instead of descended per candidate.  Score
-		// first, ListChunk only for a candidate the heap admits (see
-		// listOrder.resolve).
+		// first, ListChunk only for a moved document's candidate the heap
+		// admits (see listOrder.resolve).
 		resolve: func(ctx *queryCtx, g *postings.Group) (float64, bool, error) {
-			svr, live, err := rowScore(ctx.score.Get(g.Doc))
-			if err != nil || !live {
+			row, ok, err := ctx.score.Get(g.Doc)
+			if err != nil || !ok || row.deleted {
 				return 0, false, err
 			}
-			offer := ctx.offer(g, svr)
+			offer := ctx.offer(g, row.val)
 			if !ctx.heap.Admits(int64(g.Doc), offer) {
 				return 0, false, nil
 			}
+			if !row.short {
+				return offer, true, nil
+			}
 			entry, exists, err := ctx.list.Get(g.Doc)
+			if err == nil && !exists {
+				err = errMissingListRow(g.Doc)
+			}
 			if err != nil {
 				return 0, false, err
 			}
-			if exists && entry.flag && g.SortKey != entry.val {
-				// Stale long-list copy; the short copy is processed instead.
-				return 0, false, nil
-			}
-			return offer, true, nil
+			// A moved document's long-list copy is stale; its short copy is
+			// processed instead.
+			return offer, g.SortKey == entry.val, nil
 		},
 	}
 }
@@ -240,18 +253,18 @@ func (m *thresholdMethod) buildLists(bc *builtCorpus) error {
 
 // applyScore implements kindMethod: Algorithm 1, over list keys.
 func (m *thresholdMethod) applyScore(doc DocID, newScore float64) error {
-	oldScore, changed, err := m.setScore(doc, newScore)
+	old, changed, err := m.setScore(doc, newScore)
 	if !changed {
 		return err
 	}
 
-	entry, exists, err := m.table.Get(doc)
+	entry, exists, err := m.listEntry(doc, old)
 	if err != nil {
 		return err
 	}
-	listKey, inShort := entry.val, entry.flag
+	listKey, inShort := entry.val, old.short
 	if !exists {
-		listKey = m.keyOf(oldScore)
+		listKey = m.keyOf(old.val)
 		m.table.Put(doc, docRow{val: listKey})
 	}
 
@@ -270,7 +283,8 @@ func (m *thresholdMethod) applyScore(doc DocID, newScore float64) error {
 		m.lists.Put(tw.term, newKey, doc, postings.OpAdd, tw.w)
 		m.counters.shortListPostingsWritten.Add(1)
 	}
-	m.table.Put(doc, docRow{val: newKey, flag: true})
+	m.table.Put(doc, docRow{val: newKey})
+	m.score.Put(doc, docRow{val: newScore, short: true})
 	return nil
 }
 

@@ -183,8 +183,8 @@ func TestLayoutBatchSizeIndependence(t *testing.T) {
 // --- combinator equivalence ----------------------------------------------------
 
 // randomSortedStream produces entries in (SortKey desc, Doc asc) order with
-// deliberate position collisions, short-list flags and ADD/REM ops.
-func randomSortedStream(rng *rand.Rand, n int, fromShort bool) []Entry {
+// deliberate position collisions and, in a short list, REM ops.
+func randomSortedStream(rng *rand.Rand, n int, short bool) []Entry {
 	entries := make([]Entry, n)
 	for i := range entries {
 		e := Entry{
@@ -193,9 +193,8 @@ func randomSortedStream(rng *rand.Rand, n int, fromShort bool) []Entry {
 			SortKey:   float64(rng.Intn(8)),
 			Doc:       DocID(rng.Intn(30)),
 			TermScore: rng.Float32(),
-			FromShort: fromShort,
 		}
-		if fromShort && rng.Intn(4) == 0 {
+		if short && rng.Intn(4) == 0 {
 			e.Op = OpRem
 		}
 		entries[i] = e
@@ -231,23 +230,21 @@ func refMerge(streams ...[]Entry) []Entry {
 	return out
 }
 
-// refCollapse is a reference implementation of the ADD/REM collapse.
+// refCollapse is a reference implementation of the ADD/REM collapse over
+// refMerge(short, long): the first entry at a position is the short list's
+// when it has one.
 func refCollapse(entries []Entry) []Entry {
 	var out []Entry
 	for i := 0; i < len(entries); {
 		j := i
 		removed := false
-		best := entries[i]
 		for ; j < len(entries) && SamePosition(entries[j], entries[i]); j++ {
 			if entries[j].Op == OpRem {
 				removed = true
 			}
-			if entries[j].FromShort && !best.FromShort {
-				best = entries[j]
-			}
 		}
 		if !removed {
-			out = append(out, best)
+			out = append(out, entries[i])
 		}
 		i = j
 	}
@@ -440,7 +437,7 @@ func TestPipelineBatchSizeIndependence(t *testing.T) {
 		var short []Entry
 		for _, le := range longEntries {
 			if rng.Intn(5) == 0 {
-				e := Entry{Doc: le.Doc, SortKey: le.SortKey, TermScore: rng.Float32(), FromShort: true}
+				e := Entry{Doc: le.Doc, SortKey: le.SortKey, TermScore: rng.Float32()}
 				if rng.Intn(2) == 0 {
 					e.Op = OpRem
 				}

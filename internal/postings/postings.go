@@ -31,8 +31,6 @@ type Entry struct {
 	TermScore float32
 	// Op distinguishes ADD from REM short-list postings.
 	Op Op
-	// FromShort records whether the posting came from a short list.
-	FromShort bool
 }
 
 // ErrOrder is returned by builders when input postings are not in the

@@ -280,9 +280,9 @@ func TestUnionMergesInOrder(t *testing.T) {
 		{Doc: 3, SortKey: 50},
 	}
 	short := []Entry{
-		{Doc: 9, SortKey: 95, FromShort: true},
-		{Doc: 2, SortKey: 80, FromShort: true},
-		{Doc: 4, SortKey: 10, FromShort: true},
+		{Doc: 9, SortKey: 95},
+		{Doc: 2, SortKey: 80},
+		{Doc: 4, SortKey: 10},
 	}
 	got := overlayOf(t, short, long)
 	wantDocs := []DocID{9, 1, 2, 7, 3, 4}
@@ -309,7 +309,7 @@ func TestUnionEmptyInputs(t *testing.T) {
 	if got := overlayOf(t, nil, only); len(got) != 2 {
 		t.Errorf("overlay of an empty short list produced %v", got)
 	}
-	if got := overlayOf(t, []Entry{{Doc: 3, SortKey: 2, Op: OpRem, FromShort: true}}, nil); len(got) != 0 {
+	if got := overlayOf(t, []Entry{{Doc: 3, SortKey: 2, Op: OpRem}}, nil); len(got) != 0 {
 		t.Errorf("a REM over an empty long list produced %v", got)
 	}
 }
@@ -323,7 +323,7 @@ func TestCollapseOpsRemovesCancelledPostings(t *testing.T) {
 		{Doc: 9, SortKey: 3},
 		{Doc: 5, SortKey: 1},
 	}
-	short := []Entry{{Doc: 5, SortKey: 3, Op: OpRem, FromShort: true}}
+	short := []Entry{{Doc: 5, SortKey: 3, Op: OpRem}}
 	got := overlayOf(t, short, long)
 	wantDocs := []DocID{2, 9, 5}
 	if len(got) != len(wantDocs) {
@@ -338,9 +338,9 @@ func TestCollapseOpsRemovesCancelledPostings(t *testing.T) {
 
 func TestCollapseOpsPrefersShortListEntry(t *testing.T) {
 	got := overlayOf(t,
-		[]Entry{{Doc: 5, SortKey: 3, TermScore: 0.9, FromShort: true}},
+		[]Entry{{Doc: 5, SortKey: 3, TermScore: 0.9}},
 		[]Entry{{Doc: 5, SortKey: 3, TermScore: 0.1}})
-	if len(got) != 1 || got[0].TermScore != 0.9 || !got[0].FromShort {
+	if len(got) != 1 || got[0].TermScore != 0.9 {
 		t.Errorf("overlay = %+v, want single short-list entry with term score 0.9", got)
 	}
 }

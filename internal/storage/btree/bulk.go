@@ -35,12 +35,12 @@ type Item struct {
 	Value []byte
 }
 
-// maxBulkFill and minBulkFill bound the node fill a caller may ask BulkLoad
+// MaxBulkFill and minBulkFill bound the node fill a caller may ask BulkLoad
 // for: just under full, so that the first few post-build inserts amend
 // leaves in place instead of immediately splitting every one of them, and
 // no sparser than a quarter page.
 const (
-	maxBulkFill = 0.9
+	MaxBulkFill = 0.9
 	minBulkFill = 0.25
 )
 
@@ -77,7 +77,7 @@ func internalEntrySize(key []byte) int {
 
 // BulkLoad builds a new tree over pool from items, which must be in strictly
 // ascending key order.  Leaves are packed left to right to the node fill
-// target fill, clamped to [minBulkFill, maxBulkFill], and internal levels
+// target fill, clamped to [minBulkFill, MaxBulkFill], and internal levels
 // are stacked bottom-up; every node is written exactly once, directly to the
 // page file, so the pool's resident set is untouched.  An empty run produces
 // an empty tree.  Tables that absorb a steady stream of updates trade
@@ -85,8 +85,8 @@ func internalEntrySize(key []byte) int {
 // path reserializes its whole leaf, so leaf size is the per-update write
 // cost.
 func BulkLoad(pool *buffer.Pool, items []Item, fill float64) (*Tree, error) {
-	if fill > maxBulkFill {
-		fill = maxBulkFill
+	if fill > MaxBulkFill {
+		fill = MaxBulkFill
 	}
 	if fill < minBulkFill {
 		fill = minBulkFill

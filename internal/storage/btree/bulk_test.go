@@ -47,7 +47,7 @@ func TestBulkLoadEquivalence(t *testing.T) {
 			file := pagefile.MustNewMem(512)
 			pool := buffer.MustNew(file, 64)
 			items := bulkItems(n, 8)
-			bulk, err := BulkLoad(pool, items, maxBulkFill)
+			bulk, err := BulkLoad(pool, items, MaxBulkFill)
 			if err != nil {
 				t.Fatalf("BulkLoad: %v", err)
 			}
@@ -101,7 +101,7 @@ func TestBulkLoadFillFactor(t *testing.T) {
 	file := pagefile.MustNewMem(512)
 	pool := buffer.MustNew(file, 64)
 	items := bulkItems(3000, 8)
-	bulk, err := BulkLoad(pool, items, maxBulkFill)
+	bulk, err := BulkLoad(pool, items, MaxBulkFill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,16 +192,16 @@ func TestAscendingInsertsFillLeaves(t *testing.T) {
 func TestBulkLoadRejectsBadInput(t *testing.T) {
 	file := pagefile.MustNewMem(512)
 	pool := buffer.MustNew(file, 64)
-	if _, err := BulkLoad(pool, []Item{{Key: []byte("b")}, {Key: []byte("a")}}, maxBulkFill); err == nil {
+	if _, err := BulkLoad(pool, []Item{{Key: []byte("b")}, {Key: []byte("a")}}, MaxBulkFill); err == nil {
 		t.Error("out-of-order input accepted")
 	}
-	if _, err := BulkLoad(pool, []Item{{Key: []byte("a")}, {Key: []byte("a")}}, maxBulkFill); err == nil {
+	if _, err := BulkLoad(pool, []Item{{Key: []byte("a")}, {Key: []byte("a")}}, MaxBulkFill); err == nil {
 		t.Error("duplicate keys accepted")
 	}
-	if _, err := BulkLoad(pool, []Item{{Key: nil, Value: []byte("v")}}, maxBulkFill); err == nil {
+	if _, err := BulkLoad(pool, []Item{{Key: nil, Value: []byte("v")}}, MaxBulkFill); err == nil {
 		t.Error("empty key accepted")
 	}
-	if _, err := BulkLoad(pool, []Item{{Key: []byte("k"), Value: bytes.Repeat([]byte("v"), 512)}}, maxBulkFill); err == nil {
+	if _, err := BulkLoad(pool, []Item{{Key: []byte("k"), Value: bytes.Repeat([]byte("v"), 512)}}, MaxBulkFill); err == nil {
 		t.Error("oversized entry accepted")
 	}
 }
@@ -213,7 +213,7 @@ func TestBulkLoadThenMutate(t *testing.T) {
 	file := pagefile.MustNewMem(512)
 	pool := buffer.MustNew(file, 64)
 	items := bulkItems(1000, 8)
-	tree, err := BulkLoad(pool, items, maxBulkFill)
+	tree, err := BulkLoad(pool, items, MaxBulkFill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestBulkLoadSortedLeaves(t *testing.T) {
 	file := pagefile.MustNewMem(512)
 	pool := buffer.MustNew(file, 64)
 	items := bulkItems(1234, 4)
-	tree, err := BulkLoad(pool, items, maxBulkFill)
+	tree, err := BulkLoad(pool, items, MaxBulkFill)
 	if err != nil {
 		t.Fatal(err)
 	}

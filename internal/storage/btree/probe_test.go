@@ -81,7 +81,7 @@ func TestProbeOnBulkLoadedTree(t *testing.T) {
 	file := pagefile.MustNewMem(512)
 	pool := buffer.MustNew(file, 64)
 	items := bulkItems(2000, 8)
-	tree, err := BulkLoad(pool, items, maxBulkFill)
+	tree, err := BulkLoad(pool, items, MaxBulkFill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestProbeOnBulkLoadedTree(t *testing.T) {
 
 // fixedTree bulk-loads a Score-table-shaped tree — 8-byte ordered keys,
 // 9-byte rows, every node fixed-width — of the even documents below 2n at
-// the Score table's fill, on 512-byte pages, and requires the given height.
+// 55 % fill, on 512-byte pages, and requires the given height.
 func fixedTree(t *testing.T, n, gen, height int) (View, *buffer.Pool) {
 	t.Helper()
 	pool := buffer.MustNew(pagefile.MustNewMem(512), 1024)
