@@ -107,15 +107,15 @@ func seekProbe(seed int64) (scanPages, seekPages, listPages int, err error) {
 	store := blob.NewStore(pool)
 
 	rng := rand.New(rand.NewSource(seed + 41))
-	b := postings.NewBlockIDListBuilder()
+	w := postings.NewWriter(postings.LayoutID, nil)
 	d := postings.DocID(0)
 	for i := 0; i < 200000; i++ {
 		d += postings.DocID(rng.Intn(6000) + 1)
-		if err := b.Add(d); err != nil {
+		if err := w.Add(postings.Entry{Doc: d}); err != nil {
 			return 0, 0, 0, err
 		}
 	}
-	data := b.Bytes()
+	data := w.Bytes()
 	ref, err := store.Put(data)
 	if err != nil {
 		return 0, 0, 0, err
@@ -124,7 +124,7 @@ func seekProbe(seed int64) (scanPages, seekPages, listPages int, err error) {
 	target := d - 1000
 
 	scanReader := store.NewReader(ref)
-	scan, err := postings.NewStreamIDList(scanReader)
+	scan, err := postings.Open(scanReader, nil, postings.LayoutID)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -141,11 +141,11 @@ func seekProbe(seed int64) (scanPages, seekPages, listPages int, err error) {
 	scanPages = scanReader.PagesRead()
 
 	seekReader := store.NewReader(ref)
-	seek, err := postings.NewStreamIDList(seekReader)
+	seek, err := postings.Open(seekReader, nil, postings.LayoutID)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if err := seek.SeekDoc(target); err != nil {
+	if err := seek.(interface{ SeekDoc(postings.DocID) error }).SeekDoc(target); err != nil {
 		return 0, 0, 0, err
 	}
 	if n, err := seek.NextBatch(buf); err != nil || n == 0 {

@@ -101,13 +101,13 @@ type Engine struct {
 	commitCond    *sync.Cond
 	commitSeq     uint64
 	commitErr     error
-	// closed (guarded by batchMu) is set by Close; an ApplyBatch that
-	// acquires batchMu afterwards must fail fast rather than run fn's
-	// base-table mutations against flushed, audited, closed storage.
-	closed bool
-	// closedFlag mirrors closed for lock-free observers (Closed): a shard
-	// health probe must not block behind batchMu while a long batch holds it.
-	closedFlag atomic.Bool
+	// closed is set by Close under batchMu, and the writers that take
+	// batchMu read it there: an ApplyBatch that acquires batchMu afterwards
+	// must fail fast rather than run fn's base-table mutations against
+	// flushed, audited, closed storage.  It is atomic for the lock-free
+	// observer (Closed): a shard health probe must not block behind batchMu
+	// while a long batch holds it.
+	closed atomic.Bool
 
 	// durable marks engines opened from a page file on disk (core.Open):
 	// every ApplyBatch return and Close writes an atomic checkpoint
@@ -193,11 +193,10 @@ func (e *Engine) SpecNames() []string {
 func (e *Engine) Close() error {
 	e.batchMu.Lock()
 	defer e.batchMu.Unlock()
-	if e.closed {
+	if e.closed.Load() {
 		return nil
 	}
-	e.closed = true
-	e.closedFlag.Store(true)
+	e.closed.Store(true)
 	indexes := e.textIndexes()
 	var errs []error
 	for _, ti := range indexes {
@@ -252,7 +251,7 @@ func (e *Engine) Close() error {
 
 // Closed reports whether Close has run.  It never blocks — shard health
 // probes call it while writers may be holding the batch lock.
-func (e *Engine) Closed() bool { return e.closedFlag.Load() }
+func (e *Engine) Closed() bool { return e.closed.Load() }
 
 // DB returns the engine's relational database.
 func (e *Engine) DB() *relation.DB { return e.db }
@@ -372,7 +371,7 @@ const maxMaintenanceErrs = 16
 func (e *Engine) CreateTextIndex(name, table, column string, opts IndexOptions) (*TextIndex, error) {
 	e.batchMu.Lock()
 	defer e.batchMu.Unlock()
-	if e.closed {
+	if e.closed.Load() {
 		return nil, fmt.Errorf("core: %w", ErrClosed)
 	}
 	e.mu.RLock()
@@ -492,7 +491,7 @@ func (e *Engine) CreateTextIndex(name, table, column string, opts IndexOptions) 
 func (e *Engine) DropTextIndex(name string) error {
 	e.batchMu.Lock()
 	defer e.batchMu.Unlock()
-	if e.closed {
+	if e.closed.Load() {
 		return fmt.Errorf("core: %w", ErrClosed)
 	}
 	e.mu.Lock()
@@ -815,7 +814,7 @@ func (e *Engine) ApplyBatchChecked(pre func() error, fn func() error) (err error
 		}
 	}()
 	defer e.batchMu.Unlock()
-	if e.closed {
+	if e.closed.Load() {
 		// The engine-level fence: without it, a batch that lost the race
 		// against Close would run fn's base-table mutations against closed
 		// storage (past the flush and pin audit) and only the index flush

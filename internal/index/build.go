@@ -1,10 +1,13 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"svrdb/internal/postings"
+	"svrdb/internal/storage/blob"
 	"svrdb/internal/storage/btree"
 	"svrdb/internal/text"
 )
@@ -23,16 +26,6 @@ type builtCorpus struct {
 	docs []DocID
 	// docLens holds token counts (for diagnostics).
 	docLens map[DocID]int
-
-	// scoreRank caches each document's position in the global
-	// (score desc, doc asc) order, so the per-term sorts of score-ordered
-	// builds compare small integers instead of probing the score map twice
-	// per comparison.
-	scoreRank map[DocID]int32
-	// cidChunker/cidOf cache ChunkOf per document for the chunker of the
-	// current build.
-	cidChunker *chunker
-	cidOf      map[DocID]int32
 }
 
 type docWeight struct {
@@ -152,77 +145,86 @@ func (b *base) populateScoreTable(bc *builtCorpus) error {
 	return b.score.bulkLoad(b.cfg.Pool, items)
 }
 
-// rank returns (building lazily) the global (score desc, doc asc) position
-// of every document.
-func (bc *builtCorpus) rank() map[DocID]int32 {
-	if bc.scoreRank != nil {
-		return bc.scoreRank
+// listKeys maps every document to the list key keyOf files its build
+// score under.
+func (bc *builtCorpus) listKeys(keyOf func(float64) float64) map[DocID]float64 {
+	keys := make(map[DocID]float64, len(bc.docs))
+	for _, doc := range bc.docs {
+		keys[doc] = keyOf(bc.docScores[doc])
 	}
-	docs := append([]DocID(nil), bc.docs...)
-	sort.Slice(docs, func(i, j int) bool {
-		si, sj := bc.docScores[docs[i]], bc.docScores[docs[j]]
-		if si != sj {
-			return si > sj
-		}
-		return docs[i] < docs[j]
-	})
-	m := make(map[DocID]int32, len(docs))
-	for i, d := range docs {
-		m[d] = int32(i)
-	}
-	bc.scoreRank = m
-	return m
+	return keys
 }
 
-// byRank sorts postings by a precomputed rank key.
-type byRank struct {
-	ds []docWeight
-	rs []int32
-}
-
-func (b *byRank) Len() int           { return len(b.ds) }
-func (b *byRank) Less(i, j int) bool { return b.rs[i] < b.rs[j] }
-func (b *byRank) Swap(i, j int) {
-	b.ds[i], b.ds[j] = b.ds[j], b.ds[i]
-	b.rs[i], b.rs[j] = b.rs[j], b.rs[i]
-}
-
-// sortedByScoreDesc returns a term's postings ordered by (build score desc,
-// doc asc), the order required by the Score and Score-Threshold long lists.
-func (bc *builtCorpus) sortedByScoreDesc(term string) []docWeight {
-	rank := bc.rank()
-	ds := append([]docWeight(nil), bc.termDocs[term]...)
-	rs := make([]int32, len(ds))
-	for i := range ds {
-		rs[i] = rank[ds[i].doc]
-	}
-	sort.Sort(&byRank{ds: ds, rs: rs})
-	return ds
-}
-
-// chunked groups a term's postings by chunk ID, returning chunk IDs in
-// descending order, each with its postings in ascending document order (the
-// physical layout of the Chunk long lists).
-func (bc *builtCorpus) chunked(term string, ch *chunker) (cids []int32, byChunk map[int32][]postings.ChunkPosting) {
-	if bc.cidChunker != ch {
-		bc.cidChunker = ch
-		bc.cidOf = make(map[DocID]int32, len(bc.docs))
-		for _, doc := range bc.docs {
-			bc.cidOf[doc] = ch.ChunkOf(bc.docScores[doc])
-		}
-	}
-	byChunk = map[int32][]postings.ChunkPosting{}
+// listEntries appends a term's postings to dst in list order, (keys[doc]
+// desc, doc asc): the order of every long list and of the Score method's
+// clustered lists.  A nil keys is the ID family's document order.
+func (bc *builtCorpus) listEntries(dst []postings.Entry, term string, keys map[DocID]float64) []postings.Entry {
+	start := len(dst)
 	for _, dw := range bc.termDocs[term] {
-		cid := bc.cidOf[dw.doc]
-		byChunk[cid] = append(byChunk[cid], postings.ChunkPosting{Doc: dw.doc, TermScore: dw.w})
+		dst = append(dst, postings.Entry{Doc: dw.doc, SortKey: keys[dw.doc], TermScore: dw.w})
 	}
-	for cid := range byChunk {
-		cids = append(cids, cid)
+	if keys != nil {
+		slices.SortFunc(dst[start:], func(a, b postings.Entry) int {
+			if c := cmp.Compare(b.SortKey, a.SortKey); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Doc, b.Doc)
+		})
 	}
-	sort.Slice(cids, func(i, j int) bool { return cids[i] > cids[j] })
-	// Postings inherit ascending doc order from termDocs, which is already
-	// sorted by doc; grouping preserves it.
-	return cids, byChunk
+	return dst
+}
+
+// buildLists writes every term's long list in the kind's layout through one
+// packer, and behind each a Chunk-TermScore term's fancy list (§4.3.3).  It
+// is the kindMethod step of every kind that keeps long lists; the threshold
+// family derives its list keys first.
+func (b *base) buildLists(bc *builtCorpus) error {
+	// Published snapshots share the ref maps by pointer, so accumulate into
+	// fresh maps and swap them in wholesale.
+	refs := make(map[string]blob.Ref, len(bc.termDocs))
+	var fancyRefs map[string]blob.Ref
+	var fancyMinW map[string]float32
+	fancy := b.kind.layout == postings.LayoutChunkTerm
+	if fancy {
+		fancyRefs = make(map[string]blob.Ref, len(bc.termDocs))
+		fancyMinW = make(map[string]float32, len(bc.termDocs))
+	}
+	// termDocs is in document order already, the ID family's list order.
+	var keys map[DocID]float64
+	if b.kind.layout != postings.LayoutID && b.kind.layout != postings.LayoutIDTerm {
+		keys = bc.listKeys(b.keyOf)
+	}
+	packer := b.store.NewPacker()
+	w := postings.NewWriter(b.kind.layout, b.scoreDir)
+	fw := postings.NewWriter(postings.LayoutIDTerm, nil)
+	var entries []postings.Entry
+	for _, term := range bc.terms() {
+		entries = bc.listEntries(entries[:0], term, keys)
+		w.Reset()
+		for _, e := range entries {
+			if err := w.Add(e); err != nil {
+				return fmt.Errorf("index: build %s list for %q: %w", b.kind.Name, term, err)
+			}
+		}
+		data := w.Bytes()
+		ref, err := packer.Put(data)
+		if err != nil {
+			return err
+		}
+		refs[term] = ref
+		b.longBytes += uint64(len(data))
+		b.longRawBytes += w.RawBytes()
+		if fancy {
+			if fancyRefs[term], fancyMinW[term], err = b.buildFancyList(packer, fw, bc, term); err != nil {
+				return err
+			}
+		}
+	}
+	if err := packer.Close(); err != nil {
+		return err
+	}
+	b.longRefs, b.fancyRefs, b.fancyMinW = refs, fancyRefs, fancyMinW
+	return nil
 }
 
 // fancyWorse orders fancy-list candidates: a is worse than b when it has a

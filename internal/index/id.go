@@ -1,11 +1,6 @@
 package index
 
-import (
-	"fmt"
-
-	"svrdb/internal/postings"
-	"svrdb/internal/storage/blob"
-)
+import "svrdb/internal/postings"
 
 // idMethod implements the ID method of §4.2.1 and, when built with term
 // scores, the ID-TermScore baseline of §5.2.
@@ -28,63 +23,11 @@ import (
 // it.
 type idMethod struct {
 	*base
-	withTermScores bool
-	// stream opens one of the kind's long lists in the shape termStream
-	// takes, bound once so the scan path allocates no method value per query.
-	stream func(*snap, *blob.Reader) (postings.BatchIterator, error)
 }
 
-func newIDMethod(b *base, withTermScores bool) kindMethod {
-	m := &idMethod{base: b, withTermScores: withTermScores}
-	m.stream = func(_ *snap, r *blob.Reader) (postings.BatchIterator, error) {
-		if withTermScores {
-			return postings.NewStreamIDTermList(r)
-		}
-		return postings.NewStreamIDList(r)
-	}
+func newIDMethod(b *base) kindMethod {
 	b.keyOf = func(float64) float64 { return 0 }
-	return m
-}
-
-// buildLists implements kindMethod.
-func (m *idMethod) buildLists(bc *builtCorpus) error {
-	// Published snapshots share the ref map by pointer, so accumulate into a
-	// fresh map and swap it in wholesale.
-	refs := make(map[string]blob.Ref, len(bc.termDocs))
-	packer := m.store.NewPacker()
-	for _, term := range bc.terms() {
-		var data []byte
-		if m.withTermScores {
-			builder := postings.NewBlockIDTermListBuilder()
-			for _, dw := range bc.termDocs[term] {
-				if err := builder.Add(dw.doc, dw.w); err != nil {
-					return fmt.Errorf("index: build %s list for %q: %w", m.Name(), term, err)
-				}
-			}
-			data = builder.Bytes()
-			m.longRawBytes += uint64(builder.Len()) * rawBytesIDTermPosting
-		} else {
-			builder := postings.NewBlockIDListBuilder()
-			for _, dw := range bc.termDocs[term] {
-				if err := builder.Add(dw.doc); err != nil {
-					return fmt.Errorf("index: build %s list for %q: %w", m.Name(), term, err)
-				}
-			}
-			data = builder.Bytes()
-			m.longRawBytes += uint64(builder.Len()) * rawBytesIDPosting
-		}
-		ref, err := packer.Put(data)
-		if err != nil {
-			return err
-		}
-		refs[term] = ref
-		m.longBytes += uint64(len(data))
-	}
-	if err := packer.Close(); err != nil {
-		return err
-	}
-	m.longRefs = refs
-	return nil
+	return &idMethod{base: b}
 }
 
 // resolveCurrent is the ID family's candidate resolver: the current-score
@@ -105,7 +48,7 @@ func (m *idMethod) TopK(q Query) (*QueryResult, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if q.WithTermScores && !m.withTermScores {
+	if q.WithTermScores && !m.termScores() {
 		return nil, ErrTermScoresUnsupported
 	}
 
@@ -119,7 +62,7 @@ func (m *idMethod) TopK(q Query) (*QueryResult, error) {
 	defer ctx.release()
 
 	for i, term := range q.Terms {
-		st, err := m.termStream(s, term, m.stream)
+		st, err := m.termStream(s, term)
 		if err != nil {
 			return nil, err
 		}

@@ -319,17 +319,6 @@ type counters struct {
 	postingsScanned          atomic.Uint64
 }
 
-// Fixed-width per-posting footprints of the long-list layouts, used for
-// the raw side of the compression ratio: doc ids and scores at 8 bytes,
-// term weights at 4, plus a 4-byte header per chunk in the chunked
-// layouts.
-const (
-	rawBytesIDPosting     = 8
-	rawBytesIDTermPosting = 12
-	rawBytesScorePosting  = 16
-	rawBytesChunkHeader   = 4
-)
-
 // kindMethod is what a method type adds to the shared base: the algorithms
 // the paper states per method.  Everything else in Method — batches, merge,
 // release, state, stats — is written once on base and reaches these through

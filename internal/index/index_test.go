@@ -434,6 +434,72 @@ func TestDocTokensSourceFailure(t *testing.T) {
 	}
 }
 
+// docFailingSource serves builds but fails Tokens for one document.
+type docFailingSource struct {
+	*testCorpus
+	doc DocID
+	err error
+}
+
+func (f docFailingSource) Tokens(doc DocID) ([]string, error) {
+	if doc == f.doc {
+		return nil, f.err
+	}
+	return f.testCorpus.Tokens(doc)
+}
+
+// TestFailedScoreUpdateChangesNothing: the kinds whose score update reads
+// document content (Algorithm 1's short-list rewrite, the Score method's
+// posting moves) read it before their first write, so an update the
+// document source fails leaves the score, the answers and the short lists
+// as they were — a new score beside postings at the old list key would
+// break Theorems 1–2 until a merge.  The same update through a working
+// source then applies.
+func TestFailedScoreUpdateChangesNothing(t *testing.T) {
+	srcErr := errors.New("row store offline")
+	ctors := allConstructors()
+	golden := Query{Terms: []string{"golden"}, K: 1}
+	for _, name := range []string{"Chunk", "Score-Threshold", "Score"} {
+		corpus := smallCorpus()
+		m := buildMethod(t, name, ctors[name], corpus)
+		m.SetSource(docFailingSource{corpus, 8, srcErr})
+		before, err := m.TopK(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shortBefore := m.Stats().ShortListEntries
+		// Document 8 (2.5) jumps past every threshold, so its postings move.
+		if err := updateScore(m, 8, 99999); !errors.Is(err, ErrUnknownDocument) || !errors.Is(err, srcErr) {
+			t.Fatalf("%s: update through a failing source = %v, want ErrUnknownDocument", name, err)
+		}
+		if score, ok, err := m.ScoreOf(8); err != nil || !ok || score != 2.5 {
+			t.Errorf("%s: ScoreOf(8) after the failed update = %g, %v, %v; want 2.5", name, score, ok, err)
+		}
+		after, err := m.TopK(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(after.Results, before.Results) {
+			t.Errorf("%s: golden top-1 after the failed update = %v, want %v", name, after.Results, before.Results)
+		}
+		if got := m.Stats().ShortListEntries; got != shortBefore {
+			t.Errorf("%s: %d short-list postings after the failed update, want %d", name, got, shortBefore)
+		}
+
+		m.SetSource(corpus)
+		if err := updateScore(m, 8, 99999); err != nil {
+			t.Fatalf("%s: update through a working source: %v", name, err)
+		}
+		res, err := m.TopK(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Results) != 1 || res.Results[0].Doc != 8 || res.Results[0].Score != 99999 {
+			t.Errorf("%s: golden top-1 after the update = %v, want document 8 at 99999", name, res.Results)
+		}
+	}
+}
+
 // TestScoreLookupsCountProbes pins QueryResult.ScoreLookups to the Score-table
 // probes the query made.  Document 1 (87.13, in chunk 2 of smallCorpus's
 // four) is lifted to 5000, two chunks up, so its postings are rewritten into

@@ -245,7 +245,7 @@ func TestKeyedListOrderingAndCollect(t *testing.T) {
 	if v.Len() != len(inserted) {
 		t.Errorf("Len = %d, want %d distinct postings", v.Len(), len(inserted))
 	}
-	entries, err := v.Collect("news")
+	entries, err := postings.CollectBatched(v.Cursor("news"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestKeyedListOrderingAndCollect(t *testing.T) {
 		}
 	}
 	// Other term must not leak into this term's entries.
-	gateEntries, _ := v.Collect("gate")
+	gateEntries, _ := postings.CollectBatched(v.Cursor("gate"))
 	if len(entries)+len(gateEntries) != v.Len() {
 		t.Errorf("per-term collects (%d + %d) do not cover all %d postings", len(entries), len(gateEntries), v.Len())
 	}
@@ -296,9 +296,6 @@ func TestKeyedListValueRejectsHostileBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			v := kl.snapshotView()
-			if _, err := v.Collect("news"); !errors.Is(err, codec.ErrCorrupt) {
-				t.Errorf("Collect over %x: %v, want ErrCorrupt", tc.val, err)
-			}
 			if _, err := postings.CollectBatched(v.Cursor("news")); !errors.Is(err, codec.ErrCorrupt) {
 				t.Errorf("Cursor over %x: %v, want ErrCorrupt", tc.val, err)
 			}
@@ -342,7 +339,7 @@ func TestKeyedListDeleteAndDeleteDoc(t *testing.T) {
 		t.Errorf("after DeleteDoc, %d postings remain, want 10 (doc 43 only)", v.Len())
 	}
 	for _, term := range []string{"news", "sport", "weather"} {
-		entries, err := v.Collect(term)
+		entries, err := postings.CollectBatched(v.Cursor(term))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -258,8 +258,8 @@ func (l *keyedList) bulkLoad(pool *buffer.Pool, items []btree.Item) error {
 
 // keyedView is a frozen, read-only image of a keyedList: the tree view
 // captured at publication plus the counters queries report.  All query-path
-// reads (Collect, Iterator, Cursor, SizeBytes) run against a view so that
-// they see exactly one publication regardless of concurrent writers.
+// reads (Cursor, SizeBytes) run against a view so that they see exactly one
+// publication regardless of concurrent writers.
 type keyedView struct {
 	view    btree.View
 	entries int
@@ -276,58 +276,10 @@ func (v keyedView) Len() int { return v.entries }
 // a clustered-list weight refresh — qualifies for the patch path.
 func (v keyedView) Patches() uint64 { return v.patches }
 
-// Collect materializes the postings of one term in (sortKey desc, doc asc)
-// order.  Short lists are small by design (that is the point of the
-// threshold), so materializing them per query is cheap; the Score method's
-// lists are long, and it reads them through a streaming Cursor instead.
-func (v keyedView) Collect(term string) ([]postings.Entry, error) {
-	var out []postings.Entry
-	var innerErr error
-	prefix := keyedListPrefix(term)
-	err := v.view.AscendPrefix(prefix, func(k, val []byte) bool {
-		sortKey, doc, err := decodeKeyedListSuffix(k[len(prefix):])
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		op, ts, err := decodeKeyedListValue(val)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		out = append(out, postings.Entry{
-			Doc:       doc,
-			SortKey:   sortKey,
-			CID:       int32(sortKey),
-			TermScore: ts,
-			Op:        op,
-		})
-		return true
-	})
-	if innerErr != nil {
-		return nil, innerErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Iterator returns a pull iterator over one term's postings, materialized up
-// front.
-func (v keyedView) Iterator(term string) (*postings.SliceIterator, error) {
-	entries, err := v.Collect(term)
-	if err != nil {
-		return nil, err
-	}
-	return postings.NewSliceIterator(entries), nil
-}
-
-// treeCursor is a streaming pull iterator over a keyedList term, used for
-// the Score method's long lists where materializing the whole list would
-// defeat early termination.  It pulls postings in batches through bounded
-// range scans so that an early-terminating query touches only a prefix of
-// the B+-tree leaves.
+// treeCursor is a streaming pull iterator over a keyedList term, the one
+// reader of both the short lists and the Score method's clustered long
+// lists.  It pulls postings in batches through bounded range scans so that
+// an early-terminating query touches only a prefix of the B+-tree leaves.
 type treeCursor struct {
 	view      btree.View
 	prefixLen int    // length of the term prefix every key of the list starts with
@@ -379,7 +331,6 @@ func (c *treeCursor) refill() error {
 		c.batch = append(c.batch, postings.Entry{
 			Doc:       doc,
 			SortKey:   sortKey,
-			CID:       int32(sortKey),
 			TermScore: ts,
 			Op:        op,
 		})

@@ -1,6 +1,10 @@
 package index
 
-import "fmt"
+import (
+	"fmt"
+
+	"svrdb/internal/postings"
+)
 
 // Kind is one entry of the method registry, the single place a method kind
 // is mapped to its implementation.  Three method types cover the six kinds:
@@ -22,21 +26,30 @@ type Kind struct {
 	// place (Score), so there is nothing to merge and no short list to
 	// report.
 	clustered bool
+	// layout is the postings layout of the kind's long lists; Score keeps
+	// none.
+	layout postings.Layout
 	// attach wraps a constructed or restored base in the kind's method
 	// type.
 	attach func(*base) kindMethod
 }
 
 var kinds = []Kind{
-	{ID: "id", Name: "ID", attach: func(b *base) kindMethod { return newIDMethod(b, false) }},
+	{ID: "id", Name: "ID", layout: postings.LayoutID, attach: newIDMethod},
 	{ID: "score", Name: "Score", clustered: true, attach: newScoreMethod},
-	{ID: "score-threshold", Name: "Score-Threshold", listTable: true,
+	{ID: "score-threshold", Name: "Score-Threshold", listTable: true, layout: postings.LayoutScore,
 		attach: func(b *base) kindMethod { return newThresholdMethod(b, scoreOrder(b)) }},
-	{ID: "chunk", Name: "Chunk", listTable: true,
-		attach: func(b *base) kindMethod { return newThresholdMethod(b, chunkOrder(b, false)) }},
-	{ID: "id-termscore", Name: "ID-TermScore", attach: func(b *base) kindMethod { return newIDMethod(b, true) }},
-	{ID: "chunk-termscore", Name: "Chunk-TermScore", listTable: true,
-		attach: func(b *base) kindMethod { return newThresholdMethod(b, chunkOrder(b, true)) }},
+	{ID: "chunk", Name: "Chunk", listTable: true, layout: postings.LayoutChunk,
+		attach: func(b *base) kindMethod { return newThresholdMethod(b, chunkOrder(b)) }},
+	{ID: "id-termscore", Name: "ID-TermScore", layout: postings.LayoutIDTerm, attach: newIDMethod},
+	{ID: "chunk-termscore", Name: "Chunk-TermScore", listTable: true, layout: postings.LayoutChunkTerm,
+		attach: func(b *base) kindMethod { return newThresholdMethod(b, chunkOrder(b)) }},
+}
+
+// termScores reports that the kind's postings carry term weights, so it
+// answers combined SVR + term-score queries (§4.3.3).
+func (b *base) termScores() bool {
+	return b.kind.layout == postings.LayoutIDTerm || b.kind.layout == postings.LayoutChunkTerm
 }
 
 // Kinds lists every method kind in the order the paper's tables report

@@ -80,25 +80,31 @@ func (b *base) liveRow(doc DocID) (docRow, error) {
 	return r, nil
 }
 
-// setScore is how every score handler begins: it replaces the document's
-// score in the Score table, keeping the row's short-list bit, and returns the
-// row it held.  An unchanged score is not an update: changed is false and
-// nothing was counted or written.  The engine relies on this: it forwards
-// every re-evaluated score and keeps no copy of its own to compare against.
-func (b *base) setScore(doc DocID, newScore float64) (old docRow, changed bool, err error) {
+// scoreChange is how every score handler begins: the document's live
+// Score-table row, and whether newScore changes it.  An unchanged score is
+// not an update: the handler counts and writes nothing.  The engine relies
+// on this: it forwards every re-evaluated score and keeps no copy of its
+// own to compare against.
+func (b *base) scoreChange(doc DocID, newScore float64) (old docRow, changed bool, err error) {
 	row, err := b.liveRow(doc)
-	if err != nil || row.val == newScore {
-		return row, false, err
-	}
+	return row, err == nil && row.val != newScore, err
+}
+
+// setScore counts a score update and stages the document's new Score row
+// with the given short-list bit.  A handler calls it only once nothing can
+// fail any more, so a failed update changes nothing.
+func (b *base) setScore(doc DocID, newScore float64, short bool) {
 	b.counters.scoreUpdates.Add(1)
-	b.score.Put(doc, docRow{val: newScore, short: row.short})
-	return row, true, nil
+	b.score.Put(doc, docRow{val: newScore, short: short})
 }
 
 // applyScore is the ID family's score update: the only work is one
 // Score-table write.
 func (b *base) applyScore(doc DocID, newScore float64) error {
-	_, _, err := b.setScore(doc, newScore)
+	old, changed, err := b.scoreChange(doc, newScore)
+	if changed {
+		b.setScore(doc, newScore, old.short)
+	}
 	return err
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"svrdb/internal/postings"
-	"svrdb/internal/storage/blob"
 	"svrdb/internal/storage/btree"
 	"svrdb/internal/text"
 	"svrdb/internal/topk"
@@ -216,29 +215,30 @@ func (c *queryCtx) offer(g *postings.Group, svr float64) float64 {
 // unseen documents, so the whole list must be scanned.
 func neverStop(*queryCtx, float64) float64 { return math.Inf(1) }
 
-// termStream builds a term's query stream from its long list, opened with
-// the kind's stream constructor (a term without one is an empty list), and
-// its short list.  With short-list postings present this is
-// "SL(ti) ∪ LL(ti)", the short list laid over the long one; with an empty
-// short list — the common case for most terms, and for every term right
-// after a build or merge — the long list is consumed directly, so the query
-// skips a pipeline stage and its batch buffers, and an ID list keeps its
-// SeekDoc for a conjunctive merge to leapfrog with.
-func (b *base) termStream(s *snap, term string, open func(*snap, *blob.Reader) (postings.BatchIterator, error)) (postings.BatchIterator, error) {
+// termStream builds a term's query stream from its long list, opened in
+// the kind's layout (a term without one is an empty list), and its short
+// list.  With short-list postings present this is "SL(ti) ∪ LL(ti)", the
+// short list laid over the long one; with an empty short list — the common
+// case for most terms, and for every term right after a build or merge —
+// the long list is consumed directly, so the query skips a pipeline stage
+// and its batch buffers, and an ID list keeps its SeekDoc for a
+// conjunctive merge to leapfrog with.  The short list streams through a
+// cursor whose first refill, one descent, tells whether it is empty.
+func (b *base) termStream(s *snap, term string) (postings.BatchIterator, error) {
 	var long postings.BatchIterator
 	if ref, ok := s.longRefs[term]; ok {
 		var err error
-		if long, err = open(s, b.store.NewReader(ref)); err != nil {
+		if long, err = postings.Open(b.store.NewReader(ref), s.scoreDir, b.kind.layout); err != nil {
 			return nil, err
 		}
 	} else {
 		long = postings.NewSliceIterator(nil)
 	}
-	short, err := s.lists.Iterator(term)
-	if err != nil {
+	short := s.lists.Cursor(term)
+	if err := short.refill(); err != nil {
 		return nil, err
 	}
-	if short.Len() == 0 {
+	if len(short.batch) == 0 {
 		return long, nil
 	}
 	return postings.NewOverlay(short, long), nil

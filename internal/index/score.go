@@ -38,11 +38,13 @@ func newScoreMethod(b *base) kindMethod {
 // and no per-posting descent is paid.
 func (m *scoreMethod) buildLists(bc *builtCorpus) error {
 	var items []btree.Item
+	var entries []postings.Entry
 	for _, term := range bc.terms() {
-		for _, dw := range bc.sortedByScoreDesc(term) {
+		entries = bc.listEntries(entries[:0], term, bc.docScores)
+		for _, e := range entries {
 			items = append(items, btree.Item{
-				Key:   keyedListKey(term, bc.docScores[dw.doc], dw.doc),
-				Value: encodeKeyedListValue(postings.OpAdd, dw.w),
+				Key:   keyedListKey(term, e.SortKey, e.Doc),
+				Value: encodeKeyedListValue(postings.OpAdd, e.TermScore),
 			})
 		}
 	}
@@ -56,7 +58,7 @@ func (m *scoreMethod) buildLists(bc *builtCorpus) error {
 // the document must be deleted at the old score position and reinserted at
 // the new one, which is exactly the cost the paper's Figure 7 measures.
 func (m *scoreMethod) applyScore(doc DocID, newScore float64) error {
-	old, changed, err := m.setScore(doc, newScore)
+	old, changed, err := m.scoreChange(doc, newScore)
 	if !changed {
 		return err
 	}
@@ -65,6 +67,7 @@ func (m *scoreMethod) applyScore(doc DocID, newScore float64) error {
 	if err != nil {
 		return fmt.Errorf("index: Score method needs document %d content to move its postings: %w", doc, err)
 	}
+	m.setScore(doc, newScore, old.short)
 	for _, tw := range docTermWeights(tokens) {
 		m.lists.Delete(tw.term, oldScore, doc)
 		m.lists.Put(tw.term, newScore, doc, postings.OpAdd, tw.w)

@@ -26,24 +26,24 @@ import (
 // merges, so updates are exactly Algorithm 1.
 
 // buildFancyList writes a term's fancy list — the FancyListSize postings
-// with the highest term weights, stored in ID order — through the packer
-// that holds the term's long list, and returns its blob and the smallest
-// weight in it.
-func (m *thresholdMethod) buildFancyList(packer *blob.Packer, bc *builtCorpus, term string) (blob.Ref, float32, error) {
-	posts, minW := bc.fancy(term, m.cfg.FancyListSize)
-	fb := postings.NewBlockIDTermListBuilder()
+// with the highest term weights, stored in ID order — through w, a
+// LayoutIDTerm writer, and the packer that holds the term's long list, and
+// returns its blob and the smallest weight in it.
+func (b *base) buildFancyList(packer *blob.Packer, w *postings.Writer, bc *builtCorpus, term string) (blob.Ref, float32, error) {
+	posts, minW := bc.fancy(term, b.cfg.FancyListSize)
+	w.Reset()
 	for _, dw := range posts {
-		if err := fb.Add(dw.doc, dw.w); err != nil {
+		if err := w.Add(postings.Entry{Doc: dw.doc, TermScore: dw.w}); err != nil {
 			return blob.Ref{}, 0, fmt.Errorf("index: build fancy list for %q: %w", term, err)
 		}
 	}
-	data := fb.Bytes()
+	data := w.Bytes()
 	ref, err := packer.Put(data)
 	if err != nil {
 		return blob.Ref{}, 0, err
 	}
-	m.fancyBytes += uint64(len(data))
-	m.longRawBytes += uint64(fb.Len()) * rawBytesIDTermPosting
+	b.fancyBytes += uint64(len(data))
+	b.longRawBytes += w.RawBytes()
 	return ref, minW, nil
 }
 
@@ -87,7 +87,7 @@ func (m *thresholdMethod) topKTermScores(s *snap, ctx *queryCtx, q Query) (*Quer
 		var it postings.BatchIterator
 		if ref, ok := s.fancyRefs[term]; ok {
 			var err error
-			if it, err = postings.NewStreamIDTermList(m.store.NewReader(ref)); err != nil {
+			if it, err = postings.Open(m.store.NewReader(ref), nil, postings.LayoutIDTerm); err != nil {
 				return nil, err
 			}
 		} else {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"svrdb/internal/postings"
-	"svrdb/internal/storage/blob"
 )
 
 // thresholdMethod implements the paper's threshold family (§4.3): the
@@ -49,11 +48,6 @@ type listOrder struct {
 	// prepare derives the order's build-time directory (score directory,
 	// chunk boundaries) from the corpus being built.
 	prepare func(bc *builtCorpus)
-	// encode serializes one term's long list, reporting the fixed-width
-	// footprint of its postings for the compression ratio.
-	encode func(bc *builtCorpus, term string) (data []byte, rawBytes uint64, err error)
-	// stream opens a long list written by encode.
-	stream func(s *snap, r *blob.Reader) (postings.BatchIterator, error)
 	// resolve is lines 12-21 of Algorithm 2: decide which copy of the
 	// candidate is authoritative and fetch its latest score.  A candidate is
 	// dropped iff the document's postings moved to the short lists (its
@@ -73,10 +67,6 @@ type listOrder struct {
 	// score-ordered list arrive in no document order, so full descents beat
 	// the leaf-locality probes a chunk's ascending documents reward.
 	resolve resolveFunc
-	// termScores reports that postings carry term weights: the kind keeps
-	// fancy lists and answers combined SVR + term-score queries
-	// (Algorithm 3).
-	termScores bool
 }
 
 func newThresholdMethod(b *base, order listOrder) kindMethod {
@@ -96,18 +86,6 @@ func scoreOrder(b *base) listOrder {
 		// Algorithm 1 leaves a score equal to t·listScore unrewritten.
 		attainable: true,
 		prepare:    func(bc *builtCorpus) { b.scoreDir = postings.BuildScoreDir(bc.allScores()) },
-		encode: func(bc *builtCorpus, term string) ([]byte, uint64, error) {
-			builder := postings.NewBlockScoreListBuilder(b.scoreDir)
-			for _, dw := range bc.sortedByScoreDesc(term) {
-				if err := builder.Add(dw.doc, bc.docScores[dw.doc]); err != nil {
-					return nil, 0, err
-				}
-			}
-			return builder.Bytes(), uint64(builder.Len()) * rawBytesScorePosting, nil
-		},
-		stream: func(s *snap, r *blob.Reader) (postings.BatchIterator, error) {
-			return postings.NewStreamScoreListDir(r, s.scoreDir)
-		},
 		resolve: func(ctx *queryCtx, g *postings.Group) (float64, bool, error) {
 			entry, exists, err := ctx.snap.table.Get(g.Doc)
 			if err != nil {
@@ -142,19 +120,14 @@ func scoreOrder(b *base) listOrder {
 // method's (Table 1).  thresholdValueOf(c) = c + 1: postings are rewritten
 // only when a score climbs at least two chunks above its list chunk, and
 // queries continue one chunk past the point where k results were found to
-// compensate for the slack.  With termScores every posting also carries the
-// document's normalized term weight (§4.3.3).
-func chunkOrder(b *base, termScores bool) listOrder {
+// compensate for the slack.  In the Chunk-TermScore layout every posting
+// also carries the document's normalized term weight (§4.3.3).
+func chunkOrder(b *base) listOrder {
 	if b.chunks == nil {
 		// Not built yet: one chunk, as a build over no documents leaves.
 		b.chunks = buildChunker(nil, b.cfg.ChunkRatio, b.cfg.MinChunkSize)
 	}
-	rawPosting := uint64(rawBytesIDPosting)
-	if termScores {
-		rawPosting = rawBytesIDTermPosting
-	}
 	return listOrder{
-		termScores:       termScores,
 		keyOf:            func(score float64) float64 { return float64(b.chunks.ChunkOf(score)) },
 		thresholdValueOf: func(cid float64) float64 { return float64(thresholdChunk(int32(cid))) },
 		// A document not reached when the scan is at chunk cid has a list
@@ -166,19 +139,6 @@ func chunkOrder(b *base, termScores bool) listOrder {
 		},
 		prepare: func(bc *builtCorpus) {
 			b.chunks = buildChunker(bc.allScores(), b.cfg.ChunkRatio, b.cfg.MinChunkSize)
-		},
-		encode: func(bc *builtCorpus, term string) ([]byte, uint64, error) {
-			builder := postings.NewBlockChunkedListBuilder(termScores)
-			cids, byChunk := bc.chunked(term, b.chunks)
-			for _, cid := range cids {
-				if err := builder.AddChunk(cid, byChunk[cid]); err != nil {
-					return nil, 0, err
-				}
-			}
-			return builder.Bytes(), uint64(builder.Len())*rawPosting + uint64(builder.Chunks())*rawBytesChunkHeader, nil
-		},
-		stream: func(_ *snap, r *blob.Reader) (postings.BatchIterator, error) {
-			return postings.NewStreamChunkedList(r)
 		},
 		// Within a chunk the candidates arrive in ascending document order, so
 		// both tables are walked left to right through the query context's
@@ -211,53 +171,22 @@ func chunkOrder(b *base, termScores bool) listOrder {
 	}
 }
 
-// buildLists implements kindMethod: one long list per term in the order's
-// encoding and, with term scores, the term's fancy list right behind it on
-// the same packer.
+// buildLists implements kindMethod: the order's build-time directory, then
+// the long lists (see base.buildLists).
 func (m *thresholdMethod) buildLists(bc *builtCorpus) error {
 	m.order.prepare(bc)
-	// Published snapshots share the ref maps by pointer, so accumulate into
-	// fresh maps and swap them in wholesale.
-	refs := make(map[string]blob.Ref, len(bc.termDocs))
-	var fancyRefs map[string]blob.Ref
-	var fancyMinW map[string]float32
-	if m.order.termScores {
-		fancyRefs = make(map[string]blob.Ref, len(bc.termDocs))
-		fancyMinW = make(map[string]float32, len(bc.termDocs))
-	}
-	packer := m.store.NewPacker()
-	for _, term := range bc.terms() {
-		data, raw, err := m.order.encode(bc, term)
-		if err != nil {
-			return fmt.Errorf("index: build %s list for %q: %w", m.Name(), term, err)
-		}
-		ref, err := packer.Put(data)
-		if err != nil {
-			return err
-		}
-		refs[term] = ref
-		m.longBytes += uint64(len(data))
-		m.longRawBytes += raw
-		if m.order.termScores {
-			if fancyRefs[term], fancyMinW[term], err = m.buildFancyList(packer, bc, term); err != nil {
-				return err
-			}
-		}
-	}
-	if err := packer.Close(); err != nil {
-		return err
-	}
-	m.longRefs, m.fancyRefs, m.fancyMinW = refs, fancyRefs, fancyMinW
-	return nil
+	return m.base.buildLists(bc)
 }
 
-// applyScore implements kindMethod: Algorithm 1, over list keys.
+// applyScore implements kindMethod: Algorithm 1, over list keys.  Whether
+// the postings move is decided from the rows as they stand, and the content
+// a move needs is read before the first write, so an update that fails
+// changes nothing.
 func (m *thresholdMethod) applyScore(doc DocID, newScore float64) error {
-	old, changed, err := m.setScore(doc, newScore)
+	old, changed, err := m.scoreChange(doc, newScore)
 	if !changed {
 		return err
 	}
-
 	entry, exists, err := m.listEntry(doc, old)
 	if err != nil {
 		return err
@@ -265,11 +194,13 @@ func (m *thresholdMethod) applyScore(doc DocID, newScore float64) error {
 	listKey, inShort := entry.val, old.short
 	if !exists {
 		listKey = m.keyOf(old.val)
-		m.table.Put(doc, docRow{val: listKey})
 	}
-
 	newKey := m.keyOf(newScore)
 	if newKey <= m.order.thresholdValueOf(listKey) {
+		m.setScore(doc, newScore, inShort)
+		if !exists {
+			m.table.Put(doc, docRow{val: listKey})
+		}
 		return nil
 	}
 	tokens, err := m.docTokens(doc)
@@ -284,7 +215,7 @@ func (m *thresholdMethod) applyScore(doc DocID, newScore float64) error {
 		m.counters.shortListPostingsWritten.Add(1)
 	}
 	m.table.Put(doc, docRow{val: newKey})
-	m.score.Put(doc, docRow{val: newScore, short: true})
+	m.setScore(doc, newScore, true)
 	return nil
 }
 
@@ -294,7 +225,7 @@ func (m *thresholdMethod) TopK(q Query) (*QueryResult, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if q.WithTermScores && !m.order.termScores {
+	if q.WithTermScores && !m.termScores() {
 		return nil, ErrTermScoresUnsupported
 	}
 	s, guard, err := m.acquire()
@@ -327,7 +258,7 @@ func (m *thresholdMethod) topK(ctx *queryCtx, q Query) (*QueryResult, error) {
 func (m *thresholdMethod) listStreams(s *snap, ctx *queryCtx, terms []string) error {
 	ctx.streams = ctx.streams[:0]
 	for _, term := range terms {
-		st, err := m.termStream(s, term, m.order.stream)
+		st, err := m.termStream(s, term)
 		if err != nil {
 			return err
 		}

@@ -9,7 +9,7 @@ import "sync"
 // of one entry per virtual call.
 
 // BatchSize is the number of entries moved between pipeline stages per
-// NextBatch call.  It is sized so a batch of Entry values (40 bytes each)
+// NextBatch call.  It is sized so a batch of Entry values (24 bytes each)
 // spans a few cache pages and roughly one on-disk page of encoded postings.
 const BatchSize = 256
 

@@ -1,7 +1,6 @@
 package postings
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"math/rand"
@@ -62,26 +61,25 @@ func randomAscendingDocs(rng *rand.Rand, n int) []DocID {
 
 // layoutCase is one encoded long list and the postings it was built from.
 type layoutCase struct {
-	name string
-	data []byte
-	want []Entry
+	name   string
+	layout Layout
+	data   []byte
+	want   []Entry
 }
 
 func buildLayoutCases(t *testing.T, rng *rand.Rand, n int) []layoutCase {
 	t.Helper()
 	var cases []layoutCase
+	add := func(name string, layout Layout, want []Entry) {
+		cases = append(cases, layoutCase{name: name, layout: layout, data: writeList(t, layout, nil, want), want: want})
+	}
 
-	idb := NewBlockIDListBuilder()
 	var want []Entry
 	for _, d := range randomAscendingDocs(rng, n) {
-		if err := idb.Add(d); err != nil {
-			t.Fatal(err)
-		}
 		want = append(want, Entry{Doc: d})
 	}
-	cases = append(cases, layoutCase{name: "id", data: idb.Bytes(), want: want})
+	add("id", LayoutID, want)
 
-	sb := NewBlockScoreListBuilder(nil)
 	want = nil
 	score := 1e9
 	lastDoc := DocID(0)
@@ -91,15 +89,11 @@ func buildLayoutCases(t *testing.T, rng *rand.Rand, n int) []layoutCase {
 			lastDoc = 0
 		}
 		lastDoc += DocID(1 + rng.Intn(1000))
-		if err := sb.Add(lastDoc, score); err != nil {
-			t.Fatal(err)
-		}
 		want = append(want, Entry{Doc: lastDoc, SortKey: score})
 	}
-	cases = append(cases, layoutCase{name: "score", data: sb.Bytes(), want: want})
+	add("score", LayoutScore, want)
 
 	for _, withTerm := range []bool{false, true} {
-		cb := NewBlockChunkedListBuilder(withTerm)
 		want = nil
 		name := "chunk"
 		if withTerm {
@@ -109,62 +103,26 @@ func buildLayoutCases(t *testing.T, rng *rand.Rand, n int) []layoutCase {
 		remaining := n
 		for remaining > 0 {
 			sz := 1 + rng.Intn(remaining)
-			posts := make([]ChunkPosting, 0, sz)
 			for _, d := range randomAscendingDocs(rng, sz) {
-				p := ChunkPosting{Doc: d}
+				e := Entry{Doc: d, SortKey: float64(cid)}
 				if withTerm {
-					p.TermScore = rng.Float32()
+					e.TermScore = rng.Float32()
 				}
-				posts = append(posts, p)
-				want = append(want, Entry{Doc: d, CID: cid, SortKey: float64(cid), TermScore: p.TermScore})
-			}
-			if err := cb.AddChunk(cid, posts); err != nil {
-				t.Fatal(err)
+				want = append(want, e)
 			}
 			cid -= int32(1 + rng.Intn(5))
 			remaining -= sz
 		}
-		cases = append(cases, layoutCase{name: name, data: cb.Bytes(), want: want})
+		add(name, chunkLayout(withTerm), want)
 	}
 
-	itb := NewBlockIDTermListBuilder()
 	want = nil
 	for _, d := range randomAscendingDocs(rng, n) {
-		w := rng.Float32()
-		if err := itb.Add(d, w); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, Entry{Doc: d, TermScore: w})
+		want = append(want, Entry{Doc: d, TermScore: rng.Float32()})
 	}
-	cases = append(cases, layoutCase{name: "id-term", data: itb.Bytes(), want: want})
+	add("id-term", LayoutIDTerm, want)
 
 	return cases
-}
-
-// streamFor decodes data with the matching stream decoder.
-func streamFor(t *testing.T, name string, data []byte) BatchIterator {
-	t.Helper()
-	r := bytes.NewReader(data)
-	var (
-		s   BatchIterator
-		err error
-	)
-	switch name {
-	case "id":
-		s, err = NewStreamIDList(r)
-	case "score":
-		s, err = NewStreamScoreList(r)
-	case "chunk", "chunk-term":
-		s, err = NewStreamChunkedList(r)
-	case "id-term":
-		s, err = NewStreamIDTermList(r)
-	default:
-		t.Fatalf("unknown layout %q", name)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
 }
 
 func TestLayoutBatchSizeIndependence(t *testing.T) {
@@ -173,7 +131,7 @@ func TestLayoutBatchSizeIndependence(t *testing.T) {
 		n := rng.Intn(700) // includes empty lists
 		for _, c := range buildLayoutCases(t, rng, n) {
 			for _, size := range batchSizes {
-				got := collectBatchSize(t, streamFor(t, c.name, c.data), size)
+				got := collectBatchSize(t, openList(t, c.data, nil, c.layout), size)
 				sameEntries(t, c.name+"/stream", got, c.want)
 			}
 		}
@@ -416,7 +374,6 @@ func TestPipelineBatchSizeIndependence(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(400 + trial)))
 
 		// Long list: a score-ordered stream layout.
-		sb := NewBlockScoreListBuilder(nil)
 		score := 1000.0
 		var longEntries []Entry
 		lastDoc := DocID(0)
@@ -426,12 +383,9 @@ func TestPipelineBatchSizeIndependence(t *testing.T) {
 				lastDoc = 0
 			}
 			lastDoc += DocID(1 + rng.Intn(50))
-			if err := sb.Add(lastDoc, score); err != nil {
-				t.Fatal(err)
-			}
 			longEntries = append(longEntries, Entry{Doc: lastDoc, SortKey: score})
 		}
-		data := sb.Bytes()
+		data := writeList(t, LayoutScore, nil, longEntries)
 
 		// Short list: entries colliding with long-list positions, some REMs.
 		var short []Entry
@@ -449,7 +403,7 @@ func TestPipelineBatchSizeIndependence(t *testing.T) {
 		want := refCollapse(refMerge(short, longEntries))
 
 		for _, size := range batchSizes {
-			o := NewOverlay(NewSliceIterator(short), streamFor(t, "score", data))
+			o := NewOverlay(NewSliceIterator(short), openList(t, data, nil, LayoutScore))
 			sameEntries(t, "pipeline", collectBatchSize(t, o, size), want)
 			o.Close()
 		}

@@ -47,8 +47,10 @@ import (
 // offset).  Bodies restart from absolute values, so a block decodes
 // without any state from its predecessors.
 //
-// The stream constructors refuse a blob that does not start with the magic
-// byte, carries another version, or is of a layout they do not decode.
+// Writer writes every layout; the framing is written once and a layout adds
+// only its key summary and block body.  Open refuses a blob that does not
+// start with the magic byte, carries another version, or is of a layout its
+// caller does not expect.
 //
 // Per-layout bodies:
 //
@@ -95,14 +97,29 @@ const (
 	superFan = 256
 )
 
-// Layout tags, stored in the low nibble of the second byte.
+// Layout names a long-list layout: how the list is ordered and what each
+// posting carries.  Its tag is the low nibble of a blob's second byte.
+type Layout byte
+
 const (
-	layoutID byte = 1 + iota
-	layoutIDTerm
-	layoutScore
-	layoutChunk
-	layoutChunkTerm
+	// LayoutID is ascending document IDs (the ID method, §4.2.1).
+	LayoutID Layout = 1 + iota
+	// LayoutIDTerm is LayoutID with a term weight per posting (the
+	// ID-TermScore baseline and the fancy lists, §4.3.3).
+	LayoutIDTerm
+	// LayoutScore is (score desc, doc asc) with the score in every posting
+	// (the Score-Threshold long lists, §4.3.1).
+	LayoutScore
+	// LayoutChunk is descending chunk IDs, ascending documents within a
+	// chunk, the chunk ID stored once per chunk (the Chunk method, §4.3.2).
+	LayoutChunk
+	// LayoutChunkTerm is LayoutChunk with a term weight per posting (the
+	// Chunk-TermScore method, §4.3.3).
+	LayoutChunkTerm
 )
+
+func (l Layout) chunked() bool  { return l == LayoutChunk || l == LayoutChunkTerm }
+func (l Layout) withTerm() bool { return l == LayoutIDTerm || l == LayoutChunkTerm }
 
 // BuildScoreDir returns the sorted-descending distinct values of scores:
 // the per-build score directory the compressed score layout encodes ranks
@@ -276,90 +293,225 @@ func decodeWeights(body []byte, off int, out []Entry) (int, error) {
 	return off + plen, nil
 }
 
-// --- compressed builders --------------------------------------------------------
+// --- writer ---------------------------------------------------------------------
 
-// blockIDCore is the shared encoder for the ID and ID+term layouts.
-type blockIDCore struct {
-	withTerm bool
-	out      []byte // finished super-blocks
-	sup      []byte // blocks of the open super-block
-	scratch  []byte
-	docs     [blockCap]DocID
-	ws       [blockCap]float32
-	n        int
-	count    int
-	last     DocID
+// Writer encodes one long list.  Postings arrive in the list order of the
+// layout, (SortKey desc, Doc asc), and each layout reads the fields it
+// carries: Doc always, SortKey as the score on LayoutScore and as the chunk
+// ID on the chunk layouts, TermScore on the two term layouts.  The framing
+// (blocks, super-blocks, skip headers, blob header) is written here once;
+// a layout adds only the key its skip headers summarise and its block body.
+type Writer struct {
+	layout  Layout
+	dir     []float64 // score directory (LayoutScore)
+	blob    []byte    // what Bytes returned
+	out     []byte    // finished super-blocks
+	sup     []byte    // blocks of the open super-block
+	scratch []byte
+	// The open block, one array per field.
+	docs [blockCap]DocID
+	keys [blockCap]float64
+	ws   [blockCap]float32
+	n    int
+
+	count   int
+	chunks  int
+	lastDoc DocID
+	lastKey float64
 
 	supN      int
 	supBlocks int
-	supFirst  DocID
-	supLast   DocID
+	supFirst  Entry // first and last posting of the open super-block
+	supLast   Entry
 }
 
-func (c *blockIDCore) add(doc DocID, w float32) error {
-	if doc < 0 {
-		return fmt.Errorf("postings: negative doc ID %d", doc)
+// NewWriter returns an empty writer of layout.  dir is the score directory
+// a LayoutScore list encodes ranks into (see BuildScoreDir; nil stores every
+// score raw); the other layouts ignore it.
+func NewWriter(layout Layout, dir []float64) *Writer {
+	if layout < LayoutID || layout > LayoutChunkTerm {
+		panic(fmt.Sprintf("postings: unknown layout %d", layout))
 	}
-	if c.count > 0 && doc <= c.last {
-		return fmt.Errorf("%w: doc %d after %d", ErrOrder, doc, c.last)
+	return &Writer{layout: layout, dir: dir}
+}
+
+// Reset empties the writer for a new list of the same layout and
+// directory, keeping its buffers.
+func (w *Writer) Reset() {
+	*w = Writer{layout: w.layout, dir: w.dir, blob: w.blob[:0], out: w.out[:0], sup: w.sup[:0], scratch: w.scratch[:0]}
+}
+
+// Add appends a posting.  It returns ErrOrder for a posting that does not
+// sort after the previous one, and refuses a negative doc ID and, on the
+// chunk layouts, a SortKey that is not an int32 chunk ID.
+func (w *Writer) Add(e Entry) error {
+	if e.Doc < 0 {
+		return fmt.Errorf("postings: negative doc ID %d", e.Doc)
 	}
-	c.docs[c.n] = doc
-	c.ws[c.n] = w
-	c.n++
-	c.last = doc
-	c.count++
-	if c.n == blockCap {
-		c.flush()
+	key := e.SortKey
+	switch w.layout {
+	case LayoutID, LayoutIDTerm:
+		key = 0
+	case LayoutChunk, LayoutChunkTerm:
+		if key != float64(int32(key)) {
+			return fmt.Errorf("postings: chunk ID %g is not an int32", key)
+		}
+	}
+	if w.count > 0 && (key > w.lastKey || key == w.lastKey && e.Doc <= w.lastDoc) {
+		return fmt.Errorf("%w: (doc %d, key %g) after (doc %d, key %g)", ErrOrder, e.Doc, key, w.lastDoc, w.lastKey)
+	}
+	if w.layout.chunked() && (w.count == 0 || key != w.lastKey) {
+		w.chunks++
+	}
+	w.docs[w.n], w.keys[w.n], w.ws[w.n] = e.Doc, key, e.TermScore
+	w.n++
+	w.count++
+	w.lastDoc, w.lastKey = e.Doc, key
+	if w.n == blockCap {
+		w.flush()
 	}
 	return nil
 }
 
-func (c *blockIDCore) flush() {
-	if c.n == 0 {
+// Len reports the number of postings added.
+func (w *Writer) Len() int { return w.count }
+
+// RawBytes reports the list's fixed-width footprint, the raw side of the
+// compression ratio: doc IDs and scores at 8 bytes, term weights at 4, and
+// a 4-byte header per chunk on the chunk layouts.
+func (w *Writer) RawBytes() uint64 {
+	per := uint64(8)
+	if w.layout == LayoutScore {
+		per += 8
+	}
+	if w.layout.withTerm() {
+		per += 4
+	}
+	return uint64(w.count)*per + uint64(w.chunks)*4
+}
+
+// Bytes returns the encoded list.  The slice is the writer's own: it
+// stays valid until the next Reset.
+func (w *Writer) Bytes() []byte {
+	w.flush()
+	w.flushSuper()
+	b := append(w.blob[:0], blockMagic, blockVersion<<4|byte(w.layout))
+	b = codec.PutUvarint(b, uint64(w.count))
+	if w.layout.chunked() {
+		b = codec.PutUvarint(b, uint64(w.chunks))
+	}
+	w.blob = append(b, w.out...)
+	return w.blob
+}
+
+// appendFrame appends one frame — a block or a super-block — of n postings
+// from first to last around body.
+func (w *Writer) appendFrame(dst []byte, n int, first, last Entry, body []byte) []byte {
+	dst = codec.PutUvarint(dst, uint64(n))
+	switch w.layout {
+	case LayoutID, LayoutIDTerm:
+		dst = codec.PutUvarint(dst, uint64(first.Doc))
+		dst = codec.PutUvarint(dst, uint64(last.Doc-first.Doc))
+	case LayoutScore:
+		dst = w.appendScoreKey(dst, first.SortKey)
+		dst = w.appendScoreKey(dst, last.SortKey)
+	case LayoutChunk, LayoutChunkTerm:
+		f := int32(first.SortKey)
+		dst = codec.PutUvarint(dst, uint64(uint32(f)))
+		dst = codec.PutUvarint(dst, uint64(int64(f)-int64(int32(last.SortKey))))
+	}
+	dst = codec.PutUvarint(dst, uint64(len(body)))
+	return append(dst, body...)
+}
+
+func (w *Writer) appendScoreKey(dst []byte, s float64) []byte {
+	if r, ok := dirRank(w.dir, s); ok {
+		return codec.PutUvarint(dst, uint64(r)+1)
+	}
+	dst = codec.PutUvarint(dst, 0)
+	return codec.PutFloat64(dst, s)
+}
+
+// flush closes the open block into the open super-block.
+func (w *Writer) flush() {
+	n := w.n
+	if n == 0 {
 		return
 	}
-	n := c.n
-	if c.supBlocks == 0 {
-		c.supFirst = c.docs[0]
+	first := Entry{Doc: w.docs[0], SortKey: w.keys[0]}
+	last := Entry{Doc: w.docs[n-1], SortKey: w.keys[n-1]}
+	if w.supBlocks == 0 {
+		w.supFirst = first
 	}
-	c.supLast = c.docs[n-1]
-	c.sup = codec.PutUvarint(c.sup, uint64(n))
-	c.sup = codec.PutUvarint(c.sup, uint64(c.docs[0]))
-	c.sup = codec.PutUvarint(c.sup, uint64(c.docs[n-1]-c.docs[0]))
-	body := appendDocGaps(c.scratch[:0], c.docs[:n])
-	if c.withTerm {
-		body = appendWeights(body, c.ws[:n])
-	}
-	c.sup = codec.PutUvarint(c.sup, uint64(len(body)))
-	c.sup = append(c.sup, body...)
-	c.scratch = body[:0]
-	c.supN += n
-	c.supBlocks++
-	c.n = 0
-	if c.supBlocks == superFan {
-		c.flushSuper()
+	w.supLast = last
+	body := w.appendBody(w.scratch[:0])
+	w.sup = w.appendFrame(w.sup, n, first, last, body)
+	w.scratch = body[:0]
+	w.supN += n
+	w.supBlocks++
+	w.n = 0
+	if w.supBlocks == superFan {
+		w.flushSuper()
 	}
 }
 
-func (c *blockIDCore) flushSuper() {
-	if c.supBlocks == 0 {
+// flushSuper closes the open super-block into the blob.
+func (w *Writer) flushSuper() {
+	if w.supBlocks == 0 {
 		return
 	}
-	c.out = codec.PutUvarint(c.out, uint64(c.supN))
-	c.out = codec.PutUvarint(c.out, uint64(c.supFirst))
-	c.out = codec.PutUvarint(c.out, uint64(c.supLast-c.supFirst))
-	c.out = codec.PutUvarint(c.out, uint64(len(c.sup)))
-	c.out = append(c.out, c.sup...)
-	c.sup = c.sup[:0]
-	c.supN, c.supBlocks = 0, 0
+	w.out = w.appendFrame(w.out, w.supN, w.supFirst, w.supLast, w.sup)
+	w.sup = w.sup[:0]
+	w.supN, w.supBlocks = 0, 0
 }
 
-func (c *blockIDCore) bytes(layout byte) []byte {
-	c.flush()
-	c.flushSuper()
-	out := []byte{blockMagic, blockVersion<<4 | layout}
-	out = codec.PutUvarint(out, uint64(c.count))
-	return append(out, c.out...)
+// appendBody appends the open block's body in the layout's encoding.
+func (w *Writer) appendBody(body []byte) []byte {
+	n := w.n
+	switch w.layout {
+	case LayoutID, LayoutIDTerm:
+		body = appendDocGaps(body, w.docs[:n])
+	case LayoutScore:
+		prevRank := -1
+		for i := 0; i < n; i++ {
+			if r, ok := dirRank(w.dir, w.keys[i]); ok {
+				if prevRank >= 0 {
+					body = codec.PutUvarint(body, uint64(r-prevRank)+1)
+				} else {
+					body = codec.PutUvarint(body, uint64(r)+1)
+				}
+				prevRank = r
+			} else {
+				body = codec.PutUvarint(body, 0)
+				body = codec.PutFloat64(body, w.keys[i])
+				prevRank = -1
+			}
+			body = codec.PutUvarint(body, uint64(w.docs[i]))
+		}
+	case LayoutChunk, LayoutChunkTerm:
+		var prevCID int32
+		for i := 0; i < n; {
+			cid := int32(w.keys[i])
+			j := i + 1
+			for j < n && w.keys[j] == w.keys[i] {
+				j++
+			}
+			if i == 0 {
+				body = codec.PutUvarint(body, uint64(uint32(cid)))
+			} else {
+				body = codec.PutUvarint(body, uint64(int64(prevCID)-int64(cid)))
+			}
+			prevCID = cid
+			body = codec.PutUvarint(body, uint64(j-i))
+			body = codec.PutUvarint(body, uint64(w.docs[i]))
+			body = appendDocGaps(body, w.docs[i:j])
+			i = j
+		}
+	}
+	if w.layout.withTerm() {
+		body = appendWeights(body, w.ws[:n])
+	}
+	return body
 }
 
 // appendDocGaps appends the width byte and bitpacked (gap-1) run for the
@@ -379,319 +531,23 @@ func appendDocGaps(body []byte, docs []DocID) []byte {
 	return appendPacked(body, gaps[:n-1], w)
 }
 
-// BlockIDListBuilder is the compressed encoder for the ID layout.
-type BlockIDListBuilder struct{ c blockIDCore }
-
-// NewBlockIDListBuilder returns an empty compressed ID-list encoder.
-func NewBlockIDListBuilder() *BlockIDListBuilder { return &BlockIDListBuilder{} }
-
-// Add appends a document ID; IDs must be strictly ascending and non-negative.
-func (b *BlockIDListBuilder) Add(doc DocID) error { return b.c.add(doc, 0) }
-
-// Len reports the number of postings added.
-func (b *BlockIDListBuilder) Len() int { return b.c.count }
-
-// Bytes returns the encoded list.
-func (b *BlockIDListBuilder) Bytes() []byte { return b.c.bytes(layoutID) }
-
-// BlockIDTermListBuilder is the compressed encoder for the ID+term layout.
-type BlockIDTermListBuilder struct{ c blockIDCore }
-
-// NewBlockIDTermListBuilder returns an empty compressed ID+term encoder.
-func NewBlockIDTermListBuilder() *BlockIDTermListBuilder {
-	b := &BlockIDTermListBuilder{}
-	b.c.withTerm = true
-	return b
-}
-
-// Add appends a posting; doc IDs must be strictly ascending.
-func (b *BlockIDTermListBuilder) Add(doc DocID, termScore float32) error {
-	return b.c.add(doc, termScore)
-}
-
-// Len reports the number of postings added.
-func (b *BlockIDTermListBuilder) Len() int { return b.c.count }
-
-// Bytes returns the encoded list.
-func (b *BlockIDTermListBuilder) Bytes() []byte { return b.c.bytes(layoutIDTerm) }
-
-// BlockScoreListBuilder is the compressed encoder for the score layout.
-type BlockScoreListBuilder struct {
-	dir       []float64
-	out       []byte // finished super-blocks
-	sup       []byte // blocks of the open super-block
-	scratch   []byte
-	docs      [blockCap]DocID
-	scores    [blockCap]float64
-	n         int
-	count     int
-	lastScore float64
-	lastDoc   DocID
-
-	supN      int
-	supBlocks int
-	supFirst  float64
-	supLast   float64
-}
-
-// NewBlockScoreListBuilder returns an empty compressed score-list encoder
-// writing ranks into dir (may be nil: every score then stores raw).
-func NewBlockScoreListBuilder(dir []float64) *BlockScoreListBuilder {
-	return &BlockScoreListBuilder{dir: dir}
-}
-
-// Add appends a posting; postings must arrive in descending score order.
-func (b *BlockScoreListBuilder) Add(doc DocID, score float64) error {
-	if doc < 0 {
-		return fmt.Errorf("postings: negative doc ID %d", doc)
-	}
-	if b.count > 0 {
-		if score > b.lastScore || (score == b.lastScore && doc <= b.lastDoc) {
-			return fmt.Errorf("%w: (doc %d, score %g) after (doc %d, score %g)", ErrOrder, doc, score, b.lastDoc, b.lastScore)
-		}
-	}
-	b.docs[b.n] = doc
-	b.scores[b.n] = score
-	b.n++
-	b.lastScore, b.lastDoc = score, doc
-	b.count++
-	if b.n == blockCap {
-		b.flush()
-	}
-	return nil
-}
-
-func (b *BlockScoreListBuilder) appendScoreKey(dst []byte, s float64) []byte {
-	if r, ok := dirRank(b.dir, s); ok {
-		return codec.PutUvarint(dst, uint64(r)+1)
-	}
-	dst = codec.PutUvarint(dst, 0)
-	return codec.PutFloat64(dst, s)
-}
-
-func (b *BlockScoreListBuilder) flush() {
-	if b.n == 0 {
-		return
-	}
-	n := b.n
-	if b.supBlocks == 0 {
-		b.supFirst = b.scores[0]
-	}
-	b.supLast = b.scores[n-1]
-	b.sup = codec.PutUvarint(b.sup, uint64(n))
-	b.sup = b.appendScoreKey(b.sup, b.scores[0])
-	b.sup = b.appendScoreKey(b.sup, b.scores[n-1])
-	body := b.scratch[:0]
-	prevRank := -1
-	for i := 0; i < n; i++ {
-		if r, ok := dirRank(b.dir, b.scores[i]); ok {
-			if prevRank >= 0 {
-				body = codec.PutUvarint(body, uint64(r-prevRank)+1)
-			} else {
-				body = codec.PutUvarint(body, uint64(r)+1)
-			}
-			prevRank = r
-		} else {
-			body = codec.PutUvarint(body, 0)
-			body = codec.PutFloat64(body, b.scores[i])
-			prevRank = -1
-		}
-		body = codec.PutUvarint(body, uint64(b.docs[i]))
-	}
-	b.sup = codec.PutUvarint(b.sup, uint64(len(body)))
-	b.sup = append(b.sup, body...)
-	b.scratch = body[:0]
-	b.supN += n
-	b.supBlocks++
-	b.n = 0
-	if b.supBlocks == superFan {
-		b.flushSuper()
-	}
-}
-
-func (b *BlockScoreListBuilder) flushSuper() {
-	if b.supBlocks == 0 {
-		return
-	}
-	b.out = codec.PutUvarint(b.out, uint64(b.supN))
-	b.out = b.appendScoreKey(b.out, b.supFirst)
-	b.out = b.appendScoreKey(b.out, b.supLast)
-	b.out = codec.PutUvarint(b.out, uint64(len(b.sup)))
-	b.out = append(b.out, b.sup...)
-	b.sup = b.sup[:0]
-	b.supN, b.supBlocks = 0, 0
-}
-
-// Len reports the number of postings added.
-func (b *BlockScoreListBuilder) Len() int { return b.count }
-
-// Bytes returns the encoded list.
-func (b *BlockScoreListBuilder) Bytes() []byte {
-	b.flush()
-	b.flushSuper()
-	out := []byte{blockMagic, blockVersion<<4 | layoutScore}
-	out = codec.PutUvarint(out, uint64(b.count))
-	return append(out, b.out...)
-}
-
-// BlockChunkedListBuilder is the compressed encoder for the chunked layouts.
-type BlockChunkedListBuilder struct {
-	withTerm bool
-	out      []byte // finished super-blocks
-	sup      []byte // blocks of the open super-block
-	scratch  []byte
-	cids     [blockCap]int32
-	docs     [blockCap]DocID
-	ws       [blockCap]float32
-	n        int
-	count    int
-	chunks   int
-	lastCID  int32
-	haveCID  bool
-
-	supN      int
-	supBlocks int
-	supFirst  int32
-	supLast   int32
-}
-
-// NewBlockChunkedListBuilder returns an empty compressed chunked-list
-// encoder, with or without per-posting term weights.
-func NewBlockChunkedListBuilder(withTerm bool) *BlockChunkedListBuilder {
-	return &BlockChunkedListBuilder{withTerm: withTerm}
-}
-
-// AddChunk appends a chunk with the given ID and postings (ascending doc
-// order required; chunk IDs must descend).  Empty chunks are skipped.
-func (b *BlockChunkedListBuilder) AddChunk(cid int32, posts []ChunkPosting) error {
-	if len(posts) == 0 {
-		return nil
-	}
-	if b.haveCID && cid >= b.lastCID {
-		return fmt.Errorf("%w: chunk %d after %d (chunks must descend)", ErrOrder, cid, b.lastCID)
-	}
-	last := DocID(-1)
-	for i, p := range posts {
-		if p.Doc < 0 {
-			return fmt.Errorf("postings: negative doc ID %d", p.Doc)
-		}
-		if i > 0 && p.Doc <= last {
-			return fmt.Errorf("%w: doc %d after %d within chunk %d", ErrOrder, p.Doc, last, cid)
-		}
-		b.cids[b.n] = cid
-		b.docs[b.n] = p.Doc
-		b.ws[b.n] = p.TermScore
-		b.n++
-		last = p.Doc
-		b.count++
-		if b.n == blockCap {
-			b.flush()
-		}
-	}
-	b.lastCID = cid
-	b.haveCID = true
-	b.chunks++
-	return nil
-}
-
-func (b *BlockChunkedListBuilder) flush() {
-	if b.n == 0 {
-		return
-	}
-	n := b.n
-	if b.supBlocks == 0 {
-		b.supFirst = b.cids[0]
-	}
-	b.supLast = b.cids[n-1]
-	b.sup = codec.PutUvarint(b.sup, uint64(n))
-	b.sup = codec.PutUvarint(b.sup, uint64(uint32(b.cids[0])))
-	b.sup = codec.PutUvarint(b.sup, uint64(int64(b.cids[0])-int64(b.cids[n-1])))
-	body := b.scratch[:0]
-	first := true
-	var prevCID int32
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && b.cids[j] == b.cids[i] {
-			j++
-		}
-		if first {
-			body = codec.PutUvarint(body, uint64(uint32(b.cids[i])))
-			first = false
-		} else {
-			body = codec.PutUvarint(body, uint64(int64(prevCID)-int64(b.cids[i])))
-		}
-		prevCID = b.cids[i]
-		body = codec.PutUvarint(body, uint64(j-i))
-		body = codec.PutUvarint(body, uint64(b.docs[i]))
-		body = appendDocGaps(body, b.docs[i:j])
-		i = j
-	}
-	if b.withTerm {
-		body = appendWeights(body, b.ws[:n])
-	}
-	b.sup = codec.PutUvarint(b.sup, uint64(len(body)))
-	b.sup = append(b.sup, body...)
-	b.scratch = body[:0]
-	b.supN += n
-	b.supBlocks++
-	b.n = 0
-	if b.supBlocks == superFan {
-		b.flushSuper()
-	}
-}
-
-func (b *BlockChunkedListBuilder) flushSuper() {
-	if b.supBlocks == 0 {
-		return
-	}
-	b.out = codec.PutUvarint(b.out, uint64(b.supN))
-	b.out = codec.PutUvarint(b.out, uint64(uint32(b.supFirst)))
-	b.out = codec.PutUvarint(b.out, uint64(int64(b.supFirst)-int64(b.supLast)))
-	b.out = codec.PutUvarint(b.out, uint64(len(b.sup)))
-	b.out = append(b.out, b.sup...)
-	b.sup = b.sup[:0]
-	b.supN, b.supBlocks = 0, 0
-}
-
-// Len reports the number of postings added; Chunks the number of chunks.
-func (b *BlockChunkedListBuilder) Len() int    { return b.count }
-func (b *BlockChunkedListBuilder) Chunks() int { return b.chunks }
-
-// Bytes returns the encoded list.
-func (b *BlockChunkedListBuilder) Bytes() []byte {
-	b.flush()
-	b.flushSuper()
-	layout := layoutChunk
-	if b.withTerm {
-		layout = layoutChunkTerm
-	}
-	out := []byte{blockMagic, blockVersion<<4 | layout}
-	out = codec.PutUvarint(out, uint64(b.count))
-	out = codec.PutUvarint(out, uint64(b.chunks))
-	return append(out, b.out...)
-}
-
 // --- compressed decoder ---------------------------------------------------------
 
-// blockHeader is one decoded skip header.
+// blockHeader is one decoded skip header.  Only the ID layouts' document
+// range is kept: it is the only key a seek skips by.
 type blockHeader struct {
 	n        int
 	bodyLen  int
 	firstDoc DocID
 	lastDoc  DocID
-	firstKey float64
-	lastKey  float64
-	firstCID int32
-	lastCID  int32
 }
 
 // blockList decodes a blob of any layout, one whole block at a time into an
-// inline scratch array.  The stream wrappers in stream.go delegate to it.
+// inline scratch array.  Open returns it.
 type blockList struct {
 	br        *blockReader
-	layout    byte
+	layout    Layout
 	count     int
-	chunks    int
 	dir       []float64
 	decoded   int
 	superLeft int // postings remaining in the open super-block
@@ -722,8 +578,8 @@ func newBlockList(br *blockReader, dir []float64) (*blockList, error) {
 	if vl>>4 != blockVersion {
 		return nil, fmt.Errorf("%w: unknown posting block version %d", codec.ErrCorrupt, vl>>4)
 	}
-	layout := vl & 0x0f
-	if layout < layoutID || layout > layoutChunkTerm {
+	layout := Layout(vl & 0x0f)
+	if layout < LayoutID || layout > LayoutChunkTerm {
 		return nil, fmt.Errorf("%w: unknown posting block layout %d", codec.ErrCorrupt, layout)
 	}
 	d := &blockList{br: br, layout: layout, dir: dir}
@@ -735,7 +591,7 @@ func newBlockList(br *blockReader, dir []float64) (*blockList, error) {
 		return nil, fmt.Errorf("%w: posting count %d", codec.ErrCorrupt, cnt)
 	}
 	d.count = int(cnt)
-	if layout == layoutChunk || layout == layoutChunkTerm {
+	if layout.chunked() {
 		ch, err := br.uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("posting block chunk count: %w", err)
@@ -743,7 +599,6 @@ func newBlockList(br *blockReader, dir []float64) (*blockList, error) {
 		if ch > cnt {
 			return nil, fmt.Errorf("%w: %d chunks for %d postings", codec.ErrCorrupt, ch, cnt)
 		}
-		d.chunks = int(ch)
 	}
 	return d, nil
 }
@@ -780,7 +635,7 @@ func (d *blockList) readHeader(max int, maxBytes uint64) (blockHeader, error) {
 	}
 	h.n = int(nv)
 	switch d.layout {
-	case layoutID, layoutIDTerm:
+	case LayoutID, LayoutIDTerm:
 		f, err := d.br.uvarint()
 		if err != nil {
 			return h, err
@@ -791,24 +646,18 @@ func (d *blockList) readHeader(max int, maxBytes uint64) (blockHeader, error) {
 		}
 		h.firstDoc = DocID(f)
 		h.lastDoc = DocID(f + span)
-	case layoutScore:
-		if h.firstKey, err = d.readScoreKey(); err != nil {
-			return h, err
+	case LayoutScore:
+		for i := 0; i < 2; i++ {
+			if _, err := d.readScoreKey(); err != nil {
+				return h, err
+			}
 		}
-		if h.lastKey, err = d.readScoreKey(); err != nil {
-			return h, err
+	case LayoutChunk, LayoutChunkTerm:
+		for i := 0; i < 2; i++ {
+			if _, err := d.br.uvarint(); err != nil {
+				return h, err
+			}
 		}
-	case layoutChunk, layoutChunkTerm:
-		f, err := d.br.uvarint()
-		if err != nil {
-			return h, err
-		}
-		span, err := d.br.uvarint()
-		if err != nil {
-			return h, err
-		}
-		h.firstCID = int32(uint32(f))
-		h.lastCID = int32(int64(h.firstCID) - int64(span))
 	}
 	bl, err := d.br.uvarint()
 	if err != nil {
@@ -844,23 +693,23 @@ func (d *blockList) loadBlock(h blockHeader) error {
 		out[i] = Entry{}
 	}
 	switch d.layout {
-	case layoutID:
+	case LayoutID:
 		_, err = decodeDocGaps(body, 0, h.firstDoc, out)
-	case layoutIDTerm:
+	case LayoutIDTerm:
 		var off int
 		if off, err = decodeDocGaps(body, 0, h.firstDoc, out); err == nil {
 			_, err = decodeWeights(body, off, out)
 		}
-	case layoutScore:
+	case LayoutScore:
 		err = d.decodeScoreBody(body, out)
-	case layoutChunk, layoutChunkTerm:
+	case LayoutChunk, LayoutChunkTerm:
 		err = d.decodeChunkBody(body, out)
 	}
 	if err != nil {
 		return err
 	}
-	// The merge combinators and the seeks rely on the order the builders
-	// enforce; rotted bytes that still parse must not reach them out of it.
+	// The merge combinators and the seeks rely on the order the writer
+	// enforces; rotted bytes that still parse must not reach them out of it.
 	for i := range out {
 		e := &out[i]
 		if e.Doc < 0 || havePrev && (e.SortKey > prevKey || e.SortKey == prevKey && e.Doc <= prevDoc) {
@@ -974,12 +823,11 @@ func (d *blockList) decodeChunkBody(body []byte, out []Entry) error {
 			return err
 		}
 		for k := range seg {
-			seg[k].CID = cid
 			seg[k].SortKey = float64(cid)
 		}
 		i += int(segN)
 	}
-	if d.layout == layoutChunkTerm {
+	if d.layout == LayoutChunkTerm {
 		if _, err := decodeWeights(body, off, out); err != nil {
 			return err
 		}
@@ -1094,9 +942,15 @@ func (d *blockList) seekUntil(skipFrame func(*blockHeader) bool, keep func(*Entr
 	}
 }
 
-// seekDoc positions at the first entry with Doc >= doc (ID layouts).
-func (d *blockList) seekDoc(doc DocID) error {
-	return d.seekUntil(
+// idList is an open ID-layout list: the decoder and the seek its skip
+// headers' document ranges allow.  A conjunctive Merge leapfrogs with it.
+type idList struct{ *blockList }
+
+// SeekDoc positions the list so the next entry returned is the first with
+// Doc >= doc, skipping whole blocks and super-blocks — without decoding
+// them or faulting in their pages — by their skip headers.
+func (s idList) SeekDoc(doc DocID) error {
+	return s.seekUntil(
 		func(h *blockHeader) bool { return h.lastDoc < doc },
 		func(e *Entry) bool { return e.Doc >= doc },
 	)

@@ -3,7 +3,9 @@ package postings
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"svrdb/internal/codec"
@@ -13,7 +15,7 @@ import (
 )
 
 // Property tests: every layout must decode to exactly the postings its
-// builder was fed, under every list shape the builders accept — including
+// writer was fed, under every list shape the writer accepts — including
 // sizes straddling the block capacity, dense runs, sparse runs,
 // dictionary-friendly and dictionary-busting term weights, and scores
 // inside and outside the score directory.
@@ -84,21 +86,9 @@ func TestBlockIDListRoundTrip(t *testing.T) {
 	for _, size := range listSizes {
 		for _, dense := range []bool{true, false} {
 			docs := genDocs(rng, size, dense)
-			b := NewBlockIDListBuilder()
-			for _, d := range docs {
-				if err := b.Add(d); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if b.Len() != len(docs) {
-				t.Fatalf("Len = %d, want %d", b.Len(), len(docs))
-			}
-			it, err := NewStreamIDList(bytes.NewReader(b.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if it.Len() != len(docs) {
-				t.Fatalf("stream Len = %d, want %d", it.Len(), len(docs))
+			it := openList(t, writeList(t, LayoutID, nil, idEntries(docs, nil)), nil, LayoutID)
+			if listLen(it) != len(docs) {
+				t.Fatalf("stream Len = %d, want %d", listLen(it), len(docs))
 			}
 			requireSameEntries(t, idEntries(docs, nil), collectAll(t, it), "id list")
 		}
@@ -123,16 +113,7 @@ func TestBlockIDTermListRoundTrip(t *testing.T) {
 		for _, dictFriendly := range []bool{true, false} {
 			docs := genDocs(rng, size, false)
 			ws := genWeights(rng, size, dictFriendly)
-			b := NewBlockIDTermListBuilder()
-			for i, d := range docs {
-				if err := b.Add(d, ws[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			it, err := NewStreamIDTermList(bytes.NewReader(b.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
+			it := openList(t, writeList(t, LayoutIDTerm, nil, idEntries(docs, ws)), nil, LayoutIDTerm)
 			requireSameEntries(t, idEntries(docs, ws), collectAll(t, it), "id+term list")
 		}
 	}
@@ -186,13 +167,69 @@ func scoreEntries(docs []DocID, scores []float64) []Entry {
 // buildScoreList encodes (docs, scores) against dir.
 func buildScoreList(t *testing.T, dir []float64, docs []DocID, scores []float64) []byte {
 	t.Helper()
-	b := NewBlockScoreListBuilder(dir)
-	for i := range docs {
-		if err := b.Add(docs[i], scores[i]); err != nil {
+	return writeList(t, LayoutScore, dir, scoreEntries(docs, scores))
+}
+
+// writeList encodes es through one Writer of layout (dir for LayoutScore).
+func writeList(t testing.TB, layout Layout, dir []float64, es []Entry) []byte {
+	t.Helper()
+	w := NewWriter(layout, dir)
+	for _, e := range es {
+		if err := w.Add(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return b.Bytes()
+	if w.Len() != len(es) {
+		t.Fatalf("Len = %d, want %d", w.Len(), len(es))
+	}
+	return w.Bytes()
+}
+
+// openList opens data, which must be a blob of layout.
+func openList(t testing.TB, data []byte, dir []float64, layout Layout) BatchIterator {
+	t.Helper()
+	it, err := Open(bytes.NewReader(data), dir, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return it
+}
+
+// openSeek opens the ID-layout blob r reads, which must be able to seek.
+func openSeek(t testing.TB, r io.Reader) idList {
+	t.Helper()
+	it, err := Open(r, nil, LayoutID, LayoutIDTerm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ok := it.(idList)
+	if !ok {
+		t.Fatalf("Open returned %T, which cannot seek", it)
+	}
+	return s
+}
+
+// listLen reports the posting count of an open list's header.
+func listLen(it BatchIterator) int {
+	if s, ok := it.(idList); ok {
+		return s.count
+	}
+	return it.(*blockList).count
+}
+
+// blobChunks reads the chunk count a chunk-layout blob's header records:
+// the uvarint after the magic, layout and posting-count bytes.
+func blobChunks(t testing.TB, data []byte) int {
+	t.Helper()
+	_, n, err := codec.Uvarint(data[2:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, _, err := codec.Uvarint(data[2+n:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(ch)
 }
 
 func TestBlockScoreListRoundTrip(t *testing.T) {
@@ -201,21 +238,14 @@ func TestBlockScoreListRoundTrip(t *testing.T) {
 	dir := BuildScoreDir(pool)
 	for _, size := range listSizes {
 		docs, scores := genScorePostings(rng, size, pool)
-		it, err := NewStreamScoreListDir(bytes.NewReader(buildScoreList(t, dir, docs, scores)), dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		it := openList(t, buildScoreList(t, dir, docs, scores), dir, LayoutScore)
 		requireSameEntries(t, scoreEntries(docs, scores), collectAll(t, it), "score list")
 	}
 }
 
-type testChunk struct {
-	cid   int32
-	posts []ChunkPosting
-}
-
-func genChunks(rng *rand.Rand, totalPostings int, withTerm bool) []testChunk {
-	var chunks []testChunk
+// genChunks produces a chunked list of totalPostings postings in list
+// order, SortKey the chunk ID, and reports how many chunks it has.
+func genChunks(rng *rand.Rand, totalPostings int, withTerm bool) (es []Entry, chunks int) {
 	cid := int32(1 << 20)
 	left := totalPostings
 	for left > 0 {
@@ -225,53 +255,39 @@ func genChunks(rng *rand.Rand, totalPostings int, withTerm bool) []testChunk {
 		}
 		left -= n
 		cid -= int32(rng.Intn(50) + 1)
-		posts := make([]ChunkPosting, n)
 		doc := DocID(rng.Intn(1000))
-		for i := range posts {
+		for i := 0; i < n; i++ {
 			doc += DocID(rng.Intn(100) + 1)
-			posts[i] = ChunkPosting{Doc: doc}
+			e := Entry{Doc: doc, SortKey: float64(cid)}
 			if withTerm {
-				posts[i].TermScore = float32(rng.Intn(6)+1) / 200
+				e.TermScore = float32(rng.Intn(6)+1) / 200
 			}
+			es = append(es, e)
 		}
-		chunks = append(chunks, testChunk{cid: cid, posts: posts})
+		chunks++
 	}
-	return chunks
+	return es, chunks
 }
 
-// chunkEntries is the entry stream a chunked list of chunks must decode to.
-func chunkEntries(chunks []testChunk) []Entry {
-	var want []Entry
-	for _, c := range chunks {
-		for _, p := range c.posts {
-			want = append(want, Entry{Doc: p.Doc, CID: c.cid, SortKey: float64(c.cid), TermScore: p.TermScore})
-		}
+// chunkLayout is the chunk layout with or without term weights.
+func chunkLayout(withTerm bool) Layout {
+	if withTerm {
+		return LayoutChunkTerm
 	}
-	return want
+	return LayoutChunk
 }
 
 func TestBlockChunkedListRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, size := range listSizes {
 		for _, withTerm := range []bool{false, true} {
-			chunks := genChunks(rng, size, withTerm)
-			b := NewBlockChunkedListBuilder(withTerm)
-			for _, c := range chunks {
-				if err := b.AddChunk(c.cid, c.posts); err != nil {
-					t.Fatal(err)
-				}
+			es, chunks := genChunks(rng, size, withTerm)
+			data := writeList(t, chunkLayout(withTerm), nil, es)
+			if got := blobChunks(t, data); got != chunks {
+				t.Fatalf("header records %d chunks, want %d", got, chunks)
 			}
-			if b.Len() != size || b.Chunks() != len(chunks) {
-				t.Fatalf("Len/Chunks = %d/%d, want %d/%d", b.Len(), b.Chunks(), size, len(chunks))
-			}
-			it, err := NewStreamChunkedList(bytes.NewReader(b.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if it.NumChunks() != len(chunks) {
-				t.Fatalf("NumChunks = %d, want %d", it.NumChunks(), len(chunks))
-			}
-			requireSameEntries(t, chunkEntries(chunks), collectAll(t, it), "chunked list")
+			it := openList(t, data, nil, chunkLayout(withTerm))
+			requireSameEntries(t, es, collectAll(t, it), "chunked list")
 		}
 	}
 }
@@ -306,11 +322,7 @@ func TestBlockCombinatorsOverCompressed(t *testing.T) {
 	streams := func() []BatchIterator {
 		its := make([]BatchIterator, k)
 		for i, b := range blobs {
-			it, err := NewStreamScoreListDir(bytes.NewReader(b), dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			its[i] = it
+			its[i] = openList(t, b, dir, LayoutScore)
 		}
 		return its
 	}
@@ -340,24 +352,11 @@ func TestBlockSeekModel(t *testing.T) {
 
 	t.Run("id", func(t *testing.T) {
 		docs := genDocs(rng, 3000, false)
-		b := NewBlockIDListBuilder()
-		for _, d := range docs {
-			if err := b.Add(d); err != nil {
-				t.Fatal(err)
-			}
-		}
-		data := b.Bytes()
-		full, err := NewStreamIDList(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		all := collectAll(t, full)
+		data := writeList(t, LayoutID, nil, idEntries(docs, nil))
+		all := collectAll(t, openList(t, data, nil, LayoutID))
 		for trial := 0; trial < 50; trial++ {
 			target := DocID(rng.Int63n(int64(docs[len(docs)-1]) + 1000))
-			it, err := NewStreamIDList(bytes.NewReader(data))
-			if err != nil {
-				t.Fatal(err)
-			}
+			it := openSeek(t, bytes.NewReader(data))
 			if err := it.SeekDoc(target); err != nil {
 				t.Fatal(err)
 			}
@@ -371,10 +370,7 @@ func TestBlockSeekModel(t *testing.T) {
 		}
 		// Monotone multi-seek on one iterator — the leapfrog access
 		// pattern — modeled step for step against the in-memory slice.
-		it, err := NewStreamIDList(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
+		it := openSeek(t, bytes.NewReader(data))
 		var one [1]Entry
 		target := DocID(0)
 		pos := 0
@@ -416,26 +412,17 @@ func TestBlockSeekModel(t *testing.T) {
 		pool := scorePool(rng, 300)
 		dir := BuildScoreDir(pool)
 		docs, scores := genScorePostings(rng, 3000, pool)
-		it, err := NewStreamScoreListDir(bytes.NewReader(buildScoreList(t, dir, docs, scores)), dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		it := openList(t, buildScoreList(t, dir, docs, scores), dir, LayoutScore)
 		requireSameEntries(t, scoreEntries(docs, scores), collectAll(t, it), "score list")
 	})
 
 	t.Run("chunk", func(t *testing.T) {
-		chunks := genChunks(rng, 3000, true)
-		b := NewBlockChunkedListBuilder(true)
-		for _, c := range chunks {
-			if err := b.AddChunk(c.cid, c.posts); err != nil {
-				t.Fatal(err)
-			}
+		es, _ := genChunks(rng, 3000, true)
+		it := openList(t, writeList(t, LayoutChunkTerm, nil, es), nil, LayoutChunkTerm)
+		if _, ok := it.(interface{ SeekDoc(DocID) error }); ok {
+			t.Fatal("a chunk list offers SeekDoc; its headers carry no document range")
 		}
-		it, err := NewStreamChunkedList(bytes.NewReader(b.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameEntries(t, chunkEntries(chunks), collectAll(t, it), "chunked list")
+		requireSameEntries(t, es, collectAll(t, it), "chunked list")
 	})
 }
 
@@ -447,15 +434,15 @@ func TestBlockSeekSkipsPages(t *testing.T) {
 	store := blob.NewStore(pool)
 
 	rng := rand.New(rand.NewSource(29))
-	b := NewBlockIDListBuilder()
+	w := NewWriter(LayoutID, nil)
 	d := DocID(0)
 	for i := 0; i < 200000; i++ {
 		d += DocID(rng.Intn(6000) + 1)
-		if err := b.Add(d); err != nil {
+		if err := w.Add(Entry{Doc: d}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ref, err := store.Put(b.Bytes())
+	ref, err := store.Put(w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,10 +450,7 @@ func TestBlockSeekSkipsPages(t *testing.T) {
 	target := d - 1000
 
 	scanReader := store.NewReader(ref)
-	scan, err := NewStreamIDList(scanReader)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scan := openSeek(t, scanReader)
 	buf := make([]Entry, BatchSize)
 	for {
 		n, err := scan.NextBatch(buf)
@@ -480,10 +464,7 @@ func TestBlockSeekSkipsPages(t *testing.T) {
 	scanPages := scanReader.PagesRead()
 
 	seekReader := store.NewReader(ref)
-	seek, err := NewStreamIDList(seekReader)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seek := openSeek(t, seekReader)
 	if err := seek.SeekDoc(target); err != nil {
 		t.Fatal(err)
 	}
@@ -503,34 +484,28 @@ func TestBlockSeekSkipsPages(t *testing.T) {
 // hostileBodyLenBlob is an ID list of 5 postings whose one block header
 // claims a body of 2^63+5 bytes, which as an int is negative.
 func hostileBodyLenBlob() []byte {
-	blob := []byte{blockMagic, blockVersion<<4 | layoutID, 5}
+	blob := []byte{blockMagic, blockVersion<<4 | byte(LayoutID), 5}
 	blob = append(blob, 5, 1, 10, 20) // super-block: n, first, span, byteLen
 	blob = append(blob, 5, 1, 10)     // block: n, first, span
 	blob = codec.PutUvarint(blob, 1<<63+5)
 	return append(blob, make([]byte, 40-len(blob))...)
 }
 
-// TestBlockHeaderRejectsHostileLengths feeds frame lengths no builder
+// TestBlockHeaderRejectsHostileLengths feeds frame lengths no writer
 // emits — blobs carry no checksum, so a rotted page reaches the decoder —
 // and requires ErrCorrupt, not a slice panic, on the scan and seek paths.
 func TestBlockHeaderRejectsHostileLengths(t *testing.T) {
-	oversizeBody := []byte{blockMagic, blockVersion<<4 | layoutID, 5, 5, 1, 10, 20, 5, 1, 10}
+	oversizeBody := []byte{blockMagic, blockVersion<<4 | byte(LayoutID), 5, 5, 1, 10, 20, 5, 1, 10}
 	oversizeBody = codec.PutUvarint(oversizeBody, streamBlockSize+1)
 	for name, data := range map[string][]byte{
 		"negative body length": hostileBodyLenBlob(),
 		"body beyond a page":   oversizeBody,
 	} {
-		scan, err := NewStreamIDList(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%s: open: %v", name, err)
-		}
+		scan := openSeek(t, bytes.NewReader(data))
 		if _, err := scan.NextBatch(make([]Entry, 8)); !errors.Is(err, codec.ErrCorrupt) {
 			t.Errorf("%s: NextBatch error %v, want ErrCorrupt", name, err)
 		}
-		seek, err := NewStreamIDList(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%s: open: %v", name, err)
-		}
+		seek := openSeek(t, bytes.NewReader(data))
 		if err := seek.SeekDoc(5); !errors.Is(err, codec.ErrCorrupt) {
 			t.Errorf("%s: SeekDoc error %v, want ErrCorrupt", name, err)
 		}
@@ -539,22 +514,60 @@ func TestBlockHeaderRejectsHostileLengths(t *testing.T) {
 	// A reader that knows its length bounds a super-block by what is left.
 	pool := buffer.MustNew(pagefile.MustNewMem(pagefile.DefaultPageSize), 8)
 	store := blob.NewStore(pool)
-	b := NewBlockIDListBuilder()
+	var es []Entry
 	for d := DocID(1); d <= 300; d++ {
-		if err := b.Add(d * 3); err != nil {
-			t.Fatal(err)
-		}
+		es = append(es, Entry{Doc: d * 3})
 	}
-	data := b.Bytes()
+	data := writeList(t, LayoutID, nil, es)
 	ref, err := store.Put(data[:len(data)-10])
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, err := NewStreamIDList(store.NewReader(ref))
-	if err != nil {
-		t.Fatal(err)
-	}
+	short := openSeek(t, store.NewReader(ref))
 	if err := short.SeekDoc(1 << 40); !errors.Is(err, codec.ErrCorrupt) {
 		t.Errorf("super-block longer than its blob: SeekDoc error %v, want ErrCorrupt", err)
+	}
+}
+
+// TestBlockChunkConjunctionScansLinearly merges two chunk lists opened
+// through Open conjunctively and requires the brute-force intersection and
+// exactly the brute-force scan's count: every position up to the first one
+// past a list's last posting.  A chunk list has no document range in its
+// skip headers, so it must never be leapfrogged; a seek would scan fewer.
+func TestBlockChunkConjunctionScansLinearly(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 20; trial++ {
+		var lists [][]Entry
+		for i := 0; i < 2; i++ {
+			var es []Entry
+			for cid := 30; cid > 0; cid -= 1 + rng.Intn(3) {
+				doc := DocID(rng.Intn(20))
+				for n := rng.Intn(3 * blockCap); n > 0; n-- {
+					es = append(es, Entry{Doc: doc, SortKey: float64(cid)})
+					doc += DocID(1 + rng.Intn(40))
+				}
+			}
+			lists = append(lists, es)
+		}
+		var want []refGroup
+		wantScanned := 0
+		for _, g := range refGroups(lists...) {
+			if slices.ContainsFunc(lists, func(s []Entry) bool {
+				return len(s) == 0 || Less(s[len(s)-1], Entry{SortKey: g.sortKey, Doc: g.doc})
+			}) {
+				break
+			}
+			wantScanned += g.count
+			if g.count == 2 {
+				want = append(want, g)
+			}
+		}
+		m := NewMerge(2, openList(t, writeList(t, LayoutChunk, nil, lists[0]), nil, LayoutChunk),
+			openList(t, writeList(t, LayoutChunkTerm, nil, lists[1]), nil, LayoutChunkTerm))
+		sameGroups(t, "chunk conjunction", drainMerge(t, m), want)
+		if m.Scanned != wantScanned {
+			t.Fatalf("trial %d: scanned %d postings, the brute-force scan %d", trial, m.Scanned, wantScanned)
+		}
+		m.Close()
 	}
 }

@@ -25,16 +25,14 @@ type Entry struct {
 	// the (possibly stale) list score for score-ordered lists, or the chunk
 	// ID for chunk-ordered lists.  ID-ordered lists use 0.
 	SortKey float64
-	// CID is the chunk ID for chunk-ordered lists (0 otherwise).
-	CID int32
 	// TermScore is the stored normalized term weight for TermScore layouts.
 	TermScore float32
 	// Op distinguishes ADD from REM short-list postings.
 	Op Op
 }
 
-// ErrOrder is returned by builders when input postings are not in the
-// required order.
+// ErrOrder is returned by Writer.Add when a posting is not in the list
+// order of the writer's layout.
 var ErrOrder = errors.New("postings: input out of order")
 
 // --- slice iterator ----------------------------------------------------------
@@ -59,10 +57,4 @@ func (it *SliceIterator) NextBatch(buf []Entry) (int, error) {
 	n := copy(buf, it.entries[it.pos:])
 	it.pos += n
 	return n, nil
-}
-
-// ChunkPosting is one posting destined for a chunk.
-type ChunkPosting struct {
-	Doc       DocID
-	TermScore float32
 }

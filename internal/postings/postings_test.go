@@ -2,29 +2,28 @@ package postings
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
-func TestIDListRoundTrip(t *testing.T) {
-	b := NewBlockIDListBuilder()
-	ids := []DocID{1, 5, 6, 100, 10000, 10001}
-	for _, id := range ids {
-		if err := b.Add(id); err != nil {
-			t.Fatalf("Add(%d): %v", id, err)
+// addAll adds es to w in order, stopping at the first error.
+func addAll(w *Writer, es ...Entry) error {
+	for _, e := range es {
+		if err := w.Add(e); err != nil {
+			return err
 		}
 	}
-	if b.Len() != len(ids) {
-		t.Fatalf("Len = %d, want %d", b.Len(), len(ids))
-	}
-	it, err := NewStreamIDList(bytes.NewReader(b.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if it.Len() != len(ids) {
-		t.Errorf("iterator Len = %d, want %d", it.Len(), len(ids))
+	return nil
+}
+
+func TestIDListRoundTrip(t *testing.T) {
+	ids := []DocID{1, 5, 6, 100, 10000, 10001}
+	it := openList(t, writeList(t, LayoutID, nil, idEntries(ids, nil)), nil, LayoutID)
+	if listLen(it) != len(ids) {
+		t.Errorf("iterator Len = %d, want %d", listLen(it), len(ids))
 	}
 	got, err := CollectBatched(it)
 	if err != nil {
@@ -41,34 +40,27 @@ func TestIDListRoundTrip(t *testing.T) {
 }
 
 func TestIDListRejectsOutOfOrder(t *testing.T) {
-	b := NewBlockIDListBuilder()
-	if err := b.Add(10); err != nil {
+	w := NewWriter(LayoutID, nil)
+	if err := w.Add(Entry{Doc: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Add(10); err == nil {
-		t.Error("duplicate doc accepted")
+	if err := w.Add(Entry{Doc: 10}); !errors.Is(err, ErrOrder) {
+		t.Errorf("duplicate doc: %v, want ErrOrder", err)
 	}
-	if err := b.Add(5); err == nil {
-		t.Error("descending doc accepted")
+	if err := w.Add(Entry{Doc: 5}); !errors.Is(err, ErrOrder) {
+		t.Errorf("descending doc: %v, want ErrOrder", err)
 	}
-	if err := b.Add(-1); err == nil {
+	if err := w.Add(Entry{Doc: -1}); err == nil {
 		t.Error("negative doc accepted")
 	}
 }
 
 func TestIDListEmpty(t *testing.T) {
-	b := NewBlockIDListBuilder()
-	it, err := NewStreamIDList(bytes.NewReader(b.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := openList(t, NewWriter(LayoutID, nil).Bytes(), nil, LayoutID)
 	if got, err := CollectBatched(it); err != nil || len(got) != 0 {
 		t.Errorf("empty list yielded %v, %v", got, err)
 	}
-	it2, err := NewStreamIDList(bytes.NewReader(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	it2 := openList(t, nil, nil, LayoutID)
 	if got, err := CollectBatched(it2); err != nil || len(got) != 0 {
 		t.Errorf("nil list yielded %v, %v", got, err)
 	}
@@ -85,13 +77,11 @@ func TestIDListProperty(t *testing.T) {
 			ids = append(ids, id)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		b := NewBlockIDListBuilder()
-		for _, id := range ids {
-			if err := b.Add(id); err != nil {
-				return false
-			}
+		w := NewWriter(LayoutID, nil)
+		if addAll(w, idEntries(ids, nil)...) != nil {
+			return false
 		}
-		it, err := NewStreamIDList(bytes.NewReader(b.Bytes()))
+		it, err := Open(bytes.NewReader(w.Bytes()), nil, LayoutID)
 		if err != nil {
 			return false
 		}
@@ -112,118 +102,84 @@ func TestIDListProperty(t *testing.T) {
 }
 
 func TestScoreListRoundTrip(t *testing.T) {
-	b := NewBlockScoreListBuilder(nil)
-	type p struct {
-		doc   DocID
-		score float64
-	}
-	ps := []p{{7, 990.5}, {2, 500}, {9, 500}, {1, 87.13}, {4, 0}}
-	for _, x := range ps {
-		if err := b.Add(x.doc, x.score); err != nil {
-			t.Fatalf("Add(%v): %v", x, err)
-		}
-	}
-	it, err := NewStreamScoreList(bytes.NewReader(b.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CollectBatched(it)
+	ps := []Entry{{Doc: 7, SortKey: 990.5}, {Doc: 2, SortKey: 500}, {Doc: 9, SortKey: 500}, {Doc: 1, SortKey: 87.13}, {Doc: 4, SortKey: 0}}
+	got, err := CollectBatched(openList(t, writeList(t, LayoutScore, nil, ps), nil, LayoutScore))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, x := range ps {
-		if got[i].Doc != x.doc || got[i].SortKey != x.score {
-			t.Errorf("posting %d = (%d, %g), want (%d, %g)", i, got[i].Doc, got[i].SortKey, x.doc, x.score)
+		if got[i].Doc != x.Doc || got[i].SortKey != x.SortKey {
+			t.Errorf("posting %d = (%d, %g), want (%d, %g)", i, got[i].Doc, got[i].SortKey, x.Doc, x.SortKey)
 		}
 	}
 }
 
 func TestScoreListRejectsOrderViolations(t *testing.T) {
-	b := NewBlockScoreListBuilder(nil)
-	if err := b.Add(3, 100); err != nil {
+	w := NewWriter(LayoutScore, nil)
+	if err := w.Add(Entry{Doc: 3, SortKey: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Add(4, 200); err == nil {
-		t.Error("ascending score accepted")
+	if err := w.Add(Entry{Doc: 4, SortKey: 200}); !errors.Is(err, ErrOrder) {
+		t.Errorf("ascending score: %v, want ErrOrder", err)
 	}
-	if err := b.Add(3, 100); err == nil {
-		t.Error("duplicate (doc, score) accepted")
+	if err := w.Add(Entry{Doc: 3, SortKey: 100}); !errors.Is(err, ErrOrder) {
+		t.Errorf("duplicate (doc, score): %v, want ErrOrder", err)
 	}
-	if err := b.Add(2, 100); err == nil {
-		t.Error("same score with descending doc accepted")
+	if err := w.Add(Entry{Doc: 2, SortKey: 100}); !errors.Is(err, ErrOrder) {
+		t.Errorf("same score with descending doc: %v, want ErrOrder", err)
 	}
 }
 
 func TestChunkedListRoundTrip(t *testing.T) {
-	b := NewBlockChunkedListBuilder(false)
-	if err := b.AddChunk(5, []ChunkPosting{{Doc: 2}, {Doc: 9}, {Doc: 40}}); err != nil {
-		t.Fatal(err)
+	in := []Entry{
+		{Doc: 2, SortKey: 5}, {Doc: 9, SortKey: 5}, {Doc: 40, SortKey: 5},
+		{Doc: 1, SortKey: 3}, {Doc: 2, SortKey: 3},
+		{Doc: 7, SortKey: 1},
 	}
-	if err := b.AddChunk(4, nil); err != nil {
-		t.Fatal(err) // empty chunk is skipped
+	data := writeList(t, LayoutChunk, nil, in)
+	if got := blobChunks(t, data); got != 3 {
+		t.Errorf("header records %d chunks, want 3", got)
 	}
-	if err := b.AddChunk(3, []ChunkPosting{{Doc: 1}, {Doc: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddChunk(1, []ChunkPosting{{Doc: 7}}); err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 6 || b.Chunks() != 3 {
-		t.Fatalf("Len=%d Chunks=%d, want 6 and 3", b.Len(), b.Chunks())
-	}
-	it, err := NewStreamChunkedList(bytes.NewReader(b.Bytes()))
+	got, err := CollectBatched(openList(t, data, nil, LayoutChunk))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if it.NumChunks() != 3 {
-		t.Errorf("NumChunks = %d, want 3", it.NumChunks())
-	}
-	got, err := CollectBatched(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDocs := []DocID{2, 9, 40, 1, 2, 7}
-	wantCIDs := []int32{5, 5, 5, 3, 3, 1}
-	if len(got) != len(wantDocs) {
-		t.Fatalf("decoded %d postings, want %d", len(got), len(wantDocs))
+	if len(got) != len(in) {
+		t.Fatalf("decoded %d postings, want %d", len(got), len(in))
 	}
 	for i := range got {
-		if got[i].Doc != wantDocs[i] || got[i].CID != wantCIDs[i] {
-			t.Errorf("posting %d = (doc %d, cid %d), want (doc %d, cid %d)",
-				i, got[i].Doc, got[i].CID, wantDocs[i], wantCIDs[i])
-		}
-		if got[i].SortKey != float64(wantCIDs[i]) {
-			t.Errorf("posting %d sort key %g, want %d", i, got[i].SortKey, wantCIDs[i])
+		if got[i].Doc != in[i].Doc || got[i].SortKey != in[i].SortKey {
+			t.Errorf("posting %d = (doc %d, chunk %g), want (doc %d, chunk %g)",
+				i, got[i].Doc, got[i].SortKey, in[i].Doc, in[i].SortKey)
 		}
 	}
 }
 
 func TestChunkedListRejectsOrderViolations(t *testing.T) {
-	b := NewBlockChunkedListBuilder(false)
-	if err := b.AddChunk(3, []ChunkPosting{{Doc: 5}}); err != nil {
+	w := NewWriter(LayoutChunk, nil)
+	if err := addAll(w, Entry{Doc: 5, SortKey: 3}, Entry{Doc: 6, SortKey: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddChunk(3, []ChunkPosting{{Doc: 6}}); err == nil {
-		t.Error("repeated chunk ID accepted")
+	if err := w.Add(Entry{Doc: 7, SortKey: 3}); !errors.Is(err, ErrOrder) {
+		t.Errorf("repeated chunk ID: %v, want ErrOrder", err)
 	}
-	if err := b.AddChunk(4, []ChunkPosting{{Doc: 6}}); err == nil {
-		t.Error("ascending chunk ID accepted")
+	if err := w.Add(Entry{Doc: 7, SortKey: 4}); !errors.Is(err, ErrOrder) {
+		t.Errorf("ascending chunk ID: %v, want ErrOrder", err)
 	}
-	if err := b.AddChunk(2, []ChunkPosting{{Doc: 6}, {Doc: 6}}); err == nil {
-		t.Error("duplicate doc within chunk accepted")
+	if err := w.Add(Entry{Doc: 6, SortKey: 2}); !errors.Is(err, ErrOrder) {
+		t.Errorf("duplicate doc within chunk: %v, want ErrOrder", err)
+	}
+	if err := w.Add(Entry{Doc: 7, SortKey: 1.5}); err == nil || errors.Is(err, ErrOrder) {
+		t.Errorf("fractional chunk ID: %v, want a refusal", err)
+	}
+	if w.Len() != 2 || w.RawBytes() != 2*8+2*4 {
+		t.Errorf("refused postings counted: Len %d, RawBytes %d", w.Len(), w.RawBytes())
 	}
 }
 
 func TestChunkedTermListCarriesScores(t *testing.T) {
-	b := NewBlockChunkedListBuilder(true)
-	if err := b.AddChunk(2, []ChunkPosting{{Doc: 1, TermScore: 0.5}, {Doc: 3, TermScore: 0.25}}); err != nil {
-		t.Fatal(err)
-	}
-	it, err := NewStreamChunkedList(bytes.NewReader(b.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CollectBatched(it)
+	data := writeList(t, LayoutChunkTerm, nil, []Entry{{Doc: 1, SortKey: 2, TermScore: 0.5}, {Doc: 3, SortKey: 2, TermScore: 0.25}})
+	got, err := CollectBatched(openList(t, data, nil, LayoutChunkTerm))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,21 +189,14 @@ func TestChunkedTermListCarriesScores(t *testing.T) {
 }
 
 func TestIDTermListRoundTrip(t *testing.T) {
-	b := NewBlockIDTermListBuilder()
-	if err := b.Add(3, 0.75); err != nil {
+	w := NewWriter(LayoutIDTerm, nil)
+	if err := addAll(w, Entry{Doc: 3, TermScore: 0.75}, Entry{Doc: 8, TermScore: 0.125}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Add(8, 0.125); err != nil {
-		t.Fatal(err)
+	if err := w.Add(Entry{Doc: 8, TermScore: 0.5}); !errors.Is(err, ErrOrder) {
+		t.Errorf("duplicate doc: %v, want ErrOrder", err)
 	}
-	if err := b.Add(8, 0.5); err == nil {
-		t.Error("duplicate doc accepted")
-	}
-	it, err := NewStreamIDTermList(bytes.NewReader(b.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CollectBatched(it)
+	got, err := CollectBatched(openList(t, w.Bytes(), nil, LayoutIDTerm))
 	if err != nil {
 		t.Fatal(err)
 	}

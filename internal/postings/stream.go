@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"svrdb/internal/codec"
 )
@@ -16,10 +17,10 @@ import (
 // actually consumed, which is exactly the effect the Chunk and
 // Score-Threshold methods rely on for their query-time advantage.
 //
-// Every long list is a posting-block blob (block.go); the four stream types
-// differ only in which layouts they accept and which seek they offer.  The
-// decode logic lives in blockList, which decodes a whole block of postings
-// per call directly out of the buffered page bytes.
+// Every long list is a posting-block blob (block.go), opened by Open; the
+// layouts differ only in their block bodies and in which of them can seek.
+// The decode logic lives in blockList, which decodes a whole block of
+// postings per call directly out of the buffered page bytes.
 
 // streamBlockSize is the block buffer size; one on-disk page.
 const streamBlockSize = 4096
@@ -212,122 +213,31 @@ func (b *blockReader) skip(n int) error {
 	return nil
 }
 
-// openBlockList reads the blob header from r and returns the decoder, after
-// checking that the blob is of one of the layouts the caller decodes.  An
-// empty reader is an empty list.
-func openBlockList(r io.Reader, dir []float64, what string, layouts ...byte) (*blockList, error) {
+// Open reads the blob header from r and returns the list's decoder, after
+// checking that the blob is of one of layouts: a blob of another layout is
+// refused with codec.ErrCorrupt.  dir is the score directory a LayoutScore
+// list was written with (see BuildScoreDir); the other layouts ignore it.
+// An empty reader is an empty list.  An ID-layout list also has SeekDoc,
+// which a conjunctive Merge leapfrogs with; the other layouts' skip headers
+// carry no document range to seek by.
+func Open(r io.Reader, dir []float64, layouts ...Layout) (BatchIterator, error) {
 	d, err := newBlockList(newBlockReader(r), dir)
 	if err != nil {
-		return nil, fmt.Errorf("postings: stream %s list header: %w", what, err)
+		return nil, fmt.Errorf("postings: open list header: %w", err)
 	}
-	if d.layout == 0 {
+	switch {
+	case d.layout == 0:
 		return d, nil
+	case !slices.Contains(layouts, d.layout):
+		return nil, fmt.Errorf("postings: open list: %w: unexpected block layout %d", codec.ErrCorrupt, d.layout)
+	case d.layout == LayoutID || d.layout == LayoutIDTerm:
+		return idList{d}, nil
 	}
-	for _, l := range layouts {
-		if d.layout == l {
-			return d, nil
-		}
-	}
-	return nil, fmt.Errorf("postings: stream %s list: %w: unexpected block layout %d", what, codec.ErrCorrupt, d.layout)
+	return d, nil
 }
 
-// --- streaming ID list ---------------------------------------------------------
-
-// StreamIDList decodes a BlockIDListBuilder blob lazily from r.
-type StreamIDList struct{ list *blockList }
-
-// NewStreamIDList reads the header and returns a lazy iterator.  An empty
-// reader yields an empty list.
-func NewStreamIDList(r io.Reader) (*StreamIDList, error) {
-	d, err := openBlockList(r, nil, "id", layoutID)
-	if err != nil {
-		return nil, err
-	}
-	return &StreamIDList{list: d}, nil
+// NewStreamChunkedList opens a list of either chunk layout: Open for
+// LayoutChunk and LayoutChunkTerm, kept for benchmark/trace.go.
+func NewStreamChunkedList(r io.Reader) (BatchIterator, error) {
+	return Open(r, nil, LayoutChunk, LayoutChunkTerm)
 }
-
-// Len reports the total number of postings in the list.
-func (s *StreamIDList) Len() int { return s.list.count }
-
-// SeekDoc positions the iterator so the next entry returned is the first
-// with Doc >= doc, skipping whole posting blocks — without decoding them
-// or faulting in their pages — via the per-block skip headers.
-func (s *StreamIDList) SeekDoc(doc DocID) error { return s.list.seekDoc(doc) }
-
-// NextBatch implements BatchIterator.
-func (s *StreamIDList) NextBatch(out []Entry) (int, error) { return s.list.NextBatch(out) }
-
-// --- streaming score list ------------------------------------------------------
-
-// StreamScoreList decodes a BlockScoreListBuilder blob lazily from r.
-type StreamScoreList struct{ list *blockList }
-
-// NewStreamScoreList reads the header and returns a lazy iterator.  It is
-// NewStreamScoreListDir without a score directory: blobs that encode ranks
-// require the directory the encoder used.
-func NewStreamScoreList(r io.Reader) (*StreamScoreList, error) {
-	return NewStreamScoreListDir(r, nil)
-}
-
-// NewStreamScoreListDir reads the header and returns a lazy iterator that
-// resolves score ranks through dir (see BuildScoreDir); dir must be the
-// directory the list was encoded with.
-func NewStreamScoreListDir(r io.Reader, dir []float64) (*StreamScoreList, error) {
-	d, err := openBlockList(r, dir, "score", layoutScore)
-	if err != nil {
-		return nil, err
-	}
-	return &StreamScoreList{list: d}, nil
-}
-
-// Len reports the total number of postings.
-func (s *StreamScoreList) Len() int { return s.list.count }
-
-// NextBatch implements BatchIterator.
-func (s *StreamScoreList) NextBatch(out []Entry) (int, error) { return s.list.NextBatch(out) }
-
-// --- streaming chunked list ----------------------------------------------------
-
-// StreamChunkedList decodes a BlockChunkedListBuilder blob, with or without
-// term weights, lazily from r.
-type StreamChunkedList struct{ list *blockList }
-
-// NewStreamChunkedList reads the header and returns a lazy iterator.
-func NewStreamChunkedList(r io.Reader) (*StreamChunkedList, error) {
-	d, err := openBlockList(r, nil, "chunked", layoutChunk, layoutChunkTerm)
-	if err != nil {
-		return nil, err
-	}
-	return &StreamChunkedList{list: d}, nil
-}
-
-// Len reports the total number of postings; NumChunks the number of chunks.
-func (s *StreamChunkedList) Len() int       { return s.list.count }
-func (s *StreamChunkedList) NumChunks() int { return s.list.chunks }
-
-// NextBatch implements BatchIterator.
-func (s *StreamChunkedList) NextBatch(out []Entry) (int, error) { return s.list.NextBatch(out) }
-
-// --- streaming ID+term list ----------------------------------------------------
-
-// StreamIDTermList decodes a BlockIDTermListBuilder blob lazily from r.
-type StreamIDTermList struct{ list *blockList }
-
-// NewStreamIDTermList reads the header and returns a lazy iterator.
-func NewStreamIDTermList(r io.Reader) (*StreamIDTermList, error) {
-	d, err := openBlockList(r, nil, "id+term", layoutIDTerm)
-	if err != nil {
-		return nil, err
-	}
-	return &StreamIDTermList{list: d}, nil
-}
-
-// Len reports the total number of postings.
-func (s *StreamIDTermList) Len() int { return s.list.count }
-
-// SeekDoc positions the iterator so the next entry returned is the first
-// with Doc >= doc, skipping whole posting blocks via the skip headers.
-func (s *StreamIDTermList) SeekDoc(doc DocID) error { return s.list.seekDoc(doc) }
-
-// NextBatch implements BatchIterator.
-func (s *StreamIDTermList) NextBatch(out []Entry) (int, error) { return s.list.NextBatch(out) }

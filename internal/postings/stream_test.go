@@ -13,139 +13,100 @@ import (
 // from: the decoding must agree with it posting for posting.
 
 func TestStreamIDListMatchesSliceDecoder(t *testing.T) {
-	b := NewBlockIDListBuilder()
 	rng := rand.New(rand.NewSource(1))
 	var want []Entry
 	doc := DocID(0)
 	for i := 0; i < 5000; i++ {
 		doc += DocID(rng.Intn(50) + 1)
-		if err := b.Add(doc); err != nil {
-			t.Fatal(err)
-		}
 		want = append(want, Entry{Doc: doc})
 	}
-	streamIt, err := NewStreamIDList(bytes.NewReader(b.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamIt.Len() != len(want) {
-		t.Fatalf("stream Len = %d, want %d", streamIt.Len(), len(want))
+	streamIt := openList(t, writeList(t, LayoutID, nil, want), nil, LayoutID)
+	if listLen(streamIt) != len(want) {
+		t.Fatalf("stream Len = %d, want %d", listLen(streamIt), len(want))
 	}
 	requireSameEntries(t, want, collectAll(t, streamIt), "id list")
 }
 
 func TestStreamScoreListMatchesSliceDecoder(t *testing.T) {
-	b := NewBlockScoreListBuilder(nil)
 	rng := rand.New(rand.NewSource(2))
 	var want []Entry
 	score := 1e9
 	for i := 0; i < 3000; i++ {
 		score -= rng.Float64() * 100
-		if err := b.Add(DocID(i), score); err != nil {
-			t.Fatal(err)
-		}
 		want = append(want, Entry{Doc: DocID(i), SortKey: score})
 	}
-	streamIt, err := NewStreamScoreList(bytes.NewReader(b.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	streamIt := openList(t, writeList(t, LayoutScore, nil, want), nil, LayoutScore)
 	requireSameEntries(t, want, collectAll(t, streamIt), "score list")
 }
 
 func TestStreamChunkedListMatchesSliceDecoder(t *testing.T) {
 	for _, withTerm := range []bool{false, true} {
-		b := NewBlockChunkedListBuilder(withTerm)
 		rng := rand.New(rand.NewSource(3))
-		var chunks []testChunk
+		var want []Entry
+		chunks := 0
 		for cid := int32(40); cid >= 1; cid -= int32(rng.Intn(3) + 1) {
-			var posts []ChunkPosting
 			doc := DocID(0)
-			for i := 0; i < rng.Intn(100); i++ {
+			n := rng.Intn(100)
+			for i := 0; i < n; i++ {
 				doc += DocID(rng.Intn(20) + 1)
-				p := ChunkPosting{Doc: doc}
+				e := Entry{Doc: doc, SortKey: float64(cid)}
 				if withTerm {
-					p.TermScore = rng.Float32()
+					e.TermScore = rng.Float32()
 				}
-				posts = append(posts, p)
+				want = append(want, e)
 			}
-			if err := b.AddChunk(cid, posts); err != nil {
-				t.Fatal(err)
-			}
-			if len(posts) > 0 {
-				chunks = append(chunks, testChunk{cid: cid, posts: posts})
+			if n > 0 {
+				chunks++
 			}
 		}
-		want := chunkEntries(chunks)
-		streamIt, err := NewStreamChunkedList(bytes.NewReader(b.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if streamIt.NumChunks() != len(chunks) || streamIt.Len() != len(want) {
-			t.Fatalf("header (%d,%d), want (%d,%d)", streamIt.Len(), streamIt.NumChunks(), len(want), len(chunks))
+		data := writeList(t, chunkLayout(withTerm), nil, want)
+		streamIt := openList(t, data, nil, chunkLayout(withTerm))
+		if blobChunks(t, data) != chunks || listLen(streamIt) != len(want) {
+			t.Fatalf("header (%d,%d), want (%d,%d)", listLen(streamIt), blobChunks(t, data), len(want), chunks)
 		}
 		requireSameEntries(t, want, collectAll(t, streamIt), "chunked list")
 	}
 }
 
 func TestStreamIDTermListMatchesSliceDecoder(t *testing.T) {
-	b := NewBlockIDTermListBuilder()
 	rng := rand.New(rand.NewSource(4))
 	var want []Entry
 	doc := DocID(0)
 	for i := 0; i < 2000; i++ {
 		doc += DocID(rng.Intn(9) + 1)
-		w := rng.Float32()
-		if err := b.Add(doc, w); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, Entry{Doc: doc, TermScore: w})
+		want = append(want, Entry{Doc: doc, TermScore: rng.Float32()})
 	}
-	streamIt, err := NewStreamIDTermList(bytes.NewReader(b.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	streamIt := openList(t, writeList(t, LayoutIDTerm, nil, want), nil, LayoutIDTerm)
 	requireSameEntries(t, want, collectAll(t, streamIt), "id+term list")
 }
 
-// streamKind is one stream constructor with its seek behind one signature.
-// Only the ID layouts seek: the others return a nil seek and sought.
+// streamKind is one way to open a list: the layouts it accepts and the
+// score directory it resolves ranks through.
 type streamKind struct {
-	name string
-	open func(data []byte) (BatchIterator, int, func(target int64) error, error)
-	// sought reports whether e may be the first entry after a seek to target.
-	sought func(e Entry, target int64) bool
+	name    string
+	layouts []Layout
+	dir     []float64
 }
 
 var streamKinds = []streamKind{
-	{"id", func(d []byte) (BatchIterator, int, func(int64) error, error) {
-		s, err := NewStreamIDList(bytes.NewReader(d))
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		return s, s.Len(), func(t int64) error { return s.SeekDoc(DocID(t)) }, nil
-	}, func(e Entry, t int64) bool { return e.Doc >= DocID(t) }},
-	{"id+term", func(d []byte) (BatchIterator, int, func(int64) error, error) {
-		s, err := NewStreamIDTermList(bytes.NewReader(d))
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		return s, s.Len(), func(t int64) error { return s.SeekDoc(DocID(t)) }, nil
-	}, func(e Entry, t int64) bool { return e.Doc >= DocID(t) }},
-	{"score", func(d []byte) (BatchIterator, int, func(int64) error, error) {
-		s, err := NewStreamScoreListDir(bytes.NewReader(d), fuzzScoreDir)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		return s, s.Len(), nil, nil
-	}, nil},
-	{"chunked", func(d []byte) (BatchIterator, int, func(int64) error, error) {
-		s, err := NewStreamChunkedList(bytes.NewReader(d))
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		return s, s.Len(), nil, nil
-	}, nil},
+	{"id", []Layout{LayoutID}, nil},
+	{"id+term", []Layout{LayoutIDTerm}, nil},
+	{"score", []Layout{LayoutScore}, fuzzScoreDir},
+	{"chunked", []Layout{LayoutChunk, LayoutChunkTerm}, nil},
+}
+
+// open opens data as k, reporting the posting count its header records and,
+// when the list can seek (the ID layouts), its SeekDoc.
+func (k streamKind) open(data []byte) (BatchIterator, int, func(DocID) error, error) {
+	it, err := Open(bytes.NewReader(data), k.dir, k.layouts...)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	var seek func(DocID) error
+	if s, ok := it.(idList); ok {
+		seek = s.SeekDoc
+	}
+	return it, listLen(it), seek, nil
 }
 
 func TestStreamDecodersOnEmptyInput(t *testing.T) {
@@ -161,14 +122,12 @@ func TestStreamDecodersOnEmptyInput(t *testing.T) {
 }
 
 func TestStreamDecodersOnTruncatedInput(t *testing.T) {
-	b := NewBlockScoreListBuilder(nil)
+	var es []Entry
 	for i := 0; i < 100; i++ {
-		if err := b.Add(DocID(i), float64(1000-i)); err != nil {
-			t.Fatal(err)
-		}
+		es = append(es, Entry{Doc: DocID(i), SortKey: float64(1000 - i)})
 	}
-	data := b.Bytes()
-	it, err := NewStreamScoreList(bytes.NewReader(data[:len(data)/2]))
+	data := writeList(t, LayoutScore, nil, es)
+	it, err := Open(bytes.NewReader(data[:len(data)/2]), nil, LayoutScore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,16 +141,16 @@ func TestStreamDecodersOnTruncatedInput(t *testing.T) {
 // an unknown version, and each valid layout under every other constructor.
 func TestStreamDecodersRefuseForeignBlobs(t *testing.T) {
 	valid := map[string][]byte{
-		"id":      NewBlockIDListBuilder().Bytes(),
-		"score":   NewBlockScoreListBuilder(nil).Bytes(),
-		"chunked": NewBlockChunkedListBuilder(true).Bytes(),
-		"id+term": NewBlockIDTermListBuilder().Bytes(),
+		"id":      NewWriter(LayoutID, nil).Bytes(),
+		"score":   NewWriter(LayoutScore, nil).Bytes(),
+		"chunked": NewWriter(LayoutChunkTerm, nil).Bytes(),
+		"id+term": NewWriter(LayoutIDTerm, nil).Bytes(),
 	}
 	for _, o := range streamKinds {
 		for name, data := range map[string][]byte{
 			"no magic":        {0x05, 0x01, 0x02, 0x03, 0x04, 0x05},
 			"bare magic":      {blockMagic},
-			"unknown version": {blockMagic, 0xf0 | layoutID, 0x00},
+			"unknown version": {blockMagic, 0xf0 | byte(LayoutID), 0x00},
 			"unknown layout":  {blockMagic, blockVersion<<4 | 0x0f, 0x00},
 		} {
 			if _, _, _, err := o.open(data); !errors.Is(err, codec.ErrCorrupt) {
