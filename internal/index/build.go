@@ -145,31 +145,56 @@ func (b *base) populateScoreTable(bc *builtCorpus) error {
 	return b.score.bulkLoad(b.cfg.Pool, items)
 }
 
-// listKeys maps every document to the list key keyOf files its build
-// score under.
-func (bc *builtCorpus) listKeys(keyOf func(float64) float64) map[DocID]float64 {
-	keys := make(map[DocID]float64, len(bc.docs))
-	for _, doc := range bc.docs {
-		keys[doc] = keyOf(bc.docScores[doc])
-	}
-	return keys
+// listRanks is a build's list order: every document's rank in (list key
+// desc, doc asc) order, the key at each rank, and the scratch listEntries
+// sorts a term's postings in.
+type listRanks struct {
+	rank  map[DocID]uint32
+	keys  []float64
+	order []uint64
 }
 
-// listEntries appends a term's postings to dst in list order, (keys[doc]
-// desc, doc asc): the order of every long list and of the Score method's
-// clustered lists.  A nil keys is the ID family's document order.
-func (bc *builtCorpus) listEntries(dst []postings.Entry, term string, keys map[DocID]float64) []postings.Entry {
-	start := len(dst)
-	for _, dw := range bc.termDocs[term] {
-		dst = append(dst, postings.Entry{Doc: dw.doc, SortKey: keys[dw.doc], TermScore: dw.w})
+// listRanks ranks every document by the list key keyOf files its build
+// score under.
+func (bc *builtCorpus) listRanks(keyOf func(float64) float64) *listRanks {
+	docs := make([]postings.Entry, len(bc.docs))
+	for i, doc := range bc.docs {
+		docs[i] = postings.Entry{Doc: doc, SortKey: keyOf(bc.docScores[doc])}
 	}
-	if keys != nil {
-		slices.SortFunc(dst[start:], func(a, b postings.Entry) int {
-			if c := cmp.Compare(b.SortKey, a.SortKey); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.Doc, b.Doc)
-		})
+	slices.SortFunc(docs, func(a, b postings.Entry) int {
+		if c := cmp.Compare(b.SortKey, a.SortKey); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Doc, b.Doc)
+	})
+	r := &listRanks{rank: make(map[DocID]uint32, len(docs)), keys: make([]float64, len(docs))}
+	for i, e := range docs {
+		r.rank[e.Doc], r.keys[i] = uint32(i), e.SortKey
+	}
+	return r
+}
+
+// listEntries appends a term's postings to dst in list order, (key desc,
+// doc asc) under r: the order of every long list and of the Score method's
+// clustered lists.  A nil r is the ID family's document order, which
+// termDocs already has.  The postings sort as (rank, index) integers, so
+// the per-term sort compares machine words.
+func (bc *builtCorpus) listEntries(dst []postings.Entry, term string, r *listRanks) []postings.Entry {
+	ds := bc.termDocs[term]
+	if r == nil {
+		for _, dw := range ds {
+			dst = append(dst, postings.Entry{Doc: dw.doc, TermScore: dw.w})
+		}
+		return dst
+	}
+	r.order = r.order[:0]
+	for i, dw := range ds {
+		r.order = append(r.order, uint64(r.rank[dw.doc])<<32|uint64(i))
+	}
+	slices.Sort(r.order)
+	for _, o := range r.order {
+		dw := ds[uint32(o)]
+		dst = append(dst, postings.Entry{Doc: dw.doc, SortKey: r.keys[o>>32], TermScore: dw.w})
 	}
 	return dst
 }
@@ -189,17 +214,16 @@ func (b *base) buildLists(bc *builtCorpus) error {
 		fancyRefs = make(map[string]blob.Ref, len(bc.termDocs))
 		fancyMinW = make(map[string]float32, len(bc.termDocs))
 	}
-	// termDocs is in document order already, the ID family's list order.
-	var keys map[DocID]float64
+	var ranks *listRanks
 	if b.kind.layout != postings.LayoutID && b.kind.layout != postings.LayoutIDTerm {
-		keys = bc.listKeys(b.keyOf)
+		ranks = bc.listRanks(b.keyOf)
 	}
 	packer := b.store.NewPacker()
 	w := postings.NewWriter(b.kind.layout, b.scoreDir)
 	fw := postings.NewWriter(postings.LayoutIDTerm, nil)
 	var entries []postings.Entry
 	for _, term := range bc.terms() {
-		entries = bc.listEntries(entries[:0], term, keys)
+		entries = bc.listEntries(entries[:0], term, ranks)
 		w.Reset()
 		for _, e := range entries {
 			if err := w.Add(e); err != nil {

@@ -38,9 +38,10 @@ func newScoreMethod(b *base) kindMethod {
 // and no per-posting descent is paid.
 func (m *scoreMethod) buildLists(bc *builtCorpus) error {
 	var items []btree.Item
+	ranks := bc.listRanks(m.keyOf)
 	var entries []postings.Entry
 	for _, term := range bc.terms() {
-		entries = bc.listEntries(entries[:0], term, bc.docScores)
+		entries = bc.listEntries(entries[:0], term, ranks)
 		for _, e := range entries {
 			items = append(items, btree.Item{
 				Key:   keyedListKey(term, e.SortKey, e.Doc),
