@@ -24,9 +24,9 @@ import (
 var ErrClosed = errors.New("engine is closed")
 
 // ErrInvalidRequest is wrapped into request-validation failures in Search
-// (non-positive k, a query with no indexable terms) so callers — the HTTP
-// layer in particular — can distinguish a caller mistake from an engine
-// fault.
+// (non-positive k, a query with no indexable terms, and every query the
+// index rejects with index.ErrInvalidQuery) so callers — the HTTP layer in
+// particular — can distinguish a caller mistake from an engine fault.
 var ErrInvalidRequest = errors.New("invalid search request")
 
 // ErrQuotaExceeded is wrapped into the rejection a tenant's batch gets when
@@ -1026,6 +1026,11 @@ func (ti *TextIndex) Search(req SearchRequest) (*SearchResult, error) {
 		WithTermScores: req.WithTermScores,
 		Global:         req.Global,
 	})
+	if errors.Is(err, index.ErrInvalidQuery) {
+		// The request is at fault, not the index: a 400, and no shard of a
+		// cluster is taken for down over it.
+		err = fmt.Errorf("core: %w: %w", ErrInvalidRequest, err)
+	}
 	if err != nil {
 		return nil, err
 	}

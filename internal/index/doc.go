@@ -1,12 +1,12 @@
 // Package index implements the paper's family of inverted-list index
-// structures and their query and update algorithms.  The six kinds are three
-// method types over one shared base (kinds.go is the registry):
+// structures and their query and update algorithms.  The six kinds are one
+// shared base and two method types over it (kinds.go is the registry):
 //
-//   - idMethod — ID (§4.2.1) and ID-TermScore (§5.2): ID-ordered long lists,
-//     the latter with per-posting term weights.  A score update writes the
-//     Score table only; queries scan every list end to end (a conjunction
-//     leapfrogs the lists of its terms with no short-list postings) and look
-//     up every candidate's score.
+//   - base itself — ID (§4.2.1) and ID-TermScore (§5.2): ID-ordered long
+//     lists, the latter with per-posting term weights.  A score update writes
+//     the Score table only; queries scan every list end to end (a
+//     conjunction leapfrogs the lists of its terms with no short-list
+//     postings) and look up every candidate's score.
 //   - scoreMethod — Score (§4.2.2): score-ordered clustered B+-tree lists,
 //     every posting of a document moved on every score update; queries read
 //     an exact prefix.
@@ -16,6 +16,14 @@
 //     (§4.3.2; list key = chunk ID, threshold c+1) and Chunk-TermScore
 //     (§4.3.3; the Chunk order with per-posting term weights and per-term
 //     fancy lists, Algorithm 3 for combined SVR + term-score queries).
+//
+// Every query runs through one TopK, on base: it validates the query (its
+// rejections wrap ErrInvalidQuery), pins the published snapshot, and asks
+// the kind's plan for the streams, the stopping rule and the candidate
+// resolver — the only parts of the paper's query algorithms that vary per
+// kind — which one scan loop (runRanked, the package's one merge loop)
+// runs.  Algorithm 3 is two runs of that loop: a fancy-list scan that seeds
+// the heap and the remainList, then the chunk scan.
 //
 // What the kinds share is written once on base: the Score table (the
 // paper's materialized Score view, §3.2 — the engine's view layer evaluates

@@ -2,8 +2,9 @@ package index
 
 import "svrdb/internal/postings"
 
-// idMethod implements the ID method of §4.2.1 and, when built with term
-// scores, the ID-TermScore baseline of §5.2.
+// The ID family — the ID method of §4.2.1 and, built with term scores, the
+// ID-TermScore baseline of §5.2 — is base itself, with no method type of
+// its own.
 //
 // The long inverted list of each term holds the IDs of the documents
 // containing it in ascending ID order (d-gap compressed), so a score update
@@ -21,13 +22,28 @@ import "svrdb/internal/postings"
 // ID-ordered short list through the maintenance paths every kind shares
 // (Appendix A), filed under the constant key 0; score updates never touch
 // it.
-type idMethod struct {
-	*base
+
+// idFamily attaches a base of the ID family: its postings file under the
+// constant key 0.
+func idFamily(b *base) kindMethod {
+	b.keyOf = func(float64) float64 { return 0 }
+	return b
 }
 
-func newIDMethod(b *base) kindMethod {
-	b.keyOf = func(float64) float64 { return 0 }
-	return &idMethod{base: b}
+// plan implements kindMethod for the ID family: every term's stream, no
+// stopping rule (no bound exists on unseen documents, so the whole list is
+// scanned) and the current-score lookup.  Only a combined query reads the
+// per-term IDFs, so only a combined query computes them.
+func (b *base) plan(ctx *queryCtx) (rankedQuery, error) {
+	if err := b.termStreams(ctx); err != nil {
+		return rankedQuery{}, err
+	}
+	if ctx.query.WithTermScores {
+		for i := range ctx.query.Terms {
+			ctx.idfs = append(ctx.idfs, ctx.snap.queryIDF(&ctx.query, i))
+		}
+	}
+	return rankedQuery{need: ctx.need(), resolve: resolveCurrent}, nil
 }
 
 // resolveCurrent is the ID family's candidate resolver: the current-score
@@ -41,38 +57,4 @@ func resolveCurrent(ctx *queryCtx, g *postings.Group) (float64, bool, error) {
 		return 0, false, err
 	}
 	return ctx.offer(g, svr), true, nil
-}
-
-// TopK implements Method.
-func (m *idMethod) TopK(q Query) (*QueryResult, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if q.WithTermScores && !m.termScores() {
-		return nil, ErrTermScoresUnsupported
-	}
-
-	s, guard, err := m.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer guard.Leave()
-
-	ctx := newQueryCtx(s, &q)
-	defer ctx.release()
-
-	for i, term := range q.Terms {
-		st, err := m.termStream(s, term)
-		if err != nil {
-			return nil, err
-		}
-		ctx.streams = append(ctx.streams, st)
-		ctx.idfs = append(ctx.idfs, s.queryIDF(&q, i))
-	}
-
-	return m.runRanked(ctx, rankedQuery{
-		conjunctive: !q.Disjunctive,
-		maxPossible: neverStop,
-		resolve:     resolveCurrent,
-	})
 }

@@ -63,16 +63,16 @@ type GlobalStats struct {
 	DF []int64
 }
 
-// Validate checks the query shape.
+// Validate checks the query shape.  Its errors wrap ErrInvalidQuery.
 func (q *Query) Validate() error {
 	if len(q.Terms) == 0 {
-		return errors.New("index: query needs at least one term")
+		return fmt.Errorf("%w: no terms", ErrInvalidQuery)
 	}
 	if q.K < 1 {
-		return fmt.Errorf("index: query k = %d must be positive", q.K)
+		return fmt.Errorf("%w: k = %d must be positive", ErrInvalidQuery, q.K)
 	}
 	if q.Global != nil && len(q.Global.DF) != len(q.Terms) {
-		return fmt.Errorf("index: global stats carry %d df entries for %d terms", len(q.Global.DF), len(q.Terms))
+		return fmt.Errorf("%w: global stats carry %d df entries for %d terms", ErrInvalidQuery, len(q.Global.DF), len(q.Terms))
 	}
 	return nil
 }
@@ -93,9 +93,14 @@ type QueryResult struct {
 	Stopped bool
 }
 
+// ErrInvalidQuery is wrapped by every error with which TopK rejects a query
+// before evaluating it: the request is at fault, not the index.
+var ErrInvalidQuery = errors.New("index: invalid query")
+
 // ErrTermScoresUnsupported is returned when a query requests combined
-// SVR+term ranking from a method that does not store term scores.
-var ErrTermScoresUnsupported = errors.New("index: method does not store term scores")
+// SVR+term ranking from a method that does not store term scores.  It
+// wraps ErrInvalidQuery.
+var ErrTermScoresUnsupported = fmt.Errorf("%w: method does not store term scores", ErrInvalidQuery)
 
 // ErrUnknownDocument is returned when an update refers to a document the
 // index has never seen or has deleted, and wrapped (together with the
@@ -179,7 +184,8 @@ type Method interface {
 	// rebuilt from the current collection state and the short lists emptied
 	// (§5.1, Appendix A.3).  It is a no-op for the Score method.
 	MergeShortLists() error
-	// TopK evaluates a keyword query against the latest scores.
+	// TopK evaluates a keyword query against the latest scores.  A query
+	// it rejects without evaluating is an error wrapping ErrInvalidQuery.
 	TopK(q Query) (*QueryResult, error)
 	// TermStats reports the collection statistics TFIDF depends on — the
 	// document count and the document frequency of each given term — from
@@ -320,14 +326,20 @@ type counters struct {
 }
 
 // kindMethod is what a method type adds to the shared base: the algorithms
-// the paper states per method.  Everything else in Method — batches, merge,
-// release, state, stats — is written once on base and reaches these through
-// base.self.  The per-op handlers are what ApplyUpdates dispatches to: base
-// writes each once (maintain.go), and a kind overrides the ones whose paper
-// algorithm differs — the threshold family's Algorithm 1, the Score method's
-// in-place posting moves.  Handlers write into the overlays only.
+// the paper states per method.  Everything else in Method — queries,
+// batches, merge, release, state, stats — is written once on base and
+// reaches these through base.self.  base itself is the ID family's
+// kindMethod; the Score method and the threshold family override what their
+// paper algorithms change.  The per-op handlers are what ApplyUpdates
+// dispatches to: base writes each once (maintain.go), and a kind overrides
+// the ones whose paper algorithm differs — the threshold family's
+// Algorithm 1, the Score method's in-place posting moves.  Handlers write
+// into the overlays only.
 type kindMethod interface {
 	Method
+	// plan opens ctx.streams for the query ctx holds and returns the scan
+	// TopK runs over them: the stopping rule and the candidate resolver.
+	plan(ctx *queryCtx) (rankedQuery, error)
 	// buildLists writes the kind's long lists for the accumulated corpus;
 	// base.build has already loaded the Score table.
 	buildLists(bc *builtCorpus) error

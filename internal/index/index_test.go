@@ -252,14 +252,24 @@ func TestDisjunctiveQuery(t *testing.T) {
 	}
 }
 
+// TestQueryValidation checks that every kind rejects a malformed query with
+// an error wrapping ErrInvalidQuery, the one sentinel the engine maps to a
+// client error.
 func TestQueryValidation(t *testing.T) {
-	corpus := smallCorpus()
-	m := buildMethod(t, "Chunk", allConstructors()["Chunk"], corpus)
-	if _, err := m.TopK(Query{Terms: nil, K: 5}); err == nil {
-		t.Error("query with no terms accepted")
-	}
-	if _, err := m.TopK(Query{Terms: []string{"news"}, K: 0}); err == nil {
-		t.Error("query with k=0 accepted")
+	for _, kind := range Kinds() {
+		m := buildMethod(t, kind.Name, allConstructors()[kind.Name], smallCorpus())
+		for _, tc := range []struct {
+			name string
+			q    Query
+		}{
+			{"no terms", Query{Terms: nil, K: 5}},
+			{"k=0", Query{Terms: []string{"news"}, K: 0}},
+			{"global df misaligned", Query{Terms: []string{"golden", "gate"}, K: 5, Global: &GlobalStats{NumDocs: 8, DF: []int64{6}}}},
+		} {
+			if _, err := m.TopK(tc.q); !errors.Is(err, ErrInvalidQuery) {
+				t.Errorf("%s: %s: error = %v, want one wrapping ErrInvalidQuery", kind.Name, tc.name, err)
+			}
+		}
 	}
 }
 
@@ -268,8 +278,9 @@ func TestTermScoresUnsupported(t *testing.T) {
 		ctor := allConstructors()[name]
 		corpus := smallCorpus()
 		m := buildMethod(t, name, ctor, corpus)
-		if _, err := m.TopK(Query{Terms: []string{"news"}, K: 2, WithTermScores: true}); err != ErrTermScoresUnsupported {
-			t.Errorf("%s: term-score query error = %v, want ErrTermScoresUnsupported", name, err)
+		_, err := m.TopK(Query{Terms: []string{"news"}, K: 2, WithTermScores: true})
+		if err != ErrTermScoresUnsupported || !errors.Is(err, ErrInvalidQuery) {
+			t.Errorf("%s: term-score query error = %v, want ErrTermScoresUnsupported, wrapping ErrInvalidQuery", name, err)
 		}
 	}
 }
@@ -547,16 +558,19 @@ func TestScoreLookupsCountProbes(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx := newQueryCtx(s, &q)
-			res, err := tm.topK(ctx, q)
-			listProbes := ctx.list.lookups
+			plan, err := tm.plan(ctx)
+			if err == nil {
+				err = ctx.runRanked(plan)
+			}
+			results, scoreProbes, listProbes := len(ctx.heap.Results()), ctx.score.lookups, ctx.list.lookups
 			ctx.release()
 			guard.Leave()
 			if err != nil {
 				t.Fatalf("%s: k=%d: %v", name, leg.k, err)
 			}
-			if len(res.Results) != leg.k || res.ScoreLookups != leg.scoreProbes || listProbes != leg.listProbes {
+			if results != leg.k || scoreProbes != leg.scoreProbes || listProbes != leg.listProbes {
 				t.Errorf("%s: k=%d: %d results, %d Score and %d ListChunk probes, want %d, %d and %d",
-					name, leg.k, len(res.Results), res.ScoreLookups, listProbes, leg.k, leg.scoreProbes, leg.listProbes)
+					name, leg.k, results, scoreProbes, listProbes, leg.k, leg.scoreProbes, leg.listProbes)
 			}
 		}
 	}

@@ -7,10 +7,10 @@ import (
 )
 
 // Kind is one entry of the method registry, the single place a method kind
-// is mapped to its implementation.  Three method types cover the six kinds:
-// idMethod (ID, ID-TermScore), scoreMethod (Score) and thresholdMethod
-// (Score-Threshold, Chunk, Chunk-TermScore — one Algorithm 1 and one
-// Algorithm 2 over a per-kind listOrder).
+// is mapped to its implementation.  The ID family (ID, ID-TermScore) is base
+// itself; two method types over base cover the other kinds: scoreMethod
+// (Score) and thresholdMethod (Score-Threshold, Chunk, Chunk-TermScore — one
+// Algorithm 1 and one Algorithm 2 over a per-kind listOrder).
 type Kind struct {
 	// ID is the lower-case spelling configuration and the HTTP API use
 	// (core.MethodKind).
@@ -30,18 +30,18 @@ type Kind struct {
 	// none.
 	layout postings.Layout
 	// attach wraps a constructed or restored base in the kind's method
-	// type.
+	// type (the ID family's is base itself).
 	attach func(*base) kindMethod
 }
 
 var kinds = []Kind{
-	{ID: "id", Name: "ID", layout: postings.LayoutID, attach: newIDMethod},
+	{ID: "id", Name: "ID", layout: postings.LayoutID, attach: idFamily},
 	{ID: "score", Name: "Score", clustered: true, attach: newScoreMethod},
 	{ID: "score-threshold", Name: "Score-Threshold", listTable: true, layout: postings.LayoutScore,
 		attach: func(b *base) kindMethod { return newThresholdMethod(b, scoreOrder(b)) }},
 	{ID: "chunk", Name: "Chunk", listTable: true, layout: postings.LayoutChunk,
 		attach: func(b *base) kindMethod { return newThresholdMethod(b, chunkOrder(b)) }},
-	{ID: "id-termscore", Name: "ID-TermScore", layout: postings.LayoutIDTerm, attach: newIDMethod},
+	{ID: "id-termscore", Name: "ID-TermScore", layout: postings.LayoutIDTerm, attach: idFamily},
 	{ID: "chunk-termscore", Name: "Chunk-TermScore", listTable: true, layout: postings.LayoutChunkTerm,
 		attach: func(b *base) kindMethod { return newThresholdMethod(b, chunkOrder(b)) }},
 }

@@ -130,8 +130,8 @@ func TestMergeShortListsPreservesResults(t *testing.T) {
 // baseOf returns the shared base of a method of any kind.
 func baseOf(m Method) *base {
 	switch k := m.(type) {
-	case *idMethod:
-		return k.base
+	case *base:
+		return k
 	case *scoreMethod:
 		return k.base
 	case *thresholdMethod:

@@ -121,31 +121,20 @@ func (m *scoreMethod) applyContent(doc DocID, oldTokens, newTokens []string) err
 	return nil
 }
 
-// TopK implements Method.  Because the lists hold exact current scores, the
-// query can stop as soon as k results are found whose scores are at least
-// the score of the next posting.
-func (m *scoreMethod) TopK(q Query) (*QueryResult, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
+// plan implements kindMethod.  Because the lists hold exact current
+// scores, a candidate's list score is its score, and the scan stops as soon
+// as k results are held whose scores are at least the score of the next
+// posting: that bound is reached only by documents that sort after every
+// held one at that score, and so lose the tie.
+func (m *scoreMethod) plan(ctx *queryCtx) (rankedQuery, error) {
+	for _, term := range ctx.query.Terms {
+		ctx.streams = append(ctx.streams, ctx.snap.lists.Cursor(term))
 	}
-	if q.WithTermScores {
-		return nil, ErrTermScoresUnsupported
-	}
-	s, guard, err := m.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer guard.Leave()
-	ctx := newQueryCtx(s, &q)
-	defer ctx.release()
-	for _, term := range q.Terms {
-		ctx.streams = append(ctx.streams, s.lists.Cursor(term))
-	}
-	return m.runRanked(ctx, rankedQuery{
-		conjunctive: !q.Disjunctive,
-		maxPossible: func(_ *queryCtx, sortKey float64) float64 { return sortKey },
+	return rankedQuery{
+		need: ctx.need(),
+		stop: func(ctx *queryCtx, score float64) bool { return ctx.holdsAbove(score, false) },
 		resolve: func(_ *queryCtx, g *postings.Group) (float64, bool, error) {
 			return g.SortKey, true, nil
 		},
-	})
+	}, nil
 }

@@ -2,7 +2,6 @@ package index
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"svrdb/internal/postings"
@@ -47,161 +46,112 @@ func (b *base) buildFancyList(packer *blob.Packer, w *postings.Writer, bc *built
 	return ref, minW, nil
 }
 
-// topKTermScores is Algorithm 3, the combined SVR + term-score query.  It
-// runs on the chunk order: the stopping rule reads the scan position as a
-// chunk ID.
-func (m *thresholdMethod) topKTermScores(s *snap, ctx *queryCtx, q Query) (*QueryResult, error) {
-	m.counters.queries.Add(1)
+// planTermScores is Algorithm 3, the combined SVR + term-score query, as
+// two scans of runRanked.  It runs the first itself: a need = 1 merge of
+// the fancy lists with no stopping rule, whose resolver (seedFancy) seeds
+// the heap and the remainList (lines 8-9).  It returns the second: the
+// chunked lists scanned top chunk first (lines 10-34), stopped by
+// stopTermScores and resolved by resolveTermScores.  It runs on the chunk
+// order: the stopping rule reads the scan position as a chunk ID.
+// Fancy lists and chunked lists both yield candidates in ascending document
+// order (per chunk), so their score resolution runs through the context's
+// leaf-locality probes (the first scan is done with the Score probe before
+// the second's resolver takes it over); the stopping rule prunes the
+// remainList in ascending order too, through the context's second
+// Score-table cursor, leaving the first where the scan left it.
+func (m *thresholdMethod) planTermScores(ctx *queryCtx) (rankedQuery, error) {
+	s, q := ctx.snap, &ctx.query
 	for i, term := range q.Terms {
-		idf := s.queryIDF(&q, i)
+		idf := s.queryIDF(q, i)
 		ctx.idfs = append(ctx.idfs, idf)
 		// ε_i · idf_i, the per-term cap for unseen docs.  Under a global idf
 		// override the cap stays sound: fancyMinW still bounds this shard's
 		// unseen term weights, and idf is the same factor applied everywhere.
-		ctx.epsilons = append(ctx.epsilons, text.TFIDF(s.fancyMinW[term], idf))
+		epsilon := text.TFIDF(s.fancyMinW[term], idf)
+		ctx.epsilons = append(ctx.epsilons, epsilon)
+		ctx.epsilonSum += epsilon
 	}
-	idfs, epsilons := ctx.idfs, ctx.epsilons
-	epsilonSum := 0.0
-	for _, e := range epsilons {
-		epsilonSum += e
-	}
-
-	heap := &ctx.heap
-	res := &QueryResult{}
-	// Fancy lists and chunked lists both yield candidates in ascending
-	// document order (per chunk), so their score resolution runs through
-	// the context's leaf-locality probes (phase 1 is done with the Score
-	// probe before phase 2's resolver takes it over); checkStop prunes the
-	// remainList in ascending order too, through the context's second
-	// Score-table cursor, leaving the first where phase 2 left it.
-	scores := &ctx.score
-
-	// Phase 1 (Algorithm 3 lines 8-9): merge the fancy lists.  Documents
-	// present in every fancy list have exact combined scores and seed the
-	// heap; documents present in only some go to the remainList with the
-	// term weights learned so far.
-	remain := &ctx.remain
-	remain.reset(len(q.Terms))
-
+	ctx.remain.reset(len(q.Terms))
 	for _, term := range q.Terms {
-		var it postings.BatchIterator
-		if ref, ok := s.fancyRefs[term]; ok {
-			var err error
-			if it, err = postings.Open(m.store.NewReader(ref), nil, postings.LayoutIDTerm); err != nil {
-				return nil, err
-			}
-		} else {
-			it = postings.NewSliceIterator(nil)
+		it, err := m.openList(s.fancyRefs, term, nil, postings.LayoutIDTerm)
+		if err != nil {
+			return rankedQuery{}, err
 		}
 		ctx.streams = append(ctx.streams, it)
 	}
-	fancy := postings.NewMerge(1, ctx.streams...)
-	defer fancy.Close()
-	for {
-		g, ok, err := fancy.Next(nil)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if g.ContainsAll() {
-			svr, live, err := rowScore(scores.Get(g.Doc))
-			if err != nil {
-				return nil, err
-			}
-			if live {
-				heap.Add(int64(g.Doc), ctx.offer(g, svr))
-			}
-			continue
-		}
-		row := remain.add(g.Doc)
-		for i, present := range g.Present {
-			if present {
-				row[i] = text.TFIDF(g.Entries[i].TermScore, idfs[i])
-			} else {
-				row[i] = epsilons[i]
-			}
+	if err := ctx.runRanked(rankedQuery{need: 1, resolve: seedFancy}); err != nil {
+		return rankedQuery{}, err
+	}
+	// The fancy merge is closed, so the context's stream slice is reused.
+	if err := m.termStreams(ctx); err != nil {
+		return rankedQuery{}, err
+	}
+	return rankedQuery{need: 1, stop: stopTermScores, resolve: resolveTermScores}, nil
+}
+
+// seedFancy resolves a fancy-list position (Algorithm 3 lines 8-9): a
+// document present in every fancy list has an exact combined score and is
+// offered to the heap; one present in only some goes to the remainList with
+// the term weights learned so far, and ε_i·idf_i for the others.
+func seedFancy(ctx *queryCtx, g *postings.Group) (float64, bool, error) {
+	if g.ContainsAll() {
+		return resolveCurrent(ctx, g)
+	}
+	row := ctx.remain.add(g.Doc)
+	for i, present := range g.Present {
+		if present {
+			row[i] = text.TFIDF(g.Entries[i].TermScore, ctx.idfs[i])
+		} else {
+			row[i] = ctx.epsilons[i]
 		}
 	}
+	return 0, false, nil
+}
 
-	// Phase 2 (lines 10-34): scan the chunked lists top chunk first.  The
-	// fancy merge copied its stream references into its own heads, so the
-	// context's stream slice can be reused for this phase.
-	if err := m.listStreams(s, ctx, q.Terms); err != nil {
-		return nil, err
+// resolveTermScores resolves a chunked-list position: the document is now
+// being processed through its regular postings, so it no longer needs to be
+// remembered separately (line 12); a conjunction drops a position some
+// term does not hold, since the scan returns every position; the rest is
+// the Chunk orders' resolver, which returns the combined score it cut the
+// candidate at.
+func resolveTermScores(ctx *queryCtx, g *postings.Group) (float64, bool, error) {
+	ctx.remain.remove(g.Doc)
+	if !ctx.query.Disjunctive && !g.ContainsAll() {
+		return 0, false, nil
 	}
+	return resolveChunk(ctx, g)
+}
 
-	// The stopping rule is tested as the scan leaves a chunk.  The merge
-	// returns every position (need = 1), so it asks stop at every position
-	// and stop sees each chunk change; an error ends the merge and is
-	// returned from the loop below.
-	lastCID, haveCID := int32(math.MinInt32), false
-	var stopErr error
-	stop := func(sortKey float64) bool {
-		cid, finished := int32(sortKey), lastCID
-		leaving := haveCID && cid < finished
-		lastCID, haveCID = cid, true
-		if !leaving {
-			return false
-		}
-		min, full := heap.MinScore()
-		if !full {
-			return false
-		}
-		// Prune remainList entries that can no longer win.
-		stopErr = remain.prune(func(doc DocID, row []float64) (bool, error) {
-			svr, live, err := rowScore(ctx.getScoreAside(doc))
-			if err != nil || !live {
-				return false, err
-			}
-			bound := svr
-			for _, w := range row {
-				bound += w
-			}
-			return bound > min, nil
-		})
-		// The SVR score of any document not yet reached is below the upper
-		// bound of the chunk one above the chunks still to be scanned.
-		return stopErr != nil || remain.live == 0 && s.chunks.UpperBound(finished)+epsilonSum <= min
+// stopTermScores is Algorithm 3's stopping rule, tested as the scan leaves
+// a chunk: the scan returns every position (need = 1), so the merge asks
+// at every position and the rule sees each chunk change.  With the heap
+// full it prunes the remainList entries that can no longer win, and stops
+// once none is left and no document not yet reached can win either.  An
+// error of the prune ends the scan through ctx.err.
+func stopTermScores(ctx *queryCtx, sortKey float64) bool {
+	cid, finished := int32(sortKey), ctx.lastCID
+	ctx.lastCID = cid
+	if cid >= finished {
+		return false
 	}
-	merge := postings.NewMerge(1, ctx.streams...)
-	defer merge.Close()
-	for {
-		g, ok, err := merge.Next(stop)
-		if err == nil {
-			err = stopErr
-		}
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-
-		// The document is now being processed through its regular postings,
-		// so it no longer needs to be remembered separately (line 12).
-		remain.remove(g.Doc)
-
-		if !q.Disjunctive && !g.ContainsAll() {
-			continue
-		}
-		// The resolver returns the combined score it cut the candidate at.
-		score, include, err := m.order.resolve(ctx, g)
-		if err != nil {
-			return nil, err
-		}
-		if include {
-			heap.Add(int64(g.Doc), score)
-		}
+	min, full := ctx.heap.MinScore()
+	if !full {
+		return false
 	}
-
-	res.Results = heap.Results()
-	res.PostingsScanned = fancy.Scanned + merge.Scanned
-	res.ScoreLookups = ctx.score.lookups
-	res.Stopped = merge.Stopped
-	m.counters.postingsScanned.Add(uint64(res.PostingsScanned))
-	return res, nil
+	ctx.err = ctx.remain.prune(func(doc DocID, row []float64) (bool, error) {
+		svr, live, err := rowScore(ctx.getScoreAside(doc))
+		if err != nil || !live {
+			return false, err
+		}
+		bound := svr
+		for _, w := range row {
+			bound += w
+		}
+		return bound > min, nil
+	})
+	// The SVR score of any document not yet reached is below the upper
+	// bound of the chunk one above the chunks still to be scanned.
+	return ctx.err != nil || ctx.remain.live == 0 && ctx.snap.chunks.UpperBound(finished)+ctx.epsilonSum <= min
 }
 
 // remainList is Algorithm 3's remainList: the documents a fancy list named

@@ -39,12 +39,11 @@ type listOrder struct {
 	// document's short-list postings are rewritten only when the key of its
 	// new score exceeds thresholdValueOf(listKey).
 	thresholdValueOf func(listKey float64) float64
-	// maxPossible bounds the current score of every document whose postings
-	// have not been reached when the scan is at sortKey.
-	maxPossible func(ctx *queryCtx, sortKey float64) float64
-	// attainable reports that an unseen document may score exactly
-	// maxPossible (see rankedQuery).
-	attainable bool
+	// stop is Algorithm 2's stopping rule (lines 9-11) at a scan position
+	// of sort key sortKey: the order's bound on the current score of every
+	// document whose postings have not been reached, held against the heap
+	// by queryCtx.holdsAbove.
+	stop func(ctx *queryCtx, sortKey float64) bool
 	// prepare derives the order's build-time directory (score directory,
 	// chunk boundaries) from the corpus being built.
 	prepare func(bc *builtCorpus)
@@ -82,10 +81,10 @@ func scoreOrder(b *base) listOrder {
 	return listOrder{
 		keyOf:            func(score float64) float64 { return score },
 		thresholdValueOf: threshold,
-		maxPossible:      func(_ *queryCtx, listScore float64) float64 { return threshold(listScore) },
-		// Algorithm 1 leaves a score equal to t·listScore unrewritten.
-		attainable: true,
-		prepare:    func(bc *builtCorpus) { b.scoreDir = postings.BuildScoreDir(bc.allScores()) },
+		// Algorithm 1 leaves a score equal to t·listScore unrewritten, so an
+		// unseen document may attain the bound.
+		stop:    func(ctx *queryCtx, listScore float64) bool { return ctx.holdsAbove(threshold(listScore), true) },
+		prepare: func(bc *builtCorpus) { b.scoreDir = postings.BuildScoreDir(bc.allScores()) },
 		resolve: func(ctx *queryCtx, g *postings.Group) (float64, bool, error) {
 			entry, exists, err := ctx.snap.table.Get(g.Doc)
 			if err != nil {
@@ -133,42 +132,44 @@ func chunkOrder(b *base) listOrder {
 		// A document not reached when the scan is at chunk cid has a list
 		// chunk of at most cid, and a score may drift one chunk above its list
 		// chunk without a short-list rewrite, so its current score is below
-		// the upper bound of chunk cid+1.
-		maxPossible: func(ctx *queryCtx, cid float64) float64 {
-			return ctx.snap.chunks.UpperBound(thresholdChunk(int32(cid)))
+		// the upper bound of chunk cid+1: the bound is exclusive.
+		stop: func(ctx *queryCtx, cid float64) bool {
+			return ctx.holdsAbove(ctx.snap.chunks.UpperBound(thresholdChunk(int32(cid))), false)
 		},
 		prepare: func(bc *builtCorpus) {
 			b.chunks = buildChunker(bc.allScores(), b.cfg.ChunkRatio, b.cfg.MinChunkSize)
 		},
-		// Within a chunk the candidates arrive in ascending document order, so
-		// both tables are walked left to right through the query context's
-		// leaf-locality probes instead of descended per candidate.  Score
-		// first, ListChunk only for a moved document's candidate the heap
-		// admits (see listOrder.resolve).
-		resolve: func(ctx *queryCtx, g *postings.Group) (float64, bool, error) {
-			row, ok, err := ctx.score.Get(g.Doc)
-			if err != nil || !ok || row.deleted {
-				return 0, false, err
-			}
-			offer := ctx.offer(g, row.val)
-			if !ctx.heap.Admits(int64(g.Doc), offer) {
-				return 0, false, nil
-			}
-			if !row.short {
-				return offer, true, nil
-			}
-			entry, exists, err := ctx.list.Get(g.Doc)
-			if err == nil && !exists {
-				err = errMissingListRow(g.Doc)
-			}
-			if err != nil {
-				return 0, false, err
-			}
-			// A moved document's long-list copy is stale; its short copy is
-			// processed instead.
-			return offer, g.SortKey == entry.val, nil
-		},
+		resolve: resolveChunk,
 	}
+}
+
+// resolveChunk is the Chunk orders' resolver.  Within a chunk the
+// candidates arrive in ascending document order, so both tables are walked
+// left to right through the query context's leaf-locality probes instead of
+// descended per candidate.  Score first, ListChunk only for a moved
+// document's candidate the heap admits (see listOrder.resolve).
+func resolveChunk(ctx *queryCtx, g *postings.Group) (float64, bool, error) {
+	row, ok, err := ctx.score.Get(g.Doc)
+	if err != nil || !ok || row.deleted {
+		return 0, false, err
+	}
+	offer := ctx.offer(g, row.val)
+	if !ctx.heap.Admits(int64(g.Doc), offer) {
+		return 0, false, nil
+	}
+	if !row.short {
+		return offer, true, nil
+	}
+	entry, exists, err := ctx.list.Get(g.Doc)
+	if err == nil && !exists {
+		err = errMissingListRow(g.Doc)
+	}
+	if err != nil {
+		return 0, false, err
+	}
+	// A moved document's long-list copy is stale; its short copy is
+	// processed instead.
+	return offer, g.SortKey == entry.val, nil
 }
 
 // buildLists implements kindMethod: the order's build-time directory, then
@@ -219,50 +220,14 @@ func (m *thresholdMethod) applyScore(doc DocID, newScore float64) error {
 	return nil
 }
 
-// TopK implements Method: Algorithm 2, or Algorithm 3 for a combined
-// SVR + term-score query.
-func (m *thresholdMethod) TopK(q Query) (*QueryResult, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
+// plan implements kindMethod: Algorithm 2 over the kind's list order, or
+// Algorithm 3 for a combined SVR + term-score query.
+func (m *thresholdMethod) plan(ctx *queryCtx) (rankedQuery, error) {
+	if ctx.query.WithTermScores {
+		return m.planTermScores(ctx)
 	}
-	if q.WithTermScores && !m.termScores() {
-		return nil, ErrTermScoresUnsupported
+	if err := m.termStreams(ctx); err != nil {
+		return rankedQuery{}, err
 	}
-	s, guard, err := m.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer guard.Leave()
-	ctx := newQueryCtx(s, &q)
-	defer ctx.release()
-	return m.topK(ctx, q)
-}
-
-// topK evaluates a validated query in a context bound to a pinned snapshot.
-func (m *thresholdMethod) topK(ctx *queryCtx, q Query) (*QueryResult, error) {
-	if q.WithTermScores {
-		return m.topKTermScores(ctx.snap, ctx, q)
-	}
-	if err := m.listStreams(ctx.snap, ctx, q.Terms); err != nil {
-		return nil, err
-	}
-	return m.runRanked(ctx, rankedQuery{
-		conjunctive: !q.Disjunctive,
-		maxPossible: m.order.maxPossible,
-		attainable:  m.order.attainable,
-		resolve:     m.order.resolve,
-	})
-}
-
-// listStreams fills ctx.streams with SL(t) ∪ LL(t) for every query term.
-func (m *thresholdMethod) listStreams(s *snap, ctx *queryCtx, terms []string) error {
-	ctx.streams = ctx.streams[:0]
-	for _, term := range terms {
-		st, err := m.termStream(s, term)
-		if err != nil {
-			return err
-		}
-		ctx.streams = append(ctx.streams, st)
-	}
-	return nil
+	return rankedQuery{need: ctx.need(), stop: m.order.stop, resolve: m.order.resolve}, nil
 }

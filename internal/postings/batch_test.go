@@ -493,6 +493,11 @@ func (s *seededStop) stops(sortKey float64) bool {
 	return false
 }
 
+// scanMerge is the one Merge every checkScan resets, as a query context
+// does, so each scan also checks that a Reset merge — after merges of other
+// widths and needs, stopped anywhere — is a fresh one.
+var scanMerge Merge
+
 // checkScan merges the streams through a Merge of the given need, each
 // served in batches of at most size, and requires what the brute-force
 // grouping gives a scan that tests the seeded stop rule at every position
@@ -527,7 +532,8 @@ func checkScan(t *testing.T, label string, size, need int, stop uint8, streams .
 	for i := range streams {
 		srcs[i] = capBatch{src: NewSliceIterator(streams[i]), size: size}
 	}
-	m := NewMerge(need, srcs...)
+	m := &scanMerge
+	m.Reset(need, srcs...)
 	defer m.Close()
 	rule := newSeededStop(stop)
 	var got []refGroup

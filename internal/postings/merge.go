@@ -261,20 +261,32 @@ type Merge struct {
 // NewMerge returns a merge of the given streams that returns the positions
 // at least need of them hold.
 func NewMerge(need int, streams ...BatchIterator) *Merge {
-	m := &Merge{
-		heads: make([]mergeHead, len(streams)),
-		need:  need,
-		g:     Group{Entries: make([]Entry, len(streams)), Present: make([]bool, len(streams))},
+	m := &Merge{}
+	m.Reset(need, streams...)
+	return m
+}
+
+// Reset makes m what NewMerge(need, streams...) returns, reusing the
+// buffers m has grown, so a caller that keeps one Merge per query context
+// allocates none per scan.  It drops m's references to the streams it
+// merged before, so Reset(0) leaves m holding none.  The previous merge
+// must have been closed.
+func (m *Merge) Reset(need int, streams ...BatchIterator) {
+	n := len(streams)
+	heads, entries, present := m.heads[:cap(m.heads)], m.g.Entries, m.g.Present
+	clear(heads)
+	if cap(heads) < n {
+		heads, entries, present = make([]mergeHead, n), make([]Entry, n), make([]bool, n)
 	}
+	*m = Merge{heads: heads[:n], need: need, g: Group{Entries: entries[:n], Present: present[:n]}}
 	for i, src := range streams {
 		h := &m.heads[i]
 		h.src = src
-		if need == len(streams) {
+		if need == n {
 			h.seeker, _ = src.(interface{ SeekDoc(doc DocID) error })
 			m.seeks = m.seeks || h.seeker != nil
 		}
 	}
-	return m
 }
 
 // Next returns the next position at least need streams hold, or ok=false

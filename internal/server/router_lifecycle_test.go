@@ -3,7 +3,10 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
+	"slices"
+	"strings"
 	"testing"
 
 	"svrdb/internal/core"
@@ -122,6 +125,42 @@ func TestRouterStructured404DoesNotMarkShardsDown(t *testing.T) {
 	if res := searchVia(t, base, "docs", SearchRequest{Query: "alpha", K: 10, Disjunctive: true}); res.Partial || len(res.Hits) == 0 {
 		t.Errorf("search after 404 storm: partial=%v hits=%d — a 4xx must not bench a shard", res.Partial, len(res.Hits))
 	}
+}
+
+// TestRouterRejectedQueryMarksNoShardDown sends the docs index (Chunk, no
+// term weights) the two queries its method rejects — a term-score query and
+// global stats whose df vector does not match the query's terms — over one
+// engine, three engines and two HTTP backends.  Each is the client's mistake
+// (400), so no shard may be taken for down: the next valid search answers
+// 200 with every hit, not partial, and /healthz reports every shard healthy.
+func TestRouterRejectedQueryMarksNoShardDown(t *testing.T) {
+	forEachDeployment(t, func(t *testing.T, d *deployment) {
+		for _, body := range []string{
+			`{"query":"alpha","with_term_scores":true}`,
+			`{"query":"alpha","global":{"num_docs":4,"df":[3,1]}}`,
+		} {
+			resp, err := http.Post(d.base+"/v1/indexes/docs/search", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: status = %d, want 400 (body %s)", body, resp.StatusCode, data)
+			}
+		}
+		res := searchVia(t, d.base, "docs", SearchRequest{Query: "alpha", K: 10})
+		var pks []int64
+		for _, h := range res.Hits {
+			pks = append(pks, h.PK)
+		}
+		if res.Partial || !slices.Equal(pks, []int64{1, 2, 3}) {
+			t.Errorf("search after the rejected queries: partial=%v pks=%v, want the full answer [1 2 3]", res.Partial, pks)
+		}
+		if st, healthy := routerHealthz(t, d.base); st != "ok" || healthy != len(d.engines) {
+			t.Errorf("healthz after the rejected queries = %q with %d healthy shards, want ok with %d", st, healthy, len(d.engines))
+		}
+	})
 }
 
 // TestRouterLifecycleOverHTTPBackends repeats the 404-shape and lifecycle
