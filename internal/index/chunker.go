@@ -1,9 +1,6 @@
 package index
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // chunker assigns documents to chunks based on the score distribution at
 // build time, following §4.3.2: chunk boundaries are chosen so that the
@@ -89,29 +86,6 @@ func (c *chunker) ChunkOf(score float64) int32 {
 		lo = 1
 	}
 	return int32(lo)
-}
-
-// LowerBound returns the smallest score that belongs to the given chunk.
-func (c *chunker) LowerBound(cid int32) float64 {
-	if cid < 1 {
-		cid = 1
-	}
-	if int(cid) > len(c.lower) {
-		return math.Inf(1)
-	}
-	return c.lower[cid-1]
-}
-
-// UpperBound returns the exclusive upper score bound of the given chunk (the
-// lower bound of the next chunk), or +Inf for the topmost chunk and above.
-func (c *chunker) UpperBound(cid int32) float64 {
-	if cid < 1 {
-		return c.lower[0]
-	}
-	if int(cid) >= len(c.lower) {
-		return math.Inf(1)
-	}
-	return c.lower[cid]
 }
 
 // thresholdChunk is the Chunk-method threshold function of §4.3.2:

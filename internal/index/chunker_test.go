@@ -131,3 +131,29 @@ func TestThresholdChunk(t *testing.T) {
 		t.Errorf("thresholdChunk(3) = %d, want 4", thresholdChunk(3))
 	}
 }
+
+// The chunk score bounds are what the tests hold chunk assignment and the
+// key ceilings' invariant against; no query reads them.
+
+// LowerBound returns the smallest score that belongs to the given chunk.
+func (c *chunker) LowerBound(cid int32) float64 {
+	if cid < 1 {
+		cid = 1
+	}
+	if int(cid) > len(c.lower) {
+		return math.Inf(1)
+	}
+	return c.lower[cid-1]
+}
+
+// UpperBound returns the exclusive upper score bound of the given chunk (the
+// lower bound of the next chunk), or +Inf for the topmost chunk and above.
+func (c *chunker) UpperBound(cid int32) float64 {
+	if cid < 1 {
+		return c.lower[0]
+	}
+	if int(cid) >= len(c.lower) {
+		return math.Inf(1)
+	}
+	return c.lower[cid]
+}

@@ -389,8 +389,9 @@ type base struct {
 	// float64.
 	scoreDir []float64
 	// chunks is the Chunk family's boundary vector, replaced wholesale by
-	// every build and merge.
+	// every build and merge, and ceil its score ceiling per list key.
 	chunks *chunker
+	ceil   keyCeilings
 	// fancyRefs/fancyMinW (Chunk-TermScore only) are replaced wholesale on
 	// build and merge because published snapshots share them by pointer.
 	fancyRefs  map[string]blob.Ref

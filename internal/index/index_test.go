@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -526,10 +527,15 @@ func TestFailedScoreUpdateChangesNothing(t *testing.T) {
 // falls back to 20 (chunk 1, so no rewrite: its short copy stays at chunk 4
 // and its long copy at chunk 2 is stale).  Only document 1 has the
 // short-list bit, so only its candidates can cost a ListChunk probe: its
-// short copy does, first in the scan.  At k = 3 the heap is full after
-// chunk 3 with a minimum of 640, so the stale copy costs one Score probe and
-// no ListChunk probe; at k = 2 the two chunk-3 candidates are cut the same
-// way and the scan stops before the stale copy.
+// short copy does, first in the scan.  The scan stops at the first chunk
+// whose key ceiling is below the heap's minimum.  At k = 3 the heap is full
+// after chunk 3 with a minimum of 640, above the ceiling of chunks 1-2
+// (87.13, document 1's build score, left stale-high), so the scan stops
+// before the stale copy; at k = 2 the minimum is 1200 after chunk 4, above
+// the ceiling of chunks 1-3 (640), so it stops before chunk 3.  The paper's
+// bound, the upper bound of the chunk one up, scans one chunk further at
+// both k: the stale copy would cost a sixth Score probe at k = 3, and the
+// two chunk-3 candidates a fourth and fifth at k = 2.
 func TestScoreLookupsCountProbes(t *testing.T) {
 	want := map[string]int{"ID": 6, "ID-TermScore": 6, "Score": 0, "Score-Threshold": 2, "Chunk": 7, "Chunk-TermScore": 7}
 	for name, ctor := range allConstructors() {
@@ -551,7 +557,7 @@ func TestScoreLookupsCountProbes(t *testing.T) {
 		if err := updateScore(m, 1, 20); err != nil {
 			t.Fatal(err)
 		}
-		for _, leg := range []struct{ k, scoreProbes, listProbes int }{{3, 6, 1}, {2, 5, 1}} {
+		for _, leg := range []struct{ k, scoreProbes, listProbes int }{{3, 5, 1}, {2, 3, 1}} {
 			q := Query{Terms: []string{"golden"}, K: leg.k}
 			s, guard, err := tm.acquire()
 			if err != nil {
@@ -1017,6 +1023,47 @@ func TestEarlyTerminationBehaviour(t *testing.T) {
 	}
 	if stRes.PostingsScanned >= idRes.PostingsScanned {
 		t.Errorf("Score-Threshold scanned %d postings, ID scanned %d; Score-Threshold should scan fewer", stRes.PostingsScanned, idRes.PostingsScanned)
+	}
+
+	// On a fresh build the key ceilings are the chunks' highest scores, so
+	// the Chunk scan stops at the first position below the chunk of its
+	// k-th result, where the paper's bound — the upper bound of the chunk
+	// one up, the k-th result's own chunk — lets it scan that chunk too.
+	tm := chunk.(*thresholdMethod)
+	kth := chunkRes.Results[len(chunkRes.Results)-1].Score
+	below := math.Inf(-1)
+	for _, score := range corpus.scores {
+		if key := tm.keyOf(score); key < tm.keyOf(kth) {
+			below = max(below, key)
+		}
+	}
+	s, guard, err := tm.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer guard.Leave()
+	ctx := newQueryCtx(s, &q)
+	defer ctx.release()
+	plan, err := tm.plan(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stoppedAt, stop := math.NaN(), plan.stop
+	plan.stop = func(ctx *queryCtx, key float64) bool {
+		if stop(ctx, key) {
+			stoppedAt = key
+			return true
+		}
+		return false
+	}
+	if err := ctx.runRanked(plan); err != nil {
+		t.Fatal(err)
+	}
+	if stoppedAt != below {
+		t.Errorf("Chunk stopped at chunk %g, want %g, the first below the k-th result's chunk %g", stoppedAt, below, tm.keyOf(kth))
+	}
+	if ub := tm.chunks.UpperBound(thresholdChunk(int32(below))); ub <= kth {
+		t.Errorf("the paper's bound %g at chunk %g is at most the k-th score %g: it stops there too", ub, below, kth)
 	}
 }
 

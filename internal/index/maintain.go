@@ -133,6 +133,7 @@ func (b *base) applyInsert(doc DocID, tokens []string, score float64) error {
 	if b.table != nil {
 		b.table.Put(doc, docRow{val: key})
 	}
+	b.ceil.raise(key, score)
 	return nil
 }
 

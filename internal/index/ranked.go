@@ -160,9 +160,11 @@ func (b *base) TopK(q Query) (*QueryResult, error) {
 //     sort-key change.  Algorithm 2's holds a bound on the current score of
 //     every document whose postings have not been reached against the heap
 //     (queryCtx.holdsAbove): Score-Threshold's thresholdValueOf(listScore) =
-//     t·s, Chunk's upper score bound of chunk (cid+1), the exact Score
-//     method's list score itself.  Algorithm 3's is tested as its scan
-//     leaves a chunk and also sees the remainList.  The ID family has none
+//     t·s, the Chunk orders' key ceiling of the chunks up to cid
+//     (snap.ceiling), the exact Score method's list score itself.
+//     Algorithm 3's is tested as its scan leaves a chunk, holds the same
+//     ceiling plus the term-score caps against the heap and also sees the
+//     remainList.  The ID family has none
 //     (nil): no bound exists on unseen documents, so every list is scanned
 //     to the end, exactly as §4.2.1 describes.
 //
@@ -236,8 +238,8 @@ func (c *queryCtx) runRanked(q rankedQuery) error {
 // on the current score of every unseen document, including the one at the
 // scan position: once k results above it are held — or at it, when no
 // unseen document can attain it and win the heap's tie rule (the lower doc
-// ID wins) — the answer cannot change.  Score-Threshold's bound is
-// attainable; Chunk's is exclusive, and the Score method's is the next
+// ID wins) — the answer cannot change.  Score-Threshold's bound and the
+// Chunk orders' key ceiling are attainable; the Score method's is the next
 // posting's own score, reached only by documents that sort after every held
 // one at that score and so lose the tie.
 func (c *queryCtx) holdsAbove(bound float64, attainable bool) bool {

@@ -50,8 +50,9 @@ type snap struct {
 
 	// scoreDir is the Score-Threshold compressed-list score directory.
 	scoreDir []float64
-	// chunks is the Chunk family's boundary vector (immutable once built).
-	chunks *chunker
+	// ceil is the Chunk family's key ceilings as a running maximum over the
+	// keys (keyCeilings.upTo): what its stopping rules hold the heap against.
+	ceil keyCeilings
 
 	// Fancy-list state (Chunk-TermScore only).
 	fancyRefs  map[string]blob.Ref
@@ -82,7 +83,7 @@ func (b *base) fill(s *snap) {
 		s.table = b.table.snapshotView()
 	}
 	s.scoreDir = b.scoreDir
-	s.chunks = b.chunks
+	s.ceil = b.ceil.upTo()
 	s.fancyRefs = b.fancyRefs
 	s.fancyMinW = b.fancyMinW
 	s.fancyBytes = b.fancyBytes
@@ -139,6 +140,10 @@ func (b *base) blobPages(generation ...map[string]blob.Ref) []pagefile.PageID {
 	}
 	return pages
 }
+
+// ceiling bounds the current score of every live document whose list key is
+// at most the chunk cid (Chunk family only).
+func (s *snap) ceiling(cid float64) float64 { return s.ceil[s.ceil.slot(cid)] }
 
 // docFreq resolves a term's frozen document frequency.  Terms interned
 // after the snapshot was taken have IDs past the end of the frozen vector

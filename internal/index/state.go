@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"maps"
 
 	"svrdb/internal/storage/blob"
@@ -157,10 +158,11 @@ func (b *base) State() MethodState { return MethodState{b.Anchor(), b.Dictionary
 func (b *base) SetSource(src DocSource) { b.src = src }
 
 // Restore reattaches a method to the structures a checkpoint recorded.  It
-// is the inverse of Method.State(): no pages are read and nothing is
-// rebuilt; the returned method serves queries and updates against the trees
-// and blobs already in the page file.  Call SetSource afterwards to rewire
-// the document source.
+// is the inverse of Method.State(): nothing is rebuilt; the returned method
+// serves queries and updates against the trees and blobs already in the
+// page file.  The only pages it reads are the Chunk family's Score and
+// ListChunk tables, once through, to re-derive the key ceilings, which are
+// not persisted.  Call SetSource afterwards to rewire the document source.
 func Restore(cfg Config, st MethodState) (Method, error) {
 	k, err := lookupKind(st.Kind)
 	if err != nil {
@@ -194,5 +196,11 @@ func Restore(cfg Config, st MethodState) (Method, error) {
 		b.fancyMinW = maps.Clone(st.FancyMinW)
 	}
 	b.numDocs.Store(st.NumDocs)
-	return b.start(k.attach(b)), nil
+	m := k.attach(b)
+	if b.ceil != nil {
+		if err := b.deriveCeilings(); err != nil {
+			return nil, fmt.Errorf("index: restore %s key ceilings: %w", k.Name, err)
+		}
+	}
+	return b.start(m), nil
 }

@@ -126,8 +126,11 @@ func resolveTermScores(ctx *queryCtx, g *postings.Group) (float64, bool, error) 
 // a chunk: the scan returns every position (need = 1), so the merge asks
 // at every position and the rule sees each chunk change.  With the heap
 // full it prunes the remainList entries that can no longer win, and stops
-// once none is left and no document not yet reached can win either.  An
-// error of the prune ends the scan through ctx.err.
+// once none is left and no document not yet reached can win either: such a
+// document is in no fancy list, so its combined score is at most the key
+// ceiling of the chunk the scan enters (snap.ceiling) plus ε, the sum of the
+// per-term caps, and it cannot win once that is below the heap's minimum.
+// An error of the prune ends the scan through ctx.err.
 func stopTermScores(ctx *queryCtx, sortKey float64) bool {
 	cid, finished := int32(sortKey), ctx.lastCID
 	ctx.lastCID = cid
@@ -149,9 +152,7 @@ func stopTermScores(ctx *queryCtx, sortKey float64) bool {
 		}
 		return bound > min, nil
 	})
-	// The SVR score of any document not yet reached is below the upper
-	// bound of the chunk one above the chunks still to be scanned.
-	return ctx.err != nil || ctx.remain.live == 0 && ctx.snap.chunks.UpperBound(finished)+ctx.epsilonSum <= min
+	return ctx.err != nil || ctx.remain.live == 0 && ctx.snap.ceiling(sortKey)+ctx.epsilonSum < min
 }
 
 // remainList is Algorithm 3's remainList: the documents a fancy list named

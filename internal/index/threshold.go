@@ -2,6 +2,8 @@ package index
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"svrdb/internal/postings"
 )
@@ -117,30 +119,128 @@ func scoreOrder(b *base) listOrder {
 // document-ID order within a chunk; the chunk ID is stored once per chunk
 // and no score at all, so the lists are essentially as small as the ID
 // method's (Table 1).  thresholdValueOf(c) = c + 1: postings are rewritten
-// only when a score climbs at least two chunks above its list chunk, and
-// queries continue one chunk past the point where k results were found to
-// compensate for the slack.  In the Chunk-TermScore layout every posting
-// also carries the document's normalized term weight (§4.3.3).
+// only when a score climbs at least two chunks above its list chunk.  The
+// paper's queries therefore continue one chunk past the point where k
+// results were found, bounding an unseen document at chunk c by the upper
+// bound of chunk c+1; this order bounds it by the key ceilings instead (see
+// keyCeilings), which never exceed that bound.  In the Chunk-TermScore
+// layout every posting also carries the document's normalized term weight
+// (§4.3.3).
 func chunkOrder(b *base) listOrder {
 	if b.chunks == nil {
 		// Not built yet: one chunk, as a build over no documents leaves.
 		b.chunks = buildChunker(nil, b.cfg.ChunkRatio, b.cfg.MinChunkSize)
 	}
+	if b.ceil == nil {
+		b.ceil = newKeyCeilings(b.chunks.NumChunks())
+	}
 	return listOrder{
 		keyOf:            func(score float64) float64 { return float64(b.chunks.ChunkOf(score)) },
 		thresholdValueOf: func(cid float64) float64 { return float64(thresholdChunk(int32(cid))) },
 		// A document not reached when the scan is at chunk cid has a list
-		// chunk of at most cid, and a score may drift one chunk above its list
-		// chunk without a short-list rewrite, so its current score is below
-		// the upper bound of chunk cid+1: the bound is exclusive.
+		// chunk of at most cid, so its current score is at most the ceiling
+		// of the keys up to cid, which it may attain.
 		stop: func(ctx *queryCtx, cid float64) bool {
-			return ctx.holdsAbove(ctx.snap.chunks.UpperBound(thresholdChunk(int32(cid))), false)
+			return ctx.holdsAbove(ctx.snap.ceiling(cid), true)
 		},
 		prepare: func(bc *builtCorpus) {
 			b.chunks = buildChunker(bc.allScores(), b.cfg.ChunkRatio, b.cfg.MinChunkSize)
+			b.ceil = newKeyCeilings(b.chunks.NumChunks())
+			for _, score := range bc.docScores {
+				b.ceil.raise(b.keyOf(score), score)
+			}
 		},
 		resolve: resolveChunk,
 	}
+}
+
+// keyCeilings is the Chunk orders' score ceiling per list key: entry c-1 is
+// an upper bound on the current score of every live document whose list key
+// is chunk c (-Inf while no document has been filed under it).  A build
+// derives it from the built scores, exact per chunk.  Afterwards only a
+// write that files a document under a key at a score raises it: Algorithm 1
+// at the key it leaves the document under (its list key when the update
+// does not cross, the new key when it does) and an insert at the key of its
+// score.  A delete, a content edit and a score decrease leave it
+// stale-high, which is still a bound.  Since Algorithm 1 moves a document at
+// key c once its score reaches the upper bound of chunk c+1, every ceiling
+// stays below that bound: the stopping rules that read the ceilings stop no
+// later than the paper's.  Nothing is persisted: Restore re-derives the
+// ceilings from the current scores (deriveCeilings).  The other kinds keep
+// none (nil), and raise is a no-op on them.
+type keyCeilings []float64
+
+// newKeyCeilings returns the ceilings of n chunks under which no document
+// is filed yet.
+func newKeyCeilings(n int) keyCeilings {
+	c := make(keyCeilings, n)
+	for i := range c {
+		c[i] = math.Inf(-1)
+	}
+	return c
+}
+
+// slot is the entry of a list key.  A key outside the chunks (a hostile list
+// row or posting) clamps to the nearest chunk, and does so for the writer
+// and the reader alike, so a ceiling still bounds every score filed under
+// the keys it covers.
+func (c keyCeilings) slot(key float64) int {
+	return min(max(int(key)-1, 0), len(c)-1)
+}
+
+// raise lifts the ceiling of key to score.
+func (c keyCeilings) raise(key, score float64) {
+	if len(c) == 0 {
+		return
+	}
+	if i := c.slot(key); score > c[i] {
+		c[i] = score
+	}
+}
+
+// upTo returns the running maximum: entry c-1 bounds every live document
+// whose list key is at most c.  It is what a snapshot publishes.
+func (c keyCeilings) upTo() keyCeilings {
+	out := slices.Clone(c)
+	for i := 1; i < len(out); i++ {
+		out[i] = max(out[i], out[i-1])
+	}
+	return out
+}
+
+// deriveCeilings re-derives the key ceilings from the current scores, for
+// Restore: a live document's list key is its ListChunk row's when it has
+// one, else the key of its score — a document without a row has not had its
+// score changed since the build that filed it there.  The ListChunk table is
+// read into memory, then the Score table is walked in document order beside
+// it, so no row costs a descent.
+func (b *base) deriveCeilings() error {
+	type listed struct {
+		doc DocID
+		key float64
+	}
+	var rows []listed
+	if err := b.table.ForEach(func(doc DocID, r docRow) bool {
+		rows = append(rows, listed{doc, r.val})
+		return true
+	}); err != nil {
+		return err
+	}
+	b.ceil = newKeyCeilings(b.chunks.NumChunks())
+	return b.score.ForEach(func(doc DocID, r docRow) bool {
+		for len(rows) > 0 && rows[0].doc < doc {
+			rows = rows[1:]
+		}
+		if r.deleted {
+			return true
+		}
+		key := b.keyOf(r.val)
+		if len(rows) > 0 && rows[0].doc == doc {
+			key = rows[0].key
+		}
+		b.ceil.raise(key, r.val)
+		return true
+	})
 }
 
 // resolveChunk is the Chunk orders' resolver.  Within a chunk the
@@ -202,6 +302,7 @@ func (m *thresholdMethod) applyScore(doc DocID, newScore float64) error {
 		if !exists {
 			m.table.Put(doc, docRow{val: listKey})
 		}
+		m.ceil.raise(listKey, newScore)
 		return nil
 	}
 	tokens, err := m.docTokens(doc)
@@ -217,6 +318,7 @@ func (m *thresholdMethod) applyScore(doc DocID, newScore float64) error {
 	}
 	m.table.Put(doc, docRow{val: newKey})
 	m.setScore(doc, newScore, true)
+	m.ceil.raise(newKey, newScore)
 	return nil
 }
 
