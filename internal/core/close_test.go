@@ -2,8 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
+	"svrdb/internal/index"
 	"svrdb/internal/relation"
 	"svrdb/internal/storage/buffer"
 	"svrdb/internal/storage/pagefile"
@@ -45,9 +48,84 @@ func TestApplyBatchAfterClose(t *testing.T) {
 	}
 }
 
-// TestSearchAfterCloseSentinel pins that the per-index fence reports the
-// same sentinel the serving layer maps to 503.
+// TestSearchAfterCloseSentinel pins that every read entry point of a text
+// index answers the fence's error once the index is shut: ErrClosed, which
+// the serving layer maps to 503, after Engine.Close, and not-found (404)
+// after DropTextIndex — never the drained method's own index.ErrClosed.  A
+// read that starts between the fence and the drain answers the fence's
+// error too, and leaves no epoch pin behind for the drain to wait on.
 func TestSearchAfterCloseSentinel(t *testing.T) {
+	reads := []struct {
+		name string
+		read func(*TextIndex) error
+	}{
+		{"Search", func(ti *TextIndex) error {
+			_, err := ti.Search(SearchRequest{Query: "alpha", K: 1})
+			return err
+		}},
+		{"SearchLoadRows", func(ti *TextIndex) error {
+			_, err := ti.Search(SearchRequest{Query: "alpha", K: 1, LoadRows: true})
+			return err
+		}},
+		{"TermStats", func(ti *TextIndex) error {
+			_, _, err := ti.TermStats("alpha")
+			return err
+		}},
+		{"ScoreOf", func(ti *TextIndex) error {
+			_, _, err := ti.ScoreOf(1)
+			return err
+		}},
+	}
+	shuts := []struct {
+		name string
+		shut func(*Engine) error
+		want error
+	}{
+		{"Close", func(e *Engine) error { return e.Close() }, ErrClosed},
+		{"DropTextIndex", func(e *Engine) error { return e.DropTextIndex("d") }, relation.ErrNotFound},
+		{"FenceBeforeDrain", func(e *Engine) error {
+			e.indexes["d"].fenceOut(fmt.Errorf("core: text index %q: %w", "d", ErrClosed))
+			return nil
+		}, ErrClosed},
+	}
+	for _, sh := range shuts {
+		t.Run(sh.name, func(t *testing.T) {
+			engine, idx := newSentinelIndex(t)
+			for _, r := range reads {
+				if err := r.read(idx); err != nil {
+					t.Fatalf("%s before %s: %v", r.name, sh.name, err)
+				}
+			}
+			if err := sh.shut(engine); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range reads {
+				if err := r.read(idx); !errors.Is(err, sh.want) || errors.Is(err, index.ErrClosed) {
+					t.Errorf("%s after %s error = %v, want %v", r.name, sh.name, err, sh.want)
+				}
+			}
+			drained := make(chan error, 1)
+			go func() { drained <- idx.method.Drain() }()
+			select {
+			case err := <-drained:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("Drain after %s still waits: a read left its epoch pin", sh.name)
+			}
+			if sh.name != "Close" {
+				if err := engine.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// newSentinelIndex returns an engine with one single-row text index "d".
+func newSentinelIndex(t *testing.T) (*Engine, *TextIndex) {
+	t.Helper()
 	db := relation.NewDB(buffer.MustNew(pagefile.MustNewMem(pagefile.DefaultPageSize), 2048))
 	tbl, err := db.CreateTable(relation.Schema{
 		Name: "Docs",
@@ -70,10 +148,5 @@ func TestSearchAfterCloseSentinel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := engine.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := idx.Search(SearchRequest{Query: "alpha", K: 1}); !errors.Is(err, ErrClosed) {
-		t.Errorf("Search after Close error = %v, want ErrClosed", err)
-	}
+	return engine, idx
 }

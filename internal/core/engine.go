@@ -170,19 +170,19 @@ func (e *Engine) SpecNames() []string {
 }
 
 // Close shuts the engine down: in-flight maintenance writes and searches
-// are drained (the writer mutex and the shutdown fence's write side are
-// each acquired once, so every write and Search that started before Close
-// finishes first), each index's epoch readers are drained and its retired
-// pages recycled (Method.Drain), accumulated maintenance errors are
-// surfaced, dirty pages are written back in one ordered sweep, and the
+// are drained (each index's writer mutex is acquired once, and
+// Method.Drain waits out every epoch pin — a Search holds one across its
+// ranking and row join — so every write and Search that started before
+// Close finishes first) and each index's retired pages recycled,
+// accumulated maintenance errors are surfaced, dirty pages are written back in one ordered sweep, and the
 // buffer pool's pin accounting is audited (CheckPins) so that a pin leak
 // or over-release anywhere in the storage stack — e.g. on the B+-tree
 // patch fast path — fails loudly at close instead of shipping silently.
 // The underlying page file is closed last.  The drain also fences: each
-// index is marked closed, so a search or maintenance write that starts
-// after the drain fails fast instead of pinning pages while the audit runs
-// or touching a closed file.  The fence covers the engine's own paths
-// (Search, ScoreOf and index maintenance); direct relation.Table reads
+// index's fence is set, so a read or maintenance write that starts after
+// it fails fast with ErrClosed instead of pinning pages while the audit
+// runs or touching a closed file.  The fence covers the engine's own paths
+// (Search, TermStats, ScoreOf and index maintenance); direct relation.Table reads
 // are not fenced — callers that read tables directly must stop doing so
 // before Close, or the pin audit may observe their in-flight pins.  An
 // in-flight ApplyBatch is waited for: Close takes the batch lock first, so
@@ -200,17 +200,13 @@ func (e *Engine) Close() error {
 	indexes := e.textIndexes()
 	var errs []error
 	for _, ti := range indexes {
-		// Drain and fence.  writerMu waits out any in-flight maintenance
-		// write; the rw write lock waits out in-flight searches (the only
-		// writer of rw is this drain); the closed mark turns away anything
-		// that starts later.  Method.Drain then waits for any straggling
-		// epoch readers and recycles every page retired for them, so the
-		// pin audit and the final flush below see quiesced structures.
-		ti.writerMu.Lock()
-		ti.rw.Lock()
-		ti.closed = true
-		ti.rw.Unlock()
-		ti.writerMu.Unlock()
+		// Fence, then drain: fenceOut waits out any in-flight maintenance
+		// write and turns away anything that starts later; Method.Drain
+		// then waits for in-flight searches — each holds the method's epoch
+		// pin across its ranking and its row join — and recycles every page
+		// retired for them, so the pin audit and the final flush below see
+		// quiesced structures.
+		ti.fenceOut(fmt.Errorf("core: text index %q: %w", ti.name, ErrClosed))
 		if err := ti.method.Drain(); err != nil {
 			errs = append(errs, fmt.Errorf("core: index %q: drain: %w", ti.name, err))
 		}
@@ -290,10 +286,10 @@ type IndexOptions struct {
 // maintenance: every query evaluates against the method's atomically
 // published snapshot (see internal/index: epoch/snapshot reads), so the
 // write paths — change-event flushes (see queue) and MergeShortLists — only
-// serialize against each other on writerMu, never against readers.  The
-// only lock a search takes is the read side of rw, whose write side is taken
-// exactly once, by Engine.Close, to fence shutdown; during normal operation
-// it is uncontended.
+// serialize against each other on writerMu, never against readers.  A
+// search takes no lock at all: it holds the method's epoch pin
+// (index.Method.Pin), which the drain of Engine.Close and DropTextIndex
+// waits out.
 type TextIndex struct {
 	name   string
 	table  string
@@ -314,20 +310,10 @@ type TextIndex struct {
 	// writerMu serializes the maintenance paths against each other.  Readers
 	// never take it: queries run against published snapshots.
 	writerMu sync.Mutex
-	// rw is the shutdown fence only.  Search holds the read side across the
-	// top-k evaluation and the row join; Engine.Close takes the write side
-	// once to drain in-flight searches before the pin audit and file close.
-	// No maintenance path ever takes the write side, so searches never wait
-	// on it in a running engine.
-	rw sync.RWMutex
-	// closed is set by Engine.Close with both writerMu and rw held; a Search
-	// or maintenance write that starts afterwards fails fast instead of
-	// touching a closed page file while the close-time pin audit runs.
-	closed bool
-	// dropped distinguishes an index fenced by DropTextIndex from one fenced
-	// by engine shutdown: a search racing a drop reports not-found (the
-	// index is gone) rather than engine-closed.
-	dropped bool
+	// fence is the index's one shutdown state: nil while it serves, then
+	// the error fenceOut sets, which every write and read that starts
+	// later answers instead of touching storage being closed or released.
+	fence atomic.Pointer[error]
 
 	// dict is the index's dictionary chain in a durable engine's file and
 	// dictGen the index.MethodAnchor.DictGen it holds; a commit rewrites
@@ -349,6 +335,27 @@ type TextIndex struct {
 	// the batch's end while batching is set.
 	batching bool
 	pending  []index.Update
+}
+
+// fenceOut is the one shutdown step Engine.Close (err wraps ErrClosed) and
+// DropTextIndex (not-found: the engine is alive, the index is gone) share:
+// it waits out an in-flight maintenance write and sets the fence.
+// Searches already running hold the method's epoch pin, which the
+// caller's Method.Drain waits out.
+func (ti *TextIndex) fenceOut(err error) {
+	ti.writerMu.Lock()
+	ti.fence.Store(&err)
+	ti.writerMu.Unlock()
+}
+
+// fenceErr is what an entry point answers in place of err: the fence's
+// error once it is set, if err is nil or the drained method's
+// index.ErrClosed; err otherwise.
+func (ti *TextIndex) fenceErr(err error) error {
+	if f := ti.fence.Load(); f != nil && (err == nil || errors.Is(err, index.ErrClosed)) {
+		return *f
+	}
+	return err
 }
 
 // maxMaintenanceErrs bounds how many maintenance errors a TextIndex retains;
@@ -512,18 +519,13 @@ func (e *Engine) DropTextIndex(name string) error {
 		tbl.RemoveListener(ti.baseHook)
 	}
 
-	// Fence: wait out in-flight maintenance writes (writerMu) and searches
-	// (rw), then mark the index dropped so stragglers fail fast with a
-	// not-found error instead of touching released pages.
-	ti.writerMu.Lock()
-	ti.rw.Lock()
-	ti.closed = true
-	ti.dropped = true
-	ti.rw.Unlock()
-	ti.writerMu.Unlock()
+	// Fence: wait out in-flight maintenance writes and mark the index
+	// dropped, so stragglers fail fast with a not-found error instead of
+	// touching released pages.
+	ti.fenceOut(fmt.Errorf("core: no text index named %q: %w", name, relation.ErrNotFound))
 
 	// Release the storage: retire every page of the method's structures,
-	// then drain the epochs — any reader still pinned to the last snapshot
+	// then drain the epochs — any search still pinned to the last snapshot
 	// leaves first, after which all retired pages recycle onto the free list.
 	var errs []error
 	if err := ti.method.ReleasePages(); err != nil {
@@ -695,8 +697,8 @@ func (ti *TextIndex) onScoreChange(c view.ScoreChange) {
 func (ti *TextIndex) writeLocked(fn func() error) error {
 	ti.writerMu.Lock()
 	defer ti.writerMu.Unlock()
-	if ti.closed {
-		return fmt.Errorf("core: text index %q: %w", ti.name, ErrClosed)
+	if err := ti.fenceErr(nil); err != nil {
+		return err
 	}
 	return fn()
 }
@@ -729,8 +731,8 @@ func (ti *TextIndex) flush() error {
 	if len(ops) == 0 {
 		return nil
 	}
-	if ti.closed {
-		return fmt.Errorf("core: text index %q: %w, %d updates dropped", ti.name, ErrClosed, len(ops))
+	if err := ti.fenceErr(nil); err != nil {
+		return fmt.Errorf("%w, %d updates dropped", err, len(ops))
 	}
 	return ti.method.ApplyUpdates(ops)
 }
@@ -996,9 +998,9 @@ type SearchResult struct {
 // behind maintenance: the top-k evaluation runs entirely against the
 // method's published snapshot (pinning its epoch so superseded pages stay
 // valid), so a search observes the index either before or after a write
-// batch, never mid-flight, without waiting for the batch.  The only lock
-// held is the read side of the shutdown fence, whose write side only
-// Engine.Close takes.
+// batch, never mid-flight, without waiting for the batch.  It takes no
+// lock: one epoch pin (index.Method.Pin) spans the ranking and the row
+// join, so the drain of Engine.Close or DropTextIndex waits for both.
 func (ti *TextIndex) Search(req SearchRequest) (*SearchResult, error) {
 	if req.K < 1 {
 		return nil, fmt.Errorf("core: %w: k = %d must be positive", ErrInvalidRequest, req.K)
@@ -1008,16 +1010,10 @@ func (ti *TextIndex) Search(req SearchRequest) (*SearchResult, error) {
 		return nil, fmt.Errorf("core: %w: query contains no indexable terms", ErrInvalidRequest)
 	}
 	terms = text.DistinctTerms(terms)
-	ti.rw.RLock()
-	defer ti.rw.RUnlock()
-	if ti.closed {
-		if ti.dropped {
-			// The index was dropped while this search raced it: report
-			// not-found (the caller's 404), not a shutdown error — the
-			// engine is alive, the index just no longer exists.
-			return nil, fmt.Errorf("core: no text index named %q: %w", ti.name, relation.ErrNotFound)
-		}
-		return nil, fmt.Errorf("core: text index %q: %w", ti.name, ErrClosed)
+	pin, err := ti.method.Pin()
+	defer pin.Leave() // a no-op on the dead guard of a drained method
+	if err = ti.fenceErr(err); err != nil {
+		return nil, err
 	}
 	qr, err := ti.method.TopK(index.Query{
 		Terms:          terms,
@@ -1080,15 +1076,8 @@ func (ti *TextIndex) TermStats(query string) (numDocs int64, df []int64, err err
 		return 0, nil, fmt.Errorf("core: %w: query contains no indexable terms", ErrInvalidRequest)
 	}
 	terms = text.DistinctTerms(terms)
-	ti.rw.RLock()
-	defer ti.rw.RUnlock()
-	if ti.closed {
-		if ti.dropped {
-			return 0, nil, fmt.Errorf("core: no text index named %q: %w", ti.name, relation.ErrNotFound)
-		}
-		return 0, nil, fmt.Errorf("core: text index %q: %w", ti.name, ErrClosed)
-	}
-	return ti.method.TermStats(terms)
+	numDocs, df, err = ti.method.TermStats(terms)
+	return numDocs, df, ti.fenceErr(err)
 }
 
 // TermStats looks up the named text index and reports its collection
@@ -1146,7 +1135,8 @@ func (ti *TextIndex) MergeShortLists() error {
 // reports the pre-batch score.  ok is false for a document the index has
 // never seen or has deleted.
 func (ti *TextIndex) ScoreOf(pk int64) (float64, bool, error) {
-	return ti.method.ScoreOf(index.DocID(pk))
+	score, ok, err := ti.method.ScoreOf(index.DocID(pk))
+	return score, ok, ti.fenceErr(err)
 }
 
 // --- document source over a relation --------------------------------------------

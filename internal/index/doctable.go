@@ -266,22 +266,21 @@ func (t *docTable) Len() int { return t.tree.Len() }
 
 // ForEach visits every (doc, row) pair in document order.
 func (t *docTable) ForEach(visit func(doc DocID, r docRow) bool) error {
-	var innerErr error
-	err := t.tree.View().Ascend(func(k, v []byte) bool {
+	c := t.tree.View().Cursor(nil, nil)
+	defer c.Close()
+	for c.More() {
+		k, v := c.Next()
 		id, _, err := codec.OrderedUint64(k)
 		if err != nil {
-			innerErr = err
-			return false
+			return err
 		}
 		r, err := t.flags.decode(v)
 		if err != nil {
-			innerErr = err
-			return false
+			return err
 		}
-		return visit(DocID(id), r)
-	})
-	if innerErr != nil {
-		return innerErr
+		if !visit(DocID(id), r) {
+			return nil
+		}
 	}
-	return err
+	return c.Err()
 }

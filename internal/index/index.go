@@ -212,6 +212,11 @@ type Method interface {
 	// their epochs and recycles every retired page.  The method must not be
 	// used after Drain returns; queries racing it get ErrClosed.
 	Drain() error
+	// Pin enters the method's current epoch, so that Drain waits until the
+	// guard is left: a caller that goes on to read the tables the method
+	// indexes (a search's row join) holds one pin across the query and the
+	// read.  After Drain it returns ErrClosed.
+	Pin() (epoch.Guard, error)
 	// Pages appends to dst every page the method's structures occupy — its
 	// B+-trees' and its blobs' — each once: what ReleasePages retires, and
 	// what a durable engine keeps live when it opens its file.  It reads

@@ -386,8 +386,8 @@ func TestTreeCursorStreamsInBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// More postings than one cursor batch.
-	const n = cursorBatchSize*3 + 17
+	// More postings than one downstream batch.
+	const n = postings.BatchSize*3 + 17
 	for i := 0; i < n; i++ {
 		kl.Put("term", float64(n-i), DocID(i), postings.OpAdd, 0)
 	}
@@ -477,10 +477,10 @@ func TestDocTermWeights(t *testing.T) {
 }
 
 func TestTreeCursorExactBatchMultiple(t *testing.T) {
-	// Regression: when a term's posting count is an exact multiple of the
-	// cursor batch size the range scan used to end without recording a
-	// resume point, so the next refill re-yielded the same batch forever.
-	for _, n := range []int{cursorBatchSize, cursorBatchSize * 2} {
+	// A term whose posting count is an exact multiple of the caller's batch
+	// size must end after its last full batch, not re-yield it (a reader
+	// that resumed a range scan from a hand-kept key once did).
+	for _, n := range []int{postings.BatchSize, postings.BatchSize * 2} {
 		kl, err := newKeyedList(newTestPool(t))
 		if err != nil {
 			t.Fatal(err)
@@ -489,7 +489,7 @@ func TestTreeCursorExactBatchMultiple(t *testing.T) {
 			kl.Put("term", float64(n-i), DocID(i), postings.OpAdd, 0)
 		}
 		v := flushedView(t, kl)
-		// A one-entry buffer refills at every cursor batch boundary exactly.
+		// A one-entry buffer meets every batch boundary exactly.
 		for _, size := range []int{1, 100} {
 			c := v.Cursor("term")
 			count := 0

@@ -164,22 +164,19 @@ func (l *keyedList) stageOp(doc DocID, key, val []byte, del bool) {
 // codec.ErrCorrupt and nothing is staged.
 func (l *keyedList) DeleteDoc(doc DocID) error {
 	var keys [][]byte
-	var innerErr error
-	err := l.tree.View().Ascend(func(k, _ []byte) bool {
+	c := l.tree.View().Cursor(nil, nil)
+	defer c.Close()
+	for c.More() {
+		k, _ := c.Next()
 		d, err := keyedListDoc(k)
 		if err != nil {
-			innerErr = fmt.Errorf("index: purge of document %d: %w", doc, err)
-			return false
+			return fmt.Errorf("index: purge of document %d: %w", doc, err)
 		}
 		if d == doc {
 			keys = append(keys, append([]byte(nil), k...))
 		}
-		return true
-	})
-	if innerErr != nil {
-		return innerErr
 	}
-	if err != nil {
+	if err := c.Err(); err != nil {
 		return err
 	}
 	for _, i := range l.docOps[doc] {
@@ -278,116 +275,57 @@ func (v keyedView) Patches() uint64 { return v.patches }
 
 // treeCursor is a streaming pull iterator over a keyedList term, the one
 // reader of both the short lists and the Score method's clustered long
-// lists.  It pulls postings in batches through bounded range scans so that
-// an early-terminating query touches only a prefix of the B+-tree leaves.
+// lists: a decoder over a B+-tree cursor that fills the caller's batch
+// straight from the cursor's leaf image, so an early-terminating query
+// reads only a prefix of the term's leaves.
 type treeCursor struct {
-	view      btree.View
-	prefixLen int    // length of the term prefix every key of the list starts with
-	end       []byte // exclusive end of the term's key range
-
-	batch   []postings.Entry
-	pos     int
-	nextKey []byte // resume position (exclusive)
-	done    bool
+	cur       *btree.Cursor
+	prefixLen int // length of the term prefix every key of the list starts with
 }
 
-// cursorBatchSize is the number of postings fetched per refill; roughly one
-// leaf page worth and one downstream batch.
-const cursorBatchSize = postings.BatchSize
-
+// Cursor opens term's list; Close returns its B+-tree cursor to the pool.
 func (v keyedView) Cursor(term string) *treeCursor {
 	prefix := keyedListPrefix(term)
-	return &treeCursor{view: v.view, prefixLen: len(prefix), end: btree.PrefixEnd(prefix), nextKey: prefix}
+	return &treeCursor{cur: v.view.Cursor(prefix, btree.PrefixEnd(prefix)), prefixLen: len(prefix)}
 }
 
-func (c *treeCursor) refill() error {
-	c.batch = c.batch[:0]
-	c.pos = 0
-	if c.done {
-		return nil
-	}
-	var innerErr error
-	var lastKey []byte
-	count := 0
-	stopped := false
-	err := c.view.AscendRange(c.nextKey, c.end, func(k, v []byte) bool {
-		if count >= cursorBatchSize {
-			// Remember where to resume: the current key (it has not been
-			// consumed into the batch).
-			c.nextKey = append(c.nextKey[:0], k...)
-			stopped = true
-			return false
-		}
+// NextBatch implements postings.BatchIterator.
+func (c *treeCursor) NextBatch(out []postings.Entry) (int, error) {
+	n := 0
+	for n < len(out) && c.cur.More() {
+		k, v := c.cur.Next()
 		sortKey, doc, err := decodeKeyedListSuffix(k[c.prefixLen:])
 		if err != nil {
-			innerErr = err
-			return false
+			return n, err
 		}
 		op, ts, err := decodeKeyedListValue(v)
 		if err != nil {
-			innerErr = err
-			return false
+			return n, err
 		}
-		c.batch = append(c.batch, postings.Entry{
-			Doc:       doc,
-			SortKey:   sortKey,
-			TermScore: ts,
-			Op:        op,
-		})
-		lastKey = append(lastKey[:0], k...)
-		count++
-		return true
-	})
-	if innerErr != nil {
-		return innerErr
+		out[n] = postings.Entry{Doc: doc, SortKey: sortKey, TermScore: ts, Op: op}
+		n++
 	}
-	if err != nil {
-		return err
-	}
-	if !stopped {
-		if count < cursorBatchSize {
-			c.done = true
-		} else {
-			// The scan ended exactly at a full batch, so there was no extra
-			// key to stash as the resume point.  Resume just past the last
-			// consumed key; if nothing follows, the next refill comes back
-			// empty and finishes the cursor.
-			c.nextKey = append(append(c.nextKey[:0], lastKey...), 0)
-		}
-	}
-	return nil
+	return n, c.cur.Err()
 }
 
-// NextBatch implements postings.BatchIterator: postings are bulk-copied out
-// of the cursor's range-scan batch, one B+-tree leaf run at a time.
-func (c *treeCursor) NextBatch(out []postings.Entry) (int, error) {
-	n := 0
-	for n < len(out) {
-		if c.pos >= len(c.batch) {
-			if c.done {
-				break
-			}
-			if err := c.refill(); err != nil {
-				return n, err
-			}
-			if len(c.batch) == 0 {
-				continue
-			}
-		}
-		copied := copy(out[n:], c.batch[c.pos:])
-		n += copied
-		c.pos += copied
+// Close implements postings.Closer.  A second Close is a no-op, so the
+// pooled cursor is never handed out twice.
+func (c *treeCursor) Close() {
+	if c.cur != nil {
+		c.cur.Close()
+		c.cur = nil
 	}
-	return n, nil
 }
 
 // SizeBytes estimates the serialized size of the list: key plus value bytes
 // for every posting.  It is used for the Score method's Table 1 entry.
 func (v keyedView) SizeBytes() (uint64, error) {
 	var total uint64
-	err := v.view.Ascend(func(k, val []byte) bool {
+	c := v.view.Cursor(nil, nil)
+	defer c.Close()
+	for c.More() {
+		k, val := c.Next()
 		total += uint64(len(k) + len(val))
-		return true
-	})
-	return total, err
+	}
+	return total, c.Err()
 }

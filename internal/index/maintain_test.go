@@ -20,25 +20,21 @@ func postingTerms(t *testing.T, m Method, doc DocID) []string {
 		t.Fatal(err)
 	}
 	var terms []string
-	var innerErr error
-	err := l.tree.View().Ascend(func(k, _ []byte) bool {
+	c := l.tree.View().Cursor(nil, nil)
+	defer c.Close()
+	for c.More() {
+		k, _ := c.Next()
 		term, n, err := codec.OrderedString(k)
 		if err != nil {
-			innerErr = err
-			return false
+			t.Fatal(err)
 		}
 		if _, d, err := decodeKeyedListSuffix(k[n:]); err != nil {
-			innerErr = err
-			return false
+			t.Fatal(err)
 		} else if d == doc {
 			terms = append(terms, term)
 		}
-		return true
-	})
-	if innerErr != nil {
-		t.Fatal(innerErr)
 	}
-	if err != nil {
+	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
 	return terms

@@ -273,8 +273,8 @@ func (c *queryCtx) offer(g *postings.Group, svr float64) float64 {
 // right after a build or merge — the long list is consumed directly, so
 // the query skips a pipeline stage and its batch buffers, and an ID list
 // keeps its SeekDoc for a conjunctive merge to leapfrog with.  The short
-// list streams through a cursor whose first refill, one descent, tells
-// whether it is empty.
+// list streams through a cursor whose first More, one descent, tells
+// whether it is empty; an empty one's cursor is closed at once.
 func (b *base) termStreams(ctx *queryCtx) error {
 	s := ctx.snap
 	ctx.streams = ctx.streams[:0]
@@ -284,14 +284,16 @@ func (b *base) termStreams(ctx *queryCtx) error {
 			return err
 		}
 		short := s.lists.Cursor(term)
-		if err := short.refill(); err != nil {
+		if short.cur.More() {
+			ctx.streams = append(ctx.streams, postings.NewOverlay(short, long))
+			continue
+		}
+		err = short.cur.Err()
+		short.Close()
+		if err != nil {
 			return err
 		}
-		if len(short.batch) == 0 {
-			ctx.streams = append(ctx.streams, long)
-		} else {
-			ctx.streams = append(ctx.streams, postings.NewOverlay(short, long))
-		}
+		ctx.streams = append(ctx.streams, long)
 	}
 	return nil
 }

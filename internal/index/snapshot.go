@@ -12,8 +12,9 @@ import (
 //
 // Every method keeps an atomically published *snap: a frozen image of all
 // the state a query touches — B+-tree roots of the Score table and the
-// method's lists, the long-list blob refs, the chunker / score directory,
-// and a frozen document-frequency vector for IDF.  Readers enter the
+// method's lists, the long-list blob refs, the Chunk orders' key ceilings
+// (snap.ceil) or the score directory, and a frozen document-frequency
+// vector for IDF.  Readers enter the
 // current epoch, load the snapshot, and evaluate entirely against it; the
 // serialized writer mutates copy-on-write trees in private (fresh) pages
 // and publishes by storing a new snap and advancing the epoch.  Pages the
@@ -109,6 +110,12 @@ func (b *base) acquire() (*snap, epoch.Guard, error) {
 		return nil, g, ErrClosed
 	}
 	return b.published.Load(), g, nil
+}
+
+// Pin implements Method.
+func (b *base) Pin() (epoch.Guard, error) {
+	_, g, err := b.acquire()
+	return g, err
 }
 
 // Drain implements Method: it fences out new readers, waits for in-flight

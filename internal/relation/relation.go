@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"iter"
 	"math"
 	"sort"
 	"sync"
@@ -692,47 +691,46 @@ func (t *Table) Scan(visit func(Row) bool) error {
 	return t.ascendLocked(visit)
 }
 
-// ascendLocked visits every row in primary-key order, ascending the row
-// tree and pulling the string tree one entry per row in lockstep: a scan is
-// two ascents, not a lookup per row.  A key held by one tree only fails the
-// scan.  The caller holds rowMu.
+// ascendLocked visits every row in primary-key order, walking the row tree
+// and the string tree with two cursors in lockstep: a scan is two ascents,
+// not a lookup per row.  A key held by one tree only fails the scan.  The
+// caller holds rowMu.
 func (t *Table) ascendLocked(visit func(Row) bool) error {
-	next := func() (k, v []byte, ok bool) { return nil, nil, false }
-	var strsErr error
-	stop := func() {}
+	rows := t.rows.View().Cursor(nil, nil)
+	defer rows.Close()
+	var strs *btree.Cursor
 	if t.strs != nil {
-		next, stop = iter.Pull2(func(yield func(k, v []byte) bool) {
-			strsErr = t.strs.View().Ascend(yield)
-		})
+		strs = t.strs.View().Cursor(nil, nil)
+		defer strs.Close()
 	}
-	defer stop()
-	var joinErr error
-	more := true
-	err := t.rows.View().Ascend(func(k, fixed []byte) bool {
-		var strs []byte
-		if t.strs != nil {
-			sk, sv, ok := next()
-			if !ok || !bytes.Equal(k, sk) {
-				joinErr = t.errTreesDisagree(k)
-				return false
+	for rows.More() {
+		k, fixed := rows.Next()
+		var sv []byte
+		if strs != nil {
+			if !strs.More() {
+				return errors.Join(strs.Err(), t.errTreesDisagree(k))
 			}
-			strs = sv
+			var sk []byte
+			if sk, sv = strs.Next(); !bytes.Equal(k, sk) {
+				return t.errTreesDisagree(k)
+			}
 		}
-		row, err := t.joinRow(fixed, strs)
+		row, err := t.joinRow(fixed, sv)
 		if err != nil {
-			joinErr = err
-			return false
+			return err
 		}
-		more = visit(row)
-		return more
-	})
-	if err == nil && joinErr == nil && more {
-		if sk, _, ok := next(); ok {
-			joinErr = t.errTreesDisagree(sk)
+		if !visit(row) {
+			return nil
 		}
 	}
-	stop()
-	return errors.Join(err, joinErr, strsErr)
+	if err := rows.Err(); err != nil || strs == nil {
+		return err
+	}
+	if strs.More() {
+		sk, _ := strs.Next()
+		return t.errTreesDisagree(sk)
+	}
+	return strs.Err()
 }
 
 // --- secondary indexes -------------------------------------------------------
@@ -866,25 +864,23 @@ func (t *Table) LookupByColumn(column string, value Value, visit func(Row) bool)
 	prefix := secondaryKey(value, 0)
 	// Strip the trailing pk portion (last 8 bytes) to form the value prefix.
 	prefix = prefix[:len(prefix)-8]
-	var innerErr error
-	err := tree.View().AscendPrefix(prefix, func(k, v []byte) bool {
-		pkBytes := k[len(k)-8:]
-		pk, _, err := codec.OrderedUint64(pkBytes)
+	c := tree.View().Cursor(prefix, btree.PrefixEnd(prefix))
+	defer c.Close()
+	for c.More() {
+		k, _ := c.Next()
+		pk, _, err := codec.OrderedUint64(k[len(k)-8:])
 		if err != nil {
-			innerErr = err
-			return false
+			return err
 		}
 		row, err := t.getLocked(int64(pk))
 		if err != nil {
-			innerErr = err
-			return false
+			return err
 		}
-		return visit(row)
-	})
-	if innerErr != nil {
-		return innerErr
+		if !visit(row) {
+			return nil
+		}
 	}
-	return err
+	return c.Err()
 }
 
 // --- catalog -----------------------------------------------------------------

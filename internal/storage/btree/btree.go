@@ -347,7 +347,7 @@ func (t *Tree) maxEntrySize() int { return t.pool.PageSize() / 4 }
 //	[1 type][varint nKeys] { [len key][key][len val][val] }*
 //
 // Leaves carry no sibling pointers: every range scan re-descends from a
-// frozen root at the previous leaf's upper bound (View.AscendRange).
+// frozen root at the previous leaf's upper bound (View.Cursor).
 //
 // Layout (internal):
 //

@@ -6,10 +6,8 @@
 // method's clustered long list — as BerkeleyDB B+-trees (§5.2).  This
 // package is the equivalent substrate: keys and values are opaque byte
 // strings, keys compare bytewise (order-preserving composite keys are built
-// with package codec), range scans re-descend from a frozen root at each
-// leaf's upper bound (leaves carry no sibling pointers), and every node
-// occupies exactly one buffer-pool page so that the I/O counters reflect
-// realistic access costs.
+// with package codec), and every node occupies exactly one buffer-pool page
+// so that the I/O counters reflect realistic access costs.
 //
 // Deletion is "lazy": a key is removed from its leaf but leaves are not
 // rebalanced when they underflow.  This matches the access patterns in this
@@ -21,11 +19,17 @@
 // file without bound nor leaves dead leaves for scans to traverse.
 //
 // A tree has one write path, the sorted batch (UpsertBatch, DeleteBatch),
-// and one read path, the View.  Within a batch, a run of writes that replace
-// existing values with ones of identical length — every fixed-width table
-// write: Score-table score updates, ListScore/ListChunk rows, deleted-flag
-// flips — is patched straight into the pinned leaf page (Frame.Patch) with
-// no node parse or reserialize; Patches counts them.
+// and one read path, the View: point lookups (View.Get, Probe) and one range
+// reader, the pooled pull Cursor (View.Cursor, then More, Next, Err and
+// Close), which reads a copy of one leaf at a time and re-descends from the
+// view's frozen root at each leaf's upper bound (leaves carry no sibling
+// pointers).  AscendRange, Ascend and AscendPrefix are loops over a Cursor.
+//
+// Within a batch, a run of writes that replace existing values with ones
+// of identical length — every fixed-width table write: Score-table score
+// updates, ListScore/ListChunk rows, deleted-flag flips — is patched
+// straight into the pinned leaf page (Frame.Patch) with no node parse or
+// reserialize; Patches counts them.
 //
 // See ARCHITECTURE.md for the layer map — where this package sits in the
 // stack — and for the repo-wide concurrency contract.

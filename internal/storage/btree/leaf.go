@@ -344,7 +344,7 @@ func leafLayout(fr *buffer.Frame) (s stride, fixed bool, w leafWalker, err error
 // fixed-width, else through the walker's table.  On error the image is left
 // empty.
 func (m *leafImage) load(fr *buffer.Frame) error {
-	m.data, m.ents, m.fixed = m.data[:0], m.ents[:0], stride{}
+	m.reset()
 	s, fixed, w, err := leafLayout(fr)
 	switch {
 	case err != nil:
@@ -356,6 +356,9 @@ func (m *leafImage) load(fr *buffer.Frame) error {
 	}
 	return m.walk(w, fr.Data())
 }
+
+// reset empties the image, keeping its buffers.
+func (m *leafImage) reset() { m.data, m.ents, m.fixed = m.data[:0], m.ents[:0], stride{} }
 
 // walk fills the image from the walker: the path for leaves that are not
 // fixed-width, and the reference the stride path is tested against.

@@ -239,9 +239,12 @@ func TestDeleteBatchPrunesEmptiedLeaves(t *testing.T) {
 	}
 }
 
-// TestDeleteEmptiedRangeThenCursorResume exercises a bounded-range cursor
-// walk (the keyedList treeCursor pattern: AscendRange from a resume key)
-// across a pruned region.
+// TestDeleteEmptiedRangeThenCursorResume walks a pruned region in range
+// scans of 16 keys, each started from the key the previous one stopped at:
+// a start key inside the emptied region must descend to the next live
+// leaf.  No production reader resumes from a hand-kept key any more (a
+// Cursor re-descends at each leaf's upper bound itself); the test keeps the
+// descent from an arbitrary start key checked.
 func TestDeleteEmptiedRangeThenCursorResume(t *testing.T) {
 	tree, pool := newTestTree(t, 512, 256)
 	keys := fillSequential(t, tree, 400)
@@ -250,8 +253,7 @@ func TestDeleteEmptiedRangeThenCursorResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Resume-style scan: batches of 16 from an explicit key, as treeCursor
-	// refills do.
+	// Resume-style scan: batches of 16 from an explicit key.
 	var all []string
 	next := keys[0]
 	for {

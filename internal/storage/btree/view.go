@@ -49,69 +49,23 @@ func (v View) Get(dst, key []byte) ([]byte, bool, error) {
 	return dst, ok, err
 }
 
-// scanner is the scratch of one range scan: the image of the leaf being
-// visited and the two bound buffers the scan alternates between (the bound
-// of the leaf just finished is the descent key of the next).  Scanners are
-// pooled so that the query path's short-list and cursor scans reuse their
-// buffers instead of allocating a page-sized image per scan.
-type scanner struct {
-	leaf       leafImage
-	key, upper []byte
-}
-
-var scannerPool = sync.Pool{New: func() any { return new(scanner) }}
-
 // Visitor receives key/value pairs during a scan.  Returning false stops the
-// scan early.  The slices are valid only until the visitor returns (ascending
-// scans pass views into a reusable leaf image); copy what must outlive it.
+// scan early.  The slices are valid only until the visitor returns (they
+// alias the scan cursor's leaf image); copy what must outlive it.
 type Visitor func(key, value []byte) bool
 
-// AscendRange visits keys in [start, end) in ascending order.  A nil start
-// begins at the smallest key; a nil end scans to the largest.  The key and
-// value slices passed to visit alias the scan's leaf image — a copy, so no
-// page is pinned while visit runs and visit may use the tree freely — and
-// are valid only until visit returns.
+// AscendRange visits keys in [start, end) in ascending order: a loop over a
+// Cursor (see View.Cursor for the bounds).  visit may use the tree freely,
+// since the cursor pins no page while it runs.
 func (v View) AscendRange(start, end []byte, visit Visitor) error {
-	sc := scannerPool.Get().(*scanner)
-	defer scannerPool.Put(sc)
-	key := start // nil descends to the leftmost leaf
-	for {
-		sc.upper = sc.upper[:0]
-		fr, err := v.t.descendFrom(v.root, key, nil, &sc.upper, nil)
-		if err != nil {
-			return err
-		}
-		err = sc.leaf.load(fr)
-		fr.Release()
-		if err != nil {
-			return err
-		}
-		i := 0
-		if key != nil {
-			i = sc.leaf.search(key)
-		}
-		for ; i < sc.leaf.len(); i++ {
-			k := sc.leaf.key(i)
-			if end != nil && bytes.Compare(k, end) >= 0 {
-				return nil
-			}
-			if !visit(k, sc.leaf.val(i)) {
-				return nil
-			}
-		}
-		// Separator keys are never empty, so an untouched buffer means the
-		// descent stayed rightmost at every level: this was the last leaf.
-		if len(sc.upper) == 0 {
+	c := v.Cursor(start, end)
+	defer c.Close()
+	for c.More() {
+		if !visit(c.Next()) {
 			return nil
 		}
-		if end != nil && bytes.Compare(sc.upper, end) >= 0 {
-			return nil
-		}
-		// Re-descend at this leaf's exclusive upper bound; equal separators
-		// route right, so the descent lands exactly on the successor leaf.
-		sc.key, sc.upper = sc.upper, sc.key
-		key = sc.key
 	}
+	return c.Err()
 }
 
 // Ascend visits every key in ascending order.
@@ -120,6 +74,97 @@ func (v View) Ascend(visit Visitor) error { return v.AscendRange(nil, nil, visit
 // AscendPrefix visits every key beginning with prefix in ascending order.
 func (v View) AscendPrefix(prefix []byte, visit Visitor) error {
 	return v.AscendRange(prefix, PrefixEnd(prefix), visit)
+}
+
+// Cursor is the tree's one range reader, a pull iterator over the keys of a
+// View in [start, end), ascending: open (View.Cursor), More and Next until
+// More is false, Err, Close.  It reads a copy of one leaf at a time — its
+// leaf image — so it pins no page between calls and the caller may use the
+// tree freely while it is open; when the image is spent it re-descends from
+// the view's root at the leaf's exclusive upper bound.  Cursors are pooled,
+// so a reader that opens one per query reuses the page-sized image instead
+// of allocating it; a cursor must not be used after Close.
+type Cursor struct {
+	v       View
+	end     []byte // exclusive end of the range, when bounded
+	bounded bool
+	leaf    leafImage
+	i       int // the next entry of leaf
+	// key is the next descent's key — the start, then each leaf's upper
+	// bound — and upper the buffer a descent fills with the new bound.
+	key, upper []byte
+	last       bool // the loaded leaf is the range's last one
+	err        error
+}
+
+var cursorPool = sync.Pool{New: func() any { return new(Cursor) }}
+
+// Cursor opens a reader over the keys in [start, end).  A nil start begins
+// at the smallest key; a nil end runs to the largest.  Both are copied, so
+// the caller may reuse them.  The first More descends.
+func (v View) Cursor(start, end []byte) *Cursor {
+	c := cursorPool.Get().(*Cursor)
+	c.v = v
+	c.key = append(c.key[:0], start...)
+	c.end, c.bounded = append(c.end[:0], end...), end != nil
+	c.leaf.reset()
+	c.i, c.last, c.err = 0, false, nil
+	return c
+}
+
+// More reports whether Next has an entry to return, loading the next leaf
+// when the image is spent.  It returns false at the end of the range and on
+// an error, which Err then reports.
+func (c *Cursor) More() bool {
+	for c.i >= c.leaf.len() {
+		if c.last || c.err != nil {
+			return false
+		}
+		c.err = c.descend()
+	}
+	return !c.bounded || bytes.Compare(c.leaf.key(c.i), c.end) < 0
+}
+
+// Next returns the entry More reported and moves past it.  It must follow a
+// More that returned true.  The slices alias the leaf image and are valid
+// until the next More or Close.
+func (c *Cursor) Next() (key, value []byte) {
+	key, value = c.leaf.key(c.i), c.leaf.val(c.i)
+	c.i++
+	return key, value
+}
+
+// Err reports the error that ended the walk, if any.
+func (c *Cursor) Err() error { return c.err }
+
+// Close returns the cursor to the pool.
+func (c *Cursor) Close() {
+	c.v = View{}
+	cursorPool.Put(c)
+}
+
+// descend loads the leaf holding the descent key into the image and
+// positions the walk at the first entry not below it.
+func (c *Cursor) descend() error {
+	c.upper = c.upper[:0]
+	fr, err := c.v.t.descendFrom(c.v.root, c.key, nil, &c.upper, nil)
+	if err != nil {
+		return err
+	}
+	err = c.leaf.load(fr)
+	fr.Release()
+	if err != nil {
+		return err
+	}
+	c.i = c.leaf.search(c.key)
+	// Separator keys are never empty, so an untouched bound means the
+	// descent stayed rightmost at every level: this is the last leaf.  Past
+	// a bound at or beyond the end no key is in range either.
+	c.last = len(c.upper) == 0 || c.bounded && bytes.Compare(c.upper, c.end) >= 0
+	// The next descent is at this leaf's exclusive upper bound; equal
+	// separators route right, so it lands exactly on the successor leaf.
+	c.key, c.upper = c.upper, c.key
+	return nil
 }
 
 // PrefixEnd returns the smallest key greater than every key with the given
