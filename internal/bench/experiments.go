@@ -130,6 +130,7 @@ func RunFigure7(opts Options) (*Table, error) {
 		Notes: []string{
 			"expected shape (paper): Score update cost is orders of magnitude above all others; ID query cost is flat and highest of the chunked methods; Chunk and Score-Threshold track each other with Chunk slightly ahead",
 			"departs from the paper: Chunk stops at its key ceilings (the highest score a document filed under a chunk can have), never later than the paper's next-chunk bound, so it scans far fewer postings than Score-Threshold instead of tracking it (default scale, 2000 updates: 32 against 525 per query; 354 under the paper's bound)",
+			"departs from the paper: a fresh Score-Threshold index reads the Score table for every candidate, because each document's list score sits in its Score row, not in a ListScore table whose missing row would spare a never-updated document the lookup; its Pages/query is flat in the updates instead of rising from a low start (-scale 0.25: 12.0 at 0 and at 2000 updates, against 4.0 and 13.0 with the separate table)",
 			"the Score method is capped at a small number of measured updates because each one rewrites every posting of the document",
 			"Pages/query counts buffer-pool misses per query; with a warm pool it is ~0 and only the cold/disk-backed runs exercise it",
 		},

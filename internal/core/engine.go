@@ -985,10 +985,6 @@ type SearchResult struct {
 	Hits            []SearchHit
 	PostingsScanned int
 	Stopped         bool
-	// Partial marks a scatter-gather result that is missing one or more
-	// shards' contributions (the shards were down or timed out).  A
-	// single-engine Search never sets it.
-	Partial bool
 }
 
 // Search runs a keyword query and returns the top-k rows ranked by the

@@ -28,9 +28,12 @@ import (
 // ignored, but one encoding per version keeps the rule simple); version 8
 // moves a threshold index's "has short-list postings" flag from its
 // ListScore/ListChunk rows into its Score rows, so a version-7 Score table
-// would read every moved document as unmoved.  Older files are refused at
-// Open: there is no migration reader.
-const catalogVersion = 8
+// would read every moved document as unmoved; version 9 moves the list key
+// into a threshold index's Score rows (17 bytes: score, key, flags), drops
+// its ListScore/ListChunk tree and the keyed lists' separate posting count,
+// so a version-8 Score table's 9-byte rows would read as corrupt.  Older
+// files are refused at Open: there is no migration reader.
+const catalogVersion = 9
 
 // chainRef locates a page chain in the file: its head page and the length of
 // the bytes it holds.

@@ -330,11 +330,13 @@ func TestTextEditIsNotAScoreUpdate(t *testing.T) {
 // version — 2 (a Score view tree per index), 3 (page-aligned list blobs,
 // whose refs have no in-page offset), 4 (B+-tree leaves with sibling
 // pointers), 5 (each table row whole in one tree), 6 (a cache of inserted
-// documents' terms in each index's dictionary) or 7 (the short-list flag in
-// the ListScore/ListChunk rows, not the Score rows) — is refused with an
-// error naming both versions, and the refusal writes nothing.
+// documents' terms in each index's dictionary), 7 (the short-list flag in
+// the ListScore/ListChunk rows, not the Score rows) or 8 (a threshold
+// index's list keys in a ListScore/ListChunk tree beside 9-byte Score rows)
+// — is refused with an error naming both versions, and the refusal writes
+// nothing.
 func TestCatalogOldVersionsRefused(t *testing.T) {
-	for _, old := range []int{2, 3, 4, 5, 6, 7} {
+	for _, old := range []int{2, 3, 4, 5, 6, 7, 8} {
 		t.Run(fmt.Sprintf("v%d", old), func(t *testing.T) { checkCatalogVersionRefused(t, old) })
 	}
 }

@@ -11,9 +11,9 @@ import (
 // A batch runs in two phases.  First every update is replayed in order
 // through the kind's per-op handler (applyScore, applyInsert, ...).  The
 // handlers never descend the B+-trees to write: the method's updatable
-// structures — the Score table, the ListScore/ListChunk table and the
-// short/clustered lists — collect every write in an in-memory overlay that
-// their reads consult first, so each op sees the batch's earlier ones.
+// structures — the Score table and the short/clustered lists — collect
+// every write in an in-memory overlay that their reads consult first, so
+// each op sees the batch's earlier ones.
 // Second, each structure flushes its overlay as sorted grouped writes
 // (btree.UpsertBatch / DeleteBatch), so postings destined for the same tree
 // leaf share one descent and one leaf rewrite no matter how the updates were
@@ -51,15 +51,12 @@ func (b *base) ApplyUpdates(batch []Update) error {
 			errs = append(errs, err)
 		}
 	}
-	if !b.score.dirty() && !b.lists.dirty() && (b.table == nil || !b.table.dirty()) {
+	if !b.score.dirty() && !b.lists.dirty() {
 		return errors.Join(errs...)
 	}
 	// Concurrent queries see either the whole batch or none of it: they read
 	// the last publication until the flushed trees are published below.
 	errs = append(errs, b.score.flushBatch(), b.lists.flushBatch())
-	if b.table != nil {
-		errs = append(errs, b.table.flushBatch())
-	}
 	b.publish()
 	return errors.Join(errs...)
 }

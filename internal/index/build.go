@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -126,21 +127,35 @@ func (bc *builtCorpus) allScores() []float64 {
 	return out
 }
 
-// populateScoreTable writes every document's build-time score into the Score
-// table shared by all methods.  A fresh (empty) table is bulk-loaded from
-// the already-sorted document run — one left-to-right leaf-packing pass
-// instead of one B+-tree descent and leaf rewrite per document.  A rebuild
-// over an existing table (MergeShortLists) writes nothing: its corpus was
-// read out of that very table, so every live row already holds its score and
-// the deletion markers outside the snapshot stay as they are.
-func (b *base) populateScoreTable(bc *builtCorpus) error {
+// deadRow is a deleted marker a merge carries over into the Score table it
+// rebuilds: the row as it stood, so that the document stays deleted.
+type deadRow struct {
+	doc DocID
+	row docRow
+}
+
+// populateScoreTable bulk-loads a fresh Score table — one left-to-right
+// leaf-packing pass instead of one B+-tree descent per document — and
+// retires the one it replaces: every document at its build score, filed
+// under the key of that score, and the deleted markers dead.  A build
+// replaces the empty table it starts with; a merge rewrites its table under
+// the new list keys.
+func (b *base) populateScoreTable(bc *builtCorpus, dead []deadRow) error {
 	b.numDocs.Store(int64(len(bc.docs)))
-	if b.score.Len() > 0 || len(bc.docs) == 0 {
-		return nil
+	w := b.score.width
+	items := make([]btree.Item, 0, len(bc.docs)+len(dead))
+	for _, doc := range bc.docs {
+		score := bc.docScores[doc]
+		items = append(items, w.item(doc, docRow{val: score, key: b.keyOf(score)}))
 	}
-	items := make([]btree.Item, len(bc.docs))
-	for i, doc := range bc.docs {
-		items[i] = docItem(doc, docRow{val: bc.docScores[doc]})
+	if len(dead) > 0 {
+		for _, d := range dead {
+			items = append(items, w.item(d.doc, d.row))
+		}
+		slices.SortFunc(items, func(x, y btree.Item) int { return bytes.Compare(x.Key, y.Key) })
+	}
+	if len(items) == 0 {
+		return nil
 	}
 	return b.score.bulkLoad(b.cfg.Pool, items)
 }

@@ -27,16 +27,17 @@
 //
 // What the kinds share is written once on base: the Score table (the
 // paper's materialized Score view, §3.2 — the engine's view layer evaluates
-// the spec and stores nothing), one mutable keyed list (B+-tree keyed
+// the spec and stores nothing; in the threshold family each row also
+// records the document's list key, the paper's ListScore/ListChunk table
+// folded into one row per document), one mutable keyed list (B+-tree keyed
 // (term, sortKey desc, docID): the ID family's auxiliary list under the
 // constant key 0, the Score method's long lists, the threshold family's
-// short lists) and, for the threshold family, the ListScore/ListChunk table
-// (both tables are one type, docTable); the one incremental write,
-// ApplyUpdates, and the per-op handlers it dispatches to — document insert,
-// delete and content update (Appendix A; the Score method overrides delete
-// and content update to move postings in place) — which write into the
-// structures' overlays for the batch to flush and publish once; the offline
-// merge, page release, checkpoint state and restore, statistics.
+// short lists); the one incremental write, ApplyUpdates, and the per-op
+// handlers it dispatches to — document insert, delete and content update
+// (Appendix A; the Score method overrides delete and content update to move
+// postings in place) — which write into the structures' overlays for the
+// batch to flush and publish once; the offline merge, page release,
+// checkpoint state and restore, statistics.
 //
 // All methods implement the Method interface so the engine, the benchmark
 // harness and the correctness tests treat them uniformly.  Long lists are

@@ -9,74 +9,77 @@ import (
 	"svrdb/internal/storage/pagefile"
 )
 
-// docTable is the one document-keyed, fixed-width table type of the index.
-// Every method keeps one as the paper's Score table — the materialized Score
-// view of §3.2, the single collection-wide table mapping document IDs to
-// their latest SVR score, indexed by ID so that score lookups during query
-// processing are cheap (§4.2.1) — and the threshold family keeps a second one
-// as its ListScore (Score-Threshold) or ListChunk (Chunk family) table: one
-// row per document whose score has been updated since the long lists were
-// built, recording the document's current position in the inverted lists.
+// docTable is the index's one document-keyed table: the paper's Score table
+// — the materialized Score view of §3.2, the single collection-wide table
+// mapping document IDs to their latest SVR score, indexed by ID so that score
+// lookups during query processing are cheap (§4.2.1).  In the threshold
+// family each row also records the list key the document's authoritative
+// postings are filed under, the relation the paper keeps in a second table
+// (ListScore in §4.3.1, ListChunk in §4.3.2): a resolver reads a candidate's
+// score and its list key in one lookup, and Algorithm 1 reads and writes one
+// row.
 //
-// Every row is fixed-width (8-byte key, 9-byte value), so Put over an
-// existing document — the common case in Algorithm 1, where a score update
-// overwrites the score and moves the recorded list position — qualifies for
-// the B+-tree's in-place leaf patch fast path: 9 bytes are overwritten in
-// the pinned leaf page instead of the whole leaf being reserialized.  This
-// is the heart of Algorithm 1's hot loop for every method.
+// Every row is fixed-width (8-byte key, rowBytes or keyedRowBytes of value),
+// so Put over an existing document — the common case in Algorithm 1, where a
+// score update overwrites the score and, when it crosses the threshold, the
+// list key — qualifies for the B+-tree's in-place leaf patch fast path: the
+// value bytes are overwritten in the pinned leaf page instead of the whole
+// leaf being reserialized.  This is the heart of Algorithm 1's hot loop for
+// every method.
 //
 // Writes land in an in-memory overlay that reads consult first, and
 // flushBatch — at the end of every Method.ApplyUpdates — applies the overlay
 // to the B+-tree as one sorted UpsertBatch, so a batch touching a leaf many
 // times rewrites it once.
 type docTable struct {
-	tree *btree.Tree
-	// flags is the set of flag bits the table's rows may carry: scoreFlags
-	// for the Score table, none for a ListScore/ListChunk table.
-	flags rowFlags
+	tree  *btree.Tree
+	width rowWidth
 	// retire receives superseded pages once COW snapshots are enabled.
 	retire func(pagefile.PageID)
 
 	pending map[DocID]docRow
 }
 
-// docRow is the decoded value of one row: a float and, in the Score table,
-// two flags.
+// docRow is the decoded value of one row.
 type docRow struct {
-	// val is the document's latest score (Score table), its stale list score
-	// (ListScore) or its list chunk ID stored as float64(cid) (ListChunk).
+	// val is the document's latest score.
 	val float64
-	// deleted marks a deleted document (Score table, Appendix A.2).
+	// key is the list key the document's authoritative postings are filed
+	// under (stored in the threshold family's rows only): the key of its
+	// build score until Algorithm 1 moves them to a strictly higher key in
+	// the short lists, or an insert files them there.
+	key float64
+	// deleted marks a deleted document (Appendix A.2).
 	deleted bool
 	// short marks a document whose postings Algorithm 1 moved to the short
-	// lists (threshold family's Score table): its long-list copy is stale,
-	// and its ListScore/ListChunk row holds the key of the authoritative
-	// short-list copy.  The bit is written only where the Score row is written
-	// anyway — a score update carries it, a threshold crossing or an insert
-	// sets it, a delete or a merge clears it — so a resolver that reads the
-	// Score row learns for free whether the list table has anything to say.
+	// lists (threshold family): the copy filed under key is a short-list
+	// copy, which the next crossing update deletes.  A crossing or an insert
+	// sets it, a delete or a merge clears it.
 	short bool
 }
 
-// rowFlags is a row's flag byte, or the set of flag bits a table's rows may
-// carry.  A Score-table row may carry both bits; a ListScore/ListChunk row
-// carries none (its byte is always 0).
-type rowFlags byte
-
+// Row flag bits, the last byte of every row.
 const (
-	flagDeleted rowFlags = 1 << 0
-	flagShort   rowFlags = 1 << 1
-	scoreFlags           = flagDeleted | flagShort
+	flagDeleted byte = 1 << 0
+	flagShort   byte = 1 << 1
 )
 
-// newDocTable returns an empty table whose rows may carry flags (scoreFlags
-// or 0).
-func newDocTable(pool *buffer.Pool, flags rowFlags) (*docTable, error) {
+// rowWidth is the width of a table's rows: rowBytes (an 8-byte score and a
+// flag byte), or keyedRowBytes where the list key sits between the two.
+type rowWidth int
+
+const (
+	rowBytes      rowWidth = 9
+	keyedRowBytes rowWidth = 17
+)
+
+// newDocTable returns an empty table of rows of the given width.
+func newDocTable(pool *buffer.Pool, width rowWidth) (*docTable, error) {
 	tree, err := btree.New(pool)
 	if err != nil {
 		return nil, err
 	}
-	return &docTable{tree: tree, flags: flags, pending: map[DocID]docRow{}}, nil
+	return &docTable{tree: tree, width: width, pending: map[DocID]docRow{}}, nil
 }
 
 // enableCOW switches the table's tree to copy-on-write publication.
@@ -88,13 +91,13 @@ func (t *docTable) enableCOW(retire func(pagefile.PageID)) {
 // snapshotView seals the tree and captures a frozen docView for publication.
 func (t *docTable) snapshotView() docView {
 	t.tree.Seal()
-	return docView{view: t.tree.View(), flags: t.flags, patches: t.tree.Patches(), len: t.tree.Len()}
+	return docView{view: t.tree.View(), width: t.width, patches: t.tree.Patches(), len: t.tree.Len()}
 }
 
 // docView is a frozen, read-only image of a docTable.
 type docView struct {
 	view    btree.View
-	flags   rowFlags
+	width   rowWidth
 	patches uint64
 	len     int
 }
@@ -103,8 +106,8 @@ type docView struct {
 // the page into a stack buffer, so a lookup allocates nothing.
 func (v docView) Get(doc DocID) (docRow, bool, error) {
 	key := docKey(doc)
-	var buf [rowBytes]byte
-	return v.flags.lookup(v.view.Get(buf[:0], key[:]))
+	var buf [keyedRowBytes]byte
+	return v.width.lookup(v.view.Get(buf[:0], key[:]))
 }
 
 // Len reports the row count at capture time.
@@ -121,48 +124,51 @@ func docKey(doc DocID) (key [8]byte) {
 	return key
 }
 
-// rowBytes is the width of every stored row: an 8-byte float and a flag byte.
-const rowBytes = 9
-
-// docItem encodes one row as the tree stores it: always rowBytes value bytes.
-func docItem(doc DocID, r docRow) btree.Item {
+// item encodes one row as the tree stores it: always w value bytes.
+func (w rowWidth) item(doc DocID, r docRow) btree.Item {
 	key := docKey(doc)
-	var flag rowFlags
+	val := codec.PutFloat64(make([]byte, 0, w), r.val)
+	if w == keyedRowBytes {
+		val = codec.PutFloat64(val, r.key)
+	}
+	var flag byte
 	if r.deleted {
 		flag |= flagDeleted
 	}
 	if r.short {
 		flag |= flagShort
 	}
-	return btree.Item{Key: key[:], Value: append(codec.PutFloat64(nil, r.val), byte(flag))}
+	return btree.Item{Key: key[:], Value: append(val, flag)}
 }
 
-// decode reads a row of a table whose rows may carry flags.  Every writer
-// stores exactly rowBytes with no other flag bit, so any other value is
-// corrupt: a rotted flag byte must not revive a deleted document or invent a
+// decode reads a row of width w.  Every writer stores exactly w bytes with
+// no flag bit but the two defined ones, so any other value is corrupt: a
+// rotted flag byte must not revive a deleted document or invent a
 // short-list copy.
-func (flags rowFlags) decode(data []byte) (docRow, error) {
-	if len(data) != rowBytes {
-		return docRow{}, fmt.Errorf("%w: table row of %d bytes, want %d", codec.ErrCorrupt, len(data), rowBytes)
+func (w rowWidth) decode(data []byte) (docRow, error) {
+	if len(data) != int(w) {
+		return docRow{}, fmt.Errorf("%w: table row of %d bytes, want %d", codec.ErrCorrupt, len(data), w)
 	}
-	val, n, err := codec.Float64(data)
-	if err != nil {
-		return docRow{}, err
+	var r docRow
+	r.val, _, _ = codec.Float64(data)
+	if w == keyedRowBytes {
+		r.key, _, _ = codec.Float64(data[8:])
 	}
-	flag := rowFlags(data[n])
-	if flag&^flags != 0 {
+	flag := data[w-1]
+	if flag&^(flagDeleted|flagShort) != 0 {
 		return docRow{}, fmt.Errorf("%w: table row flag byte %#x", codec.ErrCorrupt, flag)
 	}
-	return docRow{val: val, deleted: flag&flagDeleted != 0, short: flag&flagShort != 0}, nil
+	r.deleted, r.short = flag&flagDeleted != 0, flag&flagShort != 0
+	return r, nil
 }
 
-// lookup turns the result of a tree, view or probe lookup in a table whose
-// rows may carry flags into a row.
-func (flags rowFlags) lookup(data []byte, found bool, err error) (docRow, bool, error) {
+// lookup turns the result of a tree, view or probe lookup in a table of
+// width w into a row.
+func (w rowWidth) lookup(data []byte, found bool, err error) (docRow, bool, error) {
 	if err != nil || !found {
 		return docRow{}, false, err
 	}
-	r, err := flags.decode(data)
+	r, err := w.decode(data)
 	return r, err == nil, err
 }
 
@@ -181,7 +187,7 @@ func (t *docTable) Get(doc DocID) (docRow, bool, error) {
 		return r, true, nil
 	}
 	key := docKey(doc)
-	return t.flags.lookup(t.tree.Get(key[:]))
+	return t.width.lookup(t.tree.Get(key[:]))
 }
 
 // docProbe is the per-query reader of a docView.  It lives in the pooled
@@ -210,7 +216,7 @@ func (dp *docProbe) bind(v docView) {
 func (dp *docProbe) Get(doc DocID) (docRow, bool, error) {
 	dp.lookups++
 	key := docKey(doc)
-	return dp.v.flags.lookup(dp.p.Get(key[:]))
+	return dp.v.width.lookup(dp.p.Get(key[:]))
 }
 
 // Descend is Get by a full descent of the snapshot's tree, for candidates
@@ -231,21 +237,23 @@ func (t *docTable) flushBatch() error {
 	}
 	items := make([]btree.Item, 0, len(t.pending))
 	for doc, r := range t.pending {
-		items = append(items, docItem(doc, r))
+		items = append(items, t.width.item(doc, r))
 	}
 	clear(t.pending)
 	_, err := t.tree.UpsertBatch(items)
 	return err
 }
 
-// bulkLoad replaces the (empty) tree with one bulk-built from items, which
-// must be in ascending document order.  Build paths use it so populating
-// the Score table costs one left-to-right leaf-packing pass instead of one
-// descent per document.  The leaves are packed to the tree's maximum fill:
-// every query resolves its candidates against this table, so its page count
-// is what a query pays in pool frames, while a score update costs the same
-// at any fill — it patches the row's fixed-width bytes in place (or in the
-// COW copy of its leaf, logged as a delta against the copy's previous page).
+// bulkLoad replaces the tree with one bulk-built from items, which must be
+// in ascending document order, and retires the replaced one.  Builds and
+// merges use it so populating the Score table costs one left-to-right
+// leaf-packing pass instead of one descent per document.  The leaves are
+// packed to the tree's maximum fill: every query resolves its candidates
+// against this table, so its page count is what a query pays in pool
+// frames, while a score update costs the same at any fill — it patches the
+// row's fixed-width bytes in place (or in the COW copy of its leaf, logged
+// as a delta against the copy's previous page).  The replaced tree's
+// published pages stay readable until their epoch drains.
 func (t *docTable) bulkLoad(pool *buffer.Pool, items []btree.Item) error {
 	tree, err := btree.BulkLoad(pool, items, btree.MaxBulkFill)
 	if err != nil {
@@ -253,11 +261,8 @@ func (t *docTable) bulkLoad(pool *buffer.Pool, items []btree.Item) error {
 	}
 	old := t.tree
 	t.tree = tree
-	if t.retire != nil {
-		tree.EnableCOW(t.retire)
-		return old.RetireAll()
-	}
-	return nil
+	tree.EnableCOW(t.retire)
+	return old.RetireAll()
 }
 
 // Len reports the number of rows (in the Score table, deleted markers
@@ -274,7 +279,7 @@ func (t *docTable) ForEach(visit func(doc DocID, r docRow) bool) error {
 		if err != nil {
 			return err
 		}
-		r, err := t.flags.decode(v)
+		r, err := t.width.decode(v)
 		if err != nil {
 			return err
 		}

@@ -100,7 +100,7 @@ func TestQueryWorkGolden(t *testing.T) {
 		corpus := goldenCorpus()
 		m := buildMethod(t, kind.Name, allConstructors()[kind.Name], corpus)
 		goldenUpdates(t, m, corpus)
-		if st := m.Stats(); kind.listTable && st.ShortListEntries == 0 {
+		if st := m.Stats(); kind.keyedRows && st.ShortListEntries == 0 {
 			t.Fatalf("%s: the updates left no short-list posting", kind.Name)
 		}
 		termScores := []bool{false}

@@ -262,7 +262,7 @@ type Stats struct {
 	Queries         uint64
 	PostingsScanned uint64
 	// TablePatches counts B+-tree writes the method's updatable structures
-	// (Score table, ListScore/ListChunk tables, short and clustered lists)
+	// (Score table, short and clustered lists)
 	// absorbed via the in-place leaf patch fast path instead of a full leaf
 	// rewrite.  On a pure score-update workload it should track ScoreUpdates
 	// closely; a collapse to zero means the fast path regressed.
@@ -345,8 +345,10 @@ type kindMethod interface {
 	// plan opens ctx.streams for the query ctx holds and returns the scan
 	// TopK runs over them: the stopping rule and the candidate resolver.
 	plan(ctx *queryCtx) (rankedQuery, error)
-	// buildLists writes the kind's long lists for the accumulated corpus;
-	// base.build has already loaded the Score table.
+	// prepare derives the kind's list keys (base.keyOf) from the
+	// accumulated corpus, before base.build loads the Score table under
+	// them; buildLists then writes the kind's long lists.
+	prepare(bc *builtCorpus)
 	buildLists(bc *builtCorpus) error
 	applyScore(doc DocID, newScore float64) error
 	applyInsert(doc DocID, tokens []string, score float64) error
@@ -355,9 +357,9 @@ type kindMethod interface {
 }
 
 // base is the live state of a method of any kind, in the shape snap and
-// MethodState already have: a Score table, one mutable keyed list, an
-// optional ListScore/ListChunk table, the long-list blobs and the extras
-// only some kinds fill (unused ones stay zero).
+// MethodState already have: a Score table, one mutable keyed list, the
+// long-list blobs and the extras only some kinds fill (unused ones stay
+// zero).
 type base struct {
 	kind  *Kind
 	self  kindMethod
@@ -371,12 +373,11 @@ type base struct {
 	// auxiliary list, the Score method's clustered long lists, or the
 	// threshold family's short lists.
 	lists *keyedList
-	// table is the ListScore/ListChunk table (threshold family only).
-	table *docTable
 	// keyOf maps a document's score to the sort key its postings are filed
 	// under in lists: constant 0 for the ID family (postings order by
 	// document), the score itself for Score and Score-Threshold, the chunk
-	// of the score for the Chunk family.
+	// of the score for the Chunk family.  The threshold family's Score rows
+	// record the key of each document's authoritative postings (docRow.key).
 	keyOf func(score float64) float64
 
 	// longRefs maps terms to their long-list blobs.  Snapshots share this
@@ -425,8 +426,7 @@ type base struct {
 }
 
 // newBase allocates the structures of a fresh method of the given kind:
-// the Score table, the keyed list and, for the threshold family, the
-// ListScore/ListChunk table, in that order.
+// the Score table, then the keyed list.
 func newBase(kind *Kind, cfg Config) (*base, error) {
 	cfg, err := cfg.checked()
 	if err != nil {
@@ -439,16 +439,11 @@ func newBase(kind *Kind, cfg Config) (*base, error) {
 		dict:     text.NewDictionary(),
 		longRefs: map[string]blob.Ref{},
 	}
-	if b.score, err = newDocTable(cfg.Pool, scoreFlags); err != nil {
+	if b.score, err = newDocTable(cfg.Pool, kind.rowWidth()); err != nil {
 		return nil, err
 	}
 	if b.lists, err = newKeyedList(cfg.Pool); err != nil {
 		return nil, err
-	}
-	if kind.listTable {
-		if b.table, err = newDocTable(cfg.Pool, 0); err != nil {
-			return nil, err
-		}
 	}
 	return b, nil
 }
@@ -461,9 +456,6 @@ func (b *base) start(self kindMethod) Method {
 	b.epochs = epoch.New(b.cfg.Pool.FreePage)
 	b.score.enableCOW(b.retirePage)
 	b.lists.enableCOW(b.retirePage)
-	if b.table != nil {
-		b.table.enableCOW(b.retirePage)
-	}
 	b.publish()
 	return self
 }
@@ -492,7 +484,7 @@ func (b *base) Stats() Stats {
 		LongListBytes:    sn.longBytes + sn.fancyBytes,
 		LongListRawBytes: sn.longRawBytes,
 		ShortListEntries: sn.lists.Len(),
-		TablePatches:     sn.score.Patches() + sn.table.Patches() + sn.lists.Patches(),
+		TablePatches:     sn.score.Patches() + sn.lists.Patches(),
 	}
 	if b.kind.clustered {
 		s.ShortListEntries = 0

@@ -302,9 +302,7 @@ func TestUnknownDocumentUpdate(t *testing.T) {
 		// An unchanged score is not an update: the engine forwards every
 		// re-evaluated score and relies on the method to drop the equal ones
 		// before they count, write or publish.  (The listed counters all move
-		// when the score does change; Kind.listTable kinds would also gain a
-		// ListScore/ListChunk row.)
-		tm, _ := m.(*thresholdMethod)
+		// when the score does change.)
 		before := m.Stats()
 		if err := updateScore(m, 1, 87.13); err != nil {
 			t.Errorf("%s: UpdateScore to the current score = %v, want nil", name, err)
@@ -313,9 +311,6 @@ func TestUnknownDocumentUpdate(t *testing.T) {
 		if before.ScoreUpdates != after.ScoreUpdates || before.ShortListPostingsWritten != after.ShortListPostingsWritten ||
 			before.TablePatches != after.TablePatches || before.Epoch != after.Epoch {
 			t.Errorf("%s: an unchanged score moved the counters:\nbefore %+v\nafter  %+v", name, before, after)
-		}
-		if tm != nil && tm.table.Len() != 0 {
-			t.Errorf("%s: an unchanged score left %d ListScore/ListChunk rows", name, tm.table.Len())
 		}
 		// A score update must not resurrect a deleted document (doc 3 has the
 		// top score among the "golden" documents).
@@ -517,17 +512,13 @@ func TestFailedScoreUpdateChangesNothing(t *testing.T) {
 // four) is lifted to 5000, two chunks up, so its postings are rewritten into
 // the short lists and its stale long-list copy stays in the scan.  A
 // single-term query visiting all six "golden" documents then probes once per
-// posting on the kinds whose lists carry no score — on the Chunk orders the
-// stale copy too, since they read a candidate's Score before its ListChunk
-// row — twice in total on Score-Threshold (only the updated document has a
-// ListScore row, read first; both its copies then read the Score row, whose
-// short-list bit tells the stale one apart) and never on Score.
+// posting on every kind but Score — the threshold family's stale copy too,
+// since the candidate's Score row is what tells it apart by its list key —
+// and never on Score.
 //
-// The Chunk orders' ListChunk probes are pinned beside them, after document 1
-// falls back to 20 (chunk 1, so no rewrite: its short copy stays at chunk 4
-// and its long copy at chunk 2 is stale).  Only document 1 has the
-// short-list bit, so only its candidates can cost a ListChunk probe: its
-// short copy does, first in the scan.  The scan stops at the first chunk
+// The Chunk orders' stops are pinned beside them, after document 1 falls
+// back to 20 (chunk 1, so no rewrite: its short copy stays at chunk 4 and
+// its long copy at chunk 2 is stale).  The scan stops at the first chunk
 // whose key ceiling is below the heap's minimum.  At k = 3 the heap is full
 // after chunk 3 with a minimum of 640, above the ceiling of chunks 1-2
 // (87.13, document 1's build score, left stale-high), so the scan stops
@@ -537,7 +528,7 @@ func TestFailedScoreUpdateChangesNothing(t *testing.T) {
 // both k: the stale copy would cost a sixth Score probe at k = 3, and the
 // two chunk-3 candidates a fourth and fifth at k = 2.
 func TestScoreLookupsCountProbes(t *testing.T) {
-	want := map[string]int{"ID": 6, "ID-TermScore": 6, "Score": 0, "Score-Threshold": 2, "Chunk": 7, "Chunk-TermScore": 7}
+	want := map[string]int{"ID": 6, "ID-TermScore": 6, "Score": 0, "Score-Threshold": 7, "Chunk": 7, "Chunk-TermScore": 7}
 	for name, ctor := range allConstructors() {
 		m := buildMethod(t, name, ctor, smallCorpus())
 		if err := updateScore(m, 1, 5000); err != nil {
@@ -557,7 +548,7 @@ func TestScoreLookupsCountProbes(t *testing.T) {
 		if err := updateScore(m, 1, 20); err != nil {
 			t.Fatal(err)
 		}
-		for _, leg := range []struct{ k, scoreProbes, listProbes int }{{3, 5, 1}, {2, 3, 1}} {
+		for _, leg := range []struct{ k, scoreProbes int }{{3, 5}, {2, 3}} {
 			q := Query{Terms: []string{"golden"}, K: leg.k}
 			s, guard, err := tm.acquire()
 			if err != nil {
@@ -568,15 +559,15 @@ func TestScoreLookupsCountProbes(t *testing.T) {
 			if err == nil {
 				err = ctx.runRanked(plan)
 			}
-			results, scoreProbes, listProbes := len(ctx.heap.Results()), ctx.score.lookups, ctx.list.lookups
+			results, scoreProbes := len(ctx.heap.Results()), ctx.score.lookups
 			ctx.release()
 			guard.Leave()
 			if err != nil {
 				t.Fatalf("%s: k=%d: %v", name, leg.k, err)
 			}
-			if results != leg.k || scoreProbes != leg.scoreProbes || listProbes != leg.listProbes {
-				t.Errorf("%s: k=%d: %d results, %d Score and %d ListChunk probes, want %d, %d and %d",
-					name, leg.k, results, scoreProbes, listProbes, leg.k, leg.scoreProbes, leg.listProbes)
+			if results != leg.k || scoreProbes != leg.scoreProbes {
+				t.Errorf("%s: k=%d: %d results and %d Score probes, want %d and %d",
+					name, leg.k, results, scoreProbes, leg.k, leg.scoreProbes)
 			}
 		}
 	}
@@ -612,7 +603,7 @@ func TestKindRegistry(t *testing.T) {
 		if err := m.Build(corpus, corpus.scoreFunc()); err != nil {
 			t.Fatalf("%s: Build: %v", k.ID, err)
 		}
-		// Fill the short lists and the list table so the round trip carries
+		// Fill the short lists and re-key a row so the round trip carries
 		// every structure the kind has.
 		if err := updateScore(m, 8, 99999); err != nil {
 			t.Fatal(err)

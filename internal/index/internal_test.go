@@ -14,8 +14,8 @@ import (
 )
 
 // Tests for the internal building blocks shared by the index methods: the
-// Score table, the ListScore/ListChunk table, and the B+-tree-backed keyed
-// posting lists (short lists and the Score method's clustered lists).
+// Score table, in both row widths, and the B+-tree-backed keyed posting
+// lists (short lists and the Score method's clustered lists).
 
 func newTestPool(tb testing.TB) *buffer.Pool {
 	tb.Helper()
@@ -23,7 +23,7 @@ func newTestPool(tb testing.TB) *buffer.Pool {
 }
 
 func TestScoreTableBasics(t *testing.T) {
-	st, err := newDocTable(newTestPool(t), scoreFlags)
+	st, err := newDocTable(newTestPool(t), rowBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestScoreTableBasics(t *testing.T) {
 }
 
 func TestScoreTableForEach(t *testing.T) {
-	st, err := newDocTable(newTestPool(t), scoreFlags)
+	st, err := newDocTable(newTestPool(t), rowBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,71 +107,94 @@ func TestScoreTableForEach(t *testing.T) {
 	}
 }
 
-// TestListTable drives the table as ListScore/ListChunk does: rows of a list
-// key and no flag, through the overlay and the frozen view.
+// TestListTable drives the table whose rows carry the list key, the
+// threshold family's Score table: rows of a score, a list key and both
+// flags, through the overlay, the frozen view and the probe.
 func TestListTable(t *testing.T) {
-	lt, err := newDocTable(newTestPool(t), 0)
+	lt, err := newDocTable(newTestPool(t), keyedRowBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := lt.Get(3); ok {
 		t.Error("empty table returned an entry")
 	}
-	lt.Put(3, docRow{val: 87.13})
+	first := docRow{val: 87.13, key: 2}
+	lt.Put(3, first)
 	if err := lt.flushBatch(); err != nil {
 		t.Fatal(err)
 	}
 	e, ok, err := lt.Get(3)
-	if err != nil || !ok || e != (docRow{val: 87.13}) {
+	if err != nil || !ok || e != first {
 		t.Errorf("Get = %+v %v %v", e, ok, err)
 	}
-	lt.Put(3, docRow{val: 124.2})
-	if e, _, _ = lt.Get(3); e != (docRow{val: 124.2}) {
+	moved := docRow{val: 5000, key: 4, short: true}
+	lt.Put(3, moved)
+	if e, _, _ = lt.Get(3); e != moved {
 		t.Errorf("staged entry = %+v", e)
 	}
-	if e, _, _ = lt.snapshotView().Get(3); e != (docRow{val: 87.13}) {
+	if e, _, _ = lt.snapshotView().Get(3); e != first {
 		t.Errorf("view saw the staged entry before the flush: %+v", e)
 	}
 	if err := lt.flushBatch(); err != nil {
 		t.Fatal(err)
 	}
-	if e, _, _ = lt.snapshotView().Get(3); e != (docRow{val: 124.2}) {
+	if e, _, _ = lt.snapshotView().Get(3); e != moved {
 		t.Errorf("entry after flush = %+v", e)
+	}
+	var p docProbe
+	p.bind(lt.snapshotView())
+	if e, ok, err = p.Get(3); err != nil || !ok || e != moved {
+		t.Errorf("probe Get = %+v %v %v", e, ok, err)
+	}
+	dead := docRow{val: 5000, key: 4, deleted: true}
+	lt.Put(3, dead)
+	if err := lt.flushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if e, _, _ = lt.snapshotView().Get(3); e != dead {
+		t.Errorf("deleted marker after flush = %+v", e)
 	}
 	if lt.Len() != 1 {
 		t.Errorf("Len = %d", lt.Len())
 	}
 }
 
-// TestDocRowRejectsHostileBytes: every writer stores exactly rowBytes, with
-// flag bits only a Score-table row may carry (deleted, short-list) and a
-// ListScore/ListChunk row none, so any other value is corrupt — through the
-// decoder and through every table reader — instead of a row whose rotted
-// deleted marker reads as live or whose stray bit invents a short-list copy.
+// TestDocRowRejectsHostileBytes: every writer stores exactly the table's row
+// width — 9 bytes, or 17 where the row carries the list key — with no flag
+// bit but deleted and short-list, so any other value is corrupt — through
+// the decoder and through every table reader — instead of a row whose
+// rotted deleted marker reads as live or whose stray bit invents a
+// short-list copy.
 func TestDocRowRejectsHostileBytes(t *testing.T) {
 	row := func(flag byte) []byte { return append(codec.PutFloat64(nil, 42.5), flag) }
+	listed := func(flag byte) []byte {
+		return append(codec.PutFloat64(codec.PutFloat64(nil, 42.5), 3), flag)
+	}
 	for _, tc := range []struct {
 		name  string
-		flags rowFlags
+		width rowWidth
 		val   []byte
 	}{
-		{"score flag 4", scoreFlags, row(4)},
-		{"score flag 5", scoreFlags, row(5)},
-		{"score flag 0xFF", scoreFlags, row(0xFF)},
-		{"score empty", scoreFlags, nil},
-		{"score missing flag", scoreFlags, row(0)[:8]},
-		{"score trailing byte", scoreFlags, append(row(0), 0)},
-		{"list flag 1", 0, row(1)},
-		{"list flag 2", 0, row(2)},
-		{"list flag 3", 0, row(3)},
-		{"list trailing byte", 0, append(row(0), 0)},
-		{"list missing flag", 0, row(0)[:8]},
+		{"score flag 4", rowBytes, row(4)},
+		{"score flag 5", rowBytes, row(5)},
+		{"score flag 0xFF", rowBytes, row(0xFF)},
+		{"score empty", rowBytes, nil},
+		{"score missing flag", rowBytes, row(0)[:8]},
+		{"score trailing byte", rowBytes, append(row(0), 0)},
+		{"score list row", rowBytes, listed(0)},
+		{"list flag 4", keyedRowBytes, listed(4)},
+		{"list flag 7", keyedRowBytes, listed(7)},
+		{"list flag 0x80", keyedRowBytes, listed(0x80)},
+		{"list trailing byte", keyedRowBytes, append(listed(0), 0)},
+		{"list missing flag", keyedRowBytes, listed(0)[:16]},
+		{"list missing key", keyedRowBytes, row(0)},
+		{"list empty", keyedRowBytes, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if r, err := tc.flags.decode(tc.val); !errors.Is(err, codec.ErrCorrupt) {
+			if r, err := tc.width.decode(tc.val); !errors.Is(err, codec.ErrCorrupt) {
 				t.Errorf("decode(%x) = (%+v, %v), want ErrCorrupt", tc.val, r, err)
 			}
-			dt, err := newDocTable(newTestPool(t), tc.flags)
+			dt, err := newDocTable(newTestPool(t), tc.width)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,13 +219,15 @@ func TestDocRowRejectsHostileBytes(t *testing.T) {
 			}
 		})
 	}
-	for _, flags := range []rowFlags{0, flagDeleted, flagShort, scoreFlags} {
-		if r, err := scoreFlags.decode(row(byte(flags))); err != nil || r.val != 42.5 || r.deleted != (flags&flagDeleted != 0) || r.short != (flags&flagShort != 0) {
-			t.Errorf("Score row with flag byte %d = (%+v, %v)", flags, r, err)
+	for _, flags := range []byte{0, flagDeleted, flagShort, flagDeleted | flagShort} {
+		want := docRow{val: 42.5, deleted: flags&flagDeleted != 0, short: flags&flagShort != 0}
+		if r, err := rowBytes.decode(row(flags)); err != nil || r != want {
+			t.Errorf("Score row with flag byte %d = (%+v, %v), want %+v", flags, r, err, want)
 		}
-	}
-	if r, err := rowFlags(0).decode(row(0)); err != nil || r != (docRow{val: 42.5}) {
-		t.Errorf("list row = (%+v, %v)", r, err)
+		want.key = 3
+		if r, err := keyedRowBytes.decode(listed(flags)); err != nil || r != want {
+			t.Errorf("list-keyed row with flag byte %d = (%+v, %v), want %+v", flags, r, err, want)
+		}
 	}
 }
 

@@ -30,8 +30,7 @@ import (
 // UpsertBatch plus one sorted DeleteBatch, so a batch that writes many
 // postings of one term rewrites each touched leaf once.
 type keyedList struct {
-	tree    *btree.Tree
-	entries int
+	tree *btree.Tree
 	// retire receives superseded pages once copy-on-write snapshots are
 	// enabled (see enableCOW); nil means the list recycles pages eagerly.
 	retire func(pagefile.PageID)
@@ -70,7 +69,7 @@ func (l *keyedList) enableCOW(retire func(pagefile.PageID)) {
 // current contents for publication.
 func (l *keyedList) snapshotView() keyedView {
 	l.tree.Seal()
-	return keyedView{view: l.tree.View(), entries: l.entries, patches: l.tree.Patches()}
+	return keyedView{view: l.tree.View(), entries: l.tree.Len(), patches: l.tree.Patches()}
 }
 
 func keyedListKey(term string, sortKey float64, doc DocID) []byte {
@@ -210,16 +209,12 @@ func (l *keyedList) flushBatch() error {
 	clear(l.opIdx)
 	clear(l.docOps)
 	if _, err := l.tree.UpsertBatch(items); err != nil {
-		l.entries = l.tree.Len()
 		return err
 	}
 	if len(dels) > 0 {
-		if _, err := l.tree.DeleteBatch(dels); err != nil {
-			l.entries = l.tree.Len()
-			return err
-		}
+		_, err := l.tree.DeleteBatch(dels)
+		return err
 	}
-	l.entries = l.tree.Len()
 	return nil
 }
 
@@ -242,7 +237,6 @@ func (l *keyedList) bulkLoad(pool *buffer.Pool, items []btree.Item) error {
 	}
 	old := l.tree
 	l.tree = tree
-	l.entries = tree.Len()
 	if l.retire != nil {
 		// Bulk loading produced a plain tree; re-enable COW on it and retire
 		// the replaced tree's pages (they may still be pinned by published

@@ -19,9 +19,9 @@ type Kind struct {
 	// and MethodAnchor.Kind persists.
 	Name string
 
-	// listTable: the kind keeps a ListScore/ListChunk table beside its
-	// short lists (the threshold family).
-	listTable bool
+	// keyedRows: the kind's Score rows record each document's list key
+	// (the threshold family), in keyedRowBytes.
+	keyedRows bool
 	// clustered: the keyed list holds the long lists themselves, updated in
 	// place (Score), so there is nothing to merge and no short list to
 	// report.
@@ -37,13 +37,21 @@ type Kind struct {
 var kinds = []Kind{
 	{ID: "id", Name: "ID", layout: postings.LayoutID, attach: idFamily},
 	{ID: "score", Name: "Score", clustered: true, attach: newScoreMethod},
-	{ID: "score-threshold", Name: "Score-Threshold", listTable: true, layout: postings.LayoutScore,
+	{ID: "score-threshold", Name: "Score-Threshold", keyedRows: true, layout: postings.LayoutScore,
 		attach: func(b *base) kindMethod { return newThresholdMethod(b, scoreOrder(b)) }},
-	{ID: "chunk", Name: "Chunk", listTable: true, layout: postings.LayoutChunk,
+	{ID: "chunk", Name: "Chunk", keyedRows: true, layout: postings.LayoutChunk,
 		attach: func(b *base) kindMethod { return newThresholdMethod(b, chunkOrder(b)) }},
 	{ID: "id-termscore", Name: "ID-TermScore", layout: postings.LayoutIDTerm, attach: idFamily},
-	{ID: "chunk-termscore", Name: "Chunk-TermScore", listTable: true, layout: postings.LayoutChunkTerm,
+	{ID: "chunk-termscore", Name: "Chunk-TermScore", keyedRows: true, layout: postings.LayoutChunkTerm,
 		attach: func(b *base) kindMethod { return newThresholdMethod(b, chunkOrder(b)) }},
+}
+
+// rowWidth is the width of the kind's Score rows.
+func (k *Kind) rowWidth() rowWidth {
+	if k.keyedRows {
+		return keyedRowBytes
+	}
+	return rowBytes
 }
 
 // termScores reports that the kind's postings carry term weights, so it

@@ -3,7 +3,6 @@ package index
 import (
 	"fmt"
 
-	"svrdb/internal/codec"
 	"svrdb/internal/postings"
 	"svrdb/internal/text"
 )
@@ -11,33 +10,40 @@ import (
 // This file holds the maintenance paths every kind shares: the bulk build's
 // common half and the per-op handlers of Appendix A that ApplyUpdates
 // dispatches to, which differ between kinds only in the sort key a posting is
-// filed under (base.keyOf) and in whether a ListScore/ListChunk table rides
-// along.  The handlers write into the overlays only; ApplyUpdates flushes and
-// publishes.  The threshold family overrides applyScore (Algorithm 1), and
+// filed under (base.keyOf) and in whether the Score rows record it.  The
+// handlers write into the overlays only; ApplyUpdates flushes and publishes.
+// The threshold family overrides applyScore (Algorithm 1), and
 // the Score method overrides applyScore, applyDelete and applyContent,
 // because it moves postings in place in its long lists.
 
 // Build implements Method: it bulk-loads a fresh method and publishes it.
 func (b *base) Build(src DocSource, scores ScoreFunc) error {
 	defer b.publish()
-	return b.build(src, scores)
+	return b.build(src, scores, nil)
 }
 
-// build accumulates the corpus, loads the Score table and hands over to the
-// kind for its long lists, without publishing (MergeShortLists publishes
-// once it has retired the superseded generation).
-func (b *base) build(src DocSource, scores ScoreFunc) error {
+// build accumulates the corpus, lets the kind derive its list keys, loads
+// the Score table — beside the deleted markers a merge carries over, dead,
+// in document order — and hands over to the kind for its long lists,
+// without publishing (MergeShortLists publishes once it has retired the
+// superseded generation).
+func (b *base) build(src DocSource, scores ScoreFunc, dead []deadRow) error {
 	b.dictChanged()
 	b.src = src
 	bc, err := accumulate(src, scores, b.dict)
 	if err != nil {
 		return err
 	}
-	if err := b.populateScoreTable(bc); err != nil {
+	b.self.prepare(bc)
+	if err := b.populateScoreTable(bc, dead); err != nil {
 		return err
 	}
 	return b.self.buildLists(bc)
 }
+
+// prepare is the ID family's and the Score method's kindMethod step before
+// the Score table is loaded: their list keys need no directory.
+func (b *base) prepare(*builtCorpus) {}
 
 // docTokens returns a document's token stream for the maintenance paths that
 // need one (threshold crossings, the Score method's posting moves, deletes,
@@ -90,32 +96,32 @@ func (b *base) scoreChange(doc DocID, newScore float64) (old docRow, changed boo
 	return row, err == nil && row.val != newScore, err
 }
 
-// setScore counts a score update and stages the document's new Score row
-// with the given short-list bit.  A handler calls it only once nothing can
-// fail any more, so a failed update changes nothing.
-func (b *base) setScore(doc DocID, newScore float64, short bool) {
+// setScore counts a score update and stages the document's new Score row.
+// A handler calls it only once nothing can fail any more, so a failed
+// update changes nothing.
+func (b *base) setScore(doc DocID, r docRow) {
 	b.counters.scoreUpdates.Add(1)
-	b.score.Put(doc, docRow{val: newScore, short: short})
+	b.score.Put(doc, r)
 }
 
 // applyScore is the ID family's score update: the only work is one
 // Score-table write.
 func (b *base) applyScore(doc DocID, newScore float64) error {
-	old, changed, err := b.scoreChange(doc, newScore)
+	_, changed, err := b.scoreChange(doc, newScore)
 	if changed {
-		b.setScore(doc, newScore, old.short)
+		b.setScore(doc, docRow{val: newScore})
 	}
 	return err
 }
 
 // applyInsert is Appendix A.2's insert: the new document's postings go
 // straight to the keyed list, at the key of its score.  In the threshold
-// family that is a short list, so the Score row's short-list bit is set and
-// a ListScore/ListChunk row records the key.
+// family that is a short list, so the Score row records the key and sets
+// the short-list bit.
 func (b *base) applyInsert(doc DocID, tokens []string, score float64) error {
 	b.dictChanged()
-	b.score.Put(doc, docRow{val: score, short: b.table != nil})
 	key := b.keyOf(score)
+	b.score.Put(doc, docRow{val: score, key: key, short: b.kind.keyedRows})
 	weights := docTermWeights(tokens)
 	distinct := make([]string, 0, len(weights))
 	for _, tw := range weights {
@@ -130,9 +136,6 @@ func (b *base) applyInsert(doc DocID, tokens []string, score float64) error {
 	}
 	b.dict.AddDocumentTerms(distinct)
 	b.numDocs.Add(1)
-	if b.table != nil {
-		b.table.Put(doc, docRow{val: key})
-	}
 	b.ceil.raise(key, score)
 	return nil
 }
@@ -155,27 +158,13 @@ func (b *base) applyDelete(doc DocID, tokens []string) error {
 		return err
 	}
 	b.dictChanged()
-	b.score.Put(doc, docRow{val: row.val, deleted: true})
+	b.score.Put(doc, docRow{val: row.val, key: row.key, deleted: true})
 	// Without content the document's terms cannot be uncounted: their df
 	// keeps counting it.  The deleted marker alone keeps it out of every
 	// result.  With content, df drops here — the liveness check above makes
 	// a delete run at most once per document.
 	if tokens, err := b.deletedTokens(doc, tokens); err == nil {
 		b.dict.RemoveDocumentTerms(text.DistinctTerms(tokens))
-	}
-	if b.table != nil {
-		// Leave an entry so that Score-Threshold's resolver probes the Score
-		// table (and sees the deleted flag) instead of trusting the
-		// long-list score.
-		entry, exists, err := b.table.Get(doc)
-		if err != nil {
-			return err
-		}
-		key := b.keyOf(row.val)
-		if exists {
-			key = entry.val
-		}
-		b.table.Put(doc, docRow{val: key})
 	}
 	b.numDocs.Add(-1)
 	return nil
@@ -207,40 +196,14 @@ func (b *base) applyContent(doc DocID, oldTokens, newTokens []string) error {
 }
 
 // listPosition returns the sort key under which a live document's postings
-// currently appear: its ListScore/ListChunk entry if it has one, else the key
-// of its score.
+// currently appear: the key its Score row records (threshold family), else
+// the key of its score.
 func (b *base) listPosition(doc DocID) (float64, error) {
 	row, err := b.liveRow(doc)
-	if err != nil {
-		return 0, err
-	}
-	if b.table != nil {
-		entry, exists, err := b.listEntry(doc, row)
-		if err != nil {
-			return 0, err
-		}
-		if exists {
-			return entry.val, nil
-		}
+	if err != nil || b.kind.keyedRows {
+		return row.key, err
 	}
 	return b.keyOf(row.val), nil
-}
-
-// listEntry reads the ListScore/ListChunk row of a live document whose Score
-// row is row.
-func (b *base) listEntry(doc DocID, row docRow) (docRow, bool, error) {
-	entry, exists, err := b.table.Get(doc)
-	if err == nil && row.short && !exists {
-		err = errMissingListRow(doc)
-	}
-	return entry, exists, err
-}
-
-// errMissingListRow reports a document whose Score row has the short-list
-// bit set but which has no ListScore/ListChunk row: every writer that sets
-// the bit writes the row, so the file is corrupt.
-func errMissingListRow(doc DocID) error {
-	return fmt.Errorf("%w: document %d has short-list postings but no list-table row", codec.ErrCorrupt, doc)
 }
 
 // diffTerms computes the added and removed distinct terms between two token

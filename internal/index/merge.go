@@ -2,7 +2,6 @@ package index
 
 import (
 	"fmt"
-	"sort"
 
 	"svrdb/internal/storage/blob"
 	"svrdb/internal/text"
@@ -15,14 +14,14 @@ import (
 //
 // MergeShortLists rebuilds the long inverted lists from the current state of
 // the collection — the latest scores in the Score table and the latest
-// document contents — empties the short lists and the ListScore/ListChunk
-// table and clears every Score row's short-list bit, returning the index to
-// its freshly-bulk-loaded shape.  The merge runs under the serialized writer
-// and publishes once, at the end, so readers stay on the pre-merge snapshot
-// throughout and flip to the merged index atomically; the superseded
-// generation — the old list trees and the old long-list blobs — is retired
-// to the epoch manager and its pages are recycled once the last pre-merge
-// reader leaves.
+// document contents — empties the short lists and rewrites the Score table,
+// every live row filed under the key of its score with no short-list bit,
+// returning the index to its freshly-bulk-loaded shape.  The merge runs
+// under the serialized writer and publishes once, at the end, so readers
+// stay on the pre-merge snapshot throughout and flip to the merged index
+// atomically; the superseded generation — the old trees and the old
+// long-list blobs — is retired to the epoch manager and its pages are
+// recycled once the last pre-merge reader leaves.
 
 // snapshotSource materializes the live collection for a rebuild: every
 // non-deleted document in the Score table, with its current tokens and
@@ -31,8 +30,8 @@ type snapshotSource struct {
 	docs   []DocID
 	tokens map[DocID][]string
 	scores map[DocID]float64
-	// moved lists the documents whose Score row has the short-list bit set.
-	moved []DocID
+	// dead holds the deleted markers, in document order.
+	dead []deadRow
 }
 
 func (s *snapshotSource) NumDocs() int { return len(s.docs) }
@@ -64,6 +63,7 @@ func (b *base) snapshot(tokensOf func(DocID) ([]string, error)) (*snapshotSource
 	var iterErr error
 	err := b.score.ForEach(func(doc DocID, r docRow) bool {
 		if r.deleted {
+			snap.dead = append(snap.dead, deadRow{doc, r})
 			return true
 		}
 		tokens, err := tokensOf(doc)
@@ -74,28 +74,21 @@ func (b *base) snapshot(tokensOf func(DocID) ([]string, error)) (*snapshotSource
 		snap.docs = append(snap.docs, doc)
 		snap.tokens[doc] = tokens
 		snap.scores[doc] = r.val
-		if r.short {
-			snap.moved = append(snap.moved, doc)
-		}
 		return true
 	})
 	if iterErr != nil {
 		return nil, iterErr
 	}
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(snap.docs, func(i, j int) bool { return snap.docs[i] < snap.docs[j] })
-	return snap, nil
+	return snap, err
 }
 
 // MergeShortLists implements Method for every kind: snapshot the live
-// collection, swap in fresh mutable structures and an empty long-list
-// generation, rebuild through the kind's build step — the ID family absorbs
-// its auxiliary postings, Score-Threshold re-sorts by current score, the
-// Chunk family derives new chunk boundaries from the current score
-// distribution and rewrites its fancy lists — then retire the superseded
-// generation.
+// collection, swap in a fresh keyed list and an empty long-list generation,
+// rebuild through the build — the ID family absorbs its auxiliary postings,
+// Score-Threshold re-sorts by current score, the Chunk family derives new
+// chunk boundaries from the current score distribution and rewrites its
+// fancy lists, and every kind bulk-loads a fresh Score table under the new
+// list keys — then retire the superseded generation.
 func (b *base) MergeShortLists() error {
 	if b.kind.clustered {
 		// The Score method maintains its lists in place: nothing to merge.
@@ -110,15 +103,8 @@ func (b *base) MergeShortLists() error {
 		return err
 	}
 	lists.enableCOW(b.retirePage)
-	var table *docTable
-	if b.table != nil {
-		if table, err = newDocTable(b.cfg.Pool, 0); err != nil {
-			return err
-		}
-		table.enableCOW(b.retirePage)
-	}
 	origSrc := b.src
-	oldLists, oldTable, oldRefs, oldFancyRefs := b.lists, b.table, b.longRefs, b.fancyRefs
+	oldLists, oldRefs, oldFancyRefs := b.lists, b.longRefs, b.fancyRefs
 	defer func() {
 		b.src = origSrc
 		b.publish()
@@ -126,25 +112,12 @@ func (b *base) MergeShortLists() error {
 	b.longRefs = map[string]blob.Ref{}
 	b.longBytes, b.longRawBytes, b.fancyBytes = 0, 0, 0
 	b.dict = text.NewDictionary()
-	b.lists, b.table = lists, table
-	if err := b.build(snap, snap.scoreFunc()); err != nil {
-		return err
-	}
-	// The rebuild keeps the Score table and files every document at the key
-	// of its current score, so no document has short-list postings any more.
-	for _, doc := range snap.moved {
-		b.score.Put(doc, docRow{val: snap.scores[doc]})
-	}
-	if err := b.score.flushBatch(); err != nil {
+	b.lists = lists
+	if err := b.build(snap, snap.scoreFunc(), snap.dead); err != nil {
 		return err
 	}
 	if err := oldLists.tree.RetireAll(); err != nil {
 		return err
-	}
-	if oldTable != nil {
-		if err := oldTable.tree.RetireAll(); err != nil {
-			return err
-		}
 	}
 	b.epochs.Retire(b.blobPages(oldRefs, oldFancyRefs)...)
 	return nil

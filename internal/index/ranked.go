@@ -14,10 +14,8 @@ import (
 // queryCtx is the per-query state TopK evaluates a query in: the query
 // and the snapshot it evaluates against, the result heap, the per-term
 // stream slice, the IDF/epsilon arrays, the remainList and the stopping
-// rule's state of Algorithm 3, the Score-table and ListScore/ListChunk-table
-// probes with the leaf images they read through, and the work the scans
-// did.  A resolver reads the heap to skip the work of deciding a candidate
-// the heap would not admit anyway.
+// rule's state of Algorithm 3, the Score-table probes with the leaf images
+// they read through, and the work the scans did.
 // The Score probe is also where the query's Score-table lookups are counted
 // (QueryResult.ScoreLookups): every score a query reads, it reads through
 // ctx.score or, when Algorithm 3 prunes its remainList, through
@@ -39,7 +37,6 @@ type queryCtx struct {
 	idfs     []float64
 	epsilons []float64
 	score    docProbe
-	list     docProbe
 	remain   remainList
 	// merge is the query's one merge, reset for each scan.
 	merge postings.Merge
@@ -73,7 +70,6 @@ func newQueryCtx(s *snap, q *Query) *queryCtx {
 	c.idfs = c.idfs[:0]
 	c.epsilons = c.epsilons[:0]
 	c.score.bind(s.score)
-	c.list.bind(s.table)
 	c.scoreAside.Reset(s.score.view)
 	c.epsilonSum, c.lastCID, c.err = 0, math.MinInt32, nil
 	c.scanned, c.stopped = 0, false
@@ -85,7 +81,7 @@ func newQueryCtx(s *snap, q *Query) *queryCtx {
 func (c *queryCtx) getScoreAside(doc DocID) (docRow, bool, error) {
 	c.score.lookups++
 	key := docKey(doc)
-	return c.score.v.flags.lookup(c.scoreAside.Get(key[:]))
+	return c.score.v.width.lookup(c.scoreAside.Get(key[:]))
 }
 
 // release returns the context to the pool.  The caller must not touch the
@@ -99,7 +95,6 @@ func (c *queryCtx) release() {
 	c.query, c.snap, c.heap, c.err = Query{}, nil, topk.Heap{}, nil
 	c.merge.Reset(0)
 	c.score.bind(docView{})
-	c.list.bind(docView{})
 	c.scoreAside.Reset(btree.View{})
 	queryCtxPool.Put(c)
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // This file implements Pages and ReleasePages, the one list of what an
-// index owns: the Score table, the mutable keyed list, the
-// ListScore/ListChunk table, and the long-list and fancy-list blobs.  An
+// index owns: the Score table, the mutable keyed list, and the long-list and
+// fancy-list blobs.  An
 // online drop hands every page of it back for recycling: published pages
 // are retired to the epoch manager (a racing reader pinned to the last
 // snapshot may still traverse them) and fresh pages recycle immediately;
@@ -17,11 +17,7 @@ import (
 
 // trees returns the method's B+-trees.
 func (b *base) trees() []*btree.Tree {
-	trees := []*btree.Tree{b.score.tree, b.lists.tree}
-	if b.table != nil {
-		trees = append(trees, b.table.tree)
-	}
-	return trees
+	return []*btree.Tree{b.score.tree, b.lists.tree}
 }
 
 // Pages implements Method.

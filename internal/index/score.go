@@ -68,7 +68,7 @@ func (m *scoreMethod) applyScore(doc DocID, newScore float64) error {
 	if err != nil {
 		return fmt.Errorf("index: Score method needs document %d content to move its postings: %w", doc, err)
 	}
-	m.setScore(doc, newScore, old.short)
+	m.setScore(doc, docRow{val: newScore})
 	for _, tw := range docTermWeights(tokens) {
 		m.lists.Delete(tw.term, oldScore, doc)
 		m.lists.Put(tw.term, newScore, doc, postings.OpAdd, tw.w)

@@ -37,8 +37,6 @@ type snap struct {
 	// auxiliary list, the Score method's clustered lists, or the
 	// threshold/chunk families' short lists.
 	lists keyedView
-	// table is the ListScore/ListChunk table (threshold and chunk families).
-	table docView
 
 	longRefs     map[string]blob.Ref
 	longBytes    uint64
@@ -80,9 +78,6 @@ func (b *base) publish() {
 func (b *base) fill(s *snap) {
 	s.score = b.score.snapshotView()
 	s.lists = b.lists.snapshotView()
-	if b.table != nil {
-		s.table = b.table.snapshotView()
-	}
 	s.scoreDir = b.scoreDir
 	s.ceil = b.ceil.upTo()
 	s.fancyRefs = b.fancyRefs

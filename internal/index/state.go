@@ -12,12 +12,10 @@ import (
 )
 
 // TreeRef anchors one B+-tree for a checkpoint: its root page and key
-// count.  Entries additionally carries a keyedList's posting count (which
-// the list tracks separately from the tree's key count).
+// count.
 type TreeRef struct {
-	Root    pagefile.PageID
-	Size    int
-	Entries int
+	Root pagefile.PageID
+	Size int
 }
 
 func treeRefOf(t *btree.Tree) TreeRef {
@@ -38,16 +36,14 @@ type MethodAnchor struct {
 	// LongRawBytes is the fixed-width footprint of the long-list postings
 	// (the raw side of the compression ratio reported by Stats).
 	LongRawBytes uint64
-	// Score anchors the Score table's tree.
+	// Score anchors the Score table's tree (whose rows, in the threshold
+	// family, record each document's list key).
 	Score TreeRef
 
 	// Lists anchors the ID family's auxiliary list, the Score method's
 	// clustered lists, and the threshold/chunk families' short lists — each
 	// method has exactly one mutable keyed list.
 	Lists TreeRef
-	// ListTable anchors the ListScore/ListChunk table (threshold and chunk
-	// families only).
-	ListTable TreeRef
 
 	// FancyBytes is the fancy lists' footprint (Chunk-TermScore only).
 	FancyBytes uint64
@@ -91,18 +87,12 @@ type MethodState struct {
 
 // --- per-structure snapshot/open helpers -------------------------------------
 
-func (l *keyedList) state() TreeRef {
-	r := treeRefOf(l.tree)
-	r.Entries = l.entries
-	return r
-}
-
 func openKeyedList(pool *buffer.Pool, r TreeRef) *keyedList {
-	return &keyedList{tree: btree.Open(pool, r.Root, r.Size), entries: r.Entries, opIdx: map[string]int{}, docOps: map[DocID][]int{}}
+	return &keyedList{tree: btree.Open(pool, r.Root, r.Size), opIdx: map[string]int{}, docOps: map[DocID][]int{}}
 }
 
-func openDocTable(pool *buffer.Pool, r TreeRef, flags rowFlags) *docTable {
-	return &docTable{tree: btree.Open(pool, r.Root, r.Size), flags: flags, pending: map[DocID]docRow{}}
+func openDocTable(pool *buffer.Pool, r TreeRef, width rowWidth) *docTable {
+	return &docTable{tree: btree.Open(pool, r.Root, r.Size), width: width, pending: map[DocID]docRow{}}
 }
 
 func copyRefs(src map[string]blob.Ref) map[string]blob.Ref {
@@ -115,20 +105,16 @@ func copyRefs(src map[string]blob.Ref) map[string]blob.Ref {
 
 // Anchor implements Method.
 func (b *base) Anchor() MethodAnchor {
-	a := MethodAnchor{
+	return MethodAnchor{
 		Kind:         b.Name(),
 		NumDocs:      b.numDocs.Load(),
 		LongBytes:    b.longBytes,
 		LongRawBytes: b.longRawBytes,
 		Score:        treeRefOf(b.score.tree),
-		Lists:        b.lists.state(),
+		Lists:        treeRefOf(b.lists.tree),
 		FancyBytes:   b.fancyBytes,
 		DictGen:      b.dictGen,
 	}
-	if b.table != nil {
-		a.ListTable = treeRefOf(b.table.tree)
-	}
-	return a
 }
 
 // Dictionary implements Method.
@@ -160,9 +146,9 @@ func (b *base) SetSource(src DocSource) { b.src = src }
 // Restore reattaches a method to the structures a checkpoint recorded.  It
 // is the inverse of Method.State(): nothing is rebuilt; the returned method
 // serves queries and updates against the trees and blobs already in the
-// page file.  The only pages it reads are the Chunk family's Score and
-// ListChunk tables, once through, to re-derive the key ceilings, which are
-// not persisted.  Call SetSource afterwards to rewire the document source.
+// page file.  The only pages it reads are the Chunk family's Score table,
+// once through, to re-derive the key ceilings, which are not persisted.
+// Call SetSource afterwards to rewire the document source.
 func Restore(cfg Config, st MethodState) (Method, error) {
 	k, err := lookupKind(st.Kind)
 	if err != nil {
@@ -176,7 +162,7 @@ func Restore(cfg Config, st MethodState) (Method, error) {
 		cfg:          cfg,
 		store:        blob.NewStore(cfg.Pool),
 		dict:         text.RestoreDictionary(st.Dict),
-		score:        openDocTable(cfg.Pool, st.Score, scoreFlags),
+		score:        openDocTable(cfg.Pool, st.Score, k.rowWidth()),
 		lists:        openKeyedList(cfg.Pool, st.Lists),
 		longRefs:     copyRefs(st.LongRefs),
 		longBytes:    st.LongBytes,
@@ -184,9 +170,6 @@ func Restore(cfg Config, st MethodState) (Method, error) {
 		scoreDir:     append([]float64(nil), st.ScoreDir...),
 		fancyBytes:   st.FancyBytes,
 		dictGen:      st.DictGen,
-	}
-	if k.listTable {
-		b.table = openDocTable(cfg.Pool, st.ListTable, 0)
 	}
 	if len(st.ChunkLower) > 0 {
 		b.chunks = &chunker{lower: append([]float64(nil), st.ChunkLower...)}

@@ -14,17 +14,17 @@ import (
 //
 // Each term has a long inverted list frozen at build time in descending
 // list-key order and a short inverted list holding fresh postings for
-// documents whose score rose past thresholdValueOf(listKey).  The
-// ListScore/ListChunk table remembers, for every document whose score has
-// ever been updated, its current list key; whether the document has
-// short-list postings is a bit of its Score-table row (docRow.short), which
-// the resolvers read anyway.  Updates are processed with Algorithm 1,
-// queries with Algorithm 2 (Algorithm 3 when term scores are combined in);
-// the query keeps scanning past the first k results until the threshold
-// bound guarantees no unseen document can beat them, which is what makes the
-// answer exact under the latest scores (Theorems 1 and 2).  The paper states
-// both algorithms once, generically over thresholdValueOf; what a list key
-// is and how far a score may drift from it is the kind's listOrder.
+// documents whose score rose past thresholdValueOf(listKey).  Every
+// document's Score-table row records its current list key (docRow.key) —
+// the relation the paper keeps in its ListScore/ListChunk table — and
+// whether its postings sit in the short lists (docRow.short).  Updates are
+// processed with Algorithm 1, queries with Algorithm 2 (Algorithm 3 when
+// term scores are combined in); the query keeps scanning past the first k
+// results until the threshold bound guarantees no unseen document can beat
+// them, which is what makes the answer exact under the latest scores
+// (Theorems 1 and 2).  The paper states both algorithms once, generically
+// over thresholdValueOf; what a list key is and how far a score may drift
+// from it is the kind's listOrder.
 type thresholdMethod struct {
 	*base
 	order listOrder
@@ -47,26 +47,15 @@ type listOrder struct {
 	// by queryCtx.holdsAbove.
 	stop func(ctx *queryCtx, sortKey float64) bool
 	// prepare derives the order's build-time directory (score directory,
-	// chunk boundaries) from the corpus being built.
+	// chunk boundaries) from the corpus being built, before the Score table
+	// is loaded under the keys it defines.
 	prepare func(bc *builtCorpus)
 	// resolve is lines 12-21 of Algorithm 2: decide which copy of the
-	// candidate is authoritative and fetch its latest score.  A candidate is
-	// dropped iff the document's postings moved to the short lists (its
-	// Score row's short bit) and the candidate's position is not the list
-	// key its ListScore/ListChunk row records.  The order of the two table
-	// reads is per list order.  Score-Threshold reads its ListScore table
-	// first: a never-updated document's long-list posting carries its latest
-	// score, so it needs no Score lookup.  The Chunk orders read the Score
-	// table first and cut the candidate's offer (ctx.offer of the score) at
-	// the heap's admission bar; only an admitted candidate of a moved
-	// document is checked against the ListChunk table.  The cut is exact:
-	// that check can only drop a candidate (a stale long-list copy), and one
-	// the heap would not admit is dropped by Add either way, so the heap
-	// takes the same Adds in the same order and its minimum, the stopping
-	// rule and the results are unchanged.
-	// The reads stay per order by measurement too: candidates of a
-	// score-ordered list arrive in no document order, so full descents beat
-	// the leaf-locality probes a chunk's ascending documents reward.
+	// candidate is authoritative and fetch its latest score, both from the
+	// candidate's Score row (see resolveListed).  How the row is read is per
+	// list order, by measurement: candidates of a score-ordered list arrive
+	// in no document order, so full descents beat the leaf-locality probes a
+	// chunk's ascending documents reward.
 	resolve resolveFunc
 }
 
@@ -88,25 +77,8 @@ func scoreOrder(b *base) listOrder {
 		stop:    func(ctx *queryCtx, listScore float64) bool { return ctx.holdsAbove(threshold(listScore), true) },
 		prepare: func(bc *builtCorpus) { b.scoreDir = postings.BuildScoreDir(bc.allScores()) },
 		resolve: func(ctx *queryCtx, g *postings.Group) (float64, bool, error) {
-			entry, exists, err := ctx.snap.table.Get(g.Doc)
-			if err != nil {
-				return 0, false, err
-			}
-			if !exists {
-				// Never updated: the long-list score is the latest score.
-				return g.SortKey, true, nil
-			}
 			row, ok, err := ctx.score.Descend(g.Doc)
-			if err != nil || !ok || row.deleted {
-				return 0, false, err
-			}
-			if row.short && g.SortKey != entry.val {
-				// The short-list copy (at sort key entry.val) is authoritative;
-				// any other appearance is the stale long-list copy.
-				return 0, false, nil
-			}
-			// The authoritative copy, but its stored score may be stale.
-			return row.val, true, nil
+			return resolveListed(ctx, g, row, ok, err)
 		},
 	}
 }
@@ -180,7 +152,7 @@ func newKeyCeilings(n int) keyCeilings {
 	return c
 }
 
-// slot is the entry of a list key.  A key outside the chunks (a hostile list
+// slot is the entry of a list key.  A key outside the chunks (a hostile Score
 // row or posting) clamps to the nearest chunk, and does so for the writer
 // and the reader alike, so a ceiling still bounds every score filed under
 // the keys it covers.
@@ -209,99 +181,59 @@ func (c keyCeilings) upTo() keyCeilings {
 }
 
 // deriveCeilings re-derives the key ceilings from the current scores, for
-// Restore: a live document's list key is its ListChunk row's when it has
-// one, else the key of its score — a document without a row has not had its
-// score changed since the build that filed it there.  The ListChunk table is
-// read into memory, then the Score table is walked in document order beside
-// it, so no row costs a descent.
+// Restore: one walk of the Score table raises each live document's list key
+// to its score.
 func (b *base) deriveCeilings() error {
-	type listed struct {
-		doc DocID
-		key float64
-	}
-	var rows []listed
-	if err := b.table.ForEach(func(doc DocID, r docRow) bool {
-		rows = append(rows, listed{doc, r.val})
-		return true
-	}); err != nil {
-		return err
-	}
 	b.ceil = newKeyCeilings(b.chunks.NumChunks())
-	return b.score.ForEach(func(doc DocID, r docRow) bool {
-		for len(rows) > 0 && rows[0].doc < doc {
-			rows = rows[1:]
+	return b.score.ForEach(func(_ DocID, r docRow) bool {
+		if !r.deleted {
+			b.ceil.raise(r.key, r.val)
 		}
-		if r.deleted {
-			return true
-		}
-		key := b.keyOf(r.val)
-		if len(rows) > 0 && rows[0].doc == doc {
-			key = rows[0].key
-		}
-		b.ceil.raise(key, r.val)
 		return true
 	})
 }
 
-// resolveChunk is the Chunk orders' resolver.  Within a chunk the
-// candidates arrive in ascending document order, so both tables are walked
-// left to right through the query context's leaf-locality probes instead of
-// descended per candidate.  Score first, ListChunk only for a moved
-// document's candidate the heap admits (see listOrder.resolve).
-func resolveChunk(ctx *queryCtx, g *postings.Group) (float64, bool, error) {
-	row, ok, err := ctx.score.Get(g.Doc)
-	if err != nil || !ok || row.deleted {
+// resolveListed resolves a candidate from its Score row (the result of a
+// lookup of g.Doc): a candidate counts iff the document is live and the
+// candidate's list position is the list key its row records.  That is
+// exact: every copy of a document that is not at its row's key is stale,
+// and no stale copy sits at the key, because Algorithm 1 only ever moves a
+// document to a strictly higher key — the long-list copy stays below every
+// key the document moves to, and each short-list copy it leaves is deleted.
+// A candidate whose offer (ctx.offer of the score) the heap would not admit
+// is dropped here, before the heap's duplicate search.
+func resolveListed(ctx *queryCtx, g *postings.Group, row docRow, ok bool, err error) (float64, bool, error) {
+	if err != nil || !ok || row.deleted || g.SortKey != row.key {
 		return 0, false, err
 	}
 	offer := ctx.offer(g, row.val)
-	if !ctx.heap.Admits(int64(g.Doc), offer) {
-		return 0, false, nil
-	}
-	if !row.short {
-		return offer, true, nil
-	}
-	entry, exists, err := ctx.list.Get(g.Doc)
-	if err == nil && !exists {
-		err = errMissingListRow(g.Doc)
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	// A moved document's long-list copy is stale; its short copy is
-	// processed instead.
-	return offer, g.SortKey == entry.val, nil
+	return offer, ctx.heap.Admits(int64(g.Doc), offer), nil
 }
 
-// buildLists implements kindMethod: the order's build-time directory, then
-// the long lists (see base.buildLists).
-func (m *thresholdMethod) buildLists(bc *builtCorpus) error {
-	m.order.prepare(bc)
-	return m.base.buildLists(bc)
+// resolveChunk is the Chunk orders' resolver.  Within a chunk the
+// candidates arrive in ascending document order, so the Score table is
+// walked left to right through the query context's leaf-locality probe
+// instead of descended per candidate.
+func resolveChunk(ctx *queryCtx, g *postings.Group) (float64, bool, error) {
+	row, ok, err := ctx.score.Get(g.Doc)
+	return resolveListed(ctx, g, row, ok, err)
 }
 
-// applyScore implements kindMethod: Algorithm 1, over list keys.  Whether
-// the postings move is decided from the rows as they stand, and the content
-// a move needs is read before the first write, so an update that fails
-// changes nothing.
+// prepare implements kindMethod: the order's build-time directory.
+func (m *thresholdMethod) prepare(bc *builtCorpus) { m.order.prepare(bc) }
+
+// applyScore implements kindMethod: Algorithm 1, over list keys, on the
+// document's one row.  Whether the postings move is decided from the row as
+// it stands, and the content a move needs is read before the first write,
+// so an update that fails changes nothing.
 func (m *thresholdMethod) applyScore(doc DocID, newScore float64) error {
 	old, changed, err := m.scoreChange(doc, newScore)
 	if !changed {
 		return err
 	}
-	entry, exists, err := m.listEntry(doc, old)
-	if err != nil {
-		return err
-	}
-	listKey, inShort := entry.val, old.short
-	if !exists {
-		listKey = m.keyOf(old.val)
-	}
-	newKey := m.keyOf(newScore)
+	listKey, newKey := old.key, m.keyOf(newScore)
 	if newKey <= m.order.thresholdValueOf(listKey) {
-		m.setScore(doc, newScore, inShort)
-		if !exists {
-			m.table.Put(doc, docRow{val: listKey})
-		}
+		m.setScore(doc, docRow{val: newScore, key: listKey, short: old.short})
 		m.ceil.raise(listKey, newScore)
 		return nil
 	}
@@ -310,14 +242,13 @@ func (m *thresholdMethod) applyScore(doc DocID, newScore float64) error {
 		return fmt.Errorf("index: %s update for %d needs document content: %w", m.Name(), doc, err)
 	}
 	for _, tw := range docTermWeights(tokens) {
-		if inShort {
+		if old.short {
 			m.lists.Delete(tw.term, listKey, doc)
 		}
 		m.lists.Put(tw.term, newKey, doc, postings.OpAdd, tw.w)
 		m.counters.shortListPostingsWritten.Add(1)
 	}
-	m.table.Put(doc, docRow{val: newKey})
-	m.setScore(doc, newScore, true)
+	m.setScore(doc, docRow{val: newScore, key: newKey, short: true})
 	m.ceil.raise(newKey, newScore)
 	return nil
 }

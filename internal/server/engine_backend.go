@@ -50,7 +50,6 @@ func (b *EngineBackend) Search(ctx context.Context, index string, req SearchRequ
 		Hits:            make([]SearchHit, len(res.Hits)),
 		PostingsScanned: res.PostingsScanned,
 		Stopped:         res.Stopped,
-		Partial:         res.Partial,
 	}
 	var schema relation.Schema
 	if req.LoadRows {

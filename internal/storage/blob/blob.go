@@ -167,12 +167,6 @@ func (s *Store) NewReader(ref Ref) *Reader {
 // to report how much of a long list they actually scanned.
 func (r *Reader) PagesRead() int { return r.pagesRead }
 
-// Offset reports the current read position within the blob.
-func (r *Reader) Offset() uint64 { return r.off }
-
-// Len reports the total blob length.
-func (r *Reader) Len() uint64 { return r.ref.Length }
-
 // Remaining reports how many bytes are left to read.
 func (r *Reader) Remaining() uint64 { return r.ref.Length - r.off }
 
@@ -193,25 +187,6 @@ func (r *Reader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// ReadAt reads len(p) bytes starting at blob offset off.  It is used by
-// readers that need random access within a chunked list (for example to jump
-// to a chunk directory entry).
-func (r *Reader) ReadAt(p []byte, off uint64) (int, error) {
-	if off > r.ref.Length || uint64(len(p)) > r.ref.Length-off {
-		return 0, fmt.Errorf("%w: %d bytes at %d of %d", ErrOutOfRange, len(p), off, r.ref.Length)
-	}
-	total := 0
-	for total < len(p) {
-		if err := r.loadPageFor(off + uint64(total)); err != nil {
-			return total, err
-		}
-		start := off + uint64(total) - r.pageBase
-		n := copy(p[total:], r.page[start:])
-		total += n
-	}
-	return total, nil
-}
-
 // Skip advances the read position by n bytes without touching the skipped
 // pages.
 func (r *Reader) Skip(n uint64) error {
@@ -219,15 +194,6 @@ func (r *Reader) Skip(n uint64) error {
 		return fmt.Errorf("%w: skip %d from %d of %d", ErrOutOfRange, n, r.off, r.ref.Length)
 	}
 	r.off += n
-	return nil
-}
-
-// Seek repositions the reader at an absolute blob offset.
-func (r *Reader) Seek(off uint64) error {
-	if off > r.ref.Length {
-		return fmt.Errorf("%w: seek to %d of %d", ErrOutOfRange, off, r.ref.Length)
-	}
-	r.off = off
 	return nil
 }
 

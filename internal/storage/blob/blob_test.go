@@ -125,30 +125,7 @@ func TestReaderEarlyTerminationSavesPages(t *testing.T) {
 	}
 }
 
-func TestReadAt(t *testing.T) {
-	s := newStore(t, 128, 64)
-	data := make([]byte, 1000)
-	for i := range data {
-		data[i] = byte(i % 251)
-	}
-	ref, err := s.Put(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := s.NewReader(ref)
-	buf := make([]byte, 300)
-	if _, err := r.ReadAt(buf, 500); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, data[500:800]) {
-		t.Error("ReadAt returned wrong bytes")
-	}
-	if _, err := r.ReadAt(buf, 900); err == nil {
-		t.Error("ReadAt past end succeeded, want error")
-	}
-}
-
-func TestSkipAndSeek(t *testing.T) {
+func TestSkip(t *testing.T) {
 	s := newStore(t, 128, 64)
 	data := make([]byte, 1000)
 	for i := range data {
@@ -166,10 +143,10 @@ func TestSkipAndSeek(t *testing.T) {
 	if want := byte(512 % 256); one[0] != want {
 		t.Errorf("byte after skip = %d, want %d", one[0], want)
 	}
-	if err := r.Seek(2000); err == nil {
-		t.Error("Seek past end succeeded, want error")
+	if err := r.Skip(2000); err == nil {
+		t.Error("Skip past end succeeded, want error")
 	}
-	if err := r.Seek(999); err != nil {
+	if err := r.Skip(486); err != nil {
 		t.Fatal(err)
 	}
 	if r.Remaining() != 1 {
@@ -206,10 +183,9 @@ func TestMultipleBlobsDoNotOverlap(t *testing.T) {
 }
 
 // checkPacked packs blobs of the given sizes through one packer and checks
-// every way of reading them back: whole, by ReadAt, after Skip and after
-// Seek, that no read reaches past a blob into its neighbour, that a blob
-// that fits in a page stays on one page, and that a cold read misses exactly
-// PageSpan pages.
+// every way of reading them back: whole and after Skip, that no read
+// reaches past a blob into its neighbour, that a blob that fits in a page
+// stays on one page, and that a cold read misses exactly PageSpan pages.
 func checkPacked(t *testing.T, pageSize int, sizes []int, rng *rand.Rand) {
 	t.Helper()
 	s := newStore(t, pageSize, 4*len(sizes)+8)
@@ -273,10 +249,6 @@ func checkPacked(t *testing.T, pageSize int, sizes []int, rng *rand.Rand) {
 		if n > 0 {
 			k = uint64(rng.Int63n(int64(n) + 1))
 		}
-		buf := make([]byte, n-k)
-		if _, err := s.NewReader(ref).ReadAt(buf, k); err != nil || !bytes.Equal(buf, data[k:]) {
-			t.Errorf("blob %d (%+v): ReadAt(%d bytes at %d) = %v or wrong bytes", i, ref, len(buf), k, err)
-		}
 		r = s.NewReader(ref)
 		if err := r.Skip(k); err != nil {
 			t.Fatalf("blob %d: Skip(%d): %v", i, k, err)
@@ -284,32 +256,16 @@ func checkPacked(t *testing.T, pageSize int, sizes []int, rng *rand.Rand) {
 		if got, err := io.ReadAll(r); err != nil || !bytes.Equal(got, data[k:]) {
 			t.Errorf("blob %d (%+v): Skip(%d)+Read = %d bytes, %v", i, ref, k, len(got), err)
 		}
-		r = s.NewReader(ref)
-		if err := r.Seek(k); err != nil {
-			t.Fatalf("blob %d: Seek(%d): %v", i, k, err)
-		}
-		if r.Remaining() != n-k {
-			t.Errorf("blob %d: Remaining after Seek(%d) = %d, want %d", i, k, r.Remaining(), n-k)
-		}
-		if got, err := io.ReadAll(r); err != nil || !bytes.Equal(got, data[k:]) {
-			t.Errorf("blob %d (%+v): Seek(%d)+Read = %d bytes, %v", i, ref, k, len(got), err)
-		}
 
 		// Nothing past Length: not a neighbour's byte, not a page's padding.
 		r = s.NewReader(ref)
-		if _, err := r.ReadAt(make([]byte, 1), n); !errors.Is(err, ErrOutOfRange) {
-			t.Errorf("blob %d: ReadAt at Length = %v, want ErrOutOfRange", i, err)
-		}
-		if _, err := r.ReadAt(make([]byte, 2), math.MaxUint64); !errors.Is(err, ErrOutOfRange) {
-			t.Errorf("blob %d: ReadAt at MaxUint64 = %v, want ErrOutOfRange", i, err)
-		}
 		if err := r.Skip(n + 1); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("blob %d: Skip(Length+1) = %v, want ErrOutOfRange", i, err)
 		}
-		if err := r.Seek(n + 1); !errors.Is(err, ErrOutOfRange) {
-			t.Errorf("blob %d: Seek(Length+1) = %v, want ErrOutOfRange", i, err)
+		if r.Remaining() != n {
+			t.Errorf("blob %d: Remaining after a refused Skip = %d, want %d", i, r.Remaining(), n)
 		}
-		if err := r.Seek(n); err != nil {
+		if err := r.Skip(n); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.Skip(math.MaxUint64); !errors.Is(err, ErrOutOfRange) {

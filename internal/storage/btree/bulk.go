@@ -164,23 +164,19 @@ func BulkLoad(pool *buffer.Pool, items []Item, fill float64) (*Tree, error) {
 		childKeys = nextKeys
 	}
 
-	// Allocate one contiguous run of pages for the whole tree and assign
-	// IDs level by level, leaves first.
-	total := 0
-	for _, lvl := range levelGroups {
-		total += len(lvl)
-	}
-	first, err := pool.File().AllocateN(total)
-	if err != nil {
-		return nil, err
-	}
+	// Allocate the pages level by level, leaves first, one at a time: a
+	// tree bulk-loaded to replace another (an index merge's Score table)
+	// takes the free pages the tree it replaces leaves scattered behind its
+	// copy-on-write copies, where one contiguous run would grow the file.
 	levelIDs := make([][]pagefile.PageID, len(levelGroups))
-	next := first
 	for li, lvl := range levelGroups {
 		ids := make([]pagefile.PageID, len(lvl))
 		for i := range lvl {
-			ids[i] = next
-			next++
+			id, err := pool.File().Allocate(pagefile.InvalidPageID)
+			if err != nil {
+				return nil, err
+			}
+			ids[i] = id
 		}
 		levelIDs[li] = ids
 	}

@@ -2,8 +2,9 @@
 // buffer pool of fixed-size pages.
 //
 // The paper implements every updatable structure — the Score table, the
-// ListScore/ListChunk tables, the short inverted lists and the Score
-// method's clustered long list — as BerkeleyDB B+-trees (§5.2).  This
+// ListScore/ListChunk tables (which this repository folds into the Score
+// rows), the short inverted lists and the Score method's clustered long
+// list — as BerkeleyDB B+-trees (§5.2).  This
 // package is the equivalent substrate: keys and values are opaque byte
 // strings, keys compare bytewise (order-preserving composite keys are built
 // with package codec), and every node occupies exactly one buffer-pool page
@@ -27,7 +28,7 @@
 //
 // Within a batch, a run of writes that replace existing values with ones
 // of identical length — every fixed-width table write: Score-table score
-// updates, ListScore/ListChunk rows, deleted-flag flips — is patched
+// updates, re-keyed rows, deleted-flag flips — is patched
 // straight into the pinned leaf page (Frame.Patch) with no node parse or
 // reserialize; Patches counts them.
 //

@@ -10,8 +10,8 @@
 // offer is admitted while the heap is not full, or when it beats the weakest
 // retained result (a higher score, or an equal score and a smaller document
 // ID).  An offer it refuses cannot change the results, so a query may drop
-// the candidate before paying for the rest of its resolution — the Chunk
-// orders skip their ListChunk probe that way.
+// the candidate before paying for the rest of its resolution — the
+// threshold family's resolvers drop it before the heap's duplicate search.
 //
 // See ARCHITECTURE.md for the layer map — where this package sits in the
 // stack — and for the repo-wide concurrency contract.
